@@ -17,10 +17,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt build test transport workloads chaos clippy bench-compile bench-smoke exhibits examples cluster)
+STAGES=(fmt build test transport workloads chaos clippy bench-compile bench-smoke benchmark-smoke exhibits examples cluster)
 # Stages skipped by --fast: each of these compiles the release or bench
 # profile, which dwarfs the debug stages' wall time.
-RELEASE_STAGES=(build bench-compile bench-smoke exhibits cluster)
+RELEASE_STAGES=(build bench-compile bench-smoke benchmark-smoke exhibits cluster)
 
 step() { printf '\n==> %s\n' "$*"; }
 
@@ -230,6 +230,20 @@ stage_bench_smoke() {
         bench_smoke_measure
         bench_smoke_baseline
     fi
+}
+
+# The end-to-end benchmark (benchmark/, BENCHMARK.json) in smoke mode: its
+# own package builds offline against the crate's public port API, all four
+# workloads run traced and untraced with their correctness checks on
+# (exactly-once push count on the TCP tier, zero retries/reconnects/dedup
+# hits, BSP same-seed determinism, a reasoned controller switch), and what
+# it prints is checked against the committed manifest. Hard KILL timeout:
+# a wedged socket must fail the gate, not hang it.
+stage_benchmark_smoke() {
+    timeout -sKILL 600 benchmark/selftest.sh || {
+        echo "benchmark selftest failed or timed out (600s budget)" >&2
+        return 1
+    }
 }
 
 # Exhibit golden gate: fig5 (knee) and table2 (search costs) regenerated

@@ -151,18 +151,37 @@ impl WorkerTelemetry {
 /// the owning server), then completes the push, runs any stage-2 round the
 /// push made due, and returns the push's global staleness. Shared by the
 /// ASP and SSP worker loops so the two protocols measure staleness
-/// identically.
+/// identically. The shards are *queued* on the port in flat order, which
+/// on a wire tier sends each server's shards as one batch.
 pub(crate) fn push_sharded(
     port: &WorkerPort,
     grad: &[f32],
+    acks: &mut Vec<u64>,
     buf: &PortBuffer,
     lr: f64,
     momentum: f64,
     shard_hist: &mut ServerShardStaleness,
 ) -> u64 {
+    acks.clear();
     for i in 0..port.shard_count() {
         let (offset, len) = port.shard_range(i);
-        let prev = port.apply_shard_update(i, &grad[offset..offset + len], lr, momentum);
+        port.queue_shard_update(i, &grad[offset..offset + len], lr, momentum, acks);
+    }
+    finish_push(port, acks, buf, shard_hist)
+}
+
+/// The tail both push helpers share: flushes the queued shards, turns each
+/// shard's acked pre-apply clock into its staleness observation, completes
+/// the push and runs any stage-2 round it made due.
+fn finish_push(
+    port: &WorkerPort,
+    acks: &mut Vec<u64>,
+    buf: &PortBuffer,
+    shard_hist: &mut ServerShardStaleness,
+) -> u64 {
+    port.flush_pushes(acks);
+    assert_eq!(acks.len(), port.shard_count(), "one ack per pushed shard");
+    for (i, prev) in acks.iter().enumerate() {
         shard_hist.record(
             port.owner_of(i),
             i,
@@ -184,7 +203,7 @@ pub(crate) fn push_maybe_sparse(
     model: &Network,
     grad: &[f32],
     sparse_enabled: bool,
-    scratch: &mut SparseScratch,
+    scratch: &mut PushScratch,
     buf: &PortBuffer,
     lr: f64,
     momentum: f64,
@@ -193,15 +212,17 @@ pub(crate) fn push_maybe_sparse(
     if sparse_enabled && model.grad_nonzero_runs_into(&mut scratch.runs) {
         push_sharded_sparse(port, grad, scratch, buf, lr, momentum, shard_hist)
     } else {
-        push_sharded(port, grad, buf, lr, momentum, shard_hist)
+        push_sharded(port, grad, &mut scratch.acks, buf, lr, momentum, shard_hist)
     }
 }
 
-/// Per-worker scratch for the sparse push path. All three vectors are
-/// reused across steps, so the steady state allocates nothing beyond what
-/// the dense path already does.
+/// Per-worker scratch for the push paths. All four vectors are reused
+/// across steps, so the steady state allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct SparseScratch {
+pub(crate) struct PushScratch {
+    /// The pushed shards' acked pre-apply clocks, in shard order (both
+    /// paths).
+    acks: Vec<u64>,
     /// Global `(offset, len)` runs of the model's possibly-nonzero
     /// gradient, filled by `Network::grad_nonzero_runs_into`.
     pub(crate) runs: Vec<(usize, usize)>,
@@ -219,16 +240,19 @@ pub(crate) struct SparseScratch {
 /// empty sparse update so its clock ticks and its momentum decays exactly
 /// as a dense zero push would. Every invariant of the dense path —
 /// per-shard staleness observations, global staleness, stage-2 scheduling —
-/// is preserved because the apply itself is numerically identical.
+/// is preserved because the apply itself is numerically identical. Each
+/// shard's segments are encoded when it is queued, so `spans`/`values` are
+/// free for the next shard while the batch is still being assembled.
 pub(crate) fn push_sharded_sparse(
     port: &WorkerPort,
     grad: &[f32],
-    scratch: &mut SparseScratch,
+    scratch: &mut PushScratch,
     buf: &PortBuffer,
     lr: f64,
     momentum: f64,
     shard_hist: &mut ServerShardStaleness,
 ) -> u64 {
+    scratch.acks.clear();
     // Shards iterate in flat order, so a single cursor over the sorted
     // runs suffices (no per-shard rescans).
     let mut first_run = 0usize;
@@ -262,20 +286,20 @@ pub(crate) fn push_sharded_sparse(
                 .push(((start - offset) as u32, (stop - start) as u32));
             scratch.values.extend_from_slice(&grad[start..stop]);
         }
-        let prev = if full_cover {
-            port.apply_shard_update(i, &grad[offset..end], lr, momentum)
+        if full_cover {
+            port.queue_shard_update(i, &grad[offset..end], lr, momentum, &mut scratch.acks);
         } else {
-            port.apply_shard_update_sparse(i, &scratch.spans, &scratch.values, lr, momentum)
-        };
-        shard_hist.record(
-            port.owner_of(i),
-            i,
-            prev.saturating_sub(buf.shard_version(i)),
-        );
+            port.queue_shard_update_sparse(
+                i,
+                &scratch.spans,
+                &scratch.values,
+                lr,
+                momentum,
+                &mut scratch.acks,
+            );
+        }
     }
-    let staleness = port.complete_push(buf.version());
-    port.after_push();
-    staleness
+    finish_push(port, &mut scratch.acks, buf, shard_hist)
 }
 
 /// The parameter-server data plane behind a trainer: the control-plane
@@ -1220,7 +1244,7 @@ impl Trainer {
                     let mut hist = StalenessHistogram::new();
                     let mut shard_hist = ServerShardStaleness::new(n_servers, n_shards);
                     let mut buf = port.new_buffer();
-                    let mut scratch = SparseScratch::default();
+                    let mut scratch = PushScratch::default();
                     let mut wt = telemetry.as_ref().map(WorkerTelemetry::new);
                     // First-step start for the wall-clock throughput span.
                     // ASP has no barrier, so wall and busy time only differ

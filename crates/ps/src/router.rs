@@ -508,6 +508,54 @@ impl WorkerPort {
         }
     }
 
+    /// Queues the stage-1 apply of `grad` on global shard `g` — the batched
+    /// form of [`WorkerPort::apply_shard_update`]. The in-process planes
+    /// apply at once and append the pre-apply shard clock to `acks`; a
+    /// transport-backed plane stages the push and sends the pushes queued
+    /// for one server together, so `acks` is complete — one clock per
+    /// queued push, in queue order — only after
+    /// [`WorkerPort::flush_pushes`].
+    pub fn queue_shard_update(
+        &self,
+        g: usize,
+        grad: &[f32],
+        lr: f64,
+        momentum: f64,
+        acks: &mut Vec<u64>,
+    ) {
+        match self {
+            WorkerPort::Net(p) => p.queue_shard_update(g, grad, lr, momentum),
+            _ => acks.push(self.apply_shard_update(g, grad, lr, momentum)),
+        }
+    }
+
+    /// Queues a sparse stage-1 apply on global shard `g` — the batched form
+    /// of [`WorkerPort::apply_shard_update_sparse`], with the `acks`
+    /// contract of [`WorkerPort::queue_shard_update`].
+    pub fn queue_shard_update_sparse(
+        &self,
+        g: usize,
+        indices: &[(u32, u32)],
+        rows: &[f32],
+        lr: f64,
+        momentum: f64,
+        acks: &mut Vec<u64>,
+    ) {
+        match self {
+            WorkerPort::Net(p) => p.queue_shard_update_sparse(g, indices, rows, lr, momentum),
+            _ => acks.push(self.apply_shard_update_sparse(g, indices, rows, lr, momentum)),
+        }
+    }
+
+    /// Sends every push still queued on a transport-backed plane and
+    /// appends their pre-apply shard clocks to `acks` (no-op in-process,
+    /// where queueing already applied).
+    pub fn flush_pushes(&self, acks: &mut Vec<u64>) {
+        if let WorkerPort::Net(p) = self {
+            p.flush_pushes(acks);
+        }
+    }
+
     /// Completes a logical push and returns its global staleness.
     pub fn complete_push(&self, pulled_version: u64) -> u64 {
         match self {

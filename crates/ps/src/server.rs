@@ -59,6 +59,20 @@ pub(crate) struct SeqEntry {
     pub(crate) reply: Vec<u8>,
 }
 
+/// Most clients the dedup table remembers. Every worker connection slot
+/// is a client, and every training segment opens fresh ones, so a
+/// long-lived server sees an unbounded stream of ids; only the ones that
+/// may still re-send matter, and those are the recent ones.
+pub(crate) const SEQ_DEDUP_CAP: usize = 1024;
+
+/// The sequenced-request dedup table: client id → entry, with the tick of
+/// the entry's last lookup for least-recently-used eviction.
+#[derive(Debug, Default)]
+struct SeqTable {
+    slots: HashMap<u64, (Arc<Mutex<SeqEntry>>, u64)>,
+    tick: u64,
+}
+
 /// One parameter server: authoritative (live + committed) state for a
 /// contiguous run of global shards.
 #[derive(Debug)]
@@ -79,7 +93,8 @@ pub struct PsServer {
     /// Sequenced-request dedup table, keyed by client id. Lives on the
     /// server (not the per-connection endpoint) so a retry arriving on a
     /// *fresh* connection still deduplicates against the original send.
-    seq_dedup: Mutex<HashMap<u64, Arc<Mutex<SeqEntry>>>>,
+    /// Holds at most [`SEQ_DEDUP_CAP`] clients.
+    seq_dedup: Mutex<SeqTable>,
     /// Request accounting (per-opcode counts, payload bytes, dedup hits,
     /// apply timing), recorded by every connection handler and shipped to
     /// scrapers over the `Stats` wire frame. Per instance: a revived
@@ -129,7 +144,7 @@ impl PsServer {
             nonce: next_nonce(),
             committed: ShardedStore::new(slice, owned_shards),
             live,
-            seq_dedup: Mutex::new(HashMap::new()),
+            seq_dedup: Mutex::new(SeqTable::default()),
             stats: ServerStats::new(owned_shards),
         }
     }
@@ -138,8 +153,39 @@ impl PsServer {
     /// locked *across* the execution of a sequenced request, serializing a
     /// retry against a still-running original so the apply cannot land
     /// twice.
+    ///
+    /// A new client beyond [`SEQ_DEDUP_CAP`] evicts the least recently
+    /// looked-up entry that no connection handler holds (handlers keep the
+    /// arc of the client they serve and stop looking it up, so a held arc —
+    /// not the tick — is what marks a connected client as live). Only when
+    /// every entry is held does the oldest held one go; its handler keeps
+    /// deduplicating on its own arc, and just a re-send over a *new*
+    /// connection would miss.
     pub(crate) fn seq_entry(&self, client: u64) -> Arc<Mutex<SeqEntry>> {
-        self.seq_dedup.lock().entry(client).or_default().clone()
+        let table = &mut *self.seq_dedup.lock();
+        table.tick += 1;
+        if let Some((entry, used)) = table.slots.get_mut(&client) {
+            *used = table.tick;
+            return Arc::clone(entry);
+        }
+        if table.slots.len() >= SEQ_DEDUP_CAP {
+            let victim = table
+                .slots
+                .iter()
+                .min_by_key(|(_, (entry, used))| (Arc::strong_count(entry) > 1, *used))
+                .map(|(&client, _)| client)
+                .expect("a table at capacity is not empty");
+            table.slots.remove(&victim);
+        }
+        let entry = Arc::<Mutex<SeqEntry>>::default();
+        table.slots.insert(client, (Arc::clone(&entry), table.tick));
+        entry
+    }
+
+    /// Number of clients the dedup table currently remembers.
+    #[cfg(test)]
+    pub(crate) fn seq_clients(&self) -> usize {
+        self.seq_dedup.lock().slots.len()
     }
 
     /// This server's id (its index in the router's server list).

@@ -110,7 +110,7 @@ impl Trainer {
                     let mut hist = StalenessHistogram::new();
                     let mut shard_hist = ServerShardStaleness::new(n_servers, n_shards);
                     let mut buf = port.new_buffer();
-                    let mut scratch = crate::engine::SparseScratch::default();
+                    let mut scratch = crate::engine::PushScratch::default();
                     let mut wt = telemetry.as_ref().map(crate::engine::WorkerTelemetry::new);
                     let mut my_iter = 0u64;
                     // First-step start for the wall-clock throughput span —

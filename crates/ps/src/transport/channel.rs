@@ -10,6 +10,12 @@
 //! encodes the reply into its own spare buffer, sends that back, and keeps
 //! the request buffer as its next spare. Two buffers per connection
 //! circulate forever; after warm-up neither side allocates.
+//!
+//! The only sender of a connection's reply channel travels *with* each
+//! request and comes back with its reply, so whenever the server drops a
+//! request unanswered — a malformed frame, or the loop exiting with the
+//! request still queued — the client's wait ends in a hang-up instead of
+//! blocking, and the connection stays closed, as a TCP one would.
 
 use std::io;
 use std::sync::mpsc;
@@ -21,10 +27,12 @@ use parking_lot::Mutex;
 use super::{wire, Conn, Handled, ServerEndpoint, Transport};
 use crate::server::PsServer;
 
-/// One queued request: the encoded payload and where to send the reply.
+/// One message, either direction: an encoded payload plus the sender of the
+/// connection's reply channel (where to send the reply; handed back with
+/// it).
 struct Msg {
     frame: Vec<u8>,
-    reply_tx: mpsc::Sender<Vec<u8>>,
+    reply_tx: mpsc::Sender<Msg>,
 }
 
 /// The channel transport: one event-loop thread per server.
@@ -71,19 +79,24 @@ impl ChannelTransport {
 /// sender is gone).
 fn serve(endpoint: &mut ServerEndpoint, rx: &mpsc::Receiver<Msg>) {
     let mut spare: Vec<u8> = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        match endpoint.handle(&msg.frame, &mut spare) {
+    while let Ok(Msg { frame, reply_tx }) = rx.recv() {
+        match endpoint.handle(&frame, &mut spare) {
             Ok(Handled::Reply) => {
                 // Ping-pong: the reply buffer goes to the client, the
                 // request buffer becomes the next reply scratch. A client
                 // that hung up (send error) just drops the buffer.
-                let reply = std::mem::replace(&mut spare, msg.frame);
-                let _ = msg.reply_tx.send(reply);
+                let reply = Msg {
+                    frame: std::mem::replace(&mut spare, frame),
+                    reply_tx: reply_tx.clone(),
+                };
+                let _ = reply_tx.send(reply);
             }
             Ok(Handled::Shutdown) => break,
-            // A malformed frame cannot originate in-process except through
-            // memory corruption; surface it loudly.
-            Err(e) => panic!("ps server event loop: malformed frame: {e}"),
+            // A malformed frame closes the connection it came from, as the
+            // TCP handler does, and nobody else's — this loop serves every
+            // client of the server. Dropping the request's sender unused
+            // is the hang-up.
+            Err(_) => {}
         }
     }
 }
@@ -101,7 +114,7 @@ impl Transport for ChannelTransport {
         let (reply_tx, reply_rx) = mpsc::channel();
         Ok(Box::new(ChannelConn {
             tx: self.txs[server].clone(),
-            reply_tx,
+            reply_tx: Some(reply_tx),
             reply_rx,
             request: Vec::new(),
             reply: Vec::new(),
@@ -132,8 +145,10 @@ impl Drop for ChannelTransport {
 /// A client connection on the channel backend.
 struct ChannelConn {
     tx: mpsc::Sender<Msg>,
-    reply_tx: mpsc::Sender<Vec<u8>>,
-    reply_rx: mpsc::Receiver<Vec<u8>>,
+    /// The reply channel's only sender while no call is in flight; `None`
+    /// once a call ended without a reply (the connection is closed).
+    reply_tx: Option<mpsc::Sender<Msg>>,
+    reply_rx: mpsc::Receiver<Msg>,
     /// Next request payload; recycled from the previous reply.
     request: Vec<u8>,
     /// Last reply payload, kept alive for the caller's borrow.
@@ -155,12 +170,12 @@ impl Conn for ChannelConn {
     }
 
     fn call(&mut self) -> io::Result<&[u8]> {
+        let reply_tx = self.reply_tx.take().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::BrokenPipe, "ps channel connection closed")
+        })?;
         let frame = std::mem::take(&mut self.request);
         self.tx
-            .send(Msg {
-                frame,
-                reply_tx: self.reply_tx.clone(),
-            })
+            .send(Msg { frame, reply_tx })
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "ps server event loop gone"))?;
         let received = match self.timeout {
             Some(t) => self.reply_rx.recv_timeout(t).map_err(|e| match e {
@@ -175,11 +190,12 @@ impl Conn for ChannelConn {
                 io::Error::new(io::ErrorKind::BrokenPipe, "ps server dropped reply")
             })?,
         };
+        self.reply_tx = Some(received.reply_tx);
         // Recycle: last round's reply allocation becomes the next request
         // buffer, and the received buffer serves the reply borrow — two
         // buffers circulate per connection, neither side allocates in the
         // steady state.
-        self.request = std::mem::replace(&mut self.reply, received);
+        self.request = std::mem::replace(&mut self.reply, received.frame);
         Ok(&self.reply)
     }
 
@@ -251,6 +267,31 @@ mod tests {
         // 100 unit-gradient applies at lr 1e-3 moved shard 0 by -0.1.
         assert_eq!(clocks[0], 100);
         assert!((params[0] - (0.0 - 0.1)).abs() < 1e-4, "p0 = {}", params[0]);
+    }
+
+    #[test]
+    fn malformed_frame_closes_only_the_offending_connection() {
+        let t = launch(8, 2, 1);
+        let mut good = t.connect(0).unwrap();
+        let mut bad = t.connect(0).unwrap();
+        // A batch cut short mid-item.
+        let buf = bad.request_buf();
+        let head = wire::begin_batch(buf, op::BATCH);
+        let mark = wire::open_batch_item(buf);
+        wire::encode_push_shard(buf, 0, 0.001, 0.0, &[1.0; 4]);
+        wire::close_batch_item(buf, head, mark);
+        buf.truncate(buf.len() - 3);
+        assert_eq!(bad.call().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        // Closed stays closed, like the TCP handler's socket.
+        wire::encode_bodyless(bad.request_buf(), op::CHECK_FINITE);
+        assert_eq!(bad.call().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        // The event loop is still there for everyone else, and nothing of
+        // the torn batch was applied.
+        wire::encode_push_shard(good.request_buf(), 0, 0.001, 0.0, &[1.0; 4]);
+        assert_eq!(wire::decode_push_ack(good.call().unwrap()), Ok(0));
+        let mut again = t.connect(0).unwrap();
+        wire::encode_bodyless(again.request_buf(), op::CHECK_FINITE);
+        again.call().unwrap();
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! module puts a real boundary there:
 //!
 //! * [`wire`] — the compact binary codec (length-prefixed frames, dedicated
-//!   zero-allocation encoders for the hot push/pull messages).
+//!   zero-allocation encoders for the hot push/pull messages, a `Batch`
+//!   frame that carries several requests to one server in one round trip).
 //! * [`Transport`] / [`Conn`] — the backend abstraction: a transport knows
 //!   how to open a connection to server `s`; a connection sends one encoded
 //!   request payload and blocks for the reply payload.
@@ -21,6 +22,16 @@
 //!   [`crate::ShardRouter`], but reaches the servers only through a
 //!   transport. The engine's BSP/ASP/SSP loops run unchanged on it via
 //!   [`crate::WorkerPort::Net`].
+//!
+//! What a training step costs on the wire is its round trips, so the client
+//! spends as few as the two-stage protocol allows: a pull is one per
+//! server, and so is a push — the shards a worker pushes to one server are
+//! queued and travel as a single sequenced `Batch`, acked by one reply
+//! carrying every shard's pre-apply clock (stage-1 applies to one server
+//! are order-free between sync rounds, so sharing a frame changes nothing
+//! the protocol can observe). [`ServerEndpoint`] executes a batch as a loop
+//! over its items and accounts each under its own opcode; the sequencing
+//! wrapper and its one-entry dedup window cover the batch as a whole.
 //!
 //! Per-operation wire time and frame bytes are recorded in
 //! [`crate::profiler::TransportStats`], surfaced on
@@ -46,7 +57,9 @@ use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::server::PsServer;
+use parking_lot::Mutex;
+
+use crate::server::{PsServer, SeqEntry};
 use crate::store::UpdateData;
 use wire::op;
 
@@ -161,6 +174,12 @@ pub(crate) struct ServerEndpoint {
     /// Pull/snapshot assembly scratch.
     params: Vec<f32>,
     clocks: Vec<u64>,
+    /// The dedup entry of the client this endpoint last served a sequenced
+    /// request for. A TCP handler serves one client, so after its first
+    /// request it never takes the server-wide table lock again; holding
+    /// the `Arc` is also the lease that keeps a connected client's entry
+    /// from being evicted (see [`PsServer::seq_entry`]).
+    lease: Option<(u64, Arc<Mutex<SeqEntry>>)>,
 }
 
 impl ServerEndpoint {
@@ -174,59 +193,130 @@ impl ServerEndpoint {
             commit: Vec::new(),
             params: vec![0.0; param_len],
             clocks: vec![0; shards],
+            lease: None,
         }
     }
 
     /// Handles one request payload, encoding the reply into `reply`
-    /// (cleared first).
-    ///
-    /// A [`op::SEQUENCED`] wrapper is unwrapped here: a duplicate
-    /// `(client, seq)` replays the cached reply without re-executing, so a
-    /// client that re-sends after a lost reply gets at-most-once apply
-    /// semantics for mutating requests.
+    /// (cleared first). See [`ServerEndpoint::handle_into`].
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on a malformed request — the serving loop
-    /// treats that as a broken peer and closes.
+    /// Returns a [`WireError`] on a malformed request.
     pub(crate) fn handle(
         &mut self,
         request: &[u8],
         reply: &mut Vec<u8>,
     ) -> Result<Handled, WireError> {
         reply.clear();
+        self.handle_into(request, reply)
+    }
+
+    /// Handles one request payload, *appending* the reply payload to
+    /// `reply` — what lets the TCP handler reserve its frame-length prefix
+    /// up front and have even a large pull reply encoded in place.
+    ///
+    /// A [`op::SEQUENCED`] wrapper is unwrapped here: a duplicate
+    /// `(client, seq)` replays the cached reply without re-executing, so a
+    /// client that re-sends after a lost reply gets at-most-once apply
+    /// semantics for mutating requests. A [`op::BATCH`] — bare or inside
+    /// the wrapper — is executed item by item, and the wrapper covers it
+    /// as a whole: one sequence number, one cached (batch) reply.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] on a malformed request — the serving loop
+    /// treats that as a broken peer and closes without replying.
+    pub(crate) fn handle_into(
+        &mut self,
+        request: &[u8],
+        reply: &mut Vec<u8>,
+    ) -> Result<Handled, WireError> {
+        let base = reply.len();
         let opcode = *request.first().ok_or(WireError::Truncated)?;
-        if opcode == op::SEQUENCED {
-            let (client, seq, inner) = wire::decode_sequenced_prefix(request)?;
-            let inner_op = *inner.first().ok_or(WireError::Truncated)?;
-            // Counted under the inner opcode (what the request does) with
-            // the wrapper's full size (what crossed the wire).
-            self.server.stats().record_request(inner_op, request.len());
-            let entry = self.server.seq_entry(client);
-            // Held across execution: a duplicate racing a still-running
-            // original waits here and then sees the cached reply.
-            let mut entry = entry.lock();
-            if entry.last == Some(seq) {
-                self.server.stats().record_dedup_hit();
-                reply.extend_from_slice(&entry.reply);
-                self.server.stats().record_reply(reply.len());
-                return Ok(Handled::Reply);
-            }
-            let handled = self.handle_inner(inner, reply)?;
+        if opcode != op::SEQUENCED {
+            let batch = self.count_request(request, request)?;
+            let handled = self.dispatch(request, batch, reply)?;
             if handled == Handled::Reply {
-                entry.last = Some(seq);
-                entry.reply.clear();
-                entry.reply.extend_from_slice(reply);
-                self.server.stats().record_reply(reply.len());
+                self.server.stats().record_reply(reply.len() - base);
             }
             return Ok(handled);
         }
-        self.server.stats().record_request(opcode, request.len());
-        let handled = self.handle_inner(request, reply)?;
+        let (client, seq, inner) = wire::decode_sequenced_prefix(request)?;
+        let batch = self.count_request(request, inner)?;
+        let entry = match &self.lease {
+            Some((leased, entry)) if *leased == client => Arc::clone(entry),
+            _ => {
+                let entry = self.server.seq_entry(client);
+                self.lease = Some((client, Arc::clone(&entry)));
+                entry
+            }
+        };
+        // Held across execution: a duplicate racing a still-running
+        // original waits here and then sees the cached reply.
+        let mut entry = entry.lock();
+        if entry.last == Some(seq) {
+            self.server.stats().record_dedup_hit();
+            reply.extend_from_slice(&entry.reply);
+            self.server.stats().record_reply(entry.reply.len());
+            return Ok(Handled::Reply);
+        }
+        let handled = self.dispatch(inner, batch, reply)?;
         if handled == Handled::Reply {
-            self.server.stats().record_reply(reply.len());
+            entry.last = Some(seq);
+            entry.reply.clear();
+            entry.reply.extend_from_slice(&reply[base..]);
+            self.server.stats().record_reply(entry.reply.len());
         }
         Ok(handled)
+    }
+
+    /// Counts the request(s) in `inner` — the payload of `frame` with any
+    /// sequencing wrapper removed — under what they do: one count per
+    /// logical request, a batch's items each under their own opcode, so
+    /// the per-opcode counts do not depend on how requests were framed.
+    /// Every byte of `frame` is attributed once (a batch's framing to its
+    /// first item). Returns a batch's items: its framing is checked here,
+    /// before anything executes.
+    fn count_request<'a>(
+        &self,
+        frame: &[u8],
+        inner: &'a [u8],
+    ) -> Result<Option<wire::BatchItems<'a>>, WireError> {
+        let stats = self.server.stats();
+        let opcode = *inner.first().ok_or(WireError::Truncated)?;
+        if opcode != op::BATCH {
+            stats.record_request(opcode, frame.len());
+            return Ok(None);
+        }
+        let items = wire::batch_items(inner, op::BATCH)?;
+        let mut framing = frame.len() - items.clone().map(<[u8]>::len).sum::<usize>();
+        for item in items.clone() {
+            stats.record_request(item[0], item.len() + framing);
+            framing = 0;
+        }
+        Ok(Some(items))
+    }
+
+    /// Executes one unwrapped request payload: a batch as a loop over its
+    /// items, anything else directly.
+    fn dispatch(
+        &mut self,
+        request: &[u8],
+        batch: Option<wire::BatchItems<'_>>,
+        reply: &mut Vec<u8>,
+    ) -> Result<Handled, WireError> {
+        let Some(items) = batch else {
+            return self.handle_inner(request, reply);
+        };
+        let head = wire::begin_batch(reply, op::BATCH_REPLY);
+        for item in items {
+            let mark = wire::open_batch_item(reply);
+            // `batch_items` admits no `Shutdown`, so every item replies.
+            self.handle_inner(item, reply)?;
+            wire::close_batch_item(reply, head, mark);
+        }
+        Ok(Handled::Reply)
     }
 
     fn handle_inner(&mut self, request: &[u8], reply: &mut Vec<u8>) -> Result<Handled, WireError> {
@@ -495,6 +585,150 @@ mod tests {
         wire::encode_push_shard(&mut req, 1, 0.5, 0.0, &[1.0; 5]);
         ep.handle(&req, &mut reply).unwrap();
         assert_eq!(wire::decode_push_ack(&reply), Ok(2));
+    }
+
+    /// `[BATCH]` of dense pushes to local shards `shards` (5 params each).
+    fn push_batch(shards: &[u32]) -> Vec<u8> {
+        let mut req = Vec::new();
+        let head = wire::begin_batch(&mut req, op::BATCH);
+        for &shard in shards {
+            let mark = wire::open_batch_item(&mut req);
+            wire::encode_push_shard(&mut req, shard, 0.5, 0.0, &[1.0; 5]);
+            wire::close_batch_item(&mut req, head, mark);
+        }
+        req
+    }
+
+    fn batch_acks(reply: &[u8]) -> Vec<u64> {
+        wire::batch_items(reply, op::BATCH_REPLY)
+            .unwrap()
+            .map(|ack| wire::decode_push_ack(ack).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn batch_executes_in_order_and_is_deduplicated_as_a_whole() {
+        let mut ep = endpoint(10, 2);
+        let mut reply = Vec::new();
+        // Shard 1 twice, then shard 0: each ack is that shard's clock
+        // before its own apply, in request order.
+        let batch = push_batch(&[1, 1, 0]);
+        assert_eq!(ep.handle(&batch, &mut reply), Ok(Handled::Reply));
+        assert_eq!(batch_acks(&reply), [0, 1, 0]);
+        // One sequence number covers a batch: the duplicate replays the
+        // cached batch reply byte for byte and applies nothing.
+        let mut req = Vec::new();
+        wire::encode_sequenced_prefix(&mut req, 7, 0);
+        req.extend_from_slice(&batch);
+        ep.handle(&req, &mut reply).unwrap();
+        assert_eq!(batch_acks(&reply), [2, 3, 1]);
+        let first = reply.clone();
+        ep.handle(&req, &mut reply).unwrap();
+        assert_eq!(reply, first);
+        // Accounting is per logical request, whatever the framing: six
+        // applied pushes and the three replayed ones under PUSH_SHARD, one
+        // dedup hit, nothing under BATCH, and every byte received counted.
+        let snap = ep.server.stats_snapshot();
+        assert_eq!(snap.requests_for(op::PUSH_SHARD), 9);
+        assert_eq!(snap.requests_for(op::BATCH), 0);
+        assert_eq!(snap.dedup_hits, 1);
+        assert_eq!(snap.apply_ns.count, 6);
+        assert_eq!(snap.shard_applies, vec![2, 4]);
+        assert_eq!(snap.bytes_in, (batch.len() + 2 * req.len()) as u64);
+        assert_eq!(snap.bytes_out, 3 * first.len() as u64);
+    }
+
+    #[test]
+    fn malformed_batches_are_rejected_before_anything_applies() {
+        let mut ep = endpoint(10, 2);
+        let mut reply = Vec::new();
+        let good = push_batch(&[0, 1]);
+        let mut nested = Vec::new();
+        let head = wire::begin_batch(&mut nested, op::BATCH);
+        for inner in [&push_batch(&[0])[..], &good[..]] {
+            let mark = wire::open_batch_item(&mut nested);
+            nested.extend_from_slice(inner);
+            wire::close_batch_item(&mut nested, head, mark);
+        }
+        let mut shutdown = push_batch(&[0]);
+        let mark = wire::open_batch_item(&mut shutdown);
+        shutdown.push(op::SHUTDOWN);
+        wire::close_batch_item(&mut shutdown, 0, mark);
+        let mut overcount = good.clone();
+        overcount[1..3].copy_from_slice(&3u16.to_le_bytes());
+        let mut trailing = good.clone();
+        trailing.push(0);
+        for bad in [
+            &good[..good.len() - 2],
+            &nested[..],
+            &shutdown[..],
+            &overcount[..],
+            &trailing[..],
+        ] {
+            assert!(ep.handle(bad, &mut reply).is_err());
+            // Also behind the sequencing wrapper, where nothing is cached.
+            let mut req = Vec::new();
+            wire::encode_sequenced_prefix(&mut req, 3, 0);
+            req.extend_from_slice(bad);
+            assert!(ep.handle(&req, &mut reply).is_err());
+        }
+        // The well-formed first items of those frames never ran.
+        let snap = ep.server.stats_snapshot();
+        assert_eq!(snap.apply_ns.count, 0);
+        assert_eq!(snap.requests_for(op::PUSH_SHARD), 0);
+        // An item that is framed right but does not decode fails the batch
+        // unacked; the sequence number stays free for the corrected re-send.
+        let mut req = Vec::new();
+        wire::encode_sequenced_prefix(&mut req, 3, 0);
+        let head = wire::begin_batch(&mut req, op::BATCH);
+        let mark = wire::open_batch_item(&mut req);
+        req.extend_from_slice(&[op::PUSH_SHARD, 0, 0]);
+        wire::close_batch_item(&mut req, head, mark);
+        assert!(ep.handle(&req, &mut reply).is_err());
+        let mut req = Vec::new();
+        wire::encode_sequenced_prefix(&mut req, 3, 0);
+        req.extend_from_slice(&good);
+        ep.handle(&req, &mut reply).unwrap();
+        assert_eq!(batch_acks(&reply), [0, 0]);
+    }
+
+    #[test]
+    fn dedup_table_stays_bounded_and_keeps_connected_clients() {
+        use crate::server::SEQ_DEDUP_CAP;
+        let mut live = endpoint(10, 2);
+        let server = Arc::clone(&live.server);
+        let mut reply = Vec::new();
+        let push = |client: u64, seq: u32| {
+            let mut req = Vec::new();
+            wire::encode_sequenced_prefix(&mut req, client, seq);
+            wire::encode_push_shard(&mut req, 1, 0.5, 0.0, &[1.0; 5]);
+            req
+        };
+        // A connected client: its handler endpoint keeps serving it.
+        let live_req = push(u64::MAX, 0);
+        live.handle(&live_req, &mut reply).unwrap();
+        assert_eq!(wire::decode_push_ack(&reply), Ok(0));
+        // Ten thousand other clients come and go through another handler.
+        let mut churn = ServerEndpoint::new(Arc::clone(&server));
+        for client in 0..10_000u64 {
+            churn.handle(&push(client, 0), &mut reply).unwrap();
+            assert!(server.seq_clients() <= SEQ_DEDUP_CAP);
+        }
+        assert_eq!(server.seq_clients(), SEQ_DEDUP_CAP);
+        // The connected client's last request still replays — over its own
+        // connection and over a fresh one — instead of applying twice.
+        let applied = server.stats_snapshot().apply_ns.count;
+        live.handle(&live_req, &mut reply).unwrap();
+        assert_eq!(wire::decode_push_ack(&reply), Ok(0));
+        let mut fresh = ServerEndpoint::new(Arc::clone(&server));
+        fresh.handle(&live_req, &mut reply).unwrap();
+        assert_eq!(wire::decode_push_ack(&reply), Ok(0));
+        assert_eq!(server.stats_snapshot().apply_ns.count, applied);
+        // So does the most recent churned client's; the oldest was evicted.
+        churn.handle(&push(9_999, 0), &mut reply).unwrap();
+        assert_eq!(server.stats_snapshot().apply_ns.count, applied);
+        churn.handle(&push(0, 0), &mut reply).unwrap();
+        assert_eq!(server.stats_snapshot().apply_ns.count, applied + 1);
     }
 
     #[test]

@@ -15,6 +15,17 @@
 //! Workers hold a [`NetPort`] clone each; a clone lazily opens its own
 //! connection per server (connection-per-worker on both backends), so
 //! worker threads never share a socket or contend on a connection lock.
+//!
+//! Every operation is strictly request/reply, one round trip per server:
+//! a pull asks each server for its slice, a sync round commits each server,
+//! and a push sends each server *all* of the worker's shards it owns as one
+//! `Batch` frame. Pushes are queued per shard ([`NetPort::queue_shard_update`]
+//! encodes straight into the port's staging buffer) and sent when the
+//! owning server changes or on [`NetPort::flush_pushes`]; the per-shard
+//! [`NetPort::apply_shard_update`] is the same path with a queue of one.
+//! Round trips to different servers are not overlapped — on a small box the
+//! extra runnable threads cost more than the overlap saves (CHANGES.md,
+//! PR 12).
 
 use std::io;
 use std::net::SocketAddr;
@@ -82,10 +93,11 @@ struct OpCounters {
 }
 
 impl OpCounters {
-    fn record(&self, elapsed: Duration, bytes_out: usize, bytes_in: usize) {
+    /// One round trip that carried `ops` logical operations.
+    fn record(&self, ops: u64, elapsed: Duration, bytes_out: usize, bytes_in: usize) {
         // Relaxed throughout: these are statistics counters; nothing is
         // published through them and cross-counter skew is tolerable.
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.ops.fetch_add(ops, Ordering::Relaxed);
         self.ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         self.bytes_out
@@ -468,14 +480,15 @@ impl NetRouter {
     /// applied the request replays its cached ack instead of re-applying.
     /// Wire stats are recorded once, from the successful attempt only, so
     /// a clean network sees byte/latency numbers identical to a
-    /// retry-free build.
+    /// retry-free build; `counters` names the class and how many logical
+    /// operations the round trip carries (a push batch counts its shards).
     #[allow(clippy::too_many_arguments)]
     fn call_resilient<T>(
         &self,
         conns: &mut ConnSet,
         server: usize,
         policy: RetryPolicy,
-        counters: Option<&OpCounters>,
+        counters: Option<(&OpCounters, u64)>,
         sequenced: bool,
         encode: &dyn Fn(&mut Vec<u8>),
         decode: &mut dyn FnMut(&[u8]) -> Result<T, WireError>,
@@ -542,8 +555,8 @@ impl NetRouter {
                     if sequenced {
                         slot.next_seq = seq.wrapping_add(1);
                     }
-                    if let Some(c) = counters {
-                        c.record(t0.elapsed(), out, reply_len);
+                    if let Some((c, ops)) = counters {
+                        c.record(ops, t0.elapsed(), out, reply_len);
                     }
                     return Ok(v);
                 }
@@ -600,64 +613,91 @@ impl NetRouter {
             conns,
             s,
             self.retry,
-            Some(&self.stats.sync),
+            Some((&self.stats.sync, 1)),
             true,
             &|buf| wire::encode_bodyless(buf, opcode),
             &mut |reply| wire::expect_bodyless(reply, op::SYNCED),
         )
     }
 
-    /// Stage-1 apply through `conns`: routes the gradient for global shard
-    /// `g` to its owner as a `PushShard` frame and returns the owner's
-    /// pre-apply live shard clock from the ack.
-    fn apply_shard_update(
-        &self,
-        conns: &mut ConnSet,
-        g: usize,
-        grad: &[f32],
-        lr: f64,
-        momentum: f64,
-    ) -> u64 {
+    /// Queues the stage-1 push of global shard `g` on its owner's batch:
+    /// `encode` appends the shard's `PushShard`/`PushShardSparse` payload
+    /// (it is handed the owner-local shard index) straight into the staging
+    /// buffer — the only client-side copy of the gradient besides the one
+    /// into the connection. Pushes already staged for a *different* server
+    /// are sent first, so a walk over the shards in flat order (owners hold
+    /// contiguous runs) costs one round trip per server.
+    fn queue_push(&self, port: &mut PortState, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) {
         let s = self.owner[g];
-        let local = (g - self.servers[s].shard_offset) as u32;
-        self.call_resilient(
-            conns,
-            s,
-            self.retry,
-            Some(&self.stats.push),
-            true,
-            &|buf| wire::encode_push_shard(buf, local, lr, momentum, grad),
-            &mut wire::decode_push_ack,
-        )
-        .unwrap_or_else(|e| panic!("push failed: {e}"))
+        if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX)) {
+            self.send_staged(port);
+        }
+        if port.staged == 0 {
+            port.staged_for = s;
+            port.staging.clear();
+            wire::begin_batch(&mut port.staging, op::BATCH);
+        }
+        let mark = wire::open_batch_item(&mut port.staging);
+        encode(&mut port.staging, (g - self.servers[s].shard_offset) as u32);
+        wire::close_batch_item(&mut port.staging, 0, mark);
+        port.staged += 1;
     }
 
-    /// Stage-1 sparse apply through `conns`: ships only the touched
-    /// segments of global shard `g` as a `PushShardSparse` frame. Counted
-    /// under the same `push` wire-stats class as the dense path (same op
-    /// count, smaller payloads — exactly the comparison the bench pair and
-    /// the transport tests read off).
-    fn apply_shard_update_sparse(
-        &self,
-        conns: &mut ConnSet,
-        g: usize,
-        indices: &[(u32, u32)],
-        rows: &[f32],
-        lr: f64,
-        momentum: f64,
-    ) -> u64 {
-        let s = self.owner[g];
-        let local = (g - self.servers[s].shard_offset) as u32;
+    /// Sends the staged pushes as one sequenced request — a `Batch`, or the
+    /// bare push when there is just one — and appends each shard's
+    /// pre-apply clock to `port.acks` in queue order. One sequence number
+    /// covers the batch, so a re-send after a lost reply replays the cached
+    /// batch reply and no shard is applied twice. Counted as `staged` push
+    /// operations sharing one round trip's time and bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the retry budget is exhausted, like every worker-path op.
+    fn send_staged(&self, port: &mut PortState) {
+        let PortState {
+            conns,
+            staging,
+            staged_for,
+            staged,
+            acks,
+        } = port;
+        let n = std::mem::take(staged);
+        if n == 0 {
+            return;
+        }
+        // A lone push goes out bare: skip the batch header and the item's
+        // length prefix.
+        let request = if n == 1 {
+            &staging[wire::BATCH_HEADER_BYTES + 4..]
+        } else {
+            &staging[..]
+        };
+        let base = acks.len();
         self.call_resilient(
             conns,
-            s,
+            *staged_for,
             self.retry,
-            Some(&self.stats.push),
+            Some((&self.stats.push, n as u64)),
             true,
-            &|buf| wire::encode_push_shard_sparse(buf, local, lr, momentum, indices, rows),
-            &mut wire::decode_push_ack,
+            &|buf| buf.extend_from_slice(request),
+            &mut |reply| {
+                // A failed attempt may have decoded part of a corrupt reply.
+                acks.truncate(base);
+                if n == 1 {
+                    acks.push(wire::decode_push_ack(reply)?);
+                } else {
+                    for ack in wire::batch_items(reply, op::BATCH_REPLY)? {
+                        acks.push(wire::decode_push_ack(ack)?);
+                    }
+                }
+                if acks.len() - base == n {
+                    Ok(())
+                } else {
+                    Err(WireError::Truncated)
+                }
+            },
         )
-        .unwrap_or_else(|e| panic!("sparse push failed: {e}"))
+        .unwrap_or_else(|e| panic!("push failed: {e}"));
     }
 
     /// Pulls the committed view of every server through `conns` into `buf`,
@@ -679,7 +719,7 @@ impl NetRouter {
                 conns,
                 s,
                 self.retry,
-                Some(&self.stats.pull),
+                Some((&self.stats.pull, 1)),
                 false,
                 &|req| wire::encode_bodyless(req, op::PULL_COMMITTED),
                 &mut |reply| wire::decode_pulled_into(reply, params, clocks),
@@ -1039,35 +1079,53 @@ impl NetRouter {
     }
 }
 
+/// One worker's private client state: its connections and the pushes it
+/// has queued but not yet sent.
+#[derive(Debug, Default)]
+struct PortState {
+    conns: ConnSet,
+    /// `[BATCH][u16 n]` then `n × [u32 len][push payload]`: the pushes
+    /// queued for `staged_for`, encoded as they were queued.
+    staging: Vec<u8>,
+    staged_for: usize,
+    /// Pushes in `staging`.
+    staged: usize,
+    /// Pre-apply shard clocks of the pushes sent and not yet handed to the
+    /// caller, in queue order.
+    acks: Vec<u64>,
+}
+
 /// A worker's handle onto a [`NetRouter`]: the shared router plus this
-/// worker's own lazily-opened connections. Cloning yields a handle with an
-/// empty connection set, so every worker thread ends up with its own
-/// connections (connection-per-worker) without any cross-thread sharing —
-/// the per-clone mutex is only ever contended by its owning thread.
+/// worker's own lazily-opened connections and push staging buffer. Cloning
+/// yields a handle with empty state, so every worker thread ends up with
+/// its own connections (connection-per-worker) without any cross-thread
+/// sharing — the per-clone mutex is only ever contended by its owning
+/// thread.
 #[derive(Debug)]
 pub struct NetPort {
     /// Declared before `router` so a clone's connections close before the
     /// last `Arc` drop can tear the transport down.
-    conns: Mutex<ConnSet>,
+    state: Mutex<PortState>,
     router: Arc<NetRouter>,
 }
 
 impl Clone for NetPort {
     fn clone(&self) -> Self {
-        NetPort {
-            conns: Mutex::new(ConnSet::default()),
-            router: Arc::clone(&self.router),
-        }
+        NetPort::over(Arc::clone(&self.router))
     }
 }
 
 impl NetPort {
+    fn over(router: Arc<NetRouter>) -> Self {
+        NetPort {
+            state: Mutex::new(PortState::default()),
+            router,
+        }
+    }
+
     /// Launches a transport-backed tier (see [`NetRouter::launch`]).
     pub fn launch(initial: &[f32], shards: usize, topology: ServerTopology) -> Self {
-        NetPort {
-            conns: Mutex::new(ConnSet::default()),
-            router: Arc::new(NetRouter::launch(initial, shards, topology)),
-        }
+        NetPort::over(Arc::new(NetRouter::launch(initial, shards, topology)))
     }
 
     /// Connects to an already-running cross-process tier (see
@@ -1083,16 +1141,8 @@ impl NetPort {
         sync_every: u64,
         retry: RetryPolicy,
     ) -> Result<Self, PsError> {
-        Ok(NetPort {
-            conns: Mutex::new(ConnSet::default()),
-            router: Arc::new(NetRouter::connect(
-                param_count,
-                shards,
-                addrs,
-                sync_every,
-                retry,
-            )?),
-        })
+        let router = NetRouter::connect(param_count, shards, addrs, sync_every, retry)?;
+        Ok(NetPort::over(Arc::new(router)))
     }
 
     /// The shared router.
@@ -1102,13 +1152,56 @@ impl NetPort {
 
     /// Pulls the committed view into `buf` over this worker's connections.
     pub fn pull_into(&self, buf: &mut RouterBuffer) -> u64 {
-        self.router.pull_committed_into(&mut self.conns.lock(), buf)
+        self.router
+            .pull_committed_into(&mut self.state.lock().conns, buf)
     }
 
-    /// Stage-1 apply over this worker's connection to the owner.
-    pub fn apply_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) -> u64 {
+    /// Queues the stage-1 apply of `grad` on global shard `g`. Nothing is
+    /// promised to have reached the owner until [`NetPort::flush_pushes`];
+    /// queueing for a different server sends what was queued before. The
+    /// queue belongs to this handle: a worker queues and flushes on its own
+    /// clone.
+    pub fn queue_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) {
         self.router
-            .apply_shard_update(&mut self.conns.lock(), g, grad, lr, momentum)
+            .queue_push(&mut self.state.lock(), g, |buf, local| {
+                wire::encode_push_shard(buf, local, lr, momentum, grad);
+            });
+    }
+
+    /// Queues a sparse stage-1 apply on global shard `g`: only the touched
+    /// segments will cross the wire. Counted under the same `push`
+    /// wire-stats class as the dense form (same op count, smaller payloads
+    /// — the comparison the bench pair and the transport tests read off).
+    pub fn queue_shard_update_sparse(
+        &self,
+        g: usize,
+        indices: &[(u32, u32)],
+        rows: &[f32],
+        lr: f64,
+        momentum: f64,
+    ) {
+        self.router
+            .queue_push(&mut self.state.lock(), g, |buf, local| {
+                wire::encode_push_shard_sparse(buf, local, lr, momentum, indices, rows);
+            });
+    }
+
+    /// Sends whatever is still queued and appends to `acks` the owners'
+    /// pre-apply live shard clocks of every push queued since the last
+    /// flush, in queue order.
+    pub fn flush_pushes(&self, acks: &mut Vec<u64>) {
+        let port = &mut *self.state.lock();
+        self.router.send_staged(port);
+        acks.append(&mut port.acks);
+    }
+
+    /// Stage-1 apply over this worker's connection to the owner — a queue
+    /// and a flush of one push, which travels as a bare `PushShard` frame.
+    /// Returns the owner's pre-apply live shard clock.
+    pub fn apply_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) -> u64 {
+        self.push_now(g, |buf, local| {
+            wire::encode_push_shard(buf, local, lr, momentum, grad);
+        })
     }
 
     /// Stage-1 sparse apply over this worker's connection to the owner:
@@ -1121,14 +1214,19 @@ impl NetPort {
         lr: f64,
         momentum: f64,
     ) -> u64 {
-        self.router.apply_shard_update_sparse(
-            &mut self.conns.lock(),
-            g,
-            indices,
-            rows,
-            lr,
-            momentum,
-        )
+        self.push_now(g, |buf, local| {
+            wire::encode_push_shard_sparse(buf, local, lr, momentum, indices, rows);
+        })
+    }
+
+    /// Queues one push, sends the queue and takes that push's ack — under
+    /// one hold of the state lock, so it stays atomic even on a port that
+    /// threads share.
+    fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> u64 {
+        let port = &mut *self.state.lock();
+        self.router.queue_push(port, g, encode);
+        self.router.send_staged(port);
+        port.acks.pop().expect("the push just sent was acked")
     }
 }
 
@@ -1258,7 +1356,7 @@ mod tests {
         r.drain();
         let stats = r.stats();
         assert_eq!(stats.backend, Some(TransportKind::Channel));
-        assert_eq!(stats.push.ops, 4, "one push round trip per shard");
+        assert_eq!(stats.push.ops, 4, "one push op per shard");
         assert_eq!(stats.pull.ops, 2, "one pull round trip per server");
         assert_eq!(stats.sync.ops, 2, "one sync round trip per server");
         assert!(stats.push.bytes_out > 0 && stats.pull.bytes_in > 0);

@@ -7,6 +7,13 @@
 //! disabled (`TCP_NODELAY`) — the protocol is strict request/reply, where
 //! delayed ACKs would serialize into ~40 ms stalls per round trip.
 //!
+//! A frame costs one `write` and, when it fits the read buffer, one `read`
+//! per side: both ends encode behind a reserved length prefix and send the
+//! whole frame at once, and both read through a [`BufReader`], so the
+//! prefix and the payload of a small frame come out of a single syscall
+//! (a payload larger than the buffer is still read straight into its
+//! destination). On a round-trip-bound tier the syscalls are the cost.
+//!
 //! Handler threads execute directly against the shared [`PsServer`]
 //! (`ShardedStore` is internally locked per shard), so two workers pushing
 //! to different shards of one server proceed concurrently — the same
@@ -19,7 +26,7 @@
 //! one, bound to a configured address, to put each server in its own OS
 //! process.
 
-use std::io::{self, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -313,24 +320,24 @@ fn handle_conn(stream: TcpStream, endpoint: &mut ServerEndpoint, slot: &ServerSl
     slot.conns.lock().retain(|&(i, _)| i != id);
 }
 
-fn serve_conn(mut stream: TcpStream, endpoint: &mut ServerEndpoint) {
+fn serve_conn(stream: TcpStream, endpoint: &mut ServerEndpoint) {
+    let mut stream = BufReader::with_capacity(wire::FRAME_READ_BUF, stream);
     let mut request = Vec::new();
-    // Reply frame laid out as [len][payload]; the prefix is patched after
-    // encoding so the whole frame goes out in one write.
+    // Reply frame laid out as [len][payload]: the prefix is reserved, the
+    // endpoint encodes the payload in place behind it, and the patched
+    // frame goes out in one write — no second copy of a large pull reply.
     let mut reply = Vec::new();
-    let mut payload = Vec::new();
     loop {
         match wire::read_frame(&mut stream, &mut request) {
             Ok(true) => {}
             Ok(false) | Err(_) => return, // client hung up / stream broke
         }
-        match endpoint.handle(&request, &mut payload) {
+        reply.clear();
+        reply.extend_from_slice(&[0u8; 4]);
+        match endpoint.handle_into(&request, &mut reply) {
             Ok(Handled::Reply) => {
-                reply.clear();
-                reply.extend_from_slice(&[0u8; 4]);
-                reply.extend_from_slice(&payload);
                 wire::patch_frame_len(&mut reply);
-                if stream.write_all(&reply).is_err() {
+                if stream.get_mut().write_all(&reply).is_err() {
                     return;
                 }
             }
@@ -367,7 +374,8 @@ impl Transport for TcpTransport {
 /// [`TcpTransport`] and the cross-process
 /// [`crate::transport::RemoteTcpTransport`].
 pub(crate) struct TcpConn {
-    stream: TcpStream,
+    /// Buffered for reading; writes go to the stream directly.
+    stream: BufReader<TcpStream>,
     /// Outgoing frame: `[4-byte length placeholder][payload]`.
     send: Vec<u8>,
     /// Last reply payload.
@@ -380,7 +388,7 @@ impl TcpConn {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(TcpConn {
-            stream,
+            stream: BufReader::with_capacity(wire::FRAME_READ_BUF, stream),
             send: Vec::new(),
             reply: Vec::new(),
         })
@@ -390,7 +398,7 @@ impl TcpConn {
 impl std::fmt::Debug for TcpConn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpConn")
-            .field("peer", &self.stream.peer_addr().ok())
+            .field("peer", &self.stream.get_ref().peer_addr().ok())
             .finish()
     }
 }
@@ -404,7 +412,7 @@ impl Conn for TcpConn {
 
     fn call(&mut self) -> io::Result<&[u8]> {
         wire::patch_frame_len(&mut self.send);
-        self.stream.write_all(&self.send)?;
+        self.stream.get_mut().write_all(&self.send)?;
         if !wire::read_frame(&mut self.stream, &mut self.reply)? {
             // Clean EOF is fine for a serving loop, but a client waiting
             // for a reply was hung up on.
@@ -417,14 +425,14 @@ impl Conn for TcpConn {
     }
 
     fn set_op_timeout(&mut self, timeout: Option<Duration>) {
-        let _ = self.stream.set_read_timeout(timeout);
-        let _ = self.stream.set_write_timeout(timeout);
+        let _ = self.stream.get_ref().set_read_timeout(timeout);
+        let _ = self.stream.get_ref().set_write_timeout(timeout);
     }
 
     fn inject_torn(&mut self) -> io::Result<()> {
         // A frame whose length prefix promises 8 payload bytes delivers
         // only 3 — what a client crashing mid-write leaves on the stream.
-        self.stream.write_all(&[8, 0, 0, 0, 1, 2, 3])
+        self.stream.get_mut().write_all(&[8, 0, 0, 0, 1, 2, 3])
     }
 }
 

@@ -48,6 +48,9 @@ pub enum WireError {
     UnexpectedReply(u8),
     /// A sequencing header carried an unsupported version byte.
     BadVersion(u8),
+    /// A [`op::BATCH`] item carried an opcode that may not ride in a batch
+    /// (`BATCH` itself, `SEQUENCED`, `SHUTDOWN`).
+    NotBatchable(u8),
 }
 
 impl fmt::Display for WireError {
@@ -59,6 +62,7 @@ impl fmt::Display for WireError {
             WireError::Oversize(n) => write!(f, "frame of {n} bytes exceeds {MAX_FRAME_BYTES}"),
             WireError::UnexpectedReply(op) => write!(f, "unexpected reply opcode {op:#04x}"),
             WireError::BadVersion(v) => write!(f, "unsupported sequencing header version {v}"),
+            WireError::NotBatchable(op) => write!(f, "opcode {op:#04x} may not ride in a batch"),
         }
     }
 }
@@ -106,6 +110,14 @@ pub mod op {
     /// `ps-worker` binary, the supervisor, or any live monitor — without
     /// perturbing the serving path beyond one cheap atomic snapshot.
     pub const STATS: u8 = 0x0d;
+    /// Several requests to one server in one frame: the body is
+    /// `[u16 n]` then `n × [u32 len][inner request payload]`, executed in
+    /// order; the reply is [`BATCH_REPLY`] with the inner replies in the
+    /// same order. How a worker's stage-1 pushes to one server share a
+    /// round trip. Items may be any request except `BATCH`, [`SEQUENCED`]
+    /// and [`SHUTDOWN`]; a [`SEQUENCED`] wrapper goes *around* the batch,
+    /// once, so a re-sent batch replays its cached batch reply.
+    pub const BATCH: u8 = 0x0e;
 
     /// Reply to [`PUSH_SHARD`]: the pre-apply shard clock.
     pub const PUSH_ACK: u8 = 0x81;
@@ -123,6 +135,8 @@ pub mod op {
     pub const INFO: u8 = 0x87;
     /// Reply to [`STATS`]: the server's stats snapshot.
     pub const STATS_DATA: u8 = 0x88;
+    /// Reply to [`BATCH`]: `[u16 n]` then `n × [u32 len][inner reply]`.
+    pub const BATCH_REPLY: u8 = 0x89;
 }
 
 /// A server's self-description, returned in reply to [`op::HELLO`].
@@ -208,6 +222,9 @@ pub enum Request {
     Stats,
     /// Terminate the serving loop.
     Shutdown,
+    /// Several requests to one server in one frame, executed in order
+    /// (never nested, never `Shutdown`, never empty).
+    Batch(Vec<Request>),
 }
 
 /// A decoded reply frame.
@@ -244,6 +261,8 @@ pub enum Reply {
     /// The server's request/apply accounting, replying to
     /// [`Request::Stats`].
     Stats(ServerStatsSnapshot),
+    /// The replies to a [`Request::Batch`], in request order.
+    Batch(Vec<Reply>),
 }
 
 // ---------------------------------------------------------------- encoding
@@ -493,6 +512,112 @@ pub fn decode_sequenced_prefix(payload: &[u8]) -> Result<(u64, u32, &[u8]), Wire
     Ok((client, seq, &payload[c.pos..]))
 }
 
+/// Bytes of a batch header, `[opcode][u16 n]`; the first item's length
+/// prefix follows it.
+pub const BATCH_HEADER_BYTES: usize = 3;
+
+/// Starts a batch payload (`opcode` is [`op::BATCH`] or
+/// [`op::BATCH_REPLY`]) at the end of `buf`: `[opcode][u16 0]`. Returns the
+/// batch's start offset, which [`close_batch_item`] needs to bump the count.
+pub fn begin_batch(buf: &mut Vec<u8>, opcode: u8) -> usize {
+    let head = buf.len();
+    buf.push(opcode);
+    buf.extend_from_slice(&[0u8; 2]);
+    head
+}
+
+/// Reserves the next item's length prefix; the caller encodes the item's
+/// payload straight after it and then calls [`close_batch_item`] with the
+/// returned mark. Encode-in-place: an item is never assembled elsewhere
+/// and copied in.
+pub fn open_batch_item(buf: &mut Vec<u8>) -> usize {
+    let mark = buf.len();
+    buf.extend_from_slice(&[0u8; 4]);
+    mark
+}
+
+/// Patches the length prefix reserved at `mark` and counts the item in the
+/// header of the batch that starts at `head`.
+///
+/// # Panics
+///
+/// Panics if the batch already holds `u16::MAX` items (senders flush
+/// before that) or `head`/`mark` do not come from [`begin_batch`] /
+/// [`open_batch_item`] on this buffer.
+pub fn close_batch_item(buf: &mut [u8], head: usize, mark: usize) {
+    patch_frame_len(&mut buf[mark..]);
+    let count = &mut buf[head + 1..head + BATCH_HEADER_BYTES];
+    let n = u16::from_le_bytes([count[0], count[1]])
+        .checked_add(1)
+        .expect("batch item count overflows u16");
+    count.copy_from_slice(&n.to_le_bytes());
+}
+
+/// Appends a whole batch of owned items (the cold-path form the
+/// [`Request`]/[`Reply`] enums use).
+fn encode_batch<T>(buf: &mut Vec<u8>, opcode: u8, items: &[T], encode: fn(&T, &mut Vec<u8>)) {
+    let head = begin_batch(buf, opcode);
+    for item in items {
+        let mark = open_batch_item(buf);
+        encode(item, buf);
+        close_batch_item(buf, head, mark);
+    }
+}
+
+/// The item payloads of a batch whose framing was checked up front by
+/// [`batch_items`], so iteration cannot fail.
+#[derive(Debug, Clone)]
+pub struct BatchItems<'a> {
+    /// The unread `[u32 len][payload]` records.
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for BatchItems<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (len, rest) = self.rest.split_first_chunk::<4>()?;
+        let (item, rest) = rest.split_at(u32::from_le_bytes(*len) as usize);
+        self.rest = rest;
+        Some(item)
+    }
+}
+
+/// Checks the whole framing of a batch payload — the opcode is `opcode`,
+/// the count is non-zero and matches the records present, no record is
+/// empty or runs past the end, nothing trails the last one — and returns an
+/// iterator over the item payloads. In a request batch ([`op::BATCH`]) no
+/// item may start with `BATCH`, `SEQUENCED` or `SHUTDOWN`. Nothing is
+/// executed or decoded here, so a malformed batch is rejected before its
+/// first item is applied.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] on any of the above.
+pub fn batch_items(payload: &[u8], opcode: u8) -> Result<BatchItems<'_>, WireError> {
+    let mut c = Cursor::new(payload);
+    match c.u8()? {
+        got if got == opcode => {}
+        got if opcode == op::BATCH => return Err(WireError::UnknownOpcode(got)),
+        got => return Err(WireError::UnexpectedReply(got)),
+    }
+    let n = u16::from_le_bytes(c.take(2)?.try_into().unwrap());
+    if n == 0 {
+        return Err(WireError::Truncated);
+    }
+    let rest = &payload[c.pos..];
+    for _ in 0..n {
+        let len = c.u32()? as usize;
+        let item = c.take(len)?;
+        let inner = *item.first().ok_or(WireError::Truncated)?;
+        if opcode == op::BATCH && matches!(inner, op::BATCH | op::SEQUENCED | op::SHUTDOWN) {
+            return Err(WireError::NotBatchable(inner));
+        }
+    }
+    c.finish()?;
+    Ok(BatchItems { rest })
+}
+
 impl Request {
     /// Appends this request's payload to `buf`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -523,6 +648,7 @@ impl Request {
             Request::Hello => encode_bodyless(buf, op::HELLO),
             Request::Stats => encode_bodyless(buf, op::STATS),
             Request::Shutdown => encode_bodyless(buf, op::SHUTDOWN),
+            Request::Batch(items) => encode_batch(buf, op::BATCH, items, Request::encode),
         }
     }
 }
@@ -542,6 +668,7 @@ impl Reply {
             }
             Reply::Info(info) => encode_server_info(buf, info),
             Reply::Stats(stats) => encode_stats_snapshot(buf, stats),
+            Reply::Batch(items) => encode_batch(buf, op::BATCH_REPLY, items, Reply::encode),
         }
     }
 }
@@ -842,6 +969,13 @@ impl Request {
             op::HELLO => Request::Hello,
             op::STATS => Request::Stats,
             op::SHUTDOWN => Request::Shutdown,
+            // `batch_items` consumes (and bounds-checks) the whole payload.
+            op::BATCH => {
+                return batch_items(payload, op::BATCH)?
+                    .map(Request::decode)
+                    .collect::<Result<_, _>>()
+                    .map(Request::Batch)
+            }
             other => return Err(WireError::UnknownOpcode(other)),
         };
         c.finish()?;
@@ -893,6 +1027,12 @@ impl Reply {
             // The dedicated decoder consumes the whole payload (including
             // the trailing-bytes check), so delegate instead of re-parsing.
             op::STATS_DATA => return decode_stats_snapshot(payload).map(Reply::Stats),
+            op::BATCH_REPLY => {
+                return batch_items(payload, op::BATCH_REPLY)?
+                    .map(Reply::decode)
+                    .collect::<Result<_, _>>()
+                    .map(Reply::Batch)
+            }
             other => return Err(WireError::UnknownOpcode(other)),
         };
         c.finish()?;
@@ -902,22 +1042,34 @@ impl Reply {
 
 // ----------------------------------------------------------------- framing
 
+/// Capacity of the buffered readers both TCP ends put under
+/// [`read_frame`]: large enough that a push batch or a small model's pull
+/// reply arrives in one `read`, small enough that the slice of a large
+/// payload that lands in it first (and is copied out) stays negligible.
+pub const FRAME_READ_BUF: usize = 16 * 1024;
+
 /// Reads one length-prefixed frame from `r` into `buf` (resized in place).
 /// Returns `Ok(false)` on clean EOF at a frame boundary — how a TCP handler
 /// observes its client hanging up.
+///
+/// `r` is a *buffered* reader by type: the prefix and a small payload are
+/// then served from one `read` of the underlying stream, instead of one
+/// syscall each for the first byte, the rest of the prefix and the payload.
+/// A payload larger than what is buffered still lands straight in `buf`
+/// (`BufReader` bypasses its buffer for reads at least as large as it).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; an oversize length prefix surfaces as
 /// [`std::io::ErrorKind::InvalidData`].
-pub fn read_frame(r: &mut impl std::io::Read, buf: &mut Vec<u8>) -> std::io::Result<bool> {
-    let mut len_bytes = [0u8; 4];
+pub fn read_frame(r: &mut impl std::io::BufRead, buf: &mut Vec<u8>) -> std::io::Result<bool> {
     // EOF before the first length byte is a clean close; EOF mid-frame is
-    // an error.
-    match r.read(&mut len_bytes[..1])? {
-        0 => return Ok(false),
-        _ => r.read_exact(&mut len_bytes[1..])?,
+    // an error (`read_exact` reports it).
+    if r.fill_buf()?.is_empty() {
+        return Ok(false);
     }
+    let mut len_bytes = [0u8; 4];
+    r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
@@ -1099,6 +1251,188 @@ mod tests {
         assert_eq!(buf, [op::SYNCED]);
         // Clean EOF at a boundary.
         assert!(!read_frame(&mut r, &mut buf).unwrap());
+    }
+
+    /// A reader that hands out at most `chunk` bytes per `read` and counts
+    /// the calls — a socket whose segments arrive as they please.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+        reads: usize,
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = self.chunk.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn two_frames() -> Vec<u8> {
+        let mut wire = Vec::new();
+        let mut frame = Vec::new();
+        for payload in [&b"first"[..], &[op::SYNCED][..]] {
+            frame_payload(&mut frame, payload);
+            wire.extend_from_slice(&frame);
+        }
+        wire
+    }
+
+    #[test]
+    fn frames_survive_a_reader_that_trickles_one_byte_at_a_time() {
+        let wire = two_frames();
+        let mut r = std::io::BufReader::new(Chunked {
+            bytes: &wire,
+            chunk: 1,
+            reads: 0,
+        });
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, b"first");
+        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, [op::SYNCED]);
+        assert!(!read_frame(&mut r, &mut buf).unwrap(), "clean EOF");
+        // EOF inside a frame is an error, not a clean close.
+        let mut r = std::io::BufReader::new(Chunked {
+            bytes: &wire[..wire.len() - 1],
+            chunk: 1,
+            reads: 0,
+        });
+        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(
+            read_frame(&mut r, &mut buf).unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn two_frames_delivered_together_cost_one_read() {
+        let wire = two_frames();
+        let mut r = std::io::BufReader::with_capacity(
+            FRAME_READ_BUF,
+            Chunked {
+                bytes: &wire,
+                chunk: usize::MAX,
+                reads: 0,
+            },
+        );
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, b"first");
+        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, [op::SYNCED]);
+        // Prefix and payload of both frames came out of the one read: the
+        // second frame was not lost with the first's buffer, and neither
+        // cost a read per field.
+        assert_eq!(r.get_ref().reads, 1);
+        // A payload larger than the buffer still arrives whole.
+        let big = vec![7u8; 3 * FRAME_READ_BUF];
+        let mut framed = Vec::new();
+        frame_payload(&mut framed, &big);
+        let mut r = std::io::BufReader::with_capacity(
+            FRAME_READ_BUF,
+            Chunked {
+                bytes: &framed,
+                chunk: usize::MAX,
+                reads: 0,
+            },
+        );
+        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert_eq!(buf, big);
+        assert_eq!(r.get_ref().reads, 2, "buffered head, then the rest direct");
+    }
+
+    #[test]
+    fn batch_round_trips_and_rejects_bad_framing() {
+        let req = Request::Batch(vec![
+            Request::PushShard {
+                shard: 1,
+                lr: 0.1,
+                momentum: 0.9,
+                grad: vec![1.0, -2.0],
+            },
+            Request::PushShardSparse {
+                shard: 0,
+                lr: 0.1,
+                momentum: 0.9,
+                indices: vec![(0, 1)],
+                rows: vec![3.0],
+            },
+        ]);
+        let mut buf = Vec::new();
+        req.encode(&mut buf);
+        assert_eq!(Request::decode(&buf).unwrap(), req);
+        // The in-place writer the hot path uses emits the same bytes.
+        let mut streamed = Vec::new();
+        let head = begin_batch(&mut streamed, op::BATCH);
+        let mark = open_batch_item(&mut streamed);
+        encode_push_shard(&mut streamed, 1, 0.1, 0.9, &[1.0, -2.0]);
+        close_batch_item(&mut streamed, head, mark);
+        let mark = open_batch_item(&mut streamed);
+        encode_push_shard_sparse(&mut streamed, 0, 0.1, 0.9, &[(0, 1)], &[3.0]);
+        close_batch_item(&mut streamed, head, mark);
+        assert_eq!(streamed, buf);
+        let items: Vec<&[u8]> = batch_items(&buf, op::BATCH).unwrap().collect();
+        assert_eq!(items.len(), 2);
+        assert_eq!(items[0][0], op::PUSH_SHARD);
+        assert_eq!(items[1][0], op::PUSH_SHARD_SPARSE);
+        // Every truncation fails; so does a trailing byte.
+        for cut in 0..buf.len() {
+            assert!(batch_items(&buf[..cut], op::BATCH).is_err(), "cut {cut}");
+        }
+        let mut long = buf.clone();
+        long.push(0);
+        assert_eq!(
+            batch_items(&long, op::BATCH).unwrap_err(),
+            WireError::TrailingBytes(1)
+        );
+        // A count above the records present, a count of zero, and a count
+        // below them (the surplus record is trailing bytes).
+        for (n, err) in [
+            (3u16, WireError::Truncated),
+            (0, WireError::Truncated),
+            (
+                1,
+                WireError::TrailingBytes(buf.len() - 3 - 4 - items[0].len()),
+            ),
+        ] {
+            let mut bad = buf.clone();
+            bad[1..3].copy_from_slice(&n.to_le_bytes());
+            assert_eq!(batch_items(&bad, op::BATCH).unwrap_err(), err, "count {n}");
+        }
+        // Nothing that changes what a batch *is* may ride inside one.
+        for inner in [op::BATCH, op::SEQUENCED, op::SHUTDOWN] {
+            let mut bad = Vec::new();
+            let head = begin_batch(&mut bad, op::BATCH);
+            let mark = open_batch_item(&mut bad);
+            bad.push(inner);
+            close_batch_item(&mut bad, head, mark);
+            assert_eq!(
+                batch_items(&bad, op::BATCH).unwrap_err(),
+                WireError::NotBatchable(inner)
+            );
+            assert!(Request::decode(&bad).is_err());
+        }
+        // A reply batch carries replies in order and names its direction.
+        let reply = Reply::Batch(vec![
+            Reply::PushAck { prev_clock: 4 },
+            Reply::PushAck { prev_clock: 9 },
+        ]);
+        let mut bytes = Vec::new();
+        reply.encode(&mut bytes);
+        assert_eq!(Reply::decode(&bytes).unwrap(), reply);
+        let acks: Vec<u64> = batch_items(&bytes, op::BATCH_REPLY)
+            .unwrap()
+            .map(|ack| decode_push_ack(ack).unwrap())
+            .collect();
+        assert_eq!(acks, [4, 9]);
+        assert_eq!(
+            batch_items(&buf, op::BATCH_REPLY).unwrap_err(),
+            WireError::UnexpectedReply(op::BATCH)
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use sync_switch_nn::{Dataset, Network};
 use sync_switch_ps::transport::{wire, Reply, Request};
 use sync_switch_ps::{
-    Checkpoint, FaultPlan, NetPort, PullBuffer, RouterBuffer, ServerTopology, ShardRouter,
-    ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData,
+    Checkpoint, FaultPlan, NetPort, PullBuffer, RouterBuffer, ServerStatsSnapshot, ServerTopology,
+    ShardRouter, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData,
 };
 use sync_switch_workloads::SyncProtocol;
 
@@ -360,6 +360,79 @@ proptest! {
         prop_assert_eq!(a.shard_versions(), b.shard_versions());
     }
 
+    /// The same contract for *batched* pushes: every shard is queued and a
+    /// server's shards travel as one sequenced `Batch`, so the fault plan
+    /// duplicates and drops whole batches. A duplicate must replay the
+    /// cached batch reply and a re-send after a dropped reply must land
+    /// nowhere twice — acks, state and the servers' own apply counts all
+    /// equal the exactly-once run's.
+    #[test]
+    fn duplicated_push_batches_apply_exactly_once(
+        n in 7usize..64,
+        shards in 2usize..8,
+        pushes in 1u64..5,
+        sparse_mask in any::<u8>(),
+        bits in proptest::collection::vec(any::<u32>(), 64),
+    ) {
+        let plan = FaultPlan {
+            duplicate_per_mille: 1000,
+            drop_reply_per_mille: 120,
+            ..FaultPlan::seeded(23)
+        };
+        let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).sin()).collect();
+        let clean = ShardRouter::new(&initial, shards, ServerTopology::new(2, 1));
+        let net = NetPort::launch(
+            &initial,
+            shards,
+            ServerTopology::new(2, 1)
+                .with_transport(TransportKind::Channel)
+                .with_faults(plan),
+        );
+        for p in 0..pushes {
+            let grad: Vec<f32> = (0..n)
+                .map(|i| f32::from_bits(bits[(i + p as usize * 7) % bits.len()]))
+                .collect();
+            let mut expected = Vec::new();
+            let mut acks = Vec::new();
+            for g in 0..clean.shard_count() {
+                let (o, l) = clean.shard_range(g);
+                if (sparse_mask >> g) & 1 == 1 {
+                    // The shard's first value only; the rest decays.
+                    let (spans, rows) = ([(0u32, 1u32)], &grad[o..o + 1]);
+                    let data = UpdateData::Sparse { indices: &spans, rows };
+                    expected.push(clean.apply_shard_update_data(g, data, 0.05, 0.9));
+                    net.queue_shard_update_sparse(g, &spans, rows, 0.05, 0.9);
+                } else {
+                    expected.push(clean.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9));
+                    net.queue_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                }
+            }
+            net.flush_pushes(&mut acks);
+            prop_assert_eq!(&expected, &acks, "clock skew at push {}", p);
+            prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
+            clean.reconcile_if_due();
+            net.router().reconcile_if_due();
+        }
+        clean.drain();
+        net.router().drain();
+        let key = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(key(clean.snapshot_params()), key(net.router().snapshot_params()));
+        prop_assert_eq!(key(clean.snapshot_velocity()), key(net.router().snapshot_velocity()));
+        let mut a = RouterBuffer::new();
+        let mut b = RouterBuffer::new();
+        clean.pull_committed_into(&mut a);
+        net.pull_into(&mut b);
+        prop_assert_eq!(a.shard_versions(), b.shard_versions());
+        // The servers agree: each shard applied once per push, although
+        // every batch arrived at least twice.
+        let mut merged = ServerStatsSnapshot::default();
+        for snap in net.router().scrape_all_stats().into_iter().flatten() {
+            merged.merge(&snap);
+        }
+        prop_assert_eq!(merged.apply_ns.count, pushes * clean.shard_count() as u64);
+        prop_assert!(merged.dedup_hits >= 2 * pushes, "duplicates never reached the servers");
+    }
+
     /// Checkpoints round-trip through bytes for arbitrary contents.
     #[test]
     fn checkpoint_bytes_round_trip(
@@ -445,6 +518,87 @@ proptest! {
         // Truncating the frame anywhere must fail, never mis-decode.
         if !bytes.is_empty() {
             prop_assert!(Request::decode(&bytes[..bytes.len() - 1]).is_err());
+        }
+    }
+
+    /// `Batch` frames round-trip byte-exactly — any mix of batchable
+    /// requests, arbitrary gradient bits — and every way of breaking the
+    /// framing is an error, never a mis-decode: a cut anywhere, a trailing
+    /// byte, a count above or below the records present, a nested batch.
+    #[test]
+    fn wire_codec_round_trips_batches_byte_exactly(
+        kinds in proptest::collection::vec(0u8..4, 1..6),
+        shard in any::<u32>(),
+        bits in proptest::collection::vec(any::<u32>(), 0..32),
+        seg_bits in proptest::collection::vec(any::<u64>(), 0..8),
+        lr_bits in any::<u64>(),
+        cut in any::<u32>(),
+    ) {
+        let items: Vec<Request> = kinds
+            .iter()
+            .map(|kind| match kind {
+                0 => Request::PushShard {
+                    shard,
+                    lr: f64::from_bits(lr_bits),
+                    momentum: 0.9,
+                    grad: bits_to_f32(&bits),
+                },
+                1 => Request::PushShardSparse {
+                    shard,
+                    lr: f64::from_bits(lr_bits),
+                    momentum: 0.9,
+                    indices: bits_to_segments(&seg_bits),
+                    rows: bits_to_f32(&bits),
+                },
+                2 => Request::PullCommitted,
+                _ => Request::SyncRound,
+            })
+            .collect();
+        let req = Request::Batch(items.clone());
+        let mut bytes = Vec::new();
+        req.encode(&mut bytes);
+        let back = Request::decode(&bytes);
+        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
+        let mut again = Vec::new();
+        back.unwrap().encode(&mut again);
+        prop_assert_eq!(&bytes, &again, "re-encode drifted");
+        // The item view the server executes from sees the same payloads.
+        let views: Vec<&[u8]> = wire::batch_items(&bytes, wire::op::BATCH).unwrap().collect();
+        prop_assert_eq!(views.len(), items.len());
+        for (view, item) in views.iter().zip(&items) {
+            let mut own = Vec::new();
+            item.encode(&mut own);
+            prop_assert_eq!(*view, &own[..]);
+        }
+        // Truncated anywhere.
+        let cut = cut as usize % bytes.len();
+        prop_assert!(Request::decode(&bytes[..cut]).is_err(), "cut {}", cut);
+        // A trailing byte.
+        let mut long = bytes.clone();
+        long.push(0);
+        prop_assert!(Request::decode(&long).is_err());
+        // The count off by one in either direction, and zero.
+        for n in [items.len() as u16 + 1, items.len() as u16 - 1, 0] {
+            let mut bad = bytes.clone();
+            bad[1..3].copy_from_slice(&n.to_le_bytes());
+            prop_assert!(Request::decode(&bad).is_err(), "count {}", n);
+        }
+        // Nested.
+        let mut nested = Vec::new();
+        Request::Batch(vec![Request::Drain, req]).encode(&mut nested);
+        prop_assert_eq!(
+            Request::decode(&nested),
+            Err(wire::WireError::NotBatchable(wire::op::BATCH))
+        );
+        // The reply side: acks in order, byte-exact.
+        let reply = Reply::Batch(
+            bits.iter().map(|&b| Reply::PushAck { prev_clock: u64::from(b) }).collect(),
+        );
+        if !bits.is_empty() {
+            let mut bytes = Vec::new();
+            reply.encode(&mut bytes);
+            prop_assert_eq!(Reply::decode(&bytes), Ok(reply));
+            prop_assert!(Reply::decode(&bytes[..bytes.len() - 1]).is_err());
         }
     }
 

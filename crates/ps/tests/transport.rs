@@ -13,10 +13,11 @@ use std::time::Duration;
 use proptest::prelude::*;
 use sync_switch_nn::{Dataset, Network, SgdMomentum};
 use sync_switch_ps::engine::step_rng;
-use sync_switch_ps::transport::wire::{decode_stats_snapshot, encode_stats_snapshot};
+use sync_switch_ps::transport::wire::{decode_stats_snapshot, encode_stats_snapshot, op};
 use sync_switch_ps::{
     HistogramSnapshot, NetPort, PsError, RetryPolicy, ServerStatsSnapshot, ServerTopology,
-    TcpServerHost, Trainer, TrainerConfig, TransportKind, WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
+    ShardRouter, ShardedStore, TcpServerHost, Trainer, TrainerConfig, TransportKind, WorkerPort,
+    HIST_BUCKETS, OPCODE_SLOTS,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -105,8 +106,9 @@ fn tcp_asp_trains_and_reports_wire_cost() {
     let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
     assert_eq!(r.steps, steps);
     assert_eq!(t.push_count(), steps);
-    // One push round trip per shard per step; pulls are per server per
-    // step; periodic sync rounds fired on the wire.
+    // One push op per shard per step, a server's shards sharing one round
+    // trip per step; pulls are per server per step; periodic sync rounds
+    // fired on the wire.
     assert_eq!(r.transport.push.ops, steps * 7);
     assert_eq!(r.transport.pull.ops, steps * 2);
     assert!(r.sync_rounds >= 1);
@@ -206,8 +208,9 @@ fn tcp_sparse_pushes_ship_fewer_bytes_than_dense() {
         let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
         assert_eq!(r.steps, steps);
         assert_eq!(r.transport.backend, Some(TransportKind::Tcp));
-        // Same op structure either way: one push round trip per shard per
-        // step (the sparse path changes payloads, not the protocol).
+        // Same op structure either way: one push op per shard per step, one
+        // push round trip per server per step (the sparse path changes
+        // payloads, not the protocol).
         assert_eq!(r.transport.push.ops, steps * 2);
         (r, t.training_loss())
     };
@@ -256,6 +259,144 @@ fn channel_sparse_workload_matches_dense_numerics_over_the_wire() {
     let b = run(false);
     assert_eq!(a.params, b.params, "sparse wire path changed the numerics");
     assert_eq!(a.velocity, b.velocity);
+}
+
+// ---- Batched pushes: the queue/flush port path against the per-shard one ----
+
+/// Which payload form the shards of a push take.
+#[derive(Debug, Clone, Copy)]
+enum PushForm {
+    Dense,
+    Sparse,
+    /// What the engine's sparse helper produces on a model with one dense
+    /// layer: sparse shards interleaved with full-cover dense fallbacks.
+    Mixed,
+}
+
+/// The 2-server × 7-shard data plane behind each port variant.
+fn plane(which: usize, initial: &[f32]) -> WorkerPort {
+    let topology = ServerTopology::new(2, 3);
+    match which {
+        0 => WorkerPort::Single(Arc::new(ShardedStore::new(initial, 7))),
+        1 => WorkerPort::Routed(Arc::new(ShardRouter::new(initial, 7, topology))),
+        2 => WorkerPort::Net(NetPort::launch(
+            initial,
+            7,
+            topology.with_transport(TransportKind::Channel),
+        )),
+        _ => WorkerPort::Net(NetPort::launch(
+            initial,
+            7,
+            topology.with_transport(TransportKind::Tcp),
+        )),
+    }
+}
+
+/// Nine pushes by three workers taking turns, each a pull, a walk over the
+/// shards in flat order and a completed push; returns every ack and push
+/// staleness in order, then the drained params, velocity and shard clocks.
+fn drive_pushes(
+    port: &WorkerPort,
+    batched: bool,
+    form: PushForm,
+) -> (Vec<u64>, Vec<f32>, Vec<f32>, Vec<u64>) {
+    let (lr, mu) = (0.05, 0.9);
+    let workers = [port.clone(), port.clone(), port.clone()];
+    let mut observed = Vec::new();
+    for step in 0..9usize {
+        let w = &workers[step % 3];
+        let mut buf = w.new_buffer();
+        w.pull_into(&mut buf);
+        let grad: Vec<f32> = (0..103).map(|i| ((i * 7 + step) as f32).cos()).collect();
+        let mut acks = Vec::new();
+        for g in 0..w.shard_count() {
+            let (o, l) = w.shard_range(g);
+            let sparse = match form {
+                PushForm::Dense => false,
+                PushForm::Sparse => true,
+                PushForm::Mixed => (g + step) % 2 == 0,
+            };
+            // A sparse shard carries its middle third.
+            let (start, len) = (l / 3, l / 3 + 1);
+            let spans = [(start as u32, len as u32)];
+            let rows = &grad[o + start..o + start + len];
+            match (batched, sparse) {
+                (true, false) => w.queue_shard_update(g, &grad[o..o + l], lr, mu, &mut acks),
+                (true, true) => w.queue_shard_update_sparse(g, &spans, rows, lr, mu, &mut acks),
+                (false, false) => acks.push(w.apply_shard_update(g, &grad[o..o + l], lr, mu)),
+                (false, true) => acks.push(w.apply_shard_update_sparse(g, &spans, rows, lr, mu)),
+            }
+        }
+        if batched {
+            w.flush_pushes(&mut acks);
+        }
+        assert_eq!(acks.len(), 7, "one ack per shard");
+        observed.append(&mut acks);
+        observed.push(w.complete_push(buf.version()));
+        w.after_push();
+    }
+    let (params, velocity) = match port {
+        WorkerPort::Single(s) => (s.snapshot_params(), s.snapshot_velocity()),
+        WorkerPort::Routed(r) => {
+            r.drain();
+            (r.snapshot_params(), r.snapshot_velocity())
+        }
+        WorkerPort::Net(p) => {
+            p.router().drain();
+            (p.router().snapshot_params(), p.router().snapshot_velocity())
+        }
+    };
+    let mut buf = port.new_buffer();
+    port.pull_into(&mut buf);
+    let clocks = (0..7).map(|g| buf.shard_version(g)).collect();
+    (observed, params, velocity, clocks)
+}
+
+#[test]
+fn batched_pushes_equal_per_shard_pushes_on_every_plane() {
+    let initial: Vec<f32> = (0..103).map(|i| (i as f32 * 0.37).sin()).collect();
+    for which in 0..4 {
+        for form in [PushForm::Dense, PushForm::Sparse, PushForm::Mixed] {
+            let per_shard = plane(which, &initial);
+            let batched = plane(which, &initial);
+            let a = drive_pushes(&per_shard, false, form);
+            let b = drive_pushes(&batched, true, form);
+            assert_eq!(a.0, b.0, "plane {which} {form:?}: acks or staleness differ");
+            assert_eq!(a.1, b.1, "plane {which} {form:?}: params differ");
+            assert_eq!(a.2, b.2, "plane {which} {form:?}: velocity differs");
+            assert_eq!(a.3, b.3, "plane {which} {form:?}: shard clocks differ");
+            assert!(a.3.iter().all(|&c| c == 9), "every shard saw every push");
+            let (WorkerPort::Net(a), WorkerPort::Net(b)) = (&per_shard, &batched) else {
+                continue;
+            };
+            // Same logical ops on both sides of the wire...
+            let (a, b) = (a.router(), b.router());
+            assert_eq!(a.stats().push.ops, 9 * 7);
+            assert_eq!(b.stats().push.ops, 9 * 7);
+            for r in [a, b] {
+                let mut merged = ServerStatsSnapshot::default();
+                for snap in r.scrape_all_stats().into_iter().flatten() {
+                    merged.merge(&snap);
+                }
+                assert_eq!(
+                    merged.requests_for(op::PUSH_SHARD)
+                        + merged.requests_for(op::PUSH_SHARD_SPARSE),
+                    9 * 7
+                );
+                assert_eq!(merged.apply_ns.count, 9 * 7);
+                assert_eq!(merged.dedup_hits, 0);
+            }
+            // ...in fewer frames: per push, seven 14-byte sequencing
+            // headers become two (one round trip per server) plus two
+            // 3-byte batch headers and seven 4-byte item lengths.
+            assert_eq!(
+                a.stats().push.bytes_out - b.stats().push.bytes_out,
+                9 * (7 * 14 - (2 * (14 + 3) + 7 * 4)),
+                "plane {which} {form:?}: not one push round trip per server"
+            );
+            assert_eq!(b.stats().retries + b.stats().reconnects, 0);
+        }
+    }
 }
 
 // ---- Stats wire frame: codec exactness and the live scrape path ----
@@ -404,7 +545,7 @@ fn stats_scrape_reads_a_live_tcp_server_mid_training() {
         "no scrape landed mid-training: totals {totals:?}, final {final_total}"
     );
     // The server really accounted the training: dense pushes are one
-    // request per shard per step.
+    // request per shard per step, however many shared a frame.
     assert_eq!(
         final_snap.requests_for(sync_switch_ps::transport::wire::op::PUSH_SHARD),
         steps * shards as u64
