@@ -129,9 +129,17 @@ stage_build() {
     cargo build --release
 }
 
-# Tier-1, part 2.
+# Tier-1, part 2. Hard KILL timeout like the other test stages: the unit
+# suites exercise the round gate (BSP barrier, SSP gate), where a lost
+# wake-up is a hang, and a hang must fail the gate, not wedge it. Built
+# first so compilation does not eat the run budget.
 stage_test() {
-    cargo test -q --workspace
+    cargo test -q --workspace --no-run
+    timeout -sKILL 600 \
+        cargo test -q --workspace || {
+        echo "workspace tests failed or timed out (600s budget)" >&2
+        return 1
+    }
 }
 
 # Transport-tier smoke: the wire-protocol integration tests (channel + TCP
@@ -188,11 +196,18 @@ stage_bench_compile() {
     cargo bench --no-run --workspace
 }
 
-# Machine-readable bench JSON must emit, parse, and not regress the
-# committed trajectory beyond 30% — generous enough to absorb CI-box
-# noise, tight enough to catch a real transport/engine regression.
-# Escape hatch for known-slow boxes (throttled laptops, saturated CI):
-#   BENCH_BASELINE_SKIP=1 ./ci.sh --stage bench-smoke   # report-only
+# Machine-readable bench JSON must emit and parse, and the telemetry
+# overhead gate inside bench_json_check must hold. The smoke is not
+# compared against the committed BENCH_ps_throughput.json: that file is the
+# full profile (best of 3 × 400-step segments per sweep point), the smoke
+# is one cold 40-step segment per point, which runs at about half the
+# steps/s and differs from itself by more than 30 % between runs on 1–40 of
+# the 84 points — the 30 % gate that used to sit here only ever passed
+# because the baseline was 2–3× stale. The like-for-like check is the full
+# profile (~35 s), run by hand around a perf-touching change:
+#   PS_BENCH_OUT=/tmp/full.json cargo bench -p sync-switch-bench --bench ps_throughput
+#   cargo run -q -p sync-switch-bench --bin bench_json_check -- /tmp/full.json \
+#       --baseline BENCH_ps_throughput.json --tolerance-pct 30
 bench_smoke_measure() {
     rm -f "$SMOKE_JSON"
     PS_BENCH_FAST=1 PS_BENCH_OUT="$SMOKE_JSON" \
@@ -204,31 +219,15 @@ bench_smoke_measure() {
     cargo run -q -p sync-switch-bench --bin bench_json_check -- "$SMOKE_JSON"
 }
 
-bench_smoke_baseline() {
-    cargo run -q -p sync-switch-bench --bin bench_json_check -- "$SMOKE_JSON" \
-        --baseline BENCH_ps_throughput.json --tolerance-pct 30 "$@"
-}
-
 stage_bench_smoke() {
     SMOKE_JSON="$(mktemp -t ps_throughput_smoke.XXXXXX.json)"
     # The FAST-profile micro-configs are scheduler-sensitive; a single
-    # re-measure absorbs transient CPU-contention noise — both for the
-    # telemetry-overhead gate inside bench_json_check and for the
-    # baseline comparison below — while a real regression fails both
-    # measurements.
+    # re-measure absorbs transient CPU-contention noise for the
+    # telemetry-overhead gate inside bench_json_check, while a real
+    # regression fails both measurements.
     if ! bench_smoke_measure; then
         echo "bench gate tripped — re-measuring once to rule out scheduler noise" >&2
         bench_smoke_measure
-    fi
-    if [[ "${BENCH_BASELINE_SKIP:-0}" == "1" ]]; then
-        echo "BENCH_BASELINE_SKIP=1: baseline comparison is report-only" >&2
-        bench_smoke_baseline --report-only
-        return 0
-    fi
-    if ! bench_smoke_baseline; then
-        echo "baseline regression — re-measuring once to rule out scheduler noise" >&2
-        bench_smoke_measure
-        bench_smoke_baseline
     fi
 }
 

@@ -13,9 +13,10 @@
 //!     [--tolerance-pct 25] [--report-only]
 //! ```
 //!
-//! `--report-only` downgrades regressions to warnings (exit 0) — the mode
-//! `ci.sh` uses so noisy boxes do not break the gate while the trajectory
-//! is still surfaced in the log.
+//! `--report-only` downgrades regressions to warnings (exit 0). Compare
+//! like with like: a `PS_BENCH_FAST=1` smoke (one cold 40-step segment per
+//! sweep point) is not comparable with a full-profile baseline, which is
+//! why `ci.sh` validates its smoke without `--baseline`.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use sync_switch_nn::{Dataset, Network, Tensor};
 use sync_switch_telemetry::{Counter, Histogram, LocalHistogram, Telemetry, TraceEvent, TraceKind};
@@ -18,6 +18,7 @@ use sync_switch_workloads::SyncProtocol;
 use crate::checkpoint::Checkpoint;
 use crate::config::{TrainerConfig, TransportKind};
 use crate::error::PsError;
+use crate::gate::RoundGate;
 use crate::profiler::{
     ServerShardStaleness, ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile,
 };
@@ -48,7 +49,9 @@ pub(crate) struct WorkerTelemetry {
     step_hist: Arc<Histogram>,
     staleness_hist: Arc<Histogram>,
     barrier_hist: Arc<Histogram>,
+    parks_counter: Arc<Counter>,
     steps: u64,
+    parks: u64,
     step_local: LocalHistogram,
     staleness_local: LocalHistogram,
     barrier_local: LocalHistogram,
@@ -66,8 +69,10 @@ impl WorkerTelemetry {
             step_hist: bus.metrics.histogram("engine.step_ns"),
             staleness_hist: bus.metrics.histogram("engine.staleness"),
             barrier_hist: bus.metrics.histogram("engine.barrier_wait_ns"),
+            parks_counter: bus.metrics.counter("engine.barrier_parks"),
             bus: Arc::clone(bus),
             steps: 0,
+            parks: 0,
             step_local: LocalHistogram::new(),
             staleness_local: LocalHistogram::new(),
             barrier_local: LocalHistogram::new(),
@@ -105,11 +110,16 @@ impl WorkerTelemetry {
         self.staleness_local.record(v);
     }
 
-    /// A barrier (or SSP gate) park that started at `start_ns`, ending now.
+    /// A barrier (or SSP gate) wait that started at `start_ns`, ending now:
+    /// the whole [`RoundGate::wait_until`] call — spin, yield and park.
+    /// `parked` says the wait fell through to the condvar, so
+    /// `engine.barrier_parks` ÷ the wait count is the share of releases the
+    /// kernel delivered rather than the spin/yield rungs.
     #[inline]
-    pub(crate) fn barrier_wait(&mut self, worker: usize, start_ns: u64) {
+    pub(crate) fn barrier_wait(&mut self, worker: usize, start_ns: u64, parked: bool) {
         let dur_ns = self.now_ns().saturating_sub(start_ns).max(1);
         self.barrier_local.record(dur_ns);
+        self.parks += u64::from(parked);
         self.push(
             TraceKind::BarrierWait {
                 worker: worker as u64,
@@ -138,6 +148,10 @@ impl WorkerTelemetry {
         if self.steps > 0 {
             self.steps_counter.add(self.steps);
             self.steps = 0;
+        }
+        if self.parks > 0 {
+            self.parks_counter.add(self.parks);
+            self.parks = 0;
         }
         self.step_local.flush_into(&self.step_hist);
         self.staleness_local.flush_into(&self.staleness_hist);
@@ -481,20 +495,20 @@ impl SegmentReport {
 }
 
 /// State shared by BSP workers: striped per-shard accumulators plus the
-/// round barrier.
+/// round gate.
 ///
 /// Each stripe maps 1:1 onto a store shard and carries its own lock, so
 /// workers aggregating different stripes proceed concurrently instead of
 /// funnelling every gradient through one global accumulator mutex. The last
 /// contributor to a stripe applies that stripe's averaged update to its
 /// shard; the worker that applies the last outstanding stripe completes the
-/// push and advances the round.
+/// push and advances the gate, whose epoch is the count of completed rounds.
 struct BspShared {
     stripes: Vec<Mutex<Stripe>>,
-    /// Completed barrier rounds; guarded by a mutex because the condvar
-    /// waiters key off it.
-    round: Mutex<u64>,
-    cv: Condvar,
+    /// Epoch = completed rounds; a worker leaves round `r` once the epoch
+    /// passes `r`. Also carries the segment's abort flag, so divergence and
+    /// a dead worker wake the barrier through the gate's one abort path.
+    gate: RoundGate,
     /// Stripes applied in the current round.
     applied: AtomicUsize,
 }
@@ -508,7 +522,6 @@ struct Stripe {
 /// Everything a worker thread needs.
 struct WorkerCtx {
     port: WorkerPort,
-    abort: Arc<AtomicBool>,
     diverged_at: Arc<AtomicU64>,
 }
 
@@ -935,7 +948,6 @@ impl Trainer {
 
         let ctx = WorkerCtx {
             port: self.plane.port(),
-            abort: Arc::new(AtomicBool::new(false)),
             diverged_at: Arc::new(AtomicU64::new(u64::MAX)),
         };
 
@@ -1002,8 +1014,9 @@ impl Trainer {
     /// are summing into different stripes under different locks. The last
     /// contributor to a stripe averages and applies it immediately; the
     /// worker that applies the final outstanding stripe completes the push
-    /// and releases the barrier. Numerically this is the same
-    /// sum-then-average-then-apply as the old single-mutex accumulator
+    /// and advances the round gate, which the other workers are spinning,
+    /// yielding or parked on (see [`crate::gate`]). Numerically this is the
+    /// same sum-then-average-then-apply as the old single-mutex accumulator
     /// (per-stripe sums commute across workers exactly like the global sum
     /// did), so BSP keeps its bit-for-bit agreement with sequential
     /// large-batch SGD up to f32 summation order.
@@ -1027,8 +1040,7 @@ impl Trainer {
             .collect();
         let shared = Arc::new(BspShared {
             stripes,
-            round: Mutex::new(0),
-            cv: Condvar::new(),
+            gate: RoundGate::new(),
             applied: AtomicUsize::new(0),
         });
         let cfg = &self.cfg;
@@ -1039,7 +1051,6 @@ impl Trainer {
             for (rank, &worker) in active.iter().enumerate() {
                 let shared = Arc::clone(&shared);
                 let port = ctx.port.clone();
-                let abort = Arc::clone(&ctx.abort);
                 let diverged_at = Arc::clone(&ctx.diverged_at);
                 let shard = &self.shards[worker];
                 let mut model = self.template.clone();
@@ -1059,19 +1070,18 @@ impl Trainer {
                     // (barrier waits included — the busy-only rate hides
                     // them; see `WorkerProfile::wall_steps_per_sec`).
                     let mut wall_start: Option<Instant> = None;
+                    let gate = &shared.gate;
                     // Panics here are a dying data plane (the infallible
                     // data-path ops panic once wire retries are exhausted,
                     // e.g. against a SIGKILLed `ps-serve`). Catch them so
                     // the segment returns `WorkerPanicked` instead of
-                    // tearing the process down — and set abort + notify so
-                    // peers parked at the round barrier wake up and exit
+                    // tearing the process down — and abort the gate so
+                    // peers waiting at the round barrier wake up and exit
                     // instead of waiting for a round that will never
                     // complete.
                     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         for r in 0..rounds {
-                            // Relaxed: abort is a latest-wins flag; the data it
-                            // guards (diverged_at) is read after thread join.
-                            if abort.load(Ordering::Relaxed) {
+                            if gate.is_aborted() {
                                 break;
                             }
                             let t0 = Instant::now();
@@ -1087,15 +1097,9 @@ impl Trainer {
                             let (loss, grad) = model.loss_and_grad(&x, &y);
                             let compute_time = t0.elapsed();
                             if !loss.is_finite() || loss > threshold {
-                                // Relaxed: both reads happen after join (or
-                                // behind the round mutex below).
+                                // Relaxed: read back only after thread join.
                                 diverged_at.store(base_step + r, Ordering::Relaxed);
-                                abort.store(true, Ordering::Relaxed);
-                                // Lock-then-notify so a waiter cannot check the
-                                // abort flag, miss it, and park after this
-                                // notification (the classic lost-wakeup race).
-                                let _round = shared.round.lock();
-                                shared.cv.notify_all();
+                                gate.abort();
                                 break;
                             }
                             profile.step_durations.push(compute_time);
@@ -1141,17 +1145,17 @@ impl Trainer {
                                         // Stage-2 drain: publish this round's
                                         // applies to every server's committed
                                         // view before any worker can pull the
-                                        // next round (everyone else is parked
-                                        // at the barrier below, so the commit
+                                        // next round (everyone else is held
+                                        // at the gate below, so the commit
                                         // cannot race a pull).
                                         port.end_round();
-                                        let mut round = shared.round.lock();
-                                        // Relaxed: reset is published to the
-                                        // next round's appliers by the round
-                                        // mutex they must pass through first.
+                                        // Relaxed: the reset is published to
+                                        // the next round's appliers by the
+                                        // gate's epoch — Release in `advance`,
+                                        // Acquire in the `wait_until` they must
+                                        // pass through first.
                                         shared.applied.store(0, Ordering::Relaxed);
-                                        *round += 1;
-                                        shared.cv.notify_all();
+                                        gate.advance();
                                     }
                                 }
                             }
@@ -1167,15 +1171,13 @@ impl Trainer {
                             // before any stripe of round r is applied (a stripe
                             // needs all contributions, and contributing implies
                             // having pulled), so BSP pulls are never torn.
+                            // The span covers the whole wait — spin, yield
+                            // and park — so the barrier-wait fraction the
+                            // controller promotes on keeps its meaning.
                             let wait_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            {
-                                let mut round = shared.round.lock();
-                                while *round <= r && !abort.load(Ordering::Relaxed) {
-                                    shared.cv.wait(&mut round);
-                                }
-                            }
+                            let parked = gate.wait_until(|| gate.epoch() > r);
                             if let Some(w) = wt.as_mut() {
-                                w.barrier_wait(worker, wait_ns);
+                                w.barrier_wait(worker, wait_ns, parked);
                             }
                             // The round is only delivered once the barrier
                             // releases, so the wall span includes the wait.
@@ -1190,11 +1192,7 @@ impl Trainer {
                     match run {
                         Ok(()) => Ok((worker, profile, hist, shard_hist)),
                         Err(_payload) => {
-                            abort.store(true, Ordering::Relaxed);
-                            // Lock-then-notify, as in the divergence path,
-                            // so a waiter cannot miss the wakeup.
-                            let _round = shared.round.lock();
-                            shared.cv.notify_all();
+                            gate.abort();
                             Err(worker)
                         }
                     }
@@ -1218,6 +1216,7 @@ impl Trainer {
         steps: u64,
     ) -> Result<Vec<WorkerResult>, PsError> {
         let claimed = Arc::new(AtomicU64::new(0));
+        let abort = Arc::new(AtomicBool::new(false));
         let cfg = &self.cfg;
         let base_step = self.global_step;
         let n_shards = self.plane.shard_count();
@@ -1227,7 +1226,7 @@ impl Trainer {
             let mut handles = Vec::with_capacity(active.len());
             for &worker in active {
                 let port = ctx.port.clone();
-                let abort = Arc::clone(&ctx.abort);
+                let abort = Arc::clone(&abort);
                 let diverged_at = Arc::clone(&ctx.diverged_at);
                 let claimed = Arc::clone(&claimed);
                 let shard = &self.shards[worker];
@@ -1335,7 +1334,7 @@ impl Trainer {
 /// fails with [`PsError::WorkerPanicked`]. The threads caught their own
 /// unwinds, so `join` itself cannot fail; the panic payload was already
 /// printed to stderr by the default hook when the thread panicked.
-fn collect_worker_results(
+pub(crate) fn collect_worker_results(
     handles: Vec<std::thread::ScopedJoinHandle<'_, Result<WorkerResult, usize>>>,
 ) -> Result<Vec<WorkerResult>, PsError> {
     let mut out = Vec::with_capacity(handles.len());
@@ -1374,6 +1373,37 @@ mod tests {
         let (train, test) = data.split(0.25);
         let cfg = TrainerConfig::new(workers, 8, 0.05, 0.9).with_seed(seed);
         Trainer::new(Network::mlp(6, &[16], 4, seed), train, test, cfg)
+    }
+
+    /// The reference BSP must match: `rounds` of single-threaded SGD from
+    /// `t`'s current parameters over the union of the batches its workers
+    /// will sample (gradient of the mean = mean of per-shard gradients).
+    /// Assumes the batch 8 / lr 0.05 / momentum 0.9 every trainer here uses.
+    fn sequential_sgd(t: &Trainer, seed: u64, rounds: u64) -> Vec<f32> {
+        let workers = t.shards.len();
+        let mut params = t.plane.snapshot_params();
+        let mut model = t.template.clone();
+        let mut opt = SgdMomentum::new(model.param_count(), 0.05, 0.9);
+        for r in 0..rounds {
+            let mut avg = vec![0.0f32; model.param_count()];
+            model.set_params_flat(&params);
+            for (w, shard) in t.shards.iter().enumerate() {
+                let (x, y) = shard.sample_batch(8, &mut step_rng(seed, w, r));
+                let (_, grad) = model.loss_and_grad(&x, &y);
+                for (a, g) in avg.iter_mut().zip(&grad) {
+                    *a += g / workers as f32;
+                }
+            }
+            opt.apply(&mut params, &avg);
+        }
+        params
+    }
+
+    fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+        a.iter()
+            .zip(b)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max)
     }
 
     #[test]
@@ -1431,41 +1461,39 @@ mod tests {
     fn bsp_equals_sequential_large_batch_sgd() {
         // BSP with n workers of batch b must match 1-thread SGD over the
         // union batch (gradient of mean = mean of per-shard gradients).
-        let workers = 3;
-        let mut t = small_trainer(workers, 7);
-        let initial = t.store().unwrap().snapshot_params();
-        let shards: Vec<Dataset> = t.shards.clone();
-        let template = t.template.clone();
+        let mut t = small_trainer(3, 7);
         let rounds = 10;
+        let params = sequential_sgd(&t, 7, rounds);
         t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
         let distributed = t.store().unwrap().snapshot_params();
-
-        // Sequential replay.
-        let mut model = template.clone();
-        model.set_params_flat(&initial);
-        let mut opt = SgdMomentum::new(model.param_count(), 0.05, 0.9);
-        let mut params = initial.clone();
-        for r in 0..rounds {
-            let mut avg = vec![0.0f32; model.param_count()];
-            for (w, shard) in shards.iter().enumerate() {
-                model.set_params_flat(&params);
-                let mut rng = step_rng(7, w, r);
-                let (x, y) = shard.sample_batch(8, &mut rng);
-                let (_, grad) = model.loss_and_grad(&x, &y);
-                for (a, g) in avg.iter_mut().zip(&grad) {
-                    *a += g / workers as f32;
-                }
-            }
-            opt.apply(&mut params, &avg);
-        }
-        let max_diff = distributed
-            .iter()
-            .zip(&params)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
+        let max_diff = max_abs_diff(&distributed, &params);
         assert!(
             max_diff < 1e-4,
             "BSP diverged from sequential SGD by {max_diff}"
+        );
+    }
+
+    #[test]
+    fn oversubscribed_bsp_equals_sequential_large_batch_sgd() {
+        // 8 workers on far fewer cores × 2 000 rounds: most waits at the
+        // round gate go through the yield rung (the peer to wait for is not
+        // running) and some park, so every rung of the ladder carries
+        // rounds — and the result must still be the sequential one.
+        let (workers, seed, rounds) = (8, 17, 2_000);
+        let mut t = small_trainer(workers, seed);
+        let params = sequential_sgd(&t, seed, rounds);
+        let report = t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
+        assert_eq!(report.steps, rounds);
+        // The bus says how the waits ended: one wait per worker per round,
+        // of which `engine.barrier_parks` reached the condvar.
+        let snap = t.telemetry().unwrap().metrics.snapshot();
+        let waits = snap.histograms.get("engine.barrier_wait_ns").unwrap().count;
+        assert_eq!(waits, workers as u64 * rounds);
+        assert!(snap.counters["engine.barrier_parks"] < waits);
+        let max_diff = max_abs_diff(&t.store().unwrap().snapshot_params(), &params);
+        assert!(
+            max_diff < 1e-4,
+            "oversubscribed BSP diverged from sequential SGD by {max_diff}"
         );
     }
 
@@ -1481,35 +1509,11 @@ mod tests {
         cfg.shards = 7;
         let mut t = Trainer::new(Network::mlp(6, &[16], 4, 7), train, test, cfg);
         assert_eq!(t.store().unwrap().shard_count(), 7);
-        let initial = t.store().unwrap().snapshot_params();
-        let shards: Vec<Dataset> = t.shards.clone();
-        let template = t.template.clone();
         let rounds = 10;
+        let params = sequential_sgd(&t, 7, rounds);
         t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
         let distributed = t.store().unwrap().snapshot_params();
-
-        let mut model = template.clone();
-        model.set_params_flat(&initial);
-        let mut opt = SgdMomentum::new(model.param_count(), 0.05, 0.9);
-        let mut params = initial.clone();
-        for r in 0..rounds {
-            let mut avg = vec![0.0f32; model.param_count()];
-            for (w, shard) in shards.iter().enumerate() {
-                model.set_params_flat(&params);
-                let mut rng = step_rng(7, w, r);
-                let (x, y) = shard.sample_batch(8, &mut rng);
-                let (_, grad) = model.loss_and_grad(&x, &y);
-                for (a, g) in avg.iter_mut().zip(&grad) {
-                    *a += g / workers as f32;
-                }
-            }
-            opt.apply(&mut params, &avg);
-        }
-        let max_diff = distributed
-            .iter()
-            .zip(&params)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
+        let max_diff = max_abs_diff(&distributed, &params);
         assert!(
             max_diff < 1e-4,
             "striped BSP diverged from sequential SGD by {max_diff}"
@@ -1531,10 +1535,8 @@ mod tests {
         let mut t = Trainer::new(Network::mlp(6, &[16], 4, 7), train, test, cfg);
         assert_eq!(t.server_count(), 2);
         assert!(t.router().is_some());
-        let initial = t.plane.snapshot_params();
-        let shards: Vec<Dataset> = t.shards.clone();
-        let template = t.template.clone();
         let rounds = 10;
+        let params = sequential_sgd(&t, 7, rounds);
         let r = t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
         let distributed = t.plane.snapshot_params();
         // Every barrier round drains stage 2, and BSP stays fresh per shard
@@ -1543,29 +1545,7 @@ mod tests {
         assert_eq!(r.shard_staleness.max(), Some(0));
         assert_eq!(r.server_shard_staleness.server_count(), 2);
         assert_eq!(t.push_count(), rounds);
-
-        let mut model = template.clone();
-        model.set_params_flat(&initial);
-        let mut opt = SgdMomentum::new(model.param_count(), 0.05, 0.9);
-        let mut params = initial.clone();
-        for round in 0..rounds {
-            let mut avg = vec![0.0f32; model.param_count()];
-            for (w, shard) in shards.iter().enumerate() {
-                model.set_params_flat(&params);
-                let mut rng = step_rng(7, w, round);
-                let (x, y) = shard.sample_batch(8, &mut rng);
-                let (_, grad) = model.loss_and_grad(&x, &y);
-                for (a, g) in avg.iter_mut().zip(&grad) {
-                    *a += g / workers as f32;
-                }
-            }
-            opt.apply(&mut params, &avg);
-        }
-        let max_diff = distributed
-            .iter()
-            .zip(&params)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
+        let max_diff = max_abs_diff(&distributed, &params);
         assert!(
             max_diff < 1e-4,
             "multi-server BSP diverged from sequential SGD by {max_diff}"

@@ -37,6 +37,7 @@ pub mod config;
 pub mod controller;
 pub mod engine;
 pub mod error;
+mod gate;
 pub mod profiler;
 pub mod router;
 pub mod server;

@@ -7,38 +7,49 @@
 //! blocks at the gate otherwise. `s = 0` forces lock-step iterations;
 //! large `s` recovers ASP.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-use parking_lot::{Condvar, Mutex};
 
 use sync_switch_workloads::SyncProtocol;
 
 use crate::engine::{SegmentReport, Trainer};
 use crate::error::PsError;
+use crate::gate::RoundGate;
 use crate::profiler::{ServerShardStaleness, StalenessHistogram, WorkerProfile};
 
-/// Progress gate shared by SSP workers.
+/// Progress gate shared by SSP workers: one completed-iteration counter per
+/// worker over the shared [`RoundGate`]. A worker stores its own counter and
+/// advances the gate; a worker that is too far ahead recomputes the floor
+/// from the counters inside [`RoundGate::wait_until`], so an unblocked step
+/// takes no lock and a step only pays for a wake-up when a peer is parked.
 struct SspGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
+    /// Completed iterations per worker; [`DONE`] for a worker that has left
+    /// the segment (or never took part), so it cannot hold the floor down.
+    iterations: Vec<AtomicU64>,
+    gate: RoundGate,
 }
 
-struct GateState {
-    iterations: Vec<u64>,
-    finished: Vec<bool>,
-}
+/// Counter value of a worker that no longer takes steps.
+const DONE: u64 = u64::MAX;
 
-impl GateState {
+impl SspGate {
+    /// Iterations completed by the slowest worker still running.
     fn floor(&self) -> u64 {
+        // Acquire: pairs with the Release store in `publish`.
         self.iterations
             .iter()
-            .zip(&self.finished)
-            .filter(|&(_, &done)| !done)
-            .map(|(&it, _)| it)
+            .map(|it| it.load(Ordering::Acquire))
             .min()
-            .unwrap_or(u64::MAX)
+            .unwrap_or(DONE)
+    }
+
+    /// Records `worker`'s progress, then wakes the waiters to re-read it.
+    fn publish(&self, worker: usize, iterations: u64) {
+        // Release: a waiter that reads this count also observes the pushes
+        // it counts (they precede the store in program order).
+        self.iterations[worker].store(iterations, Ordering::Release);
+        self.gate.advance();
     }
 }
 
@@ -53,7 +64,9 @@ impl Trainer {
     /// # Errors
     ///
     /// Returns [`PsError::Diverged`] on a non-finite or above-threshold
-    /// loss, as with the other protocols.
+    /// loss and [`PsError::WorkerPanicked`] if a worker thread died
+    /// mid-segment (a dead server behind a transport-backed plane), as
+    /// with the other protocols.
     pub fn run_ssp_segment(&mut self, bound: u64, steps: u64) -> Result<SegmentReport, PsError> {
         if steps == 0 {
             return self.run_segment(SyncProtocol::Asp, 0);
@@ -67,16 +80,12 @@ impl Trainer {
             return Err(PsError::InvalidConfig("all workers excluded".into()));
         }
         let workers = cfg.workers;
-        let gate = Arc::new(SspGate {
-            state: Mutex::new(GateState {
-                iterations: vec![0; workers],
-                // Workers not participating are "finished" from the start
-                // so they never hold the floor down.
-                finished: (0..workers).map(|w| !active.contains(&w)).collect(),
-            }),
-            cv: Condvar::new(),
+        let ssp = Arc::new(SspGate {
+            iterations: (0..workers)
+                .map(|w| AtomicU64::new(if active.contains(&w) { 0 } else { DONE }))
+                .collect(),
+            gate: RoundGate::new(),
         });
-        let abort = Arc::new(AtomicBool::new(false));
         let diverged_at = Arc::new(AtomicU64::new(u64::MAX));
         let claimed = Arc::new(AtomicU64::new(0));
         let port = self.port();
@@ -88,11 +97,10 @@ impl Trainer {
         let telemetry = self.telemetry().cloned();
 
         let start = Instant::now();
-        let results: Vec<crate::engine::WorkerResult> = std::thread::scope(|scope| {
+        let results = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(active.len());
             for &worker in &active {
-                let gate = Arc::clone(&gate);
-                let abort = Arc::clone(&abort);
+                let ssp = Arc::clone(&ssp);
                 let diverged_at = Arc::clone(&diverged_at);
                 let claimed = Arc::clone(&claimed);
                 let port = port.clone();
@@ -117,114 +125,105 @@ impl Trainer {
                     // under SSP the wall rate absorbs the gate waits the
                     // busy rate hides.
                     let mut wall_start: Option<Instant> = None;
-                    loop {
-                        // Relaxed: latest-wins flag; diverged_at is
-                        // read after thread join, which synchronizes.
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Gate: wait while more than `bound` ahead.
-                        // Because every push bumps every shard clock
-                        // exactly once, capping the iteration lead caps
-                        // the number of pushes — and therefore the
-                        // staleness — that any *shard* can accumulate
-                        // between this worker's pull and its push: a
-                        // peer enters the window no more than `bound`
-                        // iterations behind and leaves it no more than
-                        // `bound + 1` ahead, so each of the other
-                        // workers lands at most 2·bound + 2 applies per
-                        // shard in the window. The abort flag is
-                        // re-read under the gate mutex, so an aborter
-                        // that stores the flag and then notifies under
-                        // this mutex cannot lose the wakeup.
-                        let wait_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                        {
-                            let mut state = gate.state.lock();
-                            while !abort.load(Ordering::Relaxed)
-                                && my_iter > state.floor().saturating_add(bound)
-                            {
-                                gate.cv.wait(&mut state);
+                    // Same panic containment as the BSP loop: a dying data
+                    // plane panics the worker, which aborts the gate so
+                    // peers held at it wake up and exit, and the segment
+                    // returns `WorkerPanicked`.
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        loop {
+                            // Gate: wait while more than `bound` ahead.
+                            // Because every push bumps every shard clock
+                            // exactly once, capping the iteration lead caps
+                            // the number of pushes — and therefore the
+                            // staleness — that any *shard* can accumulate
+                            // between this worker's pull and its push: a
+                            // peer enters the window no more than `bound`
+                            // iterations behind and leaves it no more than
+                            // `bound + 1` ahead, so each of the other
+                            // workers lands at most 2·bound + 2 applies per
+                            // shard in the window.
+                            let wait_ns = wt.as_ref().map_or(0, |w| w.now_ns());
+                            let parked = ssp
+                                .gate
+                                .wait_until(|| my_iter <= ssp.floor().saturating_add(bound));
+                            // The SSP gate is this protocol's barrier: trace
+                            // the wait under the same span kind so straggler
+                            // back-pressure is visible in one place.
+                            if let Some(w) = wt.as_mut() {
+                                w.barrier_wait(worker, wait_ns, parked);
                             }
+                            if ssp.gate.is_aborted() {
+                                break;
+                            }
+                            // Relaxed: pure ticket counter; atomicity alone
+                            // guarantees unique step ids.
+                            let s = claimed.fetch_add(1, Ordering::Relaxed);
+                            if s >= steps {
+                                ssp.publish(worker, DONE);
+                                break;
+                            }
+                            let t0 = Instant::now();
+                            wall_start.get_or_insert(t0);
+                            let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
+                            port.pull_into(&mut buf);
+                            model.set_params_flat(buf.params());
+                            let mut rng = crate::engine::step_rng(seed, worker, base_step + s);
+                            let (x, y) = shard.sample_batch(batch, &mut rng);
+                            if let Some(d) = delay {
+                                std::thread::sleep(d);
+                            }
+                            let (loss, grad) = model.loss_and_grad(&x, &y);
+                            if !loss.is_finite() || loss > threshold {
+                                // Relaxed: read back only after thread join.
+                                diverged_at.store(base_step + s, Ordering::Relaxed);
+                                ssp.gate.abort();
+                                break;
+                            }
+                            // Shard-granular push with per-shard staleness
+                            // measured against the pull-time shard clocks
+                            // (shared with the ASP loop so both protocols
+                            // measure identically — including the sparse
+                            // path for embedding workloads).
+                            let staleness = crate::engine::push_maybe_sparse(
+                                &port,
+                                &model,
+                                &grad,
+                                sparse_enabled,
+                                &mut scratch,
+                                &buf,
+                                lr,
+                                mu,
+                                &mut shard_hist,
+                            );
+                            let step_time = t0.elapsed();
+                            profile.step_durations.push(step_time);
+                            profile.losses.push(loss);
+                            hist.record(staleness);
+                            if let Some(ws) = wall_start {
+                                profile.wall_time = ws.elapsed();
+                            }
+                            if let Some(w) = wt.as_mut() {
+                                w.staleness(staleness);
+                                w.step(worker, base_step + s, step_ns, step_time);
+                            }
+                            my_iter += 1;
+                            ssp.publish(worker, my_iter);
                         }
-                        // The SSP gate is this protocol's barrier: trace the
-                        // park time under the same span kind so straggler
-                        // back-pressure is visible in one place.
-                        if let Some(w) = wt.as_mut() {
-                            w.barrier_wait(worker, wait_ns);
-                        }
-                        // Relaxed: pure ticket counter; atomicity alone
-                        // guarantees unique step ids.
-                        let s = claimed.fetch_add(1, Ordering::Relaxed);
-                        if s >= steps {
-                            let mut state = gate.state.lock();
-                            state.finished[worker] = true;
-                            gate.cv.notify_all();
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        wall_start.get_or_insert(t0);
-                        let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                        port.pull_into(&mut buf);
-                        model.set_params_flat(buf.params());
-                        let mut rng = crate::engine::step_rng(seed, worker, base_step + s);
-                        let (x, y) = shard.sample_batch(batch, &mut rng);
-                        if let Some(d) = delay {
-                            std::thread::sleep(d);
-                        }
-                        let (loss, grad) = model.loss_and_grad(&x, &y);
-                        if !loss.is_finite() || loss > threshold {
-                            // Relaxed: read back only after join; the
-                            // lock/notify below publishes the flag to
-                            // gate waiters via the mutex.
-                            diverged_at.store(base_step + s, Ordering::Relaxed);
-                            abort.store(true, Ordering::Relaxed);
-                            let _state = gate.state.lock();
-                            gate.cv.notify_all();
-                            break;
-                        }
-                        // Shard-granular push with per-shard staleness
-                        // measured against the pull-time shard clocks
-                        // (shared with the ASP loop so both protocols
-                        // measure identically — including the sparse path
-                        // for embedding workloads).
-                        let staleness = crate::engine::push_maybe_sparse(
-                            &port,
-                            &model,
-                            &grad,
-                            sparse_enabled,
-                            &mut scratch,
-                            &buf,
-                            lr,
-                            mu,
-                            &mut shard_hist,
-                        );
-                        let step_time = t0.elapsed();
-                        profile.step_durations.push(step_time);
-                        profile.losses.push(loss);
-                        hist.record(staleness);
-                        if let Some(ws) = wall_start {
-                            profile.wall_time = ws.elapsed();
-                        }
-                        if let Some(w) = wt.as_mut() {
-                            w.staleness(staleness);
-                            w.step(worker, base_step + s, step_ns, step_time);
-                        }
-                        my_iter += 1;
-                        let mut state = gate.state.lock();
-                        state.iterations[worker] = my_iter;
-                        gate.cv.notify_all();
-                    }
+                    }));
                     if let Some(w) = wt.as_mut() {
                         w.flush();
                     }
-                    (worker, profile, hist, shard_hist)
+                    match run {
+                        Ok(()) => Ok((worker, profile, hist, shard_hist)),
+                        Err(_payload) => {
+                            ssp.gate.abort();
+                            Err(worker)
+                        }
+                    }
                 }));
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ssp worker panicked"))
-                .collect()
-        });
+            crate::engine::collect_worker_results(handles)
+        })?;
         let wall_time = start.elapsed();
 
         // Relaxed: the worker threads were joined by the scope above, and

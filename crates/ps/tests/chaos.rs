@@ -15,10 +15,15 @@
 //! This file is the CI `chaos` stage (`./ci.sh --stage chaos`), run under
 //! a hard timeout.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
+
 use sync_switch_ps::transport::wire::op;
 use sync_switch_ps::{
-    ControllerConfig, DivergenceWatchdog, FaultPlan, ServerStatsSnapshot, ServerSupervisor,
-    ServerTopology, SyncController, Trainer, TrainerConfig, TransportKind, WatchdogConfig,
+    ControllerConfig, DivergenceWatchdog, FaultPlan, NetPort, PsError, RetryPolicy,
+    ServerStatsSnapshot, ServerSupervisor, ServerTopology, SyncController, Trainer, TrainerConfig,
+    TransportKind, WatchdogConfig, WorkerPort,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -161,6 +166,57 @@ fn embedding_hot_lr_asp_trips_watchdog_and_finishes_under_bsp() {
         "demoted BSP run missed the loss gate: {final_loss} vs {}",
         kind.loss_threshold()
     );
+}
+
+/// A server that dies in the middle of an SSP segment must surface as
+/// [`PsError::WorkerPanicked`] — what `ps-worker` matches on to heal — and
+/// promptly: the worker that exhausts its retries aborts the gate, so peers
+/// parked behind the straggler wake up and exit instead of waiting for a
+/// floor that will never rise. The segment runs on a helper thread against
+/// a deadline, so a regression fails here instead of hanging the suite.
+#[test]
+fn ssp_segment_fails_fast_when_a_server_dies_mid_segment() {
+    let kind = TrainableKind::MlpBlobs;
+    let (model, train, test) = kind.build(SEED);
+    let h = kind.hyper();
+    let topology = ServerTopology::new(2, 1)
+        .with_transport(TransportKind::Tcp)
+        .with_retry(RetryPolicy {
+            op_timeout_ms: 500,
+            max_retries: 1,
+            backoff_base_ms: 1,
+            backoff_max_ms: 2,
+        });
+    // Worker 0 straggles, so under bound 1 its peers spend the segment
+    // parked at the gate — the waiters the abort has to wake.
+    let cfg = TrainerConfig::new(WORKERS, h.batch_size, h.learning_rate, h.momentum)
+        .with_seed(SEED)
+        .with_topology(topology)
+        .with_straggler(0, Duration::from_micros(500));
+    let port = NetPort::launch(&model.params_flat(), cfg.shards, topology);
+    let router = Arc::clone(port.router());
+    let mut t = Trainer::with_port(model, train, test, cfg, WorkerPort::Net(port));
+
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        // Far more steps than can finish: the segment ends by the kill.
+        let _ = done.send(t.run_ssp_segment(1, 10_000_000).map(|r| r.steps));
+    });
+    // Mid-segment for certain: pushes have landed and keep landing.
+    while router.version() < 50 {
+        std::thread::yield_now();
+    }
+    router.kill_server(1).expect("kill hook");
+    match result.recv_timeout(Duration::from_secs(30)) {
+        Ok(Err(PsError::WorkerPanicked { .. })) => {}
+        Ok(other) => panic!("expected WorkerPanicked, got {other:?}"),
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("SSP segment still running 30 s after its server died")
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            panic!("the worker panic escaped run_ssp_segment")
+        }
+    }
 }
 
 /// The telemetry acceptance gate: one full chaos run — faulty TCP tier,
