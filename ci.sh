@@ -132,8 +132,13 @@ stage_build() {
 # Tier-1, part 2. Hard KILL timeout like the other test stages: the unit
 # suites exercise the round gate (BSP barrier, SSP gate), where a lost
 # wake-up is a hang, and a hang must fail the gate, not wedge it. Built
-# first so compilation does not eat the run budget.
+# first so compilation does not eat the run budget. The benchmark package
+# (a workspace of its own, so `--workspace` never sees it) is type-checked
+# here too: it is written against `WorkerPort`, `wire::*` and `Network`, and
+# otherwise only the release-profile `benchmark-smoke` stage — which
+# `--fast` skips — would notice a change that stops it compiling.
 stage_test() {
+    cargo check -q --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --workspace --no-run
     timeout -sKILL 600 \
         cargo test -q --workspace || {
@@ -143,7 +148,8 @@ stage_test() {
 }
 
 # Transport-tier smoke: the wire-protocol integration tests (channel + TCP
-# loopback, BSP ≡ sequential SGD) under a hard timeout, so a hung socket
+# loopback, BSP ≡ sequential SGD, sparse pushes and pulls against their
+# dense twins at the wire) under a hard timeout, so a hung socket
 # or a lost wakeup in a serving loop fails the gate fast instead of
 # wedging it. Build first without the timeout — compilation time must not
 # eat the test budget.

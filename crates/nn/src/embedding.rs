@@ -2,10 +2,12 @@
 //!
 //! The vocab-style workload the parameter server's sparse push path exists
 //! for: the `[vocab, dim]` table dominates the model's parameter count, yet
-//! one batch touches only the rows of the tokens it contains. `backward`
-//! therefore writes only those rows (and reports them through
-//! [`Layer::grad_nonzero_runs`]), so the worker loop can ship row-sized
-//! updates instead of the full table.
+//! one batch touches only the rows of the tokens it contains. `forward`
+//! reads only those rows and `backward` writes only those rows, and the
+//! layer says which through [`Layer::param_read_runs`] (from the batch,
+//! before the step) and [`Layer::grad_nonzero_runs`] (after it), so the
+//! worker loop can move row-sized pulls and updates instead of the full
+//! table in either direction.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,6 +67,20 @@ impl Embedding {
     pub fn touched_rows(&self) -> &[usize] {
         &self.touched
     }
+
+    /// The table row an input value names.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `raw` is a whole number in `0..vocab`.
+    fn row_of(&self, raw: f32) -> usize {
+        let (id, vocab) = (raw as usize, self.vocab());
+        assert!(
+            raw >= 0.0 && id < vocab && raw.fract() == 0.0,
+            "token id {raw} invalid for vocab {vocab}"
+        );
+        id
+    }
 }
 
 impl Layer for Embedding {
@@ -77,7 +93,6 @@ impl Layer for Embedding {
         let tokens = x.cols();
         assert!(tokens > 0, "empty token rows");
         let dim = self.dim();
-        let vocab = self.vocab();
         self.cached_ids.clear();
         self.cached_ids.reserve(batch * tokens);
         let mut y = Tensor::zeros(&[batch, dim]);
@@ -85,11 +100,7 @@ impl Layer for Embedding {
         let yd = y.data_mut();
         let scale = 1.0 / tokens as f32;
         for (r, &raw) in x.data().iter().enumerate() {
-            let id = raw as usize;
-            assert!(
-                raw >= 0.0 && id < vocab && raw.fract() == 0.0,
-                "token id {raw} invalid for vocab {vocab}"
-            );
+            let id = self.row_of(raw);
             self.cached_ids.push(id);
             let out = &mut yd[(r / tokens) * dim..(r / tokens + 1) * dim];
             for (o, &t) in out.iter_mut().zip(&td[id * dim..(id + 1) * dim]) {
@@ -151,6 +162,19 @@ impl Layer for Embedding {
         for &row in &self.touched {
             out.push((base + row * dim, dim));
         }
+        true
+    }
+
+    fn param_read_runs(&self, x: &Tensor, base: usize, out: &mut Vec<(usize, usize)>) -> bool {
+        let dim = self.dim();
+        let first = out.len();
+        out.extend(
+            x.data()
+                .iter()
+                .map(|&raw| (base + self.row_of(raw) * dim, dim)),
+        );
+        out[first..].sort_unstable();
+        out.dedup();
         true
     }
 }

@@ -55,6 +55,19 @@ pub trait Layer: Send {
         }
         false
     }
+
+    /// The input-side twin of [`Layer::grad_nonzero_runs`], asked of the
+    /// layer that sees the raw batch: whether `forward(x)` and the
+    /// `backward` after it *read* only part of this layer's parameters. If
+    /// so, appends the `(offset, len)` runs they read — relative to `base`,
+    /// in increasing offset order — and returns `true`; those runs must
+    /// also cover every gradient entry that backward pass can make nonzero,
+    /// because the parameter-server worker loop pulls and pushes along the
+    /// same list. The default is a dense layer: `false`, nothing appended.
+    /// It runs once per training step of every model, so it stays free.
+    fn param_read_runs(&self, _x: &Tensor, _base: usize, _out: &mut Vec<(usize, usize)>) -> bool {
+        false
+    }
 }
 
 /// Fully-connected layer: `y = x·W + b`.

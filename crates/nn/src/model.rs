@@ -252,23 +252,36 @@ impl Network {
             sparse |= layer.grad_nonzero_runs(offset, out);
             offset += layer.param_count();
         }
-        if !sparse || out.is_empty() {
+        finish_runs(sparse, out)
+    }
+
+    /// The input-side twin of [`Network::grad_nonzero_runs_into`]: fills
+    /// `out` with the sorted, disjoint, coalesced `(offset, len)` runs of
+    /// the flat parameter vector that a forward/backward pass over the
+    /// batch `x` will read, and returns whether that read set is sparse —
+    /// `false` (with `out` cleared) when the whole vector is read. Only the
+    /// first layer sees `x` itself, so only it can read sparsely; every
+    /// later layer is one full run. Needs no prior forward pass, which is
+    /// what lets a parameter-server worker sample its batch first and pull
+    /// only these runs.
+    pub fn param_read_runs_into(&self, x: &Tensor, out: &mut Vec<(usize, usize)>) -> bool {
+        out.clear();
+        let Some((first, rest)) = self.layers.split_first() else {
+            return false;
+        };
+        if !first.param_read_runs(x, 0, out) {
             out.clear();
             return false;
         }
-        // Coalesce adjacent runs (layer order keeps them sorted): fewer,
-        // longer segments mean fewer spans on the wire.
-        let mut w = 0;
-        for r in 1..out.len() {
-            if out[w].0 + out[w].1 == out[r].0 {
-                out[w].1 += out[r].1;
-            } else {
-                w += 1;
-                out[w] = out[r];
+        let mut offset = first.param_count();
+        for layer in rest {
+            let n = layer.param_count();
+            if n > 0 {
+                out.push((offset, n));
             }
+            offset += n;
         }
-        out.truncate(w + 1);
-        true
+        finish_runs(true, out)
     }
 
     /// Flattens all gradients into one vector (valid after
@@ -304,6 +317,42 @@ impl Network {
         }
     }
 
+    /// Copies only the `(offset, len)` `runs` of `flat` (sorted and
+    /// disjoint, as [`Network::param_read_runs_into`] produces them) into
+    /// the layer tensors; every other parameter keeps its current value.
+    /// On the runs this equals [`Network::set_params_flat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat.len()` differs from [`Network::param_count`] or a
+    /// run reaches past it.
+    pub fn set_params_runs(&mut self, flat: &[f32], runs: &[(usize, usize)]) {
+        assert_eq!(
+            flat.len(),
+            self.param_count(),
+            "flat parameter vector has wrong length"
+        );
+        // Tensors come in flat order, so one cursor over the runs suffices.
+        let mut next = 0;
+        let mut offset = 0;
+        for layer in &mut self.layers {
+            for p in layer.params_mut() {
+                let end = offset + p.len();
+                while next < runs.len() && runs[next].0 + runs[next].1 <= offset {
+                    next += 1;
+                }
+                for &(start, len) in &runs[next..] {
+                    if start >= end {
+                        break;
+                    }
+                    let (from, to) = (start.max(offset), (start + len).min(end));
+                    p.data_mut()[from - offset..to - offset].copy_from_slice(&flat[from..to]);
+                }
+                offset = end;
+            }
+        }
+    }
+
     /// Predicted class per row.
     pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
         self.forward(x).argmax_rows()
@@ -313,6 +362,28 @@ impl Network {
     pub fn accuracy_on(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
         crate::metrics::accuracy(&self.forward(x), labels)
     }
+}
+
+/// The shared tail of the two run queries: a dense (or empty) answer clears
+/// `out` and returns `false`; a sparse one coalesces adjacent runs (layer
+/// order keeps them sorted) — fewer, longer segments mean fewer spans on
+/// the wire.
+fn finish_runs(sparse: bool, out: &mut Vec<(usize, usize)>) -> bool {
+    if !sparse || out.is_empty() {
+        out.clear();
+        return false;
+    }
+    let mut w = 0;
+    for r in 1..out.len() {
+        if out[w].0 + out[w].1 == out[r].0 {
+            out[w].1 += out[r].1;
+        } else {
+            w += 1;
+            out[w] = out[r];
+        }
+    }
+    out.truncate(w + 1);
+    true
 }
 
 #[cfg(test)]
@@ -466,6 +537,69 @@ mod tests {
         // Rows 4 and 5 are adjacent → one run of 2·dim.
         assert_eq!(runs[0], (16, 8));
         assert_eq!(runs.len(), 2, "rows + head: {runs:?}");
+    }
+
+    #[test]
+    fn read_runs_equal_nonzero_gradient_runs_on_the_embedding_classifier() {
+        let (vocab, dim, tokens) = (30, 4, 3);
+        let mut net = Network::embedding_classifier(vocab, dim, 5, tokens, 2, 6);
+        let batches: [(&[f32], &[usize]); 3] = [
+            // Repeated ids within and across examples, adjacent rows 8 and 9.
+            (&[9.0, 2.0, 9.0, 2.0, 8.0, 29.0], &[0, 1]),
+            // One id, everywhere.
+            (&[17.0, 17.0, 17.0], &[1]),
+            // All distinct, unsorted, including rows 0 and vocab − 1.
+            (&[29.0, 0.0, 13.0, 4.0, 21.0, 7.0], &[1, 0]),
+        ];
+        let (mut read, mut written) = (vec![(99, 99)], Vec::new());
+        for (ids, labels) in batches {
+            let x = Tensor::from_vec(ids.to_vec(), &[labels.len(), tokens]);
+            // Asked before the pass, from the batch alone...
+            assert!(net.param_read_runs_into(&x, &mut read));
+            net.loss_and_grad(&x, labels);
+            // ...it names exactly what the pass then wrote.
+            assert!(net.grad_nonzero_runs_into(&mut written));
+            assert_eq!(read, written, "ids {ids:?}");
+            assert!(read.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0));
+        }
+    }
+
+    #[test]
+    fn dense_first_layers_report_no_read_runs() {
+        let mut runs = vec![(1, 2)];
+        let mlp = Network::mlp(6, &[10], 3, 1);
+        assert!(!mlp.param_read_runs_into(&Tensor::zeros(&[4, 6]), &mut runs));
+        assert!(runs.is_empty());
+        runs.push((1, 2));
+        let conv = Network::conv1d_classifier(12, 3, 5, 4, 4, 1);
+        assert!(!conv.param_read_runs_into(&Tensor::zeros(&[5, 12]), &mut runs));
+        assert!(runs.is_empty());
+    }
+
+    #[test]
+    fn set_params_runs_copies_the_runs_and_nothing_else() {
+        let mut by_runs = Network::embedding_classifier(12, 3, 4, 2, 2, 8);
+        let mut by_flat = by_runs.clone();
+        let before = by_runs.params_flat();
+        let flat: Vec<f32> = (0..before.len()).map(|i| 100.0 + i as f32).collect();
+        // Two table rows, a run straddling the table/head tensor boundary
+        // (table is 36 long), and the last parameter.
+        let runs = [(3, 3), (9, 6), (34, 5), (before.len() - 1, 1)];
+        by_runs.set_params_runs(&flat, &runs);
+        by_flat.set_params_flat(&flat);
+        let (after, full) = (by_runs.params_flat(), by_flat.params_flat());
+        for i in 0..before.len() {
+            if runs.iter().any(|&(o, l)| (o..o + l).contains(&i)) {
+                assert_eq!(after[i], full[i], "position {i} inside a run");
+            } else {
+                assert_eq!(after[i], before[i], "position {i} outside every run");
+            }
+        }
+        // No runs, no change; the full-cover run is `set_params_flat`.
+        by_runs.set_params_runs(&flat, &[]);
+        assert_eq!(by_runs.params_flat(), after);
+        by_runs.set_params_runs(&flat, &[(0, before.len())]);
+        assert_eq!(by_runs.params_flat(), full);
     }
 
     #[test]

@@ -206,13 +206,17 @@ pub struct TrainerConfig {
     pub straggler_delay: Vec<Option<Duration>>,
     /// Workers excluded from this segment (elastic policy evictions).
     pub excluded_workers: Vec<usize>,
-    /// Whether asynchronous pushes may use the sparse path when the model
-    /// reports sparse gradients (embedding workloads): only the touched
-    /// rows are shipped per shard, numerically identical to the dense push
-    /// of the same rows scattered into a zero gradient. Disable to force
-    /// dense pushes everywhere — the control arm of the sparse-vs-dense
-    /// wire-byte comparisons. BSP ignores this (barrier aggregation is
-    /// inherently dense).
+    /// Whether a step may use the model's sparsity on the wire, in both
+    /// directions (embedding workloads). When the model reports that a
+    /// batch reads only some runs of the parameter vector, the worker pulls
+    /// and installs only those runs — the values a full pull would have
+    /// delivered there, so nothing numerical changes — and an asynchronous
+    /// push ships only the same rows per shard, numerically identical to
+    /// the dense push of those rows scattered into a zero gradient. Disable
+    /// to force full pulls and dense pushes everywhere — the reference arm
+    /// of the sparse-vs-dense equivalence tests and wire-byte comparisons.
+    /// BSP uses the pull half only (barrier aggregation is inherently
+    /// dense).
     pub sparse_push: bool,
     /// Whether the trainer carries a telemetry bus (metrics registry +
     /// event tracer) for this segment. On by default — recording is a
@@ -259,7 +263,7 @@ impl TrainerConfig {
         self
     }
 
-    /// Enables or disables the sparse push path (enabled by default).
+    /// Enables or disables the sparse pull/push path (enabled by default).
     pub fn with_sparse_push(mut self, sparse_push: bool) -> Self {
         self.sparse_push = sparse_push;
         self

@@ -23,7 +23,7 @@ use crate::profiler::{
     ServerShardStaleness, ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile,
 };
 use crate::router::{PortBuffer, ShardRouter, WorkerPort};
-use crate::store::ShardedStore;
+use crate::store::{runs_within, ShardedStore};
 use crate::transport::{NetPort, NetRouter};
 
 /// What each worker thread returns: its id, timing/loss profile, global
@@ -207,39 +207,69 @@ fn finish_push(
     staleness
 }
 
+/// Pulls what the step over batch `x` reads and installs it in `model` —
+/// the single pull point of the BSP, ASP and SSP loops, and the place a
+/// step's sparsity is decided for both directions: when the config allows
+/// it *and* the model reports a sparse read set for `x`, only those runs
+/// are pulled and installed (every other parameter of `model` keeps a
+/// stale value the step never looks at) and `scratch` remembers them for
+/// [`push_maybe_sparse`]; otherwise this is a full pull and
+/// `set_params_flat`. Returns the pulled version either way.
+pub(crate) fn pull_for_batch(
+    port: &WorkerPort,
+    model: &mut Network,
+    x: &Tensor,
+    sparse_enabled: bool,
+    buf: &mut PortBuffer,
+    scratch: &mut StepScratch,
+) -> u64 {
+    scratch.sparse = sparse_enabled && model.param_read_runs_into(x, &mut scratch.runs);
+    if scratch.sparse {
+        let version = port.pull_runs_into(buf, &scratch.runs);
+        model.set_params_runs(buf.params(), &scratch.runs);
+        version
+    } else {
+        let version = port.pull_into(buf);
+        model.set_params_flat(buf.params());
+        version
+    }
+}
+
 /// Pushes a worker's gradient through the dense or the sparse path — the
 /// single dispatch point shared by the ASP and SSP loops, so the two
-/// protocols cannot drift on push selection: sparse when the config allows
-/// it *and* the model's last backward reported sparse nonzero runs.
-#[allow(clippy::too_many_arguments)]
+/// protocols cannot drift on push selection: sparse exactly when the
+/// step's pull was ([`pull_for_batch`]), along the same runs — a layer's
+/// read runs cover everything its backward can write, and for the embedding
+/// classifier the two sets are equal, so one list per step serves both.
 pub(crate) fn push_maybe_sparse(
     port: &WorkerPort,
-    model: &Network,
     grad: &[f32],
-    sparse_enabled: bool,
-    scratch: &mut PushScratch,
+    scratch: &mut StepScratch,
     buf: &PortBuffer,
     lr: f64,
     momentum: f64,
     shard_hist: &mut ServerShardStaleness,
 ) -> u64 {
-    if sparse_enabled && model.grad_nonzero_runs_into(&mut scratch.runs) {
+    if scratch.sparse {
         push_sharded_sparse(port, grad, scratch, buf, lr, momentum, shard_hist)
     } else {
         push_sharded(port, grad, &mut scratch.acks, buf, lr, momentum, shard_hist)
     }
 }
 
-/// Per-worker scratch for the push paths. All four vectors are reused
-/// across steps, so the steady state allocates nothing.
+/// Per-worker scratch for a step's pull and push. All four vectors are
+/// reused across steps, so the steady state allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct PushScratch {
+pub(crate) struct StepScratch {
     /// The pushed shards' acked pre-apply clocks, in shard order (both
     /// paths).
     acks: Vec<u64>,
-    /// Global `(offset, len)` runs of the model's possibly-nonzero
-    /// gradient, filled by `Network::grad_nonzero_runs_into`.
-    pub(crate) runs: Vec<(usize, usize)>,
+    /// Whether this step moves only `runs` (set by [`pull_for_batch`]).
+    sparse: bool,
+    /// Global `(offset, len)` runs of the parameters this step's batch
+    /// reads — and so of its possibly-nonzero gradient — filled by
+    /// `Network::param_read_runs_into`.
+    runs: Vec<(usize, usize)>,
     /// Shard-relative segments of the shard currently being pushed.
     spans: Vec<(u32, u32)>,
     /// The segments' gradient values, gathered from the flat gradient.
@@ -247,9 +277,8 @@ pub(crate) struct PushScratch {
 }
 
 /// The sparse counterpart of [`push_sharded`]: walks the shards in order,
-/// intersects the model's nonzero runs (`scratch.runs`, sorted and
-/// disjoint) with each shard's range, and pushes only the overlapping
-/// segments. A shard fully covered by one run falls back to the dense apply
+/// cuts the step's runs (`scratch.runs`, sorted and disjoint) to each
+/// shard's range, and pushes only the overlapping segments. A shard fully covered by one run falls back to the dense apply
 /// (no gather, no segment list); a shard with no overlap still pushes an
 /// empty sparse update so its clock ticks and its momentum decays exactly
 /// as a dense zero push would. Every invariant of the dense path —
@@ -260,48 +289,29 @@ pub(crate) struct PushScratch {
 pub(crate) fn push_sharded_sparse(
     port: &WorkerPort,
     grad: &[f32],
-    scratch: &mut PushScratch,
+    scratch: &mut StepScratch,
     buf: &PortBuffer,
     lr: f64,
     momentum: f64,
     shard_hist: &mut ServerShardStaleness,
 ) -> u64 {
     scratch.acks.clear();
-    // Shards iterate in flat order, so a single cursor over the sorted
-    // runs suffices (no per-shard rescans).
-    let mut first_run = 0usize;
     for i in 0..port.shard_count() {
         let (offset, len) = port.shard_range(i);
-        let end = offset + len;
-        // Runs entirely before this shard are done for good.
-        while first_run < scratch.runs.len() {
-            let (ro, rl) = scratch.runs[first_run];
-            if ro + rl <= offset {
-                first_run += 1;
-            } else {
-                break;
-            }
-        }
         scratch.spans.clear();
         scratch.values.clear();
         let mut full_cover = false;
-        for &(ro, rl) in &scratch.runs[first_run..] {
-            if ro >= end {
-                break;
-            }
-            let start = ro.max(offset);
-            let stop = (ro + rl).min(end);
-            if start == offset && stop == end {
+        for (start, n) in runs_within(&scratch.runs, offset, len) {
+            if n == len {
                 full_cover = true;
                 break;
             }
-            scratch
-                .spans
-                .push(((start - offset) as u32, (stop - start) as u32));
-            scratch.values.extend_from_slice(&grad[start..stop]);
+            scratch.spans.push(((start - offset) as u32, n as u32));
+            scratch.values.extend_from_slice(&grad[start..start + n]);
         }
         if full_cover {
-            port.queue_shard_update(i, &grad[offset..end], lr, momentum, &mut scratch.acks);
+            let shard_grad = &grad[offset..offset + len];
+            port.queue_shard_update(i, shard_grad, lr, momentum, &mut scratch.acks);
         } else {
             port.queue_shard_update_sparse(
                 i,
@@ -1059,12 +1069,14 @@ impl Trainer {
                 let (lr, mu) = (cfg.learning_rate, cfg.momentum);
                 let seed = cfg.seed;
                 let threshold = cfg.divergence_loss_threshold;
+                let sparse_enabled = cfg.sparse_push;
                 let telemetry = self.telemetry.clone();
                 handles.push(scope.spawn(move || {
                     let mut profile = WorkerProfile::default();
                     let mut hist = StalenessHistogram::new();
                     let mut shard_hist = ServerShardStaleness::new(n_servers, n_stripes);
                     let mut buf = port.new_buffer();
+                    let mut scratch = StepScratch::default();
                     let mut wt = telemetry.as_ref().map(WorkerTelemetry::new);
                     // First-step start, for the wall-clock throughput span
                     // (barrier waits included — the busy-only rate hides
@@ -1087,10 +1099,18 @@ impl Trainer {
                             let t0 = Instant::now();
                             wall_start.get_or_insert(t0);
                             let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            let version = port.pull_into(&mut buf);
-                            model.set_params_flat(buf.params());
+                            // The batch does not depend on the pull, so it
+                            // is drawn first and says what to pull.
                             let mut rng = step_rng(seed, worker, base_step + r);
                             let (x, y) = shard.sample_batch(batch, &mut rng);
+                            let version = pull_for_batch(
+                                &port,
+                                &mut model,
+                                &x,
+                                sparse_enabled,
+                                &mut buf,
+                                &mut scratch,
+                            );
                             if let Some(d) = delay {
                                 std::thread::sleep(d);
                             }
@@ -1243,7 +1263,7 @@ impl Trainer {
                     let mut hist = StalenessHistogram::new();
                     let mut shard_hist = ServerShardStaleness::new(n_servers, n_shards);
                     let mut buf = port.new_buffer();
-                    let mut scratch = PushScratch::default();
+                    let mut scratch = StepScratch::default();
                     let mut wt = telemetry.as_ref().map(WorkerTelemetry::new);
                     // First-step start for the wall-clock throughput span.
                     // ASP has no barrier, so wall and busy time only differ
@@ -1270,10 +1290,17 @@ impl Trainer {
                             let t0 = Instant::now();
                             wall_start.get_or_insert(t0);
                             let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            port.pull_into(&mut buf);
-                            model.set_params_flat(buf.params());
+                            // Batch first: it says what the pull must fetch.
                             let mut rng = step_rng(seed, worker, base_step + s);
                             let (x, y) = shard.sample_batch(batch, &mut rng);
+                            pull_for_batch(
+                                &port,
+                                &mut model,
+                                &x,
+                                sparse_enabled,
+                                &mut buf,
+                                &mut scratch,
+                            );
                             if let Some(d) = delay {
                                 std::thread::sleep(d);
                             }
@@ -1286,13 +1313,11 @@ impl Trainer {
                             }
                             // Shard-granular push: per-shard staleness comes
                             // from each shard clock's pre-apply value versus
-                            // the clock captured at pull time. Sparse-gradient
-                            // models ship only their touched rows.
+                            // the clock captured at pull time. Sparse-input
+                            // models ship only the rows the step pulled.
                             let staleness = push_maybe_sparse(
                                 &port,
-                                &model,
                                 &grad,
-                                sparse_enabled,
                                 &mut scratch,
                                 &buf,
                                 lr,

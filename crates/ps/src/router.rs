@@ -233,16 +233,28 @@ impl ShardRouter {
     /// fresh. Against the data version, the global staleness histogram and
     /// the per-shard records agree.
     pub fn pull_committed_into(&self, buf: &mut RouterBuffer) -> u64 {
+        self.pull_committed_runs_into(buf, &[(0, self.param_count())])
+    }
+
+    /// [`ShardRouter::pull_committed_into`] for a step that reads only
+    /// `runs` — sorted, disjoint `(offset, len)` ranges of the flat vector:
+    /// each server copies just the pieces it owns, positions outside the
+    /// runs keep whatever `buf` held, and every shard's committed clock
+    /// (hence the returned effective version) is recorded exactly as a full
+    /// pull records it.
+    pub fn pull_committed_runs_into(&self, buf: &mut RouterBuffer, runs: &[(usize, usize)]) -> u64 {
         // Acquire: see `version`.
         let version = self.version.load(Ordering::Acquire);
         buf.params.resize(self.param_count(), 0.0);
         buf.shard_versions.resize(self.shard_count(), 0);
+        let params = &mut buf.params;
         for server in &self.servers {
-            let (po, pl) = server.param_range();
             let so = server.shard_offset();
-            server.pull_committed_into(
-                &mut buf.params[po..po + pl],
+            server.pull_committed_runs(
+                runs,
+                server.param_range().0,
                 &mut buf.shard_versions[so..so + server.shard_count()],
+                |at, values| params[at..at + values.len()].copy_from_slice(values),
             );
         }
         // Every push applies to every shard exactly once, so a committed
@@ -468,6 +480,26 @@ impl WorkerPort {
             (WorkerPort::Single(s), PortBuffer::Single(b)) => s.pull_into(b),
             (WorkerPort::Routed(r), PortBuffer::Routed(b)) => r.pull_committed_into(b),
             (WorkerPort::Net(p), PortBuffer::Routed(b)) => p.pull_into(b),
+            _ => panic!("pull buffer does not match the port topology"),
+        }
+    }
+
+    /// [`WorkerPort::pull_into`] for a step that reads only `runs` —
+    /// sorted, disjoint `(offset, len)` ranges of the flat vector, as
+    /// `Network::param_read_runs_into` reports them. Only those ranges are
+    /// copied (and, on a transport-backed plane, only they cross the wire);
+    /// positions outside them keep whatever `buf` held. The returned
+    /// version and every shard clock in `buf` are what a full pull at the
+    /// same moment would have recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf` was created by a port of the other variant.
+    pub fn pull_runs_into(&self, buf: &mut PortBuffer, runs: &[(usize, usize)]) -> u64 {
+        match (self, buf) {
+            (WorkerPort::Single(s), PortBuffer::Single(b)) => s.pull_runs_into(b, runs),
+            (WorkerPort::Routed(r), PortBuffer::Routed(b)) => r.pull_committed_runs_into(b, runs),
+            (WorkerPort::Net(p), PortBuffer::Routed(b)) => p.pull_runs_into(b, runs),
             _ => panic!("pull buffer does not match the port topology"),
         }
     }

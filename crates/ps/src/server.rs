@@ -284,6 +284,23 @@ impl PsServer {
         self.committed.pull_into_slices(params_out, clocks_out);
     }
 
+    /// Pulls only `runs` of the committed view: the values of every piece
+    /// of the sorted, disjoint `(offset, len)` `runs` that falls in this
+    /// server's slice go to `sink(position, values)`, and the committed
+    /// clocks of *all* owned shards to `clocks_out`. Positions are in the
+    /// runs' coordinates, in which this server's first parameter sits at
+    /// `base` (its flat offset for global runs, 0 for server-local ones) —
+    /// see [`ShardedStore::read_runs`].
+    pub fn pull_committed_runs(
+        &self,
+        runs: &[(usize, usize)],
+        base: usize,
+        clocks_out: &mut [u64],
+        sink: impl FnMut(usize, &[f32]),
+    ) {
+        self.committed.read_runs(runs, base, clocks_out, sink);
+    }
+
     /// How many stage-1 applies on owned shard `local` the committed view
     /// has not yet published.
     pub fn committed_lag(&self, local: usize) -> u64 {

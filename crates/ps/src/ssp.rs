@@ -118,7 +118,7 @@ impl Trainer {
                     let mut hist = StalenessHistogram::new();
                     let mut shard_hist = ServerShardStaleness::new(n_servers, n_shards);
                     let mut buf = port.new_buffer();
-                    let mut scratch = crate::engine::PushScratch::default();
+                    let mut scratch = crate::engine::StepScratch::default();
                     let mut wt = telemetry.as_ref().map(crate::engine::WorkerTelemetry::new);
                     let mut my_iter = 0u64;
                     // First-step start for the wall-clock throughput span —
@@ -165,10 +165,17 @@ impl Trainer {
                             let t0 = Instant::now();
                             wall_start.get_or_insert(t0);
                             let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            port.pull_into(&mut buf);
-                            model.set_params_flat(buf.params());
+                            // Batch first: it says what the pull must fetch.
                             let mut rng = crate::engine::step_rng(seed, worker, base_step + s);
                             let (x, y) = shard.sample_batch(batch, &mut rng);
+                            crate::engine::pull_for_batch(
+                                &port,
+                                &mut model,
+                                &x,
+                                sparse_enabled,
+                                &mut buf,
+                                &mut scratch,
+                            );
                             if let Some(d) = delay {
                                 std::thread::sleep(d);
                             }
@@ -186,9 +193,7 @@ impl Trainer {
                             // path for embedding workloads).
                             let staleness = crate::engine::push_maybe_sparse(
                                 &port,
-                                &model,
                                 &grad,
-                                sparse_enabled,
                                 &mut scratch,
                                 &buf,
                                 lr,

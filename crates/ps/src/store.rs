@@ -80,6 +80,26 @@ impl ShardLayout {
     }
 }
 
+/// The pieces of `runs` — sorted, disjoint `(offset, len)` ranges — that
+/// fall inside `offset..offset + len`, in order and in the runs' own
+/// coordinates. The one place a run list is cut to a shard's or a server's
+/// extent, for pushes and pulls alike.
+pub(crate) fn runs_within(
+    runs: &[(usize, usize)],
+    offset: usize,
+    len: usize,
+) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+    let end = offset + len;
+    let first = runs.partition_point(|&(o, l)| o + l <= offset);
+    runs[first..]
+        .iter()
+        .take_while(move |&&(o, _)| o < end)
+        .map(move |&(o, l)| {
+            let start = o.max(offset);
+            (start, (o + l).min(end) - start)
+        })
+}
+
 /// The payload of one shard update: the full dense gradient slice, or a
 /// sparse set of segments for workloads (embedding tables) whose per-batch
 /// gradient touches only a few rows.
@@ -281,13 +301,26 @@ impl ShardedStore {
     /// per-shard clocks captured in the buffer record exactly which shard
     /// state was seen, so staleness can later be computed per shard.
     pub fn pull_into(&self, buf: &mut PullBuffer) -> u64 {
+        self.pull_runs_into(buf, &[(0, self.param_count)])
+    }
+
+    /// [`ShardedStore::pull_into`] for a step that reads only `runs` —
+    /// sorted, disjoint `(offset, len)` ranges of the flat vector: copies
+    /// just those ranges, leaves every other position of `buf` as it was,
+    /// and records the version and **all** shard clocks exactly as a full
+    /// pull does (staleness is measured per shard whether or not the step
+    /// read it).
+    pub fn pull_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
         // Acquire: see `version` — lets the observed version lower-bound the
         // parameter state read below.
         let version = self.version.load(Ordering::Acquire);
         buf.version = version;
         buf.params.resize(self.param_count, 0.0);
         buf.shard_versions.resize(self.shards.len(), 0);
-        self.pull_into_slices(&mut buf.params, &mut buf.shard_versions);
+        let params = &mut buf.params;
+        self.read_runs(runs, 0, &mut buf.shard_versions, |at, values| {
+            params[at..at + values.len()].copy_from_slice(values);
+        });
         version
     }
 
@@ -422,14 +455,46 @@ impl ShardedStore {
     /// `clocks_out.len()` from the shard count.
     pub fn pull_into_slices(&self, params_out: &mut [f32], clocks_out: &mut [u64]) {
         assert_eq!(params_out.len(), self.param_count, "params length mismatch");
+        self.read_runs(&[(0, self.param_count)], 0, clocks_out, |at, values| {
+            params_out[at..at + values.len()].copy_from_slice(values);
+        });
+    }
+
+    /// The store's one read routine: hands `sink` the stored values of
+    /// every piece of `runs` — sorted, disjoint `(offset, len)` ranges in
+    /// coordinates where this store's first parameter sits at `base`, cut
+    /// to the store's extent — shard by shard under that shard's lock, as
+    /// `sink(position, values)` in increasing position order, and writes
+    /// every shard's clock to `clocks_out`: read under the lock for a shard
+    /// that was copied from, so it matches the data exactly, and lock-free
+    /// for a shard no run touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clocks_out.len()` differs from the shard count.
+    pub fn read_runs(
+        &self,
+        runs: &[(usize, usize)],
+        base: usize,
+        clocks_out: &mut [u64],
+        mut sink: impl FnMut(usize, &[f32]),
+    ) {
         assert_eq!(
             clocks_out.len(),
             self.shards.len(),
             "clocks length mismatch"
         );
         for (i, (offset, len)) in self.layout.iter().enumerate() {
+            let mut pieces = runs_within(runs, base + offset, len).peekable();
+            if pieces.peek().is_none() {
+                clocks_out[i] = self.shard_version(i);
+                continue;
+            }
             let shard = self.shards[i].lock();
-            params_out[offset..offset + len].copy_from_slice(&shard.params);
+            for (at, n) in pieces {
+                let from = at - base - offset;
+                sink(at, &shard.params[from..from + n]);
+            }
             // Relaxed: the clock is only bumped (or pinned) under this
             // shard's lock, which we hold.
             clocks_out[i] = self.shard_versions[i].load(Ordering::Relaxed);

@@ -285,6 +285,10 @@ mod tests {
         // Closed stays closed, like the TCP handler's socket.
         wire::encode_bodyless(bad.request_buf(), op::CHECK_FINITE);
         assert_eq!(bad.call().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        // So is a pull whose run list leaves the server's 8 parameters.
+        let mut greedy = t.connect(0).unwrap();
+        wire::encode_pull_runs(greedy.request_buf(), [(6usize, 3usize)].into_iter());
+        assert_eq!(greedy.call().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
         // The event loop is still there for everyone else, and nothing of
         // the torn batch was applied.
         wire::encode_push_shard(good.request_buf(), 0, 0.001, 0.0, &[1.0; 4]);

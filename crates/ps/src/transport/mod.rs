@@ -169,6 +169,8 @@ pub(crate) struct ServerEndpoint {
     grad: Vec<f32>,
     /// Segment-list decode scratch (sparse push path).
     segments: Vec<(u32, u32)>,
+    /// Checked run list of a run pull (server-local offsets).
+    runs: Vec<(usize, usize)>,
     /// Stage-2 commit scratch.
     commit: Vec<f32>,
     /// Pull/snapshot assembly scratch.
@@ -190,6 +192,7 @@ impl ServerEndpoint {
             server,
             grad: Vec::new(),
             segments: Vec::new(),
+            runs: Vec::new(),
             commit: Vec::new(),
             params: vec![0.0; param_len],
             clocks: vec![0; shards],
@@ -355,9 +358,24 @@ impl ServerEndpoint {
                 wire::encode_push_ack(reply, prev);
             }
             op::PULL_COMMITTED => {
-                self.server
-                    .pull_committed_into(&mut self.params, &mut self.clocks);
-                wire::encode_pulled(reply, &self.params, &self.clocks);
+                // The run list is checked in full before the store is
+                // touched or a byte of reply is written.
+                if wire::decode_pull_runs_into(request, self.params.len(), &mut self.runs)? {
+                    wire::begin_pulled(reply, self.runs.iter().map(|r| r.1).sum());
+                    self.server.pull_committed_runs(
+                        &self.runs,
+                        0,
+                        &mut self.clocks,
+                        |_, values| {
+                            wire::put_f32_values(reply, values);
+                        },
+                    );
+                    wire::finish_pulled(reply, &self.clocks);
+                } else {
+                    self.server
+                        .pull_committed_into(&mut self.params, &mut self.clocks);
+                    wire::encode_pulled(reply, &self.params, &self.clocks);
+                }
             }
             op::SYNC_ROUND | op::DRAIN => {
                 self.server.commit_all(&mut self.commit);
@@ -513,6 +531,80 @@ mod tests {
         }
         assert_eq!(params_a, params_b);
         assert_eq!(clocks, [1, 0]);
+    }
+
+    #[test]
+    fn endpoint_pulls_runs_and_rejects_bad_lists_untouched() {
+        let mut ep = endpoint(10, 2);
+        let mut req = Vec::new();
+        let mut reply = Vec::new();
+        // Move shard 1 and publish it, so clocks and data are not initial.
+        wire::encode_push_shard(&mut req, 1, 0.5, 0.0, &[1.0; 5]);
+        ep.handle(&req, &mut reply).unwrap();
+        req.clear();
+        wire::encode_bodyless(&mut req, op::SYNC_ROUND);
+        ep.handle(&req, &mut reply).unwrap();
+        req.clear();
+        wire::encode_bodyless(&mut req, op::PULL_COMMITTED);
+        ep.handle(&req, &mut reply).unwrap();
+        let full_len = reply.len();
+        let mut full = [0.0f32; 10];
+        let mut full_clocks = [0u64; 2];
+        wire::decode_pulled_into(&reply, &mut full, &mut full_clocks).unwrap();
+        assert_eq!(full_clocks, [0, 1]);
+
+        // Runs inside shard 0, across the shard boundary, and none at all:
+        // the listed positions arrive, nothing else does, every clock does.
+        for runs in [&[(1usize, 2usize), (4, 3), (9, 1)][..], &[(0, 10)], &[]] {
+            req.clear();
+            wire::encode_pull_runs(&mut req, runs.iter().copied());
+            assert_eq!(ep.handle(&req, &mut reply), Ok(Handled::Reply));
+            let mut got = [f32::NAN; 10];
+            let mut clocks = [9u64; 2];
+            wire::decode_pulled_runs_into(&reply, runs.iter().copied(), &mut got, &mut clocks)
+                .unwrap();
+            assert_eq!(clocks, full_clocks);
+            for i in 0..10 {
+                if runs.iter().any(|&(o, l)| (o..o + l).contains(&i)) {
+                    assert_eq!(got[i], full[i], "position {i}");
+                } else {
+                    assert!(got[i].is_nan(), "position {i} was not asked for");
+                }
+            }
+            let asked: usize = runs.iter().map(|r| r.1).sum();
+            assert_eq!(reply.len(), full_len - 4 * (10 - asked));
+        }
+        // Both forms are pulls to the accounting.
+        assert_eq!(
+            ep.server.stats_snapshot().requests_for(op::PULL_COMMITTED),
+            4
+        );
+
+        // A list that breaks the contract is an error before anything is
+        // read or written: no reply bytes, and the endpoint serves on.
+        for bad in [
+            &[(0u32, 0u32)][..],
+            &[(4, 2), (2, 1)],
+            &[(0, 3), (2, 2)],
+            &[(8, 3)],
+        ] {
+            // By hand: the client-side encoder asserts the same contract.
+            req.clear();
+            req.push(op::PULL_COMMITTED);
+            req.extend_from_slice(&(bad.len() as u32).to_le_bytes());
+            for (start, len) in bad {
+                req.extend_from_slice(&start.to_le_bytes());
+                req.extend_from_slice(&len.to_le_bytes());
+            }
+            assert!(matches!(
+                ep.handle(&req, &mut reply),
+                Err(WireError::BadRun(_))
+            ));
+            assert!(reply.is_empty(), "partial reply to {bad:?}");
+        }
+        req.clear();
+        wire::encode_pull_runs(&mut req, [(0usize, 10usize)].into_iter());
+        assert_eq!(ep.handle(&req, &mut reply), Ok(Handled::Reply));
     }
 
     #[test]

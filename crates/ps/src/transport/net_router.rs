@@ -17,7 +17,9 @@
 //! worker threads never share a socket or contend on a connection lock.
 //!
 //! Every operation is strictly request/reply, one round trip per server:
-//! a pull asks each server for its slice, a sync round commits each server,
+//! a pull asks each server for the runs the step reads, or its slice (every
+//! server is asked either way — its clocks date the pull), a sync round
+//! commits each server,
 //! and a push sends each server *all* of the worker's shards it owns as one
 //! `Batch` frame. Pushes are queued per shard ([`NetPort::queue_shard_update`]
 //! encodes straight into the port's staging buffer) and sent when the
@@ -47,7 +49,7 @@ use crate::error::PsError;
 use crate::profiler::{TransportStats, WireOp};
 use crate::router::RouterBuffer;
 use crate::server::PsServer;
-use crate::store::ShardLayout;
+use crate::store::{runs_within, ShardLayout};
 
 /// Process-wide client-id allocator for sequenced requests: every
 /// connection slot gets a unique id, so the servers' dedup windows never
@@ -702,10 +704,20 @@ impl NetRouter {
 
     /// Pulls the committed view of every server through `conns` into `buf`,
     /// decoding each server's `Pulled` frame straight into the flat buffer
-    /// (the decode is the pull's single parameter copy). Returns the
-    /// effective data version — oldest committed shard clock floored by the
-    /// push counter, exactly as [`crate::ShardRouter::pull_committed_into`].
-    fn pull_committed_into(&self, conns: &mut ConnSet, buf: &mut RouterBuffer) -> u64 {
+    /// (the decode is the pull's single parameter copy). With `runs` —
+    /// sorted, disjoint `(offset, len)` ranges of the flat vector — each
+    /// server is asked for, and replies with, only the pieces of them it
+    /// owns, in its own offsets; a server that owns none is still asked
+    /// (with an empty list), because its clocks feed the version and the
+    /// per-shard staleness. Returns the effective data version — oldest
+    /// committed shard clock floored by the push counter, exactly as
+    /// [`crate::ShardRouter::pull_committed_into`].
+    fn pull_committed_into(
+        &self,
+        conns: &mut ConnSet,
+        buf: &mut RouterBuffer,
+        runs: Option<&[(usize, usize)]>,
+    ) -> u64 {
         // Acquire: see `version`.
         let version = self.version.load(Ordering::Acquire);
         buf.params.resize(self.param_count(), 0.0);
@@ -715,14 +727,22 @@ impl NetRouter {
             let so = meta.shard_offset;
             let params = &mut buf.params[po..po + pl];
             let clocks = &mut buf.shard_versions[so..so + meta.shard_count];
+            // This server's pieces of the runs, in its own offsets.
+            let local = |runs| runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
             self.call_resilient(
                 conns,
                 s,
                 self.retry,
                 Some((&self.stats.pull, 1)),
                 false,
-                &|req| wire::encode_bodyless(req, op::PULL_COMMITTED),
-                &mut |reply| wire::decode_pulled_into(reply, params, clocks),
+                &|req| match runs {
+                    None => wire::encode_bodyless(req, op::PULL_COMMITTED),
+                    Some(runs) => wire::encode_pull_runs(req, local(runs)),
+                },
+                &mut |reply| match runs {
+                    None => wire::decode_pulled_into(reply, params, clocks),
+                    Some(runs) => wire::decode_pulled_runs_into(reply, local(runs), params, clocks),
+                },
             )
             .unwrap_or_else(|e| panic!("pull failed: {e}"));
         }
@@ -1153,7 +1173,16 @@ impl NetPort {
     /// Pulls the committed view into `buf` over this worker's connections.
     pub fn pull_into(&self, buf: &mut RouterBuffer) -> u64 {
         self.router
-            .pull_committed_into(&mut self.state.lock().conns, buf)
+            .pull_committed_into(&mut self.state.lock().conns, buf, None)
+    }
+
+    /// Pulls only `runs` of the committed view — sorted, disjoint
+    /// `(offset, len)` ranges of the flat vector — so only they cross the
+    /// wire; the rest of `buf.params` keeps what it held. Same round trips,
+    /// clocks and version as [`NetPort::pull_into`].
+    pub fn pull_runs_into(&self, buf: &mut RouterBuffer, runs: &[(usize, usize)]) -> u64 {
+        self.router
+            .pull_committed_into(&mut self.state.lock().conns, buf, Some(runs))
     }
 
     /// Queues the stage-1 apply of `grad` on global shard `g`. Nothing is

@@ -13,7 +13,9 @@
 //! NaNs — the codec never reinterprets gradients, it only moves them.
 //!
 //! The hot-path messages have dedicated zero-allocation encoders/decoders
-//! (`encode_push_shard`, `decode_push_shard_into`, `decode_pulled_into`)
+//! (`encode_push_shard`, `decode_push_shard_into`, `decode_pulled_into`, and
+//! for a pull of just the runs a step reads `encode_pull_runs`,
+//! `decode_pull_runs_into`, `begin_pulled`… and `decode_pulled_runs_into`)
 //! that the [`crate::transport::NetRouter`] and the server endpoints use to
 //! keep the steady state allocation-free; the owned [`Request`]/[`Reply`]
 //! enums exist for the cold control-plane paths and for exercising the
@@ -51,6 +53,9 @@ pub enum WireError {
     /// A [`op::BATCH`] item carried an opcode that may not ride in a batch
     /// (`BATCH` itself, `SEQUENCED`, `SHUTDOWN`).
     NotBatchable(u8),
+    /// Run number `.0` of a [`op::PULL_COMMITTED`] body is empty, starts
+    /// before the previous run ends, or reaches past the server's slice.
+    BadRun(u32),
 }
 
 impl fmt::Display for WireError {
@@ -63,6 +68,9 @@ impl fmt::Display for WireError {
             WireError::UnexpectedReply(op) => write!(f, "unexpected reply opcode {op:#04x}"),
             WireError::BadVersion(v) => write!(f, "unsupported sequencing header version {v}"),
             WireError::NotBatchable(op) => write!(f, "opcode {op:#04x} may not ride in a batch"),
+            WireError::BadRun(i) => {
+                write!(f, "pull run {i} is empty, out of order or out of range")
+            }
         }
     }
 }
@@ -74,7 +82,11 @@ impl std::error::Error for WireError {}
 pub mod op {
     /// Stage-1 apply of one shard's gradient on the owning server.
     pub const PUSH_SHARD: u8 = 0x01;
-    /// Pull the committed view of every owned shard.
+    /// Pull the committed view: bodyless, of every owned shard; with the
+    /// body `[u32 k][k × (u32 start, u32 len)]`, of just those runs of the
+    /// server's slice (server-local offsets, non-empty, ascending,
+    /// disjoint; `k` may be 0). The reply always carries every owned
+    /// shard's committed clock.
     pub const PULL_COMMITTED: u8 = 0x02;
     /// Stage-2 reconciliation: commit every owned shard's live state.
     pub const SYNC_ROUND: u8 = 0x03;
@@ -121,7 +133,9 @@ pub mod op {
 
     /// Reply to [`PUSH_SHARD`]: the pre-apply shard clock.
     pub const PUSH_ACK: u8 = 0x81;
-    /// Reply to [`PULL_COMMITTED`]: owned params + committed clocks.
+    /// Reply to [`PULL_COMMITTED`]: the owned params — or, to a pull with
+    /// a run list, the runs' values concatenated in order — then the
+    /// committed clocks.
     pub const PULLED: u8 = 0x82;
     /// Reply to [`SYNC_ROUND`] / [`DRAIN`].
     pub const SYNCED: u8 = 0x83;
@@ -196,6 +210,12 @@ pub enum Request {
     },
     /// Pull the committed view of every owned shard.
     PullCommitted,
+    /// Pull only `runs` of the committed view: [`op::PULL_COMMITTED`] with
+    /// a body.
+    PullRuns {
+        /// Server-local `(start, len)` runs, ascending and disjoint.
+        runs: Vec<(u32, u32)>,
+    },
     /// Stage-2 reconciliation round on this server.
     SyncRound,
     /// Unconditional commit-all.
@@ -235,9 +255,10 @@ pub enum Reply {
         /// The owner's live shard clock before the apply.
         prev_clock: u64,
     },
-    /// Committed view of the owned slice.
+    /// Committed view of the owned slice, or of the requested runs of it.
     Pulled {
-        /// Owned parameters, in global flat order.
+        /// Owned parameters, in global flat order (a run pull: the runs'
+        /// values, concatenated).
         params: Vec<f32>,
         /// Committed clock per owned shard.
         clocks: Vec<u64>,
@@ -284,6 +305,12 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
 
 fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
     put_u32(buf, vs.len() as u32);
+    put_f32_values(buf, vs);
+}
+
+/// Appends `vs` with no length prefix: the body of a length-prefixed run,
+/// or the next piece of a reply opened by [`begin_pulled`].
+pub fn put_f32_values(buf: &mut Vec<u8>, vs: &[f32]) {
     buf.reserve(vs.len() * 4);
     for v in vs {
         buf.extend_from_slice(&v.to_le_bytes());
@@ -336,10 +363,49 @@ pub fn encode_bodyless(buf: &mut Vec<u8>, opcode: u8) {
     buf.push(opcode);
 }
 
+/// Appends a `PullCommitted` payload that asks for `runs` only — the
+/// opcode, then `[u32 k][k × (u32 start, u32 len)]`. Offsets are local to
+/// the server's slice; the runs must be non-empty, ascending and disjoint
+/// (the server rejects anything else). No runs is a valid request: the
+/// reply then carries just the clocks.
+pub fn encode_pull_runs(buf: &mut Vec<u8>, runs: impl Iterator<Item = (usize, usize)>) {
+    buf.push(op::PULL_COMMITTED);
+    let count_at = buf.len();
+    put_u32(buf, 0);
+    let mut k = 0u32;
+    let mut floor = 0;
+    for (start, len) in runs {
+        debug_assert!(
+            len > 0 && start >= floor,
+            "pull run ({start}, {len}) is empty or not past {floor}"
+        );
+        floor = start + len;
+        put_u32(buf, start as u32);
+        put_u32(buf, len as u32);
+        k += 1;
+    }
+    buf[count_at..count_at + 4].copy_from_slice(&k.to_le_bytes());
+}
+
 /// Appends a `Pulled` reply payload directly from the server's slices.
 pub fn encode_pulled(buf: &mut Vec<u8>, params: &[f32], clocks: &[u64]) {
+    begin_pulled(buf, params.len());
+    put_f32_values(buf, params);
+    finish_pulled(buf, clocks);
+}
+
+/// Starts a `Pulled` reply that will carry `n_values` parameters. The
+/// caller appends them, in as many pieces as it reads them in, with
+/// [`put_f32_values`] and closes the reply with [`finish_pulled`] — so a
+/// run pull is encoded straight out of the store, never assembled first.
+pub fn begin_pulled(buf: &mut Vec<u8>, n_values: usize) {
     buf.push(op::PULLED);
-    put_f32s(buf, params);
+    put_u32(buf, n_values as u32);
+    buf.reserve(n_values * 4);
+}
+
+/// Closes a reply opened by [`begin_pulled`] with the shard clocks.
+pub fn finish_pulled(buf: &mut Vec<u8>, clocks: &[u64]) {
     put_u64s(buf, clocks);
 }
 
@@ -636,6 +702,11 @@ impl Request {
                 rows,
             } => encode_push_shard_sparse(buf, *shard, *lr, *momentum, indices, rows),
             Request::PullCommitted => encode_bodyless(buf, op::PULL_COMMITTED),
+            Request::PullRuns { runs } => encode_pull_runs(
+                buf,
+                runs.iter()
+                    .map(|&(start, len)| (start as usize, len as usize)),
+            ),
             Request::SyncRound => encode_bodyless(buf, op::SYNC_ROUND),
             Request::Drain => encode_bodyless(buf, op::DRAIN),
             Request::Snapshot { velocity } => {
@@ -841,14 +912,93 @@ pub fn decode_pulled_into(
     params_out: &mut [f32],
     clocks_out: &mut [u64],
 ) -> Result<(), WireError> {
+    let whole = std::iter::once((0, params_out.len()));
+    decode_pulled_runs_into(payload, whole, params_out, clocks_out)
+}
+
+/// Decodes the `Pulled` reply to a run pull, scattering the concatenated
+/// values to the `(start, len)` `runs` of `params_out` that were asked for
+/// and leaving every other position alone. Nothing is written unless the
+/// reply carries exactly the runs' total length.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] if the payload is not a well-formed `Pulled`
+/// reply, its value count differs from the runs' total, or its clock count
+/// from `clocks_out.len()`.
+///
+/// # Panics
+///
+/// Panics if a run reaches past `params_out`.
+pub fn decode_pulled_runs_into(
+    payload: &[u8],
+    runs: impl Iterator<Item = (usize, usize)> + Clone,
+    params_out: &mut [f32],
+    clocks_out: &mut [u64],
+) -> Result<(), WireError> {
     let mut c = Cursor::new(payload);
     match c.u8()? {
         op::PULLED => {}
         other => return Err(WireError::UnexpectedReply(other)),
     }
-    c.f32s_into_slice(params_out)?;
+    let n = c.u32()? as usize;
+    if n != runs.clone().map(|(_, len)| len).sum::<usize>() {
+        // A size mismatch means the frame disagrees with the layout the
+        // client derived at launch — corruption, not a soft error.
+        return Err(WireError::Truncated);
+    }
+    let mut values = c
+        .take(n.checked_mul(4).ok_or(WireError::Truncated)?)?
+        .chunks_exact(4);
+    for (start, len) in runs {
+        for (o, b) in params_out[start..start + len].iter_mut().zip(&mut values) {
+            *o = f32::from_le_bytes(b.try_into().unwrap());
+        }
+    }
     c.u64s_into_slice(clocks_out)?;
     c.finish()
+}
+
+/// Decodes a `PullCommitted` request on the server that owns `slice_len`
+/// parameters. Returns `Ok(false)` for the bodyless frame — pull
+/// everything — and `Ok(true)` after reading a run list into `runs`
+/// (cleared first) *and checking it*: the count fits the frame exactly and
+/// every run is non-empty, starts at or after the end of the one before and
+/// ends inside the slice. What comes out can index the store unchecked.
+///
+/// # Errors
+///
+/// Returns [`WireError::BadRun`] naming the first offending run, or the
+/// usual framing errors.
+pub fn decode_pull_runs_into(
+    payload: &[u8],
+    slice_len: usize,
+    runs: &mut Vec<(usize, usize)>,
+) -> Result<bool, WireError> {
+    let mut c = Cursor::new(payload);
+    match c.u8()? {
+        op::PULL_COMMITTED => {}
+        other => return Err(WireError::UnknownOpcode(other)),
+    }
+    runs.clear();
+    if c.pos == payload.len() {
+        return Ok(false);
+    }
+    let k = c.u32()? as usize;
+    let bytes = c.take(k.checked_mul(8).ok_or(WireError::Truncated)?)?;
+    c.finish()?;
+    let mut floor = 0;
+    for (i, b) in bytes.chunks_exact(8).enumerate() {
+        let start = u32::from_le_bytes(b[..4].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(b[4..].try_into().unwrap()) as usize;
+        let end = start.checked_add(len).filter(|&end| end <= slice_len);
+        match end {
+            Some(end) if len > 0 && start >= floor => floor = end,
+            _ => return Err(WireError::BadRun(i as u32)),
+        }
+        runs.push((start, len));
+    }
+    Ok(true)
 }
 
 /// Decodes a `SnapshotData` reply straight into an exact-length slice.
@@ -951,7 +1101,12 @@ impl Request {
                     rows,
                 }
             }
-            op::PULL_COMMITTED => Request::PullCommitted,
+            op::PULL_COMMITTED if c.pos == payload.len() => Request::PullCommitted,
+            op::PULL_COMMITTED => {
+                let mut runs = Vec::new();
+                c.segments_into(&mut runs)?;
+                Request::PullRuns { runs }
+            }
             op::SYNC_ROUND => Request::SyncRound,
             op::DRAIN => Request::Drain,
             op::SNAPSHOT => Request::Snapshot {
@@ -1171,6 +1326,107 @@ mod tests {
         // Length mismatches are corruption, not silent truncation.
         let mut short = [0.0f32; 2];
         assert!(decode_pulled_into(&buf, &mut short, &mut clocks).is_err());
+    }
+
+    #[test]
+    fn pull_run_list_round_trips_and_the_bodyless_frame_is_unchanged() {
+        // "Everything" is still the one opcode byte, to the server too.
+        let mut bare = Vec::new();
+        Request::PullCommitted.encode(&mut bare);
+        assert_eq!(bare, [op::PULL_COMMITTED]);
+        assert_eq!(Request::decode(&bare).unwrap(), Request::PullCommitted);
+        let mut runs = vec![(7, 7)];
+        assert_eq!(decode_pull_runs_into(&bare, 100, &mut runs), Ok(false));
+        assert!(runs.is_empty());
+
+        // A run list: same opcode, `[k][(start, len)…]` behind it.
+        let req = Request::PullRuns {
+            runs: vec![(0, 4), (4, 1), (90, 10)],
+        };
+        let mut buf = Vec::new();
+        req.encode(&mut buf);
+        assert_eq!(buf[0], op::PULL_COMMITTED);
+        assert_eq!(buf.len(), 1 + 4 + 3 * 8);
+        assert_eq!(Request::decode(&buf).unwrap(), req);
+        assert_eq!(decode_pull_runs_into(&buf, 100, &mut runs), Ok(true));
+        assert_eq!(runs, [(0, 4), (4, 1), (90, 10)]);
+        // No runs is a request too (the server answers with its clocks).
+        buf.clear();
+        encode_pull_runs(&mut buf, std::iter::empty());
+        assert_eq!(buf, [op::PULL_COMMITTED, 0, 0, 0, 0]);
+        assert_eq!(decode_pull_runs_into(&buf, 100, &mut runs), Ok(true));
+        assert!(runs.is_empty());
+    }
+
+    #[test]
+    fn bad_pull_run_lists_are_rejected_whole() {
+        let frame = |k: u32, runs: &[(u32, u32)]| {
+            let mut buf = vec![op::PULL_COMMITTED];
+            put_u32(&mut buf, k);
+            for &(start, len) in runs {
+                put_u32(&mut buf, start);
+                put_u32(&mut buf, len);
+            }
+            buf
+        };
+        let mut out = Vec::new();
+        let mut check = |buf: &[u8], err: WireError| {
+            assert_eq!(decode_pull_runs_into(buf, 100, &mut out), Err(err));
+        };
+        // The count against the frame: more than it holds, fewer, and a
+        // count whose byte length overflows.
+        check(&frame(3, &[(0, 1), (2, 1)]), WireError::Truncated);
+        check(&frame(1, &[(0, 1), (2, 1)]), WireError::TrailingBytes(8));
+        check(&frame(u32::MAX, &[]), WireError::Truncated);
+        check(&[op::PULL_COMMITTED, 1, 0], WireError::Truncated);
+        // Each run against the contract; the error names the offender.
+        check(&frame(2, &[(0, 1), (5, 0)]), WireError::BadRun(1));
+        check(&frame(2, &[(5, 2), (0, 1)]), WireError::BadRun(1));
+        check(&frame(2, &[(0, 6), (5, 2)]), WireError::BadRun(1));
+        check(&frame(1, &[(99, 2)]), WireError::BadRun(0));
+        check(&frame(1, &[(100, 1)]), WireError::BadRun(0));
+        check(&frame(1, &[(u32::MAX, u32::MAX)]), WireError::BadRun(0));
+        // Up to the slice's last element is fine.
+        assert_eq!(
+            decode_pull_runs_into(&frame(1, &[(99, 1)]), 100, &mut out),
+            Ok(true)
+        );
+    }
+
+    #[test]
+    fn pulled_runs_scatter_and_a_wrong_count_writes_nothing() {
+        let mut reply = Vec::new();
+        begin_pulled(&mut reply, 3);
+        put_f32_values(&mut reply, &[1.0]);
+        put_f32_values(&mut reply, &[2.0, 3.0]);
+        finish_pulled(&mut reply, &[7, 9]);
+        // Piecewise encoding is `encode_pulled` of the concatenation.
+        let mut whole = Vec::new();
+        encode_pulled(&mut whole, &[1.0, 2.0, 3.0], &[7, 9]);
+        assert_eq!(reply, whole);
+
+        let mut params = [-1.0f32; 6];
+        let mut clocks = [0u64; 2];
+        let runs = [(1usize, 1usize), (4, 2)];
+        decode_pulled_runs_into(&reply, runs.iter().copied(), &mut params, &mut clocks).unwrap();
+        assert_eq!(params, [-1.0, 1.0, -1.0, -1.0, 2.0, 3.0]);
+        assert_eq!(clocks, [7, 9]);
+        // A reply that does not carry exactly the runs asked for is
+        // corruption, detected before the first value lands.
+        let mut params = [-1.0f32; 6];
+        let short = [(1usize, 1usize), (4, 1)];
+        assert_eq!(
+            decode_pulled_runs_into(&reply, short.iter().copied(), &mut params, &mut clocks),
+            Err(WireError::Truncated)
+        );
+        assert_eq!(params, [-1.0; 6]);
+        for cut in 0..reply.len() {
+            let runs = runs.iter().copied();
+            assert!(
+                decode_pulled_runs_into(&reply[..cut], runs, &mut params, &mut clocks).is_err(),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

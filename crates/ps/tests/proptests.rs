@@ -1,11 +1,12 @@
 //! Property-based tests of the parameter-server concurrency semantics.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use sync_switch_nn::{Dataset, Network};
 use sync_switch_ps::transport::{wire, Reply, Request};
 use sync_switch_ps::{
     Checkpoint, FaultPlan, NetPort, PullBuffer, RouterBuffer, ServerStatsSnapshot, ServerTopology,
-    ShardRouter, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData,
+    ShardRouter, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData, WorkerPort,
 };
 use sync_switch_workloads::SyncProtocol;
 
@@ -296,6 +297,93 @@ proptest! {
         prop_assert_eq!(a.params(), b.params());
         prop_assert_eq!(a.shard_versions(), b.shard_versions());
         prop_assert_eq!(dense.sync_rounds(), sparse.sync_rounds());
+    }
+
+    /// A run pull is a full pull restricted to the runs, on every plane —
+    /// the single store, the in-process router, and the channel and TCP
+    /// tiers (2 servers × 7 shards): same values at the run positions, the
+    /// buffer's old contents everywhere else, and the same version and
+    /// shard clocks. The run lists are random spans (which straddle shard
+    /// and server boundaries as they fall), the single full-cover run, a
+    /// list that leaves server 1 nothing, and one run across the server
+    /// boundary.
+    #[test]
+    fn run_pulls_match_full_pulls_on_every_plane(
+        n in 14usize..120,
+        mask_bits in proptest::collection::vec(any::<bool>(), 1..40),
+        mode in 0u8..4,
+        pushes in 1u64..5,
+    ) {
+        let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).cos()).collect();
+        let topology = ServerTopology::new(2, 3);
+        let planes = [
+            WorkerPort::Single(Arc::new(ShardedStore::new(&initial, 7))),
+            WorkerPort::Routed(Arc::new(ShardRouter::new(&initial, 7, topology))),
+            WorkerPort::Net(NetPort::launch(
+                &initial,
+                7,
+                topology.with_transport(TransportKind::Channel),
+            )),
+            WorkerPort::Net(NetPort::launch(
+                &initial,
+                7,
+                topology.with_transport(TransportKind::Tcp),
+            )),
+        ];
+        // Server 1's first parameter: the start of its first shard.
+        let routed = &planes[1];
+        let first_of_1 = (0..routed.shard_count())
+            .find(|&g| routed.owner_of(g) == 1)
+            .expect("two servers");
+        let boundary = routed.shard_range(first_of_1).0;
+        let mask: Vec<bool> = (0..n)
+            .map(|i| match mode {
+                0 => mask_bits[i % mask_bits.len()],
+                1 => true,
+                2 => mask_bits[i % mask_bits.len()] && i < boundary,
+                _ => (boundary - 2..boundary + 2).contains(&i),
+            })
+            .collect();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for i in (0..n).filter(|&i| mask[i]) {
+            match runs.last_mut() {
+                Some((o, l)) if *o + *l == i => *l += 1,
+                _ => runs.push((i, 1)),
+            }
+        }
+        for port in &planes {
+            // The buffer's "old contents": the initial image.
+            let mut part = port.new_buffer();
+            port.pull_into(&mut part);
+            // Every push moves every parameter and every shard clock.
+            for p in 0..pushes {
+                for g in 0..port.shard_count() {
+                    let (_, l) = port.shard_range(g);
+                    port.apply_shard_update(g, &vec![1.0 + p as f32; l], 0.05, 0.9);
+                }
+                port.complete_push(p);
+            }
+            port.end_round();
+            let mut full = port.new_buffer();
+            let v_full = port.pull_into(&mut full);
+            let v_part = port.pull_runs_into(&mut part, &runs);
+            prop_assert_eq!(v_part, v_full);
+            prop_assert_eq!(part.version(), full.version());
+            for g in 0..port.shard_count() {
+                prop_assert_eq!(part.shard_version(g), full.shard_version(g), "shard {}", g);
+            }
+            // `off_runs` where the mask is clear, the full pull elsewhere.
+            let expect = |off_runs: &[f32]| -> Vec<f32> {
+                let picked = mask.iter().zip(full.params().iter().zip(off_runs));
+                picked.map(|(&m, (&f, &o))| if m { f } else { o }).collect()
+            };
+            prop_assert!(full.params().iter().zip(&initial).all(|(f, i)| f != i));
+            prop_assert_eq!(part.params(), &expect(&initial)[..]);
+            // A buffer that never held anything holds zeros off the runs.
+            let mut fresh = port.new_buffer();
+            port.pull_runs_into(&mut fresh, &runs);
+            prop_assert_eq!(fresh.params(), &expect(&vec![0.0; n])[..]);
+        }
     }
 
     /// At-most-once under duplication: a wire tier whose fault plan

@@ -241,6 +241,60 @@ fn tcp_sparse_pushes_ship_fewer_bytes_than_dense() {
 }
 
 #[test]
+fn tcp_sparse_pulls_ship_fewer_bytes_than_dense() {
+    // The pull-side twin of the test above: with the sparse path on, a
+    // step pulls only the table rows its batch names plus the dense head,
+    // so the pull replies — measured at the wire — are a fraction of the
+    // dense run's, over exactly as many round trips.
+    let steps = 40;
+    let pulls = |mut t: Trainer| {
+        let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
+        assert_eq!(r.steps, steps);
+        // Every server is asked on every pull either way: its clocks date
+        // the pull even when it owns nothing the batch reads.
+        assert_eq!(r.transport.pull.ops, steps * 2);
+        assert!(t.training_loss().is_finite());
+        r.transport.pull
+    };
+    // The registry workload: 512 × 16 table + a 508-float head, ≈ 34.8 KB
+    // per dense pull. A batch names at most 8 · 8 rows of 64 B; the head
+    // (2 KB, the floor) moves every step. Measured: ≈ 4.7 KB per step.
+    let registry = |sparse| pulls(sparse_workload_trainer(TransportKind::Tcp, sparse, 23));
+    let (sparse, dense) = (registry(true), registry(false));
+    assert_eq!(sparse.ops, dense.ops);
+    assert!(
+        sparse.bytes_in * 5 < dense.bytes_in,
+        "sparse pulls not much smaller: {} vs {} bytes",
+        sparse.bytes_in,
+        dense.bytes_in
+    );
+    // The requests grow by the run lists, far less than the replies shrink.
+    assert!(sparse.bytes_out > dense.bytes_out);
+    assert!(sparse.bytes_out - dense.bytes_out < (dense.bytes_in - sparse.bytes_in) / 10);
+    // The same shape with a table wide enough to dominate (4096 × 32, the
+    // benchmark's `asp_tcp_embed` model, ≈ 528 KB per dense pull): under a
+    // twentieth of the bytes.
+    let wide = |sparse| {
+        let h = TrainableKind::SparseEmbedding.hyper();
+        let (train, test) = Dataset::zipf_tokens(4, 60, 4096, 8, 1.1, 23).split(0.25);
+        let cfg = TrainerConfig::new(2, h.batch_size, 0.08, h.momentum)
+            .with_seed(23)
+            .with_sparse_push(sparse)
+            .with_topology(ServerTopology::new(2, 4).with_transport(TransportKind::Tcp));
+        let model = Network::embedding_classifier(4096, 32, 24, 8, 4, 23);
+        pulls(Trainer::new(model, train, test, cfg))
+    };
+    let (sparse, dense) = (wide(true), wide(false));
+    assert_eq!(sparse.ops, dense.ops);
+    assert!(
+        sparse.bytes_in * 20 < dense.bytes_in,
+        "wide-table sparse pulls: {} vs {} bytes",
+        sparse.bytes_in,
+        dense.bytes_in
+    );
+}
+
+#[test]
 fn channel_sparse_workload_matches_dense_numerics_over_the_wire() {
     // One worker makes the wire run deterministic: sparse and dense runs
     // must agree on every parameter bit even through the channel tier.

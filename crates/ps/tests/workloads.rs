@@ -13,7 +13,7 @@
 
 use sync_switch_nn::{Dataset, SgdMomentum};
 use sync_switch_ps::engine::step_rng;
-use sync_switch_ps::{execute_switch, SwitchPlan, Trainer, TrainerConfig};
+use sync_switch_ps::{execute_switch, ServerTopology, SwitchPlan, Trainer, TrainerConfig};
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
 const SEED: u64 = 42;
@@ -140,28 +140,49 @@ fn sparse_embedding_converges_under_all_disciplines() {
 }
 
 /// Engine-level sparse ≡ dense: a single-worker ASP run is deterministic,
-/// so training the embedding workload with the sparse push path enabled
-/// and disabled must produce **bit-identical** parameters, velocity, and
-/// staleness accounting — the sparse path is a wire optimization, not a
-/// numerics change.
+/// so training the embedding workload with the sparse path enabled — rows
+/// pulled by run, rows pushed by run — and disabled must produce
+/// **bit-identical** parameters, velocity, and staleness accounting: the
+/// sparse path changes what moves, not the numerics. Under BSP (where only
+/// the pull is sparse; the barrier aggregates densely) three workers agree
+/// to the f32 summation order, on the single store and through the
+/// 2-server router.
 #[test]
 fn sparse_push_matches_dense_push_end_to_end() {
-    let run = |sparse: bool| {
+    let run = |sparse: bool, protocol: SyncProtocol, workers: usize, servers: usize| {
         let (model, train, test) = TrainableKind::SparseEmbedding.build(7);
         let h = TrainableKind::SparseEmbedding.hyper();
-        let cfg = TrainerConfig::new(1, h.batch_size, h.learning_rate, h.momentum)
+        let cfg = TrainerConfig::new(workers, h.batch_size, h.learning_rate, h.momentum)
             .with_seed(7)
-            .with_sparse_push(sparse);
+            .with_sparse_push(sparse)
+            .with_topology(ServerTopology::new(servers, 4));
         let mut t = Trainer::new(model, train, test, cfg);
-        let r = t.run_segment(SyncProtocol::Asp, 40).expect("asp runs");
+        let r = t.run_segment(protocol, 40).expect("segment runs");
         (t.checkpoint(), r.staleness, r.shard_staleness.max())
     };
-    let (ck_sparse, stale_sparse, shard_sparse) = run(true);
-    let (ck_dense, stale_dense, shard_dense) = run(false);
+    let (ck_sparse, stale_sparse, shard_sparse) = run(true, SyncProtocol::Asp, 1, 1);
+    let (ck_dense, stale_dense, shard_dense) = run(false, SyncProtocol::Asp, 1, 1);
     assert_eq!(ck_sparse.params, ck_dense.params, "parameters diverged");
     assert_eq!(ck_sparse.velocity, ck_dense.velocity, "velocity diverged");
     assert_eq!(stale_sparse, stale_dense, "staleness accounting diverged");
     assert_eq!(shard_sparse, shard_dense);
+    for servers in [1, 2] {
+        let (ck_sparse, stale_sparse, shard_sparse) =
+            run(true, SyncProtocol::Bsp, WORKERS, servers);
+        let (ck_dense, stale_dense, shard_dense) = run(false, SyncProtocol::Bsp, WORKERS, servers);
+        let max_diff = ck_sparse
+            .params
+            .iter()
+            .zip(&ck_dense.params)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(
+            max_diff < 1e-4,
+            "BSP with run pulls is {max_diff} off full pulls on {servers} server(s)"
+        );
+        assert_eq!(stale_sparse, stale_dense);
+        assert_eq!(shard_sparse, shard_dense);
+    }
 }
 
 /// BSP on the embedding workload still equals sequential large-batch SGD

@@ -27,20 +27,25 @@ fn dataset(seed: u64) -> (Dataset, Dataset) {
 fn hybrid_training_beats_pure_asp_accuracy_on_hard_problem() {
     // A harder dataset (high overlap) where stale gradients hurt: the
     // hybrid schedule should match BSP-quality training.
-    let data = Dataset::gaussian_blobs(6, 120, 10, 0.55, 7);
-    let (train, test) = data.split(0.25);
+    //
+    // BSP is deterministic per seed; the hybrid run's ASP half depends on
+    // how the scheduler interleaves four workers, and one run's accuracy
+    // spreads widely — over 30 runs per seed on the 2-vCPU box, a standard
+    // deviation near 0.05 and a low tail to 0.72 against BSP's 0.85–0.91,
+    // so a single run lands more than 0.10 from BSP about one time in ten.
+    // Averaging 8 hybrid runs (2 per seed, 4 fixed seeds) brings that to
+    // about 0.02 around a gap of 0.016 (BSP mean 0.882, hybrid 0.866),
+    // which leaves the 0.10 bound over four deviations away.
+    let seeds = [7u64, 8, 9, 10];
+    let repeats = 2;
     let total = 300u64;
 
-    let accuracy_for = |fraction: f64| -> f64 {
+    let accuracy_for = |seed: u64, fraction: f64| -> f64 {
+        let (train, test) = Dataset::gaussian_blobs(6, 120, 10, 0.55, seed).split(0.25);
         let mut setup = small_setup(4, total);
         setup.workload.hyper.learning_rate = 0.05;
-        let mut backend = PsBackend::new(
-            Network::mlp(10, &[24, 12], 6, 7),
-            train.clone(),
-            test.clone(),
-            4,
-            7,
-        );
+        let mut backend =
+            PsBackend::new(Network::mlp(10, &[24, 12], 6, seed), train, test, 4, seed);
         let mut policy = SyncSwitchPolicy::new(fraction, 4);
         policy.eval_interval = 100;
         policy.tta_target = Some(0.99); // effectively disabled
@@ -49,10 +54,17 @@ fn hybrid_training_beats_pure_asp_accuracy_on_hard_problem() {
             .expect("run completes");
         report.converged_accuracy.expect("completed")
     };
+    let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
 
-    let bsp = accuracy_for(1.0);
-    let hybrid = accuracy_for(0.5);
-    // The hybrid run must land in BSP's neighbourhood; real SGD noise on a
+    let bsp = mean(seeds.iter().map(|&s| accuracy_for(s, 1.0)).collect());
+    let hybrid = mean(
+        seeds
+            .iter()
+            .flat_map(|&s| (0..repeats).map(move |_| s))
+            .map(|s| accuracy_for(s, 0.5))
+            .collect(),
+    );
+    // The hybrid runs must land in BSP's neighbourhood; real SGD noise on a
     // small problem allows a few points of slack.
     assert!(
         (bsp - hybrid).abs() < 0.10,
