@@ -10,6 +10,9 @@
 #                             # including the multi-process cluster stage
 #   ./ci.sh --stage <name>    # run one stage (repeatable)
 #   ./ci.sh --list            # print stage names
+#   ./ci.sh --loc             # non-test line counts per source file (the
+#                             # one counter CHANGES.md entries quote); runs
+#                             # no stage
 #
 # On any stage failure the EXIT trap collects diagnostics (cluster child
 # logs, bench JSON, golden exhibits, tree diff) into ci-artifacts/, which
@@ -130,13 +133,14 @@ stage_build() {
 }
 
 # Tier-1, part 2. Hard KILL timeout like the other test stages: the unit
-# suites exercise the round gate (BSP barrier, SSP gate), where a lost
-# wake-up is a hang, and a hang must fail the gate, not wedge it. Built
-# first so compilation does not eat the run budget. The benchmark package
-# (a workspace of its own, so `--workspace` never sees it) is type-checked
-# here too: it is written against `WorkerPort`, `wire::*` and `Network`, and
-# otherwise only the release-profile `benchmark-smoke` stage — which
-# `--fast` skips — would notice a change that stops it compiling.
+# suites exercise the round gate every segment's workers share (the BSP
+# barrier and the SSP leash wait on it, every protocol aborts through it),
+# where a lost wake-up is a hang, and a hang must fail the gate, not wedge
+# it. Built first so compilation does not eat the run budget. The benchmark
+# package (a workspace of its own, so `--workspace` never sees it) is
+# type-checked here too: it is written against `WorkerPort`, `wire::*` and
+# `Network`, and otherwise only the release-profile `benchmark-smoke` stage
+# — which `--fast` skips — would notice a change that stops it compiling.
 stage_test() {
     cargo check -q --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --workspace --no-run
@@ -318,6 +322,39 @@ stage_cluster() {
     return "$bad"
 }
 
+# ---- line counts ----------------------------------------------------------
+
+# The counting rule behind every "net negative" claim in CHANGES.md: for each
+# `crates/*/src/**/*.rs` and `src/**/*.rs`, the lines before the file's first
+# top-level `#[cfg(test)]` (the whole file if it has none), with a subtotal
+# per source root and a grand total. Comments and blank lines count — a
+# reason-giving comment is part of the code — and moving code into a test
+# module does not hide it from review, only from this number.
+print_loc() {
+    find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        function root(path) {
+            if (path ~ /^src\//) return "src"
+            sub(/\/src\/.*/, "/src", path)
+            return path
+        }
+        function flush() {
+            if (file == "") return
+            printf "%7d  %s\n", n, file
+            sub_n[root(file)] += n
+            total += n
+        }
+        FNR == 1 { flush(); file = FILENAME; n = 0; cut = 0 }
+        /^#\[cfg\(test\)\]/ { cut = 1 }
+        !cut { n++ }
+        END {
+            flush()
+            print ""
+            for (r in sub_n) printf "%7d  %s (subtotal)\n", sub_n[r], r | "sort -k2"
+            close("sort -k2")
+            printf "%7d  total\n", total
+        }'
+}
+
 # ---- driver ---------------------------------------------------------------
 
 RAN_STAGES=()
@@ -364,9 +401,13 @@ while [[ $# -gt 0 ]]; do
             printf '%s\n' "${STAGES[@]}"
             exit 0
             ;;
+        --loc)
+            print_loc
+            exit 0
+            ;;
         *)
             echo "unknown argument '$1'" >&2
-            echo "usage: ./ci.sh [--fast] [--stage <name>]... [--list]" >&2
+            echo "usage: ./ci.sh [--fast] [--stage <name>]... [--list] [--loc]" >&2
             exit 2
             ;;
     esac

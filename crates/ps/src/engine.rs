@@ -1,11 +1,23 @@
-//! The training engine: worker threads, BSP barrier, ASP async loop.
+//! The training engine: one worker loop with two synchronization tails.
 //!
-//! The worker loops are written once against [`WorkerPort`], so the same
-//! BSP/ASP/SSP code drives either the single in-process [`ShardedStore`] or
-//! the multi-server [`crate::ShardRouter`] with OSP-style two-stage sync —
+//! BSP, ASP and SSP are the same training step with a different
+//! synchronization point — which is what lets a run switch between them at
+//! a checkpoint — and the code is shaped that way. [`Trainer::run_workers`]
+//! is the one harness: it spawns the worker threads, builds each one's
+//! [`Worker`] state and joins the results; [`Worker::run`] is the one place
+//! a protocol's loop is entered, and so the one place a panicking worker is
+//! contained. [`Worker::compute_step`] is the one step prologue: draw the
+//! batch, pull what it reads, compute, check for divergence. What differs is the tail
+//! that decides when the gradient is applied: [`bsp_loop`]'s striped
+//! barrier, or [`crate::ssp`]'s asynchronous loop, which is ASP when it has
+//! no leash and SSP when it has one. `Trainer::report` is the one epilogue.
+//!
+//! Everything is written against [`WorkerPort`], so the same code drives
+//! the single in-process [`ShardedStore`], the multi-server
+//! [`crate::ShardRouter`] with OSP-style two-stage sync, or a wire tier —
 //! the topology is picked by [`TrainerConfig::topology`] at construction.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,19 +34,20 @@ use crate::gate::RoundGate;
 use crate::profiler::{
     ServerShardStaleness, ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile,
 };
-use crate::router::{PortBuffer, ShardRouter, WorkerPort};
-use crate::store::{runs_within, ShardedStore};
+use crate::router::{ShardRouter, WorkerPort};
+use crate::ssp::{async_loop, AsyncShared};
+use crate::store::{runs_within, PullBuffer, ShardedStore};
 use crate::transport::{NetPort, NetRouter};
 
 /// What each worker thread returns: its id, timing/loss profile, global
 /// staleness observations, and per-server per-shard staleness observations.
-pub(crate) type WorkerResult = (
+type WorkerResult = (
     usize,
     WorkerProfile,
     StalenessHistogram,
     ServerShardStaleness,
 );
-/// Per-worker-thread telemetry buffer for the hot step loops.
+/// Per-worker-thread telemetry buffer for the hot step loop.
 ///
 /// Looking an instrument up by name locks the registry map and tracing an
 /// event locks the ring — per step, across every worker thread, those two
@@ -43,7 +56,7 @@ pub(crate) type WorkerResult = (
 /// per segment, accumulates the counter and histogram samples in plain
 /// thread-local fields, and batches trace events, so between flushes the
 /// hot loop touches no shared telemetry state at all.
-pub(crate) struct WorkerTelemetry {
+struct WorkerTelemetry {
     bus: Arc<Telemetry>,
     steps_counter: Arc<Counter>,
     step_hist: Arc<Histogram>,
@@ -63,7 +76,7 @@ impl WorkerTelemetry {
     /// lock, small enough that a mid-segment scrape sees near-live events.
     const FLUSH_EVERY: usize = 128;
 
-    pub(crate) fn new(bus: &Arc<Telemetry>) -> Self {
+    fn new(bus: &Arc<Telemetry>) -> Self {
         WorkerTelemetry {
             steps_counter: bus.metrics.counter("engine.steps"),
             step_hist: bus.metrics.histogram("engine.step_ns"),
@@ -82,7 +95,7 @@ impl WorkerTelemetry {
 
     /// Timestamp base for buffered spans, from the shared tracer's epoch.
     #[inline]
-    pub(crate) fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.bus.trace.now_ns()
     }
 
@@ -90,7 +103,7 @@ impl WorkerTelemetry {
     /// and buffers a [`TraceKind::Step`] span that started at `start_ns`
     /// and closes now.
     #[inline]
-    pub(crate) fn step(&mut self, worker: usize, step: u64, start_ns: u64, busy: Duration) {
+    fn step(&mut self, worker: usize, step: u64, start_ns: u64, busy: Duration) {
         self.steps += 1;
         self.step_local.record(busy.as_nanos() as u64);
         let dur_ns = self.now_ns().saturating_sub(start_ns).max(1);
@@ -106,7 +119,7 @@ impl WorkerTelemetry {
 
     /// One gradient-staleness observation (ASP/SSP steps).
     #[inline]
-    pub(crate) fn staleness(&mut self, v: u64) {
+    fn staleness(&mut self, v: u64) {
         self.staleness_local.record(v);
     }
 
@@ -116,7 +129,7 @@ impl WorkerTelemetry {
     /// `engine.barrier_parks` ÷ the wait count is the share of releases the
     /// kernel delivered rather than the spin/yield rungs.
     #[inline]
-    pub(crate) fn barrier_wait(&mut self, worker: usize, start_ns: u64, parked: bool) {
+    fn barrier_wait(&mut self, worker: usize, start_ns: u64, parked: bool) {
         let dur_ns = self.now_ns().saturating_sub(start_ns).max(1);
         self.barrier_local.record(dur_ns);
         self.parks += u64::from(parked);
@@ -144,7 +157,7 @@ impl WorkerTelemetry {
     /// Publishes everything accumulated since the last flush. Called once
     /// per worker at segment end — a panicking worker flushes whatever it
     /// buffered before the unwind, so post-mortem traces keep the tail.
-    pub(crate) fn flush(&mut self) {
+    fn flush(&mut self) {
         if self.steps > 0 {
             self.steps_counter.add(self.steps);
             self.steps = 0;
@@ -160,182 +173,33 @@ impl WorkerTelemetry {
     }
 }
 
-/// Pushes a full gradient shard-by-shard against the clocks captured in
-/// `buf`, recording one per-shard staleness observation per shard (under
-/// the owning server), then completes the push, runs any stage-2 round the
-/// push made due, and returns the push's global staleness. Shared by the
-/// ASP and SSP worker loops so the two protocols measure staleness
-/// identically. The shards are *queued* on the port in flat order, which
-/// on a wire tier sends each server's shards as one batch.
-pub(crate) fn push_sharded(
-    port: &WorkerPort,
-    grad: &[f32],
-    acks: &mut Vec<u64>,
-    buf: &PortBuffer,
-    lr: f64,
-    momentum: f64,
-    shard_hist: &mut ServerShardStaleness,
-) -> u64 {
-    acks.clear();
-    for i in 0..port.shard_count() {
-        let (offset, len) = port.shard_range(i);
-        port.queue_shard_update(i, &grad[offset..offset + len], lr, momentum, acks);
-    }
-    finish_push(port, acks, buf, shard_hist)
-}
-
-/// The tail both push helpers share: flushes the queued shards, turns each
-/// shard's acked pre-apply clock into its staleness observation, completes
-/// the push and runs any stage-2 round it made due.
-fn finish_push(
-    port: &WorkerPort,
-    acks: &mut Vec<u64>,
-    buf: &PortBuffer,
-    shard_hist: &mut ServerShardStaleness,
-) -> u64 {
-    port.flush_pushes(acks);
-    assert_eq!(acks.len(), port.shard_count(), "one ack per pushed shard");
-    for (i, prev) in acks.iter().enumerate() {
-        shard_hist.record(
-            port.owner_of(i),
-            i,
-            prev.saturating_sub(buf.shard_version(i)),
-        );
-    }
-    let staleness = port.complete_push(buf.version());
-    port.after_push();
-    staleness
-}
-
-/// Pulls what the step over batch `x` reads and installs it in `model` —
-/// the single pull point of the BSP, ASP and SSP loops, and the place a
-/// step's sparsity is decided for both directions: when the config allows
-/// it *and* the model reports a sparse read set for `x`, only those runs
-/// are pulled and installed (every other parameter of `model` keeps a
-/// stale value the step never looks at) and `scratch` remembers them for
-/// [`push_maybe_sparse`]; otherwise this is a full pull and
-/// `set_params_flat`. Returns the pulled version either way.
-pub(crate) fn pull_for_batch(
-    port: &WorkerPort,
-    model: &mut Network,
-    x: &Tensor,
-    sparse_enabled: bool,
-    buf: &mut PortBuffer,
-    scratch: &mut StepScratch,
-) -> u64 {
-    scratch.sparse = sparse_enabled && model.param_read_runs_into(x, &mut scratch.runs);
-    if scratch.sparse {
-        let version = port.pull_runs_into(buf, &scratch.runs);
-        model.set_params_runs(buf.params(), &scratch.runs);
-        version
-    } else {
-        let version = port.pull_into(buf);
-        model.set_params_flat(buf.params());
-        version
-    }
-}
-
-/// Pushes a worker's gradient through the dense or the sparse path — the
-/// single dispatch point shared by the ASP and SSP loops, so the two
-/// protocols cannot drift on push selection: sparse exactly when the
-/// step's pull was ([`pull_for_batch`]), along the same runs — a layer's
-/// read runs cover everything its backward can write, and for the embedding
-/// classifier the two sets are equal, so one list per step serves both.
-pub(crate) fn push_maybe_sparse(
-    port: &WorkerPort,
-    grad: &[f32],
-    scratch: &mut StepScratch,
-    buf: &PortBuffer,
-    lr: f64,
-    momentum: f64,
-    shard_hist: &mut ServerShardStaleness,
-) -> u64 {
-    if scratch.sparse {
-        push_sharded_sparse(port, grad, scratch, buf, lr, momentum, shard_hist)
-    } else {
-        push_sharded(port, grad, &mut scratch.acks, buf, lr, momentum, shard_hist)
-    }
-}
-
 /// Per-worker scratch for a step's pull and push. All four vectors are
 /// reused across steps, so the steady state allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct StepScratch {
-    /// The pushed shards' acked pre-apply clocks, in shard order (both
-    /// paths).
-    acks: Vec<u64>,
-    /// Whether this step moves only `runs` (set by [`pull_for_batch`]).
-    sparse: bool,
-    /// Global `(offset, len)` runs of the parameters this step's batch
-    /// reads — and so of its possibly-nonzero gradient — filled by
-    /// `Network::param_read_runs_into`.
+struct StepScratch {
+    /// Global `(offset, len)` runs of the parameters this step pulled — and
+    /// so of its possibly-nonzero gradient: what
+    /// `Network::param_read_runs_into` reported for the batch, or the one
+    /// run covering everything when the step is dense.
     runs: Vec<(usize, usize)>,
+    /// The pushed shards' acked pre-apply clocks, in shard order.
+    acks: Vec<u64>,
     /// Shard-relative segments of the shard currently being pushed.
     spans: Vec<(u32, u32)>,
     /// The segments' gradient values, gathered from the flat gradient.
     values: Vec<f32>,
 }
 
-/// The sparse counterpart of [`push_sharded`]: walks the shards in order,
-/// cuts the step's runs (`scratch.runs`, sorted and disjoint) to each
-/// shard's range, and pushes only the overlapping segments. A shard fully covered by one run falls back to the dense apply
-/// (no gather, no segment list); a shard with no overlap still pushes an
-/// empty sparse update so its clock ticks and its momentum decays exactly
-/// as a dense zero push would. Every invariant of the dense path —
-/// per-shard staleness observations, global staleness, stage-2 scheduling —
-/// is preserved because the apply itself is numerically identical. Each
-/// shard's segments are encoded when it is queued, so `spans`/`values` are
-/// free for the next shard while the batch is still being assembled.
-pub(crate) fn push_sharded_sparse(
-    port: &WorkerPort,
-    grad: &[f32],
-    scratch: &mut StepScratch,
-    buf: &PortBuffer,
-    lr: f64,
-    momentum: f64,
-    shard_hist: &mut ServerShardStaleness,
-) -> u64 {
-    scratch.acks.clear();
-    for i in 0..port.shard_count() {
-        let (offset, len) = port.shard_range(i);
-        scratch.spans.clear();
-        scratch.values.clear();
-        let mut full_cover = false;
-        for (start, n) in runs_within(&scratch.runs, offset, len) {
-            if n == len {
-                full_cover = true;
-                break;
-            }
-            scratch.spans.push(((start - offset) as u32, n as u32));
-            scratch.values.extend_from_slice(&grad[start..start + n]);
-        }
-        if full_cover {
-            let shard_grad = &grad[offset..offset + len];
-            port.queue_shard_update(i, shard_grad, lr, momentum, &mut scratch.acks);
-        } else {
-            port.queue_shard_update_sparse(
-                i,
-                &scratch.spans,
-                &scratch.values,
-                lr,
-                momentum,
-                &mut scratch.acks,
-            );
-        }
-    }
-    finish_push(port, &mut scratch.acks, buf, shard_hist)
-}
-
 /// The parameter-server data plane behind a trainer: the control-plane
 /// face of the same store/router pair workers reach through [`WorkerPort`].
 /// Wrapping the port (rather than mirroring its enum) keeps the dispatch in
 /// one place while still keeping owner-only operations — snapshot, restore,
-/// drain — off the worker-facing type.
+/// velocity reset — off the worker-facing type.
 #[derive(Debug)]
 pub(crate) struct DataPlane(WorkerPort);
 
 impl DataPlane {
-    fn from_config(initial: &[f32], cfg: &TrainerConfig) -> Self {
+    fn build_port(initial: &[f32], cfg: &TrainerConfig) -> WorkerPort {
         // A wire transport puts the tier behind the message boundary even
         // with one server — the boundary is the point. In-process keeps the
         // PR 3 rule: decide on the *effective* server count (the router
@@ -344,14 +208,10 @@ impl DataPlane {
         // single-store fast path, not two-stage committed-view semantics
         // with one owner.
         if cfg.topology.transport != TransportKind::InProcess {
-            return DataPlane(WorkerPort::Net(NetPort::launch(
-                initial,
-                cfg.shards,
-                cfg.topology,
-            )));
+            return WorkerPort::Net(NetPort::launch(initial, cfg.shards, cfg.topology));
         }
         let effective_servers = cfg.topology.servers.min(cfg.shards).min(initial.len());
-        DataPlane(if effective_servers > 1 {
+        if effective_servers > 1 {
             WorkerPort::Routed(Arc::new(ShardRouter::new(
                 initial,
                 cfg.shards,
@@ -359,35 +219,12 @@ impl DataPlane {
             )))
         } else {
             WorkerPort::Single(Arc::new(ShardedStore::new(initial, cfg.shards)))
-        })
-    }
-
-    pub(crate) fn port(&self) -> WorkerPort {
-        self.0.clone()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.0.shard_count()
-    }
-
-    fn server_count(&self) -> usize {
-        self.0.server_count()
-    }
-
-    fn param_count(&self) -> usize {
-        match &self.0 {
-            WorkerPort::Single(s) => s.param_count(),
-            WorkerPort::Routed(r) => r.param_count(),
-            WorkerPort::Net(p) => p.router().param_count(),
         }
     }
 
-    fn version(&self) -> u64 {
-        match &self.0 {
-            WorkerPort::Single(s) => s.version(),
-            WorkerPort::Routed(r) => r.version(),
-            WorkerPort::Net(p) => p.router().version(),
-        }
+    /// The worker-facing port (layout, clocks and the data path).
+    pub(crate) fn port(&self) -> &WorkerPort {
+        &self.0
     }
 
     fn snapshot_params(&self) -> Vec<f32> {
@@ -430,22 +267,6 @@ impl DataPlane {
         }
     }
 
-    fn drain(&self) {
-        match &self.0 {
-            WorkerPort::Single(_) => {}
-            WorkerPort::Routed(r) => r.drain(),
-            WorkerPort::Net(p) => p.router().drain(),
-        }
-    }
-
-    fn sync_rounds(&self) -> u64 {
-        match &self.0 {
-            WorkerPort::Single(_) => 0,
-            WorkerPort::Routed(r) => r.sync_rounds(),
-            WorkerPort::Net(p) => p.router().sync_rounds(),
-        }
-    }
-
     /// Cumulative wire counters (all-zero with no wire boundary).
     pub(crate) fn transport_stats(&self) -> TransportStats {
         match &self.0 {
@@ -484,11 +305,11 @@ pub struct SegmentReport {
     /// Wire cost of the segment on a transport-backed data plane (all
     /// zeros, `backend == None`, when the tier is in-process).
     pub transport: TransportStats,
-    /// Whether every live parameter was finite when the segment ended —
-    /// the post-segment [`Trainer::check_finite`] result, surfaced so
-    /// switching policies (and the divergence watchdog) can react without
-    /// a second wire round trip. An `Ok` engine segment implies `true`;
-    /// SSP segments report the observed check.
+    /// Whether every live parameter was finite when the segment ended.
+    /// Always `true` on a returned report: under every protocol a segment
+    /// that leaves the plane non-finite is [`PsError::Diverged`], not `Ok`.
+    /// Kept so switching policies (and the divergence watchdog) can read
+    /// the verdict off the report without a second wire round trip.
     pub finite: bool,
     /// Mean training loss over the last few recorded steps.
     pub final_loss: f32,
@@ -504,21 +325,30 @@ impl SegmentReport {
     }
 }
 
-/// State shared by BSP workers: striped per-shard accumulators plus the
-/// round gate.
+/// How the workers of one segment synchronize — the only thing the
+/// protocols differ in; every other part of a step is
+/// [`Worker::compute_step`] — with the state they share beyond the round
+/// gate, built once per segment.
+enum SyncTail {
+    /// BSP: gradients averaged at the striped barrier ([`bsp_loop`]).
+    Barrier(BspShared),
+    /// ASP and SSP: updates apply at once ([`async_loop`]).
+    Async(AsyncShared),
+}
+
+/// State shared by BSP workers: striped per-shard accumulators.
 ///
 /// Each stripe maps 1:1 onto a store shard and carries its own lock, so
 /// workers aggregating different stripes proceed concurrently instead of
 /// funnelling every gradient through one global accumulator mutex. The last
 /// contributor to a stripe applies that stripe's averaged update to its
 /// shard; the worker that applies the last outstanding stripe completes the
-/// push and advances the gate, whose epoch is the count of completed rounds.
+/// push and advances the segment's round gate, whose epoch is therefore the
+/// count of completed rounds: a worker leaves round `r` once it passes `r`.
 struct BspShared {
     stripes: Vec<Mutex<Stripe>>,
-    /// Epoch = completed rounds; a worker leaves round `r` once the epoch
-    /// passes `r`. Also carries the segment's abort flag, so divergence and
-    /// a dead worker wake the barrier through the gate's one abort path.
-    gate: RoundGate,
+    /// Workers contributing to every stripe.
+    n_active: usize,
     /// Stripes applied in the current round.
     applied: AtomicUsize,
 }
@@ -529,10 +359,342 @@ struct Stripe {
     count: usize,
 }
 
-/// Everything a worker thread needs.
-struct WorkerCtx {
+impl BspShared {
+    fn new(port: &WorkerPort, n_active: usize) -> Self {
+        let stripes = (0..port.shard_count())
+            .map(|i| {
+                Mutex::new(Stripe {
+                    accum: vec![0.0; port.shard_range(i).1],
+                    count: 0,
+                })
+            })
+            .collect();
+        BspShared {
+            stripes,
+            n_active,
+            applied: AtomicUsize::new(0),
+        }
+    }
+}
+
+/// One worker thread's state for one segment: its handle on the data plane,
+/// its model replica and data shard, and the bookkeeping every protocol
+/// keeps the same way. Built by [`Trainer::run_workers`], driven by a sync
+/// tail, and turned into the worker's [`WorkerResult`] when the tail returns.
+pub(crate) struct Worker<'a> {
+    pub(crate) id: usize,
+    /// Position among the segment's active workers.
+    rank: usize,
     port: WorkerPort,
-    diverged_at: Arc<AtomicU64>,
+    shard: &'a Dataset,
+    model: Network,
+    cfg: &'a TrainerConfig,
+    /// Global step of the segment's first step.
+    pub(crate) base_step: u64,
+    /// The segment's one wait/wake primitive and abort flag: the BSP round
+    /// barrier, the SSP progress gate, and under every protocol what a
+    /// diverging or dying worker aborts so its peers stop.
+    pub(crate) gate: &'a RoundGate,
+    diverged_at: &'a AtomicU64,
+    profile: WorkerProfile,
+    hist: StalenessHistogram,
+    shard_hist: ServerShardStaleness,
+    buf: PullBuffer,
+    scratch: StepScratch,
+    wt: Option<WorkerTelemetry>,
+    /// First-step start, for the wall-clock throughput span — barrier and
+    /// gate waits included, which the busy-only rate hides (see
+    /// `WorkerProfile::wall_steps_per_sec`).
+    wall_start: Option<Instant>,
+}
+
+/// What [`Worker::compute_step`] hands the sync tail.
+pub(crate) struct Step {
+    /// The global step this is.
+    id: u64,
+    /// When the step started (busy time is measured from here).
+    pub(crate) t0: Instant,
+    /// The same instant on the tracer's clock (0 with telemetry off).
+    start_ns: u64,
+    /// Version of the pulled data.
+    version: u64,
+    loss: f32,
+    grad: Vec<f32>,
+}
+
+impl Worker<'_> {
+    /// Runs `tail`'s loop to the end of the segment and hands back this
+    /// worker's books, or its id if it died.
+    ///
+    /// A panic in the loop is a dying data plane (the infallible data-path
+    /// ops panic once wire retries are exhausted, e.g. against a SIGKILLed
+    /// `ps-serve`; the payload was already printed by the default hook).
+    /// It is caught so the segment returns `WorkerPanicked` instead of
+    /// tearing the process down — and the gate is aborted so peers wake up
+    /// and exit instead of waiting for a round, or a floor, that will never
+    /// come: BSP peers are at the round barrier, SSP peers behind the
+    /// leash, and ASP peers see the flag at their next step claim (or panic
+    /// on the same dead server themselves).
+    fn run(mut self, tail: &SyncTail, steps: u64) -> Result<WorkerResult, usize> {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match tail {
+            SyncTail::Barrier(shared) => bsp_loop(&mut self, shared, steps),
+            SyncTail::Async(shared) => async_loop(&mut self, shared, steps),
+        }));
+        // A panicking worker flushes whatever it buffered before the
+        // unwind, so post-mortem traces keep the tail.
+        if let Some(t) = self.wt.as_mut() {
+            t.flush();
+        }
+        match run {
+            Ok(()) => Ok((self.id, self.profile, self.hist, self.shard_hist)),
+            Err(_payload) => {
+                self.gate.abort();
+                Err(self.id)
+            }
+        }
+    }
+
+    /// The part of a step every protocol shares: draw the batch, pull what
+    /// it reads, compute loss and gradient. `None` means the loss was
+    /// non-finite or above the divergence threshold: the step is recorded
+    /// as the segment's divergence point, the gate is aborted so every peer
+    /// stops, and the caller must leave its loop.
+    #[inline]
+    pub(crate) fn compute_step(&mut self, step_id: u64) -> Option<Step> {
+        let cfg = self.cfg;
+        let t0 = Instant::now();
+        self.wall_start.get_or_insert(t0);
+        let start_ns = self.wt.as_ref().map_or(0, |w| w.now_ns());
+        // The batch does not depend on the pull, so it is drawn first and
+        // says what to pull.
+        let mut rng = step_rng(cfg.seed, self.id, step_id);
+        let (x, y) = self.shard.sample_batch(cfg.per_worker_batch, &mut rng);
+        let version = self.pull(&x);
+        if let Some(d) = cfg.straggler_delay[self.id] {
+            std::thread::sleep(d);
+        }
+        let (loss, grad) = self.model.loss_and_grad(&x, &y);
+        if !loss.is_finite() || loss > cfg.divergence_loss_threshold {
+            // Relaxed: read back only after thread join.
+            self.diverged_at.store(step_id, Ordering::Relaxed);
+            self.gate.abort();
+            return None;
+        }
+        Some(Step {
+            id: step_id,
+            t0,
+            start_ns,
+            version,
+            loss,
+            grad,
+        })
+    }
+
+    /// Pulls what the step over batch `x` reads and installs it in the
+    /// model — the place a step's sparsity is decided for both directions:
+    /// when the config allows it *and* the model reports a sparse read set
+    /// for `x`, only those runs are pulled and installed (every other
+    /// parameter of the model keeps a stale value the step never looks at);
+    /// otherwise this is a full pull and `set_params_flat`. Either way
+    /// `scratch.runs` says what moved, for [`Worker::push`], and the pulled
+    /// version is returned.
+    fn pull(&mut self, x: &Tensor) -> u64 {
+        let runs = &mut self.scratch.runs;
+        if self.cfg.sparse_push && self.model.param_read_runs_into(x, runs) {
+            let version = self.port.pull_runs_into(&mut self.buf, runs);
+            self.model.set_params_runs(self.buf.params(), runs);
+            version
+        } else {
+            let version = self.port.pull_into(&mut self.buf);
+            self.model.set_params_flat(self.buf.params());
+            runs.clear();
+            runs.push((0, self.buf.params().len()));
+            version
+        }
+    }
+
+    /// The asynchronous push of a step's gradient, shard by shard along the
+    /// runs the step pulled — a layer's read runs cover everything its
+    /// backward can write, and for the embedding classifier the two sets
+    /// are equal, so one list per step serves both directions. Each shard's
+    /// piece of the runs is cut out and pushed as a sparse update; a shard
+    /// one run covers whole — every shard of a dense step — gets the plain
+    /// dense apply (no gather, no segment list), and a shard with no overlap
+    /// still pushes an empty sparse update so its clock ticks and its
+    /// momentum decays exactly as a dense zero push would. The applies are
+    /// numerically identical either way, so staleness and stage-2 scheduling
+    /// cannot tell the two apart. The shards are *queued* on the port in
+    /// flat order, which on a wire tier sends each server's shards as one
+    /// batch (a shard's segments are encoded when it is queued, so
+    /// `spans`/`values` are free for the next shard).
+    ///
+    /// Records one per-shard staleness observation per shard — the shard
+    /// clock's acked pre-apply value against the clock captured at pull
+    /// time, under the owning server — then completes the push, runs any
+    /// stage-2 round it made due, and returns its global staleness.
+    pub(crate) fn push(&mut self, step: &Step) -> u64 {
+        let (port, grad) = (&self.port, &step.grad[..]);
+        let (lr, momentum) = (self.cfg.learning_rate, self.cfg.momentum);
+        let StepScratch {
+            runs,
+            acks,
+            spans,
+            values,
+        } = &mut self.scratch;
+        acks.clear();
+        for i in 0..port.shard_count() {
+            let (offset, len) = port.shard_range(i);
+            spans.clear();
+            values.clear();
+            let mut full_cover = false;
+            for (start, n) in runs_within(runs, offset, len) {
+                if n == len {
+                    full_cover = true;
+                    break;
+                }
+                spans.push(((start - offset) as u32, n as u32));
+                values.extend_from_slice(&grad[start..start + n]);
+            }
+            if full_cover {
+                port.queue_shard_update(i, &grad[offset..offset + len], lr, momentum, acks);
+            } else {
+                port.queue_shard_update_sparse(i, spans, values, lr, momentum, acks);
+            }
+        }
+        port.flush_pushes(acks);
+        assert_eq!(acks.len(), port.shard_count(), "one ack per pushed shard");
+        for (i, prev) in acks.iter().enumerate() {
+            let behind = prev.saturating_sub(self.buf.shard_version(i));
+            self.shard_hist.record(port.owner_of(i), i, behind);
+        }
+        let staleness = port.complete_push(self.buf.version());
+        port.after_push();
+        staleness
+    }
+
+    /// Books a delivered step: its busy time and loss, its global staleness
+    /// (`None` under BSP, whose gradients are fresh by construction — a zero
+    /// in the report, no sample on the bus), and the step span, which closes
+    /// now. The wall span is closed separately ([`Worker::mark_wall`]),
+    /// because BSP only delivers a round once the barrier releases.
+    pub(crate) fn record_step(&mut self, step: &Step, busy: Duration, staleness: Option<u64>) {
+        self.profile.step_durations.push(busy);
+        self.profile.losses.push(step.loss);
+        self.hist.record(staleness.unwrap_or(0));
+        if let Some(w) = self.wt.as_mut() {
+            if let Some(v) = staleness {
+                w.staleness(v);
+            }
+            w.step(self.id, step.id, step.start_ns, busy);
+        }
+    }
+
+    /// Extends the wall-clock span to now.
+    pub(crate) fn mark_wall(&mut self) {
+        if let Some(ws) = self.wall_start {
+            self.profile.wall_time = ws.elapsed();
+        }
+    }
+
+    /// Waits at the segment's gate until `ready` holds or the gate is
+    /// aborted, tracing the whole wait — spin, yield and park — as this
+    /// worker's barrier wait, so the barrier-wait fraction the controller
+    /// promotes on covers BSP barriers and SSP back-pressure alike.
+    pub(crate) fn wait_at_gate(&mut self, ready: impl FnMut() -> bool) {
+        let wait_ns = self.wt.as_ref().map_or(0, |w| w.now_ns());
+        let parked = self.gate.wait_until(ready);
+        if let Some(w) = self.wt.as_mut() {
+            w.barrier_wait(self.id, wait_ns, parked);
+        }
+    }
+}
+
+/// BSP: lock-step rounds; gradients averaged at a striped barrier, one
+/// logical update per round.
+///
+/// Aggregation is striped per store shard: workers walk the stripes
+/// starting at their own offset, so at any instant different workers
+/// are summing into different stripes under different locks. The last
+/// contributor to a stripe averages and applies it immediately; the
+/// worker that applies the final outstanding stripe completes the push
+/// and advances the round gate, which the other workers are spinning,
+/// yielding or parked on (see [`crate::gate`]). Numerically this is the
+/// same sum-then-average-then-apply as a single-mutex accumulator
+/// (per-stripe sums commute across workers exactly like a global sum
+/// does), so BSP keeps its bit-for-bit agreement with sequential
+/// large-batch SGD up to f32 summation order.
+fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
+    let gate = w.gate;
+    let n_stripes = shared.stripes.len();
+    let n_active = shared.n_active;
+    let (lr, mu) = (w.cfg.learning_rate, w.cfg.momentum);
+    for r in 0..rounds {
+        if gate.is_aborted() {
+            break;
+        }
+        let Some(step) = w.compute_step(w.base_step + r) else {
+            break;
+        };
+        let compute_time = step.t0.elapsed();
+
+        // Striped barrier: contribute each stripe, starting at this
+        // worker's offset so concurrent workers sum into disjoint stripes.
+        // Last contributor per stripe averages and applies it.
+        for k in 0..n_stripes {
+            let i = (w.rank + k) % n_stripes;
+            let (offset, len) = w.port.shard_range(i);
+            let mut stripe = shared.stripes[i].lock();
+            let state = &mut *stripe;
+            for (a, g) in state.accum.iter_mut().zip(&step.grad[offset..offset + len]) {
+                *a += g;
+            }
+            state.count += 1;
+            if state.count == n_active {
+                let scale = 1.0 / n_active as f32;
+                state.accum.iter_mut().for_each(|a| *a *= scale);
+                let prev = w.port.apply_shard_update(i, &state.accum, lr, mu);
+                w.shard_hist.record(
+                    w.port.owner_of(i),
+                    i,
+                    prev.saturating_sub(w.buf.shard_version(i)),
+                );
+                state.accum.iter_mut().for_each(|a| *a = 0.0);
+                state.count = 0;
+                drop(stripe);
+                // AcqRel: the final applier must observe the other
+                // appliers' increments (Acquire) and publish its own apply
+                // before the round advance (Release); the shard data itself
+                // is ordered by the shard mutexes.
+                if shared.applied.fetch_add(1, Ordering::AcqRel) + 1 == n_stripes {
+                    w.port.complete_push(step.version);
+                    // Stage-2 drain: publish this round's applies to every
+                    // server's committed view before any worker can pull
+                    // the next round (everyone else is held at the gate
+                    // below, so the commit cannot race a pull).
+                    w.port.end_round();
+                    // Relaxed: the reset is published to the next round's
+                    // appliers by the gate's epoch — Release in `advance`,
+                    // Acquire in the `wait_until` they must pass through
+                    // first.
+                    shared.applied.store(0, Ordering::Relaxed);
+                    gate.advance();
+                }
+            }
+        }
+
+        // The step span closes once this worker's contributions (and any
+        // stripes it applied) are in — the barrier wait is traced
+        // separately.
+        w.record_step(&step, compute_time, None);
+
+        // Barrier wait: every pull of round r completes before any stripe
+        // of round r is applied (a stripe needs all contributions, and
+        // contributing implies having pulled), so BSP pulls are never torn.
+        w.wait_at_gate(|| gate.epoch() > r);
+        // The round is only delivered once the barrier releases, so the
+        // wall span includes the wait.
+        w.mark_wall();
+    }
 }
 
 /// A parameter-server trainer over one model and one dataset, supporting
@@ -568,8 +730,8 @@ impl std::fmt::Debug for Trainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trainer")
             .field("workers", &self.cfg.workers)
-            .field("servers", &self.plane.server_count())
-            .field("params", &self.plane.param_count())
+            .field("servers", &self.server_count())
+            .field("params", &self.plane.port().param_count())
             .field("global_step", &self.global_step)
             .finish()
     }
@@ -585,29 +747,13 @@ impl Trainer {
     /// [`TrainerConfig::validate`]) or the dataset is smaller than the
     /// worker count.
     pub fn new(model: Network, train: Dataset, test: Dataset, cfg: TrainerConfig) -> Self {
+        // Checked here as well as in `with_port`: the plane is built from
+        // the config first.
         if let Err(msg) = cfg.validate() {
             panic!("invalid trainer config: {msg}");
         }
-        let shards: Vec<Dataset> = (0..cfg.workers)
-            .map(|k| train.shard(k, cfg.workers))
-            .collect();
-        let initial = model.params_flat();
-        let plane = DataPlane::from_config(&initial, &cfg);
-        let telemetry = Self::build_telemetry(&cfg, &plane);
-        let probe_n = shards[0].len().min(64);
-        let probe_idx: Vec<usize> = (0..probe_n).collect();
-        let probe_batch = shards[0].batch(&probe_idx);
-        Trainer {
-            template: model,
-            shards,
-            test,
-            cfg,
-            plane,
-            telemetry,
-            global_step: 0,
-            protocol: SyncProtocol::Bsp,
-            probe_batch,
-        }
+        let port = DataPlane::build_port(&model.params_flat(), &cfg);
+        Self::with_port(model, train, test, cfg, port)
     }
 
     /// Creates a trainer on an *existing* data plane instead of building
@@ -632,12 +778,12 @@ impl Trainer {
         if let Err(msg) = cfg.validate() {
             panic!("invalid trainer config: {msg}");
         }
-        let plane = DataPlane(port);
         assert_eq!(
-            plane.param_count(),
-            model.params_flat().len(),
+            port.param_count(),
+            model.param_count(),
             "data plane parameter count does not match the model"
         );
+        let plane = DataPlane(port);
         let telemetry = Self::build_telemetry(&cfg, &plane);
         let shards: Vec<Dataset> = (0..cfg.workers)
             .map(|k| train.shard(k, cfg.workers))
@@ -716,7 +862,7 @@ impl Trainer {
     }
 
     /// Records a protocol change (crate-internal: the switcher applies a
-    /// plan's target here, the SSP runner tags itself as ASP).
+    /// plan's target here).
     pub(crate) fn set_protocol(&mut self, protocol: SyncProtocol) {
         self.protocol = protocol;
     }
@@ -768,7 +914,7 @@ impl Trainer {
         match &self.plane.0 {
             WorkerPort::Single(s) => Ok(s),
             WorkerPort::Routed(_) | WorkerPort::Net(_) => Err(PsError::NoSingleStore {
-                servers: self.plane.server_count(),
+                servers: self.server_count(),
             }),
         }
     }
@@ -809,18 +955,18 @@ impl Trainer {
     /// Number of parameter servers in the data plane (1 for the single
     /// in-process store).
     pub fn server_count(&self) -> usize {
-        self.plane.server_count()
+        self.plane.port().server_count()
     }
 
     /// Cluster-global push count (the data-plane version clock).
     pub fn push_count(&self) -> u64 {
-        self.plane.version()
+        self.plane.port().version()
     }
 
     /// Stage-2 reconciliation rounds completed so far (0 on a
     /// single-server plane).
     pub fn sync_rounds(&self) -> u64 {
-        self.plane.sync_rounds()
+        self.plane.port().sync_rounds()
     }
 
     /// Drains any in-flight stage-2 reconciliation so the committed view
@@ -828,7 +974,7 @@ impl Trainer {
     /// plane; called by the switcher before checkpointing a protocol
     /// switch.
     pub fn drain_sync(&self) {
-        self.plane.drain();
+        self.plane.port().end_round();
     }
 
     /// Resets the optimizer velocity to zero on every server.
@@ -837,31 +983,11 @@ impl Trainer {
     }
 
     /// Whether every parameter on every server is currently finite — the
-    /// segment runner checks this after each push internally; this exposes
-    /// the same probe to harnesses that want to assert it between segments.
+    /// segment runner checks this at the end of each segment internally;
+    /// this exposes the same probe to harnesses that want to assert it
+    /// between segments.
     pub fn check_finite(&self) -> bool {
         self.plane.is_finite()
-    }
-
-    /// A worker-facing port onto the data plane (crate-internal: SSP
-    /// extension).
-    pub(crate) fn port(&self) -> WorkerPort {
-        self.plane.port()
-    }
-
-    /// Worker `w`'s data shard (crate-internal: SSP extension).
-    pub(crate) fn shard(&self, worker: usize) -> &Dataset {
-        &self.shards[worker]
-    }
-
-    /// The template network (crate-internal: SSP extension).
-    pub(crate) fn model_template(&self) -> &Network {
-        &self.template
-    }
-
-    /// Advances the global step counter (crate-internal: SSP extension).
-    pub(crate) fn advance_global_step(&mut self, steps: u64) {
-        self.global_step += steps;
     }
 
     /// Takes a checkpoint of the current training state (the live,
@@ -882,7 +1008,7 @@ impl Trainer {
     /// Returns [`PsError::CheckpointMismatch`] if the checkpoint shape does
     /// not match the model.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), PsError> {
-        ck.check_compatible(self.plane.param_count())?;
+        ck.check_compatible(self.plane.port().param_count())?;
         self.plane.restore(&ck.params, &ck.velocity);
         self.global_step = ck.step;
         Ok(())
@@ -891,21 +1017,23 @@ impl Trainer {
     /// Evaluates top-1 accuracy on the held-out test set using the current
     /// parameters.
     pub fn evaluate(&self) -> f64 {
-        let params = self.plane.snapshot_params();
+        self.current_model()
+            .accuracy_on(self.test.features(), self.test.labels())
+    }
+
+    /// A replica of the model holding the live parameters.
+    fn current_model(&self) -> Network {
         let mut model = self.template.clone();
-        model.set_params_flat(&params);
-        model.accuracy_on(self.test.features(), self.test.labels())
+        model.set_params_flat(&self.plane.snapshot_params());
+        model
     }
 
     /// Training loss of the current parameters on a deterministic probe
     /// batch (first shard, fixed indices; cached at construction so the
     /// switcher's polling loop does not rebuild it every call).
     pub fn training_loss(&self) -> f32 {
-        let params = self.plane.snapshot_params();
-        let mut model = self.template.clone();
-        model.set_params_flat(&params);
         let (x, y) = &self.probe_batch;
-        model.loss(x, y)
+        self.current_model().loss(x, y)
     }
 
     /// Runs `steps` global steps under `protocol`, returning the segment
@@ -914,7 +1042,8 @@ impl Trainer {
     /// # Errors
     ///
     /// Returns [`PsError::Diverged`] if any worker observes a non-finite or
-    /// above-threshold loss (all workers are aborted),
+    /// above-threshold loss (all workers are aborted) or the segment leaves
+    /// a non-finite parameter behind (`global_step` does not advance),
     /// [`PsError::InvalidConfig`] for impossible configurations, and
     /// [`PsError::WorkerPanicked`] if a worker thread died mid-segment —
     /// on a transport-backed plane that is how an unreachable server
@@ -927,452 +1056,147 @@ impl Trainer {
         protocol: SyncProtocol,
         steps: u64,
     ) -> Result<SegmentReport, PsError> {
-        // An explicit protocol argument is an implicit switch: record it so
+        self.run_leashed(protocol, None, steps)
+    }
+
+    /// One segment — what [`Trainer::run_segment`] and
+    /// [`Trainer::run_ssp_segment`] both are. `leash` is the SSP staleness
+    /// bound of an asynchronous segment: SSP is ASP on a leash and carries
+    /// the ASP tag (the core policy enum stays BSP/ASP per the paper). BSP
+    /// has no use for one.
+    pub(crate) fn run_leashed(
+        &mut self,
+        protocol: SyncProtocol,
+        leash: Option<u64>,
+        steps: u64,
+    ) -> Result<SegmentReport, PsError> {
+        // Naming a protocol is an implicit switch: record it so
         // `Trainer::protocol()` always names the discipline that last ran.
         self.protocol = protocol;
+        let before = (self.sync_rounds(), self.transport_stats());
         if steps == 0 {
-            return Ok(SegmentReport {
-                protocol,
-                steps: 0,
-                wall_time: Duration::ZERO,
-                worker_profiles: vec![WorkerProfile::default(); self.cfg.workers],
-                staleness: StalenessHistogram::new(),
-                shard_staleness: ShardStaleness::new(self.plane.shard_count()),
-                server_shard_staleness: ServerShardStaleness::new(
-                    self.plane.server_count(),
-                    self.plane.shard_count(),
-                ),
-                sync_rounds: 0,
-                transport: {
-                    let s = self.plane.transport_stats();
-                    s.delta(&s)
-                },
-                finite: true,
-                final_loss: 0.0,
-            });
+            return Ok(self.report(protocol, 0, Duration::ZERO, Vec::new(), before));
         }
         let active = self.cfg.active_workers();
         if active.is_empty() {
             return Err(PsError::InvalidConfig("all workers excluded".into()));
         }
-
-        let ctx = WorkerCtx {
-            port: self.plane.port(),
-            diverged_at: Arc::new(AtomicU64::new(u64::MAX)),
-        };
-
-        let rounds_before = self.plane.sync_rounds();
-        let wire_before = self.plane.transport_stats();
         let start = Instant::now();
-        let results: Vec<WorkerResult> = match protocol {
-            SyncProtocol::Bsp => self.run_bsp(&ctx, &active, steps)?,
-            SyncProtocol::Asp => self.run_asp(&ctx, &active, steps)?,
-        };
+        let results = self.run_workers(protocol, leash, &active, steps)?;
         let wall_time = start.elapsed();
-
-        // Relaxed: the worker threads were joined inside run_bsp/run_asp's
-        // thread scope, and joining synchronizes-with everything they wrote.
-        let diverged = ctx.diverged_at.load(Ordering::Relaxed);
-        if diverged != u64::MAX {
-            return Err(PsError::Diverged { step: diverged });
-        }
-        let finite = self.plane.is_finite();
-        if !finite {
+        // A finite loss on every step does not make the applies finite (a
+        // poisoned velocity, an overflow in the update): the tier itself is
+        // the last word, whatever the protocol.
+        if !self.plane.is_finite() {
             return Err(PsError::Diverged {
                 step: self.global_step + steps,
             });
         }
+        Ok(self.report(protocol, steps, wall_time, results, before))
+    }
 
-        let mut profiles = vec![WorkerProfile::default(); self.cfg.workers];
+    /// The segment epilogue: merges the workers' results into the report
+    /// and advances the global step. `before` is the plane's stage-2 round
+    /// count and wire counters when the segment started.
+    fn report(
+        &mut self,
+        protocol: SyncProtocol,
+        steps: u64,
+        wall_time: Duration,
+        results: Vec<WorkerResult>,
+        before: (u64, TransportStats),
+    ) -> SegmentReport {
+        let port = self.plane.port();
+        let mut worker_profiles = vec![WorkerProfile::default(); self.cfg.workers];
         let mut staleness = StalenessHistogram::new();
         let mut server_shard_staleness =
-            ServerShardStaleness::new(self.plane.server_count(), self.plane.shard_count());
+            ServerShardStaleness::new(port.server_count(), port.shard_count());
         let mut tail_losses = Vec::new();
         for (worker, profile, hist, shard_hist) in results {
             staleness.merge(&hist);
             server_shard_staleness.merge(&shard_hist);
             tail_losses.extend(profile.losses.iter().rev().take(4).copied());
-            profiles[worker] = profile;
+            worker_profiles[worker] = profile;
         }
         let final_loss = if tail_losses.is_empty() {
             0.0
         } else {
             tail_losses.iter().sum::<f32>() / tail_losses.len() as f32
         };
-
         self.global_step += steps;
-        Ok(SegmentReport {
+        SegmentReport {
             protocol,
             steps,
             wall_time,
-            worker_profiles: profiles,
+            worker_profiles,
             staleness,
             shard_staleness: server_shard_staleness.flatten(),
             server_shard_staleness,
-            sync_rounds: self.plane.sync_rounds() - rounds_before,
-            transport: self.plane.transport_stats().delta(&wire_before),
-            finite,
+            sync_rounds: self.sync_rounds() - before.0,
+            transport: self.transport_stats().delta(&before.1),
+            finite: true,
             final_loss,
-        })
+        }
     }
 
-    /// BSP: lock-step rounds; gradients averaged at a striped barrier, one
-    /// logical update per round.
-    ///
-    /// Aggregation is striped per store shard: workers walk the stripes
-    /// starting at their own offset, so at any instant different workers
-    /// are summing into different stripes under different locks. The last
-    /// contributor to a stripe averages and applies it immediately; the
-    /// worker that applies the final outstanding stripe completes the push
-    /// and advances the round gate, which the other workers are spinning,
-    /// yielding or parked on (see [`crate::gate`]). Numerically this is the
-    /// same sum-then-average-then-apply as the old single-mutex accumulator
-    /// (per-stripe sums commute across workers exactly like the global sum
-    /// did), so BSP keeps its bit-for-bit agreement with sequential
-    /// large-batch SGD up to f32 summation order.
-    fn run_bsp(
+    /// The worker harness: one scoped thread per active worker, each
+    /// running the protocol's tail over its own [`Worker`] state, joined
+    /// into the workers' results. A dead worker fails the segment with
+    /// [`PsError::WorkerPanicked`], a recorded divergence with
+    /// [`PsError::Diverged`].
+    fn run_workers(
         &self,
-        ctx: &WorkerCtx,
-        active: &[usize],
-        rounds: u64,
-    ) -> Result<Vec<WorkerResult>, PsError> {
-        let n_active = active.len();
-        let n_stripes = self.plane.shard_count();
-        let n_servers = self.plane.server_count();
-        let stripes = (0..n_stripes)
-            .map(|i| {
-                let (_, len) = ctx.port.shard_range(i);
-                Mutex::new(Stripe {
-                    accum: vec![0.0; len],
-                    count: 0,
-                })
-            })
-            .collect();
-        let shared = Arc::new(BspShared {
-            stripes,
-            gate: RoundGate::new(),
-            applied: AtomicUsize::new(0),
-        });
-        let cfg = &self.cfg;
-        let base_step = self.global_step;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_active);
-            for (rank, &worker) in active.iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let port = ctx.port.clone();
-                let diverged_at = Arc::clone(&ctx.diverged_at);
-                let shard = &self.shards[worker];
-                let mut model = self.template.clone();
-                let delay = cfg.straggler_delay[worker];
-                let batch = cfg.per_worker_batch;
-                let (lr, mu) = (cfg.learning_rate, cfg.momentum);
-                let seed = cfg.seed;
-                let threshold = cfg.divergence_loss_threshold;
-                let sparse_enabled = cfg.sparse_push;
-                let telemetry = self.telemetry.clone();
-                handles.push(scope.spawn(move || {
-                    let mut profile = WorkerProfile::default();
-                    let mut hist = StalenessHistogram::new();
-                    let mut shard_hist = ServerShardStaleness::new(n_servers, n_stripes);
-                    let mut buf = port.new_buffer();
-                    let mut scratch = StepScratch::default();
-                    let mut wt = telemetry.as_ref().map(WorkerTelemetry::new);
-                    // First-step start, for the wall-clock throughput span
-                    // (barrier waits included — the busy-only rate hides
-                    // them; see `WorkerProfile::wall_steps_per_sec`).
-                    let mut wall_start: Option<Instant> = None;
-                    let gate = &shared.gate;
-                    // Panics here are a dying data plane (the infallible
-                    // data-path ops panic once wire retries are exhausted,
-                    // e.g. against a SIGKILLed `ps-serve`). Catch them so
-                    // the segment returns `WorkerPanicked` instead of
-                    // tearing the process down — and abort the gate so
-                    // peers waiting at the round barrier wake up and exit
-                    // instead of waiting for a round that will never
-                    // complete.
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        for r in 0..rounds {
-                            if gate.is_aborted() {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            wall_start.get_or_insert(t0);
-                            let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            // The batch does not depend on the pull, so it
-                            // is drawn first and says what to pull.
-                            let mut rng = step_rng(seed, worker, base_step + r);
-                            let (x, y) = shard.sample_batch(batch, &mut rng);
-                            let version = pull_for_batch(
-                                &port,
-                                &mut model,
-                                &x,
-                                sparse_enabled,
-                                &mut buf,
-                                &mut scratch,
-                            );
-                            if let Some(d) = delay {
-                                std::thread::sleep(d);
-                            }
-                            let (loss, grad) = model.loss_and_grad(&x, &y);
-                            let compute_time = t0.elapsed();
-                            if !loss.is_finite() || loss > threshold {
-                                // Relaxed: read back only after thread join.
-                                diverged_at.store(base_step + r, Ordering::Relaxed);
-                                gate.abort();
-                                break;
-                            }
-                            profile.step_durations.push(compute_time);
-                            profile.losses.push(loss);
-                            hist.record(0); // BSP gradients are fresh by construction
-
-                            // Striped barrier: contribute each stripe, starting
-                            // at this worker's offset so concurrent workers sum
-                            // into disjoint stripes. Last contributor per
-                            // stripe averages and applies it.
-                            for k in 0..n_stripes {
-                                let i = (rank + k) % n_stripes;
-                                let (offset, len) = port.shard_range(i);
-                                let mut stripe = shared.stripes[i].lock();
-                                let state = &mut *stripe;
-                                for (a, g) in
-                                    state.accum.iter_mut().zip(&grad[offset..offset + len])
-                                {
-                                    *a += g;
-                                }
-                                state.count += 1;
-                                if state.count == n_active {
-                                    let scale = 1.0 / n_active as f32;
-                                    state.accum.iter_mut().for_each(|a| *a *= scale);
-                                    let prev = port.apply_shard_update(i, &state.accum, lr, mu);
-                                    shard_hist.record(
-                                        port.owner_of(i),
-                                        i,
-                                        prev.saturating_sub(buf.shard_version(i)),
-                                    );
-                                    state.accum.iter_mut().for_each(|a| *a = 0.0);
-                                    state.count = 0;
-                                    drop(stripe);
-                                    // AcqRel: the final applier must observe the
-                                    // other appliers' increments (Acquire) and
-                                    // publish its own apply before the round
-                                    // advance (Release); the shard data itself
-                                    // is ordered by the shard mutexes.
-                                    if shared.applied.fetch_add(1, Ordering::AcqRel) + 1
-                                        == n_stripes
-                                    {
-                                        port.complete_push(version);
-                                        // Stage-2 drain: publish this round's
-                                        // applies to every server's committed
-                                        // view before any worker can pull the
-                                        // next round (everyone else is held
-                                        // at the gate below, so the commit
-                                        // cannot race a pull).
-                                        port.end_round();
-                                        // Relaxed: the reset is published to
-                                        // the next round's appliers by the
-                                        // gate's epoch — Release in `advance`,
-                                        // Acquire in the `wait_until` they must
-                                        // pass through first.
-                                        shared.applied.store(0, Ordering::Relaxed);
-                                        gate.advance();
-                                    }
-                                }
-                            }
-
-                            // The step span closes once this worker's
-                            // contributions (and any stripes it applied) are
-                            // in — the barrier wait is traced separately.
-                            if let Some(w) = wt.as_mut() {
-                                w.step(worker, base_step + r, step_ns, compute_time);
-                            }
-
-                            // Barrier wait: every pull of round r completes
-                            // before any stripe of round r is applied (a stripe
-                            // needs all contributions, and contributing implies
-                            // having pulled), so BSP pulls are never torn.
-                            // The span covers the whole wait — spin, yield
-                            // and park — so the barrier-wait fraction the
-                            // controller promotes on keeps its meaning.
-                            let wait_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            let parked = gate.wait_until(|| gate.epoch() > r);
-                            if let Some(w) = wt.as_mut() {
-                                w.barrier_wait(worker, wait_ns, parked);
-                            }
-                            // The round is only delivered once the barrier
-                            // releases, so the wall span includes the wait.
-                            if let Some(ws) = wall_start {
-                                profile.wall_time = ws.elapsed();
-                            }
-                        }
-                    }));
-                    if let Some(w) = wt.as_mut() {
-                        w.flush();
-                    }
-                    match run {
-                        Ok(()) => Ok((worker, profile, hist, shard_hist)),
-                        Err(_payload) => {
-                            gate.abort();
-                            Err(worker)
-                        }
-                    }
-                }));
-            }
-            collect_worker_results(handles)
-        })
-    }
-
-    /// ASP: workers claim global steps and apply updates immediately.
-    ///
-    /// The hot path is allocation-free in the steady state: each worker
-    /// reuses one [`PullBuffer`] for every pull and pushes its gradient
-    /// shard-by-shard, measuring per-shard staleness against the clocks
-    /// captured at pull time instead of sweeping all shard locks inside one
-    /// monolithic `apply_update` call.
-    fn run_asp(
-        &self,
-        ctx: &WorkerCtx,
+        protocol: SyncProtocol,
+        leash: Option<u64>,
         active: &[usize],
         steps: u64,
     ) -> Result<Vec<WorkerResult>, PsError> {
-        let claimed = Arc::new(AtomicU64::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
-        let cfg = &self.cfg;
-        let base_step = self.global_step;
-        let n_shards = self.plane.shard_count();
-        let n_servers = self.plane.server_count();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(active.len());
-            for &worker in active {
-                let port = ctx.port.clone();
-                let abort = Arc::clone(&abort);
-                let diverged_at = Arc::clone(&ctx.diverged_at);
-                let claimed = Arc::clone(&claimed);
-                let shard = &self.shards[worker];
-                let mut model = self.template.clone();
-                let delay = cfg.straggler_delay[worker];
-                let batch = cfg.per_worker_batch;
-                let (lr, mu) = (cfg.learning_rate, cfg.momentum);
-                let seed = cfg.seed;
-                let threshold = cfg.divergence_loss_threshold;
-                let sparse_enabled = cfg.sparse_push;
-                let telemetry = self.telemetry.clone();
-                handles.push(scope.spawn(move || {
-                    let mut profile = WorkerProfile::default();
-                    let mut hist = StalenessHistogram::new();
-                    let mut shard_hist = ServerShardStaleness::new(n_servers, n_shards);
-                    let mut buf = port.new_buffer();
-                    let mut scratch = StepScratch::default();
-                    let mut wt = telemetry.as_ref().map(WorkerTelemetry::new);
-                    // First-step start for the wall-clock throughput span.
-                    // ASP has no barrier, so wall and busy time only differ
-                    // by straggler sleeps and scheduler preemption.
-                    let mut wall_start: Option<Instant> = None;
-                    // Same panic containment as the BSP loop (no barrier
-                    // to release here — peers notice the abort flag at
-                    // their next step claim, or panic on the same dead
-                    // server themselves).
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        loop {
-                            // Relaxed: latest-wins flag; diverged_at is read
-                            // after thread join, which synchronizes.
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Relaxed: a pure ticket counter — atomicity alone
-                            // guarantees each step id is claimed exactly once;
-                            // no other data is published through it.
-                            let s = claimed.fetch_add(1, Ordering::Relaxed);
-                            if s >= steps {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            wall_start.get_or_insert(t0);
-                            let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            // Batch first: it says what the pull must fetch.
-                            let mut rng = step_rng(seed, worker, base_step + s);
-                            let (x, y) = shard.sample_batch(batch, &mut rng);
-                            pull_for_batch(
-                                &port,
-                                &mut model,
-                                &x,
-                                sparse_enabled,
-                                &mut buf,
-                                &mut scratch,
-                            );
-                            if let Some(d) = delay {
-                                std::thread::sleep(d);
-                            }
-                            let (loss, grad) = model.loss_and_grad(&x, &y);
-                            if !loss.is_finite() || loss > threshold {
-                                // Relaxed: read back only after thread join.
-                                diverged_at.store(base_step + s, Ordering::Relaxed);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            // Shard-granular push: per-shard staleness comes
-                            // from each shard clock's pre-apply value versus
-                            // the clock captured at pull time. Sparse-input
-                            // models ship only the rows the step pulled.
-                            let staleness = push_maybe_sparse(
-                                &port,
-                                &grad,
-                                &mut scratch,
-                                &buf,
-                                lr,
-                                mu,
-                                &mut shard_hist,
-                            );
-                            let step_time = t0.elapsed();
-                            profile.step_durations.push(step_time);
-                            profile.losses.push(loss);
-                            hist.record(staleness);
-                            if let Some(ws) = wall_start {
-                                profile.wall_time = ws.elapsed();
-                            }
-                            if let Some(w) = wt.as_mut() {
-                                w.staleness(staleness);
-                                w.step(worker, base_step + s, step_ns, step_time);
-                            }
-                        }
-                    }));
-                    if let Some(w) = wt.as_mut() {
-                        w.flush();
-                    }
-                    match run {
-                        Ok(()) => Ok((worker, profile, hist, shard_hist)),
-                        Err(_payload) => {
-                            abort.store(true, Ordering::Relaxed);
-                            Err(worker)
-                        }
-                    }
-                }));
-            }
-            collect_worker_results(handles)
+        let port = self.plane.port();
+        let (n_servers, n_shards) = (port.server_count(), port.shard_count());
+        let gate = RoundGate::new();
+        let diverged_at = AtomicU64::new(u64::MAX);
+        let tail = &match protocol {
+            SyncProtocol::Bsp => SyncTail::Barrier(BspShared::new(port, active.len())),
+            SyncProtocol::Asp => SyncTail::Async(AsyncShared::new(self.cfg.workers, active, leash)),
+        };
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = (active.iter().enumerate())
+                .map(|(rank, &id)| {
+                    let w = Worker {
+                        id,
+                        rank,
+                        port: port.clone(),
+                        shard: &self.shards[id],
+                        model: self.template.clone(),
+                        cfg: &self.cfg,
+                        base_step: self.global_step,
+                        gate: &gate,
+                        diverged_at: &diverged_at,
+                        profile: WorkerProfile::default(),
+                        hist: StalenessHistogram::new(),
+                        shard_hist: ServerShardStaleness::new(n_servers, n_shards),
+                        buf: port.new_buffer(),
+                        scratch: StepScratch::default(),
+                        wt: self.telemetry.as_ref().map(WorkerTelemetry::new),
+                        wall_start: None,
+                    };
+                    scope.spawn(move || w.run(tail, steps))
+                })
+                .collect();
+            // The threads catch their own unwinds, so `join` itself cannot
+            // fail; the first dead worker in join order names the failure
+            // (the scope joins whatever the short-circuit leaves).
+            (handles.into_iter())
+                .map(|h| h.join().expect("worker threads catch their own panics"))
+                .collect::<Result<Vec<_>, usize>>()
         })
-    }
-}
-
-/// Joins a segment's worker threads, separating clean results from caught
-/// panics: the first dead worker (lowest join order) wins and the segment
-/// fails with [`PsError::WorkerPanicked`]. The threads caught their own
-/// unwinds, so `join` itself cannot fail; the panic payload was already
-/// printed to stderr by the default hook when the thread panicked.
-pub(crate) fn collect_worker_results(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<WorkerResult, usize>>>,
-) -> Result<Vec<WorkerResult>, PsError> {
-    let mut out = Vec::with_capacity(handles.len());
-    let mut died: Option<usize> = None;
-    for h in handles {
-        match h.join().expect("worker threads catch their own panics") {
-            Ok(r) => out.push(r),
-            Err(worker) => died = died.or(Some(worker)),
+        .map_err(|worker| PsError::WorkerPanicked { worker })?;
+        // Relaxed: the worker threads were joined by the scope above, and
+        // joining synchronizes-with everything they wrote.
+        match diverged_at.load(Ordering::Relaxed) {
+            u64::MAX => Ok(results),
+            step => Err(PsError::Diverged { step }),
         }
-    }
-    match died {
-        None => Ok(out),
-        Some(worker) => Err(PsError::WorkerPanicked { worker }),
     }
 }
 
@@ -1817,33 +1641,103 @@ mod tests {
     #[test]
     fn segments_record_step_and_barrier_telemetry() {
         let mut t = small_trainer(3, 21);
-        let asp_steps = 40;
-        let bsp_rounds = 10;
+        let (asp_steps, bsp_rounds, ssp_steps) = (40, 10, 30);
+        let barrier_waits = |t: &Trainer| {
+            let snap = t
+                .telemetry()
+                .expect("telemetry defaults on")
+                .metrics
+                .snapshot();
+            let hist = snap.histograms.get("engine.barrier_wait_ns");
+            hist.map_or(0, |h| h.count)
+        };
+        // ASP is the leashless loop: it never touches the gate, so it adds
+        // nothing to the histogram the controller's promote rule reads.
         t.run_segment(SyncProtocol::Asp, asp_steps).unwrap();
+        assert_eq!(barrier_waits(&t), 0);
+        // BSP parked each worker at the barrier each round.
         t.run_segment(SyncProtocol::Bsp, bsp_rounds).unwrap();
-        let bus = t.telemetry().expect("telemetry defaults on");
+        assert_eq!(barrier_waits(&t), 3 * bsp_rounds);
+        // SSP waits at the gate once per step claim, and every worker
+        // claims once more to find the budget spent.
+        t.run_ssp_segment(1, ssp_steps).unwrap();
+        let waits = 3 * bsp_rounds + ssp_steps + 3;
+        assert_eq!(barrier_waits(&t), waits);
+        let bus = t.telemetry().unwrap();
         // Every completed step incremented the counter and recorded a
-        // duration: 40 ASP steps plus one step per worker per BSP round.
+        // duration: the ASP and SSP steps plus one step per worker per BSP
+        // round.
         let snap = bus.metrics.snapshot();
-        let expected = asp_steps + 3 * bsp_rounds;
+        let expected = asp_steps + 3 * bsp_rounds + ssp_steps;
         assert_eq!(snap.counters.get("engine.steps"), Some(&expected));
         let step_hist = snap.histograms.get("engine.step_ns").unwrap();
         assert_eq!(step_hist.count, expected);
         assert!(step_hist.sum > 0);
-        // ASP staleness observations: one per step.
+        // Staleness observations: one per asynchronous step, none for BSP.
         assert_eq!(
             snap.histograms.get("engine.staleness").unwrap().count,
-            asp_steps
-        );
-        // BSP parked each worker at the barrier each round.
-        assert_eq!(
-            snap.histograms.get("engine.barrier_wait_ns").unwrap().count,
-            3 * bsp_rounds
+            asp_steps + ssp_steps
         );
         // The trace carries matching step and barrier-wait spans.
         let counts = bus.trace.counts_by_name();
         assert_eq!(counts.get("step"), Some(&expected));
-        assert_eq!(counts.get("barrier_wait"), Some(&(3 * bsp_rounds)));
+        assert_eq!(counts.get("barrier_wait"), Some(&waits));
+    }
+
+    #[test]
+    fn single_worker_asp_equals_leashed_ssp_on_every_plane() {
+        // With one worker nothing is concurrent, so a leash of any length
+        // never holds and SSP must be ASP bit for bit — on the single
+        // store, through the in-process router, and over a wire tier.
+        let inproc = crate::config::ServerTopology::new(2, 4);
+        let planes = [
+            (5, crate::config::ServerTopology::default()),
+            (7, inproc),
+            (7, inproc.with_transport(TransportKind::Channel)),
+        ];
+        for (shards, topology) in planes {
+            let run = |leash: Option<u64>| {
+                let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 31);
+                let (train, test) = data.split(0.25);
+                let mut cfg = TrainerConfig::new(1, 8, 0.05, 0.9)
+                    .with_seed(31)
+                    .with_topology(topology);
+                cfg.shards = shards;
+                let mut t = Trainer::new(Network::mlp(6, &[16], 4, 31), train, test, cfg);
+                let r = t.run_leashed(SyncProtocol::Asp, leash, 40).unwrap();
+                (t.checkpoint(), r.staleness, r.shard_staleness.max())
+            };
+            let asp = run(None);
+            for bound in [0, 3] {
+                let ssp = run(Some(bound));
+                assert_eq!(ssp.0.params, asp.0.params, "{topology:?} SSP({bound})");
+                assert_eq!(ssp.0.velocity, asp.0.velocity, "{topology:?} SSP({bound})");
+                assert_eq!(ssp.1, asp.1, "{topology:?} SSP({bound}) staleness");
+                assert_eq!(ssp.2, asp.2, "{topology:?} SSP({bound}) shard staleness");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_tier_is_divergence_under_every_protocol() {
+        // One worker, one step, from a checkpoint whose velocity holds a
+        // NaN: the step pulls finite parameters and computes a finite loss,
+        // and its own apply poisons the parameters. Whatever the protocol,
+        // that segment is `Diverged` and the step counter stays put — SSP
+        // used to report it `Ok(finite: false)` and advance.
+        let ssp2 = (SyncProtocol::Asp, Some(2));
+        for (protocol, leash) in [(SyncProtocol::Bsp, None), (SyncProtocol::Asp, None), ssp2] {
+            let mut t = small_trainer(1, 33);
+            let mut poisoned = t.checkpoint();
+            poisoned.velocity[0] = f32::NAN;
+            t.restore(&poisoned).unwrap();
+            match t.run_leashed(protocol, leash, 1) {
+                Err(PsError::Diverged { step }) => assert_eq!(step, 1),
+                other => panic!("{protocol} leash {leash:?}: expected Diverged, got {other:?}"),
+            }
+            assert_eq!(t.global_step(), 0, "{protocol} leash {leash:?} advanced");
+            assert!(!t.check_finite());
+        }
     }
 
     #[test]

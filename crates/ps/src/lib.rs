@@ -58,7 +58,7 @@ pub use error::PsError;
 pub use profiler::{
     ServerShardStaleness, ShardStaleness, StalenessHistogram, TransportStats, WireOp, WorkerProfile,
 };
-pub use router::{PortBuffer, RouterBuffer, ShardRouter, WorkerPort};
+pub use router::{PortBuffer, ShardRouter, WorkerPort};
 pub use server::PsServer;
 pub use store::{PullBuffer, ShardLayout, ShardedStore, UpdateData};
 pub use supervisor::ServerSupervisor;

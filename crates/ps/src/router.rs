@@ -13,9 +13,17 @@
 //! committed store, bounding how far any server's published view can trail
 //! its live state.
 //!
-//! The [`WorkerPort`] enum lets the engine's worker loops drive either this
-//! router or the single-server [`ShardedStore`] through one interface, so
-//! BSP/ASP/SSP share their loops across topologies.
+//! Everything in that paragraph that is *not* "how a request reaches a
+//! server" — the ownership map, the push-counter version clock, the stage-2
+//! schedule and the effective version of a pulled image — lives once, in
+//! [`Tier`], embedded by this in-process router and by the wire-backed
+//! [`crate::NetRouter`] alike, so staleness and round scheduling cannot
+//! differ between the two.
+//!
+//! The [`WorkerPort`] enum lets the engine's worker loops drive either
+//! router or the single-server [`ShardedStore`] through one interface and
+//! one buffer type ([`PullBuffer`]), so BSP/ASP/SSP share their loops across
+//! topologies.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,14 +35,30 @@ use crate::server::PsServer;
 use crate::store::{PullBuffer, ShardLayout, ShardedStore, UpdateData};
 use crate::transport::NetPort;
 
-/// A multi-server parameter-server tier: N owners behind one routing layer.
+/// One server's slice of a tier, as every party derives it from the
+/// `(param_count, shards, servers)` triple.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ServerSlice {
+    /// First global shard id owned by the server.
+    pub(crate) shard_offset: usize,
+    /// Number of owned shards.
+    pub(crate) shard_count: usize,
+    /// `(offset, len)` of the owned slice of the flat parameter vector.
+    pub(crate) param_range: (usize, usize),
+}
+
+/// The client-side state of a multi-server tier, shared by every worker of
+/// one trainer: who owns which shard, the cluster version clock, and the
+/// OSP-style two-stage schedule. What a router adds is only how a
+/// commit-all reaches a server and what its round lock guards.
 #[derive(Debug)]
-pub struct ShardRouter {
-    servers: Vec<PsServer>,
+pub(crate) struct Tier {
     /// Global parameter layout (shard id → flat range).
     layout: ShardLayout,
     /// Global shard id → owning server index.
     owner: Vec<usize>,
+    /// Per server, the contiguous run of shards and parameters it owns.
+    slices: Vec<ServerSlice>,
     /// Completed pushes — the cluster-global version clock.
     version: AtomicU64,
     /// Stage-2 period in completed pushes.
@@ -47,6 +71,174 @@ pub struct ShardRouter {
     /// barriers, switches) advance the schedule to "now" instead of
     /// postponing the next periodic round.
     synced_version: AtomicU64,
+}
+
+impl Tier {
+    /// The tier of `param_count` parameters in `shards` shards owned by
+    /// `servers` servers — shards clamped to the parameter count and
+    /// servers to the shard count, so no shard or server is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the three is zero (see [`ShardLayout::new`]).
+    pub(crate) fn new(param_count: usize, shards: usize, servers: usize, sync_every: u64) -> Self {
+        let layout = ShardLayout::new(param_count, shards);
+        let mut owner = vec![0usize; layout.len()];
+        let slices = ShardLayout::new(layout.len(), servers)
+            .iter()
+            .enumerate()
+            .map(|(s, (first, count))| {
+                owner[first..first + count].fill(s);
+                let (last_offset, last_len) = layout.range(first + count - 1);
+                let offset = layout.range(first).0;
+                ServerSlice {
+                    shard_offset: first,
+                    shard_count: count,
+                    param_range: (offset, last_offset + last_len - offset),
+                }
+            })
+            .collect();
+        Tier {
+            layout,
+            owner,
+            slices,
+            version: AtomicU64::new(0),
+            sync_every: sync_every.max(1),
+            rounds: AtomicU64::new(0),
+            synced_version: AtomicU64::new(0),
+        }
+    }
+
+    /// A fresh instance of server `s` holding its slice of `initial`.
+    pub(crate) fn server(&self, s: usize, initial: &[f32]) -> PsServer {
+        let (first, count) = (self.slices[s].shard_offset, self.slices[s].shard_count);
+        PsServer::new(s, &self.layout, first, count, initial)
+    }
+
+    /// Every server's slice, in id order.
+    pub(crate) fn slices(&self) -> &[ServerSlice] {
+        &self.slices
+    }
+
+    pub(crate) fn server_count(&self) -> usize {
+        self.slices.len()
+    }
+
+    pub(crate) fn param_count(&self) -> usize {
+        self.layout.total()
+    }
+
+    pub(crate) fn shard_count(&self) -> usize {
+        self.layout.len()
+    }
+
+    pub(crate) fn shard_range(&self, g: usize) -> (usize, usize) {
+        self.layout.range(g)
+    }
+
+    pub(crate) fn owner_of(&self, g: usize) -> usize {
+        self.owner[g]
+    }
+
+    pub(crate) fn sync_every(&self) -> u64 {
+        self.sync_every
+    }
+
+    pub(crate) fn version(&self) -> u64 {
+        // Acquire: pairs with the Release bump in `complete_push`.
+        self.version.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn sync_rounds(&self) -> u64 {
+        self.rounds.load(Ordering::Acquire)
+    }
+
+    /// Completes a logical push: bumps the global version and returns the
+    /// push's staleness relative to `pulled_version` (race-free, from the
+    /// `fetch_add` return value — as the single store does).
+    pub(crate) fn complete_push(&self, pulled_version: u64) -> u64 {
+        // Release: pairs with the Acquire load in `version`.
+        self.version
+            .fetch_add(1, Ordering::Release)
+            .saturating_sub(pulled_version)
+    }
+
+    /// Runs stage-2 rounds while the push counter is `sync_every` or more
+    /// past the last round's watermark. Called after each completed push of
+    /// an asynchronous loop: the worker whose push crosses the boundary
+    /// performs the round; concurrent callers serialize on the router's
+    /// round lock (`lock`), and whoever runs a round (`round`, which must
+    /// go through [`Tier::commit_round`]) advances the watermark to the
+    /// version it observed, so rounds that became redundant while waiting
+    /// are skipped rather than replayed.
+    pub(crate) fn reconcile_if_due<G>(&self, lock: impl Fn() -> G, mut round: impl FnMut(&mut G)) {
+        loop {
+            let synced = self.synced_version.load(Ordering::Acquire);
+            if self.version() < synced.saturating_add(self.sync_every) {
+                return;
+            }
+            let mut held = lock();
+            // Re-check under the lock: a concurrent worker may have run a
+            // round while we waited. Loop rather than return — the counter
+            // may already be a full period past the new watermark too.
+            if self.synced_version.load(Ordering::Acquire) != synced {
+                continue;
+            }
+            round(&mut held);
+        }
+    }
+
+    /// One stage-2 round, caller holding its round lock: `commit_all`
+    /// commits every owned shard on every server, then the watermark
+    /// advances to the version read at the start of the round
+    /// (conservative — the commits include at least every apply published
+    /// by those pushes). Returns the number of rounds completed so far.
+    pub(crate) fn commit_round(&self, commit_all: impl FnOnce()) -> u64 {
+        let observed = self.version();
+        commit_all();
+        let round = self.rounds.fetch_add(1, Ordering::Release) + 1;
+        // Release: publishes the committed stores' writes (ordered by
+        // their shard locks, and on a wire tier by the request/reply round
+        // trips) together with the watermark.
+        self.synced_version.store(observed, Ordering::Release);
+        round
+    }
+
+    /// A pull of the committed view: sizes `buf` for the tier, lets `fill`
+    /// write every server's parameters and committed shard clocks into it,
+    /// and records and returns the **effective data version** — the oldest
+    /// committed shard clock, floored by the push counter read before the
+    /// fill — not the live counter itself. The parameters pulled are the
+    /// committed view, which can trail the counter by up to a stage-2
+    /// period; measuring push staleness against the counter would report a
+    /// worker training on `sync_every`-stale data as perfectly fresh.
+    /// Against the data version, the global staleness histogram and the
+    /// per-shard records agree.
+    pub(crate) fn pull_with(
+        &self,
+        buf: &mut PullBuffer,
+        fill: impl FnOnce(&mut [f32], &mut [u64]),
+    ) -> u64 {
+        let version = self.version();
+        buf.params.resize(self.param_count(), 0.0);
+        buf.shard_versions.resize(self.shard_count(), 0);
+        fill(&mut buf.params, &mut buf.shard_versions);
+        // Every push applies to every shard exactly once, so a committed
+        // shard clock counts the pushes published for that shard; the
+        // oldest clock is the version of the stalest data in the image.
+        // In-flight applies can push clocks past the completed-push
+        // counter, hence the floor.
+        let oldest = buf.shard_versions.iter().copied().min();
+        buf.version = oldest.unwrap_or(version).min(version);
+        buf.version
+    }
+}
+
+/// A multi-server parameter-server tier: N owners behind one routing layer.
+#[derive(Debug)]
+pub struct ShardRouter {
+    servers: Vec<PsServer>,
+    tier: Tier,
     /// Serializes stage-2 rounds; holds the reusable copy scratch.
     sync: Mutex<Vec<f32>>,
 }
@@ -61,36 +253,28 @@ impl ShardRouter {
     /// Panics if `initial` is empty, `shards == 0`, or the topology is
     /// invalid (see [`ServerTopology::validate`]).
     pub fn new(initial: &[f32], shards: usize, topology: ServerTopology) -> Self {
-        assert!(!initial.is_empty(), "cannot shard zero parameters");
-        assert!(shards > 0, "need at least one shard");
         if let Err(msg) = topology.validate() {
             panic!("invalid topology: {msg}");
         }
-        let layout = ShardLayout::new(initial.len(), shards);
-        let ownership = ShardLayout::new(layout.len(), topology.servers);
-        let mut owner = vec![0usize; layout.len()];
-        let servers: Vec<PsServer> = (0..ownership.len())
-            .map(|s| {
-                let (first, count) = ownership.range(s);
-                owner[first..first + count].iter_mut().for_each(|o| *o = s);
-                PsServer::new(s, &layout, first, count, initial)
-            })
+        let tier = Tier::new(initial.len(), shards, topology.servers, topology.sync_every);
+        let servers = (0..tier.server_count())
+            .map(|s| tier.server(s, initial))
             .collect();
         ShardRouter {
             servers,
-            layout,
-            owner,
-            version: AtomicU64::new(0),
-            sync_every: topology.sync_every.max(1),
-            rounds: AtomicU64::new(0),
-            synced_version: AtomicU64::new(0),
+            tier,
             sync: Mutex::new(Vec::new()),
         }
     }
 
+    /// The layout, ownership map and two-stage clock.
+    pub(crate) fn tier(&self) -> &Tier {
+        &self.tier
+    }
+
     /// Number of servers (after clamping to the shard count).
     pub fn server_count(&self) -> usize {
-        self.servers.len()
+        self.tier.server_count()
     }
 
     /// The server instances, in id order.
@@ -100,38 +284,37 @@ impl ShardRouter {
 
     /// Total number of parameters.
     pub fn param_count(&self) -> usize {
-        self.layout.total()
+        self.tier.param_count()
     }
 
     /// Number of global shards.
     pub fn shard_count(&self) -> usize {
-        self.layout.len()
+        self.tier.shard_count()
     }
 
     /// `(offset, len)` of global shard `g` in the flat vector.
     pub fn shard_range(&self, g: usize) -> (usize, usize) {
-        self.layout.range(g)
+        self.tier.shard_range(g)
     }
 
     /// The server owning global shard `g`.
     pub fn owner_of(&self, g: usize) -> usize {
-        self.owner[g]
+        self.tier.owner_of(g)
     }
 
     /// Stage-2 period in completed pushes.
     pub fn sync_every(&self) -> u64 {
-        self.sync_every
+        self.tier.sync_every()
     }
 
     /// Cluster-global version: number of completed pushes.
     pub fn version(&self) -> u64 {
-        // Acquire: pairs with the Release bump in `complete_push`.
-        self.version.load(Ordering::Acquire)
+        self.tier.version()
     }
 
     /// Completed stage-2 reconciliation rounds.
     pub fn sync_rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Acquire)
+        self.tier.sync_rounds()
     }
 
     /// Stage-1 apply: routes the gradient slice for global shard `g` to its
@@ -139,7 +322,7 @@ impl ShardRouter {
     /// shard clock before the apply (see
     /// [`ShardedStore::apply_shard_update`]).
     pub fn apply_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) -> u64 {
-        let server = &self.servers[self.owner[g]];
+        let server = &self.servers[self.tier.owner_of(g)];
         server.apply_local(g - server.shard_offset(), grad, lr, momentum)
     }
 
@@ -154,42 +337,21 @@ impl ShardRouter {
         lr: f64,
         momentum: f64,
     ) -> u64 {
-        let server = &self.servers[self.owner[g]];
+        let server = &self.servers[self.tier.owner_of(g)];
         server.apply_local_data(g - server.shard_offset(), data, lr, momentum)
     }
 
     /// Completes a logical push: bumps the global version and returns the
-    /// push's staleness relative to `pulled_version` (race-free, from the
-    /// `fetch_add` return value — as the single store does).
+    /// push's staleness relative to `pulled_version`.
     pub fn complete_push(&self, pulled_version: u64) -> u64 {
-        // Release: pairs with the Acquire loads in `version`/`pull_into`.
-        self.version
-            .fetch_add(1, Ordering::Release)
-            .saturating_sub(pulled_version)
+        self.tier.complete_push(pulled_version)
     }
 
     /// Runs a stage-2 round if the push counter has moved `sync_every`
-    /// past the last round's watermark. Called by the asynchronous worker
-    /// loops after each completed push: the worker whose push crosses the
-    /// boundary performs the round; concurrent callers serialize on the
-    /// round lock, and whoever runs a round advances the watermark to the
-    /// version it observed, so rounds that became redundant while waiting
-    /// are skipped rather than replayed.
+    /// past the last round's watermark (see [`Tier::reconcile_if_due`]).
     pub fn reconcile_if_due(&self) {
-        loop {
-            let synced = self.synced_version.load(Ordering::Acquire);
-            if self.version() < synced.saturating_add(self.sync_every) {
-                return;
-            }
-            let mut scratch = self.sync.lock();
-            // Re-check under the lock: a concurrent worker may have run a
-            // round while we waited. Loop rather than return — the counter
-            // may already be a full period past the new watermark too.
-            if self.synced_version.load(Ordering::Acquire) != synced {
-                continue;
-            }
-            self.commit_round(&mut scratch);
-        }
+        self.tier
+            .reconcile_if_due(|| self.sync.lock(), |scratch| self.commit_round(scratch));
     }
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
@@ -200,39 +362,25 @@ impl ShardRouter {
     /// postpones (nor hastens) the next due round relative to the pushes
     /// that follow it.
     pub fn drain(&self) {
-        let mut scratch = self.sync.lock();
-        self.commit_round(&mut scratch);
+        self.commit_round(&mut self.sync.lock());
     }
 
-    /// One stage-2 round, caller holding the round lock: commits every
-    /// owned shard on every server and advances the watermark to the
-    /// version read at the start of the round (conservative — the commits
-    /// include at least every apply published by those pushes).
+    /// One stage-2 round, caller holding the round lock: a direct
+    /// commit-all on every server.
     fn commit_round(&self, scratch: &mut Vec<f32>) {
-        let observed = self.version();
-        for server in &self.servers {
-            server.commit_all(scratch);
-        }
-        self.rounds.fetch_add(1, Ordering::Release);
-        // Release: publishes the committed stores' writes (ordered by
-        // their shard locks) together with the watermark.
-        self.synced_version.store(observed, Ordering::Release);
+        self.tier.commit_round(|| {
+            for server in &self.servers {
+                server.commit_all(scratch);
+            }
+        });
     }
 
     /// Assembles the committed view of all servers into `buf` and returns
-    /// the version of the pulled data. Zero heap allocations after the
-    /// first call, and a single copy of the parameter vector: each server
-    /// writes its committed shards directly into the flat buffer.
-    ///
-    /// The returned (and recorded) version is the **effective data
-    /// version** — the oldest committed shard clock, floored by the live
-    /// push counter — not the live counter itself. The parameters pulled
-    /// here are the committed view, which can trail the counter by up to a
-    /// stage-2 period; measuring push staleness against the counter would
-    /// report a worker training on `sync_every`-stale data as perfectly
-    /// fresh. Against the data version, the global staleness histogram and
-    /// the per-shard records agree.
-    pub fn pull_committed_into(&self, buf: &mut RouterBuffer) -> u64 {
+    /// the effective version of the pulled data (see [`Tier::pull_with`]).
+    /// Zero heap allocations after the first call, and a single copy of the
+    /// parameter vector: each server writes its committed shards directly
+    /// into the flat buffer.
+    pub fn pull_committed_into(&self, buf: &mut PullBuffer) -> u64 {
         self.pull_committed_runs_into(buf, &[(0, self.param_count())])
     }
 
@@ -242,57 +390,38 @@ impl ShardRouter {
     /// runs keep whatever `buf` held, and every shard's committed clock
     /// (hence the returned effective version) is recorded exactly as a full
     /// pull records it.
-    pub fn pull_committed_runs_into(&self, buf: &mut RouterBuffer, runs: &[(usize, usize)]) -> u64 {
-        // Acquire: see `version`.
-        let version = self.version.load(Ordering::Acquire);
-        buf.params.resize(self.param_count(), 0.0);
-        buf.shard_versions.resize(self.shard_count(), 0);
-        let params = &mut buf.params;
-        for server in &self.servers {
-            let so = server.shard_offset();
-            server.pull_committed_runs(
-                runs,
-                server.param_range().0,
-                &mut buf.shard_versions[so..so + server.shard_count()],
-                |at, values| params[at..at + values.len()].copy_from_slice(values),
-            );
-        }
-        // Every push applies to every shard exactly once, so a committed
-        // shard clock counts the pushes published for that shard; the
-        // oldest clock is the version of the stalest data in the image.
-        // In-flight applies can push clocks past the completed-push
-        // counter, hence the floor.
-        let effective = buf
-            .shard_versions
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(version)
-            .min(version);
-        buf.version = effective;
-        effective
+    pub fn pull_committed_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
+        self.tier.pull_with(buf, |params, clocks| {
+            for server in &self.servers {
+                let so = server.shard_offset();
+                server.pull_committed_runs(
+                    runs,
+                    server.param_range().0,
+                    &mut clocks[so..so + server.shard_count()],
+                    |at, values| params[at..at + values.len()].copy_from_slice(values),
+                );
+            }
+        })
     }
 
     /// Snapshot of the full live parameter vector (authoritative state).
+    pub fn snapshot_params(&self) -> Vec<f32> {
+        self.snapshot(ShardedStore::snapshot_params_into)
+    }
+
+    /// Snapshot of the full live velocity vector.
+    pub fn snapshot_velocity(&self) -> Vec<f32> {
+        self.snapshot(ShardedStore::snapshot_velocity_into)
+    }
+
     /// Each server's slice is copied in place — no per-server temporaries,
     /// which matters because the switcher polls `Trainer::training_loss`
     /// (and therefore this) in its decision loop.
-    pub fn snapshot_params(&self) -> Vec<f32> {
+    fn snapshot(&self, copy_into: impl Fn(&ShardedStore, &mut [f32])) -> Vec<f32> {
         let mut out = vec![0.0f32; self.param_count()];
         for server in &self.servers {
             let (po, pl) = server.param_range();
-            server.live().snapshot_params_into(&mut out[po..po + pl]);
-        }
-        out
-    }
-
-    /// Snapshot of the full live velocity vector (assembled in place, as
-    /// [`ShardRouter::snapshot_params`]).
-    pub fn snapshot_velocity(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.param_count()];
-        for server in &self.servers {
-            let (po, pl) = server.param_range();
-            server.live().snapshot_velocity_into(&mut out[po..po + pl]);
+            copy_into(server.live(), &mut out[po..po + pl]);
         }
         out
     }
@@ -332,78 +461,15 @@ impl ShardRouter {
     }
 }
 
-/// Reusable pull destination for the multi-server path: the assembled flat
-/// committed image, the committed clock per global shard, and the
-/// effective data version.
-#[derive(Debug, Default)]
-pub struct RouterBuffer {
-    pub(crate) params: Vec<f32>,
-    pub(crate) shard_versions: Vec<u64>,
-    pub(crate) version: u64,
-}
+/// A worker's pull destination: every port pulls into the same
+/// [`PullBuffer`], so a buffer cannot mismatch its port.
+pub type PortBuffer = PullBuffer;
 
-impl RouterBuffer {
-    /// Creates an empty buffer; the first pull sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The assembled flat parameter vector from the last pull.
-    pub fn params(&self) -> &[f32] {
-        &self.params
-    }
-
-    /// Global version observed at the start of the last pull.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Committed clocks of every global shard observed during the pull.
-    pub fn shard_versions(&self) -> &[u64] {
-        &self.shard_versions
-    }
-}
-
-/// A worker's pull destination for either topology. Constructed by
-/// [`WorkerPort::new_buffer`]; the variant always matches the port.
-#[derive(Debug)]
-pub enum PortBuffer {
-    /// Single-server: the store's own zero-alloc buffer.
-    Single(PullBuffer),
-    /// Multi-server (in-process or transport-backed): the assembled
-    /// committed view.
-    Routed(RouterBuffer),
-}
-
-impl PortBuffer {
-    /// The pulled flat parameter vector.
-    pub fn params(&self) -> &[f32] {
-        match self {
-            PortBuffer::Single(b) => b.params(),
-            PortBuffer::Routed(b) => &b.params,
-        }
-    }
-
-    /// Global version observed at the start of the pull.
-    pub fn version(&self) -> u64 {
-        match self {
-            PortBuffer::Single(b) => b.version(),
-            PortBuffer::Routed(b) => b.version,
-        }
-    }
-
-    /// Clock of global shard `g` observed during the pull (live clock on
-    /// the single store; committed clock through the router).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range for the last pulled plane.
-    pub fn shard_version(&self, g: usize) -> u64 {
-        match self {
-            PortBuffer::Single(b) => b.shard_version(g),
-            PortBuffer::Routed(b) => b.shard_versions[g],
-        }
-    }
+/// Where a port's layout and push clock live: in the single store itself,
+/// or in the [`Tier`] both routers embed.
+enum Backing<'a> {
+    Store(&'a ShardedStore),
+    Tier(&'a Tier),
 }
 
 /// A worker thread's handle onto the data plane: the single in-process
@@ -423,64 +489,82 @@ pub enum WorkerPort {
 }
 
 impl WorkerPort {
-    /// A pull buffer of the matching variant (the transport-backed port
-    /// assembles the same committed view the in-process router does, so
-    /// both share the routed buffer).
-    pub fn new_buffer(&self) -> PortBuffer {
+    fn backing(&self) -> Backing<'_> {
         match self {
-            WorkerPort::Single(_) => PortBuffer::Single(PullBuffer::new()),
-            WorkerPort::Routed(_) | WorkerPort::Net(_) => PortBuffer::Routed(RouterBuffer::new()),
+            WorkerPort::Single(s) => Backing::Store(s),
+            WorkerPort::Routed(r) => Backing::Tier(r.tier()),
+            WorkerPort::Net(p) => Backing::Tier(p.router().tier()),
+        }
+    }
+
+    /// An empty pull buffer (the first pull sizes it).
+    pub fn new_buffer(&self) -> PortBuffer {
+        PullBuffer::new()
+    }
+
+    /// Total number of parameters.
+    pub(crate) fn param_count(&self) -> usize {
+        match self.backing() {
+            Backing::Store(s) => s.param_count(),
+            Backing::Tier(t) => t.param_count(),
         }
     }
 
     /// Number of global shards.
     pub fn shard_count(&self) -> usize {
-        match self {
-            WorkerPort::Single(s) => s.shard_count(),
-            WorkerPort::Routed(r) => r.shard_count(),
-            WorkerPort::Net(p) => p.router().shard_count(),
+        match self.backing() {
+            Backing::Store(s) => s.shard_count(),
+            Backing::Tier(t) => t.shard_count(),
         }
     }
 
     /// `(offset, len)` of global shard `g` in the flat vector.
     pub fn shard_range(&self, g: usize) -> (usize, usize) {
-        match self {
-            WorkerPort::Single(s) => s.shard_range(g),
-            WorkerPort::Routed(r) => r.shard_range(g),
-            WorkerPort::Net(p) => p.router().shard_range(g),
+        match self.backing() {
+            Backing::Store(s) => s.shard_range(g),
+            Backing::Tier(t) => t.shard_range(g),
         }
     }
 
     /// Number of servers behind this port (1 for the single store).
     pub fn server_count(&self) -> usize {
-        match self {
-            WorkerPort::Single(_) => 1,
-            WorkerPort::Routed(r) => r.server_count(),
-            WorkerPort::Net(p) => p.router().server_count(),
+        match self.backing() {
+            Backing::Store(_) => 1,
+            Backing::Tier(t) => t.server_count(),
         }
     }
 
     /// The server owning global shard `g` (0 for the single store).
     pub fn owner_of(&self, g: usize) -> usize {
-        match self {
-            WorkerPort::Single(_) => 0,
-            WorkerPort::Routed(r) => r.owner_of(g),
-            WorkerPort::Net(p) => p.router().owner_of(g),
+        match self.backing() {
+            Backing::Store(_) => 0,
+            Backing::Tier(t) => t.owner_of(g),
+        }
+    }
+
+    /// Cluster-global version: number of completed pushes.
+    pub(crate) fn version(&self) -> u64 {
+        match self.backing() {
+            Backing::Store(s) => s.version(),
+            Backing::Tier(t) => t.version(),
+        }
+    }
+
+    /// Completed stage-2 rounds (0 for the single store).
+    pub(crate) fn sync_rounds(&self) -> u64 {
+        match self.backing() {
+            Backing::Store(_) => 0,
+            Backing::Tier(t) => t.sync_rounds(),
         }
     }
 
     /// Pulls the worker-visible parameter image into `buf` and returns the
-    /// global version observed at the start of the pull.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` was created by a port of the other variant.
+    /// version of the pulled data.
     pub fn pull_into(&self, buf: &mut PortBuffer) -> u64 {
-        match (self, buf) {
-            (WorkerPort::Single(s), PortBuffer::Single(b)) => s.pull_into(b),
-            (WorkerPort::Routed(r), PortBuffer::Routed(b)) => r.pull_committed_into(b),
-            (WorkerPort::Net(p), PortBuffer::Routed(b)) => p.pull_into(b),
-            _ => panic!("pull buffer does not match the port topology"),
+        match self {
+            WorkerPort::Single(s) => s.pull_into(buf),
+            WorkerPort::Routed(r) => r.pull_committed_into(buf),
+            WorkerPort::Net(p) => p.pull_into(buf),
         }
     }
 
@@ -491,16 +575,11 @@ impl WorkerPort {
     /// positions outside them keep whatever `buf` held. The returned
     /// version and every shard clock in `buf` are what a full pull at the
     /// same moment would have recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` was created by a port of the other variant.
     pub fn pull_runs_into(&self, buf: &mut PortBuffer, runs: &[(usize, usize)]) -> u64 {
-        match (self, buf) {
-            (WorkerPort::Single(s), PortBuffer::Single(b)) => s.pull_runs_into(b, runs),
-            (WorkerPort::Routed(r), PortBuffer::Routed(b)) => r.pull_committed_runs_into(b, runs),
-            (WorkerPort::Net(p), PortBuffer::Routed(b)) => p.pull_runs_into(b, runs),
-            _ => panic!("pull buffer does not match the port topology"),
+        match self {
+            WorkerPort::Single(s) => s.pull_runs_into(buf, runs),
+            WorkerPort::Routed(r) => r.pull_committed_runs_into(buf, runs),
+            WorkerPort::Net(p) => p.pull_runs_into(buf, runs),
         }
     }
 
@@ -529,13 +608,10 @@ impl WorkerPort {
         lr: f64,
         momentum: f64,
     ) -> u64 {
+        let data = UpdateData::Sparse { indices, rows };
         match self {
-            WorkerPort::Single(s) => {
-                s.apply_shard_update_data(g, UpdateData::Sparse { indices, rows }, lr, momentum)
-            }
-            WorkerPort::Routed(r) => {
-                r.apply_shard_update_data(g, UpdateData::Sparse { indices, rows }, lr, momentum)
-            }
+            WorkerPort::Single(s) => s.apply_shard_update_data(g, data, lr, momentum),
+            WorkerPort::Routed(r) => r.apply_shard_update_data(g, data, lr, momentum),
             WorkerPort::Net(p) => p.apply_shard_update_sparse(g, indices, rows, lr, momentum),
         }
     }
@@ -590,10 +666,9 @@ impl WorkerPort {
 
     /// Completes a logical push and returns its global staleness.
     pub fn complete_push(&self, pulled_version: u64) -> u64 {
-        match self {
-            WorkerPort::Single(s) => s.complete_push(pulled_version),
-            WorkerPort::Routed(r) => r.complete_push(pulled_version),
-            WorkerPort::Net(p) => p.router().complete_push(pulled_version),
+        match self.backing() {
+            Backing::Store(s) => s.complete_push(pulled_version),
+            Backing::Tier(t) => t.complete_push(pulled_version),
         }
     }
 
@@ -683,7 +758,7 @@ mod tests {
     #[test]
     fn pulls_see_committed_view_only() {
         let r = router(24, 4, 2, 8);
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         let before = {
             r.pull_committed_into(&mut buf);
             buf.params.clone()
@@ -727,7 +802,7 @@ mod tests {
         assert_eq!(r.sync_rounds(), 0, "no round before the period");
         push(&r);
         assert_eq!(r.sync_rounds(), 1, "round at the period boundary");
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         r.pull_committed_into(&mut buf);
         for g in 0..r.shard_count() {
             assert_eq!(buf.shard_versions[g], 3);
@@ -795,44 +870,8 @@ mod tests {
         assert_eq!(r.snapshot_params(), params);
         assert_eq!(r.snapshot_velocity(), velocity);
         // Restore drains: the committed view matches immediately.
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         r.pull_committed_into(&mut buf);
         assert_eq!(buf.params, params);
-    }
-
-    #[test]
-    fn port_buffer_variants_match_ports() {
-        let initial = vec![1.0f32; 16];
-        let single = WorkerPort::Single(Arc::new(ShardedStore::new(&initial, 4)));
-        let routed = WorkerPort::Routed(Arc::new(ShardRouter::new(
-            &initial,
-            4,
-            ServerTopology::new(2, 1),
-        )));
-        for port in [&single, &routed] {
-            let mut buf = port.new_buffer();
-            assert_eq!(port.pull_into(&mut buf), 0);
-            assert_eq!(buf.params(), &initial[..]);
-            assert_eq!(buf.shard_version(3), 0);
-        }
-        assert_eq!(single.server_count(), 1);
-        assert_eq!(routed.server_count(), 2);
-        assert_eq!(single.owner_of(3), 0);
-        assert_eq!(routed.owner_of(0), 0);
-        assert_eq!(routed.owner_of(3), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn mismatched_buffer_panics() {
-        let initial = vec![1.0f32; 8];
-        let single = WorkerPort::Single(Arc::new(ShardedStore::new(&initial, 2)));
-        let routed = WorkerPort::Routed(Arc::new(ShardRouter::new(
-            &initial,
-            2,
-            ServerTopology::new(2, 1),
-        )));
-        let mut buf = single.new_buffer();
-        routed.pull_into(&mut buf);
     }
 }

@@ -1,25 +1,27 @@
-//! Stale Synchronous Parallel on the real parameter server — an extension
-//! substrate (the paper notes Sync-Switch "is agnostic to the underlying
-//! synchronization protocols", e.g. switching from SSP to ASP).
+//! The asynchronous sync tail: ASP, and Stale Synchronous Parallel as ASP
+//! on a leash — an extension substrate (the paper notes Sync-Switch "is
+//! agnostic to the underlying synchronization protocols", e.g. switching
+//! from SSP to ASP).
 //!
-//! SSP with bound `s`: updates apply asynchronously like ASP, but a worker
-//! may run at most `s` iterations ahead of the slowest active worker; it
-//! blocks at the gate otherwise. `s = 0` forces lock-step iterations;
-//! large `s` recovers ASP.
+//! Under both protocols a worker claims the next global step, runs the
+//! shared step prologue ([`Worker::compute_step`]) and applies its update
+//! at once. SSP with bound `s` adds one thing: a worker may run at most `s`
+//! iterations ahead of the slowest active worker, and waits at the gate
+//! otherwise. `s = 0` forces lock-step iterations; no leash at all *is*
+//! ASP, so that is how ASP is written — [`async_loop`] with
+//! `leash == None` builds no [`SspGate`], reads no floor, publishes no
+//! progress and records no barrier wait.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use sync_switch_workloads::SyncProtocol;
 
-use crate::engine::{SegmentReport, Trainer};
+use crate::engine::{SegmentReport, Trainer, Worker};
 use crate::error::PsError;
 use crate::gate::RoundGate;
-use crate::profiler::{ServerShardStaleness, StalenessHistogram, WorkerProfile};
 
-/// Progress gate shared by SSP workers: one completed-iteration counter per
-/// worker over the shared [`RoundGate`]. A worker stores its own counter and
+/// SSP progress: one completed-iteration counter per worker, watched
+/// through the segment's [`RoundGate`]. A worker stores its own counter and
 /// advances the gate; a worker that is too far ahead recomputes the floor
 /// from the counters inside [`RoundGate::wait_until`], so an unblocked step
 /// takes no lock and a step only pays for a wake-up when a peer is parked.
@@ -27,7 +29,6 @@ struct SspGate {
     /// Completed iterations per worker; [`DONE`] for a worker that has left
     /// the segment (or never took part), so it cannot hold the floor down.
     iterations: Vec<AtomicU64>,
-    gate: RoundGate,
 }
 
 /// Counter value of a worker that no longer takes steps.
@@ -45,11 +46,84 @@ impl SspGate {
     }
 
     /// Records `worker`'s progress, then wakes the waiters to re-read it.
-    fn publish(&self, worker: usize, iterations: u64) {
+    fn publish(&self, gate: &RoundGate, worker: usize, iterations: u64) {
         // Release: a waiter that reads this count also observes the pushes
         // it counts (they precede the store in program order).
         self.iterations[worker].store(iterations, Ordering::Release);
-        self.gate.advance();
+        gate.advance();
+    }
+}
+
+/// What the workers of one asynchronous segment share: the step ticket
+/// counter and, under SSP, the progress counters and the bound.
+pub(crate) struct AsyncShared {
+    claimed: AtomicU64,
+    leash: Option<(SspGate, u64)>,
+}
+
+impl AsyncShared {
+    /// Shared state for `active` of `workers` workers; `leash` is the SSP
+    /// bound, `None` for ASP.
+    pub(crate) fn new(workers: usize, active: &[usize], leash: Option<u64>) -> Self {
+        let ssp = |bound| {
+            let iterations = (0..workers)
+                .map(|w| AtomicU64::new(if active.contains(&w) { 0 } else { DONE }))
+                .collect();
+            (SspGate { iterations }, bound)
+        };
+        AsyncShared {
+            claimed: AtomicU64::new(0),
+            leash: leash.map(ssp),
+        }
+    }
+}
+
+/// ASP and SSP: workers claim global steps and apply updates immediately.
+///
+/// The hot path is allocation-free in the steady state: each worker reuses
+/// one pull buffer for every pull and pushes its gradient shard-by-shard,
+/// measuring per-shard staleness against the clocks captured at pull time.
+/// With no barrier, wall and busy time differ only by straggler sleeps,
+/// scheduler preemption and — under SSP — the gate waits.
+pub(crate) fn async_loop(w: &mut Worker<'_>, shared: &AsyncShared, steps: u64) {
+    let gate = w.gate;
+    let leash = shared.leash.as_ref();
+    let mut my_iter = 0u64;
+    loop {
+        if let Some((ssp, bound)) = leash {
+            // Wait while more than `bound` ahead. Because every push bumps
+            // every shard clock exactly once, capping the iteration lead
+            // caps the number of pushes — and therefore the staleness —
+            // that any *shard* can accumulate between this worker's pull
+            // and its push: a peer enters the window no more than `bound`
+            // iterations behind and leaves it no more than `bound + 1`
+            // ahead, so each of the other workers lands at most
+            // 2·bound + 2 applies per shard in the window.
+            w.wait_at_gate(|| my_iter <= ssp.floor().saturating_add(*bound));
+        }
+        if gate.is_aborted() {
+            break;
+        }
+        // Relaxed: a pure ticket counter — atomicity alone guarantees each
+        // step id is claimed exactly once; no other data is published
+        // through it.
+        let s = shared.claimed.fetch_add(1, Ordering::Relaxed);
+        if s >= steps {
+            if let Some((ssp, _)) = leash {
+                ssp.publish(gate, w.id, DONE);
+            }
+            break;
+        }
+        let Some(step) = w.compute_step(w.base_step + s) else {
+            break;
+        };
+        let staleness = w.push(&step);
+        w.record_step(&step, step.t0.elapsed(), Some(staleness));
+        w.mark_wall();
+        if let Some((ssp, _)) = leash {
+            my_iter += 1;
+            ssp.publish(gate, w.id, my_iter);
+        }
     }
 }
 
@@ -58,214 +132,18 @@ impl Trainer {
     ///
     /// The returned report carries `SyncProtocol::Asp` as its protocol tag
     /// (SSP is asynchronous-with-a-leash; the core policy enum stays
-    /// BSP/ASP per the paper), with the gate's effect visible in the wall
-    /// time and the measured staleness histogram.
+    /// BSP/ASP per the paper), and so does [`Trainer::protocol`]; the
+    /// gate's effect is visible in the wall time and the measured staleness
+    /// histogram.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::Diverged`] on a non-finite or above-threshold
-    /// loss and [`PsError::WorkerPanicked`] if a worker thread died
-    /// mid-segment (a dead server behind a transport-backed plane), as
-    /// with the other protocols.
+    /// As [`Trainer::run_segment`]: [`PsError::Diverged`] on a non-finite
+    /// or above-threshold loss or a non-finite tier at the end of the
+    /// segment, and [`PsError::WorkerPanicked`] if a worker thread died
+    /// mid-segment (a dead server behind a transport-backed plane).
     pub fn run_ssp_segment(&mut self, bound: u64, steps: u64) -> Result<SegmentReport, PsError> {
-        if steps == 0 {
-            return self.run_segment(SyncProtocol::Asp, 0);
-        }
-        // SSP is asynchronous-with-a-leash: the trainer's recorded protocol
-        // carries the same ASP tag the returned report does.
-        self.set_protocol(SyncProtocol::Asp);
-        let cfg = self.config().clone();
-        let active = cfg.active_workers();
-        if active.is_empty() {
-            return Err(PsError::InvalidConfig("all workers excluded".into()));
-        }
-        let workers = cfg.workers;
-        let ssp = Arc::new(SspGate {
-            iterations: (0..workers)
-                .map(|w| AtomicU64::new(if active.contains(&w) { 0 } else { DONE }))
-                .collect(),
-            gate: RoundGate::new(),
-        });
-        let diverged_at = Arc::new(AtomicU64::new(u64::MAX));
-        let claimed = Arc::new(AtomicU64::new(0));
-        let port = self.port();
-        let base_step = self.global_step();
-        let n_shards = port.shard_count();
-        let n_servers = port.server_count();
-        let rounds_before = self.sync_rounds();
-        let wire_before = self.transport_stats();
-        let telemetry = self.telemetry().cloned();
-
-        let start = Instant::now();
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(active.len());
-            for &worker in &active {
-                let ssp = Arc::clone(&ssp);
-                let diverged_at = Arc::clone(&diverged_at);
-                let claimed = Arc::clone(&claimed);
-                let port = port.clone();
-                let shard = self.shard(worker);
-                let mut model = self.model_template().clone();
-                let delay = cfg.straggler_delay[worker];
-                let batch = cfg.per_worker_batch;
-                let (lr, mu) = (cfg.learning_rate, cfg.momentum);
-                let seed = cfg.seed;
-                let threshold = cfg.divergence_loss_threshold;
-                let sparse_enabled = cfg.sparse_push;
-                let telemetry = telemetry.clone();
-                handles.push(scope.spawn(move || {
-                    let mut profile = WorkerProfile::default();
-                    let mut hist = StalenessHistogram::new();
-                    let mut shard_hist = ServerShardStaleness::new(n_servers, n_shards);
-                    let mut buf = port.new_buffer();
-                    let mut scratch = crate::engine::StepScratch::default();
-                    let mut wt = telemetry.as_ref().map(crate::engine::WorkerTelemetry::new);
-                    let mut my_iter = 0u64;
-                    // First-step start for the wall-clock throughput span —
-                    // under SSP the wall rate absorbs the gate waits the
-                    // busy rate hides.
-                    let mut wall_start: Option<Instant> = None;
-                    // Same panic containment as the BSP loop: a dying data
-                    // plane panics the worker, which aborts the gate so
-                    // peers held at it wake up and exit, and the segment
-                    // returns `WorkerPanicked`.
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        loop {
-                            // Gate: wait while more than `bound` ahead.
-                            // Because every push bumps every shard clock
-                            // exactly once, capping the iteration lead caps
-                            // the number of pushes — and therefore the
-                            // staleness — that any *shard* can accumulate
-                            // between this worker's pull and its push: a
-                            // peer enters the window no more than `bound`
-                            // iterations behind and leaves it no more than
-                            // `bound + 1` ahead, so each of the other
-                            // workers lands at most 2·bound + 2 applies per
-                            // shard in the window.
-                            let wait_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            let parked = ssp
-                                .gate
-                                .wait_until(|| my_iter <= ssp.floor().saturating_add(bound));
-                            // The SSP gate is this protocol's barrier: trace
-                            // the wait under the same span kind so straggler
-                            // back-pressure is visible in one place.
-                            if let Some(w) = wt.as_mut() {
-                                w.barrier_wait(worker, wait_ns, parked);
-                            }
-                            if ssp.gate.is_aborted() {
-                                break;
-                            }
-                            // Relaxed: pure ticket counter; atomicity alone
-                            // guarantees unique step ids.
-                            let s = claimed.fetch_add(1, Ordering::Relaxed);
-                            if s >= steps {
-                                ssp.publish(worker, DONE);
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            wall_start.get_or_insert(t0);
-                            let step_ns = wt.as_ref().map_or(0, |w| w.now_ns());
-                            // Batch first: it says what the pull must fetch.
-                            let mut rng = crate::engine::step_rng(seed, worker, base_step + s);
-                            let (x, y) = shard.sample_batch(batch, &mut rng);
-                            crate::engine::pull_for_batch(
-                                &port,
-                                &mut model,
-                                &x,
-                                sparse_enabled,
-                                &mut buf,
-                                &mut scratch,
-                            );
-                            if let Some(d) = delay {
-                                std::thread::sleep(d);
-                            }
-                            let (loss, grad) = model.loss_and_grad(&x, &y);
-                            if !loss.is_finite() || loss > threshold {
-                                // Relaxed: read back only after thread join.
-                                diverged_at.store(base_step + s, Ordering::Relaxed);
-                                ssp.gate.abort();
-                                break;
-                            }
-                            // Shard-granular push with per-shard staleness
-                            // measured against the pull-time shard clocks
-                            // (shared with the ASP loop so both protocols
-                            // measure identically — including the sparse
-                            // path for embedding workloads).
-                            let staleness = crate::engine::push_maybe_sparse(
-                                &port,
-                                &grad,
-                                &mut scratch,
-                                &buf,
-                                lr,
-                                mu,
-                                &mut shard_hist,
-                            );
-                            let step_time = t0.elapsed();
-                            profile.step_durations.push(step_time);
-                            profile.losses.push(loss);
-                            hist.record(staleness);
-                            if let Some(ws) = wall_start {
-                                profile.wall_time = ws.elapsed();
-                            }
-                            if let Some(w) = wt.as_mut() {
-                                w.staleness(staleness);
-                                w.step(worker, base_step + s, step_ns, step_time);
-                            }
-                            my_iter += 1;
-                            ssp.publish(worker, my_iter);
-                        }
-                    }));
-                    if let Some(w) = wt.as_mut() {
-                        w.flush();
-                    }
-                    match run {
-                        Ok(()) => Ok((worker, profile, hist, shard_hist)),
-                        Err(_payload) => {
-                            ssp.gate.abort();
-                            Err(worker)
-                        }
-                    }
-                }));
-            }
-            crate::engine::collect_worker_results(handles)
-        })?;
-        let wall_time = start.elapsed();
-
-        // Relaxed: the worker threads were joined by the scope above, and
-        // joining synchronizes-with everything they wrote.
-        let diverged = diverged_at.load(Ordering::Relaxed);
-        if diverged != u64::MAX {
-            return Err(PsError::Diverged { step: diverged });
-        }
-
-        let mut profiles = vec![WorkerProfile::default(); workers];
-        let mut staleness = StalenessHistogram::new();
-        let mut server_shard_staleness = ServerShardStaleness::new(n_servers, n_shards);
-        let mut tail = Vec::new();
-        for (worker, profile, hist, shard_hist) in results {
-            staleness.merge(&hist);
-            server_shard_staleness.merge(&shard_hist);
-            tail.extend(profile.losses.iter().rev().take(4).copied());
-            profiles[worker] = profile;
-        }
-        self.advance_global_step(steps);
-        Ok(SegmentReport {
-            protocol: SyncProtocol::Asp,
-            steps,
-            wall_time,
-            worker_profiles: profiles,
-            staleness,
-            shard_staleness: server_shard_staleness.flatten(),
-            server_shard_staleness,
-            sync_rounds: self.sync_rounds() - rounds_before,
-            transport: self.transport_stats().delta(&wire_before),
-            finite: self.check_finite(),
-            final_loss: if tail.is_empty() {
-                0.0
-            } else {
-                tail.iter().sum::<f32>() / tail.len() as f32
-            },
-        })
+        self.run_leashed(SyncProtocol::Asp, Some(bound), steps)
     }
 }
 

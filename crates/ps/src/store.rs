@@ -136,21 +136,25 @@ struct Shard {
     velocity: Vec<f32>,
 }
 
-/// A reusable pull destination: the flat parameter image plus the per-shard
-/// version clocks observed while each shard was copied.
+/// A reusable pull destination, the same for every data plane: the flat
+/// parameter image, the clock of every shard observed while that shard was
+/// copied (live on the single store, committed through a router), and the
+/// version of the pulled data.
 ///
-/// Construct once per worker and hand it to [`ShardedStore::pull_into`]
-/// every step; after the first pull no further heap allocation happens (the
-/// backing vectors are resized once and then rewritten in place).
+/// Construct once per worker and hand it to the plane's pull every step;
+/// after the first pull no further heap allocation happens (the backing
+/// vectors are resized once and then rewritten in place). The routers
+/// assemble — and the wire client decodes — each server's slice straight
+/// into the fields.
 #[derive(Debug, Default)]
 pub struct PullBuffer {
-    params: Vec<f32>,
-    shard_versions: Vec<u64>,
-    version: u64,
+    pub(crate) params: Vec<f32>,
+    pub(crate) shard_versions: Vec<u64>,
+    pub(crate) version: u64,
 }
 
 impl PullBuffer {
-    /// Creates an empty buffer; the first [`ShardedStore::pull_into`] sizes it.
+    /// Creates an empty buffer; the first pull sizes it.
     pub fn new() -> Self {
         Self::default()
     }
@@ -160,16 +164,18 @@ impl PullBuffer {
         &self.params
     }
 
-    /// Global store version observed at the start of the pull.
+    /// Version of the pulled data: the store's push counter at the start of
+    /// the pull, or through a router the effective version of the committed
+    /// image (see [`crate::ShardRouter::pull_committed_into`]).
     pub fn version(&self) -> u64 {
         self.version
     }
 
-    /// Version clock of `shard` observed while that shard was copied.
+    /// Clock of global shard `shard` observed while that shard was copied.
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range for the last pulled store.
+    /// Panics if `shard` is out of range for the last pulled plane.
     pub fn shard_version(&self, shard: usize) -> u64 {
         self.shard_versions[shard]
     }

@@ -169,7 +169,7 @@ impl ServerSupervisor {
 mod tests {
     use super::*;
     use crate::config::{ServerTopology, TransportKind};
-    use crate::router::RouterBuffer;
+    use crate::store::PullBuffer;
     use crate::transport::NetPort;
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
         assert_eq!(sup.heal(r).expect("heal"), 1);
 
         assert_eq!(r.snapshot_params(), expected, "state replayed on revive");
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         net.pull_into(&mut buf);
         assert_eq!(buf.params(), &expected[..], "restored state is committed");
     }

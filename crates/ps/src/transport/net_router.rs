@@ -1,5 +1,5 @@
-//! The transport-backed shard router: [`crate::ShardRouter`] semantics —
-//! ownership layout, cluster version clock, OSP-style two-stage sync —
+//! The transport-backed shard router: the [`Tier`] every router embeds —
+//! ownership layout, cluster version clock, OSP-style two-stage schedule —
 //! with every server interaction crossing a [`Transport`].
 //!
 //! The split of responsibilities mirrors a real PS deployment:
@@ -7,10 +7,12 @@
 //! * **Server-side state** (live + committed stores, shard clocks) lives in
 //!   the [`PsServer`]s owned by the transport's serving loops; the client
 //!   can only reach it through request/reply frames.
-//! * **Client-side state** (the push-counter version clock, the stage-2
-//!   watermark, the ownership map) lives here, shared by all workers of one
-//!   trainer — the same place [`crate::ShardRouter`] keeps it, so staleness
-//!   is measured identically across the in-process and wire tiers.
+//! * **Client-side state** is the [`Tier`], shared by all workers of one
+//!   trainer; it is the very struct [`crate::ShardRouter`] embeds, so
+//!   staleness is measured and rounds are scheduled identically across the
+//!   in-process and wire tiers. What this file adds is how a commit-all
+//!   reaches a server (a `SyncRound`/`Drain` frame under the retry policy)
+//!   and what the round lock guards (the control-plane connections).
 //!
 //! Workers hold a [`NetPort`] clone each; a clone lazily opens its own
 //! connection per server (connection-per-worker on both backends), so
@@ -47,9 +49,9 @@ use super::{Conn, Transport};
 use crate::config::{RetryPolicy, ServerTopology, TransportKind};
 use crate::error::PsError;
 use crate::profiler::{TransportStats, WireOp};
-use crate::router::RouterBuffer;
+use crate::router::Tier;
 use crate::server::PsServer;
-use crate::store::{runs_within, ShardLayout};
+use crate::store::{runs_within, PullBuffer};
 
 /// Process-wide client-id allocator for sequenced requests: every
 /// connection slot gets a unique id, so the servers' dedup windows never
@@ -71,17 +73,6 @@ fn jitter_ms(cap: u64) -> u64 {
     } else {
         x % cap
     }
-}
-
-/// Client-side description of one server's slice of the tier.
-#[derive(Debug, Clone, Copy)]
-struct ServerMeta {
-    /// First global shard id owned by the server.
-    shard_offset: usize,
-    /// Number of owned shards.
-    shard_count: usize,
-    /// `(offset, len)` of the owned slice of the flat parameter vector.
-    param_range: (usize, usize),
 }
 
 /// Cumulative wire counters for one operation class (lock-free; workers on
@@ -197,19 +188,8 @@ impl ConnSet {
 #[derive(Debug)]
 pub struct NetRouter {
     kind: TransportKind,
-    /// Global parameter layout (shard id → flat range).
-    layout: ShardLayout,
-    /// Global shard id → owning server index.
-    owner: Vec<usize>,
-    servers: Vec<ServerMeta>,
-    /// Completed pushes — the cluster-global version clock.
-    version: AtomicU64,
-    /// Stage-2 period in completed pushes.
-    sync_every: u64,
-    /// Completed stage-2 rounds (drains included).
-    rounds: AtomicU64,
-    /// Scheduling watermark, exactly as in [`crate::ShardRouter`].
-    synced_version: AtomicU64,
+    /// Layout, ownership map and two-stage clock.
+    tier: Tier,
     /// Timeout/retry/backoff budget for every wire operation.
     retry: RetryPolicy,
     stats: WireCounters,
@@ -241,29 +221,13 @@ impl NetRouter {
     /// invalid, `topology.transport` is [`TransportKind::InProcess`] (that
     /// is [`crate::ShardRouter`]'s job), or a TCP listener cannot bind.
     pub fn launch(initial: &[f32], shards: usize, topology: ServerTopology) -> Self {
-        assert!(!initial.is_empty(), "cannot shard zero parameters");
-        assert!(shards > 0, "need at least one shard");
         if let Err(msg) = topology.validate() {
             panic!("invalid topology: {msg}");
         }
-        let layout = ShardLayout::new(initial.len(), shards);
-        let ownership = ShardLayout::new(layout.len(), topology.servers);
-        let mut owner = vec![0usize; layout.len()];
-        let mut metas = Vec::with_capacity(ownership.len());
-        let instances: Vec<Arc<PsServer>> = (0..ownership.len())
-            .map(|s| {
-                let (first, count) = ownership.range(s);
-                owner[first..first + count].iter_mut().for_each(|o| *o = s);
-                let server = PsServer::new(s, &layout, first, count, initial);
-                metas.push(ServerMeta {
-                    shard_offset: first,
-                    shard_count: count,
-                    param_range: server.param_range(),
-                });
-                Arc::new(server)
-            })
+        let tier = Tier::new(initial.len(), shards, topology.servers, topology.sync_every);
+        let instances: Vec<Arc<PsServer>> = (0..tier.server_count())
+            .map(|s| Arc::new(tier.server(s, initial)))
             .collect();
-        let server_count = instances.len();
         let base: Box<dyn Transport> = match topology.transport {
             TransportKind::Channel => Box::new(ChannelTransport::launch(instances)),
             TransportKind::Tcp => {
@@ -277,19 +241,23 @@ impl NetRouter {
             Some(plan) if plan.any_fault() => Box::new(FaultyTransport::new(base, plan)),
             _ => base,
         };
+        Self::over(topology.transport, tier, topology.retry, transport)
+    }
+
+    /// The client router over an already-running `transport`.
+    fn over(
+        kind: TransportKind,
+        tier: Tier,
+        retry: RetryPolicy,
+        transport: Box<dyn Transport>,
+    ) -> Self {
         NetRouter {
-            kind: topology.transport,
-            layout,
-            owner,
-            servers: metas,
-            version: AtomicU64::new(0),
-            sync_every: topology.sync_every.max(1),
-            rounds: AtomicU64::new(0),
-            synced_version: AtomicU64::new(0),
-            retry: topology.retry,
+            kind,
+            retry,
             stats: WireCounters::default(),
             telemetry: Mutex::new(None),
-            sync: Mutex::new(ConnSet::with_capacity(server_count)),
+            sync: Mutex::new(ConnSet::with_capacity(tier.server_count())),
+            tier,
             transport,
         }
     }
@@ -325,45 +293,16 @@ impl NetRouter {
         if addrs.is_empty() {
             return Err(PsError::InvalidConfig("no server addresses".into()));
         }
-        let layout = ShardLayout::new(param_count, shards);
-        if addrs.len() > layout.len() {
+        let tier = Tier::new(param_count, shards, addrs.len(), sync_every);
+        if tier.server_count() < addrs.len() {
             return Err(PsError::InvalidConfig(format!(
                 "{} servers but only {} shards — a remote tier is not clamped",
                 addrs.len(),
-                layout.len()
+                tier.shard_count()
             )));
         }
-        let ownership = ShardLayout::new(layout.len(), addrs.len());
-        let mut owner = vec![0usize; layout.len()];
-        let metas: Vec<ServerMeta> = (0..ownership.len())
-            .map(|s| {
-                let (first, count) = ownership.range(s);
-                owner[first..first + count].iter_mut().for_each(|o| *o = s);
-                let param_offset = layout.range(first).0;
-                let param_len: usize = (first..first + count).map(|g| layout.range(g).1).sum();
-                ServerMeta {
-                    shard_offset: first,
-                    shard_count: count,
-                    param_range: (param_offset, param_len),
-                }
-            })
-            .collect();
-        let server_count = metas.len();
-        Ok(NetRouter {
-            kind: TransportKind::Tcp,
-            layout,
-            owner,
-            servers: metas,
-            version: AtomicU64::new(0),
-            sync_every: sync_every.max(1),
-            rounds: AtomicU64::new(0),
-            synced_version: AtomicU64::new(0),
-            retry,
-            stats: WireCounters::default(),
-            telemetry: Mutex::new(None),
-            sync: Mutex::new(ConnSet::with_capacity(server_count)),
-            transport: Box::new(RemoteTcpTransport::new(addrs.to_vec())),
-        })
+        let transport = Box::new(RemoteTcpTransport::new(addrs.to_vec()));
+        Ok(Self::over(TransportKind::Tcp, tier, retry, transport))
     }
 
     /// Installs the telemetry bus this router emits wire events and
@@ -383,45 +322,49 @@ impl NetRouter {
         self.kind
     }
 
+    /// The layout, ownership map and two-stage clock.
+    pub(crate) fn tier(&self) -> &Tier {
+        &self.tier
+    }
+
     /// Number of servers (after clamping to the shard count).
     pub fn server_count(&self) -> usize {
-        self.servers.len()
+        self.tier.server_count()
     }
 
     /// Total number of parameters.
     pub fn param_count(&self) -> usize {
-        self.layout.total()
+        self.tier.param_count()
     }
 
     /// Number of global shards.
     pub fn shard_count(&self) -> usize {
-        self.layout.len()
+        self.tier.shard_count()
     }
 
     /// `(offset, len)` of global shard `g` in the flat vector.
     pub fn shard_range(&self, g: usize) -> (usize, usize) {
-        self.layout.range(g)
+        self.tier.shard_range(g)
     }
 
     /// The server owning global shard `g`.
     pub fn owner_of(&self, g: usize) -> usize {
-        self.owner[g]
+        self.tier.owner_of(g)
     }
 
     /// Stage-2 period in completed pushes.
     pub fn sync_every(&self) -> u64 {
-        self.sync_every
+        self.tier.sync_every()
     }
 
     /// Cluster-global version: number of completed pushes.
     pub fn version(&self) -> u64 {
-        // Acquire: pairs with the Release bump in `complete_push`.
-        self.version.load(Ordering::Acquire)
+        self.tier.version()
     }
 
     /// Completed stage-2 reconciliation rounds (drains included).
     pub fn sync_rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Acquire)
+        self.tier.sync_rounds()
     }
 
     /// Cumulative wire-cost counters since launch.
@@ -439,28 +382,17 @@ impl NetRouter {
     /// Completes a logical push: bumps the global version and returns the
     /// push's staleness relative to `pulled_version`.
     pub fn complete_push(&self, pulled_version: u64) -> u64 {
-        // Release: pairs with the Acquire loads in `version`/`pull`.
-        self.version
-            .fetch_add(1, Ordering::Release)
-            .saturating_sub(pulled_version)
+        self.tier.complete_push(pulled_version)
     }
 
     /// Runs a stage-2 round if the push counter has moved `sync_every`
-    /// past the watermark — the same skip-redundant-rounds loop as
-    /// [`crate::ShardRouter::reconcile_if_due`], with the round's
+    /// past the watermark (see [`Tier::reconcile_if_due`]), the round's
     /// commit-alls travelling as `SyncRound` frames.
     pub fn reconcile_if_due(&self) {
-        loop {
-            let synced = self.synced_version.load(Ordering::Acquire);
-            if self.version() < synced.saturating_add(self.sync_every) {
-                return;
-            }
-            let mut conns = self.sync.lock();
-            if self.synced_version.load(Ordering::Acquire) != synced {
-                continue;
-            }
-            self.commit_round(&mut conns, op::SYNC_ROUND);
-        }
+        self.tier.reconcile_if_due(
+            || self.sync.lock(),
+            |conns| self.commit_round(conns, op::SYNC_ROUND),
+        );
     }
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
@@ -496,7 +428,7 @@ impl NetRouter {
         decode: &mut dyn FnMut(&[u8]) -> Result<T, WireError>,
     ) -> Result<T, PsError> {
         let timeout = Duration::from_millis(policy.op_timeout_ms);
-        let slot = conns.slot(server, self.servers.len());
+        let slot = conns.slot(server, self.tier.server_count());
         let seq = slot.next_seq;
         let attempts = policy.max_retries.saturating_add(1);
         let mut timed_out = false;
@@ -588,21 +520,17 @@ impl NetRouter {
         })
     }
 
-    /// One stage-2 round, caller holding the round lock: a commit-all on
-    /// every server, then the watermark advance.
+    /// One stage-2 round, caller holding the round lock: a commit-all
+    /// frame to every server.
     fn commit_round(&self, conns: &mut ConnSet, opcode: u8) {
         let telemetry = self.telemetry.lock().clone();
         let t0 = telemetry.as_ref().map_or(0, |t| t.trace.now_ns());
-        let observed = self.version();
-        for s in 0..self.servers.len() {
-            self.sync_one(conns, s, opcode)
-                .unwrap_or_else(|e| panic!("sync round failed: {e}"));
-        }
-        let round = self.rounds.fetch_add(1, Ordering::Release) + 1;
-        // Release: publishes the committed data (ordered by the servers'
-        // shard locks and the request/reply round trips) with the
-        // watermark, as the in-process router does.
-        self.synced_version.store(observed, Ordering::Release);
+        let round = self.tier.commit_round(|| {
+            for s in 0..self.tier.server_count() {
+                self.sync_one(conns, s, opcode)
+                    .unwrap_or_else(|e| panic!("sync round failed: {e}"));
+            }
+        });
         if let Some(t) = &telemetry {
             t.metrics.counter("wire.sync_rounds").inc();
             t.trace.span(TraceKind::SyncRound { round }, t0);
@@ -630,7 +558,7 @@ impl NetRouter {
     /// are sent first, so a walk over the shards in flat order (owners hold
     /// contiguous runs) costs one round trip per server.
     fn queue_push(&self, port: &mut PortState, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) {
-        let s = self.owner[g];
+        let s = self.tier.owner_of(g);
         if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX)) {
             self.send_staged(port);
         }
@@ -640,7 +568,8 @@ impl NetRouter {
             wire::begin_batch(&mut port.staging, op::BATCH);
         }
         let mark = wire::open_batch_item(&mut port.staging);
-        encode(&mut port.staging, (g - self.servers[s].shard_offset) as u32);
+        let local = g - self.tier.slices()[s].shard_offset;
+        encode(&mut port.staging, local as u32);
         wire::close_batch_item(&mut port.staging, 0, mark);
         port.staged += 1;
     }
@@ -709,52 +638,42 @@ impl NetRouter {
     /// server is asked for, and replies with, only the pieces of them it
     /// owns, in its own offsets; a server that owns none is still asked
     /// (with an empty list), because its clocks feed the version and the
-    /// per-shard staleness. Returns the effective data version — oldest
-    /// committed shard clock floored by the push counter, exactly as
-    /// [`crate::ShardRouter::pull_committed_into`].
+    /// per-shard staleness. Returns the effective data version (see
+    /// [`Tier::pull_with`]).
     fn pull_committed_into(
         &self,
         conns: &mut ConnSet,
-        buf: &mut RouterBuffer,
+        buf: &mut PullBuffer,
         runs: Option<&[(usize, usize)]>,
     ) -> u64 {
-        // Acquire: see `version`.
-        let version = self.version.load(Ordering::Acquire);
-        buf.params.resize(self.param_count(), 0.0);
-        buf.shard_versions.resize(self.shard_count(), 0);
-        for (s, meta) in self.servers.iter().enumerate() {
-            let (po, pl) = meta.param_range;
-            let so = meta.shard_offset;
-            let params = &mut buf.params[po..po + pl];
-            let clocks = &mut buf.shard_versions[so..so + meta.shard_count];
-            // This server's pieces of the runs, in its own offsets.
-            let local = |runs| runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
-            self.call_resilient(
-                conns,
-                s,
-                self.retry,
-                Some((&self.stats.pull, 1)),
-                false,
-                &|req| match runs {
-                    None => wire::encode_bodyless(req, op::PULL_COMMITTED),
-                    Some(runs) => wire::encode_pull_runs(req, local(runs)),
-                },
-                &mut |reply| match runs {
-                    None => wire::decode_pulled_into(reply, params, clocks),
-                    Some(runs) => wire::decode_pulled_runs_into(reply, local(runs), params, clocks),
-                },
-            )
-            .unwrap_or_else(|e| panic!("pull failed: {e}"));
-        }
-        let effective = buf
-            .shard_versions
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(version)
-            .min(version);
-        buf.version = effective;
-        effective
+        self.tier.pull_with(buf, |all_params, all_clocks| {
+            for (s, slice) in self.tier.slices().iter().enumerate() {
+                let (po, pl) = slice.param_range;
+                let so = slice.shard_offset;
+                let params = &mut all_params[po..po + pl];
+                let clocks = &mut all_clocks[so..so + slice.shard_count];
+                // This server's pieces of the runs, in its own offsets.
+                let local = |runs| runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
+                self.call_resilient(
+                    conns,
+                    s,
+                    self.retry,
+                    Some((&self.stats.pull, 1)),
+                    false,
+                    &|req| match runs {
+                        None => wire::encode_bodyless(req, op::PULL_COMMITTED),
+                        Some(runs) => wire::encode_pull_runs(req, local(runs)),
+                    },
+                    &mut |reply| match runs {
+                        None => wire::decode_pulled_into(reply, params, clocks),
+                        Some(runs) => {
+                            wire::decode_pulled_runs_into(reply, local(runs), params, clocks)
+                        }
+                    },
+                )
+                .unwrap_or_else(|e| panic!("pull failed: {e}"));
+            }
+        })
     }
 
     /// Snapshot of the full live parameter vector, assembled from per-server
@@ -771,7 +690,7 @@ impl NetRouter {
     fn snapshot(&self, velocity: bool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.param_count()];
         let mut conns = self.sync.lock();
-        for (s, meta) in self.servers.iter().enumerate() {
+        for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
             let slice = &mut out[po..po + pl];
             self.snapshot_one(&mut conns, s, velocity, slice)
@@ -806,7 +725,7 @@ impl NetRouter {
     /// the building block [`crate::supervisor::ServerSupervisor`] uses to
     /// checkpoint servers individually.
     pub fn snapshot_server(&self, s: usize, velocity: bool) -> Result<Vec<f32>, PsError> {
-        let (_, pl) = self.servers[s].param_range;
+        let (_, pl) = self.tier.slices()[s].param_range;
         let mut out = vec![0.0f32; pl];
         let mut conns = self.sync.lock();
         self.snapshot_one(&mut conns, s, velocity, &mut out)?;
@@ -827,7 +746,7 @@ impl NetRouter {
             "velocity length mismatch"
         );
         let mut conns = self.sync.lock();
-        for (s, meta) in self.servers.iter().enumerate() {
+        for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
             self.restore_one(&mut conns, s, &params[po..po + pl], &velocity[po..po + pl])
                 .unwrap_or_else(|e| panic!("restore failed: {e}"));
@@ -869,7 +788,7 @@ impl NetRouter {
         params: &[f32],
         velocity: &[f32],
     ) -> Result<(), PsError> {
-        let (_, pl) = self.servers[s].param_range;
+        let (_, pl) = self.tier.slices()[s].param_range;
         assert_eq!(params.len(), pl, "params slice length mismatch");
         assert_eq!(velocity.len(), pl, "velocity slice length mismatch");
         let mut conns = self.sync.lock();
@@ -880,7 +799,7 @@ impl NetRouter {
     /// Resets the live velocity to zero on every server.
     pub fn reset_velocity(&self) {
         let mut conns = self.sync.lock();
-        for s in 0..self.servers.len() {
+        for s in 0..self.tier.server_count() {
             self.call_resilient(
                 &mut conns,
                 s,
@@ -897,7 +816,7 @@ impl NetRouter {
     /// Whether every live parameter on every server is finite.
     pub fn is_finite(&self) -> bool {
         let mut conns = self.sync.lock();
-        (0..self.servers.len()).all(|s| {
+        (0..self.tier.server_count()).all(|s| {
             self.call_resilient(
                 &mut conns,
                 s,
@@ -911,20 +830,24 @@ impl NetRouter {
         })
     }
 
-    /// Probes server `s` with a short-timeout round trip; `Ok` means the
-    /// server answered. The liveness check behind
-    /// [`crate::supervisor::ServerSupervisor::heal`].
-    ///
-    /// The probe keeps a small retry budget so a transiently lossy link
-    /// (fault injection, a congested box) cannot brand a live server dead;
-    /// a genuinely dead server fails every attempt fast — its connections
-    /// drop at dial or first read — so detection stays prompt.
-    pub fn ping_server(&self, s: usize) -> Result<(), PsError> {
-        let probe = RetryPolicy {
+    /// The short-timeout policy of the liveness and read probes. It keeps a
+    /// small retry budget so a transiently lossy link (fault injection, a
+    /// congested box) cannot brand a live server dead; a genuinely dead
+    /// server fails every attempt fast — its connections drop at dial or
+    /// first read — so detection stays prompt.
+    fn probe_policy(&self) -> RetryPolicy {
+        RetryPolicy {
             max_retries: 2,
             op_timeout_ms: self.retry.op_timeout_ms.min(1000),
             ..self.retry
-        };
+        }
+    }
+
+    /// Probes server `s` with a short-timeout round trip; `Ok` means the
+    /// server answered. The liveness check behind
+    /// [`crate::supervisor::ServerSupervisor::heal`].
+    pub fn ping_server(&self, s: usize) -> Result<(), PsError> {
+        let probe = self.probe_policy();
         let mut conns = self.sync.lock();
         // A cached connection to a killed server fails the probe (as it
         // should); drop it so the probe dials fresh and the verdict
@@ -953,11 +876,7 @@ impl NetRouter {
     /// Returns the wire error if the server did not answer within the probe
     /// budget.
     pub fn server_info(&self, s: usize) -> Result<ServerInfo, PsError> {
-        let probe = RetryPolicy {
-            max_retries: 2,
-            op_timeout_ms: self.retry.op_timeout_ms.min(1000),
-            ..self.retry
-        };
+        let probe = self.probe_policy();
         let mut conns = self.sync.lock();
         conns.invalidate(s);
         self.call_resilient(
@@ -985,8 +904,8 @@ impl NetRouter {
     /// address, or a different `(param_count, shards, servers)` triple).
     pub fn handshake(&self, deadline: Duration) -> Result<Vec<ServerInfo>, PsError> {
         let start = Instant::now();
-        let mut infos = Vec::with_capacity(self.servers.len());
-        for (s, meta) in self.servers.iter().enumerate() {
+        let mut infos = Vec::with_capacity(self.tier.server_count());
+        for (s, meta) in self.tier.slices().iter().enumerate() {
             let info = loop {
                 match self.server_info(s) {
                     Ok(info) => break info,
@@ -1041,9 +960,7 @@ impl NetRouter {
     /// place of a killed one. The instance serves immediately but holds no
     /// trained state — re-seed it with [`Self::restore_server`].
     pub fn revive_server(&self, s: usize) -> io::Result<()> {
-        let meta = self.servers[s];
-        let zeros = vec![0.0f32; self.layout.total()];
-        let fresh = PsServer::new(s, &self.layout, meta.shard_offset, meta.shard_count, &zeros);
+        let fresh = self.tier.server(s, &vec![0.0f32; self.param_count()]);
         self.transport.revive_server(s, Arc::new(fresh))?;
         self.sync.lock().invalidate(s);
         if let Some(t) = self.telemetry.lock().as_ref() {
@@ -1065,11 +982,7 @@ impl NetRouter {
     /// Returns the wire error if the server did not answer within the
     /// probe budget.
     pub fn scrape_stats(&self, s: usize) -> Result<ServerStatsSnapshot, PsError> {
-        let probe = RetryPolicy {
-            max_retries: 2,
-            op_timeout_ms: self.retry.op_timeout_ms.min(1000),
-            ..self.retry
-        };
+        let probe = self.probe_policy();
         let mut conns = self.sync.lock();
         self.call_resilient(
             &mut conns,
@@ -1085,7 +998,7 @@ impl NetRouter {
     /// Scrapes every server (see [`Self::scrape_stats`]), yielding `None`
     /// for servers that did not answer within the probe budget.
     pub fn scrape_all_stats(&self) -> Vec<Option<ServerStatsSnapshot>> {
-        (0..self.servers.len())
+        (0..self.tier.server_count())
             .map(|s| self.scrape_stats(s).ok())
             .collect()
     }
@@ -1171,7 +1084,7 @@ impl NetPort {
     }
 
     /// Pulls the committed view into `buf` over this worker's connections.
-    pub fn pull_into(&self, buf: &mut RouterBuffer) -> u64 {
+    pub fn pull_into(&self, buf: &mut PullBuffer) -> u64 {
         self.router
             .pull_committed_into(&mut self.state.lock().conns, buf, None)
     }
@@ -1180,7 +1093,7 @@ impl NetPort {
     /// `(offset, len)` ranges of the flat vector — so only they cross the
     /// wire; the rest of `buf.params` keeps what it held. Same round trips,
     /// clocks and version as [`NetPort::pull_into`].
-    pub fn pull_runs_into(&self, buf: &mut RouterBuffer, runs: &[(usize, usize)]) -> u64 {
+    pub fn pull_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
         self.router
             .pull_committed_into(&mut self.state.lock().conns, buf, Some(runs))
     }
@@ -1299,8 +1212,8 @@ mod tests {
                 net.router().transport_kind()
             );
             assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());
-            let mut a = RouterBuffer::new();
-            let mut b = RouterBuffer::new();
+            let mut a = PullBuffer::new();
+            let mut b = PullBuffer::new();
             let va = inproc.pull_committed_into(&mut a);
             let vb = net.pull_into(&mut b);
             assert_eq!(va, vb);
@@ -1319,7 +1232,7 @@ mod tests {
                 t
             });
             let r = net.router();
-            let mut buf = RouterBuffer::new();
+            let mut buf = PullBuffer::new();
             net.pull_into(&mut buf);
             let before = buf.params().to_vec();
             for g in 0..r.shard_count() {
@@ -1358,7 +1271,7 @@ mod tests {
             r.restore(&params, &velocity);
             assert_eq!(r.snapshot_params(), params);
             assert_eq!(r.snapshot_velocity(), velocity);
-            let mut buf = RouterBuffer::new();
+            let mut buf = PullBuffer::new();
             net.pull_into(&mut buf);
             assert_eq!(buf.params(), &params[..], "restore must drain");
             assert!(r.is_finite());
@@ -1375,7 +1288,7 @@ mod tests {
             ServerTopology::new(2, 2).with_transport(TransportKind::Channel),
         );
         let r = net.router();
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         net.pull_into(&mut buf);
         for g in 0..4 {
             let (_, l) = r.shard_range(g);
@@ -1465,7 +1378,7 @@ mod tests {
         let full = r.snapshot_params();
         let (po, pl) = (r.param_count() / 2, p1.len());
         assert_eq!(&full[po..po + pl], &p1[..], "server 1 restored");
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         net.pull_into(&mut buf);
         assert_eq!(
             &buf.params()[po..po + pl],
@@ -1482,7 +1395,7 @@ mod tests {
             ServerTopology::new(2, 2).with_transport(TransportKind::Channel),
         );
         let r = net.router();
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         net.pull_into(&mut buf);
         for g in 0..4 {
             let (_, l) = r.shard_range(g);

@@ -122,6 +122,17 @@ fn sparse_embedding_survives_chaos() {
     assert_chaos_converges(TrainableKind::SparseEmbedding);
 }
 
+/// Forces the next training step to diverge, whatever the interleaving: a
+/// NaN in the classifier bias, which every step reads, so the first loss
+/// computed is non-finite. Call it *after* a guarded segment (zero steps
+/// will do) has given the watchdog a clean rollback target — the watchdog
+/// arms itself from the trainer's state at its first segment.
+fn plant_nan(t: &mut Trainer) {
+    let mut poisoned = t.checkpoint();
+    *poisoned.params.last_mut().expect("model has parameters") = f32::NAN;
+    t.restore(&poisoned).expect("poisoned restore");
+}
+
 /// The paper's experiment-setup-3 failure mode, handled instead of fatal:
 /// the embedding workload at a hot learning rate (0.5 — more than 3× its
 /// preset, a regime ASP had to back away from while BSP's synchronous
@@ -134,9 +145,10 @@ fn sparse_embedding_survives_chaos() {
 /// two runs in three on a 2-vCPU box), and so does the state it would be
 /// rolled back to. So the blow-up is forced, on the first step, by
 /// something no interleaving can dodge: a zero-step segment arms the
-/// watchdog with the untrained model as its rollback target, then a NaN is
-/// planted in the classifier bias every step reads. From there on the run
-/// is BSP from a fixed state, deterministic to f32 summation order.
+/// watchdog with the untrained model as its rollback target, then
+/// [`plant_nan`]. From there on the run is BSP from a fixed state,
+/// deterministic to f32 summation order. The other hot-lr tests below arm
+/// the same way.
 #[test]
 fn embedding_hot_lr_asp_trips_watchdog_and_finishes_under_bsp() {
     let kind = TrainableKind::SparseEmbedding;
@@ -147,9 +159,7 @@ fn embedding_hot_lr_asp_trips_watchdog_and_finishes_under_bsp() {
     let mut dog = DivergenceWatchdog::new(WatchdogConfig::default());
     dog.run_segment(&mut t, SyncProtocol::Asp, 0)
         .expect("arming segment");
-    let mut poisoned = t.checkpoint();
-    *poisoned.params.last_mut().expect("model has parameters") = f32::NAN;
-    t.restore(&poisoned).expect("poisoned restore");
+    plant_nan(&mut t);
 
     let budget = h.total_steps;
     let segment = 40;
@@ -176,53 +186,68 @@ fn embedding_hot_lr_asp_trips_watchdog_and_finishes_under_bsp() {
     );
 }
 
-/// A server that dies in the middle of an SSP segment must surface as
+/// A server that dies in the middle of a segment must surface as
 /// [`PsError::WorkerPanicked`] — what `ps-worker` matches on to heal — and
-/// promptly: the worker that exhausts its retries aborts the gate, so peers
-/// parked behind the straggler wake up and exit instead of waiting for a
-/// floor that will never rise. The segment runs on a helper thread against
-/// a deadline, so a regression fails here instead of hanging the suite.
+/// promptly, under every protocol: the worker that exhausts its retries
+/// aborts the segment's gate, so peers waiting at the BSP round barrier or
+/// behind the SSP leash wake up and exit instead of waiting for a round, or
+/// a floor, that will never come, and ASP peers stop at their next step
+/// claim. Each segment runs on a helper thread against a deadline, so a
+/// regression fails here instead of hanging the suite.
 #[test]
-fn ssp_segment_fails_fast_when_a_server_dies_mid_segment() {
-    let kind = TrainableKind::MlpBlobs;
-    let (model, train, test) = kind.build(SEED);
-    let h = kind.hyper();
-    let topology = ServerTopology::new(2, 1)
-        .with_transport(TransportKind::Tcp)
-        .with_retry(RetryPolicy {
-            op_timeout_ms: 500,
-            max_retries: 1,
-            backoff_base_ms: 1,
-            backoff_max_ms: 2,
-        });
-    // Worker 0 straggles, so under bound 1 its peers spend the segment
-    // parked at the gate — the waiters the abort has to wake.
-    let cfg = TrainerConfig::new(WORKERS, h.batch_size, h.learning_rate, h.momentum)
-        .with_seed(SEED)
-        .with_topology(topology)
-        .with_straggler(0, Duration::from_micros(500));
-    let port = NetPort::launch(&model.params_flat(), cfg.shards, topology);
-    let router = Arc::clone(port.router());
-    let mut t = Trainer::with_port(model, train, test, cfg, WorkerPort::Net(port));
+fn segment_fails_fast_when_a_server_dies_mid_segment() {
+    type Segment = fn(&mut Trainer, u64) -> Result<u64, PsError>;
+    let protocols: [(&str, Segment); 3] = [
+        ("BSP", |t, n| {
+            t.run_segment(SyncProtocol::Bsp, n).map(|r| r.steps)
+        }),
+        ("ASP", |t, n| {
+            t.run_segment(SyncProtocol::Asp, n).map(|r| r.steps)
+        }),
+        ("SSP(1)", |t, n| t.run_ssp_segment(1, n).map(|r| r.steps)),
+    ];
+    for (name, segment) in protocols {
+        let kind = TrainableKind::MlpBlobs;
+        let (model, train, test) = kind.build(SEED);
+        let h = kind.hyper();
+        let topology = ServerTopology::new(2, 1)
+            .with_transport(TransportKind::Tcp)
+            .with_retry(RetryPolicy {
+                op_timeout_ms: 500,
+                max_retries: 1,
+                backoff_base_ms: 1,
+                backoff_max_ms: 2,
+            });
+        // Worker 0 straggles, so under BSP and under bound 1 its peers
+        // spend the segment waiting at the gate — the waiters the abort
+        // has to wake.
+        let cfg = TrainerConfig::new(WORKERS, h.batch_size, h.learning_rate, h.momentum)
+            .with_seed(SEED)
+            .with_topology(topology)
+            .with_straggler(0, Duration::from_micros(500));
+        let port = NetPort::launch(&model.params_flat(), cfg.shards, topology);
+        let router = Arc::clone(port.router());
+        let mut t = Trainer::with_port(model, train, test, cfg, WorkerPort::Net(port));
 
-    let (done, result) = mpsc::channel();
-    std::thread::spawn(move || {
-        // Far more steps than can finish: the segment ends by the kill.
-        let _ = done.send(t.run_ssp_segment(1, 10_000_000).map(|r| r.steps));
-    });
-    // Mid-segment for certain: pushes have landed and keep landing.
-    while router.version() < 50 {
-        std::thread::yield_now();
-    }
-    router.kill_server(1).expect("kill hook");
-    match result.recv_timeout(Duration::from_secs(30)) {
-        Ok(Err(PsError::WorkerPanicked { .. })) => {}
-        Ok(other) => panic!("expected WorkerPanicked, got {other:?}"),
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("SSP segment still running 30 s after its server died")
+        let (done, result) = mpsc::channel();
+        std::thread::spawn(move || {
+            // Far more steps than can finish: the segment ends by the kill.
+            let _ = done.send(segment(&mut t, 10_000_000));
+        });
+        // Mid-segment for certain: pushes have landed and keep landing.
+        while router.version() < 50 {
+            std::thread::yield_now();
         }
-        Err(RecvTimeoutError::Disconnected) => {
-            panic!("the worker panic escaped run_ssp_segment")
+        router.kill_server(1).expect("kill hook");
+        match result.recv_timeout(Duration::from_secs(30)) {
+            Ok(Err(PsError::WorkerPanicked { .. })) => {}
+            Ok(other) => panic!("{name}: expected WorkerPanicked, got {other:?}"),
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{name} segment still running 30 s after its server died")
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                panic!("{name}: the worker panic escaped the segment")
+            }
         }
     }
 }
@@ -240,7 +265,8 @@ fn chaos_run_traces_every_event_kind() {
     // The hot learning rate from the watchdog specimen, on the faulty TCP
     // tier: a single run then produces worker events (steps, barrier
     // waits), wire events (retries, sync rounds), fault events (the
-    // kill/heal below), and control events (the rollback + demotion).
+    // kill/heal below), and control events (the rollback + demotion,
+    // forced by `plant_nan` rather than left to the scheduler's staleness).
     let cfg = TrainerConfig::new(WORKERS, h.batch_size, 0.5, h.momentum)
         .with_seed(SEED)
         .with_topology(
@@ -260,14 +286,10 @@ fn chaos_run_traces_every_event_kind() {
         router.kill_server(1).expect("kill hook");
         assert_eq!(sup.heal(router).expect("heal"), 1);
     }
-    for _ in 0..8 {
-        if dog.demoted() {
-            break;
-        }
-        dog.run_segment(&mut t, SyncProtocol::Asp, 40)
-            .expect("watchdog must absorb the hot-lr divergence");
-    }
-    assert!(dog.demoted(), "lr 0.5 ASP never tripped the watchdog");
+    plant_nan(&mut t);
+    dog.run_segment(&mut t, SyncProtocol::Asp, 40)
+        .expect("watchdog must absorb the divergence");
+    assert!(dog.demoted(), "a NaN loss never tripped the watchdog");
 
     let bus = t.telemetry().expect("telemetry defaults on");
     let counts = bus.trace.counts_by_name();
@@ -401,8 +423,8 @@ fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
 }
 
 /// The watchdog specimen driven through the controller: ASP at the hot
-/// learning rate from a cold start (the regime where its stale momentum
-/// blows up), the embedded watchdog rolls back and demotes, and the
+/// learning rate from a cold start diverges (on its first step, by
+/// [`plant_nan`]), the embedded watchdog rolls back and demotes, and the
 /// controller pins BSP for the rest of the run — finishing finite instead
 /// of dying with `PsError::Diverged`. (A BSP warm-up would converge the
 /// tiny specimen before any promotion, so the run enters ASP directly,
@@ -418,19 +440,17 @@ fn controller_absorbs_hot_lr_divergence_and_pins_bsp() {
     // training; the controller then drives every real segment.
     t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
     let mut ctl = SyncController::new(chaos_policy());
-    for _ in 0..12 {
-        let r = ctl.run_segment(&mut t, 40).expect("controller segment");
-        assert!(r.finite, "controller returned a non-finite segment");
-        if ctl.watchdog_demoted() {
-            break;
-        }
-    }
+    // Arm the embedded watchdog on the untrained model, then poison it.
+    ctl.run_segment(&mut t, 0).expect("arming segment");
+    plant_nan(&mut t);
+    let r = ctl.run_segment(&mut t, 40).expect("controller segment");
+    assert!(r.finite, "controller returned a non-finite segment");
     assert!(
         ctl.watchdog_demoted(),
-        "lr 0.5 ASP never tripped the embedded watchdog; decisions: {:?}",
+        "a NaN loss never tripped the embedded watchdog; decisions: {:?}",
         ctl.decisions()
     );
-    assert!(ctl.watchdog_trips() >= 1);
+    assert_eq!(ctl.watchdog_trips(), 1);
     assert_eq!(t.protocol(), SyncProtocol::Bsp);
     // Post-demotion decisions hold BSP with the watchdog named.
     let r = ctl.run_segment(&mut t, 40).expect("post-demotion segment");

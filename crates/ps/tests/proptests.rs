@@ -5,8 +5,8 @@ use std::sync::Arc;
 use sync_switch_nn::{Dataset, Network};
 use sync_switch_ps::transport::{wire, Reply, Request};
 use sync_switch_ps::{
-    Checkpoint, FaultPlan, NetPort, PullBuffer, RouterBuffer, ServerStatsSnapshot, ServerTopology,
-    ShardRouter, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData, WorkerPort,
+    Checkpoint, FaultPlan, NetPort, PullBuffer, ServerStatsSnapshot, ServerTopology, ShardRouter,
+    ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData, WorkerPort,
 };
 use sync_switch_workloads::SyncProtocol;
 
@@ -164,7 +164,7 @@ proptest! {
             router.complete_push(p);
             router.reconcile_if_due();
         }
-        let mut buf = RouterBuffer::new();
+        let mut buf = PullBuffer::new();
         router.pull_committed_into(&mut buf);
         let (fresh, version) = store.pull();
         prop_assert_eq!(version, router.version());
@@ -289,8 +289,8 @@ proptest! {
         // Live state, committed views, and committed clocks all agree.
         prop_assert_eq!(dense.snapshot_params(), sparse.snapshot_params());
         prop_assert_eq!(dense.snapshot_velocity(), sparse.snapshot_velocity());
-        let mut a = RouterBuffer::new();
-        let mut b = RouterBuffer::new();
+        let mut a = PullBuffer::new();
+        let mut b = PullBuffer::new();
         let va = dense.pull_committed_into(&mut a);
         let vb = sparse.pull_committed_into(&mut b);
         prop_assert_eq!(va, vb, "committed data versions diverged");
@@ -440,8 +440,8 @@ proptest! {
             key(net.router().snapshot_velocity()),
             "velocity diverged under duplication"
         );
-        let mut a = RouterBuffer::new();
-        let mut b = RouterBuffer::new();
+        let mut a = PullBuffer::new();
+        let mut b = PullBuffer::new();
         clean.pull_committed_into(&mut a);
         net.pull_into(&mut b);
         prop_assert_eq!(key(a.params().to_vec()), key(b.params().to_vec()));
@@ -506,8 +506,8 @@ proptest! {
         let key = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         prop_assert_eq!(key(clean.snapshot_params()), key(net.router().snapshot_params()));
         prop_assert_eq!(key(clean.snapshot_velocity()), key(net.router().snapshot_velocity()));
-        let mut a = RouterBuffer::new();
-        let mut b = RouterBuffer::new();
+        let mut a = PullBuffer::new();
+        let mut b = PullBuffer::new();
         clean.pull_committed_into(&mut a);
         net.pull_into(&mut b);
         prop_assert_eq!(a.shard_versions(), b.shard_versions());

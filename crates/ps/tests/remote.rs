@@ -9,10 +9,9 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use sync_switch_ps::config::RetryPolicy;
-use sync_switch_ps::router::RouterBuffer;
 use sync_switch_ps::supervisor::ServerSupervisor;
 use sync_switch_ps::transport::{NetPort, NetRouter, TcpServerHost};
-use sync_switch_ps::{PsError, ServerTopology, ShardRouter};
+use sync_switch_ps::{PsError, PullBuffer, ServerTopology, ShardRouter};
 
 /// A quick retry policy so negative-path tests (dead server, deadline
 /// exceeded) fail in milliseconds instead of the default multi-second
@@ -66,8 +65,8 @@ fn remote_tier_matches_in_process_router() {
     }
     assert_eq!(inproc.snapshot_params(), net.router().snapshot_params());
     assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());
-    let mut a = RouterBuffer::new();
-    let mut b = RouterBuffer::new();
+    let mut a = PullBuffer::new();
+    let mut b = PullBuffer::new();
     let va = inproc.pull_committed_into(&mut a);
     let vb = net.pull_into(&mut b);
     assert_eq!(va, vb);
@@ -186,7 +185,7 @@ fn heal_respawned_detects_the_nonce_change_and_replays_state() {
         "exactly the respawned server heals"
     );
     assert_eq!(r.snapshot_params(), expected, "checkpoint replayed");
-    let mut buf = RouterBuffer::new();
+    let mut buf = PullBuffer::new();
     net.pull_into(&mut buf);
     assert_eq!(buf.params(), &expected[..], "restored state is committed");
 }

@@ -178,3 +178,49 @@ fn checkpoint_restart_preserves_training_across_protocols() {
     trainer.restore(&back).expect("restore from bytes");
     assert_eq!(trainer.global_step(), 40);
 }
+
+#[test]
+fn one_trainer_runs_bsp_asp_and_ssp_segments() {
+    // BSP, ASP and SSP are one training step with a different
+    // synchronization point, so one trainer runs them back to back: every
+    // segment delivers exactly its steps, and only the discipline shows in
+    // the staleness — none under BSP, and under SSP(bound) at most
+    // 2·bound + 2 applies per shard from each of the other workers between
+    // a worker's pull and its push.
+    let (workers, bound, steps) = (4u64, 2u64, 60u64);
+    let (train, test) = dataset(19);
+    let cfg = TrainerConfig::new(workers as usize, 8, 0.03, 0.9).with_seed(19);
+    let mut trainer = Trainer::new(Network::mlp(8, &[16], 4, 19), train, test, cfg);
+
+    let bsp = trainer
+        .run_segment(SyncProtocol::Bsp, steps)
+        .expect("bsp segment");
+    assert_eq!(bsp.steps, steps);
+    assert_eq!(bsp.shard_staleness.max(), Some(0));
+    let asp = trainer
+        .run_segment(SyncProtocol::Asp, steps)
+        .expect("asp segment");
+    assert_eq!(asp.steps, steps);
+    let ssp = trainer.run_ssp_segment(bound, steps).expect("ssp segment");
+    assert_eq!(ssp.steps, steps);
+    assert_eq!(ssp.protocol, SyncProtocol::Asp, "SSP carries the ASP tag");
+    assert_eq!(trainer.global_step(), 3 * steps);
+
+    // BSP: every worker takes every round. ASP and SSP: the workers share
+    // the segment's steps between them.
+    for report in [&asp, &ssp] {
+        let taken: usize = report.worker_profiles.iter().map(|p| p.steps()).sum();
+        assert_eq!(taken as u64, steps);
+    }
+    assert!(bsp
+        .worker_profiles
+        .iter()
+        .all(|p| p.steps() as u64 == steps));
+    let cap = (2 * bound + 2) * (workers - 1);
+    let max = ssp.shard_staleness.max().expect("ssp pushed");
+    assert!(
+        max <= cap,
+        "per-shard staleness {max} exceeds the cap {cap}"
+    );
+    assert!(ssp.finite && trainer.check_finite());
+}
