@@ -159,11 +159,21 @@ stage_test() {
 # eat the test budget.
 stage_transport() {
     cargo test -q -p sync-switch-ps --test transport --no-run
+    cargo test -q -p sync-switch-ps --lib --no-run
     # timeout signals the whole process group (cargo + the test binary);
     # TERM first for clean output, KILL 10s later if a socket is wedged.
     timeout -k 10 120 \
         cargo test -q -p sync-switch-ps --test transport || {
         echo "transport tests failed or timed out (120s budget)" >&2
+        return 1
+    }
+    # The transport tier's unit tests too (endpoint, codec, both backends,
+    # the router's prefetch invalidation): a pull served from an image that
+    # should have been dropped shows as a wrong view, but one that waits on
+    # a reply nobody sends hangs — here, not in the 600 s `test` stage.
+    timeout -k 10 120 \
+        cargo test -q -p sync-switch-ps --lib transport:: || {
+        echo "transport unit tests failed or timed out (120s budget)" >&2
         return 1
     }
 }

@@ -219,7 +219,7 @@ fn main() {
                 "wire_push_mean_us": wire.push.mean_us(),
                 "wire_pull_mean_us": wire.pull.mean_us(),
                 "wire_total_s": wire.total_wire_s(),
-                "wire_round_trips": wire.total_ops(),
+                "wire_round_trips": wire.total_round_trips(),
                 "wire_bytes": wire.total_bytes(),
                 "wire_retries": wire.retries,
                 "wire_reconnects": wire.reconnects,

@@ -78,16 +78,26 @@ impl WorkerProfile {
 }
 
 /// Aggregate wire cost of one operation class (push / pull / sync) on a
-/// transport-backed data plane: how many round trips were made, how long
-/// the caller spent blocked on the wire, and how many payload bytes moved
-/// in each direction (codec-level — framing overhead excluded so the two
-/// backends report comparable volumes).
+/// transport-backed data plane: how many logical operations were served,
+/// over how many round trips, how long the caller spent blocked on the
+/// wire, and how many payload bytes moved in each direction (codec-level —
+/// framing overhead excluded so the two backends report comparable
+/// volumes).
+///
+/// Operations and round trips differ in both directions: the shards one
+/// worker pushes to one server share a round trip (`ops > round_trips`),
+/// and a pull that rides home on a push or sync reply is an operation with
+/// its own item's bytes but no round trip and no wire time of its own — the
+/// time stays on the class whose round trip carried it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireOp {
-    /// Completed request/reply round trips.
+    /// Logical operations served: one per shard pushed, per server pulled,
+    /// per server committed — what the servers count per opcode.
     pub ops: u64,
+    /// Request/reply round trips this class paid for.
+    pub round_trips: u64,
     /// Total nanoseconds spent blocked on the wire (encode → reply
-    /// decoded).
+    /// decoded) over those round trips.
     pub wire_ns: u64,
     /// Request payload bytes sent.
     pub bytes_out: u64,
@@ -109,7 +119,8 @@ impl WireOp {
         self.wire_ns as f64 / 1e9
     }
 
-    /// Payload bytes per round trip, both directions (0 if no ops).
+    /// Payload bytes per operation, both directions (0 if no ops) — per
+    /// round trip only where every operation pays for its own.
     pub fn mean_round_trip_bytes(&self) -> f64 {
         if self.ops == 0 {
             return 0.0;
@@ -118,8 +129,11 @@ impl WireOp {
     }
 
     /// One `(bytes_per_op, seconds_per_op)` calibration sample, or `None`
-    /// if this class saw no traffic. Bytes are the round-trip payload
-    /// volume — the quantity a latency+bandwidth cost model prices.
+    /// if this class saw no traffic. Bytes are the payload volume of an
+    /// operation in both directions — the quantity a latency+bandwidth
+    /// cost model prices. A class whose operations mostly rode another
+    /// class's round trips (pulls on an asynchronous tail) has bytes
+    /// without time of its own; its sample is not a round trip's.
     pub fn sample(&self) -> Option<(f64, f64)> {
         if self.ops == 0 {
             return None;
@@ -135,6 +149,7 @@ impl WireOp {
     pub fn delta(&self, earlier: &WireOp) -> WireOp {
         WireOp {
             ops: self.ops.saturating_sub(earlier.ops),
+            round_trips: self.round_trips.saturating_sub(earlier.round_trips),
             wire_ns: self.wire_ns.saturating_sub(earlier.wire_ns),
             bytes_out: self.bytes_out.saturating_sub(earlier.bytes_out),
             bytes_in: self.bytes_in.saturating_sub(earlier.bytes_in),
@@ -151,9 +166,11 @@ impl WireOp {
 pub struct TransportStats {
     /// Which backend produced these numbers (`None` for in-process).
     pub backend: Option<TransportKind>,
-    /// Stage-1 gradient pushes (one round trip per shard per push).
+    /// Stage-1 gradient pushes: one operation per shard, the shards a
+    /// worker sends to one server sharing a round trip.
     pub push: WireOp,
-    /// Committed-view pulls (one round trip per server per pull).
+    /// Committed-view pulls: one operation per server per pull, a round
+    /// trip only when the image did not ride home on a push or sync reply.
     pub pull: WireOp,
     /// Stage-2 reconciliation rounds and drains (one round trip per server
     /// per round).
@@ -171,9 +188,15 @@ impl TransportStats {
         self.backend.is_some()
     }
 
-    /// Total round trips across all classes.
+    /// Total logical operations across all classes (what the servers
+    /// count per opcode).
     pub fn total_ops(&self) -> u64 {
         self.push.ops + self.pull.ops + self.sync.ops
+    }
+
+    /// Total round trips across all classes.
+    pub fn total_round_trips(&self) -> u64 {
+        self.push.round_trips + self.pull.round_trips + self.sync.round_trips
     }
 
     /// Total time spent blocked on the wire, in seconds.

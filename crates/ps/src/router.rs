@@ -51,6 +51,14 @@ pub(crate) struct ServerSlice {
 /// one trainer: who owns which shard, the cluster version clock, and the
 /// OSP-style two-stage schedule. What a router adds is only how a
 /// commit-all reaches a server and what its round lock guards.
+///
+/// **Process-local.** "Cluster" here means the workers of this process. The
+/// version clock, the stage-2 round counter and watermark — and with them
+/// the BSP barrier, the SSP floor and the wire router's prefetch stamps —
+/// are atomics in this address space. Several `ps-worker` processes on one
+/// `ps-serve` tier each hold their own `Tier`: each counts its own pushes,
+/// runs its own round schedule and is BSP among its own threads only, and
+/// the processes are asynchronous to one another (ROADMAP item 1).
 #[derive(Debug)]
 pub(crate) struct Tier {
     /// Global parameter layout (shard id → flat range).
@@ -59,7 +67,7 @@ pub(crate) struct Tier {
     owner: Vec<usize>,
     /// Per server, the contiguous run of shards and parameters it owns.
     slices: Vec<ServerSlice>,
-    /// Completed pushes — the cluster-global version clock.
+    /// Completed pushes — the version clock (of this process's workers).
     version: AtomicU64,
     /// Stage-2 period in completed pushes.
     sync_every: u64,
@@ -151,6 +159,18 @@ impl Tier {
 
     pub(crate) fn sync_rounds(&self) -> u64 {
         self.rounds.load(Ordering::Acquire)
+    }
+
+    /// Whether one more completed push makes a stage-2 round due — read
+    /// before a push is sent, by a worker deciding whether the round it is
+    /// about to run can fetch its next pull instead of the push. The
+    /// watermark only moves when a round *ends*, so this also holds for
+    /// every push sent while a peer's round is in flight; skipping only on
+    /// the push that crosses the boundary was measured and threw away more
+    /// images for the same step time (CHANGES.md, PR 16).
+    pub(crate) fn round_due_after_push(&self) -> bool {
+        let due_at = (self.synced_version.load(Ordering::Acquire)).saturating_add(self.sync_every);
+        self.version().saturating_add(1) >= due_at
     }
 
     /// Completes a logical push: bumps the global version and returns the
@@ -673,12 +693,15 @@ impl WorkerPort {
     }
 
     /// Post-push hook for the asynchronous loops: runs stage-2 rounds the
-    /// push counter has made due (no-op on the single store).
+    /// push counter has made due (no-op on the single store). On a
+    /// transport-backed plane the round travels over this worker's own
+    /// connections and brings its next pull home with it (see
+    /// [`NetPort::after_push`]).
     pub fn after_push(&self) {
         match self {
             WorkerPort::Single(_) => {}
             WorkerPort::Routed(r) => r.reconcile_if_due(),
-            WorkerPort::Net(p) => p.router().reconcile_if_due(),
+            WorkerPort::Net(p) => p.after_push(),
         }
     }
 

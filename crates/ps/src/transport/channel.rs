@@ -199,6 +199,10 @@ impl Conn for ChannelConn {
         Ok(&self.reply)
     }
 
+    fn last_reply(&self) -> &[u8] {
+        &self.reply
+    }
+
     fn set_op_timeout(&mut self, timeout: Option<std::time::Duration>) {
         self.timeout = timeout;
     }

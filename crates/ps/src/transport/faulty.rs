@@ -264,6 +264,10 @@ impl Conn for FaultyConn {
         Ok(&self.reply)
     }
 
+    fn last_reply(&self) -> &[u8] {
+        &self.reply
+    }
+
     fn set_op_timeout(&mut self, timeout: Option<Duration>) {
         if let Some(inner) = self.inner.as_mut() {
             inner.set_op_timeout(timeout);

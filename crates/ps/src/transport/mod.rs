@@ -24,14 +24,30 @@
 //!   [`crate::WorkerPort::Net`].
 //!
 //! What a training step costs on the wire is its round trips, so the client
-//! spends as few as the two-stage protocol allows: a pull is one per
-//! server, and so is a push — the shards a worker pushes to one server are
-//! queued and travel as a single sequenced `Batch`, acked by one reply
-//! carrying every shard's pre-apply clock (stage-1 applies to one server
-//! are order-free between sync rounds, so sharing a frame changes nothing
-//! the protocol can observe). [`ServerEndpoint`] executes a batch as a loop
-//! over its items and accounts each under its own opcode; the sequencing
-//! wrapper and its one-entry dedup window cover the batch as a whole.
+//! spends as few as the two-stage protocol allows. A push is one per
+//! server: the shards a worker pushes to one server are queued and travel
+//! as a single sequenced `Batch`, acked by one reply carrying every shard's
+//! pre-apply clock (stage-1 applies to one server are order-free between
+//! sync rounds, so sharing a frame changes nothing the protocol can
+//! observe). A pull costs a round trip per server only when it has to: on
+//! an asynchronous tail whose steps read the whole vector, the batch a
+//! worker pushes — or the stage-2 round it runs — ends in a `PullCommitted`
+//! item, the `Pulled` image stays where the reply arrived
+//! ([`Conn::last_reply`]), and the next step decodes it from there. Pulls
+//! read the *committed* view, which only a commit-all changes, so the image
+//! is the pull the next step would have made unless the server has
+//! acknowledged a commit since the request went out; [`NetRouter`] stamps
+//! each image with a per-server view epoch read before the send and asks
+//! the server again when the epoch has moved, which keeps the guarantee a
+//! pull has always given — it reflects every round completed before it was
+//! asked for. BSP, a segment's first step, steps that pull by run and
+//! reconnects pay the round trip as before.
+//!
+//! [`ServerEndpoint`] executes a batch as a loop over its items and
+//! accounts each under its own opcode; the sequencing wrapper and its
+//! one-entry dedup window cover the batch as a whole, and what the window
+//! keeps is ack-sized — a trailing pull is re-read on a replay, never
+//! cached.
 //!
 //! Per-operation wire time and frame bytes are recorded in
 //! [`crate::profiler::TransportStats`], surfaced on
@@ -130,6 +146,13 @@ pub trait Conn: Send + fmt::Debug {
     /// Returns an I/O error if the server hung up or the stream broke.
     fn call(&mut self) -> io::Result<&[u8]>;
 
+    /// The reply payload the last successful [`Conn::call`] returned, still
+    /// where it arrived (empty before the first call). It stays until the
+    /// next `call`, which is what lets a client leave a pull that rode home
+    /// on another reply undecoded — no second parameter buffer, no copy —
+    /// until the step that reads it.
+    fn last_reply(&self) -> &[u8];
+
     /// Bounds how long a single [`Conn::call`] may block (`None` removes
     /// the bound). Backends without timeout support ignore this; the retry
     /// layer then relies on broken-connection errors alone.
@@ -226,6 +249,13 @@ impl ServerEndpoint {
     /// the wrapper — is executed item by item, and the wrapper covers it
     /// as a whole: one sequence number, one cached (batch) reply.
     ///
+    /// What is cached stays ack-sized: a batch's trailing
+    /// [`op::PULL_COMMITTED`] — the pull a worker lets ride on its push or
+    /// sync round — is a read, so its `Pulled` item is left out of the
+    /// cache and a replay executes it again behind the replayed acks. (A
+    /// replayed pull can only be newer than the lost one; the client dates
+    /// it from before its first send either way.)
+    ///
     /// # Errors
     ///
     /// Returns a [`WireError`] on a malformed request — the serving loop
@@ -239,7 +269,7 @@ impl ServerEndpoint {
         let opcode = *request.first().ok_or(WireError::Truncated)?;
         if opcode != op::SEQUENCED {
             let batch = self.count_request(request, request)?;
-            let handled = self.dispatch(request, batch, reply)?;
+            let (handled, _) = self.dispatch(request, batch, reply)?;
             if handled == Handled::Reply {
                 self.server.stats().record_reply(reply.len() - base);
             }
@@ -258,18 +288,33 @@ impl ServerEndpoint {
         // Held across execution: a duplicate racing a still-running
         // original waits here and then sees the cached reply.
         let mut entry = entry.lock();
+        // The read a replay repeats instead of caching.
+        let trailing_pull = (batch.clone())
+            .and_then(Iterator::last)
+            .filter(|item| item[0] == op::PULL_COMMITTED);
         if entry.last == Some(seq) {
             self.server.stats().record_dedup_hit();
             reply.extend_from_slice(&entry.reply);
-            self.server.stats().record_reply(entry.reply.len());
+            if let Some(pull) = trailing_pull {
+                // The cached header already counts this item.
+                let mark = wire::open_batch_item(reply);
+                self.handle_inner(pull, reply)?;
+                wire::patch_frame_len(&mut reply[mark..]);
+            }
+            self.server.stats().record_reply(reply.len() - base);
             return Ok(Handled::Reply);
         }
-        let handled = self.dispatch(inner, batch, reply)?;
+        let (handled, last_item) = self.dispatch(inner, batch, reply)?;
         if handled == Handled::Reply {
+            let cached = if trailing_pull.is_some() {
+                last_item
+            } else {
+                reply.len()
+            };
             entry.last = Some(seq);
             entry.reply.clear();
-            entry.reply.extend_from_slice(&reply[base..]);
-            self.server.stats().record_reply(entry.reply.len());
+            entry.reply.extend_from_slice(&reply[base..cached]);
+            self.server.stats().record_reply(reply.len() - base);
         }
         Ok(handled)
     }
@@ -302,24 +347,27 @@ impl ServerEndpoint {
     }
 
     /// Executes one unwrapped request payload: a batch as a loop over its
-    /// items, anything else directly.
+    /// items, anything else directly. Also returns where in `reply` the
+    /// last item's record begins (for anything but a batch, the reply).
     fn dispatch(
         &mut self,
         request: &[u8],
         batch: Option<wire::BatchItems<'_>>,
         reply: &mut Vec<u8>,
-    ) -> Result<Handled, WireError> {
+    ) -> Result<(Handled, usize), WireError> {
+        let mut last_item = reply.len();
         let Some(items) = batch else {
-            return self.handle_inner(request, reply);
+            return Ok((self.handle_inner(request, reply)?, last_item));
         };
         let head = wire::begin_batch(reply, op::BATCH_REPLY);
         for item in items {
+            last_item = reply.len();
             let mark = wire::open_batch_item(reply);
             // `batch_items` admits no `Shutdown`, so every item replies.
             self.handle_inner(item, reply)?;
             wire::close_batch_item(reply, head, mark);
         }
-        Ok(Handled::Reply)
+        Ok((Handled::Reply, last_item))
     }
 
     fn handle_inner(&mut self, request: &[u8], reply: &mut Vec<u8>) -> Result<Handled, WireError> {
@@ -728,6 +776,68 @@ mod tests {
         assert_eq!(snap.shard_applies, vec![2, 4]);
         assert_eq!(snap.bytes_in, (batch.len() + 2 * req.len()) as u64);
         assert_eq!(snap.bytes_out, 3 * first.len() as u64);
+    }
+
+    #[test]
+    fn fused_push_caches_its_acks_only_and_a_replay_pulls_again() {
+        // 120 k dense parameters in two shards: a pull reply is ~480 KB.
+        let (n, shard) = (120_000, 60_000);
+        let mut ep = endpoint(n, 2);
+        let server = Arc::clone(&ep.server);
+        let cached = |client| server.seq_entry(client).lock().reply.len();
+        // A sequenced `[push 0, push 1]`, with or without a trailing pull.
+        let request = |client: u64, with_pull: bool| {
+            let mut req = Vec::new();
+            wire::encode_sequenced_prefix(&mut req, client, 0);
+            let head = wire::begin_batch(&mut req, op::BATCH);
+            for local in 0..2 {
+                let mark = wire::open_batch_item(&mut req);
+                wire::encode_push_shard(&mut req, local, 0.5, 0.0, &vec![1.0; shard]);
+                wire::close_batch_item(&mut req, head, mark);
+            }
+            if with_pull {
+                wire::put_bodyless_item(&mut req, head, op::PULL_COMMITTED);
+            }
+            req
+        };
+        let mut reply = Vec::new();
+        ep.handle(&request(7, false), &mut reply).unwrap();
+        let plain_reply = reply.len();
+        let fused = request(8, true);
+        ep.handle(&fused, &mut reply).unwrap();
+        assert!(reply.len() > plain_reply + 4 * n, "no image in the reply");
+        // What the server keeps for the fused push is what it keeps for the
+        // plain one: the batch header and two acks.
+        assert_eq!(cached(8), cached(7));
+        assert_eq!(cached(8), plain_reply);
+
+        // A duplicate replays the acks, applies nothing, and reads again:
+        // byte for byte the first reply while no round has run ...
+        let first = reply.clone();
+        ep.handle(&fused, &mut reply).unwrap();
+        assert_eq!(reply, first);
+        // ... and the newly committed view once one has, behind the same
+        // acks (the client dates the image from before its first send).
+        let mut sync = Vec::new();
+        wire::encode_bodyless(&mut sync, op::SYNC_ROUND);
+        ep.handle(&sync, &mut Vec::new()).unwrap();
+        ep.handle(&fused, &mut reply).unwrap();
+        let items: Vec<&[u8]> = wire::batch_items(&reply, op::BATCH_REPLY)
+            .unwrap()
+            .collect();
+        assert_eq!(items.len(), 3);
+        assert_eq!(wire::decode_push_ack(items[0]), Ok(1));
+        assert_eq!(wire::decode_push_ack(items[1]), Ok(1));
+        let mut params = vec![0.0f32; n];
+        let mut clocks = [0u64; 2];
+        wire::decode_pulled_into(items[2], &mut params, &mut clocks).unwrap();
+        assert_eq!(clocks, [2, 2]);
+        assert_eq!(params, server.live().snapshot_params());
+        assert_eq!(cached(8), plain_reply, "a replay must not grow the cache");
+        let snap = server.stats_snapshot();
+        assert_eq!(snap.dedup_hits, 2);
+        assert_eq!(snap.apply_ns.count, 4, "replays must not re-apply");
+        assert_eq!(snap.requests_for(op::PULL_COMMITTED), 3);
     }
 
     #[test]

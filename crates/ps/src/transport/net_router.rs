@@ -18,18 +18,42 @@
 //! connection per server (connection-per-worker on both backends), so
 //! worker threads never share a socket or contend on a connection lock.
 //!
-//! Every operation is strictly request/reply, one round trip per server:
-//! a pull asks each server for the runs the step reads, or its slice (every
-//! server is asked either way — its clocks date the pull), a sync round
-//! commits each server,
-//! and a push sends each server *all* of the worker's shards it owns as one
-//! `Batch` frame. Pushes are queued per shard ([`NetPort::queue_shard_update`]
-//! encodes straight into the port's staging buffer) and sent when the
-//! owning server changes or on [`NetPort::flush_pushes`]; the per-shard
-//! [`NetPort::apply_shard_update`] is the same path with a queue of one.
-//! Round trips to different servers are not overlapped — on a small box the
-//! extra runnable threads cost more than the overlap saves (CHANGES.md,
-//! PR 12).
+//! Every operation is strictly request/reply. A sync round commits each
+//! server in one round trip, and a push sends each server *all* of the
+//! worker's shards it owns as one `Batch` frame. Pushes are queued per
+//! shard ([`NetPort::queue_shard_update`] encodes straight into the port's
+//! staging buffer) and sent when the owning server changes or on
+//! [`NetPort::flush_pushes`]; the per-shard [`NetPort::apply_shard_update`]
+//! is the same path with a queue of one. Round trips to different servers
+//! are not overlapped — on a small box the extra runnable threads cost more
+//! than the overlap saves (CHANGES.md, PR 12).
+//!
+//! A pull asks each server for the runs the step reads, or its slice (every
+//! server answers either way — its clocks date the pull). **When that costs
+//! a round trip and when it rides a reply:** after a whole-vector pull, the
+//! batches of a worker's queued push end in a `PullCommitted` item, and so
+//! does the `SyncRound` of a round the worker runs from
+//! [`NetPort::after_push`] (which then travels over the worker's own
+//! connections). The `Pulled` image stays in the connection's reply buffer
+//! and the worker's next [`NetPort::pull_into`] decodes it from there. A
+//! push that will make a round due leaves the pull to the round. A pull by
+//! run, a per-shard apply, BSP's stripes and its barrier drain never carry
+//! one: which runs the next step reads is unknown before its batch is
+//! drawn, and a barrier's drain belongs to no particular worker.
+//!
+//! **The stamp rule.** Each image is stamped with its server's *view epoch*
+//! ([`NetRouter::view_epochs`]) read before the request is first sent, and
+//! is served only while the epoch still reads the same. The epoch ticks
+//! when the server acknowledges a commit-all, before the round that sent it
+//! is complete; so if it has not moved, every round completed by now had
+//! this server's commit acknowledged before the image was asked for, and
+//! the image holds it. Hence a served pull is exactly what asking would
+//! return — the committed view changes on commits only — and a pull still
+//! reflects every round completed before it was asked for. Kill, revive and
+//! per-server restore tick the epoch too. The epochs, like the version
+//! clock, the round counter and the barrier, live in this process: two
+//! `ps-worker` processes sharing a tier each date their images by their own
+//! rounds only (see [`Tier`]).
 
 use std::io;
 use std::net::SocketAddr;
@@ -80,17 +104,27 @@ fn jitter_ms(cap: u64) -> u64 {
 #[derive(Debug, Default)]
 struct OpCounters {
     ops: AtomicU64,
+    round_trips: AtomicU64,
     ns: AtomicU64,
     bytes_out: AtomicU64,
     bytes_in: AtomicU64,
 }
 
 impl OpCounters {
-    /// One round trip that carried `ops` logical operations.
-    fn record(&self, ops: u64, elapsed: Duration, bytes_out: usize, bytes_in: usize) {
+    /// `ops` logical operations over `round_trips` round trips of this
+    /// class: one, or none for a pull that rode on another class's.
+    fn record(
+        &self,
+        ops: u64,
+        round_trips: u64,
+        elapsed: Duration,
+        bytes_out: usize,
+        bytes_in: usize,
+    ) {
         // Relaxed throughout: these are statistics counters; nothing is
         // published through them and cross-counter skew is tolerable.
         self.ops.fetch_add(ops, Ordering::Relaxed);
+        self.round_trips.fetch_add(round_trips, Ordering::Relaxed);
         self.ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         self.bytes_out
@@ -101,6 +135,7 @@ impl OpCounters {
     fn snapshot(&self) -> WireOp {
         WireOp {
             ops: self.ops.load(Ordering::Relaxed),
+            round_trips: self.round_trips.load(Ordering::Relaxed),
             wire_ns: self.ns.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
@@ -119,12 +154,38 @@ struct WireCounters {
     reconnects: AtomicU64,
 }
 
+/// How one round trip is booked in the wire stats.
+#[derive(Clone, Copy)]
+struct Booking<'a> {
+    /// The class that pays for the round trip.
+    class: &'a OpCounters,
+    /// Logical operations of that class it carries (a push batch counts
+    /// its shards).
+    ops: u64,
+    /// Whether a `PullCommitted` rides as the request batch's last item. It
+    /// is booked as one pull operation with its own item's bytes and no
+    /// round trip or wire time: those stay on `class`.
+    carries_pull: bool,
+}
+
+/// The last item of a batch reply (`None` if `reply` is not one).
+fn last_batch_item(reply: &[u8]) -> Option<&[u8]> {
+    wire::batch_items(reply, op::BATCH_REPLY).ok()?.last()
+}
+
 /// One server's connection slot: the (lazily opened) connection plus the
 /// idempotent re-send state — this slot's process-unique client id and its
 /// next request sequence number.
 #[derive(Debug)]
 struct ConnSlot {
     conn: Option<Box<dyn Conn>>,
+    /// Set while `conn`'s last reply is a batch reply ending in the server's
+    /// whole `Pulled` image: the server's view epoch (see
+    /// [`NetRouter::view_epochs`]) read before that request was first sent.
+    /// The image is what a pull would return for as long as the epoch still
+    /// reads the same; any other call on the connection (or losing it)
+    /// forgets it.
+    prefetch: Option<u64>,
     /// Client id carried in sequenced request headers.
     client: u64,
     /// Sequence of the next mutating request. Advanced only on success, so
@@ -139,10 +200,20 @@ impl ConnSlot {
     fn fresh() -> Self {
         ConnSlot {
             conn: None,
+            prefetch: None,
             client: CLIENT_IDS.fetch_add(1, Ordering::Relaxed),
             next_seq: 0,
             connected_before: false,
         }
+    }
+
+    /// The `Pulled` item a reply on this connection brought along, if it
+    /// was taken under the server's view epoch `epoch`.
+    fn prefetched(&self, epoch: u64) -> Option<&[u8]> {
+        if self.prefetch != Some(epoch) {
+            return None;
+        }
+        last_batch_item(self.conn.as_ref()?.last_reply())
     }
 }
 
@@ -171,6 +242,7 @@ impl ConnSet {
     fn invalidate(&mut self, server: usize) {
         if let Some(slot) = self.per_server.get_mut(server) {
             slot.conn = None;
+            slot.prefetch = None;
         }
     }
 }
@@ -193,14 +265,25 @@ pub struct NetRouter {
     /// Timeout/retry/backoff budget for every wire operation.
     retry: RetryPolicy,
     stats: WireCounters,
+    /// Per server, how many times its committed view may have changed: one
+    /// tick for every commit-all it has acknowledged (a round's or a
+    /// drain's, ticked as each server answers, before the round is
+    /// complete) and for whatever else rewrites it behind the schedule's
+    /// back — a kill, a revive, a per-server restore. Ticked only under the
+    /// round lock. An image of server `s` asked for while its epoch read
+    /// `e` is what a pull of `s` would return for as long as it still reads
+    /// `e`: every round that has completed by then had `s` acknowledge its
+    /// commit before the image was asked for.
+    view_epochs: Vec<AtomicU64>,
     /// Telemetry bus the router emits wire events on (retries, sync
     /// rounds, kills, heals). Interior-mutable because the trainer
     /// installs it after workers already share the router behind an
     /// `Arc`; `None` means telemetry is off and costs one uncontended
     /// read on the rare paths that check it.
     telemetry: Mutex<Option<Arc<Telemetry>>>,
-    /// Serializes stage-2 rounds and the control plane; holds their
-    /// dedicated connections.
+    /// Serializes stage-2 rounds and the control plane; holds the control
+    /// plane's dedicated connections (a round a worker's port runs holds
+    /// the lock but travels over the worker's own).
     ///
     /// Field order is load-bearing: `sync` (and the conns inside it) must
     /// drop before `transport`, whose Drop joins the serving threads and
@@ -255,6 +338,9 @@ impl NetRouter {
             kind,
             retry,
             stats: WireCounters::default(),
+            view_epochs: (0..tier.server_count())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             telemetry: Mutex::new(None),
             sync: Mutex::new(ConnSet::with_capacity(tier.server_count())),
             tier,
@@ -391,7 +477,26 @@ impl NetRouter {
     pub fn reconcile_if_due(&self) {
         self.tier.reconcile_if_due(
             || self.sync.lock(),
-            |conns| self.commit_round(conns, op::SYNC_ROUND),
+            |conns| self.commit_round(conns, op::SYNC_ROUND, false),
+        );
+    }
+
+    /// [`NetRouter::reconcile_if_due`] from a worker's port. A port that
+    /// pulls densely runs the round over its own connections with its next
+    /// pull riding behind each commit, so the worker that pays for the
+    /// round comes away holding the view it published instead of asking
+    /// again; a port that pulls by run cannot ask before its next batch is
+    /// drawn and sends the plain round over the control plane.
+    fn reconcile_from(&self, port: &mut PortState) {
+        self.tier.reconcile_if_due(
+            || self.sync.lock(),
+            |control| {
+                if port.pulls_dense {
+                    self.commit_round(&mut port.conns, op::SYNC_ROUND, true);
+                } else {
+                    self.commit_round(control, op::SYNC_ROUND, false);
+                }
+            },
         );
     }
 
@@ -400,7 +505,7 @@ impl NetRouter {
     /// the live view (BSP barriers, switches, restore).
     pub fn drain(&self) {
         let mut conns = self.sync.lock();
-        self.commit_round(&mut conns, op::DRAIN);
+        self.commit_round(&mut conns, op::DRAIN, false);
     }
 
     /// One wire round trip under the retry policy.
@@ -414,21 +519,23 @@ impl NetRouter {
     /// applied the request replays its cached ack instead of re-applying.
     /// Wire stats are recorded once, from the successful attempt only, so
     /// a clean network sees byte/latency numbers identical to a
-    /// retry-free build; `counters` names the class and how many logical
-    /// operations the round trip carries (a push batch counts its shards).
+    /// retry-free build; `booking` says how. Whatever pull the connection
+    /// held from an earlier reply is forgotten: this call overwrites it.
     #[allow(clippy::too_many_arguments)]
     fn call_resilient<T>(
         &self,
         conns: &mut ConnSet,
         server: usize,
         policy: RetryPolicy,
-        counters: Option<(&OpCounters, u64)>,
+        booking: Option<Booking<'_>>,
         sequenced: bool,
         encode: &dyn Fn(&mut Vec<u8>),
         decode: &mut dyn FnMut(&[u8]) -> Result<T, WireError>,
     ) -> Result<T, PsError> {
         let timeout = Duration::from_millis(policy.op_timeout_ms);
         let slot = conns.slot(server, self.tier.server_count());
+        slot.prefetch = None;
+        let carries_pull = booking.is_some_and(|b| b.carries_pull);
         let seq = slot.next_seq;
         let attempts = policy.max_retries.saturating_add(1);
         let mut timed_out = false;
@@ -481,20 +588,38 @@ impl NetRouter {
             encode(buf);
             let out = buf.len() - base;
             let outcome = match conn.call() {
-                Ok(reply) => Ok((decode(reply), reply.len())),
+                Ok(reply) => {
+                    // What the pull that rode along takes of the reply,
+                    // length prefix included.
+                    let pulled = if carries_pull {
+                        last_batch_item(reply).map_or(0, |item| item.len() + 4)
+                    } else {
+                        0
+                    };
+                    Ok((decode(reply), reply.len(), pulled))
+                }
                 Err(e) => Err(e),
             };
             match outcome {
-                Ok((Ok(v), reply_len)) => {
+                Ok((Ok(v), reply_len, pulled)) => {
                     if sequenced {
                         slot.next_seq = seq.wrapping_add(1);
                     }
-                    if let Some((c, ops)) = counters {
-                        c.record(ops, t0.elapsed(), out, reply_len);
+                    if let Some(b) = booking {
+                        let elapsed = t0.elapsed();
+                        let asked = if carries_pull {
+                            wire::BODYLESS_ITEM_BYTES
+                        } else {
+                            0
+                        };
+                        if carries_pull {
+                            (self.stats.pull).record(1, 0, Duration::ZERO, asked, pulled);
+                        }
+                        (b.class).record(b.ops, 1, elapsed, out - asked, reply_len - pulled);
                     }
                     return Ok(v);
                 }
-                Ok((Err(_), _)) => {
+                Ok((Err(_), _, _)) => {
                     // Corrupt reply: the stream may be desynchronized, so
                     // re-send over a fresh connection.
                     slot.conn = None;
@@ -521,14 +646,22 @@ impl NetRouter {
     }
 
     /// One stage-2 round, caller holding the round lock: a commit-all
-    /// frame to every server.
-    fn commit_round(&self, conns: &mut ConnSet, opcode: u8) {
+    /// frame to every server over `conns`. With `with_pull` each frame also
+    /// pulls what it just committed, and `conns` keeps each image under the
+    /// epoch its commit opened (the round lock keeps everyone else's hands
+    /// off the epochs meanwhile).
+    fn commit_round(&self, conns: &mut ConnSet, opcode: u8, with_pull: bool) {
         let telemetry = self.telemetry.lock().clone();
         let t0 = telemetry.as_ref().map_or(0, |t| t.trace.now_ns());
+        let servers = self.tier.server_count();
         let round = self.tier.commit_round(|| {
-            for s in 0..self.tier.server_count() {
-                self.sync_one(conns, s, opcode)
+            for s in 0..servers {
+                self.sync_one(conns, s, opcode, with_pull)
                     .unwrap_or_else(|e| panic!("sync round failed: {e}"));
+                let epoch = self.tick_view_epoch(s);
+                if with_pull {
+                    conns.slot(s, servers).prefetch = Some(epoch);
+                }
             }
         });
         if let Some(t) = &telemetry {
@@ -537,17 +670,87 @@ impl NetRouter {
         }
     }
 
-    /// One commit-all frame (`SyncRound` or `Drain`) to one server.
-    fn sync_one(&self, conns: &mut ConnSet, s: usize, opcode: u8) -> Result<(), PsError> {
+    /// Server `s`'s view epoch (see [`NetRouter::view_epochs`]).
+    fn view_epoch(&self, s: usize) -> u64 {
+        // Acquire: pairs with the Release tick, so a worker that sees a
+        // round complete also sees every tick the round made.
+        self.view_epochs[s].load(Ordering::Acquire)
+    }
+
+    /// Ticks server `s`'s view epoch and returns the new value. The caller
+    /// holds the round lock.
+    fn tick_view_epoch(&self, s: usize) -> u64 {
+        self.view_epochs[s].fetch_add(1, Ordering::Release) + 1
+    }
+
+    /// One commit-all frame (`SyncRound` or `Drain`) to one server — with
+    /// `with_pull`, a `[commit-all, PullCommitted]` batch whose reply leaves
+    /// the server's freshly committed image on the connection.
+    fn sync_one(
+        &self,
+        conns: &mut ConnSet,
+        s: usize,
+        opcode: u8,
+        with_pull: bool,
+    ) -> Result<(), PsError> {
+        let booking = Booking {
+            class: &self.stats.sync,
+            ops: 1,
+            carries_pull: with_pull,
+        };
         self.call_resilient(
             conns,
             s,
             self.retry,
-            Some((&self.stats.sync, 1)),
+            Some(booking),
             true,
-            &|buf| wire::encode_bodyless(buf, opcode),
-            &mut |reply| wire::expect_bodyless(reply, op::SYNCED),
+            &|buf| {
+                if with_pull {
+                    let head = wire::begin_batch(buf, op::BATCH);
+                    wire::put_bodyless_item(buf, head, opcode);
+                    wire::put_bodyless_item(buf, head, op::PULL_COMMITTED);
+                } else {
+                    wire::encode_bodyless(buf, opcode);
+                }
+            },
+            &mut |reply| {
+                if !with_pull {
+                    return wire::expect_bodyless(reply, op::SYNCED);
+                }
+                let mut items = wire::batch_items(reply, op::BATCH_REPLY)?;
+                wire::expect_bodyless(items.next().ok_or(WireError::Truncated)?, op::SYNCED)?;
+                self.expect_tail(s, true, items)
+            },
         )
+    }
+
+    /// Checks what follows the acks of a batch reply from server `s`:
+    /// nothing, or — when a pull rode along — exactly its whole `Pulled`
+    /// image, so the decode that happens a step later cannot fail.
+    fn expect_tail(
+        &self,
+        s: usize,
+        carries_pull: bool,
+        mut rest: wire::BatchItems<'_>,
+    ) -> Result<(), WireError> {
+        if carries_pull {
+            let slice = &self.tier.slices()[s];
+            let pulled = rest.next().ok_or(WireError::Truncated)?;
+            wire::expect_pulled(pulled, slice.param_range.1, slice.shard_count)?;
+        }
+        match rest.next() {
+            None => Ok(()),
+            Some(_) => Err(WireError::Truncated),
+        }
+    }
+
+    /// Whether the push `port` is sending should bring the worker's next
+    /// pull home with it. Only a dense pull can be asked for before the
+    /// next batch is drawn, and not on the push that makes a stage-2 round
+    /// due: the round would outdate the image, and the worker that runs it
+    /// fetches the new one with the round instead.
+    fn rides_push(&self, port: &PortState) -> bool {
+        port.pulls_dense && !self.tier.round_due_after_push()
     }
 
     /// Queues the stage-1 push of global shard `g` on its owner's batch:
@@ -559,8 +762,9 @@ impl NetRouter {
     /// contiguous runs) costs one round trip per server.
     fn queue_push(&self, port: &mut PortState, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) {
         let s = self.tier.owner_of(g);
-        if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX)) {
-            self.send_staged(port);
+        // One short of the batch's item limit: a pull may join the pushes.
+        if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX) - 1) {
+            self.send_staged(port, self.rides_push(port));
         }
         if port.staged == 0 {
             port.staged_for = s;
@@ -578,57 +782,78 @@ impl NetRouter {
     /// bare push when there is just one — and appends each shard's
     /// pre-apply clock to `port.acks` in queue order. One sequence number
     /// covers the batch, so a re-send after a lost reply replays the cached
-    /// batch reply and no shard is applied twice. Counted as `staged` push
+    /// acks and no shard is applied twice. Counted as `staged` push
     /// operations sharing one round trip's time and bytes.
+    ///
+    /// With `prefetch` a `PullCommitted` joins the batch as its last item
+    /// and the server's `Pulled` image stays in the connection's reply
+    /// buffer, stamped with the server's view epoch read *before* the send:
+    /// a commit the server acknowledges at any point after that moves the
+    /// epoch on, and the image is never used.
     ///
     /// # Panics
     ///
     /// Panics when the retry budget is exhausted, like every worker-path op.
-    fn send_staged(&self, port: &mut PortState) {
+    fn send_staged(&self, port: &mut PortState, prefetch: bool) {
         let PortState {
             conns,
             staging,
             staged_for,
             staged,
             acks,
+            ..
         } = port;
         let n = std::mem::take(staged);
         if n == 0 {
             return;
         }
+        let s = *staged_for;
+        if prefetch {
+            wire::put_bodyless_item(staging, 0, op::PULL_COMMITTED);
+        }
         // A lone push goes out bare: skip the batch header and the item's
         // length prefix.
-        let request = if n == 1 {
+        let bare = n == 1 && !prefetch;
+        let request = if bare {
             &staging[wire::BATCH_HEADER_BYTES + 4..]
         } else {
             &staging[..]
         };
+        let epoch = self.view_epoch(s);
+        let booking = Booking {
+            class: &self.stats.push,
+            ops: n as u64,
+            carries_pull: prefetch,
+        };
         let base = acks.len();
         self.call_resilient(
             conns,
-            *staged_for,
+            s,
             self.retry,
-            Some((&self.stats.push, n as u64)),
+            Some(booking),
             true,
             &|buf| buf.extend_from_slice(request),
             &mut |reply| {
                 // A failed attempt may have decoded part of a corrupt reply.
                 acks.truncate(base);
-                if n == 1 {
+                if bare {
                     acks.push(wire::decode_push_ack(reply)?);
-                } else {
-                    for ack in wire::batch_items(reply, op::BATCH_REPLY)? {
-                        acks.push(wire::decode_push_ack(ack)?);
-                    }
+                    return Ok(());
                 }
-                if acks.len() - base == n {
-                    Ok(())
-                } else {
-                    Err(WireError::Truncated)
+                let mut items = wire::batch_items(reply, op::BATCH_REPLY)?;
+                for ack in items.by_ref().take(n) {
+                    acks.push(wire::decode_push_ack(ack)?);
                 }
+                if acks.len() - base != n {
+                    return Err(WireError::Truncated);
+                }
+                self.expect_tail(s, prefetch, items)
             },
         )
         .unwrap_or_else(|e| panic!("push failed: {e}"));
+        if prefetch {
+            conns.slot(s, self.tier.server_count()).prefetch = Some(epoch);
+        }
     }
 
     /// Pulls the committed view of every server through `conns` into `buf`,
@@ -640,25 +865,44 @@ impl NetRouter {
     /// (with an empty list), because its clocks feed the version and the
     /// per-shard staleness. Returns the effective data version (see
     /// [`Tier::pull_with`]).
+    ///
+    /// A whole-vector pull costs a server no round trip when that server's
+    /// connection still holds the image an earlier push or sync reply
+    /// brought along and the server's view epoch has not moved since before
+    /// that request went out: every round or drain that has completed by
+    /// now had this server acknowledge its commit before the image was
+    /// asked for, so the image holds it — a pull still reflects every round
+    /// completed before it was asked for. Otherwise the server is asked.
     fn pull_committed_into(
         &self,
         conns: &mut ConnSet,
         buf: &mut PullBuffer,
         runs: Option<&[(usize, usize)]>,
     ) -> u64 {
+        let servers = self.tier.server_count();
         self.tier.pull_with(buf, |all_params, all_clocks| {
             for (s, slice) in self.tier.slices().iter().enumerate() {
                 let (po, pl) = slice.param_range;
                 let so = slice.shard_offset;
                 let params = &mut all_params[po..po + pl];
                 let clocks = &mut all_clocks[so..so + slice.shard_count];
+                if runs.is_none() {
+                    let held = conns.slot(s, servers).prefetched(self.view_epoch(s));
+                    if held.is_some_and(|it| wire::decode_pulled_into(it, params, clocks).is_ok()) {
+                        continue;
+                    }
+                }
                 // This server's pieces of the runs, in its own offsets.
                 let local = |runs| runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
                 self.call_resilient(
                     conns,
                     s,
                     self.retry,
-                    Some((&self.stats.pull, 1)),
+                    Some(Booking {
+                        class: &self.stats.pull,
+                        ops: 1,
+                        carries_pull: false,
+                    }),
                     false,
                     &|req| match runs {
                         None => wire::encode_bodyless(req, op::PULL_COMMITTED),
@@ -751,7 +995,7 @@ impl NetRouter {
             self.restore_one(&mut conns, s, &params[po..po + pl], &velocity[po..po + pl])
                 .unwrap_or_else(|e| panic!("restore failed: {e}"));
         }
-        self.commit_round(&mut conns, op::DRAIN);
+        self.commit_round(&mut conns, op::DRAIN, false);
     }
 
     /// `Restore` frame to one server: overwrites its live slice.
@@ -793,7 +1037,9 @@ impl NetRouter {
         assert_eq!(velocity.len(), pl, "velocity slice length mismatch");
         let mut conns = self.sync.lock();
         self.restore_one(&mut conns, s, params, velocity)?;
-        self.sync_one(&mut conns, s, op::DRAIN)
+        self.sync_one(&mut conns, s, op::DRAIN, false)?;
+        self.tick_view_epoch(s);
+        Ok(())
     }
 
     /// Resets the live velocity to zero on every server.
@@ -948,12 +1194,21 @@ impl NetRouter {
     /// invalidated so later ops dial fresh.
     pub fn kill_server(&self, s: usize) -> io::Result<()> {
         self.transport.kill_server(s)?;
-        self.sync.lock().invalidate(s);
+        self.forget_server(s);
         if let Some(t) = self.telemetry.lock().as_ref() {
             t.metrics.counter("fault.server_kills").inc();
             t.trace.instant(TraceKind::ServerKill { server: s as u64 });
         }
         Ok(())
+    }
+
+    /// After the instance behind slot `s` was swapped out: drops the control
+    /// plane's connection to it and ticks its view epoch, so whatever image
+    /// a worker's connection still holds of the old instance is not served.
+    fn forget_server(&self, s: usize) {
+        let mut control = self.sync.lock();
+        control.invalidate(s);
+        self.tick_view_epoch(s);
     }
 
     /// Brings a fresh, zero-initialised instance of server `s` back up in
@@ -962,7 +1217,7 @@ impl NetRouter {
     pub fn revive_server(&self, s: usize) -> io::Result<()> {
         let fresh = self.tier.server(s, &vec![0.0f32; self.param_count()]);
         self.transport.revive_server(s, Arc::new(fresh))?;
-        self.sync.lock().invalidate(s);
+        self.forget_server(s);
         if let Some(t) = self.telemetry.lock().as_ref() {
             t.metrics.counter("fault.server_heals").inc();
             t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
@@ -1026,6 +1281,9 @@ struct PortState {
     /// Pre-apply shard clocks of the pushes sent and not yet handed to the
     /// caller, in queue order.
     acks: Vec<u64>,
+    /// Whether this worker's last pull asked for the whole vector — the
+    /// kind of pull its next push or sync round can bring home in advance.
+    pulls_dense: bool,
 }
 
 /// A worker's handle onto a [`NetRouter`]: the shared router plus this
@@ -1083,19 +1341,26 @@ impl NetPort {
         &self.router
     }
 
-    /// Pulls the committed view into `buf` over this worker's connections.
+    /// Pulls the committed view into `buf`: from the images this worker's
+    /// last queued push or sync round left on its connections where they
+    /// are still current, over the wire otherwise (see
+    /// [`NetRouter::pull_committed_into`]).
     pub fn pull_into(&self, buf: &mut PullBuffer) -> u64 {
-        self.router
-            .pull_committed_into(&mut self.state.lock().conns, buf, None)
+        let port = &mut *self.state.lock();
+        port.pulls_dense = true;
+        self.router.pull_committed_into(&mut port.conns, buf, None)
     }
 
     /// Pulls only `runs` of the committed view — sorted, disjoint
     /// `(offset, len)` ranges of the flat vector — so only they cross the
-    /// wire; the rest of `buf.params` keeps what it held. Same round trips,
-    /// clocks and version as [`NetPort::pull_into`].
+    /// wire; the rest of `buf.params` keeps what it held. Same clocks and
+    /// version as [`NetPort::pull_into`], always one round trip per server:
+    /// which runs the next step reads is not known when this one pushes.
     pub fn pull_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
+        let port = &mut *self.state.lock();
+        port.pulls_dense = false;
         self.router
-            .pull_committed_into(&mut self.state.lock().conns, buf, Some(runs))
+            .pull_committed_into(&mut port.conns, buf, Some(runs))
     }
 
     /// Queues the stage-1 apply of `grad` on global shard `g`. Nothing is
@@ -1130,11 +1395,18 @@ impl NetPort {
 
     /// Sends whatever is still queued and appends to `acks` the owners'
     /// pre-apply live shard clocks of every push queued since the last
-    /// flush, in queue order.
+    /// flush, in queue order. After a whole-vector pull, the batches of a
+    /// queued push also fetch the next one (see [`NetRouter::rides_push`]).
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) {
         let port = &mut *self.state.lock();
-        self.router.send_staged(port);
+        self.router.send_staged(port, self.router.rides_push(port));
         acks.append(&mut port.acks);
+    }
+
+    /// Post-push hook of the asynchronous loops: runs the stage-2 rounds
+    /// the push counter has made due (see [`NetRouter::reconcile_from`]).
+    pub fn after_push(&self) {
+        self.router.reconcile_from(&mut self.state.lock());
     }
 
     /// Stage-1 apply over this worker's connection to the owner — a queue
@@ -1167,7 +1439,7 @@ impl NetPort {
     fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> u64 {
         let port = &mut *self.state.lock();
         self.router.queue_push(port, g, encode);
-        self.router.send_staged(port);
+        self.router.send_staged(port, false);
         port.acks.pop().expect("the push just sent was acked")
     }
 }
@@ -1247,6 +1519,141 @@ mod tests {
             let v = net.pull_into(&mut buf);
             assert_eq!(v, 1);
             assert_eq!(buf.params(), &r.snapshot_params()[..]);
+        }
+    }
+
+    /// One whole push the way the engine's asynchronous tail sends it: every
+    /// shard queued in flat order, flushed, completed. Returns how many
+    /// pulls rode along.
+    fn queued_push(port: &NetPort, scale: f32) -> u64 {
+        let r = port.router();
+        let pulls = r.stats().pull.ops;
+        for g in 0..r.shard_count() {
+            let (_, l) = r.shard_range(g);
+            port.queue_shard_update(g, &vec![scale; l], 0.1, 0.9);
+        }
+        let mut acks = Vec::new();
+        port.flush_pushes(&mut acks);
+        assert_eq!(acks.len(), r.shard_count());
+        r.complete_push(r.version());
+        r.stats().pull.ops - pulls
+    }
+
+    #[test]
+    fn a_pull_rides_the_push_reply_until_a_round_completes() {
+        for topology in topologies() {
+            let initial: Vec<f32> = (0..26).map(|i| (i as f32).sin()).collect();
+            let a = NetPort::launch(&initial, 4, {
+                let mut t = topology;
+                t.sync_every = 3;
+                t
+            });
+            let b = a.clone();
+            let r = a.router();
+            let pull_trips = || r.stats().pull.round_trips;
+            // What an explicit pull returns right now: a fresh port has
+            // nothing to serve it from.
+            let view = |port: &NetPort, buf: &mut PullBuffer| {
+                let version = port.pull_into(buf);
+                let clocks = buf.shard_versions().to_vec();
+                (buf.params().to_vec(), clocks, version)
+            };
+            let asked = || view(&a.clone(), &mut PullBuffer::new());
+            let mut buf = PullBuffer::new();
+            let mut pulled = |port: &NetPort| view(port, &mut buf);
+
+            // The first pull has to ask; the push after it brings the next
+            // one home, and no round has completed when it is read.
+            pulled(&a);
+            assert_eq!(pull_trips(), 2);
+            assert_eq!(queued_push(&a, 1.0), 2, "one pull per server rides along");
+            assert_eq!(r.stats().push.round_trips, 2);
+            let before = pull_trips();
+            let rode = pulled(&a);
+            assert_eq!(pull_trips(), before, "a served pull makes no round trip");
+            assert_eq!(rode, asked());
+            assert_eq!(rode.0, initial, "stage 1 must not leak into a pull");
+
+            // B's push makes the round due and B runs it: the image A took
+            // home with its own push predates a completed round, so A asks.
+            assert_eq!(queued_push(&a, 2.0), 2);
+            for g in 0..r.shard_count() {
+                let (_, l) = r.shard_range(g);
+                b.apply_shard_update(g, &vec![0.5; l], 0.1, 0.9);
+            }
+            r.complete_push(r.version());
+            r.reconcile_if_due();
+            assert_eq!(r.sync_rounds(), 1);
+            let before = pull_trips();
+            let after_round = pulled(&a);
+            assert_eq!(
+                pull_trips(),
+                before + 2,
+                "an outdated image must not be served"
+            );
+            assert_eq!(after_round, asked());
+            assert_eq!(after_round.0, r.snapshot_params());
+            assert_eq!(after_round.1, vec![3; 4]);
+
+            // The same after a drain ...
+            assert_eq!(queued_push(&a, 3.0), 2);
+            b.router().drain();
+            let before = pull_trips();
+            let after_drain = pulled(&a);
+            assert_eq!(pull_trips(), before + 2);
+            assert_eq!(after_drain, asked());
+            assert_eq!(after_drain.0, r.snapshot_params());
+
+            // ... and after a restore, which drains.
+            assert_eq!(queued_push(&a, 4.0), 2);
+            let (params, velocity) = (vec![0.25f32; 26], vec![0.0f32; 26]);
+            b.router().restore(&params, &velocity);
+            let before = pull_trips();
+            let restored = pulled(&a);
+            assert_eq!(pull_trips(), before + 2);
+            assert_eq!(restored.0, params);
+
+            // The push that makes a round due leaves the pull to the round,
+            // and the round A then runs brings it home.
+            assert_eq!(queued_push(&a, 5.0), 2);
+            assert_eq!(queued_push(&a, 6.0), 2);
+            assert_eq!(queued_push(&a, 7.0), 0, "the round will outdate it");
+            let (rounds, sync_trips) = (r.sync_rounds(), r.stats().sync.round_trips);
+            a.after_push();
+            assert_eq!(r.sync_rounds(), rounds + 1);
+            assert_eq!(r.stats().sync.round_trips, sync_trips + 2);
+            let before = pull_trips();
+            let own_round = pulled(&a);
+            assert_eq!(pull_trips(), before, "the round's reply carried the pull");
+            assert_eq!(own_round, asked());
+            assert_eq!(own_round.0, r.snapshot_params());
+
+            // A killed server takes the image on its connection with it: the
+            // pull of *that* server goes to the wire and re-dials the
+            // replacement. Server 0 was not touched, so its image still
+            // stands and is served.
+            assert_eq!(queued_push(&a, 8.0), 2);
+            if r.kill_server(1).is_err() {
+                continue; // only the TCP backend kills in place
+            }
+            r.revive_server(1).expect("revive");
+            let (before, reconnects) = (pull_trips(), r.stats().reconnects);
+            let healed = pulled(&a);
+            assert_eq!(pull_trips(), before + 1, "only the killed server is asked");
+            assert!(
+                r.stats().reconnects > reconnects,
+                "the dead socket was reused"
+            );
+            let (po, _) = r.shard_range(2);
+            assert_eq!(
+                healed.0[..po],
+                own_round.0[..po],
+                "server 0's image was dropped"
+            );
+            assert!(
+                healed.0[po..].iter().all(|&p| p == 0.0),
+                "not the fresh instance"
+            );
         }
     }
 

@@ -424,6 +424,10 @@ impl Conn for TcpConn {
         Ok(&self.reply)
     }
 
+    fn last_reply(&self) -> &[u8] {
+        &self.reply
+    }
+
     fn set_op_timeout(&mut self, timeout: Option<Duration>) {
         let _ = self.stream.get_ref().set_read_timeout(timeout);
         let _ = self.stream.get_ref().set_write_timeout(timeout);

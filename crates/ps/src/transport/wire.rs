@@ -619,6 +619,18 @@ pub fn close_batch_item(buf: &mut [u8], head: usize, mark: usize) {
     count.copy_from_slice(&n.to_le_bytes());
 }
 
+/// Bytes [`put_bodyless_item`] appends: the length prefix and the opcode.
+pub const BODYLESS_ITEM_BYTES: usize = 5;
+
+/// Appends the bodyless request `opcode` as the next item of the batch that
+/// starts at `head` — how a `PullCommitted` joins the pushes, or the sync
+/// round, a worker already sends to a server.
+pub fn put_bodyless_item(buf: &mut Vec<u8>, head: usize, opcode: u8) {
+    let mark = open_batch_item(buf);
+    encode_bodyless(buf, opcode);
+    close_batch_item(buf, head, mark);
+}
+
 /// Appends a whole batch of owned items (the cold-path form the
 /// [`Request`]/[`Reply`] enums use).
 fn encode_batch<T>(buf: &mut Vec<u8>, opcode: u8, items: &[T], encode: fn(&T, &mut Vec<u8>)) {
@@ -914,6 +926,31 @@ pub fn decode_pulled_into(
 ) -> Result<(), WireError> {
     let whole = std::iter::once((0, params_out.len()));
     decode_pulled_runs_into(payload, whole, params_out, clocks_out)
+}
+
+/// Checks that `payload` is a `Pulled` reply carrying exactly `n_values`
+/// parameters and `n_clocks` shard clocks without decoding either — for a
+/// client that keeps the reply where it arrived and decodes it later
+/// ([`decode_pulled_into`] then cannot fail on it).
+///
+/// # Errors
+///
+/// Returns a [`WireError`] if the payload is anything else.
+pub fn expect_pulled(payload: &[u8], n_values: usize, n_clocks: usize) -> Result<(), WireError> {
+    let mut c = Cursor::new(payload);
+    match c.u8()? {
+        op::PULLED => {}
+        other => return Err(WireError::UnexpectedReply(other)),
+    }
+    if c.u32()? as usize != n_values {
+        return Err(WireError::Truncated);
+    }
+    c.take(n_values.checked_mul(4).ok_or(WireError::Truncated)?)?;
+    if c.u32()? as usize != n_clocks {
+        return Err(WireError::Truncated);
+    }
+    c.take(n_clocks.checked_mul(8).ok_or(WireError::Truncated)?)?;
+    c.finish()
 }
 
 /// Decodes the `Pulled` reply to a run pull, scattering the concatenated

@@ -15,9 +15,9 @@ use sync_switch_nn::{Dataset, Network, SgdMomentum};
 use sync_switch_ps::engine::step_rng;
 use sync_switch_ps::transport::wire::{decode_stats_snapshot, encode_stats_snapshot, op};
 use sync_switch_ps::{
-    HistogramSnapshot, NetPort, PsError, RetryPolicy, ServerStatsSnapshot, ServerTopology,
-    ShardRouter, ShardedStore, TcpServerHost, Trainer, TrainerConfig, TransportKind, WorkerPort,
-    HIST_BUCKETS, OPCODE_SLOTS,
+    FaultPlan, HistogramSnapshot, NetPort, PsError, RetryPolicy, ServerStatsSnapshot,
+    ServerTopology, ShardRouter, ShardedStore, TcpServerHost, Trainer, TrainerConfig,
+    TransportKind, TransportStats, WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -74,6 +74,9 @@ fn assert_bsp_matches_sequential(kind: TransportKind) {
     assert_eq!(r.transport.push.ops, rounds * 7);
     assert_eq!(r.transport.pull.ops, rounds * 3 * 2);
     assert_eq!(r.transport.sync.ops, rounds * 2);
+    // Nothing shares a round trip under BSP: stripes are applied one by one
+    // and the barrier's drain is not the pulling worker's to ride on.
+    assert_eq!(r.transport.total_round_trips(), r.transport.total_ops());
     assert!(r.transport.total_wire_s() > 0.0);
 
     let distributed = t.checkpoint().params;
@@ -107,10 +110,15 @@ fn tcp_asp_trains_and_reports_wire_cost() {
     assert_eq!(r.steps, steps);
     assert_eq!(t.push_count(), steps);
     // One push op per shard per step, a server's shards sharing one round
-    // trip per step; pulls are per server per step; periodic sync rounds
-    // fired on the wire.
+    // trip per step; every step read one image per server, most of which
+    // rode home on a push or sync reply (and some of those were outdated by
+    // a peer's round before they could be read); periodic sync rounds fired
+    // on the wire.
     assert_eq!(r.transport.push.ops, steps * 7);
-    assert_eq!(r.transport.pull.ops, steps * 2);
+    assert_eq!(r.transport.push.round_trips, steps * 2);
+    let pull = r.transport.pull;
+    assert!(pull.ops >= steps * 2, "{pull:?}");
+    assert!(pull.round_trips < steps * 2, "{pull:?}");
     assert!(r.sync_rounds >= 1);
     assert!(r.transport.sync.ops >= 2);
     // Push requests carry gradients out; pull replies carry params in.
@@ -180,7 +188,12 @@ fn single_server_channel_tier_still_crosses_the_wire() {
     // in-process router test pins).
     assert_eq!(r.staleness.max(), Some(3));
     assert!((r.staleness.mean() - 1.5).abs() < 1e-9);
-    assert_eq!(r.transport.pull.ops, 40);
+    // The first pull asks; every later one was brought home by the step
+    // before it — on the sync reply every fourth step, on the push reply
+    // otherwise — and the last step's is left unread.
+    assert_eq!(r.transport.pull.ops, 41);
+    assert_eq!(r.transport.pull.round_trips, 1);
+    assert_eq!(r.transport.total_round_trips(), 1 + 40 + 10);
 }
 
 /// Builds the sparse-embedding workload on a 2-server wire tier.
@@ -232,12 +245,18 @@ fn tcp_sparse_pushes_ship_fewer_bytes_than_dense() {
         sparse.transport.push.bytes_out,
         dense.transport.push.bytes_out
     );
-    // Pull and ack traffic is payload-identical in both runs.
-    assert_eq!(sparse.transport.pull.ops, dense.transport.pull.ops);
-    assert_eq!(
-        sparse.transport.push.bytes_in,
-        dense.transport.push.bytes_in
-    );
+    // A run pull asks every server every step; the dense run's pulls ride
+    // its push and sync replies.
+    let (sparse, dense) = (sparse.transport, dense.transport);
+    assert_eq!(sparse.pull.round_trips, steps * 2);
+    assert!(dense.pull.round_trips < steps * 2);
+    // The acks are the same in both runs: bare 9-byte frames in the sparse
+    // one, and in the dense one inside a 7-byte batch frame whenever a pull
+    // rode the push (each server owns one shard, so only then). Every sync
+    // round of a dense segment carries a pull too.
+    assert_eq!(sparse.push.bytes_in, steps * 2 * 9);
+    let rode_pushes = dense.pull.ops - dense.pull.round_trips - dense.sync.ops;
+    assert_eq!(dense.push.bytes_in, sparse.push.bytes_in + 7 * rode_pushes);
 }
 
 #[test]
@@ -250,9 +269,9 @@ fn tcp_sparse_pulls_ship_fewer_bytes_than_dense() {
     let pulls = |mut t: Trainer| {
         let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
         assert_eq!(r.steps, steps);
-        // Every server is asked on every pull either way: its clocks date
+        // Every server answers for every step either way: its clocks date
         // the pull even when it owns nothing the batch reads.
-        assert_eq!(r.transport.pull.ops, steps * 2);
+        assert!(r.transport.pull.ops >= steps * 2);
         assert!(t.training_loss().is_finite());
         r.transport.pull
     };
@@ -261,7 +280,10 @@ fn tcp_sparse_pulls_ship_fewer_bytes_than_dense() {
     // (2 KB, the floor) moves every step. Measured: ≈ 4.7 KB per step.
     let registry = |sparse| pulls(sparse_workload_trainer(TransportKind::Tcp, sparse, 23));
     let (sparse, dense) = (registry(true), registry(false));
-    assert_eq!(sparse.ops, dense.ops);
+    // Which runs the next step reads is not known when this one pushes, so
+    // a run pull is always asked for; whole-vector pulls mostly are not.
+    assert_eq!((sparse.ops, sparse.round_trips), (steps * 2, steps * 2));
+    assert!(dense.round_trips < steps * 2);
     assert!(
         sparse.bytes_in * 5 < dense.bytes_in,
         "sparse pulls not much smaller: {} vs {} bytes",
@@ -285,7 +307,7 @@ fn tcp_sparse_pulls_ship_fewer_bytes_than_dense() {
         pulls(Trainer::new(model, train, test, cfg))
     };
     let (sparse, dense) = (wide(true), wide(false));
-    assert_eq!(sparse.ops, dense.ops);
+    assert_eq!(sparse.ops, steps * 2);
     assert!(
         sparse.bytes_in * 20 < dense.bytes_in,
         "wide-table sparse pulls: {} vs {} bytes",
@@ -451,6 +473,92 @@ fn batched_pushes_equal_per_shard_pushes_on_every_plane() {
             assert_eq!(b.stats().retries + b.stats().reconnects, 0);
         }
     }
+}
+
+// ---- Prefetched pulls: one round trip per server per asynchronous step ----
+
+/// One worker's 40 asynchronous steps (SSP when `leash` is set) on a
+/// 2-server × 7-shard tier; returns the final parameters and velocity, the
+/// segment's wire stats and the servers' dedup hits.
+fn one_worker_run(
+    topology: ServerTopology,
+    leash: Option<u64>,
+) -> (Vec<f32>, Vec<f32>, TransportStats, u64) {
+    let seed = 37;
+    let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, seed);
+    let (train, test) = data.split(0.25);
+    let mut cfg = TrainerConfig::new(1, 8, 0.05, 0.9).with_seed(seed);
+    cfg.shards = 7;
+    cfg.topology = topology;
+    let mut t = Trainer::new(Network::mlp(6, &[16], 4, seed), train, test, cfg);
+    let r = match leash {
+        Some(bound) => t.run_ssp_segment(bound, 40),
+        None => t.run_segment(SyncProtocol::Asp, 40),
+    }
+    .unwrap();
+    let dedup_hits = t.net_router().map_or(0, |router| {
+        let scraped = router.scrape_all_stats();
+        scraped.iter().flatten().map(|s| s.dedup_hits).sum()
+    });
+    let ck = t.checkpoint();
+    (ck.params, ck.velocity, r.transport, dedup_hits)
+}
+
+#[test]
+fn prefetched_pulls_change_round_trips_not_numerics() {
+    // With one worker nothing is concurrent, so the wire tier must end bit
+    // for bit where the in-process router ends — whether a step's pull was
+    // asked for or rode home on the step before — and the round trips can
+    // be counted exactly.
+    for sync_every in [1, 4] {
+        for leash in [None, Some(2)] {
+            let inproc = ServerTopology::new(2, sync_every);
+            let want = one_worker_run(inproc, leash);
+            for kind in [TransportKind::Channel, TransportKind::Tcp] {
+                let what = format!("{kind} sync_every={sync_every} leash={leash:?}");
+                let got = one_worker_run(inproc.with_transport(kind), leash);
+                assert_eq!(got.0, want.0, "{what}: parameters");
+                assert_eq!(got.1, want.1, "{what}: velocity");
+                let wire = got.2;
+                assert_eq!((wire.retries, wire.reconnects, got.3), (0, 0, 0), "{what}");
+                // A step talks to each server once to push, every
+                // `sync_every`-th once more to commit; only the very first
+                // pull is a round trip of its own. (Before pulls rode along:
+                // 80 more, 180 and 240 in all.)
+                let rounds = 40 / sync_every;
+                assert_eq!(wire.push.round_trips, 80, "{what}");
+                assert_eq!(wire.sync.round_trips, 2 * rounds, "{what}");
+                assert_eq!(wire.pull.round_trips, 2, "{what}");
+                assert_eq!(wire.total_round_trips(), 82 + 2 * rounds, "{what}");
+                // The logical ops are what they were, plus the image the
+                // last step brought home for a step that never came.
+                assert_eq!(wire.push.ops, 40 * 7, "{what}");
+                assert_eq!(wire.sync.ops, 2 * rounds, "{what}");
+                assert_eq!(wire.pull.ops, 80 + 2, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn lost_and_duplicated_fused_replies_leave_the_run_exact() {
+    // Dropped replies make the client re-send; duplicated requests reach
+    // the server twice. Either way the server replays the cached acks and
+    // only *reads* again, so the run must end exactly where the fault-free
+    // one does — with pulls riding on pushes and on sync rounds throughout.
+    let clean = ServerTopology::new(2, 4).with_transport(TransportKind::Channel);
+    let want = one_worker_run(clean, None);
+    let mut plan = FaultPlan::seeded(5);
+    plan.drop_reply_per_mille = 80;
+    plan.duplicate_per_mille = 80;
+    let got = one_worker_run(clean.with_faults(plan), None);
+    assert_eq!(got.0, want.0, "faults changed the parameters");
+    assert_eq!(got.1, want.1, "faults changed the velocity");
+    assert!(got.2.retries > 0, "the plan dropped no reply");
+    assert!(got.3 > 0, "no request was deduplicated");
+    // A retried round trip is booked once, so even the counts agree.
+    assert_eq!(got.2.total_round_trips(), want.2.total_round_trips());
+    assert_eq!(got.2.pull.ops, want.2.pull.ops);
 }
 
 // ---- Stats wire frame: codec exactness and the live scrape path ----

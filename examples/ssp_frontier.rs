@@ -156,7 +156,7 @@ fn main() {
     // replies carry the parameter slice — two sizes, two unknowns).
     println!(
         "\nWire cost measured on the last run ({} round trips):",
-        wire.total_ops()
+        wire.total_round_trips()
     );
     for (name, op) in [
         ("push", wire.push),

@@ -224,3 +224,38 @@ fn one_trainer_runs_bsp_asp_and_ssp_segments() {
     );
     assert!(ssp.finite && trainer.check_finite());
 }
+
+#[test]
+fn asynchronous_steps_over_a_wire_tier_rarely_ask_for_their_pull() {
+    // Two workers, ASP, two servers behind the channel transport: a step's
+    // push reply (or the sync round it runs) brings the next step's pull
+    // home, so most steps talk to each server once, not twice. A pull is
+    // asked for only at a worker's first step and when a peer's round
+    // completed between a push and the pull after it.
+    use sync_switch_ps::{ServerTopology, TransportKind};
+    let (servers, steps) = (2u64, 400u64);
+    let (train, test) = dataset(23);
+    let cfg = TrainerConfig::new(2, 8, 0.03, 0.9)
+        .with_seed(23)
+        .with_topology(
+            ServerTopology::new(servers as usize, 4).with_transport(TransportKind::Channel),
+        );
+    let mut trainer = Trainer::new(Network::mlp(8, &[16], 4, 23), train, test, cfg);
+    let before = trainer.evaluate();
+    let report = trainer
+        .run_segment(SyncProtocol::Asp, steps)
+        .expect("asp segment");
+    assert_eq!(report.steps, steps);
+    let wire = report.transport;
+    assert_eq!(wire.push.round_trips, steps * servers);
+    assert!(wire.pull.ops >= steps * servers, "{:?}", wire.pull);
+    assert!(
+        wire.pull.round_trips < steps * servers / 2,
+        "{} of {} pulls were asked for",
+        wire.pull.round_trips,
+        steps * servers
+    );
+    assert_eq!((wire.retries, wire.reconnects), (0, 0));
+    let after = trainer.evaluate();
+    assert!(after > before + 0.2, "did not learn: {before} -> {after}");
+}
