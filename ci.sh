@@ -5,8 +5,9 @@
 #
 #   ./ci.sh                   # every stage in order
 #   ./ci.sh --fast            # debug-profile stages only (fmt, test,
-#                             # clippy, examples) — skips everything that
-#                             # would trigger a release/bench-profile build,
+#                             # transport, workloads, chaos, clippy,
+#                             # examples) — skips everything that would
+#                             # trigger a release/bench-profile build,
 #                             # including the multi-process cluster stage
 #   ./ci.sh --stage <name>    # run one stage (repeatable)
 #   ./ci.sh --list            # print stage names
@@ -14,16 +15,17 @@
 #                             # one counter CHANGES.md entries quote); runs
 #                             # no stage
 #
-# On any stage failure the EXIT trap collects diagnostics (cluster child
-# logs, bench JSON, golden exhibits, tree diff) into ci-artifacts/, which
+# A run without --stage first checks that the hosted workflow's steps still
+# mirror STAGES. On any stage failure the EXIT trap collects diagnostics
+# (cluster child logs, golden exhibits, tree diff) into ci-artifacts/, which
 # the hosted workflow uploads.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt build test transport workloads chaos clippy bench-compile bench-smoke benchmark-smoke exhibits examples cluster)
+STAGES=(fmt build test transport workloads chaos clippy bench-compile benchmark-smoke exhibits examples cluster)
 # Stages skipped by --fast: each of these compiles the release or bench
 # profile, which dwarfs the debug stages' wall time.
-RELEASE_STAGES=(build bench-compile bench-smoke benchmark-smoke exhibits cluster)
+RELEASE_STAGES=(build bench-compile benchmark-smoke exhibits cluster)
 
 step() { printf '\n==> %s\n' "$*"; }
 
@@ -63,12 +65,11 @@ live_cluster_pids() {
 # ---- failure artifacts ----------------------------------------------------
 
 CURRENT_STAGE=""
-SMOKE_JSON=""
 
 # Collects whatever a post-mortem needs into ci-artifacts/ (uploaded by the
 # hosted workflow on failure): the failed stage name, every cluster child
-# log/spec/report under target/tmp, the committed and freshly measured
-# bench JSON, the golden exhibits, and any tree drift a stage left behind.
+# log/spec/report under target/tmp, the golden exhibits, and any tree drift
+# a stage left behind.
 collect_artifacts() {
     local stage="$1" dest="ci-artifacts"
     rm -rf "$dest"
@@ -88,11 +89,6 @@ collect_artifacts() {
             cp "$f" "$dest/cluster/$rel"
         done < <(find target/tmp -type f \( -name '*.log' -o -name '*.json' \) 2>/dev/null)
     fi
-    # Bench baseline + the smoke sweep that was measured against it.
-    cp BENCH_*.json "$dest"/ 2>/dev/null || true
-    if [[ -n "$SMOKE_JSON" && -s "$SMOKE_JSON" ]]; then
-        cp "$SMOKE_JSON" "$dest/ps_throughput_smoke.json"
-    fi
     # Golden exhibits plus any drift a stage left in the working tree
     # (e.g. a --update someone forgot to commit).
     cp -r goldens "$dest/goldens" 2>/dev/null || true
@@ -111,9 +107,6 @@ on_exit() {
         kill -9 "$pid" 2>/dev/null || true
     done < <(live_cluster_pids)
     rm -f "$CLUSTER_PID_FILE"
-    if [[ -n "$SMOKE_JSON" ]]; then
-        rm -f "$SMOKE_JSON"
-    fi
     if [[ $code -ne 0 && -n "$CURRENT_STAGE" ]]; then
         collect_artifacts "$CURRENT_STAGE"
     fi
@@ -216,41 +209,6 @@ stage_bench_compile() {
     cargo bench --no-run --workspace
 }
 
-# Machine-readable bench JSON must emit and parse, and the telemetry
-# overhead gate inside bench_json_check must hold. The smoke is not
-# compared against the committed BENCH_ps_throughput.json: that file is the
-# full profile (best of 3 × 400-step segments per sweep point), the smoke
-# is one cold 40-step segment per point, which runs at about half the
-# steps/s and differs from itself by more than 30 % between runs on 1–40 of
-# the 84 points — the 30 % gate that used to sit here only ever passed
-# because the baseline was 2–3× stale. The like-for-like check is the full
-# profile (~35 s), run by hand around a perf-touching change:
-#   PS_BENCH_OUT=/tmp/full.json cargo bench -p sync-switch-bench --bench ps_throughput
-#   cargo run -q -p sync-switch-bench --bin bench_json_check -- /tmp/full.json \
-#       --baseline BENCH_ps_throughput.json --tolerance-pct 30
-bench_smoke_measure() {
-    rm -f "$SMOKE_JSON"
-    PS_BENCH_FAST=1 PS_BENCH_OUT="$SMOKE_JSON" \
-        cargo bench -p sync-switch-bench --bench ps_throughput
-    [[ -s "$SMOKE_JSON" ]] || {
-        echo "ps_throughput smoke did not write $SMOKE_JSON" >&2
-        return 1
-    }
-    cargo run -q -p sync-switch-bench --bin bench_json_check -- "$SMOKE_JSON"
-}
-
-stage_bench_smoke() {
-    SMOKE_JSON="$(mktemp -t ps_throughput_smoke.XXXXXX.json)"
-    # The FAST-profile micro-configs are scheduler-sensitive; a single
-    # re-measure absorbs transient CPU-contention noise for the
-    # telemetry-overhead gate inside bench_json_check, while a real
-    # regression fails both measurements.
-    if ! bench_smoke_measure; then
-        echo "bench gate tripped — re-measuring once to rule out scheduler noise" >&2
-        bench_smoke_measure
-    fi
-}
-
 # The end-to-end benchmark (benchmark/, BENCHMARK.json) in smoke mode: its
 # own package builds offline against the crate's public port API, all four
 # workloads run traced and untraced with their correctness checks on
@@ -265,8 +223,9 @@ stage_benchmark_smoke() {
     }
 }
 
-# Exhibit golden gate: fig5 (knee) and table2 (search costs) regenerated
-# and compared against goldens/ with per-field tolerances. A failure here
+# Exhibit golden gate: fig5 (knee), table2 (search costs), fig8 (batch and
+# momentum scaling) and table1 (the headline speedups) regenerated and
+# compared against goldens/ with per-field tolerances. A failure here
 # means the paper exhibits drifted; refresh intentionally with
 # `cargo run --release -p sync-switch-bench --bin exhibit_check -- --update`.
 stage_exhibits() {
@@ -367,6 +326,17 @@ print_loc() {
 
 # ---- driver ---------------------------------------------------------------
 
+# .github/workflows/ci.yml is a hand-kept mirror of STAGES, one step per
+# stage: its `./ci.sh --stage <name>` steps, in order, must be STAGES.
+check_workflow_mirror() {
+    local workflow=".github/workflows/ci.yml"
+    diff <(printf '%s\n' "${STAGES[@]}") \
+        <(sed -n 's|^ *run: \./ci\.sh --stage \([a-z-]*\)$|\1|p' "$workflow") || {
+        echo "$workflow steps (>) do not mirror ./ci.sh --list (<)" >&2
+        return 1
+    }
+}
+
 RAN_STAGES=()
 RAN_TIMES=()
 
@@ -429,6 +399,7 @@ if [[ ${#selected[@]} -gt 0 ]]; then
         run_stage "$name"
     done
 else
+    check_workflow_mirror
     for name in "${STAGES[@]}"; do
         if [[ $fast -eq 1 ]] && [[ " ${RELEASE_STAGES[*]} " == *" $name "* ]]; then
             continue

@@ -73,33 +73,16 @@ impl Exhibit {
     /// Returns any I/O error from creating the directory or writing.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        self.save_at(&path)
-    }
-
-    /// Writes the JSON payload to an exact file path, creating parent
-    /// directories as needed (benchmarks that persist machine-readable
-    /// results at a fixed location, e.g. `BENCH_ps_throughput.json`).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the directories or writing.
-    pub fn save_at(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
         fs::write(
-            path,
+            dir.join(format!("{}.json", self.id)),
             serde_json::to_string_pretty(&self.json).expect("serializable"),
         )
     }
 }
 
 /// Reads a JSON file back into a [`serde_json::Value`], mapping parse
-/// failures to [`std::io::ErrorKind::InvalidData`] — the validation half of
-/// the machine-readable bench outputs.
+/// failures to [`std::io::ErrorKind::InvalidData`] — how `exhibit_check`
+/// reads a committed golden.
 ///
 /// # Errors
 ///
@@ -165,14 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn save_at_and_load_json_round_trip() {
-        let mut e = Exhibit::new("unit_test_save_at", "test");
+    fn save_and_load_json_round_trip() {
+        let mut e = Exhibit::new("unit_test_round_trip", "test");
         e.json = serde_json::json!({"sweep": [{"workers": 4}]});
-        let path = std::env::temp_dir()
-            .join("ss-bench-test-at")
-            .join("BENCH_unit.json");
-        e.save_at(&path).unwrap();
-        let v = load_json(&path).unwrap();
+        let dir = std::env::temp_dir()
+            .join("ss-bench-test-nested")
+            .join("dir");
+        e.save(&dir).unwrap();
+        let v = load_json(&dir.join("unit_test_round_trip.json")).unwrap();
         let sweep = v.get("sweep").and_then(|s| s.as_array()).unwrap();
         assert_eq!(sweep[0].get("workers").and_then(|w| w.as_u64()), Some(4));
     }

@@ -60,7 +60,7 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Short lowercase name, for reports and bench axes.
+    /// Short lowercase name, for reports.
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::InProcess => "inprocess",
@@ -218,12 +218,6 @@ pub struct TrainerConfig {
     /// BSP uses the pull half only (barrier aggregation is inherently
     /// dense).
     pub sparse_push: bool,
-    /// Whether the trainer carries a telemetry bus (metrics registry +
-    /// event tracer) for this segment. On by default — recording is a
-    /// handful of relaxed atomic ops per step, and the overhead gate in the
-    /// bench suite holds it under 5%. Disable for the control arm of that
-    /// comparison.
-    pub telemetry: bool,
     /// Base seed for batch sampling (combined with worker id and step).
     pub seed: u64,
     /// Abort the segment with [`crate::PsError::Diverged`] when a worker
@@ -251,7 +245,6 @@ impl TrainerConfig {
             straggler_delay: vec![None; workers],
             excluded_workers: Vec::new(),
             sparse_push: true,
-            telemetry: true,
             seed: 0,
             divergence_loss_threshold: 1e4,
         }
@@ -266,12 +259,6 @@ impl TrainerConfig {
     /// Enables or disables the sparse pull/push path (enabled by default).
     pub fn with_sparse_push(mut self, sparse_push: bool) -> Self {
         self.sparse_push = sparse_push;
-        self
-    }
-
-    /// Enables or disables the telemetry bus (enabled by default).
-    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -359,15 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_defaults_on_and_toggles() {
-        let cfg = TrainerConfig::new(2, 8, 0.1, 0.9);
-        assert!(cfg.telemetry);
-        let cfg = cfg.with_telemetry(false);
-        assert!(!cfg.telemetry);
-        assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
     fn straggler_builder() {
         let cfg = TrainerConfig::new(3, 8, 0.1, 0.9).with_straggler(1, Duration::from_millis(5));
         assert!(cfg.straggler_delay[1].is_some());
@@ -393,7 +371,7 @@ mod tests {
         let t = ServerTopology::new(2, 4).with_transport(TransportKind::Tcp);
         assert_eq!(t.transport, TransportKind::Tcp);
         assert!(t.validate().is_ok());
-        // Names are the stable axis labels of the bench JSON.
+        // Names are stable: reports carry them.
         assert_eq!(TransportKind::InProcess.to_string(), "inprocess");
         assert_eq!(TransportKind::Channel.to_string(), "channel");
         assert_eq!(TransportKind::Tcp.to_string(), "tcp");

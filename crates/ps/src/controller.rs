@@ -440,33 +440,18 @@ impl SyncController {
     ///
     /// # Errors
     ///
-    /// [`PsError::InvalidConfig`] when the trainer has telemetry disabled
-    /// (the controller reads *only* bus signals, so there is nothing to
-    /// steer by), plus anything the watchdog-guarded segment or the switch
-    /// actuator returns.
+    /// Anything the watchdog-guarded segment or the switch actuator
+    /// returns.
     pub fn run_segment(
         &mut self,
         trainer: &mut Trainer,
         steps: u64,
     ) -> Result<SegmentReport, PsError> {
-        let before = match trainer.telemetry() {
-            Some(bus) => bus.metrics.snapshot(),
-            None => {
-                return Err(PsError::InvalidConfig(
-                    "the sync controller steers by telemetry signals; \
-                     enable telemetry on the trainer"
-                        .into(),
-                ))
-            }
-        };
+        let before = trainer.bus().metrics.snapshot();
         let requested = trainer.protocol();
         let report = self.watchdog.run_segment(trainer, requested, steps)?;
 
-        let after = trainer
-            .telemetry()
-            .expect("telemetry checked above")
-            .metrics
-            .snapshot();
+        let after = trainer.bus().metrics.snapshot();
         let unreachable = match trainer.net_router() {
             Some(router) => trainer
                 .server_count()
@@ -495,14 +480,13 @@ impl SyncController {
         let to = match &decision {
             SyncDecision::Hold { .. } => current,
             SyncDecision::Switch { to, reason } => {
-                if let Some(bus) = trainer.telemetry() {
-                    bus.metrics.counter("controller.switches").inc();
-                    bus.trace.instant(TraceKind::ProtocolSwitch {
-                        from: current.to_string(),
-                        to: to.to_string(),
-                        reason: reason.clone(),
-                    });
-                }
+                let bus = trainer.bus();
+                bus.metrics.counter("controller.switches").inc();
+                bus.trace.instant(TraceKind::ProtocolSwitch {
+                    from: current.to_string(),
+                    to: to.to_string(),
+                    reason: reason.clone(),
+                });
                 // Demotion resets velocity (stale momentum is part of the
                 // risk being fled); promotion keeps it.
                 let reset = *to == SyncProtocol::Bsp;
@@ -725,7 +709,7 @@ mod tests {
         assert_eq!(switch.to, SyncProtocol::Asp);
         assert!(switch.reason.contains("barrier-wait fraction"));
         // The switch landed on the bus with its reason.
-        let bus = t.telemetry().expect("telemetry defaults on");
+        let bus = t.bus();
         let counts = bus.trace.counts_by_name();
         assert!(counts.get("protocol_switch").copied().unwrap_or(0) >= 1);
         assert!(bus
@@ -777,18 +761,5 @@ mod tests {
         let last = c.decisions().last().expect("decisions recorded");
         assert!(!last.switched());
         assert!(last.reason.contains("watchdog"), "{}", last.reason);
-    }
-
-    #[test]
-    fn controller_without_telemetry_is_rejected() {
-        let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 11);
-        let (train, test) = data.split(0.25);
-        let cfg = TrainerConfig::new(3, 8, 0.05, 0.9).with_telemetry(false);
-        let mut t = Trainer::new(Network::mlp(6, &[12], 4, 11), train, test, cfg);
-        let mut c = SyncController::default();
-        match c.run_segment(&mut t, 10) {
-            Err(PsError::InvalidConfig(msg)) => assert!(msg.contains("telemetry")),
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
     }
 }

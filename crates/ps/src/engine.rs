@@ -401,7 +401,7 @@ pub(crate) struct Worker<'a> {
     shard_hist: ServerShardStaleness,
     buf: PullBuffer,
     scratch: StepScratch,
-    wt: Option<WorkerTelemetry>,
+    wt: WorkerTelemetry,
     /// First-step start, for the wall-clock throughput span — barrier and
     /// gate waits included, which the busy-only rate hides (see
     /// `WorkerProfile::wall_steps_per_sec`).
@@ -414,7 +414,7 @@ pub(crate) struct Step {
     id: u64,
     /// When the step started (busy time is measured from here).
     pub(crate) t0: Instant,
-    /// The same instant on the tracer's clock (0 with telemetry off).
+    /// The same instant on the tracer's clock.
     start_ns: u64,
     /// Version of the pulled data.
     version: u64,
@@ -442,9 +442,7 @@ impl Worker<'_> {
         }));
         // A panicking worker flushes whatever it buffered before the
         // unwind, so post-mortem traces keep the tail.
-        if let Some(t) = self.wt.as_mut() {
-            t.flush();
-        }
+        self.wt.flush();
         match run {
             Ok(()) => Ok((self.id, self.profile, self.hist, self.shard_hist)),
             Err(_payload) => {
@@ -464,7 +462,7 @@ impl Worker<'_> {
         let cfg = self.cfg;
         let t0 = Instant::now();
         self.wall_start.get_or_insert(t0);
-        let start_ns = self.wt.as_ref().map_or(0, |w| w.now_ns());
+        let start_ns = self.wt.now_ns();
         // The batch does not depend on the pull, so it is drawn first and
         // says what to pull.
         let mut rng = step_rng(cfg.seed, self.id, step_id);
@@ -581,12 +579,10 @@ impl Worker<'_> {
         self.profile.step_durations.push(busy);
         self.profile.losses.push(step.loss);
         self.hist.record(staleness.unwrap_or(0));
-        if let Some(w) = self.wt.as_mut() {
-            if let Some(v) = staleness {
-                w.staleness(v);
-            }
-            w.step(self.id, step.id, step.start_ns, busy);
+        if let Some(v) = staleness {
+            self.wt.staleness(v);
         }
+        self.wt.step(self.id, step.id, step.start_ns, busy);
     }
 
     /// Extends the wall-clock span to now.
@@ -601,11 +597,9 @@ impl Worker<'_> {
     /// worker's barrier wait, so the barrier-wait fraction the controller
     /// promotes on covers BSP barriers and SSP back-pressure alike.
     pub(crate) fn wait_at_gate(&mut self, ready: impl FnMut() -> bool) {
-        let wait_ns = self.wt.as_ref().map_or(0, |w| w.now_ns());
+        let wait_ns = self.wt.now_ns();
         let parked = self.gate.wait_until(ready);
-        if let Some(w) = self.wt.as_mut() {
-            w.barrier_wait(self.id, wait_ns, parked);
-        }
+        self.wt.barrier_wait(self.id, wait_ns, parked);
     }
 }
 
@@ -707,11 +701,10 @@ pub struct Trainer {
     cfg: TrainerConfig,
     plane: DataPlane,
     /// The telemetry bus (metrics + event trace) every layer of this
-    /// trainer records into, `None` when [`TrainerConfig::telemetry`] is
-    /// off. On a transport-backed plane the same bus is installed on the
-    /// [`NetRouter`], so wire retries and sync rounds land next to the
-    /// engine's step spans.
-    telemetry: Option<Arc<Telemetry>>,
+    /// trainer records into: the [`NetRouter`]'s own on a transport-backed
+    /// plane, so wire retries and sync rounds land next to the engine's
+    /// step spans, and one built here otherwise.
+    telemetry: Arc<Telemetry>,
     global_step: u64,
     /// The synchronization protocol currently in effect: set at
     /// construction (BSP — the safe default every run starts from), by
@@ -760,7 +753,9 @@ impl Trainer {
     /// one from the config — the cross-process entry point: a `ps-worker`
     /// process connects a [`NetPort`] to its `ps-serve` tier (which already
     /// holds the initial parameters, every process having built the same
-    /// seeded model) and drives the same BSP/ASP/SSP loops over it.
+    /// seeded model) and drives the same BSP/ASP/SSP loops over it. The
+    /// trainer adopts the port's router's telemetry bus, so what the router
+    /// recorded before the trainer existed stays on the trace.
     ///
     /// # Panics
     ///
@@ -783,8 +778,11 @@ impl Trainer {
             model.param_count(),
             "data plane parameter count does not match the model"
         );
+        let telemetry = match &port {
+            WorkerPort::Single(_) | WorkerPort::Routed(_) => Arc::new(Telemetry::new()),
+            WorkerPort::Net(p) => Arc::clone(p.router().telemetry()),
+        };
         let plane = DataPlane(port);
-        let telemetry = Self::build_telemetry(&cfg, &plane);
         let shards: Vec<Dataset> = (0..cfg.workers)
             .map(|k| train.shard(k, cfg.workers))
             .collect();
@@ -802,21 +800,6 @@ impl Trainer {
             protocol: SyncProtocol::Bsp,
             probe_batch,
         }
-    }
-
-    /// Builds the trainer's telemetry bus (if enabled) and installs it on
-    /// the data plane's wire router, so router-level events — push retries,
-    /// sync rounds, server kills/heals — share a clock and a trace with the
-    /// engine's step spans.
-    fn build_telemetry(cfg: &TrainerConfig, plane: &DataPlane) -> Option<Arc<Telemetry>> {
-        if !cfg.telemetry {
-            return None;
-        }
-        let telemetry = Arc::new(Telemetry::new());
-        if let WorkerPort::Net(p) = &plane.0 {
-            p.router().set_telemetry(Arc::clone(&telemetry));
-        }
-        Some(telemetry)
     }
 
     /// The current configuration.
@@ -937,12 +920,19 @@ impl Trainer {
         }
     }
 
-    /// The telemetry bus this trainer records into (`None` when disabled
-    /// via [`TrainerConfig::telemetry`]). Harnesses read metrics snapshots
-    /// and export Chrome traces from here; the watchdog and supervisor
-    /// record their events into the same bus.
+    /// The telemetry bus this trainer records into. Harnesses read metrics
+    /// snapshots and export Chrome traces from here; the watchdog and
+    /// supervisor record their events into the same bus. Always `Some`: the
+    /// bus is part of the data plane, and the `Option` stays only because
+    /// the frozen `benchmark/src/{job,probes}.rs` match on it (ROADMAP item
+    /// 2 unfreezes it).
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+        Some(&self.telemetry)
+    }
+
+    /// [`Trainer::telemetry`] without the `Option`, for this crate.
+    pub(crate) fn bus(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// Cumulative wire-cost counters of the data plane since construction
@@ -1177,7 +1167,7 @@ impl Trainer {
                         shard_hist: ServerShardStaleness::new(n_servers, n_shards),
                         buf: port.new_buffer(),
                         scratch: StepScratch::default(),
-                        wt: self.telemetry.as_ref().map(WorkerTelemetry::new),
+                        wt: WorkerTelemetry::new(&self.telemetry),
                         wall_start: None,
                     };
                     scope.spawn(move || w.run(tail, steps))
@@ -1335,7 +1325,7 @@ mod tests {
         assert_eq!(report.steps, rounds);
         // The bus says how the waits ended: one wait per worker per round,
         // of which `engine.barrier_parks` reached the condvar.
-        let snap = t.telemetry().unwrap().metrics.snapshot();
+        let snap = t.bus().metrics.snapshot();
         let waits = snap.histograms.get("engine.barrier_wait_ns").unwrap().count;
         assert_eq!(waits, workers as u64 * rounds);
         assert!(snap.counters["engine.barrier_parks"] < waits);
@@ -1643,11 +1633,7 @@ mod tests {
         let mut t = small_trainer(3, 21);
         let (asp_steps, bsp_rounds, ssp_steps) = (40, 10, 30);
         let barrier_waits = |t: &Trainer| {
-            let snap = t
-                .telemetry()
-                .expect("telemetry defaults on")
-                .metrics
-                .snapshot();
+            let snap = t.bus().metrics.snapshot();
             let hist = snap.histograms.get("engine.barrier_wait_ns");
             hist.map_or(0, |h| h.count)
         };
@@ -1663,7 +1649,7 @@ mod tests {
         t.run_ssp_segment(1, ssp_steps).unwrap();
         let waits = 3 * bsp_rounds + ssp_steps + 3;
         assert_eq!(barrier_waits(&t), waits);
-        let bus = t.telemetry().unwrap();
+        let bus = t.bus();
         // Every completed step incremented the counter and recorded a
         // duration: the ASP and SSP steps plus one step per worker per BSP
         // round.
@@ -1741,17 +1727,42 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_off_means_no_bus() {
-        let data = Dataset::gaussian_blobs(3, 40, 5, 0.3, 22);
-        let (train, test) = data.split(0.25);
-        let cfg = TrainerConfig::new(2, 8, 0.05, 0.9)
-            .with_seed(22)
-            .with_telemetry(false);
-        let mut t = Trainer::new(Network::mlp(5, &[8], 3, 22), train, test, cfg);
-        assert!(t.telemetry().is_none());
-        // The loops still run — telemetry is strictly optional.
-        let r = t.run_segment(SyncProtocol::Asp, 10).unwrap();
-        assert_eq!(r.steps, 10);
+    fn every_data_plane_carries_one_bus() {
+        // Whatever the plane, the trainer records into exactly one bus, and
+        // on a wire plane it is the router's own: engine counters and wire
+        // counters come out of one snapshot.
+        let two = crate::config::ServerTopology::new(2, 4);
+        let planes = [
+            crate::config::ServerTopology::default(),
+            two,
+            two.with_transport(TransportKind::Channel),
+            two.with_transport(TransportKind::Tcp),
+        ];
+        for topology in planes {
+            let data = Dataset::gaussian_blobs(3, 40, 5, 0.3, 22);
+            let (train, test) = data.split(0.25);
+            let cfg = TrainerConfig::new(2, 8, 0.05, 0.9)
+                .with_seed(22)
+                .with_topology(topology);
+            let mut t = Trainer::new(Network::mlp(5, &[8], 3, 22), train, test, cfg);
+            let steps = 24;
+            t.run_segment(SyncProtocol::Asp, steps).unwrap();
+            let bus = t.telemetry().expect("always Some");
+            let snap = bus.metrics.snapshot();
+            assert_eq!(snap.counters["engine.steps"], steps, "{topology:?}");
+            match t.net_router() {
+                Some(router) => {
+                    assert!(Arc::ptr_eq(bus, router.telemetry()), "{topology:?}");
+                    assert!(t.sync_rounds() > 0, "{topology:?}");
+                    assert_eq!(
+                        snap.counters["wire.sync_rounds"],
+                        t.sync_rounds(),
+                        "{topology:?}"
+                    );
+                }
+                None => assert_eq!(topology.transport, TransportKind::InProcess, "{topology:?}"),
+            }
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl ServerSupervisor {
     /// `wait`, or the restore failure of a server that answered but could
     /// not be re-seeded.
     pub fn heal_respawned(&mut self, router: &NetRouter, wait: Duration) -> Result<usize, PsError> {
-        let telemetry = router.telemetry();
+        let t = router.telemetry();
         let start = Instant::now();
         let mut healed = 0;
         for s in 0..router.server_count() {
@@ -142,19 +142,15 @@ impl ServerSupervisor {
             // A changed nonce is how a cross-process crash is *observed*:
             // nobody on this side called kill/revive, so the supervisor is
             // the only place the death and the re-seed can be recorded.
-            if let Some(t) = &telemetry {
-                t.metrics.counter("fault.server_kills").inc();
-                t.trace.instant(TraceKind::ServerKill { server: s as u64 });
-            }
+            t.metrics.counter("fault.server_kills").inc();
+            t.trace.instant(TraceKind::ServerKill { server: s as u64 });
             if let Some(Some((params, velocity))) = self.snapshots.get(s) {
                 router.restore_server(s, params, velocity)?;
             }
             self.nonces[s] = Some(info.nonce);
             healed += 1;
-            if let Some(t) = &telemetry {
-                t.metrics.counter("fault.server_heals").inc();
-                t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
-            }
+            t.metrics.counter("fault.server_heals").inc();
+            t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
         }
         Ok(healed)
     }

@@ -5,8 +5,9 @@
 //! configurations to all nodes … custom hook managers relaunch the training
 //! tasks to resume the training from the last model checkpoint but with a
 //! different synchronization protocol." Here the relaunch is in-process, and
-//! the real durations of each stage are measured so the runtime-overhead
-//! analysis (paper Table III) has a live counterpart.
+//! the real durations of each stage are measured — returned to the caller
+//! and recorded on the trainer's bus as the `switch.*_ns` histograms — so
+//! the runtime-overhead analysis (paper Table III) has a live counterpart.
 
 use std::time::{Duration, Instant};
 
@@ -149,6 +150,17 @@ pub fn execute_switch(trainer: &mut Trainer, plan: &SwitchPlan) -> Result<Switch
     }
     let restore_time = t2.elapsed();
 
+    // The live Table III: every executed switch, whoever asked for it,
+    // leaves its stage durations on the trainer's bus.
+    let metrics = &trainer.bus().metrics;
+    for (name, stage) in [
+        ("switch.drain_ns", drain_time),
+        ("switch.checkpoint_ns", checkpoint_time),
+        ("switch.reconfigure_ns", reconfigure_time),
+        ("switch.restore_ns", restore_time),
+    ] {
+        metrics.histogram(name).record(stage.as_nanos() as u64);
+    }
     Ok(SwitchOutcome {
         drain_time,
         checkpoint_time,

@@ -275,12 +275,11 @@ pub struct NetRouter {
     /// `e`: every round that has completed by then had `s` acknowledge its
     /// commit before the image was asked for.
     view_epochs: Vec<AtomicU64>,
-    /// Telemetry bus the router emits wire events on (retries, sync
-    /// rounds, kills, heals). Interior-mutable because the trainer
-    /// installs it after workers already share the router behind an
-    /// `Arc`; `None` means telemetry is off and costs one uncontended
-    /// read on the rare paths that check it.
-    telemetry: Mutex<Option<Arc<Telemetry>>>,
+    /// The data plane's telemetry bus: the router emits its wire events on
+    /// it (retries, sync rounds, kills, heals), and the trainer over this
+    /// router adopts it, so they share a clock and a trace with the
+    /// engine's step spans.
+    telemetry: Arc<Telemetry>,
     /// Serializes stage-2 rounds and the control plane; holds the control
     /// plane's dedicated connections (a round a worker's port runs holds
     /// the lock but travels over the worker's own).
@@ -341,7 +340,7 @@ impl NetRouter {
             view_epochs: (0..tier.server_count())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            telemetry: Mutex::new(None),
+            telemetry: Arc::new(Telemetry::new()),
             sync: Mutex::new(ConnSet::with_capacity(tier.server_count())),
             tier,
             transport,
@@ -391,16 +390,9 @@ impl NetRouter {
         Ok(Self::over(TransportKind::Tcp, tier, retry, transport))
     }
 
-    /// Installs the telemetry bus this router emits wire events and
-    /// counters on. Callable at any point — workers sharing the router
-    /// pick it up on their next event.
-    pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
-        *self.telemetry.lock() = Some(telemetry);
-    }
-
-    /// The installed telemetry bus, if any.
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.telemetry.lock().clone()
+    /// The telemetry bus this router emits wire events and counters on.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// The transport backend kind.
@@ -543,13 +535,12 @@ impl NetRouter {
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = self.telemetry.lock().as_ref() {
-                    t.metrics.counter("wire.retries").inc();
-                    t.trace.instant(TraceKind::PushRetry {
-                        server: server as u64,
-                        attempt: u64::from(attempt),
-                    });
-                }
+                let t = &self.telemetry;
+                t.metrics.counter("wire.retries").inc();
+                t.trace.instant(TraceKind::PushRetry {
+                    server: server as u64,
+                    attempt: u64::from(attempt),
+                });
                 let backoff = policy
                     .backoff_base_ms
                     .checked_shl(attempt - 1)
@@ -651,8 +642,8 @@ impl NetRouter {
     /// epoch its commit opened (the round lock keeps everyone else's hands
     /// off the epochs meanwhile).
     fn commit_round(&self, conns: &mut ConnSet, opcode: u8, with_pull: bool) {
-        let telemetry = self.telemetry.lock().clone();
-        let t0 = telemetry.as_ref().map_or(0, |t| t.trace.now_ns());
+        let t = &self.telemetry;
+        let t0 = t.trace.now_ns();
         let servers = self.tier.server_count();
         let round = self.tier.commit_round(|| {
             for s in 0..servers {
@@ -664,10 +655,8 @@ impl NetRouter {
                 }
             }
         });
-        if let Some(t) = &telemetry {
-            t.metrics.counter("wire.sync_rounds").inc();
-            t.trace.span(TraceKind::SyncRound { round }, t0);
-        }
+        t.metrics.counter("wire.sync_rounds").inc();
+        t.trace.span(TraceKind::SyncRound { round }, t0);
     }
 
     /// Server `s`'s view epoch (see [`NetRouter::view_epochs`]).
@@ -1195,10 +1184,9 @@ impl NetRouter {
     pub fn kill_server(&self, s: usize) -> io::Result<()> {
         self.transport.kill_server(s)?;
         self.forget_server(s);
-        if let Some(t) = self.telemetry.lock().as_ref() {
-            t.metrics.counter("fault.server_kills").inc();
-            t.trace.instant(TraceKind::ServerKill { server: s as u64 });
-        }
+        let t = &self.telemetry;
+        t.metrics.counter("fault.server_kills").inc();
+        t.trace.instant(TraceKind::ServerKill { server: s as u64 });
         Ok(())
     }
 
@@ -1218,10 +1206,9 @@ impl NetRouter {
         let fresh = self.tier.server(s, &vec![0.0f32; self.param_count()]);
         self.transport.revive_server(s, Arc::new(fresh))?;
         self.forget_server(s);
-        if let Some(t) = self.telemetry.lock().as_ref() {
-            t.metrics.counter("fault.server_heals").inc();
-            t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
-        }
+        let t = &self.telemetry;
+        t.metrics.counter("fault.server_heals").inc();
+        t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
         Ok(())
     }
 
@@ -1378,7 +1365,7 @@ impl NetPort {
     /// Queues a sparse stage-1 apply on global shard `g`: only the touched
     /// segments will cross the wire. Counted under the same `push`
     /// wire-stats class as the dense form (same op count, smaller payloads
-    /// — the comparison the bench pair and the transport tests read off).
+    /// — the comparison the transport tests read off).
     pub fn queue_shard_update_sparse(
         &self,
         g: usize,
@@ -1833,7 +1820,7 @@ mod tests {
     }
 
     #[test]
-    fn router_emits_wire_events_on_the_installed_bus() {
+    fn router_emits_wire_events_on_its_own_bus() {
         let initial: Vec<f32> = (0..32).map(|i| i as f32 * 0.05).collect();
         let mut plan = crate::transport::FaultPlan::seeded(11);
         plan.drop_reply_per_mille = 200;
@@ -1844,8 +1831,7 @@ mod tests {
                 .with_transport(TransportKind::Channel)
                 .with_faults(plan),
         );
-        let telemetry = Arc::new(Telemetry::new());
-        net.router().set_telemetry(Arc::clone(&telemetry));
+        let telemetry = net.router().telemetry();
         for step in 0..8 {
             for g in 0..4 {
                 let (_, l) = net.router().shard_range(g);

@@ -159,20 +159,19 @@ impl DivergenceWatchdog {
     ) -> Result<SegmentReport, PsError> {
         self.trips += 1;
         self.demoted = true;
-        if let Some(t) = trainer.telemetry() {
-            t.metrics.counter("watchdog.rollbacks").inc();
-            t.trace.instant(TraceKind::WatchdogRollback {
-                trips: u64::from(self.trips),
-            });
-            t.trace.instant(TraceKind::ProtocolSwitch {
-                from: from.to_string(),
-                to: SyncProtocol::Bsp.to_string(),
-                reason: format!(
-                    "watchdog trip #{}: divergence under {from}, rolling back to best loss {:.4}",
-                    self.trips, self.best_loss
-                ),
-            });
-        }
+        let bus = trainer.bus();
+        bus.metrics.counter("watchdog.rollbacks").inc();
+        bus.trace.instant(TraceKind::WatchdogRollback {
+            trips: u64::from(self.trips),
+        });
+        bus.trace.instant(TraceKind::ProtocolSwitch {
+            from: from.to_string(),
+            to: SyncProtocol::Bsp.to_string(),
+            reason: format!(
+                "watchdog trip #{}: divergence under {from}, rolling back to best loss {:.4}",
+                self.trips, self.best_loss
+            ),
+        });
         if let Some(ck) = &self.last_good {
             trainer.restore(ck)?;
         }
@@ -260,7 +259,7 @@ mod tests {
             "demotion must leave the trainer's recorded protocol at BSP"
         );
         // Every trip left a rollback + demotion event pair on the bus.
-        let bus = t.telemetry().expect("telemetry defaults on");
+        let bus = t.bus();
         let counts = bus.trace.counts_by_name();
         let trips = u64::from(dog.trips());
         assert_eq!(counts.get("watchdog_rollback"), Some(&trips));

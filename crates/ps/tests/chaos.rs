@@ -291,7 +291,7 @@ fn chaos_run_traces_every_event_kind() {
         .expect("watchdog must absorb the divergence");
     assert!(dog.demoted(), "a NaN loss never tripped the watchdog");
 
-    let bus = t.telemetry().expect("telemetry defaults on");
+    let bus = t.telemetry().expect("always Some");
     let counts = bus.trace.counts_by_name();
     let every_kind = [
         "step",
@@ -330,6 +330,21 @@ fn chaos_policy() -> ControllerConfig {
         promote_barrier_frac: 0.0,
         demote_retry_limit: 3,
         ..ControllerConfig::default()
+    }
+}
+
+/// The live Table III on `t`'s bus: every executed switch — the controller's,
+/// and the watchdog's demotion through the same actuator — left one sample
+/// in each `switch.*_ns` stage histogram.
+fn assert_switch_stages_recorded(t: &Trainer) {
+    let snap = t.telemetry().expect("always Some").metrics.snapshot();
+    let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let executed = count("controller.switches") + count("watchdog.rollbacks");
+    assert!(executed >= 1, "no switch was executed");
+    for stage in ["drain", "checkpoint", "reconfigure", "restore"] {
+        let name = format!("switch.{stage}_ns");
+        let samples = snap.histograms.get(&name).map(|h| h.count);
+        assert_eq!(samples, Some(executed), "{name}");
     }
 }
 
@@ -374,7 +389,7 @@ fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
         "{}",
         promote.reason
     );
-    let bus = t.telemetry().expect("telemetry defaults on");
+    let bus = t.telemetry().expect("always Some");
     assert!(
         bus.trace
             .counts_by_name()
@@ -420,6 +435,8 @@ fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
     // wire-health policy, not a watchdog rollback.
     assert_eq!(ctl2.watchdog_trips(), 0, "loss gates tripped under chaos");
     assert!(!ctl2.watchdog_demoted());
+    assert_switch_stages_recorded(&t);
+    assert_switch_stages_recorded(&t2);
 }
 
 /// The watchdog specimen driven through the controller: ASP at the hot
@@ -460,6 +477,8 @@ fn controller_absorbs_hot_lr_divergence_and_pins_bsp() {
     assert!(!last.switched());
     assert!(last.reason.contains("watchdog"), "{}", last.reason);
     assert!(t.check_finite(), "final parameters must be finite");
+    // The watchdog's demotion went through the same actuator.
+    assert_switch_stages_recorded(&t);
 }
 
 /// Server-vs-client accounting reconciliation on a **clean** network: with

@@ -16,6 +16,11 @@
 //! changed instance nonce and replays the snapshot), rolls the tier back
 //! to the segment-start checkpoint, and re-runs the segment.
 //!
+//! However the run ends — report written, fatal segment error, a tier that
+//! never healed — the process's trace ring is dumped next to the report
+//! path as a Chrome trace: the retries, kills and last steps before a
+//! failure are what a post-mortem needs.
+//!
 //! ```text
 //! ps-worker --spec cluster.json --report worker-0.report.json
 //! ```
@@ -26,6 +31,7 @@ use sync_switch::deploy::{
     ClusterSpec, ControllerDecision, SegmentOutcome, ServerStatsSummary, WorkerReport,
 };
 use sync_switch::ps::{NetPort, PsError, ServerSupervisor, SyncController, Trainer, WorkerPort};
+use sync_switch::workloads::TrainableKind;
 
 /// Parsed command line of `ps-worker`.
 ///
@@ -125,7 +131,26 @@ fn run() -> Result<(), String> {
 
     let trainer_cfg = spec.trainer_config()?;
     let mut trainer = Trainer::with_port(model, train, test, trainer_cfg, WorkerPort::Net(port));
-    let mut sup = ServerSupervisor::new(addrs.len());
+    let outcome = run_segments(&cfg, &spec, kind, &mut trainer);
+    // However the segments ended, dump this process's trace ring next to
+    // the report path for chrome://tracing.
+    let bus = trainer.net_router().expect("net data plane").telemetry();
+    let trace_path = trace_path_for(&cfg.report_path);
+    let trace = bus.trace.chrome_trace_json(u64::from(std::process::id()));
+    if let Err(e) = std::fs::write(&trace_path, trace) {
+        eprintln!("ps-worker: cannot write trace {trace_path}: {e}");
+    }
+    outcome
+}
+
+/// Runs the spec's segments on `trainer` and writes the report.
+fn run_segments(
+    cfg: &WorkerConfig,
+    spec: &ClusterSpec,
+    kind: TrainableKind,
+    trainer: &mut Trainer,
+) -> Result<(), String> {
+    let mut sup = ServerSupervisor::new(trainer.server_count());
     sup.checkpoint(trainer.net_router().expect("net data plane"))
         .map_err(|e| format!("initial checkpoint: {e}"))?;
     let mut ck = trainer.checkpoint();
@@ -158,7 +183,7 @@ fn run() -> Result<(), String> {
         let mut healed_seg = 0u64;
         let report = loop {
             let res = match (&mut controller, protocol) {
-                (Some(ctl), Some(_)) => ctl.run_segment(&mut trainer, seg.steps),
+                (Some(ctl), Some(_)) => ctl.run_segment(trainer, seg.steps),
                 // An SSP segment under the controller uses the measured
                 // (retuned) bound, floored by the spec's.
                 (Some(ctl), None) => {
@@ -228,8 +253,7 @@ fn run() -> Result<(), String> {
 
     // Final telemetry sweep: scrape every server's request accounting over
     // the `Stats` wire frame (a crashed-and-gone server scrapes as `None`
-    // and is simply absent from the report) and dump this process's trace
-    // ring next to the report for chrome://tracing.
+    // and is simply absent from the report).
     let server_stats: Vec<ServerStatsSummary> = trainer
         .net_router()
         .expect("net data plane")
@@ -238,13 +262,6 @@ fn run() -> Result<(), String> {
         .flatten()
         .map(ServerStatsSummary::from_snapshot)
         .collect();
-    if let Some(bus) = trainer.telemetry() {
-        let trace_path = trace_path_for(&cfg.report_path);
-        let trace = bus.trace.chrome_trace_json(u64::from(std::process::id()));
-        if let Err(e) = std::fs::write(&trace_path, trace) {
-            eprintln!("ps-worker: cannot write trace {trace_path}: {e}");
-        }
-    }
 
     let controller_decisions: Vec<ControllerDecision> = controller
         .as_ref()

@@ -266,6 +266,48 @@ fn cluster_survives_mid_run_server_sigkill() {
     );
 }
 
+/// The crash drill without the respawn: the killed server never comes back,
+/// so every worker gives up once its (shortened) heal deadline passes and
+/// exits non-zero — and must still leave its trace behind, holding the
+/// retries that preceded the failure.
+#[test]
+fn cluster_worker_on_an_unhealed_tier_fails_and_leaves_its_trace() {
+    if !cluster_tests_enabled("cluster_worker_on_an_unhealed_tier_fails_and_leaves_its_trace") {
+        return;
+    }
+    let mut spec = ClusterSpec::standard(TrainableKind::MlpBlobs, free_addrs(2), 29);
+    spec.step_delay_ms = 15;
+    spec.segments = vec![SegmentSpec::bsp(200), SegmentSpec::asp(150)];
+    spec.heal_secs = 1;
+    let mut h = harness(spec, "sigkill-unhealed");
+    h.spawn_servers().expect("spawn servers");
+    h.wait_servers_ready(Duration::from_secs(10))
+        .expect("servers ready");
+    h.spawn_workers(2).expect("spawn workers");
+
+    std::thread::sleep(Duration::from_millis(1_500));
+    h.sigkill_server(0);
+
+    let err = h
+        .wait_workers(Duration::from_secs(60))
+        .expect_err("workers cannot finish on a tier that never heals");
+    assert!(err.contains("tier did not heal"), "{err}");
+    for w in 0..2 {
+        let trace_path = h.worker_trace_path(w);
+        let trace = std::fs::read_to_string(&trace_path)
+            .unwrap_or_else(|e| panic!("failed worker {w} wrote no trace at {trace_path:?}: {e}"));
+        assert!(trace.contains("\"traceEvents\""), "not a Chrome trace");
+        assert!(
+            trace.contains("\"step\""),
+            "worker {w} trace lost the steps before the kill"
+        );
+        assert!(
+            trace.contains("\"push_retry\""),
+            "worker {w} trace lost the retries against the dead server"
+        );
+    }
+}
+
 // ---- always-on spec units (no processes) ----
 
 #[test]
