@@ -120,9 +120,14 @@ stage_fmt() {
     cargo fmt --all --check
 }
 
-# Tier-1, part 1: the release build every bench/exhibit stage reuses.
+# Tier-1, part 1: the release build every bench/exhibit stage reuses. Then
+# the store/router/wire equivalence proptests once in that profile — the one
+# the benchmark measures: the touched-block walk is index arithmetic, and
+# its overflow checks and `debug_assert!`s exist only in the `test` stage's
+# debug build.
 stage_build() {
     cargo build --release
+    timeout -sKILL 300 cargo test --release -q -p sync-switch-ps --test proptests
 }
 
 # Tier-1, part 2. Hard KILL timeout like the other test stages: the unit

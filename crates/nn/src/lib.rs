@@ -44,6 +44,6 @@ pub use embedding::Embedding;
 pub use layer::{Dense, Layer, Relu, ResidualBlock};
 pub use loss::SoftmaxCrossEntropy;
 pub use metrics::accuracy;
-pub use model::Network;
+pub use model::{GradBuffer, Network};
 pub use optimizer::SgdMomentum;
 pub use sync_switch_tensor::Tensor;

@@ -219,12 +219,69 @@ impl Network {
     /// Runs forward + backward, returning the mean loss and the flattened
     /// gradient vector (aligned with [`Network::params_flat`]).
     pub fn loss_and_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Vec<f32>) {
+        let loss = self.backward_pass(x, labels);
+        (loss, self.grads_flat())
+    }
+
+    /// [`Network::loss_and_grad`] into a caller-kept [`GradBuffer`], at the
+    /// cost of the `runs` it touches rather than of the whole vector:
+    /// zeroes the runs the previous call wrote, then copies the new ones
+    /// out of the layers, so `out` always equals what
+    /// [`Network::grads_flat`] would return. The one full run
+    /// `[(0, param_count)]` — a dense step — is a single copy with nothing
+    /// to zero. Returns the mean loss.
+    ///
+    /// `runs` must be sorted, disjoint `(offset, len)` ranges covering
+    /// every position this backward pass can write: the full run, or what
+    /// [`Network::param_read_runs_into`] reported for `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run reaches past [`Network::param_count`].
+    pub fn loss_and_grad_into(
+        &mut self,
+        x: &Tensor,
+        labels: &[usize],
+        runs: &[(usize, usize)],
+        out: &mut GradBuffer,
+    ) -> f32 {
+        let loss = self.backward_pass(x, labels);
+        let n = self.param_count();
+        if out.flat.len() != n {
+            out.flat.clear();
+            out.flat.resize(n, 0.0);
+            out.written.clear();
+        }
+        if runs != [(0, n)] {
+            for &(start, len) in &out.written {
+                out.flat[start..start + len].fill(0.0);
+            }
+        }
+        let mut next = 0;
+        let mut offset = 0;
+        for layer in &self.layers {
+            for g in layer.grads() {
+                let end = offset + g.len();
+                for (from, to) in runs_in_tensor(runs, &mut next, offset, end) {
+                    out.flat[from..to].copy_from_slice(&g.data()[from - offset..to - offset]);
+                }
+                offset = end;
+            }
+        }
+        out.written.clear();
+        out.written.extend_from_slice(runs);
+        loss
+    }
+
+    /// Forward + backward over one batch, leaving the gradient in the
+    /// layers; returns the mean loss.
+    fn backward_pass(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         let logits = self.forward(x);
         let (loss, mut grad) = self.loss.loss_and_grad(&logits, labels);
         for layer in self.layers.iter_mut().rev() {
             grad = layer.backward(&grad);
         }
-        (loss, self.grads_flat())
+        loss
     }
 
     /// Flattens all parameters into one vector (layer order, tensor order).
@@ -332,20 +389,12 @@ impl Network {
             self.param_count(),
             "flat parameter vector has wrong length"
         );
-        // Tensors come in flat order, so one cursor over the runs suffices.
         let mut next = 0;
         let mut offset = 0;
         for layer in &mut self.layers {
             for p in layer.params_mut() {
                 let end = offset + p.len();
-                while next < runs.len() && runs[next].0 + runs[next].1 <= offset {
-                    next += 1;
-                }
-                for &(start, len) in &runs[next..] {
-                    if start >= end {
-                        break;
-                    }
-                    let (from, to) = (start.max(offset), (start + len).min(end));
+                for (from, to) in runs_in_tensor(runs, &mut next, offset, end) {
                     p.data_mut()[from - offset..to - offset].copy_from_slice(&flat[from..to]);
                 }
                 offset = end;
@@ -362,6 +411,48 @@ impl Network {
     pub fn accuracy_on(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
         crate::metrics::accuracy(&self.forward(x), labels)
     }
+}
+
+/// A flat gradient that outlives the step: [`Network::loss_and_grad_into`]
+/// rewrites it in place along the step's runs, so a step whose gradient is
+/// sparse pays for the rows it touched and no step allocates.
+#[derive(Debug, Default)]
+pub struct GradBuffer {
+    flat: Vec<f32>,
+    /// The runs the last call wrote; `flat` is zero outside them.
+    written: Vec<(usize, usize)>,
+}
+
+impl GradBuffer {
+    /// An empty buffer; the first call sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The flat gradient of the last call (aligned with
+    /// [`Network::params_flat`]).
+    pub fn as_slice(&self) -> &[f32] {
+        &self.flat
+    }
+}
+
+/// The `(from, to)` flat positions of the pieces of `runs` — sorted and
+/// disjoint — that fall in the tensor at `offset..end`. Tensors are visited
+/// in flat order, so `next`, the first run not wholly before the tensor,
+/// only moves forward.
+fn runs_in_tensor<'a>(
+    runs: &'a [(usize, usize)],
+    next: &mut usize,
+    offset: usize,
+    end: usize,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    while *next < runs.len() && runs[*next].0 + runs[*next].1 <= offset {
+        *next += 1;
+    }
+    runs[*next..]
+        .iter()
+        .take_while(move |&&(start, _)| start < end)
+        .map(move |&(start, len)| (start.max(offset), (start + len).min(end)))
 }
 
 /// The shared tail of the two run queries: a dense (or empty) answer clears
@@ -600,6 +691,51 @@ mod tests {
         assert_eq!(by_runs.params_flat(), after);
         by_runs.set_params_runs(&flat, &[(0, before.len())]);
         assert_eq!(by_runs.params_flat(), full);
+    }
+
+    #[test]
+    fn reused_grad_buffer_equals_grads_flat_after_every_step() {
+        // 24 batches whose read sets shrink, grow and move: 1 to 6 distinct
+        // rows of a 40-row table, drawn from a window that slides over it.
+        let mut net = Network::embedding_classifier(40, 3, 4, 2, 3, 7);
+        let mut buf = GradBuffer::new();
+        let mut runs = Vec::new();
+        let mut run_counts = std::collections::BTreeSet::new();
+        for step in 0..24usize {
+            let batch = 1 + (step * 5) % 3;
+            let ids: Vec<f32> = (0..batch * 2)
+                .map(|k| ((step * 7 + k * (1 + step % 4)) % 40) as f32)
+                .collect();
+            let x = Tensor::from_vec(ids, &[batch, 2]);
+            let labels: Vec<usize> = (0..batch).map(|b| (b + step) % 3).collect();
+            assert!(net.param_read_runs_into(&x, &mut runs));
+            run_counts.insert(runs.len());
+            let loss = net.loss_and_grad_into(&x, &labels, &runs, &mut buf);
+            assert_eq!(buf.as_slice(), &net.grads_flat()[..], "step {step}");
+            assert_eq!(loss, net.loss_and_grad(&x, &labels).0);
+        }
+        assert!(run_counts.len() >= 3, "run lists never changed shape");
+        // A dense step in between overwrites everything, and the sparse
+        // step after it zeroes all of that again.
+        let full = [(0, net.param_count())];
+        let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
+        net.loss_and_grad_into(&x, &[0], &full, &mut buf);
+        assert_eq!(buf.as_slice(), &net.grads_flat()[..]);
+        let x = Tensor::from_vec(vec![30.0, 31.0], &[1, 2]);
+        assert!(net.param_read_runs_into(&x, &mut runs));
+        net.loss_and_grad_into(&x, &[1], &runs, &mut buf);
+        assert_eq!(buf.as_slice(), &net.grads_flat()[..]);
+
+        // A dense model: one full run per step, no zeroing needed.
+        let mut mlp = Network::mlp(4, &[6], 2, 3);
+        let full = [(0, mlp.param_count())];
+        let mut buf = GradBuffer::new();
+        for step in 0..20 {
+            let x = Tensor::from_vec((0..8).map(|i| (i + step) as f32 * 0.1).collect(), &[2, 4]);
+            let loss = mlp.loss_and_grad_into(&x, &[0, 1], &full, &mut buf);
+            let (expected_loss, expected) = mlp.loss_and_grad(&x, &[0, 1]);
+            assert_eq!((loss, buf.as_slice()), (expected_loss, &expected[..]));
+        }
     }
 
     #[test]

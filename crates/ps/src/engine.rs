@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use sync_switch_nn::{Dataset, Network, Tensor};
+use sync_switch_nn::{Dataset, GradBuffer, Network, Tensor};
 use sync_switch_telemetry::{Counter, Histogram, LocalHistogram, Telemetry, TraceEvent, TraceKind};
 use sync_switch_workloads::SyncProtocol;
 
@@ -173,10 +173,14 @@ impl WorkerTelemetry {
     }
 }
 
-/// Per-worker scratch for a step's pull and push. All four vectors are
+/// Per-worker scratch for a step's pull, gradient and push. Everything is
 /// reused across steps, so the steady state allocates nothing.
 #[derive(Debug, Default)]
 struct StepScratch {
+    /// The step's flat gradient, rewritten in place along `runs` (and
+    /// zeroed along the previous step's), so it always equals the dense
+    /// gradient — BSP's stripe accumulate reads all of it.
+    grad: GradBuffer,
     /// Global `(offset, len)` runs of the parameters this step pulled — and
     /// so of its possibly-nonzero gradient: what
     /// `Network::param_read_runs_into` reported for the batch, or the one
@@ -419,7 +423,6 @@ pub(crate) struct Step {
     /// Version of the pulled data.
     version: u64,
     loss: f32,
-    grad: Vec<f32>,
 }
 
 impl Worker<'_> {
@@ -471,7 +474,8 @@ impl Worker<'_> {
         if let Some(d) = cfg.straggler_delay[self.id] {
             std::thread::sleep(d);
         }
-        let (loss, grad) = self.model.loss_and_grad(&x, &y);
+        let StepScratch { runs, grad, .. } = &mut self.scratch;
+        let loss = self.model.loss_and_grad_into(&x, &y, runs, grad);
         if !loss.is_finite() || loss > cfg.divergence_loss_threshold {
             // Relaxed: read back only after thread join.
             self.diverged_at.store(step_id, Ordering::Relaxed);
@@ -484,7 +488,6 @@ impl Worker<'_> {
             start_ns,
             version,
             loss,
-            grad,
         })
     }
 
@@ -511,34 +514,37 @@ impl Worker<'_> {
         }
     }
 
-    /// The asynchronous push of a step's gradient, shard by shard along the
-    /// runs the step pulled — a layer's read runs cover everything its
-    /// backward can write, and for the embedding classifier the two sets
-    /// are equal, so one list per step serves both directions. Each shard's
-    /// piece of the runs is cut out and pushed as a sparse update; a shard
-    /// one run covers whole — every shard of a dense step — gets the plain
-    /// dense apply (no gather, no segment list), and a shard with no overlap
-    /// still pushes an empty sparse update so its clock ticks and its
-    /// momentum decays exactly as a dense zero push would. The applies are
-    /// numerically identical either way, so staleness and stage-2 scheduling
-    /// cannot tell the two apart. The shards are *queued* on the port in
-    /// flat order, which on a wire tier sends each server's shards as one
-    /// batch (a shard's segments are encoded when it is queued, so
-    /// `spans`/`values` are free for the next shard).
+    /// The asynchronous push of the gradient [`Worker::compute_step`] just
+    /// left in the scratch, shard by shard along the runs the step pulled —
+    /// a layer's read runs cover everything its backward can write, and for
+    /// the embedding classifier the two sets are equal, so one list per
+    /// step serves both directions. Each shard's piece of the runs is cut
+    /// out and pushed as a sparse update; a shard one run covers whole —
+    /// every shard of a dense step — gets the plain dense apply (no gather,
+    /// no segment list), and a shard with no overlap still pushes an empty
+    /// sparse update so its clock ticks and its momentum decays exactly as
+    /// a dense zero push would. The applies are numerically identical
+    /// either way, so staleness and stage-2 scheduling cannot tell the two
+    /// apart. The shards are *queued* on the port in flat order, which on a
+    /// wire tier sends each server's shards as one batch (a shard's
+    /// segments are encoded when it is queued, so `spans`/`values` are free
+    /// for the next shard).
     ///
     /// Records one per-shard staleness observation per shard — the shard
     /// clock's acked pre-apply value against the clock captured at pull
     /// time, under the owning server — then completes the push, runs any
     /// stage-2 round it made due, and returns its global staleness.
-    pub(crate) fn push(&mut self, step: &Step) -> u64 {
-        let (port, grad) = (&self.port, &step.grad[..]);
+    pub(crate) fn push(&mut self) -> u64 {
+        let port = &self.port;
         let (lr, momentum) = (self.cfg.learning_rate, self.cfg.momentum);
         let StepScratch {
+            grad,
             runs,
             acks,
             spans,
             values,
         } = &mut self.scratch;
+        let grad = grad.as_slice();
         acks.clear();
         for i in 0..port.shard_count() {
             let (offset, len) = port.shard_range(i);
@@ -639,7 +645,8 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
             let (offset, len) = w.port.shard_range(i);
             let mut stripe = shared.stripes[i].lock();
             let state = &mut *stripe;
-            for (a, g) in state.accum.iter_mut().zip(&step.grad[offset..offset + len]) {
+            let grad = &w.scratch.grad.as_slice()[offset..offset + len];
+            for (a, g) in state.accum.iter_mut().zip(grad) {
                 *a += g;
             }
             state.count += 1;

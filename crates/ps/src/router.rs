@@ -259,8 +259,8 @@ impl Tier {
 pub struct ShardRouter {
     servers: Vec<PsServer>,
     tier: Tier,
-    /// Serializes stage-2 rounds; holds the reusable copy scratch.
-    sync: Mutex<Vec<f32>>,
+    /// Serializes stage-2 rounds.
+    sync: Mutex<()>,
 }
 
 impl ShardRouter {
@@ -283,7 +283,7 @@ impl ShardRouter {
         ShardRouter {
             servers,
             tier,
-            sync: Mutex::new(Vec::new()),
+            sync: Mutex::new(()),
         }
     }
 
@@ -371,7 +371,7 @@ impl ShardRouter {
     /// past the last round's watermark (see [`Tier::reconcile_if_due`]).
     pub fn reconcile_if_due(&self) {
         self.tier
-            .reconcile_if_due(|| self.sync.lock(), |scratch| self.commit_round(scratch));
+            .reconcile_if_due(|| self.sync.lock(), |_held| self.commit_round());
     }
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
@@ -382,17 +382,15 @@ impl ShardRouter {
     /// postpones (nor hastens) the next due round relative to the pushes
     /// that follow it.
     pub fn drain(&self) {
-        self.commit_round(&mut self.sync.lock());
+        let _held = self.sync.lock();
+        self.commit_round();
     }
 
     /// One stage-2 round, caller holding the round lock: a direct
     /// commit-all on every server.
-    fn commit_round(&self, scratch: &mut Vec<f32>) {
-        self.tier.commit_round(|| {
-            for server in &self.servers {
-                server.commit_all(scratch);
-            }
-        });
+    fn commit_round(&self) {
+        self.tier
+            .commit_round(|| self.servers.iter().for_each(PsServer::commit_all));
     }
 
     /// Assembles the committed view of all servers into `buf` and returns

@@ -10,8 +10,9 @@
 //!   like the single-server store; the live shard clocks count applies.
 //! * **committed** — stage-2 state, what workers pull. A reconciliation
 //!   round copies each owned shard's live parameters (and clock) into the
-//!   committed store, so a pull observes a consistent recently-published
-//!   view of every server without racing stage-1 applies on remote shards.
+//!   committed store — the blocks some update has written, nothing else —
+//!   so a pull observes a consistent recently-published view of every
+//!   server without racing stage-1 applies on remote shards.
 //!
 //! The gap between a shard's live and committed clock is its *cross-server
 //! staleness contribution*: how many stage-1 applies the rest of the
@@ -254,20 +255,17 @@ impl PsServer {
         self.live.apply_shard_update_data(local, data, lr, momentum)
     }
 
-    /// Stage-2 commit of one owned shard: copies the live parameters and
-    /// clock into the committed store through `scratch` (reused across the
-    /// round so reconciliation allocates nothing in the steady state).
-    /// Returns the committed clock.
-    pub fn commit_shard(&self, local: usize, scratch: &mut Vec<f32>) -> u64 {
-        let clock = self.live.read_shard_into(local, scratch);
-        self.committed.overwrite_shard(local, scratch, clock);
-        clock
+    /// Stage-2 commit of one owned shard: publishes the live parameters and
+    /// clock to the committed store in one copy, under both shard locks
+    /// (see [`ShardedStore::commit_shard_to`]). Returns the committed clock.
+    pub fn commit_shard(&self, local: usize) -> u64 {
+        self.live.commit_shard_to(local, &self.committed)
     }
 
     /// Stage-2 commit of every owned shard.
-    pub fn commit_all(&self, scratch: &mut Vec<f32>) {
+    pub fn commit_all(&self) {
         for local in 0..self.shard_count() {
-            self.commit_shard(local, scratch);
+            self.commit_shard(local);
         }
     }
 
@@ -347,8 +345,7 @@ mod tests {
         assert_eq!(params, initial);
         assert_eq!(clocks[2], 0);
         // Stage 2 publishes data and clock together.
-        let mut scratch = Vec::new();
-        server.commit_all(&mut scratch);
+        server.commit_all();
         assert_eq!(server.committed_lag(2), 0);
         server.pull_committed_into(&mut params, &mut clocks);
         assert_eq!(clocks[2], 1);

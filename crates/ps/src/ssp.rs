@@ -117,7 +117,7 @@ pub(crate) fn async_loop(w: &mut Worker<'_>, shared: &AsyncShared, steps: u64) {
         let Some(step) = w.compute_step(w.base_step + s) else {
             break;
         };
-        let staleness = w.push(&step);
+        let staleness = w.push();
         w.record_step(&step, step.t0.elapsed(), Some(staleness));
         w.mark_wall();
         if let Some((ssp, _)) = leash {

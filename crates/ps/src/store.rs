@@ -110,7 +110,14 @@ pub(crate) fn runs_within(
 /// still bumps once, and the numerics match the dense apply bit for bit.
 /// What changes is what has to *move* — a push ships only the touched rows,
 /// which is the entire point once the update crosses a wire
-/// ([`crate::transport::wire`]'s `PushShardSparse` frame).
+/// ([`crate::transport::wire`]'s `PushShardSparse` frame) — and what the
+/// apply has to *walk*: a block of the shard no update has written yet has
+/// all-zero velocity, so its decay step (`0·μ`, `p + 0`) is skipped.
+///
+/// The one footnote to "bit for bit": a parameter that is exactly `-0.0`
+/// in a never-written block keeps its sign, where the dense loop's `p + 0.0`
+/// would have made it `+0.0`. The two are equal under `==`, and
+/// `to_bits`-equal whenever no initial parameter is `-0.0`.
 #[derive(Debug, Clone, Copy)]
 pub enum UpdateData<'a> {
     /// The gradient slice for the whole shard.
@@ -134,6 +141,86 @@ pub enum UpdateData<'a> {
 struct Shard {
     params: Vec<f32>,
     velocity: Vec<f32>,
+    touched: Touched,
+}
+
+impl Shard {
+    fn new(params: &[f32]) -> Self {
+        Shard {
+            params: params.to_vec(),
+            velocity: vec![0.0; params.len()],
+            touched: Touched::new(params.len()),
+        }
+    }
+}
+
+/// Elements per block of a shard's [`Touched`] map.
+const BLOCK: usize = 64;
+
+/// Which blocks of a shard have ever been written: a block is marked when a
+/// sparse segment overlaps it, and the whole shard by a dense apply or a
+/// restore. Marks are never cleared, so an unmarked block has all-zero
+/// velocity and the parameters the store was built from — a sparse apply
+/// need not decay it and a stage-2 commit need not copy it.
+#[derive(Debug)]
+struct Touched {
+    blocks: Vec<bool>,
+    /// Blocks still unmarked. At zero — every shard of a dense workload
+    /// after its first apply — [`Touched::runs`] is the whole range asked
+    /// for and no block is looked at.
+    unmarked: usize,
+}
+
+impl Touched {
+    fn new(len: usize) -> Self {
+        let blocks = len.div_ceil(BLOCK);
+        Touched {
+            blocks: vec![false; blocks],
+            unmarked: blocks,
+        }
+    }
+
+    /// Marks every block overlapping `start..start + len`.
+    fn mark(&mut self, start: usize, len: usize) {
+        if self.unmarked == 0 || len == 0 {
+            return;
+        }
+        for block in &mut self.blocks[start / BLOCK..=(start + len - 1) / BLOCK] {
+            self.unmarked -= usize::from(!std::mem::replace(block, true));
+        }
+    }
+
+    fn mark_all(&mut self) {
+        if self.unmarked > 0 {
+            self.blocks.fill(true);
+            self.unmarked = 0;
+        }
+    }
+
+    /// The maximal `(start, end)` element ranges of `from..to` that lie in
+    /// marked blocks, in order.
+    fn runs(&self, from: usize, to: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut at = from;
+        let next_block = |at: usize| (at / BLOCK + 1) * BLOCK;
+        std::iter::from_fn(move || {
+            if self.unmarked == 0 {
+                let whole = (at < to).then_some((at, to));
+                at = to;
+                return whole;
+            }
+            while at < to && !self.blocks[at / BLOCK] {
+                at = next_block(at);
+            }
+            if at >= to {
+                return None;
+            }
+            let start = at;
+            while at < to && self.blocks[at / BLOCK] {
+                at = next_block(at);
+            }
+            Some((start, at.min(to)))
+        })
+    }
 }
 
 /// A reusable pull destination, the same for every data plane: the flat
@@ -221,12 +308,7 @@ impl ShardedStore {
         let layout = ShardLayout::new(initial.len(), shards);
         let storage = layout
             .iter()
-            .map(|(offset, len)| {
-                Mutex::new(Shard {
-                    params: initial[offset..offset + len].to_vec(),
-                    velocity: vec![0.0; len],
-                })
-            })
+            .map(|(offset, len)| Mutex::new(Shard::new(&initial[offset..offset + len])))
             .collect();
         let clocks = (0..layout.len()).map(|_| AtomicU64::new(0)).collect();
         ShardedStore {
@@ -356,6 +438,7 @@ impl ShardedStore {
         let eta = lr as f32;
         let mut guard = self.shards[shard].lock();
         let state = &mut *guard;
+        state.touched.mark_all();
         for ((p, v), gv) in state
             .params
             .iter_mut()
@@ -402,13 +485,16 @@ impl ShardedStore {
         let eta = lr as f32;
         let mut guard = self.shards[shard].lock();
         let state = &mut *guard;
-        // Untouched prefix/gap/tail elements still take the dense step with
-        // gradient zero: `v ← μv − η·0; p ← p + v`. Writing it as `μv`
-        // is bit-identical for finite `η` (x − 0.0 == x in IEEE-754).
-        let decay = |params: &mut [f32], velocity: &mut [f32]| {
-            for (p, v) in params.iter_mut().zip(velocity) {
-                *v *= mu;
-                *p += *v;
+        // Prefix/gap/tail elements still take the dense step with gradient
+        // zero: `v ← μv − η·0; p ← p + v`. Writing it as `μv` is
+        // bit-identical for finite `η` (x − 0.0 == x in IEEE-754), and in a
+        // never-written block `v` is zero, so only marked blocks are walked.
+        let decay = |state: &mut Shard, from: usize, to: usize| {
+            for (a, b) in state.touched.runs(from, to) {
+                for (p, v) in state.params[a..b].iter_mut().zip(&mut state.velocity[a..b]) {
+                    *v *= mu;
+                    *p += *v;
+                }
             }
         };
         let mut cursor = 0usize;
@@ -420,14 +506,14 @@ impl ShardedStore {
                 "sparse segment ({start}, {seg_len}) invalid for shard {shard} of {len} \
                  (cursor {cursor})"
             );
-            let (params, velocity) = (&mut state.params, &mut state.velocity);
-            decay(&mut params[cursor..start], &mut velocity[cursor..start]);
+            decay(state, cursor, start);
+            state.touched.mark(start, seg_len);
             let seg = rows
                 .get(row_offset..row_offset + seg_len)
                 .expect("sparse rows shorter than the segment lengths");
-            for ((p, v), gv) in params[start..start + seg_len]
+            for ((p, v), gv) in state.params[start..start + seg_len]
                 .iter_mut()
-                .zip(&mut velocity[start..start + seg_len])
+                .zip(&mut state.velocity[start..start + seg_len])
                 .zip(seg)
             {
                 *v = mu * *v - eta * gv;
@@ -441,10 +527,7 @@ impl ShardedStore {
             rows.len(),
             "sparse rows longer than the segment lengths"
         );
-        decay(
-            &mut state.params[cursor..len],
-            &mut state.velocity[cursor..len],
-        );
+        decay(state, cursor, len);
         // Release: same contract as `apply_shard_update`.
         self.shard_versions[shard].fetch_add(1, Ordering::Release)
     }
@@ -507,45 +590,40 @@ impl ShardedStore {
         }
     }
 
-    /// Copies shard `shard`'s parameters into `out` (resized to fit) and
-    /// returns the shard clock observed under the shard lock — the read half
-    /// of a stage-2 reconciliation: the returned clock matches the copied
-    /// data exactly.
+    /// Stage-2 commit of one shard: copies this (live) store's parameters
+    /// for `shard` into `replica` and pins the replica's shard clock to
+    /// this store's, both under both shard locks — this store's first;
+    /// nothing takes them in the other order — so the published clock
+    /// matches the published data exactly. Returns that clock. Velocity is
+    /// not copied (momentum state lives only on the owning store).
+    ///
+    /// Only marked blocks move. `replica` must be a different store, built
+    /// from the same initial parameters and written by nothing but this
+    /// method from this store: an unmarked block then still holds what both
+    /// were built from.
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range.
-    pub fn read_shard_into(&self, shard: usize, out: &mut Vec<f32>) -> u64 {
-        let (_, len) = self.layout.range(shard);
-        out.resize(len, 0.0);
-        let guard = self.shards[shard].lock();
-        out.copy_from_slice(&guard.params);
-        // Relaxed: the clock is only bumped under this shard's lock, which
-        // we hold.
-        self.shard_versions[shard].load(Ordering::Relaxed)
-    }
-
-    /// Overwrites shard `shard`'s parameters and pins its clock to `clock` —
-    /// the write half of a stage-2 reconciliation, applied to a committed
-    /// replica so its clock mirrors the owner's clock at copy time. Velocity
-    /// is untouched (momentum state lives only on the owning server).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or `params.len()` differs from the
-    /// shard's length.
-    pub fn overwrite_shard(&self, shard: usize, params: &[f32], clock: u64) {
-        let (_, len) = self.layout.range(shard);
+    /// Panics if `shard` is out of range or the replica's shard has a
+    /// different length.
+    pub(crate) fn commit_shard_to(&self, shard: usize, replica: &ShardedStore) -> u64 {
+        let live = self.shards[shard].lock();
+        let mut committed = replica.shards[shard].lock();
         assert_eq!(
-            params.len(),
-            len,
-            "params length mismatch for shard {shard}"
+            live.params.len(),
+            committed.params.len(),
+            "replica layout mismatch for shard {shard}"
         );
-        let mut guard = self.shards[shard].lock();
-        guard.params.copy_from_slice(params);
-        // Release: publishes the overwrite to lock-free `shard_version`
-        // readers; under-lock readers get the mutex's ordering.
-        self.shard_versions[shard].store(clock, Ordering::Release);
+        for (a, b) in live.touched.runs(0, live.params.len()) {
+            committed.params[a..b].copy_from_slice(&live.params[a..b]);
+        }
+        // Relaxed load: the clock is only bumped under the live shard's
+        // lock, which we hold. Release store: publishes the copy to
+        // lock-free `shard_version` readers of the replica; under-lock
+        // readers get the mutex's ordering.
+        let clock = self.shard_versions[shard].load(Ordering::Relaxed);
+        replica.shard_versions[shard].store(clock, Ordering::Release);
+        clock
     }
 
     /// Completes a logical full push: bumps the global version once and
@@ -630,6 +708,7 @@ impl ShardedStore {
         assert_eq!(velocity.len(), self.param_count, "velocity length mismatch");
         for (i, (offset, len)) in self.layout.iter().enumerate() {
             let mut shard = self.shards[i].lock();
+            shard.touched.mark_all();
             shard.params.copy_from_slice(&params[offset..offset + len]);
             shard
                 .velocity
@@ -892,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn read_and_overwrite_shard_round_trip() {
+    fn commit_publishes_one_shard_with_its_clock() {
         let init: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let owner = ShardedStore::new(&init, 3);
         let replica = ShardedStore::new(&init, 3);
@@ -900,12 +979,7 @@ mod tests {
         let (offset, len) = owner.shard_range(1);
         owner.apply_shard_update(1, &vec![1.0; len], 0.1, 0.0);
         owner.apply_shard_update(1, &vec![1.0; len], 0.1, 0.0);
-        // Stage-2: copy owner shard 1 into the replica with its clock.
-        let mut scratch = Vec::new();
-        let clock = owner.read_shard_into(1, &mut scratch);
-        assert_eq!(clock, 2);
-        assert_eq!(scratch.len(), len);
-        replica.overwrite_shard(1, &scratch, clock);
+        assert_eq!(owner.commit_shard_to(1, &replica), 2);
         assert_eq!(replica.shard_version(1), 2);
         let owner_params = owner.snapshot_params();
         let replica_params = replica.snapshot_params();
@@ -913,9 +987,57 @@ mod tests {
             &owner_params[offset..offset + len],
             &replica_params[offset..offset + len]
         );
-        // Untouched shards keep their initial contents and clock 0.
+        // Uncommitted shards keep their initial contents and clock 0.
         assert_eq!(&replica_params[..offset], &init[..offset]);
         assert_eq!(replica.shard_version(0), 0);
+    }
+
+    #[test]
+    fn touched_runs_follow_the_marks_and_collapse_when_full() {
+        // 3 full blocks and a 10-element tail.
+        let len = 3 * BLOCK + 10;
+        let mut t = Touched::new(len);
+        let runs = |t: &Touched, from, to| t.runs(from, to).collect::<Vec<_>>();
+        assert!(runs(&t, 0, len).is_empty());
+        // A segment straddling the end of block 0 marks blocks 0 and 1.
+        t.mark(BLOCK - 1, 2);
+        assert_eq!(runs(&t, 0, len), [(0, 2 * BLOCK)]);
+        // Ranges are cut to what was asked for, at either end.
+        assert_eq!(runs(&t, 5, BLOCK + 7), [(5, BLOCK + 7)]);
+        assert!(runs(&t, 2 * BLOCK, len).is_empty());
+        assert!(runs(&t, 7, 7).is_empty());
+        // An empty segment marks nothing; the short tail block is a block.
+        t.mark(len - 1, 0);
+        t.mark(len - 1, 1);
+        assert_eq!(runs(&t, 0, len), [(0, 2 * BLOCK), (3 * BLOCK, len)]);
+        assert_eq!(t.unmarked, 1);
+        // Fully marked: one run, whatever the range, and it stays that way.
+        t.mark(2 * BLOCK, 1);
+        assert_eq!(t.unmarked, 0);
+        assert_eq!(runs(&t, 3, len - 1), [(3, len - 1)]);
+        let mut all = Touched::new(len);
+        all.mark_all();
+        assert_eq!(runs(&all, 0, len), [(0, len)]);
+    }
+
+    #[test]
+    fn negative_zero_in_a_never_written_block_keeps_its_sign() {
+        // The one place the sparse walk and the dense loop differ in bits.
+        let mut init = vec![1.0f32; 2 * BLOCK];
+        init[BLOCK] = -0.0;
+        let (sparse, dense) = (ShardedStore::new(&init, 1), ShardedStore::new(&init, 1));
+        let data = UpdateData::Sparse {
+            indices: &[(0, 1)],
+            rows: &[1.0],
+        };
+        sparse.apply_shard_update_data(0, data, 0.1, 0.9);
+        let mut grad = vec![0.0f32; 2 * BLOCK];
+        grad[0] = 1.0;
+        dense.apply_shard_update(0, &grad, 0.1, 0.9);
+        let (s, d) = (sparse.snapshot_params(), dense.snapshot_params());
+        assert_eq!(s, d);
+        assert_eq!(s[BLOCK].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(d[BLOCK].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

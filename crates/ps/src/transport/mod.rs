@@ -194,8 +194,6 @@ pub(crate) struct ServerEndpoint {
     segments: Vec<(u32, u32)>,
     /// Checked run list of a run pull (server-local offsets).
     runs: Vec<(usize, usize)>,
-    /// Stage-2 commit scratch.
-    commit: Vec<f32>,
     /// Pull/snapshot assembly scratch.
     params: Vec<f32>,
     clocks: Vec<u64>,
@@ -216,7 +214,6 @@ impl ServerEndpoint {
             grad: Vec::new(),
             segments: Vec::new(),
             runs: Vec::new(),
-            commit: Vec::new(),
             params: vec![0.0; param_len],
             clocks: vec![0; shards],
             lease: None,
@@ -426,7 +423,7 @@ impl ServerEndpoint {
                 }
             }
             op::SYNC_ROUND | op::DRAIN => {
-                self.server.commit_all(&mut self.commit);
+                self.server.commit_all();
                 wire::encode_bodyless(reply, op::SYNCED);
             }
             op::SNAPSHOT => {

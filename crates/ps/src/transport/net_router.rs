@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sync_switch_telemetry::{ServerStatsSnapshot, Telemetry, TraceKind};
+use sync_switch_telemetry::{Counter, ServerStatsSnapshot, Telemetry, TraceKind};
 
 use super::channel::ChannelTransport;
 use super::faulty::FaultyTransport;
@@ -280,6 +280,9 @@ pub struct NetRouter {
     /// router adopts it, so they share a clock and a trace with the
     /// engine's step spans.
     telemetry: Arc<Telemetry>,
+    /// `wire.sync_rounds` and `wire.retries` on that bus, resolved once.
+    sync_rounds_counter: Arc<Counter>,
+    retries_counter: Arc<Counter>,
     /// Serializes stage-2 rounds and the control plane; holds the control
     /// plane's dedicated connections (a round a worker's port runs holds
     /// the lock but travels over the worker's own).
@@ -333,6 +336,7 @@ impl NetRouter {
         retry: RetryPolicy,
         transport: Box<dyn Transport>,
     ) -> Self {
+        let telemetry = Arc::new(Telemetry::new());
         NetRouter {
             kind,
             retry,
@@ -340,7 +344,9 @@ impl NetRouter {
             view_epochs: (0..tier.server_count())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            telemetry: Arc::new(Telemetry::new()),
+            sync_rounds_counter: telemetry.metrics.counter("wire.sync_rounds"),
+            retries_counter: telemetry.metrics.counter("wire.retries"),
+            telemetry,
             sync: Mutex::new(ConnSet::with_capacity(tier.server_count())),
             tier,
             transport,
@@ -535,9 +541,8 @@ impl NetRouter {
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                let t = &self.telemetry;
-                t.metrics.counter("wire.retries").inc();
-                t.trace.instant(TraceKind::PushRetry {
+                self.retries_counter.inc();
+                self.telemetry.trace.instant(TraceKind::PushRetry {
                     server: server as u64,
                     attempt: u64::from(attempt),
                 });
@@ -655,7 +660,7 @@ impl NetRouter {
                 }
             }
         });
-        t.metrics.counter("wire.sync_rounds").inc();
+        self.sync_rounds_counter.inc();
         t.trace.span(TraceKind::SyncRound { round }, t0);
     }
 

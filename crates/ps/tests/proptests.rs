@@ -555,6 +555,119 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Touched-block decay and commit ≡ the whole-slice walks, under random
+    /// interleavings of everything that writes a store. Two routers take
+    /// the same ops — one as sparse segment lists, one with the same values
+    /// scattered into dense gradients, whose shards are fully marked by
+    /// their first apply and so never leave the whole-slice paths — and
+    /// must agree on every parameter **and every velocity** after every
+    /// op; after every commit (a drain — alone, behind a velocity reset, or
+    /// inside `restore`) the committed view must equal the live one, params
+    /// and clocks. Sparse pushes are random spans of the flat vector cut at
+    /// the shard ends (a shard they miss gets an empty segment list), and
+    /// the shards are a few blocks of 64 long, not a multiple of it.
+    ///
+    /// Equality is on `to_bits`: no initial parameter here is `-0.0`, the
+    /// one value a never-written block would keep where the dense loop
+    /// rewrites it to `+0.0` (see [`UpdateData`]).
+    #[test]
+    fn touched_block_walks_equal_whole_slice_walks(
+        n in 70usize..900,
+        shards in 1usize..5,
+        ops in proptest::collection::vec((0u8..16, any::<u64>()), 1..40),
+    ) {
+        let initial: Vec<f32> = (0..n).map(|i| 1.5 + (i as f32 * 0.17).cos()).collect();
+        let topology = ServerTopology::new(2, 1);
+        let sparse = ShardRouter::new(&initial, shards, topology);
+        let dense = ShardRouter::new(&initial, shards, topology);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (step, (kind, seed)) in ops.into_iter().enumerate() {
+            let mut state = seed | 1;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 16) as usize
+            };
+            let value = |rng: &mut dyn FnMut() -> usize| (rng() % 17) as f32 * 0.25 - 2.0;
+            let mut committed = true;
+            match kind {
+                0 => {
+                    let g = rng() % sparse.shard_count();
+                    let (_, l) = sparse.shard_range(g);
+                    let grad: Vec<f32> = (0..l).map(|_| value(&mut rng)).collect();
+                    let a = sparse.apply_shard_update(g, &grad, 0.05, 0.9);
+                    prop_assert_eq!(a, dense.apply_shard_update(g, &grad, 0.05, 0.9));
+                    committed = false;
+                }
+                1 => {
+                    let p: Vec<f32> = (0..n).map(|_| value(&mut rng)).collect();
+                    let v: Vec<f32> = (0..n).map(|_| value(&mut rng)).collect();
+                    sparse.restore(&p, &v);
+                    dense.restore(&p, &v);
+                }
+                2 | 3 => {
+                    sparse.reset_velocity();
+                    dense.reset_velocity();
+                    sparse.drain();
+                    dense.drain();
+                }
+                4 | 5 => {
+                    sparse.drain();
+                    dense.drain();
+                }
+                _ => {
+                    let mut mask = vec![false; n];
+                    for _ in 0..rng() % 4 {
+                        let start = rng() % n;
+                        let len = rng() % (n - start + 1).min(if rng().is_multiple_of(4) { 150 } else { 9 });
+                        mask[start..start + len].fill(true);
+                    }
+                    let grad: Vec<f32> = mask
+                        .iter()
+                        .map(|&m| if m { value(&mut rng) } else { 0.0 })
+                        .collect();
+                    for g in 0..sparse.shard_count() {
+                        let (o, l) = sparse.shard_range(g);
+                        let (spans, values) = spans_of(&mask, &grad, o, l);
+                        let a = sparse.apply_shard_update_data(
+                            g,
+                            UpdateData::Sparse { indices: &spans, rows: &values },
+                            0.05,
+                            0.9,
+                        );
+                        let b = dense.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                        prop_assert_eq!(a, b, "clock skew at op {} shard {}", step, g);
+                    }
+                    committed = false;
+                }
+            }
+            let live = sparse.snapshot_params();
+            prop_assert_eq!(bits(&live), bits(&dense.snapshot_params()), "params, op {}", step);
+            prop_assert_eq!(
+                bits(&sparse.snapshot_velocity()),
+                bits(&dense.snapshot_velocity()),
+                "velocity, op {}", step
+            );
+            if committed {
+                for router in [&sparse, &dense] {
+                    let mut buf = PullBuffer::new();
+                    router.pull_committed_into(&mut buf);
+                    prop_assert_eq!(bits(buf.params()), bits(&live), "commit, op {}", step);
+                    for server in router.servers() {
+                        for k in 0..server.shard_count() {
+                            prop_assert_eq!(server.committed_lag(k), 0);
+                            prop_assert_eq!(
+                                buf.shard_version(server.shard_offset() + k),
+                                server.live().shard_version(k)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The wire codec round-trips arbitrary request frames byte-exactly:
     /// decode(encode(req)) re-encodes to the identical byte string, for
     /// every opcode and for gradients of arbitrary f32 bit patterns

@@ -103,26 +103,41 @@ fn wall_clock_asp_beats_bsp_with_straggler() {
 #[test]
 fn measured_staleness_grows_with_worker_count() {
     let (train, test) = dataset(11);
-    let staleness_for = |workers: usize| -> f64 {
-        let cfg = TrainerConfig::new(workers, 4, 0.02, 0.9).with_seed(11);
+    let staleness_for = |cfg: TrainerConfig, steps: u64| {
         let mut trainer = Trainer::new(
             Network::mlp(8, &[16], 4, 11),
             train.clone(),
             test.clone(),
-            cfg,
+            cfg.with_seed(11),
         );
         let seg = trainer
-            .run_segment(SyncProtocol::Asp, 300)
+            .run_segment(SyncProtocol::Asp, steps)
             .expect("completes");
-        seg.staleness.mean()
+        assert_eq!(seg.staleness.total(), steps, "one observation per push");
+        seg.staleness
     };
-    let s2 = staleness_for(2);
-    let s8 = staleness_for(8);
+    // Stated on what no scheduler can change. Alone, a worker's pull always
+    // sees its own last push: staleness is exactly 0 on every push.
+    let alone = staleness_for(TrainerConfig::new(1, 4, 0.02, 0.9), 300);
+    assert_eq!(alone.max(), Some(0), "one worker measured staleness");
+    // With peers some push lands between a pull and its push, and no push
+    // can be staler than the pushes the segment completed.
+    let four = staleness_for(TrainerConfig::new(4, 4, 0.02, 0.9), 300);
+    assert!(four.mean() > 0.0, "4 workers measured no staleness at all");
+    assert!(four.max() <= Some(300), "staler than the segment is long");
+    // How *much* is the scheduler's business unless the interleaving is
+    // forced: a delay between every worker's pull and its push keeps all
+    // four inside their windows together, so each push finds about one
+    // push per peer ahead of it.
+    let delay = Duration::from_millis(1);
+    let forced = (0..4).fold(TrainerConfig::new(4, 4, 0.02, 0.9), |cfg, w| {
+        cfg.with_straggler(w, delay)
+    });
+    let forced = staleness_for(forced, 120).mean();
     assert!(
-        s8 > s2,
-        "staleness should grow with concurrency: 2w {s2} vs 8w {s8}"
+        forced > 0.5,
+        "overlapping workers must produce real staleness, got {forced}"
     );
-    assert!(s8 > 0.5, "8 workers must produce real staleness, got {s8}");
 }
 
 #[test]
