@@ -7,7 +7,7 @@
 #   ./ci.sh --fast            # debug-profile stages only (fmt, test,
 #                             # transport, workloads, chaos, clippy,
 #                             # examples) — skips everything that would
-#                             # trigger a release/bench-profile build,
+#                             # trigger a release-profile build,
 #                             # including the multi-process cluster stage
 #   ./ci.sh --stage <name>    # run one stage (repeatable)
 #   ./ci.sh --list            # print stage names
@@ -22,10 +22,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt build test transport workloads chaos clippy bench-compile benchmark-smoke exhibits examples cluster)
-# Stages skipped by --fast: each of these compiles the release or bench
-# profile, which dwarfs the debug stages' wall time.
-RELEASE_STAGES=(build bench-compile benchmark-smoke exhibits cluster)
+STAGES=(fmt build test transport workloads chaos clippy benchmark-smoke exhibits examples cluster)
+# Stages skipped by --fast: each of these compiles the release profile,
+# which dwarfs the debug stages' wall time.
+RELEASE_STAGES=(build benchmark-smoke exhibits cluster)
 
 step() { printf '\n==> %s\n' "$*"; }
 
@@ -207,11 +207,6 @@ stage_chaos() {
 
 stage_clippy() {
     cargo clippy --workspace --all-targets -- -D warnings
-}
-
-# Bench targets must keep compiling even when we don't run them.
-stage_bench_compile() {
-    cargo bench --no-run --workspace
 }
 
 # The end-to-end benchmark (benchmark/, BENCHMARK.json) in smoke mode: its

@@ -31,22 +31,15 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{TrainerConfig, TransportKind};
 use crate::error::PsError;
 use crate::gate::RoundGate;
-use crate::profiler::{
-    ServerShardStaleness, ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile,
-};
+use crate::profiler::{ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile};
 use crate::router::{ShardRouter, WorkerPort};
 use crate::ssp::{async_loop, AsyncShared};
 use crate::store::{runs_within, PullBuffer, ShardedStore};
 use crate::transport::{NetPort, NetRouter};
 
 /// What each worker thread returns: its id, timing/loss profile, global
-/// staleness observations, and per-server per-shard staleness observations.
-type WorkerResult = (
-    usize,
-    WorkerProfile,
-    StalenessHistogram,
-    ServerShardStaleness,
-);
+/// staleness observations, and per-shard staleness observations.
+type WorkerResult = (usize, WorkerProfile, StalenessHistogram, ShardStaleness);
 /// Per-worker-thread telemetry buffer for the hot step loop.
 ///
 /// Looking an instrument up by name locks the registry map and tracing an
@@ -297,12 +290,10 @@ pub struct SegmentReport {
     pub staleness: StalenessHistogram,
     /// Measured staleness per parameter shard, from the per-shard version
     /// clocks (one observation per shard apply; all zeros under BSP, where
-    /// a stripe is applied exactly once per barrier round).
+    /// a stripe is applied exactly once per barrier round). Each shard has
+    /// one owning server (`WorkerPort::owner_of`), so a server's share of
+    /// the record is its shards' histograms.
     pub shard_staleness: ShardStaleness,
-    /// The same observations broken out per owning server — under a
-    /// multi-server topology this is where the per-shard-per-server SSP
-    /// bound is visible (single-server segments put everything on server 0).
-    pub server_shard_staleness: ServerShardStaleness,
     /// Stage-2 reconciliation rounds completed during the segment (0 on a
     /// single-server plane).
     pub sync_rounds: u64,
@@ -402,7 +393,7 @@ pub(crate) struct Worker<'a> {
     diverged_at: &'a AtomicU64,
     profile: WorkerProfile,
     hist: StalenessHistogram,
-    shard_hist: ServerShardStaleness,
+    shard_hist: ShardStaleness,
     buf: PullBuffer,
     scratch: StepScratch,
     wt: WorkerTelemetry,
@@ -569,7 +560,7 @@ impl Worker<'_> {
         assert_eq!(acks.len(), port.shard_count(), "one ack per pushed shard");
         for (i, prev) in acks.iter().enumerate() {
             let behind = prev.saturating_sub(self.buf.shard_version(i));
-            self.shard_hist.record(port.owner_of(i), i, behind);
+            self.shard_hist.record(i, behind);
         }
         let staleness = port.complete_push(self.buf.version());
         port.after_push();
@@ -654,11 +645,8 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
                 let scale = 1.0 / n_active as f32;
                 state.accum.iter_mut().for_each(|a| *a *= scale);
                 let prev = w.port.apply_shard_update(i, &state.accum, lr, mu);
-                w.shard_hist.record(
-                    w.port.owner_of(i),
-                    i,
-                    prev.saturating_sub(w.buf.shard_version(i)),
-                );
+                w.shard_hist
+                    .record(i, prev.saturating_sub(w.buf.shard_version(i)));
                 state.accum.iter_mut().for_each(|a| *a = 0.0);
                 state.count = 0;
                 drop(stripe);
@@ -1106,12 +1094,11 @@ impl Trainer {
         let port = self.plane.port();
         let mut worker_profiles = vec![WorkerProfile::default(); self.cfg.workers];
         let mut staleness = StalenessHistogram::new();
-        let mut server_shard_staleness =
-            ServerShardStaleness::new(port.server_count(), port.shard_count());
+        let mut shard_staleness = ShardStaleness::new(port.shard_count());
         let mut tail_losses = Vec::new();
         for (worker, profile, hist, shard_hist) in results {
             staleness.merge(&hist);
-            server_shard_staleness.merge(&shard_hist);
+            shard_staleness.merge(&shard_hist);
             tail_losses.extend(profile.losses.iter().rev().take(4).copied());
             worker_profiles[worker] = profile;
         }
@@ -1127,8 +1114,7 @@ impl Trainer {
             wall_time,
             worker_profiles,
             staleness,
-            shard_staleness: server_shard_staleness.flatten(),
-            server_shard_staleness,
+            shard_staleness,
             sync_rounds: self.sync_rounds() - before.0,
             transport: self.transport_stats().delta(&before.1),
             finite: true,
@@ -1149,7 +1135,6 @@ impl Trainer {
         steps: u64,
     ) -> Result<Vec<WorkerResult>, PsError> {
         let port = self.plane.port();
-        let (n_servers, n_shards) = (port.server_count(), port.shard_count());
         let gate = RoundGate::new();
         let diverged_at = AtomicU64::new(u64::MAX);
         let tail = &match protocol {
@@ -1171,7 +1156,7 @@ impl Trainer {
                         diverged_at: &diverged_at,
                         profile: WorkerProfile::default(),
                         hist: StalenessHistogram::new(),
-                        shard_hist: ServerShardStaleness::new(n_servers, n_shards),
+                        shard_hist: ShardStaleness::new(port.shard_count()),
                         buf: port.new_buffer(),
                         scratch: StepScratch::default(),
                         wt: WorkerTelemetry::new(&self.telemetry),
@@ -1389,7 +1374,6 @@ mod tests {
         // on every server.
         assert_eq!(r.sync_rounds, rounds);
         assert_eq!(r.shard_staleness.max(), Some(0));
-        assert_eq!(r.server_shard_staleness.server_count(), 2);
         assert_eq!(t.push_count(), rounds);
         let max_diff = max_abs_diff(&distributed, &params);
         assert!(
@@ -1414,23 +1398,17 @@ mod tests {
         // batch (one round can cover several due periods), never exceed it.
         assert!(r.sync_rounds >= 1);
         assert!(r.sync_rounds <= steps / 2);
-        // Every shard's observations sit under its owning server, and only
-        // there.
+        // Every shard is observed once per step, and both servers own
+        // some of them.
         let router = t.router().expect("multi-server plane");
-        assert_eq!(r.server_shard_staleness.server_count(), 2);
         for g in 0..router.shard_count() {
-            let owner = router.owner_of(g);
-            assert_eq!(
-                r.server_shard_staleness.server(owner).shard(g).total(),
-                steps,
-                "shard {g} observations missing on owner {owner}"
-            );
-            assert_eq!(
-                r.server_shard_staleness.server(1 - owner).shard(g).total(),
-                0,
-                "shard {g} observed on a non-owner"
-            );
+            let total = r.shard_staleness.shard(g).total();
+            assert_eq!(total, steps, "shard {g} of server {}", router.owner_of(g));
         }
+        let owners: Vec<usize> = (0..router.shard_count())
+            .map(|g| router.owner_of(g))
+            .collect();
+        assert!(owners.contains(&0) && owners.contains(&1), "{owners:?}");
         assert_eq!(
             r.shard_staleness.total(),
             steps * router.shard_count() as u64

@@ -390,91 +390,6 @@ impl ShardStaleness {
     }
 }
 
-/// Per-server, per-shard staleness: one [`ShardStaleness`] per parameter
-/// server, each indexed by *global* shard id (a server only ever records
-/// observations for the shards it owns, so the off-owner histograms stay
-/// empty).
-///
-/// This is the multi-server face of the staleness profile: under the
-/// two-stage protocol an observation for shard `g` on server `s` counts the
-/// stage-1 applies that landed on `s`'s live copy of `g` between the
-/// worker's pull (of the committed view) and its push — the quantity the
-/// per-shard SSP bound must hold down *per server*.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerShardStaleness {
-    per_server: Vec<ShardStaleness>,
-}
-
-impl ServerShardStaleness {
-    /// Creates empty records for `servers` servers × `shards` global shards.
-    pub fn new(servers: usize, shards: usize) -> Self {
-        ServerShardStaleness {
-            per_server: vec![ShardStaleness::new(shards); servers],
-        }
-    }
-
-    /// Number of servers tracked.
-    pub fn server_count(&self) -> usize {
-        self.per_server.len()
-    }
-
-    /// Records one observation for global shard `shard` owned by `server`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` or `shard` is out of range.
-    pub fn record(&mut self, server: usize, shard: usize, staleness: u64) {
-        self.per_server[server].record(shard, staleness);
-    }
-
-    /// Merges another record into this one, growing to the larger server
-    /// count if they differ.
-    pub fn merge(&mut self, other: &ServerShardStaleness) {
-        if other.per_server.len() > self.per_server.len() {
-            self.per_server
-                .resize_with(other.per_server.len(), ShardStaleness::default);
-        }
-        for (mine, theirs) in self.per_server.iter_mut().zip(&other.per_server) {
-            mine.merge(theirs);
-        }
-    }
-
-    /// The per-shard record for one server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server` is out of range.
-    pub fn server(&self, server: usize) -> &ShardStaleness {
-        &self.per_server[server]
-    }
-
-    /// Total observations across all servers and shards.
-    pub fn total(&self) -> u64 {
-        self.per_server.iter().map(ShardStaleness::total).sum()
-    }
-
-    /// Maximum staleness observed on any server's shard (`None` if empty).
-    pub fn max(&self) -> Option<u64> {
-        self.per_server.iter().filter_map(ShardStaleness::max).max()
-    }
-
-    /// Collapses the server dimension into one per-shard record (each
-    /// global shard is owned by exactly one server, so this is a disjoint
-    /// union, not a double count).
-    pub fn flatten(&self) -> ShardStaleness {
-        let mut out = ShardStaleness::default();
-        for per_shard in &self.per_server {
-            out.merge(per_shard);
-        }
-        out
-    }
-
-    /// Iterates over the per-server records in server order.
-    pub fn iter(&self) -> impl Iterator<Item = &ShardStaleness> + '_ {
-        self.per_server.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,32 +487,6 @@ mod tests {
         assert_eq!(s.shard(0).total(), 2);
         assert_eq!(s.shard(1).total(), 0);
         assert_eq!(s.shard(2).max(), Some(2));
-    }
-
-    #[test]
-    fn server_shard_staleness_partitions_by_owner() {
-        let mut s = ServerShardStaleness::new(2, 4);
-        // Server 0 owns shards 0-1, server 1 owns shards 2-3.
-        s.record(0, 0, 0);
-        s.record(0, 1, 3);
-        s.record(1, 2, 5);
-        assert_eq!(s.server_count(), 2);
-        assert_eq!(s.total(), 3);
-        assert_eq!(s.max(), Some(5));
-        assert_eq!(s.server(0).max(), Some(3));
-        assert_eq!(s.server(1).max(), Some(5));
-        assert_eq!(s.server(0).shard(2).total(), 0);
-        // Flatten is a disjoint union over owners.
-        let flat = s.flatten();
-        assert_eq!(flat.total(), 3);
-        assert_eq!(flat.shard(1).max(), Some(3));
-        assert_eq!(flat.shard(2).max(), Some(5));
-        // Merge grows the server dimension.
-        let mut small = ServerShardStaleness::new(1, 4);
-        small.record(0, 0, 1);
-        small.merge(&s);
-        assert_eq!(small.server_count(), 2);
-        assert_eq!(small.total(), 4);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl PsServer {
     ///
     /// Panics if the owned shard range is out of bounds for the layout or
     /// `initial` does not match the layout's extent.
-    pub(crate) fn new(
+    pub fn new(
         id: usize,
         global: &ShardLayout,
         shard_offset: usize,

@@ -234,14 +234,11 @@ mod tests {
         let mut conn = t.connect(1).unwrap();
         wire::encode_bodyless(conn.request_buf(), op::CHECK_FINITE);
         let reply = conn.call().unwrap();
-        assert_eq!(
-            wire::Reply::decode(reply),
-            Ok(wire::Reply::Finite { finite: true })
-        );
+        assert_eq!(wire::decode_finite(reply), Ok(true));
         // A second request on the same conn reuses the circulating buffers.
         wire::encode_bodyless(conn.request_buf(), op::SYNC_ROUND);
         let reply = conn.call().unwrap();
-        assert_eq!(wire::Reply::decode(reply), Ok(wire::Reply::Synced));
+        assert_eq!(wire::expect_bodyless(reply, op::SYNCED), Ok(()));
     }
 
     #[test]
@@ -300,6 +297,19 @@ mod tests {
         let mut again = t.connect(0).unwrap();
         wire::encode_bodyless(again.request_buf(), op::CHECK_FINITE);
         again.call().unwrap();
+    }
+
+    #[test]
+    fn a_request_that_does_not_fit_closes_only_its_connection() {
+        let t = launch(8, 2, 1);
+        let mut a = t.connect(0).unwrap();
+        let mut b = t.connect(0).unwrap();
+        // Shard 5 of a server that owns 2: refused before the store sees it.
+        wire::encode_push_shard(a.request_buf(), 5, 0.001, 0.0, &[1.0; 4]);
+        assert_eq!(a.call().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        // The event loop every client shares is still serving.
+        wire::encode_push_shard(b.request_buf(), 0, 0.001, 0.0, &[1.0; 4]);
+        assert_eq!(wire::decode_push_ack(b.call().unwrap()), Ok(0));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! the "network" cost of the BSP/ASP tradeoff zero by construction. This
 //! module puts a real boundary there:
 //!
-//! * [`wire`] — the compact binary codec (length-prefixed frames, dedicated
-//!   zero-allocation encoders for the hot push/pull messages, a `Batch`
-//!   frame that carries several requests to one server in one round trip).
+//! * [`wire`] — the one binary codec (length-prefixed frames, a streaming
+//!   encoder and a zero-allocation decoder per message, a `Batch` frame
+//!   that carries several requests to one server in one round trip).
 //! * [`Transport`] / [`Conn`] — the backend abstraction: a transport knows
 //!   how to open a connection to server `s`; a connection sends one encoded
 //!   request payload and blocks for the reply payload.
@@ -47,7 +47,9 @@
 //! accounts each under its own opcode; the sequencing wrapper and its
 //! one-entry dedup window cover the batch as a whole, and what the window
 //! keeps is ack-sized — a trailing pull is re-read on a replay, never
-//! cached.
+//! cached. Before anything executes it checks every request — every item
+//! of a batch — against the server's slice, so a frame that does not fit
+//! closes its connection and changes nothing.
 //!
 //! Per-operation wire time and frame bytes are recorded in
 //! [`crate::profiler::TransportStats`], surfaced on
@@ -66,7 +68,7 @@ pub use faulty::{FaultPlan, FaultyTransport};
 pub use net_router::{NetPort, NetRouter};
 pub use remote::RemoteTcpTransport;
 pub use tcp::TcpServerHost;
-pub use wire::{Reply, Request, ServerInfo, WireError};
+pub use wire::{ServerInfo, WireError};
 
 use std::fmt;
 use std::io;
@@ -182,11 +184,17 @@ pub enum Handled {
     Shutdown,
 }
 
-/// Server-side request execution, shared by both backends: decodes a
-/// request payload, executes it against the [`PsServer`], and encodes the
-/// reply. All scratch buffers are reused, so steady-state push/pull/sync
-/// service allocates nothing.
-pub(crate) struct ServerEndpoint {
+/// Server-side request execution, shared by both backends: checks a
+/// request payload against the [`PsServer`]'s slice, decodes and executes
+/// it, and encodes the reply. All scratch buffers are reused, so
+/// steady-state push/pull/sync service allocates nothing.
+///
+/// A request that does not fit — bad framing, a shard the server does not
+/// own, a gradient, segment list, run list or restore of the wrong shape —
+/// is a [`WireError`] before anything executes; in a batch, before its
+/// first item does. A malformed frame neither panics the server nor
+/// half-applies.
+pub struct ServerEndpoint {
     server: Arc<PsServer>,
     /// Gradient decode scratch (push path).
     grad: Vec<f32>,
@@ -194,8 +202,10 @@ pub(crate) struct ServerEndpoint {
     segments: Vec<(u32, u32)>,
     /// Checked run list of a run pull (server-local offsets).
     runs: Vec<(usize, usize)>,
-    /// Pull/snapshot assembly scratch.
+    /// Pull/snapshot/restore scratch, one slice long.
     params: Vec<f32>,
+    /// Restore velocity scratch, sized by the first restore.
+    velocity: Vec<f32>,
     clocks: Vec<u64>,
     /// The dedup entry of the client this endpoint last served a sequenced
     /// request for. A TCP handler serves one client, so after its first
@@ -206,7 +216,8 @@ pub(crate) struct ServerEndpoint {
 }
 
 impl ServerEndpoint {
-    pub(crate) fn new(server: Arc<PsServer>) -> Self {
+    /// An endpoint serving `server`: one per event loop or connection.
+    pub fn new(server: Arc<PsServer>) -> Self {
         let (_, param_len) = server.param_range();
         let shards = server.shard_count();
         ServerEndpoint {
@@ -215,22 +226,20 @@ impl ServerEndpoint {
             segments: Vec::new(),
             runs: Vec::new(),
             params: vec![0.0; param_len],
+            velocity: Vec::new(),
             clocks: vec![0; shards],
             lease: None,
         }
     }
 
     /// Handles one request payload, encoding the reply into `reply`
-    /// (cleared first). See [`ServerEndpoint::handle_into`].
+    /// (cleared first).
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on a malformed request.
-    pub(crate) fn handle(
-        &mut self,
-        request: &[u8],
-        reply: &mut Vec<u8>,
-    ) -> Result<Handled, WireError> {
+    /// Returns a [`WireError`] on a malformed request, which has then
+    /// changed nothing on the server.
+    pub fn handle(&mut self, request: &[u8], reply: &mut Vec<u8>) -> Result<Handled, WireError> {
         reply.clear();
         self.handle_into(request, reply)
     }
@@ -255,8 +264,9 @@ impl ServerEndpoint {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on a malformed request — the serving loop
-    /// treats that as a broken peer and closes without replying.
+    /// Returns a [`WireError`] on a malformed request, before anything
+    /// executed — the serving loop treats that as a broken peer and closes
+    /// without replying.
     pub(crate) fn handle_into(
         &mut self,
         request: &[u8],
@@ -265,7 +275,7 @@ impl ServerEndpoint {
         let base = reply.len();
         let opcode = *request.first().ok_or(WireError::Truncated)?;
         if opcode != op::SEQUENCED {
-            let batch = self.count_request(request, request)?;
+            let batch = self.admit(request, request)?;
             let (handled, _) = self.dispatch(request, batch, reply)?;
             if handled == Handled::Reply {
                 self.server.stats().record_reply(reply.len() - base);
@@ -273,7 +283,7 @@ impl ServerEndpoint {
             return Ok(handled);
         }
         let (client, seq, inner) = wire::decode_sequenced_prefix(request)?;
-        let batch = self.count_request(request, inner)?;
+        let batch = self.admit(request, inner)?;
         let entry = match &self.lease {
             Some((leased, entry)) if *leased == client => Arc::clone(entry),
             _ => {
@@ -316,31 +326,66 @@ impl ServerEndpoint {
         Ok(handled)
     }
 
-    /// Counts the request(s) in `inner` — the payload of `frame` with any
-    /// sequencing wrapper removed — under what they do: one count per
-    /// logical request, a batch's items each under their own opcode, so
-    /// the per-opcode counts do not depend on how requests were framed.
-    /// Every byte of `frame` is attributed once (a batch's framing to its
-    /// first item). Returns a batch's items: its framing is checked here,
-    /// before anything executes.
-    fn count_request<'a>(
-        &self,
+    /// Admits the request(s) in `inner` — the payload of `frame` with any
+    /// sequencing wrapper removed. First every request, every item of a
+    /// batch, is checked (see [`ServerEndpoint::check`]), so a batch fails
+    /// whole before its first item executes. Then they are counted under
+    /// what they do: one count per logical request, a batch's items each
+    /// under their own opcode, so the per-opcode counts do not depend on
+    /// how requests were framed. Every byte of `frame` is attributed once
+    /// (a batch's framing to its first item). Returns a batch's items.
+    fn admit<'a>(
+        &mut self,
         frame: &[u8],
         inner: &'a [u8],
     ) -> Result<Option<wire::BatchItems<'a>>, WireError> {
-        let stats = self.server.stats();
         let opcode = *inner.first().ok_or(WireError::Truncated)?;
         if opcode != op::BATCH {
-            stats.record_request(opcode, frame.len());
+            self.check(inner)?;
+            self.server.stats().record_request(opcode, frame.len());
             return Ok(None);
         }
         let items = wire::batch_items(inner, op::BATCH)?;
+        for item in items.clone() {
+            self.check(item)?;
+        }
+        let stats = self.server.stats();
         let mut framing = frame.len() - items.clone().map(<[u8]>::len).sum::<usize>();
         for item in items.clone() {
             stats.record_request(item[0], item.len() + framing);
             framing = 0;
         }
         Ok(Some(items))
+    }
+
+    /// Checks one non-empty request against the server's slice without
+    /// executing it: its framing, and that every shard, length, segment and
+    /// run it names fits. A request that passes executes without an error
+    /// or a panic. A dense push costs a header read, a sparse push or a run
+    /// pull one pass over its list.
+    fn check(&mut self, request: &[u8]) -> Result<(), WireError> {
+        let live = self.server.live();
+        match request[0] {
+            op::PUSH_SHARD | op::PUSH_SHARD_SPARSE => wire::check_push(request, |shard| {
+                (shard < live.shard_count()).then(|| live.shard_range(shard).1)
+            }),
+            op::PULL_COMMITTED => {
+                wire::decode_pull_runs_into(request, self.params.len(), &mut self.runs).map(drop)
+            }
+            op::SNAPSHOT => wire::decode_snapshot_request(request).map(drop),
+            op::RESTORE => {
+                self.velocity.resize(self.params.len(), 0.0);
+                wire::decode_restore_into(request, &mut self.params, &mut self.velocity)
+            }
+            opcode @ (op::SYNC_ROUND
+            | op::DRAIN
+            | op::RESET_VELOCITY
+            | op::CHECK_FINITE
+            | op::HELLO
+            | op::STATS
+            | op::SHUTDOWN) => wire::expect_bodyless(request, opcode),
+            other => Err(WireError::UnknownOpcode(other)),
+        }
     }
 
     /// Executes one unwrapped request payload: a batch as a loop over its
@@ -427,11 +472,7 @@ impl ServerEndpoint {
                 wire::encode_bodyless(reply, op::SYNCED);
             }
             op::SNAPSHOT => {
-                let velocity = match wire::Request::decode(request)? {
-                    wire::Request::Snapshot { velocity } => velocity,
-                    _ => unreachable!("opcode dispatched as SNAPSHOT"),
-                };
-                if velocity {
+                if wire::decode_snapshot_request(request)? {
                     self.server.live().snapshot_velocity_into(&mut self.params);
                 } else {
                     self.server.live().snapshot_params_into(&mut self.params);
@@ -439,11 +480,8 @@ impl ServerEndpoint {
                 wire::encode_snapshot_data(reply, &self.params);
             }
             op::RESTORE => {
-                let (params, velocity) = match wire::Request::decode(request)? {
-                    wire::Request::Restore { params, velocity } => (params, velocity),
-                    _ => unreachable!("opcode dispatched as RESTORE"),
-                };
-                self.server.live().restore(&params, &velocity);
+                wire::decode_restore_into(request, &mut self.params, &mut self.velocity)?;
+                self.server.live().restore(&self.params, &self.velocity);
                 wire::encode_bodyless(reply, op::OK);
             }
             op::RESET_VELOCITY => {
@@ -451,8 +489,7 @@ impl ServerEndpoint {
                 wire::encode_bodyless(reply, op::OK);
             }
             op::CHECK_FINITE => {
-                reply.push(op::FINITE);
-                reply.push(u8::from(self.server.live().is_finite()));
+                wire::encode_flag(reply, op::FINITE, self.server.live().is_finite());
             }
             op::HELLO => {
                 let (param_offset, param_len) = self.server.param_range();
@@ -519,7 +556,7 @@ mod tests {
         req.clear();
         wire::encode_bodyless(&mut req, op::SYNC_ROUND);
         ep.handle(&req, &mut reply).unwrap();
-        assert_eq!(Reply::decode(&reply), Ok(Reply::Synced));
+        assert_eq!(wire::expect_bodyless(&reply, op::SYNCED), Ok(()));
         req.clear();
         wire::encode_bodyless(&mut req, op::PULL_COMMITTED);
         ep.handle(&req, &mut reply).unwrap();
@@ -531,7 +568,7 @@ mod tests {
         req.clear();
         wire::encode_bodyless(&mut req, op::CHECK_FINITE);
         ep.handle(&req, &mut reply).unwrap();
-        assert_eq!(Reply::decode(&reply), Ok(Reply::Finite { finite: true }));
+        assert_eq!(wire::decode_finite(&reply), Ok(true));
         req.clear();
         wire::encode_bodyless(&mut req, op::SHUTDOWN);
         assert_eq!(ep.handle(&req, &mut reply), Ok(Handled::Shutdown));
@@ -662,13 +699,12 @@ mod tests {
 
         let snap = |ep: &mut ServerEndpoint, velocity: bool| -> Vec<f32> {
             let mut req = Vec::new();
-            Request::Snapshot { velocity }.encode(&mut req);
+            wire::encode_flag(&mut req, op::SNAPSHOT, velocity);
             let mut reply = Vec::new();
             ep.handle(&req, &mut reply).unwrap();
-            match Reply::decode(&reply).unwrap() {
-                Reply::SnapshotData { data } => data,
-                other => panic!("wrong reply {other:?}"),
-            }
+            let mut data = vec![0.0; 6];
+            wire::decode_snapshot_into(&reply, &mut data).unwrap();
+            data
         };
         let params = snap(&mut ep, false);
         let velocity = snap(&mut ep, true);
@@ -680,13 +716,9 @@ mod tests {
         ep.handle(&req, &mut reply).unwrap();
         assert_ne!(snap(&mut ep, false), params);
         req.clear();
-        Request::Restore {
-            params: params.clone(),
-            velocity: velocity.clone(),
-        }
-        .encode(&mut req);
+        wire::encode_restore(&mut req, &params, &velocity);
         ep.handle(&req, &mut reply).unwrap();
-        assert_eq!(Reply::decode(&reply), Ok(Reply::Ok));
+        assert_eq!(wire::expect_bodyless(&reply, op::OK), Ok(()));
         assert_eq!(snap(&mut ep, false), params);
         assert_eq!(snap(&mut ep, true), velocity);
 
@@ -978,10 +1010,7 @@ mod tests {
         req.clear();
         wire::encode_bodyless(&mut req, op::STATS);
         ep.handle(&req, &mut reply).unwrap();
-        let snap = match Reply::decode(&reply).unwrap() {
-            Reply::Stats(s) => s,
-            other => panic!("wrong reply {other:?}"),
-        };
+        let snap = wire::decode_stats_snapshot(&reply).unwrap();
         assert_eq!(snap.requests_for(op::PUSH_SHARD), 3);
         assert_eq!(snap.requests_for(op::PULL_COMMITTED), 1);
         assert_eq!(snap.requests_for(op::STATS), 1, "scrape sees itself");
@@ -1003,5 +1032,82 @@ mod tests {
         let mut req = Vec::new();
         wire::encode_push_shard(&mut req, 0, 0.1, 0.0, &[1.0; 4]);
         assert!(ep.handle(&req[..req.len() - 2], &mut reply).is_err());
+    }
+
+    #[test]
+    fn requests_that_do_not_fit_the_slice_change_nothing() {
+        // Two shards of 5; shard 1 has moved, so its velocity is live too.
+        let mut ep = endpoint(10, 2);
+        let mut reply = Vec::new();
+        let mut req = Vec::new();
+        wire::encode_push_shard(&mut req, 1, 0.5, 0.9, &[1.0; 5]);
+        ep.handle(&req, &mut reply).unwrap();
+        let server = Arc::clone(&ep.server);
+        let state = || {
+            let live = server.live();
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            let clocks: Vec<u64> = (0..2).map(|k| live.shard_version(k)).collect();
+            (
+                bits(live.snapshot_params()),
+                bits(live.snapshot_velocity()),
+                clocks,
+            )
+        };
+        let before = state();
+        let push = |shard: u32, n: usize| {
+            let mut req = Vec::new();
+            wire::encode_push_shard(&mut req, shard, 0.5, 0.9, &vec![1.0; n]);
+            req
+        };
+        let sparse = |segments: &[(u32, u32)], n: usize| {
+            let mut req = Vec::new();
+            wire::encode_push_shard_sparse(&mut req, 0, 0.5, 0.9, segments, &vec![1.0; n]);
+            req
+        };
+        // `[valid push to shard 0, push to shard 99]`, bare and sequenced.
+        let batch = {
+            let mut req = Vec::new();
+            let head = wire::begin_batch(&mut req, op::BATCH);
+            for item in [push(0, 5), push(99, 5)] {
+                let mark = wire::open_batch_item(&mut req);
+                req.extend_from_slice(&item);
+                wire::close_batch_item(&mut req, head, mark);
+            }
+            req
+        };
+        let mut sequenced = Vec::new();
+        wire::encode_sequenced_prefix(&mut sequenced, 5, 0);
+        sequenced.extend_from_slice(&batch);
+        let mut restore = Vec::new();
+        wire::encode_restore(&mut restore, &[0.0; 9], &[0.0; 9]);
+        for bad in [
+            push(2, 5),
+            push(99, 5),
+            push(0, 4),
+            push(0, 6),
+            // The first segment fits; the second runs past the shard.
+            sparse(&[(0, 2), (4, 3)], 5),
+            sparse(&[(2, 2), (0, 1)], 3),
+            sparse(&[(0, 3), (2, 2)], 5),
+            sparse(&[(0, 2)], 3),
+            sparse(&[(u32::MAX, 2)], 2),
+            restore,
+            batch,
+            sequenced,
+        ] {
+            assert!(matches!(
+                ep.handle(&bad, &mut reply),
+                Err(WireError::Misfit(_) | WireError::Truncated)
+            ));
+            assert_eq!(state(), before);
+        }
+        assert_eq!(server.live().shard_version(0), 0);
+        assert_eq!(ep.server.stats_snapshot().apply_ns.count, 1);
+        // The server serves on, and the refused sequence number stays free.
+        let mut req = Vec::new();
+        wire::encode_sequenced_prefix(&mut req, 5, 0);
+        req.extend_from_slice(&push(0, 5));
+        ep.handle(&req, &mut reply).unwrap();
+        assert_eq!(wire::decode_push_ack(&reply), Ok(0));
     }
 }

@@ -951,10 +951,7 @@ impl NetRouter {
             self.retry,
             None,
             false,
-            &|req| {
-                req.push(op::SNAPSHOT);
-                req.push(u8::from(velocity));
-            },
+            &|req| wire::encode_flag(req, op::SNAPSHOT, velocity),
             &mut |reply| wire::decode_snapshot_into(reply, slice),
         )
     }

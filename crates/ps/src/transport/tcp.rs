@@ -553,9 +553,7 @@ mod tests {
         // The listener is gone: either the connect fails outright or the
         // socket is closed without serving.
         if let Ok(mut s) = TcpStream::connect(addr) {
-            let mut frame = Vec::new();
-            wire::frame_payload(&mut frame, &[op::CHECK_FINITE]);
-            let write = s.write_all(&frame);
+            let write = s.write_all(&[1, 0, 0, 0, op::CHECK_FINITE]);
             let mut buf = [0u8; 1];
             assert!(
                 write.is_err() || matches!(s.read(&mut buf), Ok(0) | Err(_)),

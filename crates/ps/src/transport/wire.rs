@@ -12,14 +12,10 @@
 //! bits (`to_le_bytes`), so encode→decode→encode is byte-exact even for
 //! NaNs — the codec never reinterprets gradients, it only moves them.
 //!
-//! The hot-path messages have dedicated zero-allocation encoders/decoders
-//! (`encode_push_shard`, `decode_push_shard_into`, `decode_pulled_into`, and
-//! for a pull of just the runs a step reads `encode_pull_runs`,
-//! `decode_pull_runs_into`, `begin_pulled`… and `decode_pulled_runs_into`)
-//! that the [`crate::transport::NetRouter`] and the server endpoints use to
-//! keep the steady state allocation-free; the owned [`Request`]/[`Reply`]
-//! enums exist for the cold control-plane paths and for exercising the
-//! codec in property tests.
+//! There is one codec: per message, a streaming encoder that appends the
+//! payload to the caller's buffer, and a decoder that reads it into the
+//! caller's reused buffers — what [`crate::transport::NetRouter`] and the
+//! server endpoints run (allocation-free), and what the tests round-trip.
 
 use std::fmt;
 
@@ -56,6 +52,9 @@ pub enum WireError {
     /// Run number `.0` of a [`op::PULL_COMMITTED`] body is empty, starts
     /// before the previous run ends, or reaches past the server's slice.
     BadRun(u32),
+    /// A well-framed request with opcode `.0` does not fit the server's
+    /// slice (see [`check_push`]).
+    Misfit(u8),
 }
 
 impl fmt::Display for WireError {
@@ -71,6 +70,7 @@ impl fmt::Display for WireError {
             WireError::BadRun(i) => {
                 write!(f, "pull run {i} is empty, out of order or out of range")
             }
+            WireError::Misfit(op) => write!(f, "request {op:#04x} does not fit the server"),
         }
     }
 }
@@ -177,115 +177,6 @@ pub struct ServerInfo {
     pub param_len: u64,
 }
 
-/// A decoded request frame (owned form — the hot paths use the streaming
-/// encoders below instead).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Apply `grad` to the owner's live shard `shard` (server-local index).
-    PushShard {
-        /// Server-local shard index.
-        shard: u32,
-        /// Learning rate for the momentum-SGD step.
-        lr: f64,
-        /// Momentum coefficient.
-        momentum: f64,
-        /// The gradient slice for exactly that shard.
-        grad: Vec<f32>,
-    },
-    /// Apply a sparse gradient to the owner's live shard `shard`: only the
-    /// listed segments carry values; the rest of the shard takes the
-    /// zero-gradient momentum step (see
-    /// [`crate::store::UpdateData::Sparse`]).
-    PushShardSparse {
-        /// Server-local shard index.
-        shard: u32,
-        /// Learning rate for the momentum-SGD step.
-        lr: f64,
-        /// Momentum coefficient.
-        momentum: f64,
-        /// Shard-relative `(start, len)` segments, ascending and disjoint.
-        indices: Vec<(u32, u32)>,
-        /// Concatenated gradient values of the segments.
-        rows: Vec<f32>,
-    },
-    /// Pull the committed view of every owned shard.
-    PullCommitted,
-    /// Pull only `runs` of the committed view: [`op::PULL_COMMITTED`] with
-    /// a body.
-    PullRuns {
-        /// Server-local `(start, len)` runs, ascending and disjoint.
-        runs: Vec<(u32, u32)>,
-    },
-    /// Stage-2 reconciliation round on this server.
-    SyncRound,
-    /// Unconditional commit-all.
-    Drain,
-    /// Snapshot the live parameters (`velocity == false`) or velocity.
-    Snapshot {
-        /// Which vector to snapshot.
-        velocity: bool,
-    },
-    /// Overwrite live parameters and velocity.
-    Restore {
-        /// New parameters for the owned slice.
-        params: Vec<f32>,
-        /// New velocity for the owned slice.
-        velocity: Vec<f32>,
-    },
-    /// Zero the live velocity.
-    ResetVelocity,
-    /// Ask whether every live parameter is finite.
-    CheckFinite,
-    /// Readiness/identity probe; replied to with [`Reply::Info`].
-    Hello,
-    /// Telemetry scrape; replied to with [`Reply::Stats`].
-    Stats,
-    /// Terminate the serving loop.
-    Shutdown,
-    /// Several requests to one server in one frame, executed in order
-    /// (never nested, never `Shutdown`, never empty).
-    Batch(Vec<Request>),
-}
-
-/// A decoded reply frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reply {
-    /// Pre-apply shard clock of a [`Request::PushShard`].
-    PushAck {
-        /// The owner's live shard clock before the apply.
-        prev_clock: u64,
-    },
-    /// Committed view of the owned slice, or of the requested runs of it.
-    Pulled {
-        /// Owned parameters, in global flat order (a run pull: the runs'
-        /// values, concatenated).
-        params: Vec<f32>,
-        /// Committed clock per owned shard.
-        clocks: Vec<u64>,
-    },
-    /// A sync round / drain completed.
-    Synced,
-    /// Snapshot payload.
-    SnapshotData {
-        /// The requested vector.
-        data: Vec<f32>,
-    },
-    /// Generic success.
-    Ok,
-    /// Finiteness answer.
-    Finite {
-        /// Whether every live parameter is finite.
-        finite: bool,
-    },
-    /// The server's identity and owned slice, replying to [`Request::Hello`].
-    Info(ServerInfo),
-    /// The server's request/apply accounting, replying to
-    /// [`Request::Stats`].
-    Stats(ServerStatsSnapshot),
-    /// The replies to a [`Request::Batch`], in request order.
-    Batch(Vec<Reply>),
-}
-
 // ---------------------------------------------------------------- encoding
 
 #[inline]
@@ -357,10 +248,18 @@ pub fn encode_push_shard_sparse(
     put_f32s(buf, rows);
 }
 
-/// Appends a bodyless request payload (`PullCommitted`, `SyncRound`,
-/// `Drain`, `ResetVelocity`, `CheckFinite`, `Shutdown`).
+/// Appends a bodyless payload: a request (`PullCommitted`, `SyncRound`,
+/// `Drain`, `ResetVelocity`, `CheckFinite`, `Hello`, `Stats`, `Shutdown`)
+/// or a reply (`Synced`, `Ok`).
 pub fn encode_bodyless(buf: &mut Vec<u8>, opcode: u8) {
     buf.push(opcode);
+}
+
+/// Appends a one-flag payload `[opcode][u8 flag]`: a `Snapshot` request
+/// (set: of the velocity) or a `Finite` reply.
+pub fn encode_flag(buf: &mut Vec<u8>, opcode: u8, flag: bool) {
+    buf.push(opcode);
+    buf.push(u8::from(flag));
 }
 
 /// Appends a `PullCommitted` payload that asks for `runs` only — the
@@ -445,11 +344,7 @@ pub fn encode_server_info(buf: &mut Vec<u8>, info: &ServerInfo) {
 ///
 /// Returns a [`WireError`] if the payload is not a well-formed `Info`.
 pub fn decode_server_info(payload: &[u8]) -> Result<ServerInfo, WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::INFO => {}
-        other => return Err(WireError::UnexpectedReply(other)),
-    }
+    let mut c = Cursor::open(payload, op::INFO)?;
     let info = ServerInfo {
         nonce: c.u64()?,
         server: c.u32()?,
@@ -499,11 +394,7 @@ pub fn decode_stats_snapshot(payload: &[u8]) -> Result<ServerStatsSnapshot, Wire
             .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
             .collect())
     }
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::STATS_DATA => {}
-        other => return Err(WireError::UnexpectedReply(other)),
-    }
+    let mut c = Cursor::open(payload, op::STATS_DATA)?;
     let server = c.u32()?;
     let requests = u64_vec(&mut c)?;
     if requests.len() != OPCODE_SLOTS {
@@ -563,11 +454,7 @@ pub fn encode_sequenced_prefix(buf: &mut Vec<u8>, client: u64, seq: u32) {
 /// Returns a [`WireError`] if the payload is not a sequenced wrapper, the
 /// version byte is unsupported, or the header is truncated.
 pub fn decode_sequenced_prefix(payload: &[u8]) -> Result<(u64, u32, &[u8]), WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::SEQUENCED => {}
-        other => return Err(WireError::UnknownOpcode(other)),
-    }
+    let mut c = Cursor::open(payload, op::SEQUENCED)?;
     match c.u8()? {
         SEQ_WIRE_VERSION => {}
         v => return Err(WireError::BadVersion(v)),
@@ -631,17 +518,6 @@ pub fn put_bodyless_item(buf: &mut Vec<u8>, head: usize, opcode: u8) {
     close_batch_item(buf, head, mark);
 }
 
-/// Appends a whole batch of owned items (the cold-path form the
-/// [`Request`]/[`Reply`] enums use).
-fn encode_batch<T>(buf: &mut Vec<u8>, opcode: u8, items: &[T], encode: fn(&T, &mut Vec<u8>)) {
-    let head = begin_batch(buf, opcode);
-    for item in items {
-        let mark = open_batch_item(buf);
-        encode(item, buf);
-        close_batch_item(buf, head, mark);
-    }
-}
-
 /// The item payloads of a batch whose framing was checked up front by
 /// [`batch_items`], so iteration cannot fail.
 #[derive(Debug, Clone)]
@@ -673,12 +549,7 @@ impl<'a> Iterator for BatchItems<'a> {
 ///
 /// Returns a [`WireError`] on any of the above.
 pub fn batch_items(payload: &[u8], opcode: u8) -> Result<BatchItems<'_>, WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        got if got == opcode => {}
-        got if opcode == op::BATCH => return Err(WireError::UnknownOpcode(got)),
-        got => return Err(WireError::UnexpectedReply(got)),
-    }
+    let mut c = Cursor::open(payload, opcode)?;
     let n = u16::from_le_bytes(c.take(2)?.try_into().unwrap());
     if n == 0 {
         return Err(WireError::Truncated);
@@ -696,66 +567,6 @@ pub fn batch_items(payload: &[u8], opcode: u8) -> Result<BatchItems<'_>, WireErr
     Ok(BatchItems { rest })
 }
 
-impl Request {
-    /// Appends this request's payload to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Request::PushShard {
-                shard,
-                lr,
-                momentum,
-                grad,
-            } => encode_push_shard(buf, *shard, *lr, *momentum, grad),
-            Request::PushShardSparse {
-                shard,
-                lr,
-                momentum,
-                indices,
-                rows,
-            } => encode_push_shard_sparse(buf, *shard, *lr, *momentum, indices, rows),
-            Request::PullCommitted => encode_bodyless(buf, op::PULL_COMMITTED),
-            Request::PullRuns { runs } => encode_pull_runs(
-                buf,
-                runs.iter()
-                    .map(|&(start, len)| (start as usize, len as usize)),
-            ),
-            Request::SyncRound => encode_bodyless(buf, op::SYNC_ROUND),
-            Request::Drain => encode_bodyless(buf, op::DRAIN),
-            Request::Snapshot { velocity } => {
-                buf.push(op::SNAPSHOT);
-                buf.push(u8::from(*velocity));
-            }
-            Request::Restore { params, velocity } => encode_restore(buf, params, velocity),
-            Request::ResetVelocity => encode_bodyless(buf, op::RESET_VELOCITY),
-            Request::CheckFinite => encode_bodyless(buf, op::CHECK_FINITE),
-            Request::Hello => encode_bodyless(buf, op::HELLO),
-            Request::Stats => encode_bodyless(buf, op::STATS),
-            Request::Shutdown => encode_bodyless(buf, op::SHUTDOWN),
-            Request::Batch(items) => encode_batch(buf, op::BATCH, items, Request::encode),
-        }
-    }
-}
-
-impl Reply {
-    /// Appends this reply's payload to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Reply::PushAck { prev_clock } => encode_push_ack(buf, *prev_clock),
-            Reply::Pulled { params, clocks } => encode_pulled(buf, params, clocks),
-            Reply::Synced => encode_bodyless(buf, op::SYNCED),
-            Reply::SnapshotData { data } => encode_snapshot_data(buf, data),
-            Reply::Ok => encode_bodyless(buf, op::OK),
-            Reply::Finite { finite } => {
-                buf.push(op::FINITE);
-                buf.push(u8::from(*finite));
-            }
-            Reply::Info(info) => encode_server_info(buf, info),
-            Reply::Stats(stats) => encode_stats_snapshot(buf, stats),
-            Reply::Batch(items) => encode_batch(buf, op::BATCH_REPLY, items, Reply::encode),
-        }
-    }
-}
-
 // ---------------------------------------------------------------- decoding
 
 /// A cursor over a payload; every getter checks bounds.
@@ -765,8 +576,17 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
+    /// A cursor past the opcode of `bytes`, which must be `opcode`. Any
+    /// other is an [`WireError::UnknownOpcode`] where a request was
+    /// expected and an [`WireError::UnexpectedReply`] where a reply was —
+    /// the expected opcode's high bit says which.
+    fn open(bytes: &'a [u8], opcode: u8) -> Result<Self, WireError> {
+        let mut c = Cursor { bytes, pos: 0 };
+        match c.u8()? {
+            got if got == opcode => Ok(c),
+            got if opcode & 0x80 == 0 => Err(WireError::UnknownOpcode(got)),
+            got => Err(WireError::UnexpectedReply(got)),
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -871,11 +691,7 @@ pub fn decode_push_shard_into(
     payload: &[u8],
     grad: &mut Vec<f32>,
 ) -> Result<(u32, f64, f64), WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::PUSH_SHARD => {}
-        other => return Err(WireError::UnknownOpcode(other)),
-    }
+    let mut c = Cursor::open(payload, op::PUSH_SHARD)?;
     let shard = c.u32()?;
     let lr = c.f64()?;
     let momentum = c.f64()?;
@@ -890,18 +706,14 @@ pub fn decode_push_shard_into(
 /// # Errors
 ///
 /// Returns a [`WireError`] if the payload is not a well-formed
-/// `PushShardSparse` (segment *semantics* — ordering, bounds — are checked
-/// at apply time, not here; the codec only moves bytes).
+/// `PushShardSparse` (segment *semantics* — ordering, bounds — are
+/// [`check_push`]'s; the decoder only moves bytes).
 pub fn decode_push_shard_sparse_into(
     payload: &[u8],
     indices: &mut Vec<(u32, u32)>,
     rows: &mut Vec<f32>,
 ) -> Result<(u32, f64, f64), WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::PUSH_SHARD_SPARSE => {}
-        other => return Err(WireError::UnknownOpcode(other)),
-    }
+    let mut c = Cursor::open(payload, op::PUSH_SHARD_SPARSE)?;
     let shard = c.u32()?;
     let lr = c.f64()?;
     let momentum = c.f64()?;
@@ -909,6 +721,66 @@ pub fn decode_push_shard_sparse_into(
     c.f32s_into(rows)?;
     c.finish()?;
     Ok((shard, lr, momentum))
+}
+
+/// Checks a `PushShard` or `PushShardSparse` payload against the server it
+/// reached without reading a value: `shard_len(s)` is the length of the
+/// server's local shard `s` (`None` past its last). A dense gradient must
+/// be exactly that long; sparse segments must be ascending, disjoint,
+/// inside the shard and as long together as the values behind them. The
+/// framing is checked too, so a push that passes decodes and applies.
+///
+/// # Errors
+///
+/// Returns [`WireError::Misfit`] for contents the shard cannot hold, or the
+/// usual framing errors.
+pub fn check_push(
+    payload: &[u8],
+    shard_len: impl Fn(usize) -> Option<usize>,
+) -> Result<(), WireError> {
+    let opcode = *payload.first().ok_or(WireError::Truncated)?;
+    let sparse = opcode == op::PUSH_SHARD_SPARSE;
+    let mut c = Cursor::open(payload, if sparse { opcode } else { op::PUSH_SHARD })?;
+    let len = shard_len(c.u32()? as usize).ok_or(WireError::Misfit(opcode))?;
+    c.take(16)?; // lr, momentum
+    let mut values = len;
+    if sparse {
+        let k = c.u32()? as usize;
+        let segments = c.take(k.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        values = 0;
+        check_runs(segments, len, |_, n| {
+            values += n;
+            true
+        })
+        .map_err(|_| WireError::Misfit(opcode))?;
+    }
+    if c.u32()? as usize != values {
+        return Err(WireError::Misfit(opcode));
+    }
+    c.take(values * 4)?;
+    c.finish()
+}
+
+/// Walks a `(u32 start, u32 len)` list — a pull's runs, a sparse push's
+/// segments — checking that each starts at or after the end of the one
+/// before and ends inside `0..limit` (in checked arithmetic), and hands it
+/// to `accept`, which may refuse it too. Returns the index of the first
+/// pair that fails.
+fn check_runs(
+    pairs: &[u8],
+    limit: usize,
+    mut accept: impl FnMut(usize, usize) -> bool,
+) -> Result<(), u32> {
+    let mut floor = 0;
+    for (i, b) in pairs.chunks_exact(8).enumerate() {
+        let start = u32::from_le_bytes(b[..4].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(b[4..].try_into().unwrap()) as usize;
+        match start.checked_add(len) {
+            Some(end) if start >= floor && end <= limit && accept(start, len) => floor = end,
+            _ => return Err(i as u32),
+        }
+    }
+    Ok(())
 }
 
 /// Decodes a `Pulled` reply straight into the caller's slices — the
@@ -937,11 +809,7 @@ pub fn decode_pulled_into(
 ///
 /// Returns a [`WireError`] if the payload is anything else.
 pub fn expect_pulled(payload: &[u8], n_values: usize, n_clocks: usize) -> Result<(), WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::PULLED => {}
-        other => return Err(WireError::UnexpectedReply(other)),
-    }
+    let mut c = Cursor::open(payload, op::PULLED)?;
     if c.u32()? as usize != n_values {
         return Err(WireError::Truncated);
     }
@@ -973,11 +841,7 @@ pub fn decode_pulled_runs_into(
     params_out: &mut [f32],
     clocks_out: &mut [u64],
 ) -> Result<(), WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::PULLED => {}
-        other => return Err(WireError::UnexpectedReply(other)),
-    }
+    let mut c = Cursor::open(payload, op::PULLED)?;
     let n = c.u32()? as usize;
     if n != runs.clone().map(|(_, len)| len).sum::<usize>() {
         // A size mismatch means the frame disagrees with the layout the
@@ -1012,11 +876,7 @@ pub fn decode_pull_runs_into(
     slice_len: usize,
     runs: &mut Vec<(usize, usize)>,
 ) -> Result<bool, WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::PULL_COMMITTED => {}
-        other => return Err(WireError::UnknownOpcode(other)),
-    }
+    let mut c = Cursor::open(payload, op::PULL_COMMITTED)?;
     runs.clear();
     if c.pos == payload.len() {
         return Ok(false);
@@ -1024,18 +884,41 @@ pub fn decode_pull_runs_into(
     let k = c.u32()? as usize;
     let bytes = c.take(k.checked_mul(8).ok_or(WireError::Truncated)?)?;
     c.finish()?;
-    let mut floor = 0;
-    for (i, b) in bytes.chunks_exact(8).enumerate() {
-        let start = u32::from_le_bytes(b[..4].try_into().unwrap()) as usize;
-        let len = u32::from_le_bytes(b[4..].try_into().unwrap()) as usize;
-        let end = start.checked_add(len).filter(|&end| end <= slice_len);
-        match end {
-            Some(end) if len > 0 && start >= floor => floor = end,
-            _ => return Err(WireError::BadRun(i as u32)),
-        }
+    check_runs(bytes, slice_len, |start, len| {
         runs.push((start, len));
-    }
+        len > 0
+    })
+    .map_err(WireError::BadRun)?;
     Ok(true)
+}
+
+/// Decodes a `Snapshot` request: whether it asks for the velocity (set)
+/// or the parameters.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] if the payload is not a well-formed `Snapshot`.
+pub fn decode_snapshot_request(payload: &[u8]) -> Result<bool, WireError> {
+    decode_flag(payload, op::SNAPSHOT)
+}
+
+/// Decodes a `Restore` request straight into `params` and `velocity`,
+/// which must be exactly as long as the vectors it carries — the server's
+/// slice. Nothing is allocated.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] if the payload is not a well-formed `Restore`
+/// of exactly those lengths.
+pub fn decode_restore_into(
+    payload: &[u8],
+    params: &mut [f32],
+    velocity: &mut [f32],
+) -> Result<(), WireError> {
+    let mut c = Cursor::open(payload, op::RESTORE)?;
+    c.f32s_into_slice(params)?;
+    c.f32s_into_slice(velocity)?;
+    c.finish()
 }
 
 /// Decodes a `SnapshotData` reply straight into an exact-length slice.
@@ -1045,27 +928,26 @@ pub fn decode_pull_runs_into(
 /// Returns a [`WireError`] if the payload is not a well-formed
 /// `SnapshotData` reply of exactly `out.len()` values.
 pub fn decode_snapshot_into(payload: &[u8], out: &mut [f32]) -> Result<(), WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::SNAPSHOT_DATA => {}
-        other => return Err(WireError::UnexpectedReply(other)),
-    }
+    let mut c = Cursor::open(payload, op::SNAPSHOT_DATA)?;
     c.f32s_into_slice(out)?;
     c.finish()
 }
 
-/// Checks that a reply payload is exactly the bodyless `expected` opcode.
+/// Checks that a payload is exactly the bodyless `expected` opcode.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] on any other payload.
 pub fn expect_bodyless(payload: &[u8], expected: u8) -> Result<(), WireError> {
-    let mut c = Cursor::new(payload);
-    let got = c.u8()?;
-    if got != expected {
-        return Err(WireError::UnexpectedReply(got));
-    }
-    c.finish()
+    Cursor::open(payload, expected)?.finish()
+}
+
+/// Reads an [`encode_flag`] payload; any non-zero flag byte is set.
+fn decode_flag(payload: &[u8], opcode: u8) -> Result<bool, WireError> {
+    let mut c = Cursor::open(payload, opcode)?;
+    let flag = c.u8()? != 0;
+    c.finish()?;
+    Ok(flag)
 }
 
 /// Decodes a `Finite` reply.
@@ -1074,14 +956,7 @@ pub fn expect_bodyless(payload: &[u8], expected: u8) -> Result<(), WireError> {
 ///
 /// Returns a [`WireError`] if the payload is not a well-formed `Finite`.
 pub fn decode_finite(payload: &[u8]) -> Result<bool, WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::FINITE => {}
-        other => return Err(WireError::UnexpectedReply(other)),
-    }
-    let finite = c.u8()? != 0;
-    c.finish()?;
-    Ok(finite)
+    decode_flag(payload, op::FINITE)
 }
 
 /// Decodes a `PushAck` reply.
@@ -1090,146 +965,10 @@ pub fn decode_finite(payload: &[u8]) -> Result<bool, WireError> {
 ///
 /// Returns a [`WireError`] if the payload is not a well-formed `PushAck`.
 pub fn decode_push_ack(payload: &[u8]) -> Result<u64, WireError> {
-    let mut c = Cursor::new(payload);
-    match c.u8()? {
-        op::PUSH_ACK => {}
-        other => return Err(WireError::UnexpectedReply(other)),
-    }
+    let mut c = Cursor::open(payload, op::PUSH_ACK)?;
     let clock = c.u64()?;
     c.finish()?;
     Ok(clock)
-}
-
-impl Request {
-    /// Decodes a request payload into its owned form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the payload is malformed.
-    pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let mut c = Cursor::new(payload);
-        let req = match c.u8()? {
-            op::PUSH_SHARD => {
-                let shard = c.u32()?;
-                let lr = c.f64()?;
-                let momentum = c.f64()?;
-                let mut grad = Vec::new();
-                c.f32s_into(&mut grad)?;
-                Request::PushShard {
-                    shard,
-                    lr,
-                    momentum,
-                    grad,
-                }
-            }
-            op::PUSH_SHARD_SPARSE => {
-                let shard = c.u32()?;
-                let lr = c.f64()?;
-                let momentum = c.f64()?;
-                let mut indices = Vec::new();
-                c.segments_into(&mut indices)?;
-                let mut rows = Vec::new();
-                c.f32s_into(&mut rows)?;
-                Request::PushShardSparse {
-                    shard,
-                    lr,
-                    momentum,
-                    indices,
-                    rows,
-                }
-            }
-            op::PULL_COMMITTED if c.pos == payload.len() => Request::PullCommitted,
-            op::PULL_COMMITTED => {
-                let mut runs = Vec::new();
-                c.segments_into(&mut runs)?;
-                Request::PullRuns { runs }
-            }
-            op::SYNC_ROUND => Request::SyncRound,
-            op::DRAIN => Request::Drain,
-            op::SNAPSHOT => Request::Snapshot {
-                velocity: c.u8()? != 0,
-            },
-            op::RESTORE => {
-                let mut params = Vec::new();
-                c.f32s_into(&mut params)?;
-                let mut velocity = Vec::new();
-                c.f32s_into(&mut velocity)?;
-                Request::Restore { params, velocity }
-            }
-            op::RESET_VELOCITY => Request::ResetVelocity,
-            op::CHECK_FINITE => Request::CheckFinite,
-            op::HELLO => Request::Hello,
-            op::STATS => Request::Stats,
-            op::SHUTDOWN => Request::Shutdown,
-            // `batch_items` consumes (and bounds-checks) the whole payload.
-            op::BATCH => {
-                return batch_items(payload, op::BATCH)?
-                    .map(Request::decode)
-                    .collect::<Result<_, _>>()
-                    .map(Request::Batch)
-            }
-            other => return Err(WireError::UnknownOpcode(other)),
-        };
-        c.finish()?;
-        Ok(req)
-    }
-}
-
-impl Reply {
-    /// Decodes a reply payload into its owned form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] if the payload is malformed.
-    pub fn decode(payload: &[u8]) -> Result<Reply, WireError> {
-        let mut c = Cursor::new(payload);
-        let reply = match c.u8()? {
-            op::PUSH_ACK => Reply::PushAck {
-                prev_clock: c.u64()?,
-            },
-            op::PULLED => {
-                let mut params = Vec::new();
-                c.f32s_into(&mut params)?;
-                let n = c.u32()? as usize;
-                let bytes = c.take(n.checked_mul(8).ok_or(WireError::Truncated)?)?;
-                let clocks = bytes
-                    .chunks_exact(8)
-                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                    .collect();
-                Reply::Pulled { params, clocks }
-            }
-            op::SYNCED => Reply::Synced,
-            op::SNAPSHOT_DATA => {
-                let mut data = Vec::new();
-                c.f32s_into(&mut data)?;
-                Reply::SnapshotData { data }
-            }
-            op::OK => Reply::Ok,
-            op::FINITE => Reply::Finite {
-                finite: c.u8()? != 0,
-            },
-            op::INFO => Reply::Info(ServerInfo {
-                nonce: c.u64()?,
-                server: c.u32()?,
-                first_shard: c.u32()?,
-                shard_count: c.u32()?,
-                param_offset: c.u64()?,
-                param_len: c.u64()?,
-            }),
-            // The dedicated decoder consumes the whole payload (including
-            // the trailing-bytes check), so delegate instead of re-parsing.
-            op::STATS_DATA => return decode_stats_snapshot(payload).map(Reply::Stats),
-            op::BATCH_REPLY => {
-                return batch_items(payload, op::BATCH_REPLY)?
-                    .map(Reply::decode)
-                    .collect::<Result<_, _>>()
-                    .map(Reply::Batch)
-            }
-            other => return Err(WireError::UnknownOpcode(other)),
-        };
-        c.finish()?;
-        Ok(reply)
-    }
 }
 
 // ----------------------------------------------------------------- framing
@@ -1274,18 +1013,9 @@ pub fn read_frame(r: &mut impl std::io::BufRead, buf: &mut Vec<u8>) -> std::io::
     Ok(true)
 }
 
-/// Overwrites `frame` with `[len][payload]` framing for `payload`. Kept as
-/// a copy (rather than encoding in place behind a reserved prefix) only on
-/// cold paths; the hot conns reserve the prefix up front.
-pub fn frame_payload(frame: &mut Vec<u8>, payload: &[u8]) {
-    frame.clear();
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-}
-
 /// Patches the 4-byte length prefix of a buffer laid out as
-/// `[placeholder][payload]` (the zero-copy framing the TCP conn uses:
-/// encode the payload after a reserved prefix, then fix the prefix).
+/// `[placeholder][payload]` (the zero-copy framing both ends use: encode
+/// the payload after a reserved prefix, then fix the prefix).
 ///
 /// # Panics
 ///
@@ -1299,94 +1029,155 @@ pub fn patch_frame_len(buf: &mut [u8]) {
 mod tests {
     use super::*;
 
+    /// `[len][payload]`: the frame a conn writes for `payload`.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = vec![0u8; 4];
+        frame.extend_from_slice(payload);
+        patch_frame_len(&mut frame);
+        frame
+    }
+
+    /// Every cut of `bytes` and `bytes` plus one byte fail `decode`.
+    fn assert_cuts_and_extension_fail<T>(
+        bytes: &[u8],
+        mut decode: impl FnMut(&[u8]) -> Result<T, WireError>,
+    ) {
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert_eq!(decode(&long).err(), Some(WireError::TrailingBytes(1)));
+    }
+
     #[test]
     fn push_shard_round_trips() {
-        let req = Request::PushShard {
-            shard: 3,
-            lr: 0.05,
-            momentum: 0.9,
-            grad: vec![1.0, -2.5, f32::MIN_POSITIVE, 0.0],
-        };
+        let grad = [1.0, -2.5, f32::MIN_POSITIVE, 0.0];
         let mut buf = Vec::new();
-        req.encode(&mut buf);
-        assert_eq!(Request::decode(&buf).unwrap(), req);
-        // The streaming decoder agrees with the owned one.
-        let mut grad = vec![9.9f32; 1];
-        let (shard, lr, mu) = decode_push_shard_into(&buf, &mut grad).unwrap();
+        encode_push_shard(&mut buf, 3, 0.05, 0.9, &grad);
+        let mut out = vec![9.9f32; 1];
+        let (shard, lr, mu) = decode_push_shard_into(&buf, &mut out).unwrap();
         assert_eq!((shard, lr, mu), (3, 0.05, 0.9));
-        assert_eq!(grad, vec![1.0, -2.5, f32::MIN_POSITIVE, 0.0]);
+        assert_eq!(out, grad);
+        let mut again = Vec::new();
+        encode_push_shard(&mut again, shard, lr, mu, &out);
+        assert_eq!(again, buf);
+        assert_cuts_and_extension_fail(&buf, |b| decode_push_shard_into(b, &mut out));
     }
 
     #[test]
     fn push_shard_sparse_round_trips() {
-        let req = Request::PushShardSparse {
-            shard: 2,
-            lr: 0.25,
-            momentum: 0.9,
-            indices: vec![(4, 2), (10, 3)],
-            rows: vec![1.0, -2.0, 0.5, f32::MIN_POSITIVE, -0.0],
-        };
+        let (segments, values) = ([(4, 2), (10, 3)], [1.0, -2.0, 0.5, f32::MIN_POSITIVE, -0.0]);
         let mut buf = Vec::new();
-        req.encode(&mut buf);
-        assert_eq!(Request::decode(&buf).unwrap(), req);
-        // The streaming decoder agrees with the owned one, reusing buffers.
+        encode_push_shard_sparse(&mut buf, 2, 0.25, 0.9, &segments, &values);
+        // Reused decode buffers come back resized to the frame's contents.
         let mut indices = vec![(9u32, 9u32)];
         let mut rows = vec![9.9f32];
         let (shard, lr, mu) = decode_push_shard_sparse_into(&buf, &mut indices, &mut rows).unwrap();
         assert_eq!((shard, lr, mu), (2, 0.25, 0.9));
-        assert_eq!(indices, vec![(4, 2), (10, 3)]);
-        assert_eq!(rows.len(), 5);
+        assert_eq!(indices, segments);
+        let mut again = Vec::new();
+        encode_push_shard_sparse(&mut again, shard, lr, mu, &indices, &rows);
+        assert_eq!(again, buf, "-0.0 and the subnormal survive bit for bit");
         // The sparse frame is smaller than the dense frame it replaces
         // whenever the touched fraction is below 1 (here: 5 of 16 values).
         let mut dense = Vec::new();
         encode_push_shard(&mut dense, 2, 0.25, 0.9, &[0.0; 16]);
         assert!(buf.len() < dense.len(), "{} vs {}", buf.len(), dense.len());
-        // Truncations fail loudly.
-        for cut in [0, 1, 5, buf.len() - 1] {
-            assert!(Request::decode(&buf[..cut]).is_err(), "cut {cut}");
+        assert_cuts_and_extension_fail(&buf, |b| {
+            decode_push_shard_sparse_into(b, &mut indices, &mut rows)
+        });
+    }
+
+    #[test]
+    fn pushes_are_checked_against_the_shard_before_a_value_is_read() {
+        // Two shards of 10 and 6 values.
+        let shard_len = |s: usize| [10, 6].get(s).copied();
+        let dense = |shard: u32, n: usize| {
+            let mut buf = Vec::new();
+            encode_push_shard(&mut buf, shard, 0.1, 0.9, &vec![1.0; n]);
+            buf
+        };
+        let sparse = |shard: u32, segments: &[(u32, u32)], n: usize| {
+            let mut buf = Vec::new();
+            encode_push_shard_sparse(&mut buf, shard, 0.1, 0.9, segments, &vec![1.0; n]);
+            buf
+        };
+        for ok in [
+            dense(0, 10),
+            dense(1, 6),
+            sparse(0, &[], 0),
+            sparse(0, &[(0, 2), (2, 0), (2, 3), (9, 1)], 6),
+            sparse(1, &[(0, 6)], 6),
+        ] {
+            assert_eq!(check_push(&ok, shard_len), Ok(()));
+            assert_cuts_and_extension_fail(&ok, |b| check_push(b, shard_len));
         }
+        for (bad, opcode) in [
+            (dense(2, 6), op::PUSH_SHARD),
+            (dense(u32::MAX, 6), op::PUSH_SHARD),
+            (dense(0, 9), op::PUSH_SHARD),
+            (dense(1, 10), op::PUSH_SHARD),
+            (sparse(2, &[(0, 1)], 1), op::PUSH_SHARD_SPARSE),
+            (sparse(1, &[(0, 7)], 7), op::PUSH_SHARD_SPARSE),
+            (sparse(0, &[(2, 2), (1, 1)], 3), op::PUSH_SHARD_SPARSE),
+            (sparse(0, &[(0, 3), (2, 2)], 5), op::PUSH_SHARD_SPARSE),
+            (sparse(0, &[(1, 2), (5, 1)], 2), op::PUSH_SHARD_SPARSE),
+            (sparse(0, &[(1, 2)], 3), op::PUSH_SHARD_SPARSE),
+            (sparse(0, &[(u32::MAX, u32::MAX)], 0), op::PUSH_SHARD_SPARSE),
+        ] {
+            assert_eq!(check_push(&bad, shard_len), Err(WireError::Misfit(opcode)));
+        }
+        assert_eq!(
+            check_push(&[op::PULL_COMMITTED], shard_len),
+            Err(WireError::UnknownOpcode(op::PULL_COMMITTED))
+        );
     }
 
     #[test]
     fn pulled_decodes_into_slices() {
-        let reply = Reply::Pulled {
-            params: vec![0.5, 1.5, 2.5],
-            clocks: vec![7, 9],
-        };
         let mut buf = Vec::new();
-        reply.encode(&mut buf);
+        encode_pulled(&mut buf, &[0.5, 1.5, 2.5], &[7, 9]);
         let mut params = [0.0f32; 3];
         let mut clocks = [0u64; 2];
         decode_pulled_into(&buf, &mut params, &mut clocks).unwrap();
         assert_eq!(params, [0.5, 1.5, 2.5]);
         assert_eq!(clocks, [7, 9]);
+        assert_eq!(expect_pulled(&buf, 3, 2), Ok(()));
         // Length mismatches are corruption, not silent truncation.
         let mut short = [0.0f32; 2];
         assert!(decode_pulled_into(&buf, &mut short, &mut clocks).is_err());
+        assert!(expect_pulled(&buf, 2, 2).is_err());
+        assert!(expect_pulled(&buf, 3, 1).is_err());
+        assert_cuts_and_extension_fail(&buf, |b| decode_pulled_into(b, &mut params, &mut clocks));
+        assert_cuts_and_extension_fail(&buf, |b| expect_pulled(b, 3, 2));
     }
 
     #[test]
     fn pull_run_list_round_trips_and_the_bodyless_frame_is_unchanged() {
         // "Everything" is still the one opcode byte, to the server too.
         let mut bare = Vec::new();
-        Request::PullCommitted.encode(&mut bare);
+        encode_bodyless(&mut bare, op::PULL_COMMITTED);
         assert_eq!(bare, [op::PULL_COMMITTED]);
-        assert_eq!(Request::decode(&bare).unwrap(), Request::PullCommitted);
         let mut runs = vec![(7, 7)];
         assert_eq!(decode_pull_runs_into(&bare, 100, &mut runs), Ok(false));
         assert!(runs.is_empty());
 
         // A run list: same opcode, `[k][(start, len)…]` behind it.
-        let req = Request::PullRuns {
-            runs: vec![(0, 4), (4, 1), (90, 10)],
-        };
         let mut buf = Vec::new();
-        req.encode(&mut buf);
+        encode_pull_runs(&mut buf, [(0, 4), (4, 1), (90, 10)].into_iter());
         assert_eq!(buf[0], op::PULL_COMMITTED);
         assert_eq!(buf.len(), 1 + 4 + 3 * 8);
-        assert_eq!(Request::decode(&buf).unwrap(), req);
         assert_eq!(decode_pull_runs_into(&buf, 100, &mut runs), Ok(true));
         assert_eq!(runs, [(0, 4), (4, 1), (90, 10)]);
+        let mut again = Vec::new();
+        encode_pull_runs(&mut again, runs.iter().copied());
+        assert_eq!(again, buf);
+        // Cut to its opcode a run pull is the bodyless pull; any other cut
+        // fails.
+        for cut in (0..buf.len()).filter(|&cut| cut != 1) {
+            assert!(decode_pull_runs_into(&buf[..cut], 100, &mut runs).is_err());
+        }
         // No runs is a request too (the server answers with its clocks).
         buf.clear();
         encode_pull_runs(&mut buf, std::iter::empty());
@@ -1457,82 +1248,83 @@ mod tests {
             Err(WireError::Truncated)
         );
         assert_eq!(params, [-1.0; 6]);
-        for cut in 0..reply.len() {
-            let runs = runs.iter().copied();
-            assert!(
-                decode_pulled_runs_into(&reply[..cut], runs, &mut params, &mut clocks).is_err(),
-                "cut {cut}"
-            );
-        }
+        assert_cuts_and_extension_fail(&reply, |b| {
+            decode_pulled_runs_into(b, runs.iter().copied(), &mut params, &mut clocks)
+        });
     }
 
     #[test]
     fn nan_gradients_survive_byte_exactly() {
         let weird = f32::from_bits(0x7fc0_dead); // a payloaded NaN
-        let req = Request::PushShard {
-            shard: 0,
-            lr: f64::NAN,
-            momentum: -0.0,
-            grad: vec![weird, f32::NEG_INFINITY],
-        };
         let mut a = Vec::new();
-        req.encode(&mut a);
-        let back = Request::decode(&a).unwrap();
+        encode_push_shard(&mut a, 0, f64::NAN, -0.0, &[weird, f32::NEG_INFINITY]);
+        let mut grad = Vec::new();
+        let (shard, lr, mu) = decode_push_shard_into(&a, &mut grad).unwrap();
+        assert_eq!(grad[0].to_bits(), weird.to_bits());
         let mut b = Vec::new();
-        back.encode(&mut b);
+        encode_push_shard(&mut b, shard, lr, mu, &grad);
         assert_eq!(a, b, "re-encode must be byte-exact");
-        match back {
-            Request::PushShard { grad, .. } => {
-                assert_eq!(grad[0].to_bits(), weird.to_bits());
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
     }
 
     #[test]
-    fn truncation_and_trailing_bytes_are_errors() {
-        let mut buf = Vec::new();
-        Request::PushShard {
-            shard: 1,
-            lr: 0.1,
-            momentum: 0.0,
-            grad: vec![1.0; 8],
-        }
-        .encode(&mut buf);
-        for cut in [0, 1, 4, buf.len() - 1] {
-            assert!(
-                Request::decode(&buf[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-        buf.push(0);
+    fn decoders_name_a_wrong_opcode_by_direction() {
+        // A request decoder meets an unknown request; a reply decoder, a
+        // reply to something else.
+        let mut grad = Vec::new();
         assert_eq!(
-            Request::decode(&buf),
-            Err(WireError::TrailingBytes(1)),
-            "trailing byte must fail"
-        );
-    }
-
-    #[test]
-    fn unknown_opcodes_are_rejected() {
-        assert_eq!(
-            Request::decode(&[0x55]),
+            decode_push_shard_into(&[0x55], &mut grad),
             Err(WireError::UnknownOpcode(0x55))
         );
-        assert_eq!(Reply::decode(&[0x55]), Err(WireError::UnknownOpcode(0x55)));
         assert_eq!(
             decode_push_ack(&[op::OK]),
             Err(WireError::UnexpectedReply(op::OK))
         );
+        assert_eq!(
+            batch_items(&[0x55], op::BATCH_REPLY).err(),
+            Some(WireError::UnexpectedReply(0x55))
+        );
+        assert_eq!(decode_finite(&[]), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn flag_and_restore_payloads_round_trip() {
+        for (opcode, decode) in [
+            (op::SNAPSHOT, decode_snapshot_request as fn(&[u8]) -> _),
+            (op::FINITE, decode_finite),
+        ] {
+            for flag in [false, true] {
+                let mut buf = Vec::new();
+                encode_flag(&mut buf, opcode, flag);
+                assert_eq!(buf, [opcode, u8::from(flag)]);
+                assert_eq!(decode(&buf), Ok(flag));
+                assert_cuts_and_extension_fail(&buf, decode);
+            }
+        }
+        let (params, velocity) = ([1.0, f32::from_bits(0x7fc0_0001)], [-0.0, 3.0]);
+        let mut buf = Vec::new();
+        encode_restore(&mut buf, &params, &velocity);
+        let (mut p, mut v) = ([0.0f32; 2], [0.0f32; 2]);
+        decode_restore_into(&buf, &mut p, &mut v).unwrap();
+        let mut again = Vec::new();
+        encode_restore(&mut again, &p, &v);
+        assert_eq!(again, buf);
+        assert_cuts_and_extension_fail(&buf, |b| decode_restore_into(b, &mut p, &mut v));
+        // A restore for another slice length does not fit these buffers.
+        let (mut p3, mut v3) = ([0.0f32; 3], [0.0f32; 3]);
+        assert!(decode_restore_into(&buf, &mut p3, &mut v3).is_err());
+        let mut data = Vec::new();
+        encode_snapshot_data(&mut data, &params);
+        decode_snapshot_into(&data, &mut p).unwrap();
+        assert_eq!(p.map(f32::to_bits), params.map(f32::to_bits));
+        assert!(decode_snapshot_into(&data, &mut p3).is_err());
+        assert_cuts_and_extension_fail(&data, |b| decode_snapshot_into(b, &mut p));
     }
 
     #[test]
     fn stream_framing_round_trips() {
         let mut wire = Vec::new();
-        let mut frame = Vec::new();
         for payload in [&b"abc"[..], &[][..], &[op::SYNCED][..]] {
-            frame_payload(&mut frame, payload);
-            wire.extend_from_slice(&frame);
+            wire.extend_from_slice(&framed(payload));
         }
         let mut r = &wire[..];
         let mut buf = Vec::new();
@@ -1565,12 +1357,8 @@ mod tests {
     }
 
     fn two_frames() -> Vec<u8> {
-        let mut wire = Vec::new();
-        let mut frame = Vec::new();
-        for payload in [&b"first"[..], &[op::SYNCED][..]] {
-            frame_payload(&mut frame, payload);
-            wire.extend_from_slice(&frame);
-        }
+        let mut wire = framed(b"first");
+        wire.extend_from_slice(&framed(&[op::SYNCED]));
         wire
     }
 
@@ -1623,8 +1411,7 @@ mod tests {
         assert_eq!(r.get_ref().reads, 1);
         // A payload larger than the buffer still arrives whole.
         let big = vec![7u8; 3 * FRAME_READ_BUF];
-        let mut framed = Vec::new();
-        frame_payload(&mut framed, &big);
+        let framed = framed(&big);
         let mut r = std::io::BufReader::with_capacity(
             FRAME_READ_BUF,
             Chunked {
@@ -1640,52 +1427,35 @@ mod tests {
 
     #[test]
     fn batch_round_trips_and_rejects_bad_framing() {
-        let req = Request::Batch(vec![
-            Request::PushShard {
-                shard: 1,
-                lr: 0.1,
-                momentum: 0.9,
-                grad: vec![1.0, -2.0],
-            },
-            Request::PushShardSparse {
-                shard: 0,
-                lr: 0.1,
-                momentum: 0.9,
-                indices: vec![(0, 1)],
-                rows: vec![3.0],
-            },
-        ]);
         let mut buf = Vec::new();
-        req.encode(&mut buf);
-        assert_eq!(Request::decode(&buf).unwrap(), req);
-        // The in-place writer the hot path uses emits the same bytes.
-        let mut streamed = Vec::new();
-        let head = begin_batch(&mut streamed, op::BATCH);
-        let mark = open_batch_item(&mut streamed);
-        encode_push_shard(&mut streamed, 1, 0.1, 0.9, &[1.0, -2.0]);
-        close_batch_item(&mut streamed, head, mark);
-        let mark = open_batch_item(&mut streamed);
-        encode_push_shard_sparse(&mut streamed, 0, 0.1, 0.9, &[(0, 1)], &[3.0]);
-        close_batch_item(&mut streamed, head, mark);
-        assert_eq!(streamed, buf);
+        let head = begin_batch(&mut buf, op::BATCH);
+        let mark = open_batch_item(&mut buf);
+        encode_push_shard(&mut buf, 1, 0.1, 0.9, &[1.0, -2.0]);
+        close_batch_item(&mut buf, head, mark);
+        let mark = open_batch_item(&mut buf);
+        encode_push_shard_sparse(&mut buf, 0, 0.1, 0.9, &[(0, 1)], &[3.0]);
+        close_batch_item(&mut buf, head, mark);
+        put_bodyless_item(&mut buf, head, op::PULL_COMMITTED);
+        assert_eq!(&buf[1..3], 3u16.to_le_bytes());
+        // Each item is the bare request's payload, byte for byte.
         let items: Vec<&[u8]> = batch_items(&buf, op::BATCH).unwrap().collect();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0][0], op::PUSH_SHARD);
-        assert_eq!(items[1][0], op::PUSH_SHARD_SPARSE);
-        // Every truncation fails; so does a trailing byte.
-        for cut in 0..buf.len() {
-            assert!(batch_items(&buf[..cut], op::BATCH).is_err(), "cut {cut}");
-        }
-        let mut long = buf.clone();
-        long.push(0);
+        let mut bare = Vec::new();
+        encode_push_shard(&mut bare, 1, 0.1, 0.9, &[1.0, -2.0]);
+        assert_eq!(items[0], &bare[..]);
+        bare.clear();
+        encode_push_shard_sparse(&mut bare, 0, 0.1, 0.9, &[(0, 1)], &[3.0]);
+        assert_eq!(items[1], &bare[..]);
+        assert_eq!(items[2], [op::PULL_COMMITTED]);
         assert_eq!(
-            batch_items(&long, op::BATCH).unwrap_err(),
-            WireError::TrailingBytes(1)
+            buf.len(),
+            BATCH_HEADER_BYTES + 8 + items[0].len() + items[1].len() + BODYLESS_ITEM_BYTES
         );
+        // Every truncation fails; so does a trailing byte.
+        assert_cuts_and_extension_fail(&buf, |b| batch_items(b, op::BATCH).map(drop));
         // A count above the records present, a count of zero, and a count
-        // below them (the surplus record is trailing bytes).
+        // below them (the surplus records are trailing bytes).
         for (n, err) in [
-            (3u16, WireError::Truncated),
+            (4u16, WireError::Truncated),
             (0, WireError::Truncated),
             (
                 1,
@@ -1700,28 +1470,26 @@ mod tests {
         for inner in [op::BATCH, op::SEQUENCED, op::SHUTDOWN] {
             let mut bad = Vec::new();
             let head = begin_batch(&mut bad, op::BATCH);
-            let mark = open_batch_item(&mut bad);
-            bad.push(inner);
-            close_batch_item(&mut bad, head, mark);
+            put_bodyless_item(&mut bad, head, inner);
             assert_eq!(
                 batch_items(&bad, op::BATCH).unwrap_err(),
                 WireError::NotBatchable(inner)
             );
-            assert!(Request::decode(&bad).is_err());
         }
         // A reply batch carries replies in order and names its direction.
-        let reply = Reply::Batch(vec![
-            Reply::PushAck { prev_clock: 4 },
-            Reply::PushAck { prev_clock: 9 },
-        ]);
         let mut bytes = Vec::new();
-        reply.encode(&mut bytes);
-        assert_eq!(Reply::decode(&bytes).unwrap(), reply);
+        let head = begin_batch(&mut bytes, op::BATCH_REPLY);
+        for clock in [4, 9] {
+            let mark = open_batch_item(&mut bytes);
+            encode_push_ack(&mut bytes, clock);
+            close_batch_item(&mut bytes, head, mark);
+        }
         let acks: Vec<u64> = batch_items(&bytes, op::BATCH_REPLY)
             .unwrap()
             .map(|ack| decode_push_ack(ack).unwrap())
             .collect();
         assert_eq!(acks, [4, 9]);
+        assert_cuts_and_extension_fail(&bytes, |b| batch_items(b, op::BATCH_REPLY).map(drop));
         assert_eq!(
             batch_items(&buf, op::BATCH_REPLY).unwrap_err(),
             WireError::UnexpectedReply(op::BATCH)
@@ -1788,18 +1556,15 @@ mod tests {
             param_len: 768,
         };
         let mut buf = Vec::new();
-        Reply::Info(info).encode(&mut buf);
+        encode_server_info(&mut buf, &info);
         assert_eq!(decode_server_info(&buf).unwrap(), info);
-        assert_eq!(Reply::decode(&buf).unwrap(), Reply::Info(info));
-        // Hello is bodyless and round-trips through the owned enum.
+        // Hello is bodyless.
         let mut req = Vec::new();
-        Request::Hello.encode(&mut req);
+        encode_bodyless(&mut req, op::HELLO);
         assert_eq!(req, [op::HELLO]);
-        assert_eq!(Request::decode(&req).unwrap(), Request::Hello);
-        // Truncations fail loudly.
-        for cut in 0..buf.len() {
-            assert!(decode_server_info(&buf[..cut]).is_err(), "cut {cut}");
-        }
+        assert_eq!(expect_bodyless(&req, op::HELLO), Ok(()));
+        assert_cuts_and_extension_fail(&buf, decode_server_info);
+        assert_cuts_and_extension_fail(&req, |b| expect_bodyless(b, op::HELLO));
         // Wrong opcode is an UnexpectedReply for the dedicated decoder.
         assert_eq!(
             decode_server_info(&[op::OK]),
@@ -1825,22 +1590,13 @@ mod tests {
         stats.apply_ns.max = 120;
         stats.apply_ns.buckets[7] = 4;
         let mut buf = Vec::new();
-        Reply::Stats(stats.clone()).encode(&mut buf);
+        encode_stats_snapshot(&mut buf, &stats);
         assert_eq!(decode_stats_snapshot(&buf).unwrap(), stats);
-        assert_eq!(Reply::decode(&buf).unwrap(), Reply::Stats(stats.clone()));
         // Re-encode is byte-exact.
         let mut again = Vec::new();
-        Reply::decode(&buf).unwrap().encode(&mut again);
+        encode_stats_snapshot(&mut again, &decode_stats_snapshot(&buf).unwrap());
         assert_eq!(buf, again);
-        // The request side is bodyless.
-        let mut req = Vec::new();
-        Request::Stats.encode(&mut req);
-        assert_eq!(req, [op::STATS]);
-        assert_eq!(Request::decode(&req).unwrap(), Request::Stats);
-        // Truncations fail loudly.
-        for cut in 0..buf.len() {
-            assert!(decode_stats_snapshot(&buf[..cut]).is_err(), "cut {cut}");
-        }
+        assert_cuts_and_extension_fail(&buf, decode_stats_snapshot);
         // Wrong opcode is an UnexpectedReply for the dedicated decoder.
         assert_eq!(
             decode_stats_snapshot(&[op::OK]),
@@ -1855,16 +1611,5 @@ mod tests {
         let mut buf = Vec::new();
         encode_stats_snapshot(&mut buf, &bad);
         assert_eq!(decode_stats_snapshot(&buf), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn patched_prefix_matches_copy_framing() {
-        let payload = [op::SYNC_ROUND, 1, 2, 3];
-        let mut copied = Vec::new();
-        frame_payload(&mut copied, &payload);
-        let mut patched = vec![0u8; 4];
-        patched.extend_from_slice(&payload);
-        patch_frame_len(&mut patched);
-        assert_eq!(copied, patched);
     }
 }

@@ -3,10 +3,12 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use sync_switch_nn::{Dataset, Network};
-use sync_switch_ps::transport::{wire, Reply, Request};
+use sync_switch_ps::transport::wire::{self, op, ServerInfo, WireError};
+use sync_switch_ps::transport::ServerEndpoint;
 use sync_switch_ps::{
-    Checkpoint, FaultPlan, NetPort, PullBuffer, ServerStatsSnapshot, ServerTopology, ShardRouter,
-    ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData, WorkerPort,
+    Checkpoint, FaultPlan, NetPort, PsServer, PullBuffer, ServerStatsSnapshot, ServerTopology,
+    ShardLayout, ShardRouter, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData,
+    WorkerPort,
 };
 use sync_switch_workloads::SyncProtocol;
 
@@ -16,10 +18,306 @@ fn bits_to_f32(bits: &[u32]) -> Vec<f32> {
     bits.iter().map(|&b| f32::from_bits(b)).collect()
 }
 
-/// Splits raw u64s into `(start, len)` segment pairs for the sparse frame —
-/// the codec moves them without interpreting, so arbitrary values are fair.
-fn bits_to_segments(bits: &[u64]) -> Vec<(u32, u32)> {
-    bits.iter().map(|&b| ((b >> 32) as u32, b as u32)).collect()
+/// A server owning all of an `n`-parameter vector in `shards` shards.
+fn test_server(n: usize, shards: usize) -> Arc<PsServer> {
+    let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).sin()).collect();
+    let layout = ShardLayout::new(n, shards);
+    Arc::new(PsServer::new(0, &layout, 0, layout.len(), &initial))
+}
+
+/// The lengths of `server`'s local shards.
+fn shard_lens(server: &PsServer) -> Vec<usize> {
+    (0..server.shard_count())
+        .map(|k| server.live().shard_range(k).1)
+        .collect()
+}
+
+/// Everything a request may change on `server`, as bits: live parameters,
+/// velocity and shard clocks, and the committed view with its clocks.
+fn server_state(server: &PsServer) -> [Vec<u64>; 5] {
+    let live = server.live();
+    let bits = |v: &[f32]| v.iter().map(|x| u64::from(x.to_bits())).collect();
+    let mut committed = vec![0.0; server.param_range().1];
+    let mut clocks = vec![0; server.shard_count()];
+    server.pull_committed_into(&mut committed, &mut clocks);
+    let live_clocks = (0..server.shard_count()).map(|k| live.shard_version(k));
+    [
+        bits(&live.snapshot_params()),
+        bits(&live.snapshot_velocity()),
+        live_clocks.collect(),
+        bits(&committed),
+        clocks,
+    ]
+}
+
+/// A xorshift stream: the shape of a generated frame from one seed.
+fn xorshift(seed: u64) -> impl FnMut() -> usize {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 16) as usize
+    }
+}
+
+/// The bodyless requests a server executes.
+const BODYLESS: [u8; 7] = [
+    op::SYNC_ROUND,
+    op::DRAIN,
+    op::RESET_VELOCITY,
+    op::CHECK_FINITE,
+    op::HELLO,
+    op::STATS,
+    op::SHUTDOWN,
+];
+
+/// Kinds of [`request_frame`]: a dense push, a sparse push, a whole pull,
+/// a run pull, a snapshot, a restore, then each of [`BODYLESS`].
+const REQUEST_KINDS: u8 = 6 + BODYLESS.len() as u8;
+
+/// A well-formed request of `kind` for a server whose local shards are
+/// `shard_lens` long, its values from `bits` (NaN payloads included),
+/// wrapped as `wrap` picks: bare, `Sequenced`, behind a dense push in a
+/// `Batch`, or that batch `Sequenced` (`Shutdown` is never batched). Also
+/// returns the offsets of its u32 shard, length and count fields, and the
+/// one cut that is itself well formed: a run pull cut to its opcode.
+fn request_frame(
+    kind: u8,
+    wrap: u8,
+    shard_lens: &[usize],
+    bits: &[u32],
+    seed: u64,
+) -> (Vec<u8>, Vec<usize>, Option<usize>) {
+    let mut rng = xorshift(seed);
+    let value = |i: usize| f32::from_bits(bits[i % bits.len()]);
+    let slice: usize = shard_lens.iter().sum();
+    let (lr, mu) = (f64::from_bits(seed), f64::from_bits(seed.rotate_left(29)));
+    let mut req = Vec::new();
+    let mut fields = Vec::new();
+    match kind {
+        0 => {
+            let s = rng() % shard_lens.len();
+            let grad: Vec<f32> = (0..shard_lens[s]).map(value).collect();
+            wire::encode_push_shard(&mut req, s as u32, lr, mu, &grad);
+            fields = vec![1, 21];
+        }
+        1 => {
+            // Ascending, disjoint segments, empty ones included.
+            let s = rng() % shard_lens.len();
+            let len = shard_lens[s];
+            let mut segments = Vec::new();
+            let mut at = 0;
+            while at < len && !rng().is_multiple_of(4) {
+                let start = at + rng() % (len - at);
+                let n = rng() % (len - start + 1);
+                segments.push((start as u32, n as u32));
+                at = start + n.max(1);
+            }
+            let total = segments.iter().map(|&(_, n)| n as usize).sum();
+            let rows: Vec<f32> = (0..total).map(value).collect();
+            wire::encode_push_shard_sparse(&mut req, s as u32, lr, mu, &segments, &rows);
+            fields = (0..=2 * segments.len()).map(|i| 21 + 4 * i).collect();
+            fields.extend([1, 25 + 8 * segments.len()]);
+        }
+        2 => wire::encode_bodyless(&mut req, op::PULL_COMMITTED),
+        3 => {
+            let mut runs = Vec::new();
+            let mut at = 0;
+            while at < slice && !rng().is_multiple_of(4) {
+                let start = at + rng() % (slice - at);
+                let n = 1 + rng() % (slice - start);
+                runs.push((start, n));
+                at = start + n;
+            }
+            wire::encode_pull_runs(&mut req, runs.iter().copied());
+            fields = (0..=2 * runs.len()).map(|i| 1 + 4 * i).collect();
+        }
+        4 => wire::encode_flag(&mut req, op::SNAPSHOT, seed & 1 == 1),
+        5 => {
+            let params: Vec<f32> = (0..slice).map(value).collect();
+            let velocity: Vec<f32> = (0..slice).map(|i| value(i + 3)).collect();
+            wire::encode_restore(&mut req, &params, &velocity);
+            fields = vec![1, 5 + 4 * slice];
+        }
+        _ => wire::encode_bodyless(&mut req, BODYLESS[kind as usize - 6]),
+    }
+    let mut exempt = (kind == 3).then_some(1);
+    if wrap >= 2 && req[0] != op::SHUTDOWN {
+        let mut batch = Vec::new();
+        let head = wire::begin_batch(&mut batch, op::BATCH);
+        let mark = wire::open_batch_item(&mut batch);
+        let grad: Vec<f32> = (0..shard_lens[0]).map(value).collect();
+        wire::encode_push_shard(&mut batch, 0, lr, mu, &grad);
+        wire::close_batch_item(&mut batch, head, mark);
+        // The push's length prefix, shard and gradient length.
+        let mut outer = vec![mark, mark + 5, mark + 25];
+        let mark = wire::open_batch_item(&mut batch);
+        batch.extend_from_slice(&req);
+        wire::close_batch_item(&mut batch, head, mark);
+        outer.push(mark);
+        outer.extend(fields.iter().map(|f| f + mark + 4));
+        (req, fields, exempt) = (batch, outer, None);
+    }
+    if wrap % 2 == 1 {
+        let mut sequenced = Vec::new();
+        wire::encode_sequenced_prefix(&mut sequenced, seed, 0);
+        let at = sequenced.len();
+        sequenced.extend_from_slice(&req);
+        fields.iter_mut().for_each(|f| *f += at);
+        (req, exempt) = (sequenced, exempt.map(|cut| cut + at));
+    }
+    (req, fields, exempt)
+}
+
+/// Decodes a request with the decoders the server endpoint runs and
+/// encodes it again with the encoders the router runs — the codec's round
+/// trip, for a server whose slice is `slice` values long.
+fn reencode_request(bytes: &[u8], slice: usize) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::new();
+    match *bytes.first().ok_or(WireError::Truncated)? {
+        op::PUSH_SHARD => {
+            let mut grad = Vec::new();
+            let (shard, lr, mu) = wire::decode_push_shard_into(bytes, &mut grad)?;
+            wire::encode_push_shard(&mut out, shard, lr, mu, &grad);
+        }
+        op::PUSH_SHARD_SPARSE => {
+            let (mut segments, mut rows) = (Vec::new(), Vec::new());
+            let (shard, lr, mu) =
+                wire::decode_push_shard_sparse_into(bytes, &mut segments, &mut rows)?;
+            wire::encode_push_shard_sparse(&mut out, shard, lr, mu, &segments, &rows);
+        }
+        op::PULL_COMMITTED => {
+            let mut runs = Vec::new();
+            if wire::decode_pull_runs_into(bytes, slice, &mut runs)? {
+                wire::encode_pull_runs(&mut out, runs.into_iter());
+            } else {
+                wire::encode_bodyless(&mut out, op::PULL_COMMITTED);
+            }
+        }
+        op::SNAPSHOT => {
+            let velocity = wire::decode_snapshot_request(bytes)?;
+            wire::encode_flag(&mut out, op::SNAPSHOT, velocity);
+        }
+        op::RESTORE => {
+            let (mut params, mut velocity) = (vec![0.0; slice], vec![0.0; slice]);
+            wire::decode_restore_into(bytes, &mut params, &mut velocity)?;
+            wire::encode_restore(&mut out, &params, &velocity);
+        }
+        op::SEQUENCED => {
+            let (client, seq, inner) = wire::decode_sequenced_prefix(bytes)?;
+            wire::encode_sequenced_prefix(&mut out, client, seq);
+            out.extend(reencode_request(inner, slice)?);
+        }
+        op::BATCH => {
+            let head = wire::begin_batch(&mut out, op::BATCH);
+            for item in wire::batch_items(bytes, op::BATCH)? {
+                let mark = wire::open_batch_item(&mut out);
+                out.extend(reencode_request(item, slice)?);
+                wire::close_batch_item(&mut out, head, mark);
+            }
+        }
+        opcode if BODYLESS.contains(&opcode) => {
+            wire::expect_bodyless(bytes, opcode)?;
+            wire::encode_bodyless(&mut out, opcode);
+        }
+        other => return Err(WireError::UnknownOpcode(other)),
+    }
+    Ok(out)
+}
+
+/// Kinds of [`reply_frame`]: `PushAck`, `Pulled`, `Synced`, `Ok`,
+/// `SnapshotData`, `Finite`, `Info`, `StatsData`.
+const REPLY_KINDS: u8 = 8;
+
+/// A well-formed reply of `kind` built from `bits` and `clocks`, bare or
+/// (`batch`) behind a push ack in a `BatchReply`.
+fn reply_frame(kind: u8, batch: bool, bits: &[u32], clocks: &[u64]) -> Vec<u8> {
+    let mut reply = Vec::new();
+    let head = wire::begin_batch(&mut reply, op::BATCH_REPLY);
+    let mark = wire::open_batch_item(&mut reply);
+    wire::encode_push_ack(&mut reply, 42);
+    wire::close_batch_item(&mut reply, head, mark);
+    let mark = wire::open_batch_item(&mut reply);
+    let seed = clocks.first().copied().unwrap_or(9);
+    match kind {
+        0 => wire::encode_push_ack(&mut reply, seed),
+        1 => wire::encode_pulled(&mut reply, &bits_to_f32(bits), clocks),
+        2 => wire::encode_bodyless(&mut reply, op::SYNCED),
+        3 => wire::encode_bodyless(&mut reply, op::OK),
+        4 => wire::encode_snapshot_data(&mut reply, &bits_to_f32(bits)),
+        5 => wire::encode_flag(&mut reply, op::FINITE, seed & 1 == 1),
+        6 => {
+            let info = ServerInfo {
+                nonce: seed,
+                server: bits.len() as u32,
+                first_shard: clocks.len() as u32,
+                shard_count: seed as u32,
+                param_offset: seed.rotate_left(7),
+                param_len: seed.rotate_left(19),
+            };
+            wire::encode_server_info(&mut reply, &info);
+        }
+        _ => {
+            let mut stats = ServerStatsSnapshot {
+                server: seed as u32,
+                bytes_in: seed.rotate_left(3),
+                dedup_hits: bits.len() as u64,
+                shard_apply_ns: clocks.to_vec(),
+                shard_applies: clocks.iter().map(|c| c >> 5).collect(),
+                ..ServerStatsSnapshot::default()
+            };
+            for (slot, c) in stats.requests.iter_mut().zip(clocks) {
+                *slot = *c;
+            }
+            stats.apply_ns.buckets[clocks.len()] = seed;
+            wire::encode_stats_snapshot(&mut reply, &stats);
+        }
+    }
+    if batch {
+        wire::close_batch_item(&mut reply, head, mark);
+        return reply;
+    }
+    reply.split_off(mark + 4)
+}
+
+/// Decodes a reply with the decoders the router runs and encodes it again
+/// with the encoders the server endpoint runs, for a `Pulled` or
+/// `SnapshotData` of `values` values and `clocks` shard clocks.
+fn reencode_reply(bytes: &[u8], values: usize, clocks: usize) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::new();
+    match *bytes.first().ok_or(WireError::Truncated)? {
+        op::PUSH_ACK => wire::encode_push_ack(&mut out, wire::decode_push_ack(bytes)?),
+        op::PULLED => {
+            let (mut params, mut shard_clocks) = (vec![0.0; values], vec![0; clocks]);
+            wire::decode_pulled_into(bytes, &mut params, &mut shard_clocks)?;
+            wire::encode_pulled(&mut out, &params, &shard_clocks);
+        }
+        op::SNAPSHOT_DATA => {
+            let mut data = vec![0.0; values];
+            wire::decode_snapshot_into(bytes, &mut data)?;
+            wire::encode_snapshot_data(&mut out, &data);
+        }
+        op::FINITE => wire::encode_flag(&mut out, op::FINITE, wire::decode_finite(bytes)?),
+        op::INFO => wire::encode_server_info(&mut out, &wire::decode_server_info(bytes)?),
+        op::STATS_DATA => {
+            wire::encode_stats_snapshot(&mut out, &wire::decode_stats_snapshot(bytes)?);
+        }
+        op::BATCH_REPLY => {
+            let head = wire::begin_batch(&mut out, op::BATCH_REPLY);
+            for item in wire::batch_items(bytes, op::BATCH_REPLY)? {
+                let mark = wire::open_batch_item(&mut out);
+                out.extend(reencode_reply(item, values, clocks)?);
+                wire::close_batch_item(&mut out, head, mark);
+            }
+        }
+        opcode @ (op::SYNCED | op::OK) => {
+            wire::expect_bodyless(bytes, opcode)?;
+            wire::encode_bodyless(&mut out, opcode);
+        }
+        other => return Err(WireError::UnexpectedReply(other)),
+    }
+    Ok(out)
 }
 
 /// The shard-relative `(start, len)` spans where `mask` is set over
@@ -668,243 +966,116 @@ proptest! {
         }
     }
 
-    /// The wire codec round-trips arbitrary request frames byte-exactly:
-    /// decode(encode(req)) re-encodes to the identical byte string, for
-    /// every opcode and for gradients of arbitrary f32 bit patterns
-    /// (NaNs and infinities included).
+    /// Every request a server executes round-trips byte-exactly through the
+    /// codec's own decoders and encoders — those the server endpoint and the
+    /// router run — bare, inside `Sequenced`, behind a push in a `Batch`, or
+    /// both, with values of arbitrary f32 bit patterns (NaN payloads
+    /// included). A cut anywhere and one appended byte are errors, never a
+    /// mis-decode (save the one cut that is itself a request: a run pull cut
+    /// to its opcode is the bodyless pull). And each request fits the
+    /// server it was sized for: an endpoint executes it.
     #[test]
-    fn wire_codec_round_trips_requests_byte_exactly(
-        kind in 0u8..10,
-        shard in any::<u32>(),
-        bits_a in proptest::collection::vec(any::<u32>(), 0..64),
-        bits_b in proptest::collection::vec(any::<u32>(), 0..64),
-        seg_bits in proptest::collection::vec(any::<u64>(), 0..16),
-        lr_bits in any::<u64>(),
-        mu_bits in any::<u64>(),
-        flag in any::<bool>(),
+    fn wire_requests_round_trip_through_the_server_decoders(
+        n in 2usize..48,
+        shards in 1usize..5,
+        kind in 0u8..REQUEST_KINDS,
+        wrap in 0u8..4,
+        bits in proptest::collection::vec(any::<u32>(), 1..32),
+        seed in any::<u64>(),
     ) {
-        let req = match kind {
-            0 => Request::PushShard {
-                shard,
-                lr: f64::from_bits(lr_bits),
-                momentum: f64::from_bits(mu_bits),
-                grad: bits_to_f32(&bits_a),
-            },
-            1 => Request::PullCommitted,
-            2 => Request::SyncRound,
-            3 => Request::Drain,
-            4 => Request::Snapshot { velocity: flag },
-            5 => Request::Restore {
-                params: bits_to_f32(&bits_a),
-                velocity: bits_to_f32(&bits_b),
-            },
-            6 => Request::ResetVelocity,
-            7 => Request::CheckFinite,
-            8 => Request::PushShardSparse {
-                shard,
-                lr: f64::from_bits(lr_bits),
-                momentum: f64::from_bits(mu_bits),
-                indices: bits_to_segments(&seg_bits),
-                rows: bits_to_f32(&bits_b),
-            },
-            _ => Request::Shutdown,
-        };
-        let mut bytes = Vec::new();
-        req.encode(&mut bytes);
-        let back = Request::decode(&bytes);
-        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        let mut again = Vec::new();
-        back.unwrap().encode(&mut again);
-        prop_assert_eq!(&bytes, &again, "re-encode drifted");
-        // Truncating the frame anywhere must fail, never mis-decode.
-        if !bytes.is_empty() {
-            prop_assert!(Request::decode(&bytes[..bytes.len() - 1]).is_err());
+        let server = test_server(n, shards);
+        let (bytes, _, exempt) = request_frame(kind, wrap, &shard_lens(&server), &bits, seed);
+        prop_assert_eq!(reencode_request(&bytes, n), Ok(bytes.clone()), "re-encode drifted");
+        for cut in (0..bytes.len()).filter(|&cut| Some(cut) != exempt) {
+            prop_assert!(reencode_request(&bytes[..cut], n).is_err(), "cut {}", cut);
         }
-    }
-
-    /// `Batch` frames round-trip byte-exactly — any mix of batchable
-    /// requests, arbitrary gradient bits — and every way of breaking the
-    /// framing is an error, never a mis-decode: a cut anywhere, a trailing
-    /// byte, a count above or below the records present, a nested batch.
-    #[test]
-    fn wire_codec_round_trips_batches_byte_exactly(
-        kinds in proptest::collection::vec(0u8..4, 1..6),
-        shard in any::<u32>(),
-        bits in proptest::collection::vec(any::<u32>(), 0..32),
-        seg_bits in proptest::collection::vec(any::<u64>(), 0..8),
-        lr_bits in any::<u64>(),
-        cut in any::<u32>(),
-    ) {
-        let items: Vec<Request> = kinds
-            .iter()
-            .map(|kind| match kind {
-                0 => Request::PushShard {
-                    shard,
-                    lr: f64::from_bits(lr_bits),
-                    momentum: 0.9,
-                    grad: bits_to_f32(&bits),
-                },
-                1 => Request::PushShardSparse {
-                    shard,
-                    lr: f64::from_bits(lr_bits),
-                    momentum: 0.9,
-                    indices: bits_to_segments(&seg_bits),
-                    rows: bits_to_f32(&bits),
-                },
-                2 => Request::PullCommitted,
-                _ => Request::SyncRound,
-            })
-            .collect();
-        let req = Request::Batch(items.clone());
-        let mut bytes = Vec::new();
-        req.encode(&mut bytes);
-        let back = Request::decode(&bytes);
-        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        let mut again = Vec::new();
-        back.unwrap().encode(&mut again);
-        prop_assert_eq!(&bytes, &again, "re-encode drifted");
-        // The item view the server executes from sees the same payloads.
-        let views: Vec<&[u8]> = wire::batch_items(&bytes, wire::op::BATCH).unwrap().collect();
-        prop_assert_eq!(views.len(), items.len());
-        for (view, item) in views.iter().zip(&items) {
-            let mut own = Vec::new();
-            item.encode(&mut own);
-            prop_assert_eq!(*view, &own[..]);
-        }
-        // Truncated anywhere.
-        let cut = cut as usize % bytes.len();
-        prop_assert!(Request::decode(&bytes[..cut]).is_err(), "cut {}", cut);
-        // A trailing byte.
         let mut long = bytes.clone();
         long.push(0);
-        prop_assert!(Request::decode(&long).is_err());
-        // The count off by one in either direction, and zero.
-        for n in [items.len() as u16 + 1, items.len() as u16 - 1, 0] {
-            let mut bad = bytes.clone();
-            bad[1..3].copy_from_slice(&n.to_le_bytes());
-            prop_assert!(Request::decode(&bad).is_err(), "count {}", n);
-        }
-        // Nested.
-        let mut nested = Vec::new();
-        Request::Batch(vec![Request::Drain, req]).encode(&mut nested);
-        prop_assert_eq!(
-            Request::decode(&nested),
-            Err(wire::WireError::NotBatchable(wire::op::BATCH))
-        );
-        // The reply side: acks in order, byte-exact.
-        let reply = Reply::Batch(
-            bits.iter().map(|&b| Reply::PushAck { prev_clock: u64::from(b) }).collect(),
-        );
-        if !bits.is_empty() {
-            let mut bytes = Vec::new();
-            reply.encode(&mut bytes);
-            prop_assert_eq!(Reply::decode(&bytes), Ok(reply));
-            prop_assert!(Reply::decode(&bytes[..bytes.len() - 1]).is_err());
-        }
+        prop_assert!(reencode_request(&long, n).is_err());
+        let mut ep = ServerEndpoint::new(server);
+        prop_assert!(ep.handle(&bytes, &mut Vec::new()).is_ok(), "endpoint refused {:?}", bytes);
     }
 
-    /// Reply frames round-trip byte-exactly too, and the zero-allocation
-    /// slice decoders agree with the owned decoder on pull/ack frames.
+    /// Every reply round-trips byte-exactly through the decoders the router
+    /// runs, bare or behind a push ack in a `BatchReply`, values of
+    /// arbitrary bits included; a cut anywhere and an appended byte are
+    /// errors. A `Pulled` image also scatters exactly through the run
+    /// decoder and passes the check that lets it wait undecoded.
     #[test]
-    fn wire_codec_round_trips_replies_byte_exactly(
-        kind in 0u8..6,
-        clock in any::<u64>(),
-        bits in proptest::collection::vec(any::<u32>(), 0..64),
+    fn wire_replies_round_trip_through_the_client_decoders(
+        kind in 0u8..REPLY_KINDS,
+        batch in any::<bool>(),
+        bits in proptest::collection::vec(any::<u32>(), 0..48),
         clocks in proptest::collection::vec(any::<u64>(), 0..16),
-        flag in any::<bool>(),
     ) {
-        let reply = match kind {
-            0 => Reply::PushAck { prev_clock: clock },
-            1 => Reply::Pulled { params: bits_to_f32(&bits), clocks: clocks.clone() },
-            2 => Reply::Synced,
-            3 => Reply::SnapshotData { data: bits_to_f32(&bits) },
-            4 => Reply::Ok,
-            _ => Reply::Finite { finite: flag },
-        };
-        let mut bytes = Vec::new();
-        reply.encode(&mut bytes);
-        let back = Reply::decode(&bytes);
-        prop_assert!(back.is_ok(), "decode failed: {:?}", back);
-        let mut again = Vec::new();
-        back.unwrap().encode(&mut again);
-        prop_assert_eq!(&bytes, &again, "re-encode drifted");
-
-        // Slice decoders see the same values bit-for-bit.
-        if kind == 0 {
-            prop_assert_eq!(wire::decode_push_ack(&bytes), Ok(clock));
+        let bytes = reply_frame(kind, batch, &bits, &clocks);
+        let (values, n_clocks) = (bits.len(), clocks.len());
+        prop_assert_eq!(reencode_reply(&bytes, values, n_clocks), Ok(bytes.clone()));
+        for cut in 0..bytes.len() {
+            prop_assert!(reencode_reply(&bytes[..cut], values, n_clocks).is_err(), "cut {}", cut);
         }
-        if kind == 1 {
-            let mut params_out = vec![0.0f32; bits.len()];
-            let mut clocks_out = vec![0u64; clocks.len()];
+        let mut long = bytes.clone();
+        long.push(0);
+        prop_assert!(reencode_reply(&long, values, n_clocks).is_err());
+        if kind == 1 && !batch {
+            prop_assert_eq!(wire::expect_pulled(&bytes, values, n_clocks), Ok(()));
+            // Two runs around a hole the reply never writes.
+            let split = values / 2;
+            let runs = [(0, split), (split + 1, values - split)];
+            let mut params = vec![f32::from_bits(7); values + 1];
+            let mut clocks_out = vec![0u64; n_clocks];
             prop_assert!(
-                wire::decode_pulled_into(&bytes, &mut params_out, &mut clocks_out).is_ok()
+                wire::decode_pulled_runs_into(&bytes, runs.into_iter(), &mut params, &mut clocks_out)
+                    .is_ok()
             );
-            let out_bits: Vec<u32> = params_out.iter().map(|p| p.to_bits()).collect();
-            prop_assert_eq!(&out_bits, &bits);
-            prop_assert_eq!(&clocks_out, &clocks);
+            let mut expect: Vec<u32> = bits.clone();
+            expect.insert(split, 7);
+            prop_assert_eq!(params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), expect);
+            prop_assert_eq!(clocks_out, clocks);
         }
     }
 
-    /// The streaming sparse-push encoder and decoder agree with the owned
-    /// codec bit-for-bit — NaN payloads and arbitrary segment descriptors
-    /// included — and the sparse frame undercuts the dense frame whenever
-    /// the carried values are fewer than the shard's (8 bytes of segment
-    /// descriptor vs 4 bytes per skipped value).
+    /// A malformed request never panics the server or half-applies. Each
+    /// case starts from a well-formed request of any opcode — bare, inside
+    /// `Sequenced`, behind a push in a `Batch`, or both — and breaks it: a
+    /// cut anywhere, bytes appended, or one of its shard, length or count
+    /// fields overwritten with an arbitrary `u32`. `ServerEndpoint::handle`
+    /// must return, and when it refuses, the server's live parameters,
+    /// velocity, shard clocks and committed view are bit-identical to what
+    /// they were.
     #[test]
-    fn streaming_sparse_push_encoder_round_trips(
-        shard in any::<u32>(),
-        seg_bits in proptest::collection::vec(any::<u64>(), 0..16),
-        bits in proptest::collection::vec(any::<u32>(), 0..64),
-        lr in 1e-6f64..10.0,
-        mu in 0.0f64..1.0,
+    fn malformed_requests_change_nothing_on_the_server(
+        n in 2usize..48,
+        shards in 1usize..5,
+        kind in 0u8..REQUEST_KINDS,
+        wrap in 0u8..4,
+        mutation in 0u8..3,
+        at in any::<u32>(),
+        value in any::<u32>(),
+        extra in proptest::collection::vec(any::<u8>(), 1..9),
+        bits in proptest::collection::vec(any::<u32>(), 1..32),
+        seed in any::<u64>(),
     ) {
-        let indices = bits_to_segments(&seg_bits);
-        let rows = bits_to_f32(&bits);
-        let mut streamed = Vec::new();
-        wire::encode_push_shard_sparse(&mut streamed, shard, lr, mu, &indices, &rows);
-        let mut owned = Vec::new();
-        Request::PushShardSparse {
-            shard,
-            lr,
-            momentum: mu,
-            indices: indices.clone(),
-            rows: rows.clone(),
+        let server = test_server(n, shards);
+        let mut ep = ServerEndpoint::new(Arc::clone(&server));
+        let mut reply = Vec::new();
+        // Live velocity, and a committed view one push behind.
+        let mut first = Vec::new();
+        wire::encode_push_shard(&mut first, 0, 0.5, 0.9, &vec![1.0; shard_lens(&server)[0]]);
+        ep.handle(&first, &mut reply).expect("a well-formed push");
+        let (mut bytes, fields, _) = request_frame(kind, wrap, &shard_lens(&server), &bits, seed);
+        match mutation {
+            0 => bytes.truncate(at as usize % bytes.len()),
+            1 => bytes.extend_from_slice(&extra),
+            _ if fields.is_empty() => bytes.truncate(at as usize % bytes.len()),
+            _ => {
+                let f = fields[at as usize % fields.len()];
+                bytes[f..f + 4].copy_from_slice(&value.to_le_bytes());
+            }
         }
-        .encode(&mut owned);
-        prop_assert_eq!(&streamed, &owned);
-        // Reused decode buffers come back with the exact bits.
-        let mut idx_out = vec![(1u32, 1u32)];
-        let mut rows_out = vec![0.5f32];
-        let (s, l, m) =
-            wire::decode_push_shard_sparse_into(&streamed, &mut idx_out, &mut rows_out).unwrap();
-        prop_assert_eq!((s, l, m), (shard, lr, mu));
-        prop_assert_eq!(&idx_out, &indices);
-        let out_bits: Vec<u32> = rows_out.iter().map(|g| g.to_bits()).collect();
-        prop_assert_eq!(&out_bits, &bits);
-        // Truncations fail, never mis-decode.
-        prop_assert!(Request::decode(&streamed[..streamed.len() - 1]).is_err());
-    }
-
-    /// The streaming push encoder and the owned request encoder emit
-    /// identical bytes, so the hot path and the cold path speak one format.
-    #[test]
-    fn streaming_push_encoder_matches_owned_encoder(
-        shard in any::<u32>(),
-        bits in proptest::collection::vec(any::<u32>(), 1..128),
-        lr in 1e-6f64..10.0,
-        mu in 0.0f64..1.0,
-    ) {
-        let grad = bits_to_f32(&bits);
-        let mut streamed = Vec::new();
-        wire::encode_push_shard(&mut streamed, shard, lr, mu, &grad);
-        let mut owned = Vec::new();
-        Request::PushShard { shard, lr, momentum: mu, grad: grad.clone() }.encode(&mut owned);
-        prop_assert_eq!(&streamed, &owned);
-        // And the in-place gradient decoder returns the exact bits.
-        let mut grad_out = Vec::new();
-        let (s, l, m) = wire::decode_push_shard_into(&streamed, &mut grad_out).unwrap();
-        prop_assert_eq!((s, l, m), (shard, lr, mu));
-        let out_bits: Vec<u32> = grad_out.iter().map(|g| g.to_bits()).collect();
-        prop_assert_eq!(&out_bits, &bits);
+        let before = server_state(&server);
+        if ep.handle(&bytes, &mut reply).is_err() {
+            prop_assert_eq!(server_state(&server), before, "refused {:?}", bytes);
+        }
     }
 }

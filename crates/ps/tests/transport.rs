@@ -141,7 +141,7 @@ fn channel_ssp_respects_gate_and_counts_wire_ops() {
     // bound per-server per-shard staleness.
     let workers = 3u64;
     let cap = (2 * bound + 2) * (workers - 1) + 3 + 2 * workers;
-    let max = r.server_shard_staleness.max().unwrap();
+    let max = r.shard_staleness.max().unwrap();
     assert!(max <= cap, "staleness {max} exceeds cap {cap}");
 }
 

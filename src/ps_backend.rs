@@ -10,7 +10,7 @@ use std::time::Duration;
 use sync_switch_convergence::MomentumScaling;
 use sync_switch_core::{AdjustedConfig, BackendChunk, CoreError, TrainingBackend};
 use sync_switch_nn::{Dataset, Network};
-use sync_switch_ps::{PsError, ServerTopology, Trainer, TrainerConfig};
+use sync_switch_ps::{execute_switch, PsError, ServerTopology, SwitchPlan, Trainer, TrainerConfig};
 use sync_switch_sim::SimTime;
 use sync_switch_workloads::SyncProtocol;
 
@@ -170,14 +170,15 @@ impl TrainingBackend for PsBackend {
         }
     }
 
-    fn apply_switch_overhead(&mut self, _from: SyncProtocol, _to: SyncProtocol) -> SimTime {
-        // The real switch mechanism: checkpoint, propagate, restore.
-        let t0 = std::time::Instant::now();
-        let ck = self.trainer.checkpoint();
-        self.trainer
-            .restore(&ck)
-            .expect("checkpoint from the same trainer always restores");
-        let dt = SimTime::from_secs(t0.elapsed().as_secs_f64());
+    fn apply_switch_overhead(&mut self, _from: SyncProtocol, to: SyncProtocol) -> SimTime {
+        // The real switch mechanism — drain, checkpoint, propagate, restore —
+        // through the one actuator every switch takes, which also leaves
+        // its stage times on the trainer's bus. The hyper-parameters are
+        // the next chunk's business.
+        let plan = SwitchPlan::keep_hyper(self.trainer.config(), to, false);
+        let outcome = execute_switch(&mut self.trainer, &plan)
+            .expect("a plan keeping the trainer's own configuration is valid");
+        let dt = SimTime::from_secs(outcome.total().as_secs_f64());
         self.elapsed += dt;
         dt
     }
@@ -322,5 +323,14 @@ mod tests {
         let dt = b.apply_switch_overhead(SyncProtocol::Bsp, SyncProtocol::Asp);
         assert!(dt.as_secs() >= 0.0);
         assert_eq!(b.now(), dt);
+        assert_eq!(b.trainer().protocol(), SyncProtocol::Asp);
+        let snap = b
+            .trainer()
+            .telemetry()
+            .expect("always Some")
+            .metrics
+            .snapshot();
+        let restores = snap.histograms.get("switch.restore_ns").map(|h| h.count);
+        assert_eq!(restores, Some(1));
     }
 }
