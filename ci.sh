@@ -130,20 +130,28 @@ stage_build() {
     timeout -sKILL 300 cargo test --release -q -p sync-switch-ps --test proptests
 }
 
-# Tier-1, part 2. Hard KILL timeout like the other test stages: the unit
-# suites exercise the round gate every segment's workers share (the BSP
-# barrier and the SSP leash wait on it, every protocol aborts through it),
-# where a lost wake-up is a hang, and a hang must fail the gate, not wedge
-# it. Built first so compilation does not eat the run budget. The benchmark
-# package (a workspace of its own, so `--workspace` never sees it) is
-# type-checked here too: it is written against `WorkerPort`, `wire::*` and
-# `Network`, and otherwise only the release-profile `benchmark-smoke` stage
-# — which `--fast` skips — would notice a change that stops it compiling.
+# Tier-1, part 2: every workspace suite that no later stage runs. The
+# `sync-switch-ps` integration binaries `transport`, `workloads` and `chaos`
+# have stages of their own, and so do the lib's `transport::` unit tests
+# (the `transport` stage); here run the rest of that crate — its lib, doc
+# tests, `proptests` (debug, for the `debug_assert!`s) and `remote`. Hard
+# KILL timeout like the other test stages: the unit suites exercise the
+# round gate every segment's workers share (the BSP barrier and the SSP
+# leash wait on it, every protocol aborts through it), where a lost wake-up
+# is a hang, and a hang must fail the gate, not wedge it. Built first so
+# compilation does not eat the run budget. The benchmark package (a
+# workspace of its own, so `--workspace` never sees it) is type-checked
+# here too: it is written against `WorkerPort`, `wire::*` and `Network`,
+# and otherwise only the release-profile `benchmark-smoke` stage — which
+# `--fast` skips — would notice a change that stops it compiling.
 stage_test() {
     cargo check -q --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --workspace --no-run
-    timeout -sKILL 600 \
-        cargo test -q --workspace || {
+    timeout -sKILL 600 bash -c '
+        cargo test -q --workspace --exclude sync-switch-ps &&
+        cargo test -q -p sync-switch-ps --lib --test proptests --test remote \
+            -- --skip transport:: &&
+        cargo test -q -p sync-switch-ps --doc' || {
         echo "workspace tests failed or timed out (600s budget)" >&2
         return 1
     }
@@ -192,10 +200,11 @@ stage_workloads() {
 
 # Chaos suite: every trainable workload under BSP and ASP on a TCP tier
 # with seeded fault injection (dropped replies, stragglers) plus a mid-run
-# server kill healed from a supervisor checkpoint, and the hot-lr
-# divergence specimen absorbed by the watchdog. Hard KILL timeout: a
-# wedged retry loop or a dead server that never heals must fail the gate,
-# not hang it. Built first so compilation does not eat the run budget.
+# server kill, healed by the supervisor and restored from the trainer's
+# checkpoint, and the hot-lr divergence specimen absorbed by the
+# controller's rollback rule. Hard KILL timeout: a wedged retry loop or a
+# dead server that never heals must fail the gate, not hang it. Built
+# first so compilation does not eat the run budget.
 stage_chaos() {
     cargo test -q -p sync-switch-ps --test chaos --no-run
     timeout -sKILL 180 \
@@ -239,7 +248,8 @@ stage_examples() {
 # Multi-process cluster: real `ps-serve` + `ps-worker` OS processes over
 # real TCP (spawned by tests/cluster.rs via the ClusterHarness), driven to
 # the convergence gate under BSP and ASP, including a mid-run server
-# SIGKILL healed through the supervisor respawn path. Release profile —
+# SIGKILL: the supervisor detects the respawned instance and each worker
+# restores the tier from its segment-start checkpoint. Release profile —
 # the crash-timing windows in the test assume release-speed training.
 # Hard KILL timeout: a wedged handshake or heal loop must fail the gate,
 # not hang it; the EXIT trap reaps any orphaned child processes.

@@ -7,32 +7,40 @@
 //! every segment the controller scrapes the **already-emitted named
 //! signals** — the `engine.step_ns` / `engine.barrier_wait_ns` /
 //! `engine.staleness` histograms, the `wire.retries` / `wire.sync_rounds`
-//! counters, the `watchdog.rollbacks` counter, per-server reachability from
-//! [`NetRouter::scrape_all_stats`], and the loss trajectory — and decides
-//! whether to promote BSP→ASP (barrier-dominated and loss stable), demote
-//! ASP→BSP (wire distress or divergence risk), or hold. There is no side
-//! channel: every input to [`SyncController::decide`] is a signal any
-//! telemetry scraper could read off the bus.
+//! counters, per-server reachability from [`NetRouter::scrape_all_stats`],
+//! and the loss trajectory — and decides whether to roll back (divergence),
+//! promote BSP→ASP (barrier-dominated and loss stable), demote ASP→BSP
+//! (wire distress or divergence risk), or hold. There is no side channel:
+//! every input to [`SyncController::decide`] is a signal any telemetry
+//! scraper could read off the bus, plus the controller's own loss record.
+//!
+//! The first rule is the divergence watchdog. The paper observes that ASP
+//! diverges at learning rates BSP tolerates (experiment setup 3); instead
+//! of dying with [`PsError::Diverged`], a segment that went non-finite, or
+//! whose loss blew past `blowup_factor` × the best loss so far, is a
+//! [`SyncDecision::Rollback`]: the tier is restored to the best-loss
+//! checkpoint, switched to BSP with its velocity reset, the segment is
+//! re-run under BSP, and BSP is pinned for the rest of the run — so
+//! training completes, at BSP speed.
 //!
 //! Switches go through the same actuator as everything else —
-//! [`execute_switch`] with a [`SwitchPlan`] — and every decision lands as a
+//! [`execute_switch`] with a [`SwitchPlan`] — and every switch lands as a
 //! [`TraceKind::ProtocolSwitch`] event carrying the human-readable reason.
-//! The [`DivergenceWatchdog`] is absorbed as the controller's safety net:
-//! segments run under it, and once it demotes, the controller holds BSP
-//! forever (the hot-learning-rate specimen stays safe).
 //!
 //! The controller also retunes the SSP staleness bound from the measured
 //! `engine.staleness` distribution: [`SyncController::ssp_bound`] tracks
 //! `ceil(mean staleness) + margin`, clamped, so an SSP tier can be driven
 //! with a bound grounded in what the cluster actually exhibits.
+//!
+//! [`NetRouter::scrape_all_stats`]: crate::NetRouter::scrape_all_stats
 
 use sync_switch_telemetry::{MetricsSnapshot, TraceKind};
 use sync_switch_workloads::SyncProtocol;
 
+use crate::checkpoint::Checkpoint;
 use crate::engine::{SegmentReport, Trainer};
 use crate::error::PsError;
 use crate::switcher::{execute_switch, SwitchPlan};
-use crate::watchdog::{DivergenceWatchdog, WatchdogConfig};
 
 /// Tuning for [`SyncController`]. Every threshold is expressed against a
 /// named telemetry signal so a decision can always be traced back to the
@@ -55,20 +63,22 @@ pub struct ControllerConfig {
     pub demote_retry_limit: u64,
     /// Demote ASP→BSP when the segment's tail loss exceeds this factor of
     /// the best loss — a divergence-risk trigger deliberately tighter than
-    /// the watchdog's blow-up factor, so the controller usually acts first.
+    /// `blowup_factor`, so a demotion usually comes before a rollback.
     pub demote_loss_factor: f32,
+    /// Roll back when the segment's tail loss exceeds this factor of the
+    /// best loss, under either protocol, until the first rollback pins BSP.
+    pub blowup_factor: f32,
     /// Demote ASP→BSP when the measured mean `engine.staleness` exceeds
     /// this.
     pub demote_staleness_limit: f64,
-    /// Floor applied to the best loss in the stability and divergence
-    /// checks, so noise around an already-tiny loss cannot flip decisions.
+    /// Floor applied to the best loss in the stability, divergence-risk and
+    /// blow-up checks, so noise around an already-tiny loss cannot flip
+    /// decisions.
     pub loss_floor: f32,
     /// Retuned SSP bound = `ceil(mean staleness) + ssp_margin`.
     pub ssp_margin: u64,
     /// Clamp for the retuned SSP bound.
     pub max_ssp_bound: u64,
-    /// Thresholds for the embedded safety-net watchdog.
-    pub watchdog: WatchdogConfig,
 }
 
 impl Default for ControllerConfig {
@@ -79,19 +89,19 @@ impl Default for ControllerConfig {
             promote_loss_slack: 1.25,
             demote_retry_limit: 4,
             demote_loss_factor: 3.0,
+            blowup_factor: 4.0,
             demote_staleness_limit: 16.0,
             loss_floor: 0.05,
             ssp_margin: 1,
             max_ssp_bound: 32,
-            watchdog: WatchdogConfig::default(),
         }
     }
 }
 
 /// One segment's worth of scraped signals — deltas of the named metrics
 /// over the segment, plus the loss trajectory endpoint. This is the
-/// **entire** input to [`SyncController::decide`]; building it from a
-/// metrics snapshot pair is [`ScrapedSignals::between`].
+/// **entire** per-segment input to [`SyncController::decide`]; building it
+/// from a metrics snapshot pair is [`ScrapedSignals::between`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScrapedSignals {
     /// `engine.step_ns` histogram sum delta (worker busy time).
@@ -106,15 +116,15 @@ pub struct ScrapedSignals {
     pub retries: u64,
     /// `wire.sync_rounds` counter delta.
     pub sync_rounds: u64,
-    /// `watchdog.rollbacks` counter delta.
-    pub rollbacks: u64,
     /// Servers that failed the end-of-segment stats scrape
     /// ([`NetRouter::scrape_all_stats`] returned `None` for them); zero on
     /// an in-process plane.
+    ///
+    /// [`NetRouter::scrape_all_stats`]: crate::NetRouter::scrape_all_stats
     pub unreachable_servers: usize,
     /// Tail loss of the segment (the loss trajectory endpoint).
     pub final_loss: f32,
-    /// Whether the segment's finiteness check passed.
+    /// Whether the segment ended with every parameter finite.
     pub finite: bool,
 }
 
@@ -122,12 +132,13 @@ impl ScrapedSignals {
     /// Deltas of the named signals between two metrics snapshots.
     /// `final_loss` / `finite` come from the segment report (the loss
     /// trajectory is itself an emitted signal — `SegmentReport` is what the
-    /// report sinks serialize); `unreachable_servers` from the router
-    /// scrape.
+    /// report sinks serialize), or read non-finite when the segment
+    /// returned [`PsError::Diverged`] (`report` is `None`);
+    /// `unreachable_servers` from the router scrape.
     pub fn between(
         before: &MetricsSnapshot,
         after: &MetricsSnapshot,
-        report: &SegmentReport,
+        report: Option<&SegmentReport>,
         unreachable_servers: usize,
     ) -> Self {
         let counter = |name: &str| {
@@ -151,10 +162,9 @@ impl ScrapedSignals {
             staleness_sum,
             retries: counter("wire.retries"),
             sync_rounds: counter("wire.sync_rounds"),
-            rollbacks: counter("watchdog.rollbacks"),
             unreachable_servers,
-            final_loss: report.final_loss,
-            finite: report.finite,
+            final_loss: report.map_or(f32::NAN, |r| r.final_loss),
+            finite: report.is_some_and(|r| r.finite),
         }
     }
 
@@ -196,13 +206,21 @@ pub enum SyncDecision {
         /// Why the controller is switching.
         reason: String,
     },
+    /// The segment diverged: restore the best-loss checkpoint, re-run the
+    /// segment under BSP, and pin BSP for the rest of the run.
+    Rollback {
+        /// Why the controller is rolling back.
+        reason: String,
+    },
 }
 
 impl SyncDecision {
     /// The human-readable reason, whichever arm this is.
     pub fn reason(&self) -> &str {
         match self {
-            SyncDecision::Hold { reason } | SyncDecision::Switch { reason, .. } => reason,
+            SyncDecision::Hold { reason }
+            | SyncDecision::Switch { reason, .. }
+            | SyncDecision::Rollback { reason } => reason,
         }
     }
 }
@@ -212,7 +230,8 @@ impl SyncDecision {
 pub struct DecisionRecord {
     /// Zero-based index of the segment the decision observed.
     pub segment: u64,
-    /// Protocol the segment ran under (after any watchdog demotion).
+    /// Protocol the segment ran under (BSP for a rolled-back segment: its
+    /// BSP re-run is what the segment returned).
     pub from: SyncProtocol,
     /// Protocol the next segment will run under.
     pub to: SyncProtocol,
@@ -220,6 +239,11 @@ pub struct DecisionRecord {
     pub ssp_bound: u64,
     /// Why.
     pub reason: String,
+    /// What the decision was taken on.
+    pub signals: ScrapedSignals,
+    /// Global step of the checkpoint a rollback restored; `None` unless
+    /// the decision was a [`SyncDecision::Rollback`].
+    pub rolled_back_to: Option<u64>,
 }
 
 impl DecisionRecord {
@@ -230,18 +254,28 @@ impl DecisionRecord {
 }
 
 /// The closed loop: wraps segment execution, scrapes the bus, decides, and
-/// actuates switches through [`execute_switch`].
+/// actuates switches and rollbacks through [`execute_switch`].
 ///
-/// Segments run under the embedded [`DivergenceWatchdog`], so a blow-up
-/// inside a segment is rolled back and demoted before the controller even
-/// sees the report; once the watchdog has demoted, the controller holds BSP
-/// for the rest of the run.
+/// The rollback target is the checkpoint of the **best** segment, not the
+/// most recent passing one: a segment can clear the blow-up check while
+/// its parameters are already destabilizing, and rolling back to such a
+/// state would hand the demoted BSP re-run a poisoned starting point.
+/// Rolling back to the best loss costs more replayed steps but guarantees
+/// the re-run starts from a state that demonstrably trained well. The
+/// state the controller first sees is the target until a segment sets a
+/// best, so even a first-segment blow-up has somewhere to go.
 #[derive(Debug)]
 pub struct SyncController {
     cfg: ControllerConfig,
-    watchdog: DivergenceWatchdog,
     /// Best (lowest) finite tail loss seen across segments.
     best_loss: f32,
+    /// Rollback target: the trainer's checkpoint at `best_loss`; `None`
+    /// until the first [`SyncController::run_segment`].
+    rollback_target: Option<Checkpoint>,
+    /// Once true, every segment runs under BSP.
+    demoted: bool,
+    /// Rollbacks carried out.
+    trips: u32,
     /// Segments observed so far.
     segments: u64,
     /// Current retuned SSP bound.
@@ -259,9 +293,11 @@ impl SyncController {
     /// A controller with the given policy, no observations yet.
     pub fn new(cfg: ControllerConfig) -> Self {
         SyncController {
-            watchdog: DivergenceWatchdog::new(cfg.watchdog),
             cfg,
             best_loss: f32::INFINITY,
+            rollback_target: None,
+            demoted: false,
+            trips: 0,
             segments: 0,
             ssp_bound: 1,
             decisions: Vec::new(),
@@ -284,44 +320,47 @@ impl SyncController {
         self.ssp_bound
     }
 
-    /// Whether the embedded watchdog has demoted the run to BSP for good.
+    /// Whether a rollback has pinned the run to BSP for good.
     pub fn watchdog_demoted(&self) -> bool {
-        self.watchdog.demoted()
+        self.demoted
     }
 
-    /// Divergences the embedded watchdog absorbed.
+    /// Rollbacks carried out so far.
     pub fn watchdog_trips(&self) -> u32 {
-        self.watchdog.trips()
+        self.trips
     }
 
     /// The pure policy: maps one segment's scraped signals to a decision.
     /// Deterministic — the same `(current, signals)` against the same
     /// controller state always yields the same decision; there is no clock,
     /// randomness, or hidden input.
+    ///
+    /// The rules apply in order: a non-finite segment rolls back; after a
+    /// rollback every other segment holds; a loss over `blowup_factor` ×
+    /// best rolls back; then the promote/demote rules of `current`.
     pub fn decide(&self, current: SyncProtocol, s: &ScrapedSignals) -> SyncDecision {
-        if self.watchdog.demoted() || s.rollbacks > 0 {
+        if !s.finite || !s.final_loss.is_finite() {
+            return SyncDecision::Rollback {
+                reason: format!("non-finite segment under {current}"),
+            };
+        }
+        if self.demoted {
             return SyncDecision::Hold {
                 reason: format!(
-                    "watchdog demoted the run ({} rollback event(s)); BSP is final",
-                    s.rollbacks
+                    "watchdog demoted the run ({} rollback(s)); BSP is final",
+                    self.trips
                 ),
             };
         }
-        if !s.finite || !s.final_loss.is_finite() {
-            // The watchdog absorbs non-finite segments before the
-            // controller sees them; if one leaks through anyway, take the
-            // safe course.
-            return match current {
-                SyncProtocol::Bsp => SyncDecision::Hold {
-                    reason: "non-finite segment under BSP; holding".into(),
-                },
-                SyncProtocol::Asp => SyncDecision::Switch {
-                    to: SyncProtocol::Bsp,
-                    reason: "non-finite segment loss under ASP".into(),
-                },
+        let best = self.best_loss.max(self.cfg.loss_floor);
+        if s.final_loss > self.cfg.blowup_factor * best {
+            return SyncDecision::Rollback {
+                reason: format!(
+                    "loss {:.4} under {current} blew past {:.2} x best {best:.4}",
+                    s.final_loss, self.cfg.blowup_factor
+                ),
             };
         }
-        let best = self.best_loss.max(self.cfg.loss_floor);
         match current {
             SyncProtocol::Bsp => {
                 if self.segments < self.cfg.warmup_segments {
@@ -433,24 +472,41 @@ impl SyncController {
     }
 
     /// Runs one segment of `steps` under the trainer's current protocol
-    /// (via the embedded watchdog), scrapes the segment's signals off the
-    /// bus, decides, and applies any switch before returning. The decision
-    /// is appended to [`SyncController::decisions`] and — when it switches —
-    /// emitted as a [`TraceKind::ProtocolSwitch`] event with the reason.
+    /// (BSP once a rollback pinned it), scrapes the segment's signals off
+    /// the bus, decides, and carries the decision out before returning.
+    /// The decision is appended to [`SyncController::decisions`].
+    ///
+    /// A switch is emitted as a [`TraceKind::ProtocolSwitch`] event with the
+    /// reason. A rollback counts `watchdog.rollbacks`, emits a
+    /// [`TraceKind::WatchdogRollback`] naming the restored step plus the
+    /// `protocol_switch` to BSP, restores the best-loss checkpoint, switches
+    /// to BSP with velocity reset (the stale momentum is part of what blew
+    /// up), and returns the report of the segment re-run under BSP.
     ///
     /// # Errors
     ///
-    /// Anything the watchdog-guarded segment or the switch actuator
-    /// returns.
+    /// Anything the segment, the restore or the switch actuator returns
+    /// other than a divergence of the segment itself, and
+    /// [`PsError::Diverged`] when the BSP re-run diverges too.
     pub fn run_segment(
         &mut self,
         trainer: &mut Trainer,
         steps: u64,
     ) -> Result<SegmentReport, PsError> {
+        if self.rollback_target.is_none() {
+            self.rollback_target = Some(trainer.checkpoint());
+        }
+        let current = if self.demoted {
+            SyncProtocol::Bsp
+        } else {
+            trainer.protocol()
+        };
         let before = trainer.bus().metrics.snapshot();
-        let requested = trainer.protocol();
-        let report = self.watchdog.run_segment(trainer, requested, steps)?;
-
+        let outcome = match trainer.run_segment(current, steps) {
+            Ok(report) => Some(report),
+            Err(PsError::Diverged { .. }) => None,
+            Err(e) => return Err(e),
+        };
         let after = trainer.bus().metrics.snapshot();
         let unreachable = match trainer.net_router() {
             Some(router) => trainer
@@ -458,11 +514,7 @@ impl SyncController {
                 .saturating_sub(router.reachable_servers()),
             None => 0,
         };
-        let signals = ScrapedSignals::between(&before, &after, &report, unreachable);
-
-        // The protocol the segment actually ran under: a mid-segment
-        // watchdog trip leaves the trainer demoted to BSP.
-        let current = trainer.protocol();
+        let signals = ScrapedSignals::between(&before, &after, outcome.as_ref(), unreachable);
         let decision = self.decide(current, &signals);
 
         // Retune the SSP bound from the measured staleness distribution.
@@ -470,16 +522,16 @@ impl SyncController {
             let tuned = signals.mean_staleness().ceil() as u64 + self.cfg.ssp_margin;
             self.ssp_bound = tuned.clamp(1, self.cfg.max_ssp_bound);
         }
-        // Adopt the segment's tail loss into the trajectory *after*
-        // deciding: stability is judged against the best of the segments
-        // that came before.
-        if report.steps > 0 && report.final_loss.is_finite() && report.final_loss < self.best_loss {
-            self.best_loss = report.final_loss;
-        }
 
-        let to = match &decision {
-            SyncDecision::Hold { .. } => current,
-            SyncDecision::Switch { to, reason } => {
+        let (report, from, to, rolled_back_to) = match (outcome, &decision) {
+            (Some(report), SyncDecision::Hold { .. }) => {
+                self.adopt_if_best(trainer, &report);
+                (report, current, current, None)
+            }
+            (Some(report), SyncDecision::Switch { to, reason }) => {
+                // Adopt before switching: a demotion resets the velocity
+                // the rollback target should keep.
+                self.adopt_if_best(trainer, &report);
                 let bus = trainer.bus();
                 bus.metrics.counter("controller.switches").inc();
                 bus.trace.instant(TraceKind::ProtocolSwitch {
@@ -492,18 +544,79 @@ impl SyncController {
                 let reset = *to == SyncProtocol::Bsp;
                 let plan = SwitchPlan::keep_hyper(trainer.config(), *to, reset);
                 execute_switch(trainer, &plan)?;
-                *to
+                (report, current, *to, None)
+            }
+            // `decide` rolls back every segment that diverged.
+            _ => {
+                let (report, step) = self.roll_back(trainer, current, steps, decision.reason())?;
+                (report, SyncProtocol::Bsp, SyncProtocol::Bsp, Some(step))
             }
         };
         self.decisions.push(DecisionRecord {
             segment: self.segments,
-            from: current,
+            from,
             to,
             ssp_bound: self.ssp_bound,
             reason: decision.reason().to_string(),
+            signals,
+            rolled_back_to,
         });
         self.segments += 1;
         Ok(report)
+    }
+
+    /// Carries out a [`SyncDecision::Rollback`] of a segment of `steps` that
+    /// ran under `from`; returns the BSP re-run's report and the step of the
+    /// restored checkpoint.
+    fn roll_back(
+        &mut self,
+        trainer: &mut Trainer,
+        from: SyncProtocol,
+        steps: u64,
+        reason: &str,
+    ) -> Result<(SegmentReport, u64), PsError> {
+        self.trips += 1;
+        self.demoted = true;
+        let target = (self.rollback_target.as_ref())
+            .expect("run_segment sets a rollback target before any segment runs");
+        let to_step = target.step;
+        let bus = trainer.bus();
+        bus.metrics.counter("watchdog.rollbacks").inc();
+        bus.trace.instant(TraceKind::WatchdogRollback {
+            trips: u64::from(self.trips),
+            to_step,
+        });
+        bus.trace.instant(TraceKind::ProtocolSwitch {
+            from: from.to_string(),
+            to: SyncProtocol::Bsp.to_string(),
+            reason: format!(
+                "watchdog trip #{}: {reason}; rolling back to step {to_step} (best loss {:.4})",
+                self.trips, self.best_loss
+            ),
+        });
+        trainer.restore(target)?;
+        let plan = SwitchPlan::keep_hyper(trainer.config(), SyncProtocol::Bsp, true);
+        execute_switch(trainer, &plan)?;
+        // The re-run is judged like any pinned segment: only a non-finite
+        // one is a divergence, and there is nowhere left to roll back to.
+        let report = trainer.run_segment(SyncProtocol::Bsp, steps)?;
+        if !report.finite || !report.final_loss.is_finite() {
+            return Err(PsError::Diverged {
+                step: trainer.global_step(),
+            });
+        }
+        self.adopt_if_best(trainer, &report);
+        Ok((report, to_step))
+    }
+
+    /// Adopts a passing segment's endpoint as the best loss and rollback
+    /// target when its tail loss is the new best.
+    fn adopt_if_best(&mut self, trainer: &Trainer, report: &SegmentReport) {
+        if report.steps > 0 && report.final_loss.is_finite() && report.final_loss <= self.best_loss
+        {
+            self.best_loss = report.final_loss;
+            self.rollback_target = Some(trainer.checkpoint());
+        }
     }
 }
 
@@ -511,6 +624,7 @@ impl SyncController {
 mod tests {
     use super::*;
     use crate::config::TrainerConfig;
+    use proptest::prelude::*;
     use sync_switch_nn::{Dataset, Network};
 
     fn trainer(lr: f64) -> Trainer {
@@ -540,70 +654,106 @@ mod tests {
             staleness_sum: 20,
             retries: 0,
             sync_rounds: 4,
-            rollbacks: 0,
             unreachable_servers: 0,
             final_loss: 0.48,
             finite: true,
         }
     }
 
-    #[test]
-    fn decisions_are_deterministic() {
-        // The same scraped signals against the same controller state must
-        // produce byte-identical decisions — across repeated calls and
-        // across independently constructed controllers.
-        let cases = [
-            (SyncProtocol::Bsp, signals()),
-            (SyncProtocol::Asp, signals()),
-            (
-                SyncProtocol::Bsp,
-                ScrapedSignals {
-                    barrier_ns: 10,
-                    ..signals()
+    /// Poisons the live parameters with a NaN so the next segment returns
+    /// `PsError::Diverged` deterministically — the controller sees exactly
+    /// what a real blow-up produces, without needing a learning rate that
+    /// also destabilizes the BSP re-run.
+    fn poison(t: &mut Trainer) {
+        let mut ck = t.checkpoint();
+        ck.params[0] = f32::NAN;
+        t.restore(&ck).expect("poisoned restore");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The rule order of `decide`, over arbitrary signals and
+        /// controller state: the rollback rule first, then the pin, then
+        /// today's promote/demote rules of the current protocol.
+        #[test]
+        fn decide_applies_its_rules_in_order(
+            step_ns in 0u64..1_000_000,
+            barrier_ns in 0u64..1_000_000,
+            staleness_count in 0u64..64,
+            staleness_sum in 0u64..2_048,
+            retries in 0u64..8,
+            unreachable_servers in 0usize..3,
+            loss_pick in any::<u8>(),
+            loss in 0.0f32..8.0,
+            best in 0.0f32..2.0,
+            segments in 0u64..3,
+            state in any::<u8>(),
+        ) {
+            let s = ScrapedSignals {
+                step_ns,
+                barrier_ns,
+                staleness_count,
+                staleness_sum,
+                retries,
+                sync_rounds: 0,
+                unreachable_servers,
+                final_loss: match loss_pick % 8 {
+                    0 => f32::NAN,
+                    1 => f32::INFINITY,
+                    _ => loss,
                 },
-            ),
-            (
-                SyncProtocol::Asp,
-                ScrapedSignals {
-                    retries: 99,
-                    ..signals()
-                },
-            ),
-            (
-                SyncProtocol::Asp,
-                ScrapedSignals {
-                    final_loss: 40.0,
-                    ..signals()
-                },
-            ),
-            (
-                SyncProtocol::Asp,
-                ScrapedSignals {
-                    staleness_sum: 900,
-                    ..signals()
-                },
-            ),
-            (
-                SyncProtocol::Bsp,
-                ScrapedSignals {
-                    unreachable_servers: 1,
-                    ..signals()
-                },
-            ),
-            (
-                SyncProtocol::Asp,
-                ScrapedSignals {
-                    finite: false,
-                    ..signals()
-                },
-            ),
-        ];
-        let a = primed(ControllerConfig::default());
-        let b = primed(ControllerConfig::default());
-        for (current, s) in &cases {
-            let first = a.decide(*current, s);
-            assert_eq!(first, a.decide(*current, s), "unstable across calls");
-            assert_eq!(first, b.decide(*current, s), "unstable across instances");
+                finite: !loss_pick.is_multiple_of(5),
+            };
+            let mut c = SyncController::new(ControllerConfig::default());
+            c.best_loss = if state & 1 == 0 { best } else { f32::INFINITY };
+            c.segments = segments;
+            c.demoted = state & 2 != 0;
+            let current = if state & 4 == 0 { SyncProtocol::Bsp } else { SyncProtocol::Asp };
+            let d = c.decide(current, &s);
+            prop_assert_eq!(&d, &c.decide(current, &s));
+
+            let cfg = c.cfg;
+            let best = c.best_loss.max(cfg.loss_floor);
+            let non_finite = !s.finite || !s.final_loss.is_finite();
+            let blown = s.final_loss > cfg.blowup_factor * best;
+            let rollback = matches!(d, SyncDecision::Rollback { .. });
+            prop_assert_eq!(rollback, non_finite || (!c.demoted && blown), "{:?}", d);
+            if rollback {
+                return Ok(());
+            }
+            if c.demoted {
+                prop_assert!(matches!(d, SyncDecision::Hold { .. }), "{:?}", d);
+                return Ok(());
+            }
+            let (switch, to) = match current {
+                SyncProtocol::Bsp => (
+                    c.segments >= cfg.warmup_segments
+                        && s.unreachable_servers == 0
+                        && s.retries <= cfg.demote_retry_limit
+                        && s.barrier_fraction() >= cfg.promote_barrier_frac
+                        && c.best_loss.is_finite()
+                        && s.final_loss <= cfg.promote_loss_slack * best,
+                    SyncProtocol::Asp,
+                ),
+                SyncProtocol::Asp => (
+                    s.unreachable_servers > 0
+                        || s.retries > cfg.demote_retry_limit
+                        || s.final_loss > cfg.demote_loss_factor * best
+                        || (s.staleness_count > 0
+                            && s.mean_staleness() > cfg.demote_staleness_limit),
+                    SyncProtocol::Bsp,
+                ),
+            };
+            if switch {
+                prop_assert!(matches!(&d, SyncDecision::Switch { to: t, .. } if *t == to), "{:?}", d);
+            } else {
+                prop_assert!(matches!(d, SyncDecision::Hold { .. }), "{:?}", d);
+            }
+            // The divergence-risk band demotes without rolling back.
+            if current == SyncProtocol::Asp && s.final_loss > cfg.demote_loss_factor * best {
+                prop_assert!(switch);
+            }
         }
     }
 
@@ -640,9 +790,9 @@ mod tests {
             }
             other => panic!("expected demote, got {other:?}"),
         }
-        // Loss blow-up risk under ASP: demote.
+        // Loss risk under ASP, short of a blow-up: demote.
         let risky = ScrapedSignals {
-            final_loss: 40.0,
+            final_loss: 1.8,
             ..signals()
         };
         match c.decide(SyncProtocol::Asp, &risky) {
@@ -651,6 +801,19 @@ mod tests {
                 assert!(reason.contains("divergence risk"), "{reason}");
             }
             other => panic!("expected demote, got {other:?}"),
+        }
+        // A blow-up under either protocol: roll back.
+        let blown = ScrapedSignals {
+            final_loss: 40.0,
+            ..signals()
+        };
+        for current in [SyncProtocol::Bsp, SyncProtocol::Asp] {
+            match c.decide(current, &blown) {
+                SyncDecision::Rollback { reason } => {
+                    assert!(reason.contains("blew past"), "{reason}");
+                }
+                other => panic!("expected rollback, got {other:?}"),
+            }
         }
         // Excessive measured staleness under ASP: demote.
         let stale = ScrapedSignals {
@@ -708,6 +871,9 @@ mod tests {
         assert_eq!(switch.from, SyncProtocol::Bsp);
         assert_eq!(switch.to, SyncProtocol::Asp);
         assert!(switch.reason.contains("barrier-wait fraction"));
+        // The record carries what it was decided on.
+        assert!(switch.signals.finite && switch.signals.barrier_ns > 0);
+        assert_eq!(switch.rolled_back_to, None);
         // The switch landed on the bus with its reason.
         let bus = t.bus();
         let counts = bus.trace.counts_by_name();
@@ -732,9 +898,63 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_demotion_pins_bsp_forever() {
-        // Poison the parameters so the watchdog inside the controller
-        // trips deterministically; afterwards every decision holds BSP.
+    fn a_healthy_segment_passes_untouched() {
+        let mut t = trainer(0.05);
+        t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
+        let mut c = SyncController::default();
+        let r = c.run_segment(&mut t, 30).expect("healthy segment");
+        assert_eq!(r.protocol, SyncProtocol::Asp);
+        assert_eq!(t.protocol(), SyncProtocol::Asp);
+        assert!(!c.watchdog_demoted());
+        assert_eq!(c.watchdog_trips(), 0);
+        assert_eq!(t.global_step(), 30);
+    }
+
+    #[test]
+    fn lr_30_asp_divergence_demotes_and_completes() {
+        // Warm up at a healthy rate so the controller holds a good
+        // checkpoint, then raise the rate to one where ASP's stale
+        // momentum updates blow up while synchronous averaged updates
+        // hold — the paper's experiment-setup-3 regime.
+        let mut t = trainer(0.05);
+        t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
+        let mut c = SyncController::default();
+        c.run_segment(&mut t, 30).expect("warm-up segment");
+        assert!(!c.watchdog_demoted());
+        let mut cfg = t.config().clone();
+        cfg.learning_rate = 30.0;
+        t.set_config(cfg).expect("reconfigure");
+        for _ in 0..6 {
+            let r = c
+                .run_segment(&mut t, 40)
+                .expect("the controller must absorb the divergence");
+            assert!(r.finite, "a non-finite segment was returned");
+            if c.watchdog_demoted() {
+                assert_eq!(r.protocol, SyncProtocol::Bsp, "pinned runs are BSP");
+            }
+        }
+        assert!(c.watchdog_demoted(), "lr 30 ASP never rolled back");
+        assert!(t.check_finite(), "final parameters must be finite");
+        assert_eq!(t.protocol(), SyncProtocol::Bsp);
+        // Every trip left a rollback event, and every executed switch — the
+        // controller's and each trip's — a protocol_switch event.
+        let bus = t.bus();
+        let counts = bus.trace.counts_by_name();
+        let snap = bus.metrics.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let trips = u64::from(c.watchdog_trips());
+        assert_eq!(counts.get("watchdog_rollback"), Some(&trips));
+        assert_eq!(counter("watchdog.rollbacks"), trips);
+        assert_eq!(
+            counts.get("protocol_switch").copied(),
+            Some(trips + counter("controller.switches"))
+        );
+    }
+
+    #[test]
+    fn rollback_pins_bsp_forever() {
+        // Poison the parameters so the rollback rule trips
+        // deterministically; afterwards every decision holds BSP.
         let mut t = trainer(0.05);
         let cfg = ControllerConfig {
             promote_barrier_frac: 0.0,
@@ -742,16 +962,17 @@ mod tests {
         };
         let mut c = SyncController::new(cfg);
         c.run_segment(&mut t, 20).expect("healthy segment");
-        let mut ck = t.checkpoint();
-        ck.params[0] = f32::NAN;
-        t.restore(&ck).expect("poisoned restore");
+        poison(&mut t);
         let r = c
             .run_segment(&mut t, 20)
-            .expect("watchdog absorbs the blow-up");
+            .expect("rollback absorbs the blow-up");
         assert!(r.finite);
         assert!(c.watchdog_demoted());
         assert_eq!(c.watchdog_trips(), 1);
         assert_eq!(t.protocol(), SyncProtocol::Bsp);
+        let trip = c.decisions().last().expect("decisions recorded");
+        assert!(!trip.switched(), "a rollback record is BSP -> BSP");
+        assert!(!trip.signals.finite);
         // Even with promote conditions trivially satisfiable, demotion is
         // final.
         for _ in 0..2 {
@@ -761,5 +982,40 @@ mod tests {
         let last = c.decisions().last().expect("decisions recorded");
         assert!(!last.switched());
         assert!(last.reason.contains("watchdog"), "{}", last.reason);
+    }
+
+    #[test]
+    fn second_trip_rolls_back_to_the_post_demotion_checkpoint() {
+        // The BSP re-run is judged, and its endpoint adopted as the new
+        // rollback target — so a second trip does not roll back to the
+        // stale pre-demotion checkpoint and replay every post-demotion
+        // step.
+        let mut t = trainer(0.05);
+        t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
+        let mut c = SyncController::default();
+        c.run_segment(&mut t, 30).expect("warm-up segment");
+        assert_eq!(t.global_step(), 30);
+
+        // Trip 1: rollback to the step-30 checkpoint, 40-step BSP re-run.
+        poison(&mut t);
+        let r = c.run_segment(&mut t, 40).expect("first trip absorbed");
+        assert_eq!(c.watchdog_trips(), 1);
+        assert!(r.finite, "re-run must be judged, not returned blind");
+        assert_eq!(t.global_step(), 70);
+        assert_eq!(c.decisions()[1].rolled_back_to, Some(30));
+
+        // Trip 2: the rollback target must be the judged re-run's endpoint
+        // (step 70, training at the healthy rate kept improving the loss),
+        // not the stale step-30 checkpoint.
+        poison(&mut t);
+        let r = c.run_segment(&mut t, 40).expect("second trip absorbed");
+        assert_eq!(c.watchdog_trips(), 2);
+        assert!(r.finite);
+        assert_eq!(c.decisions()[2].rolled_back_to, Some(70));
+        assert_eq!(
+            t.global_step(),
+            110,
+            "second trip replayed from the stale pre-demotion checkpoint"
+        );
     }
 }

@@ -303,8 +303,8 @@ pub struct SegmentReport {
     /// Whether every live parameter was finite when the segment ended.
     /// Always `true` on a returned report: under every protocol a segment
     /// that leaves the plane non-finite is [`PsError::Diverged`], not `Ok`.
-    /// Kept so switching policies (and the divergence watchdog) can read
-    /// the verdict off the report without a second wire round trip.
+    /// Kept so switching policies (and the controller's rollback rule) can
+    /// read the verdict off the report without a second wire round trip.
     pub finite: bool,
     /// Mean training loss over the last few recorded steps.
     pub final_loss: f32,
@@ -916,7 +916,7 @@ impl Trainer {
     }
 
     /// The telemetry bus this trainer records into. Harnesses read metrics
-    /// snapshots and export Chrome traces from here; the watchdog and
+    /// snapshots and export Chrome traces from here; the controller and
     /// supervisor record their events into the same bus. Always `Some`: the
     /// bus is part of the data plane, and the `Option` stays only because
     /// the frozen `benchmark/src/{job,probes}.rs` match on it (ROADMAP item
@@ -1028,14 +1028,16 @@ impl Trainer {
     ///
     /// Returns [`PsError::Diverged`] if any worker observes a non-finite or
     /// above-threshold loss (all workers are aborted) or the segment leaves
-    /// a non-finite parameter behind (`global_step` does not advance),
+    /// a non-finite parameter behind (`global_step` does not advance) —
+    /// [`crate::SyncController::run_segment`] turns that into a rollback —
     /// [`PsError::InvalidConfig`] for impossible configurations, and
     /// [`PsError::WorkerPanicked`] if a worker thread died mid-segment —
     /// on a transport-backed plane that is how an unreachable server
     /// surfaces (the infallible data-path ops panic once retries are
     /// exhausted), so a `ps-worker` catches it, waits out the respawn via
-    /// [`crate::ServerSupervisor::heal_respawned`], restores its segment
-    /// checkpoint, and re-runs the segment.
+    /// [`crate::ServerSupervisor::heal_respawned`], restores the whole tier
+    /// from its segment-start checkpoint (the respawned server holds reset
+    /// state until then), and re-runs the segment.
     pub fn run_segment(
         &mut self,
         protocol: SyncProtocol,

@@ -46,7 +46,6 @@ pub mod store;
 pub mod supervisor;
 pub mod switcher;
 pub mod transport;
-pub mod watchdog;
 
 pub use checkpoint::Checkpoint;
 pub use config::{RetryPolicy, ServerTopology, TrainerConfig, TransportKind};
@@ -64,7 +63,6 @@ pub use switcher::{execute_switch, SwitchOutcome, SwitchPlan};
 pub use transport::{
     FaultPlan, FaultyTransport, NetPort, NetRouter, RemoteTcpTransport, ServerInfo, TcpServerHost,
 };
-pub use watchdog::{DivergenceWatchdog, WatchdogConfig};
 
 // The telemetry bus every layer above records into, re-exported so binaries
 // and harnesses don't need a separate dependency edge for the common types.

@@ -1,13 +1,20 @@
-//! Crash recovery for a transport-backed PS tier: detect a dead
-//! [`PsServer`](crate::PsServer), bring a fresh instance up in its place,
-//! and replay its state from the last checkpoint.
+//! Crash recovery for a transport-backed PS tier: detect a dead or
+//! replaced [`PsServer`](crate::PsServer) and bring a fresh instance up in
+//! its place.
+//!
+//! The supervisor holds no parameters. A healed server serves reset state
+//! until the caller restores the whole tier from its own
+//! [`Trainer::checkpoint`](crate::Trainer::checkpoint), so every server
+//! lands on one consistent checkpoint instead of the healed server's old
+//! slice beside its peers' newer ones.
 //!
 //! The supervisor is deliberately client-driven — it runs wherever the
 //! [`NetRouter`] runs and works entirely through wire frames (`CheckFinite`
-//! probes, `Snapshot`, `Restore`, `Drain`), so recovery exercises exactly
-//! the protocol a remote control plane would use. Detection is a failed
-//! probe: a killed server's listener answers the dial but drops the
-//! connection, which the short-budget ping reports as an error.
+//! probes, `Hello`), so recovery exercises exactly the protocol a remote
+//! control plane would use. Detection is a failed probe — a killed server's
+//! listener answers the dial but drops the connection, which the
+//! short-budget ping reports as an error — or, across processes, a changed
+//! instance nonce.
 
 use std::time::{Duration, Instant};
 
@@ -18,69 +25,47 @@ use crate::transport::NetRouter;
 
 /// Detects and heals dead servers behind a [`NetRouter`].
 ///
-/// Usage pattern: call [`checkpoint`](Self::checkpoint) at a quiescent
-/// point (e.g. after a drain, between segments) to capture every server's
-/// `(params, velocity)` slice, then [`heal`](Self::heal) whenever a crash
-/// is suspected. `heal` probes every server; each one that fails the probe
-/// is revived as a fresh instance and re-seeded from its snapshot, then
-/// committed so the next pull sees the restored data.
+/// Usage pattern: [`record`](Self::record) every server's instance nonce
+/// once the tier is up, then [`heal`](Self::heal) (an in-process tier) or
+/// [`heal_respawned`](Self::heal_respawned) (a tier of `ps-serve`
+/// processes) whenever a crash is suspected, and follow every heal with
+/// [`Trainer::restore`](crate::Trainer::restore) of the caller's last
+/// checkpoint.
 ///
 /// Recovery is lossy in exactly the way a real PS checkpoint scheme is:
-/// pushes applied to a server after its last `checkpoint` die with it.
-/// Callers bound the loss by checkpointing at segment boundaries.
+/// pushes applied after that checkpoint die with the server. Callers bound
+/// the loss by checkpointing at segment boundaries.
 #[derive(Debug, Default)]
 pub struct ServerSupervisor {
-    /// Last checkpointed `(params, velocity)` slice per server; `None`
-    /// until the first [`checkpoint`](Self::checkpoint).
-    snapshots: Vec<Option<(Vec<f32>, Vec<f32>)>>,
-    /// Instance nonce observed at the last checkpoint, per server. A later
-    /// probe answering with a *different* nonce is a respawned process with
-    /// reset state — the cross-process crash signal, since a respawned
-    /// `ps-serve` answers probes happily.
-    nonces: Vec<Option<u64>>,
+    /// Instance nonce per server, as last recorded or healed; empty until
+    /// [`record`](Self::record). A `Hello` answering with a *different*
+    /// nonce is a respawned process with reset state — the cross-process
+    /// crash signal, since a respawned `ps-serve` answers probes happily.
+    nonces: Vec<u64>,
 }
 
 impl ServerSupervisor {
-    /// A supervisor for a tier of `servers` servers, with no snapshots yet.
-    pub fn new(servers: usize) -> Self {
-        ServerSupervisor {
-            snapshots: (0..servers).map(|_| None).collect(),
-            nonces: (0..servers).map(|_| None).collect(),
-        }
-    }
-
-    /// Snapshots every server's live `(params, velocity)` slice over the
-    /// wire, replacing any previous snapshots.
+    /// Records the instance nonce of every server behind `router`,
+    /// replacing any previous record.
     ///
     /// # Errors
     ///
-    /// Propagates the first wire failure; earlier servers' snapshots are
-    /// still replaced.
-    pub fn checkpoint(&mut self, router: &NetRouter) -> Result<(), PsError> {
-        if self.snapshots.len() != router.server_count() {
-            self.snapshots = (0..router.server_count()).map(|_| None).collect();
-            self.nonces = (0..router.server_count()).map(|_| None).collect();
-        }
-        for s in 0..router.server_count() {
-            let params = router.snapshot_server(s, false)?;
-            let velocity = router.snapshot_server(s, true)?;
-            self.snapshots[s] = Some((params, velocity));
-            // Record who we checkpointed, so a later heal can tell this
-            // instance from a respawned replacement. Best-effort: a tier
-            // predating HELLO (or a faulty link) just skips the record.
-            self.nonces[s] = router.server_info(s).ok().map(|i| i.nonce);
-        }
+    /// Returns the first server's `Hello` failure; nothing is recorded then.
+    pub fn record(&mut self, router: &NetRouter) -> Result<(), PsError> {
+        self.nonces = (0..router.server_count())
+            .map(|s| router.server_info(s).map(|info| info.nonce))
+            .collect::<Result<_, _>>()?;
         Ok(())
     }
 
-    /// Probes every server; each one that fails the probe is revived and
-    /// re-seeded from its snapshot (fresh zero state if none was taken),
-    /// then re-probed. Returns the number of servers healed.
+    /// Probes every server; each one that fails the probe is revived as a
+    /// fresh, zero-initialised instance and re-probed. Returns the number
+    /// of servers healed.
     ///
     /// # Errors
     ///
-    /// Returns the revive/restore/re-probe failure of the first server
-    /// that could not be brought back.
+    /// Returns the revive or re-probe failure of the first server that
+    /// could not be brought back.
     pub fn heal(&mut self, router: &NetRouter) -> Result<usize, PsError> {
         let mut healed = 0;
         for s in 0..router.server_count() {
@@ -90,13 +75,12 @@ impl ServerSupervisor {
             router
                 .revive_server(s)
                 .map_err(|_| PsError::ConnLost { server: s })?;
-            if let Some(Some((params, velocity))) = self.snapshots.get(s) {
-                router.restore_server(s, params, velocity)?;
+            let nonce = router.server_info(s)?.nonce;
+            // Keep a recorded nonce current, so a later comparison does not
+            // take the revived instance for a second respawn.
+            if let Some(recorded) = self.nonces.get_mut(s) {
+                *recorded = nonce;
             }
-            router.ping_server(s)?;
-            // The revived instance has a fresh nonce; record it so a later
-            // nonce comparison does not mistake it for a second respawn.
-            self.nonces[s] = router.server_info(s).ok().map(|i| i.nonce);
             healed += 1;
         }
         Ok(healed)
@@ -110,17 +94,22 @@ impl ServerSupervisor {
     ///
     /// For each server this waits (up to `wait`, shared across servers) for
     /// a `Hello` answer, then compares the answering instance's nonce with
-    /// the one recorded at the last [`checkpoint`](Self::checkpoint): a
-    /// changed (or never-recorded) nonce means a fresh instance holding
-    /// reset state, so its snapshot is replayed and committed. Returns the
+    /// the recorded one: a changed nonce means a fresh instance holding
+    /// reset state, which is counted healed and recorded. Returns the
     /// number of servers healed.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::ConnLost`] for a server nobody respawned within
-    /// `wait`, or the restore failure of a server that answered but could
-    /// not be re-seeded.
+    /// Returns [`PsError::InvalidConfig`] when no nonces were
+    /// [`record`](Self::record)ed for this tier, and [`PsError::ConnLost`]
+    /// for a server nobody respawned within `wait`.
     pub fn heal_respawned(&mut self, router: &NetRouter, wait: Duration) -> Result<usize, PsError> {
+        if self.nonces.len() != router.server_count() {
+            return Err(PsError::InvalidConfig(format!(
+                "no instance nonces recorded for this {}-server tier",
+                router.server_count()
+            )));
+        }
         let t = router.telemetry();
         let start = Instant::now();
         let mut healed = 0;
@@ -136,37 +125,37 @@ impl ServerSupervisor {
                     }
                 }
             };
-            if self.nonces.get(s).copied().flatten() == Some(info.nonce) {
-                continue; // same instance we checkpointed — state intact
+            if self.nonces[s] == info.nonce {
+                continue; // the instance we recorded — state intact
             }
             // A changed nonce is how a cross-process crash is *observed*:
             // nobody on this side called kill/revive, so the supervisor is
-            // the only place the death and the re-seed can be recorded.
+            // the only place the death and the heal can be recorded.
             t.metrics.counter("fault.server_kills").inc();
             t.trace.instant(TraceKind::ServerKill { server: s as u64 });
-            if let Some(Some((params, velocity))) = self.snapshots.get(s) {
-                router.restore_server(s, params, velocity)?;
-            }
-            self.nonces[s] = Some(info.nonce);
+            self.nonces[s] = info.nonce;
             healed += 1;
             t.metrics.counter("fault.server_heals").inc();
             t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
         }
         Ok(healed)
     }
-
-    /// Whether server `s` has a snapshot to restore from.
-    pub fn has_snapshot(&self, s: usize) -> bool {
-        matches!(self.snapshots.get(s), Some(Some(_)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ServerTopology, TransportKind};
+    use crate::config::{ServerTopology, TrainerConfig, TransportKind};
+    use crate::engine::Trainer;
+    use crate::router::WorkerPort;
     use crate::store::PullBuffer;
     use crate::transport::NetPort;
+    use sync_switch_nn::{Dataset, Network};
+    use sync_switch_workloads::SyncProtocol;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn heal_is_a_no_op_on_a_healthy_tier() {
@@ -175,38 +164,64 @@ mod tests {
             4,
             ServerTopology::new(2, 1).with_transport(TransportKind::Tcp),
         );
-        let mut sup = ServerSupervisor::new(net.router().server_count());
-        sup.checkpoint(net.router()).expect("checkpoint");
-        assert!(sup.has_snapshot(0) && sup.has_snapshot(1));
+        let mut sup = ServerSupervisor::default();
+        sup.record(net.router()).expect("record");
         assert_eq!(sup.heal(net.router()).expect("heal"), 0);
+        assert_eq!(
+            sup.heal_respawned(net.router(), Duration::from_secs(1))
+                .expect("heal_respawned"),
+            0
+        );
     }
 
     #[test]
-    fn kill_then_heal_restores_the_checkpointed_state() {
-        let initial: Vec<f32> = (0..24).map(|i| i as f32 * 0.1).collect();
-        let net = NetPort::launch(
-            &initial,
-            4,
-            ServerTopology::new(2, 1).with_transport(TransportKind::Tcp),
-        );
-        let r = net.router();
-        for g in 0..r.shard_count() {
-            let (_, l) = r.shard_range(g);
-            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9);
-        }
-        r.complete_push(0);
-        r.drain();
-        let expected = r.snapshot_params();
-        let mut sup = ServerSupervisor::new(r.server_count());
-        sup.checkpoint(r).expect("checkpoint");
-
+    fn kill_heal_restore_lands_every_server_on_the_checkpoint() {
+        // A default supervisor (nothing recorded) heals an in-process
+        // revive; the trainer's restore then puts every server — the
+        // revived one and its live peers — on the checkpoint, bit for bit.
+        let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 11);
+        let (train, test) = data.split(0.25);
+        let model = Network::mlp(6, &[12], 4, 11);
+        let topology = ServerTopology::new(2, 1).with_transport(TransportKind::Tcp);
+        let cfg = TrainerConfig::new(2, 8, 0.05, 0.9).with_topology(topology);
+        let port = NetPort::launch(&model.params_flat(), cfg.shards, topology);
+        let view = port.clone();
+        let mut t = Trainer::with_port(model, train, test, cfg, WorkerPort::Net(port));
+        t.run_segment(SyncProtocol::Asp, 20).expect("segment");
+        t.drain_sync();
+        let ck = t.checkpoint();
+        // Move every server past the checkpoint, then crash one.
+        t.run_segment(SyncProtocol::Asp, 20).expect("segment");
+        let r = view.router();
         r.kill_server(1).expect("kill");
         assert!(r.ping_server(1).is_err(), "killed server must fail probes");
-        assert_eq!(sup.heal(r).expect("heal"), 1);
 
-        assert_eq!(r.snapshot_params(), expected, "state replayed on revive");
+        let mut sup = ServerSupervisor::default();
+        assert_eq!(sup.heal(r).expect("heal"), 1);
+        t.restore(&ck).expect("restore");
+
+        assert_eq!(bits(&r.snapshot_params()), bits(&ck.params), "params");
+        assert_eq!(bits(&r.snapshot_velocity()), bits(&ck.velocity), "velocity");
         let mut buf = PullBuffer::new();
-        net.pull_into(&mut buf);
-        assert_eq!(buf.params(), &expected[..], "restored state is committed");
+        view.pull_into(&mut buf);
+        assert_eq!(bits(buf.params()), bits(&ck.params), "committed view");
+    }
+
+    #[test]
+    fn heal_respawned_without_a_recorded_nonce_is_an_error() {
+        let net = NetPort::launch(
+            &[1.0f32; 16],
+            4,
+            ServerTopology::new(2, 1).with_transport(TransportKind::Channel),
+        );
+        let r = net.router();
+        let mut sup = ServerSupervisor::default();
+        assert!(matches!(
+            sup.heal_respawned(r, Duration::from_millis(200)),
+            Err(PsError::InvalidConfig(_))
+        ));
+        let snap = r.telemetry().metrics.snapshot();
+        let kills = snap.counters.get("fault.server_kills").copied();
+        assert_eq!(kills.unwrap_or(0), 0, "a phantom respawn was counted");
     }
 }

@@ -38,10 +38,9 @@ pub struct SwitchPlan {
 
 impl SwitchPlan {
     /// A plan that changes only the protocol, keeping the configuration's
-    /// current hyper-parameters — the shape the divergence watchdog and the
-    /// adaptive controller both execute (their job is picking the
-    /// discipline; batch/learning-rate scaling is the configuration
-    /// policy's).
+    /// current hyper-parameters — the shape the adaptive controller executes
+    /// for its switches and rollbacks (its job is picking the discipline;
+    /// batch/learning-rate scaling is the configuration policy's).
     pub fn keep_hyper(
         cfg: &crate::config::TrainerConfig,
         to: SyncProtocol,

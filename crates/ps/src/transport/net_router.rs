@@ -49,11 +49,11 @@
 //! this server's commit acknowledged before the image was asked for, and
 //! the image holds it. Hence a served pull is exactly what asking would
 //! return — the committed view changes on commits only — and a pull still
-//! reflects every round completed before it was asked for. Kill, revive and
-//! per-server restore tick the epoch too. The epochs, like the version
-//! clock, the round counter and the barrier, live in this process: two
-//! `ps-worker` processes sharing a tier each date their images by their own
-//! rounds only (see [`Tier`]).
+//! reflects every round completed before it was asked for. Kill and revive
+//! tick the epoch too, and a restore ends in a commit-all. The epochs, like
+//! the version clock, the round counter and the barrier, live in this
+//! process: two `ps-worker` processes sharing a tier each date their images
+//! by their own rounds only (see [`Tier`]).
 
 use std::io;
 use std::net::SocketAddr;
@@ -931,40 +931,18 @@ impl NetRouter {
         for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
             let slice = &mut out[po..po + pl];
-            self.snapshot_one(&mut conns, s, velocity, slice)
-                .unwrap_or_else(|e| panic!("snapshot failed: {e}"));
+            self.call_resilient(
+                &mut conns,
+                s,
+                self.retry,
+                None,
+                false,
+                &|req| wire::encode_flag(req, op::SNAPSHOT, velocity),
+                &mut |reply| wire::decode_snapshot_into(reply, slice),
+            )
+            .unwrap_or_else(|e| panic!("snapshot failed: {e}"));
         }
         out
-    }
-
-    /// `Snapshot` frame to one server, decoded into its owned slice.
-    fn snapshot_one(
-        &self,
-        conns: &mut ConnSet,
-        s: usize,
-        velocity: bool,
-        slice: &mut [f32],
-    ) -> Result<(), PsError> {
-        self.call_resilient(
-            conns,
-            s,
-            self.retry,
-            None,
-            false,
-            &|req| wire::encode_flag(req, op::SNAPSHOT, velocity),
-            &mut |reply| wire::decode_snapshot_into(reply, slice),
-        )
-    }
-
-    /// Live snapshot of one server's owned parameter (or velocity) slice —
-    /// the building block [`crate::supervisor::ServerSupervisor`] uses to
-    /// checkpoint servers individually.
-    pub fn snapshot_server(&self, s: usize, velocity: bool) -> Result<Vec<f32>, PsError> {
-        let (_, pl) = self.tier.slices()[s].param_range;
-        let mut out = vec![0.0f32; pl];
-        let mut conns = self.sync.lock();
-        self.snapshot_one(&mut conns, s, velocity, &mut out)?;
-        Ok(out)
     }
 
     /// Overwrites live parameters and velocity from a checkpoint, then
@@ -983,54 +961,19 @@ impl NetRouter {
         let mut conns = self.sync.lock();
         for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
-            self.restore_one(&mut conns, s, &params[po..po + pl], &velocity[po..po + pl])
-                .unwrap_or_else(|e| panic!("restore failed: {e}"));
+            let (params, velocity) = (&params[po..po + pl], &velocity[po..po + pl]);
+            self.call_resilient(
+                &mut conns,
+                s,
+                self.retry,
+                None,
+                true,
+                &|buf| wire::encode_restore(buf, params, velocity),
+                &mut |reply| wire::expect_bodyless(reply, op::OK),
+            )
+            .unwrap_or_else(|e| panic!("restore failed: {e}"));
         }
         self.commit_round(&mut conns, op::DRAIN, false);
-    }
-
-    /// `Restore` frame to one server: overwrites its live slice.
-    fn restore_one(
-        &self,
-        conns: &mut ConnSet,
-        s: usize,
-        params: &[f32],
-        velocity: &[f32],
-    ) -> Result<(), PsError> {
-        self.call_resilient(
-            conns,
-            s,
-            self.retry,
-            None,
-            true,
-            &|buf| wire::encode_restore(buf, params, velocity),
-            &mut |reply| wire::expect_bodyless(reply, op::OK),
-        )
-    }
-
-    /// Re-seeds server `s` from a checkpoint of its owned slice (as
-    /// captured by [`Self::snapshot_server`]) and commits it, so pulls see
-    /// the restored data — the crash-recovery path after
-    /// [`Self::revive_server`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length differs from the server's owned
-    /// parameter count.
-    pub fn restore_server(
-        &self,
-        s: usize,
-        params: &[f32],
-        velocity: &[f32],
-    ) -> Result<(), PsError> {
-        let (_, pl) = self.tier.slices()[s].param_range;
-        assert_eq!(params.len(), pl, "params slice length mismatch");
-        assert_eq!(velocity.len(), pl, "velocity slice length mismatch");
-        let mut conns = self.sync.lock();
-        self.restore_one(&mut conns, s, params, velocity)?;
-        self.sync_one(&mut conns, s, op::DRAIN, false)?;
-        self.tick_view_epoch(s);
-        Ok(())
     }
 
     /// Resets the live velocity to zero on every server.
@@ -1203,7 +1146,8 @@ impl NetRouter {
 
     /// Brings a fresh, zero-initialised instance of server `s` back up in
     /// place of a killed one. The instance serves immediately but holds no
-    /// trained state — re-seed it with [`Self::restore_server`].
+    /// trained state — restore the tier from a checkpoint
+    /// ([`Self::restore`]).
     pub fn revive_server(&self, s: usize) -> io::Result<()> {
         let fresh = self.tier.server(s, &vec![0.0f32; self.param_count()]);
         self.transport.revive_server(s, Arc::new(fresh))?;
@@ -1747,40 +1691,6 @@ mod tests {
         );
         let stats = net.router().stats();
         assert!(stats.retries > 0, "fault plan injected no faults");
-    }
-
-    #[test]
-    fn per_server_snapshot_and_restore_round_trip() {
-        let initial: Vec<f32> = (0..24).map(|i| i as f32 * 0.2).collect();
-        let net = NetPort::launch(
-            &initial,
-            4,
-            ServerTopology::new(2, 1).with_transport(TransportKind::Channel),
-        );
-        let r = net.router();
-        for g in 0..r.shard_count() {
-            let (_, l) = r.shard_range(g);
-            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9);
-        }
-        r.ping_server(0).expect("server 0 alive");
-        r.ping_server(1).expect("server 1 alive");
-        let p1 = r.snapshot_server(1, false).expect("snapshot params");
-        let v1 = r.snapshot_server(1, true).expect("snapshot velocity");
-        for g in 0..r.shard_count() {
-            let (_, l) = r.shard_range(g);
-            net.apply_shard_update(g, &vec![9.0; l], 0.1, 0.9);
-        }
-        r.restore_server(1, &p1, &v1).expect("restore server 1");
-        let full = r.snapshot_params();
-        let (po, pl) = (r.param_count() / 2, p1.len());
-        assert_eq!(&full[po..po + pl], &p1[..], "server 1 restored");
-        let mut buf = PullBuffer::new();
-        net.pull_into(&mut buf);
-        assert_eq!(
-            &buf.params()[po..po + pl],
-            &p1[..],
-            "per-server restore must commit"
-        );
     }
 
     #[test]

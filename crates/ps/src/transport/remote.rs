@@ -10,8 +10,9 @@
 //! [`Transport::revive_server`] stay unsupported: killing a remote server
 //! is `SIGKILL` on its process and reviving it is respawning the process,
 //! both of which belong to the cluster harness. The client-side recovery
-//! half — detecting the respawn and replaying a snapshot — is
-//! [`crate::supervisor::ServerSupervisor::heal_respawned`].
+//! half is detecting the respawn
+//! ([`crate::supervisor::ServerSupervisor::heal_respawned`]) and restoring
+//! the tier from the trainer's checkpoint.
 
 use std::io;
 use std::net::SocketAddr;

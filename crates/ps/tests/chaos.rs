@@ -2,15 +2,16 @@
 //!
 //! Every trainable workload trains under BSP and ASP on a **TCP tier
 //! behind a seeded [`FaultPlan`]** — dropped replies and straggler latency
-//! on every connection — with one server killed mid-run and healed from a
-//! [`ServerSupervisor`] checkpoint. Each run must complete without panic
-//! and still meet the workload's loss gate: the retry/re-send layer makes
-//! the faults invisible to convergence, not just to liveness.
+//! on every connection — with one server killed mid-run, healed by the
+//! [`ServerSupervisor`] and restored from the trainer's checkpoint. Each
+//! run must complete without panic and still meet the workload's loss
+//! gate: the retry/re-send layer makes the faults invisible to
+//! convergence, not just to liveness.
 //!
 //! The divergence specimen rides along: the sparse-embedding workload at
 //! the lr the ASP preset had to back away from runs under the
-//! [`DivergenceWatchdog`], which must trip, demote to BSP, and still land
-//! under the loss gate.
+//! [`SyncController`], whose rollback rule must trip, demote to BSP, and
+//! still land under the loss gate.
 //!
 //! This file is the CI `chaos` stage (`./ci.sh --stage chaos`), run under
 //! a hard timeout.
@@ -21,9 +22,9 @@ use std::time::Duration;
 
 use sync_switch_ps::transport::wire::op;
 use sync_switch_ps::{
-    ControllerConfig, DivergenceWatchdog, FaultPlan, NetPort, PsError, RetryPolicy,
-    ServerStatsSnapshot, ServerSupervisor, ServerTopology, SyncController, Trainer, TrainerConfig,
-    TransportKind, WatchdogConfig, WorkerPort,
+    ControllerConfig, FaultPlan, NetPort, PsError, RetryPolicy, ServerStatsSnapshot,
+    ServerSupervisor, ServerTopology, SyncController, Trainer, TrainerConfig, TransportKind,
+    WorkerPort,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -61,7 +62,6 @@ fn chaos_trainer(kind: TrainableKind) -> Trainer {
 fn train_through_chaos(kind: TrainableKind, protocol: SyncProtocol) -> f32 {
     let mut t = chaos_trainer(kind);
     let budget = kind.hyper().total_steps;
-    let mut sup = ServerSupervisor::new(t.server_count());
     let segment = 40;
     let mut left = budget;
     let mut killed = false;
@@ -74,14 +74,16 @@ fn train_through_chaos(kind: TrainableKind, protocol: SyncProtocol) -> f32 {
         assert!(r.finite, "{kind} {protocol} non-finite under faults");
         left -= chunk;
         if !killed && left <= budget / 2 {
-            // Mid-run crash at a segment boundary: quiesce, checkpoint
-            // every server, kill one, heal it from the checkpoint.
+            // Mid-run crash at a segment boundary: quiesce, checkpoint,
+            // kill one server, heal it, and restore the tier.
             t.drain_sync();
+            let ck = t.checkpoint();
             let router = t.net_router().expect("chaos tier is transport-backed");
-            sup.checkpoint(router).expect("supervisor checkpoint");
             router.kill_server(1).expect("kill hook");
             assert!(router.ping_server(1).is_err(), "kill left server 1 alive");
-            assert_eq!(sup.heal(router).expect("heal"), 1, "one server healed");
+            let healed = ServerSupervisor::default().heal(router).expect("heal");
+            assert_eq!(healed, 1, "one server healed");
+            t.restore(&ck).expect("restore after heal");
             killed = true;
         }
     }
@@ -124,8 +126,8 @@ fn sparse_embedding_survives_chaos() {
 
 /// Forces the next training step to diverge, whatever the interleaving: a
 /// NaN in the classifier bias, which every step reads, so the first loss
-/// computed is non-finite. Call it *after* a guarded segment (zero steps
-/// will do) has given the watchdog a clean rollback target — the watchdog
+/// computed is non-finite. Call it *after* a controller segment (zero
+/// steps will do) has given the controller a clean rollback target — it
 /// arms itself from the trainer's state at its first segment.
 fn plant_nan(t: &mut Trainer) {
     let mut poisoned = t.checkpoint();
@@ -136,29 +138,31 @@ fn plant_nan(t: &mut Trainer) {
 /// The paper's experiment-setup-3 failure mode, handled instead of fatal:
 /// the embedding workload at a hot learning rate (0.5 — more than 3× its
 /// preset, a regime ASP had to back away from while BSP's synchronous
-/// averaged updates hold) diverges under ASP, the watchdog rolls back and
-/// demotes to BSP, and the run still finishes under the workload's loss
-/// gate instead of dying with [`PsError::Diverged`].
+/// averaged updates hold) diverges under ASP, the controller rolls back and
+/// pins BSP, and the run still finishes its whole budget under the
+/// workload's loss gate instead of dying with [`PsError::Diverged`].
 ///
 /// Whether lr-0.5 ASP blows up *on its own* depends on the staleness the
 /// scheduler happens to deal three threads on however many cores (about
 /// two runs in three on a 2-vCPU box), and so does the state it would be
 /// rolled back to. So the blow-up is forced, on the first step, by
 /// something no interleaving can dodge: a zero-step segment arms the
-/// watchdog with the untrained model as its rollback target, then
+/// controller with the untrained model as its rollback target, then
 /// [`plant_nan`]. From there on the run is BSP from a fixed state,
-/// deterministic to f32 summation order. The other hot-lr tests below arm
-/// the same way.
+/// deterministic to f32 summation order. The trace test below plants its
+/// blow-up the same way.
 #[test]
-fn embedding_hot_lr_asp_trips_watchdog_and_finishes_under_bsp() {
+fn embedding_hot_lr_asp_rolls_back_and_finishes_under_bsp() {
     let kind = TrainableKind::SparseEmbedding;
     let (model, train, test) = kind.build(SEED);
     let h = kind.hyper();
     let cfg = TrainerConfig::new(WORKERS, h.batch_size, 0.5, h.momentum).with_seed(SEED);
     let mut t = Trainer::new(model, train, test, cfg);
-    let mut dog = DivergenceWatchdog::new(WatchdogConfig::default());
-    dog.run_segment(&mut t, SyncProtocol::Asp, 0)
-        .expect("arming segment");
+    // A zero-step segment records ASP as the current protocol without
+    // training; the controller then drives every real segment.
+    t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
+    let mut ctl = SyncController::default();
+    ctl.run_segment(&mut t, 0).expect("arming segment");
     plant_nan(&mut t);
 
     let budget = h.total_steps;
@@ -166,24 +170,41 @@ fn embedding_hot_lr_asp_trips_watchdog_and_finishes_under_bsp() {
     let mut left = budget;
     while left > 0 {
         let chunk = left.min(segment);
-        let r = dog
-            .run_segment(&mut t, SyncProtocol::Asp, chunk)
-            .expect("watchdog must absorb the divergence");
-        assert!(r.finite, "watchdog returned a non-finite segment");
-        assert_eq!(r.protocol, SyncProtocol::Bsp, "demoted runs are BSP");
+        let r = ctl
+            .run_segment(&mut t, chunk)
+            .expect("the controller must absorb the divergence");
+        assert!(r.finite, "the controller returned a non-finite segment");
+        assert_eq!(r.protocol, SyncProtocol::Bsp, "rolled-back runs are BSP");
         left -= chunk;
     }
-    assert!(dog.demoted(), "a NaN loss never tripped the watchdog");
-    assert_eq!(dog.trips(), 1, "BSP at lr 0.5 tripped it again");
+    assert!(
+        ctl.watchdog_demoted(),
+        "a NaN loss never tripped the rollback; decisions: {:?}",
+        ctl.decisions()
+    );
+    assert_eq!(ctl.watchdog_trips(), 1, "BSP at lr 0.5 tripped it again");
+    let trip = &ctl.decisions()[1];
+    assert_eq!(trip.rolled_back_to, Some(0), "not the arming checkpoint");
+    assert!(!trip.switched(), "a rollback record is BSP -> BSP");
+    let last = ctl.decisions().last().expect("decisions recorded");
+    assert!(!last.switched());
+    assert!(last.reason.contains("watchdog"), "{}", last.reason);
     // The trip discarded nothing (it came on the first step), so the
     // demoted run has the whole budget, at the hot rate.
     assert_eq!(t.global_step(), budget);
+    assert_eq!(t.protocol(), SyncProtocol::Bsp);
+    assert!(t.check_finite(), "final parameters must be finite");
     let final_loss = t.training_loss();
     assert!(
         final_loss.is_finite() && final_loss < kind.loss_threshold(),
         "demoted BSP run missed the loss gate: {final_loss} vs {}",
         kind.loss_threshold()
     );
+    // The restored step is on the trace, and the demotion went through
+    // the same actuator as every switch.
+    let bus = t.telemetry().expect("always Some");
+    assert!(bus.trace.chrome_trace_json(0).contains("\"to_step\":0"));
+    assert_switch_stages_recorded(&t);
 }
 
 /// A server that dies in the middle of a segment must surface as
@@ -253,7 +274,7 @@ fn segment_fails_fast_when_a_server_dies_mid_segment() {
 }
 
 /// The telemetry acceptance gate: one full chaos run — faulty TCP tier,
-/// BSP and hot-lr ASP segments, a mid-run kill/heal, a watchdog trip —
+/// BSP and hot-lr ASP segments, a mid-run kill/heal, a rollback —
 /// must leave at least one trace event of **every** kind on the bus, and
 /// the resulting Chrome trace must load-ably name them all. The trace is
 /// written to `target/tmp` so CI keeps it as an artifact.
@@ -262,7 +283,7 @@ fn chaos_run_traces_every_event_kind() {
     let kind = TrainableKind::SparseEmbedding;
     let (model, train, test) = kind.build(SEED);
     let h = kind.hyper();
-    // The hot learning rate from the watchdog specimen, on the faulty TCP
+    // The hot learning rate from the embedding specimen, on the faulty TCP
     // tier: a single run then produces worker events (steps, barrier
     // waits), wire events (retries, sync rounds), fault events (the
     // kill/heal below), and control events (the rollback + demotion,
@@ -275,21 +296,26 @@ fn chaos_run_traces_every_event_kind() {
                 .with_faults(chaos_plan()),
         );
     let mut t = Trainer::new(model, train, test, cfg);
-    let mut dog = DivergenceWatchdog::new(WatchdogConfig::default());
-    dog.run_segment(&mut t, SyncProtocol::Bsp, 40)
+    let mut ctl = SyncController::default();
+    ctl.run_segment(&mut t, 40)
         .expect("BSP warm-up under faults");
     t.drain_sync();
-    let mut sup = ServerSupervisor::new(t.server_count());
+    let ck = t.checkpoint();
     {
         let router = t.net_router().expect("chaos tier is transport-backed");
-        sup.checkpoint(router).expect("supervisor checkpoint");
         router.kill_server(1).expect("kill hook");
-        assert_eq!(sup.heal(router).expect("heal"), 1);
+        let healed = ServerSupervisor::default().heal(router).expect("heal");
+        assert_eq!(healed, 1);
     }
+    t.restore(&ck).expect("restore after heal");
+    t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
     plant_nan(&mut t);
-    dog.run_segment(&mut t, SyncProtocol::Asp, 40)
-        .expect("watchdog must absorb the divergence");
-    assert!(dog.demoted(), "a NaN loss never tripped the watchdog");
+    ctl.run_segment(&mut t, 40)
+        .expect("the controller must absorb the divergence");
+    assert!(
+        ctl.watchdog_demoted(),
+        "a NaN loss never tripped the rollback"
+    );
 
     let bus = t.telemetry().expect("always Some");
     let counts = bus.trace.counts_by_name();
@@ -333,9 +359,9 @@ fn chaos_policy() -> ControllerConfig {
     }
 }
 
-/// The live Table III on `t`'s bus: every executed switch — the controller's,
-/// and the watchdog's demotion through the same actuator — left one sample
-/// in each `switch.*_ns` stage histogram.
+/// The live Table III on `t`'s bus: every executed switch — the controller's
+/// promotions and demotions, and each rollback's switch to BSP — left one
+/// sample in each `switch.*_ns` stage histogram.
 fn assert_switch_stages_recorded(t: &Trainer) {
     let snap = t.telemetry().expect("always Some").metrics.snapshot();
     let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
@@ -351,7 +377,7 @@ fn assert_switch_stages_recorded(t: &Trainer) {
 /// The closed loop end-to-end on real TCP tiers: on a straggler-free clean
 /// tier the controller promotes BSP→ASP (stable loss, healthy wire), and on
 /// the faulty tier the same policy demotes ASP→BSP on wire distress —
-/// without the loss gates (the embedded watchdog) ever tripping.
+/// without the rollback rule ever tripping.
 #[test]
 fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
     // Phase 1: clean TCP tier, BSP start. No faults → zero retries, loss
@@ -437,48 +463,6 @@ fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
     assert!(!ctl2.watchdog_demoted());
     assert_switch_stages_recorded(&t);
     assert_switch_stages_recorded(&t2);
-}
-
-/// The watchdog specimen driven through the controller: ASP at the hot
-/// learning rate from a cold start diverges (on its first step, by
-/// [`plant_nan`]), the embedded watchdog rolls back and demotes, and the
-/// controller pins BSP for the rest of the run — finishing finite instead
-/// of dying with `PsError::Diverged`. (A BSP warm-up would converge the
-/// tiny specimen before any promotion, so the run enters ASP directly,
-/// exactly like the standalone watchdog specimen above.)
-#[test]
-fn controller_absorbs_hot_lr_divergence_and_pins_bsp() {
-    let kind = TrainableKind::SparseEmbedding;
-    let (model, train, test) = kind.build(SEED);
-    let h = kind.hyper();
-    let cfg = TrainerConfig::new(WORKERS, h.batch_size, 0.5, h.momentum).with_seed(SEED);
-    let mut t = Trainer::new(model, train, test, cfg);
-    // A zero-step segment records ASP as the current protocol without
-    // training; the controller then drives every real segment.
-    t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
-    let mut ctl = SyncController::new(chaos_policy());
-    // Arm the embedded watchdog on the untrained model, then poison it.
-    ctl.run_segment(&mut t, 0).expect("arming segment");
-    plant_nan(&mut t);
-    let r = ctl.run_segment(&mut t, 40).expect("controller segment");
-    assert!(r.finite, "controller returned a non-finite segment");
-    assert!(
-        ctl.watchdog_demoted(),
-        "a NaN loss never tripped the embedded watchdog; decisions: {:?}",
-        ctl.decisions()
-    );
-    assert_eq!(ctl.watchdog_trips(), 1);
-    assert_eq!(t.protocol(), SyncProtocol::Bsp);
-    // Post-demotion decisions hold BSP with the watchdog named.
-    let r = ctl.run_segment(&mut t, 40).expect("post-demotion segment");
-    assert!(r.finite);
-    assert_eq!(t.protocol(), SyncProtocol::Bsp);
-    let last = ctl.decisions().last().expect("decisions recorded");
-    assert!(!last.switched());
-    assert!(last.reason.contains("watchdog"), "{}", last.reason);
-    assert!(t.check_finite(), "final parameters must be finite");
-    // The watchdog's demotion went through the same actuator.
-    assert_switch_stages_recorded(&t);
 }
 
 /// Server-vs-client accounting reconciliation on a **clean** network: with

@@ -8,10 +8,14 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use sync_switch_nn::{Dataset, Network};
 use sync_switch_ps::config::RetryPolicy;
 use sync_switch_ps::supervisor::ServerSupervisor;
 use sync_switch_ps::transport::{NetPort, NetRouter, TcpServerHost};
-use sync_switch_ps::{PsError, PullBuffer, ServerTopology, ShardRouter};
+use sync_switch_ps::{
+    PsError, PullBuffer, ServerTopology, ShardRouter, Trainer, TrainerConfig, WorkerPort,
+};
+use sync_switch_workloads::SyncProtocol;
 
 /// A quick retry policy so negative-path tests (dead server, deadline
 /// exceeded) fail in milliseconds instead of the default multi-second
@@ -142,27 +146,31 @@ fn handshake_rejects_a_server_with_a_different_spec() {
 }
 
 #[test]
-fn heal_respawned_detects_the_nonce_change_and_replays_state() {
-    let initial: Vec<f32> = (0..24).map(|i| i as f32 * 0.1).collect();
+fn heal_respawned_then_restore_lands_every_server_on_the_checkpoint() {
+    let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 11);
+    let (train, test) = data.split(0.25);
+    let model = Network::mlp(6, &[12], 4, 11);
+    let initial = model.params_flat();
     let (mut hosts, addrs) = bind_tier(&initial, 4, 2);
-    let net = NetPort::connect(24, 4, &addrs, 1, quick_retry()).expect("connect");
-    let r = net.router();
+    let net = NetPort::connect(initial.len(), 4, &addrs, 1, quick_retry()).expect("connect");
+    let view = net.clone();
+    let r = view.router();
     r.handshake(Duration::from_secs(5)).expect("handshake");
+    let cfg = TrainerConfig::new(2, 8, 0.05, 0.9);
+    let mut t = Trainer::with_port(model, train, test, cfg, WorkerPort::Net(net));
+    let mut sup = ServerSupervisor::default();
+    sup.record(r).expect("record");
 
-    // Train a little, then checkpoint (records nonces alongside slices).
-    for g in 0..r.shard_count() {
-        let (_, l) = r.shard_range(g);
-        net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9);
-    }
-    r.complete_push(0);
-    r.drain();
-    let expected = r.snapshot_params();
-    let mut sup = ServerSupervisor::new(r.server_count());
-    sup.checkpoint(r).expect("checkpoint");
+    // Train, checkpoint, and move every server past the checkpoint.
+    t.run_segment(SyncProtocol::Asp, 20).expect("segment");
+    t.drain_sync();
+    let ck = t.checkpoint();
+    t.run_segment(SyncProtocol::Asp, 20).expect("segment");
 
     // Nothing respawned: heal is a no-op and must not touch state.
+    let before = r.snapshot_params();
     assert_eq!(sup.heal_respawned(r, Duration::from_secs(1)).unwrap(), 0);
-    assert_eq!(r.snapshot_params(), expected);
+    assert_eq!(r.snapshot_params(), before);
 
     // "SIGKILL" server 1: its host drops, the address goes dark.
     let addr1 = addrs[1];
@@ -184,8 +192,16 @@ fn heal_respawned_detects_the_nonce_change_and_replays_state() {
         1,
         "exactly the respawned server heals"
     );
-    assert_eq!(r.snapshot_params(), expected, "checkpoint replayed");
+    let kills = r.telemetry().metrics.snapshot().counters["fault.server_kills"];
+    assert_eq!(kills, 1);
+
+    // The trainer's restore puts the respawned server and its live peer on
+    // the checkpoint, bit for bit.
+    t.restore(&ck).expect("restore");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&r.snapshot_params()), bits(&ck.params), "params");
+    assert_eq!(bits(&r.snapshot_velocity()), bits(&ck.velocity), "velocity");
     let mut buf = PullBuffer::new();
-    net.pull_into(&mut buf);
-    assert_eq!(buf.params(), &expected[..], "restored state is committed");
+    view.pull_into(&mut buf);
+    assert_eq!(bits(buf.params()), bits(&ck.params), "committed view");
 }

@@ -501,14 +501,15 @@ pub enum TraceKind {
     SyncRound { round: u64 },
     /// A server was killed, or detected dead (instant).
     ServerKill { server: u64 },
-    /// A server was healed — revived/respawned and re-seeded (instant).
+    /// A server was healed — revived in place, or its respawned instance
+    /// detected (instant).
     ServerHeal { server: u64 },
-    /// The divergence watchdog rolled the tier back to a checkpoint
-    /// (instant).
-    WatchdogRollback { trips: u64 },
+    /// The controller's divergence rule rolled the tier back to the
+    /// checkpoint taken at global step `to_step` (instant).
+    WatchdogRollback { trips: u64, to_step: u64 },
     /// A protocol switch was executed (instant). `reason` names the
-    /// decision that drove it — the watchdog's rollback, or one of the
-    /// adaptive controller's scraped-signal predicates — so a trace reader
+    /// decision that drove it — the adaptive controller's rollback rule or
+    /// one of its scraped-signal predicates — so a trace reader
     /// can tell *why* the tier changed discipline, not just that it did.
     ProtocolSwitch {
         from: String,
@@ -571,8 +572,8 @@ impl TraceKind {
             TraceKind::ServerKill { server } | TraceKind::ServerHeal { server } => {
                 out.push_str(&format!("{{\"server\":{server}}}"));
             }
-            TraceKind::WatchdogRollback { trips } => {
-                out.push_str(&format!("{{\"trips\":{trips}}}"));
+            TraceKind::WatchdogRollback { trips, to_step } => {
+                out.push_str(&format!("{{\"trips\":{trips},\"to_step\":{to_step}}}"));
             }
             TraceKind::ProtocolSwitch { from, to, reason } => {
                 out.push_str("{\"from\":");

@@ -7,14 +7,13 @@
 //! then runs the spec's BSP/ASP/SSP segments in order over the remote tier
 //! and writes a [`WorkerReport`] JSON document on exit.
 //!
-//! Crash recovery: the worker checkpoints at every segment boundary (both
-//! its own trainer checkpoint and the per-server supervisor snapshots). If
-//! a segment dies on an unreachable server — surfacing as
+//! Crash recovery: the worker checkpoints its trainer at every segment
+//! boundary. If a segment dies on an unreachable server — surfacing as
 //! `PsError::WorkerPanicked`/`ConnLost`/`Timeout`/`RetriesExhausted` — the
 //! worker waits for the cluster manager to respawn the server
 //! (`ServerSupervisor::heal_respawned`, which detects the respawn by its
-//! changed instance nonce and replays the snapshot), rolls the tier back
-//! to the segment-start checkpoint, and re-runs the segment.
+//! changed instance nonce), restores the whole tier, the respawned server
+//! included, from the segment-start checkpoint, and re-runs the segment.
 //!
 //! However the run ends — report written, fatal segment error, a tier that
 //! never healed — the process's trace ring is dumped next to the report
@@ -150,9 +149,9 @@ fn run_segments(
     kind: TrainableKind,
     trainer: &mut Trainer,
 ) -> Result<(), String> {
-    let mut sup = ServerSupervisor::new(trainer.server_count());
-    sup.checkpoint(trainer.net_router().expect("net data plane"))
-        .map_err(|e| format!("initial checkpoint: {e}"))?;
+    let mut sup = ServerSupervisor::default();
+    sup.record(trainer.net_router().expect("net data plane"))
+        .map_err(|e| format!("recording server instances: {e}"))?;
     let mut ck = trainer.checkpoint();
 
     // The adaptive controller, when the spec asks for one: BSP/ASP
@@ -205,10 +204,10 @@ fn run_segments(
                             spec.heal_deadline(),
                         )
                         .map_err(|e| format!("tier did not heal: {e}"))?;
-                    // Roll the whole tier back to the segment-start
-                    // checkpoint so the re-run starts from a consistent
-                    // state (the heal itself only replays the respawned
-                    // server's snapshot).
+                    // The respawned server holds the spec's initial state:
+                    // put the whole tier back on the segment-start
+                    // checkpoint so the re-run starts from one consistent
+                    // state.
                     trainer.restore(&ck).map_err(|e| format!("rollback: {e}"))?;
                     trainer.drain_sync();
                     healed_seg += healed as u64;
@@ -242,13 +241,9 @@ fn run_segments(
             crash_retries,
         });
         healed_total += healed_seg;
-        // Segment boundary: quiesce stage-2, then re-checkpoint both
-        // layers (trainer state for rollback, per-server snapshots +
-        // nonces for respawn detection).
+        // Segment boundary: quiesce stage-2, then re-checkpoint.
         trainer.drain_sync();
         ck = trainer.checkpoint();
-        sup.checkpoint(trainer.net_router().expect("net data plane"))
-            .map_err(|e| format!("segment checkpoint: {e}"))?;
     }
 
     // Final telemetry sweep: scrape every server's request accounting over

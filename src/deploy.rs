@@ -430,8 +430,8 @@ pub struct SegmentOutcome {
     pub final_loss: f64,
     /// Stage-2 reconciliation rounds completed during the segment.
     pub sync_rounds: u64,
-    /// Servers this worker healed (checkpoint-replayed after detecting a
-    /// respawned instance) while retrying this segment.
+    /// Respawned server instances this worker detected, and restored the
+    /// tier over, while retrying this segment.
     pub healed_servers: u64,
     /// Times the segment was rolled back to its starting checkpoint and
     /// re-run after a server crash.
@@ -512,6 +512,8 @@ pub struct ControllerDecision {
     pub ssp_bound: u64,
     /// Why the controller decided this.
     pub reason: String,
+    /// Global step of the checkpoint a divergence rollback restored.
+    pub rolled_back_to: Option<u64>,
 }
 
 impl ControllerDecision {
@@ -523,6 +525,7 @@ impl ControllerDecision {
             to: d.to.to_string(),
             ssp_bound: d.ssp_bound,
             reason: d.reason.clone(),
+            rolled_back_to: d.rolled_back_to,
         }
     }
 
@@ -641,13 +644,24 @@ mod tests {
                 applies: 240,
                 mean_apply_ns: 1_450,
             }],
-            controller_decisions: vec![ControllerDecision {
-                segment: 1,
-                from: "Bsp".into(),
-                to: "Asp".into(),
-                ssp_bound: 3,
-                reason: "barrier-wait fraction 0.41 >= 0.25 with stable loss".into(),
-            }],
+            controller_decisions: vec![
+                ControllerDecision {
+                    segment: 1,
+                    from: "Bsp".into(),
+                    to: "Asp".into(),
+                    ssp_bound: 3,
+                    reason: "barrier-wait fraction 0.41 >= 0.25 with stable loss".into(),
+                    rolled_back_to: None,
+                },
+                ControllerDecision {
+                    segment: 2,
+                    from: "Bsp".into(),
+                    to: "Bsp".into(),
+                    ssp_bound: 3,
+                    reason: "watchdog trip #1: non-finite segment under Asp".into(),
+                    rolled_back_to: Some(40),
+                },
+            ],
         };
         let parsed = WorkerReport::from_json(&r.to_json()).expect("round trip");
         assert_eq!(parsed, r);
