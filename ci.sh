@@ -14,6 +14,8 @@
 #   ./ci.sh --loc             # non-test line counts per source file (the
 #                             # one counter CHANGES.md entries quote); runs
 #                             # no stage
+#   ./ci.sh --loc <rev>       # the same count, <rev> → working tree, as a
+#                             # Markdown table for CHANGES.md
 #
 # A run without --stage first checks that the hosted workflow's steps still
 # mirror STAGES. On any stage failure the EXIT trap collects diagnostics
@@ -309,29 +311,61 @@ stage_cluster() {
 # per source root and a grand total. Comments and blank lines count — a
 # reason-giving comment is part of the code — and moving code into a test
 # module does not hide it from review, only from this number.
-print_loc() {
+loc_counts() {
     find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
-        function root(path) {
-            if (path ~ /^src\//) return "src"
-            sub(/\/src\/.*/, "/src", path)
-            return path
-        }
-        function flush() {
-            if (file == "") return
-            printf "%7d  %s\n", n, file
-            sub_n[root(file)] += n
-            total += n
-        }
-        FNR == 1 { flush(); file = FILENAME; n = 0; cut = 0 }
+        FNR == 1 { if (file != "") print n, file; file = FILENAME; n = 0; cut = 0 }
         /^#\[cfg\(test\)\]/ { cut = 1 }
         !cut { n++ }
+        END { if (file != "") print n, file }'
+}
+
+# The source root a file path rolls up into, as an awk function.
+LOC_ROOT='function root(path) {
+    if (path ~ /^src\//) return "src"
+    sub(/\/src\/.*/, "/src", path)
+    return path
+}'
+
+print_loc() {
+    loc_counts | awk "$LOC_ROOT"'
+        { printf "%7d  %s\n", $1, $2; sub_n[root($2)] += $1; total += $1 }
         END {
-            flush()
             print ""
             for (r in sub_n) printf "%7d  %s (subtotal)\n", sub_n[r], r | "sort -k2"
             close("sort -k2")
             printf "%7d  total\n", total
         }'
+}
+
+# `--loc <rev>`: counts <rev> (unpacked by `git archive` into a temp dir)
+# and the working tree by the rule above, and prints a Markdown table: one
+# row per file whose count differs (— where a side lacks the file), the
+# subtotal of every source root that has such a file, and the total.
+print_loc_diff() {
+    local rev="$1" tmp
+    git rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
+        echo "--loc: unknown revision '$rev'" >&2
+        return 2
+    }
+    tmp="$(mktemp -d)"
+    git archive "$rev" | tar -x -C "$tmp"
+    LC_ALL=C join -a 1 -a 2 -e - -o 0,1.1,2.1 -1 2 -2 2 \
+        <(cd "$tmp" && loc_counts | LC_ALL=C sort -k2,2) \
+        <(loc_counts | LC_ALL=C sort -k2,2) |
+        awk -v rev="$rev" "$LOC_ROOT"'
+            function show(n) { return n == "-" ? "—" : n }
+            {
+                r = root($1); p = $2 + 0; c = $3 + 0
+                sub_p[r] += p; sub_c[r] += c; total_p += p; total_c += c
+                if ($2 != $3) { printf "| `%s` | %s | %s |\n", $1, show($2), show($3); moved[r] = 1 }
+            }
+            BEGIN { printf "| file | %s | change |\n|---|---|---|\n", rev }
+            END {
+                for (r in moved) printf "| `%s` subtotal | %d | %d |\n", r, sub_p[r], sub_c[r] | "sort"
+                close("sort")
+                printf "| **total** | **%d** | **%d (%+d)** |\n", total_p, total_c, total_c - total_p
+            }'
+    rm -rf "$tmp"
 }
 
 # ---- driver ---------------------------------------------------------------
@@ -392,12 +426,16 @@ while [[ $# -gt 0 ]]; do
             exit 0
             ;;
         --loc)
-            print_loc
+            if [[ $# -ge 2 && $2 != --* ]]; then
+                print_loc_diff "$2"
+            else
+                print_loc
+            fi
             exit 0
             ;;
         *)
             echo "unknown argument '$1'" >&2
-            echo "usage: ./ci.sh [--fast] [--stage <name>]... [--list] [--loc]" >&2
+            echo "usage: ./ci.sh [--fast] [--stage <name>]... [--list] [--loc [<rev>]]" >&2
             exit 2
             ;;
     esac

@@ -303,6 +303,9 @@ impl TrainerConfig {
         if self.active_workers().is_empty() {
             return Err("all workers excluded".into());
         }
+        if self.per_worker_batch == 0 {
+            return Err("batch must be positive".into());
+        }
         if self.shards == 0 {
             return Err("shards must be positive".into());
         }

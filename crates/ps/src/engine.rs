@@ -3,14 +3,18 @@
 //! BSP, ASP and SSP are the same training step with a different
 //! synchronization point — which is what lets a run switch between them at
 //! a checkpoint — and the code is shaped that way. [`Trainer::run_workers`]
-//! is the one harness: it spawns the worker threads, builds each one's
-//! [`Worker`] state and joins the results; [`Worker::run`] is the one place
-//! a protocol's loop is entered, and so the one place a panicking worker is
-//! contained. [`Worker::compute_step`] is the one step prologue: draw the
-//! batch, pull what it reads, compute, check for divergence. What differs is the tail
-//! that decides when the gradient is applied: [`bsp_loop`]'s striped
-//! barrier, or [`crate::ssp`]'s asynchronous loop, which is ASP when it has
-//! no leash and SSP when it has one. `Trainer::report` is the one epilogue.
+//! is the one harness: it spawns the worker threads, hands each one its
+//! [`Seat`] and this segment's [`Worker`] books, and joins the results;
+//! [`Worker::run`] is the one place a protocol's loop is entered, and so the
+//! one place a panicking worker is contained. [`Worker::compute_step`] is
+//! the one step prologue: draw the batch, pull what it reads, compute, check
+//! for divergence. What differs is the tail that decides when the gradient
+//! is applied: [`bsp_loop`]'s striped barrier, or [`crate::ssp`]'s
+//! asynchronous loop, which is ASP when it has no leash and SSP when it has
+//! one. `Trainer::report` is the one epilogue.
+//!
+//! As in the paper, a worker outlives its segment: its [`Seat`] lives until a
+//! segment fails or a [`Trainer::restore`] (every switch, rollback and heal).
 //!
 //! Everything is written against [`WorkerPort`], so the same code drives
 //! the single in-process [`ShardedStore`], the multi-server
@@ -46,7 +50,7 @@ type WorkerResult = (usize, WorkerProfile, StalenessHistogram, ShardStaleness);
 /// event locks the ring — per step, across every worker thread, those two
 /// mutexes (plus the cache-line traffic of shared atomics) cost more than
 /// the bookkeeping they record. This buffer resolves the instruments once
-/// per segment, accumulates the counter and histogram samples in plain
+/// per [`Seat`], accumulates the counter and histogram samples in plain
 /// thread-local fields, and batches trace events, so between flushes the
 /// hot loop touches no shared telemetry state at all.
 struct WorkerTelemetry {
@@ -151,14 +155,8 @@ impl WorkerTelemetry {
     /// per worker at segment end — a panicking worker flushes whatever it
     /// buffered before the unwind, so post-mortem traces keep the tail.
     fn flush(&mut self) {
-        if self.steps > 0 {
-            self.steps_counter.add(self.steps);
-            self.steps = 0;
-        }
-        if self.parks > 0 {
-            self.parks_counter.add(self.parks);
-            self.parks = 0;
-        }
+        self.steps_counter.add(std::mem::take(&mut self.steps));
+        self.parks_counter.add(std::mem::take(&mut self.parks));
         self.step_local.flush_into(&self.step_hist);
         self.staleness_local.flush_into(&self.staleness_hist);
         self.barrier_local.flush_into(&self.barrier_hist);
@@ -187,89 +185,27 @@ struct StepScratch {
     values: Vec<f32>,
 }
 
-/// The parameter-server data plane behind a trainer: the control-plane
-/// face of the same store/router pair workers reach through [`WorkerPort`].
-/// Wrapping the port (rather than mirroring its enum) keeps the dispatch in
-/// one place while still keeping owner-only operations — snapshot, restore,
-/// velocity reset — off the worker-facing type.
-#[derive(Debug)]
-pub(crate) struct DataPlane(WorkerPort);
-
-impl DataPlane {
-    fn build_port(initial: &[f32], cfg: &TrainerConfig) -> WorkerPort {
-        // A wire transport puts the tier behind the message boundary even
-        // with one server — the boundary is the point. In-process keeps the
-        // PR 3 rule: decide on the *effective* server count (the router
-        // clamps servers to the shard count, and shards to the parameter
-        // count); a topology that clamps down to one server must get the
-        // single-store fast path, not two-stage committed-view semantics
-        // with one owner.
-        if cfg.topology.transport != TransportKind::InProcess {
-            return WorkerPort::Net(NetPort::launch(initial, cfg.shards, cfg.topology));
-        }
-        let effective_servers = cfg.topology.servers.min(cfg.shards).min(initial.len());
-        if effective_servers > 1 {
-            WorkerPort::Routed(Arc::new(ShardRouter::new(
-                initial,
-                cfg.shards,
-                cfg.topology,
-            )))
-        } else {
-            WorkerPort::Single(Arc::new(ShardedStore::new(initial, cfg.shards)))
-        }
+/// Builds the data plane `cfg` describes over the `initial` parameters.
+fn build_plane(initial: &[f32], cfg: &TrainerConfig) -> WorkerPort {
+    // A wire transport puts the tier behind the message boundary even
+    // with one server — the boundary is the point. In-process, decide
+    // on the *effective* server count (the router
+    // clamps servers to the shard count, and shards to the parameter
+    // count); a topology that clamps down to one server must get the
+    // single-store fast path, not two-stage committed-view semantics
+    // with one owner.
+    if cfg.topology.transport != TransportKind::InProcess {
+        return WorkerPort::Net(NetPort::launch(initial, cfg.shards, cfg.topology));
     }
-
-    /// The worker-facing port (layout, clocks and the data path).
-    pub(crate) fn port(&self) -> &WorkerPort {
-        &self.0
-    }
-
-    fn snapshot_params(&self) -> Vec<f32> {
-        match &self.0 {
-            WorkerPort::Single(s) => s.snapshot_params(),
-            WorkerPort::Routed(r) => r.snapshot_params(),
-            WorkerPort::Net(p) => p.router().snapshot_params(),
-        }
-    }
-
-    fn snapshot_velocity(&self) -> Vec<f32> {
-        match &self.0 {
-            WorkerPort::Single(s) => s.snapshot_velocity(),
-            WorkerPort::Routed(r) => r.snapshot_velocity(),
-            WorkerPort::Net(p) => p.router().snapshot_velocity(),
-        }
-    }
-
-    fn restore(&self, params: &[f32], velocity: &[f32]) {
-        match &self.0 {
-            WorkerPort::Single(s) => s.restore(params, velocity),
-            WorkerPort::Routed(r) => r.restore(params, velocity),
-            WorkerPort::Net(p) => p.router().restore(params, velocity),
-        }
-    }
-
-    fn reset_velocity(&self) {
-        match &self.0 {
-            WorkerPort::Single(s) => s.reset_velocity(),
-            WorkerPort::Routed(r) => r.reset_velocity(),
-            WorkerPort::Net(p) => p.router().reset_velocity(),
-        }
-    }
-
-    fn is_finite(&self) -> bool {
-        match &self.0 {
-            WorkerPort::Single(s) => s.is_finite(),
-            WorkerPort::Routed(r) => r.is_finite(),
-            WorkerPort::Net(p) => p.router().is_finite(),
-        }
-    }
-
-    /// Cumulative wire counters (all-zero with no wire boundary).
-    pub(crate) fn transport_stats(&self) -> TransportStats {
-        match &self.0 {
-            WorkerPort::Single(_) | WorkerPort::Routed(_) => TransportStats::default(),
-            WorkerPort::Net(p) => p.router().stats(),
-        }
+    let effective_servers = cfg.topology.servers.min(cfg.shards).min(initial.len());
+    if effective_servers > 1 {
+        WorkerPort::Routed(Arc::new(ShardRouter::new(
+            initial,
+            cfg.shards,
+            cfg.topology,
+        )))
+    } else {
+        WorkerPort::Single(Arc::new(ShardedStore::new(initial, cfg.shards)))
     }
 }
 
@@ -372,17 +308,27 @@ impl BspShared {
     }
 }
 
-/// One worker thread's state for one segment: its handle on the data plane,
-/// its model replica and data shard, and the bookkeeping every protocol
-/// keeps the same way. Built by [`Trainer::run_workers`], driven by a sync
-/// tail, and turned into the worker's [`WorkerResult`] when the tail returns.
+/// What a worker keeps across segments: its port (on a wire tier, with its
+/// connections, client ids, push staging and any image a reply brought
+/// along), model replica, pull buffer, step scratch and instruments.
+struct Seat {
+    port: WorkerPort,
+    model: Network,
+    buf: PullBuffer,
+    scratch: StepScratch,
+    wt: WorkerTelemetry,
+}
+
+/// One worker thread's state for one segment: its [`Seat`], its data shard,
+/// and the bookkeeping every protocol keeps the same way. Built by
+/// [`Trainer::run_workers`], driven by a sync tail, and turned into the
+/// worker's [`WorkerResult`] when the tail returns.
 pub(crate) struct Worker<'a> {
     pub(crate) id: usize,
     /// Position among the segment's active workers.
     rank: usize,
-    port: WorkerPort,
+    seat: &'a mut Seat,
     shard: &'a Dataset,
-    model: Network,
     cfg: &'a TrainerConfig,
     /// Global step of the segment's first step.
     pub(crate) base_step: u64,
@@ -394,9 +340,6 @@ pub(crate) struct Worker<'a> {
     profile: WorkerProfile,
     hist: StalenessHistogram,
     shard_hist: ShardStaleness,
-    buf: PullBuffer,
-    scratch: StepScratch,
-    wt: WorkerTelemetry,
     /// First-step start, for the wall-clock throughput span — barrier and
     /// gate waits included, which the busy-only rate hides (see
     /// `WorkerProfile::wall_steps_per_sec`).
@@ -436,7 +379,7 @@ impl Worker<'_> {
         }));
         // A panicking worker flushes whatever it buffered before the
         // unwind, so post-mortem traces keep the tail.
-        self.wt.flush();
+        self.seat.wt.flush();
         match run {
             Ok(()) => Ok((self.id, self.profile, self.hist, self.shard_hist)),
             Err(_payload) => {
@@ -456,7 +399,7 @@ impl Worker<'_> {
         let cfg = self.cfg;
         let t0 = Instant::now();
         self.wall_start.get_or_insert(t0);
-        let start_ns = self.wt.now_ns();
+        let start_ns = self.seat.wt.now_ns();
         // The batch does not depend on the pull, so it is drawn first and
         // says what to pull.
         let mut rng = step_rng(cfg.seed, self.id, step_id);
@@ -465,8 +408,8 @@ impl Worker<'_> {
         if let Some(d) = cfg.straggler_delay[self.id] {
             std::thread::sleep(d);
         }
-        let StepScratch { runs, grad, .. } = &mut self.scratch;
-        let loss = self.model.loss_and_grad_into(&x, &y, runs, grad);
+        let StepScratch { runs, grad, .. } = &mut self.seat.scratch;
+        let loss = self.seat.model.loss_and_grad_into(&x, &y, runs, grad);
         if !loss.is_finite() || loss > cfg.divergence_loss_threshold {
             // Relaxed: read back only after thread join.
             self.diverged_at.store(step_id, Ordering::Relaxed);
@@ -491,16 +434,17 @@ impl Worker<'_> {
     /// `scratch.runs` says what moved, for [`Worker::push`], and the pulled
     /// version is returned.
     fn pull(&mut self, x: &Tensor) -> u64 {
-        let runs = &mut self.scratch.runs;
-        if self.cfg.sparse_push && self.model.param_read_runs_into(x, runs) {
-            let version = self.port.pull_runs_into(&mut self.buf, runs);
-            self.model.set_params_runs(self.buf.params(), runs);
+        let seat = &mut *self.seat;
+        let runs = &mut seat.scratch.runs;
+        if self.cfg.sparse_push && seat.model.param_read_runs_into(x, runs) {
+            let version = seat.port.pull_runs_into(&mut seat.buf, runs);
+            seat.model.set_params_runs(seat.buf.params(), runs);
             version
         } else {
-            let version = self.port.pull_into(&mut self.buf);
-            self.model.set_params_flat(self.buf.params());
+            let version = seat.port.pull_into(&mut seat.buf);
+            seat.model.set_params_flat(seat.buf.params());
             runs.clear();
-            runs.push((0, self.buf.params().len()));
+            runs.push((0, seat.buf.params().len()));
             version
         }
     }
@@ -526,7 +470,7 @@ impl Worker<'_> {
     /// time, under the owning server — then completes the push, runs any
     /// stage-2 round it made due, and returns its global staleness.
     pub(crate) fn push(&mut self) -> u64 {
-        let port = &self.port;
+        let port = &self.seat.port;
         let (lr, momentum) = (self.cfg.learning_rate, self.cfg.momentum);
         let StepScratch {
             grad,
@@ -534,7 +478,7 @@ impl Worker<'_> {
             acks,
             spans,
             values,
-        } = &mut self.scratch;
+        } = &mut self.seat.scratch;
         let grad = grad.as_slice();
         acks.clear();
         for i in 0..port.shard_count() {
@@ -559,10 +503,10 @@ impl Worker<'_> {
         port.flush_pushes(acks);
         assert_eq!(acks.len(), port.shard_count(), "one ack per pushed shard");
         for (i, prev) in acks.iter().enumerate() {
-            let behind = prev.saturating_sub(self.buf.shard_version(i));
+            let behind = prev.saturating_sub(self.seat.buf.shard_version(i));
             self.shard_hist.record(i, behind);
         }
-        let staleness = port.complete_push(self.buf.version());
+        let staleness = port.complete_push(self.seat.buf.version());
         port.after_push();
         staleness
     }
@@ -577,9 +521,9 @@ impl Worker<'_> {
         self.profile.losses.push(step.loss);
         self.hist.record(staleness.unwrap_or(0));
         if let Some(v) = staleness {
-            self.wt.staleness(v);
+            self.seat.wt.staleness(v);
         }
-        self.wt.step(self.id, step.id, step.start_ns, busy);
+        self.seat.wt.step(self.id, step.id, step.start_ns, busy);
     }
 
     /// Extends the wall-clock span to now.
@@ -594,9 +538,9 @@ impl Worker<'_> {
     /// worker's barrier wait, so the barrier-wait fraction the controller
     /// promotes on covers BSP barriers and SSP back-pressure alike.
     pub(crate) fn wait_at_gate(&mut self, ready: impl FnMut() -> bool) {
-        let wait_ns = self.wt.now_ns();
+        let wait_ns = self.seat.wt.now_ns();
         let parked = self.gate.wait_until(ready);
-        self.wt.barrier_wait(self.id, wait_ns, parked);
+        self.seat.wt.barrier_wait(self.id, wait_ns, parked);
     }
 }
 
@@ -633,10 +577,11 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
         // Last contributor per stripe averages and applies it.
         for k in 0..n_stripes {
             let i = (w.rank + k) % n_stripes;
-            let (offset, len) = w.port.shard_range(i);
+            let (port, buf) = (&w.seat.port, &w.seat.buf);
+            let (offset, len) = port.shard_range(i);
             let mut stripe = shared.stripes[i].lock();
             let state = &mut *stripe;
-            let grad = &w.scratch.grad.as_slice()[offset..offset + len];
+            let grad = &w.seat.scratch.grad.as_slice()[offset..offset + len];
             for (a, g) in state.accum.iter_mut().zip(grad) {
                 *a += g;
             }
@@ -644,9 +589,9 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
             if state.count == n_active {
                 let scale = 1.0 / n_active as f32;
                 state.accum.iter_mut().for_each(|a| *a *= scale);
-                let prev = w.port.apply_shard_update(i, &state.accum, lr, mu);
+                let prev = port.apply_shard_update(i, &state.accum, lr, mu);
                 w.shard_hist
-                    .record(i, prev.saturating_sub(w.buf.shard_version(i)));
+                    .record(i, prev.saturating_sub(buf.shard_version(i)));
                 state.accum.iter_mut().for_each(|a| *a = 0.0);
                 state.count = 0;
                 drop(stripe);
@@ -655,12 +600,12 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
                 // before the round advance (Release); the shard data itself
                 // is ordered by the shard mutexes.
                 if shared.applied.fetch_add(1, Ordering::AcqRel) + 1 == n_stripes {
-                    w.port.complete_push(step.version);
+                    port.complete_push(step.version);
                     // Stage-2 drain: publish this round's applies to every
                     // server's committed view before any worker can pull
                     // the next round (everyone else is held at the gate
                     // below, so the commit cannot race a pull).
-                    w.port.end_round();
+                    port.end_round();
                     // Relaxed: the reset is published to the next round's
                     // appliers by the gate's epoch — Release in `advance`,
                     // Acquire in the `wait_until` they must pass through
@@ -694,7 +639,10 @@ pub struct Trainer {
     shards: Vec<Dataset>,
     test: Dataset,
     cfg: TrainerConfig,
-    plane: DataPlane,
+    /// The data plane. Workers reach it through clones of this port; the
+    /// owner-only operations — snapshot, restore, velocity reset — are this
+    /// trainer's methods, so they stay off the worker-facing type.
+    plane: WorkerPort,
     /// The telemetry bus (metrics + event trace) every layer of this
     /// trainer records into: the [`NetRouter`]'s own on a transport-backed
     /// plane, so wire retries and sync rounds land next to the engine's
@@ -712,6 +660,11 @@ pub struct Trainer {
     /// shard, fixed indices) — built once, because the switcher polls the
     /// probe loss inside its decision loop.
     probe_batch: (Tensor, Vec<usize>),
+    /// Per worker id, its [`Seat`]: built at the worker's first segment
+    /// (so construction costs no more than the plane), dropped when a
+    /// segment fails — a worker that died mid-op may hold half-staged
+    /// pushes or a dead socket — and on every restore.
+    seats: Vec<Option<Seat>>,
 }
 
 impl std::fmt::Debug for Trainer {
@@ -719,7 +672,7 @@ impl std::fmt::Debug for Trainer {
         f.debug_struct("Trainer")
             .field("workers", &self.cfg.workers)
             .field("servers", &self.server_count())
-            .field("params", &self.plane.port().param_count())
+            .field("params", &self.plane.param_count())
             .field("global_step", &self.global_step)
             .finish()
     }
@@ -740,7 +693,7 @@ impl Trainer {
         if let Err(msg) = cfg.validate() {
             panic!("invalid trainer config: {msg}");
         }
-        let port = DataPlane::build_port(&model.params_flat(), &cfg);
+        let port = build_plane(&model.params_flat(), &cfg);
         Self::with_port(model, train, test, cfg, port)
     }
 
@@ -777,7 +730,6 @@ impl Trainer {
             WorkerPort::Single(_) | WorkerPort::Routed(_) => Arc::new(Telemetry::new()),
             WorkerPort::Net(p) => Arc::clone(p.router().telemetry()),
         };
-        let plane = DataPlane(port);
         let shards: Vec<Dataset> = (0..cfg.workers)
             .map(|k| train.shard(k, cfg.workers))
             .collect();
@@ -788,8 +740,9 @@ impl Trainer {
             template: model,
             shards,
             test,
+            seats: std::iter::repeat_with(|| None).take(cfg.workers).collect(),
             cfg,
-            plane,
+            plane: port,
             telemetry,
             global_step: 0,
             protocol: SyncProtocol::Bsp,
@@ -889,7 +842,7 @@ impl Trainer {
     /// assert_eq!(store.version(), 0);
     /// ```
     pub fn store(&self) -> Result<&ShardedStore, PsError> {
-        match &self.plane.0 {
+        match &self.plane {
             WorkerPort::Single(s) => Ok(s),
             WorkerPort::Routed(_) | WorkerPort::Net(_) => Err(PsError::NoSingleStore {
                 servers: self.server_count(),
@@ -900,7 +853,7 @@ impl Trainer {
     /// The shard router of a **multi-server in-process** trainer (`None`
     /// when the plane is a single store or behind a wire transport).
     pub fn router(&self) -> Option<&ShardRouter> {
-        match &self.plane.0 {
+        match &self.plane {
             WorkerPort::Single(_) | WorkerPort::Net(_) => None,
             WorkerPort::Routed(r) => Some(r),
         }
@@ -909,7 +862,7 @@ impl Trainer {
     /// The transport-backed router of a trainer whose topology selected the
     /// channel or TCP backend (`None` on an in-process plane).
     pub fn net_router(&self) -> Option<&NetRouter> {
-        match &self.plane.0 {
+        match &self.plane {
             WorkerPort::Single(_) | WorkerPort::Routed(_) => None,
             WorkerPort::Net(p) => Some(p.router()),
         }
@@ -934,24 +887,27 @@ impl Trainer {
     /// (all zeros, `backend == None`, on an in-process plane). Per-segment
     /// costs are on [`SegmentReport::transport`].
     pub fn transport_stats(&self) -> TransportStats {
-        self.plane.transport_stats()
+        match &self.plane {
+            WorkerPort::Single(_) | WorkerPort::Routed(_) => TransportStats::default(),
+            WorkerPort::Net(p) => p.router().stats(),
+        }
     }
 
     /// Number of parameter servers in the data plane (1 for the single
     /// in-process store).
     pub fn server_count(&self) -> usize {
-        self.plane.port().server_count()
+        self.plane.server_count()
     }
 
     /// Cluster-global push count (the data-plane version clock).
     pub fn push_count(&self) -> u64 {
-        self.plane.port().version()
+        self.plane.version()
     }
 
     /// Stage-2 reconciliation rounds completed so far (0 on a
     /// single-server plane).
     pub fn sync_rounds(&self) -> u64 {
-        self.plane.port().sync_rounds()
+        self.plane.sync_rounds()
     }
 
     /// Drains any in-flight stage-2 reconciliation so the committed view
@@ -959,12 +915,16 @@ impl Trainer {
     /// plane; called by the switcher before checkpointing a protocol
     /// switch.
     pub fn drain_sync(&self) {
-        self.plane.port().end_round();
+        self.plane.end_round();
     }
 
     /// Resets the optimizer velocity to zero on every server.
     pub fn reset_velocity(&self) {
-        self.plane.reset_velocity();
+        match &self.plane {
+            WorkerPort::Single(s) => s.reset_velocity(),
+            WorkerPort::Routed(r) => r.reset_velocity(),
+            WorkerPort::Net(p) => p.router().reset_velocity(),
+        }
     }
 
     /// Whether every parameter on every server is currently finite — the
@@ -972,7 +932,19 @@ impl Trainer {
     /// this exposes the same probe to harnesses that want to assert it
     /// between segments.
     pub fn check_finite(&self) -> bool {
-        self.plane.is_finite()
+        match &self.plane {
+            WorkerPort::Single(s) => s.is_finite(),
+            WorkerPort::Routed(r) => r.is_finite(),
+            WorkerPort::Net(p) => p.router().is_finite(),
+        }
+    }
+
+    fn snapshot_params(&self) -> Vec<f32> {
+        match &self.plane {
+            WorkerPort::Single(s) => s.snapshot_params(),
+            WorkerPort::Routed(r) => r.snapshot_params(),
+            WorkerPort::Net(p) => p.router().snapshot_params(),
+        }
     }
 
     /// Takes a checkpoint of the current training state (the live,
@@ -981,20 +953,31 @@ impl Trainer {
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint::new(
             self.global_step,
-            self.plane.snapshot_params(),
-            self.plane.snapshot_velocity(),
+            self.snapshot_params(),
+            match &self.plane {
+                WorkerPort::Single(s) => s.snapshot_velocity(),
+                WorkerPort::Routed(r) => r.snapshot_velocity(),
+                WorkerPort::Net(p) => p.router().snapshot_velocity(),
+            },
         )
     }
 
-    /// Restores training state from a checkpoint.
+    /// Restores training state from a checkpoint, and starts every worker
+    /// fresh at the next segment: a restore follows every switch, rollback
+    /// and heal, and a healed server's old sockets are dead.
     ///
     /// # Errors
     ///
     /// Returns [`PsError::CheckpointMismatch`] if the checkpoint shape does
     /// not match the model.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), PsError> {
-        ck.check_compatible(self.plane.port().param_count())?;
-        self.plane.restore(&ck.params, &ck.velocity);
+        ck.check_compatible(self.plane.param_count())?;
+        self.seats.fill_with(|| None);
+        match &self.plane {
+            WorkerPort::Single(s) => s.restore(&ck.params, &ck.velocity),
+            WorkerPort::Routed(r) => r.restore(&ck.params, &ck.velocity),
+            WorkerPort::Net(p) => p.router().restore(&ck.params, &ck.velocity),
+        }
         self.global_step = ck.step;
         Ok(())
     }
@@ -1009,7 +992,7 @@ impl Trainer {
     /// A replica of the model holding the live parameters.
     fn current_model(&self) -> Network {
         let mut model = self.template.clone();
-        model.set_params_flat(&self.plane.snapshot_params());
+        model.set_params_flat(&self.snapshot_params());
         model
     }
 
@@ -1022,7 +1005,9 @@ impl Trainer {
     }
 
     /// Runs `steps` global steps under `protocol`, returning the segment
-    /// report.
+    /// report. Each worker keeps its connections, model replica and scratch
+    /// from the segment before, unless that one failed or a
+    /// [`Trainer::restore`] came between.
     ///
     /// # Errors
     ///
@@ -1069,17 +1054,19 @@ impl Trainer {
             return Err(PsError::InvalidConfig("all workers excluded".into()));
         }
         let start = Instant::now();
-        let results = self.run_workers(protocol, leash, &active, steps)?;
+        let mut results = self.run_workers(protocol, leash, &active, steps);
         let wall_time = start.elapsed();
         // A finite loss on every step does not make the applies finite (a
         // poisoned velocity, an overflow in the update): the tier itself is
         // the last word, whatever the protocol.
-        if !self.plane.is_finite() {
-            return Err(PsError::Diverged {
-                step: self.global_step + steps,
-            });
+        if results.is_ok() && !self.check_finite() {
+            let step = self.global_step + steps;
+            results = Err(PsError::Diverged { step });
         }
-        Ok(self.report(protocol, steps, wall_time, results, before))
+        if results.is_err() {
+            self.seats.fill_with(|| None);
+        }
+        Ok(self.report(protocol, steps, wall_time, results?, before))
     }
 
     /// The segment epilogue: merges the workers' results into the report
@@ -1093,7 +1080,7 @@ impl Trainer {
         results: Vec<WorkerResult>,
         before: (u64, TransportStats),
     ) -> SegmentReport {
-        let port = self.plane.port();
+        let port = &self.plane;
         let mut worker_profiles = vec![WorkerProfile::default(); self.cfg.workers];
         let mut staleness = StalenessHistogram::new();
         let mut shard_staleness = ShardStaleness::new(port.shard_count());
@@ -1125,33 +1112,40 @@ impl Trainer {
     }
 
     /// The worker harness: one scoped thread per active worker, each
-    /// running the protocol's tail over its own [`Worker`] state, joined
+    /// running the protocol's tail over its [`Seat`] (built here at the
+    /// worker's first segment) and this segment's [`Worker`] books, joined
     /// into the workers' results. A dead worker fails the segment with
     /// [`PsError::WorkerPanicked`], a recorded divergence with
     /// [`PsError::Diverged`].
     fn run_workers(
-        &self,
+        &mut self,
         protocol: SyncProtocol,
         leash: Option<u64>,
         active: &[usize],
         steps: u64,
     ) -> Result<Vec<WorkerResult>, PsError> {
-        let port = self.plane.port();
+        let port = &self.plane;
         let gate = RoundGate::new();
         let diverged_at = AtomicU64::new(u64::MAX);
         let tail = &match protocol {
             SyncProtocol::Bsp => SyncTail::Barrier(BspShared::new(port, active.len())),
             SyncProtocol::Asp => SyncTail::Async(AsyncShared::new(self.cfg.workers, active, leash)),
         };
+        let seats = (self.seats.iter_mut().enumerate()).filter(|(id, _)| active.contains(id));
         let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (active.iter().enumerate())
-                .map(|(rank, &id)| {
+            let handles: Vec<_> = (seats.enumerate())
+                .map(|(rank, (id, seat))| {
                     let w = Worker {
                         id,
                         rank,
-                        port: port.clone(),
+                        seat: seat.get_or_insert_with(|| Seat {
+                            port: port.clone(),
+                            model: self.template.clone(),
+                            buf: port.new_buffer(),
+                            scratch: StepScratch::default(),
+                            wt: WorkerTelemetry::new(&self.telemetry),
+                        }),
                         shard: &self.shards[id],
-                        model: self.template.clone(),
                         cfg: &self.cfg,
                         base_step: self.global_step,
                         gate: &gate,
@@ -1159,9 +1153,6 @@ impl Trainer {
                         profile: WorkerProfile::default(),
                         hist: StalenessHistogram::new(),
                         shard_hist: ShardStaleness::new(port.shard_count()),
-                        buf: port.new_buffer(),
-                        scratch: StepScratch::default(),
-                        wt: WorkerTelemetry::new(&self.telemetry),
                         wall_start: None,
                     };
                     scope.spawn(move || w.run(tail, steps))
@@ -1214,7 +1205,7 @@ mod tests {
     /// Assumes the batch 8 / lr 0.05 / momentum 0.9 every trainer here uses.
     fn sequential_sgd(t: &Trainer, seed: u64, rounds: u64) -> Vec<f32> {
         let workers = t.shards.len();
-        let mut params = t.plane.snapshot_params();
+        let mut params = t.snapshot_params();
         let mut model = t.template.clone();
         let mut opt = SgdMomentum::new(model.param_count(), 0.05, 0.9);
         for r in 0..rounds {
@@ -1371,7 +1362,7 @@ mod tests {
         let rounds = 10;
         let params = sequential_sgd(&t, 7, rounds);
         let r = t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
-        let distributed = t.plane.snapshot_params();
+        let distributed = t.snapshot_params();
         // Every barrier round drains stage 2, and BSP stays fresh per shard
         // on every server.
         assert_eq!(r.sync_rounds, rounds);
@@ -1661,15 +1652,19 @@ mod tests {
     fn single_worker_asp_equals_leashed_ssp_on_every_plane() {
         // With one worker nothing is concurrent, so a leash of any length
         // never holds and SSP must be ASP bit for bit — on the single
-        // store, through the in-process router, and over a wire tier.
+        // store, through the in-process router, and over both wire tiers.
+        // So must ASP cut into 8 segments: a worker keeps its seat across
+        // a boundary, and on a wire tier the image its last push brought
+        // home is served to the next segment's first pull.
         let inproc = crate::config::ServerTopology::new(2, 4);
         let planes = [
             (5, crate::config::ServerTopology::default()),
             (7, inproc),
             (7, inproc.with_transport(TransportKind::Channel)),
+            (7, inproc.with_transport(TransportKind::Tcp)),
         ];
         for (shards, topology) in planes {
-            let run = |leash: Option<u64>| {
+            let run = |leash: Option<u64>, segments: u64| {
                 let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 31);
                 let (train, test) = data.split(0.25);
                 let mut cfg = TrainerConfig::new(1, 8, 0.05, 0.9)
@@ -1677,18 +1672,84 @@ mod tests {
                     .with_topology(topology);
                 cfg.shards = shards;
                 let mut t = Trainer::new(Network::mlp(6, &[16], 4, 31), train, test, cfg);
-                let r = t.run_leashed(SyncProtocol::Asp, leash, 40).unwrap();
-                (t.checkpoint(), r.staleness, r.shard_staleness.max())
+                let mut staleness = StalenessHistogram::new();
+                let mut shard_max = None;
+                for _ in 0..segments {
+                    let r = t
+                        .run_leashed(SyncProtocol::Asp, leash, 40 / segments)
+                        .unwrap();
+                    staleness.merge(&r.staleness);
+                    shard_max = shard_max.max(r.shard_staleness.max());
+                }
+                (t.checkpoint(), staleness, shard_max)
             };
-            let asp = run(None);
-            for bound in [0, 3] {
-                let ssp = run(Some(bound));
-                assert_eq!(ssp.0.params, asp.0.params, "{topology:?} SSP({bound})");
-                assert_eq!(ssp.0.velocity, asp.0.velocity, "{topology:?} SSP({bound})");
-                assert_eq!(ssp.1, asp.1, "{topology:?} SSP({bound}) staleness");
-                assert_eq!(ssp.2, asp.2, "{topology:?} SSP({bound}) shard staleness");
+            let asp = run(None, 1);
+            for (leash, segments) in [(Some(0), 1), (Some(3), 1), (None, 8)] {
+                let what = format!("{topology:?} leash {leash:?} × {segments} segments");
+                let other = run(leash, segments);
+                assert_eq!(other.0.params, asp.0.params, "{what}");
+                assert_eq!(other.0.velocity, asp.0.velocity, "{what}");
+                assert_eq!(other.1, asp.1, "{what}: staleness");
+                assert_eq!(other.2, asp.2, "{what}: shard staleness");
             }
         }
+    }
+
+    #[test]
+    fn bsp_is_blind_to_segment_boundaries_on_every_plane() {
+        // Two workers, so a stripe's sum is the same whichever contributes
+        // first: 40 BSP rounds as one segment and as 8 segments of 5 leave
+        // the same parameters and velocity bit for bit on every plane.
+        let two = crate::config::ServerTopology::new(2, 4);
+        let planes = [
+            crate::config::ServerTopology::default(),
+            two,
+            two.with_transport(TransportKind::Channel),
+            two.with_transport(TransportKind::Tcp),
+        ];
+        for topology in planes {
+            let run = |segments: u64| {
+                let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 32);
+                let (train, test) = data.split(0.25);
+                let mut cfg = TrainerConfig::new(2, 8, 0.05, 0.9)
+                    .with_seed(32)
+                    .with_topology(topology);
+                cfg.shards = 5;
+                let mut t = Trainer::new(Network::mlp(6, &[16], 4, 32), train, test, cfg);
+                for _ in 0..segments {
+                    t.run_segment(SyncProtocol::Bsp, 40 / segments).unwrap();
+                }
+                t.checkpoint()
+            };
+            let (whole, split) = (run(1), run(8));
+            assert_eq!(split.step, 40, "{topology:?}");
+            assert_eq!(split.params, whole.params, "{topology:?}");
+            assert_eq!(split.velocity, whole.velocity, "{topology:?}");
+        }
+    }
+
+    #[test]
+    fn a_restore_after_a_heal_starts_every_worker_on_fresh_sockets() {
+        // The workers' connections outlive an ordinary segment boundary,
+        // but not a restore: after server 0 is killed and revived, the
+        // restore that follows every heal drops them, so the next segment
+        // dials the new instance instead of failing on the dead sockets.
+        let data = Dataset::gaussian_blobs(3, 40, 5, 0.3, 34);
+        let (train, test) = data.split(0.25);
+        let topology = crate::config::ServerTopology::new(2, 4).with_transport(TransportKind::Tcp);
+        let cfg = TrainerConfig::new(2, 8, 0.05, 0.9)
+            .with_seed(34)
+            .with_topology(topology);
+        let mut t = Trainer::new(Network::mlp(5, &[8], 3, 34), train, test, cfg);
+        t.run_segment(SyncProtocol::Asp, 20).unwrap();
+        let ck = t.checkpoint();
+        let router = t.net_router().expect("wire plane");
+        router.kill_server(0).unwrap();
+        router.revive_server(0).unwrap();
+        t.restore(&ck).unwrap();
+        let r = t.run_segment(SyncProtocol::Asp, 20).unwrap();
+        assert_eq!((r.transport.reconnects, r.transport.retries), (0, 0));
+        assert_eq!(r.steps, 20);
     }
 
     #[test]

@@ -61,9 +61,11 @@ pub(crate) struct SeqEntry {
 }
 
 /// Most clients the dedup table remembers. Every worker connection slot
-/// is a client, and every training segment opens fresh ones, so a
-/// long-lived server sees an unbounded stream of ids; only the ones that
-/// may still re-send matter, and those are the recent ones.
+/// is a client. A trainer keeps its workers' slots across segments, but a
+/// `ps-serve` outlives the `ps-worker` processes that connect to it, their
+/// crash retries and every restore (each starts its workers on new slots),
+/// so a long-lived server still sees an unbounded stream of ids; only the
+/// ones that may still re-send matter, and those are the recent ones.
 pub(crate) const SEQ_DEDUP_CAP: usize = 1024;
 
 /// The sequenced-request dedup table: client id → entry, with the tick of

@@ -256,6 +256,23 @@ mod tests {
     }
 
     #[test]
+    fn zero_batch_plan_is_refused_and_changes_nothing() {
+        // A zero batch used to pass validation, and the next segment's
+        // workers all panicked sampling it: a config error reported as a
+        // dead server.
+        let mut t = trainer();
+        let before = t.config().clone();
+        let plan = SwitchPlan {
+            per_worker_batch: 0,
+            ..SwitchPlan::keep_hyper(&before, SyncProtocol::Asp, false)
+        };
+        let err = execute_switch(&mut t, &plan).unwrap_err();
+        assert!(matches!(err, PsError::InvalidConfig(_)), "{err:?}");
+        assert_eq!(t.config().per_worker_batch, before.per_worker_batch);
+        assert_eq!(t.protocol(), SyncProtocol::Bsp);
+    }
+
+    #[test]
     fn multi_server_switch_drains_stage2_rounds() {
         let data = Dataset::gaussian_blobs(3, 60, 5, 0.3, 22);
         let (train, test) = data.split(0.25);

@@ -16,7 +16,10 @@
 //!
 //! Workers hold a [`NetPort`] clone each; a clone lazily opens its own
 //! connection per server (connection-per-worker on both backends), so
-//! worker threads never share a socket or contend on a connection lock.
+//! worker threads never share a socket or contend on a connection lock. A
+//! trainer keeps each worker's clone across segments and drops it only on
+//! a failed segment or a restore, so a worker dials each server once per
+//! lifetime, not once per segment.
 //!
 //! Every operation is strictly request/reply. A sync round commits each
 //! server in one round trip, and a push sends each server *all* of the
@@ -148,8 +151,6 @@ struct WireCounters {
     push: OpCounters,
     pull: OpCounters,
     sync: OpCounters,
-    /// Failed attempts that were re-sent (zero on a clean network).
-    retries: AtomicU64,
     /// Connections re-established after breaking.
     reconnects: AtomicU64,
 }
@@ -224,26 +225,18 @@ pub(crate) struct ConnSet {
 }
 
 impl ConnSet {
-    fn with_capacity(servers: usize) -> Self {
+    fn new(servers: usize) -> Self {
         ConnSet {
             per_server: (0..servers).map(|_| ConnSlot::fresh()).collect(),
         }
     }
 
-    fn slot(&mut self, server: usize, servers: usize) -> &mut ConnSlot {
-        if self.per_server.is_empty() {
-            self.per_server = (0..servers).map(|_| ConnSlot::fresh()).collect();
-        }
-        &mut self.per_server[server]
-    }
-
     /// Drops the cached connection to `server` (after a kill/revive the old
     /// socket points at a dead instance).
     fn invalidate(&mut self, server: usize) {
-        if let Some(slot) = self.per_server.get_mut(server) {
-            slot.conn = None;
-            slot.prefetch = None;
-        }
+        let slot = &mut self.per_server[server];
+        slot.conn = None;
+        slot.prefetch = None;
     }
 }
 
@@ -281,6 +274,7 @@ pub struct NetRouter {
     /// engine's step spans.
     telemetry: Arc<Telemetry>,
     /// `wire.sync_rounds` and `wire.retries` on that bus, resolved once.
+    /// The latter is the one retry count: [`NetRouter::stats`] reads it.
     sync_rounds_counter: Arc<Counter>,
     retries_counter: Arc<Counter>,
     /// Serializes stage-2 rounds and the control plane; holds the control
@@ -347,7 +341,7 @@ impl NetRouter {
             sync_rounds_counter: telemetry.metrics.counter("wire.sync_rounds"),
             retries_counter: telemetry.metrics.counter("wire.retries"),
             telemetry,
-            sync: Mutex::new(ConnSet::with_capacity(tier.server_count())),
+            sync: Mutex::new(ConnSet::new(tier.server_count())),
             tier,
             transport,
         }
@@ -458,7 +452,7 @@ impl NetRouter {
             push: self.stats.push.snapshot(),
             pull: self.stats.pull.snapshot(),
             sync: self.stats.sync.snapshot(),
-            retries: self.stats.retries.load(Ordering::Relaxed),
+            retries: self.retries_counter.get(),
             reconnects: self.stats.reconnects.load(Ordering::Relaxed),
         }
     }
@@ -531,7 +525,7 @@ impl NetRouter {
         decode: &mut dyn FnMut(&[u8]) -> Result<T, WireError>,
     ) -> Result<T, PsError> {
         let timeout = Duration::from_millis(policy.op_timeout_ms);
-        let slot = conns.slot(server, self.tier.server_count());
+        let slot = &mut conns.per_server[server];
         slot.prefetch = None;
         let carries_pull = booking.is_some_and(|b| b.carries_pull);
         let seq = slot.next_seq;
@@ -540,7 +534,6 @@ impl NetRouter {
         let mut unreachable = false;
         for attempt in 0..attempts {
             if attempt > 0 {
-                self.stats.retries.fetch_add(1, Ordering::Relaxed);
                 self.retries_counter.inc();
                 self.telemetry.trace.instant(TraceKind::PushRetry {
                     server: server as u64,
@@ -656,7 +649,7 @@ impl NetRouter {
                     .unwrap_or_else(|e| panic!("sync round failed: {e}"));
                 let epoch = self.tick_view_epoch(s);
                 if with_pull {
-                    conns.slot(s, servers).prefetch = Some(epoch);
+                    conns.per_server[s].prefetch = Some(epoch);
                 }
             }
         });
@@ -846,7 +839,7 @@ impl NetRouter {
         )
         .unwrap_or_else(|e| panic!("push failed: {e}"));
         if prefetch {
-            conns.slot(s, self.tier.server_count()).prefetch = Some(epoch);
+            conns.per_server[s].prefetch = Some(epoch);
         }
     }
 
@@ -873,7 +866,6 @@ impl NetRouter {
         buf: &mut PullBuffer,
         runs: Option<&[(usize, usize)]>,
     ) -> u64 {
-        let servers = self.tier.server_count();
         self.tier.pull_with(buf, |all_params, all_clocks| {
             for (s, slice) in self.tier.slices().iter().enumerate() {
                 let (po, pl) = slice.param_range;
@@ -881,7 +873,7 @@ impl NetRouter {
                 let params = &mut all_params[po..po + pl];
                 let clocks = &mut all_clocks[so..so + slice.shard_count];
                 if runs.is_none() {
-                    let held = conns.slot(s, servers).prefetched(self.view_epoch(s));
+                    let held = conns.per_server[s].prefetched(self.view_epoch(s));
                     if held.is_some_and(|it| wire::decode_pulled_into(it, params, clocks).is_ok()) {
                         continue;
                     }
@@ -1224,7 +1216,11 @@ struct PortState {
 /// yields a handle with empty state, so every worker thread ends up with
 /// its own connections (connection-per-worker) without any cross-thread
 /// sharing — the per-clone mutex is only ever contended by its owning
-/// thread.
+/// thread. A clone lives as long as its worker's seat in the trainer: its
+/// connections, client ids and any image a reply left on them carry over
+/// a segment boundary (the stamp rule decides whether that image is still
+/// served), and a restore drops it, because a healed server's old sockets
+/// are dead.
 #[derive(Debug)]
 pub struct NetPort {
     /// Declared before `router` so a clone's connections close before the
@@ -1241,8 +1237,12 @@ impl Clone for NetPort {
 
 impl NetPort {
     fn over(router: Arc<NetRouter>) -> Self {
+        let conns = ConnSet::new(router.server_count());
         NetPort {
-            state: Mutex::new(PortState::default()),
+            state: Mutex::new(PortState {
+                conns,
+                ..PortState::default()
+            }),
             router,
         }
     }
@@ -1769,6 +1769,46 @@ mod tests {
             snap.counters["wire.sync_rounds"],
             net.router().sync_rounds()
         );
+    }
+
+    #[test]
+    fn workers_keep_their_client_ids_across_segments() {
+        use crate::{Trainer, TrainerConfig, WorkerPort};
+        use sync_switch_nn::{Dataset, Network};
+        use sync_switch_workloads::SyncProtocol;
+        // The servers are built here so the test can read their dedup
+        // tables after the trainer has run over them.
+        let data = Dataset::gaussian_blobs(3, 40, 5, 0.3, 35);
+        let (train, test) = data.split(0.25);
+        let model = Network::mlp(5, &[8], 3, 35);
+        let topology = ServerTopology::new(2, 4).with_transport(TransportKind::Channel);
+        let mut cfg = TrainerConfig::new(2, 8, 0.05, 0.9)
+            .with_seed(35)
+            .with_topology(topology);
+        cfg.shards = 4;
+        let initial = model.params_flat();
+        let tier = Tier::new(
+            initial.len(),
+            cfg.shards,
+            topology.servers,
+            topology.sync_every,
+        );
+        let servers: Vec<Arc<PsServer>> = (0..tier.server_count())
+            .map(|s| Arc::new(tier.server(s, &initial)))
+            .collect();
+        let transport = Box::new(ChannelTransport::launch(servers.clone()));
+        let router = NetRouter::over(TransportKind::Channel, tier, topology.retry, transport);
+        let port = WorkerPort::Net(NetPort::over(Arc::new(router)));
+        let mut t = Trainer::with_port(model, train, test, cfg, port);
+        for _ in 0..10 {
+            t.run_segment(SyncProtocol::Asp, 10).unwrap();
+        }
+        t.drain_sync();
+        // Every worker pushed to every server: two worker slots, plus the
+        // control plane's drain — not a fresh pair of ids per segment.
+        for server in &servers {
+            assert_eq!(server.seq_clients(), 3, "server {}", server.id());
+        }
     }
 
     #[test]

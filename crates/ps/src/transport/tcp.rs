@@ -286,8 +286,8 @@ fn accept_loop(
             .expect("spawn ps tcp connection handler");
         let mut guard = handlers.lock();
         // Reap handlers whose clients already hung up, so a long-lived
-        // tier that keeps opening per-segment connections does not
-        // accumulate dead JoinHandles until drop.
+        // tier does not accumulate dead JoinHandles until drop: probes
+        // dial fresh, and every restore and worker process reconnects.
         let mut i = 0;
         while i < guard.len() {
             if guard[i].is_finished() {
