@@ -22,7 +22,7 @@
 //! the topology is picked by [`TrainerConfig::topology`] at construction.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -272,21 +272,32 @@ enum SyncTail {
 /// Each stripe maps 1:1 onto a store shard and carries its own lock, so
 /// workers aggregating different stripes proceed concurrently instead of
 /// funnelling every gradient through one global accumulator mutex. The last
-/// contributor to a stripe applies that stripe's averaged update to its
-/// shard; the worker that applies the last outstanding stripe completes the
-/// push and advances the segment's round gate, whose epoch is therefore the
-/// count of completed rounds: a worker leaves round `r` once it passes `r`.
+/// contributor to a stripe averages it and, in-process, applies it to its
+/// shard; the worker that completes the last outstanding stripe ends the
+/// round ([`Worker::end_round`]) and advances the segment's round gate,
+/// whose epoch is therefore the count of completed rounds: a worker leaves
+/// round `r` once it passes `r`.
 struct BspShared {
     stripes: Vec<Mutex<Stripe>>,
     /// Workers contributing to every stripe.
     n_active: usize,
-    /// Stripes applied in the current round.
+    /// Stripes completed in the current round.
     applied: AtomicUsize,
+    /// On a wire tier, the committed image the last round's commit brought
+    /// home, which every worker's next step installs instead of pulling
+    /// (`None` until a round has ended, and always in-process).
+    image: RwLock<Option<PullBuffer>>,
 }
+
+/// Why [`BspShared::image`] is never found poisoned: a final applier that
+/// panics writing it aborts the gate, so no worker takes another step.
+const IMAGE_WRITER_PANICKED: &str = "a round image writer that panicked ended the segment";
 
 /// One stripe's accumulation state for the in-flight round.
 struct Stripe {
     accum: Vec<f32>,
+    /// Contributions so far this round; the round's first overwrites what
+    /// the last one left in `accum`.
     count: usize,
 }
 
@@ -304,6 +315,7 @@ impl BspShared {
             stripes,
             n_active,
             applied: AtomicUsize::new(0),
+            image: RwLock::new(None),
         }
     }
 }
@@ -390,12 +402,17 @@ impl Worker<'_> {
     }
 
     /// The part of a step every protocol shares: draw the batch, pull what
-    /// it reads, compute loss and gradient. `None` means the loss was
-    /// non-finite or above the divergence threshold: the step is recorded
-    /// as the segment's divergence point, the gate is aborted so every peer
-    /// stops, and the caller must leave its loop.
+    /// it reads — or install it from `image` once that holds one (see
+    /// [`BspShared::image`]) — compute loss and gradient. `None` means the
+    /// loss was non-finite or above the divergence threshold: the step is
+    /// recorded as the segment's divergence point, the gate is aborted so
+    /// every peer stops, and the caller must leave its loop.
     #[inline]
-    pub(crate) fn compute_step(&mut self, step_id: u64) -> Option<Step> {
+    pub(crate) fn compute_step(
+        &mut self,
+        step_id: u64,
+        image: Option<&RwLock<Option<PullBuffer>>>,
+    ) -> Option<Step> {
         let cfg = self.cfg;
         let t0 = Instant::now();
         self.wall_start.get_or_insert(t0);
@@ -404,7 +421,9 @@ impl Worker<'_> {
         // says what to pull.
         let mut rng = step_rng(cfg.seed, self.id, step_id);
         let (x, y) = self.shard.sample_batch(cfg.per_worker_batch, &mut rng);
-        let version = self.pull(&x);
+        let image = image.map(|lock| lock.read().expect(IMAGE_WRITER_PANICKED));
+        let version = self.pull(&x, image.as_deref().and_then(Option::as_ref));
+        drop(image);
         if let Some(d) = cfg.straggler_delay[self.id] {
             std::thread::sleep(d);
         }
@@ -432,21 +451,30 @@ impl Worker<'_> {
     /// parameter of the model keeps a stale value the step never looks at);
     /// otherwise this is a full pull and `set_params_flat`. Either way
     /// `scratch.runs` says what moved, for [`Worker::push`], and the pulled
-    /// version is returned.
-    fn pull(&mut self, x: &Tensor) -> u64 {
+    /// version is returned. With an `image` nothing is pulled: the step
+    /// installs from it and takes its clocks, as a pull would have.
+    fn pull(&mut self, x: &Tensor, image: Option<&PullBuffer>) -> u64 {
         let seat = &mut *self.seat;
         let runs = &mut seat.scratch.runs;
-        if self.cfg.sparse_push && seat.model.param_read_runs_into(x, runs) {
-            let version = seat.port.pull_runs_into(&mut seat.buf, runs);
-            seat.model.set_params_runs(seat.buf.params(), runs);
-            version
+        let sparse = self.cfg.sparse_push && seat.model.param_read_runs_into(x, runs);
+        let version = match image {
+            Some(image) => {
+                seat.buf.shard_versions.clone_from(&image.shard_versions);
+                seat.buf.version = image.version;
+                image.version
+            }
+            None if sparse => seat.port.pull_runs_into(&mut seat.buf, runs),
+            None => seat.port.pull_into(&mut seat.buf),
+        };
+        let params = image.unwrap_or(&seat.buf).params();
+        if sparse {
+            seat.model.set_params_runs(params, runs);
         } else {
-            let version = seat.port.pull_into(&mut seat.buf);
-            seat.model.set_params_flat(seat.buf.params());
+            seat.model.set_params_flat(params);
             runs.clear();
-            runs.push((0, seat.buf.params().len()));
-            version
+            runs.push((0, params.len()));
         }
+        version
     }
 
     /// The asynchronous push of the gradient [`Worker::compute_step`] just
@@ -501,14 +529,45 @@ impl Worker<'_> {
             }
         }
         port.flush_pushes(acks);
-        assert_eq!(acks.len(), port.shard_count(), "one ack per pushed shard");
+        self.record_acks();
+        let port = &self.seat.port;
+        let staleness = port.complete_push(self.seat.buf.version());
+        port.after_push();
+        staleness
+    }
+
+    /// One per-shard staleness observation per ack in the scratch: the
+    /// shard's acked pre-apply clock against its clock at pull time.
+    fn record_acks(&mut self) {
+        let (acks, shards) = (&self.seat.scratch.acks, self.seat.port.shard_count());
+        assert_eq!(acks.len(), shards, "one ack per pushed shard");
         for (i, prev) in acks.iter().enumerate() {
             let behind = prev.saturating_sub(self.seat.buf.shard_version(i));
             self.shard_hist.record(i, behind);
         }
-        let staleness = port.complete_push(self.seat.buf.version());
-        port.after_push();
-        staleness
+    }
+
+    /// The end of a BSP round, run by the worker that completed its last
+    /// stripe while every peer is held at the gate: completes the push, and
+    /// publishes the round to every server's committed view before anyone
+    /// can read it. In-process the stripes are applied already and this is
+    /// a drain. On a wire tier it is the round's one request per server
+    /// ([`NetPort::push_round`]): the staged stripes, the drain, and the
+    /// committed image that every worker's next step installs.
+    fn end_round(&mut self, shared: &BspShared, version: u64) {
+        let port = &self.seat.port;
+        port.complete_push(version);
+        let WorkerPort::Net(net) = port else {
+            return port.end_round();
+        };
+        let mut held = shared.image.write().expect(IMAGE_WRITER_PANICKED);
+        let image = held.get_or_insert_with(PullBuffer::new);
+        let (lr, mu) = (self.cfg.learning_rate, self.cfg.momentum);
+        let acks = &mut self.seat.scratch.acks;
+        acks.clear();
+        let stripe = |g: usize, push: &mut dyn FnMut(&[f32])| push(&shared.stripes[g].lock().accum);
+        net.push_round(stripe, lr, mu, acks, image);
+        self.record_acks();
     }
 
     /// Books a delivered step: its busy time and loss, its global staleness
@@ -536,7 +595,7 @@ impl Worker<'_> {
     /// Waits at the segment's gate until `ready` holds or the gate is
     /// aborted, tracing the whole wait — spin, yield and park — as this
     /// worker's barrier wait, so the barrier-wait fraction the controller
-    /// promotes on covers BSP barriers and SSP back-pressure alike.
+    /// promotes on covers SSP back-pressure as it covers BSP barriers.
     pub(crate) fn wait_at_gate(&mut self, ready: impl FnMut() -> bool) {
         let wait_ns = self.seat.wt.now_ns();
         let parked = self.gate.wait_until(ready);
@@ -550,81 +609,81 @@ impl Worker<'_> {
 /// Aggregation is striped per store shard: workers walk the stripes
 /// starting at their own offset, so at any instant different workers
 /// are summing into different stripes under different locks. The last
-/// contributor to a stripe averages and applies it immediately; the
-/// worker that applies the final outstanding stripe completes the push
-/// and advances the round gate, which the other workers are spinning,
-/// yielding or parked on (see [`crate::gate`]). Numerically this is the
-/// same sum-then-average-then-apply as a single-mutex accumulator
-/// (per-stripe sums commute across workers exactly like a global sum
-/// does), so BSP keeps its bit-for-bit agreement with sequential
-/// large-batch SGD up to f32 summation order.
+/// contributor to a stripe averages it, and in-process applies it at once;
+/// on a wire tier it stays staged for the round's commit. The worker that
+/// completes the final outstanding stripe ends the round
+/// ([`Worker::end_round`]) and advances the round gate, which the other
+/// workers are spinning, yielding or parked on (see [`crate::gate`]).
+/// Numerically this is the same sum-then-average-then-apply as a
+/// single-mutex accumulator (per-stripe sums commute across workers
+/// exactly like a global sum does), so BSP keeps its bit-for-bit agreement
+/// with sequential large-batch SGD up to f32 summation order.
 fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
     let gate = w.gate;
     let n_stripes = shared.stripes.len();
     let n_active = shared.n_active;
     let (lr, mu) = (w.cfg.learning_rate, w.cfg.momentum);
+    let staged = matches!(w.seat.port, WorkerPort::Net(_));
     for r in 0..rounds {
         if gate.is_aborted() {
             break;
         }
-        let Some(step) = w.compute_step(w.base_step + r) else {
+        let Some(step) = w.compute_step(w.base_step + r, Some(&shared.image)) else {
             break;
         };
-        let compute_time = step.t0.elapsed();
+        // The step span closes with the compute. The round's tail — summing
+        // into the stripes and, for the final applier, the round's commit —
+        // is synchronisation, so it is timed with the barrier wait, which
+        // the controller's promote rule weighs against the step time.
+        let busy = step.t0.elapsed();
+        let tail_ns = w.seat.wt.now_ns();
+        w.record_step(&step, busy, None);
 
         // Striped barrier: contribute each stripe, starting at this
         // worker's offset so concurrent workers sum into disjoint stripes.
-        // Last contributor per stripe averages and applies it.
         for k in 0..n_stripes {
             let i = (w.rank + k) % n_stripes;
-            let (port, buf) = (&w.seat.port, &w.seat.buf);
-            let (offset, len) = port.shard_range(i);
+            let (offset, len) = w.seat.port.shard_range(i);
+            let grad = &w.seat.scratch.grad.as_slice()[offset..offset + len];
             let mut stripe = shared.stripes[i].lock();
             let state = &mut *stripe;
-            let grad = &w.seat.scratch.grad.as_slice()[offset..offset + len];
-            for (a, g) in state.accum.iter_mut().zip(grad) {
-                *a += g;
+            if state.count == 0 {
+                state.accum.copy_from_slice(grad);
+            } else {
+                state.accum.iter_mut().zip(grad).for_each(|(a, g)| *a += g);
             }
             state.count += 1;
-            if state.count == n_active {
-                let scale = 1.0 / n_active as f32;
-                state.accum.iter_mut().for_each(|a| *a *= scale);
-                let prev = port.apply_shard_update(i, &state.accum, lr, mu);
-                w.shard_hist
-                    .record(i, prev.saturating_sub(buf.shard_version(i)));
-                state.accum.iter_mut().for_each(|a| *a = 0.0);
-                state.count = 0;
-                drop(stripe);
-                // AcqRel: the final applier must observe the other
-                // appliers' increments (Acquire) and publish its own apply
-                // before the round advance (Release); the shard data itself
-                // is ordered by the shard mutexes.
-                if shared.applied.fetch_add(1, Ordering::AcqRel) + 1 == n_stripes {
-                    port.complete_push(step.version);
-                    // Stage-2 drain: publish this round's applies to every
-                    // server's committed view before any worker can pull
-                    // the next round (everyone else is held at the gate
-                    // below, so the commit cannot race a pull).
-                    port.end_round();
-                    // Relaxed: the reset is published to the next round's
-                    // appliers by the gate's epoch — Release in `advance`,
-                    // Acquire in the `wait_until` they must pass through
-                    // first.
-                    shared.applied.store(0, Ordering::Relaxed);
-                    gate.advance();
-                }
+            if state.count < n_active {
+                continue;
+            }
+            state.count = 0;
+            let scale = 1.0 / n_active as f32;
+            state.accum.iter_mut().for_each(|a| *a *= scale);
+            if !staged {
+                let prev = w.seat.port.apply_shard_update(i, &state.accum, lr, mu);
+                let behind = prev.saturating_sub(w.seat.buf.shard_version(i));
+                w.shard_hist.record(i, behind);
+            }
+            drop(stripe);
+            // AcqRel: the final applier must observe the other appliers'
+            // increments (Acquire) and publish its own apply before the
+            // round advance (Release); the shard data itself is ordered by
+            // the shard mutexes.
+            if shared.applied.fetch_add(1, Ordering::AcqRel) + 1 == n_stripes {
+                w.end_round(shared, step.version);
+                // Relaxed: the reset is published to the next round's
+                // appliers by the gate's epoch — Release in `advance`,
+                // Acquire in the `wait_until` they must pass through first.
+                shared.applied.store(0, Ordering::Relaxed);
+                gate.advance();
             }
         }
-
-        // The step span closes once this worker's contributions (and any
-        // stripes it applied) are in — the barrier wait is traced
-        // separately.
-        w.record_step(&step, compute_time, None);
 
         // Barrier wait: every pull of round r completes before any stripe
         // of round r is applied (a stripe needs all contributions, and
         // contributing implies having pulled), so BSP pulls are never torn.
-        w.wait_at_gate(|| gate.epoch() > r);
+        let parked = gate.wait_until(|| gate.epoch() > r);
+        w.seat.wt.barrier_wait(w.id, tail_ns, parked);
         // The round is only delivered once the barrier releases, so the
         // wall span includes the wait.
         w.mark_wall();
@@ -1259,13 +1318,18 @@ mod tests {
 
     #[test]
     fn asp_completes_exact_steps_with_staleness() {
+        // A delay between every worker's pull and its push keeps all four
+        // inside their windows together, so stale pushes do not depend on
+        // how the scheduler happens to run the threads.
         let mut t = small_trainer(4, 2);
+        let mut cfg = t.config().clone();
+        cfg.straggler_delay = vec![Some(Duration::from_millis(1)); 4];
+        t.set_config(cfg).unwrap();
         let r = t.run_segment(SyncProtocol::Asp, 200).unwrap();
         assert_eq!(r.steps, 200);
         assert_eq!(t.store().unwrap().version(), 200);
         let total: usize = r.worker_profiles.iter().map(|p| p.steps()).sum();
         assert_eq!(total, 200);
-        // Real concurrency produces some stale pushes with 4 workers.
         assert!(
             r.staleness.mean() > 0.1,
             "expected stale gradients, mean {}",
@@ -1646,6 +1710,38 @@ mod tests {
         let counts = bus.trace.counts_by_name();
         assert_eq!(counts.get("step"), Some(&expected));
         assert_eq!(counts.get("barrier_wait"), Some(&waits));
+    }
+
+    #[test]
+    fn a_bsp_round_tail_is_timed_as_synchronisation() {
+        // The controller promotes on barrier / (barrier + step). What a BSP
+        // worker does after its compute — summing into the stripes and, for
+        // the final applier, the round's commit over the wire — must count in
+        // one of the two, or the rule cannot see what a round costs.
+        let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 36);
+        let (train, test) = data.split(0.25);
+        let topology = crate::config::ServerTopology::new(2, 4);
+        let mut cfg = TrainerConfig::new(2, 8, 0.05, 0.9)
+            .with_seed(36)
+            .with_topology(topology.with_transport(TransportKind::Channel));
+        cfg.shards = 4;
+        let mut t = Trainer::new(Network::mlp(6, &[16], 4, 36), train, test, cfg);
+        let r = t.run_segment(SyncProtocol::Bsp, 200).unwrap();
+        let mut barrier_ns = [0u64; 2];
+        for event in t.bus().trace.events() {
+            if let TraceKind::BarrierWait { worker } = event.kind {
+                barrier_ns[worker as usize] += event.dur_ns;
+            }
+        }
+        for (w, profile) in r.worker_profiles.iter().enumerate() {
+            let step_ns = profile.step_durations.iter().sum::<Duration>().as_nanos() as u64;
+            let wall_ns = profile.wall_time.as_nanos() as u64;
+            assert!(
+                10 * (step_ns + barrier_ns[w]) >= 9 * wall_ns,
+                "worker {w}: step {step_ns} ns + barrier {} ns of wall {wall_ns} ns",
+                barrier_ns[w]
+            );
+        }
     }
 
     #[test]

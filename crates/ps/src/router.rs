@@ -703,9 +703,11 @@ impl WorkerPort {
         }
     }
 
-    /// End-of-barrier hook for BSP: drains stage 2 so the next round's
-    /// pulls see exactly the state this round produced (no-op on the single
-    /// store, whose pulls always read live state).
+    /// Drains stage 2 so the next pulls see exactly the state the pushes so
+    /// far produced (no-op on the single store, whose pulls always read live
+    /// state): the in-process BSP barrier's end of round — on a wire tier
+    /// the drain rides the round's pushes ([`NetPort::push_round`]) — and
+    /// what [`crate::Trainer::drain_sync`] runs.
     pub fn end_round(&self) {
         match self {
             WorkerPort::Single(_) => {}

@@ -114,7 +114,7 @@ pub(crate) fn async_loop(w: &mut Worker<'_>, shared: &AsyncShared, steps: u64) {
             }
             break;
         }
-        let Some(step) = w.compute_step(w.base_step + s) else {
+        let Some(step) = w.compute_step(w.base_step + s, None) else {
             break;
         };
         let staleness = w.push();

@@ -912,7 +912,9 @@ mod tests {
             std::thread::spawn(move || {
                 let mut buf = PullBuffer::new();
                 let mut pulls = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // At least one pull, even if the pushers finish before this
+                // thread is first scheduled.
+                while pulls == 0 || !stop.load(Ordering::Relaxed) {
                     let v = store.pull_into(&mut buf);
                     assert_eq!(buf.params().len(), 256);
                     assert_eq!(buf.version(), v);

@@ -40,8 +40,11 @@
 //! each image with a per-server view epoch read before the send and asks
 //! the server again when the epoch has moved, which keeps the guarantee a
 //! pull has always given — it reflects every round completed before it was
-//! asked for. BSP, a segment's first step, steps that pull by run and
-//! reconnects pay the round trip as before.
+//! asked for. A segment's first step, steps that pull by run and
+//! reconnects pay the round trip as before. A BSP round is one round trip
+//! per server in all: the worker that completes it sends each server its
+//! averaged stripes, a `Drain` and a `PullCommitted` in one batch, and
+//! every worker's next step installs the images that come back.
 //!
 //! [`ServerEndpoint`] executes a batch as a loop over its items and
 //! accounts each under its own opcode; the sequencing wrapper and its

@@ -40,9 +40,16 @@
 //! connections). The `Pulled` image stays in the connection's reply buffer
 //! and the worker's next [`NetPort::pull_into`] decodes it from there. A
 //! push that will make a round due leaves the pull to the round. A pull by
-//! run, a per-shard apply, BSP's stripes and its barrier drain never carry
-//! one: which runs the next step reads is unknown before its batch is
-//! drawn, and a barrier's drain belongs to no particular worker.
+//! run and a per-shard apply never carry one: which runs the next step
+//! reads is unknown before its batch is drawn.
+//!
+//! **A BSP round is one round trip per server.** The worker that completes
+//! a round sends each server its averaged stripes, a `Drain` and a
+//! `PullCommitted` as one batch ([`NetPort::push_round`]) and decodes the
+//! committed images into one image its process shares: every worker of the
+//! round starts the next one from it instead of pulling, which is exact,
+//! because they are all held at the round's barrier from the commit until
+//! they read it.
 //!
 //! **The stamp rule.** Each image is stamped with its server's *view epoch*
 //! ([`NetRouter::view_epochs`]) read before the request is first sent, and
@@ -167,6 +174,22 @@ struct Booking<'a> {
     /// is booked as one pull operation with its own item's bytes and no
     /// round trip or wire time: those stay on `class`.
     carries_pull: bool,
+    /// Whether a `Drain` rides just ahead of that pull (BSP's round
+    /// commit), booked the same way as one sync operation.
+    drains: bool,
+}
+
+/// What follows a server's staged pushes in their batch.
+enum Tail<'a> {
+    /// Nothing: the reply is the acks.
+    Acks,
+    /// The worker's next pull: a `PullCommitted`, whose `Pulled` image stays
+    /// on the connection for [`NetPort::pull_into`] to decode.
+    Prefetch,
+    /// BSP's round commit: a `Drain`, then a `PullCommitted` whose image is
+    /// decoded at once into the server's part of the round image — its
+    /// parameters and its shards' clocks.
+    Commit(&'a mut [f32], &'a mut [u64]),
 }
 
 /// The last item of a batch reply (`None` if `reply` is not one).
@@ -494,7 +517,8 @@ impl NetRouter {
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
     /// unconditionally commits every server so the committed view equals
-    /// the live view (BSP barriers, switches, restore).
+    /// the live view (switches, restore; a BSP round's drain rides its
+    /// pushes, see [`NetPort::push_round`]).
     pub fn drain(&self) {
         let mut conns = self.sync.lock();
         self.commit_round(&mut conns, op::DRAIN, false);
@@ -596,15 +620,20 @@ impl NetRouter {
                     }
                     if let Some(b) = booking {
                         let elapsed = t0.elapsed();
-                        let asked = if carries_pull {
-                            wire::BODYLESS_ITEM_BYTES
-                        } else {
-                            0
-                        };
+                        // A bodyless item, `Drain` or `PullCommitted`, and
+                        // the `Synced` reply item are each this long.
+                        let item = wire::BODYLESS_ITEM_BYTES;
+                        let asked = if carries_pull { item } else { 0 };
                         if carries_pull {
                             (self.stats.pull).record(1, 0, Duration::ZERO, asked, pulled);
                         }
-                        (b.class).record(b.ops, 1, elapsed, out - asked, reply_len - pulled);
+                        let drained = if b.drains { item } else { 0 };
+                        if b.drains {
+                            (self.stats.sync).record(1, 0, Duration::ZERO, item, item);
+                        }
+                        let (out, reply_len) =
+                            (out - asked - drained, reply_len - pulled - drained);
+                        (b.class).record(b.ops, 1, elapsed, out, reply_len);
                     }
                     return Ok(v);
                 }
@@ -640,11 +669,8 @@ impl NetRouter {
     /// epoch its commit opened (the round lock keeps everyone else's hands
     /// off the epochs meanwhile).
     fn commit_round(&self, conns: &mut ConnSet, opcode: u8, with_pull: bool) {
-        let t = &self.telemetry;
-        let t0 = t.trace.now_ns();
-        let servers = self.tier.server_count();
-        let round = self.tier.commit_round(|| {
-            for s in 0..servers {
+        self.traced_round(|| {
+            for s in 0..self.tier.server_count() {
                 self.sync_one(conns, s, opcode, with_pull)
                     .unwrap_or_else(|e| panic!("sync round failed: {e}"));
                 let epoch = self.tick_view_epoch(s);
@@ -653,8 +679,54 @@ impl NetRouter {
                 }
             }
         });
+    }
+
+    /// [`Tier::commit_round`] with `commit_all`, counted on
+    /// `wire.sync_rounds` and traced as a `SyncRound` span. The caller holds
+    /// the round lock.
+    fn traced_round(&self, commit_all: impl FnOnce()) {
+        let t0 = self.telemetry.trace.now_ns();
+        let round = self.tier.commit_round(commit_all);
         self.sync_rounds_counter.inc();
-        t.trace.span(TraceKind::SyncRound { round }, t0);
+        (self.telemetry.trace).span(TraceKind::SyncRound { round }, t0);
+    }
+
+    /// BSP's round commit over `port`'s own connections, under the round
+    /// lock: per server, `stripe(g, push)` hands `push` each owned shard's
+    /// averaged gradient to stage, and the pushes go out with a `Drain` and
+    /// a `PullCommitted` behind them as one sequenced batch. The replies'
+    /// acks land in `port.acks` in shard order and their images in `image`
+    /// (through [`Tier::pull_with`], inside [`Tier::commit_round`]), and
+    /// each server's view epoch ticks as its commit is acknowledged. A
+    /// re-send replays the cached acks and `Synced` and re-reads the pull,
+    /// which the drain already covers.
+    fn push_round(
+        &self,
+        port: &mut PortState,
+        stripe: impl Fn(usize, &mut dyn FnMut(&[f32])),
+        lr: f64,
+        momentum: f64,
+        image: &mut PullBuffer,
+    ) {
+        let _round = self.sync.lock();
+        self.traced_round(|| {
+            self.tier.pull_with(image, |params, clocks| {
+                for (s, slice) in self.tier.slices().iter().enumerate() {
+                    let (first, (po, pl)) = (slice.shard_offset, slice.param_range);
+                    let owned = first..first + slice.shard_count;
+                    for g in owned.clone() {
+                        stripe(g, &mut |grad| {
+                            self.queue_push(port, g, |buf, local| {
+                                wire::encode_push_shard(buf, local, lr, momentum, grad);
+                            });
+                        });
+                    }
+                    let tail = Tail::Commit(&mut params[po..po + pl], &mut clocks[owned]);
+                    self.send_staged(port, tail);
+                    self.tick_view_epoch(s);
+                }
+            });
+        });
     }
 
     /// Server `s`'s view epoch (see [`NetRouter::view_epochs`]).
@@ -684,6 +756,7 @@ impl NetRouter {
             class: &self.stats.sync,
             ops: 1,
             carries_pull: with_pull,
+            drains: false,
         };
         self.call_resilient(
             conns,
@@ -731,13 +804,17 @@ impl NetRouter {
         }
     }
 
-    /// Whether the push `port` is sending should bring the worker's next
-    /// pull home with it. Only a dense pull can be asked for before the
-    /// next batch is drawn, and not on the push that makes a stage-2 round
-    /// due: the round would outdate the image, and the worker that runs it
+    /// What the push `port` is sending brings home: the worker's next pull,
+    /// or only the acks. Only a dense pull can be asked for before the next
+    /// batch is drawn, and not on the push that makes a stage-2 round due:
+    /// the round would outdate the image, and the worker that runs it
     /// fetches the new one with the round instead.
-    fn rides_push(&self, port: &PortState) -> bool {
-        port.pulls_dense && !self.tier.round_due_after_push()
+    fn push_tail(&self, port: &PortState) -> Tail<'static> {
+        if port.pulls_dense && !self.tier.round_due_after_push() {
+            Tail::Prefetch
+        } else {
+            Tail::Acks
+        }
     }
 
     /// Queues the stage-1 push of global shard `g` on its owner's batch:
@@ -749,9 +826,10 @@ impl NetRouter {
     /// contiguous runs) costs one round trip per server.
     fn queue_push(&self, port: &mut PortState, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) {
         let s = self.tier.owner_of(g);
-        // One short of the batch's item limit: a pull may join the pushes.
-        if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX) - 1) {
-            self.send_staged(port, self.rides_push(port));
+        // Two short of the batch's item limit: a drain and a pull may join
+        // the pushes.
+        if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX) - 2) {
+            self.send_staged(port, self.push_tail(port));
         }
         if port.staged == 0 {
             port.staged_for = s;
@@ -772,16 +850,17 @@ impl NetRouter {
     /// acks and no shard is applied twice. Counted as `staged` push
     /// operations sharing one round trip's time and bytes.
     ///
-    /// With `prefetch` a `PullCommitted` joins the batch as its last item
-    /// and the server's `Pulled` image stays in the connection's reply
-    /// buffer, stamped with the server's view epoch read *before* the send:
-    /// a commit the server acknowledges at any point after that moves the
-    /// epoch on, and the image is never used.
+    /// With [`Tail::Prefetch`] a `PullCommitted` joins the batch as its
+    /// last item and the server's `Pulled` image stays in the connection's
+    /// reply buffer, stamped with the server's view epoch read *before* the
+    /// send: a commit the server acknowledges at any point after that moves
+    /// the epoch on, and the image is never used. [`Tail::Commit`] puts a
+    /// `Drain` ahead of that pull and decodes the image where it says.
     ///
     /// # Panics
     ///
     /// Panics when the retry budget is exhausted, like every worker-path op.
-    fn send_staged(&self, port: &mut PortState, prefetch: bool) {
+    fn send_staged(&self, port: &mut PortState, mut tail: Tail<'_>) {
         let PortState {
             conns,
             staging,
@@ -795,12 +874,17 @@ impl NetRouter {
             return;
         }
         let s = *staged_for;
-        if prefetch {
+        let drains = matches!(tail, Tail::Commit(..));
+        let carries_pull = !matches!(tail, Tail::Acks);
+        if drains {
+            wire::put_bodyless_item(staging, 0, op::DRAIN);
+        }
+        if carries_pull {
             wire::put_bodyless_item(staging, 0, op::PULL_COMMITTED);
         }
         // A lone push goes out bare: skip the batch header and the item's
         // length prefix.
-        let bare = n == 1 && !prefetch;
+        let bare = n == 1 && !carries_pull;
         let request = if bare {
             &staging[wire::BATCH_HEADER_BYTES + 4..]
         } else {
@@ -810,7 +894,8 @@ impl NetRouter {
         let booking = Booking {
             class: &self.stats.push,
             ops: n as u64,
-            carries_pull: prefetch,
+            carries_pull,
+            drains,
         };
         let base = acks.len();
         self.call_resilient(
@@ -834,11 +919,17 @@ impl NetRouter {
                 if acks.len() - base != n {
                     return Err(WireError::Truncated);
                 }
-                self.expect_tail(s, prefetch, items)
+                let Tail::Commit(params, clocks) = &mut tail else {
+                    return self.expect_tail(s, carries_pull, items);
+                };
+                let mut next = || items.next().ok_or(WireError::Truncated);
+                wire::expect_bodyless(next()?, op::SYNCED)?;
+                wire::decode_pulled_into(next()?, params, clocks)?;
+                self.expect_tail(s, false, items)
             },
         )
         .unwrap_or_else(|e| panic!("push failed: {e}"));
-        if prefetch {
+        if let Tail::Prefetch = tail {
             conns.per_server[s].prefetch = Some(epoch);
         }
     }
@@ -888,6 +979,7 @@ impl NetRouter {
                         class: &self.stats.pull,
                         ops: 1,
                         carries_pull: false,
+                        drains: false,
                     }),
                     false,
                     &|req| match runs {
@@ -1329,10 +1421,32 @@ impl NetPort {
     /// Sends whatever is still queued and appends to `acks` the owners'
     /// pre-apply live shard clocks of every push queued since the last
     /// flush, in queue order. After a whole-vector pull, the batches of a
-    /// queued push also fetch the next one (see [`NetRouter::rides_push`]).
+    /// queued push also fetch the next one (see [`NetRouter::push_tail`]).
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) {
         let port = &mut *self.state.lock();
-        self.router.send_staged(port, self.router.rides_push(port));
+        self.router.send_staged(port, self.router.push_tail(port));
+        acks.append(&mut port.acks);
+    }
+
+    /// BSP's round commit, by the worker that completes a round: `stripe(g,
+    /// push)` hands `push` global shard `g`'s averaged gradient, and each
+    /// server receives its shards' pushes, a `Drain` and a `PullCommitted`
+    /// as one request over this worker's connections — one round trip per
+    /// server for the whole round. Appends every shard's pre-apply clock to
+    /// `acks` in shard order and leaves every server's committed image in
+    /// `image`: what any worker's pull would return until the next commit.
+    /// Booked as one push round trip per server, which its drain (one
+    /// `sync` op) and its pull (one `pull` op) ride.
+    pub fn push_round(
+        &self,
+        stripe: impl Fn(usize, &mut dyn FnMut(&[f32])),
+        lr: f64,
+        momentum: f64,
+        acks: &mut Vec<u64>,
+        image: &mut PullBuffer,
+    ) {
+        let port = &mut *self.state.lock();
+        self.router.push_round(port, stripe, lr, momentum, image);
         acks.append(&mut port.acks);
     }
 
@@ -1372,7 +1486,7 @@ impl NetPort {
     fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> u64 {
         let port = &mut *self.state.lock();
         self.router.queue_push(port, g, encode);
-        self.router.send_staged(port, false);
+        self.router.send_staged(port, Tail::Acks);
         port.acks.pop().expect("the push just sent was acked")
     }
 }

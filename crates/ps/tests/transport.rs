@@ -21,13 +21,26 @@ use sync_switch_ps::{
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
-fn transport_trainer(kind: TransportKind, servers: usize, sync_every: u64, seed: u64) -> Trainer {
+/// Three workers over 7 shards on a 2-server tier behind `kind`.
+fn transport_trainer(kind: TransportKind, sync_every: u64, seed: u64) -> Trainer {
+    let topology = ServerTopology::new(2, sync_every);
+    trainer_over(topology.with_transport(kind), seed)
+}
+
+fn trainer_over(topology: ServerTopology, seed: u64) -> Trainer {
     let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, seed);
     let (train, test) = data.split(0.25);
     let mut cfg = TrainerConfig::new(3, 8, 0.05, 0.9).with_seed(seed);
     cfg.shards = 7;
-    cfg.topology = ServerTopology::new(servers, sync_every).with_transport(kind);
+    cfg.topology = topology;
     Trainer::new(Network::mlp(6, &[16], 4, seed), train, test, cfg)
+}
+
+fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f32, f32::max)
 }
 
 /// Sequential large-batch SGD replay of the exact batches the BSP workers
@@ -60,7 +73,7 @@ fn sequential_reference(trainer: &Trainer, workers: usize, rounds: u64, seed: u6
 fn assert_bsp_matches_sequential(kind: TransportKind) {
     let seed = 7;
     let rounds = 10;
-    let mut t = transport_trainer(kind, 2, 4, seed);
+    let mut t = transport_trainer(kind, 4, seed);
     assert_eq!(t.server_count(), 2);
     assert!(t.net_router().is_some(), "plane must be transport-backed");
     assert!(matches!(t.store(), Err(PsError::NoSingleStore { .. })));
@@ -68,24 +81,27 @@ fn assert_bsp_matches_sequential(kind: TransportKind) {
     // Every barrier round drained stage 2 over the wire.
     assert_eq!(r.sync_rounds, rounds);
     assert_eq!(r.shard_staleness.max(), Some(0));
-    // The wire was actually used: one push round trip per stripe per
-    // round, one pull round trip per server per worker per round.
-    assert_eq!(r.transport.backend, Some(kind));
-    assert_eq!(r.transport.push.ops, rounds * 7);
-    assert_eq!(r.transport.pull.ops, rounds * 3 * 2);
-    assert_eq!(r.transport.sync.ops, rounds * 2);
-    // Nothing shares a round trip under BSP: stripes are applied one by one
-    // and the barrier's drain is not the pulling worker's to ride on.
-    assert_eq!(r.transport.total_round_trips(), r.transport.total_ops());
-    assert!(r.transport.total_wire_s() > 0.0);
+    assert_eq!(r.shard_staleness.total(), rounds * 7);
+    // A round is one round trip per server: the stripes of its shards, the
+    // drain and the next round's pull in one batch. Only the segment's
+    // first round pulls — each of the 3 workers from each server.
+    let (servers, workers) = (2, 3);
+    let wire = r.transport;
+    assert_eq!(wire.backend, Some(kind));
+    assert_eq!(wire.push.ops, rounds * 7);
+    assert_eq!(wire.push.round_trips, rounds * servers);
+    assert_eq!(wire.sync.ops, rounds * servers);
+    assert_eq!(wire.sync.round_trips, 0);
+    let first_pulls = workers * servers;
+    assert_eq!(wire.pull.round_trips, first_pulls);
+    assert_eq!(wire.pull.ops, first_pulls + rounds * servers);
+    assert_eq!(wire.total_round_trips(), (rounds + workers) * servers);
+    assert!(wire.total_wire_s() > 0.0);
 
-    let distributed = t.checkpoint().params;
-    let reference = sequential_reference(&t, 3, rounds, seed);
-    let max_diff = distributed
-        .iter()
-        .zip(&reference)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
+    let max_diff = max_abs_diff(
+        &t.checkpoint().params,
+        &sequential_reference(&t, 3, rounds, seed),
+    );
     assert!(
         max_diff < 1e-4,
         "{kind} BSP diverged from sequential SGD by {max_diff}"
@@ -104,7 +120,7 @@ fn tcp_bsp_equals_sequential_large_batch_sgd() {
 
 #[test]
 fn tcp_asp_trains_and_reports_wire_cost() {
-    let mut t = transport_trainer(TransportKind::Tcp, 2, 4, 9);
+    let mut t = transport_trainer(TransportKind::Tcp, 4, 9);
     let steps = 120;
     let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
     assert_eq!(r.steps, steps);
@@ -130,7 +146,7 @@ fn tcp_asp_trains_and_reports_wire_cost() {
 
 #[test]
 fn channel_ssp_respects_gate_and_counts_wire_ops() {
-    let mut t = transport_trainer(TransportKind::Channel, 2, 3, 11);
+    let mut t = transport_trainer(TransportKind::Channel, 3, 11);
     let steps = 90;
     let bound = 1u64;
     let r = t.run_ssp_segment(bound, steps).unwrap();
@@ -149,7 +165,7 @@ fn channel_ssp_respects_gate_and_counts_wire_ops() {
 fn transport_trainer_switches_and_restores() {
     // checkpoint → switch → restore crosses the wire (snapshot/restore
     // frames) and keeps training.
-    let mut t = transport_trainer(TransportKind::Channel, 2, 8, 13);
+    let mut t = transport_trainer(TransportKind::Channel, 8, 13);
     t.run_segment(SyncProtocol::Asp, 30).unwrap();
     let ck = t.checkpoint();
     let plan = sync_switch_ps::SwitchPlan {
@@ -561,6 +577,47 @@ fn lost_and_duplicated_fused_replies_leave_the_run_exact() {
     assert_eq!(got.2.pull.ops, want.2.pull.ops);
 }
 
+#[test]
+fn lost_and_duplicated_round_batches_leave_bsp_exact() {
+    // A BSP round's batch carries stripes, a drain and a pull. Re-sent after
+    // a lost reply, or delivered twice, it must replay the cached acks and
+    // `Synced` and only re-read the pull: every stripe applied once, and the
+    // run still sequential SGD.
+    let (seed, rounds) = (7, 10);
+    let mut plan = FaultPlan::seeded(3);
+    plan.drop_reply_per_mille = 150;
+    plan.duplicate_per_mille = 150;
+    let topology = ServerTopology::new(2, 4).with_transport(TransportKind::Channel);
+    let mut t = trainer_over(topology.with_faults(plan), seed);
+    let r = t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
+    assert_eq!(r.sync_rounds, rounds);
+    assert!(r.transport.retries > 0, "the plan dropped no reply");
+    let mut merged = ServerStatsSnapshot::default();
+    for snap in t
+        .net_router()
+        .unwrap()
+        .scrape_all_stats()
+        .into_iter()
+        .flatten()
+    {
+        merged.merge(&snap);
+    }
+    assert_eq!(
+        merged.apply_ns.count,
+        rounds * 7,
+        "a stripe was applied twice"
+    );
+    assert!(merged.dedup_hits > 0, "no request was deduplicated");
+    let max_diff = max_abs_diff(
+        &t.checkpoint().params,
+        &sequential_reference(&t, 3, rounds, seed),
+    );
+    assert!(
+        max_diff < 1e-4,
+        "faults moved BSP off sequential SGD by {max_diff}"
+    );
+}
+
 // ---- Stats wire frame: codec exactness and the live scrape path ----
 
 /// Encode → decode → re-encode must reproduce the snapshot *and* the
@@ -717,7 +774,7 @@ fn stats_scrape_reads_a_live_tcp_server_mid_training() {
 #[test]
 fn transport_training_learns() {
     for kind in [TransportKind::Channel, TransportKind::Tcp] {
-        let mut t = transport_trainer(kind, 2, 4, 15);
+        let mut t = transport_trainer(kind, 4, 15);
         let before = t.evaluate();
         for _ in 0..3 {
             t.run_segment(SyncProtocol::Bsp, 40).unwrap();

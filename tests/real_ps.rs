@@ -274,3 +274,45 @@ fn asynchronous_steps_over_a_wire_tier_rarely_ask_for_their_pull() {
     let after = trainer.evaluate();
     assert!(after > before + 0.2, "did not learn: {before} -> {after}");
 }
+
+#[test]
+fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
+    // Two workers, BSP, two servers behind the channel transport: the worker
+    // that completes a round sends each server its stripes, the drain and
+    // the next round's pull as one batch, and both workers start the next
+    // round from that image. Only the first round pulls, and the result is
+    // the in-process single store's.
+    use sync_switch_ps::{ServerTopology, TransportKind};
+    let (workers, servers, rounds) = (2u64, 2u64, 60u64);
+    let run = |topology: ServerTopology| {
+        let (train, test) = dataset(29);
+        let mut cfg = TrainerConfig::new(workers as usize, 8, 0.03, 0.9)
+            .with_seed(29)
+            .with_topology(topology);
+        cfg.shards = 4;
+        let mut trainer = Trainer::new(Network::mlp(8, &[16], 4, 29), train, test, cfg);
+        let report = trainer
+            .run_segment(SyncProtocol::Bsp, rounds)
+            .expect("bsp segment");
+        (report, trainer.checkpoint().params)
+    };
+    let (report, wire_params) =
+        run(ServerTopology::new(servers as usize, 4).with_transport(TransportKind::Channel));
+    let wire = report.transport;
+    assert_eq!(report.sync_rounds, rounds);
+    assert_eq!(wire.push.round_trips, rounds * servers);
+    assert_eq!(
+        (wire.sync.ops, wire.sync.round_trips),
+        (rounds * servers, 0)
+    );
+    assert_eq!(wire.pull.round_trips, workers * servers);
+    assert_eq!((wire.retries, wire.reconnects), (0, 0));
+    let (_, single_params) = run(ServerTopology::single());
+    let max_diff = (wire_params.iter().zip(&single_params))
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f32, f32::max);
+    assert!(
+        max_diff < 1e-4,
+        "wire BSP left the single store by {max_diff}"
+    );
+}
