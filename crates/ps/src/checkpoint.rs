@@ -47,13 +47,14 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::CheckpointMismatch`] when the count differs.
+    /// Returns [`PsError::CheckpointMismatch`] when the parameter or the
+    /// velocity count differs (the fields are public, so they can disagree).
     pub fn check_compatible(&self, expected_params: usize) -> Result<(), PsError> {
-        if self.params.len() != expected_params {
+        let (params, velocity) = (self.params.len(), self.velocity.len());
+        if params != expected_params || velocity != expected_params {
             return Err(PsError::CheckpointMismatch(format!(
-                "checkpoint has {} params, model expects {}",
-                self.params.len(),
-                expected_params
+                "checkpoint has {params} params and {velocity} velocity slots, \
+                 model expects {expected_params}"
             )));
         }
         Ok(())
@@ -87,14 +88,16 @@ impl Checkpoint {
             return Err(PsError::CheckpointMismatch("truncated header".into()));
         }
         let step = u64::from_le_bytes(bytes[0..8].try_into().expect("sized"));
-        let n = u64::from_le_bytes(bytes[8..16].try_into().expect("sized")) as usize;
-        let expected = header + 8 * n;
-        if bytes.len() != expected {
+        let n = u64::from_le_bytes(bytes[8..16].try_into().expect("sized"));
+        // Checked: `n` is untrusted, and `8 * n` can overflow.
+        let body = usize::try_from(n).ok().and_then(|n| n.checked_mul(8));
+        if body != Some(bytes.len() - header) {
             return Err(PsError::CheckpointMismatch(format!(
-                "expected {expected} bytes for {n} params, got {}",
-                bytes.len()
+                "expected 8 bytes per param for {n} params after the header, got {} bytes",
+                bytes.len() - header
             )));
         }
+        let n = n as usize;
         let read_f32s = |range: std::ops::Range<usize>| -> Vec<f32> {
             bytes[range]
                 .chunks_exact(4)
@@ -131,6 +134,11 @@ mod tests {
         bytes.pop();
         assert!(Checkpoint::from_bytes(&bytes).is_err());
         assert!(Checkpoint::from_bytes(&bytes[..8]).is_err());
+        // A bare header claiming 2^61 params, whose 8 × 2^61 bytes overflow
+        // usize: a mismatch, not an arithmetic panic.
+        bytes[8..16].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        let err = Checkpoint::from_bytes(&bytes[..16]).unwrap_err();
+        assert!(matches!(err, PsError::CheckpointMismatch(_)), "{err}");
     }
 
     #[test]

@@ -267,25 +267,26 @@ enum SyncTail {
     Async(AsyncShared),
 }
 
-/// State shared by BSP workers: striped per-shard accumulators.
+/// State shared by BSP workers: striped per-shard accumulators and the
+/// round's image.
 ///
 /// Each stripe maps 1:1 onto a store shard and carries its own lock, so
 /// workers aggregating different stripes proceed concurrently instead of
 /// funnelling every gradient through one global accumulator mutex. The last
-/// contributor to a stripe averages it and, in-process, applies it to its
-/// shard; the worker that completes the last outstanding stripe ends the
-/// round ([`Worker::end_round`]) and advances the segment's round gate,
-/// whose epoch is therefore the count of completed rounds: a worker leaves
-/// round `r` once it passes `r`.
+/// contributor to a stripe averages it and leaves it staged; the worker that
+/// completes the last outstanding stripe commits the round
+/// ([`Worker::end_round`]) and advances the segment's round gate, whose
+/// epoch is therefore the count of completed rounds: a worker leaves round
+/// `r` once it passes `r`.
 struct BspShared {
     stripes: Vec<Mutex<Stripe>>,
     /// Workers contributing to every stripe.
     n_active: usize,
     /// Stripes completed in the current round.
     applied: AtomicUsize,
-    /// On a wire tier, the committed image the last round's commit brought
-    /// home, which every worker's next step installs instead of pulling
-    /// (`None` until a round has ended, and always in-process).
+    /// The committed image the last round's commit brought home, which
+    /// every worker's next step installs instead of pulling (`None` until
+    /// the segment's first round has ended).
     image: RwLock<Option<PullBuffer>>,
 }
 
@@ -549,24 +550,20 @@ impl Worker<'_> {
 
     /// The end of a BSP round, run by the worker that completed its last
     /// stripe while every peer is held at the gate: completes the push, and
-    /// publishes the round to every server's committed view before anyone
-    /// can read it. In-process the stripes are applied already and this is
-    /// a drain. On a wire tier it is the round's one request per server
-    /// ([`NetPort::push_round`]): the staged stripes, the drain, and the
-    /// committed image that every worker's next step installs.
+    /// commits the staged stripes through one port call
+    /// ([`WorkerPort::commit_round`]), which publishes them to every
+    /// server's committed view and brings home the image every worker's
+    /// next step installs.
     fn end_round(&mut self, shared: &BspShared, version: u64) {
         let port = &self.seat.port;
         port.complete_push(version);
-        let WorkerPort::Net(net) = port else {
-            return port.end_round();
-        };
         let mut held = shared.image.write().expect(IMAGE_WRITER_PANICKED);
         let image = held.get_or_insert_with(PullBuffer::new);
         let (lr, mu) = (self.cfg.learning_rate, self.cfg.momentum);
         let acks = &mut self.seat.scratch.acks;
         acks.clear();
         let stripe = |g: usize, push: &mut dyn FnMut(&[f32])| push(&shared.stripes[g].lock().accum);
-        net.push_round(stripe, lr, mu, acks, image);
+        port.commit_round(stripe, lr, mu, acks, image);
         self.record_acks();
     }
 
@@ -609,11 +606,12 @@ impl Worker<'_> {
 /// Aggregation is striped per store shard: workers walk the stripes
 /// starting at their own offset, so at any instant different workers
 /// are summing into different stripes under different locks. The last
-/// contributor to a stripe averages it, and in-process applies it at once;
-/// on a wire tier it stays staged for the round's commit. The worker that
-/// completes the final outstanding stripe ends the round
-/// ([`Worker::end_round`]) and advances the round gate, which the other
-/// workers are spinning, yielding or parked on (see [`crate::gate`]).
+/// contributor to a stripe averages it and leaves it staged for the round's
+/// commit. The worker that completes the final outstanding stripe commits
+/// the round ([`Worker::end_round`]) and advances the round gate, which the
+/// other workers are spinning, yielding or parked on (see [`crate::gate`]).
+/// From the second round on, every worker's step installs the image that
+/// commit brought home instead of pulling.
 /// Numerically this is the same sum-then-average-then-apply as a
 /// single-mutex accumulator (per-stripe sums commute across workers
 /// exactly like a global sum does), so BSP keeps its bit-for-bit agreement
@@ -622,8 +620,6 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
     let gate = w.gate;
     let n_stripes = shared.stripes.len();
     let n_active = shared.n_active;
-    let (lr, mu) = (w.cfg.learning_rate, w.cfg.momentum);
-    let staged = matches!(w.seat.port, WorkerPort::Net(_));
     for r in 0..rounds {
         if gate.is_aborted() {
             break;
@@ -659,16 +655,11 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
             state.count = 0;
             let scale = 1.0 / n_active as f32;
             state.accum.iter_mut().for_each(|a| *a *= scale);
-            if !staged {
-                let prev = w.seat.port.apply_shard_update(i, &state.accum, lr, mu);
-                let behind = prev.saturating_sub(w.seat.buf.shard_version(i));
-                w.shard_hist.record(i, behind);
-            }
             drop(stripe);
-            // AcqRel: the final applier must observe the other appliers'
-            // increments (Acquire) and publish its own apply before the
-            // round advance (Release); the shard data itself is ordered by
-            // the shard mutexes.
+            // AcqRel: the final applier must observe the other stripes'
+            // completions (Acquire) and publish its own before the round
+            // advance (Release); the staged stripes themselves are ordered
+            // by the stripe mutexes.
             if shared.applied.fetch_add(1, Ordering::AcqRel) + 1 == n_stripes {
                 w.end_round(shared, step.version);
                 // Relaxed: the reset is published to the next round's
@@ -679,9 +670,9 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
             }
         }
 
-        // Barrier wait: every pull of round r completes before any stripe
-        // of round r is applied (a stripe needs all contributions, and
-        // contributing implies having pulled), so BSP pulls are never torn.
+        // Barrier wait: every worker has read round r's parameters before
+        // round r is committed (the commit needs every contribution, and
+        // contributing implies having read), so BSP reads are never torn.
         let parked = gate.wait_until(|| gate.epoch() > r);
         w.seat.wt.barrier_wait(w.id, tail_ns, parked);
         // The round is only delivered once the barrier releases, so the
@@ -820,19 +811,20 @@ impl Trainer {
     /// # Errors
     ///
     /// Returns [`PsError::InvalidConfig`] if the new configuration is
-    /// inconsistent or changes the worker count (shards are fixed at
+    /// inconsistent or changes the worker count, the shard count or the
+    /// server topology (the data shards and the plane's layout are fixed at
     /// construction).
     pub fn set_config(&mut self, cfg: TrainerConfig) -> Result<(), PsError> {
         cfg.validate().map_err(PsError::InvalidConfig)?;
-        if cfg.workers != self.cfg.workers {
-            return Err(PsError::InvalidConfig(
-                "worker count is fixed at construction".into(),
-            ));
-        }
-        if cfg.topology != self.cfg.topology {
-            return Err(PsError::InvalidConfig(
-                "server topology is fixed at construction".into(),
-            ));
+        let fixed = [
+            ("worker count", cfg.workers != self.cfg.workers),
+            ("shard count", cfg.shards != self.cfg.shards),
+            ("server topology", cfg.topology != self.cfg.topology),
+        ];
+        if let Some((what, _)) = fixed.iter().find(|(_, changed)| *changed) {
+            return Err(PsError::InvalidConfig(format!(
+                "{what} is fixed at construction"
+            )));
         }
         self.cfg = cfg;
         Ok(())
@@ -974,7 +966,7 @@ impl Trainer {
     /// plane; called by the switcher before checkpointing a protocol
     /// switch.
     pub fn drain_sync(&self) {
-        self.plane.end_round();
+        self.plane.drain();
     }
 
     /// Resets the optimizer velocity to zero on every server.
@@ -1023,12 +1015,15 @@ impl Trainer {
 
     /// Restores training state from a checkpoint, and starts every worker
     /// fresh at the next segment: a restore follows every switch, rollback
-    /// and heal, and a healed server's old sockets are dead.
+    /// and heal, and a healed server's old sockets are dead. It leaves the
+    /// plane drained, so no [`Trainer::drain_sync`] need follow: the single
+    /// store's pulls read live state, and both routers' restores end in a
+    /// commit-all on every server.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::CheckpointMismatch`] if the checkpoint shape does
-    /// not match the model.
+    /// Returns [`PsError::CheckpointMismatch`] if the checkpoint's
+    /// parameters or velocity do not match the model's parameter count.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), PsError> {
         ck.check_compatible(self.plane.param_count())?;
         self.seats.fill_with(|| None);
@@ -1249,6 +1244,7 @@ pub fn step_rng(seed: u64, worker: usize, step: u64) -> rand::rngs::StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServerTopology;
     use sync_switch_nn::SgdMomentum;
 
     fn small_trainer(workers: usize, seed: u64) -> Trainer {
@@ -1346,19 +1342,36 @@ mod tests {
     }
 
     #[test]
-    fn bsp_equals_sequential_large_batch_sgd() {
+    fn bsp_equals_sequential_large_batch_sgd_on_every_in_process_plane() {
         // BSP with n workers of batch b must match 1-thread SGD over the
-        // union batch (gradient of mean = mean of per-shard gradients).
-        let mut t = small_trainer(3, 7);
+        // union batch (gradient of mean = mean of per-shard gradients): with
+        // as many stripes as workers, with 7 stripes over 3 workers
+        // (different workers complete different stripes of a round), and
+        // with the 7 stripes routed to 2 servers and drained every round.
+        // Every plane commits each round once, fresh on every shard.
+        let (single, two) = (ServerTopology::default(), ServerTopology::new(2, 4));
         let rounds = 10;
-        let params = sequential_sgd(&t, 7, rounds);
-        t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
-        let distributed = t.store().unwrap().snapshot_params();
-        let max_diff = max_abs_diff(&distributed, &params);
-        assert!(
-            max_diff < 1e-4,
-            "BSP diverged from sequential SGD by {max_diff}"
-        );
+        for (shards, topology, sync_rounds) in [(3, single, 0), (7, single, 0), (7, two, rounds)] {
+            let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 7);
+            let (train, test) = data.split(0.25);
+            let mut cfg = TrainerConfig::new(3, 8, 0.05, 0.9)
+                .with_seed(7)
+                .with_topology(topology);
+            cfg.shards = shards;
+            let mut t = Trainer::new(Network::mlp(6, &[16], 4, 7), train, test, cfg);
+            let params = sequential_sgd(&t, 7, rounds);
+            let r = t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
+            let what = format!("{shards} shards on {topology:?}");
+            assert_eq!(r.shard_staleness.total(), rounds * shards as u64, "{what}");
+            assert_eq!(r.shard_staleness.max(), Some(0), "{what}");
+            assert_eq!(t.push_count(), rounds, "{what}");
+            assert_eq!(r.sync_rounds, sync_rounds, "{what}");
+            let max_diff = max_abs_diff(&t.snapshot_params(), &params);
+            assert!(
+                max_diff < 1e-4,
+                "{what}: BSP left sequential SGD by {max_diff}"
+            );
+        }
     }
 
     #[test]
@@ -1382,60 +1395,6 @@ mod tests {
         assert!(
             max_diff < 1e-4,
             "oversubscribed BSP diverged from sequential SGD by {max_diff}"
-        );
-    }
-
-    #[test]
-    fn striped_bsp_matches_sequential_with_odd_shard_count() {
-        // Stripes ≠ workers stresses the striped barrier: 3 workers over 7
-        // stripes must still reproduce sequential large-batch SGD, with
-        // different workers applying different stripes of the same round.
-        let workers = 3;
-        let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 7);
-        let (train, test) = data.split(0.25);
-        let mut cfg = TrainerConfig::new(workers, 8, 0.05, 0.9).with_seed(7);
-        cfg.shards = 7;
-        let mut t = Trainer::new(Network::mlp(6, &[16], 4, 7), train, test, cfg);
-        assert_eq!(t.store().unwrap().shard_count(), 7);
-        let rounds = 10;
-        let params = sequential_sgd(&t, 7, rounds);
-        t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
-        let distributed = t.store().unwrap().snapshot_params();
-        let max_diff = max_abs_diff(&distributed, &params);
-        assert!(
-            max_diff < 1e-4,
-            "striped BSP diverged from sequential SGD by {max_diff}"
-        );
-    }
-
-    #[test]
-    fn multi_server_bsp_equals_sequential_large_batch_sgd() {
-        // The ISSUE-prescribed shape: 2 servers × 7 shards × 3 workers.
-        // Routing stripes to per-server live stores and draining stage 2 at
-        // every barrier round must leave BSP numerically identical to
-        // sequential large-batch SGD.
-        let workers = 3;
-        let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 7);
-        let (train, test) = data.split(0.25);
-        let mut cfg = TrainerConfig::new(workers, 8, 0.05, 0.9).with_seed(7);
-        cfg.shards = 7;
-        cfg.topology = crate::config::ServerTopology::new(2, 4);
-        let mut t = Trainer::new(Network::mlp(6, &[16], 4, 7), train, test, cfg);
-        assert_eq!(t.server_count(), 2);
-        assert!(t.router().is_some());
-        let rounds = 10;
-        let params = sequential_sgd(&t, 7, rounds);
-        let r = t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
-        let distributed = t.snapshot_params();
-        // Every barrier round drains stage 2, and BSP stays fresh per shard
-        // on every server.
-        assert_eq!(r.sync_rounds, rounds);
-        assert_eq!(r.shard_staleness.max(), Some(0));
-        assert_eq!(t.push_count(), rounds);
-        let max_diff = max_abs_diff(&distributed, &params);
-        assert!(
-            max_diff < 1e-4,
-            "multi-server BSP diverged from sequential SGD by {max_diff}"
         );
     }
 
@@ -1556,11 +1515,17 @@ mod tests {
     }
 
     #[test]
-    fn topology_is_fixed_after_construction() {
+    fn topology_and_shard_count_are_fixed_after_construction() {
         let mut t = small_trainer(2, 16);
         let mut cfg = t.config().clone();
-        cfg.topology = crate::config::ServerTopology::new(2, 1);
+        cfg.topology = ServerTopology::new(2, 1);
         assert!(matches!(t.set_config(cfg), Err(PsError::InvalidConfig(_))));
+        // The plane's layout is fixed too: the config must not claim 7
+        // shards over a store that holds 2.
+        let mut cfg = t.config().clone();
+        cfg.shards = 7;
+        assert!(matches!(t.set_config(cfg), Err(PsError::InvalidConfig(_))));
+        assert_eq!(t.config().shards, t.store().unwrap().shard_count());
     }
 
     #[test]
@@ -1597,6 +1562,12 @@ mod tests {
         t.restore(&ck).unwrap();
         assert_eq!(t.global_step(), 10);
         assert_eq!(t.store().unwrap().snapshot_params(), ck.params);
+        // The fields are public, so they can disagree: a velocity one slot
+        // short is a mismatch, not a panic in the store.
+        let mut short = ck;
+        short.velocity.pop();
+        let err = t.restore(&short).unwrap_err();
+        assert!(matches!(err, PsError::CheckpointMismatch(_)), "{err}");
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! The [`WorkerPort`] enum lets the engine's worker loops drive either
 //! router or the single-server [`ShardedStore`] through one interface and
 //! one buffer type ([`PullBuffer`]), so BSP/ASP/SSP share their loops across
-//! topologies.
+//! topologies — down to BSP's round, which every plane commits through
+//! [`WorkerPort::commit_round`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -491,8 +492,8 @@ enum Backing<'a> {
 }
 
 /// A worker thread's handle onto the data plane: the single in-process
-/// store, or the multi-server router. The engine's BSP/ASP/SSP loops are
-/// written against this interface once and run on both topologies.
+/// store, the in-process router, or a wire tier. The engine's BSP/ASP/SSP
+/// loops are written against this interface once and run on every plane.
 #[derive(Debug, Clone)]
 pub enum WorkerPort {
     /// Direct handle to the single-server store (the PR 2 fast path —
@@ -703,12 +704,31 @@ impl WorkerPort {
         }
     }
 
+    /// BSP's round commit: applies the averaged stripes `stripe(g, push)`
+    /// hands out, acks them in shard order, drains, and pulls the committed
+    /// view into `image` — on a wire tier in one request per server.
+    pub(crate) fn commit_round(
+        &self,
+        stripe: impl Fn(usize, &mut dyn FnMut(&[f32])),
+        lr: f64,
+        mu: f64,
+        acks: &mut Vec<u64>,
+        image: &mut PortBuffer,
+    ) {
+        if let WorkerPort::Net(p) = self {
+            return p.push_round(stripe, lr, mu, acks, image);
+        }
+        for g in 0..self.shard_count() {
+            stripe(g, &mut |avg| self.queue_shard_update(g, avg, lr, mu, acks));
+        }
+        self.drain();
+        self.pull_into(image);
+    }
+
     /// Drains stage 2 so the next pulls see exactly the state the pushes so
     /// far produced (no-op on the single store, whose pulls always read live
-    /// state): the in-process BSP barrier's end of round — on a wire tier
-    /// the drain rides the round's pushes ([`NetPort::push_round`]) — and
-    /// what [`crate::Trainer::drain_sync`] runs.
-    pub fn end_round(&self) {
+    /// state): what [`crate::Trainer::drain_sync`] runs.
+    pub fn drain(&self) {
         match self {
             WorkerPort::Single(_) => {}
             WorkerPort::Routed(r) => r.drain(),

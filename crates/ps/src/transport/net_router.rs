@@ -44,12 +44,11 @@
 //! reads is unknown before its batch is drawn.
 //!
 //! **A BSP round is one round trip per server.** The worker that completes
-//! a round sends each server its averaged stripes, a `Drain` and a
+//! a round commits it as every plane does ([`crate::WorkerPort::commit_round`]);
+//! here that sends each server its averaged stripes, a `Drain` and a
 //! `PullCommitted` as one batch ([`NetPort::push_round`]) and decodes the
-//! committed images into one image its process shares: every worker of the
-//! round starts the next one from it instead of pulling, which is exact,
-//! because they are all held at the round's barrier from the commit until
-//! they read it.
+//! committed images into the round's image, which every worker of the
+//! round starts the next one from, as on the in-process planes.
 //!
 //! **The stamp rule.** Each image is stamped with its server's *view epoch*
 //! ([`NetRouter::view_epochs`]) read before the request is first sent, and
@@ -518,7 +517,7 @@ impl NetRouter {
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
     /// unconditionally commits every server so the committed view equals
     /// the live view (switches, restore; a BSP round's drain rides its
-    /// pushes, see [`NetPort::push_round`]).
+    /// commit instead).
     pub fn drain(&self) {
         let mut conns = self.sync.lock();
         self.commit_round(&mut conns, op::DRAIN, false);
@@ -1428,16 +1427,10 @@ impl NetPort {
         acks.append(&mut port.acks);
     }
 
-    /// BSP's round commit, by the worker that completes a round: `stripe(g,
-    /// push)` hands `push` global shard `g`'s averaged gradient, and each
-    /// server receives its shards' pushes, a `Drain` and a `PullCommitted`
-    /// as one request over this worker's connections — one round trip per
-    /// server for the whole round. Appends every shard's pre-apply clock to
-    /// `acks` in shard order and leaves every server's committed image in
-    /// `image`: what any worker's pull would return until the next commit.
-    /// Booked as one push round trip per server, which its drain (one
-    /// `sync` op) and its pull (one `pull` op) ride.
-    pub fn push_round(
+    /// [`crate::WorkerPort::commit_round`] over this worker's connections: each
+    /// server's pushes, a `Drain` and a `PullCommitted` as one request,
+    /// booked as a push round trip that the drain and the pull ride.
+    pub(crate) fn push_round(
         &self,
         stripe: impl Fn(usize, &mut dyn FnMut(&[f32])),
         lr: f64,

@@ -661,7 +661,7 @@ proptest! {
                 }
                 port.complete_push(p);
             }
-            port.end_round();
+            port.drain();
             let mut full = port.new_buffer();
             let v_full = port.pull_into(&mut full);
             let v_part = port.pull_runs_into(&mut part, &runs);

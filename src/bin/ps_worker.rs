@@ -207,9 +207,8 @@ fn run_segments(
                     // The respawned server holds the spec's initial state:
                     // put the whole tier back on the segment-start
                     // checkpoint so the re-run starts from one consistent
-                    // state.
+                    // state (a restore ends drained).
                     trainer.restore(&ck).map_err(|e| format!("rollback: {e}"))?;
-                    trainer.drain_sync();
                     healed_seg += healed as u64;
                     crash_retries += 1;
                     eprintln!(

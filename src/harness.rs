@@ -113,7 +113,15 @@ impl Drop for ChildGuard {
 ///
 /// # Example shape (as the gated integration tests use it)
 ///
-/// ```ignore
+/// ```no_run
+/// # use std::time::Duration;
+/// # use sync_switch::deploy::ClusterSpec;
+/// # use sync_switch::harness::ClusterHarness;
+/// # use sync_switch::workloads::TrainableKind;
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// # let addrs = vec!["127.0.0.1:7701".to_string(), "127.0.0.1:7702".to_string()];
+/// # let spec = ClusterSpec::standard(TrainableKind::MlpBlobs, addrs, 1);
+/// # let (serve_bin, worker_bin, dir) = ("ps-serve", "ps-worker", "cluster-run");
 /// let mut h = ClusterHarness::new(spec, serve_bin, worker_bin, dir)?;
 /// h.spawn_servers()?;
 /// h.wait_servers_ready(Duration::from_secs(10))?;
@@ -121,6 +129,9 @@ impl Drop for ChildGuard {
 /// h.sigkill_server(0);           // mid-run crash
 /// h.respawn_server(0)?;          // "the cluster manager restarts it"
 /// let reports = h.wait_workers(Duration::from_secs(120))?;
+/// assert_eq!(reports.len(), 2);
+/// # Ok(())
+/// # }
 /// ```
 ///
 /// Dropping the harness kills every remaining child.

@@ -281,7 +281,8 @@ fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
     // that completes a round sends each server its stripes, the drain and
     // the next round's pull as one batch, and both workers start the next
     // round from that image. Only the first round pulls, and the result is
-    // the in-process single store's.
+    // the in-process single store's — as is the in-process router's, whose
+    // round commits through the same port call with a drain per round.
     use sync_switch_ps::{ServerTopology, TransportKind};
     let (workers, servers, rounds) = (2u64, 2u64, 60u64);
     let run = |topology: ServerTopology| {
@@ -307,12 +308,17 @@ fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
     );
     assert_eq!(wire.pull.round_trips, workers * servers);
     assert_eq!((wire.retries, wire.reconnects), (0, 0));
+    let (routed, routed_params) = run(ServerTopology::new(servers as usize, 4));
+    assert_eq!(routed.sync_rounds, rounds);
+    assert_eq!(routed.shard_staleness.max(), Some(0));
     let (_, single_params) = run(ServerTopology::single());
-    let max_diff = (wire_params.iter().zip(&single_params))
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    assert!(
-        max_diff < 1e-4,
-        "wire BSP left the single store by {max_diff}"
-    );
+    for (plane, params) in [("wire", wire_params), ("routed", routed_params)] {
+        let max_diff = (params.iter().zip(&single_params))
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(
+            max_diff < 1e-4,
+            "{plane} BSP left the single store by {max_diff}"
+        );
+    }
 }
