@@ -18,6 +18,13 @@ use crate::layer::Layer;
 /// 1-D convolution (cross-correlation) over a single-channel signal:
 /// input `[batch, length]`, output `[batch, channels · (length − kernel + 1)]`
 /// laid out channel-major (`c · out_len + t`), stride 1, no padding.
+///
+/// The loops run tap by tap (one axpy over `t` per filter tap), yet every
+/// float keeps the per-output summation order of the textbook loop, so the
+/// results are bit-identical to it: output `y[c, t]` is
+/// `((b[c] + w[c,0]·x[t]) + w[c,1]·x[t+1]) + …`; `gw[c, k]` and `gb[c]` sum
+/// their terms in `(batch row, t)` order; the input gradient at `j` sums
+/// over channels, then over `t` ascending.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
     /// `[channels, kernel]` filter bank.
@@ -79,26 +86,18 @@ impl Layer for Conv1d {
     }
 
     fn forward(&mut self, x: &Tensor) -> Tensor {
-        let batch = x.rows();
-        let length = x.cols();
-        let (channels, kernel) = (self.channels(), self.kernel());
+        let (length, kernel) = (x.cols(), self.kernel());
         let out_len = self.out_len(length);
-        let mut y = Tensor::zeros(&[batch, channels * out_len]);
-        let xd = x.data();
-        let wd = self.w.data();
-        let bd = self.b.data();
-        let yd = y.data_mut();
-        for r in 0..batch {
-            let row = &xd[r * length..(r + 1) * length];
-            let out = &mut yd[r * channels * out_len..(r + 1) * channels * out_len];
-            for c in 0..channels {
-                let filt = &wd[c * kernel..(c + 1) * kernel];
-                for t in 0..out_len {
-                    let mut acc = bd[c];
-                    for (k, &wv) in filt.iter().enumerate() {
-                        acc += wv * row[t + k];
+        let mut y = Tensor::zeros(&[x.rows(), self.channels() * out_len]);
+        let outs = y.data_mut().chunks_exact_mut(self.channels() * out_len);
+        for (row, out) in x.data().chunks_exact(length).zip(outs) {
+            let filters = self.w.data().chunks_exact(kernel).zip(self.b.data());
+            for ((filt, &b), out) in filters.zip(out.chunks_exact_mut(out_len)) {
+                out.fill(b);
+                for (k, &wk) in filt.iter().enumerate() {
+                    for (y, &xv) in out.iter_mut().zip(&row[k..k + out_len]) {
+                        *y += wk * xv;
                     }
-                    out[c * out_len + t] = acc;
                 }
             }
         }
@@ -107,45 +106,55 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_x
-            .as_ref()
-            .expect("backward called before forward");
-        let batch = x.rows();
-        let length = x.cols();
-        let (channels, kernel) = (self.channels(), self.kernel());
+        self.backward_params(grad_out);
+        let x = self.cached_x.as_ref().expect("checked by backward_params");
+        let (length, kernel) = (x.cols(), self.kernel());
         let out_len = length - kernel + 1;
-        assert_eq!(grad_out.cols(), channels * out_len, "grad shape mismatch");
-        // Overwrite, don't scale: `g *= 0.0` would turn a past Inf/NaN
-        // gradient entry into a permanent NaN (0·Inf = NaN) instead of
-        // recovering, unlike Dense which rebuilds its grads every backward.
-        self.gw.data_mut().fill(0.0);
-        self.gb.data_mut().fill(0.0);
-        let mut gx = Tensor::zeros(&[batch, length]);
-        let xd = x.data();
-        let wd = self.w.data();
-        let gd = grad_out.data();
-        let gwd = self.gw.data_mut();
-        let gbd = self.gb.data_mut();
-        let gxd = gx.data_mut();
-        for r in 0..batch {
-            let row = &xd[r * length..(r + 1) * length];
-            let gout = &gd[r * channels * out_len..(r + 1) * channels * out_len];
-            let grow = &mut gxd[r * length..(r + 1) * length];
-            for c in 0..channels {
-                let filt = &wd[c * kernel..(c + 1) * kernel];
-                let gfilt = &mut gwd[c * kernel..(c + 1) * kernel];
-                for t in 0..out_len {
-                    let g = gout[c * out_len + t];
-                    gbd[c] += g;
-                    for k in 0..kernel {
-                        gfilt[k] += g * row[t + k];
-                        grow[t + k] += g * filt[k];
+        let mut gx = Tensor::zeros(&[x.rows(), length]);
+        let gouts = grad_out.data().chunks_exact(grad_out.cols());
+        for (grow, gout) in gx.data_mut().chunks_exact_mut(length).zip(gouts) {
+            let filters = self.w.data().chunks_exact(kernel);
+            for (filt, gout) in filters.zip(gout.chunks_exact(out_len)) {
+                // Taps last to first: each `grow[j]` then takes its terms
+                // in `t` ascending order, as the per-output loop did.
+                for (k, &wk) in filt.iter().enumerate().rev() {
+                    for (gx, &g) in grow[k..k + out_len].iter_mut().zip(gout) {
+                        *gx += g * wk;
                     }
                 }
             }
         }
         gx
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let x = self
+            .cached_x
+            .as_ref()
+            .expect("backward called before forward");
+        let (length, kernel) = (x.cols(), self.kernel());
+        let out_len = length - kernel + 1;
+        let expected = [x.rows(), self.channels() * out_len];
+        assert_eq!(grad_out.shape(), expected, "grad shape mismatch");
+        // Overwrite, don't scale: `g *= 0.0` would turn a past Inf/NaN
+        // gradient entry into a permanent NaN (0·Inf = NaN) instead of
+        // recovering, unlike Dense which rebuilds its grads every backward.
+        self.gw.data_mut().fill(0.0);
+        self.gb.data_mut().fill(0.0);
+        let gouts = grad_out.data().chunks_exact(expected[1]);
+        for (row, gout) in x.data().chunks_exact(length).zip(gouts) {
+            let filters = self.gw.data_mut().chunks_exact_mut(kernel);
+            for ((gfilt, gb), gout) in filters
+                .zip(self.gb.data_mut())
+                .zip(gout.chunks_exact(out_len))
+            {
+                *gb = gout.iter().fold(*gb, |acc, &g| acc + g);
+                for (k, gw) in gfilt.iter_mut().enumerate() {
+                    let taps = gout.iter().zip(&row[k..k + out_len]);
+                    *gw = taps.fold(*gw, |acc, (&g, &xv)| acc + g * xv);
+                }
+            }
+        }
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -166,6 +175,11 @@ impl Layer for Conv1d {
 /// `[batch, channels · len / window]`. This is where shift invariance comes
 /// from — within a window, the filter response survives wherever the
 /// pattern sat.
+///
+/// Ties go to the window's first maximum, which alone takes the gradient. A
+/// later element wins only by comparing strictly greater (`v > top`), so a
+/// NaN never wins and a NaN in a window's first slot is that window's
+/// output; `-0.0` and `0.0` tie.
 #[derive(Debug, Clone)]
 pub struct MaxPool1d {
     channels: usize,
@@ -218,25 +232,22 @@ impl Layer for MaxPool1d {
         let pooled = len / self.window;
         let mut y = Tensor::zeros(&[batch, self.channels * pooled]);
         self.argmax.clear();
-        self.argmax.reserve(batch * self.channels * pooled);
+        self.argmax.resize(y.len(), 0);
         self.in_shape = (batch, cols);
-        let xd = x.data();
-        let yd = y.data_mut();
-        for r in 0..batch {
-            for c in 0..self.channels {
-                let base = r * cols + c * len;
-                for p in 0..pooled {
-                    let start = base + p * self.window;
-                    let mut best = start;
-                    for i in start + 1..start + self.window {
-                        if xd[i] > xd[best] {
-                            best = i;
-                        }
-                    }
-                    yd[r * self.channels * pooled + c * pooled + p] = xd[best];
-                    self.argmax.push(best);
-                }
+        // Every channel's length is a whole number of windows, so output `j`
+        // pools the `j`-th window of the flat input.
+        let windows = x.data().chunks_exact(self.window);
+        for (j, ((win, y), src)) in windows.zip(y.data_mut()).zip(&mut self.argmax).enumerate() {
+            // Selects, not branches: the data is what decides, and a
+            // mispredicted branch per element costs more than the compare.
+            let (mut best, mut top) = (0, win[0]);
+            for (i, &v) in win.iter().enumerate().skip(1) {
+                let wins = v > top;
+                best = if wins { i } else { best };
+                top = if wins { v } else { top };
             }
+            *y = top;
+            *src = j * self.window + best;
         }
         y
     }
@@ -269,6 +280,8 @@ impl Layer for MaxPool1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
 
     /// Central-difference check shared with `layer.rs` tests (duplicated
     /// here because test modules do not cross files).
@@ -399,9 +412,176 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "grad shape mismatch")]
+    fn conv_rejects_a_grad_with_other_rows_than_the_batch() {
+        let mut conv = Conv1d::new(2, 3, 0);
+        let y = conv.forward(&sample_input(1, 8));
+        let _ = conv.backward(&Tensor::zeros(&[2, y.cols()]));
+    }
+
+    #[test]
     #[should_panic(expected = "not divisible")]
     fn maxpool_rejects_ragged_windows() {
         let mut pool = MaxPool1d::new(1, 3);
         let _ = pool.forward(&sample_input(1, 8));
+    }
+
+    /// `Conv1d::forward` as one reduction per output: the reference the
+    /// tap-wise kernel must equal bit for bit.
+    fn reference_conv_forward(x: &Tensor, w: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (batch, length) = (x.rows(), x.cols());
+        let (channels, kernel) = (w.rows(), w.cols());
+        let out_len = length - kernel + 1;
+        let (xd, wd, bd) = (x.data(), w.data(), b.data());
+        let mut yd = vec![0.0; batch * channels * out_len];
+        for r in 0..batch {
+            let row = &xd[r * length..(r + 1) * length];
+            let out = &mut yd[r * channels * out_len..(r + 1) * channels * out_len];
+            for c in 0..channels {
+                let filt = &wd[c * kernel..(c + 1) * kernel];
+                for t in 0..out_len {
+                    let mut acc = bd[c];
+                    for (k, &wv) in filt.iter().enumerate() {
+                        acc += wv * row[t + k];
+                    }
+                    out[c * out_len + t] = acc;
+                }
+            }
+        }
+        yd
+    }
+
+    /// `Conv1d::backward` as one pass per output element, returning
+    /// `(gw, gb, gx)`.
+    fn reference_conv_backward(
+        x: &Tensor,
+        w: &Tensor,
+        grad_out: &Tensor,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (batch, length) = (x.rows(), x.cols());
+        let (channels, kernel) = (w.rows(), w.cols());
+        let out_len = length - kernel + 1;
+        let (xd, wd, gd) = (x.data(), w.data(), grad_out.data());
+        let (mut gwd, mut gbd) = (vec![0.0; channels * kernel], vec![0.0; channels]);
+        let mut gxd = vec![0.0; batch * length];
+        for r in 0..batch {
+            let row = &xd[r * length..(r + 1) * length];
+            let gout = &gd[r * channels * out_len..(r + 1) * channels * out_len];
+            let grow = &mut gxd[r * length..(r + 1) * length];
+            for c in 0..channels {
+                let filt = &wd[c * kernel..(c + 1) * kernel];
+                let gfilt = &mut gwd[c * kernel..(c + 1) * kernel];
+                for t in 0..out_len {
+                    let g = gout[c * out_len + t];
+                    gbd[c] += g;
+                    for k in 0..kernel {
+                        gfilt[k] += g * row[t + k];
+                        grow[t + k] += g * filt[k];
+                    }
+                }
+            }
+        }
+        (gwd, gbd, gxd)
+    }
+
+    /// `MaxPool1d::forward` with a branch per comparison, returning the
+    /// output and each output's flat argmax.
+    fn reference_maxpool(x: &Tensor, channels: usize, window: usize) -> (Vec<f32>, Vec<usize>) {
+        let (batch, cols) = (x.rows(), x.cols());
+        let len = cols / channels;
+        let pooled = len / window;
+        let xd = x.data();
+        let (mut yd, mut argmax) = (vec![0.0; batch * channels * pooled], Vec::new());
+        for r in 0..batch {
+            for c in 0..channels {
+                let base = r * cols + c * len;
+                for p in 0..pooled {
+                    let start = base + p * window;
+                    let mut best = start;
+                    for i in start + 1..start + window {
+                        if xd[i] > xd[best] {
+                            best = i;
+                        }
+                    }
+                    yd[r * channels * pooled + c * pooled + p] = xd[best];
+                    argmax.push(best);
+                }
+            }
+        }
+        (yd, argmax)
+    }
+
+    /// Bit equality as far as Rust defines it: a NaN result's sign and
+    /// payload are unspecified, so any NaN matches any NaN.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// A tensor over few distinct values, so maxima tie often, whose sums
+    /// round, so a changed summation order shows; with an occasional NaN,
+    /// infinity or negative zero.
+    fn draw(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+        const FINITE: [f32; 6] = [0.0, 1.0, -0.7, 0.1, 1.0 / 3.0, 7.0e6];
+        const SPECIAL: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let n = shape.iter().product();
+        let data = (0..n)
+            .map(|_| match rng.gen_range(0..100usize) {
+                i if i < SPECIAL.len() => SPECIAL[i],
+                i => FINITE[i % FINITE.len()],
+            })
+            .collect();
+        Tensor::from_vec(data, shape)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn kernels_equal_the_reference_loops_bit_for_bit(
+            batch in 1usize..10,
+            channels in 1usize..10,
+            kernel in 1usize..10,
+            length_pick in any::<usize>(),
+            window_pick in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let length = kernel + length_pick % (41 - kernel);
+            let out_len = length - kernel + 1;
+            let windows: Vec<usize> = (1..=out_len).filter(|&w| out_len.is_multiple_of(w)).collect();
+            let window = windows[window_pick % windows.len()];
+            let mut rng = StdRng::seed_from_u64(seed);
+
+            let mut conv = Conv1d::new(channels, kernel, 0);
+            let (w, b) = (draw(&mut rng, &[channels, kernel]), draw(&mut rng, &[channels]));
+            conv.params_mut()[0].data_mut().copy_from_slice(w.data());
+            conv.params_mut()[1].data_mut().copy_from_slice(b.data());
+            let x = draw(&mut rng, &[batch, length]);
+            let y = conv.forward(&x);
+            prop_assert!(same_bits(y.data(), &reference_conv_forward(&x, &w, &b)), "output");
+            let g = draw(&mut rng, y.shape());
+            let gx = conv.backward(&g);
+            let (gw, gb, want_gx) = reference_conv_backward(&x, &w, &g);
+            prop_assert!(same_bits(conv.grads()[0].data(), &gw), "gw");
+            prop_assert!(same_bits(conv.grads()[1].data(), &gb), "gb");
+            prop_assert!(same_bits(gx.data(), &want_gx), "input gradient");
+
+            let mut pool = MaxPool1d::new(channels, window);
+            let h = draw(&mut rng, y.shape());
+            let pooled = pool.forward(&h);
+            let (want, argmax) = reference_maxpool(&h, channels, window);
+            prop_assert!(same_bits(pooled.data(), &want), "pool output");
+            // Distinct gradients, so each must land where the reference
+            // routed it.
+            let gp: Vec<f32> = (1..=pooled.len()).map(|i| i as f32).collect();
+            let routed = pool.backward(&Tensor::from_vec(gp.clone(), pooled.shape()));
+            let mut want_routed = vec![0.0; h.len()];
+            for (&src, &gv) in argmax.iter().zip(&gp) {
+                want_routed[src] += gv;
+            }
+            prop_assert!(same_bits(routed.data(), &want_routed), "pool routing");
+        }
     }
 }

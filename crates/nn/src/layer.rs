@@ -25,6 +25,19 @@ pub trait Layer: Send {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads:
+    /// fills the same parameter gradients, bit for bit, and may skip
+    /// computing the input gradient. [`crate::Network`] calls it on its
+    /// first layer only, whose input is the batch itself. The default calls
+    /// `backward` and drops the result.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Immutable views of the layer's parameter tensors.
     fn params(&self) -> Vec<&Tensor>;
 
@@ -117,13 +130,17 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        grad_out.matmul_t(&self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_x
             .as_ref()
             .expect("backward called before forward");
         self.gw = x.t_matmul(grad_out);
         self.gb = grad_out.sum_rows();
-        grad_out.matmul_t(&self.w)
     }
 
     fn params(&self) -> Vec<&Tensor> {

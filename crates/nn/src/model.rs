@@ -274,12 +274,16 @@ impl Network {
     }
 
     /// Forward + backward over one batch, leaving the gradient in the
-    /// layers; returns the mean loss.
+    /// layers; returns the mean loss. The first layer's input is the batch,
+    /// so its input gradient is never computed.
     fn backward_pass(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         let logits = self.forward(x);
         let (loss, mut grad) = self.loss.loss_and_grad(&logits, labels);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            for layer in rest.iter_mut().rev() {
+                grad = layer.backward(&grad);
+            }
+            first.backward_params(&grad);
         }
         loss
     }
@@ -735,6 +739,63 @@ mod tests {
             let loss = mlp.loss_and_grad_into(&x, &[0, 1], &full, &mut buf);
             let (expected_loss, expected) = mlp.loss_and_grad(&x, &[0, 1]);
             assert_eq!((loss, buf.as_slice()), (expected_loss, &expected[..]));
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn skipping_the_first_input_gradient_changes_no_parameter_gradient() {
+        let wavy = |rows: usize, cols: usize| {
+            let data = (0..rows * cols)
+                .map(|i| ((i as f32 * 0.37).sin() * 1.3) + 0.11)
+                .collect();
+            Tensor::from_vec(data, &[rows, cols])
+        };
+        let ids = Tensor::from_vec((0..12).map(|i| ((i * 7) % 20) as f32).collect(), &[4, 3]);
+        let labels = [0, 2, 1, 0];
+        let nets = [
+            (Network::conv1d_classifier(16, 3, 5, 4, 3, 1), wavy(4, 16)),
+            (Network::mlp(6, &[8, 5], 3, 2), wavy(4, 6)),
+            (Network::residual_mlp(6, 8, 2, 3, 3), wavy(4, 6)),
+            (
+                Network::embedding_classifier(20, 4, 6, 3, 3, 4),
+                ids.clone(),
+            ),
+        ];
+        for (mut net, x) in nets {
+            // The pass `backward_pass` shortens: `backward` on every layer.
+            let mut full = net.clone();
+            let logits = full.forward(&x);
+            let (full_loss, mut grad) = full.loss.loss_and_grad(&logits, &labels);
+            for layer in full.layers.iter_mut().rev() {
+                grad = layer.backward(&grad);
+            }
+            let (loss, grads) = net.loss_and_grad(&x, &labels);
+            assert_eq!(loss.to_bits(), full_loss.to_bits(), "{net:?}");
+            assert_eq!(bits(&grads), bits(&full.grads_flat()), "{net:?}");
+        }
+
+        let layers: [(Box<dyn Layer>, Tensor); 5] = [
+            (Box::new(Dense::new(6, 4, 5)), wavy(3, 6)),
+            (Box::new(Conv1d::new(3, 4, 6)), wavy(3, 11)),
+            (Box::new(Embedding::new(20, 4, 7)), ids),
+            (Box::new(Relu::new()), wavy(3, 6)),
+            (Box::new(ResidualBlock::new(6, 8)), wavy(3, 6)),
+        ];
+        for (mut by_params, x) in layers {
+            let mut by_backward = by_params.clone_box();
+            let y = by_params.forward(&x);
+            by_backward.forward(&x);
+            let g = y.map(|v| v * 0.5 - 0.25);
+            by_params.backward_params(&g);
+            by_backward.backward(&g);
+            let grads = |l: &dyn Layer| -> Vec<Vec<u32>> {
+                l.grads().iter().map(|t| bits(t.data())).collect()
+            };
+            assert_eq!(grads(&*by_params), grads(&*by_backward));
         }
     }
 
