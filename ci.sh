@@ -202,8 +202,8 @@ stage_workloads() {
 
 # Chaos suite: every trainable workload under BSP and ASP on a TCP tier
 # with seeded fault injection (dropped replies, stragglers) plus a mid-run
-# server kill, healed by the supervisor and restored from the trainer's
-# checkpoint, and the hot-lr divergence specimen absorbed by the
+# server kill and respawn, found by the router's handshake and restored
+# from the trainer's checkpoint, and the hot-lr divergence specimen absorbed by the
 # controller's rollback rule. Hard KILL timeout: a wedged retry loop or a
 # dead server that never heals must fail the gate, not hang it. Built
 # first so compilation does not eat the run budget.
@@ -250,8 +250,8 @@ stage_examples() {
 # Multi-process cluster: real `ps-serve` + `ps-worker` OS processes over
 # real TCP (spawned by tests/cluster.rs via the ClusterHarness), driven to
 # the convergence gate under BSP and ASP, including a mid-run server
-# SIGKILL: the supervisor detects the respawned instance and each worker
-# restores the tier from its segment-start checkpoint. Release profile —
+# SIGKILL: each worker's handshake finds the respawned instance and the
+# worker restores the tier from its segment-start checkpoint. Release profile —
 # the crash-timing windows in the test assume release-speed training.
 # Hard KILL timeout: a wedged handshake or heal loop must fail the gate,
 # not hang it; the EXIT trap reaps any orphaned child processes.

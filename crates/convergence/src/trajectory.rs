@@ -83,7 +83,6 @@ pub struct TrajectoryModel {
     step: u64,
     acc: f64,
     loss: f64,
-    loss_start: f64,
     loss_floor_bsp: f64,
     loss_floor_ratio: f64,
     diverged_at: Option<u64>,
@@ -122,7 +121,6 @@ impl TrajectoryModel {
             step: 0,
             acc: 1.0 / classes,
             loss: classes.ln(),
-            loss_start: classes.ln(),
             loss_floor_bsp,
             loss_floor_ratio,
             diverged_at: None,
@@ -307,11 +305,6 @@ impl TrajectoryModel {
     /// Current smoothed training loss.
     pub fn training_loss(&self) -> f64 {
         self.loss
-    }
-
-    /// Initial training loss (`ln(classes)`).
-    pub fn initial_loss(&self) -> f64 {
-        self.loss_start
     }
 
     /// The accuracy the run is currently converging toward (no eval noise).

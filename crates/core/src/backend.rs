@@ -140,12 +140,6 @@ impl SimBackend {
     pub fn setup(&self) -> &ExperimentSetup {
         &self.setup
     }
-
-    /// Workers currently inside a straggler episode (ground truth — the
-    /// detector must *discover* this from throughput alone).
-    pub fn ground_truth_stragglers(&self) -> Vec<usize> {
-        self.cluster.active_stragglers_now()
-    }
 }
 
 impl TrainingBackend for SimBackend {

@@ -19,22 +19,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Builds a dataset from raw parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not 2-D, row count differs from `y.len()`, or a
-    /// label is out of range.
-    pub fn from_parts(x: Tensor, y: Vec<usize>, classes: usize) -> Self {
-        assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
-        assert!(classes > 0, "classes must be positive");
-        assert!(
-            y.iter().all(|&l| l < classes),
-            "label out of range for {classes} classes"
-        );
-        Dataset { x, y, classes }
-    }
-
     /// Gaussian blobs: class `c` is an isotropic Gaussian around a random
     /// unit-ish center; `spread` controls overlap (and therefore achievable
     /// accuracy). Fully determined by `seed`.

@@ -921,7 +921,7 @@ impl Trainer {
 
     /// The telemetry bus this trainer records into. Harnesses read metrics
     /// snapshots and export Chrome traces from here; the controller and
-    /// supervisor record their events into the same bus. Always `Some`: the
+    /// the router's handshake record their events into the same bus. Always `Some`: the
     /// bus is part of the data plane, and the `Option` stays only because
     /// the frozen `benchmark/src/{job,probes}.rs` match on it (ROADMAP item
     /// 2 unfreezes it).
@@ -1073,10 +1073,10 @@ impl Trainer {
     /// [`PsError::WorkerPanicked`] if a worker thread died mid-segment —
     /// on a transport-backed plane that is how an unreachable server
     /// surfaces (the infallible data-path ops panic once retries are
-    /// exhausted), so a `ps-worker` catches it, waits out the respawn via
-    /// [`crate::ServerSupervisor::heal_respawned`], restores the whole tier
-    /// from its segment-start checkpoint (the respawned server holds reset
-    /// state until then), and re-runs the segment.
+    /// exhausted), so a `ps-worker` catches it, waits out the respawn with
+    /// [`NetRouter::handshake`], restores the whole tier from its
+    /// segment-start checkpoint (the respawned server holds reset state
+    /// until then), and re-runs the segment.
     pub fn run_segment(
         &mut self,
         protocol: SyncProtocol,
@@ -1798,9 +1798,10 @@ mod tests {
     #[test]
     fn a_restore_after_a_heal_starts_every_worker_on_fresh_sockets() {
         // The workers' connections outlive an ordinary segment boundary,
-        // but not a restore: after server 0 is killed and revived, the
-        // restore that follows every heal drops them, so the next segment
-        // dials the new instance instead of failing on the dead sockets.
+        // but not a restore: after server 0 is killed, revived and found
+        // by the handshake, the restore that follows every heal drops
+        // them, so the next segment dials the new instance instead of
+        // failing on the dead sockets.
         let data = Dataset::gaussian_blobs(3, 40, 5, 0.3, 34);
         let (train, test) = data.split(0.25);
         let topology = crate::config::ServerTopology::new(2, 4).with_transport(TransportKind::Tcp);
@@ -1813,6 +1814,7 @@ mod tests {
         let router = t.net_router().expect("wire plane");
         router.kill_server(0).unwrap();
         router.revive_server(0).unwrap();
+        assert_eq!(router.handshake(Duration::from_secs(5)), Ok(1));
         t.restore(&ck).unwrap();
         let r = t.run_segment(SyncProtocol::Asp, 20).unwrap();
         assert_eq!((r.transport.reconnects, r.transport.retries), (0, 0));

@@ -43,7 +43,6 @@ pub mod router;
 pub mod server;
 pub mod ssp;
 pub mod store;
-pub mod supervisor;
 pub mod switcher;
 pub mod transport;
 
@@ -58,11 +57,8 @@ pub use profiler::{ShardStaleness, StalenessHistogram, TransportStats, WireOp, W
 pub use router::{PortBuffer, ShardRouter, WorkerPort};
 pub use server::PsServer;
 pub use store::{PullBuffer, ShardLayout, ShardedStore, UpdateData};
-pub use supervisor::ServerSupervisor;
 pub use switcher::{execute_switch, SwitchOutcome, SwitchPlan};
-pub use transport::{
-    FaultPlan, FaultyTransport, NetPort, NetRouter, RemoteTcpTransport, ServerInfo, TcpServerHost,
-};
+pub use transport::{FaultPlan, FaultyTransport, NetPort, NetRouter, ServerInfo, TcpServerHost};
 
 // The telemetry bus every layer above records into, re-exported so binaries
 // and harnesses don't need a separate dependency edge for the common types.

@@ -62,19 +62,6 @@ impl WorkerProfile {
     pub fn images_per_sec(&self, batch: usize) -> f64 {
         self.steps_per_sec() * batch as f64
     }
-
-    /// Mean loss over the segment (`None` if no steps).
-    pub fn mean_loss(&self) -> Option<f32> {
-        if self.losses.is_empty() {
-            return None;
-        }
-        Some(self.losses.iter().sum::<f32>() / self.losses.len() as f32)
-    }
-
-    /// Loss of the most recent step.
-    pub fn last_loss(&self) -> Option<f32> {
-        self.losses.last().copied()
-    }
 }
 
 /// Aggregate wire cost of one operation class (push / pull / sync) on a
@@ -404,7 +391,6 @@ mod tests {
         assert_eq!(p.steps(), 20);
         assert!((p.steps_per_sec() - 100.0).abs() < 1.0);
         assert!((p.images_per_sec(32) - 3200.0).abs() < 50.0);
-        assert_eq!(p.mean_loss(), Some(1.0));
     }
 
     #[test]
@@ -437,8 +423,6 @@ mod tests {
         let p = WorkerProfile::default();
         assert_eq!(p.steps_per_sec(), 0.0);
         assert_eq!(p.wall_steps_per_sec(), None);
-        assert_eq!(p.mean_loss(), None);
-        assert_eq!(p.last_loss(), None);
     }
 
     #[test]

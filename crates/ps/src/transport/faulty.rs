@@ -72,7 +72,7 @@ impl FaultPlan {
 
 /// A [`Transport`] decorator injecting the faults of a [`FaultPlan`] into
 /// every connection. Kill/revive hooks delegate to the wrapped backend, so
-/// a supervisor works identically with and without fault injection.
+/// a crash heals the same way with and without fault injection.
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     plan: FaultPlan,

@@ -15,8 +15,9 @@
 //!   event-loop thread draining an mpsc request queue; request/reply byte
 //!   buffers ping-pong between client and server, so the steady state is
 //!   allocation-free.
-//! * [`tcp`] — the loopback TCP backend: one listener per server, blocking
-//!   I/O, one connection (and one handler thread) per worker.
+//! * [`tcp`] — the TCP backend: one listener per server, blocking I/O, one
+//!   connection (and one handler thread) per worker. It hosts its servers
+//!   on loopback, or dials `ps-serve` processes by address.
 //! * [`NetRouter`] / [`NetPort`] — the client: implements the same routing,
 //!   version-clock, and two-stage-sync semantics as the in-process
 //!   [`crate::ShardRouter`], but reaches the servers only through a
@@ -36,9 +37,10 @@
 //! ([`Conn::last_reply`]), and the next step decodes it from there. Pulls
 //! read the *committed* view, which only a commit-all changes, so the image
 //! is the pull the next step would have made unless the server has
-//! acknowledged a commit since the request went out; [`NetRouter`] stamps
-//! each image with a per-server view epoch read before the send and asks
-//! the server again when the epoch has moved, which keeps the guarantee a
+//! acknowledged a commit since the request went out, or a handshake has
+//! found it replaced; [`NetRouter`] stamps each image with a per-server
+//! view epoch read before the send, ticks it on either, and asks the
+//! server again when the epoch has moved, which keeps the guarantee a
 //! pull has always given — it reflects every round completed before it was
 //! asked for. A segment's first step, steps that pull by run and
 //! reconnects pay the round trip as before. A BSP round is one round trip
@@ -63,13 +65,11 @@
 pub mod channel;
 pub mod faulty;
 mod net_router;
-pub mod remote;
 pub mod tcp;
 pub mod wire;
 
 pub use faulty::{FaultPlan, FaultyTransport};
 pub use net_router::{NetPort, NetRouter};
-pub use remote::RemoteTcpTransport;
 pub use tcp::TcpServerHost;
 pub use wire::{ServerInfo, WireError};
 
@@ -105,9 +105,11 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// listener is gone).
     fn connect(&self, server: usize) -> io::Result<Box<dyn Conn>>;
 
-    /// Crash-testing hook: kills server `server` without tearing down the
-    /// transport, severing its open connections. Backends that cannot kill
-    /// a server in place return [`io::ErrorKind::Unsupported`].
+    /// Crash-testing hook: kills server `server` the way `SIGKILL` kills a
+    /// `ps-serve` process — its listener closes and its open connections
+    /// are severed — without tearing down the rest of the transport. It
+    /// tells no client anything. Backends that host no server they can kill
+    /// in place return [`io::ErrorKind::Unsupported`].
     ///
     /// # Errors
     ///
@@ -119,9 +121,10 @@ pub trait Transport: Send + Sync + fmt::Debug {
         ))
     }
 
-    /// Recovery hook paired with [`Transport::kill_server`]: installs
-    /// `fresh` as the new instance behind server slot `server` and resumes
-    /// accepting connections to it.
+    /// Recovery hook paired with [`Transport::kill_server`]: serves `fresh`
+    /// at the killed server's address, as a respawned `ps-serve` would.
+    /// Clients learn of it only from the new instance nonce its `Hello`
+    /// answers with ([`NetRouter::handshake`]).
     ///
     /// # Errors
     ///

@@ -58,11 +58,11 @@
 //! this server's commit acknowledged before the image was asked for, and
 //! the image holds it. Hence a served pull is exactly what asking would
 //! return — the committed view changes on commits only — and a pull still
-//! reflects every round completed before it was asked for. Kill and revive
-//! tick the epoch too, and a restore ends in a commit-all. The epochs, like
-//! the version clock, the round counter and the barrier, live in this
-//! process: two `ps-worker` processes sharing a tier each date their images
-//! by their own rounds only (see [`Tier`]).
+//! reflects every round completed before it was asked for. A handshake
+//! that finds a server replaced ticks its epoch too, and a restore ends in
+//! a commit-all. The epochs, like the version clock, the round counter and
+//! the barrier, live in this process: two `ps-worker` processes sharing a
+//! tier each date their images by their own rounds only (see [`Tier`]).
 
 use std::io;
 use std::net::SocketAddr;
@@ -75,7 +75,6 @@ use sync_switch_telemetry::{Counter, ServerStatsSnapshot, Telemetry, TraceKind};
 
 use super::channel::ChannelTransport;
 use super::faulty::FaultyTransport;
-use super::remote::RemoteTcpTransport;
 use super::tcp::TcpTransport;
 use super::wire::{self, op, ServerInfo, WireError};
 use super::{Conn, Transport};
@@ -253,8 +252,8 @@ impl ConnSet {
         }
     }
 
-    /// Drops the cached connection to `server` (after a kill/revive the old
-    /// socket points at a dead instance).
+    /// Drops the cached connection to `server` (the old socket may point at
+    /// a dead instance).
     fn invalidate(&mut self, server: usize) {
         let slot = &mut self.per_server[server];
         slot.conn = None;
@@ -284,12 +283,15 @@ pub struct NetRouter {
     /// tick for every commit-all it has acknowledged (a round's or a
     /// drain's, ticked as each server answers, before the round is
     /// complete) and for whatever else rewrites it behind the schedule's
-    /// back — a kill, a revive, a per-server restore. Ticked only under the
-    /// round lock. An image of server `s` asked for while its epoch read
-    /// `e` is what a pull of `s` would return for as long as it still reads
-    /// `e`: every round that has completed by then had `s` acknowledge its
-    /// commit before the image was asked for.
+    /// back: a replaced instance, once a handshake finds it. Ticked only
+    /// under the round lock. An image of server `s` asked for while its
+    /// epoch read `e` is what a pull of `s` would return for as long as it
+    /// still reads `e`: every round that has completed by then had `s`
+    /// acknowledge its commit before the image was asked for.
     view_epochs: Vec<AtomicU64>,
+    /// Per server, the instance nonce it last answered a handshake with, or
+    /// the one it was launched with; `None` until known.
+    instances: Mutex<Vec<Option<u64>>>,
     /// The data plane's telemetry bus: the router emits its wire events on
     /// it (retries, sync rounds, kills, heals), and the trainer over this
     /// router adopts it, so they share a clock and a trace with the
@@ -329,6 +331,7 @@ impl NetRouter {
         let instances: Vec<Arc<PsServer>> = (0..tier.server_count())
             .map(|s| Arc::new(tier.server(s, initial)))
             .collect();
+        let nonces = instances.iter().map(|i| Some(i.nonce())).collect();
         let base: Box<dyn Transport> = match topology.transport {
             TransportKind::Channel => Box::new(ChannelTransport::launch(instances)),
             TransportKind::Tcp => {
@@ -342,15 +345,17 @@ impl NetRouter {
             Some(plan) if plan.any_fault() => Box::new(FaultyTransport::new(base, plan)),
             _ => base,
         };
-        Self::over(topology.transport, tier, topology.retry, transport)
+        Self::over(topology.transport, tier, topology.retry, transport, nonces)
     }
 
-    /// The client router over an already-running `transport`.
+    /// The client router over an already-running `transport` whose servers
+    /// are the instances `nonces` names, where known.
     fn over(
         kind: TransportKind,
         tier: Tier,
         retry: RetryPolicy,
         transport: Box<dyn Transport>,
+        nonces: Vec<Option<u64>>,
     ) -> Self {
         let telemetry = Arc::new(Telemetry::new());
         NetRouter {
@@ -360,6 +365,7 @@ impl NetRouter {
             view_epochs: (0..tier.server_count())
                 .map(|_| AtomicU64::new(0))
                 .collect(),
+            instances: Mutex::new(nonces),
             sync_rounds_counter: telemetry.metrics.counter("wire.sync_rounds"),
             retries_counter: telemetry.metrics.counter("wire.retries"),
             telemetry,
@@ -375,7 +381,8 @@ impl NetRouter {
     /// derived from the same pure `(param_count, shards, servers)` layout
     /// math every `ps-serve` process runs, and connections open lazily.
     /// Call [`NetRouter::handshake`] afterwards to wait for the servers to
-    /// bind and to verify they agree on the layout.
+    /// bind, to verify they agree on the layout, and to record which
+    /// instances they are.
     ///
     /// # Errors
     ///
@@ -408,8 +415,15 @@ impl NetRouter {
                 tier.shard_count()
             )));
         }
-        let transport = Box::new(RemoteTcpTransport::new(addrs.to_vec()));
-        Ok(Self::over(TransportKind::Tcp, tier, retry, transport))
+        let transport = Box::new(TcpTransport::dial(addrs.to_vec()));
+        let nonces = vec![None; addrs.len()];
+        Ok(Self::over(
+            TransportKind::Tcp,
+            tier,
+            retry,
+            transport,
+            nonces,
+        ))
     }
 
     /// The telemetry bus this router emits wire events and counters on.
@@ -1106,9 +1120,8 @@ impl NetRouter {
         }
     }
 
-    /// Probes server `s` with a short-timeout round trip; `Ok` means the
-    /// server answered. The liveness check behind
-    /// [`crate::supervisor::ServerSupervisor::heal`].
+    /// Probes server `s` with a short-timeout round trip over a freshly
+    /// dialed connection; `Ok` means the server answered.
     pub fn ping_server(&self, s: usize) -> Result<(), PsError> {
         let probe = self.probe_policy();
         let mut conns = self.sync.lock();
@@ -1132,7 +1145,7 @@ impl NetRouter {
     /// (identity nonce, owned slice) under the short probe policy of
     /// [`Self::ping_server`]. A changed nonce at the same address means the
     /// instance was replaced (revived in-process, or its process respawned)
-    /// and holds reset state.
+    /// and holds reset state; [`Self::handshake`] is what acts on it.
     ///
     /// # Errors
     ///
@@ -1153,11 +1166,22 @@ impl NetRouter {
         )
     }
 
-    /// The readiness handshake: probes every server with `Hello` until each
-    /// has answered or `deadline` elapses, then cross-checks the answers
-    /// against the locally derived layout. This is what lets a `ps-worker`
-    /// process be started before (or concurrently with) its `ps-serve`
-    /// processes: the worker retries until the listeners bind.
+    /// The readiness handshake, and the one heal: probes every server with
+    /// `Hello` until each has answered or `deadline` elapses, cross-checks
+    /// the answers against the locally derived layout, and records which
+    /// instance each server is. Returns how many servers answered with an
+    /// instance other than the one recorded — replaced, so holding reset
+    /// state until the caller restores the tier from its checkpoint
+    /// ([`crate::Trainer::restore`]). The first handshake of a
+    /// [`connect`](Self::connect)ed tier only records.
+    ///
+    /// This is what lets a `ps-worker` process be started before (or
+    /// concurrently with) its `ps-serve` processes, and how every crash is
+    /// observed: a kill tells the router nothing, in-process or across
+    /// processes. For each replaced server its view epoch ticks, so no
+    /// image of the old instance is served, the control plane's connection
+    /// to it drops, and `fault.server_kills` / `fault.server_heals` count
+    /// and trace the pair.
     ///
     /// # Errors
     ///
@@ -1165,9 +1189,9 @@ impl NetRouter {
     /// deadline, or [`PsError::InvalidConfig`] if a server answers with an
     /// identity or slice that contradicts the spec (wrong index at an
     /// address, or a different `(param_count, shards, servers)` triple).
-    pub fn handshake(&self, deadline: Duration) -> Result<Vec<ServerInfo>, PsError> {
+    pub fn handshake(&self, deadline: Duration) -> Result<usize, PsError> {
         let start = Instant::now();
-        let mut infos = Vec::with_capacity(self.tier.server_count());
+        let mut replaced = 0;
         for (s, meta) in self.tier.slices().iter().enumerate() {
             let info = loop {
                 match self.server_info(s) {
@@ -1200,45 +1224,39 @@ impl NetRouter {
                      address list and (params, shards, servers) must match across the cluster"
                 )));
             }
-            infos.push(info);
+            let recorded = self.instances.lock()[s].replace(info.nonce);
+            if recorded.is_none_or(|nonce| nonce == info.nonce) {
+                continue;
+            }
+            replaced += 1;
+            // The round lock: epochs tick only under it.
+            let mut control = self.sync.lock();
+            control.invalidate(s);
+            self.tick_view_epoch(s);
+            let t = &self.telemetry;
+            t.metrics.counter("fault.server_kills").inc();
+            t.trace.instant(TraceKind::ServerKill { server: s as u64 });
+            t.metrics.counter("fault.server_heals").inc();
+            t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
         }
-        Ok(infos)
+        Ok(replaced)
     }
 
-    /// Kills server `s`'s serving loop through the transport's
-    /// fault-injection hook (TCP backend; chaos testing). In-flight and
-    /// cached connections are severed; this router's control-plane slot is
-    /// invalidated so later ops dial fresh.
+    /// Kills server `s` through the transport's crash-testing hook, as
+    /// `SIGKILL` kills a `ps-serve`: its listener closes and every
+    /// connection to it breaks. Like `SIGKILL`, it tells this router
+    /// nothing; [`Self::handshake`] finds the replacement.
     pub fn kill_server(&self, s: usize) -> io::Result<()> {
-        self.transport.kill_server(s)?;
-        self.forget_server(s);
-        let t = &self.telemetry;
-        t.metrics.counter("fault.server_kills").inc();
-        t.trace.instant(TraceKind::ServerKill { server: s as u64 });
-        Ok(())
+        self.transport.kill_server(s)
     }
 
-    /// After the instance behind slot `s` was swapped out: drops the control
-    /// plane's connection to it and ticks its view epoch, so whatever image
-    /// a worker's connection still holds of the old instance is not served.
-    fn forget_server(&self, s: usize) {
-        let mut control = self.sync.lock();
-        control.invalidate(s);
-        self.tick_view_epoch(s);
-    }
-
-    /// Brings a fresh, zero-initialised instance of server `s` back up in
-    /// place of a killed one. The instance serves immediately but holds no
-    /// trained state — restore the tier from a checkpoint
-    /// ([`Self::restore`]).
+    /// Brings a fresh, zero-initialised instance of server `s` up at the
+    /// killed one's address, as a respawn would. It holds no trained state
+    /// until [`Self::handshake`] has found it and the caller has restored
+    /// the tier from a checkpoint.
     pub fn revive_server(&self, s: usize) -> io::Result<()> {
         let fresh = self.tier.server(s, &vec![0.0f32; self.param_count()]);
-        self.transport.revive_server(s, Arc::new(fresh))?;
-        self.forget_server(s);
-        let t = &self.telemetry;
-        t.metrics.counter("fault.server_heals").inc();
-        t.trace.instant(TraceKind::ServerHeal { server: s as u64 });
-        Ok(())
+        self.transport.revive_server(s, Arc::new(fresh))
     }
 
     /// One `Stats` round trip to server `s`: a point-in-time copy of its
@@ -1668,15 +1686,17 @@ mod tests {
             assert_eq!(own_round, asked());
             assert_eq!(own_round.0, r.snapshot_params());
 
-            // A killed server takes the image on its connection with it: the
-            // pull of *that* server goes to the wire and re-dials the
-            // replacement. Server 0 was not touched, so its image still
-            // stands and is served.
+            // Once a handshake finds server 1 replaced, the image its old
+            // instance left on A's connection is not served: the pull of
+            // *that* server goes to the wire and re-dials the replacement.
+            // Server 0 was not touched, so its image still stands and is
+            // served.
             assert_eq!(queued_push(&a, 8.0), 2);
             if r.kill_server(1).is_err() {
                 continue; // only the TCP backend kills in place
             }
             r.revive_server(1).expect("revive");
+            assert_eq!(r.handshake(Duration::from_secs(5)), Ok(1));
             let (before, reconnects) = (pull_trips(), r.stats().reconnects);
             let healed = pulled(&a);
             assert_eq!(pull_trips(), before + 1, "only the killed server is asked");
@@ -1904,7 +1924,14 @@ mod tests {
             .map(|s| Arc::new(tier.server(s, &initial)))
             .collect();
         let transport = Box::new(ChannelTransport::launch(servers.clone()));
-        let router = NetRouter::over(TransportKind::Channel, tier, topology.retry, transport);
+        let nonces = servers.iter().map(|s| Some(s.nonce())).collect();
+        let router = NetRouter::over(
+            TransportKind::Channel,
+            tier,
+            topology.retry,
+            transport,
+            nonces,
+        );
         let port = WorkerPort::Net(NetPort::over(Arc::new(router)));
         let mut t = Trainer::with_port(model, train, test, cfg, port);
         for _ in 0..10 {
@@ -1916,6 +1943,36 @@ mod tests {
         for server in &servers {
             assert_eq!(server.seq_clients(), 3, "server {}", server.id());
         }
+    }
+
+    #[test]
+    fn a_handshake_counts_each_replaced_server_once() {
+        let counter = |r: &NetRouter, name: &str| {
+            let snap = r.telemetry().metrics.snapshot();
+            snap.counters.get(name).copied().unwrap_or(0)
+        };
+        let net = NetPort::launch(
+            &[1.0f32; 16],
+            4,
+            ServerTopology::new(2, 1).with_transport(TransportKind::Tcp),
+        );
+        let r = net.router();
+        assert_eq!(r.handshake(Duration::from_secs(5)), Ok(0), "healthy tier");
+        r.kill_server(1).expect("kill");
+        let t0 = Instant::now();
+        assert!(r.handshake(Duration::from_millis(200)).is_err());
+        assert!(t0.elapsed() < Duration::from_secs(5), "missed its deadline");
+        r.revive_server(1).expect("revive");
+        assert_eq!(r.handshake(Duration::from_secs(5)), Ok(1));
+        assert_eq!(r.handshake(Duration::from_secs(5)), Ok(0), "counted twice");
+        assert_eq!(counter(r, "fault.server_kills"), 1);
+        assert_eq!(counter(r, "fault.server_heals"), 1);
+        let channel = NetPort::launch(
+            &[1.0f32; 16],
+            4,
+            ServerTopology::new(2, 1).with_transport(TransportKind::Channel),
+        );
+        assert!(channel.router().kill_server(1).is_err());
     }
 
     #[test]

@@ -21,10 +21,18 @@
 //!
 //! The serving side is factored as [`TcpServerHost`] — one listener, one
 //! server instance, its accept loop and handler threads — so it can be
-//! hosted two ways: [`TcpTransport`] embeds N hosts on loopback ephemeral
-//! ports for in-process tests, while the `ps-serve` binary embeds exactly
-//! one, bound to a configured address, to put each server in its own OS
-//! process.
+//! hosted two ways: [`TcpTransport::launch`] embeds N hosts on loopback
+//! ephemeral ports for in-process tests, while the `ps-serve` binary embeds
+//! exactly one, bound to a configured address, to put each server in its
+//! own OS process. [`TcpTransport::dial`] is the client of such processes:
+//! it owns no host, only their addresses.
+//!
+//! Both tiers crash the same way. Killing an in-process server drops its
+//! host — the listener closes and every connection is severed, as a
+//! `SIGKILL` leaves it — and reviving it binds a fresh instance on the same
+//! address, as a respawned `ps-serve` does. Neither tells the client
+//! anything: it finds the replacement by the new instance nonce its
+//! `Hello` answers with ([`crate::transport::NetRouter::handshake`]).
 
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -40,32 +48,28 @@ use crate::server::PsServer;
 use crate::store::ShardLayout;
 
 /// Per-server serving state, shared between the host handle and the
-/// server's accept loop. The indirection is what makes crash/restart
-/// possible without tearing the host down: the listener stays bound
-/// while the server instance behind it is swapped.
+/// server's accept loop and handlers.
 struct ServerSlot {
-    /// The live server instance; replaced wholesale by a revive.
-    server: Mutex<Arc<PsServer>>,
-    /// Set by a kill: the accept loop drops incoming connections (clients
-    /// observe EOF) until a revive clears it.
-    dead: AtomicBool,
+    server: Arc<PsServer>,
+    /// Set when the host drops: the accept loop returns, and a handler that
+    /// registers after the drop severed the registry exits unserved.
+    stop: AtomicBool,
     /// Handler-side clones of every live accepted stream, keyed by a
-    /// connection id. A kill shuts them down to unblock handler threads
+    /// connection id. The drop shuts them down to unblock handler threads
     /// parked in a blocking read on an idle connection.
     conns: Mutex<Vec<(u64, TcpStream)>>,
     next_conn: AtomicU64,
 }
 
 /// One served [`PsServer`]: a bound TCP listener, the accept loop thread,
-/// and the per-connection handler threads. Dropping the host stops the
-/// accept loop and joins every thread.
+/// and the per-connection handler threads. Dropping the host closes the
+/// listener, severs every connection and joins every thread.
 ///
 /// This is the unit the `ps-serve` binary runs one of per process; the
 /// in-process [`TcpTransport`] is simply a vector of these on loopback.
 pub struct TcpServerHost {
     addr: SocketAddr,
     slot: Arc<ServerSlot>,
-    stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -130,28 +134,25 @@ impl TcpServerHost {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let handlers = Arc::new(Mutex::new(Vec::new()));
         let id = server.id();
         let slot = Arc::new(ServerSlot {
-            server: Mutex::new(server),
-            dead: AtomicBool::new(false),
+            server,
+            stop: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(0),
         });
         let accept_thread = {
             let slot = Arc::clone(&slot);
-            let stop = Arc::clone(&stop);
             let handlers = Arc::clone(&handlers);
             std::thread::Builder::new()
                 .name(format!("ps-listen-{id}"))
-                .spawn(move || accept_loop(&listener, &slot, &stop, &handlers))
+                .spawn(move || accept_loop(&listener, &slot, &handlers))
                 .expect("spawn ps tcp accept loop")
         };
         Ok(TcpServerHost {
             addr,
             slot,
-            stop,
             accept_thread: Some(accept_thread),
             handlers,
         })
@@ -165,14 +166,13 @@ impl TcpServerHost {
     /// The hosted instance's nonce (what a [`wire::ServerInfo`] reply
     /// carries).
     pub fn nonce(&self) -> u64 {
-        self.slot.server.lock().nonce()
+        self.slot.server.nonce()
     }
 
-    /// A point-in-time copy of the *current* instance's request accounting
-    /// — what `ps-serve` periodically dumps to its metrics file. Reads
-    /// through the slot, so it follows a revive to the fresh instance.
+    /// A point-in-time copy of the instance's request accounting — what
+    /// `ps-serve` periodically dumps to its metrics file.
     pub fn stats_snapshot(&self) -> sync_switch_telemetry::ServerStatsSnapshot {
-        self.slot.server.lock().stats_snapshot()
+        self.slot.server.stats_snapshot()
     }
 
     /// Blocks until the accept loop exits — which it only does when the
@@ -183,28 +183,11 @@ impl TcpServerHost {
             let _ = t.join();
         }
     }
-
-    /// Crash-testing hook: refuse service and sever open connections while
-    /// keeping the listener bound (see [`Transport::kill_server`]).
-    pub(crate) fn kill(&self) {
-        self.slot.dead.store(true, Ordering::Release);
-        // Sever every live connection: handlers parked in a blocking read
-        // on an idle-but-open client conn wake with an error and exit.
-        for (_, stream) in self.slot.conns.lock().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Installs `fresh` behind the same listener and resumes service.
-    pub(crate) fn revive(&self, fresh: Arc<PsServer>) {
-        *self.slot.server.lock() = fresh;
-        self.slot.dead.store(false, Ordering::Release);
-    }
 }
 
 impl Drop for TcpServerHost {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.slot.stop.store(true, Ordering::Release);
         // Wake the accept loop with a throwaway connection; it observes
         // the stop flag and returns, dropping the listener.
         let _ = TcpStream::connect(self.addr);
@@ -213,8 +196,8 @@ impl Drop for TcpServerHost {
         }
         // Sever every registered connection so handler threads parked in a
         // blocking read wake and exit even while their clients keep the
-        // other end open — a standalone host (unlike the embedded
-        // transport) cannot assume its clients dropped their conns first.
+        // other end open: a host cannot assume its clients dropped their
+        // conns first, and a kill drops it under their feet.
         for (_, stream) in self.slot.conns.lock().drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
         }
@@ -224,18 +207,19 @@ impl Drop for TcpServerHost {
     }
 }
 
-/// The in-process TCP transport: one loopback [`TcpServerHost`] per server.
+/// The TCP client transport: dials `addrs[s]` for server `s`. Launched
+/// in-process it also hosts each server on loopback, one
+/// [`TcpServerHost`] per address, and can kill and revive them.
 pub struct TcpTransport {
-    hosts: Vec<TcpServerHost>,
+    addrs: Vec<SocketAddr>,
+    /// Per server, its host while it is up; empty on a dialed transport.
+    hosts: Vec<Mutex<Option<TcpServerHost>>>,
 }
 
 impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
-            .field(
-                "addrs",
-                &self.hosts.iter().map(|h| h.addr).collect::<Vec<_>>(),
-            )
+            .field("addrs", &self.addrs)
             .finish()
     }
 }
@@ -251,14 +235,36 @@ impl TcpTransport {
             .into_iter()
             .map(|server| TcpServerHost::bind_instance("127.0.0.1:0", server))
             .collect::<io::Result<Vec<_>>>()?;
-        Ok(TcpTransport { hosts })
+        Ok(TcpTransport {
+            addrs: hosts.iter().map(TcpServerHost::local_addr).collect(),
+            hosts: hosts.into_iter().map(|h| Mutex::new(Some(h))).collect(),
+        })
+    }
+
+    /// A transport to servers running elsewhere — `ps-serve` processes —
+    /// at `addrs`. It owns no host, so it cannot kill or revive one: that
+    /// is `SIGKILL` and a respawn, the cluster manager's business. No I/O
+    /// happens here; connections open lazily per worker.
+    pub(crate) fn dial(addrs: Vec<SocketAddr>) -> Self {
+        TcpTransport {
+            addrs,
+            hosts: Vec::new(),
+        }
+    }
+
+    fn host(&self, server: usize) -> io::Result<&Mutex<Option<TcpServerHost>>> {
+        self.hosts.get(server).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::Unsupported,
+                "a dialed transport hosts no servers",
+            )
+        })
     }
 }
 
 fn accept_loop(
     listener: &TcpListener,
     slot: &Arc<ServerSlot>,
-    stop: &Arc<AtomicBool>,
     handlers: &Mutex<Vec<JoinHandle<()>>>,
 ) {
     loop {
@@ -266,17 +272,11 @@ fn accept_loop(
             Ok(c) => c,
             Err(_) => return,
         };
-        if stop.load(Ordering::Acquire) {
+        if slot.stop.load(Ordering::Acquire) {
             // The wake-up connection from shutdown (or a late client).
             return;
         }
-        if slot.dead.load(Ordering::Acquire) {
-            // A killed server refuses service (the client observes EOF on
-            // its next read) but the listener stays bound, so a revive
-            // resumes on the same address without re-launching.
-            continue;
-        }
-        let server = Arc::clone(&slot.server.lock());
+        let server = Arc::clone(&slot.server);
         let id = server.id();
         let mut endpoint = ServerEndpoint::new(server);
         let slot = Arc::clone(slot);
@@ -301,20 +301,22 @@ fn accept_loop(
 }
 
 /// Serves one client connection until EOF, a `Shutdown` frame, an error, or
-/// a server kill. An abrupt client disconnect — EOF at a frame boundary or
-/// a broken stream mid-frame — exits the handler cleanly rather than
+/// the host's drop. An abrupt client disconnect — EOF at a frame boundary
+/// or a broken stream mid-frame — exits the handler cleanly rather than
 /// leaving it parked in a blocking read.
 fn handle_conn(stream: TcpStream, endpoint: &mut ServerEndpoint, slot: &ServerSlot) {
     let _ = stream.set_nodelay(true);
-    // Register a clone so a kill can force this handler's blocking read to
-    // return even while the client keeps its end open but idle.
+    // Register a clone so the host's drop can force this handler's blocking
+    // read to return even while the client keeps its end open but idle.
     let id = slot.next_conn.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = stream.try_clone() {
         slot.conns.lock().push((id, clone));
     }
-    // Re-check after registering: a kill that raced the accept has already
-    // drained the registry and would never reach this clone.
-    if !slot.dead.load(Ordering::Acquire) {
+    // Re-check after registering: a drop that raced the accept has already
+    // drained the registry and would never reach this clone, and its join
+    // would wait on this handler's read forever. The drop sets `stop`
+    // before it drains, so a registration the drain missed sees it here.
+    if !slot.stop.load(Ordering::Acquire) {
         serve_conn(stream, endpoint);
     }
     slot.conns.lock().retain(|&(i, _)| i != id);
@@ -352,27 +354,30 @@ impl Transport for TcpTransport {
     }
 
     fn server_count(&self) -> usize {
-        self.hosts.len()
+        self.addrs.len()
     }
 
     fn connect(&self, server: usize) -> io::Result<Box<dyn Conn>> {
-        Ok(Box::new(TcpConn::connect(self.hosts[server].addr)?))
+        Ok(Box::new(TcpConn::connect(self.addrs[server])?))
     }
 
     fn kill_server(&self, server: usize) -> io::Result<()> {
-        self.hosts[server].kill();
+        let host = self.host(server)?.lock().take();
+        // Dropped outside the lock: the drop joins the host's threads.
+        drop(host);
         Ok(())
     }
 
     fn revive_server(&self, server: usize, fresh: Arc<PsServer>) -> io::Result<()> {
-        self.hosts[server].revive(fresh);
+        let host = self.host(server)?;
+        // A live host still holds the address, so the bind fails.
+        let fresh = TcpServerHost::bind_instance(self.addrs[server], fresh)?;
+        *host.lock() = Some(fresh);
         Ok(())
     }
 }
 
-/// A client connection on the TCP backend — shared by the in-process
-/// [`TcpTransport`] and the cross-process
-/// [`crate::transport::RemoteTcpTransport`].
+/// A client connection on the TCP backend.
 pub(crate) struct TcpConn {
     /// Buffered for reading; writes go to the stream directly.
     stream: BufReader<TcpStream>,
@@ -499,6 +504,17 @@ mod tests {
         assert_eq!(clocks[1], 120);
     }
 
+    /// A fresh instance of server 1 of `launch(12, 4, 2)`.
+    fn fresh_server_1() -> Arc<PsServer> {
+        let initial: Vec<f32> = (0..12).map(|i| i as f32).collect();
+        Arc::new(PsServer::new(1, &ShardLayout::new(12, 4), 2, 2, &initial))
+    }
+
+    fn check_finite(conn: &mut dyn Conn) -> io::Result<()> {
+        wire::encode_bodyless(conn.request_buf(), op::CHECK_FINITE);
+        conn.call().map(drop)
+    }
+
     #[test]
     fn kill_severs_idle_conns_and_revive_restores_service() {
         let t = launch(12, 4, 2);
@@ -507,26 +523,66 @@ mod tests {
         wire::encode_push_shard(idle.request_buf(), 0, 0.5, 0.0, &[1.0; 3]);
         idle.call().unwrap();
         t.kill_server(1).unwrap();
-        // The severed conn fails its next call instead of hanging.
-        wire::encode_bodyless(idle.request_buf(), op::CHECK_FINITE);
-        assert!(idle.call().is_err());
-        // While dead, fresh conns are accepted then dropped: EOF on call.
-        let mut probe = t.connect(1).unwrap();
-        wire::encode_bodyless(probe.request_buf(), op::CHECK_FINITE);
-        assert!(probe.call().is_err());
+        // The severed conn fails its next call instead of hanging, and the
+        // closed listener refuses fresh ones.
+        assert!(check_finite(idle.as_mut()).is_err());
+        assert!(t.connect(1).is_err(), "a killed server's listener accepts");
         // Revive with a fresh instance; service resumes on the same
         // address, with the restarted server's (blank) state.
-        let initial: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let layout = ShardLayout::new(12, 4);
-        let fresh = Arc::new(PsServer::new(1, &layout, 2, 2, &initial));
-        t.revive_server(1, fresh).unwrap();
-        let mut conn = t.connect(1).unwrap();
-        wire::encode_bodyless(conn.request_buf(), op::CHECK_FINITE);
-        conn.call().unwrap();
+        t.revive_server(1, fresh_server_1()).unwrap();
+        check_finite(t.connect(1).unwrap().as_mut()).unwrap();
+        // A live server's address is taken: a second revive cannot bind.
+        assert!(t.revive_server(1, fresh_server_1()).is_err());
         // Server 0 was untouched throughout.
-        let mut other = t.connect(0).unwrap();
-        wire::encode_bodyless(other.request_buf(), op::CHECK_FINITE);
-        other.call().unwrap();
+        check_finite(t.connect(0).unwrap().as_mut()).unwrap();
+        // A dialed transport hosts nothing to kill.
+        let dialed = TcpTransport::dial(t.addrs.clone());
+        let err = dialed.kill_server(0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+    }
+
+    #[test]
+    fn kill_and_revive_stay_live_while_clients_keep_dialing() {
+        // Four clients keep dialing server 1 and hold their connections
+        // open, so every kill drops a host with handlers parked in reads
+        // and accepts in flight. Each kill must return, and each revive
+        // must serve.
+        let t = launch(12, 4, 2);
+        let done = AtomicBool::new(false);
+        let kills = std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let mut held = std::collections::VecDeque::new();
+                    while !done.load(Ordering::Relaxed) {
+                        if let Ok(mut conn) = t.connect(1) {
+                            if check_finite(conn.as_mut()).is_ok() {
+                                held.push_back(conn);
+                            }
+                        }
+                        if held.len() > 8 {
+                            held.pop_front();
+                        }
+                    }
+                });
+            }
+            // Errors, not panics, until the clients are told to stop: a
+            // panic here would leave the scope waiting on them.
+            let kills = (0..20)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    t.kill_server(1)?;
+                    let kill = t0.elapsed();
+                    t.revive_server(1, fresh_server_1())?;
+                    check_finite(t.connect(1)?.as_mut())?;
+                    Ok(kill)
+                })
+                .collect::<io::Result<Vec<_>>>();
+            done.store(true, Ordering::Relaxed);
+            kills
+        });
+        let kills = kills.expect("every revive serves");
+        let slowest = kills.iter().max().expect("20 cycles");
+        assert!(*slowest < Duration::from_secs(5), "a kill took {slowest:?}");
     }
 
     #[test]
@@ -548,7 +604,7 @@ mod tests {
     #[test]
     fn drop_closes_listeners() {
         let t = launch(4, 2, 1);
-        let addr = t.hosts[0].addr;
+        let addr = t.addrs[0];
         drop(t);
         // The listener is gone: either the connect fails outright or the
         // socket is closed without serving.

@@ -113,13 +113,13 @@ pub mod op {
     pub const SEQUENCED: u8 = 0x0b;
     /// Readiness/identity probe: "who are you, and what do you own?". A
     /// bodyless request; the reply is [`INFO`]. Sent by workers to wait for
-    /// a server to come up and to validate a cluster spec, and by the
-    /// supervisor to detect a *respawned* server (its nonce changes).
+    /// a server to come up, to validate a cluster spec, and to detect a
+    /// *respawned* server (its nonce changes).
     pub const HELLO: u8 = 0x0c;
     /// Telemetry scrape: "hand over your request/apply accounting". A
     /// bodyless request; the reply is [`STATS_DATA`]. Sent by
     /// [`crate::transport::NetRouter::scrape_stats`] — from the
-    /// `ps-worker` binary, the supervisor, or any live monitor — without
+    /// `ps-worker` binary, the controller, or any live monitor — without
     /// perturbing the serving path beyond one cheap atomic snapshot.
     pub const STATS: u8 = 0x0d;
     /// Several requests to one server in one frame: the body is
@@ -157,9 +157,9 @@ pub mod op {
 ///
 /// Workers use it as the readiness handshake (a reply at all means the
 /// listener is up and serving) and to cross-check the cluster spec against
-/// what the server actually owns; the cross-process supervisor uses `nonce`
-/// to tell a *respawned* server (fresh store, needs a snapshot restore)
-/// from one that merely dropped a connection.
+/// what the server actually owns; the same handshake uses `nonce` to tell a
+/// *respawned* server (fresh store, needs a checkpoint restore) from one
+/// that merely dropped a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerInfo {
     /// Instance nonce: unique per constructed `PsServer`, across processes.

@@ -2,11 +2,11 @@
 //!
 //! Every trainable workload trains under BSP and ASP on a **TCP tier
 //! behind a seeded [`FaultPlan`]** — dropped replies and straggler latency
-//! on every connection — with one server killed mid-run, healed by the
-//! [`ServerSupervisor`] and restored from the trainer's checkpoint. Each
-//! run must complete without panic and still meet the workload's loss
-//! gate: the retry/re-send layer makes the faults invisible to
-//! convergence, not just to liveness.
+//! on every connection — with one server killed mid-run and revived the
+//! way a `ps-serve` is respawned, found by the router's handshake and
+//! restored from the trainer's checkpoint. Each run must complete without
+//! panic and still meet the workload's loss gate: the retry/re-send layer
+//! makes the faults invisible to convergence, not just to liveness.
 //!
 //! The divergence specimen rides along: the sparse-embedding workload at
 //! the lr the ASP preset had to back away from runs under the
@@ -22,9 +22,8 @@ use std::time::Duration;
 
 use sync_switch_ps::transport::wire::op;
 use sync_switch_ps::{
-    ControllerConfig, FaultPlan, NetPort, PsError, RetryPolicy, ServerStatsSnapshot,
-    ServerSupervisor, ServerTopology, SyncController, Trainer, TrainerConfig, TransportKind,
-    WorkerPort,
+    ControllerConfig, FaultPlan, NetPort, NetRouter, PsError, RetryPolicy, ServerStatsSnapshot,
+    ServerTopology, SyncController, Trainer, TrainerConfig, TransportKind, WorkerPort,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -56,6 +55,16 @@ fn chaos_trainer(kind: TrainableKind) -> Trainer {
     Trainer::new(model, train, test, cfg)
 }
 
+/// Kills server 1 of `router`'s tier and respawns it, then heals: the
+/// handshake must find exactly that server replaced.
+fn kill_and_heal_server_1(router: &NetRouter) {
+    router.kill_server(1).expect("kill hook");
+    assert!(router.ping_server(1).is_err(), "kill left server 1 alive");
+    router.revive_server(1).expect("revive hook");
+    let healed = router.handshake(Duration::from_secs(10)).expect("heal");
+    assert_eq!(healed, 1, "one server healed");
+}
+
 /// Trains `kind` for its full budget under `protocol` on the faulty TCP
 /// tier, killing and healing server 1 at the halfway point, and returns
 /// the final probe loss.
@@ -78,11 +87,7 @@ fn train_through_chaos(kind: TrainableKind, protocol: SyncProtocol) -> f32 {
             // kill one server, heal it, and restore the tier.
             t.drain_sync();
             let ck = t.checkpoint();
-            let router = t.net_router().expect("chaos tier is transport-backed");
-            router.kill_server(1).expect("kill hook");
-            assert!(router.ping_server(1).is_err(), "kill left server 1 alive");
-            let healed = ServerSupervisor::default().heal(router).expect("heal");
-            assert_eq!(healed, 1, "one server healed");
+            kill_and_heal_server_1(t.net_router().expect("chaos tier is transport-backed"));
             t.restore(&ck).expect("restore after heal");
             killed = true;
         }
@@ -301,12 +306,7 @@ fn chaos_run_traces_every_event_kind() {
         .expect("BSP warm-up under faults");
     t.drain_sync();
     let ck = t.checkpoint();
-    {
-        let router = t.net_router().expect("chaos tier is transport-backed");
-        router.kill_server(1).expect("kill hook");
-        let healed = ServerSupervisor::default().heal(router).expect("heal");
-        assert_eq!(healed, 1);
-    }
+    kill_and_heal_server_1(t.net_router().expect("chaos tier is transport-backed"));
     t.restore(&ck).expect("restore after heal");
     t.run_segment(SyncProtocol::Asp, 0).expect("enter ASP");
     plant_nan(&mut t);

@@ -10,7 +10,6 @@ use std::time::Duration;
 
 use sync_switch_nn::{Dataset, Network};
 use sync_switch_ps::config::RetryPolicy;
-use sync_switch_ps::supervisor::ServerSupervisor;
 use sync_switch_ps::transport::{NetPort, NetRouter, TcpServerHost};
 use sync_switch_ps::{
     PsError, PullBuffer, ServerTopology, ShardRouter, Trainer, TrainerConfig, WorkerPort,
@@ -48,12 +47,12 @@ fn remote_tier_matches_in_process_router() {
     let (_hosts, addrs) = bind_tier(&initial, 5, 2);
     let inproc = ShardRouter::new(&initial, 5, ServerTopology::new(2, 1));
     let net = NetPort::connect(initial.len(), 5, &addrs, 1, quick_retry()).expect("connect");
-    let infos = net
-        .router()
-        .handshake(Duration::from_secs(5))
-        .expect("handshake");
-    assert_eq!(infos.len(), 2);
-    assert!(infos[0].nonce != infos[1].nonce);
+    let r = net.router();
+    // The first handshake of a connected tier records its instances; it
+    // finds nothing replaced.
+    assert_eq!(r.handshake(Duration::from_secs(5)), Ok(0));
+    let nonce = |s| r.server_info(s).expect("hello").nonce;
+    assert!(nonce(0) != nonce(1));
     for step in 0..4 {
         for g in 0..5 {
             let (o, l) = inproc.shard_range(g);
@@ -109,11 +108,12 @@ fn handshake_retries_until_the_server_binds() {
     // The handshake starts before the server exists and succeeds once it
     // binds. (A second process grabbing the reserved port in the window
     // would fail the late bind loudly, not hang the test.)
-    let infos = net
+    let replaced = net
         .router()
         .handshake(Duration::from_secs(10))
         .expect("handshake should wait out the late bind");
-    assert_eq!(infos[0].shard_count, 3);
+    assert_eq!(replaced, 0);
+    assert_eq!(net.router().server_info(0).expect("hello").shard_count, 3);
     let _host = late.join().expect("server thread");
 
     // An unreachable tier fails with a wire error once the deadline passes.
@@ -146,7 +146,7 @@ fn handshake_rejects_a_server_with_a_different_spec() {
 }
 
 #[test]
-fn heal_respawned_then_restore_lands_every_server_on_the_checkpoint() {
+fn handshake_then_restore_lands_every_server_on_the_checkpoint() {
     let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 11);
     let (train, test) = data.split(0.25);
     let model = Network::mlp(6, &[12], 4, 11);
@@ -155,11 +155,17 @@ fn heal_respawned_then_restore_lands_every_server_on_the_checkpoint() {
     let net = NetPort::connect(initial.len(), 4, &addrs, 1, quick_retry()).expect("connect");
     let view = net.clone();
     let r = view.router();
-    r.handshake(Duration::from_secs(5)).expect("handshake");
+    let kills = || {
+        let snap = r.telemetry().metrics.snapshot();
+        snap.counters
+            .get("fault.server_kills")
+            .copied()
+            .unwrap_or(0)
+    };
+    assert_eq!(r.handshake(Duration::from_secs(5)), Ok(0));
+    assert_eq!(kills(), 0, "recording the first instances counted a kill");
     let cfg = TrainerConfig::new(2, 8, 0.05, 0.9);
     let mut t = Trainer::with_port(model, train, test, cfg, WorkerPort::Net(net));
-    let mut sup = ServerSupervisor::default();
-    sup.record(r).expect("record");
 
     // Train, checkpoint, and move every server past the checkpoint.
     t.run_segment(SyncProtocol::Asp, 20).expect("segment");
@@ -167,9 +173,9 @@ fn heal_respawned_then_restore_lands_every_server_on_the_checkpoint() {
     let ck = t.checkpoint();
     t.run_segment(SyncProtocol::Asp, 20).expect("segment");
 
-    // Nothing respawned: heal is a no-op and must not touch state.
+    // Nothing respawned: the handshake heals nothing and touches no state.
     let before = r.snapshot_params();
-    assert_eq!(sup.heal_respawned(r, Duration::from_secs(1)).unwrap(), 0);
+    assert_eq!(r.handshake(Duration::from_secs(1)), Ok(0));
     assert_eq!(r.snapshot_params(), before);
 
     // "SIGKILL" server 1: its host drops, the address goes dark.
@@ -177,10 +183,8 @@ fn heal_respawned_then_restore_lands_every_server_on_the_checkpoint() {
     drop(hosts.pop().expect("host 1"));
     assert!(r.server_info(1).is_err(), "dead server must not answer");
 
-    // Nobody respawns it: heal gives up at the deadline with ConnLost.
-    let err = sup
-        .heal_respawned(r, Duration::from_millis(300))
-        .unwrap_err();
+    // Nobody respawns it: the handshake gives up at the deadline.
+    let err = r.handshake(Duration::from_millis(300)).unwrap_err();
     assert_eq!(err, PsError::ConnLost { server: 1 });
 
     // "Respawn the process" at the same address: fresh instance, fresh
@@ -188,12 +192,11 @@ fn heal_respawned_then_restore_lands_every_server_on_the_checkpoint() {
     let respawned = TcpServerHost::bind(addr1, &initial, 4, 2, 1).expect("respawn");
     assert_eq!(respawned.local_addr(), addr1);
     assert_eq!(
-        sup.heal_respawned(r, Duration::from_secs(5)).expect("heal"),
+        r.handshake(Duration::from_secs(5)).expect("heal"),
         1,
         "exactly the respawned server heals"
     );
-    let kills = r.telemetry().metrics.snapshot().counters["fault.server_kills"];
-    assert_eq!(kills, 1);
+    assert_eq!(kills(), 1);
 
     // The trainer's restore puts the respawned server and its live peer on
     // the checkpoint, bit for bit.

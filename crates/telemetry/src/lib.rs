@@ -499,10 +499,9 @@ pub enum TraceKind {
     PushRetry { server: u64, attempt: u64 },
     /// One stage-2 reconciliation round (drains included), a span.
     SyncRound { round: u64 },
-    /// A server was killed, or detected dead (instant).
+    /// A server was found replaced, so its old instance died (instant).
     ServerKill { server: u64 },
-    /// A server was healed — revived in place, or its respawned instance
-    /// detected (instant).
+    /// A server was healed: its new instance was found (instant).
     ServerHeal { server: u64 },
     /// The controller's divergence rule rolled the tier back to the
     /// checkpoint taken at global step `to_step` (instant).
@@ -779,14 +778,6 @@ impl Telemetry {
     /// A bus with the default trace capacity.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A bus whose tracer holds at most `trace_capacity` events.
-    pub fn with_trace_capacity(trace_capacity: usize) -> Self {
-        Telemetry {
-            metrics: MetricsRegistry::new(),
-            trace: Tracer::new(trace_capacity),
-        }
     }
 }
 

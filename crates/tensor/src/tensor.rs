@@ -91,11 +91,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Number of rows of a 2-D tensor.
     ///
     /// # Panics

@@ -8,12 +8,16 @@
 //! and writes a [`WorkerReport`] JSON document on exit.
 //!
 //! Crash recovery: the worker checkpoints its trainer at every segment
-//! boundary. If a segment dies on an unreachable server — surfacing as
-//! `PsError::WorkerPanicked`/`ConnLost`/`Timeout`/`RetriesExhausted` — the
-//! worker waits for the cluster manager to respawn the server
-//! (`ServerSupervisor::heal_respawned`, which detects the respawn by its
-//! changed instance nonce), restores the whole tier, the respawned server
-//! included, from the segment-start checkpoint, and re-runs the segment.
+//! boundary and trusts the checkpoint only once a handshake after it
+//! (`NetRouter::handshake`) finds every server still the instance it
+//! recorded. A server the cluster manager respawned answers with a new
+//! instance nonce, and then the worker restores the whole tier, the
+//! respawned server included, from the segment-start checkpoint and re-runs
+//! the segment. That catches a respawn within the retry budget, which fails
+//! no operation. A segment that dies on an unreachable server — surfacing
+//! as `PsError::WorkerPanicked`/`ConnLost`/`Timeout`/`RetriesExhausted` —
+//! takes the same handshake-then-restore path, the handshake waiting for
+//! the respawn.
 //!
 //! However the run ends — report written, fatal segment error, a tier that
 //! never healed — the process's trace ring is dumped next to the report
@@ -29,7 +33,7 @@ use std::process::ExitCode;
 use sync_switch::deploy::{
     ClusterSpec, ControllerDecision, SegmentOutcome, ServerStatsSummary, WorkerReport,
 };
-use sync_switch::ps::{NetPort, PsError, ServerSupervisor, SyncController, Trainer, WorkerPort};
+use sync_switch::ps::{NetPort, PsError, SyncController, Trainer, WorkerPort};
 use sync_switch::workloads::TrainableKind;
 
 /// Parsed command line of `ps-worker`.
@@ -86,6 +90,13 @@ fn is_crash(e: &PsError) -> bool {
 /// respawn, so repeated exhaustion means the tier is not coming back.
 const MAX_CRASH_RETRIES: u64 = 3;
 
+/// The heal: waits (up to the spec's heal deadline) for every server to
+/// answer, and returns how many answered as a new instance.
+fn handshake(trainer: &Trainer, spec: &ClusterSpec) -> Result<usize, String> {
+    let router = trainer.net_router().expect("net data plane");
+    (router.handshake(spec.heal_deadline())).map_err(|e| format!("tier did not heal: {e}"))
+}
+
 /// Where this worker's Chrome trace goes: `foo.report.json` →
 /// `foo.trace.json`, or `<report>.trace.json` when the report path does not
 /// follow the harness's naming.
@@ -116,17 +127,11 @@ fn run() -> Result<(), String> {
     .map_err(|e| format!("connect: {e}"))?;
     // Readiness handshake: keeps re-dialing servers that have not bound
     // yet, then verifies every server's identity and shard slice against
-    // this spec before a single gradient moves.
-    let infos = port
-        .router()
+    // this spec, and records its instance, before a single gradient moves.
+    port.router()
         .handshake(spec.handshake_deadline())
         .map_err(|e| format!("handshake: {e}"))?;
-    for info in &infos {
-        println!(
-            "ps-worker connected server={} shards={}+{} nonce={:#018x}",
-            info.server, info.first_shard, info.shard_count, info.nonce
-        );
-    }
+    println!("ps-worker connected to {} servers", addrs.len());
 
     let trainer_cfg = spec.trainer_config()?;
     let mut trainer = Trainer::with_port(model, train, test, trainer_cfg, WorkerPort::Net(port));
@@ -149,9 +154,6 @@ fn run_segments(
     kind: TrainableKind,
     trainer: &mut Trainer,
 ) -> Result<(), String> {
-    let mut sup = ServerSupervisor::default();
-    sup.record(trainer.net_router().expect("net data plane"))
-        .map_err(|e| format!("recording server instances: {e}"))?;
     let mut ck = trainer.checkpoint();
 
     // The adaptive controller, when the spec asks for one: BSP/ASP
@@ -191,35 +193,43 @@ fn run_segments(
                 (None, Some(p)) => trainer.run_segment(p, seg.steps),
                 (None, None) => trainer.run_ssp_segment(seg.ssp_bound, seg.steps),
             };
-            match res {
-                Ok(report) => break report,
-                Err(e) if is_crash(&e) && crash_retries < MAX_CRASH_RETRIES => {
+            let healed = match res {
+                Ok(report) => {
+                    // Segment boundary: quiesce stage-2, checkpoint, then
+                    // handshake. Checkpoint first, so a respawn between the
+                    // two is caught as well.
+                    trainer.drain_sync();
+                    let next = trainer.checkpoint();
+                    let healed = handshake(trainer, spec)?;
+                    if healed == 0 {
+                        ck = next;
+                        break report;
+                    }
+                    healed
+                }
+                Err(e) if is_crash(&e) => {
                     eprintln!(
                         "ps-worker: segment {:?} hit {e}; waiting for the tier to heal",
                         seg.protocol
                     );
-                    let healed = sup
-                        .heal_respawned(
-                            trainer.net_router().expect("net data plane"),
-                            spec.heal_deadline(),
-                        )
-                        .map_err(|e| format!("tier did not heal: {e}"))?;
-                    // The respawned server holds the spec's initial state:
-                    // put the whole tier back on the segment-start
-                    // checkpoint so the re-run starts from one consistent
-                    // state (a restore ends drained).
-                    trainer.restore(&ck).map_err(|e| format!("rollback: {e}"))?;
-                    healed_seg += healed as u64;
-                    crash_retries += 1;
-                    eprintln!(
-                        "ps-worker: healed {healed} server(s), retrying segment {:?} \
-                         (attempt {})",
-                        seg.protocol,
-                        crash_retries + 1
-                    );
+                    handshake(trainer, spec)?
                 }
                 Err(e) => return Err(format!("segment {:?} failed: {e}", seg.protocol)),
+            };
+            if crash_retries == MAX_CRASH_RETRIES {
+                return Err(format!("segment {:?} kept crashing", seg.protocol));
             }
+            // The respawned server holds the spec's initial state: put the
+            // whole tier back on the segment-start checkpoint so the re-run
+            // starts from one consistent state (a restore ends drained).
+            trainer.restore(&ck).map_err(|e| format!("rollback: {e}"))?;
+            healed_seg += healed as u64;
+            crash_retries += 1;
+            eprintln!(
+                "ps-worker: healed {healed} server(s), retrying segment {:?} (attempt {})",
+                seg.protocol,
+                crash_retries + 1
+            );
         };
         println!(
             "ps-worker segment {:?} done: {} steps in {:?} ({:.0} steps/s), final loss {:.4}",
@@ -240,9 +250,6 @@ fn run_segments(
             crash_retries,
         });
         healed_total += healed_seg;
-        // Segment boundary: quiesce stage-2, then re-checkpoint.
-        trainer.drain_sync();
-        ck = trainer.checkpoint();
     }
 
     // Final telemetry sweep: scrape every server's request accounting over

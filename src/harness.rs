@@ -5,8 +5,8 @@
 //!
 //! The harness is deliberately dumb about training — it never touches the
 //! wire protocol beyond a TCP connect probe. Layout validation is the
-//! workers' job (`NetRouter::handshake`), crash recovery is the workers'
-//! job (`ServerSupervisor::heal_respawned`); the harness only manages
+//! workers' job (`NetRouter::handshake`), and so is crash recovery (the
+//! same handshake finds a respawned instance); the harness only manages
 //! *processes*: fork, SIGKILL, respawn, reap. That split mirrors a real
 //! deployment, where the cluster manager restarts containers and the
 //! training job is responsible for its own state.
@@ -366,7 +366,7 @@ impl ClusterHarness {
 
     /// SIGKILLs server `i` — the mid-run crash. The listener vanishes with
     /// the process; workers' in-flight operations fail and their
-    /// supervisors start waiting for a respawn.
+    /// handshakes start waiting for a respawn.
     pub fn sigkill_server(&mut self, i: usize) {
         if let Some(guard) = self.servers[i].as_mut() {
             guard.kill_now();

@@ -215,8 +215,8 @@ fn cluster_converges_with_late_binding_servers() {
 }
 
 /// The crash drill: SIGKILL one server mid-run, respawn it (as a cluster
-/// manager would), and pin that the workers heal the fresh instance via
-/// the supervisor's nonce-change detection and still converge.
+/// manager would), and pin that the workers heal the fresh instance — their
+/// handshake finds it by its changed nonce — and still converge.
 #[test]
 fn cluster_survives_mid_run_server_sigkill() {
     if !cluster_tests_enabled("cluster_survives_mid_run_server_sigkill") {
@@ -255,7 +255,7 @@ fn cluster_survives_mid_run_server_sigkill() {
     assert!(retried >= 1, "no segment was rolled back and re-run");
     assert_cluster_telemetry(&h, &reports);
     // The crash itself must be visible in the telemetry: some worker's
-    // supervisor observed the respawned instance (nonce change) and traced
+    // handshake observed the respawned instance (nonce change) and traced
     // the kill/heal pair.
     let combined: String = (0..reports.len())
         .map(|w| std::fs::read_to_string(h.worker_trace_path(w)).unwrap_or_default())
@@ -264,6 +264,43 @@ fn cluster_survives_mid_run_server_sigkill() {
         combined.contains("\"server_heal\""),
         "no worker trace records the heal of the respawned server"
     );
+}
+
+/// The crash drill a retry budget hides: server 0 is SIGKILLed and respawned
+/// well inside the re-sends the spec's retry policy allows, so no operation
+/// fails and the workers re-dial the fresh instance and push into its reset
+/// state. Only the handshake each worker runs after its segment-boundary
+/// checkpoint can see the new instance, and it must send the segment round
+/// again from the checkpoint before.
+#[test]
+fn cluster_heals_a_server_respawned_within_the_retry_budget() {
+    if !cluster_tests_enabled("cluster_heals_a_server_respawned_within_the_retry_budget") {
+        return;
+    }
+    let mut spec = ClusterSpec::standard(TrainableKind::MlpBlobs, free_addrs(2), 31);
+    spec.step_delay_ms = 15;
+    spec.segments = vec![SegmentSpec::bsp(200), SegmentSpec::asp(150)];
+    // Up to 60 re-sends, at most 50 ms apart: seconds of budget against a
+    // 200 ms outage.
+    spec.max_retries = 60;
+    spec.backoff_base_ms = 20;
+    spec.backoff_max_ms = 50;
+    let mut h = harness(spec, "respawn-in-budget");
+    h.spawn_servers().expect("spawn servers");
+    h.wait_servers_ready(Duration::from_secs(10))
+        .expect("servers ready");
+    h.spawn_workers(2).expect("spawn workers");
+
+    std::thread::sleep(Duration::from_millis(1_500));
+    h.sigkill_server(0);
+    std::thread::sleep(Duration::from_millis(200));
+    h.respawn_server(0).expect("respawn");
+
+    let reports = h.wait_workers(Duration::from_secs(150)).expect("reports");
+    assert_eq!(reports.len(), 2);
+    assert_all_converged(&reports, 2);
+    let healed: u64 = reports.iter().map(|r| r.healed_servers).sum();
+    assert!(healed >= 1, "no worker noticed the respawned server");
 }
 
 /// The crash drill without the respawn: the killed server never comes back,
