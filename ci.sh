@@ -81,9 +81,8 @@ collect_artifacts() {
         echo "commit: $(git rev-parse HEAD 2>/dev/null || echo unknown)"
         date -u +"when: %Y-%m-%dT%H:%M:%SZ"
     } > "$dest/FAILURE.txt"
-    # Cluster harness run dirs: per-child logs, spec, worker reports, the
-    # ps-worker Chrome traces (*.trace.json), the per-server metrics
-    # snapshots (*.metrics.json), and the merged cluster-metrics.json.
+    # Cluster harness run dirs: per-child logs, spec, worker reports and
+    # the ps-worker Chrome traces (*.trace.json).
     if [[ -d target/tmp ]]; then
         while IFS= read -r f; do
             local rel="${f#target/tmp/}"
@@ -278,15 +277,11 @@ stage_cluster() {
     fi
     # Telemetry contract at the file level, independent of the in-test
     # assertions: every harness run dir (identified by its spec.json) must
-    # hold a metrics snapshot from each ps-serve, a Chrome trace from each
-    # ps-worker, and worker reports embedding the scraped server stats.
+    # hold a Chrome trace from each ps-worker, and worker reports embedding
+    # the server stats scraped over the wire.
     local spec dir bad=0
     while IFS= read -r spec; do
         dir="$(dirname "$spec")"
-        if ! compgen -G "$dir/server-*.metrics.json" >/dev/null; then
-            echo "cluster run $dir: no ps-serve metrics snapshot" >&2
-            bad=1
-        fi
         if ! compgen -G "$dir/worker-*.trace.json" >/dev/null; then
             echo "cluster run $dir: no ps-worker trace file" >&2
             bad=1

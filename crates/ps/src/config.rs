@@ -2,6 +2,8 @@
 
 use std::time::Duration;
 
+use serde::{Deserialize, Serialize};
+
 use crate::transport::faulty::FaultPlan;
 
 /// Client-side resilience knobs for the wire transports: how long one
@@ -13,10 +15,11 @@ use crate::transport::faulty::FaultPlan;
 /// jitter drawn from a process-local stream. Mutating requests are
 /// re-sent under a sequence header ([`crate::transport::wire::op::SEQUENCED`])
 /// so a retry whose original actually executed is applied at most once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Per-operation timeout, milliseconds. One round trip blocking longer
-    /// than this counts as a failed attempt.
+    /// than this counts as a failed attempt. Must be positive: there is no
+    /// "never time out" value.
     pub op_timeout_ms: u64,
     /// Retries after the initial attempt before the operation fails with
     /// [`crate::PsError::RetriesExhausted`].
@@ -35,6 +38,22 @@ impl Default for RetryPolicy {
             backoff_base_ms: 5,
             backoff_max_ms: 200,
         }
+    }
+}
+
+impl RetryPolicy {
+    /// Validates the policy.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a zero `op_timeout_ms`. The transports cannot agree on what
+    /// it means: a TCP socket refuses a zero timeout and would block
+    /// forever, while the channel transport would time out every call.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.op_timeout_ms == 0 {
+            return Err("op_timeout_ms must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -169,7 +188,7 @@ impl ServerTopology {
         if self.sync_every == 0 {
             return Err("stage-2 sync period must be positive".into());
         }
-        Ok(())
+        self.retry.validate()
     }
 }
 
@@ -391,8 +410,14 @@ mod tests {
         let mut bad = cfg.clone();
         bad.topology.servers = 0;
         assert!(bad.validate().is_err());
-        let mut bad = cfg;
+        let mut bad = cfg.clone();
         bad.topology.sync_every = 0;
+        assert!(bad.validate().is_err());
+        // A zero op timeout would block forever on TCP and fail every call
+        // on the channel transport.
+        let mut bad = cfg;
+        bad.topology.retry.op_timeout_ms = 0;
+        assert!(bad.topology.validate().is_err());
         assert!(bad.validate().is_err());
     }
 

@@ -17,7 +17,7 @@
 //! The first rule is the divergence watchdog. The paper observes that ASP
 //! diverges at learning rates BSP tolerates (experiment setup 3); instead
 //! of dying with [`PsError::Diverged`], a segment that went non-finite, or
-//! whose loss blew past `blowup_factor` × the best loss so far, is a
+//! whose loss blew past [`BLOWUP_FACTOR`] × the best loss so far, is a
 //! [`SyncDecision::Rollback`]: the tier is restored to the best-loss
 //! checkpoint, switched to BSP with its velocity reset, the segment is
 //! re-run under BSP, and BSP is pinned for the rest of the run — so
@@ -29,11 +29,16 @@
 //!
 //! The controller also retunes the SSP staleness bound from the measured
 //! `engine.staleness` distribution: [`SyncController::ssp_bound`] tracks
-//! `ceil(mean staleness) + margin`, clamped, so an SSP tier can be driven
-//! with a bound grounded in what the cluster actually exhibits.
+//! `ceil(mean staleness) + SSP_MARGIN`, clamped, so an SSP tier can be
+//! driven with a bound grounded in what the cluster actually exhibits.
+//!
+//! Only the two thresholds a deployment has reason to move are
+//! [`ControllerConfig`] fields; every other rule reads one of the named
+//! constants below.
 //!
 //! [`NetRouter::scrape_all_stats`]: crate::NetRouter::scrape_all_stats
 
+use serde::{Deserialize, Serialize};
 use sync_switch_telemetry::{MetricsSnapshot, TraceKind};
 use sync_switch_workloads::SyncProtocol;
 
@@ -42,59 +47,69 @@ use crate::engine::{SegmentReport, Trainer};
 use crate::error::PsError;
 use crate::switcher::{execute_switch, SwitchPlan};
 
-/// Tuning for [`SyncController`]. Every threshold is expressed against a
-/// named telemetry signal so a decision can always be traced back to the
-/// scrape that produced it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Segments to observe before the first promote decision — the loss
+/// trajectory needs at least one finite best before "stable" means
+/// anything.
+pub const WARMUP_SEGMENTS: u64 = 1;
+/// Promotion requires the segment's tail loss to sit within this slack
+/// factor of the best loss so far (loss stable, not recovering).
+pub const PROMOTE_LOSS_SLACK: f32 = 1.25;
+/// Demote ASP→BSP when the segment's tail loss exceeds this factor of the
+/// best loss — a divergence-risk trigger deliberately tighter than
+/// [`BLOWUP_FACTOR`], so a demotion usually comes before a rollback.
+pub const DEMOTE_LOSS_FACTOR: f32 = 3.0;
+/// Roll back when the segment's tail loss exceeds this factor of the best
+/// loss, under either protocol, until the first rollback pins BSP.
+pub const BLOWUP_FACTOR: f32 = 4.0;
+/// Demote ASP→BSP when the measured mean `engine.staleness` exceeds this.
+pub const DEMOTE_STALENESS_LIMIT: f64 = 16.0;
+/// Floor applied to the best loss in the stability, divergence-risk and
+/// blow-up checks, so noise around an already-tiny loss cannot flip
+/// decisions.
+pub const LOSS_FLOOR: f32 = 0.05;
+/// Retuned SSP bound = `ceil(mean staleness) + SSP_MARGIN`.
+pub const SSP_MARGIN: u64 = 1;
+/// Clamp for the retuned SSP bound.
+pub const MAX_SSP_BOUND: u64 = 32;
+
+/// Tuning for [`SyncController`]: the two thresholds a deployment sets.
+/// Each is expressed against a named telemetry signal so a decision can
+/// always be traced back to the scrape that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
-    /// Segments to observe before the first promote decision — the loss
-    /// trajectory needs at least one finite best before "stable" means
-    /// anything.
-    pub warmup_segments: u64,
     /// Promote BSP→ASP when the segment's barrier-wait fraction
     /// (`engine.barrier_wait_ns / (engine.barrier_wait_ns +
     /// engine.step_ns)`) reaches this value.
     pub promote_barrier_frac: f64,
-    /// Promotion also requires the segment's tail loss to sit within this
-    /// slack factor of the best loss so far (loss stable, not recovering).
-    pub promote_loss_slack: f32,
     /// Demote ASP→BSP when a segment's `wire.retries` delta exceeds this;
     /// under BSP the same signal blocks promotion.
     pub demote_retry_limit: u64,
-    /// Demote ASP→BSP when the segment's tail loss exceeds this factor of
-    /// the best loss — a divergence-risk trigger deliberately tighter than
-    /// `blowup_factor`, so a demotion usually comes before a rollback.
-    pub demote_loss_factor: f32,
-    /// Roll back when the segment's tail loss exceeds this factor of the
-    /// best loss, under either protocol, until the first rollback pins BSP.
-    pub blowup_factor: f32,
-    /// Demote ASP→BSP when the measured mean `engine.staleness` exceeds
-    /// this.
-    pub demote_staleness_limit: f64,
-    /// Floor applied to the best loss in the stability, divergence-risk and
-    /// blow-up checks, so noise around an already-tiny loss cannot flip
-    /// decisions.
-    pub loss_floor: f32,
-    /// Retuned SSP bound = `ceil(mean staleness) + ssp_margin`.
-    pub ssp_margin: u64,
-    /// Clamp for the retuned SSP bound.
-    pub max_ssp_bound: u64,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            warmup_segments: 1,
             promote_barrier_frac: 0.25,
-            promote_loss_slack: 1.25,
             demote_retry_limit: 4,
-            demote_loss_factor: 3.0,
-            blowup_factor: 4.0,
-            demote_staleness_limit: 16.0,
-            loss_floor: 0.05,
-            ssp_margin: 1,
-            max_ssp_bound: 32,
         }
+    }
+}
+
+impl ControllerConfig {
+    /// Validates the thresholds.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the inconsistency: a barrier fraction
+    /// outside `[0, 1]` (NaN included).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.promote_barrier_frac) {
+            return Err(format!(
+                "promote_barrier_frac {} outside [0, 1]",
+                self.promote_barrier_frac
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -336,7 +351,7 @@ impl SyncController {
     /// randomness, or hidden input.
     ///
     /// The rules apply in order: a non-finite segment rolls back; after a
-    /// rollback every other segment holds; a loss over `blowup_factor` ×
+    /// rollback every other segment holds; a loss over [`BLOWUP_FACTOR`] ×
     /// best rolls back; then the promote/demote rules of `current`.
     pub fn decide(&self, current: SyncProtocol, s: &ScrapedSignals) -> SyncDecision {
         if !s.finite || !s.final_loss.is_finite() {
@@ -352,23 +367,23 @@ impl SyncController {
                 ),
             };
         }
-        let best = self.best_loss.max(self.cfg.loss_floor);
-        if s.final_loss > self.cfg.blowup_factor * best {
+        let best = self.best_loss.max(LOSS_FLOOR);
+        if s.final_loss > BLOWUP_FACTOR * best {
             return SyncDecision::Rollback {
                 reason: format!(
-                    "loss {:.4} under {current} blew past {:.2} x best {best:.4}",
-                    s.final_loss, self.cfg.blowup_factor
+                    "loss {:.4} under {current} blew past {BLOWUP_FACTOR:.2} x best {best:.4}",
+                    s.final_loss
                 ),
             };
         }
         match current {
             SyncProtocol::Bsp => {
-                if self.segments < self.cfg.warmup_segments {
+                if self.segments < WARMUP_SEGMENTS {
                     return SyncDecision::Hold {
                         reason: format!(
-                            "warming up: observed segment {} of {} before first decision",
-                            self.segments + 1,
-                            self.cfg.warmup_segments
+                            "warming up: observed segment {} of {WARMUP_SEGMENTS} before first \
+                             decision",
+                            self.segments + 1
                         ),
                     };
                 }
@@ -402,11 +417,12 @@ impl SyncController {
                         reason: "no finite best loss yet; loss stability unknown".into(),
                     };
                 }
-                if s.final_loss > self.cfg.promote_loss_slack * best {
+                if s.final_loss > PROMOTE_LOSS_SLACK * best {
                     return SyncDecision::Hold {
                         reason: format!(
-                            "loss {:.4} not stable against best {:.4} (slack {:.2})",
-                            s.final_loss, best, self.cfg.promote_loss_slack
+                            "loss {:.4} not stable against best {best:.4} \
+                             (slack {PROMOTE_LOSS_SLACK:.2})",
+                            s.final_loss
                         ),
                     };
                 }
@@ -414,11 +430,8 @@ impl SyncController {
                     to: SyncProtocol::Asp,
                     reason: format!(
                         "barrier-wait fraction {frac:.3} >= {:.3} with stable loss \
-                         {:.4} <= {:.2} x best {:.4}",
-                        self.cfg.promote_barrier_frac,
-                        s.final_loss,
-                        self.cfg.promote_loss_slack,
-                        best
+                         {:.4} <= {PROMOTE_LOSS_SLACK:.2} x best {best:.4}",
+                        self.cfg.promote_barrier_frac, s.final_loss
                     ),
                 }
             }
@@ -441,22 +454,23 @@ impl SyncController {
                         ),
                     };
                 }
-                if s.final_loss > self.cfg.demote_loss_factor * best {
+                if s.final_loss > DEMOTE_LOSS_FACTOR * best {
                     return SyncDecision::Switch {
                         to: SyncProtocol::Bsp,
                         reason: format!(
-                            "divergence risk: loss {:.4} over {:.2} x best {:.4}",
-                            s.final_loss, self.cfg.demote_loss_factor, best
+                            "divergence risk: loss {:.4} over {DEMOTE_LOSS_FACTOR:.2} x best \
+                             {best:.4}",
+                            s.final_loss
                         ),
                     };
                 }
                 let staleness = s.mean_staleness();
-                if s.staleness_count > 0 && staleness > self.cfg.demote_staleness_limit {
+                if s.staleness_count > 0 && staleness > DEMOTE_STALENESS_LIMIT {
                     return SyncDecision::Switch {
                         to: SyncProtocol::Bsp,
                         reason: format!(
-                            "mean engine.staleness {staleness:.2} over limit {:.2}",
-                            self.cfg.demote_staleness_limit
+                            "mean engine.staleness {staleness:.2} over limit \
+                             {DEMOTE_STALENESS_LIMIT:.2}"
                         ),
                     };
                 }
@@ -519,8 +533,8 @@ impl SyncController {
 
         // Retune the SSP bound from the measured staleness distribution.
         if signals.staleness_count > 0 {
-            let tuned = signals.mean_staleness().ceil() as u64 + self.cfg.ssp_margin;
-            self.ssp_bound = tuned.clamp(1, self.cfg.max_ssp_bound);
+            let tuned = signals.mean_staleness().ceil() as u64 + SSP_MARGIN;
+            self.ssp_bound = tuned.clamp(1, MAX_SSP_BOUND);
         }
 
         let (report, from, to, rolled_back_to) = match (outcome, &decision) {
@@ -714,9 +728,9 @@ mod tests {
             prop_assert_eq!(&d, &c.decide(current, &s));
 
             let cfg = c.cfg;
-            let best = c.best_loss.max(cfg.loss_floor);
+            let best = c.best_loss.max(LOSS_FLOOR);
             let non_finite = !s.finite || !s.final_loss.is_finite();
-            let blown = s.final_loss > cfg.blowup_factor * best;
+            let blown = s.final_loss > BLOWUP_FACTOR * best;
             let rollback = matches!(d, SyncDecision::Rollback { .. });
             prop_assert_eq!(rollback, non_finite || (!c.demoted && blown), "{:?}", d);
             if rollback {
@@ -728,20 +742,20 @@ mod tests {
             }
             let (switch, to) = match current {
                 SyncProtocol::Bsp => (
-                    c.segments >= cfg.warmup_segments
+                    c.segments >= WARMUP_SEGMENTS
                         && s.unreachable_servers == 0
                         && s.retries <= cfg.demote_retry_limit
                         && s.barrier_fraction() >= cfg.promote_barrier_frac
                         && c.best_loss.is_finite()
-                        && s.final_loss <= cfg.promote_loss_slack * best,
+                        && s.final_loss <= PROMOTE_LOSS_SLACK * best,
                     SyncProtocol::Asp,
                 ),
                 SyncProtocol::Asp => (
                     s.unreachable_servers > 0
                         || s.retries > cfg.demote_retry_limit
-                        || s.final_loss > cfg.demote_loss_factor * best
+                        || s.final_loss > DEMOTE_LOSS_FACTOR * best
                         || (s.staleness_count > 0
-                            && s.mean_staleness() > cfg.demote_staleness_limit),
+                            && s.mean_staleness() > DEMOTE_STALENESS_LIMIT),
                     SyncProtocol::Bsp,
                 ),
             };
@@ -751,10 +765,42 @@ mod tests {
                 prop_assert!(matches!(d, SyncDecision::Hold { .. }), "{:?}", d);
             }
             // The divergence-risk band demotes without rolling back.
-            if current == SyncProtocol::Asp && s.final_loss > cfg.demote_loss_factor * best {
+            if current == SyncProtocol::Asp && s.final_loss > DEMOTE_LOSS_FACTOR * best {
                 prop_assert!(switch);
             }
         }
+    }
+
+    /// The rules above run on the values every controller ran on when
+    /// they were still configurable, so a default policy decides as it
+    /// always did.
+    #[test]
+    fn the_rule_constants_keep_the_former_defaults() {
+        assert_eq!(
+            ControllerConfig::default(),
+            ControllerConfig {
+                promote_barrier_frac: 0.25,
+                demote_retry_limit: 4,
+            }
+        );
+        assert_eq!(
+            (
+                WARMUP_SEGMENTS,
+                SSP_MARGIN,
+                MAX_SSP_BOUND,
+                DEMOTE_STALENESS_LIMIT
+            ),
+            (1, 1, 32, 16.0)
+        );
+        assert_eq!(
+            (
+                PROMOTE_LOSS_SLACK,
+                DEMOTE_LOSS_FACTOR,
+                BLOWUP_FACTOR,
+                LOSS_FLOOR
+            ),
+            (1.25, 3.0, 4.0, 0.05)
+        );
     }
 
     #[test]

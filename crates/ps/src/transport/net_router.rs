@@ -390,7 +390,8 @@ impl NetRouter {
     /// zero parameters/shards/addresses, or more servers than shards
     /// (a remote tier is never silently clamped: the spec says `ps-serve`
     /// processes exist, so a shape that cannot give each one shards is a
-    /// misconfiguration, not a request to ignore some).
+    /// misconfiguration, not a request to ignore some) — or `retry` is
+    /// invalid ([`RetryPolicy::validate`]).
     pub fn connect(
         param_count: usize,
         shards: usize,
@@ -398,6 +399,7 @@ impl NetRouter {
         sync_every: u64,
         retry: RetryPolicy,
     ) -> Result<Self, PsError> {
+        retry.validate().map_err(PsError::InvalidConfig)?;
         if param_count == 0 {
             return Err(PsError::InvalidConfig("zero parameters".into()));
         }

@@ -93,8 +93,8 @@ impl TcpServerHost {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] if the tier shape is
-    /// inconsistent (no servers, more servers than shards, `index` out of
-    /// range, or `initial` not matching `param_count`), or the bind error.
+    /// inconsistent (no servers or shards, more servers than shards,
+    /// `index` out of range, or no parameters), or the bind error.
     pub fn bind(
         addr: impl ToSocketAddrs,
         initial: &[f32],
@@ -105,6 +105,9 @@ impl TcpServerHost {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         if servers == 0 {
             return Err(invalid("cluster has zero servers".into()));
+        }
+        if shards == 0 {
+            return Err(invalid("tier has zero shards".into()));
         }
         if index >= servers {
             return Err(invalid(format!(
@@ -169,15 +172,9 @@ impl TcpServerHost {
         self.slot.server.nonce()
     }
 
-    /// A point-in-time copy of the instance's request accounting — what
-    /// `ps-serve` periodically dumps to its metrics file.
-    pub fn stats_snapshot(&self) -> sync_switch_telemetry::ServerStatsSnapshot {
-        self.slot.server.stats_snapshot()
-    }
-
-    /// Blocks until the accept loop exits — which it only does when the
-    /// host is stopped, so for the `ps-serve` binary this is "serve until
-    /// the process is killed".
+    /// Blocks until the accept loop exits: when the host is stopped, or
+    /// when the listener fails to accept. For the `ps-serve` binary this is
+    /// "serve until the process is killed", and a return is a failure.
     pub fn wait(&mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -634,7 +631,7 @@ mod tests {
         assert_eq!(info.param_offset, 8);
         assert_eq!(info.param_len, 8);
         // Misconfigured specs are rejected before binding threads.
-        for (shards, servers, index) in [(6, 0, 0), (6, 3, 3), (2, 3, 0)] {
+        for (shards, servers, index) in [(6, 0, 0), (6, 3, 3), (2, 3, 0), (0, 1, 0)] {
             let err =
                 TcpServerHost::bind("127.0.0.1:0", &initial, shards, servers, index).unwrap_err();
             assert_eq!(

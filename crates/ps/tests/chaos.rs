@@ -355,7 +355,6 @@ fn chaos_policy() -> ControllerConfig {
     ControllerConfig {
         promote_barrier_frac: 0.0,
         demote_retry_limit: 3,
-        ..ControllerConfig::default()
     }
 }
 

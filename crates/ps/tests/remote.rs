@@ -86,6 +86,13 @@ fn connect_rejects_inconsistent_shapes() {
     assert!(NetRouter::connect(0, 2, &addrs[..1], 1, quick_retry()).is_err());
     assert!(NetRouter::connect(8, 0, &addrs[..1], 1, quick_retry()).is_err());
     assert!(NetRouter::connect(8, 2, &[], 1, quick_retry()).is_err());
+    // A zero op timeout has no meaning a socket can honour.
+    let never = RetryPolicy {
+        op_timeout_ms: 0,
+        ..quick_retry()
+    };
+    let err = NetRouter::connect(8, 2, &addrs[..1], 1, never).unwrap_err();
+    assert!(matches!(err, PsError::InvalidConfig(_)), "{err}");
 }
 
 #[test]

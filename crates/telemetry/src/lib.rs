@@ -19,9 +19,10 @@
 //!   per-shard apply time) that the `Stats` wire frame ships to scrapers.
 //!
 //! The crate is deliberately free of dependencies (not even the workspace
-//! shims): it sits under the per-step path of every worker thread and
-//! inside every `ps-serve` process, and its JSON output must not drag a
-//! serializer into the server binary.
+//! shims): it sits under the per-step path of every worker thread, so its
+//! dependency graph stays empty and its few JSON writers are hand-rolled.
+//! The processes that link it (`ps-serve`, `ps-worker`) get serde from
+//! their cluster spec, not from here.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -421,9 +422,9 @@ impl MetricsRegistry {
     }
 }
 
-/// A plain copy of a registry's instruments, mergeable across threads and
-/// processes (the `ClusterHarness` folds per-process snapshots into one
-/// cluster-wide report) and serializable to JSON without serde.
+/// A plain copy of a registry's instruments, serializable to JSON without
+/// serde. Snapshots of one layout can be summed with
+/// [`MetricsSnapshot::merge`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter name → value.
@@ -883,9 +884,8 @@ impl ServerStats {
     }
 }
 
-/// The plain server-stats state the `Stats` wire frame round-trips and
-/// `ps-serve` dumps to disk. Byte-exact codec pinned by proptest in the
-/// ps crate.
+/// The plain server-stats state the `Stats` wire frame round-trips.
+/// Byte-exact codec pinned by proptest in the ps crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerStatsSnapshot {
     /// The answering server's index.
@@ -946,48 +946,6 @@ impl ServerStatsSnapshot {
         self.apply_ns.merge(&other.apply_ns);
         self.shard_apply_ns.extend_from_slice(&other.shard_apply_ns);
         self.shard_applies.extend_from_slice(&other.shard_applies);
-    }
-
-    /// The snapshot as one JSON object (what `ps-serve` writes to its
-    /// metrics file).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!("{{\"server\":{},\"requests\":{{", self.server));
-        let mut first = true;
-        for (op, &n) in self.requests.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{op:#04x}\":{n}"));
-        }
-        out.push_str(&format!(
-            "}},\"total_requests\":{},\"bytes_in\":{},\"bytes_out\":{},\"dedup_hits\":{},\"apply_ns\":",
-            self.total_requests(),
-            self.bytes_in,
-            self.bytes_out,
-            self.dedup_hits
-        ));
-        self.apply_ns.write_json(&mut out);
-        out.push_str(",\"shard_apply_ns\":[");
-        for (i, v) in self.shard_apply_ns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push_str("],\"shard_applies\":[");
-        for (i, v) in self.shard_applies.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -1136,10 +1094,6 @@ mod tests {
         assert_eq!(snap.shard_apply_ns[1], 1200);
         assert_eq!(snap.shard_applies[1], 2);
         assert_eq!(snap.shard_applies[0], 0);
-        let json = snap.to_json();
-        assert!(json.contains("\"server\":4"));
-        assert!(json.contains("\"0x01\":2"), "{json}");
-        assert!(json.contains("\"total_requests\":4"));
     }
 
     #[test]

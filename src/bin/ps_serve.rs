@@ -9,40 +9,18 @@
 //! stage-2 sync rounds, snapshot/restore, and the `Hello` identity
 //! handshake — until killed. There is no graceful-shutdown path on
 //! purpose: the process *is* the server, and the harness stops it the way
-//! a cluster manager would, with a signal.
+//! a cluster manager would, with a signal. Its request accounting is read
+//! over the wire, by the `Stats` frame every `ps-worker` scrapes into its
+//! report.
 //!
 //! ```text
 //! ps-serve --spec cluster.json --index 0
 //! ```
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
 
 use sync_switch::deploy::ClusterSpec;
 use sync_switch::ps::TcpServerHost;
-
-/// How often the serving loop dumps its stats snapshot to the metrics
-/// file. The process has no graceful-shutdown path (the harness SIGKILLs
-/// it), so the periodic dump *is* the final snapshot — the interval bounds
-/// how much accounting a kill can lose.
-const METRICS_DUMP_EVERY: Duration = Duration::from_millis(100);
-
-/// Where this server's metrics dump goes: `server-<index>.metrics.json`
-/// next to the spec file, i.e. in the harness's run directory.
-fn metrics_path(spec_path: &str, index: usize) -> PathBuf {
-    let dir = Path::new(spec_path).parent().unwrap_or(Path::new("."));
-    dir.join(format!("server-{index}.metrics.json"))
-}
-
-/// Writes `json` to `path` via a same-directory temp file and rename, so a
-/// reader (the harness merging cluster metrics mid-run) never observes a
-/// half-written snapshot.
-fn write_atomic(path: &Path, json: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, json)?;
-    std::fs::rename(&tmp, path)
-}
 
 /// Parsed command line of `ps-serve`.
 ///
@@ -107,7 +85,7 @@ fn run() -> Result<(), String> {
     let kind = spec.workload_kind()?;
     let (model, _train, _test) = kind.build(spec.seed);
     let initial = model.params_flat();
-    let host = TcpServerHost::bind(
+    let mut host = TcpServerHost::bind(
         addrs[cfg.index],
         &initial,
         spec.shards,
@@ -127,18 +105,13 @@ fn run() -> Result<(), String> {
         spec.shards,
         host.nonce(),
     );
-    // Serve until killed. The accept loop runs on its own thread; the main
-    // thread becomes the telemetry loop, dumping the request-accounting
-    // snapshot so a live scrape-by-file is always at most one interval
-    // stale — and so the file left behind after a SIGKILL is a bounded-lag
-    // final snapshot.
-    let metrics = metrics_path(&cfg.spec_path, cfg.index);
-    loop {
-        if let Err(e) = write_atomic(&metrics, &host.stats_snapshot().to_json()) {
-            eprintln!("ps-serve: cannot write metrics {}: {e}", metrics.display());
-        }
-        std::thread::sleep(METRICS_DUMP_EVERY);
-    }
+    // Serve until killed. The accept loop runs on its own thread and only
+    // returns if the listener fails, and then this process serves nobody.
+    host.wait();
+    Err(format!(
+        "accept loop on {} exited; no longer serving",
+        host.local_addr()
+    ))
 }
 
 fn main() -> ExitCode {

@@ -122,7 +122,7 @@ fn run() -> Result<(), String> {
         spec.shards,
         &addrs,
         spec.sync_every,
-        spec.retry(),
+        spec.retry,
     )
     .map_err(|e| format!("connect: {e}"))?;
     // Readiness handshake: keeps re-dialing servers that have not bound
@@ -160,10 +160,7 @@ fn run_segments(
     // segments then run under whatever protocol the controller last
     // decided on (the first segment's protocol seeds the discipline), and
     // every decision is recorded into the report.
-    let mut controller = spec
-        .controller
-        .as_ref()
-        .map(|c| SyncController::new(c.to_config()));
+    let mut controller = spec.controller.map(SyncController::new);
     if controller.is_some() {
         if let Some(first) = spec.segments.first() {
             if let Some(p) = first.parse_protocol()? {

@@ -84,101 +84,6 @@ impl SegmentSpec {
     }
 }
 
-/// The policy block that puts a `ps-worker` under the online adaptive
-/// [`SyncController`] instead of blindly executing the spec's protocol
-/// strings.
-///
-/// When present, the spec's segment list still defines the step budgets
-/// (and the first segment's protocol seeds the starting discipline), but
-/// from then on each BSP/ASP segment runs under whatever protocol the
-/// controller last decided on: the worker scrapes the bus after every
-/// segment and may promote BSP→ASP, demote ASP→BSP, or retune the SSP
-/// bound, recording every decision (with its reason) in the
-/// [`WorkerReport`].
-///
-/// The thresholds mirror [`ControllerConfig`]; see that type for the named
-/// telemetry signal behind each one.
-///
-/// [`SyncController`]: sync_switch_ps::SyncController
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ControllerSpec {
-    /// Segments observed before the first promote decision.
-    pub warmup_segments: u64,
-    /// Barrier-wait fraction at which BSP promotes to ASP.
-    pub promote_barrier_frac: f64,
-    /// Loss-stability slack factor required for promotion.
-    pub promote_loss_slack: f64,
-    /// `wire.retries` delta above which ASP demotes to BSP.
-    pub demote_retry_limit: u64,
-    /// Loss blow-up factor at which ASP demotes to BSP.
-    pub demote_loss_factor: f64,
-    /// Mean `engine.staleness` above which ASP demotes to BSP.
-    pub demote_staleness_limit: f64,
-}
-
-impl Default for ControllerSpec {
-    fn default() -> Self {
-        let cfg = ControllerConfig::default();
-        ControllerSpec {
-            warmup_segments: cfg.warmup_segments,
-            promote_barrier_frac: cfg.promote_barrier_frac,
-            promote_loss_slack: f64::from(cfg.promote_loss_slack),
-            demote_retry_limit: cfg.demote_retry_limit,
-            demote_loss_factor: f64::from(cfg.demote_loss_factor),
-            demote_staleness_limit: cfg.demote_staleness_limit,
-        }
-    }
-}
-
-impl ControllerSpec {
-    /// The in-process controller policy this spec block describes
-    /// (remaining [`ControllerConfig`] knobs keep their defaults).
-    pub fn to_config(&self) -> ControllerConfig {
-        ControllerConfig {
-            warmup_segments: self.warmup_segments,
-            promote_barrier_frac: self.promote_barrier_frac,
-            promote_loss_slack: self.promote_loss_slack as f32,
-            demote_retry_limit: self.demote_retry_limit,
-            demote_loss_factor: self.demote_loss_factor as f32,
-            demote_staleness_limit: self.demote_staleness_limit,
-            ..ControllerConfig::default()
-        }
-    }
-
-    /// Validates the thresholds.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.promote_barrier_frac) {
-            return Err(format!(
-                "promote_barrier_frac {} outside [0, 1]",
-                self.promote_barrier_frac
-            ));
-        }
-        if self.promote_loss_slack < 1.0 {
-            return Err(format!(
-                "promote_loss_slack {} below 1.0 would reject an improving loss",
-                self.promote_loss_slack
-            ));
-        }
-        if self.demote_loss_factor <= 1.0 {
-            return Err(format!(
-                "demote_loss_factor {} must exceed 1.0",
-                self.demote_loss_factor
-            ));
-        }
-        if self.demote_staleness_limit <= 0.0 {
-            return Err(format!(
-                "demote_staleness_limit {} must be positive",
-                self.demote_staleness_limit
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// The complete, serializable description of a multi-process cluster run.
 ///
 /// Every process derives everything else it needs from this: a `ps-serve`
@@ -212,23 +117,24 @@ pub struct ClusterSpec {
     /// A few ms per step stretches the run into the window where the
     /// harness's SIGKILL is genuinely *mid-training*.
     pub step_delay_ms: u64,
-    /// Per-operation wire timeout, milliseconds ([`RetryPolicy`]).
-    pub op_timeout_ms: u64,
-    /// Wire retries after the initial attempt ([`RetryPolicy`]).
-    pub max_retries: u32,
-    /// First backoff sleep, milliseconds ([`RetryPolicy`]).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, milliseconds ([`RetryPolicy`]).
-    pub backoff_max_ms: u64,
+    /// The workers' per-operation wire timeout and retry budget.
+    pub retry: RetryPolicy,
     /// Readiness-handshake budget, seconds: how long a worker keeps
     /// re-dialing servers that have not bound their listeners yet.
     pub handshake_secs: u64,
     /// How long a worker waits for a crashed server to be respawned before
     /// giving up on healing, seconds.
     pub heal_secs: u64,
-    /// Optional adaptive-controller policy. Absent (or JSON `null`) means
-    /// the worker executes the spec's protocol strings verbatim, as before.
-    pub controller: Option<ControllerSpec>,
+    /// Optional adaptive-controller policy. When present, each `ps-worker`
+    /// runs its segments through a [`SyncController`]: the segment list
+    /// still sets the step budgets (and the first segment's protocol seeds
+    /// the discipline), but each BSP/ASP segment runs under whatever
+    /// protocol the controller last decided on, and every decision lands in
+    /// the [`WorkerReport`]. Absent (or JSON `null`) means the worker
+    /// executes the spec's protocol strings verbatim.
+    ///
+    /// [`SyncController`]: sync_switch_ps::SyncController
+    pub controller: Option<ControllerConfig>,
 }
 
 impl ClusterSpec {
@@ -250,10 +156,12 @@ impl ClusterSpec {
                 SegmentSpec::asp(hyper.total_steps - half),
             ],
             step_delay_ms: 0,
-            op_timeout_ms: 2_000,
-            max_retries: 3,
-            backoff_base_ms: 5,
-            backoff_max_ms: 100,
+            retry: RetryPolicy {
+                op_timeout_ms: 2_000,
+                max_retries: 3,
+                backoff_base_ms: 5,
+                backoff_max_ms: 100,
+            },
             handshake_secs: 20,
             heal_secs: 20,
             controller: None,
@@ -261,7 +169,7 @@ impl ClusterSpec {
     }
 
     /// The same spec with the adaptive sync controller enabled.
-    pub fn with_controller(mut self, controller: ControllerSpec) -> Self {
+    pub fn with_controller(mut self, controller: ControllerConfig) -> Self {
         self.controller = Some(controller);
         self
     }
@@ -297,16 +205,6 @@ impl ClusterSpec {
                     .map_err(|e| format!("bad server address {s:?}: {e}"))
             })
             .collect()
-    }
-
-    /// The client-side retry policy encoded in the spec.
-    pub fn retry(&self) -> RetryPolicy {
-        RetryPolicy {
-            op_timeout_ms: self.op_timeout_ms,
-            max_retries: self.max_retries,
-            backoff_base_ms: self.backoff_base_ms,
-            backoff_max_ms: self.backoff_max_ms,
-        }
     }
 
     /// The readiness-handshake deadline.
@@ -391,6 +289,7 @@ impl ClusterSpec {
         if train.len() < self.workers_per_proc {
             return Err("more worker threads than training examples".into());
         }
+        self.retry.validate()?;
         if let Some(controller) = &self.controller {
             controller.validate()?;
         }
@@ -445,9 +344,8 @@ pub struct SegmentOutcome {
 /// This is the harness's cross-process consistency hook: the worker knows
 /// how many pushes/pulls/syncs *it* issued ([`TransportStats`]), the server
 /// knows how many it *served*, and on a clean network the two must agree.
-/// Only the aggregate numbers travel — the full snapshot (per-shard apply
-/// vectors, apply-latency histogram) stays in the server's own periodic
-/// metrics dump.
+/// Only the aggregate numbers are kept: the per-shard apply vectors and the
+/// apply-latency histogram are left out.
 ///
 /// [`TransportStats`]: sync_switch_ps::TransportStats
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -560,7 +458,7 @@ pub struct WorkerReport {
     /// scraped (crashed and never respawned) is simply absent.
     pub server_stats: Vec<ServerStatsSummary>,
     /// Every adaptive-controller decision taken during the run, in order.
-    /// Empty when the spec carried no [`ControllerSpec`].
+    /// Empty when the spec carried no `controller` block.
     pub controller_decisions: Vec<ControllerDecision>,
 }
 
@@ -598,7 +496,7 @@ mod tests {
         assert!(s.validate().is_ok());
         assert_eq!(s.workload_kind().unwrap(), TrainableKind::MlpBlobs);
         assert_eq!(s.server_addrs().unwrap().len(), 2);
-        assert_eq!(s.retry().op_timeout_ms, 2_000);
+        assert_eq!(s.retry.op_timeout_ms, 2_000);
         let cfg = s.trainer_config().unwrap();
         assert_eq!(cfg.workers, 2);
         assert_eq!(cfg.shards, 4);
@@ -669,21 +567,39 @@ mod tests {
     }
 
     #[test]
-    fn controller_spec_round_trips_and_maps_to_the_policy() {
-        let s = spec().with_controller(ControllerSpec {
+    fn controller_and_retry_blocks_round_trip_through_json() {
+        let mut s = spec().with_controller(ControllerConfig {
             promote_barrier_frac: 0.1,
             demote_retry_limit: 2,
-            ..ControllerSpec::default()
         });
+        s.retry = RetryPolicy {
+            op_timeout_ms: 750,
+            max_retries: 9,
+            backoff_base_ms: 3,
+            backoff_max_ms: 40,
+        };
         assert!(s.validate().is_ok());
-        let parsed = ClusterSpec::from_json(&s.to_json()).expect("round trip");
+        let json = s.to_json();
+        let parsed = ClusterSpec::from_json(&json).expect("round trip");
         assert_eq!(parsed, s);
-        let cfg = parsed.controller.as_ref().unwrap().to_config();
-        assert_eq!(cfg.promote_barrier_frac, 0.1);
-        assert_eq!(cfg.demote_retry_limit, 2);
+        // Each block is one nested object holding exactly its own values.
+        let value: serde_json::Value = serde_json::from_str(&json).expect("JSON");
+        let keys = |block: &str| -> Vec<String> {
+            let entries = value[block].as_object().expect("a nested block");
+            entries.iter().map(|(k, _)| k.clone()).collect()
+        };
         assert_eq!(
-            cfg.warmup_segments,
-            sync_switch_ps::ControllerConfig::default().warmup_segments
+            keys("controller"),
+            ["promote_barrier_frac", "demote_retry_limit"]
+        );
+        assert_eq!(
+            keys("retry"),
+            [
+                "op_timeout_ms",
+                "max_retries",
+                "backoff_base_ms",
+                "backoff_max_ms"
+            ]
         );
     }
 
@@ -706,21 +622,13 @@ mod tests {
 
     #[test]
     fn bad_controller_thresholds_are_refused() {
-        let mut s = spec().with_controller(ControllerSpec::default());
-        s.controller.as_mut().unwrap().promote_barrier_frac = 1.5;
-        assert!(s.validate().is_err());
-
-        let mut s = spec().with_controller(ControllerSpec::default());
-        s.controller.as_mut().unwrap().promote_loss_slack = 0.5;
-        assert!(s.validate().is_err());
-
-        let mut s = spec().with_controller(ControllerSpec::default());
-        s.controller.as_mut().unwrap().demote_loss_factor = 1.0;
-        assert!(s.validate().is_err());
-
-        let mut s = spec().with_controller(ControllerSpec::default());
-        s.controller.as_mut().unwrap().demote_staleness_limit = 0.0;
-        assert!(s.validate().is_err());
+        for frac in [-0.1, 1.5, f64::NAN] {
+            let s = spec().with_controller(ControllerConfig {
+                promote_barrier_frac: frac,
+                ..ControllerConfig::default()
+            });
+            assert!(s.validate().is_err(), "promote_barrier_frac {frac}");
+        }
     }
 
     #[test]
@@ -801,6 +709,10 @@ mod tests {
 
         let mut s = spec();
         s.sync_every = 0;
+        assert!(s.validate().is_err());
+
+        let mut s = spec();
+        s.retry.op_timeout_ms = 0;
         assert!(s.validate().is_err());
     }
 }

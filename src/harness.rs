@@ -305,65 +305,6 @@ impl ClusterHarness {
         self.dir.join(format!("worker-{w}.trace.json"))
     }
 
-    /// Metrics-snapshot path of server `i` (written periodically by
-    /// `ps-serve` next to the spec; survives the SIGKILL as the final
-    /// snapshot of whichever incarnation died last).
-    pub fn metrics_path(&self, i: usize) -> PathBuf {
-        self.dir.join(format!("server-{i}.metrics.json"))
-    }
-
-    /// Merges the per-process telemetry of a finished run into one
-    /// cluster-wide `cluster-metrics.json` in the run directory: every
-    /// server's last dumped stats snapshot (verbatim, with its per-opcode
-    /// request counts) plus every worker's scraped
-    /// [`ServerStatsSummary`](crate::deploy::ServerStatsSummary) rows.
-    /// Returns the written path.
-    ///
-    /// The server files are already JSON objects, so the merge is textual
-    /// assembly — no parse step that could drop fields it doesn't know.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any server never wrote its snapshot (a `ps-serve` that
-    /// dumps nothing is a telemetry regression, not a tolerable gap) or on
-    /// filesystem errors.
-    pub fn write_cluster_metrics(&self, reports: &[WorkerReport]) -> io::Result<PathBuf> {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"servers\": [\n");
-        for i in 0..self.servers.len() {
-            let path = self.metrics_path(i);
-            let snap = fs::read_to_string(&path).map_err(|e| {
-                io::Error::new(
-                    e.kind(),
-                    format!(
-                        "server {i} wrote no metrics snapshot at {}: {e}",
-                        path.display()
-                    ),
-                )
-            })?;
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("    ");
-            out.push_str(snap.trim());
-        }
-        out.push_str("\n  ],\n  \"workers\": [\n");
-        for (w, report) in reports.iter().enumerate() {
-            if w > 0 {
-                out.push_str(",\n");
-            }
-            let scraped = serde_json::to_string(&report.server_stats)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-            out.push_str(&format!(
-                "    {{\"worker\": {w}, \"server_stats\": {scraped}}}"
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        let path = self.dir.join("cluster-metrics.json");
-        fs::write(&path, &out)?;
-        Ok(path)
-    }
-
     /// SIGKILLs server `i` — the mid-run crash. The listener vanishes with
     /// the process; workers' in-flight operations fail and their
     /// handshakes start waiting for a respawn.
