@@ -97,13 +97,21 @@ impl std::fmt::Display for TransportKind {
 
 /// How the parameter-server tier is laid out across server instances.
 ///
-/// With `servers == 1` the data plane is the single in-process
-/// [`crate::ShardedStore`] (the PR 2 fast path). With `servers >= 2` the
-/// shards are partitioned across that many [`crate::PsServer`] instances
-/// behind a [`crate::ShardRouter`], and synchronization becomes OSP-style
-/// two-stage: pushes apply immediately on the owning server (stage 1), and
-/// a periodic cross-server reconciliation round publishes the owners' shard
-/// deltas into the committed view that workers pull (stage 2).
+/// Which data plane a trainer builds depends on the pair
+/// `(servers, transport)`, `servers` counted after clamping to the shard
+/// and parameter counts:
+///
+/// | `transport` | `servers` | data plane |
+/// |---|---|---|
+/// | `InProcess` | 1 | the single [`crate::ShardedStore`], no stage 2 |
+/// | `InProcess` | ≥ 2 | a [`crate::ShardRouter`] over in-process [`crate::PsServer`]s |
+/// | `Channel` or `Tcp` | any, 1 included | a [`crate::NetRouter`] whose servers sit behind that transport |
+///
+/// On every plane but the single store the shards are partitioned across
+/// the servers and synchronization is OSP-style two-stage: pushes apply
+/// immediately on the owning server (stage 1), and a periodic cross-server
+/// reconciliation round publishes the owners' shard deltas into the
+/// committed view that workers pull (stage 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerTopology {
     /// Number of parameter-server instances. Clamped to the shard count at

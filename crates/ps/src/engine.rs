@@ -965,17 +965,27 @@ impl Trainer {
     /// every worker pulls equals the live state. No-op on a single-server
     /// plane; called by the switcher before checkpointing a protocol
     /// switch.
-    pub fn drain_sync(&self) {
-        self.plane.drain();
+    ///
+    /// # Errors
+    ///
+    /// On a wire tier, the [`PsError`] of a server lost past the retry
+    /// budget: `Timeout`, `ConnLost` or `RetriesExhausted`.
+    pub fn drain_sync(&self) -> Result<(), PsError> {
+        self.plane.drain()
     }
 
     /// Resets the optimizer velocity to zero on every server.
-    pub fn reset_velocity(&self) {
+    ///
+    /// # Errors
+    ///
+    /// As [`Trainer::drain_sync`].
+    pub fn reset_velocity(&self) -> Result<(), PsError> {
         match &self.plane {
             WorkerPort::Single(s) => s.reset_velocity(),
             WorkerPort::Routed(r) => r.reset_velocity(),
-            WorkerPort::Net(p) => p.router().reset_velocity(),
+            WorkerPort::Net(p) => return p.router().reset_velocity(),
         }
+        Ok(())
     }
 
     /// Whether every parameter on every server is currently finite — the
@@ -1023,14 +1033,15 @@ impl Trainer {
     /// # Errors
     ///
     /// Returns [`PsError::CheckpointMismatch`] if the checkpoint's
-    /// parameters or velocity do not match the model's parameter count.
+    /// parameters or velocity do not match the model's parameter count, and
+    /// fails as [`Trainer::drain_sync`] does (the step count then stays).
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), PsError> {
         ck.check_compatible(self.plane.param_count())?;
         self.seats.fill_with(|| None);
         match &self.plane {
             WorkerPort::Single(s) => s.restore(&ck.params, &ck.velocity),
             WorkerPort::Routed(r) => r.restore(&ck.params, &ck.velocity),
-            WorkerPort::Net(p) => p.router().restore(&ck.params, &ck.velocity),
+            WorkerPort::Net(p) => p.router().restore(&ck.params, &ck.velocity)?,
         }
         self.global_step = ck.step;
         Ok(())

@@ -67,9 +67,8 @@ impl WorkerProfile {
 /// Aggregate wire cost of one operation class (push / pull / sync) on a
 /// transport-backed data plane: how many logical operations were served,
 /// over how many round trips, how long the caller spent blocked on the
-/// wire, and how many payload bytes moved in each direction (codec-level —
-/// framing overhead excluded so the two backends report comparable
-/// volumes).
+/// wire, and how many payload bytes moved in each direction. Booked by the
+/// rule [`TransportStats`] states.
 ///
 /// Operations and round trips differ in both directions: the shards one
 /// worker pushes to one server share a round trip (`ops > round_trips`),
@@ -149,6 +148,14 @@ impl WireOp {
 /// (`backend == None`) every counter is zero — the boundary does not
 /// exist there, which is exactly the comparison the bench transport axis
 /// makes.
+///
+/// **The booking rule.** A request is booked from its own items. Each item
+/// is one operation of its opcode's class — push (`PushShard[Sparse]`),
+/// pull (`PullCommitted`) or sync (`SyncRound`, `Drain`) — and books its
+/// payload bytes both ways, a batched item's 4-byte length prefix
+/// included. The sequencing prefix, the batch headers, the round trip and
+/// its wire time go to the first item's class. Control-plane requests are
+/// not booked, nor is a failed attempt (its re-send counts in `retries`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Which backend produced these numbers (`None` for in-process).
@@ -159,8 +166,8 @@ pub struct TransportStats {
     /// Committed-view pulls: one operation per server per pull, a round
     /// trip only when the image did not ride home on a push or sync reply.
     pub pull: WireOp,
-    /// Stage-2 reconciliation rounds and drains (one round trip per server
-    /// per round).
+    /// Stage-2 reconciliation rounds and drains: one operation per server
+    /// per round, a round trip unless it rode behind a BSP round's pushes.
     pub sync: WireOp,
     /// Failed attempts that were re-sent by the resilience layer. Zero on a
     /// clean network — retry machinery must be free when nothing fails.

@@ -32,6 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::config::ServerTopology;
+use crate::error::PsError;
 use crate::server::PsServer;
 use crate::store::{PullBuffer, ShardLayout, ShardedStore, UpdateData};
 use crate::transport::NetPort;
@@ -213,16 +214,21 @@ impl Tier {
     /// commits every owned shard on every server, then the watermark
     /// advances to the version read at the start of the round
     /// (conservative — the commits include at least every apply published
-    /// by those pushes). Returns the number of rounds completed so far.
-    pub(crate) fn commit_round(&self, commit_all: impl FnOnce()) -> u64 {
+    /// by those pushes). Returns the number of rounds completed so far, or
+    /// the error `commit_all` failed with, in which case the round is not
+    /// counted and the watermark stays.
+    pub(crate) fn commit_round<E>(
+        &self,
+        commit_all: impl FnOnce() -> Result<(), E>,
+    ) -> Result<u64, E> {
         let observed = self.version();
-        commit_all();
+        commit_all()?;
         let round = self.rounds.fetch_add(1, Ordering::Release) + 1;
         // Release: publishes the committed stores' writes (ordered by
         // their shard locks, and on a wire tier by the request/reply round
         // trips) together with the watermark.
         self.synced_version.store(observed, Ordering::Release);
-        round
+        Ok(round)
     }
 
     /// A pull of the committed view: sizes `buf` for the tier, lets `fill`
@@ -390,8 +396,10 @@ impl ShardRouter {
     /// One stage-2 round, caller holding the round lock: a direct
     /// commit-all on every server.
     fn commit_round(&self) {
-        self.tier
-            .commit_round(|| self.servers.iter().for_each(PsServer::commit_all));
+        let Ok(_) = self.tier.commit_round(|| {
+            self.servers.iter().for_each(PsServer::commit_all);
+            Ok::<(), std::convert::Infallible>(())
+        });
     }
 
     /// Assembles the committed view of all servers into `buf` and returns
@@ -721,19 +729,23 @@ impl WorkerPort {
         for g in 0..self.shard_count() {
             stripe(g, &mut |avg| self.queue_shard_update(g, avg, lr, mu, acks));
         }
-        self.drain();
+        if let WorkerPort::Routed(r) = self {
+            r.drain();
+        }
         self.pull_into(image);
     }
 
     /// Drains stage 2 so the next pulls see exactly the state the pushes so
     /// far produced (no-op on the single store, whose pulls always read live
-    /// state): what [`crate::Trainer::drain_sync`] runs.
-    pub fn drain(&self) {
+    /// state): what [`crate::Trainer::drain_sync`] runs, and fails as it
+    /// does.
+    pub fn drain(&self) -> Result<(), PsError> {
         match self {
             WorkerPort::Single(_) => {}
             WorkerPort::Routed(r) => r.drain(),
-            WorkerPort::Net(p) => p.router().drain(),
+            WorkerPort::Net(p) => return p.router().drain(),
         }
+        Ok(())
     }
 }
 

@@ -29,12 +29,14 @@ use sync_switch_telemetry::{ServerStats, ServerStatsSnapshot};
 
 use crate::store::{ShardLayout, ShardedStore, UpdateData};
 
-/// Allocator for per-instance nonces. Seeded from wall-clock nanos XOR the
-/// pid so two *processes* constructing their first server get different
-/// nonces, then bumped per construction so an in-process revive does too.
+/// Allocator for server instance nonces and client ids. Seeded from
+/// wall-clock nanos XOR the pid so two *processes* draw different values,
+/// then bumped per draw so an in-process revive, or another connection
+/// slot, does too. A server's dedup table is keyed by client id, so two
+/// `ps-worker` processes must never share one.
 static NONCES: AtomicU64 = AtomicU64::new(0);
 
-fn next_nonce() -> u64 {
+pub(crate) fn next_nonce() -> u64 {
     let seeded = NONCES.load(Ordering::Relaxed);
     if seeded == 0 {
         let nanos = SystemTime::now()

@@ -82,7 +82,8 @@ impl SwitchOutcome {
 /// # Errors
 ///
 /// Returns [`PsError::InvalidConfig`] if the plan produces an invalid
-/// configuration.
+/// configuration, and on a wire tier the error of a server lost during
+/// the drain, the restore or the velocity reset.
 ///
 /// # Example
 ///
@@ -119,7 +120,7 @@ pub fn execute_switch(trainer: &mut Trainer, plan: &SwitchPlan) -> Result<Switch
     //    checkpointed — a BSP↔ASP switch must not leak a half-published
     //    reconciliation across the protocol boundary.
     let td = Instant::now();
-    trainer.drain_sync();
+    trainer.drain_sync()?;
     let drain_time = td.elapsed();
 
     // 1. Checkpoint current state (paper: all hook managers checkpoint).
@@ -145,7 +146,7 @@ pub fn execute_switch(trainer: &mut Trainer, plan: &SwitchPlan) -> Result<Switch
     let t2 = Instant::now();
     trainer.restore(&ck)?;
     if plan.reset_velocity {
-        trainer.reset_velocity();
+        trainer.reset_velocity()?;
     }
     let restore_time = t2.elapsed();
 

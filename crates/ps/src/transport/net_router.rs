@@ -21,38 +21,39 @@
 //! a failed segment or a restore, so a worker dials each server once per
 //! lifetime, not once per segment.
 //!
-//! Every operation is strictly request/reply. A sync round commits each
-//! server in one round trip, and a push sends each server *all* of the
-//! worker's shards it owns as one `Batch` frame. Pushes are queued per
-//! shard ([`NetPort::queue_shard_update`] encodes straight into the port's
-//! staging buffer) and sent when the owning server changes or on
-//! [`NetPort::flush_pushes`]; the per-shard [`NetPort::apply_shard_update`]
-//! is the same path with a queue of one. Round trips to different servers
-//! are not overlapped — on a small box the extra runnable threads cost more
-//! than the overlap saves (CHANGES.md, PR 12).
+//! Every operation is strictly request/reply, and every data-plane request
+//! has one shape, `[push × n][SyncRound | Drain]?[PullCommitted]?`, built
+//! by one encoder and read by one decoder ([`NetRouter::send`]); only a
+//! pull by run has a frame of its own. Each round trip is booked from its
+//! own items ([`Split::of`]; the rule is stated on [`TransportStats`]), so
+//! the client's operation counts equal the servers' per-opcode counts.
 //!
-//! A pull asks each server for the runs the step reads, or its slice (every
-//! server answers either way — its clocks date the pull). **When that costs
-//! a round trip and when it rides a reply:** after a whole-vector pull, the
-//! batches of a worker's queued push end in a `PullCommitted` item, and so
-//! does the `SyncRound` of a round the worker runs from
-//! [`NetPort::after_push`] (which then travels over the worker's own
-//! connections). The `Pulled` image stays in the connection's reply buffer
-//! and the worker's next [`NetPort::pull_into`] decodes it from there. A
-//! push that will make a round due leaves the pull to the round. A pull by
-//! run and a per-shard apply never carry one: which runs the next step
-//! reads is unknown before its batch is drawn.
-//!
-//! **A BSP round is one round trip per server.** The worker that completes
-//! a round commits it as every plane does ([`crate::WorkerPort::commit_round`]);
-//! here that sends each server its averaged stripes, a `Drain` and a
-//! `PullCommitted` as one batch ([`NetPort::push_round`]) and decodes the
-//! committed images into the round's image, which every worker of the
-//! round starts the next one from, as on the in-process planes.
+//! * **A push** sends each server *all* of the worker's shards it owns in
+//!   one request: pushes are queued per shard
+//!   ([`NetPort::queue_shard_update`] encodes straight into the port's
+//!   staging buffer) and sent when the owning server changes or on
+//!   [`NetPort::flush_pushes`]. Round trips to different servers are not
+//!   overlapped: on a small box the extra runnable threads cost more than
+//!   the overlap saves.
+//! * **A pull** asks each server for the runs the step reads, or its slice
+//!   (every server answers either way — its clocks date the pull). After a
+//!   whole-vector pull the worker's next push asks for the next one too,
+//!   unless that push makes a stage-2 round due: then the `SyncRound`s of
+//!   the round the worker runs from [`NetPort::after_push`] ask for it,
+//!   over the worker's own connections. The `Pulled` image stays in the
+//!   connection's reply buffer until [`NetPort::pull_into`] decodes it. A
+//!   pull by run never rides: which runs the next step reads is unknown
+//!   before its batch is drawn.
+//! * **A BSP round** is one request per server: the worker that completes
+//!   it ([`crate::WorkerPort::commit_round`]) sends each server its
+//!   averaged stripes, a `Drain` and a `PullCommitted`, and decodes the
+//!   images into the round's image, which every worker of the round starts
+//!   the next one from, as on the in-process planes.
 //!
 //! **The stamp rule.** Each image is stamped with its server's *view epoch*
-//! ([`NetRouter::view_epochs`]) read before the request is first sent, and
-//! is served only while the epoch still reads the same. The epoch ticks
+//! ([`NetRouter::view_epochs`]) read before the request is first sent, or
+//! the one the request's own commit ticks it to, and is served only while
+//! the epoch still reads the same. The epoch ticks
 //! when the server acknowledges a commit-all, before the round that sent it
 //! is complete; so if it has not moved, every round completed by now had
 //! this server's commit acknowledged before the image was asked for, and
@@ -82,13 +83,8 @@ use crate::config::{RetryPolicy, ServerTopology, TransportKind};
 use crate::error::PsError;
 use crate::profiler::{TransportStats, WireOp};
 use crate::router::Tier;
-use crate::server::PsServer;
+use crate::server::{next_nonce, PsServer};
 use crate::store::{runs_within, PullBuffer};
-
-/// Process-wide client-id allocator for sequenced requests: every
-/// connection slot gets a unique id, so the servers' dedup windows never
-/// collide across workers, trainers, or tests in one process.
-static CLIENT_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Process-local deterministic jitter stream for retry backoff
 /// (decorrelates workers that fail simultaneously without pulling in an
@@ -107,92 +103,139 @@ fn jitter_ms(cap: u64) -> u64 {
     }
 }
 
-/// Cumulative wire counters for one operation class (lock-free; workers on
-/// different threads record concurrently).
+/// Cumulative wire counters for one operation class, in [`WireOp`]'s field
+/// order: operations, round trips, wire nanoseconds, bytes out, bytes in
+/// (lock-free; workers on different threads record concurrently).
 #[derive(Debug, Default)]
-struct OpCounters {
-    ops: AtomicU64,
-    round_trips: AtomicU64,
-    ns: AtomicU64,
-    bytes_out: AtomicU64,
-    bytes_in: AtomicU64,
-}
+struct OpCounters([AtomicU64; 5]);
 
 impl OpCounters {
-    /// `ops` logical operations over `round_trips` round trips of this
-    /// class: one, or none for a pull that rode on another class's.
-    fn record(
-        &self,
-        ops: u64,
-        round_trips: u64,
-        elapsed: Duration,
-        bytes_out: usize,
-        bytes_in: usize,
-    ) {
+    fn record(&self, values: [u64; 5]) {
         // Relaxed throughout: these are statistics counters; nothing is
         // published through them and cross-counter skew is tolerable.
-        self.ops.fetch_add(ops, Ordering::Relaxed);
-        self.round_trips.fetch_add(round_trips, Ordering::Relaxed);
-        self.ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.bytes_out
-            .fetch_add(bytes_out as u64, Ordering::Relaxed);
-        self.bytes_in.fetch_add(bytes_in as u64, Ordering::Relaxed);
+        for (counter, v) in self.0.iter().zip(values) {
+            counter.fetch_add(v, Ordering::Relaxed);
+        }
     }
 
     fn snapshot(&self) -> WireOp {
+        let [ops, round_trips, wire_ns, bytes_out, bytes_in] =
+            self.0.each_ref().map(|c| c.load(Ordering::Relaxed));
         WireOp {
-            ops: self.ops.load(Ordering::Relaxed),
-            round_trips: self.round_trips.load(Ordering::Relaxed),
-            wire_ns: self.ns.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
+            ops,
+            round_trips,
+            wire_ns,
+            bytes_out,
+            bytes_in,
         }
+    }
+}
+
+/// The wire-stats classes, as indices into [`WireCounters::classes`].
+const PUSH: usize = 0;
+const PULL: usize = 1;
+const SYNC: usize = 2;
+
+/// The class a data-plane request or reply opcode is booked under; `None`
+/// for the control plane, which is not booked.
+fn class_of(opcode: u8) -> Option<usize> {
+    match opcode {
+        op::PUSH_SHARD | op::PUSH_SHARD_SPARSE | op::PUSH_ACK => Some(PUSH),
+        op::PULL_COMMITTED | op::PULLED => Some(PULL),
+        op::SYNC_ROUND | op::DRAIN | op::SYNCED => Some(SYNC),
+        _ => None,
     }
 }
 
 #[derive(Debug, Default)]
 struct WireCounters {
-    push: OpCounters,
-    pull: OpCounters,
-    sync: OpCounters,
+    /// Push, pull and sync.
+    classes: [OpCounters; 3],
     /// Connections re-established after breaking.
     reconnects: AtomicU64,
 }
 
-/// How one round trip is booked in the wire stats.
-#[derive(Clone, Copy)]
-struct Booking<'a> {
-    /// The class that pays for the round trip.
-    class: &'a OpCounters,
-    /// Logical operations of that class it carries (a push batch counts
-    /// its shards).
-    ops: u64,
-    /// Whether a `PullCommitted` rides as the request batch's last item. It
-    /// is booked as one pull operation with its own item's bytes and no
-    /// round trip or wire time: those stay on `class`.
-    carries_pull: bool,
-    /// Whether a `Drain` rides just ahead of that pull (BSP's round
-    /// commit), booked the same way as one sync operation.
-    drains: bool,
+/// One side of a round trip as the booking rule splits it: per class, the
+/// items and the bytes it carries, and the class of its first item.
+#[derive(Default)]
+struct Split {
+    items: [u64; 3],
+    bytes: [u64; 3],
+    first: Option<usize>,
 }
 
-/// What follows a server's staged pushes in their batch.
-enum Tail<'a> {
-    /// Nothing: the reply is the acks.
-    Acks,
-    /// The worker's next pull: a `PullCommitted`, whose `Pulled` image stays
-    /// on the connection for [`NetPort::pull_into`] to decode.
+impl Split {
+    /// The booking rule ([`TransportStats`]) for one side of a round trip:
+    /// splits `payload` — a bare request or reply, or a batch of them
+    /// (`batch` is [`op::BATCH`] or [`op::BATCH_REPLY`]), sequenced or not —
+    /// so that each item, its 4-byte length prefix included, goes to its
+    /// opcode's class, and the framing (the sequencing prefix, the batch
+    /// header) to the first item's. The round trip and its wire time go
+    /// there too ([`NetRouter::book`]).
+    fn of(payload: &[u8], batch: u8) -> Self {
+        let inner = wire::decode_sequenced_prefix(payload).map_or(payload, |(_, _, inner)| inner);
+        let mut split = Split::default();
+        let mut framing = payload.len();
+        if inner.first() == Some(&batch) {
+            for item in wire::batch_items(inner, batch).into_iter().flatten() {
+                split.add(item, item.len() + 4);
+                framing -= item.len() + 4;
+            }
+        } else {
+            split.add(inner, inner.len());
+            framing -= inner.len();
+        }
+        if let Some(c) = split.first {
+            split.bytes[c] += framing as u64;
+        }
+        split
+    }
+
+    fn add(&mut self, item: &[u8], bytes: usize) {
+        let Some(c) = item.first().copied().and_then(class_of) else {
+            return;
+        };
+        self.first.get_or_insert(c);
+        self.items[c] += 1;
+        self.bytes[c] += bytes as u64;
+    }
+}
+
+/// What a data-plane request brings home of the server's committed view.
+enum Pull<'a> {
+    /// Nothing: no `PullCommitted` rides.
+    No,
+    /// The whole image, left on the connection under its stamp for
+    /// [`NetPort::pull_into`] to decode.
     Prefetch,
-    /// BSP's round commit: a `Drain`, then a `PullCommitted` whose image is
-    /// decoded at once into the server's part of the round image — its
-    /// parameters and its shards' clocks.
-    Commit(&'a mut [f32], &'a mut [u64]),
+    /// The whole image, decoded at once into this server's part of an
+    /// image: its parameters and its shards' clocks.
+    Into(&'a mut [f32], &'a mut [u64]),
 }
 
-/// The last item of a batch reply (`None` if `reply` is not one).
-fn last_batch_item(reply: &[u8]) -> Option<&[u8]> {
-    wire::batch_items(reply, op::BATCH_REPLY).ok()?.last()
+/// The one data-plane request encoder: the `n` pushes `staged` holds
+/// (`[BATCH][u16 n]` then their items), then `commit` (`SyncRound` or
+/// `Drain`), then a `PullCommitted` if `pull` — as one batch, or as a bare
+/// frame when that is a single item.
+fn encode_request(buf: &mut Vec<u8>, staged: &[u8], n: usize, commit: Option<u8>, pull: bool) {
+    let tail = commit.into_iter().chain(pull.then_some(op::PULL_COMMITTED));
+    if n + tail.clone().count() == 1 {
+        // No batch header and no length prefix.
+        match tail.last() {
+            Some(opcode) => wire::encode_bodyless(buf, opcode),
+            None => buf.extend_from_slice(&staged[wire::BATCH_HEADER_BYTES + 4..]),
+        }
+        return;
+    }
+    let head = buf.len();
+    if n == 0 {
+        wire::begin_batch(buf, op::BATCH);
+    } else {
+        buf.extend_from_slice(staged);
+    }
+    for opcode in tail {
+        wire::put_bodyless_item(buf, head, opcode);
+    }
 }
 
 /// One server's connection slot: the (lazily opened) connection plus the
@@ -202,11 +245,10 @@ fn last_batch_item(reply: &[u8]) -> Option<&[u8]> {
 struct ConnSlot {
     conn: Option<Box<dyn Conn>>,
     /// Set while `conn`'s last reply is a batch reply ending in the server's
-    /// whole `Pulled` image: the server's view epoch (see
-    /// [`NetRouter::view_epochs`]) read before that request was first sent.
-    /// The image is what a pull would return for as long as the epoch still
-    /// reads the same; any other call on the connection (or losing it)
-    /// forgets it.
+    /// whole `Pulled` image: its stamp, a view epoch of the server (see the
+    /// stamp rule). The image is what a pull would return for as long as
+    /// the epoch still reads the same; any other call on the connection (or
+    /// losing it) forgets it.
     prefetch: Option<u64>,
     /// Client id carried in sequenced request headers.
     client: u64,
@@ -223,7 +265,9 @@ impl ConnSlot {
         ConnSlot {
             conn: None,
             prefetch: None,
-            client: CLIENT_IDS.fetch_add(1, Ordering::Relaxed),
+            // Unique across processes too: the servers' dedup windows are
+            // keyed by it.
+            client: next_nonce(),
             next_seq: 0,
             connected_before: false,
         }
@@ -235,29 +279,15 @@ impl ConnSlot {
         if self.prefetch != Some(epoch) {
             return None;
         }
-        last_batch_item(self.conn.as_ref()?.last_reply())
-    }
-}
-
-/// A lazily-connected set of connections, one slot per server.
-#[derive(Debug, Default)]
-pub(crate) struct ConnSet {
-    per_server: Vec<ConnSlot>,
-}
-
-impl ConnSet {
-    fn new(servers: usize) -> Self {
-        ConnSet {
-            per_server: (0..servers).map(|_| ConnSlot::fresh()).collect(),
-        }
+        let reply = self.conn.as_ref()?.last_reply();
+        wire::batch_items(reply, op::BATCH_REPLY).ok()?.last()
     }
 
-    /// Drops the cached connection to `server` (the old socket may point at
-    /// a dead instance).
-    fn invalidate(&mut self, server: usize) {
-        let slot = &mut self.per_server[server];
-        slot.conn = None;
-        slot.prefetch = None;
+    /// Drops the cached connection (the old socket may point at a dead
+    /// instance).
+    fn invalidate(&mut self) {
+        self.conn = None;
+        self.prefetch = None;
     }
 }
 
@@ -269,8 +299,14 @@ impl ConnSet {
 /// header so a re-send of an already-applied request is deduplicated
 /// server-side (the cached ack is replayed) — a dropped *reply* cannot
 /// double-apply a gradient. Only when the budget is exhausted does the
-/// failure surface, as a [`PsError`] on the fallible APIs or a panic
-/// carrying its message on the infallible worker-path ones.
+/// failure surface: as a [`PsError`] from the owner ops ([`Self::drain`],
+/// [`Self::restore`], [`Self::reset_velocity`]) and the probes, and as a
+/// panic carrying its message from the rest. Those are the worker-path ops
+/// — [`NetPort`]'s pulls, pushes, [`NetPort::after_push`] and BSP's round
+/// commit, and [`Self::reconcile_if_due`] — whose panics the trainer's
+/// worker threads catch as a failed segment, and the reads
+/// [`Self::snapshot_params`], [`Self::snapshot_velocity`] and
+/// [`Self::is_finite`].
 #[derive(Debug)]
 pub struct NetRouter {
     kind: TransportKind,
@@ -308,7 +344,7 @@ pub struct NetRouter {
     /// Field order is load-bearing: `sync` (and the conns inside it) must
     /// drop before `transport`, whose Drop joins the serving threads and
     /// would otherwise wait on our own open connections.
-    sync: Mutex<ConnSet>,
+    sync: Mutex<PortState>,
     transport: Box<dyn Transport>,
 }
 
@@ -369,7 +405,7 @@ impl NetRouter {
             sync_rounds_counter: telemetry.metrics.counter("wire.sync_rounds"),
             retries_counter: telemetry.metrics.counter("wire.retries"),
             telemetry,
-            sync: Mutex::new(ConnSet::new(tier.server_count())),
+            sync: Mutex::new(PortState::new(tier.server_count())),
             tier,
             transport,
         }
@@ -483,13 +519,15 @@ impl NetRouter {
         self.tier.sync_rounds()
     }
 
-    /// Cumulative wire-cost counters since launch.
+    /// Cumulative wire-cost counters since launch, booked by the rule
+    /// [`TransportStats`] states.
     pub fn stats(&self) -> TransportStats {
+        let [push, pull, sync] = &self.stats.classes;
         TransportStats {
             backend: Some(self.kind),
-            push: self.stats.push.snapshot(),
-            pull: self.stats.pull.snapshot(),
-            sync: self.stats.sync.snapshot(),
+            push: push.snapshot(),
+            pull: pull.snapshot(),
+            sync: sync.snapshot(),
             retries: self.retries_counter.get(),
             reconnects: self.stats.reconnects.load(Ordering::Relaxed),
         }
@@ -504,10 +542,18 @@ impl NetRouter {
     /// Runs a stage-2 round if the push counter has moved `sync_every`
     /// past the watermark (see [`Tier::reconcile_if_due`]), the round's
     /// commit-alls travelling as `SyncRound` frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a server's retry budget is exhausted, like every
+    /// worker-path op.
     pub fn reconcile_if_due(&self) {
         self.tier.reconcile_if_due(
             || self.sync.lock(),
-            |conns| self.commit_round(conns, op::SYNC_ROUND, false),
+            |control| {
+                (self.commit_round(control, op::SYNC_ROUND, false))
+                    .unwrap_or_else(|e| panic!("sync round failed: {e}"));
+            },
         );
     }
 
@@ -521,11 +567,10 @@ impl NetRouter {
         self.tier.reconcile_if_due(
             || self.sync.lock(),
             |control| {
-                if port.pulls_dense {
-                    self.commit_round(&mut port.conns, op::SYNC_ROUND, true);
-                } else {
-                    self.commit_round(control, op::SYNC_ROUND, false);
-                }
+                let dense = port.pulls_dense;
+                let over = if dense { &mut *port } else { &mut **control };
+                (self.commit_round(over, op::SYNC_ROUND, dense))
+                    .unwrap_or_else(|e| panic!("sync round failed: {e}"));
             },
         );
     }
@@ -534,9 +579,13 @@ impl NetRouter {
     /// unconditionally commits every server so the committed view equals
     /// the live view (switches, restore; a BSP round's drain rides its
     /// commit instead).
-    pub fn drain(&self) {
-        let mut conns = self.sync.lock();
-        self.commit_round(&mut conns, op::DRAIN, false);
+    ///
+    /// # Errors
+    ///
+    /// Returns the wire error of a server that did not answer within the
+    /// retry budget.
+    pub fn drain(&self) -> Result<(), PsError> {
+        self.commit_round(&mut self.sync.lock(), op::DRAIN, false)
     }
 
     /// One wire round trip under the retry policy.
@@ -548,25 +597,22 @@ impl NetRouter {
     /// drops the connection, sleeps the exponential backoff (plus jitter)
     /// and re-sends **the same sequence number**, so a server that already
     /// applied the request replays its cached ack instead of re-applying.
-    /// Wire stats are recorded once, from the successful attempt only, so
-    /// a clean network sees byte/latency numbers identical to a
-    /// retry-free build; `booking` says how. Whatever pull the connection
-    /// held from an earlier reply is forgotten: this call overwrites it.
-    #[allow(clippy::too_many_arguments)]
+    /// The successful attempt alone is booked, from the request's and the
+    /// reply's own items ([`NetRouter::book`]), so a clean network sees
+    /// byte/latency numbers identical to a retry-free build. Whatever pull
+    /// the connection held from an earlier reply is forgotten: this call
+    /// overwrites it.
     fn call_resilient<T>(
         &self,
-        conns: &mut ConnSet,
+        slot: &mut ConnSlot,
         server: usize,
         policy: RetryPolicy,
-        booking: Option<Booking<'_>>,
         sequenced: bool,
         encode: &dyn Fn(&mut Vec<u8>),
         decode: &mut dyn FnMut(&[u8]) -> Result<T, WireError>,
     ) -> Result<T, PsError> {
         let timeout = Duration::from_millis(policy.op_timeout_ms);
-        let slot = &mut conns.per_server[server];
         slot.prefetch = None;
-        let carries_pull = booking.is_some_and(|b| b.carries_pull);
         let seq = slot.next_seq;
         let attempts = policy.max_retries.saturating_add(1);
         let mut timed_out = false;
@@ -614,45 +660,18 @@ impl NetRouter {
                 wire::encode_sequenced_prefix(buf, client, seq);
             }
             encode(buf);
-            let out = buf.len() - base;
-            let outcome = match conn.call() {
-                Ok(reply) => {
-                    // What the pull that rode along takes of the reply,
-                    // length prefix included.
-                    let pulled = if carries_pull {
-                        last_batch_item(reply).map_or(0, |item| item.len() + 4)
-                    } else {
-                        0
-                    };
-                    Ok((decode(reply), reply.len(), pulled))
-                }
-                Err(e) => Err(e),
-            };
+            let sent = Split::of(&buf[base..], op::BATCH);
+            let outcome = (conn.call())
+                .map(|reply| decode(reply).map(|v| (v, Split::of(reply, op::BATCH_REPLY))));
             match outcome {
-                Ok((Ok(v), reply_len, pulled)) => {
+                Ok(Ok((v, received))) => {
                     if sequenced {
                         slot.next_seq = seq.wrapping_add(1);
                     }
-                    if let Some(b) = booking {
-                        let elapsed = t0.elapsed();
-                        // A bodyless item, `Drain` or `PullCommitted`, and
-                        // the `Synced` reply item are each this long.
-                        let item = wire::BODYLESS_ITEM_BYTES;
-                        let asked = if carries_pull { item } else { 0 };
-                        if carries_pull {
-                            (self.stats.pull).record(1, 0, Duration::ZERO, asked, pulled);
-                        }
-                        let drained = if b.drains { item } else { 0 };
-                        if b.drains {
-                            (self.stats.sync).record(1, 0, Duration::ZERO, item, item);
-                        }
-                        let (out, reply_len) =
-                            (out - asked - drained, reply_len - pulled - drained);
-                        (b.class).record(b.ops, 1, elapsed, out, reply_len);
-                    }
+                    self.book(&sent, &received, t0.elapsed());
                     return Ok(v);
                 }
-                Ok((Err(_), _, _)) => {
+                Ok(Err(_)) => {
                     // Corrupt reply: the stream may be desynchronized, so
                     // re-send over a fresh connection.
                     slot.conn = None;
@@ -678,43 +697,138 @@ impl NetRouter {
         })
     }
 
-    /// One stage-2 round, caller holding the round lock: a commit-all
-    /// frame to every server over `conns`. With `with_pull` each frame also
-    /// pulls what it just committed, and `conns` keeps each image under the
-    /// epoch its commit opened (the round lock keeps everyone else's hands
-    /// off the epochs meanwhile).
-    fn commit_round(&self, conns: &mut ConnSet, opcode: u8, with_pull: bool) {
-        self.traced_round(|| {
-            for s in 0..self.tier.server_count() {
-                self.sync_one(conns, s, opcode, with_pull)
-                    .unwrap_or_else(|e| panic!("sync round failed: {e}"));
-                let epoch = self.tick_view_epoch(s);
-                if with_pull {
-                    conns.per_server[s].prefetch = Some(epoch);
-                }
+    /// Books one successful round trip split by [`Split::of`]: each class
+    /// its items' operations and bytes both ways, and the first item's
+    /// class the round trip and its wire time. A control-plane request
+    /// books nothing.
+    fn book(&self, sent: &Split, received: &Split, elapsed: Duration) {
+        let Some(payer) = sent.first else {
+            return;
+        };
+        for (c, counters) in self.stats.classes.iter().enumerate() {
+            let paid = u64::from(c == payer);
+            if paid == 1 || sent.items[c] > 0 {
+                let ns = paid * elapsed.as_nanos() as u64;
+                counters.record([sent.items[c], paid, ns, sent.bytes[c], received.bytes[c]]);
             }
-        });
+        }
     }
 
-    /// [`Tier::commit_round`] with `commit_all`, counted on
-    /// `wire.sync_rounds` and traced as a `SyncRound` span. The caller holds
-    /// the round lock.
-    fn traced_round(&self, commit_all: impl FnOnce()) {
+    /// Sends server `s` one data-plane request over `port`'s connection,
+    /// `[push × n][SyncRound | Drain]?[PullCommitted]?`: the `n` pushes
+    /// `port` has staged (all for `s`), then `commit`, then a
+    /// `PullCommitted` unless `pull` is [`Pull::No`]. Sequenced unless it is
+    /// a lone pull, so a re-send after a lost reply replays the cached reply
+    /// and applies no push or commit twice.
+    ///
+    /// The one decoder reads the reply: each push's pre-apply shard clock
+    /// into `port.acks`, in queue order; `Synced`, upon which `s`'s view
+    /// epoch ticks (the caller holds the round lock); then the `Pulled`
+    /// image, which [`Pull::Into`] decodes where it says and
+    /// [`Pull::Prefetch`] checks and leaves on the connection under its
+    /// stamp: the view epoch read before the send, or the one the request's
+    /// own commit ticked to (see the stamp rule).
+    fn send(
+        &self,
+        port: &mut PortState,
+        s: usize,
+        commit: Option<u8>,
+        mut pull: Pull<'_>,
+    ) -> Result<(), PsError> {
+        debug_assert!(port.staged == 0 || port.staged_for == s);
+        let n = std::mem::take(&mut port.staged);
+        let pulls = !matches!(pull, Pull::No);
+        let items = n + usize::from(commit.is_some()) + usize::from(pulls);
+        let slice = &self.tier.slices()[s];
+        let mut epoch = self.view_epoch(s);
+        let base = port.acks.len();
+        self.call_resilient(
+            &mut port.conns[s],
+            s,
+            self.retry,
+            n > 0 || commit.is_some(),
+            &|buf| encode_request(buf, &port.staging, n, commit, pulls),
+            &mut |reply| {
+                // A failed attempt may have decoded part of a corrupt reply.
+                port.acks.truncate(base);
+                let (bare, batch) = if items == 1 {
+                    (Some(reply), None)
+                } else {
+                    (None, Some(wire::batch_items(reply, op::BATCH_REPLY)?))
+                };
+                let mut rest = bare.into_iter().chain(batch.into_iter().flatten());
+                let mut next = || rest.next().ok_or(WireError::Truncated);
+                for _ in 0..n {
+                    port.acks.push(wire::decode_push_ack(next()?)?);
+                }
+                if commit.is_some() {
+                    wire::expect_bodyless(next()?, op::SYNCED)?;
+                }
+                match &mut pull {
+                    Pull::No => {}
+                    Pull::Prefetch => {
+                        wire::expect_pulled(next()?, slice.param_range.1, slice.shard_count)?
+                    }
+                    Pull::Into(params, clocks) => {
+                        wire::decode_pulled_into(next()?, params, clocks)?
+                    }
+                }
+                rest.next().map_or(Ok(()), |_| Err(WireError::Truncated))
+            },
+        )?;
+        if commit.is_some() {
+            epoch = self.tick_view_epoch(s);
+        }
+        if let Pull::Prefetch = pull {
+            port.conns[s].prefetch = Some(epoch);
+        }
+        Ok(())
+    }
+
+    /// One stage-2 round, the caller holding the round lock: `commit_all`
+    /// sends every server its commit-all, then [`Tier::commit_round`]
+    /// counts the round, and so do `wire.sync_rounds` and a `SyncRound`
+    /// span. A round that fails is not counted.
+    fn traced_round(
+        &self,
+        commit_all: impl FnOnce() -> Result<(), PsError>,
+    ) -> Result<(), PsError> {
         let t0 = self.telemetry.trace.now_ns();
-        let round = self.tier.commit_round(commit_all);
+        let round = self.tier.commit_round(commit_all)?;
         self.sync_rounds_counter.inc();
         (self.telemetry.trace).span(TraceKind::SyncRound { round }, t0);
+        Ok(())
+    }
+
+    /// A `SyncRound` or `Drain` (`commit`) to every server over `port`'s
+    /// connections, each bringing its server's image home when `prefetch`
+    /// (see [`NetRouter::send`]).
+    fn commit_round(
+        &self,
+        port: &mut PortState,
+        commit: u8,
+        prefetch: bool,
+    ) -> Result<(), PsError> {
+        self.traced_round(|| {
+            (0..self.tier.server_count()).try_for_each(|s| {
+                let pull = if prefetch { Pull::Prefetch } else { Pull::No };
+                self.send(port, s, Some(commit), pull)
+            })
+        })
     }
 
     /// BSP's round commit over `port`'s own connections, under the round
     /// lock: per server, `stripe(g, push)` hands `push` each owned shard's
     /// averaged gradient to stage, and the pushes go out with a `Drain` and
-    /// a `PullCommitted` behind them as one sequenced batch. The replies'
-    /// acks land in `port.acks` in shard order and their images in `image`
-    /// (through [`Tier::pull_with`], inside [`Tier::commit_round`]), and
-    /// each server's view epoch ticks as its commit is acknowledged. A
-    /// re-send replays the cached acks and `Synced` and re-reads the pull,
-    /// which the drain already covers.
+    /// a `PullCommitted` behind them as one request. The replies' acks land
+    /// in `port.acks` in shard order and their images in `image` (through
+    /// [`Tier::pull_with`]). A re-send replays the cached acks and
+    /// `Synced` and re-reads the pull, which the drain already covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a server's retry budget is exhausted, like every
+    /// worker-path op.
     fn push_round(
         &self,
         port: &mut PortState,
@@ -724,8 +838,8 @@ impl NetRouter {
         image: &mut PullBuffer,
     ) {
         let _round = self.sync.lock();
-        self.traced_round(|| {
-            self.tier.pull_with(image, |params, clocks| {
+        self.tier.pull_with(image, |params, clocks| {
+            self.traced_round(|| {
                 for (s, slice) in self.tier.slices().iter().enumerate() {
                     let (first, (po, pl)) = (slice.shard_offset, slice.param_range);
                     let owned = first..first + slice.shard_count;
@@ -736,11 +850,12 @@ impl NetRouter {
                             });
                         });
                     }
-                    let tail = Tail::Commit(&mut params[po..po + pl], &mut clocks[owned]);
-                    self.send_staged(port, tail);
-                    self.tick_view_epoch(s);
+                    let image = Pull::Into(&mut params[po..po + pl], &mut clocks[owned]);
+                    self.send(port, s, Some(op::DRAIN), image)?;
                 }
-            });
+                Ok(())
+            })
+            .unwrap_or_else(|e| panic!("round commit failed: {e}"));
         });
     }
 
@@ -757,78 +872,16 @@ impl NetRouter {
         self.view_epochs[s].fetch_add(1, Ordering::Release) + 1
     }
 
-    /// One commit-all frame (`SyncRound` or `Drain`) to one server — with
-    /// `with_pull`, a `[commit-all, PullCommitted]` batch whose reply leaves
-    /// the server's freshly committed image on the connection.
-    fn sync_one(
-        &self,
-        conns: &mut ConnSet,
-        s: usize,
-        opcode: u8,
-        with_pull: bool,
-    ) -> Result<(), PsError> {
-        let booking = Booking {
-            class: &self.stats.sync,
-            ops: 1,
-            carries_pull: with_pull,
-            drains: false,
-        };
-        self.call_resilient(
-            conns,
-            s,
-            self.retry,
-            Some(booking),
-            true,
-            &|buf| {
-                if with_pull {
-                    let head = wire::begin_batch(buf, op::BATCH);
-                    wire::put_bodyless_item(buf, head, opcode);
-                    wire::put_bodyless_item(buf, head, op::PULL_COMMITTED);
-                } else {
-                    wire::encode_bodyless(buf, opcode);
-                }
-            },
-            &mut |reply| {
-                if !with_pull {
-                    return wire::expect_bodyless(reply, op::SYNCED);
-                }
-                let mut items = wire::batch_items(reply, op::BATCH_REPLY)?;
-                wire::expect_bodyless(items.next().ok_or(WireError::Truncated)?, op::SYNCED)?;
-                self.expect_tail(s, true, items)
-            },
-        )
-    }
-
-    /// Checks what follows the acks of a batch reply from server `s`:
-    /// nothing, or — when a pull rode along — exactly its whole `Pulled`
-    /// image, so the decode that happens a step later cannot fail.
-    fn expect_tail(
-        &self,
-        s: usize,
-        carries_pull: bool,
-        mut rest: wire::BatchItems<'_>,
-    ) -> Result<(), WireError> {
-        if carries_pull {
-            let slice = &self.tier.slices()[s];
-            let pulled = rest.next().ok_or(WireError::Truncated)?;
-            wire::expect_pulled(pulled, slice.param_range.1, slice.shard_count)?;
-        }
-        match rest.next() {
-            None => Ok(()),
-            Some(_) => Err(WireError::Truncated),
-        }
-    }
-
     /// What the push `port` is sending brings home: the worker's next pull,
-    /// or only the acks. Only a dense pull can be asked for before the next
+    /// or nothing. Only a dense pull can be asked for before the next
     /// batch is drawn, and not on the push that makes a stage-2 round due:
     /// the round would outdate the image, and the worker that runs it
     /// fetches the new one with the round instead.
-    fn push_tail(&self, port: &PortState) -> Tail<'static> {
+    fn push_pull(&self, port: &PortState) -> Pull<'static> {
         if port.pulls_dense && !self.tier.round_due_after_push() {
-            Tail::Prefetch
+            Pull::Prefetch
         } else {
-            Tail::Acks
+            Pull::No
         }
     }
 
@@ -844,7 +897,7 @@ impl NetRouter {
         // Two short of the batch's item limit: a drain and a pull may join
         // the pushes.
         if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX) - 2) {
-            self.send_staged(port, self.push_tail(port));
+            self.flush(port, self.push_pull(port));
         }
         if port.staged == 0 {
             port.staged_for = s;
@@ -858,98 +911,20 @@ impl NetRouter {
         port.staged += 1;
     }
 
-    /// Sends the staged pushes as one sequenced request — a `Batch`, or the
-    /// bare push when there is just one — and appends each shard's
-    /// pre-apply clock to `port.acks` in queue order. One sequence number
-    /// covers the batch, so a re-send after a lost reply replays the cached
-    /// acks and no shard is applied twice. Counted as `staged` push
-    /// operations sharing one round trip's time and bytes.
-    ///
-    /// With [`Tail::Prefetch`] a `PullCommitted` joins the batch as its
-    /// last item and the server's `Pulled` image stays in the connection's
-    /// reply buffer, stamped with the server's view epoch read *before* the
-    /// send: a commit the server acknowledges at any point after that moves
-    /// the epoch on, and the image is never used. [`Tail::Commit`] puts a
-    /// `Drain` ahead of that pull and decodes the image where it says.
+    /// Sends the staged pushes, if any, with `pull` behind them (see
+    /// [`NetRouter::send`]).
     ///
     /// # Panics
     ///
     /// Panics when the retry budget is exhausted, like every worker-path op.
-    fn send_staged(&self, port: &mut PortState, mut tail: Tail<'_>) {
-        let PortState {
-            conns,
-            staging,
-            staged_for,
-            staged,
-            acks,
-            ..
-        } = port;
-        let n = std::mem::take(staged);
-        if n == 0 {
-            return;
-        }
-        let s = *staged_for;
-        let drains = matches!(tail, Tail::Commit(..));
-        let carries_pull = !matches!(tail, Tail::Acks);
-        if drains {
-            wire::put_bodyless_item(staging, 0, op::DRAIN);
-        }
-        if carries_pull {
-            wire::put_bodyless_item(staging, 0, op::PULL_COMMITTED);
-        }
-        // A lone push goes out bare: skip the batch header and the item's
-        // length prefix.
-        let bare = n == 1 && !carries_pull;
-        let request = if bare {
-            &staging[wire::BATCH_HEADER_BYTES + 4..]
-        } else {
-            &staging[..]
-        };
-        let epoch = self.view_epoch(s);
-        let booking = Booking {
-            class: &self.stats.push,
-            ops: n as u64,
-            carries_pull,
-            drains,
-        };
-        let base = acks.len();
-        self.call_resilient(
-            conns,
-            s,
-            self.retry,
-            Some(booking),
-            true,
-            &|buf| buf.extend_from_slice(request),
-            &mut |reply| {
-                // A failed attempt may have decoded part of a corrupt reply.
-                acks.truncate(base);
-                if bare {
-                    acks.push(wire::decode_push_ack(reply)?);
-                    return Ok(());
-                }
-                let mut items = wire::batch_items(reply, op::BATCH_REPLY)?;
-                for ack in items.by_ref().take(n) {
-                    acks.push(wire::decode_push_ack(ack)?);
-                }
-                if acks.len() - base != n {
-                    return Err(WireError::Truncated);
-                }
-                let Tail::Commit(params, clocks) = &mut tail else {
-                    return self.expect_tail(s, carries_pull, items);
-                };
-                let mut next = || items.next().ok_or(WireError::Truncated);
-                wire::expect_bodyless(next()?, op::SYNCED)?;
-                wire::decode_pulled_into(next()?, params, clocks)?;
-                self.expect_tail(s, false, items)
-            },
-        )
-        .unwrap_or_else(|e| panic!("push failed: {e}"));
-        if let Tail::Prefetch = tail {
-            conns.per_server[s].prefetch = Some(epoch);
+    fn flush(&self, port: &mut PortState, pull: Pull<'_>) {
+        if port.staged > 0 {
+            self.send(port, port.staged_for, None, pull)
+                .unwrap_or_else(|e| panic!("push failed: {e}"));
         }
     }
 
-    /// Pulls the committed view of every server through `conns` into `buf`,
+    /// Pulls the committed view of every server through `port` into `buf`,
     /// decoding each server's `Pulled` frame straight into the flat buffer
     /// (the decode is the pull's single parameter copy). With `runs` —
     /// sorted, disjoint `(offset, len)` ranges of the flat vector — each
@@ -959,16 +934,14 @@ impl NetRouter {
     /// per-shard staleness. Returns the effective data version (see
     /// [`Tier::pull_with`]).
     ///
-    /// A whole-vector pull costs a server no round trip when that server's
-    /// connection still holds the image an earlier push or sync reply
-    /// brought along and the server's view epoch has not moved since before
-    /// that request went out: every round or drain that has completed by
-    /// now had this server acknowledge its commit before the image was
-    /// asked for, so the image holds it — a pull still reflects every round
-    /// completed before it was asked for. Otherwise the server is asked.
+    /// A whole-vector pull costs a server no round trip while that server's
+    /// connection holds an image an earlier push or sync reply brought
+    /// along under a stamp that is still current (see the stamp rule): it
+    /// holds every round completed before the pull was asked for.
+    /// Otherwise the server is asked.
     fn pull_committed_into(
         &self,
-        conns: &mut ConnSet,
+        port: &mut PortState,
         buf: &mut PullBuffer,
         runs: Option<&[(usize, usize)]>,
     ) -> u64 {
@@ -978,35 +951,23 @@ impl NetRouter {
                 let so = slice.shard_offset;
                 let params = &mut all_params[po..po + pl];
                 let clocks = &mut all_clocks[so..so + slice.shard_count];
-                if runs.is_none() {
-                    let held = conns.per_server[s].prefetched(self.view_epoch(s));
-                    if held.is_some_and(|it| wire::decode_pulled_into(it, params, clocks).is_ok()) {
-                        continue;
+                let Some(runs) = runs else {
+                    let held = port.conns[s].prefetched(self.view_epoch(s));
+                    if held.is_none_or(|it| wire::decode_pulled_into(it, params, clocks).is_err()) {
+                        self.send(port, s, None, Pull::Into(params, clocks))
+                            .unwrap_or_else(|e| panic!("pull failed: {e}"));
                     }
-                }
+                    continue;
+                };
                 // This server's pieces of the runs, in its own offsets.
-                let local = |runs| runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
+                let local = || runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
                 self.call_resilient(
-                    conns,
+                    &mut port.conns[s],
                     s,
                     self.retry,
-                    Some(Booking {
-                        class: &self.stats.pull,
-                        ops: 1,
-                        carries_pull: false,
-                        drains: false,
-                    }),
                     false,
-                    &|req| match runs {
-                        None => wire::encode_bodyless(req, op::PULL_COMMITTED),
-                        Some(runs) => wire::encode_pull_runs(req, local(runs)),
-                    },
-                    &mut |reply| match runs {
-                        None => wire::decode_pulled_into(reply, params, clocks),
-                        Some(runs) => {
-                            wire::decode_pulled_runs_into(reply, local(runs), params, clocks)
-                        }
-                    },
+                    &|req| wire::encode_pull_runs(req, local()),
+                    &mut |reply| wire::decode_pulled_runs_into(reply, local(), params, clocks),
                 )
                 .unwrap_or_else(|e| panic!("pull failed: {e}"));
             }
@@ -1026,15 +987,14 @@ impl NetRouter {
 
     fn snapshot(&self, velocity: bool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.param_count()];
-        let mut conns = self.sync.lock();
+        let mut control = self.sync.lock();
         for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
             let slice = &mut out[po..po + pl];
             self.call_resilient(
-                &mut conns,
+                &mut control.conns[s],
                 s,
                 self.retry,
-                None,
                 false,
                 &|req| wire::encode_flag(req, op::SNAPSHOT, velocity),
                 &mut |reply| wire::decode_snapshot_into(reply, slice),
@@ -1047,60 +1007,65 @@ impl NetRouter {
     /// Overwrites live parameters and velocity from a checkpoint, then
     /// drains so the committed view matches.
     ///
+    /// # Errors
+    ///
+    /// Returns the wire error of a server that did not answer within the
+    /// retry budget; the servers before it are already restored.
+    ///
     /// # Panics
     ///
     /// Panics if lengths differ from the parameter count.
-    pub fn restore(&self, params: &[f32], velocity: &[f32]) {
+    pub fn restore(&self, params: &[f32], velocity: &[f32]) -> Result<(), PsError> {
         assert_eq!(params.len(), self.param_count(), "params length mismatch");
         assert_eq!(
             velocity.len(),
             self.param_count(),
             "velocity length mismatch"
         );
-        let mut conns = self.sync.lock();
+        let mut control = self.sync.lock();
         for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
             let (params, velocity) = (&params[po..po + pl], &velocity[po..po + pl]);
             self.call_resilient(
-                &mut conns,
+                &mut control.conns[s],
                 s,
                 self.retry,
-                None,
                 true,
                 &|buf| wire::encode_restore(buf, params, velocity),
                 &mut |reply| wire::expect_bodyless(reply, op::OK),
-            )
-            .unwrap_or_else(|e| panic!("restore failed: {e}"));
+            )?;
         }
-        self.commit_round(&mut conns, op::DRAIN, false);
+        self.commit_round(&mut control, op::DRAIN, false)
     }
 
     /// Resets the live velocity to zero on every server.
-    pub fn reset_velocity(&self) {
-        let mut conns = self.sync.lock();
-        for s in 0..self.tier.server_count() {
+    ///
+    /// # Errors
+    ///
+    /// Returns the wire error of a server that did not answer within the
+    /// retry budget.
+    pub fn reset_velocity(&self) -> Result<(), PsError> {
+        let mut control = self.sync.lock();
+        (0..self.tier.server_count()).try_for_each(|s| {
             self.call_resilient(
-                &mut conns,
+                &mut control.conns[s],
                 s,
                 self.retry,
-                None,
                 true,
                 &|buf| wire::encode_bodyless(buf, op::RESET_VELOCITY),
                 &mut |reply| wire::expect_bodyless(reply, op::OK),
             )
-            .unwrap_or_else(|e| panic!("velocity reset failed: {e}"));
-        }
+        })
     }
 
     /// Whether every live parameter on every server is finite.
     pub fn is_finite(&self) -> bool {
-        let mut conns = self.sync.lock();
+        let mut control = self.sync.lock();
         (0..self.tier.server_count()).all(|s| {
             self.call_resilient(
-                &mut conns,
+                &mut control.conns[s],
                 s,
                 self.retry,
-                None,
                 false,
                 &|buf| wire::encode_bodyless(buf, op::CHECK_FINITE),
                 &mut wire::decode_finite,
@@ -1109,63 +1074,52 @@ impl NetRouter {
         })
     }
 
-    /// The short-timeout policy of the liveness and read probes. It keeps a
-    /// small retry budget so a transiently lossy link (fault injection, a
-    /// congested box) cannot brand a live server dead; a genuinely dead
-    /// server fails every attempt fast — its connections drop at dial or
-    /// first read — so detection stays prompt.
-    fn probe_policy(&self) -> RetryPolicy {
-        RetryPolicy {
+    /// A probe: one bodyless `opcode` round trip to server `s` over the
+    /// control plane, with a short timeout and a small retry budget, so a
+    /// transiently lossy link (fault injection, a congested box) cannot
+    /// brand a live server dead, while a genuinely dead one fails every
+    /// attempt fast — its connections drop at dial or first read. A
+    /// liveness probe (`fresh`) drops the cached connection first, so its
+    /// verdict reflects the server, not a stale socket.
+    fn probe<T>(
+        &self,
+        s: usize,
+        opcode: u8,
+        fresh: bool,
+        decode: &mut dyn FnMut(&[u8]) -> Result<T, WireError>,
+    ) -> Result<T, PsError> {
+        let policy = RetryPolicy {
             max_retries: 2,
             op_timeout_ms: self.retry.op_timeout_ms.min(1000),
             ..self.retry
+        };
+        let mut control = self.sync.lock();
+        if fresh {
+            control.conns[s].invalidate();
         }
+        let encode = |buf: &mut Vec<u8>| wire::encode_bodyless(buf, opcode);
+        self.call_resilient(&mut control.conns[s], s, policy, false, &encode, decode)
     }
 
     /// Probes server `s` with a short-timeout round trip over a freshly
     /// dialed connection; `Ok` means the server answered.
     pub fn ping_server(&self, s: usize) -> Result<(), PsError> {
-        let probe = self.probe_policy();
-        let mut conns = self.sync.lock();
-        // A cached connection to a killed server fails the probe (as it
-        // should); drop it so the probe dials fresh and the verdict
-        // reflects the server, not the stale socket.
-        conns.invalidate(s);
-        self.call_resilient(
-            &mut conns,
-            s,
-            probe,
-            None,
-            false,
-            &|buf| wire::encode_bodyless(buf, op::CHECK_FINITE),
-            &mut wire::decode_finite,
-        )
-        .map(|_| ())
+        self.probe(s, op::CHECK_FINITE, true, &mut wire::decode_finite)
+            .map(drop)
     }
 
-    /// One `Hello` round trip to server `s`: returns its self-description
-    /// (identity nonce, owned slice) under the short probe policy of
-    /// [`Self::ping_server`]. A changed nonce at the same address means the
-    /// instance was replaced (revived in-process, or its process respawned)
-    /// and holds reset state; [`Self::handshake`] is what acts on it.
+    /// One `Hello` probe of server `s`: returns its self-description
+    /// (identity nonce, owned slice). A changed nonce at the same address
+    /// means the instance was replaced (revived in-process, or its process
+    /// respawned) and holds reset state; [`Self::handshake`] is what acts
+    /// on it.
     ///
     /// # Errors
     ///
     /// Returns the wire error if the server did not answer within the probe
     /// budget.
     pub fn server_info(&self, s: usize) -> Result<ServerInfo, PsError> {
-        let probe = self.probe_policy();
-        let mut conns = self.sync.lock();
-        conns.invalidate(s);
-        self.call_resilient(
-            &mut conns,
-            s,
-            probe,
-            None,
-            false,
-            &|buf| wire::encode_bodyless(buf, op::HELLO),
-            &mut wire::decode_server_info,
-        )
+        self.probe(s, op::HELLO, true, &mut wire::decode_server_info)
     }
 
     /// The readiness handshake, and the one heal: probes every server with
@@ -1233,7 +1187,7 @@ impl NetRouter {
             replaced += 1;
             // The round lock: epochs tick only under it.
             let mut control = self.sync.lock();
-            control.invalidate(s);
+            control.conns[s].invalidate();
             self.tick_view_epoch(s);
             let t = &self.telemetry;
             t.metrics.counter("fault.server_kills").inc();
@@ -1261,29 +1215,17 @@ impl NetRouter {
         self.transport.revive_server(s, Arc::new(fresh))
     }
 
-    /// One `Stats` round trip to server `s`: a point-in-time copy of its
-    /// request accounting (per-opcode counts, payload bytes, dedup hits,
-    /// apply timing), under the short probe policy of
-    /// [`Self::ping_server`]. Unlike the probes it does *not* drop the
-    /// cached control-plane connection — a scrape is a read, not a
-    /// liveness verdict, and must not churn a healthy socket.
+    /// One `Stats` probe of server `s`: a point-in-time copy of its request
+    /// accounting (per-opcode counts, payload bytes, dedup hits, apply
+    /// timing). It keeps the cached control-plane connection — a scrape is
+    /// a read, not a liveness verdict, and must not churn a healthy socket.
     ///
     /// # Errors
     ///
     /// Returns the wire error if the server did not answer within the
     /// probe budget.
     pub fn scrape_stats(&self, s: usize) -> Result<ServerStatsSnapshot, PsError> {
-        let probe = self.probe_policy();
-        let mut conns = self.sync.lock();
-        self.call_resilient(
-            &mut conns,
-            s,
-            probe,
-            None,
-            false,
-            &|buf| wire::encode_bodyless(buf, op::STATS),
-            &mut wire::decode_stats_snapshot,
-        )
+        self.probe(s, op::STATS, false, &mut wire::decode_stats_snapshot)
     }
 
     /// Scrapes every server (see [`Self::scrape_stats`]), yielding `None`
@@ -1303,11 +1245,13 @@ impl NetRouter {
     }
 }
 
-/// One worker's private client state: its connections and the pushes it
-/// has queued but not yet sent.
+/// One client's private state: its connections and the pushes it has
+/// queued but not yet sent — a worker's, or the control plane's, which
+/// never queues one.
 #[derive(Debug, Default)]
 struct PortState {
-    conns: ConnSet,
+    /// One lazily connected slot per server.
+    conns: Vec<ConnSlot>,
     /// `[BATCH][u16 n]` then `n × [u32 len][push payload]`: the pushes
     /// queued for `staged_for`, encoded as they were queued.
     staging: Vec<u8>,
@@ -1320,6 +1264,15 @@ struct PortState {
     /// Whether this worker's last pull asked for the whole vector — the
     /// kind of pull its next push or sync round can bring home in advance.
     pulls_dense: bool,
+}
+
+impl PortState {
+    fn new(servers: usize) -> Self {
+        PortState {
+            conns: (0..servers).map(|_| ConnSlot::fresh()).collect(),
+            ..PortState::default()
+        }
+    }
 }
 
 /// A worker's handle onto a [`NetRouter`]: the shared router plus this
@@ -1348,12 +1301,8 @@ impl Clone for NetPort {
 
 impl NetPort {
     fn over(router: Arc<NetRouter>) -> Self {
-        let conns = ConnSet::new(router.server_count());
         NetPort {
-            state: Mutex::new(PortState {
-                conns,
-                ..PortState::default()
-            }),
+            state: Mutex::new(PortState::new(router.server_count())),
             router,
         }
     }
@@ -1392,7 +1341,7 @@ impl NetPort {
     pub fn pull_into(&self, buf: &mut PullBuffer) -> u64 {
         let port = &mut *self.state.lock();
         port.pulls_dense = true;
-        self.router.pull_committed_into(&mut port.conns, buf, None)
+        self.router.pull_committed_into(port, buf, None)
     }
 
     /// Pulls only `runs` of the committed view — sorted, disjoint
@@ -1403,8 +1352,7 @@ impl NetPort {
     pub fn pull_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
         let port = &mut *self.state.lock();
         port.pulls_dense = false;
-        self.router
-            .pull_committed_into(&mut port.conns, buf, Some(runs))
+        self.router.pull_committed_into(port, buf, Some(runs))
     }
 
     /// Queues the stage-1 apply of `grad` on global shard `g`. Nothing is
@@ -1440,10 +1388,10 @@ impl NetPort {
     /// Sends whatever is still queued and appends to `acks` the owners'
     /// pre-apply live shard clocks of every push queued since the last
     /// flush, in queue order. After a whole-vector pull, the batches of a
-    /// queued push also fetch the next one (see [`NetRouter::push_tail`]).
+    /// queued push also fetch the next one (see [`NetRouter::push_pull`]).
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) {
         let port = &mut *self.state.lock();
-        self.router.send_staged(port, self.router.push_tail(port));
+        self.router.flush(port, self.router.push_pull(port));
         acks.append(&mut port.acks);
     }
 
@@ -1499,7 +1447,7 @@ impl NetPort {
     fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> u64 {
         let port = &mut *self.state.lock();
         self.router.queue_push(port, g, encode);
-        self.router.send_staged(port, Tail::Acks);
+        self.router.flush(port, Pull::No);
         port.acks.pop().expect("the push just sent was acked")
     }
 }
@@ -1575,7 +1523,7 @@ mod tests {
             let v = net.pull_into(&mut buf);
             assert_eq!(buf.params(), &before[..], "stage-1 leaked into a pull");
             assert_eq!(v, 0, "pulled version must track the committed data");
-            r.drain();
+            r.drain().expect("drain");
             let v = net.pull_into(&mut buf);
             assert_eq!(v, 1);
             assert_eq!(buf.params(), &r.snapshot_params()[..]);
@@ -1657,7 +1605,7 @@ mod tests {
 
             // The same after a drain ...
             assert_eq!(queued_push(&a, 3.0), 2);
-            b.router().drain();
+            b.router().drain().expect("drain");
             let before = pull_trips();
             let after_drain = pulled(&a);
             assert_eq!(pull_trips(), before + 2);
@@ -1667,7 +1615,7 @@ mod tests {
             // ... and after a restore, which drains.
             assert_eq!(queued_push(&a, 4.0), 2);
             let (params, velocity) = (vec![0.25f32; 26], vec![0.0f32; 26]);
-            b.router().restore(&params, &velocity);
+            b.router().restore(&params, &velocity).expect("restore");
             let before = pull_trips();
             let restored = pulled(&a);
             assert_eq!(pull_trips(), before + 2);
@@ -1737,14 +1685,14 @@ mod tests {
                 net.apply_shard_update(g, &vec![5.0; l], 0.1, 0.9);
             }
             assert_ne!(r.snapshot_params(), params);
-            r.restore(&params, &velocity);
+            r.restore(&params, &velocity).expect("restore");
             assert_eq!(r.snapshot_params(), params);
             assert_eq!(r.snapshot_velocity(), velocity);
             let mut buf = PullBuffer::new();
             net.pull_into(&mut buf);
             assert_eq!(buf.params(), &params[..], "restore must drain");
             assert!(r.is_finite());
-            r.reset_velocity();
+            r.reset_velocity().expect("velocity reset");
             assert!(r.snapshot_velocity().iter().all(|&v| v == 0.0));
         }
     }
@@ -1764,7 +1712,7 @@ mod tests {
             net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
         }
         r.complete_push(0);
-        r.drain();
+        r.drain().expect("drain");
         let stats = r.stats();
         assert_eq!(stats.backend, Some(TransportKind::Channel));
         assert_eq!(stats.push.ops, 4, "one push op per shard");
@@ -1812,7 +1760,7 @@ mod tests {
             net.router().reconcile_if_due();
         }
         clean.drain();
-        net.router().drain();
+        net.router().drain().expect("drain");
         assert_eq!(
             net.router().snapshot_params(),
             clean.snapshot_params(),
@@ -1837,7 +1785,7 @@ mod tests {
             net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
         }
         r.complete_push(0);
-        r.drain();
+        r.drain().expect("drain");
         let client = r.stats();
         let mut merged = ServerStatsSnapshot::default();
         for snap in r.scrape_all_stats().into_iter().flatten() {
@@ -1881,7 +1829,7 @@ mod tests {
             net.router().complete_push(step);
             net.router().reconcile_if_due();
         }
-        net.router().drain();
+        net.router().drain().expect("drain");
         let counts = telemetry.trace.counts_by_name();
         assert!(counts.get("sync_round").copied().unwrap_or(0) >= 1);
         assert!(
@@ -1939,7 +1887,7 @@ mod tests {
         for _ in 0..10 {
             t.run_segment(SyncProtocol::Asp, 10).unwrap();
         }
-        t.drain_sync();
+        t.drain_sync().expect("drain");
         // Every worker pushed to every server: two worker slots, plus the
         // control plane's drain — not a fresh pair of ids per segment.
         for server in &servers {

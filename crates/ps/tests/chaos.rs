@@ -85,7 +85,7 @@ fn train_through_chaos(kind: TrainableKind, protocol: SyncProtocol) -> f32 {
         if !killed && left <= budget / 2 {
             // Mid-run crash at a segment boundary: quiesce, checkpoint,
             // kill one server, heal it, and restore the tier.
-            t.drain_sync();
+            t.drain_sync().expect("drain");
             let ck = t.checkpoint();
             kill_and_heal_server_1(t.net_router().expect("chaos tier is transport-backed"));
             t.restore(&ck).expect("restore after heal");
@@ -304,7 +304,7 @@ fn chaos_run_traces_every_event_kind() {
     let mut ctl = SyncController::default();
     ctl.run_segment(&mut t, 40)
         .expect("BSP warm-up under faults");
-    t.drain_sync();
+    t.drain_sync().expect("drain");
     let ck = t.checkpoint();
     kill_and_heal_server_1(t.net_router().expect("chaos tier is transport-backed"));
     t.restore(&ck).expect("restore after heal");
@@ -482,7 +482,7 @@ fn clean_tcp_server_counts_reconcile_with_client_stats() {
     let mut t = Trainer::new(model, train, test, cfg);
     t.run_segment(SyncProtocol::Bsp, 40).expect("BSP segment");
     t.run_segment(SyncProtocol::Asp, 40).expect("ASP segment");
-    t.drain_sync();
+    t.drain_sync().expect("drain");
 
     let stats = t.transport_stats();
     assert_eq!(stats.retries, 0, "clean network must not retry");

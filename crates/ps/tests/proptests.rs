@@ -661,7 +661,7 @@ proptest! {
                 }
                 port.complete_push(p);
             }
-            port.drain();
+            port.drain().expect("drain");
             let mut full = port.new_buffer();
             let v_full = port.pull_into(&mut full);
             let v_part = port.pull_runs_into(&mut part, &runs);
@@ -726,7 +726,7 @@ proptest! {
             net.router().reconcile_if_due();
         }
         clean.drain();
-        net.router().drain();
+        net.router().drain().expect("drain");
         let key = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         prop_assert_eq!(
             key(clean.snapshot_params()),
@@ -800,7 +800,7 @@ proptest! {
             net.router().reconcile_if_due();
         }
         clean.drain();
-        net.router().drain();
+        net.router().drain().expect("drain");
         let key = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         prop_assert_eq!(key(clean.snapshot_params()), key(net.router().snapshot_params()));
         prop_assert_eq!(key(clean.snapshot_velocity()), key(net.router().snapshot_velocity()));

@@ -12,7 +12,8 @@ use sync_switch_nn::{Dataset, Network};
 use sync_switch_ps::config::RetryPolicy;
 use sync_switch_ps::transport::{NetPort, NetRouter, TcpServerHost};
 use sync_switch_ps::{
-    PsError, PullBuffer, ServerTopology, ShardRouter, Trainer, TrainerConfig, WorkerPort,
+    PsError, PullBuffer, ServerTopology, ShardRouter, Trainer, TrainerConfig, TransportKind,
+    WorkerPort,
 };
 use sync_switch_workloads::SyncProtocol;
 
@@ -176,7 +177,7 @@ fn handshake_then_restore_lands_every_server_on_the_checkpoint() {
 
     // Train, checkpoint, and move every server past the checkpoint.
     t.run_segment(SyncProtocol::Asp, 20).expect("segment");
-    t.drain_sync();
+    t.drain_sync().expect("drain");
     let ck = t.checkpoint();
     t.run_segment(SyncProtocol::Asp, 20).expect("segment");
 
@@ -214,4 +215,35 @@ fn handshake_then_restore_lands_every_server_on_the_checkpoint() {
     let mut buf = PullBuffer::new();
     view.pull_into(&mut buf);
     assert_eq!(bits(buf.params()), bits(&ck.params), "committed view");
+}
+
+#[test]
+fn owner_ops_return_the_error_of_a_lost_server() {
+    let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 13);
+    let (train, test) = data.split(0.25);
+    let topology = ServerTopology::new(2, 1)
+        .with_transport(TransportKind::Tcp)
+        .with_retry(quick_retry());
+    let cfg = TrainerConfig::new(2, 8, 0.05, 0.9).with_topology(topology);
+    let mut t = Trainer::new(Network::mlp(6, &[12], 4, 13), train, test, cfg);
+    t.run_segment(SyncProtocol::Asp, 10).expect("segment");
+    let ck = t.checkpoint();
+    t.net_router()
+        .expect("a wire plane")
+        .kill_server(1)
+        .expect("kill");
+    let lost = |e: PsError| {
+        assert!(
+            matches!(
+                e,
+                PsError::Timeout { server: 1 }
+                    | PsError::ConnLost { server: 1 }
+                    | PsError::RetriesExhausted { server: 1, .. }
+            ),
+            "{e}"
+        );
+    };
+    lost(t.restore(&ck).unwrap_err());
+    lost(t.drain_sync().unwrap_err());
+    lost(t.reset_velocity().unwrap_err());
 }

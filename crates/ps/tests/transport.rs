@@ -434,7 +434,7 @@ fn drive_pushes(
             (r.snapshot_params(), r.snapshot_velocity())
         }
         WorkerPort::Net(p) => {
-            p.router().drain();
+            p.router().drain().expect("drain");
             (p.router().snapshot_params(), p.router().snapshot_velocity())
         }
     };

@@ -14,8 +14,9 @@
 //! instance nonce, and then the worker restores the whole tier, the
 //! respawned server included, from the segment-start checkpoint and re-runs
 //! the segment. That catches a respawn within the retry budget, which fails
-//! no operation. A segment that dies on an unreachable server — surfacing
-//! as `PsError::WorkerPanicked`/`ConnLost`/`Timeout`/`RetriesExhausted` —
+//! no operation. A segment that dies on an unreachable server, or whose
+//! boundary drain does — surfacing as
+//! `PsError::WorkerPanicked`/`ConnLost`/`Timeout`/`RetriesExhausted` —
 //! takes the same handshake-then-restore path, the handshake waiting for
 //! the respawn.
 //!
@@ -190,12 +191,13 @@ fn run_segments(
                 (None, Some(p)) => trainer.run_segment(p, seg.steps),
                 (None, None) => trainer.run_ssp_segment(seg.ssp_bound, seg.steps),
             };
+            // Segment boundary: quiesce stage-2 — a server lost here fails
+            // the segment like one lost inside it — then checkpoint, then
+            // handshake. Checkpoint first, so a respawn between the two is
+            // caught as well.
+            let res = res.and_then(|report| trainer.drain_sync().map(|()| report));
             let healed = match res {
                 Ok(report) => {
-                    // Segment boundary: quiesce stage-2, checkpoint, then
-                    // handshake. Checkpoint first, so a respawn between the
-                    // two is caught as well.
-                    trainer.drain_sync();
                     let next = trainer.checkpoint();
                     let healed = handshake(trainer, spec)?;
                     if healed == 0 {

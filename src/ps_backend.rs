@@ -191,7 +191,9 @@ impl TrainingBackend for PsBackend {
             .set_config(cfg)
             .is_ok_and(|()| variant == MomentumScaling::Zero)
         {
-            self.trainer.reset_velocity();
+            self.trainer
+                .reset_velocity()
+                .unwrap_or_else(|e| panic!("momentum variant: velocity reset failed: {e}"));
         }
     }
 

@@ -171,6 +171,13 @@ fn cluster_converges_with_late_binding_servers() {
         "no worker trace records the controller's switch"
     );
     assert_cluster_telemetry(&h, &reports);
+    // Nothing was re-sent on this clean tier, so no server replayed a
+    // cached reply: two worker processes never share a client id.
+    for r in &reports {
+        for s in &r.server_stats {
+            assert_eq!(s.dedup_hits, 0, "server {} replayed a reply", s.server);
+        }
+    }
 
     // Leak-free teardown: shutdown reaps every child.
     let server_pids = h.child_pids();

@@ -322,3 +322,188 @@ fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
         );
     }
 }
+
+#[test]
+fn riding_items_are_booked_under_their_own_class() {
+    // The booking rule, pinned on a clean two-server channel tier: every
+    // item of a request, its length prefix included, is booked under its
+    // opcode's class, and the sequencing prefix, the batch header and the
+    // round trip under the first item's. Sizes come from the codec itself.
+    use sync_switch_ps::transport::wire::{self, op};
+    use sync_switch_ps::{NetPort, NetRouter, PullBuffer, ServerTopology, TransportKind, WireOp};
+
+    fn len(encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        let mut buf = Vec::new();
+        encode(&mut buf);
+        buf.len() as u64
+    }
+    let seq = len(|b| wire::encode_sequenced_prefix(b, 0, 0));
+    let (header, bodyless) = (
+        wire::BATCH_HEADER_BYTES as u64,
+        wire::BODYLESS_ITEM_BYTES as u64,
+    );
+    let ack = len(|b| wire::encode_push_ack(b, 0)) + 4;
+    // Per server: the items of a dense push of each owned shard, the acks
+    // they bring back, and its whole `Pulled` image.
+    let per_server = |r: &NetRouter| -> Vec<(u64, u64, u64)> {
+        (0..r.server_count())
+            .map(|s| {
+                let owned: Vec<usize> = (0..r.shard_count())
+                    .filter(|&g| r.owner_of(g) == s)
+                    .collect();
+                let params: usize = owned.iter().map(|&g| r.shard_range(g).1).sum();
+                let pushes = (owned.iter())
+                    .map(|&g| {
+                        let grad = vec![0.0; r.shard_range(g).1];
+                        len(|b| wire::encode_push_shard(b, 0, 0.0, 0.0, &grad)) + 4
+                    })
+                    .sum();
+                let acks = owned.len() as u64 * ack;
+                let image =
+                    len(|b| wire::encode_pulled(b, &vec![0.0; params], &vec![0; owned.len()]));
+                (pushes, acks, image)
+            })
+            .collect()
+    };
+    let class = |ops, round_trips, bytes_out, bytes_in| (ops, round_trips, bytes_out, bytes_in);
+    let books = |w: &WireOp| (w.ops, w.round_trips, w.bytes_out, w.bytes_in);
+    let delta = |after: &WireOp, before: &WireOp| {
+        class(
+            after.ops - before.ops,
+            after.round_trips - before.round_trips,
+            after.bytes_out - before.bytes_out,
+            after.bytes_in - before.bytes_in,
+        )
+    };
+    // On a clean network the servers count every item once, under its
+    // opcode, as the client books it.
+    let reconciles = |r: &NetRouter| {
+        let client = r.stats();
+        let served = |ops: &[u8]| -> u64 {
+            (r.scrape_all_stats().into_iter().flatten())
+                .map(|snap| ops.iter().map(|&o| snap.requests_for(o)).sum::<u64>())
+                .sum()
+        };
+        assert_eq!(
+            served(&[op::PUSH_SHARD, op::PUSH_SHARD_SPARSE]),
+            client.push.ops
+        );
+        assert_eq!(served(&[op::PULL_COMMITTED]), client.pull.ops);
+        assert_eq!(served(&[op::SYNC_ROUND, op::DRAIN]), client.sync.ops);
+        assert_eq!((client.retries, client.reconnects), (0, 0));
+    };
+
+    // (a) and (c): one worker's port on a tier whose round falls due every
+    // second push.
+    let initial: Vec<f32> = (0..52).map(|i| i as f32 * 0.01).collect();
+    let net = NetPort::launch(
+        &initial,
+        4,
+        ServerTopology::new(2, 2).with_transport(TransportKind::Channel),
+    );
+    let r = net.router();
+    let sizes = per_server(r);
+    let images: u64 = sizes.iter().map(|s| s.2).sum();
+    let push_all = |acks: &mut Vec<u64>| {
+        for g in 0..r.shard_count() {
+            let grad = vec![0.5; r.shard_range(g).1];
+            net.queue_shard_update(g, &grad, 0.1, 0.9);
+        }
+        net.flush_pushes(acks);
+    };
+    let mut buf = PullBuffer::new();
+    let mut acks = Vec::new();
+    net.pull_into(&mut buf);
+    assert_eq!(books(&r.stats().pull), class(2, 2, 2, images));
+
+    // (a) A push after a whole-vector pull brings the next pull home:
+    // `[push × 2, PullCommitted]` per server.
+    let before = r.stats();
+    push_all(&mut acks);
+    let after = r.stats();
+    let push_out = sizes.iter().map(|s| seq + header + s.0).sum();
+    let push_in = sizes.iter().map(|s| header + s.1).sum();
+    assert_eq!(
+        delta(&after.push, &before.push),
+        class(4, 2, push_out, push_in)
+    );
+    assert_eq!(
+        delta(&after.pull, &before.pull),
+        class(2, 0, 2 * bodyless, images + 2 * 4)
+    );
+    assert_eq!(books(&after.sync), books(&before.sync));
+    r.complete_push(0);
+    net.after_push();
+    // The image that rode home is served without a round trip or a book.
+    net.pull_into(&mut buf);
+    assert_eq!(books(&r.stats().pull), books(&after.pull));
+
+    // (c) The push that makes a round due carries only pushes; the round
+    // the worker then runs brings its next pull home:
+    // `[SyncRound, PullCommitted]` per server.
+    push_all(&mut acks);
+    let before = r.stats();
+    assert_eq!(
+        delta(&before.push, &after.push),
+        class(4, 2, push_out, push_in)
+    );
+    assert_eq!(books(&before.pull), books(&after.pull));
+    r.complete_push(1);
+    net.after_push();
+    let after = r.stats();
+    assert_eq!(r.sync_rounds(), 1);
+    assert_eq!(
+        delta(&after.sync, &before.sync),
+        class(2, 2, 2 * (seq + header + bodyless), 2 * (header + bodyless))
+    );
+    assert_eq!(
+        delta(&after.pull, &before.pull),
+        class(2, 0, 2 * bodyless, images + 2 * 4)
+    );
+    assert_eq!(books(&after.push), books(&before.push));
+    assert_eq!(acks.len(), 8);
+    reconciles(r);
+
+    // (b) A one-round BSP segment: each worker pulls once, then the worker
+    // that completes the round sends each server
+    // `[push × k, Drain, PullCommitted]`.
+    let (workers, servers) = (2u64, 2u64);
+    let (train, test) = dataset(31);
+    let mut cfg = TrainerConfig::new(workers as usize, 8, 0.03, 0.9)
+        .with_seed(31)
+        .with_topology(
+            ServerTopology::new(servers as usize, 4).with_transport(TransportKind::Channel),
+        );
+    cfg.shards = 4;
+    let mut trainer = Trainer::new(Network::mlp(8, &[16], 4, 31), train, test, cfg);
+    let report = trainer
+        .run_segment(SyncProtocol::Bsp, 1)
+        .expect("bsp segment");
+    let r = trainer.net_router().expect("a wire plane");
+    let sizes = per_server(r);
+    let images: u64 = sizes.iter().map(|s| s.2).sum();
+    let wire = report.transport;
+    assert_eq!(
+        books(&wire.push),
+        class(
+            4,
+            servers,
+            sizes.iter().map(|s| seq + header + s.0).sum(),
+            sizes.iter().map(|s| header + s.1).sum()
+        )
+    );
+    assert_eq!(
+        books(&wire.sync),
+        class(servers, 0, servers * bodyless, servers * bodyless)
+    );
+    assert_eq!(
+        books(&wire.pull),
+        class(
+            workers * servers + servers,
+            workers * servers,
+            workers * servers + servers * bodyless,
+            (workers + 1) * images + servers * 4
+        )
+    );
+    reconciles(r);
+}
