@@ -16,6 +16,11 @@
 #                             # no stage
 #   ./ci.sh --loc <rev>       # the same count, <rev> → working tree, as a
 #                             # Markdown table for CHANGES.md
+#   ./ci.sh --pairs <rev> [--workload W]... [--n 10] [--seed 1]
+#                             # the benchmark at <rev> against the working
+#                             # tree in alternating pairs: the verdict table
+#                             # for CHANGES.md, one BENCH_history.jsonl row
+#                             # per side and workload; runs no stage
 #
 # A run without --stage first checks that the hosted workflow's steps still
 # mirror STAGES. On any stage failure the EXIT trap collects diagnostics
@@ -363,6 +368,118 @@ print_loc_diff() {
     rm -rf "$tmp"
 }
 
+# ---- benchmark pairs ------------------------------------------------------
+
+# The git tree id of a `--pairs` side's build inputs: the root manifest,
+# toolchain file, `src`, `crates`, `shims` and `benchmark`, less Markdown,
+# `crates/bench` (tooling the benchmark does not depend on) and
+# `benchmark/Cargo.lock`, which every benchmark build (the `test` stage
+# too) may rewrite. `code_tree <rev>` for a commit (or tree), `code_tree`
+# for the working tree as `--pairs` copies it. A commit that lands a
+# measured working tree has that tree's code id, so history rows tie back
+# to the code they ran, whatever docs, history or scripts changed after.
+code_tree() {
+    local index="$PWD/target/pairs/code.index"
+    mkdir -p "$(dirname "$index")"
+    rm -f "$index"
+    if [[ $# -gt 0 ]]; then
+        GIT_INDEX_FILE="$index" git read-tree "$1"
+    else
+        GIT_INDEX_FILE="$index" git read-tree HEAD
+        GIT_INDEX_FILE="$index" git add -A
+    fi
+    GIT_INDEX_FILE="$index" git rm -r -q -f --cached --ignore-unmatch -- . \
+        ':!Cargo.toml' ':!rust-toolchain.toml' ':!src' ':!crates' ':!shims' ':!benchmark'
+    GIT_INDEX_FILE="$index" git rm -r -q -f --cached --ignore-unmatch -- \
+        ':(glob)**/*.md' benchmark/Cargo.lock crates/bench
+    GIT_INDEX_FILE="$index" git write-tree
+    rm -f "$index"
+}
+
+# `--pairs <rev> [--workload W]... [--n N] [--seed K]`: builds the benchmark
+# once from <rev> (via `git archive`) and once from a copy of the working
+# tree (tracked and untracked-but-not-ignored files), each into its own
+# target dir under target/pairs, so neither build touches the tree. Then,
+# per workload (default: every one BENCHMARK.json declares), N pairs of
+# runs of BENCHMARK.json's `run_seconds` each, the order flipping every
+# pair; each run's last stdout line goes to target/pairs/runs.tsv. The
+# `pairs` bin prints the verdict table, appends the session to
+# BENCH_history.jsonl, and fails the command when a run is not correct,
+# failed jobs, or a median left its bound. Nothing else may run on the box
+# meanwhile.
+run_pairs() {
+    local rev="$1"
+    shift
+    local n=10 seed=1 workloads=()
+    while [[ $# -gt 0 ]]; do
+        [[ $# -ge 2 ]] || { echo "--pairs: $1 needs a value" >&2; return 2; }
+        case "$1" in
+            --workload) workloads+=("$2") ;;
+            --n) n="$2" ;;
+            --seed) seed="$2" ;;
+            *) echo "--pairs: unknown option '$1'" >&2; return 2 ;;
+        esac
+        shift 2
+    done
+    local parent_sha change_sha change_label parent_code change_code
+    parent_sha="$(git rev-parse --verify --quiet "$rev^{commit}")" || {
+        echo "--pairs: unknown revision '$rev'" >&2
+        return 2
+    }
+    change_sha="$(git rev-parse HEAD)"
+    change_label="$(git rev-parse --short=7 HEAD)"
+    [[ -z "$(git status --porcelain)" ]] || change_label="$change_label+dirty"
+    parent_code="$(code_tree "$parent_sha")"
+    change_code="$(code_tree)"
+    # Both trees are built from the same path, one after the other: cargo
+    # hashes a package's path into its symbols, so two paths give two code
+    # layouts even for one source, and a self-pair would not be A/A. Cargo
+    # also judges a path package fresh by its files' mtimes alone, and the
+    # target dirs outlive a session: `tar -m` stamps every unpacked file
+    # with the current time, so each side's local crates always rebuild
+    # from the tree just unpacked, never from an older rev's build.
+    local dir="$PWD/target/pairs" side
+    local src="$dir/src"
+    for side in parent change; do
+        step "build benchmark: $side"
+        rm -rf "$src"
+        mkdir -p "$src"
+        if [[ $side == parent ]]; then
+            git archive "$parent_sha" | tar -x -m -C "$src"
+        else
+            git ls-files -z --cached --others --exclude-standard |
+                tar --null -T - -c --ignore-failed-read 2>/dev/null | tar -x -m -C "$src"
+        fi
+        (cd "$src" && cargo build --release --offline --quiet \
+            --manifest-path benchmark/Cargo.toml --target-dir "$dir/target-$side")
+    done
+    cargo build --release --offline --quiet -p sync-switch-bench --bin pairs
+    local pairs_bin="target/release/pairs" seconds
+    [[ ${#workloads[@]} -gt 0 ]] || mapfile -t workloads < <("$pairs_bin" --workloads BENCHMARK.json)
+    seconds="$("$pairs_bin" --run-seconds BENCHMARK.json)"
+    local runs="$dir/runs.tsv" w i line
+    : > "$runs"
+    for w in "${workloads[@]}"; do
+        for ((i = 1; i <= n; i++)); do
+            local order=(parent change)
+            (( i % 2 == 1 )) || order=(change parent)
+            for side in "${order[@]}"; do
+                step "$w pair $i/$n: $side"
+                line="$(cd "$src" && "$dir/target-$side/release/sync-switch-benchmark" \
+                    --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null |
+                    tail -n 1 || true)"
+                printf '%s\t%s\t%s\n' "$side" "$w" "$line" >> "$runs"
+            done
+        done
+    done
+    step "verdict: $rev ($parent_sha, code $parent_code) → working tree ($change_label, code $change_code)"
+    "$pairs_bin" --runs "$runs" --manifest BENCHMARK.json \
+        --parent "$parent_sha" --parent-code "$parent_code" \
+        --change "$change_sha" --change-code "$change_code" --change-label "$change_label" \
+        --history BENCH_history.jsonl --date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+        --nproc "$(nproc)" --seed "$seed"
+}
+
 # ---- driver ---------------------------------------------------------------
 
 # .github/workflows/ci.yml is a hand-kept mirror of STAGES, one step per
@@ -420,6 +537,12 @@ while [[ $# -gt 0 ]]; do
             printf '%s\n' "${STAGES[@]}"
             exit 0
             ;;
+        --pairs)
+            [[ $# -ge 2 ]] || { echo "--pairs requires a revision" >&2; exit 2; }
+            shift
+            run_pairs "$@"
+            exit $?
+            ;;
         --loc)
             if [[ $# -ge 2 && $2 != --* ]]; then
                 print_loc_diff "$2"
@@ -430,7 +553,8 @@ while [[ $# -gt 0 ]]; do
             ;;
         *)
             echo "unknown argument '$1'" >&2
-            echo "usage: ./ci.sh [--fast] [--stage <name>]... [--list] [--loc [<rev>]]" >&2
+            echo "usage: ./ci.sh [--fast] [--stage <name>]... [--list] [--loc [<rev>]]" \
+                "[--pairs <rev> [--workload W]... [--n N] [--seed K]]" >&2
             exit 2
             ;;
     esac

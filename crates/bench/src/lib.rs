@@ -11,6 +11,7 @@
 
 pub mod exhibits;
 pub mod output;
+pub mod pairs;
 pub mod runner;
 
 pub use output::Exhibit;

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use sync_switch_tensor::{Init, Tensor};
 
-use crate::layer::Layer;
+use crate::layer::{cache_input, Layer};
 
 /// 1-D convolution (cross-correlation) over a single-channel signal:
 /// input `[batch, length]`, output `[batch, channels · (length − kernel + 1)]`
@@ -34,6 +34,8 @@ pub struct Conv1d {
     gw: Tensor,
     gb: Tensor,
     cached_x: Option<Tensor>,
+    out: Tensor,
+    gx: Tensor,
 }
 
 impl Conv1d {
@@ -52,6 +54,8 @@ impl Conv1d {
             gw: Tensor::zeros(&[channels, kernel]),
             gb: Tensor::zeros(&[channels]),
             cached_x: None,
+            out: Tensor::default(),
+            gx: Tensor::default(),
         }
     }
 
@@ -85,11 +89,11 @@ impl Layer for Conv1d {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (length, kernel) = (x.cols(), self.kernel());
+    fn forward(&mut self, x: &Tensor) -> &Tensor {
+        let (length, kernel, channels) = (x.cols(), self.kernel(), self.channels());
         let out_len = self.out_len(length);
-        let mut y = Tensor::zeros(&[x.rows(), self.channels() * out_len]);
-        let outs = y.data_mut().chunks_exact_mut(self.channels() * out_len);
+        self.out.resize_zeroed(&[x.rows(), channels * out_len]);
+        let outs = self.out.data_mut().chunks_exact_mut(channels * out_len);
         for (row, out) in x.data().chunks_exact(length).zip(outs) {
             let filters = self.w.data().chunks_exact(kernel).zip(self.b.data());
             for ((filt, &b), out) in filters.zip(out.chunks_exact_mut(out_len)) {
@@ -101,18 +105,18 @@ impl Layer for Conv1d {
                 }
             }
         }
-        self.cached_x = Some(x.clone());
-        y
+        cache_input(&mut self.cached_x, x);
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
         self.backward_params(grad_out);
         let x = self.cached_x.as_ref().expect("checked by backward_params");
         let (length, kernel) = (x.cols(), self.kernel());
         let out_len = length - kernel + 1;
-        let mut gx = Tensor::zeros(&[x.rows(), length]);
+        self.gx.resize_zeroed(&[x.rows(), length]);
         let gouts = grad_out.data().chunks_exact(grad_out.cols());
-        for (grow, gout) in gx.data_mut().chunks_exact_mut(length).zip(gouts) {
+        for (grow, gout) in self.gx.data_mut().chunks_exact_mut(length).zip(gouts) {
             let filters = self.w.data().chunks_exact(kernel);
             for (filt, gout) in filters.zip(gout.chunks_exact(out_len)) {
                 // Taps last to first: each `grow[j]` then takes its terms
@@ -124,7 +128,7 @@ impl Layer for Conv1d {
                 }
             }
         }
-        gx
+        &self.gx
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
@@ -157,16 +161,19 @@ impl Layer for Conv1d {
         }
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.w, &self.b]
+    fn visit_params(&self, f: &mut dyn FnMut(&Tensor, &Tensor)) {
+        f(&self.w, &self.gw);
+        f(&self.b, &self.gb);
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.gw, &self.gb]
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.w);
+        f(&mut self.b);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.w, &mut self.b]
+    #[cfg(test)]
+    fn reference(&mut self) -> &mut dyn crate::layer::tests::Reference {
+        self
     }
 }
 
@@ -188,6 +195,8 @@ pub struct MaxPool1d {
     /// `forward`), plus the input shape needed to rebuild the gradient.
     argmax: Vec<usize>,
     in_shape: (usize, usize),
+    out: Tensor,
+    gx: Tensor,
 }
 
 impl MaxPool1d {
@@ -204,6 +213,8 @@ impl MaxPool1d {
             window,
             argmax: Vec::new(),
             in_shape: (0, 0),
+            out: Tensor::default(),
+            gx: Tensor::default(),
         }
     }
 
@@ -218,7 +229,7 @@ impl Layer for MaxPool1d {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> &Tensor {
         let batch = x.rows();
         let cols = x.cols();
         assert_eq!(cols % self.channels, 0, "input not channel-major");
@@ -230,14 +241,15 @@ impl Layer for MaxPool1d {
             self.window
         );
         let pooled = len / self.window;
-        let mut y = Tensor::zeros(&[batch, self.channels * pooled]);
+        self.out.resize_zeroed(&[batch, self.channels * pooled]);
         self.argmax.clear();
-        self.argmax.resize(y.len(), 0);
+        self.argmax.resize(self.out.len(), 0);
         self.in_shape = (batch, cols);
         // Every channel's length is a whole number of windows, so output `j`
         // pools the `j`-th window of the flat input.
         let windows = x.data().chunks_exact(self.window);
-        for (j, ((win, y), src)) in windows.zip(y.data_mut()).zip(&mut self.argmax).enumerate() {
+        let outs = self.out.data_mut().iter_mut().zip(&mut self.argmax);
+        for (j, (win, (y, src))) in windows.zip(outs).enumerate() {
             // Selects, not branches: the data is what decides, and a
             // mispredicted branch per element costs more than the compare.
             let (mut best, mut top) = (0, win[0]);
@@ -249,98 +261,83 @@ impl Layer for MaxPool1d {
             *y = top;
             *src = j * self.window + best;
         }
-        y
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
         let (batch, cols) = self.in_shape;
         assert!(batch > 0, "backward called before forward");
         assert_eq!(grad_out.len(), self.argmax.len(), "grad shape mismatch");
-        let mut gx = Tensor::zeros(&[batch, cols]);
-        let gxd = gx.data_mut();
+        self.gx.resize_zeroed(&[batch, cols]);
+        let gxd = self.gx.data_mut();
         for (&src, &g) in self.argmax.iter().zip(grad_out.data()) {
             gxd[src] += g;
         }
-        gx
+        &self.gx
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
+    fn visit_params(&self, _f: &mut dyn FnMut(&Tensor, &Tensor)) {}
 
-    fn grads(&self) -> Vec<&Tensor> {
-        Vec::new()
-    }
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
+    #[cfg(test)]
+    fn reference(&mut self) -> &mut dyn crate::layer::tests::Reference {
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{grad_check, params_and_grads, sample_input, with_param, Reference};
     use proptest::prelude::*;
     use rand::Rng;
 
-    /// Central-difference check shared with `layer.rs` tests (duplicated
-    /// here because test modules do not cross files).
-    fn grad_check<L: Layer>(layer: &mut L, x: &Tensor) {
-        let y = layer.forward(x);
-        let ones = Tensor::full(y.shape(), 1.0);
-        let gx = layer.backward(&ones);
-
-        let analytic: Vec<Vec<f32>> = layer.grads().iter().map(|g| g.data().to_vec()).collect();
-        let eps = 1e-3f32;
-        for (pi, grads) in analytic.iter().enumerate() {
-            for j in (0..grads.len()).step_by(3) {
-                let orig = layer.params()[pi].data()[j];
-                layer.params_mut()[pi].data_mut()[j] = orig + eps;
-                let up = layer.forward(x).sum();
-                layer.params_mut()[pi].data_mut()[j] = orig - eps;
-                let dn = layer.forward(x).sum();
-                layer.params_mut()[pi].data_mut()[j] = orig;
-                let numeric = (up - dn) / (2.0 * eps);
-                assert!(
-                    (numeric - grads[j]).abs() < 2e-2 * (1.0 + numeric.abs()),
-                    "param {pi}[{j}]: numeric {numeric} vs analytic {}",
-                    grads[j]
-                );
-            }
+    /// The reference loops below, as the layers' allocating forms.
+    impl Reference for Conv1d {
+        fn ref_forward(&mut self, x: &Tensor) -> Tensor {
+            let y = reference_conv_forward(x, &self.w, &self.b);
+            let cols = y.len() / x.rows();
+            self.cached_x = Some(x.clone());
+            Tensor::from_vec(y, &[x.rows(), cols])
         }
-        for j in (0..x.len()).step_by(5) {
-            let mut xp = x.clone();
-            xp.data_mut()[j] += eps;
-            let up = layer.forward(&xp).sum();
-            xp.data_mut()[j] -= 2.0 * eps;
-            let dn = layer.forward(&xp).sum();
-            let numeric = (up - dn) / (2.0 * eps);
-            assert!(
-                (numeric - gx.data()[j]).abs() < 2e-2 * (1.0 + numeric.abs()),
-                "input[{j}]: numeric {numeric} vs analytic {}",
-                gx.data()[j]
-            );
+
+        fn ref_backward(&mut self, grad_out: &Tensor) -> Tensor {
+            let x = self
+                .cached_x
+                .as_ref()
+                .expect("backward called before forward");
+            let (gw, gb, gx) = reference_conv_backward(x, &self.w, grad_out);
+            self.gw = Tensor::from_vec(gw, self.w.shape());
+            self.gb = Tensor::from_vec(gb, self.b.shape());
+            Tensor::from_vec(gx, x.shape())
         }
     }
 
-    fn sample_input(batch: usize, dim: usize) -> Tensor {
-        let data: Vec<f32> = (0..batch * dim)
-            .map(|i| ((i as f32 * 0.37).sin() * 1.3) + 0.11)
-            .collect();
-        Tensor::from_vec(data, &[batch, dim])
+    impl Reference for MaxPool1d {
+        fn ref_forward(&mut self, x: &Tensor) -> Tensor {
+            let (y, argmax) = reference_maxpool(x, self.channels, self.window);
+            let cols = y.len() / x.rows();
+            (self.argmax, self.in_shape) = (argmax, (x.rows(), x.cols()));
+            Tensor::from_vec(y, &[x.rows(), cols])
+        }
+
+        fn ref_backward(&mut self, grad_out: &Tensor) -> Tensor {
+            let (batch, cols) = self.in_shape;
+            let mut gx = Tensor::zeros(&[batch, cols]);
+            for (&src, &g) in self.argmax.iter().zip(grad_out.data()) {
+                gx.data_mut()[src] += g;
+            }
+            gx
+        }
     }
 
     #[test]
     fn conv_forward_matches_hand_computation() {
         let mut conv = Conv1d::new(1, 2, 0);
-        for p in conv.params_mut() {
-            p.scale_assign(0.0);
-        }
         // Filter [1, -1] with bias 0.5: discrete difference detector.
-        conv.params_mut()[0]
-            .data_mut()
-            .copy_from_slice(&[1.0, -1.0]);
-        conv.params_mut()[1].data_mut().copy_from_slice(&[0.5]);
+        with_param(&mut conv, 0, |w| w.data_mut().copy_from_slice(&[1.0, -1.0]));
+        with_param(&mut conv, 1, |b| b.data_mut().copy_from_slice(&[0.5]));
         let x = Tensor::from_vec(vec![1.0, 3.0, 2.0, 2.0], &[1, 4]);
         let y = conv.forward(&x);
         assert_eq!(y.shape(), &[1, 3]);
@@ -356,9 +353,9 @@ mod tests {
         let mut shifted = vec![0.0f32; 16];
         shifted[8] = 1.0;
         shifted[9] = -1.0;
-        let ya = conv.forward(&Tensor::from_vec(sig, &[1, 16]));
-        let yb = conv.forward(&Tensor::from_vec(shifted, &[1, 16]));
+        let ya = conv.forward(&Tensor::from_vec(sig, &[1, 16])).clone();
         let out_len = conv.out_len(16);
+        let yb = conv.forward(&Tensor::from_vec(shifted, &[1, 16]));
         // The response to the shifted bump is the shifted response (where
         // both positions are interior).
         for c in 0..3 {
@@ -373,7 +370,7 @@ mod tests {
     #[test]
     fn conv_gradients_check() {
         let mut conv = Conv1d::new(3, 4, 2);
-        grad_check(&mut conv, &sample_input(2, 11));
+        grad_check(&mut conv, &sample_input(2, 11), 3);
     }
 
     #[test]
@@ -394,7 +391,7 @@ mod tests {
         // sample_input has no exact ties, so the max is differentiable at
         // every probed point.
         let mut pool = MaxPool1d::new(2, 3);
-        grad_check(&mut pool, &sample_input(2, 12));
+        grad_check(&mut pool, &sample_input(2, 12), 3);
     }
 
     #[test]
@@ -415,8 +412,8 @@ mod tests {
     #[should_panic(expected = "grad shape mismatch")]
     fn conv_rejects_a_grad_with_other_rows_than_the_batch() {
         let mut conv = Conv1d::new(2, 3, 0);
-        let y = conv.forward(&sample_input(1, 8));
-        let _ = conv.backward(&Tensor::zeros(&[2, y.cols()]));
+        let cols = conv.forward(&sample_input(1, 8)).cols();
+        let _ = conv.backward(&Tensor::zeros(&[2, cols]));
     }
 
     #[test]
@@ -556,21 +553,22 @@ mod tests {
 
             let mut conv = Conv1d::new(channels, kernel, 0);
             let (w, b) = (draw(&mut rng, &[channels, kernel]), draw(&mut rng, &[channels]));
-            conv.params_mut()[0].data_mut().copy_from_slice(w.data());
-            conv.params_mut()[1].data_mut().copy_from_slice(b.data());
+            with_param(&mut conv, 0, |p| p.clone_from(&w));
+            with_param(&mut conv, 1, |p| p.clone_from(&b));
             let x = draw(&mut rng, &[batch, length]);
-            let y = conv.forward(&x);
+            let y = conv.forward(&x).clone();
             prop_assert!(same_bits(y.data(), &reference_conv_forward(&x, &w, &b)), "output");
             let g = draw(&mut rng, y.shape());
-            let gx = conv.backward(&g);
+            let gx = conv.backward(&g).clone();
             let (gw, gb, want_gx) = reference_conv_backward(&x, &w, &g);
-            prop_assert!(same_bits(conv.grads()[0].data(), &gw), "gw");
-            prop_assert!(same_bits(conv.grads()[1].data(), &gb), "gb");
+            let grads = params_and_grads(&conv);
+            prop_assert!(same_bits(grads[0].1.data(), &gw), "gw");
+            prop_assert!(same_bits(grads[1].1.data(), &gb), "gb");
             prop_assert!(same_bits(gx.data(), &want_gx), "input gradient");
 
             let mut pool = MaxPool1d::new(channels, window);
             let h = draw(&mut rng, y.shape());
-            let pooled = pool.forward(&h);
+            let pooled = pool.forward(&h).clone();
             let (want, argmax) = reference_maxpool(&h, channels, window);
             prop_assert!(same_bits(pooled.data(), &want), "pool output");
             // Distinct gradients, so each must land where the reference

@@ -271,6 +271,32 @@ impl Dataset {
         self.batch(&indices)
     }
 
+    /// [`Dataset::sample_batch`] into a kept batch: the same draws in the
+    /// same order, so the same rows and labels, written into `x` (reshaped
+    /// in place) and `labels` (cleared), which allocate nothing once they
+    /// have held a batch this size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_size == 0`.
+    pub fn sample_batch_into<R: Rng>(
+        &self,
+        batch_size: usize,
+        rng: &mut R,
+        x: &mut Tensor,
+        labels: &mut Vec<usize>,
+    ) {
+        assert!(batch_size > 0, "batch size must be positive");
+        let dim = self.dim();
+        x.resize_zeroed(&[batch_size, dim]);
+        labels.clear();
+        for row in x.data_mut().chunks_exact_mut(dim) {
+            let i = rng.gen_range(0..self.len());
+            row.copy_from_slice(&self.x.data()[i * dim..(i + 1) * dim]);
+            labels.push(self.y[i]);
+        }
+    }
+
     /// Returns worker `k`'s shard under `n`-way data parallelism (contiguous
     /// block partition, as when the training data are "partitioned and
     /// offloaded to the workers", paper §II-A).
@@ -433,6 +459,17 @@ mod tests {
         let (x2, y2) = d.sample_batch(16, &mut r2);
         assert_eq!(x1.data(), x2.data());
         assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn sample_batch_into_draws_what_sample_batch_draws() {
+        let d = Dataset::gaussian_blobs(3, 40, 5, 0.2, 6);
+        let (mut x, mut labels) = (Tensor::default(), vec![7; 20]);
+        for (seed, batch) in [(1, 8), (2, 3), (3, 8), (4, 1)] {
+            d.sample_batch_into(batch, &mut StdRng::seed_from_u64(seed), &mut x, &mut labels);
+            let (want_x, want_labels) = d.sample_batch(batch, &mut StdRng::seed_from_u64(seed));
+            assert_eq!((&x, &labels), (&want_x, &want_labels), "seed {seed}");
+        }
     }
 
     #[test]

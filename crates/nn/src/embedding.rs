@@ -31,6 +31,8 @@ pub struct Embedding {
     /// Token ids of the cached batch, row-major.
     cached_ids: Vec<usize>,
     cached_tokens: usize,
+    out: Tensor,
+    gx: Tensor,
 }
 
 impl Embedding {
@@ -50,6 +52,8 @@ impl Embedding {
             touched: Vec::new(),
             cached_ids: Vec::new(),
             cached_tokens: 0,
+            out: Tensor::default(),
+            gx: Tensor::default(),
         }
     }
 
@@ -67,20 +71,20 @@ impl Embedding {
     pub fn touched_rows(&self) -> &[usize] {
         &self.touched
     }
+}
 
-    /// The table row an input value names.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `raw` is a whole number in `0..vocab`.
-    fn row_of(&self, raw: f32) -> usize {
-        let (id, vocab) = (raw as usize, self.vocab());
-        assert!(
-            raw >= 0.0 && id < vocab && raw.fract() == 0.0,
-            "token id {raw} invalid for vocab {vocab}"
-        );
-        id
-    }
+/// The row of a `vocab`-row table an input value names.
+///
+/// # Panics
+///
+/// Panics unless `raw` is a whole number in `0..vocab`.
+fn row_of(raw: f32, vocab: usize) -> usize {
+    let id = raw as usize;
+    assert!(
+        raw >= 0.0 && id < vocab && raw.fract() == 0.0,
+        "token id {raw} invalid for vocab {vocab}"
+    );
+    id
 }
 
 impl Layer for Embedding {
@@ -88,19 +92,19 @@ impl Layer for Embedding {
         Box::new(self.clone())
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> &Tensor {
         let batch = x.rows();
         let tokens = x.cols();
         assert!(tokens > 0, "empty token rows");
-        let dim = self.dim();
+        let (vocab, dim) = (self.vocab(), self.dim());
         self.cached_ids.clear();
         self.cached_ids.reserve(batch * tokens);
-        let mut y = Tensor::zeros(&[batch, dim]);
+        self.out.resize_zeroed(&[batch, dim]);
         let td = self.table.data();
-        let yd = y.data_mut();
+        let yd = self.out.data_mut();
         let scale = 1.0 / tokens as f32;
         for (r, &raw) in x.data().iter().enumerate() {
-            let id = self.row_of(raw);
+            let id = row_of(raw, vocab);
             self.cached_ids.push(id);
             let out = &mut yd[(r / tokens) * dim..(r / tokens + 1) * dim];
             for (o, &t) in out.iter_mut().zip(&td[id * dim..(id + 1) * dim]) {
@@ -108,10 +112,10 @@ impl Layer for Embedding {
             }
         }
         self.cached_tokens = tokens;
-        y
+        &self.out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor) -> &Tensor {
         let tokens = self.cached_tokens;
         assert!(tokens > 0, "backward called before forward");
         let batch = self.cached_ids.len() / tokens;
@@ -142,19 +146,21 @@ impl Layer for Embedding {
         self.touched.sort_unstable();
         self.touched.dedup();
         // Ids carry no gradient.
-        Tensor::zeros(&[batch, tokens])
+        self.gx.resize_zeroed(&[batch, tokens]);
+        &self.gx
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![&self.table]
+    fn visit_params(&self, f: &mut dyn FnMut(&Tensor, &Tensor)) {
+        f(&self.table, &self.grad);
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![&self.grad]
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.table);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.table]
+    #[cfg(test)]
+    fn reference(&mut self) -> &mut dyn crate::layer::tests::Reference {
+        self
     }
 
     fn grad_nonzero_runs(&self, base: usize, out: &mut Vec<(usize, usize)>) -> bool {
@@ -171,7 +177,7 @@ impl Layer for Embedding {
         out.extend(
             x.data()
                 .iter()
-                .map(|&raw| (base + self.row_of(raw) * dim, dim)),
+                .map(|&raw| (base + row_of(raw, self.vocab()) * dim, dim)),
         );
         out[first..].sort_unstable();
         out.dedup();
@@ -182,6 +188,38 @@ impl Layer for Embedding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::tests::{params_and_grads, with_param, Reference};
+
+    impl Reference for Embedding {
+        fn ref_forward(&mut self, x: &Tensor) -> Tensor {
+            let batch = x.rows();
+            let tokens = x.cols();
+            assert!(tokens > 0, "empty token rows");
+            let dim = self.dim();
+            self.cached_ids.clear();
+            self.cached_ids.reserve(batch * tokens);
+            let mut y = Tensor::zeros(&[batch, dim]);
+            let td = self.table.data();
+            let yd = y.data_mut();
+            let scale = 1.0 / tokens as f32;
+            for (r, &raw) in x.data().iter().enumerate() {
+                let id = row_of(raw, self.vocab());
+                self.cached_ids.push(id);
+                let out = &mut yd[(r / tokens) * dim..(r / tokens + 1) * dim];
+                for (o, &t) in out.iter_mut().zip(&td[id * dim..(id + 1) * dim]) {
+                    *o += t * scale;
+                }
+            }
+            self.cached_tokens = tokens;
+            y
+        }
+
+        fn ref_backward(&mut self, grad_out: &Tensor) -> Tensor {
+            let batch = self.cached_ids.len() / self.cached_tokens;
+            let _ = Layer::backward(self, grad_out);
+            Tensor::zeros(&[batch, self.cached_tokens])
+        }
+    }
 
     fn ids(rows: &[&[usize]]) -> Tensor {
         let tokens = rows[0].len();
@@ -195,9 +233,10 @@ mod tests {
     #[test]
     fn forward_mean_pools_rows() {
         let mut emb = Embedding::new(4, 2, 0);
-        emb.params_mut()[0]
-            .data_mut()
-            .copy_from_slice(&[0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        with_param(&mut emb, 0, |t| {
+            t.data_mut()
+                .copy_from_slice(&[0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        });
         let y = emb.forward(&ids(&[&[1, 3], &[2, 2]]));
         assert_eq!(y.shape(), &[2, 2]);
         // Row 0: mean of rows 1 and 3 → (3, 4); row 1: row 2 → (3, 4).
@@ -208,13 +247,13 @@ mod tests {
     fn backward_touches_only_seen_rows() {
         let mut emb = Embedding::new(8, 3, 1);
         let x = ids(&[&[2, 5], &[5, 5]]);
-        let y = emb.forward(&x);
-        let g = emb.backward(&Tensor::full(y.shape(), 1.0));
+        let ones = Tensor::full(emb.forward(&x).shape(), 1.0);
+        let g = emb.backward(&ones);
         // Ids carry no gradient.
         assert_eq!(g.shape(), x.shape());
         assert!(g.data().iter().all(|&v| v == 0.0));
         assert_eq!(emb.touched_rows(), &[2, 5]);
-        let grad = emb.grads()[0];
+        let grad = &params_and_grads(&emb)[0].1;
         for row in 0..8 {
             let nz = grad.data()[row * 3..(row + 1) * 3]
                 .iter()
@@ -230,13 +269,13 @@ mod tests {
     #[test]
     fn stale_rows_are_rezeroed_between_backwards() {
         let mut emb = Embedding::new(6, 2, 2);
-        let y = emb.forward(&ids(&[&[0, 1]]));
-        emb.backward(&Tensor::full(y.shape(), 1.0));
+        let ones = Tensor::full(emb.forward(&ids(&[&[0, 1]])).shape(), 1.0);
+        emb.backward(&ones);
         assert_eq!(emb.touched_rows(), &[0, 1]);
-        let y = emb.forward(&ids(&[&[4, 4]]));
-        emb.backward(&Tensor::full(y.shape(), 1.0));
+        let ones = Tensor::full(emb.forward(&ids(&[&[4, 4]])).shape(), 1.0);
+        emb.backward(&ones);
         assert_eq!(emb.touched_rows(), &[4]);
-        let grad = emb.grads()[0];
+        let grad = &params_and_grads(&emb)[0].1;
         assert!(grad.data()[..2 * 2].iter().all(|&v| v == 0.0), "stale rows");
         assert!(grad.data()[4 * 2..5 * 2].iter().all(|&v| v != 0.0));
     }
@@ -245,18 +284,17 @@ mod tests {
     fn table_gradient_matches_central_difference() {
         let mut emb = Embedding::new(5, 3, 3);
         let x = ids(&[&[0, 2], &[2, 4]]);
-        let y = emb.forward(&x);
-        let ones = Tensor::full(y.shape(), 1.0);
+        let ones = Tensor::full(emb.forward(&x).shape(), 1.0);
         emb.backward(&ones);
-        let analytic = emb.grads()[0].data().to_vec();
+        let (table, analytic) = params_and_grads(&emb).swap_remove(0);
         let eps = 1e-3f32;
-        for (j, &expected) in analytic.iter().enumerate() {
-            let orig = emb.params()[0].data()[j];
-            emb.params_mut()[0].data_mut()[j] = orig + eps;
+        for (j, &expected) in analytic.data().iter().enumerate() {
+            let orig = table.data()[j];
+            with_param(&mut emb, 0, |t| t.data_mut()[j] = orig + eps);
             let up = emb.forward(&x).sum();
-            emb.params_mut()[0].data_mut()[j] = orig - eps;
+            with_param(&mut emb, 0, |t| t.data_mut()[j] = orig - eps);
             let dn = emb.forward(&x).sum();
-            emb.params_mut()[0].data_mut()[j] = orig;
+            with_param(&mut emb, 0, |t| t.data_mut()[j] = orig);
             let numeric = (up - dn) / (2.0 * eps);
             assert!(
                 (numeric - expected).abs() < 2e-2 * (1.0 + numeric.abs()),
@@ -268,8 +306,8 @@ mod tests {
     #[test]
     fn sparse_runs_report_touched_rows() {
         let mut emb = Embedding::new(10, 4, 4);
-        let y = emb.forward(&ids(&[&[7, 1]]));
-        emb.backward(&Tensor::full(y.shape(), 1.0));
+        let ones = Tensor::full(emb.forward(&ids(&[&[7, 1]])).shape(), 1.0);
+        emb.backward(&ones);
         let mut runs = Vec::new();
         assert!(emb.grad_nonzero_runs(100, &mut runs));
         assert_eq!(runs, vec![(100 + 4, 4), (100 + 28, 4)]);

@@ -17,20 +17,8 @@ impl SoftmaxCrossEntropy {
 
     /// Row-wise softmax of `[batch, classes]` logits.
     pub fn softmax(&self, logits: &Tensor) -> Tensor {
-        let (b, c) = (logits.rows(), logits.cols());
         let mut out = logits.clone();
-        for i in 0..b {
-            let row = &mut out.data_mut()[i * c..(i + 1) * c];
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
+        softmax_in_place(&mut out);
         out
     }
 
@@ -53,15 +41,58 @@ impl SoftmaxCrossEntropy {
         total / b as f32
     }
 
-    /// Loss plus gradient with respect to the logits:
-    /// `(softmax − one_hot) / batch`.
+    /// Mean loss plus its gradient with respect to the logits,
+    /// `(softmax − one_hot) / batch`, written into `grad`: the softmax is
+    /// computed there, each label's probability is read into the loss
+    /// before its entry is shifted, then the whole is scaled. `grad` is
+    /// reshaped in place, so a kept buffer costs no allocation.
     ///
     /// # Panics
     ///
     /// Panics if `labels.len()` differs from the batch size or a label is
     /// out of range.
-    pub fn loss_and_grad(&self, logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let probs = self.softmax(logits);
+    pub fn loss_and_grad_into(&self, logits: &Tensor, labels: &[usize], grad: &mut Tensor) -> f32 {
+        grad.clone_from(logits);
+        softmax_in_place(grad);
+        let (b, c) = (grad.rows(), grad.cols());
+        assert_eq!(labels.len(), b, "labels/batch size mismatch");
+        let mut total = 0.0;
+        for (i, &y) in labels.iter().enumerate() {
+            assert!(y < c, "label {y} out of range for {c} classes");
+            let p = &mut grad.data_mut()[i * c + y];
+            total -= p.max(1e-12).ln();
+            *p -= 1.0;
+        }
+        grad.scale_assign(1.0 / b as f32);
+        total / b as f32
+    }
+}
+
+/// Replaces each row of `[batch, classes]` logits by its softmax.
+fn softmax_in_place(t: &mut Tensor) {
+    let c = t.cols();
+    for row in t.data_mut().chunks_exact_mut(c) {
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Loss and gradient in allocating form, the softmax and the gradient
+    /// in two tensors: the reference
+    /// [`SoftmaxCrossEntropy::loss_and_grad_into`] must equal bit for bit.
+    pub(crate) fn reference_loss_and_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+        let probs = SoftmaxCrossEntropy.softmax(logits);
         let (b, c) = (probs.rows(), probs.cols());
         assert_eq!(labels.len(), b, "labels/batch size mismatch");
         let mut grad = probs.clone();
@@ -74,11 +105,6 @@ impl SoftmaxCrossEntropy {
         grad.scale_assign(1.0 / b as f32);
         (total / b as f32, grad)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -118,7 +144,8 @@ mod tests {
         let l = SoftmaxCrossEntropy::new();
         let logits = Tensor::from_vec(vec![0.4, -0.2, 0.9, 1.1, 0.0, -0.7], &[2, 3]);
         let labels = vec![2, 0];
-        let (_, grad) = l.loss_and_grad(&logits, &labels);
+        let mut grad = Tensor::default();
+        l.loss_and_grad_into(&logits, &labels, &mut grad);
         let eps = 1e-3;
         for j in 0..logits.len() {
             let mut lp = logits.clone();
@@ -139,7 +166,8 @@ mod tests {
     fn numerical_stability_with_huge_logits() {
         let l = SoftmaxCrossEntropy::new();
         let logits = Tensor::from_vec(vec![1000.0, -1000.0], &[1, 2]);
-        let (loss, grad) = l.loss_and_grad(&logits, &[0]);
+        let mut grad = Tensor::default();
+        let loss = l.loss_and_grad_into(&logits, &[0], &mut grad);
         assert!(loss.is_finite());
         assert!(grad.is_finite());
     }

@@ -18,6 +18,10 @@ pub struct Network {
     loss: SoftmaxCrossEntropy,
     input_dim: usize,
     classes: usize,
+    param_count: usize,
+    /// The loss's softmax and then its gradient, the top of every backward
+    /// pass.
+    loss_grad: Tensor,
 }
 
 impl Clone for Network {
@@ -27,6 +31,8 @@ impl Clone for Network {
             loss: self.loss.clone(),
             input_dim: self.input_dim,
             classes: self.classes,
+            param_count: self.param_count,
+            loss_grad: Tensor::default(),
         }
     }
 }
@@ -59,12 +65,7 @@ impl Network {
             prev = h;
         }
         layers.push(Box::new(Dense::new(prev, classes, seed.wrapping_add(1000))));
-        Network {
-            layers,
-            loss: SoftmaxCrossEntropy::new(),
-            input_dim,
-            classes,
-        }
+        Network::of(layers, input_dim, classes)
     }
 
     /// Builds a residual MLP: an input projection, `blocks` residual blocks
@@ -96,12 +97,7 @@ impl Network {
             )));
         }
         layers.push(Box::new(Dense::new(width, classes, seed.wrapping_add(999))));
-        Network {
-            layers,
-            loss: SoftmaxCrossEntropy::new(),
-            input_dim,
-            classes,
-        }
+        Network::of(layers, input_dim, classes)
     }
 
     /// Builds a 1-D convnet classifier: `Conv1d(channels, kernel)` over a
@@ -141,12 +137,7 @@ impl Network {
             Box::new(MaxPool1d::new(channels, pool)),
             Box::new(Dense::new(head_in, classes, seed.wrapping_add(999))),
         ];
-        Network {
-            layers,
-            loss: SoftmaxCrossEntropy::new(),
-            input_dim: length,
-            classes,
-        }
+        Network::of(layers, length, classes)
     }
 
     /// Builds a vocab-style classifier with a sparse-gradient trunk: a
@@ -178,11 +169,18 @@ impl Network {
             Box::new(Relu::new()),
             Box::new(Dense::new(hidden, classes, seed.wrapping_add(999))),
         ];
+        Network::of(layers, tokens, classes)
+    }
+
+    /// The network over `layers`, topped by the loss.
+    fn of(layers: Vec<Box<dyn Layer>>, input_dim: usize, classes: usize) -> Self {
         Network {
+            param_count: layers.iter().map(|l| l.param_count()).sum(),
             layers,
             loss: SoftmaxCrossEntropy::new(),
-            input_dim: tokens,
+            input_dim,
             classes,
+            loss_grad: Tensor::default(),
         }
     }
 
@@ -198,22 +196,17 @@ impl Network {
 
     /// Total number of scalar parameters.
     pub fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
+        self.param_count
     }
 
     /// Forward pass producing `[batch, classes]` logits.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward(&h);
-        }
-        h
+        forward_layers(&mut self.layers, x).clone()
     }
 
     /// Mean loss on a batch without touching gradients.
     pub fn loss(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let logits = self.forward(x);
-        self.loss.loss(&logits, labels)
+        self.loss.loss(forward_layers(&mut self.layers, x), labels)
     }
 
     /// Runs forward + backward, returning the mean loss and the flattened
@@ -246,7 +239,7 @@ impl Network {
         out: &mut GradBuffer,
     ) -> f32 {
         let loss = self.backward_pass(x, labels);
-        let n = self.param_count();
+        let n = self.param_count;
         if out.flat.len() != n {
             out.flat.clear();
             out.flat.resize(n, 0.0);
@@ -257,16 +250,16 @@ impl Network {
                 out.flat[start..start + len].fill(0.0);
             }
         }
-        let mut next = 0;
-        let mut offset = 0;
+        let (mut next, mut offset) = (0, 0);
+        let flat = &mut out.flat;
         for layer in &self.layers {
-            for g in layer.grads() {
+            layer.visit_params(&mut |_, g| {
                 let end = offset + g.len();
                 for (from, to) in runs_in_tensor(runs, &mut next, offset, end) {
-                    out.flat[from..to].copy_from_slice(&g.data()[from - offset..to - offset]);
+                    flat[from..to].copy_from_slice(&g.data()[from - offset..to - offset]);
                 }
                 offset = end;
-            }
+            });
         }
         out.written.clear();
         out.written.extend_from_slice(runs);
@@ -274,27 +267,29 @@ impl Network {
     }
 
     /// Forward + backward over one batch, leaving the gradient in the
-    /// layers; returns the mean loss. The first layer's input is the batch,
-    /// so its input gradient is never computed.
+    /// layers; returns the mean loss. Each layer reads its input from the
+    /// buffer the layer before it wrote; the first layer's input is the
+    /// batch, so its input gradient is never computed.
     fn backward_pass(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let logits = self.forward(x);
-        let (loss, mut grad) = self.loss.loss_and_grad(&logits, labels);
+        let logits = forward_layers(&mut self.layers, x);
+        let loss = self
+            .loss
+            .loss_and_grad_into(logits, labels, &mut self.loss_grad);
         if let Some((first, rest)) = self.layers.split_first_mut() {
+            let mut grad = &self.loss_grad;
             for layer in rest.iter_mut().rev() {
-                grad = layer.backward(&grad);
+                grad = layer.backward(grad);
             }
-            first.backward_params(&grad);
+            first.backward_params(grad);
         }
         loss
     }
 
     /// Flattens all parameters into one vector (layer order, tensor order).
     pub fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
+        let mut out = Vec::with_capacity(self.param_count);
         for layer in &self.layers {
-            for p in layer.params() {
-                out.extend_from_slice(p.data());
-            }
+            layer.visit_params(&mut |p, _| out.extend_from_slice(p.data()));
         }
         out
     }
@@ -348,11 +343,9 @@ impl Network {
     /// Flattens all gradients into one vector (valid after
     /// [`Network::loss_and_grad`]).
     pub fn grads_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
+        let mut out = Vec::with_capacity(self.param_count);
         for layer in &self.layers {
-            for g in layer.grads() {
-                out.extend_from_slice(g.data());
-            }
+            layer.visit_params(&mut |_, g| out.extend_from_slice(g.data()));
         }
         out
     }
@@ -363,19 +356,7 @@ impl Network {
     ///
     /// Panics if `flat.len()` differs from [`Network::param_count`].
     pub fn set_params_flat(&mut self, flat: &[f32]) {
-        assert_eq!(
-            flat.len(),
-            self.param_count(),
-            "flat parameter vector has wrong length"
-        );
-        let mut offset = 0;
-        for layer in &mut self.layers {
-            for p in layer.params_mut() {
-                let n = p.len();
-                p.data_mut().copy_from_slice(&flat[offset..offset + n]);
-                offset += n;
-            }
-        }
+        self.set_params_runs(flat, &[(0, flat.len())]);
     }
 
     /// Copies only the `(offset, len)` `runs` of `flat` (sorted and
@@ -390,31 +371,41 @@ impl Network {
     pub fn set_params_runs(&mut self, flat: &[f32], runs: &[(usize, usize)]) {
         assert_eq!(
             flat.len(),
-            self.param_count(),
+            self.param_count,
             "flat parameter vector has wrong length"
         );
-        let mut next = 0;
-        let mut offset = 0;
+        let (mut next, mut offset) = (0, 0);
         for layer in &mut self.layers {
-            for p in layer.params_mut() {
+            layer.visit_params_mut(&mut |p| {
                 let end = offset + p.len();
                 for (from, to) in runs_in_tensor(runs, &mut next, offset, end) {
                     p.data_mut()[from - offset..to - offset].copy_from_slice(&flat[from..to]);
                 }
                 offset = end;
-            }
+            });
         }
     }
 
     /// Predicted class per row.
     pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        self.forward(x).argmax_rows()
+        forward_layers(&mut self.layers, x).argmax_rows()
     }
 
     /// Top-1 accuracy on a labelled set.
     pub fn accuracy_on(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
-        crate::metrics::accuracy(&self.forward(x), labels)
+        crate::metrics::accuracy(forward_layers(&mut self.layers, x), labels)
     }
+}
+
+/// Runs `x` through `layers`, each reading the output buffer of the one
+/// before it, and returns the last layer's output (`x` itself when there
+/// are no layers).
+fn forward_layers<'a>(layers: &'a mut [Box<dyn Layer>], x: &'a Tensor) -> &'a Tensor {
+    let mut h = x;
+    for layer in layers {
+        h = layer.forward(h);
+    }
+    h
 }
 
 /// A flat gradient that outlives the step: [`Network::loss_and_grad_into`]
@@ -484,6 +475,9 @@ fn finish_runs(sparse: bool, out: &mut Vec<(usize, usize)>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dataset;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn mlp_shapes_and_counts() {
@@ -769,9 +763,10 @@ mod tests {
             // The pass `backward_pass` shortens: `backward` on every layer.
             let mut full = net.clone();
             let logits = full.forward(&x);
-            let (full_loss, mut grad) = full.loss.loss_and_grad(&logits, &labels);
+            let mut grad = Tensor::default();
+            let full_loss = full.loss.loss_and_grad_into(&logits, &labels, &mut grad);
             for layer in full.layers.iter_mut().rev() {
-                grad = layer.backward(&grad);
+                grad = layer.backward(&grad).clone();
             }
             let (loss, grads) = net.loss_and_grad(&x, &labels);
             assert_eq!(loss.to_bits(), full_loss.to_bits(), "{net:?}");
@@ -787,15 +782,86 @@ mod tests {
         ];
         for (mut by_params, x) in layers {
             let mut by_backward = by_params.clone_box();
-            let y = by_params.forward(&x);
+            let y = by_params.forward(&x).clone();
             by_backward.forward(&x);
             let g = y.map(|v| v * 0.5 - 0.25);
             by_params.backward_params(&g);
             by_backward.backward(&g);
             let grads = |l: &dyn Layer| -> Vec<Vec<u32>> {
-                l.grads().iter().map(|t| bits(t.data())).collect()
+                let mut out = Vec::new();
+                l.visit_params(&mut |_, t| out.push(bits(t.data())));
+                out
             };
             assert_eq!(grads(&*by_params), grads(&*by_backward));
+        }
+    }
+
+    /// `loss_and_grad` through the allocating reference forms of every
+    /// layer and of the loss, the first layer's input gradient skipped.
+    /// Returns the loss and the flat gradient.
+    fn reference_loss_and_grad(net: &mut Network, x: &Tensor, labels: &[usize]) -> (f32, Vec<f32>) {
+        let mut h = x.clone();
+        for layer in &mut net.layers {
+            h = layer.reference().ref_forward(&h);
+        }
+        let (loss, mut grad) = crate::loss::tests::reference_loss_and_grad(&h, labels);
+        if let Some((first, rest)) = net.layers.split_first_mut() {
+            for layer in rest.iter_mut().rev() {
+                grad = layer.reference().ref_backward(&grad);
+            }
+            first.reference().ref_backward_params(&grad);
+        }
+        (loss, net.grads_flat())
+    }
+
+    #[test]
+    fn buffered_steps_equal_the_allocating_reference_bit_for_bit() {
+        let cases = [
+            (
+                Network::mlp(6, &[8, 5], 3, 2),
+                Dataset::gaussian_blobs(3, 20, 6, 0.5, 1),
+            ),
+            (
+                Network::residual_mlp(6, 8, 2, 3, 3),
+                Dataset::gaussian_blobs(3, 20, 6, 0.5, 2),
+            ),
+            (
+                Network::conv1d_classifier(16, 3, 5, 4, 3, 1),
+                Dataset::shifted_patterns(3, 20, 16, 0.3, 3),
+            ),
+            (
+                Network::embedding_classifier(40, 4, 6, 3, 3, 4),
+                Dataset::zipf_tokens(3, 20, 40, 3, 1.1, 4),
+            ),
+        ];
+        for (mut net, data) in cases {
+            let (mut x, mut labels) = (Tensor::default(), Vec::new());
+            let (mut runs, mut grad) = (Vec::new(), GradBuffer::new());
+            for step in 0..50u64 {
+                // Batch sizes alternate, so a buffer that kept a stale
+                // shape would show.
+                let batch = if step % 2 == 0 { 8 } else { 3 };
+                let rng = || StdRng::seed_from_u64(step);
+                data.sample_batch_into(batch, &mut rng(), &mut x, &mut labels);
+                let (want_x, want_labels) = data.sample_batch(batch, &mut rng());
+                let mut reference = net.clone();
+                let (want_loss, want) =
+                    reference_loss_and_grad(&mut reference, &want_x, &want_labels);
+
+                if !net.param_read_runs_into(&x, &mut runs) {
+                    runs.push((0, net.param_count()));
+                }
+                let loss = net.loss_and_grad_into(&x, &labels, &runs, &mut grad);
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "{net:?} step {step}");
+                assert_eq!(bits(grad.as_slice()), bits(&want), "{net:?} step {step}");
+
+                let mut params = net.params_flat();
+                params
+                    .iter_mut()
+                    .zip(&want)
+                    .for_each(|(p, g)| *p -= 0.1 * g);
+                net.set_params_flat(&params);
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 /// The update is the classic one used by the paper's ResNet training
 /// (momentum 0.9): `v ← μ·v − η·g`, `p ← p + v`.
 ///
-/// The optimizer lives server-side in the parameter-server architecture; the
-/// learning rate is mutated externally by the schedule and the Sync-Switch
-/// configuration policy (e.g. the `n·η` linear scaling rule under BSP).
+/// The parameter server applies the same update shard by shard with the
+/// learning rate and momentum each push carries; this flat form is the
+/// sequential-SGD reference the distributed runs are checked against.
 ///
 /// # Example
 ///
@@ -44,40 +44,6 @@ impl SgdMomentum {
             momentum,
             velocity: vec![0.0; param_count],
         }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    /// Sets the learning rate (schedule decay / config-policy scaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not finite-positive.
-    pub fn set_lr(&mut self, lr: f64) {
-        assert!(lr.is_finite() && lr > 0.0, "lr must be positive");
-        self.lr = lr;
-    }
-
-    /// Current momentum coefficient.
-    pub fn momentum(&self) -> f64 {
-        self.momentum
-    }
-
-    /// Sets the momentum coefficient (used by the momentum-scaling variants
-    /// of the configuration policy, paper Fig. 8b).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `momentum` is outside `[0, 1)`.
-    pub fn set_momentum(&mut self, momentum: f64) {
-        assert!(
-            (0.0..1.0).contains(&momentum),
-            "momentum must be in [0,1), got {momentum}"
-        );
-        self.momentum = momentum;
     }
 
     /// Applies one update step in place.
@@ -129,16 +95,6 @@ impl SgdMomentum {
     pub fn velocity(&self) -> &[f32] {
         &self.velocity
     }
-
-    /// Restores the velocity buffer from a checkpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs.
-    pub fn restore_velocity(&mut self, velocity: &[f32]) {
-        assert_eq!(velocity.len(), self.velocity.len(), "velocity length");
-        self.velocity.copy_from_slice(velocity);
-    }
 }
 
 #[cfg(test)]
@@ -181,24 +137,13 @@ mod tests {
     }
 
     #[test]
-    fn lr_and_momentum_setters() {
-        let mut opt = SgdMomentum::new(1, 0.1, 0.9);
-        opt.set_lr(0.8);
-        opt.set_momentum(0.0);
-        assert_eq!(opt.lr(), 0.8);
-        assert_eq!(opt.momentum(), 0.0);
-    }
-
-    #[test]
     fn velocity_checkpoint_round_trip() {
         let mut opt = SgdMomentum::new(2, 0.1, 0.9);
         let mut p = vec![1.0f32, 2.0];
         opt.apply(&mut p, &[0.5, -0.5]);
-        let saved = opt.velocity().to_vec();
+        assert_eq!(opt.velocity(), &[-0.05, 0.05]);
         opt.reset_velocity();
         assert!(opt.velocity().iter().all(|&v| v == 0.0));
-        opt.restore_velocity(&saved);
-        assert_eq!(opt.velocity(), saved.as_slice());
     }
 
     #[test]

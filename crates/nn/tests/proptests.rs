@@ -54,7 +54,8 @@ proptest! {
         let l = SoftmaxCrossEntropy::new();
         let mut logits = Tensor::zeros(&[1, 3]);
         *logits.at_mut(0, label) = 100.0;
-        let (loss, grad) = l.loss_and_grad(&logits, &[label]);
+        let mut grad = Tensor::default();
+        let loss = l.loss_and_grad_into(&logits, &[label], &mut grad);
         prop_assert!(loss < 1e-6);
         prop_assert!(grad.data().iter().all(|g| g.abs() < 1e-6));
     }

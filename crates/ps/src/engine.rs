@@ -164,10 +164,18 @@ impl WorkerTelemetry {
     }
 }
 
-/// Per-worker scratch for a step's pull, gradient and push. Everything is
-/// reused across steps, so the steady state allocates nothing.
+/// Per-worker scratch for a step's batch, pull, gradient and push.
+/// Everything is reused across steps, and the model's layers and loss keep
+/// their own buffers the same way, so a steady-state worker step allocates
+/// nothing on any plane under any protocol — pinned by the
+/// `steady_state_worker_steps_allocate_nothing` test
+/// (`tests/alloc_free_step.rs`).
 #[derive(Debug, Default)]
 struct StepScratch {
+    /// The step's batch, drawn in place by `Dataset::sample_batch_into`.
+    x: Tensor,
+    /// The batch's labels.
+    labels: Vec<usize>,
     /// The step's flat gradient, rewritten in place along `runs` (and
     /// zeroed along the previous step's), so it always equals the dense
     /// gradient — BSP's stripe accumulate reads all of it.
@@ -421,15 +429,23 @@ impl Worker<'_> {
         // The batch does not depend on the pull, so it is drawn first and
         // says what to pull.
         let mut rng = step_rng(cfg.seed, self.id, step_id);
-        let (x, y) = self.shard.sample_batch(cfg.per_worker_batch, &mut rng);
+        let StepScratch { x, labels, .. } = &mut self.seat.scratch;
+        self.shard
+            .sample_batch_into(cfg.per_worker_batch, &mut rng, x, labels);
         let image = image.map(|lock| lock.read().expect(IMAGE_WRITER_PANICKED));
-        let version = self.pull(&x, image.as_deref().and_then(Option::as_ref));
+        let version = self.pull(image.as_deref().and_then(Option::as_ref));
         drop(image);
         if let Some(d) = cfg.straggler_delay[self.id] {
             std::thread::sleep(d);
         }
-        let StepScratch { runs, grad, .. } = &mut self.seat.scratch;
-        let loss = self.seat.model.loss_and_grad_into(&x, &y, runs, grad);
+        let StepScratch {
+            x,
+            labels,
+            runs,
+            grad,
+            ..
+        } = &mut self.seat.scratch;
+        let loss = self.seat.model.loss_and_grad_into(x, labels, runs, grad);
         if !loss.is_finite() || loss > cfg.divergence_loss_threshold {
             // Relaxed: read back only after thread join.
             self.diverged_at.store(step_id, Ordering::Relaxed);
@@ -445,18 +461,19 @@ impl Worker<'_> {
         })
     }
 
-    /// Pulls what the step over batch `x` reads and installs it in the
-    /// model — the place a step's sparsity is decided for both directions:
-    /// when the config allows it *and* the model reports a sparse read set
-    /// for `x`, only those runs are pulled and installed (every other
-    /// parameter of the model keeps a stale value the step never looks at);
-    /// otherwise this is a full pull and `set_params_flat`. Either way
+    /// Pulls what the step over the scratch's batch reads and installs it
+    /// in the model — the place a step's sparsity is decided for both
+    /// directions: when the config allows it *and* the model reports a
+    /// sparse read set for the batch, only those runs are pulled and
+    /// installed (every other parameter of the model keeps a stale value
+    /// the step never looks at); otherwise this is a full pull and
+    /// `set_params_flat`. Either way
     /// `scratch.runs` says what moved, for [`Worker::push`], and the pulled
     /// version is returned. With an `image` nothing is pulled: the step
     /// installs from it and takes its clocks, as a pull would have.
-    fn pull(&mut self, x: &Tensor, image: Option<&PullBuffer>) -> u64 {
+    fn pull(&mut self, image: Option<&PullBuffer>) -> u64 {
         let seat = &mut *self.seat;
-        let runs = &mut seat.scratch.runs;
+        let StepScratch { x, runs, .. } = &mut seat.scratch;
         let sparse = self.cfg.sparse_push && seat.model.param_read_runs_into(x, runs);
         let version = match image {
             Some(image) => {
@@ -507,6 +524,7 @@ impl Worker<'_> {
             acks,
             spans,
             values,
+            ..
         } = &mut self.seat.scratch;
         let grad = grad.as_slice();
         acks.clear();
@@ -1215,7 +1233,13 @@ impl Trainer {
                         base_step: self.global_step,
                         gate: &gate,
                         diverged_at: &diverged_at,
-                        profile: WorkerProfile::default(),
+                        // The most steps any worker can take in the
+                        // segment, so booking a step never reallocates.
+                        profile: WorkerProfile {
+                            step_durations: Vec::with_capacity(steps as usize),
+                            losses: Vec::with_capacity(steps as usize),
+                            wall_time: Duration::ZERO,
+                        },
                         hist: StalenessHistogram::new(),
                         shard_hist: ShardStaleness::new(port.shard_count()),
                         wall_start: None,

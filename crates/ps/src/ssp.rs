@@ -80,9 +80,11 @@ impl AsyncShared {
 
 /// ASP and SSP: workers claim global steps and apply updates immediately.
 ///
-/// The hot path is allocation-free in the steady state: each worker reuses
-/// one pull buffer for every pull and pushes its gradient shard-by-shard,
-/// measuring per-shard staleness against the clocks captured at pull time.
+/// A steady-state step allocates nothing, the whole step included — batch,
+/// pull, compute and push (pinned by `steady_state_worker_steps_allocate_nothing`
+/// in `tests/alloc_free_step.rs`): each worker reuses one pull buffer for
+/// every pull and pushes its gradient shard-by-shard, measuring per-shard
+/// staleness against the clocks captured at pull time.
 /// With no barrier, wall and busy time differ only by straggler sleeps,
 /// scheduler preemption and — under SSP — the gate waits.
 pub(crate) fn async_loop(w: &mut Worker<'_>, shared: &AsyncShared, steps: u64) {

@@ -1,5 +1,5 @@
 //! The in-memory channel backend: each [`PsServer`](crate::PsServer) runs
-//! its own event-loop thread draining an mpsc request queue.
+//! its own event-loop thread draining a bounded mpsc request queue.
 //!
 //! Messages carry *encoded frames*, not typed requests — the channel is a
 //! byte transport exactly like TCP, so both backends exercise the same
@@ -10,6 +10,12 @@
 //! encodes the reply into its own spare buffer, sends that back, and keeps
 //! the request buffer as its next spare. Two buffers per connection
 //! circulate forever; after warm-up neither side allocates.
+//!
+//! Both queues are `sync_channel`s, whose ring buffer is allocated once;
+//! the unbounded flavour allocates a block every few dozen messages. A
+//! connection has at most one call in flight, so its reply queue holds one
+//! message and the event loop never waits on it; a full request queue only
+//! makes a sender wait for the event loop to take the next request.
 //!
 //! The only sender of a connection's reply channel travels *with* each
 //! request and comes back with its reply, so whenever the server drops a
@@ -27,18 +33,23 @@ use parking_lot::Mutex;
 use super::{wire, Conn, Handled, ServerEndpoint, Transport};
 use crate::server::PsServer;
 
+/// Requests a server's queue holds before a sender waits for the event
+/// loop: one per connection in flight, for far more connections than a
+/// trainer opens.
+const REQUEST_QUEUE: usize = 64;
+
 /// One message, either direction: an encoded payload plus the sender of the
 /// connection's reply channel (where to send the reply; handed back with
 /// it).
 struct Msg {
     frame: Vec<u8>,
-    reply_tx: mpsc::Sender<Msg>,
+    reply_tx: mpsc::SyncSender<Msg>,
 }
 
 /// The channel transport: one event-loop thread per server.
 pub struct ChannelTransport {
     /// Request senders, one per server. A connect clones the sender.
-    txs: Vec<mpsc::Sender<Msg>>,
+    txs: Vec<mpsc::SyncSender<Msg>>,
     /// Event-loop threads, joined on drop.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -57,7 +68,7 @@ impl ChannelTransport {
         let mut txs = Vec::with_capacity(servers.len());
         let mut threads = Vec::with_capacity(servers.len());
         for server in servers {
-            let (tx, rx) = mpsc::channel::<Msg>();
+            let (tx, rx) = mpsc::sync_channel::<Msg>(REQUEST_QUEUE);
             let id = server.id();
             let mut endpoint = ServerEndpoint::new(server);
             threads.push(
@@ -111,7 +122,7 @@ impl Transport for ChannelTransport {
     }
 
     fn connect(&self, server: usize) -> io::Result<Box<dyn Conn>> {
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         Ok(Box::new(ChannelConn {
             tx: self.txs[server].clone(),
             reply_tx: Some(reply_tx),
@@ -129,7 +140,7 @@ impl Drop for ChannelTransport {
         // alive somewhere, then join.
         let mut frame = Vec::new();
         wire::encode_bodyless(&mut frame, wire::op::SHUTDOWN);
-        let (reply_tx, _reply_rx) = mpsc::channel();
+        let (reply_tx, _reply_rx) = mpsc::sync_channel(1);
         for tx in &self.txs {
             let _ = tx.send(Msg {
                 frame: frame.clone(),
@@ -144,10 +155,10 @@ impl Drop for ChannelTransport {
 
 /// A client connection on the channel backend.
 struct ChannelConn {
-    tx: mpsc::Sender<Msg>,
+    tx: mpsc::SyncSender<Msg>,
     /// The reply channel's only sender while no call is in flight; `None`
     /// once a call ended without a reply (the connection is closed).
-    reply_tx: Option<mpsc::Sender<Msg>>,
+    reply_tx: Option<mpsc::SyncSender<Msg>>,
     reply_rx: mpsc::Receiver<Msg>,
     /// Next request payload; recycled from the previous reply.
     request: Vec<u8>,

@@ -5,13 +5,24 @@ use crate::tensor::Tensor;
 impl Tensor {
     /// Matrix product of two 2-D tensors: `(m×k) · (k×n) → (m×n)`.
     ///
+    /// # Panics
+    ///
+    /// Panics if either tensor is not 2-D or the inner dimensions disagree.
+    pub fn matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] into `out`, which is reshaped in place.
+    ///
     /// Uses a cache-friendly i-k-j loop order; at the layer sizes used by the
     /// training substrate this is comfortably fast enough.
     ///
     /// # Panics
     ///
-    /// Panics if either tensor is not 2-D or the inner dimensions disagree.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
+    /// As [`Tensor::matmul`].
+    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(
@@ -21,9 +32,8 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        out.resize_zeroed(&[m, n]);
+        let (a, b, out) = (self.data(), other.data(), out.data_mut());
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
             let orow = &mut out[i * n..(i + 1) * n];
@@ -37,7 +47,6 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(out, &[m, n])
     }
 
     /// `selfᵀ · other` without materializing the transpose:
@@ -47,6 +56,17 @@ impl Tensor {
     ///
     /// Panics if either tensor is not 2-D or the shared dimension disagrees.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.t_matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::t_matmul`] into `out`, which is reshaped in place.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::t_matmul`].
+    pub fn t_matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         let (k, m) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(
@@ -56,9 +76,8 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        out.resize_zeroed(&[m, n]);
+        let (a, b, out) = (self.data(), other.data(), out.data_mut());
         for kk in 0..k {
             let arow = &a[kk * m..(kk + 1) * m];
             let brow = &b[kk * n..(kk + 1) * n];
@@ -72,7 +91,6 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(out, &[m, n])
     }
 
     /// `self · otherᵀ` without materializing the transpose:
@@ -82,6 +100,17 @@ impl Tensor {
     ///
     /// Panics if either tensor is not 2-D or the shared dimension disagrees.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.matmul_t_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_t`] into `out`, which is reshaped in place.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::matmul_t`].
+    pub fn matmul_t_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = (self.rows(), self.cols());
         let (n, k2) = (other.rows(), other.cols());
         assert_eq!(
@@ -91,9 +120,8 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        out.resize_zeroed(&[m, n]);
+        let (a, b, out) = (self.data(), other.data(), out.data_mut());
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
             for j in 0..n {
@@ -101,7 +129,6 @@ impl Tensor {
                 out[i * n + j] = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
             }
         }
-        Tensor::from_vec(out, &[m, n])
     }
 
     /// Transpose of a 2-D tensor.
@@ -127,15 +154,26 @@ impl Tensor {
     ///
     /// Panics if the tensor is not 2-D.
     pub fn sum_rows(&self) -> Tensor {
+        let mut out = Tensor::default();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::sum_rows`] into `out`, which is reshaped in place.
+    ///
+    /// # Panics
+    ///
+    /// As [`Tensor::sum_rows`].
+    pub fn sum_rows_into(&self, out: &mut Tensor) {
         let (m, n) = (self.rows(), self.cols());
-        let mut out = vec![0.0f32; n];
+        out.resize_zeroed(&[n]);
+        let out = out.data_mut();
         for i in 0..m {
             let row = &self.data()[i * n..(i + 1) * n];
             for (o, &v) in out.iter_mut().zip(row) {
                 *o += v;
             }
         }
-        Tensor::from_vec(out, &[n])
     }
 
     /// Adds a `[cols]` vector to every row of a 2-D tensor in place. Used
@@ -218,6 +256,23 @@ mod tests {
         let mut b = a.clone();
         b.add_row_vector(&t(&[10.0, 20.0, 30.0], &[3]));
         assert_eq!(b.data(), &[11.0, 22.0, 33.0, 14.0, 25.0, 36.0]);
+    }
+
+    #[test]
+    fn into_forms_equal_their_allocating_forms_in_a_kept_buffer() {
+        let a = t(&[1.0, 0.0, 3.0, -4.0, 5.0, 6.0], &[2, 3]);
+        let b = t(&[7.0, 8.0, 0.0, 10.0, 11.0, -12.0], &[3, 2]);
+        let mut out = Tensor::zeros(&[4, 4]);
+        let ptr = out.data().as_ptr();
+        a.matmul_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b));
+        a.t_matmul_into(&a, &mut out);
+        assert_eq!(out, a.t_matmul(&a));
+        a.matmul_t_into(&a, &mut out);
+        assert_eq!(out, a.matmul_t(&a));
+        a.sum_rows_into(&mut out);
+        assert_eq!(out, a.sum_rows());
+        assert_eq!(out.data().as_ptr(), ptr, "a kept buffer was reallocated");
     }
 
     #[test]

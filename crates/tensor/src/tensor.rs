@@ -7,10 +7,41 @@ use std::fmt;
 /// Shapes are validated on every operation; mismatches panic with a message
 /// naming both shapes, because in a training loop a silent broadcast is a
 /// far worse failure mode than a crash.
-#[derive(Clone, PartialEq)]
+///
+/// A tensor that is rewritten every training step keeps its allocations:
+/// [`Tensor::resize_zeroed`] reshapes it in place, and `clone_from` copies
+/// another tensor into it, both without allocating once its capacity
+/// covers the new shape.
+#[derive(PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses both of `self`'s allocations where their capacity suffices.
+    fn clone_from(&mut self, source: &Self) {
+        self.shape.clone_from(&source.shape);
+        self.data.clone_from(&source.data);
+    }
+}
+
+/// The empty tensor — no axes, no elements, no allocation: what a buffer
+/// holds before its first [`Tensor::resize_zeroed`] or `clone_from`.
+impl Default for Tensor {
+    fn default() -> Self {
+        Tensor {
+            shape: Vec::new(),
+            data: Vec::new(),
+        }
+    }
 }
 
 impl Tensor {
@@ -75,8 +106,8 @@ impl Tensor {
         self.data.len()
     }
 
-    /// Whether the tensor has zero elements (never true for validated
-    /// shapes, but required for API completeness).
+    /// Whether the tensor has zero elements: only the default tensor does,
+    /// since every constructor validates its shape.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
@@ -150,6 +181,21 @@ impl Tensor {
             n
         );
         self.shape = shape.to_vec();
+    }
+
+    /// Reshapes in place to `shape` and sets every element to zero,
+    /// reusing both the shape and the data allocations: no allocation once
+    /// this tensor has held as many axes and elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape has zero elements on any axis.
+    pub fn resize_zeroed(&mut self, shape: &[usize]) {
+        let n = checked_len(shape);
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.clear();
+        self.data.resize(n, 0.0);
     }
 
     /// Elementwise addition: `self + other`.
@@ -402,6 +448,18 @@ mod tests {
         t.reshape(&[3, 2]);
         assert_eq!(t.shape(), &[3, 2]);
         assert_eq!(t.at(2, 1), 5.0);
+    }
+
+    #[test]
+    fn resize_zeroed_and_clone_from_reuse_both_allocations() {
+        let mut t = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[2, 3, 2]);
+        let (data, shape) = (t.data().as_ptr(), t.shape().as_ptr());
+        t.resize_zeroed(&[5, 2]);
+        assert_eq!(t, Tensor::zeros(&[5, 2]));
+        t.clone_from(&Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]));
+        assert_eq!(t.data(), &[1.0, 2.0, 3.0]);
+        assert_eq!(t.shape(), &[3]);
+        assert_eq!((t.data().as_ptr(), t.shape().as_ptr()), (data, shape));
     }
 
     #[test]
