@@ -98,11 +98,6 @@ impl RunSummary {
         Some(mean_std(&ttas).0)
     }
 
-    /// Whether any run diverged.
-    pub fn any_diverged(&self) -> bool {
-        self.reports.iter().any(|r| !r.completed())
-    }
-
     /// Whether every run diverged.
     pub fn all_diverged(&self) -> bool {
         self.reports.iter().all(|r| !r.completed())
@@ -279,7 +274,6 @@ mod tests {
                 .collect(),
         };
         assert!(s.mean_accuracy().unwrap() > 0.89);
-        assert!(!s.any_diverged());
         assert!(s.best().is_some());
         assert!(s.mean_time_s() > 0.0);
     }

@@ -29,17 +29,6 @@ impl ComputeModel {
         }
     }
 
-    /// Overrides the jitter (0 makes sampling deterministic; used in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative.
-    pub fn with_jitter(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "jitter must be non-negative");
-        self.jitter_sigma = sigma;
-        self
-    }
-
     /// The model being trained.
     pub fn model(&self) -> &ModelSpec {
         &self.model
@@ -93,7 +82,10 @@ mod tests {
 
     #[test]
     fn zero_jitter_is_deterministic() {
-        let cm = ComputeModel::new(ModelSpec::resnet50(), GpuKind::K80).with_jitter(0.0);
+        let cm = ComputeModel {
+            jitter_sigma: 0.0,
+            ..ComputeModel::new(ModelSpec::resnet50(), GpuKind::K80)
+        };
         let mut rng = DetRng::new(2);
         let a = cm.sample_time_s(64, &mut rng);
         let b = cm.sample_time_s(64, &mut rng);

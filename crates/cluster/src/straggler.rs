@@ -129,11 +129,6 @@ impl StragglerScenario {
         v.dedup();
         v
     }
-
-    /// Time at which the last episode ends (0 for an empty scenario).
-    pub fn last_end_s(&self) -> f64 {
-        self.episodes.iter().map(|e| e.end_s()).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +172,6 @@ mod tests {
             s.active_stragglers(SimTime::from_secs(10.0 + 3.0 * 300.0 + 1.0)),
             vec![0, 1]
         );
-        assert_eq!(s.last_end_s(), 10.0 + 3.0 * 300.0 + 100.0);
     }
 
     #[test]

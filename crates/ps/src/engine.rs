@@ -6,7 +6,7 @@
 //! is the one harness: it spawns the worker threads, hands each one its
 //! [`Seat`] and this segment's [`Worker`] books, and joins the results;
 //! [`Worker::run`] is the one place a protocol's loop is entered, and so the
-//! one place a panicking worker is contained. [`Worker::compute_step`] is
+//! one place a failing worker stops its peers. [`Worker::compute_step`] is
 //! the one step prologue: draw the batch, pull what it reads, compute, check
 //! for divergence. What differs is the tail that decides when the gradient
 //! is applied: [`bsp_loop`]'s striped barrier, or [`crate::ssp`]'s
@@ -21,7 +21,8 @@
 //! [`crate::ShardRouter`] with OSP-style two-stage sync, or a wire tier —
 //! the topology is picked by [`TrainerConfig::topology`] at construction.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::mem::take;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -38,7 +39,7 @@ use crate::gate::RoundGate;
 use crate::profiler::{ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile};
 use crate::router::{ShardRouter, WorkerPort};
 use crate::ssp::{async_loop, AsyncShared};
-use crate::store::{runs_within, PullBuffer, ShardedStore};
+use crate::store::{runs_within, PullBuffer, ShardedStore, UpdateData};
 use crate::transport::{NetPort, NetRouter};
 
 /// What each worker thread returns: its id, timing/loss profile, global
@@ -152,8 +153,8 @@ impl WorkerTelemetry {
     }
 
     /// Publishes everything accumulated since the last flush. Called once
-    /// per worker at segment end — a panicking worker flushes whatever it
-    /// buffered before the unwind, so post-mortem traces keep the tail.
+    /// per worker at segment end, however the worker left its loop (see
+    /// [`Worker`]'s drop), so post-mortem traces keep the tail.
     fn flush(&mut self) {
         self.steps_counter.add(std::mem::take(&mut self.steps));
         self.parks_counter.add(std::mem::take(&mut self.parks));
@@ -355,9 +356,8 @@ pub(crate) struct Worker<'a> {
     pub(crate) base_step: u64,
     /// The segment's one wait/wake primitive and abort flag: the BSP round
     /// barrier, the SSP progress gate, and under every protocol what a
-    /// diverging or dying worker aborts so its peers stop.
+    /// failing worker aborts so its peers stop.
     pub(crate) gate: &'a RoundGate,
-    diverged_at: &'a AtomicU64,
     profile: WorkerProfile,
     hist: StalenessHistogram,
     shard_hist: ShardStaleness,
@@ -380,48 +380,49 @@ pub(crate) struct Step {
     loss: f32,
 }
 
+impl Drop for Worker<'_> {
+    /// However the worker leaves its loop, its instruments are flushed, so
+    /// a trace keeps the steps before a failure. A panic — a bug, not a
+    /// dead server — aborts the gate as [`Worker::run`] does on an error,
+    /// so the peers wake and exit while the panic goes on to the caller.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.gate.abort();
+        }
+        self.seat.wt.flush();
+    }
+}
+
 impl Worker<'_> {
     /// Runs `tail`'s loop to the end of the segment and hands back this
-    /// worker's books, or its id if it died.
-    ///
-    /// A panic in the loop is a dying data plane (the infallible data-path
-    /// ops panic once wire retries are exhausted, e.g. against a SIGKILLed
-    /// `ps-serve`; the payload was already printed by the default hook).
-    /// It is caught so the segment returns `WorkerPanicked` instead of
-    /// tearing the process down — and the gate is aborted so peers wake up
-    /// and exit instead of waiting for a round, or a floor, that will never
-    /// come: BSP peers are at the round barrier, SSP peers behind the
-    /// leash, and ASP peers see the flag at their next step claim (or panic
-    /// on the same dead server themselves).
-    fn run(mut self, tail: &SyncTail, steps: u64) -> Result<WorkerResult, usize> {
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match tail {
+    /// worker's books, or the error it stopped on: its divergence, or the
+    /// wire error of a server lost past the retry budget. Then the gate is
+    /// aborted, so peers wake and exit instead of waiting for a round, or a
+    /// floor, that will never come: BSP peers are at the round barrier, SSP
+    /// peers behind the leash, and ASP peers see the flag at their next
+    /// step claim (or fail on the same dead server themselves).
+    fn run(mut self, tail: &SyncTail, steps: u64) -> Result<WorkerResult, PsError> {
+        match tail {
             SyncTail::Barrier(shared) => bsp_loop(&mut self, shared, steps),
             SyncTail::Async(shared) => async_loop(&mut self, shared, steps),
-        }));
-        // A panicking worker flushes whatever it buffered before the
-        // unwind, so post-mortem traces keep the tail.
-        self.seat.wt.flush();
-        match run {
-            Ok(()) => Ok((self.id, self.profile, self.hist, self.shard_hist)),
-            Err(_payload) => {
-                self.gate.abort();
-                Err(self.id)
-            }
         }
+        .inspect_err(|_| self.gate.abort())?;
+        let (profile, hist) = (take(&mut self.profile), take(&mut self.hist));
+        Ok((self.id, profile, hist, take(&mut self.shard_hist)))
     }
 
     /// The part of a step every protocol shares: draw the batch, pull what
     /// it reads — or install it from `image` once that holds one (see
-    /// [`BspShared::image`]) — compute loss and gradient. `None` means the
-    /// loss was non-finite or above the divergence threshold: the step is
-    /// recorded as the segment's divergence point, the gate is aborted so
-    /// every peer stops, and the caller must leave its loop.
+    /// [`BspShared::image`]) — compute loss and gradient. A loss that is
+    /// non-finite or above the divergence threshold is
+    /// [`PsError::Diverged`] at this step, and a failed pull is its wire
+    /// error.
     #[inline]
     pub(crate) fn compute_step(
         &mut self,
         step_id: u64,
         image: Option<&RwLock<Option<PullBuffer>>>,
-    ) -> Option<Step> {
+    ) -> Result<Step, PsError> {
         let cfg = self.cfg;
         let t0 = Instant::now();
         self.wall_start.get_or_insert(t0);
@@ -433,7 +434,7 @@ impl Worker<'_> {
         self.shard
             .sample_batch_into(cfg.per_worker_batch, &mut rng, x, labels);
         let image = image.map(|lock| lock.read().expect(IMAGE_WRITER_PANICKED));
-        let version = self.pull(image.as_deref().and_then(Option::as_ref));
+        let version = self.pull(image.as_deref().and_then(Option::as_ref))?;
         drop(image);
         if let Some(d) = cfg.straggler_delay[self.id] {
             std::thread::sleep(d);
@@ -447,12 +448,9 @@ impl Worker<'_> {
         } = &mut self.seat.scratch;
         let loss = self.seat.model.loss_and_grad_into(x, labels, runs, grad);
         if !loss.is_finite() || loss > cfg.divergence_loss_threshold {
-            // Relaxed: read back only after thread join.
-            self.diverged_at.store(step_id, Ordering::Relaxed);
-            self.gate.abort();
-            return None;
+            return Err(PsError::Diverged { step: step_id });
         }
-        Some(Step {
+        Ok(Step {
             id: step_id,
             t0,
             start_ns,
@@ -471,7 +469,7 @@ impl Worker<'_> {
     /// `scratch.runs` says what moved, for [`Worker::push`], and the pulled
     /// version is returned. With an `image` nothing is pulled: the step
     /// installs from it and takes its clocks, as a pull would have.
-    fn pull(&mut self, image: Option<&PullBuffer>) -> u64 {
+    fn pull(&mut self, image: Option<&PullBuffer>) -> Result<u64, PsError> {
         let seat = &mut *self.seat;
         let StepScratch { x, runs, .. } = &mut seat.scratch;
         let sparse = self.cfg.sparse_push && seat.model.param_read_runs_into(x, runs);
@@ -481,8 +479,8 @@ impl Worker<'_> {
                 seat.buf.version = image.version;
                 image.version
             }
-            None if sparse => seat.port.pull_runs_into(&mut seat.buf, runs),
-            None => seat.port.pull_into(&mut seat.buf),
+            None if sparse => seat.port.pull_runs_into(&mut seat.buf, runs)?,
+            None => seat.port.pull_into(&mut seat.buf)?,
         };
         let params = image.unwrap_or(&seat.buf).params();
         if sparse {
@@ -492,7 +490,7 @@ impl Worker<'_> {
             runs.clear();
             runs.push((0, params.len()));
         }
-        version
+        Ok(version)
     }
 
     /// The asynchronous push of the gradient [`Worker::compute_step`] just
@@ -515,7 +513,7 @@ impl Worker<'_> {
     /// clock's acked pre-apply value against the clock captured at pull
     /// time, under the owning server — then completes the push, runs any
     /// stage-2 round it made due, and returns its global staleness.
-    pub(crate) fn push(&mut self) -> u64 {
+    pub(crate) fn push(&mut self) -> Result<u64, PsError> {
         let port = &self.seat.port;
         let (lr, momentum) = (self.cfg.learning_rate, self.cfg.momentum);
         let StepScratch {
@@ -541,18 +539,22 @@ impl Worker<'_> {
                 spans.push(((start - offset) as u32, n as u32));
                 values.extend_from_slice(&grad[start..start + n]);
             }
-            if full_cover {
-                port.queue_shard_update(i, &grad[offset..offset + len], lr, momentum, acks);
+            let data = if full_cover {
+                UpdateData::Dense(&grad[offset..offset + len])
             } else {
-                port.queue_shard_update_sparse(i, spans, values, lr, momentum, acks);
-            }
+                UpdateData::Sparse {
+                    indices: spans,
+                    rows: values,
+                }
+            };
+            port.queue_shard_update(i, data, lr, momentum, acks)?;
         }
-        port.flush_pushes(acks);
+        port.flush_pushes(acks)?;
         self.record_acks();
         let port = &self.seat.port;
         let staleness = port.complete_push(self.seat.buf.version());
-        port.after_push();
-        staleness
+        port.after_push()?;
+        Ok(staleness)
     }
 
     /// One per-shard staleness observation per ack in the scratch: the
@@ -572,7 +574,7 @@ impl Worker<'_> {
     /// ([`WorkerPort::commit_round`]), which publishes them to every
     /// server's committed view and brings home the image every worker's
     /// next step installs.
-    fn end_round(&mut self, shared: &BspShared, version: u64) {
+    fn end_round(&mut self, shared: &BspShared, version: u64) -> Result<(), PsError> {
         let port = &self.seat.port;
         port.complete_push(version);
         let mut held = shared.image.write().expect(IMAGE_WRITER_PANICKED);
@@ -581,8 +583,9 @@ impl Worker<'_> {
         let acks = &mut self.seat.scratch.acks;
         acks.clear();
         let stripe = |g: usize, push: &mut dyn FnMut(&[f32])| push(&shared.stripes[g].lock().accum);
-        port.commit_round(stripe, lr, mu, acks, image);
+        port.commit_round(stripe, lr, mu, acks, image)?;
         self.record_acks();
+        Ok(())
     }
 
     /// Books a delivered step: its busy time and loss, its global staleness
@@ -634,7 +637,7 @@ impl Worker<'_> {
 /// single-mutex accumulator (per-stripe sums commute across workers
 /// exactly like a global sum does), so BSP keeps its bit-for-bit agreement
 /// with sequential large-batch SGD up to f32 summation order.
-fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
+fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) -> Result<(), PsError> {
     let gate = w.gate;
     let n_stripes = shared.stripes.len();
     let n_active = shared.n_active;
@@ -642,9 +645,7 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
         if gate.is_aborted() {
             break;
         }
-        let Some(step) = w.compute_step(w.base_step + r, Some(&shared.image)) else {
-            break;
-        };
+        let step = w.compute_step(w.base_step + r, Some(&shared.image))?;
         // The step span closes with the compute. The round's tail — summing
         // into the stripes and, for the final applier, the round's commit —
         // is synchronisation, so it is timed with the barrier wait, which
@@ -679,7 +680,7 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
             // advance (Release); the staged stripes themselves are ordered
             // by the stripe mutexes.
             if shared.applied.fetch_add(1, Ordering::AcqRel) + 1 == n_stripes {
-                w.end_round(shared, step.version);
+                w.end_round(shared, step.version)?;
                 // Relaxed: the reset is published to the next round's
                 // appliers by the gate's epoch — Release in `advance`,
                 // Acquire in the `wait_until` they must pass through first.
@@ -697,6 +698,7 @@ fn bsp_loop(w: &mut Worker<'_>, shared: &BspShared, rounds: u64) {
         // wall span includes the wait.
         w.mark_wall();
     }
+    Ok(())
 }
 
 /// A parameter-server trainer over one model and one dataset, supporting
@@ -730,7 +732,7 @@ pub struct Trainer {
     probe_batch: (Tensor, Vec<usize>),
     /// Per worker id, its [`Seat`]: built at the worker's first segment
     /// (so construction costs no more than the plane), dropped when a
-    /// segment fails — a worker that died mid-op may hold half-staged
+    /// segment fails — a worker that failed mid-op may hold half-staged
     /// pushes or a dead socket — and on every restore.
     seats: Vec<Option<Seat>>,
 }
@@ -1098,14 +1100,18 @@ impl Trainer {
     /// above-threshold loss (all workers are aborted) or the segment leaves
     /// a non-finite parameter behind (`global_step` does not advance) —
     /// [`crate::SyncController::run_segment`] turns that into a rollback —
-    /// [`PsError::InvalidConfig`] for impossible configurations, and
-    /// [`PsError::WorkerPanicked`] if a worker thread died mid-segment —
-    /// on a transport-backed plane that is how an unreachable server
-    /// surfaces (the infallible data-path ops panic once retries are
-    /// exhausted), so a `ps-worker` catches it, waits out the respawn with
-    /// [`NetRouter::handshake`], restores the whole tier from its
-    /// segment-start checkpoint (the respawned server holds reset state
+    /// [`PsError::InvalidConfig`] for impossible configurations, and, on a
+    /// transport-backed plane, the wire error of a server lost mid-segment
+    /// past the retry budget: `Timeout`, `ConnLost` or `RetriesExhausted`,
+    /// naming the server. A `ps-worker` matches those, waits out the
+    /// respawn with [`NetRouter::handshake`], restores the whole tier from
+    /// its segment-start checkpoint (the respawned server holds reset state
     /// until then), and re-runs the segment.
+    ///
+    /// # Panics
+    ///
+    /// A worker that panics — a bug — aborts its peers and the panic
+    /// propagates out of this call.
     pub fn run_segment(
         &mut self,
         protocol: SyncProtocol,
@@ -1197,9 +1203,9 @@ impl Trainer {
     /// The worker harness: one scoped thread per active worker, each
     /// running the protocol's tail over its [`Seat`] (built here at the
     /// worker's first segment) and this segment's [`Worker`] books, joined
-    /// into the workers' results. A dead worker fails the segment with
-    /// [`PsError::WorkerPanicked`], a recorded divergence with
-    /// [`PsError::Diverged`].
+    /// into the workers' results. A worker's error — its divergence, or a
+    /// lost server — fails the segment, the first in join order naming it;
+    /// a worker's panic is resumed here.
     fn run_workers(
         &mut self,
         protocol: SyncProtocol,
@@ -1209,13 +1215,12 @@ impl Trainer {
     ) -> Result<Vec<WorkerResult>, PsError> {
         let port = &self.plane;
         let gate = RoundGate::new();
-        let diverged_at = AtomicU64::new(u64::MAX);
         let tail = &match protocol {
             SyncProtocol::Bsp => SyncTail::Barrier(BspShared::new(port, active.len())),
             SyncProtocol::Asp => SyncTail::Async(AsyncShared::new(self.cfg.workers, active, leash)),
         };
         let seats = (self.seats.iter_mut().enumerate()).filter(|(id, _)| active.contains(id));
-        let results = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (seats.enumerate())
                 .map(|(rank, (id, seat))| {
                     let w = Worker {
@@ -1232,7 +1237,6 @@ impl Trainer {
                         cfg: &self.cfg,
                         base_step: self.global_step,
                         gate: &gate,
-                        diverged_at: &diverged_at,
                         // The most steps any worker can take in the
                         // segment, so booking a step never reallocates.
                         profile: WorkerProfile {
@@ -1247,20 +1251,16 @@ impl Trainer {
                     scope.spawn(move || w.run(tail, steps))
                 })
                 .collect();
-            // The threads catch their own unwinds, so `join` itself cannot
-            // fail; the first dead worker in join order names the failure
-            // (the scope joins whatever the short-circuit leaves).
+            // A panicked worker has aborted the gate, so its peers return
+            // and the scope can join them after the panic resumes; the scope
+            // also joins whatever the short-circuit leaves.
             (handles.into_iter())
-                .map(|h| h.join().expect("worker threads catch their own panics"))
-                .collect::<Result<Vec<_>, usize>>()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         })
-        .map_err(|worker| PsError::WorkerPanicked { worker })?;
-        // Relaxed: the worker threads were joined by the scope above, and
-        // joining synchronizes-with everything they wrote.
-        match diverged_at.load(Ordering::Relaxed) {
-            u64::MAX => Ok(results),
-            step => Err(PsError::Diverged { step }),
-        }
     }
 }
 
@@ -1280,6 +1280,7 @@ pub fn step_rng(seed: u64, worker: usize, step: u64) -> rand::rngs::StdRng {
 mod tests {
     use super::*;
     use crate::config::ServerTopology;
+    use crate::deadline::deadline;
     use sync_switch_nn::SgdMomentum;
 
     fn small_trainer(workers: usize, seed: u64) -> Trainer {
@@ -1630,6 +1631,37 @@ mod tests {
         assert!(diverged, "expected divergence with lr=500");
     }
 
+    /// A worker that panics — a bug, not a dead server — still wakes its
+    /// peers, and the panic reaches the segment's caller instead of turning
+    /// into an error. Each shard is one row, worker k's the row of class k,
+    /// so worker 3 alone draws a label past the model's three classes and
+    /// trips `SoftmaxCrossEntropy`'s assert. It straggles first: under BSP
+    /// its peers are already at the round barrier, under SSP(1) behind the
+    /// leash. A peer left waiting hangs the segment, and the deadline turns
+    /// that into a failure.
+    #[test]
+    fn a_worker_panic_wakes_its_peers_and_reaches_the_caller() {
+        type Segment = fn(&mut Trainer) -> Result<SegmentReport, PsError>;
+        let protocols: [(&str, Segment); 2] = [
+            ("BSP", |t| t.run_segment(SyncProtocol::Bsp, 100)),
+            ("SSP(1)", |t| t.run_ssp_segment(1, 100)),
+        ];
+        for (name, segment) in protocols {
+            let _deadline = deadline(30);
+            let train = Dataset::gaussian_blobs(4, 1, 6, 0.35, 5);
+            let test = Dataset::gaussian_blobs(3, 4, 6, 0.35, 5);
+            let cfg = TrainerConfig::new(4, 4, 0.05, 0.9)
+                .with_seed(5)
+                .with_straggler(3, Duration::from_millis(50));
+            let mut t = Trainer::new(Network::mlp(6, &[8], 3, 5), train, test, cfg);
+            let panic = std::thread::spawn(move || segment(&mut t))
+                .join()
+                .expect_err(name);
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("out of range"), "{name}: {msg}");
+        }
+    }
+
     #[test]
     fn straggler_slows_its_own_profile() {
         let data = Dataset::gaussian_blobs(3, 60, 4, 0.3, 11);
@@ -1720,6 +1752,7 @@ mod tests {
 
     #[test]
     fn a_bsp_round_tail_is_timed_as_synchronisation() {
+        let _deadline = deadline(60);
         // The controller promotes on barrier / (barrier + step). What a BSP
         // worker does after its compute — summing into the stripes and, for
         // the final applier, the round's commit over the wire — must count in
@@ -1752,6 +1785,7 @@ mod tests {
 
     #[test]
     fn single_worker_asp_equals_leashed_ssp_on_every_plane() {
+        let _deadline = deadline(60);
         // With one worker nothing is concurrent, so a leash of any length
         // never holds and SSP must be ASP bit for bit — on the single
         // store, through the in-process router, and over both wire tiers.
@@ -1799,6 +1833,7 @@ mod tests {
 
     #[test]
     fn bsp_is_blind_to_segment_boundaries_on_every_plane() {
+        let _deadline = deadline(60);
         // Two workers, so a stripe's sum is the same whichever contributes
         // first: 40 BSP rounds as one segment and as 8 segments of 5 leave
         // the same parameters and velocity bit for bit on every plane.
@@ -1832,6 +1867,7 @@ mod tests {
 
     #[test]
     fn a_restore_after_a_heal_starts_every_worker_on_fresh_sockets() {
+        let _deadline = deadline(60);
         // The workers' connections outlive an ordinary segment boundary,
         // but not a restore: after server 0 is killed, revived and found
         // by the handshake, the restore that follows every heal drops
@@ -1880,6 +1916,7 @@ mod tests {
 
     #[test]
     fn every_data_plane_carries_one_bus() {
+        let _deadline = deadline(60);
         // Whatever the plane, the trainer records into exactly one bus, and
         // on a wire plane it is the router's own: engine counters and wire
         // counters come out of one snapshot.

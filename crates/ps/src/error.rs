@@ -15,11 +15,6 @@ pub enum PsError {
         /// Global step at which divergence was detected.
         step: u64,
     },
-    /// A worker thread panicked.
-    WorkerPanicked {
-        /// Index of the worker whose thread died.
-        worker: usize,
-    },
     /// A checkpoint does not match the model it is being restored into.
     CheckpointMismatch(String),
     /// An API that needs the single in-process parameter store was called
@@ -55,7 +50,6 @@ impl fmt::Display for PsError {
             PsError::Diverged { step } => {
                 write!(f, "training diverged at step {step} (non-finite loss)")
             }
-            PsError::WorkerPanicked { worker } => write!(f, "worker {worker} panicked"),
             PsError::CheckpointMismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
             PsError::NoSingleStore { servers } => write!(
                 f,

@@ -66,3 +66,7 @@ pub use sync_switch_telemetry::{
     HistogramSnapshot, MetricsRegistry, MetricsSnapshot, ServerStats, ServerStatsSnapshot,
     Telemetry, TraceKind, Tracer, HIST_BUCKETS, OPCODE_SLOTS,
 };
+
+#[cfg(test)]
+#[path = "../tests/support/deadline.rs"]
+mod deadline;

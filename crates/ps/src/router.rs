@@ -26,6 +26,7 @@
 //! topologies — down to BSP's round, which every plane commits through
 //! [`WorkerPort::commit_round`].
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -192,12 +193,17 @@ impl Tier {
     /// round lock (`lock`), and whoever runs a round (`round`, which must
     /// go through [`Tier::commit_round`]) advances the watermark to the
     /// version it observed, so rounds that became redundant while waiting
-    /// are skipped rather than replayed.
-    pub(crate) fn reconcile_if_due<G>(&self, lock: impl Fn() -> G, mut round: impl FnMut(&mut G)) {
+    /// are skipped rather than replayed. A round that fails ends the call
+    /// with its error.
+    pub(crate) fn reconcile_if_due<G, E>(
+        &self,
+        lock: impl Fn() -> G,
+        mut round: impl FnMut(&mut G) -> Result<(), E>,
+    ) -> Result<(), E> {
         loop {
             let synced = self.synced_version.load(Ordering::Acquire);
             if self.version() < synced.saturating_add(self.sync_every) {
-                return;
+                return Ok(());
             }
             let mut held = lock();
             // Re-check under the lock: a concurrent worker may have run a
@@ -206,7 +212,7 @@ impl Tier {
             if self.synced_version.load(Ordering::Acquire) != synced {
                 continue;
             }
-            round(&mut held);
+            round(&mut held)?;
         }
     }
 
@@ -240,16 +246,16 @@ impl Tier {
     /// period; measuring push staleness against the counter would report a
     /// worker training on `sync_every`-stale data as perfectly fresh.
     /// Against the data version, the global staleness histogram and the
-    /// per-shard records agree.
-    pub(crate) fn pull_with(
+    /// per-shard records agree. A `fill` that fails returns its error.
+    pub(crate) fn pull_with<E>(
         &self,
         buf: &mut PullBuffer,
-        fill: impl FnOnce(&mut [f32], &mut [u64]),
-    ) -> u64 {
+        fill: impl FnOnce(&mut [f32], &mut [u64]) -> Result<(), E>,
+    ) -> Result<u64, E> {
         let version = self.version();
         buf.params.resize(self.param_count(), 0.0);
         buf.shard_versions.resize(self.shard_count(), 0);
-        fill(&mut buf.params, &mut buf.shard_versions);
+        fill(&mut buf.params, &mut buf.shard_versions)?;
         // Every push applies to every shard exactly once, so a committed
         // shard clock counts the pushes published for that shard; the
         // oldest clock is the version of the stalest data in the image.
@@ -257,7 +263,7 @@ impl Tier {
         // counter, hence the floor.
         let oldest = buf.shard_versions.iter().copied().min();
         buf.version = oldest.unwrap_or(version).min(version);
-        buf.version
+        Ok(buf.version)
     }
 }
 
@@ -377,8 +383,8 @@ impl ShardRouter {
     /// Runs a stage-2 round if the push counter has moved `sync_every`
     /// past the last round's watermark (see [`Tier::reconcile_if_due`]).
     pub fn reconcile_if_due(&self) {
-        self.tier
-            .reconcile_if_due(|| self.sync.lock(), |_held| self.commit_round());
+        let Ok(()) = (self.tier)
+            .reconcile_if_due(|| self.sync.lock(), |_held| self.commit_round().map(drop));
     }
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
@@ -390,16 +396,16 @@ impl ShardRouter {
     /// that follow it.
     pub fn drain(&self) {
         let _held = self.sync.lock();
-        self.commit_round();
+        let Ok(_) = self.commit_round();
     }
 
     /// One stage-2 round, caller holding the round lock: a direct
     /// commit-all on every server.
-    fn commit_round(&self) {
-        let Ok(_) = self.tier.commit_round(|| {
+    fn commit_round(&self) -> Result<u64, Infallible> {
+        self.tier.commit_round(|| {
             self.servers.iter().for_each(PsServer::commit_all);
-            Ok::<(), std::convert::Infallible>(())
-        });
+            Ok(())
+        })
     }
 
     /// Assembles the committed view of all servers into `buf` and returns
@@ -418,7 +424,7 @@ impl ShardRouter {
     /// (hence the returned effective version) is recorded exactly as a full
     /// pull records it.
     pub fn pull_committed_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
-        self.tier.pull_with(buf, |params, clocks| {
+        let Ok(version) = self.tier.pull_with(buf, |params, clocks| {
             for server in &self.servers {
                 let so = server.shard_offset();
                 server.pull_committed_runs(
@@ -428,7 +434,9 @@ impl ShardRouter {
                     |at, values| params[at..at + values.len()].copy_from_slice(values),
                 );
             }
-        })
+            Ok::<(), Infallible>(())
+        });
+        version
     }
 
     /// Snapshot of the full live parameter vector (authoritative state).
@@ -502,6 +510,10 @@ enum Backing<'a> {
 /// A worker thread's handle onto the data plane: the single in-process
 /// store, the in-process router, or a wire tier. The engine's BSP/ASP/SSP
 /// loops are written against this interface once and run on every plane.
+///
+/// Every data operation returns `Result`: on a wire tier, a server lost
+/// past the retry budget is its [`PsError`] — `Timeout`, `ConnLost` or
+/// `RetriesExhausted`, naming the server. The in-process planes cannot fail.
 #[derive(Debug, Clone)]
 pub enum WorkerPort {
     /// Direct handle to the single-server store (the PR 2 fast path —
@@ -587,10 +599,10 @@ impl WorkerPort {
 
     /// Pulls the worker-visible parameter image into `buf` and returns the
     /// version of the pulled data.
-    pub fn pull_into(&self, buf: &mut PortBuffer) -> u64 {
+    pub fn pull_into(&self, buf: &mut PortBuffer) -> Result<u64, PsError> {
         match self {
-            WorkerPort::Single(s) => s.pull_into(buf),
-            WorkerPort::Routed(r) => r.pull_committed_into(buf),
+            WorkerPort::Single(s) => Ok(s.pull_into(buf)),
+            WorkerPort::Routed(r) => Ok(r.pull_committed_into(buf)),
             WorkerPort::Net(p) => p.pull_into(buf),
         }
     }
@@ -602,20 +614,30 @@ impl WorkerPort {
     /// positions outside them keep whatever `buf` held. The returned
     /// version and every shard clock in `buf` are what a full pull at the
     /// same moment would have recorded.
-    pub fn pull_runs_into(&self, buf: &mut PortBuffer, runs: &[(usize, usize)]) -> u64 {
+    pub fn pull_runs_into(
+        &self,
+        buf: &mut PortBuffer,
+        runs: &[(usize, usize)],
+    ) -> Result<u64, PsError> {
         match self {
-            WorkerPort::Single(s) => s.pull_runs_into(buf, runs),
-            WorkerPort::Routed(r) => r.pull_committed_runs_into(buf, runs),
+            WorkerPort::Single(s) => Ok(s.pull_runs_into(buf, runs)),
+            WorkerPort::Routed(r) => Ok(r.pull_committed_runs_into(buf, runs)),
             WorkerPort::Net(p) => p.pull_runs_into(buf, runs),
         }
     }
 
     /// Stage-1 apply of the gradient slice for global shard `g`; returns the
     /// owner's live shard clock before the apply.
-    pub fn apply_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) -> u64 {
+    pub fn apply_shard_update(
+        &self,
+        g: usize,
+        grad: &[f32],
+        lr: f64,
+        momentum: f64,
+    ) -> Result<u64, PsError> {
         match self {
-            WorkerPort::Single(s) => s.apply_shard_update(g, grad, lr, momentum),
-            WorkerPort::Routed(r) => r.apply_shard_update(g, grad, lr, momentum),
+            WorkerPort::Single(s) => Ok(s.apply_shard_update(g, grad, lr, momentum)),
+            WorkerPort::Routed(r) => Ok(r.apply_shard_update(g, grad, lr, momentum)),
             WorkerPort::Net(p) => p.apply_shard_update(g, grad, lr, momentum),
         }
     }
@@ -634,17 +656,18 @@ impl WorkerPort {
         rows: &[f32],
         lr: f64,
         momentum: f64,
-    ) -> u64 {
+    ) -> Result<u64, PsError> {
         let data = UpdateData::Sparse { indices, rows };
         match self {
-            WorkerPort::Single(s) => s.apply_shard_update_data(g, data, lr, momentum),
-            WorkerPort::Routed(r) => r.apply_shard_update_data(g, data, lr, momentum),
+            WorkerPort::Single(s) => Ok(s.apply_shard_update_data(g, data, lr, momentum)),
+            WorkerPort::Routed(r) => Ok(r.apply_shard_update_data(g, data, lr, momentum)),
             WorkerPort::Net(p) => p.apply_shard_update_sparse(g, indices, rows, lr, momentum),
         }
     }
 
-    /// Queues the stage-1 apply of `grad` on global shard `g` — the batched
-    /// form of [`WorkerPort::apply_shard_update`]. The in-process planes
+    /// Queues the stage-1 apply of `data` on global shard `g` — the batched
+    /// form of [`WorkerPort::apply_shard_update`] and
+    /// [`WorkerPort::apply_shard_update_sparse`]. The in-process planes
     /// apply at once and append the pre-apply shard clock to `acks`; a
     /// transport-backed plane stages the push and sends the pushes queued
     /// for one server together, so `acks` is complete — one clock per
@@ -653,41 +676,26 @@ impl WorkerPort {
     pub fn queue_shard_update(
         &self,
         g: usize,
-        grad: &[f32],
+        data: UpdateData<'_>,
         lr: f64,
         momentum: f64,
         acks: &mut Vec<u64>,
-    ) {
+    ) -> Result<(), PsError> {
         match self {
-            WorkerPort::Net(p) => p.queue_shard_update(g, grad, lr, momentum),
-            _ => acks.push(self.apply_shard_update(g, grad, lr, momentum)),
+            WorkerPort::Single(s) => acks.push(s.apply_shard_update_data(g, data, lr, momentum)),
+            WorkerPort::Routed(r) => acks.push(r.apply_shard_update_data(g, data, lr, momentum)),
+            WorkerPort::Net(p) => return p.queue_shard_update(g, data, lr, momentum),
         }
-    }
-
-    /// Queues a sparse stage-1 apply on global shard `g` — the batched form
-    /// of [`WorkerPort::apply_shard_update_sparse`], with the `acks`
-    /// contract of [`WorkerPort::queue_shard_update`].
-    pub fn queue_shard_update_sparse(
-        &self,
-        g: usize,
-        indices: &[(u32, u32)],
-        rows: &[f32],
-        lr: f64,
-        momentum: f64,
-        acks: &mut Vec<u64>,
-    ) {
-        match self {
-            WorkerPort::Net(p) => p.queue_shard_update_sparse(g, indices, rows, lr, momentum),
-            _ => acks.push(self.apply_shard_update_sparse(g, indices, rows, lr, momentum)),
-        }
+        Ok(())
     }
 
     /// Sends every push still queued on a transport-backed plane and
     /// appends their pre-apply shard clocks to `acks` (no-op in-process,
     /// where queueing already applied).
-    pub fn flush_pushes(&self, acks: &mut Vec<u64>) {
-        if let WorkerPort::Net(p) = self {
-            p.flush_pushes(acks);
+    pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
+        match self {
+            WorkerPort::Net(p) => p.flush_pushes(acks),
+            _ => Ok(()),
         }
     }
 
@@ -704,12 +712,13 @@ impl WorkerPort {
     /// transport-backed plane the round travels over this worker's own
     /// connections and brings its next pull home with it (see
     /// [`NetPort::after_push`]).
-    pub fn after_push(&self) {
+    pub fn after_push(&self) -> Result<(), PsError> {
         match self {
             WorkerPort::Single(_) => {}
             WorkerPort::Routed(r) => r.reconcile_if_due(),
-            WorkerPort::Net(p) => p.after_push(),
+            WorkerPort::Net(p) => return p.after_push(),
         }
+        Ok(())
     }
 
     /// BSP's round commit: applies the averaged stripes `stripe(g, push)`
@@ -722,17 +731,21 @@ impl WorkerPort {
         mu: f64,
         acks: &mut Vec<u64>,
         image: &mut PortBuffer,
-    ) {
+    ) -> Result<(), PsError> {
         if let WorkerPort::Net(p) = self {
             return p.push_round(stripe, lr, mu, acks, image);
         }
         for g in 0..self.shard_count() {
-            stripe(g, &mut |avg| self.queue_shard_update(g, avg, lr, mu, acks));
+            let mut queued = Ok(());
+            stripe(g, &mut |avg| {
+                queued = self.queue_shard_update(g, UpdateData::Dense(avg), lr, mu, acks)
+            });
+            queued?;
         }
         if let WorkerPort::Routed(r) = self {
             r.drain();
         }
-        self.pull_into(image);
+        self.pull_into(image).map(drop)
     }
 
     /// Drains stage 2 so the next pulls see exactly the state the pushes so

@@ -87,7 +87,11 @@ impl AsyncShared {
 /// staleness against the clocks captured at pull time.
 /// With no barrier, wall and busy time differ only by straggler sleeps,
 /// scheduler preemption and — under SSP — the gate waits.
-pub(crate) fn async_loop(w: &mut Worker<'_>, shared: &AsyncShared, steps: u64) {
+pub(crate) fn async_loop(
+    w: &mut Worker<'_>,
+    shared: &AsyncShared,
+    steps: u64,
+) -> Result<(), PsError> {
     let gate = w.gate;
     let leash = shared.leash.as_ref();
     let mut my_iter = 0u64;
@@ -116,10 +120,8 @@ pub(crate) fn async_loop(w: &mut Worker<'_>, shared: &AsyncShared, steps: u64) {
             }
             break;
         }
-        let Some(step) = w.compute_step(w.base_step + s, None) else {
-            break;
-        };
-        let staleness = w.push();
+        let step = w.compute_step(w.base_step + s, None)?;
+        let staleness = w.push()?;
         w.record_step(&step, step.t0.elapsed(), Some(staleness));
         w.mark_wall();
         if let Some((ssp, _)) = leash {
@@ -127,6 +129,7 @@ pub(crate) fn async_loop(w: &mut Worker<'_>, shared: &AsyncShared, steps: u64) {
             ssp.publish(gate, w.id, my_iter);
         }
     }
+    Ok(())
 }
 
 impl Trainer {
@@ -142,8 +145,8 @@ impl Trainer {
     ///
     /// As [`Trainer::run_segment`]: [`PsError::Diverged`] on a non-finite
     /// or above-threshold loss or a non-finite tier at the end of the
-    /// segment, and [`PsError::WorkerPanicked`] if a worker thread died
-    /// mid-segment (a dead server behind a transport-backed plane).
+    /// segment, and the wire error naming a server lost mid-segment behind
+    /// a transport-backed plane.
     pub fn run_ssp_segment(&mut self, bound: u64, steps: u64) -> Result<SegmentReport, PsError> {
         self.run_leashed(SyncProtocol::Asp, Some(bound), steps)
     }

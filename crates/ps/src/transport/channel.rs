@@ -222,6 +222,7 @@ impl Conn for ChannelConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::deadline;
     use crate::store::ShardLayout;
     use crate::transport::wire::op;
 
@@ -240,6 +241,7 @@ mod tests {
 
     #[test]
     fn request_reply_over_the_queue() {
+        let _deadline = deadline(60);
         let t = launch(12, 4, 2);
         assert_eq!(t.server_count(), 2);
         let mut conn = t.connect(1).unwrap();
@@ -254,6 +256,7 @@ mod tests {
 
     #[test]
     fn pushes_from_two_conns_serialize_on_the_event_loop() {
+        let _deadline = deadline(60);
         let t = launch(8, 2, 1);
         let t = &t;
         std::thread::scope(|scope| {
@@ -283,6 +286,7 @@ mod tests {
 
     #[test]
     fn malformed_frame_closes_only_the_offending_connection() {
+        let _deadline = deadline(60);
         let t = launch(8, 2, 1);
         let mut good = t.connect(0).unwrap();
         let mut bad = t.connect(0).unwrap();
@@ -312,6 +316,7 @@ mod tests {
 
     #[test]
     fn a_request_that_does_not_fit_closes_only_its_connection() {
+        let _deadline = deadline(60);
         let t = launch(8, 2, 1);
         let mut a = t.connect(0).unwrap();
         let mut b = t.connect(0).unwrap();
@@ -325,6 +330,7 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_event_loops() {
+        let _deadline = deadline(60);
         let t = launch(4, 2, 2);
         let mut conn = t.connect(0).unwrap();
         drop(t);

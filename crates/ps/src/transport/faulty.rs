@@ -278,6 +278,7 @@ impl Conn for FaultyConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::deadline;
     use crate::store::ShardLayout;
     use crate::transport::{channel::ChannelTransport, wire};
 
@@ -301,6 +302,7 @@ mod tests {
 
     #[test]
     fn no_fault_plan_is_transparent() {
+        let _deadline = deadline(60);
         let (inner, _servers) = channel_transport(8, 2, 1);
         let t = FaultyTransport::new(inner, FaultPlan::seeded(1));
         assert!(!t.plan().any_fault());
@@ -314,6 +316,7 @@ mod tests {
 
     #[test]
     fn drop_reply_surfaces_as_timeout_but_executes() {
+        let _deadline = deadline(60);
         let plan = FaultPlan {
             drop_reply_per_mille: 1000,
             ..FaultPlan::seeded(2)
@@ -330,6 +333,7 @@ mod tests {
 
     #[test]
     fn scheduled_kill_breaks_the_connection() {
+        let _deadline = deadline(60);
         let plan = FaultPlan {
             kill_conn_after: 3,
             ..FaultPlan::seeded(3)
@@ -357,6 +361,7 @@ mod tests {
 
     #[test]
     fn duplicate_without_sequencing_applies_twice() {
+        let _deadline = deadline(60);
         // Documents why the retry layer wraps mutating requests: a bare
         // duplicated push advances the clock twice.
         let plan = FaultPlan {
@@ -373,6 +378,7 @@ mod tests {
 
     #[test]
     fn duplicate_with_sequencing_applies_once() {
+        let _deadline = deadline(60);
         let plan = FaultPlan {
             duplicate_per_mille: 1000,
             ..FaultPlan::seeded(5)
@@ -391,6 +397,7 @@ mod tests {
 
     #[test]
     fn fault_stream_is_deterministic_per_seed() {
+        let _deadline = deadline(60);
         let mk = |seed| {
             let plan = FaultPlan {
                 drop_reply_per_mille: 300,

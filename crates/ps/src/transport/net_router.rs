@@ -84,7 +84,7 @@ use crate::error::PsError;
 use crate::profiler::{TransportStats, WireOp};
 use crate::router::Tier;
 use crate::server::{next_nonce, PsServer};
-use crate::store::{runs_within, PullBuffer};
+use crate::store::{runs_within, PullBuffer, UpdateData};
 
 /// Process-local deterministic jitter stream for retry backoff
 /// (decorrelates workers that fail simultaneously without pulling in an
@@ -299,14 +299,14 @@ impl ConnSlot {
 /// header so a re-send of an already-applied request is deduplicated
 /// server-side (the cached ack is replayed) — a dropped *reply* cannot
 /// double-apply a gradient. Only when the budget is exhausted does the
-/// failure surface: as a [`PsError`] from the owner ops ([`Self::drain`],
-/// [`Self::restore`], [`Self::reset_velocity`]) and the probes, and as a
-/// panic carrying its message from the rest. Those are the worker-path ops
-/// — [`NetPort`]'s pulls, pushes, [`NetPort::after_push`] and BSP's round
-/// commit, and [`Self::reconcile_if_due`] — whose panics the trainer's
-/// worker threads catch as a failed segment, and the reads
+/// failure surface, as the [`PsError`] naming the server that did not
+/// answer (`Timeout`, `ConnLost` or `RetriesExhausted`): from the owner ops
+/// ([`Self::drain`], [`Self::restore`], [`Self::reset_velocity`]), the
+/// probes, and the worker-path ops — [`NetPort`]'s pulls, pushes,
+/// [`NetPort::after_push`] and BSP's round commit — which the engine's
+/// workers pass up as their segment's error. Only the reads
 /// [`Self::snapshot_params`], [`Self::snapshot_velocity`] and
-/// [`Self::is_finite`].
+/// [`Self::is_finite`] still panic with the error's message.
 #[derive(Debug)]
 pub struct NetRouter {
     kind: TransportKind,
@@ -469,11 +469,6 @@ impl NetRouter {
         &self.telemetry
     }
 
-    /// The transport backend kind.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.kind
-    }
-
     /// The layout, ownership map and two-stage clock.
     pub(crate) fn tier(&self) -> &Tier {
         &self.tier
@@ -539,40 +534,23 @@ impl NetRouter {
         self.tier.complete_push(pulled_version)
     }
 
-    /// Runs a stage-2 round if the push counter has moved `sync_every`
-    /// past the watermark (see [`Tier::reconcile_if_due`]), the round's
-    /// commit-alls travelling as `SyncRound` frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a server's retry budget is exhausted, like every
-    /// worker-path op.
-    pub fn reconcile_if_due(&self) {
-        self.tier.reconcile_if_due(
-            || self.sync.lock(),
-            |control| {
-                (self.commit_round(control, op::SYNC_ROUND, false))
-                    .unwrap_or_else(|e| panic!("sync round failed: {e}"));
-            },
-        );
-    }
-
-    /// [`NetRouter::reconcile_if_due`] from a worker's port. A port that
-    /// pulls densely runs the round over its own connections with its next
-    /// pull riding behind each commit, so the worker that pays for the
-    /// round comes away holding the view it published instead of asking
-    /// again; a port that pulls by run cannot ask before its next batch is
-    /// drawn and sends the plain round over the control plane.
-    fn reconcile_from(&self, port: &mut PortState) {
+    /// Runs the stage-2 rounds the push counter has made due (see
+    /// [`Tier::reconcile_if_due`]), the commit-alls travelling as
+    /// `SyncRound` frames. A port that pulls densely runs the round over its
+    /// own connections with its next pull riding behind each commit, so the
+    /// worker that pays for the round comes away holding the view it
+    /// published instead of asking again; a port that pulls by run (or has
+    /// not pulled) cannot ask before its next batch is drawn and sends the
+    /// plain round over the control plane.
+    fn reconcile_from(&self, port: &mut PortState) -> Result<(), PsError> {
         self.tier.reconcile_if_due(
             || self.sync.lock(),
             |control| {
                 let dense = port.pulls_dense;
                 let over = if dense { &mut *port } else { &mut **control };
-                (self.commit_round(over, op::SYNC_ROUND, dense))
-                    .unwrap_or_else(|e| panic!("sync round failed: {e}"));
+                self.commit_round(over, op::SYNC_ROUND, dense)
             },
-        );
+        )
     }
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
@@ -824,11 +802,6 @@ impl NetRouter {
     /// in `port.acks` in shard order and their images in `image` (through
     /// [`Tier::pull_with`]). A re-send replays the cached acks and
     /// `Synced` and re-reads the pull, which the drain already covers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a server's retry budget is exhausted, like every
-    /// worker-path op.
     fn push_round(
         &self,
         port: &mut PortState,
@@ -836,7 +809,7 @@ impl NetRouter {
         lr: f64,
         momentum: f64,
         image: &mut PullBuffer,
-    ) {
+    ) -> Result<(), PsError> {
         let _round = self.sync.lock();
         self.tier.pull_with(image, |params, clocks| {
             self.traced_round(|| {
@@ -844,19 +817,21 @@ impl NetRouter {
                     let (first, (po, pl)) = (slice.shard_offset, slice.param_range);
                     let owned = first..first + slice.shard_count;
                     for g in owned.clone() {
+                        let mut queued = Ok(());
                         stripe(g, &mut |grad| {
-                            self.queue_push(port, g, |buf, local| {
+                            queued = self.queue_push(port, g, |buf, local| {
                                 wire::encode_push_shard(buf, local, lr, momentum, grad);
                             });
                         });
+                        queued?;
                     }
                     let image = Pull::Into(&mut params[po..po + pl], &mut clocks[owned]);
                     self.send(port, s, Some(op::DRAIN), image)?;
                 }
                 Ok(())
             })
-            .unwrap_or_else(|e| panic!("round commit failed: {e}"));
-        });
+        })?;
+        Ok(())
     }
 
     /// Server `s`'s view epoch (see [`NetRouter::view_epochs`]).
@@ -892,12 +867,17 @@ impl NetRouter {
     /// into the connection. Pushes already staged for a *different* server
     /// are sent first, so a walk over the shards in flat order (owners hold
     /// contiguous runs) costs one round trip per server.
-    fn queue_push(&self, port: &mut PortState, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) {
+    fn queue_push(
+        &self,
+        port: &mut PortState,
+        g: usize,
+        encode: impl FnOnce(&mut Vec<u8>, u32),
+    ) -> Result<(), PsError> {
         let s = self.tier.owner_of(g);
         // Two short of the batch's item limit: a drain and a pull may join
         // the pushes.
         if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX) - 2) {
-            self.flush(port, self.push_pull(port));
+            self.flush(port, self.push_pull(port))?;
         }
         if port.staged == 0 {
             port.staged_for = s;
@@ -909,19 +889,16 @@ impl NetRouter {
         encode(&mut port.staging, local as u32);
         wire::close_batch_item(&mut port.staging, 0, mark);
         port.staged += 1;
+        Ok(())
     }
 
     /// Sends the staged pushes, if any, with `pull` behind them (see
     /// [`NetRouter::send`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the retry budget is exhausted, like every worker-path op.
-    fn flush(&self, port: &mut PortState, pull: Pull<'_>) {
-        if port.staged > 0 {
-            self.send(port, port.staged_for, None, pull)
-                .unwrap_or_else(|e| panic!("push failed: {e}"));
+    fn flush(&self, port: &mut PortState, pull: Pull<'_>) -> Result<(), PsError> {
+        if port.staged == 0 {
+            return Ok(());
         }
+        self.send(port, port.staged_for, None, pull)
     }
 
     /// Pulls the committed view of every server through `port` into `buf`,
@@ -944,7 +921,7 @@ impl NetRouter {
         port: &mut PortState,
         buf: &mut PullBuffer,
         runs: Option<&[(usize, usize)]>,
-    ) -> u64 {
+    ) -> Result<u64, PsError> {
         self.tier.pull_with(buf, |all_params, all_clocks| {
             for (s, slice) in self.tier.slices().iter().enumerate() {
                 let (po, pl) = slice.param_range;
@@ -954,8 +931,7 @@ impl NetRouter {
                 let Some(runs) = runs else {
                     let held = port.conns[s].prefetched(self.view_epoch(s));
                     if held.is_none_or(|it| wire::decode_pulled_into(it, params, clocks).is_err()) {
-                        self.send(port, s, None, Pull::Into(params, clocks))
-                            .unwrap_or_else(|e| panic!("pull failed: {e}"));
+                        self.send(port, s, None, Pull::Into(params, clocks))?;
                     }
                     continue;
                 };
@@ -968,9 +944,9 @@ impl NetRouter {
                     false,
                     &|req| wire::encode_pull_runs(req, local()),
                     &mut |reply| wire::decode_pulled_runs_into(reply, local(), params, clocks),
-                )
-                .unwrap_or_else(|e| panic!("pull failed: {e}"));
+                )?;
             }
+            Ok(())
         })
     }
 
@@ -1284,7 +1260,8 @@ impl PortState {
 /// connections, client ids and any image a reply left on them carry over
 /// a segment boundary (the stamp rule decides whether that image is still
 /// served), and a restore drops it, because a healed server's old sockets
-/// are dead.
+/// are dead. A data operation that fails returns the wire error of the
+/// server that did not answer within the retry budget.
 #[derive(Debug)]
 pub struct NetPort {
     /// Declared before `router` so a clone's connections close before the
@@ -1338,7 +1315,7 @@ impl NetPort {
     /// last queued push or sync round left on its connections where they
     /// are still current, over the wire otherwise (see
     /// [`NetRouter::pull_committed_into`]).
-    pub fn pull_into(&self, buf: &mut PullBuffer) -> u64 {
+    pub fn pull_into(&self, buf: &mut PullBuffer) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
         port.pulls_dense = true;
         self.router.pull_committed_into(port, buf, None)
@@ -1349,50 +1326,49 @@ impl NetPort {
     /// wire; the rest of `buf.params` keeps what it held. Same clocks and
     /// version as [`NetPort::pull_into`], always one round trip per server:
     /// which runs the next step reads is not known when this one pushes.
-    pub fn pull_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
+    pub fn pull_runs_into(
+        &self,
+        buf: &mut PullBuffer,
+        runs: &[(usize, usize)],
+    ) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
         port.pulls_dense = false;
         self.router.pull_committed_into(port, buf, Some(runs))
     }
 
-    /// Queues the stage-1 apply of `grad` on global shard `g`. Nothing is
+    /// Queues the stage-1 apply of `data` on global shard `g`: a sparse
+    /// payload's touched segments alone cross the wire, counted under the
+    /// same `push` wire-stats class as a dense one (same op count, smaller
+    /// payloads — the comparison the transport tests read off). Nothing is
     /// promised to have reached the owner until [`NetPort::flush_pushes`];
     /// queueing for a different server sends what was queued before. The
     /// queue belongs to this handle: a worker queues and flushes on its own
     /// clone.
-    pub fn queue_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) {
-        self.router
-            .queue_push(&mut self.state.lock(), g, |buf, local| {
-                wire::encode_push_shard(buf, local, lr, momentum, grad);
-            });
-    }
-
-    /// Queues a sparse stage-1 apply on global shard `g`: only the touched
-    /// segments will cross the wire. Counted under the same `push`
-    /// wire-stats class as the dense form (same op count, smaller payloads
-    /// — the comparison the transport tests read off).
-    pub fn queue_shard_update_sparse(
+    pub fn queue_shard_update(
         &self,
         g: usize,
-        indices: &[(u32, u32)],
-        rows: &[f32],
+        data: UpdateData<'_>,
         lr: f64,
         momentum: f64,
-    ) {
-        self.router
-            .queue_push(&mut self.state.lock(), g, |buf, local| {
-                wire::encode_push_shard_sparse(buf, local, lr, momentum, indices, rows);
-            });
+    ) -> Result<(), PsError> {
+        let port = &mut *self.state.lock();
+        self.router.queue_push(port, g, |buf, local| match data {
+            UpdateData::Dense(grad) => wire::encode_push_shard(buf, local, lr, momentum, grad),
+            UpdateData::Sparse { indices, rows } => {
+                wire::encode_push_shard_sparse(buf, local, lr, momentum, indices, rows)
+            }
+        })
     }
 
     /// Sends whatever is still queued and appends to `acks` the owners'
     /// pre-apply live shard clocks of every push queued since the last
     /// flush, in queue order. After a whole-vector pull, the batches of a
     /// queued push also fetch the next one (see [`NetRouter::push_pull`]).
-    pub fn flush_pushes(&self, acks: &mut Vec<u64>) {
+    pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
-        self.router.flush(port, self.router.push_pull(port));
+        self.router.flush(port, self.router.push_pull(port))?;
         acks.append(&mut port.acks);
+        Ok(())
     }
 
     /// [`crate::WorkerPort::commit_round`] over this worker's connections: each
@@ -1405,22 +1381,29 @@ impl NetPort {
         momentum: f64,
         acks: &mut Vec<u64>,
         image: &mut PullBuffer,
-    ) {
+    ) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
-        self.router.push_round(port, stripe, lr, momentum, image);
+        self.router.push_round(port, stripe, lr, momentum, image)?;
         acks.append(&mut port.acks);
+        Ok(())
     }
 
     /// Post-push hook of the asynchronous loops: runs the stage-2 rounds
     /// the push counter has made due (see [`NetRouter::reconcile_from`]).
-    pub fn after_push(&self) {
-        self.router.reconcile_from(&mut self.state.lock());
+    pub fn after_push(&self) -> Result<(), PsError> {
+        self.router.reconcile_from(&mut self.state.lock())
     }
 
     /// Stage-1 apply over this worker's connection to the owner — a queue
     /// and a flush of one push, which travels as a bare `PushShard` frame.
     /// Returns the owner's pre-apply live shard clock.
-    pub fn apply_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) -> u64 {
+    pub fn apply_shard_update(
+        &self,
+        g: usize,
+        grad: &[f32],
+        lr: f64,
+        momentum: f64,
+    ) -> Result<u64, PsError> {
         self.push_now(g, |buf, local| {
             wire::encode_push_shard(buf, local, lr, momentum, grad);
         })
@@ -1435,7 +1418,7 @@ impl NetPort {
         rows: &[f32],
         lr: f64,
         momentum: f64,
-    ) -> u64 {
+    ) -> Result<u64, PsError> {
         self.push_now(g, |buf, local| {
             wire::encode_push_shard_sparse(buf, local, lr, momentum, indices, rows);
         })
@@ -1444,17 +1427,18 @@ impl NetPort {
     /// Queues one push, sends the queue and takes that push's ack — under
     /// one hold of the state lock, so it stays atomic even on a port that
     /// threads share.
-    fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> u64 {
+    fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
-        self.router.queue_push(port, g, encode);
-        self.router.flush(port, Pull::No);
-        port.acks.pop().expect("the push just sent was acked")
+        self.router.queue_push(port, g, encode)?;
+        self.router.flush(port, Pull::No)?;
+        Ok(port.acks.pop().expect("the push just sent was acked"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::deadline;
     use crate::router::ShardRouter;
 
     fn topologies() -> Vec<ServerTopology> {
@@ -1466,6 +1450,7 @@ mod tests {
 
     #[test]
     fn net_router_matches_in_process_router() {
+        let _deadline = deadline(60);
         let initial: Vec<f32> = (0..37).map(|i| (i as f32).sin()).collect();
         let grad: Vec<f32> = (0..37).map(|i| (i as f32).cos()).collect();
         for topology in topologies() {
@@ -1476,26 +1461,28 @@ mod tests {
                     let (o, l) = inproc.shard_range(g);
                     assert_eq!(net.router().shard_range(g), (o, l));
                     let a = inproc.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                    let b = net.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                    let b = net
+                        .apply_shard_update(g, &grad[o..o + l], 0.05, 0.9)
+                        .unwrap();
                     assert_eq!(a, b, "shard clock skew at step {step} shard {g}");
                 }
                 inproc.complete_push(step);
                 net.router().complete_push(step);
                 inproc.reconcile_if_due();
-                net.router().reconcile_if_due();
+                net.after_push().unwrap();
             }
             assert_eq!(inproc.version(), net.router().version());
             assert_eq!(
                 inproc.snapshot_params(),
                 net.router().snapshot_params(),
                 "{:?} diverged from in-process",
-                net.router().transport_kind()
+                topology.transport
             );
             assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());
             let mut a = PullBuffer::new();
             let mut b = PullBuffer::new();
             let va = inproc.pull_committed_into(&mut a);
-            let vb = net.pull_into(&mut b);
+            let vb = net.pull_into(&mut b).unwrap();
             assert_eq!(va, vb);
             assert_eq!(a.params(), b.params());
             assert_eq!(a.shard_versions(), b.shard_versions());
@@ -1504,6 +1491,7 @@ mod tests {
 
     #[test]
     fn pulls_see_committed_view_and_honest_version() {
+        let _deadline = deadline(60);
         for topology in topologies() {
             let initial = vec![1.0f32; 24];
             let net = NetPort::launch(&initial, 4, {
@@ -1513,18 +1501,18 @@ mod tests {
             });
             let r = net.router();
             let mut buf = PullBuffer::new();
-            net.pull_into(&mut buf);
+            net.pull_into(&mut buf).unwrap();
             let before = buf.params().to_vec();
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
-                net.apply_shard_update(g, &vec![1.0; l], 0.5, 0.0);
+                net.apply_shard_update(g, &vec![1.0; l], 0.5, 0.0).unwrap();
             }
             r.complete_push(0);
-            let v = net.pull_into(&mut buf);
+            let v = net.pull_into(&mut buf).unwrap();
             assert_eq!(buf.params(), &before[..], "stage-1 leaked into a pull");
             assert_eq!(v, 0, "pulled version must track the committed data");
             r.drain().expect("drain");
-            let v = net.pull_into(&mut buf);
+            let v = net.pull_into(&mut buf).unwrap();
             assert_eq!(v, 1);
             assert_eq!(buf.params(), &r.snapshot_params()[..]);
         }
@@ -1538,10 +1526,12 @@ mod tests {
         let pulls = r.stats().pull.ops;
         for g in 0..r.shard_count() {
             let (_, l) = r.shard_range(g);
-            port.queue_shard_update(g, &vec![scale; l], 0.1, 0.9);
+            let grad = vec![scale; l];
+            port.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.9)
+                .unwrap();
         }
         let mut acks = Vec::new();
-        port.flush_pushes(&mut acks);
+        port.flush_pushes(&mut acks).unwrap();
         assert_eq!(acks.len(), r.shard_count());
         r.complete_push(r.version());
         r.stats().pull.ops - pulls
@@ -1549,6 +1539,7 @@ mod tests {
 
     #[test]
     fn a_pull_rides_the_push_reply_until_a_round_completes() {
+        let _deadline = deadline(60);
         for topology in topologies() {
             let initial: Vec<f32> = (0..26).map(|i| (i as f32).sin()).collect();
             let a = NetPort::launch(&initial, 4, {
@@ -1562,7 +1553,7 @@ mod tests {
             // What an explicit pull returns right now: a fresh port has
             // nothing to serve it from.
             let view = |port: &NetPort, buf: &mut PullBuffer| {
-                let version = port.pull_into(buf);
+                let version = port.pull_into(buf).unwrap();
                 let clocks = buf.shard_versions().to_vec();
                 (buf.params().to_vec(), clocks, version)
             };
@@ -1587,10 +1578,10 @@ mod tests {
             assert_eq!(queued_push(&a, 2.0), 2);
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
-                b.apply_shard_update(g, &vec![0.5; l], 0.1, 0.9);
+                b.apply_shard_update(g, &vec![0.5; l], 0.1, 0.9).unwrap();
             }
             r.complete_push(r.version());
-            r.reconcile_if_due();
+            b.after_push().unwrap();
             assert_eq!(r.sync_rounds(), 1);
             let before = pull_trips();
             let after_round = pulled(&a);
@@ -1627,7 +1618,7 @@ mod tests {
             assert_eq!(queued_push(&a, 6.0), 2);
             assert_eq!(queued_push(&a, 7.0), 0, "the round will outdate it");
             let (rounds, sync_trips) = (r.sync_rounds(), r.stats().sync.round_trips);
-            a.after_push();
+            a.after_push().unwrap();
             assert_eq!(r.sync_rounds(), rounds + 1);
             assert_eq!(r.stats().sync.round_trips, sync_trips + 2);
             let before = pull_trips();
@@ -1669,27 +1660,28 @@ mod tests {
 
     #[test]
     fn restore_round_trips_over_the_wire() {
+        let _deadline = deadline(60);
         for topology in topologies() {
             let initial: Vec<f32> = (0..30).map(|i| i as f32 * 0.1).collect();
             let net = NetPort::launch(&initial, 6, topology);
             let r = net.router();
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
-                net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9);
+                net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9).unwrap();
             }
             r.complete_push(0);
             let params = r.snapshot_params();
             let velocity = r.snapshot_velocity();
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
-                net.apply_shard_update(g, &vec![5.0; l], 0.1, 0.9);
+                net.apply_shard_update(g, &vec![5.0; l], 0.1, 0.9).unwrap();
             }
             assert_ne!(r.snapshot_params(), params);
             r.restore(&params, &velocity).expect("restore");
             assert_eq!(r.snapshot_params(), params);
             assert_eq!(r.snapshot_velocity(), velocity);
             let mut buf = PullBuffer::new();
-            net.pull_into(&mut buf);
+            net.pull_into(&mut buf).unwrap();
             assert_eq!(buf.params(), &params[..], "restore must drain");
             assert!(r.is_finite());
             r.reset_velocity().expect("velocity reset");
@@ -1699,6 +1691,7 @@ mod tests {
 
     #[test]
     fn wire_stats_count_every_round_trip() {
+        let _deadline = deadline(60);
         let net = NetPort::launch(
             &[0.5f32; 16],
             4,
@@ -1706,10 +1699,10 @@ mod tests {
         );
         let r = net.router();
         let mut buf = PullBuffer::new();
-        net.pull_into(&mut buf);
+        net.pull_into(&mut buf).unwrap();
         for g in 0..4 {
             let (_, l) = r.shard_range(g);
-            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
+            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
         }
         r.complete_push(0);
         r.drain().expect("drain");
@@ -1733,6 +1726,7 @@ mod tests {
 
     #[test]
     fn retries_recover_and_dedup_keeps_state_exact() {
+        let _deadline = deadline(60);
         let initial: Vec<f32> = (0..32).map(|i| i as f32 * 0.05).collect();
         let grad: Vec<f32> = (0..32).map(|i| (i as f32).cos()).collect();
         let mut plan = crate::transport::FaultPlan::seeded(7);
@@ -1749,7 +1743,9 @@ mod tests {
             for g in 0..4 {
                 let (o, l) = clean.shard_range(g);
                 let a = clean.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                let b = net.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                let b = net
+                    .apply_shard_update(g, &grad[o..o + l], 0.05, 0.9)
+                    .unwrap();
                 // A dropped-reply retry must replay the cached ack, so even
                 // the pre-apply clocks match the fault-free run.
                 assert_eq!(a, b, "shard clock skew at step {step} shard {g}");
@@ -1757,7 +1753,7 @@ mod tests {
             clean.complete_push(step);
             net.router().complete_push(step);
             clean.reconcile_if_due();
-            net.router().reconcile_if_due();
+            net.after_push().unwrap();
         }
         clean.drain();
         net.router().drain().expect("drain");
@@ -1772,6 +1768,7 @@ mod tests {
 
     #[test]
     fn scraped_server_stats_match_client_round_trips() {
+        let _deadline = deadline(60);
         let net = NetPort::launch(
             &[0.5f32; 16],
             4,
@@ -1779,10 +1776,10 @@ mod tests {
         );
         let r = net.router();
         let mut buf = PullBuffer::new();
-        net.pull_into(&mut buf);
+        net.pull_into(&mut buf).unwrap();
         for g in 0..4 {
             let (_, l) = r.shard_range(g);
-            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
+            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
         }
         r.complete_push(0);
         r.drain().expect("drain");
@@ -1810,6 +1807,7 @@ mod tests {
 
     #[test]
     fn router_emits_wire_events_on_its_own_bus() {
+        let _deadline = deadline(60);
         let initial: Vec<f32> = (0..32).map(|i| i as f32 * 0.05).collect();
         let mut plan = crate::transport::FaultPlan::seeded(11);
         plan.drop_reply_per_mille = 200;
@@ -1824,10 +1822,10 @@ mod tests {
         for step in 0..8 {
             for g in 0..4 {
                 let (_, l) = net.router().shard_range(g);
-                net.apply_shard_update(g, &vec![1.0; l], 0.05, 0.9);
+                net.apply_shard_update(g, &vec![1.0; l], 0.05, 0.9).unwrap();
             }
             net.router().complete_push(step);
-            net.router().reconcile_if_due();
+            net.after_push().unwrap();
         }
         net.router().drain().expect("drain");
         let counts = telemetry.trace.counts_by_name();
@@ -1850,6 +1848,7 @@ mod tests {
 
     #[test]
     fn workers_keep_their_client_ids_across_segments() {
+        let _deadline = deadline(60);
         use crate::{Trainer, TrainerConfig, WorkerPort};
         use sync_switch_nn::{Dataset, Network};
         use sync_switch_workloads::SyncProtocol;
@@ -1897,6 +1896,7 @@ mod tests {
 
     #[test]
     fn a_handshake_counts_each_replaced_server_once() {
+        let _deadline = deadline(60);
         let counter = |r: &NetRouter, name: &str| {
             let snap = r.telemetry().metrics.snapshot();
             snap.counters.get(name).copied().unwrap_or(0)
@@ -1927,6 +1927,7 @@ mod tests {
 
     #[test]
     fn clamps_servers_to_shards() {
+        let _deadline = deadline(60);
         let net = NetPort::launch(
             &[1.0f32; 8],
             2,

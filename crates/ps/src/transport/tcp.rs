@@ -445,6 +445,7 @@ impl Conn for TcpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::deadline;
     use crate::store::ShardLayout;
     use crate::transport::wire::op;
     use std::io::Read;
@@ -464,6 +465,7 @@ mod tests {
 
     #[test]
     fn request_reply_over_a_socket() {
+        let _deadline = deadline(60);
         let t = launch(12, 4, 2);
         let mut conn = t.connect(0).unwrap();
         wire::encode_push_shard(conn.request_buf(), 0, 0.5, 0.0, &[1.0; 3]);
@@ -476,6 +478,7 @@ mod tests {
 
     #[test]
     fn concurrent_conns_share_one_server() {
+        let _deadline = deadline(60);
         let t = launch(8, 2, 1);
         let t = &t;
         std::thread::scope(|scope| {
@@ -514,6 +517,7 @@ mod tests {
 
     #[test]
     fn kill_severs_idle_conns_and_revive_restores_service() {
+        let _deadline = deadline(60);
         let t = launch(12, 4, 2);
         // An idle, open connection whose handler is parked in a read.
         let mut idle = t.connect(1).unwrap();
@@ -540,6 +544,7 @@ mod tests {
 
     #[test]
     fn kill_and_revive_stay_live_while_clients_keep_dialing() {
+        let _deadline = deadline(60);
         // Four clients keep dialing server 1 and hold their connections
         // open, so every kill drops a host with handlers parked in reads
         // and accepts in flight. Each kill must return, and each revive
@@ -584,6 +589,7 @@ mod tests {
 
     #[test]
     fn abrupt_client_disconnect_frees_the_handler() {
+        let _deadline = deadline(60);
         let t = launch(8, 2, 1);
         {
             let mut conn = t.connect(0).unwrap();
@@ -600,6 +606,7 @@ mod tests {
 
     #[test]
     fn drop_closes_listeners() {
+        let _deadline = deadline(60);
         let t = launch(4, 2, 1);
         let addr = t.addrs[0];
         drop(t);
@@ -617,6 +624,7 @@ mod tests {
 
     #[test]
     fn standalone_host_serves_hello_on_a_configured_addr() {
+        let _deadline = deadline(60);
         let initial: Vec<f32> = (0..24).map(|i| i as f32 * 0.5).collect();
         // Server 1 of a 3-server × 6-shard tier.
         let host = TcpServerHost::bind("127.0.0.1:0", &initial, 6, 3, 1).unwrap();

@@ -16,6 +16,10 @@
 //! This file is the CI `chaos` stage (`./ci.sh --stage chaos`), run under
 //! a hard timeout.
 
+#[path = "support/deadline.rs"]
+mod deadline;
+
+use deadline::deadline;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -116,16 +120,19 @@ fn assert_chaos_converges(kind: TrainableKind) {
 
 #[test]
 fn mlp_blobs_survives_chaos() {
+    let _deadline = deadline(120);
     assert_chaos_converges(TrainableKind::MlpBlobs);
 }
 
 #[test]
 fn conv_shifted_survives_chaos() {
+    let _deadline = deadline(120);
     assert_chaos_converges(TrainableKind::ConvShifted);
 }
 
 #[test]
 fn sparse_embedding_survives_chaos() {
+    let _deadline = deadline(120);
     assert_chaos_converges(TrainableKind::SparseEmbedding);
 }
 
@@ -158,6 +165,7 @@ fn plant_nan(t: &mut Trainer) {
 /// blow-up the same way.
 #[test]
 fn embedding_hot_lr_asp_rolls_back_and_finishes_under_bsp() {
+    let _deadline = deadline(120);
     let kind = TrainableKind::SparseEmbedding;
     let (model, train, test) = kind.build(SEED);
     let h = kind.hyper();
@@ -212,16 +220,18 @@ fn embedding_hot_lr_asp_rolls_back_and_finishes_under_bsp() {
     assert_switch_stages_recorded(&t);
 }
 
-/// A server that dies in the middle of a segment must surface as
-/// [`PsError::WorkerPanicked`] — what `ps-worker` matches on to heal — and
-/// promptly, under every protocol: the worker that exhausts its retries
-/// aborts the segment's gate, so peers waiting at the BSP round barrier or
-/// behind the SSP leash wake up and exit instead of waiting for a round, or
-/// a floor, that will never come, and ASP peers stop at their next step
-/// claim. Each segment runs on a helper thread against a deadline, so a
-/// regression fails here instead of hanging the suite.
+/// A server that dies in the middle of a segment must surface as the wire
+/// error naming it — `Timeout`, `ConnLost` or `RetriesExhausted` for
+/// server 1, what `ps-worker` matches on to heal — and promptly, under
+/// every protocol: the worker that exhausts its retries aborts the
+/// segment's gate, so peers waiting at the BSP round barrier or behind the
+/// SSP leash wake up and exit instead of waiting for a round, or a floor,
+/// that will never come, and ASP peers stop at their next step claim. Each
+/// segment runs on a helper thread against a deadline, so a regression
+/// fails here instead of hanging the suite.
 #[test]
 fn segment_fails_fast_when_a_server_dies_mid_segment() {
+    let _deadline = deadline(120);
     type Segment = fn(&mut Trainer, u64) -> Result<u64, PsError>;
     let protocols: [(&str, Segment); 3] = [
         ("BSP", |t, n| {
@@ -266,13 +276,17 @@ fn segment_fails_fast_when_a_server_dies_mid_segment() {
         }
         router.kill_server(1).expect("kill hook");
         match result.recv_timeout(Duration::from_secs(30)) {
-            Ok(Err(PsError::WorkerPanicked { .. })) => {}
-            Ok(other) => panic!("{name}: expected WorkerPanicked, got {other:?}"),
+            Ok(Err(
+                PsError::Timeout { server: 1 }
+                | PsError::ConnLost { server: 1 }
+                | PsError::RetriesExhausted { server: 1, .. },
+            )) => {}
+            Ok(other) => panic!("{name}: expected the wire error of server 1, got {other:?}"),
             Err(RecvTimeoutError::Timeout) => {
                 panic!("{name} segment still running 30 s after its server died")
             }
             Err(RecvTimeoutError::Disconnected) => {
-                panic!("{name}: the worker panic escaped the segment")
+                panic!("{name}: the segment panicked instead of returning the error")
             }
         }
     }
@@ -285,6 +299,7 @@ fn segment_fails_fast_when_a_server_dies_mid_segment() {
 /// written to `target/tmp` so CI keeps it as an artifact.
 #[test]
 fn chaos_run_traces_every_event_kind() {
+    let _deadline = deadline(120);
     let kind = TrainableKind::SparseEmbedding;
     let (model, train, test) = kind.build(SEED);
     let h = kind.hyper();
@@ -379,6 +394,7 @@ fn assert_switch_stages_recorded(t: &Trainer) {
 /// without the rollback rule ever tripping.
 #[test]
 fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
+    let _deadline = deadline(120);
     // Phase 1: clean TCP tier, BSP start. No faults → zero retries, loss
     // improves monotonically enough to count as stable → promote.
     let kind = TrainableKind::MlpBlobs;
@@ -473,6 +489,7 @@ fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
 /// cache only answers retransmissions).
 #[test]
 fn clean_tcp_server_counts_reconcile_with_client_stats() {
+    let _deadline = deadline(120);
     let kind = TrainableKind::MlpBlobs;
     let (model, train, test) = kind.build(SEED);
     let h = kind.hyper();

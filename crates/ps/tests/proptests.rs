@@ -1,5 +1,9 @@
 //! Property-based tests of the parameter-server concurrency semantics.
 
+#[path = "support/deadline.rs"]
+mod deadline;
+
+use deadline::deadline;
 use proptest::prelude::*;
 use std::sync::Arc;
 use sync_switch_nn::{Dataset, Network};
@@ -612,6 +616,7 @@ proptest! {
         mode in 0u8..4,
         pushes in 1u64..5,
     ) {
+        let _deadline = deadline(60);
         let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).cos()).collect();
         let topology = ServerTopology::new(2, 3);
         let planes = [
@@ -652,19 +657,19 @@ proptest! {
         for port in &planes {
             // The buffer's "old contents": the initial image.
             let mut part = port.new_buffer();
-            port.pull_into(&mut part);
+            port.pull_into(&mut part).unwrap();
             // Every push moves every parameter and every shard clock.
             for p in 0..pushes {
                 for g in 0..port.shard_count() {
                     let (_, l) = port.shard_range(g);
-                    port.apply_shard_update(g, &vec![1.0 + p as f32; l], 0.05, 0.9);
+                    port.apply_shard_update(g, &vec![1.0 + p as f32; l], 0.05, 0.9).unwrap();
                 }
                 port.complete_push(p);
             }
             port.drain().expect("drain");
             let mut full = port.new_buffer();
-            let v_full = port.pull_into(&mut full);
-            let v_part = port.pull_runs_into(&mut part, &runs);
+            let v_full = port.pull_into(&mut full).unwrap();
+            let v_part = port.pull_runs_into(&mut part, &runs).unwrap();
             prop_assert_eq!(v_part, v_full);
             prop_assert_eq!(part.version(), full.version());
             for g in 0..port.shard_count() {
@@ -679,7 +684,7 @@ proptest! {
             prop_assert_eq!(part.params(), &expect(&initial)[..]);
             // A buffer that never held anything holds zeros off the runs.
             let mut fresh = port.new_buffer();
-            port.pull_runs_into(&mut fresh, &runs);
+            port.pull_runs_into(&mut fresh, &runs).unwrap();
             prop_assert_eq!(fresh.params(), &expect(&vec![0.0; n])[..]);
         }
     }
@@ -697,6 +702,7 @@ proptest! {
         pushes in 1u64..5,
         bits in proptest::collection::vec(any::<u32>(), 64),
     ) {
+        let _deadline = deadline(60);
         let plan = FaultPlan {
             duplicate_per_mille: 1000,
             drop_reply_per_mille: 120,
@@ -718,12 +724,12 @@ proptest! {
             for g in 0..clean.shard_count() {
                 let (o, l) = clean.shard_range(g);
                 let a = clean.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                let b = net.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                let b = net.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
                 prop_assert_eq!(a, b, "clock skew at push {} shard {}", p, g);
             }
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
             clean.reconcile_if_due();
-            net.router().reconcile_if_due();
+            net.after_push().unwrap();
         }
         clean.drain();
         net.router().drain().expect("drain");
@@ -741,7 +747,7 @@ proptest! {
         let mut a = PullBuffer::new();
         let mut b = PullBuffer::new();
         clean.pull_committed_into(&mut a);
-        net.pull_into(&mut b);
+        net.pull_into(&mut b).unwrap();
         prop_assert_eq!(key(a.params().to_vec()), key(b.params().to_vec()));
         prop_assert_eq!(a.shard_versions(), b.shard_versions());
     }
@@ -760,6 +766,7 @@ proptest! {
         sparse_mask in any::<u8>(),
         bits in proptest::collection::vec(any::<u32>(), 64),
     ) {
+        let _deadline = deadline(60);
         let plan = FaultPlan {
             duplicate_per_mille: 1000,
             drop_reply_per_mille: 120,
@@ -787,17 +794,18 @@ proptest! {
                     let (spans, rows) = ([(0u32, 1u32)], &grad[o..o + 1]);
                     let data = UpdateData::Sparse { indices: &spans, rows };
                     expected.push(clean.apply_shard_update_data(g, data, 0.05, 0.9));
-                    net.queue_shard_update_sparse(g, &spans, rows, 0.05, 0.9);
+                    net.queue_shard_update(g, data, 0.05, 0.9).unwrap();
                 } else {
                     expected.push(clean.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9));
-                    net.queue_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                    let data = UpdateData::Dense(&grad[o..o + l]);
+                    net.queue_shard_update(g, data, 0.05, 0.9).unwrap();
                 }
             }
-            net.flush_pushes(&mut acks);
+            net.flush_pushes(&mut acks).unwrap();
             prop_assert_eq!(&expected, &acks, "clock skew at push {}", p);
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
             clean.reconcile_if_due();
-            net.router().reconcile_if_due();
+            net.after_push().unwrap();
         }
         clean.drain();
         net.router().drain().expect("drain");
@@ -807,7 +815,7 @@ proptest! {
         let mut a = PullBuffer::new();
         let mut b = PullBuffer::new();
         clean.pull_committed_into(&mut a);
-        net.pull_into(&mut b);
+        net.pull_into(&mut b).unwrap();
         prop_assert_eq!(a.shard_versions(), b.shard_versions());
         // The servers agree: each shard applied once per push, although
         // every batch arrived at least twice.

@@ -5,6 +5,10 @@
 //! cluster, minus the `fork()`. The true multi-process version runs in the
 //! repo-root `tests/cluster.rs` harness under the CI `cluster` stage.
 
+#[path = "support/deadline.rs"]
+mod deadline;
+
+use deadline::deadline;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -43,6 +47,7 @@ fn bind_tier(
 
 #[test]
 fn remote_tier_matches_in_process_router() {
+    let _deadline = deadline(60);
     let initial: Vec<f32> = (0..41).map(|i| (i as f32).sin()).collect();
     let grad: Vec<f32> = (0..41).map(|i| (i as f32).cos()).collect();
     let (_hosts, addrs) = bind_tier(&initial, 5, 2);
@@ -60,12 +65,12 @@ fn remote_tier_matches_in_process_router() {
             assert_eq!(net.router().shard_range(g), (o, l));
             let a = inproc.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
             let b = net.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-            assert_eq!(a, b, "shard clock skew at step {step} shard {g}");
+            assert_eq!(Ok(a), b, "shard clock skew at step {step} shard {g}");
         }
         inproc.complete_push(step);
         net.router().complete_push(step);
         inproc.reconcile_if_due();
-        net.router().reconcile_if_due();
+        net.after_push().expect("sync round");
     }
     assert_eq!(inproc.snapshot_params(), net.router().snapshot_params());
     assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());
@@ -73,13 +78,14 @@ fn remote_tier_matches_in_process_router() {
     let mut b = PullBuffer::new();
     let va = inproc.pull_committed_into(&mut a);
     let vb = net.pull_into(&mut b);
-    assert_eq!(va, vb);
+    assert_eq!(Ok(va), vb);
     assert_eq!(a.params(), b.params());
     assert!(net.router().is_finite());
 }
 
 #[test]
 fn connect_rejects_inconsistent_shapes() {
+    let _deadline = deadline(60);
     let addrs: Vec<SocketAddr> = vec!["127.0.0.1:9".parse().unwrap(); 5];
     // More servers than shards is never clamped for a remote tier.
     let err = NetRouter::connect(8, 2, &addrs, 1, quick_retry()).unwrap_err();
@@ -98,6 +104,7 @@ fn connect_rejects_inconsistent_shapes() {
 
 #[test]
 fn handshake_retries_until_the_server_binds() {
+    let _deadline = deadline(60);
     let initial = vec![0.5f32; 12];
     // Reserve an address, then free it so the late-starting server can
     // claim it — the worker must keep dialing in the meantime.
@@ -142,6 +149,7 @@ fn handshake_retries_until_the_server_binds() {
 
 #[test]
 fn handshake_rejects_a_server_with_a_different_spec() {
+    let _deadline = deadline(60);
     // The server was launched as server 0 of a *1*-server tier; the worker
     // believes the tier has 2 servers. Shard ownership disagrees, so the
     // handshake must refuse rather than let pushes land on wrong shards.
@@ -155,6 +163,7 @@ fn handshake_rejects_a_server_with_a_different_spec() {
 
 #[test]
 fn handshake_then_restore_lands_every_server_on_the_checkpoint() {
+    let _deadline = deadline(60);
     let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 11);
     let (train, test) = data.split(0.25);
     let model = Network::mlp(6, &[12], 4, 11);
@@ -213,12 +222,13 @@ fn handshake_then_restore_lands_every_server_on_the_checkpoint() {
     assert_eq!(bits(&r.snapshot_params()), bits(&ck.params), "params");
     assert_eq!(bits(&r.snapshot_velocity()), bits(&ck.velocity), "velocity");
     let mut buf = PullBuffer::new();
-    view.pull_into(&mut buf);
+    view.pull_into(&mut buf).expect("pull");
     assert_eq!(bits(buf.params()), bits(&ck.params), "committed view");
 }
 
 #[test]
 fn owner_ops_return_the_error_of_a_lost_server() {
+    let _deadline = deadline(60);
     let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 13);
     let (train, test) = data.split(0.25);
     let topology = ServerTopology::new(2, 1)

@@ -6,6 +6,10 @@
 //! transport`), which runs it under a hard `timeout` so a hung socket
 //! fails fast instead of wedging the gate.
 
+#[path = "support/deadline.rs"]
+mod deadline;
+
+use deadline::deadline;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,7 +21,7 @@ use sync_switch_ps::transport::wire::{decode_stats_snapshot, encode_stats_snapsh
 use sync_switch_ps::{
     FaultPlan, HistogramSnapshot, NetPort, PsError, RetryPolicy, ServerStatsSnapshot,
     ServerTopology, ShardRouter, ShardedStore, TcpServerHost, Trainer, TrainerConfig,
-    TransportKind, TransportStats, WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
+    TransportKind, TransportStats, UpdateData, WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -110,16 +114,19 @@ fn assert_bsp_matches_sequential(kind: TransportKind) {
 
 #[test]
 fn channel_bsp_equals_sequential_large_batch_sgd() {
+    let _deadline = deadline(120);
     assert_bsp_matches_sequential(TransportKind::Channel);
 }
 
 #[test]
 fn tcp_bsp_equals_sequential_large_batch_sgd() {
+    let _deadline = deadline(120);
     assert_bsp_matches_sequential(TransportKind::Tcp);
 }
 
 #[test]
 fn tcp_asp_trains_and_reports_wire_cost() {
+    let _deadline = deadline(120);
     let mut t = transport_trainer(TransportKind::Tcp, 4, 9);
     let steps = 120;
     let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
@@ -146,6 +153,7 @@ fn tcp_asp_trains_and_reports_wire_cost() {
 
 #[test]
 fn channel_ssp_respects_gate_and_counts_wire_ops() {
+    let _deadline = deadline(120);
     let mut t = transport_trainer(TransportKind::Channel, 3, 11);
     let steps = 90;
     let bound = 1u64;
@@ -163,6 +171,7 @@ fn channel_ssp_respects_gate_and_counts_wire_ops() {
 
 #[test]
 fn transport_trainer_switches_and_restores() {
+    let _deadline = deadline(120);
     // checkpoint → switch → restore crosses the wire (snapshot/restore
     // frames) and keeps training.
     let mut t = transport_trainer(TransportKind::Channel, 8, 13);
@@ -187,6 +196,7 @@ fn transport_trainer_switches_and_restores() {
 
 #[test]
 fn single_server_channel_tier_still_crosses_the_wire() {
+    let _deadline = deadline(120);
     // servers == 1 with a wire transport is a real (if small) tier: pulls
     // read the committed view, so the stage-2 period shows up as honest
     // staleness — unlike the in-process single-store fast path.
@@ -225,6 +235,7 @@ fn sparse_workload_trainer(kind: TransportKind, sparse_push: bool, seed: u64) ->
 
 #[test]
 fn tcp_sparse_pushes_ship_fewer_bytes_than_dense() {
+    let _deadline = deadline(120);
     // The sparse workload over loopback TCP: identical step budget with
     // the sparse path on vs forced dense. The embedding table dominates
     // the parameter count while a batch touches at most
@@ -277,6 +288,7 @@ fn tcp_sparse_pushes_ship_fewer_bytes_than_dense() {
 
 #[test]
 fn tcp_sparse_pulls_ship_fewer_bytes_than_dense() {
+    let _deadline = deadline(120);
     // The pull-side twin of the test above: with the sparse path on, a
     // step pulls only the table rows its batch names plus the dense head,
     // so the pull replies — measured at the wire — are a fraction of the
@@ -334,6 +346,7 @@ fn tcp_sparse_pulls_ship_fewer_bytes_than_dense() {
 
 #[test]
 fn channel_sparse_workload_matches_dense_numerics_over_the_wire() {
+    let _deadline = deadline(120);
     // One worker makes the wire run deterministic: sparse and dense runs
     // must agree on every parameter bit even through the channel tier.
     let run = |sparse_push: bool| {
@@ -398,7 +411,7 @@ fn drive_pushes(
     for step in 0..9usize {
         let w = &workers[step % 3];
         let mut buf = w.new_buffer();
-        w.pull_into(&mut buf);
+        w.pull_into(&mut buf).expect("pull");
         let grad: Vec<f32> = (0..103).map(|i| ((i * 7 + step) as f32).cos()).collect();
         let mut acks = Vec::new();
         for g in 0..w.shard_count() {
@@ -412,20 +425,32 @@ fn drive_pushes(
             let (start, len) = (l / 3, l / 3 + 1);
             let spans = [(start as u32, len as u32)];
             let rows = &grad[o + start..o + start + len];
-            match (batched, sparse) {
-                (true, false) => w.queue_shard_update(g, &grad[o..o + l], lr, mu, &mut acks),
-                (true, true) => w.queue_shard_update_sparse(g, &spans, rows, lr, mu, &mut acks),
-                (false, false) => acks.push(w.apply_shard_update(g, &grad[o..o + l], lr, mu)),
-                (false, true) => acks.push(w.apply_shard_update_sparse(g, &spans, rows, lr, mu)),
-            }
+            let (dense, sparse_data) = (
+                UpdateData::Dense(&grad[o..o + l]),
+                UpdateData::Sparse {
+                    indices: &spans,
+                    rows,
+                },
+            );
+            let pushed = match (batched, sparse) {
+                (true, false) => w.queue_shard_update(g, dense, lr, mu, &mut acks),
+                (true, true) => w.queue_shard_update(g, sparse_data, lr, mu, &mut acks),
+                (false, false) => w
+                    .apply_shard_update(g, &grad[o..o + l], lr, mu)
+                    .map(|a| acks.push(a)),
+                (false, true) => w
+                    .apply_shard_update_sparse(g, &spans, rows, lr, mu)
+                    .map(|a| acks.push(a)),
+            };
+            pushed.expect("push");
         }
         if batched {
-            w.flush_pushes(&mut acks);
+            w.flush_pushes(&mut acks).expect("flush");
         }
         assert_eq!(acks.len(), 7, "one ack per shard");
         observed.append(&mut acks);
         observed.push(w.complete_push(buf.version()));
-        w.after_push();
+        w.after_push().expect("sync round");
     }
     let (params, velocity) = match port {
         WorkerPort::Single(s) => (s.snapshot_params(), s.snapshot_velocity()),
@@ -439,13 +464,14 @@ fn drive_pushes(
         }
     };
     let mut buf = port.new_buffer();
-    port.pull_into(&mut buf);
+    port.pull_into(&mut buf).expect("pull");
     let clocks = (0..7).map(|g| buf.shard_version(g)).collect();
     (observed, params, velocity, clocks)
 }
 
 #[test]
 fn batched_pushes_equal_per_shard_pushes_on_every_plane() {
+    let _deadline = deadline(120);
     let initial: Vec<f32> = (0..103).map(|i| (i as f32 * 0.37).sin()).collect();
     for which in 0..4 {
         for form in [PushForm::Dense, PushForm::Sparse, PushForm::Mixed] {
@@ -522,6 +548,7 @@ fn one_worker_run(
 
 #[test]
 fn prefetched_pulls_change_round_trips_not_numerics() {
+    let _deadline = deadline(120);
     // With one worker nothing is concurrent, so the wire tier must end bit
     // for bit where the in-process router ends — whether a step's pull was
     // asked for or rode home on the step before — and the round trips can
@@ -558,6 +585,7 @@ fn prefetched_pulls_change_round_trips_not_numerics() {
 
 #[test]
 fn lost_and_duplicated_fused_replies_leave_the_run_exact() {
+    let _deadline = deadline(120);
     // Dropped replies make the client re-send; duplicated requests reach
     // the server twice. Either way the server replays the cached acks and
     // only *reads* again, so the run must end exactly where the fault-free
@@ -579,6 +607,7 @@ fn lost_and_duplicated_fused_replies_leave_the_run_exact() {
 
 #[test]
 fn lost_and_duplicated_round_batches_leave_bsp_exact() {
+    let _deadline = deadline(120);
     // A BSP round's batch carries stripes, a drain and a pull. Re-sent after
     // a lost reply, or delivered twice, it must replay the cached acks and
     // `Synced` and only re-read the pull: every stripe applied once, and the
@@ -636,6 +665,7 @@ fn assert_stats_round_trip(snap: &ServerStatsSnapshot) {
 
 #[test]
 fn stats_frame_round_trips_empty_and_saturated_snapshots() {
+    let _deadline = deadline(120);
     // The two boundary snapshots: a fresh server that has served nothing,
     // and a (synthetic) server whose every counter and bucket is pinned at
     // u64::MAX — the codec must move both without loss.
@@ -676,6 +706,7 @@ proptest! {
         buckets in proptest::collection::vec(any::<u64>(), HIST_BUCKETS),
         shard_ns in proptest::collection::vec(any::<u64>(), 0..12),
     ) {
+        let _deadline = deadline(120);
         let snap = ServerStatsSnapshot {
             server,
             requests,
@@ -694,6 +725,7 @@ proptest! {
 
 #[test]
 fn stats_scrape_reads_a_live_tcp_server_mid_training() {
+    let _deadline = deadline(120);
     // A real ps-serve-shaped tier: one TcpServerHost on loopback, a
     // training connection driving it, and a *second* independent
     // connection scraping `Stats` frames while the segment runs — the
@@ -773,6 +805,7 @@ fn stats_scrape_reads_a_live_tcp_server_mid_training() {
 
 #[test]
 fn transport_training_learns() {
+    let _deadline = deadline(120);
     for kind in [TransportKind::Channel, TransportKind::Tcp] {
         let mut t = transport_trainer(kind, 4, 15);
         let before = t.evaluate();

@@ -101,20 +101,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { at, seq, payload });
     }
 
-    /// Schedules `payload` after a relative delay from the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or non-finite.
-    pub fn schedule_after(&mut self, delay: SimTime, payload: E) {
-        assert!(
-            delay.is_valid_duration(),
-            "delay must be a finite non-negative duration, got {:?}",
-            delay
-        );
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pops the earliest event, advancing the virtual clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ev = self.heap.pop()?;
@@ -177,16 +163,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_secs(2.0));
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(5.0));
-    }
-
-    #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10.0), "first");
-        q.pop();
-        q.schedule_after(SimTime::from_secs(5.0), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(15.0));
     }
 
     #[test]

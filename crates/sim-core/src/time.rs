@@ -52,15 +52,6 @@ impl SimTime {
         Self::from_secs(micros / 1e6)
     }
 
-    /// Creates a time from minutes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `minutes` is NaN.
-    pub fn from_minutes(minutes: f64) -> Self {
-        Self::from_secs(minutes * 60.0)
-    }
-
     /// Returns the value in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
@@ -69,11 +60,6 @@ impl SimTime {
     /// Returns the value in milliseconds.
     pub fn as_millis(self) -> f64 {
         self.0 * 1e3
-    }
-
-    /// Returns the value in minutes.
-    pub fn as_minutes(self) -> f64 {
-        self.0 / 60.0
     }
 
     /// Returns `true` if this time is non-negative and finite.
@@ -186,8 +172,6 @@ mod tests {
     fn constructors_convert_units() {
         assert_eq!(SimTime::from_millis(1500.0).as_secs(), 1.5);
         assert_eq!(SimTime::from_micros(2_000_000.0).as_secs(), 2.0);
-        assert_eq!(SimTime::from_minutes(2.0).as_secs(), 120.0);
-        assert_eq!(SimTime::from_secs(90.0).as_minutes(), 1.5);
     }
 
     #[test]

@@ -14,28 +14,30 @@
 //! instance nonce, and then the worker restores the whole tier, the
 //! respawned server included, from the segment-start checkpoint and re-runs
 //! the segment. That catches a respawn within the retry budget, which fails
-//! no operation. A segment that dies on an unreachable server, or whose
-//! boundary drain does — surfacing as
-//! `PsError::WorkerPanicked`/`ConnLost`/`Timeout`/`RetriesExhausted` —
-//! takes the same handshake-then-restore path, the handshake waiting for
-//! the respawn.
+//! no operation. A segment that fails on an unreachable server, inside it
+//! or at its boundary drain — the error naming that server
+//! (`ConnLost`/`Timeout`/`RetriesExhausted`) — takes the same
+//! handshake-then-restore path, the handshake waiting for the respawn. A
+//! worker's panic is a bug and ends the process.
 //!
 //! However the run ends — report written, fatal segment error, a tier that
-//! never healed — the process's trace ring is dumped next to the report
-//! path as a Chrome trace: the retries, kills and last steps before a
-//! failure are what a post-mortem needs.
+//! never healed, a panic — the process's trace ring is dumped next to the
+//! report path as a Chrome trace: the retries, kills and last steps before
+//! a failure are what a post-mortem needs.
 //!
 //! ```text
 //! ps-worker --spec cluster.json --report worker-0.report.json
 //! ```
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use sync_switch::deploy::{
     ClusterSpec, ControllerDecision, SegmentOutcome, ServerStatsSummary, WorkerReport,
 };
 use sync_switch::ps::{NetPort, PsError, SyncController, Trainer, WorkerPort};
 use sync_switch::workloads::TrainableKind;
+use sync_switch_telemetry::Telemetry;
 
 /// Parsed command line of `ps-worker`.
 ///
@@ -80,10 +82,7 @@ impl WorkerConfig {
 fn is_crash(e: &PsError) -> bool {
     matches!(
         e,
-        PsError::WorkerPanicked { .. }
-            | PsError::ConnLost { .. }
-            | PsError::Timeout { .. }
-            | PsError::RetriesExhausted { .. }
+        PsError::ConnLost { .. } | PsError::Timeout { .. } | PsError::RetriesExhausted { .. }
     )
 }
 
@@ -108,6 +107,25 @@ fn trace_path_for(report_path: &str) -> String {
     }
 }
 
+/// Dumps the bus's trace ring to `path` for chrome://tracing when dropped,
+/// so the trace is written on every exit, a panic's unwind included.
+struct TraceDump {
+    bus: Arc<Telemetry>,
+    path: String,
+}
+
+impl Drop for TraceDump {
+    fn drop(&mut self) {
+        let trace = self
+            .bus
+            .trace
+            .chrome_trace_json(u64::from(std::process::id()));
+        if let Err(e) = std::fs::write(&self.path, trace) {
+            eprintln!("ps-worker: cannot write trace {}: {e}", self.path);
+        }
+    }
+}
+
 fn run() -> Result<(), String> {
     let cfg = WorkerConfig::from_args(std::env::args().skip(1))?;
     let json = std::fs::read_to_string(&cfg.spec_path)
@@ -126,6 +144,10 @@ fn run() -> Result<(), String> {
         spec.retry,
     )
     .map_err(|e| format!("connect: {e}"))?;
+    let _dump = TraceDump {
+        bus: Arc::clone(port.router().telemetry()),
+        path: trace_path_for(&cfg.report_path),
+    };
     // Readiness handshake: keeps re-dialing servers that have not bound
     // yet, then verifies every server's identity and shard slice against
     // this spec, and records its instance, before a single gradient moves.
@@ -136,16 +158,7 @@ fn run() -> Result<(), String> {
 
     let trainer_cfg = spec.trainer_config()?;
     let mut trainer = Trainer::with_port(model, train, test, trainer_cfg, WorkerPort::Net(port));
-    let outcome = run_segments(&cfg, &spec, kind, &mut trainer);
-    // However the segments ended, dump this process's trace ring next to
-    // the report path for chrome://tracing.
-    let bus = trainer.net_router().expect("net data plane").telemetry();
-    let trace_path = trace_path_for(&cfg.report_path);
-    let trace = bus.trace.chrome_trace_json(u64::from(std::process::id()));
-    if let Err(e) = std::fs::write(&trace_path, trace) {
-        eprintln!("ps-worker: cannot write trace {trace_path}: {e}");
-    }
-    outcome
+    run_segments(&cfg, &spec, kind, &mut trainer)
 }
 
 /// Runs the spec's segments on `trainer` and writes the report.

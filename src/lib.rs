@@ -55,3 +55,7 @@ pub mod prelude {
     pub use sync_switch_sim::{DetRng, SimTime};
     pub use sync_switch_workloads::{CalibrationTargets, ExperimentSetup, SetupId, Workload};
 }
+
+#[cfg(test)]
+#[path = "../crates/ps/tests/support/deadline.rs"]
+mod deadline;

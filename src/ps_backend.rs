@@ -230,6 +230,7 @@ impl TrainingBackend for PsBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::deadline;
     use sync_switch_core::{ClusterManager, OnlinePolicyKind, SyncSwitchPolicy};
     use sync_switch_workloads::{ExperimentSetup, LrSchedule};
 
@@ -289,6 +290,7 @@ mod tests {
 
     #[test]
     fn manager_drives_transport_tier_and_reports_wire_time() {
+        let _deadline = deadline(120);
         // The same policy engine over a channel-transport PS tier: every
         // push/pull crosses the wire protocol, and the report accounts the
         // measured wire time.

@@ -14,6 +14,10 @@
 //! [`LONG`], and the longer may allocate at most [`SLACK`] more than the
 //! shorter: 100 more steps, next to nothing more allocated.
 
+#[path = "../crates/ps/tests/support/deadline.rs"]
+mod deadline;
+
+use deadline::deadline;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -82,6 +86,7 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_worker_steps_allocate_nothing() {
+    let _deadline = deadline(300);
     let wire = |kind| ServerTopology::new(2, 2).with_transport(kind);
     let planes = [
         ("single", ServerTopology::single()),

@@ -7,6 +7,10 @@
 //! hermetic; without the variable they print a skip notice and pass. The
 //! spec round-trip tests always run.
 
+#[path = "../crates/ps/tests/support/deadline.rs"]
+mod deadline;
+
+use deadline::deadline;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -104,6 +108,7 @@ fn assert_cluster_telemetry(h: &ClusterHarness, reports: &[WorkerReport]) {
 /// controller and must record its decisions (with reasons) in the report.
 #[test]
 fn cluster_converges_with_late_binding_servers() {
+    let _deadline = deadline(180);
     if !cluster_tests_enabled("cluster_converges_with_late_binding_servers") {
         return;
     }
@@ -195,6 +200,7 @@ fn cluster_converges_with_late_binding_servers() {
 /// handshake finds it by its changed nonce — and still converge.
 #[test]
 fn cluster_survives_mid_run_server_sigkill() {
+    let _deadline = deadline(180);
     if !cluster_tests_enabled("cluster_survives_mid_run_server_sigkill") {
         return;
     }
@@ -250,6 +256,7 @@ fn cluster_survives_mid_run_server_sigkill() {
 /// again from the checkpoint before.
 #[test]
 fn cluster_heals_a_server_respawned_within_the_retry_budget() {
+    let _deadline = deadline(180);
     if !cluster_tests_enabled("cluster_heals_a_server_respawned_within_the_retry_budget") {
         return;
     }
@@ -285,6 +292,7 @@ fn cluster_heals_a_server_respawned_within_the_retry_budget() {
 /// retries that preceded the failure.
 #[test]
 fn cluster_worker_on_an_unhealed_tier_fails_and_leaves_its_trace() {
+    let _deadline = deadline(180);
     if !cluster_tests_enabled("cluster_worker_on_an_unhealed_tier_fails_and_leaves_its_trace") {
         return;
     }

@@ -1,6 +1,10 @@
 //! Integration tests of the real parameter-server execution path: the same
 //! policy engine driving actual worker threads.
 
+#[path = "../crates/ps/tests/support/deadline.rs"]
+mod deadline;
+
+use deadline::deadline;
 use std::time::Duration;
 
 use sync_switch::prelude::*;
@@ -242,6 +246,7 @@ fn one_trainer_runs_bsp_asp_and_ssp_segments() {
 
 #[test]
 fn asynchronous_steps_over_a_wire_tier_rarely_ask_for_their_pull() {
+    let _deadline = deadline(120);
     // Two workers, ASP, two servers behind the channel transport: a step's
     // push reply (or the sync round it runs) brings the next step's pull
     // home, so most steps talk to each server once, not twice. A pull is
@@ -277,6 +282,7 @@ fn asynchronous_steps_over_a_wire_tier_rarely_ask_for_their_pull() {
 
 #[test]
 fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
+    let _deadline = deadline(120);
     // Two workers, BSP, two servers behind the channel transport: the worker
     // that completes a round sends each server its stripes, the drain and
     // the next round's pull as one batch, and both workers start the next
@@ -325,12 +331,15 @@ fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
 
 #[test]
 fn riding_items_are_booked_under_their_own_class() {
+    let _deadline = deadline(120);
     // The booking rule, pinned on a clean two-server channel tier: every
     // item of a request, its length prefix included, is booked under its
     // opcode's class, and the sequencing prefix, the batch header and the
     // round trip under the first item's. Sizes come from the codec itself.
     use sync_switch_ps::transport::wire::{self, op};
-    use sync_switch_ps::{NetPort, NetRouter, PullBuffer, ServerTopology, TransportKind, WireOp};
+    use sync_switch_ps::{
+        NetPort, NetRouter, PullBuffer, ServerTopology, TransportKind, UpdateData, WireOp,
+    };
 
     fn len(encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
         let mut buf = Vec::new();
@@ -407,13 +416,14 @@ fn riding_items_are_booked_under_their_own_class() {
     let push_all = |acks: &mut Vec<u64>| {
         for g in 0..r.shard_count() {
             let grad = vec![0.5; r.shard_range(g).1];
-            net.queue_shard_update(g, &grad, 0.1, 0.9);
+            net.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.9)
+                .unwrap();
         }
-        net.flush_pushes(acks);
+        net.flush_pushes(acks).unwrap();
     };
     let mut buf = PullBuffer::new();
     let mut acks = Vec::new();
-    net.pull_into(&mut buf);
+    net.pull_into(&mut buf).unwrap();
     assert_eq!(books(&r.stats().pull), class(2, 2, 2, images));
 
     // (a) A push after a whole-vector pull brings the next pull home:
@@ -433,9 +443,9 @@ fn riding_items_are_booked_under_their_own_class() {
     );
     assert_eq!(books(&after.sync), books(&before.sync));
     r.complete_push(0);
-    net.after_push();
+    net.after_push().unwrap();
     // The image that rode home is served without a round trip or a book.
-    net.pull_into(&mut buf);
+    net.pull_into(&mut buf).unwrap();
     assert_eq!(books(&r.stats().pull), books(&after.pull));
 
     // (c) The push that makes a round due carries only pushes; the round
@@ -449,7 +459,7 @@ fn riding_items_are_booked_under_their_own_class() {
     );
     assert_eq!(books(&before.pull), books(&after.pull));
     r.complete_push(1);
-    net.after_push();
+    net.after_push().unwrap();
     let after = r.stats();
     assert_eq!(r.sync_rounds(), 1);
     assert_eq!(
