@@ -239,7 +239,8 @@ stage_benchmark_smoke() {
 }
 
 # Exhibit golden gate: fig5 (knee), table2 (search costs), fig8 (batch and
-# momentum scaling) and table1 (the headline speedups) regenerated and
+# momentum scaling), table1 (the headline speedups) and the simulator's
+# asynchronous schedules (fig1 SSP, fig4 and fig15 ASP) regenerated and
 # compared against goldens/ with per-field tolerances. A failure here
 # means the paper exhibits drifted; refresh intentionally with
 # `cargo run --release -p sync-switch-bench --bin exhibit_check -- --update`.

@@ -13,10 +13,14 @@
 //!
 //! The default exhibits are `fig5` (impact-of-synchronicity knee),
 //! `table2` (binary-search cost analysis), `fig8` (batch-size scaling +
-//! momentum-scaling variants) and `table1` (the paper's headline:
+//! momentum-scaling variants), `table1` (the paper's headline:
 //! throughput and time-to-accuracy speedups of Sync-Switch over BSP and
-//! ASP per setup). All are seeded and deterministic, so any drift is a real
-//! behaviour change in the policy/sim stack, not noise.
+//! ASP per setup), and the three exhibits that run the simulator's
+//! asynchronous event loop: `fig1` (BSP/SSP/ASP/Sync-Switch trade-off),
+//! `fig4` (ASP-over-BSP throughput per setup and straggler scenario) and
+//! `fig15` (the Greedy/Elastic straggler policies). All are seeded and
+//! deterministic, so any drift is a real behaviour change in the
+//! policy/sim stack, not noise.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -27,9 +31,10 @@ use sync_switch_bench::output::load_json;
 
 /// Exhibits gated by default: cheap, deterministic, and covering the
 /// convergence claim (fig5), the cost analysis (table2), the
-/// hyper-parameter configuration comparison (fig8), and the headline
-/// speedups (table1).
-const DEFAULT_IDS: &[&str] = &["fig5", "table2", "fig8", "table1"];
+/// hyper-parameter configuration comparison (fig8), the headline
+/// speedups (table1), and the simulator's SSP (fig1) and ASP (fig4, fig15)
+/// schedules.
+const DEFAULT_IDS: &[&str] = &["fig5", "table2", "fig8", "table1", "fig1", "fig4", "fig15"];
 
 fn main() {
     let mut goldens_dir = PathBuf::from("goldens");
