@@ -3,8 +3,9 @@
 //! Models the *throughput* side of the Sync-Switch evaluation: per-step
 //! compute times on K80 GPUs with lognormal jitter, parameter/gradient
 //! transfer over a collocated sharded parameter-server network, the BSP
-//! barrier-and-coordination cost, ASP per-worker asynchronous progress with
-//! measured staleness, transient straggler injection (added per-message
+//! barrier-and-coordination cost, one asynchronous event loop — ASP
+//! per-worker progress with measured staleness, or SSP when a staleness bound
+//! leashes it — transient straggler injection (added per-message
 //! latency, as the paper emulates with network delays), elastic worker
 //! removal, and the cluster init/switch overhead model of paper Table III.
 //!
@@ -24,7 +25,6 @@ pub mod gpu;
 pub mod network;
 pub mod overhead;
 pub mod sim;
-pub mod ssp;
 pub mod straggler;
 
 pub use gpu::ComputeModel;

@@ -1,4 +1,12 @@
-//! The cluster simulator: BSP rounds, ASP event-driven progress.
+//! The cluster simulator: BSP rounds, and one asynchronous event loop that
+//! runs ASP, or SSP when a staleness bound leashes it.
+//!
+//! The paper places SSP between BSP and ASP (Fig. 1) and calls Sync-Switch
+//! "agnostic to the underlying synchronization protocols". SSP with bound
+//! `s` lets a worker run at most `s` iterations ahead of the slowest one;
+//! `s = 0` degenerates to lock-step, and no bound at all is ASP.
+
+use std::mem;
 
 use sync_switch_sim::{DetRng, EventQueue, SimTime};
 use sync_switch_workloads::ExperimentSetup;
@@ -8,7 +16,7 @@ use crate::network::NetworkModel;
 use crate::straggler::StragglerScenario;
 
 /// Statistics of one simulated chunk of training steps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChunkStats {
     /// Workload units completed (ASP-sized steps; one BSP round = `n`
     /// active-worker units).
@@ -19,7 +27,8 @@ pub struct ChunkStats {
     /// profiler reports, and what the straggler detector consumes. Zero for
     /// inactive (removed) workers.
     pub per_worker_images_per_sec: Vec<f64>,
-    /// Mean measured gradient staleness (0 under BSP).
+    /// Mean measured gradient staleness, plus the committed-view lag (0
+    /// under BSP).
     pub mean_staleness: f64,
 }
 
@@ -108,15 +117,17 @@ impl ClusterSim {
         self.per_worker_batch = batch;
     }
 
-    /// Sets the committed-view lag added to SSP staleness predictions.
+    /// Sets the committed-view lag added to asynchronous staleness
+    /// predictions.
     ///
     /// The real PS tier's two-stage sync means a worker's pull observes the
     /// *committed* view, which trails the freshest pushes by a small,
-    /// roughly constant number of updates. The event simulator's gate alone
-    /// does not model that, so its SSP staleness under-predicts the real
-    /// tier at tight bounds. Feeding the measured real-minus-sim delta back
-    /// through this knob calibrates `run_ssp`'s reported `mean_staleness`;
-    /// the event schedule (and thus `elapsed`) is untouched.
+    /// roughly constant number of updates, under ASP and SSP alike. The
+    /// event simulator's schedule alone does not model that, so its
+    /// staleness under-predicts the real tier at tight bounds. Feeding the
+    /// measured real-minus-sim delta back through this knob calibrates the
+    /// `mean_staleness` that `run_asp` and `run_ssp` report; the event
+    /// schedule (and thus `elapsed`) is untouched.
     ///
     /// # Panics
     ///
@@ -129,7 +140,7 @@ impl ClusterSim {
         self.committed_lag = lag;
     }
 
-    /// The committed-view lag currently folded into SSP staleness (0 until
+    /// The committed-view lag currently folded into ASP and SSP staleness (0 until
     /// calibrated via [`ClusterSim::set_committed_view_lag`]).
     pub fn committed_view_lag(&self) -> f64 {
         self.committed_lag
@@ -182,25 +193,33 @@ impl ClusterSim {
         self.scenario.active_stragglers(self.now)
     }
 
-    /// Whether a worker is currently active (not removed).
-    pub(crate) fn is_active(&self, worker: usize) -> bool {
-        self.active[worker]
+    /// The active workers' indices, for a chunk of `units`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units == 0` or no workers are active.
+    fn active_workers(&self, units: u64) -> Vec<usize> {
+        assert!(units > 0, "units must be positive");
+        let active: Vec<usize> = (0..self.n_workers).filter(|&w| self.active[w]).collect();
+        assert!(!active.is_empty(), "no active workers");
+        active
     }
 
-    /// Samples one worker's own-work step time (crate-internal: shared with
-    /// the SSP extension).
-    pub(crate) fn sample_own_step_time(&mut self, worker: usize, asp: bool) -> f64 {
-        self.own_step_time(worker, asp)
-    }
-
-    /// Sets the clock directly (crate-internal: SSP event processing).
-    pub(crate) fn set_now_for_ssp(&mut self, t: SimTime) {
-        self.now = t;
-    }
-
-    /// Adds completed units (crate-internal: SSP accounting).
-    pub(crate) fn add_units_done(&mut self, units: u64) {
-        self.units_done += units;
+    /// Per-worker own-work throughput in images/s; zero for a worker that
+    /// finished no step.
+    fn images_per_sec(&self, own_steps: &[u64], own_work_time: &[f64]) -> Vec<f64> {
+        let batch = self.per_worker_batch as f64;
+        own_steps
+            .iter()
+            .zip(own_work_time)
+            .map(|(&steps, &time)| {
+                if steps == 0 {
+                    0.0
+                } else {
+                    steps as f64 * batch / time
+                }
+            })
+            .collect()
     }
 
     /// One worker's own-work time for a step at the current virtual time:
@@ -239,13 +258,10 @@ impl ClusterSim {
     ///
     /// Panics if `units == 0` or no workers are active.
     pub fn run_bsp(&mut self, units: u64) -> ChunkStats {
-        assert!(units > 0, "units must be positive");
-        let active: Vec<usize> = (0..self.n_workers).filter(|&w| self.active[w]).collect();
-        assert!(!active.is_empty(), "no active workers");
+        let active = self.active_workers(units);
         let n_a = active.len() as u64;
         let rounds = units.div_ceil(n_a);
         let coord = self.network.bsp_coordination_s(active.len());
-        let batch = self.per_worker_batch as f64;
 
         let mut own_work_time = vec![0.0f64; self.n_workers];
         let mut own_steps = vec![0u64; self.n_workers];
@@ -262,20 +278,10 @@ impl ClusterSim {
         }
         let done = rounds * n_a;
         self.units_done += done;
-
-        let per_worker = (0..self.n_workers)
-            .map(|w| {
-                if own_steps[w] == 0 {
-                    0.0
-                } else {
-                    own_steps[w] as f64 * batch / own_work_time[w]
-                }
-            })
-            .collect();
         ChunkStats {
             units: done,
             elapsed: self.now - start,
-            per_worker_images_per_sec: per_worker,
+            per_worker_images_per_sec: self.images_per_sec(&own_steps, &own_work_time),
             mean_staleness: 0.0,
         }
     }
@@ -288,61 +294,100 @@ impl ClusterSim {
     ///
     /// Panics if `units == 0` or no workers are active.
     pub fn run_asp(&mut self, units: u64) -> ChunkStats {
-        assert!(units > 0, "units must be positive");
-        let active: Vec<usize> = (0..self.n_workers).filter(|&w| self.active[w]).collect();
-        assert!(!active.is_empty(), "no active workers");
-        let batch = self.per_worker_batch as f64;
+        self.run_async(units, None)
+    }
+
+    /// Runs SSP with iteration-staleness bound `bound` until `units` pushes
+    /// complete: ASP's event loop, except that a worker whose iteration
+    /// count exceeds `min(iterations) + bound` blocks until the slowest
+    /// worker catches up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units == 0` or no workers are active.
+    pub fn run_ssp(&mut self, units: u64, bound: u64) -> ChunkStats {
+        self.run_async(units, Some(bound))
+    }
+
+    /// The asynchronous event loop under an optional staleness `leash`
+    /// (`None` is ASP).
+    fn run_async(&mut self, units: u64, leash: Option<u64>) -> ChunkStats {
+        let active = self.active_workers(units);
         let start = self.now;
-
-        // Event payload: (worker, version at pull).
+        let n = self.n_workers;
+        let mut own_work_time = vec![0.0f64; n];
+        let mut own_steps = vec![0u64; n];
+        let mut iterations = vec![0u64; n];
+        // Workers the leash holds until the slowest worker catches up.
+        let mut blocked: Vec<usize> = Vec::new();
+        // Event payload: (worker, version at pull); event times are offsets
+        // from `start`.
         let mut queue: EventQueue<(usize, u64)> = EventQueue::new();
-        // Seed the queue at the current time.
-        let mut pushes: u64 = 0;
-        let base_now = self.now;
-        let mut own_work_time = vec![0.0f64; self.n_workers];
-        let mut own_steps = vec![0u64; self.n_workers];
-        let mut staleness_sum: u64 = 0;
-
-        // EventQueue starts its clock at zero; offset by base_now.
         for &w in &active {
-            let t = self.own_step_time(w, true);
-            own_work_time[w] += t;
-            queue.schedule(SimTime::from_secs(t), (w, 0));
+            self.begin_step(w, start, SimTime::ZERO, 0, &mut queue, &mut own_work_time);
         }
+
+        let mut pushes: u64 = 0;
+        let mut staleness_sum: u64 = 0;
         let mut last = SimTime::ZERO;
         while pushes < units {
-            let (t, (w, pulled)) = queue.pop().expect("asp queue never empties mid-run");
+            let (t, (w, pulled)) = queue.pop().expect("async queue never empties mid-run");
             last = t;
             pushes += 1;
             staleness_sum += pushes - 1 - pulled;
             own_steps[w] += 1;
-            if pushes < units {
-                // Straggler windows are evaluated at the worker's current
-                // virtual time.
-                self.now = base_now + t;
-                let dt = self.own_step_time(w, true);
-                own_work_time[w] += dt;
-                queue.schedule(t + SimTime::from_secs(dt), (w, pushes));
+            iterations[w] += 1;
+            if pushes == units {
+                break;
+            }
+            let floor = active.iter().map(|&a| iterations[a]).min().unwrap_or(0);
+            let admit = floor.saturating_add(leash.unwrap_or(u64::MAX));
+            if iterations[w] > admit {
+                blocked.push(w);
+            } else {
+                self.begin_step(w, start, t, pushes, &mut queue, &mut own_work_time);
+            }
+            // The floor only rises, so a blocked worker is admitted on the
+            // event that lifts the floor within its reach.
+            let (released, held): (Vec<usize>, Vec<usize>) = mem::take(&mut blocked)
+                .into_iter()
+                .partition(|&b| iterations[b] <= admit);
+            blocked = held;
+            for b in released {
+                self.begin_step(b, start, t, pushes, &mut queue, &mut own_work_time);
             }
         }
-        self.now = base_now + last;
+        self.now = start + last;
         self.units_done += units;
-
-        let per_worker = (0..self.n_workers)
-            .map(|w| {
-                if own_steps[w] == 0 {
-                    0.0
-                } else {
-                    own_steps[w] as f64 * batch / own_work_time[w]
-                }
-            })
-            .collect();
         ChunkStats {
             units,
             elapsed: self.now - start,
-            per_worker_images_per_sec: per_worker,
-            mean_staleness: staleness_sum as f64 / units as f64,
+            per_worker_images_per_sec: self.images_per_sec(&own_steps, &own_work_time),
+            // The schedule accounts for scheduling staleness only; the real
+            // tier's two-stage sync adds a committed-view lag on top, fed
+            // back here once measured (`set_committed_view_lag`).
+            mean_staleness: staleness_sum as f64 / units as f64 + self.committed_lag,
         }
+    }
+
+    /// Starts `worker`'s next step at event time `t` (an offset from
+    /// `start`), having pulled at version `pulled`: samples its own-work
+    /// time and schedules its push.
+    fn begin_step(
+        &mut self,
+        worker: usize,
+        start: SimTime,
+        t: SimTime,
+        pulled: u64,
+        queue: &mut EventQueue<(usize, u64)>,
+        own_work_time: &mut [f64],
+    ) {
+        // Straggler windows are evaluated at the worker's current virtual
+        // time.
+        self.now = start + t;
+        let dt = self.own_step_time(worker, true);
+        own_work_time[worker] += dt;
+        queue.schedule(t + SimTime::from_secs(dt), (worker, pulled));
     }
 
     /// Analytic expected BSP round time (mean over sampled rounds) for the
@@ -536,5 +581,139 @@ mod tests {
         for w in 0..8 {
             s.remove_worker(w);
         }
+    }
+
+    fn setup1(seed: u64) -> ClusterSim {
+        sim(SetupId::One, seed)
+    }
+
+    #[test]
+    fn huge_bound_recovers_asp_behaviour() {
+        // (scenario, removed worker): the straggler makes workers drift
+        // apart, and a removed worker must not hold the floor.
+        let cases = [
+            (StragglerScenario::none(), None),
+            (StragglerScenario::constant(1, 0.010), None),
+            (StragglerScenario::constant(1, 0.030), Some(0)),
+        ];
+        for (scenario, removed) in cases {
+            let mk = || {
+                let mut s = setup1(1);
+                s.set_scenario(scenario.clone());
+                if let Some(w) = removed {
+                    s.remove_worker(w);
+                }
+                s
+            };
+            let (mut ssp, mut asp) = (mk(), mk());
+            let s = ssp.run_ssp(2_000, 1_000_000);
+            let a = asp.run_asp(2_000);
+            assert_eq!(s, a, "unbounded SSP must equal ASP (removed {removed:?})");
+            assert_eq!(ssp.now(), asp.now());
+            assert_eq!(ssp.units_done(), asp.units_done());
+        }
+    }
+
+    #[test]
+    fn ssp_throughput_sits_between_bsp_and_asp_under_stragglers() {
+        let mk = |seed| {
+            let mut s = setup1(seed);
+            s.set_scenario(StragglerScenario::constant(1, 0.010));
+            s
+        };
+        let bsp = mk(2).run_bsp(2_000).elapsed.as_secs();
+        let ssp = mk(2).run_ssp(2_000, 3).elapsed.as_secs();
+        let asp = mk(2).run_asp(2_000).elapsed.as_secs();
+        assert!(
+            asp < ssp && ssp < bsp,
+            "ordering violated: asp {asp}, ssp {ssp}, bsp {bsp}"
+        );
+    }
+
+    #[test]
+    fn tight_bound_throttles_fast_workers_with_straggler() {
+        // With a straggler and bound 1, fast workers must repeatedly wait:
+        // cluster time approaches the straggler's pace.
+        let mut tight = setup1(3);
+        tight.set_scenario(StragglerScenario::constant(1, 0.030));
+        let t_tight = tight.run_ssp(1_000, 1).elapsed.as_secs();
+        let mut loose = setup1(3);
+        loose.set_scenario(StragglerScenario::constant(1, 0.030));
+        let t_loose = loose.run_ssp(1_000, 64).elapsed.as_secs();
+        assert!(
+            t_tight > 1.5 * t_loose,
+            "tight bound should throttle: {t_tight} vs {t_loose}"
+        );
+    }
+
+    #[test]
+    fn staleness_grows_with_bound() {
+        let homogeneous = |bound| setup1(4).run_ssp(4_000, bound).mean_staleness;
+        let s1 = homogeneous(1);
+        let s64 = homogeneous(64);
+        assert!(
+            s1 <= s64,
+            "staleness must not shrink with bound: {s1} vs {s64}"
+        );
+        // Unbounded staleness on 8 homogeneous workers ≈ 7.
+        assert!((s64 - 7.0).abs() < 0.5, "{s64}");
+    }
+
+    #[test]
+    fn removed_worker_does_not_hold_the_leash() {
+        let mut s = setup1(9);
+        s.remove_worker(0);
+        let stats = s.run_ssp(500, 1);
+        assert_eq!(stats.units, 500);
+        assert_eq!(stats.per_worker_images_per_sec[0], 0.0);
+    }
+
+    #[test]
+    fn units_accounting_matches() {
+        let mut s = setup1(5);
+        let stats = s.run_ssp(777, 4);
+        assert_eq!(stats.units, 777);
+        assert_eq!(s.units_done(), 777);
+    }
+
+    #[test]
+    fn deterministic_for_seed() {
+        let a = setup1(6).run_ssp(1_500, 3);
+        let b = setup1(6).run_ssp(1_500, 3);
+        assert_eq!(a.elapsed, b.elapsed);
+        assert_eq!(a.mean_staleness, b.mean_staleness);
+    }
+
+    #[test]
+    fn committed_view_lag_shifts_staleness_but_not_time() {
+        // Calibration is a pure reporting correction: the event schedule —
+        // and therefore elapsed time and determinism — must be untouched,
+        // under ASP as under SSP.
+        for leash in [Some(2), None] {
+            let run = |s: &mut ClusterSim| match leash {
+                Some(bound) => s.run_ssp(1_500, bound),
+                None => s.run_asp(1_500),
+            };
+            let base = run(&mut setup1(7));
+            let mut calibrated = setup1(7);
+            calibrated.set_committed_view_lag(1.75);
+            assert_eq!(calibrated.committed_view_lag(), 1.75);
+            let c = run(&mut calibrated);
+            assert_eq!(
+                c.elapsed, base.elapsed,
+                "leash {leash:?}: lag must not change the schedule"
+            );
+            assert_eq!(
+                c.mean_staleness,
+                base.mean_staleness + 1.75,
+                "leash {leash:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "committed-view lag must be finite and non-negative")]
+    fn negative_committed_view_lag_is_refused() {
+        setup1(8).set_committed_view_lag(-0.5);
     }
 }

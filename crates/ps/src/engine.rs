@@ -882,15 +882,10 @@ impl Trainer {
     }
 
     /// The shared parameter store of a **single-server, in-process**
-    /// trainer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsError::NoSingleStore`] when the data plane is a
-    /// multi-server tier (or any transport-backed tier) — there is no
-    /// single store then; use [`Trainer::router`],
+    /// trainer (`None` when the data plane is a multi-server or
+    /// transport-backed tier: use [`Trainer::router`],
     /// [`Trainer::net_router`], the snapshot APIs, or the segment reports
-    /// instead.
+    /// instead).
     ///
     /// # Example
     ///
@@ -906,18 +901,15 @@ impl Trainer {
     ///     test,
     ///     TrainerConfig::new(2, 8, 0.05, 0.9),
     /// );
-    /// // Single-server plane: the accessor succeeds. On a multi-server or
-    /// // wire-backed topology it returns Err(PsError::NoSingleStore)
-    /// // instead of panicking — match on it or use the snapshot APIs.
+    /// // Single-server plane: the accessor returns the store. On a
+    /// // multi-server or wire-backed topology it returns None.
     /// let store = trainer.store().expect("single-server plane");
     /// assert_eq!(store.version(), 0);
     /// ```
-    pub fn store(&self) -> Result<&ShardedStore, PsError> {
+    pub fn store(&self) -> Option<&ShardedStore> {
         match &self.plane {
-            WorkerPort::Single(s) => Ok(s),
-            WorkerPort::Routed(_) | WorkerPort::Net(_) => Err(PsError::NoSingleStore {
-                servers: self.server_count(),
-            }),
+            WorkerPort::Single(s) => Some(s),
+            WorkerPort::Routed(_) | WorkerPort::Net(_) => None,
         }
     }
 
@@ -1528,7 +1520,7 @@ mod tests {
         let mut t = Trainer::new(Network::mlp(5, &[8], 3, 19), train, test, cfg);
         assert_eq!(t.server_count(), 1);
         assert!(t.router().is_none());
-        assert!(t.store().is_ok(), "single-server accessor works");
+        assert!(t.store().is_some(), "single-server accessor works");
         let r = t.run_segment(SyncProtocol::Asp, 30).unwrap();
         assert_eq!(r.sync_rounds, 0);
     }
@@ -1540,14 +1532,8 @@ mod tests {
         let cfg = TrainerConfig::new(2, 8, 0.05, 0.9)
             .with_topology(crate::config::ServerTopology::new(2, 1));
         let t = Trainer::new(Network::mlp(5, &[8], 3, 1), train, test, cfg);
-        match t.store() {
-            Err(PsError::NoSingleStore { servers }) => assert_eq!(servers, 2),
-            other => panic!("expected NoSingleStore, got {other:?}"),
-        }
-        // The error names the remedies, and the message is actionable.
-        let msg = t.store().unwrap_err().to_string();
-        assert!(msg.contains("2-server"), "{msg}");
-        assert!(msg.contains("snapshot"), "{msg}");
+        assert_eq!(t.server_count(), 2);
+        assert!(t.store().is_none());
     }
 
     #[test]

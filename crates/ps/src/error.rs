@@ -17,13 +17,6 @@ pub enum PsError {
     },
     /// A checkpoint does not match the model it is being restored into.
     CheckpointMismatch(String),
-    /// An API that needs the single in-process parameter store was called
-    /// on a trainer whose data plane is a multi-server or transport-backed
-    /// tier (use the router accessors or the snapshot APIs instead).
-    NoSingleStore {
-        /// Number of servers in the tier that was actually configured.
-        servers: usize,
-    },
     /// A wire operation exceeded its per-op timeout on every retry.
     Timeout {
         /// Server the operation was addressed to.
@@ -51,11 +44,6 @@ impl fmt::Display for PsError {
                 write!(f, "training diverged at step {step} (non-finite loss)")
             }
             PsError::CheckpointMismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
-            PsError::NoSingleStore { servers } => write!(
-                f,
-                "no single parameter store: the data plane is a {servers}-server tier \
-                 behind a router/transport (use router()/net_router() or the snapshot APIs)"
-            ),
             PsError::Timeout { server } => {
                 write!(f, "wire operation to server {server} timed out")
             }

@@ -19,9 +19,9 @@ use sync_switch_nn::{Dataset, Network, SgdMomentum};
 use sync_switch_ps::engine::step_rng;
 use sync_switch_ps::transport::wire::{decode_stats_snapshot, encode_stats_snapshot, op};
 use sync_switch_ps::{
-    FaultPlan, HistogramSnapshot, NetPort, PsError, RetryPolicy, ServerStatsSnapshot,
-    ServerTopology, ShardRouter, ShardedStore, TcpServerHost, Trainer, TrainerConfig,
-    TransportKind, TransportStats, UpdateData, WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
+    FaultPlan, HistogramSnapshot, NetPort, RetryPolicy, ServerStatsSnapshot, ServerTopology,
+    ShardRouter, ShardedStore, TcpServerHost, Trainer, TrainerConfig, TransportKind,
+    TransportStats, UpdateData, WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -80,7 +80,7 @@ fn assert_bsp_matches_sequential(kind: TransportKind) {
     let mut t = transport_trainer(kind, 4, seed);
     assert_eq!(t.server_count(), 2);
     assert!(t.net_router().is_some(), "plane must be transport-backed");
-    assert!(matches!(t.store(), Err(PsError::NoSingleStore { .. })));
+    assert!(t.store().is_none());
     let r = t.run_segment(SyncProtocol::Bsp, rounds).unwrap();
     // Every barrier round drained stage 2 over the wire.
     assert_eq!(r.sync_rounds, rounds);

@@ -93,33 +93,6 @@ impl Sample for LogNormal {
     }
 }
 
-/// Exponential distribution with the given rate (events per unit time).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive and finite.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate.is_finite() && rate > 0.0);
-        Exponential { rate }
-    }
-}
-
-impl Sample for Exponential {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        -rng.uniform(f64::MIN_POSITIVE, 1.0).ln() / self.rate
-    }
-    fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +132,6 @@ mod tests {
         for _ in 0..10 {
             assert!((d.sample(&mut rng) - 2.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn exponential_mean_matches() {
-        let d = Exponential::new(4.0);
-        let m = empirical_mean(&d, 40_000, 13);
-        assert!((m - 0.25).abs() < 0.01, "{m}");
-        assert_eq!(d.mean(), 0.25);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! cluster and convergence models.
 //!
 //! The engine is deliberately small: a virtual clock, a stable priority queue
-//! of typed events, seeded random-number streams, a handful of sampling
-//! distributions, and running/windowed statistics. Everything is fully
+//! of typed events, seeded random-number streams, two sampling
+//! distributions, and a sliding-window statistic. Everything is fully
 //! deterministic for a fixed seed, which the reproduction harness relies on.
 //!
 //! # Example
@@ -25,8 +25,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Exponential, LogNormal, Normal, Sample};
+pub use dist::{LogNormal, Normal, Sample};
 pub use queue::EventQueue;
 pub use rng::DetRng;
-pub use stats::{RunningStats, SlidingWindow};
+pub use stats::SlidingWindow;
 pub use time::SimTime;

@@ -87,14 +87,6 @@ impl DetRng {
         let u2: f64 = self.inner.gen::<f64>();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            slice.swap(i, j);
-        }
-    }
 }
 
 impl RngCore for DetRng {
@@ -179,16 +171,5 @@ mod tests {
         let mut rng = DetRng::new(3);
         assert!(!(0..100).any(|_| rng.chance(0.0)));
         assert!((0..100).all(|_| rng.chance(1.0)));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = DetRng::new(4);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle should move items");
     }
 }

@@ -1,104 +1,6 @@
-//! Running and windowed statistics used by profilers and detectors.
+//! Windowed statistics used by the straggler detector.
 
 use std::collections::VecDeque;
-
-/// Incremental mean / variance (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use sync_switch_sim::RunningStats;
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation (0 if fewer than 2 observations).
-    pub fn std(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Fixed-capacity sliding window with O(1) mean queries.
 ///
@@ -179,71 +81,9 @@ impl SlidingWindow {
     }
 }
 
-/// Returns the `q`-quantile (0..=1) of the data using linear interpolation.
-///
-/// Returns `None` for empty input.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]`.
-pub fn quantile(data: &[f64], q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    if data.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = data.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_stats_mean_std() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.mean(), 5.0);
-        assert!((s.std() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.std() - all.std()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-    }
 
     #[test]
     fn sliding_window_evicts() {
@@ -265,15 +105,5 @@ mod tests {
             w.push(x);
         }
         assert!((w.std() - 5.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&data, 0.0), Some(1.0));
-        assert_eq!(quantile(&data, 0.5), Some(3.0));
-        assert_eq!(quantile(&data, 1.0), Some(5.0));
-        assert_eq!(quantile(&data, 0.25), Some(2.0));
-        assert_eq!(quantile(&[], 0.5), None);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation engine primitives.
 
 use proptest::prelude::*;
-use sync_switch_sim::{DetRng, EventQueue, RunningStats, SimTime, SlidingWindow};
+use sync_switch_sim::{DetRng, EventQueue, SimTime, SlidingWindow};
 
 proptest! {
     /// Events pop in non-decreasing time order, and same-time events pop in
@@ -42,45 +42,6 @@ proptest! {
         }
         prop_assert_eq!(popped, times.len());
         prop_assert!(q.is_empty());
-    }
-
-    /// Welford running stats match the naive two-pass computation.
-    #[test]
-    fn running_stats_match_naive(data in proptest::collection::vec(-1e5f64..1e5, 1..200)) {
-        let mut s = RunningStats::new();
-        for &x in &data {
-            s.push(x);
-        }
-        let mean = data.iter().sum::<f64>() / data.len() as f64;
-        let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / data.len() as f64;
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.std() - var.sqrt()).abs() < 1e-5 * (1.0 + var.sqrt()));
-    }
-
-    /// Merging two accumulators equals accumulating the concatenation.
-    #[test]
-    fn running_stats_merge_associative(
-        a in proptest::collection::vec(-1e4f64..1e4, 0..100),
-        b in proptest::collection::vec(-1e4f64..1e4, 0..100),
-    ) {
-        let mut left = RunningStats::new();
-        for &x in &a {
-            left.push(x);
-        }
-        let mut right = RunningStats::new();
-        for &x in &b {
-            right.push(x);
-        }
-        left.merge(&right);
-        let mut whole = RunningStats::new();
-        for &x in a.iter().chain(&b) {
-            whole.push(x);
-        }
-        prop_assert_eq!(left.count(), whole.count());
-        if whole.count() > 0 {
-            prop_assert!((left.mean() - whole.mean()).abs() < 1e-6 * (1.0 + whole.mean().abs()));
-            prop_assert!((left.std() - whole.std()).abs() < 1e-6 * (1.0 + whole.std()));
-        }
     }
 
     /// A sliding window always reports the mean of its last `cap` pushes.

@@ -4,8 +4,8 @@
 //!
 //! Three pieces, all cheap enough for the hot path:
 //!
-//! * [`MetricsRegistry`] — named atomic [`Counter`]s, [`Gauge`]s, and
-//!   fixed log2-bucket [`Histogram`]s. Instruments are acquired once
+//! * [`MetricsRegistry`] — named atomic [`Counter`]s and fixed
+//!   log2-bucket [`Histogram`]s. Instruments are acquired once
 //!   (one lock + map insert) and then recorded lock-free; a
 //!   [`MetricsSnapshot`] is a consistent-enough point-in-time read that
 //!   serializes itself to JSON without any serde machinery.
@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -85,30 +85,6 @@ impl Counter {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins signed level (queue depths, live worker counts).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Overwrites the level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the level by `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    #[inline]
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -338,14 +314,13 @@ impl HistogramSnapshot {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// A named registry of instruments. Acquisition (`counter`/`gauge`/
-/// `histogram`) takes a lock and interns the name; the returned `Arc`
+/// A named registry of instruments. Acquisition (`counter`/`histogram`)
+/// takes a lock and interns the name; the returned `Arc`
 /// handle is then recorded through lock-free, so hot paths acquire once
 /// and keep the handle.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -364,19 +339,6 @@ impl MetricsRegistry {
                 let c = Arc::new(Counter::default());
                 map.insert(name.to_string(), Arc::clone(&c));
                 c
-            }
-        }
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("metrics registry poisoned");
-        match map.get(name) {
-            Some(g) => Arc::clone(g),
-            None => {
-                let g = Arc::new(Gauge::default());
-                map.insert(name.to_string(), Arc::clone(&g));
-                g
             }
         }
     }
@@ -404,13 +366,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("metrics registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
             histograms: self
                 .histograms
                 .lock()
@@ -429,21 +384,16 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Counter name → value.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge name → level.
-    pub gauges: BTreeMap<String, i64>,
     /// Histogram name → snapshot.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
-    /// Accumulates `other` into `self`: counters and gauges add, same-name
+    /// Accumulates `other` into `self`: counters add, same-name
     /// histograms merge bucket-wise, unknown names are inserted.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0) += v;
         }
         for (k, v) in &other.histograms {
             self.histograms.entry(k.clone()).or_default().merge(v);
@@ -455,14 +405,6 @@ impl MetricsSnapshot {
         let mut out = String::with_capacity(256);
         out.push_str("{\"counters\":{");
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            out.push_str(&format!(":{v}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -954,19 +896,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_round_trip_through_a_snapshot() {
+    fn counters_round_trip_through_a_snapshot() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("worker.steps");
         c.inc();
         c.add(4);
         // Same name → same instrument.
         reg.counter("worker.steps").inc();
-        let g = reg.gauge("workers.live");
-        g.set(4);
-        g.add(-1);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["worker.steps"], 6);
-        assert_eq!(snap.gauges["workers.live"], 3);
     }
 
     #[test]
@@ -1008,12 +946,10 @@ mod tests {
     fn snapshot_json_is_well_formed() {
         let reg = MetricsRegistry::new();
         reg.counter("a\"b").inc();
-        reg.gauge("g").set(-7);
         reg.histogram("h").record(3);
         let json = reg.snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"a\\\"b\":1"), "escaped key: {json}");
-        assert!(json.contains("\"g\":-7"));
         assert!(json.contains("\"count\":1"));
     }
 
