@@ -28,11 +28,6 @@ impl StragglerEpisode {
         let t = t.as_secs();
         t >= self.start_s && t < self.start_s + self.duration_s
     }
-
-    /// Episode end time.
-    pub fn end_s(&self) -> f64 {
-        self.start_s + self.duration_s
-    }
 }
 
 /// A named straggler scenario: a set of episodes.
@@ -147,7 +142,6 @@ mod tests {
         assert!(e.active_at(SimTime::from_secs(50.0)));
         assert!(e.active_at(SimTime::from_secs(149.9)));
         assert!(!e.active_at(SimTime::from_secs(150.0)));
-        assert_eq!(e.end_s(), 150.0);
     }
 
     #[test]

@@ -72,9 +72,6 @@ pub trait TrainingBackend {
     /// Current (smoothed) training loss.
     fn training_loss(&self) -> f64;
 
-    /// Whether the run has diverged.
-    fn is_diverged(&self) -> bool;
-
     /// Removes a worker (elastic policy). Returns `false` when unsupported
     /// or already removed.
     fn remove_worker(&mut self, worker: usize) -> bool;
@@ -221,10 +218,6 @@ impl TrainingBackend for SimBackend {
         self.trajectory.training_loss()
     }
 
-    fn is_diverged(&self) -> bool {
-        self.trajectory.is_diverged()
-    }
-
     fn remove_worker(&mut self, worker: usize) -> bool {
         self.cluster.remove_worker(worker)
     }
@@ -277,20 +270,10 @@ mod tests {
         let mut b = SimBackend::new(&setup, 4);
         let policy = ConfigPolicy::new(16);
         let asp = policy.for_protocol(&setup.workload.hyper, SyncProtocol::Asp);
-        let mut diverged = false;
-        for _ in 0..8 {
-            match b.run_chunk(&asp, 2000) {
-                Err(CoreError::Diverged { step }) => {
-                    assert!(step < 16_000);
-                    diverged = true;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => panic!("unexpected {e}"),
-            }
+        match (0..8).find_map(|_| b.run_chunk(&asp, 2000).err()) {
+            Some(CoreError::Diverged { step }) => assert!(step < 16_000),
+            other => panic!("setup 3 pure ASP must diverge, got {other:?}"),
         }
-        assert!(diverged, "setup 3 pure ASP must diverge");
-        assert!(b.is_diverged());
     }
 
     #[test]

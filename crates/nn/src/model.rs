@@ -386,11 +386,6 @@ impl Network {
         }
     }
 
-    /// Predicted class per row.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        forward_layers(&mut self.layers, x).argmax_rows()
-    }
-
     /// Top-1 accuracy on a labelled set.
     pub fn accuracy_on(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
         crate::metrics::accuracy(forward_layers(&mut self.layers, x), labels)

@@ -247,9 +247,6 @@ pub struct TrainerConfig {
     pub sparse_push: bool,
     /// Base seed for batch sampling (combined with worker id and step).
     pub seed: u64,
-    /// Abort the segment with [`crate::PsError::Diverged`] when a worker
-    /// observes a loss above this threshold or any non-finite value.
-    pub divergence_loss_threshold: f32,
 }
 
 impl TrainerConfig {
@@ -273,7 +270,6 @@ impl TrainerConfig {
             excluded_workers: Vec::new(),
             sparse_push: true,
             seed: 0,
-            divergence_loss_threshold: 1e4,
         }
     }
 

@@ -7,12 +7,18 @@
 //! every segment the controller scrapes the **already-emitted named
 //! signals** — the `engine.step_ns` / `engine.barrier_wait_ns` /
 //! `engine.staleness` histograms, the `wire.retries` / `wire.sync_rounds`
-//! counters, per-server reachability from [`NetRouter::scrape_all_stats`],
-//! and the loss trajectory — and decides whether to roll back (divergence),
-//! promote BSP→ASP (barrier-dominated and loss stable), demote ASP→BSP
-//! (wire distress or divergence risk), or hold. There is no side channel:
-//! every input to [`SyncController::decide`] is a signal any telemetry
-//! scraper could read off the bus, plus the controller's own loss record.
+//! counters, and the loss trajectory — and decides whether to roll back
+//! (divergence), promote BSP→ASP (barrier-dominated and loss stable),
+//! demote ASP→BSP (wire distress or divergence risk), or hold. There is no
+//! side channel: every input to [`SyncController::decide`] is a signal any
+//! telemetry scraper could read off the bus, plus the controller's own loss
+//! record.
+//!
+//! A server lost past the retry budget, inside the segment or at its
+//! closing finiteness check, is not a signal: the segment returns its wire
+//! error naming the server, and [`SyncController::run_segment`] passes it
+//! up for the caller to heal (a `ps-worker` waits out the respawn, restores
+//! and re-runs the segment).
 //!
 //! The first rule is the divergence watchdog. The paper observes that ASP
 //! diverges at learning rates BSP tolerates (experiment setup 3); instead
@@ -35,8 +41,6 @@
 //! Only the two thresholds a deployment has reason to move are
 //! [`ControllerConfig`] fields; every other rule reads one of the named
 //! constants below.
-//!
-//! [`NetRouter::scrape_all_stats`]: crate::NetRouter::scrape_all_stats
 
 use serde::{Deserialize, Serialize};
 use sync_switch_telemetry::{MetricsSnapshot, TraceKind};
@@ -131,30 +135,21 @@ pub struct ScrapedSignals {
     pub retries: u64,
     /// `wire.sync_rounds` counter delta.
     pub sync_rounds: u64,
-    /// Servers that failed the end-of-segment stats scrape
-    /// ([`NetRouter::scrape_all_stats`] returned `None` for them); zero on
-    /// an in-process plane.
-    ///
-    /// [`NetRouter::scrape_all_stats`]: crate::NetRouter::scrape_all_stats
-    pub unreachable_servers: usize,
-    /// Tail loss of the segment (the loss trajectory endpoint).
+    /// Tail loss of the segment (the loss trajectory endpoint); NaN when
+    /// the segment diverged.
     pub final_loss: f32,
-    /// Whether the segment ended with every parameter finite.
-    pub finite: bool,
 }
 
 impl ScrapedSignals {
     /// Deltas of the named signals between two metrics snapshots.
-    /// `final_loss` / `finite` come from the segment report (the loss
-    /// trajectory is itself an emitted signal — `SegmentReport` is what the
-    /// report sinks serialize), or read non-finite when the segment
-    /// returned [`PsError::Diverged`] (`report` is `None`);
-    /// `unreachable_servers` from the router scrape.
+    /// `final_loss` comes from the segment report (the loss trajectory is
+    /// itself an emitted signal — `SegmentReport` is what the report sinks
+    /// serialize), or reads NaN when the segment returned
+    /// [`PsError::Diverged`] (`report` is `None`).
     pub fn between(
         before: &MetricsSnapshot,
         after: &MetricsSnapshot,
         report: Option<&SegmentReport>,
-        unreachable_servers: usize,
     ) -> Self {
         let counter = |name: &str| {
             after.counters.get(name).copied().unwrap_or(0)
@@ -177,9 +172,7 @@ impl ScrapedSignals {
             staleness_sum,
             retries: counter("wire.retries"),
             sync_rounds: counter("wire.sync_rounds"),
-            unreachable_servers,
             final_loss: report.map_or(f32::NAN, |r| r.final_loss),
-            finite: report.is_some_and(|r| r.finite),
         }
     }
 
@@ -354,7 +347,7 @@ impl SyncController {
     /// rollback every other segment holds; a loss over [`BLOWUP_FACTOR`] ×
     /// best rolls back; then the promote/demote rules of `current`.
     pub fn decide(&self, current: SyncProtocol, s: &ScrapedSignals) -> SyncDecision {
-        if !s.finite || !s.final_loss.is_finite() {
+        if !s.final_loss.is_finite() {
             return SyncDecision::Rollback {
                 reason: format!("non-finite segment under {current}"),
             };
@@ -384,14 +377,6 @@ impl SyncController {
                             "warming up: observed segment {} of {WARMUP_SEGMENTS} before first \
                              decision",
                             self.segments + 1
-                        ),
-                    };
-                }
-                if s.unreachable_servers > 0 {
-                    return SyncDecision::Hold {
-                        reason: format!(
-                            "{} server(s) unreachable at scrape; holding BSP",
-                            s.unreachable_servers
                         ),
                     };
                 }
@@ -436,15 +421,6 @@ impl SyncController {
                 }
             }
             SyncProtocol::Asp => {
-                if s.unreachable_servers > 0 {
-                    return SyncDecision::Switch {
-                        to: SyncProtocol::Bsp,
-                        reason: format!(
-                            "{} server(s) unreachable at scrape under ASP",
-                            s.unreachable_servers
-                        ),
-                    };
-                }
                 if s.retries > self.cfg.demote_retry_limit {
                     return SyncDecision::Switch {
                         to: SyncProtocol::Bsp,
@@ -522,13 +498,7 @@ impl SyncController {
             Err(e) => return Err(e),
         };
         let after = trainer.bus().metrics.snapshot();
-        let unreachable = match trainer.net_router() {
-            Some(router) => trainer
-                .server_count()
-                .saturating_sub(router.reachable_servers()),
-            None => 0,
-        };
-        let signals = ScrapedSignals::between(&before, &after, outcome.as_ref(), unreachable);
+        let signals = ScrapedSignals::between(&before, &after, outcome.as_ref());
         let decision = self.decide(current, &signals);
 
         // Retune the SSP bound from the measured staleness distribution.
@@ -611,14 +581,9 @@ impl SyncController {
         trainer.restore(target)?;
         let plan = SwitchPlan::keep_hyper(trainer.config(), SyncProtocol::Bsp, true);
         execute_switch(trainer, &plan)?;
-        // The re-run is judged like any pinned segment: only a non-finite
-        // one is a divergence, and there is nowhere left to roll back to.
+        // There is nowhere left to roll back to: a re-run that diverges
+        // fails the call.
         let report = trainer.run_segment(SyncProtocol::Bsp, steps)?;
-        if !report.finite || !report.final_loss.is_finite() {
-            return Err(PsError::Diverged {
-                step: trainer.global_step(),
-            });
-        }
         self.adopt_if_best(trainer, &report);
         Ok((report, to_step))
     }
@@ -626,8 +591,7 @@ impl SyncController {
     /// Adopts a passing segment's endpoint as the best loss and rollback
     /// target when its tail loss is the new best.
     fn adopt_if_best(&mut self, trainer: &Trainer, report: &SegmentReport) {
-        if report.steps > 0 && report.final_loss.is_finite() && report.final_loss <= self.best_loss
-        {
+        if report.steps > 0 && report.final_loss <= self.best_loss {
             self.best_loss = report.final_loss;
             self.rollback_target = Some(trainer.checkpoint());
         }
@@ -637,18 +601,24 @@ impl SyncController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TrainerConfig;
+    use crate::config::{ServerTopology, TrainerConfig, TransportKind};
+    use crate::deadline::deadline;
+    use crate::transport::wire::op;
     use proptest::prelude::*;
     use sync_switch_nn::{Dataset, Network};
 
     fn trainer(lr: f64) -> Trainer {
+        trainer_on(lr, ServerTopology::single())
+    }
+
+    fn trainer_on(lr: f64, topology: ServerTopology) -> Trainer {
         let data = Dataset::gaussian_blobs(4, 96, 6, 0.35, 11);
         let (train, test) = data.split(0.25);
         Trainer::new(
             Network::mlp(6, &[12], 4, 11),
             train,
             test,
-            TrainerConfig::new(3, 8, lr, 0.9),
+            TrainerConfig::new(3, 8, lr, 0.9).with_topology(topology),
         )
     }
 
@@ -668,9 +638,7 @@ mod tests {
             staleness_sum: 20,
             retries: 0,
             sync_rounds: 4,
-            unreachable_servers: 0,
             final_loss: 0.48,
-            finite: true,
         }
     }
 
@@ -697,7 +665,6 @@ mod tests {
             staleness_count in 0u64..64,
             staleness_sum in 0u64..2_048,
             retries in 0u64..8,
-            unreachable_servers in 0usize..3,
             loss_pick in any::<u8>(),
             loss in 0.0f32..8.0,
             best in 0.0f32..2.0,
@@ -711,13 +678,11 @@ mod tests {
                 staleness_sum,
                 retries,
                 sync_rounds: 0,
-                unreachable_servers,
                 final_loss: match loss_pick % 8 {
                     0 => f32::NAN,
                     1 => f32::INFINITY,
                     _ => loss,
                 },
-                finite: !loss_pick.is_multiple_of(5),
             };
             let mut c = SyncController::new(ControllerConfig::default());
             c.best_loss = if state & 1 == 0 { best } else { f32::INFINITY };
@@ -729,7 +694,7 @@ mod tests {
 
             let cfg = c.cfg;
             let best = c.best_loss.max(LOSS_FLOOR);
-            let non_finite = !s.finite || !s.final_loss.is_finite();
+            let non_finite = !s.final_loss.is_finite();
             let blown = s.final_loss > BLOWUP_FACTOR * best;
             let rollback = matches!(d, SyncDecision::Rollback { .. });
             prop_assert_eq!(rollback, non_finite || (!c.demoted && blown), "{:?}", d);
@@ -743,7 +708,6 @@ mod tests {
             let (switch, to) = match current {
                 SyncProtocol::Bsp => (
                     c.segments >= WARMUP_SEGMENTS
-                        && s.unreachable_servers == 0
                         && s.retries <= cfg.demote_retry_limit
                         && s.barrier_fraction() >= cfg.promote_barrier_frac
                         && c.best_loss.is_finite()
@@ -751,8 +715,7 @@ mod tests {
                     SyncProtocol::Asp,
                 ),
                 SyncProtocol::Asp => (
-                    s.unreachable_servers > 0
-                        || s.retries > cfg.demote_retry_limit
+                    s.retries > cfg.demote_retry_limit
                         || s.final_loss > DEMOTE_LOSS_FACTOR * best
                         || (s.staleness_count > 0
                             && s.mean_staleness() > DEMOTE_STALENESS_LIMIT),
@@ -918,7 +881,7 @@ mod tests {
         assert_eq!(switch.to, SyncProtocol::Asp);
         assert!(switch.reason.contains("barrier-wait fraction"));
         // The record carries what it was decided on.
-        assert!(switch.signals.finite && switch.signals.barrier_ns > 0);
+        assert!(switch.signals.final_loss.is_finite() && switch.signals.barrier_ns > 0);
         assert_eq!(switch.rolled_back_to, None);
         // The switch landed on the bus with its reason.
         let bus = t.bus();
@@ -941,6 +904,25 @@ mod tests {
         let r = c.run_segment(&mut t, 20).expect("promoted segment");
         assert_eq!(r.protocol, SyncProtocol::Asp);
         assert!(c.ssp_bound() >= 1);
+    }
+
+    /// The controller decides on what its segments already reported, so it
+    /// sends no server a `STATS` request of its own: the one each server
+    /// counts is this test's scrape.
+    #[test]
+    fn segments_under_the_controller_scrape_no_server() {
+        let _deadline = deadline(60);
+        let topology = ServerTopology::new(2, 1).with_transport(TransportKind::Channel);
+        let mut t = trainer_on(0.05, topology);
+        let mut c = SyncController::default();
+        for _ in 0..3 {
+            c.run_segment(&mut t, 10).expect("segment");
+        }
+        let router = t.net_router().expect("a wire plane");
+        for s in 0..2 {
+            let stats = router.scrape_stats(s).expect("scrape");
+            assert_eq!(stats.requests_for(op::STATS), 1, "server {s}");
+        }
     }
 
     #[test]
@@ -974,7 +956,6 @@ mod tests {
             let r = c
                 .run_segment(&mut t, 40)
                 .expect("the controller must absorb the divergence");
-            assert!(r.finite, "a non-finite segment was returned");
             if c.watchdog_demoted() {
                 assert_eq!(r.protocol, SyncProtocol::Bsp, "pinned runs are BSP");
             }
@@ -1009,16 +990,14 @@ mod tests {
         let mut c = SyncController::new(cfg);
         c.run_segment(&mut t, 20).expect("healthy segment");
         poison(&mut t);
-        let r = c
-            .run_segment(&mut t, 20)
+        c.run_segment(&mut t, 20)
             .expect("rollback absorbs the blow-up");
-        assert!(r.finite);
         assert!(c.watchdog_demoted());
         assert_eq!(c.watchdog_trips(), 1);
         assert_eq!(t.protocol(), SyncProtocol::Bsp);
         let trip = c.decisions().last().expect("decisions recorded");
         assert!(!trip.switched(), "a rollback record is BSP -> BSP");
-        assert!(!trip.signals.finite);
+        assert!(trip.signals.final_loss.is_nan());
         // Even with promote conditions trivially satisfiable, demotion is
         // final.
         for _ in 0..2 {
@@ -1044,9 +1023,8 @@ mod tests {
 
         // Trip 1: rollback to the step-30 checkpoint, 40-step BSP re-run.
         poison(&mut t);
-        let r = c.run_segment(&mut t, 40).expect("first trip absorbed");
+        c.run_segment(&mut t, 40).expect("first trip absorbed");
         assert_eq!(c.watchdog_trips(), 1);
-        assert!(r.finite, "re-run must be judged, not returned blind");
         assert_eq!(t.global_step(), 70);
         assert_eq!(c.decisions()[1].rolled_back_to, Some(30));
 
@@ -1054,9 +1032,8 @@ mod tests {
         // (step 70, training at the healthy rate kept improving the loss),
         // not the stale step-30 checkpoint.
         poison(&mut t);
-        let r = c.run_segment(&mut t, 40).expect("second trip absorbed");
+        c.run_segment(&mut t, 40).expect("second trip absorbed");
         assert_eq!(c.watchdog_trips(), 2);
-        assert!(r.finite);
         assert_eq!(c.decisions()[2].rolled_back_to, Some(70));
         assert_eq!(
             t.global_step(),

@@ -42,6 +42,12 @@ use crate::ssp::{async_loop, AsyncShared};
 use crate::store::{runs_within, PullBuffer, ShardedStore, UpdateData};
 use crate::transport::{NetPort, NetRouter};
 
+/// A step whose loss is above this, or not finite, is [`PsError::Diverged`]:
+/// the paper's "divergence errors". The softmax cross-entropy never returns
+/// more than −ln(1e-12) ≈ 27.6, NaN logits included, so a blow-up is caught
+/// by the segment's closing finiteness check.
+const DIVERGENCE_LOSS: f32 = 1e4;
+
 /// What each worker thread returns: its id, timing/loss profile, global
 /// staleness observations, and per-shard staleness observations.
 type WorkerResult = (usize, WorkerProfile, StalenessHistogram, ShardStaleness);
@@ -220,6 +226,10 @@ fn build_plane(initial: &[f32], cfg: &TrainerConfig) -> WorkerPort {
 
 /// Outcome of one training segment (a run of consecutive steps under a
 /// single protocol and configuration).
+///
+/// Only a segment that ended with every parameter finite and every server
+/// answering returns one: a divergence is [`PsError::Diverged`] and a lost
+/// server its wire error, so the report carries no verdict of its own.
 #[derive(Debug)]
 pub struct SegmentReport {
     /// Protocol the segment ran under.
@@ -245,12 +255,6 @@ pub struct SegmentReport {
     /// Wire cost of the segment on a transport-backed data plane (all
     /// zeros, `backend == None`, when the tier is in-process).
     pub transport: TransportStats,
-    /// Whether every live parameter was finite when the segment ended.
-    /// Always `true` on a returned report: under every protocol a segment
-    /// that leaves the plane non-finite is [`PsError::Diverged`], not `Ok`.
-    /// Kept so switching policies (and the controller's rollback rule) can
-    /// read the verdict off the report without a second wire round trip.
-    pub finite: bool,
     /// Mean training loss over the last few recorded steps.
     pub final_loss: f32,
 }
@@ -414,7 +418,7 @@ impl Worker<'_> {
     /// The part of a step every protocol shares: draw the batch, pull what
     /// it reads — or install it from `image` once that holds one (see
     /// [`BspShared::image`]) — compute loss and gradient. A loss that is
-    /// non-finite or above the divergence threshold is
+    /// non-finite or above [`DIVERGENCE_LOSS`] is
     /// [`PsError::Diverged`] at this step, and a failed pull is its wire
     /// error.
     #[inline]
@@ -447,7 +451,7 @@ impl Worker<'_> {
             ..
         } = &mut self.seat.scratch;
         let loss = self.seat.model.loss_and_grad_into(x, labels, runs, grad);
-        if !loss.is_finite() || loss > cfg.divergence_loss_threshold {
+        if !loss.is_finite() || loss > DIVERGENCE_LOSS {
             return Err(PsError::Diverged { step: step_id });
         }
         Ok(Step {
@@ -1001,15 +1005,26 @@ impl Trainer {
     }
 
     /// Whether every parameter on every server is currently finite — the
-    /// segment runner checks this at the end of each segment internally;
-    /// this exposes the same probe to harnesses that want to assert it
-    /// between segments.
+    /// probe the segment epilogue runs, for harnesses that assert it
+    /// between segments. It stays a `bool` because the benchmark calls it;
+    /// the epilogue itself fails its segment with the wire error instead.
+    ///
+    /// # Panics
+    ///
+    /// On a wire plane, if a server does not answer within the retry
+    /// budget.
     pub fn check_finite(&self) -> bool {
-        match &self.plane {
+        self.plane_finite()
+            .unwrap_or_else(|e| panic!("finiteness check failed: {e}"))
+    }
+
+    /// [`Trainer::check_finite`], with a lost server as its wire error.
+    fn plane_finite(&self) -> Result<bool, PsError> {
+        Ok(match &self.plane {
             WorkerPort::Single(s) => s.is_finite(),
             WorkerPort::Routed(r) => r.is_finite(),
-            WorkerPort::Net(p) => p.router().is_finite(),
-        }
+            WorkerPort::Net(p) => p.router().is_finite()?,
+        })
     }
 
     fn snapshot_params(&self) -> Vec<f32> {
@@ -1093,8 +1108,9 @@ impl Trainer {
     /// a non-finite parameter behind (`global_step` does not advance) —
     /// [`crate::SyncController::run_segment`] turns that into a rollback —
     /// [`PsError::InvalidConfig`] for impossible configurations, and, on a
-    /// transport-backed plane, the wire error of a server lost mid-segment
-    /// past the retry budget: `Timeout`, `ConnLost` or `RetriesExhausted`,
+    /// transport-backed plane, the wire error of a server lost mid-segment,
+    /// or at its closing finiteness check, past the retry budget: `Timeout`,
+    /// `ConnLost` or `RetriesExhausted`,
     /// naming the server. A `ps-worker` matches those, waits out the
     /// respawn with [`NetRouter::handshake`], restores the whole tier from
     /// its segment-start checkpoint (the respawned server holds reset state
@@ -1135,15 +1151,21 @@ impl Trainer {
             return Err(PsError::InvalidConfig("all workers excluded".into()));
         }
         let start = Instant::now();
-        let mut results = self.run_workers(protocol, leash, &active, steps);
+        let results = self.run_workers(protocol, leash, &active, steps);
         let wall_time = start.elapsed();
         // A finite loss on every step does not make the applies finite (a
         // poisoned velocity, an overflow in the update): the tier itself is
-        // the last word, whatever the protocol.
-        if results.is_ok() && !self.check_finite() {
-            let step = self.global_step + steps;
-            results = Err(PsError::Diverged { step });
-        }
+        // the last word, whatever the protocol. A server lost by then fails
+        // the segment as one lost inside it does.
+        let results = results.and_then(|r| {
+            if self.plane_finite()? {
+                Ok(r)
+            } else {
+                Err(PsError::Diverged {
+                    step: self.global_step + steps,
+                })
+            }
+        });
         if results.is_err() {
             self.seats.fill_with(|| None);
         }
@@ -1187,7 +1209,6 @@ impl Trainer {
             shard_staleness,
             sync_rounds: self.sync_rounds() - before.0,
             transport: self.transport_stats().delta(&before.1),
-            finite: true,
             final_loss,
         }
     }
@@ -1592,29 +1613,37 @@ mod tests {
         assert!(matches!(err, PsError::CheckpointMismatch(_)), "{err}");
     }
 
+    /// A blow-up is a divergence at its first step, whatever the protocol.
+    /// From parameters scaled by 1e30 the logits overflow: the first
+    /// step's loss stays at the cross-entropy's clamp, −ln(1e-12) ≈ 27.6,
+    /// far under [`DIVERGENCE_LOSS`], but its gradient is not finite, so
+    /// the segment of that one step ends with the tier poisoned.
     #[test]
     fn divergence_detected_and_reported() {
-        let data = Dataset::gaussian_blobs(3, 30, 4, 0.3, 9);
-        let (train, test) = data.split(0.2);
-        // Absurd learning rate forces a loss spike past the divergence
-        // threshold (a dead-ReLU network can stabilize afterwards, so the
-        // threshold check is the reliable detector — same as the paper's
-        // "divergence errors").
-        let mut cfg = TrainerConfig::new(2, 8, 500.0, 0.9).with_seed(9);
-        cfg.divergence_loss_threshold = 4.0;
-        let mut t = Trainer::new(Network::mlp(4, &[12], 3, 9), train, test, cfg);
-        let mut diverged = false;
-        for _ in 0..20 {
-            match t.run_segment(SyncProtocol::Asp, 50) {
-                Err(PsError::Diverged { .. }) => {
-                    diverged = true;
-                    break;
-                }
-                Ok(_) => continue,
-                Err(e) => panic!("unexpected error {e}"),
+        let seed = 9;
+        let blown = |t: &Trainer| {
+            let mut ck = t.checkpoint();
+            ck.params.iter_mut().for_each(|p| *p *= 1e30);
+            ck
+        };
+        // The first step's batch and loss, as the one worker draws them.
+        let t = small_trainer(1, seed);
+        let mut model = t.template.clone();
+        model.set_params_flat(&blown(&t).params);
+        let (x, y) = t.shards[0].sample_batch(8, &mut step_rng(seed, 0, 0));
+        let (loss, grad) = model.loss_and_grad(&x, &y);
+        assert!(loss.is_finite() && loss < 28.0, "first-step loss {loss}");
+        assert!(grad.iter().any(|g| !g.is_finite()));
+        let ssp2 = (SyncProtocol::Asp, Some(2));
+        for (protocol, leash) in [(SyncProtocol::Bsp, None), (SyncProtocol::Asp, None), ssp2] {
+            let mut t = small_trainer(1, seed);
+            t.restore(&blown(&t)).unwrap();
+            match t.run_leashed(protocol, leash, 1) {
+                Err(PsError::Diverged { step }) => assert_eq!(step, 1),
+                other => panic!("{protocol} leash {leash:?}: expected Diverged, got {other:?}"),
             }
+            assert_eq!(t.global_step(), 0, "{protocol} leash {leash:?} advanced");
         }
-        assert!(diverged, "expected divergence with lr=500");
     }
 
     /// A worker that panics — a bug, not a dead server — still wakes its

@@ -177,11 +177,6 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
-    /// Whether a wire boundary was active at all.
-    pub fn is_active(&self) -> bool {
-        self.backend.is_some()
-    }
-
     /// Total logical operations across all classes (what the servers
     /// count per opcode).
     pub fn total_ops(&self) -> u64 {

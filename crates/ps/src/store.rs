@@ -339,11 +339,6 @@ impl ShardedStore {
         self.layout.range(shard)
     }
 
-    /// The layout partitioning the flat vector into shards.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
     /// Current global version (number of completed pushes).
     pub fn version(&self) -> u64 {
         // Acquire: pairs with the Release bump in `complete_push` so a

@@ -302,11 +302,11 @@ impl ConnSlot {
 /// failure surface, as the [`PsError`] naming the server that did not
 /// answer (`Timeout`, `ConnLost` or `RetriesExhausted`): from the owner ops
 /// ([`Self::drain`], [`Self::restore`], [`Self::reset_velocity`]), the
-/// probes, and the worker-path ops — [`NetPort`]'s pulls, pushes,
-/// [`NetPort::after_push`] and BSP's round commit — which the engine's
-/// workers pass up as their segment's error. Only the reads
-/// [`Self::snapshot_params`], [`Self::snapshot_velocity`] and
-/// [`Self::is_finite`] still panic with the error's message.
+/// probes, [`Self::is_finite`], and the worker-path ops — [`NetPort`]'s
+/// pulls, pushes, [`NetPort::after_push`] and BSP's round commit — which
+/// the engine passes up as its segment's error. Only the reads
+/// [`Self::snapshot_params`] and [`Self::snapshot_velocity`] still panic
+/// with the error's message.
 #[derive(Debug)]
 pub struct NetRouter {
     kind: TransportKind,
@@ -1034,20 +1034,29 @@ impl NetRouter {
         })
     }
 
-    /// Whether every live parameter on every server is finite.
-    pub fn is_finite(&self) -> bool {
+    /// Whether every live parameter on every server is finite, asking the
+    /// servers in order until one says no.
+    ///
+    /// # Errors
+    ///
+    /// Returns the wire error of a server that did not answer within the
+    /// retry budget.
+    pub fn is_finite(&self) -> Result<bool, PsError> {
         let mut control = self.sync.lock();
-        (0..self.tier.server_count()).all(|s| {
-            self.call_resilient(
+        for s in 0..self.tier.server_count() {
+            let finite = self.call_resilient(
                 &mut control.conns[s],
                 s,
                 self.retry,
                 false,
                 &|buf| wire::encode_bodyless(buf, op::CHECK_FINITE),
                 &mut wire::decode_finite,
-            )
-            .unwrap_or_else(|e| panic!("finiteness check failed: {e}"))
-        })
+            )?;
+            if !finite {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// A probe: one bodyless `opcode` round trip to server `s` over the
@@ -1210,14 +1219,6 @@ impl NetRouter {
         (0..self.tier.server_count())
             .map(|s| self.scrape_stats(s).ok())
             .collect()
-    }
-
-    /// How many servers answered a stats scrape just now — the tier-health
-    /// signal the adaptive sync controller folds into its demote decision
-    /// (a server that cannot answer a read probe is not one to run ASP
-    /// against).
-    pub fn reachable_servers(&self) -> usize {
-        self.scrape_all_stats().iter().flatten().count()
     }
 }
 
@@ -1683,7 +1684,7 @@ mod tests {
             let mut buf = PullBuffer::new();
             net.pull_into(&mut buf).unwrap();
             assert_eq!(buf.params(), &params[..], "restore must drain");
-            assert!(r.is_finite());
+            assert_eq!(r.is_finite(), Ok(true));
             r.reset_velocity().expect("velocity reset");
             assert!(r.snapshot_velocity().iter().all(|&v| v == 0.0));
         }
@@ -1923,6 +1924,29 @@ mod tests {
             ServerTopology::new(2, 1).with_transport(TransportKind::Channel),
         );
         assert!(channel.router().kill_server(1).is_err());
+    }
+
+    #[test]
+    fn a_lost_server_fails_the_finiteness_check_by_name() {
+        let _deadline = deadline(60);
+        let net = NetPort::launch(
+            &[1.0f32; 16],
+            4,
+            ServerTopology::new(2, 1).with_transport(TransportKind::Tcp),
+        );
+        let r = net.router();
+        assert_eq!(r.is_finite(), Ok(true));
+        r.kill_server(1).expect("kill");
+        let err = r.is_finite().expect_err("a dead server answered");
+        assert!(
+            matches!(
+                err,
+                PsError::Timeout { server: 1 }
+                    | PsError::ConnLost { server: 1 }
+                    | PsError::RetriesExhausted { server: 1, .. }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -84,7 +84,6 @@ fn train_through_chaos(kind: TrainableKind, protocol: SyncProtocol) -> f32 {
             .run_segment(protocol, chunk)
             .unwrap_or_else(|e| panic!("{kind} {protocol} under faults: {e}"));
         assert_eq!(r.steps, chunk);
-        assert!(r.finite, "{kind} {protocol} non-finite under faults");
         left -= chunk;
         if !killed && left <= budget / 2 {
             // Mid-run crash at a segment boundary: quiesce, checkpoint,
@@ -186,7 +185,6 @@ fn embedding_hot_lr_asp_rolls_back_and_finishes_under_bsp() {
         let r = ctl
             .run_segment(&mut t, chunk)
             .expect("the controller must absorb the divergence");
-        assert!(r.finite, "the controller returned a non-finite segment");
         assert_eq!(r.protocol, SyncProtocol::Bsp, "rolled-back runs are BSP");
         left -= chunk;
     }
@@ -406,8 +404,7 @@ fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
     let mut t = Trainer::new(model, train, test, cfg);
     let mut ctl = SyncController::new(chaos_policy());
     for _ in 0..6 {
-        let r = ctl.run_segment(&mut t, 40).expect("clean-tier segment");
-        assert!(r.finite);
+        ctl.run_segment(&mut t, 40).expect("clean-tier segment");
         if t.protocol() == SyncProtocol::Asp {
             break;
         }
@@ -449,8 +446,7 @@ fn controller_promotes_on_clean_tier_then_demotes_under_faults() {
     let mut ctl2 = SyncController::new(chaos_policy());
     let mut demoted = false;
     for _ in 0..6 {
-        let r = ctl2.run_segment(&mut t2, 40).expect("faulty-tier segment");
-        assert!(r.finite);
+        ctl2.run_segment(&mut t2, 40).expect("faulty-tier segment");
         if t2.protocol() == SyncProtocol::Bsp {
             demoted = true;
             break;

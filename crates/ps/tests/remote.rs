@@ -80,7 +80,7 @@ fn remote_tier_matches_in_process_router() {
     let vb = net.pull_into(&mut b);
     assert_eq!(Ok(va), vb);
     assert_eq!(a.params(), b.params());
-    assert!(net.router().is_finite());
+    assert_eq!(net.router().is_finite(), Ok(true));
 }
 
 #[test]

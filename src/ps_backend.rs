@@ -48,7 +48,6 @@ use sync_switch_workloads::SyncProtocol;
 pub struct PsBackend {
     trainer: Trainer,
     elapsed: SimTime,
-    diverged_at: Option<u64>,
     workers: usize,
 }
 
@@ -89,7 +88,6 @@ impl PsBackend {
         PsBackend {
             trainer: Trainer::new(model, train, test, cfg),
             elapsed: SimTime::ZERO,
-            diverged_at: None,
             workers,
         }
     }
@@ -162,10 +160,7 @@ impl TrainingBackend for PsBackend {
                     wire_reconnects: report.transport.reconnects,
                 })
             }
-            Err(PsError::Diverged { step }) => {
-                self.diverged_at = Some(step);
-                Err(CoreError::Diverged { step })
-            }
+            Err(PsError::Diverged { step }) => Err(CoreError::Diverged { step }),
             Err(e) => Err(CoreError::Backend(e.to_string())),
         }
     }
@@ -203,10 +198,6 @@ impl TrainingBackend for PsBackend {
 
     fn training_loss(&self) -> f64 {
         f64::from(self.trainer.training_loss())
-    }
-
-    fn is_diverged(&self) -> bool {
-        self.diverged_at.is_some()
     }
 
     fn remove_worker(&mut self, worker: usize) -> bool {
