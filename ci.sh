@@ -403,8 +403,9 @@ code_tree() {
 # target dir under target/pairs, so neither build touches the tree. Then,
 # per workload (default: every one BENCHMARK.json declares), N pairs of
 # runs of BENCHMARK.json's `run_seconds` each, the order flipping every
-# pair; each run's last stdout line goes to target/pairs/runs.tsv. The
-# `pairs` bin prints the verdict table, appends the session to
+# pair; each run's last stdout line goes to target/pairs/runs.tsv, beside
+# a copy of the summary the run wrote (its per-job host speed and steal
+# ticks). The `pairs` bin prints the verdict table, appends the session to
 # BENCH_history.jsonl, and fails the command when a run is not correct,
 # failed jobs, or a median left its bound. Nothing else may run on the box
 # meanwhile.
@@ -458,18 +459,23 @@ run_pairs() {
     local pairs_bin="target/release/pairs" seconds
     [[ ${#workloads[@]} -gt 0 ]] || mapfile -t workloads < <("$pairs_bin" --workloads BENCHMARK.json)
     seconds="$("$pairs_bin" --run-seconds BENCHMARK.json)"
-    local runs="$dir/runs.tsv" w i line
+    local runs="$dir/runs.tsv" w i line k=0 summary
     : > "$runs"
+    rm -rf "$dir/summaries"
+    mkdir -p "$dir/summaries"
     for w in "${workloads[@]}"; do
         for ((i = 1; i <= n; i++)); do
             local order=(parent change)
             (( i % 2 == 1 )) || order=(change parent)
             for side in "${order[@]}"; do
                 step "$w pair $i/$n: $side"
+                summary="$dir/summaries/$((++k)).json"
+                rm -f "$src/benchmark/out/$w.summary.json"
                 line="$(cd "$src" && "$dir/target-$side/release/sync-switch-benchmark" \
                     --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 2>/dev/null |
                     tail -n 1 || true)"
-                printf '%s\t%s\t%s\n' "$side" "$w" "$line" >> "$runs"
+                cp "$src/benchmark/out/$w.summary.json" "$summary" 2>/dev/null || true
+                printf '%s\t%s\t%s\t%s\n' "$side" "$w" "$summary" "$line" >> "$runs"
             done
         done
     done

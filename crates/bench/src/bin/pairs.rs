@@ -14,9 +14,11 @@
 //! build inputs (see `Session`); the table names the parent by its short
 //! sha and the change by `--change-label`.
 //!
-//! The runs file holds one run a line, `side<TAB>workload<TAB>result`,
-//! where `side` is `parent` or `change` and `result` is the benchmark's
-//! last stdout line. See `sync_switch_bench::pairs`.
+//! The runs file holds one run a line,
+//! `side<TAB>workload<TAB>summary<TAB>result`, where `side` is `parent` or
+//! `change`, `summary` the path of a copy of the summary the run wrote and
+//! `result` the benchmark's last stdout line. See
+//! `sync_switch_bench::pairs`.
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -58,7 +60,7 @@ fn run(argv: &[String]) -> Result<bool, String> {
         need(key)?.parse().map_err(|e| format!("{key}: {e}"))
     };
     let manifest = manifest(&json(need("--manifest")?)?)?;
-    let runs = parse_runs(&read(need("--runs")?)?)?;
+    let runs = parse_runs(&read(need("--runs")?)?, |path| read(path).ok())?;
     let verdict = judge(&runs, &manifest.workloads, &manifest.metrics);
     let parent = need("--parent")?;
     let short = &parent[..parent.len().min(7)];
@@ -76,7 +78,7 @@ fn run(argv: &[String]) -> Result<bool, String> {
         };
         let mut file = (OpenOptions::new().create(true).append(true).open(path))
             .map_err(|e| format!("cannot open {path}: {e}"))?;
-        for line in history(&verdict, &session) {
+        for line in history(&verdict, &runs, &session) {
             writeln!(file, "{line}").map_err(|e| format!("cannot write {path}: {e}"))?;
         }
     }

@@ -39,12 +39,16 @@ impl Side {
     }
 }
 
-/// One benchmark run: the result object its last stdout line carried.
+/// One benchmark run: the result object its last stdout line carried, and
+/// the summary it wrote (`benchmark/out/<workload>.summary.json`), whose
+/// per-job `host_speed_index` and `steal_ticks` say how loaded the host
+/// was.
 #[derive(Debug, Clone)]
 pub struct Run {
     pub side: Side,
     pub workload: String,
     pub result: Value,
+    pub summary: Value,
 }
 
 /// An end-to-end metric as `BENCHMARK.json` declares it.
@@ -104,14 +108,15 @@ pub fn manifest(json: &Value) -> Result<Manifest, String> {
 }
 
 /// Parses the runs file `./ci.sh --pairs` writes: one run a line, as
-/// `side<TAB>workload<TAB>result line`. Lines are in run order.
-pub fn parse_runs(text: &str) -> Result<Vec<Run>, String> {
+/// `side<TAB>workload<TAB>summary path<TAB>result line`, in run order.
+/// `read` fetches a summary's text, `None` when there is none.
+pub fn parse_runs(text: &str, read: impl Fn(&str) -> Option<String>) -> Result<Vec<Run>, String> {
+    let json = |text: &str| serde_json::from_str(text).unwrap_or(Value::Null);
     text.lines()
         .filter(|l| !l.trim().is_empty())
         .map(|line| {
-            let mut cols = line.splitn(3, '\t');
-            let (side, workload, result) = (cols.next(), cols.next(), cols.next());
-            let (Some(side), Some(workload), Some(result)) = (side, workload, result) else {
+            let cols: Vec<&str> = line.splitn(4, '\t').collect();
+            let [side, workload, summary, result] = cols[..] else {
                 return Err(format!("malformed run line: {line}"));
             };
             Ok(Run {
@@ -119,7 +124,8 @@ pub fn parse_runs(text: &str) -> Result<Vec<Run>, String> {
                 workload: workload.to_string(),
                 // A run that crashed leaves no result line: it counts as
                 // not `correct`.
-                result: serde_json::from_str(result).unwrap_or(Value::Null),
+                result: json(result),
+                summary: read(summary).map_or(Value::Null, |text| json(&text)),
             })
         })
         .collect()
@@ -399,9 +405,23 @@ pub struct Session {
     pub seconds: u64,
 }
 
+/// The median over every job of one side's runs of a workload of the
+/// per-job summary field `key`; `None` when no summary holds one.
+fn job_median(runs: &[Run], side: Side, workload: &str, key: &str) -> Option<f64> {
+    let values: Vec<f64> = (runs.iter())
+        .filter(|r| r.side == side && r.workload == workload)
+        .filter_map(|r| r.summary["jobs"].as_array())
+        .flatten()
+        .filter_map(|job| job[key].as_f64())
+        .collect();
+    (!values.is_empty()).then(|| Quartiles::of(&values).median)
+}
+
 /// One `BENCH_history.jsonl` line per side and workload: the commit, the
-/// session, and the side's median of every metric.
-pub fn history(verdict: &Verdict, session: &Session) -> Vec<String> {
+/// session, the side's median of every metric, and the host's state over
+/// the side's runs — the median per-job `host_speed_index` and
+/// `steal_ticks` (`null` where no run left a summary).
+pub fn history(verdict: &Verdict, runs: &[Run], session: &Session) -> Vec<String> {
     let mut lines = Vec::new();
     let mut workloads: Vec<&str> = verdict.rows.iter().map(|r| r.workload.as_str()).collect();
     workloads.dedup();
@@ -434,6 +454,8 @@ pub fn history(verdict: &Verdict, session: &Session) -> Vec<String> {
                 "seed": session.seed,
                 "seconds": session.seconds,
                 "medians": Value::Object(medians),
+                "host_speed_index": job_median(runs, side, workload, "host_speed_index"),
+                "steal_ticks": job_median(runs, side, workload, "steal_ticks"),
             });
             lines.push(serde_json::to_string(&row).expect("serialize history row"));
         }
@@ -578,6 +600,7 @@ mod tests {
             side,
             workload: "w".into(),
             result,
+            summary: Value::Null,
         };
         let metrics = [metric("tta_s", true, 0.25)];
         let workloads = ["w".to_string()];
@@ -606,11 +629,15 @@ mod tests {
 
     #[test]
     fn runs_file_and_manifest_parse() {
-        let runs = parse_runs("parent\tw\t{\"correct\":true}\n\nchange\tw\tnot json\n").unwrap();
+        let read = |path: &str| (path == "s.json").then(|| r#"{"jobs": []}"#.to_string());
+        let text = "parent\tw\ts.json\t{\"correct\":true}\n\nchange\tw\tgone.json\tnot json\n";
+        let runs = parse_runs(text, read).unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].result["correct"].as_bool(), Some(true));
-        assert!(runs[1].result.is_null());
-        assert!(parse_runs("sideways\tw\t{}").is_err());
+        assert!(runs[0].summary["jobs"].as_array().is_some());
+        assert!(runs[1].result.is_null() && runs[1].summary.is_null());
+        assert!(parse_runs("sideways\tw\ts.json\t{}", read).is_err());
+        assert!(parse_runs("parent\tw\t{}", read).is_err());
 
         let json = json!({
             "workloads": [{"name": "a"}, {"name": "b"}],
@@ -639,13 +666,35 @@ mod tests {
             seed: 1,
             seconds: 20,
         };
-        let lines = history(&verdict, &session);
+        // Two parent runs of one and two jobs, and a change run that left
+        // no summary.
+        let jobs = |host: &[(f64, u64)]| {
+            let jobs: Vec<Value> = (host.iter())
+                .map(|&(speed, steal)| json!({"host_speed_index": speed, "steal_ticks": steal}))
+                .collect();
+            json!({ "jobs": jobs })
+        };
+        let run = |side, summary| Run {
+            side,
+            workload: "w".into(),
+            result: Value::Null,
+            summary,
+        };
+        let runs = [
+            run(Side::Parent, jobs(&[(1.0, 0)])),
+            run(Side::Parent, jobs(&[(1.2, 4), (3.0, 9)])),
+            run(Side::Change, Value::Null),
+        ];
+        let lines = history(&verdict, &runs, &session);
         assert_eq!(lines.len(), 2);
         let parent: Value = serde_json::from_str(&lines[0]).unwrap();
         assert_eq!(parent["sha"].as_str(), Some("p"));
         assert_eq!(parent["code"].as_str(), Some("pt"));
+        assert_eq!(parent["host_speed_index"].as_f64(), Some(1.2));
+        assert_eq!(parent["steal_ticks"].as_f64(), Some(4.0));
         let change: Value = serde_json::from_str(&lines[1]).unwrap();
         assert_eq!(change["code"].as_str(), Some("ct"));
+        assert!(change["host_speed_index"].is_null() && change["steal_ticks"].is_null());
         assert_eq!(parent["medians"]["tta_s"].as_f64(), Some(2.0));
         assert!(markdown(&verdict, "p", "c").contains("| `w` | `tta_s` |"));
     }

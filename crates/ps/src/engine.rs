@@ -7,8 +7,8 @@
 //! [`Seat`] and this segment's [`Worker`] books, and joins the results;
 //! [`Worker::run`] is the one place a protocol's loop is entered, and so the
 //! one place a failing worker stops its peers. [`Worker::compute_step`] is
-//! the one step prologue: draw the batch, pull what it reads, compute, check
-//! for divergence. What differs is the tail that decides when the gradient
+//! the one step prologue: draw the batch, pull what it reads, compute. What
+//! differs is the tail that decides when the gradient
 //! is applied: [`bsp_loop`]'s striped barrier, or [`crate::ssp`]'s
 //! asynchronous loop, which is ASP when it has no leash and SSP when it has
 //! one. `Trainer::report` is the one epilogue.
@@ -41,12 +41,6 @@ use crate::router::{ShardRouter, WorkerPort};
 use crate::ssp::{async_loop, AsyncShared};
 use crate::store::{runs_within, PullBuffer, ShardedStore, UpdateData};
 use crate::transport::{NetPort, NetRouter};
-
-/// A step whose loss is above this, or not finite, is [`PsError::Diverged`]:
-/// the paper's "divergence errors". The softmax cross-entropy never returns
-/// more than −ln(1e-12) ≈ 27.6, NaN logits included, so a blow-up is caught
-/// by the segment's closing finiteness check.
-const DIVERGENCE_LOSS: f32 = 1e4;
 
 /// What each worker thread returns: its id, timing/loss profile, global
 /// staleness observations, and per-shard staleness observations.
@@ -399,8 +393,8 @@ impl Drop for Worker<'_> {
 
 impl Worker<'_> {
     /// Runs `tail`'s loop to the end of the segment and hands back this
-    /// worker's books, or the error it stopped on: its divergence, or the
-    /// wire error of a server lost past the retry budget. Then the gate is
+    /// worker's books, or the error it stopped on: the wire error of a
+    /// server lost past the retry budget. Then the gate is
     /// aborted, so peers wake and exit instead of waiting for a round, or a
     /// floor, that will never come: BSP peers are at the round barrier, SSP
     /// peers behind the leash, and ASP peers see the flag at their next
@@ -417,10 +411,11 @@ impl Worker<'_> {
 
     /// The part of a step every protocol shares: draw the batch, pull what
     /// it reads — or install it from `image` once that holds one (see
-    /// [`BspShared::image`]) — compute loss and gradient. A loss that is
-    /// non-finite or above [`DIVERGENCE_LOSS`] is
-    /// [`PsError::Diverged`] at this step, and a failed pull is its wire
-    /// error.
+    /// [`BspShared::image`]) — compute loss and gradient. A failed pull is
+    /// its wire error. The loss is no divergence test: the softmax
+    /// cross-entropy never returns more than −ln(1e-12) ≈ 27.6, NaN logits
+    /// included, so the paper's "divergence errors" are caught by the
+    /// segment's closing finiteness check.
     #[inline]
     pub(crate) fn compute_step(
         &mut self,
@@ -451,9 +446,6 @@ impl Worker<'_> {
             ..
         } = &mut self.seat.scratch;
         let loss = self.seat.model.loss_and_grad_into(x, labels, runs, grad);
-        if !loss.is_finite() || loss > DIVERGENCE_LOSS {
-            return Err(PsError::Diverged { step: step_id });
-        }
         Ok(Step {
             id: step_id,
             t0,
@@ -1103,9 +1095,8 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::Diverged`] if any worker observes a non-finite or
-    /// above-threshold loss (all workers are aborted) or the segment leaves
-    /// a non-finite parameter behind (`global_step` does not advance) —
+    /// Returns [`PsError::Diverged`] if the segment leaves a non-finite
+    /// parameter behind (`global_step` does not advance) —
     /// [`crate::SyncController::run_segment`] turns that into a rollback —
     /// [`PsError::InvalidConfig`] for impossible configurations, and, on a
     /// transport-backed plane, the wire error of a server lost mid-segment,
@@ -1216,8 +1207,8 @@ impl Trainer {
     /// The worker harness: one scoped thread per active worker, each
     /// running the protocol's tail over its [`Seat`] (built here at the
     /// worker's first segment) and this segment's [`Worker`] books, joined
-    /// into the workers' results. A worker's error — its divergence, or a
-    /// lost server — fails the segment, the first in join order naming it;
+    /// into the workers' results. A worker's error — a lost server — fails
+    /// the segment, the first in join order naming it;
     /// a worker's panic is resumed here.
     fn run_workers(
         &mut self,
@@ -1616,7 +1607,7 @@ mod tests {
     /// A blow-up is a divergence at its first step, whatever the protocol.
     /// From parameters scaled by 1e30 the logits overflow: the first
     /// step's loss stays at the cross-entropy's clamp, −ln(1e-12) ≈ 27.6,
-    /// far under [`DIVERGENCE_LOSS`], but its gradient is not finite, so
+    /// a finite loss, but its gradient is not finite, so
     /// the segment of that one step ends with the tier poisoned.
     #[test]
     fn divergence_detected_and_reported() {

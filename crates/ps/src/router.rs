@@ -72,12 +72,15 @@ pub(crate) struct Tier {
     slices: Vec<ServerSlice>,
     /// Completed pushes — the version clock (of this process's workers).
     version: AtomicU64,
+    /// Pushes a wire tier's flushes are sending and have not completed.
+    sending: AtomicU64,
     /// Stage-2 period in completed pushes.
     sync_every: u64,
     /// Completed stage-2 rounds (drains included) — diagnostics only.
     rounds: AtomicU64,
-    /// Global version observed at the start of the last stage-2 round —
-    /// the scheduling watermark: a round is due once `version` is
+    /// The scheduling watermark: the version observed at the start of the
+    /// last stage-2 round, or the count of the push that claimed it
+    /// ([`Tier::claim_round`]). A round is due once `version` is
     /// `sync_every` past it. Kept separate from `rounds` so drains (BSP
     /// barriers, switches) advance the schedule to "now" instead of
     /// postponing the next periodic round.
@@ -114,6 +117,7 @@ impl Tier {
             owner,
             slices,
             version: AtomicU64::new(0),
+            sending: AtomicU64::new(0),
             sync_every: sync_every.max(1),
             rounds: AtomicU64::new(0),
             synced_version: AtomicU64::new(0),
@@ -164,16 +168,36 @@ impl Tier {
         self.rounds.load(Ordering::Acquire)
     }
 
-    /// Whether one more completed push makes a stage-2 round due — read
-    /// before a push is sent, by a worker deciding whether the round it is
-    /// about to run can fetch its next pull instead of the push. The
-    /// watermark only moves when a round *ends*, so this also holds for
-    /// every push sent while a peer's round is in flight; skipping only on
-    /// the push that crosses the boundary was measured and threw away more
-    /// images for the same step time (CHANGES.md, PR 16).
-    pub(crate) fn round_due_after_push(&self) -> bool {
-        let due_at = (self.synced_version.load(Ordering::Acquire)).saturating_add(self.sync_every);
-        self.version().saturating_add(1) >= due_at
+    /// Counts a push a flush is about to send as in flight and returns the
+    /// pushes completed and in flight, this one included, if that makes a
+    /// stage-2 round due. Counting peers' pushes in flight lets one push in
+    /// `sync_every` find it due however many are sent at once.
+    pub(crate) fn send_push(&self) -> Option<u64> {
+        // Before the version: a peer completing in between counts twice.
+        let count = self.sending.fetch_add(1, Ordering::AcqRel) + 1 + self.version();
+        self.due(count).then_some(count)
+    }
+
+    fn due(&self, count: u64) -> bool {
+        count >= (self.synced_version.load(Ordering::Acquire)).saturating_add(self.sync_every)
+    }
+
+    /// Ends the count [`Tier::send_push`] began, if it began one.
+    pub(crate) fn end_send(&self) {
+        let _ =
+            (self.sending).fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
+    }
+
+    /// Under the round lock, claims for the push counted `count` the round
+    /// it makes due, if still due: the watermark moves to `count` at once,
+    /// so no later push reads it due, and `true` says the push carries the
+    /// round ([`Tier::commit_round`]), which leaves it moved if it fails.
+    pub(crate) fn claim_round(&self, count: u64) -> bool {
+        let due = self.due(count);
+        if due {
+            self.synced_version.store(count, Ordering::Release);
+        }
+        due
     }
 
     /// Completes a logical push: bumps the global version and returns the
@@ -181,20 +205,21 @@ impl Tier {
     /// `fetch_add` return value — as the single store does).
     pub(crate) fn complete_push(&self, pulled_version: u64) -> u64 {
         // Release: pairs with the Acquire load in `version`.
-        self.version
-            .fetch_add(1, Ordering::Release)
-            .saturating_sub(pulled_version)
+        let version = self.version.fetch_add(1, Ordering::Release);
+        self.end_send(); // after `version`, so no peer's count misses it
+        version.saturating_sub(pulled_version)
     }
 
     /// Runs stage-2 rounds while the push counter is `sync_every` or more
     /// past the last round's watermark. Called after each completed push of
     /// an asynchronous loop: the worker whose push crosses the boundary
-    /// performs the round; concurrent callers serialize on the router's
-    /// round lock (`lock`), and whoever runs a round (`round`, which must
-    /// go through [`Tier::commit_round`]) advances the watermark to the
-    /// version it observed, so rounds that became redundant while waiting
-    /// are skipped rather than replayed. A round that fails ends the call
-    /// with its error.
+    /// performs the round, unless a push on a wire tier claimed it (moving
+    /// the watermark) and carried it; concurrent callers serialize on the router's round lock (`lock`),
+    /// and whoever runs a round (`round`, which must go through
+    /// [`Tier::commit_round`]) advances the watermark to the version it
+    /// observed, so rounds that became redundant while waiting are skipped
+    /// rather than replayed. A round that fails ends the call with its
+    /// error.
     pub(crate) fn reconcile_if_due<G, E>(
         &self,
         lock: impl Fn() -> G,
@@ -220,9 +245,10 @@ impl Tier {
     /// commits every owned shard on every server, then the watermark
     /// advances to the version read at the start of the round
     /// (conservative — the commits include at least every apply published
-    /// by those pushes). Returns the number of rounds completed so far, or
-    /// the error `commit_all` failed with, in which case the round is not
-    /// counted and the watermark stays.
+    /// by those pushes) unless a claim already moved it further. Returns
+    /// the number of rounds completed so far, or the error `commit_all`
+    /// failed with, in which case the round is not counted and the
+    /// watermark stays where it was.
     pub(crate) fn commit_round<E>(
         &self,
         commit_all: impl FnOnce() -> Result<(), E>,
@@ -233,7 +259,7 @@ impl Tier {
         // Release: publishes the committed stores' writes (ordered by
         // their shard locks, and on a wire tier by the request/reply round
         // trips) together with the watermark.
-        self.synced_version.store(observed, Ordering::Release);
+        self.synced_version.fetch_max(observed, Ordering::Release);
         Ok(round)
     }
 
@@ -671,7 +697,7 @@ impl WorkerPort {
     /// apply at once and append the pre-apply shard clock to `acks`; a
     /// transport-backed plane stages the push and sends the pushes queued
     /// for one server together, so `acks` is complete — one clock per
-    /// queued push, in queue order — only after
+    /// queued push, in shard order — only after
     /// [`WorkerPort::flush_pushes`].
     pub fn queue_shard_update(
         &self,
@@ -689,9 +715,9 @@ impl WorkerPort {
         Ok(())
     }
 
-    /// Sends every push still queued on a transport-backed plane and
-    /// appends their pre-apply shard clocks to `acks` (no-op in-process,
-    /// where queueing already applied).
+    /// Sends every push still queued on a transport-backed plane, with the
+    /// stage-2 round they make due, and appends their pre-apply shard
+    /// clocks to `acks` (no-op in-process, where queueing already applied).
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         match self {
             WorkerPort::Net(p) => p.flush_pushes(acks),
@@ -709,8 +735,8 @@ impl WorkerPort {
 
     /// Post-push hook for the asynchronous loops: runs stage-2 rounds the
     /// push counter has made due (no-op on the single store). On a
-    /// transport-backed plane the round travels over this worker's own
-    /// connections and brings its next pull home with it (see
+    /// transport-backed plane the push that made the round due has carried
+    /// it already, so this runs only a round no push claimed (see
     /// [`NetPort::after_push`]).
     pub fn after_push(&self) -> Result<(), PsError> {
         match self {

@@ -144,9 +144,8 @@ impl Trainer {
     /// # Errors
     ///
     /// As [`Trainer::run_segment`]: [`PsError::Diverged`] on a non-finite
-    /// or above-threshold loss or a non-finite tier at the end of the
-    /// segment, and the wire error naming a server lost mid-segment behind
-    /// a transport-backed plane.
+    /// tier at the end of the segment, and the wire error naming a server
+    /// lost mid-segment behind a transport-backed plane.
     pub fn run_ssp_segment(&mut self, bound: u64, steps: u64) -> Result<SegmentReport, PsError> {
         self.run_leashed(SyncProtocol::Asp, Some(bound), steps)
     }

@@ -29,24 +29,29 @@
 //! the client's operation counts equal the servers' per-opcode counts.
 //!
 //! * **A push** sends each server *all* of the worker's shards it owns in
-//!   one request: pushes are queued per shard
+//!   one request: pushes are staged per server
 //!   ([`NetPort::queue_shard_update`] encodes straight into the port's
-//!   staging buffer) and sent when the owning server changes or on
-//!   [`NetPort::flush_pushes`]. Round trips to different servers are not
-//!   overlapped: on a small box the extra runnable threads cost more than
-//!   the overlap saves.
+//!   staging buffer for the owner) and go out together on
+//!   [`NetPort::flush_pushes`], server by server ([`NetRouter::send_all`]).
+//!   Round trips to different servers are not overlapped: on a small box
+//!   the extra runnable threads cost more than the overlap saves.
 //! * **A pull** asks each server for the runs the step reads, or its slice
 //!   (every server answers either way — its clocks date the pull). After a
-//!   whole-vector pull the worker's next push asks for the next one too,
-//!   unless that push makes a stage-2 round due: then the `SyncRound`s of
-//!   the round the worker runs from [`NetPort::after_push`] ask for it,
-//!   over the worker's own connections. The `Pulled` image stays in the
-//!   connection's reply buffer until [`NetPort::pull_into`] decodes it. A
-//!   pull by run never rides: which runs the next step reads is unknown
-//!   before its batch is drawn.
-//! * **A BSP round** is one request per server: the worker that completes
-//!   it ([`crate::WorkerPort::commit_round`]) sends each server its
-//!   averaged stripes, a `Drain` and a `PullCommitted`, and decodes the
+//!   whole-vector pull the worker's next push asks for the next one too.
+//!   The `Pulled` image stays in the connection's reply buffer until
+//!   [`NetPort::pull_into`] decodes it. A pull by run never rides: which
+//!   runs the next step reads is unknown before its batch is drawn.
+//! * **An asynchronous stage-2 round** rides the push that makes it due
+//!   ([`NetRouter::flush`]): that push claims it under the round lock
+//!   ([`Tier::claim_round`], which moves the watermark before anything is
+//!   sent, so no peer reads it due), and each server gets its pushes, a
+//!   `SyncRound` and the pull as one request. Only a round no push carried
+//!   — one due after [`NetPort::apply_shard_update`]s, run from
+//!   [`NetPort::after_push`] — a drain and a restore pay round trips of
+//!   their own, over the control plane.
+//! * **A BSP round** is one request per server too: the worker that
+//!   completes it ([`crate::WorkerPort::commit_round`]) sends each server
+//!   its averaged stripes, a `Drain` and a `PullCommitted`, and decodes the
 //!   images into the round's image, which every worker of the round starts
 //!   the next one from, as on the in-process planes.
 //!
@@ -209,7 +214,8 @@ enum Pull<'a> {
     /// [`NetPort::pull_into`] to decode.
     Prefetch,
     /// The whole image, decoded at once into this server's part of an
-    /// image: its parameters and its shards' clocks.
+    /// image: its parameters and its shards' clocks — or, handed to
+    /// [`NetRouter::send_all`], the whole tier's.
     Into(&'a mut [f32], &'a mut [u64]),
 }
 
@@ -534,22 +540,13 @@ impl NetRouter {
         self.tier.complete_push(pulled_version)
     }
 
-    /// Runs the stage-2 rounds the push counter has made due (see
-    /// [`Tier::reconcile_if_due`]), the commit-alls travelling as
-    /// `SyncRound` frames. A port that pulls densely runs the round over its
-    /// own connections with its next pull riding behind each commit, so the
-    /// worker that pays for the round comes away holding the view it
-    /// published instead of asking again; a port that pulls by run (or has
-    /// not pulled) cannot ask before its next batch is drawn and sends the
-    /// plain round over the control plane.
-    fn reconcile_from(&self, port: &mut PortState) -> Result<(), PsError> {
+    /// Runs the stage-2 rounds the push counter has made due and no push
+    /// carried (see [`Tier::reconcile_if_due`]), as plain commit-alls over
+    /// the control plane.
+    fn reconcile_if_due(&self) -> Result<(), PsError> {
         self.tier.reconcile_if_due(
             || self.sync.lock(),
-            |control| {
-                let dense = port.pulls_dense;
-                let over = if dense { &mut *port } else { &mut **control };
-                self.commit_round(over, op::SYNC_ROUND, dense)
-            },
+            |control| self.commit_round(control, op::SYNC_ROUND),
         )
     }
 
@@ -563,7 +560,7 @@ impl NetRouter {
     /// Returns the wire error of a server that did not answer within the
     /// retry budget.
     pub fn drain(&self) -> Result<(), PsError> {
-        self.commit_round(&mut self.sync.lock(), op::DRAIN, false)
+        self.commit_round(&mut self.sync.lock(), op::DRAIN)
     }
 
     /// One wire round trip under the retry policy.
@@ -694,13 +691,13 @@ impl NetRouter {
 
     /// Sends server `s` one data-plane request over `port`'s connection,
     /// `[push × n][SyncRound | Drain]?[PullCommitted]?`: the `n` pushes
-    /// `port` has staged (all for `s`), then `commit`, then a
-    /// `PullCommitted` unless `pull` is [`Pull::No`]. Sequenced unless it is
-    /// a lone pull, so a re-send after a lost reply replays the cached reply
-    /// and applies no push or commit twice.
+    /// `port` has staged for `s`, then `commit`, then a `PullCommitted`
+    /// unless `pull` is [`Pull::No`]. Sequenced unless it is a lone pull, so
+    /// a re-send after a lost reply replays the cached reply and applies no
+    /// push or commit twice.
     ///
     /// The one decoder reads the reply: each push's pre-apply shard clock
-    /// into `port.acks`, in queue order; `Synced`, upon which `s`'s view
+    /// into `port.acks`, in the order staged; `Synced`, upon which `s`'s view
     /// epoch ticks (the caller holds the round lock); then the `Pulled`
     /// image, which [`Pull::Into`] decodes where it says and
     /// [`Pull::Prefetch`] checks and leaves on the connection under its
@@ -713,8 +710,7 @@ impl NetRouter {
         commit: Option<u8>,
         mut pull: Pull<'_>,
     ) -> Result<(), PsError> {
-        debug_assert!(port.staged == 0 || port.staged_for == s);
-        let n = std::mem::take(&mut port.staged);
+        let n = std::mem::take(&mut port.staged[s].n);
         let pulls = !matches!(pull, Pull::No);
         let items = n + usize::from(commit.is_some()) + usize::from(pulls);
         let slice = &self.tier.slices()[s];
@@ -725,7 +721,7 @@ impl NetRouter {
             s,
             self.retry,
             n > 0 || commit.is_some(),
-            &|buf| encode_request(buf, &port.staging, n, commit, pulls),
+            &|buf| encode_request(buf, &port.staged[s].buf, n, commit, pulls),
             &mut |reply| {
                 // A failed attempt may have decoded part of a corrupt reply.
                 port.acks.truncate(base);
@@ -763,6 +759,34 @@ impl NetRouter {
         Ok(())
     }
 
+    /// The one loop every push and round takes: per server, its staged
+    /// pushes, `commit`, and its part of `pull` ([`Pull::Into`] holds the
+    /// whole tier's image); with no commit, a server with nothing staged is
+    /// skipped. The acks land in shard order.
+    fn send_all(
+        &self,
+        port: &mut PortState,
+        commit: Option<u8>,
+        mut pull: Pull<'_>,
+    ) -> Result<(), PsError> {
+        for (s, slice) in self.tier.slices().iter().enumerate() {
+            if commit.is_none() && port.staged[s].n == 0 {
+                continue;
+            }
+            let ((po, pl), so) = (slice.param_range, slice.shard_offset);
+            let part = match &mut pull {
+                Pull::No => Pull::No,
+                Pull::Prefetch => Pull::Prefetch,
+                Pull::Into(params, clocks) => Pull::Into(
+                    &mut params[po..po + pl],
+                    &mut clocks[so..so + slice.shard_count],
+                ),
+            };
+            self.send(port, s, commit, part)?;
+        }
+        Ok(())
+    }
+
     /// One stage-2 round, the caller holding the round lock: `commit_all`
     /// sends every server its commit-all, then [`Tier::commit_round`]
     /// counts the round, and so do `wire.sync_rounds` and a `SyncRound`
@@ -779,29 +803,18 @@ impl NetRouter {
     }
 
     /// A `SyncRound` or `Drain` (`commit`) to every server over `port`'s
-    /// connections, each bringing its server's image home when `prefetch`
-    /// (see [`NetRouter::send`]).
-    fn commit_round(
-        &self,
-        port: &mut PortState,
-        commit: u8,
-        prefetch: bool,
-    ) -> Result<(), PsError> {
-        self.traced_round(|| {
-            (0..self.tier.server_count()).try_for_each(|s| {
-                let pull = if prefetch { Pull::Prefetch } else { Pull::No };
-                self.send(port, s, Some(commit), pull)
-            })
-        })
+    /// connections, with nothing staged on them: the control plane's round.
+    fn commit_round(&self, port: &mut PortState, commit: u8) -> Result<(), PsError> {
+        self.traced_round(|| self.send_all(port, Some(commit), Pull::No))
     }
 
-    /// BSP's round commit over `port`'s own connections, under the round
-    /// lock: per server, `stripe(g, push)` hands `push` each owned shard's
-    /// averaged gradient to stage, and the pushes go out with a `Drain` and
-    /// a `PullCommitted` behind them as one request. The replies' acks land
+    /// BSP's round commit over `port`'s own connections: `stripe(g, push)`
+    /// hands `push` each shard's averaged gradient to stage, then, under the
+    /// round lock, each server gets its stripes with a `Drain` and a
+    /// `PullCommitted` behind them as one request. The replies' acks land
     /// in `port.acks` in shard order and their images in `image` (through
-    /// [`Tier::pull_with`]). A re-send replays the cached acks and
-    /// `Synced` and re-reads the pull, which the drain already covers.
+    /// [`Tier::pull_with`]). A re-send replays the cached acks and `Synced`
+    /// and re-reads the pull, which the drain already covers.
     fn push_round(
         &self,
         port: &mut PortState,
@@ -810,26 +823,18 @@ impl NetRouter {
         momentum: f64,
         image: &mut PullBuffer,
     ) -> Result<(), PsError> {
+        for g in 0..self.tier.shard_count() {
+            let mut queued = Ok(());
+            stripe(g, &mut |grad| {
+                queued = self.queue_push(port, g, |buf, local| {
+                    wire::encode_push_shard(buf, local, lr, momentum, grad);
+                });
+            });
+            queued?;
+        }
         let _round = self.sync.lock();
         self.tier.pull_with(image, |params, clocks| {
-            self.traced_round(|| {
-                for (s, slice) in self.tier.slices().iter().enumerate() {
-                    let (first, (po, pl)) = (slice.shard_offset, slice.param_range);
-                    let owned = first..first + slice.shard_count;
-                    for g in owned.clone() {
-                        let mut queued = Ok(());
-                        stripe(g, &mut |grad| {
-                            queued = self.queue_push(port, g, |buf, local| {
-                                wire::encode_push_shard(buf, local, lr, momentum, grad);
-                            });
-                        });
-                        queued?;
-                    }
-                    let image = Pull::Into(&mut params[po..po + pl], &mut clocks[owned]);
-                    self.send(port, s, Some(op::DRAIN), image)?;
-                }
-                Ok(())
-            })
+            self.traced_round(|| self.send_all(port, Some(op::DRAIN), Pull::Into(params, clocks)))
         })?;
         Ok(())
     }
@@ -847,26 +852,12 @@ impl NetRouter {
         self.view_epochs[s].fetch_add(1, Ordering::Release) + 1
     }
 
-    /// What the push `port` is sending brings home: the worker's next pull,
-    /// or nothing. Only a dense pull can be asked for before the next
-    /// batch is drawn, and not on the push that makes a stage-2 round due:
-    /// the round would outdate the image, and the worker that runs it
-    /// fetches the new one with the round instead.
-    fn push_pull(&self, port: &PortState) -> Pull<'static> {
-        if port.pulls_dense && !self.tier.round_due_after_push() {
-            Pull::Prefetch
-        } else {
-            Pull::No
-        }
-    }
-
-    /// Queues the stage-1 push of global shard `g` on its owner's batch:
+    /// Stages the stage-1 push of global shard `g` on its owner's batch:
     /// `encode` appends the shard's `PushShard`/`PushShardSparse` payload
-    /// (it is handed the owner-local shard index) straight into the staging
-    /// buffer — the only client-side copy of the gradient besides the one
-    /// into the connection. Pushes already staged for a *different* server
-    /// are sent first, so a walk over the shards in flat order (owners hold
-    /// contiguous runs) costs one round trip per server.
+    /// (it is handed the owner-local shard index) straight into that
+    /// server's staging buffer — the only client-side copy of the gradient
+    /// besides the one into the connection. Nothing is sent until
+    /// [`NetRouter::flush`], unless the batch is full.
     fn queue_push(
         &self,
         port: &mut PortState,
@@ -874,31 +865,45 @@ impl NetRouter {
         encode: impl FnOnce(&mut Vec<u8>, u32),
     ) -> Result<(), PsError> {
         let s = self.tier.owner_of(g);
-        // Two short of the batch's item limit: a drain and a pull may join
+        // Two short of the batch's item limit: a commit and a pull may join
         // the pushes.
-        if port.staged > 0 && (port.staged_for != s || port.staged == usize::from(u16::MAX) - 2) {
-            self.flush(port, self.push_pull(port))?;
+        if port.staged[s].n == usize::from(u16::MAX) - 2 {
+            self.send(port, s, None, Pull::No)?;
         }
-        if port.staged == 0 {
-            port.staged_for = s;
-            port.staging.clear();
-            wire::begin_batch(&mut port.staging, op::BATCH);
+        let Staged { buf, n } = &mut port.staged[s];
+        if *n == 0 {
+            buf.clear();
+            wire::begin_batch(buf, op::BATCH);
         }
-        let mark = wire::open_batch_item(&mut port.staging);
-        let local = g - self.tier.slices()[s].shard_offset;
-        encode(&mut port.staging, local as u32);
-        wire::close_batch_item(&mut port.staging, 0, mark);
-        port.staged += 1;
+        let mark = wire::open_batch_item(buf);
+        encode(buf, (g - self.tier.slices()[s].shard_offset) as u32);
+        wire::close_batch_item(buf, 0, mark);
+        *n += 1;
         Ok(())
     }
 
-    /// Sends the staged pushes, if any, with `pull` behind them (see
-    /// [`NetRouter::send`]).
-    fn flush(&self, port: &mut PortState, pull: Pull<'_>) -> Result<(), PsError> {
-        if port.staged == 0 {
+    /// Sends every server the pushes `port` has staged for it, and its next
+    /// image when the port pulls the whole vector. If they make a stage-2
+    /// round due and claim it ([`Tier::claim_round`]), a `SyncRound` goes
+    /// between each server's pushes and its pull: the round costs no round
+    /// trip of its own.
+    fn flush(&self, port: &mut PortState) -> Result<(), PsError> {
+        if port.staged.iter().all(|st| st.n == 0) {
             return Ok(());
         }
-        self.send(port, port.staged_for, None, pull)
+        let pull = if port.pulls_dense {
+            Pull::Prefetch
+        } else {
+            Pull::No
+        };
+        let round = (self.tier.send_push())
+            .map(|count| (self.sync.lock(), count))
+            .filter(|&(_, count)| self.tier.claim_round(count));
+        match round {
+            Some(_round) => self.traced_round(|| self.send_all(port, Some(op::SYNC_ROUND), pull)),
+            None => self.send_all(port, None, pull),
+        }
+        .inspect_err(|_| self.tier.end_send())
     }
 
     /// Pulls the committed view of every server through `port` into `buf`,
@@ -912,10 +917,10 @@ impl NetRouter {
     /// [`Tier::pull_with`]).
     ///
     /// A whole-vector pull costs a server no round trip while that server's
-    /// connection holds an image an earlier push or sync reply brought
-    /// along under a stamp that is still current (see the stamp rule): it
-    /// holds every round completed before the pull was asked for.
-    /// Otherwise the server is asked.
+    /// connection holds an image an earlier push reply brought along under
+    /// a stamp that is still current (see the stamp rule): it holds every
+    /// round completed before the pull was asked for. Otherwise the server
+    /// is asked.
     fn pull_committed_into(
         &self,
         port: &mut PortState,
@@ -1011,7 +1016,7 @@ impl NetRouter {
                 &mut |reply| wire::expect_bodyless(reply, op::OK),
             )?;
         }
-        self.commit_round(&mut control, op::DRAIN, false)
+        self.commit_round(&mut control, op::DRAIN)
     }
 
     /// Resets the live velocity to zero on every server.
@@ -1223,30 +1228,35 @@ impl NetRouter {
 }
 
 /// One client's private state: its connections and the pushes it has
-/// queued but not yet sent — a worker's, or the control plane's, which
-/// never queues one.
+/// staged but not yet sent — a worker's, or the control plane's, which
+/// never stages one.
 #[derive(Debug, Default)]
 struct PortState {
     /// One lazily connected slot per server.
     conns: Vec<ConnSlot>,
-    /// `[BATCH][u16 n]` then `n × [u32 len][push payload]`: the pushes
-    /// queued for `staged_for`, encoded as they were queued.
-    staging: Vec<u8>,
-    staged_for: usize,
-    /// Pushes in `staging`.
-    staged: usize,
+    /// Per server, the pushes staged for it.
+    staged: Vec<Staged>,
     /// Pre-apply shard clocks of the pushes sent and not yet handed to the
-    /// caller, in queue order.
+    /// caller, in shard order.
     acks: Vec<u64>,
     /// Whether this worker's last pull asked for the whole vector — the
-    /// kind of pull its next push or sync round can bring home in advance.
+    /// kind of pull its next push can bring home in advance.
     pulls_dense: bool,
+}
+
+/// The pushes staged for one server: `[BATCH][u16 n]` then
+/// `n × [u32 len][push payload]`, encoded as they were queued.
+#[derive(Debug, Default)]
+struct Staged {
+    buf: Vec<u8>,
+    n: usize,
 }
 
 impl PortState {
     fn new(servers: usize) -> Self {
         PortState {
             conns: (0..servers).map(|_| ConnSlot::fresh()).collect(),
+            staged: (0..servers).map(|_| Staged::default()).collect(),
             ..PortState::default()
         }
     }
@@ -1313,8 +1323,8 @@ impl NetPort {
     }
 
     /// Pulls the committed view into `buf`: from the images this worker's
-    /// last queued push or sync round left on its connections where they
-    /// are still current, over the wire otherwise (see
+    /// last flushed push left on its connections where they are still
+    /// current, over the wire otherwise (see
     /// [`NetRouter::pull_committed_into`]).
     pub fn pull_into(&self, buf: &mut PullBuffer) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
@@ -1341,8 +1351,8 @@ impl NetPort {
     /// payload's touched segments alone cross the wire, counted under the
     /// same `push` wire-stats class as a dense one (same op count, smaller
     /// payloads — the comparison the transport tests read off). Nothing is
-    /// promised to have reached the owner until [`NetPort::flush_pushes`];
-    /// queueing for a different server sends what was queued before. The
+    /// promised to have reached the owner until [`NetPort::flush_pushes`],
+    /// which sends each server the pushes queued for it as one request. The
     /// queue belongs to this handle: a worker queues and flushes on its own
     /// clone.
     pub fn queue_shard_update(
@@ -1361,13 +1371,14 @@ impl NetPort {
         })
     }
 
-    /// Sends whatever is still queued and appends to `acks` the owners'
-    /// pre-apply live shard clocks of every push queued since the last
-    /// flush, in queue order. After a whole-vector pull, the batches of a
-    /// queued push also fetch the next one (see [`NetRouter::push_pull`]).
+    /// Sends whatever is still queued — carrying the stage-2 round it makes
+    /// due, if no peer has claimed it (see [`NetRouter::flush`]) — and
+    /// appends to `acks` the owners' pre-apply live shard clocks of every
+    /// push queued since the last flush, in shard order. After a
+    /// whole-vector pull each request also fetches the next one.
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
-        self.router.flush(port, self.router.push_pull(port))?;
+        self.router.flush(port)?;
         acks.append(&mut port.acks);
         Ok(())
     }
@@ -1390,9 +1401,10 @@ impl NetPort {
     }
 
     /// Post-push hook of the asynchronous loops: runs the stage-2 rounds
-    /// the push counter has made due (see [`NetRouter::reconcile_from`]).
+    /// the push counter has made due that no push carried, over the control
+    /// plane (see [`NetRouter::reconcile_if_due`]).
     pub fn after_push(&self) -> Result<(), PsError> {
-        self.router.reconcile_from(&mut self.state.lock())
+        self.router.reconcile_if_due()
     }
 
     /// Stage-1 apply over this worker's connection to the owner — a queue
@@ -1425,13 +1437,16 @@ impl NetPort {
         })
     }
 
-    /// Queues one push, sends the queue and takes that push's ack — under
-    /// one hold of the state lock, so it stays atomic even on a port that
-    /// threads share.
+    /// Queues one push, sends its owner's queue without a round and takes
+    /// that push's ack — under one hold of the state lock, so it stays
+    /// atomic even on a port that threads share. A round this push makes
+    /// due runs from [`NetPort::after_push`]: one shard is not the whole
+    /// push a claimed round would commit.
     fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
         self.router.queue_push(port, g, encode)?;
-        self.router.flush(port, Pull::No)?;
+        self.router
+            .send(port, self.router.owner_of(g), None, Pull::No)?;
         Ok(port.acks.pop().expect("the push just sent was acked"))
     }
 }
@@ -1613,15 +1628,18 @@ mod tests {
             assert_eq!(pull_trips(), before + 2);
             assert_eq!(restored.0, params);
 
-            // The push that makes a round due leaves the pull to the round,
-            // and the round A then runs brings it home.
+            // The push that makes a round due carries it, with the pull
+            // behind each commit; `after_push` then finds nothing due.
             assert_eq!(queued_push(&a, 5.0), 2);
             assert_eq!(queued_push(&a, 6.0), 2);
-            assert_eq!(queued_push(&a, 7.0), 0, "the round will outdate it");
-            let (rounds, sync_trips) = (r.sync_rounds(), r.stats().sync.round_trips);
-            a.after_push().unwrap();
+            let (rounds, before) = (r.sync_rounds(), r.stats());
+            assert_eq!(queued_push(&a, 7.0), 2, "the pull rides behind the commit");
             assert_eq!(r.sync_rounds(), rounds + 1);
-            assert_eq!(r.stats().sync.round_trips, sync_trips + 2);
+            a.after_push().unwrap();
+            assert_eq!(r.sync_rounds(), rounds + 1, "the carried round ran again");
+            let paid = r.stats().delta(&before);
+            assert_eq!((paid.push.round_trips, paid.sync.round_trips), (2, 0));
+            assert_eq!(paid.sync.ops, 2);
             let before = pull_trips();
             let own_round = pulled(&a);
             assert_eq!(pull_trips(), before, "the round's reply carried the pull");

@@ -214,12 +214,12 @@ fn single_server_channel_tier_still_crosses_the_wire() {
     // in-process router test pins).
     assert_eq!(r.staleness.max(), Some(3));
     assert!((r.staleness.mean() - 1.5).abs() < 1e-9);
-    // The first pull asks; every later one was brought home by the step
-    // before it — on the sync reply every fourth step, on the push reply
-    // otherwise — and the last step's is left unread.
+    // The first pull asks; every later one was brought home by the push
+    // reply of the step before it — behind the commit every fourth step —
+    // and the last step's is left unread.
     assert_eq!(r.transport.pull.ops, 41);
     assert_eq!(r.transport.pull.round_trips, 1);
-    assert_eq!(r.transport.total_round_trips(), 1 + 40 + 10);
+    assert_eq!(r.transport.total_round_trips(), 1 + 40);
 }
 
 /// Builds the sparse-embedding workload on a 2-server wire tier.
@@ -273,17 +273,23 @@ fn tcp_sparse_pushes_ship_fewer_bytes_than_dense() {
         dense.transport.push.bytes_out
     );
     // A run pull asks every server every step; the dense run's pulls ride
-    // its push and sync replies.
+    // its push replies.
     let (sparse, dense) = (sparse.transport, dense.transport);
     assert_eq!(sparse.pull.round_trips, steps * 2);
     assert!(dense.pull.round_trips < steps * 2);
-    // The acks are the same in both runs: bare 9-byte frames in the sparse
-    // one, and in the dense one inside a 7-byte batch frame whenever a pull
-    // rode the push (each server owns one shard, so only then). Every sync
-    // round of a dense segment carries a pull too.
-    assert_eq!(sparse.push.bytes_in, steps * 2 * 9);
-    let rode_pushes = dense.pull.ops - dense.pull.round_trips - dense.sync.ops;
-    assert_eq!(dense.push.bytes_in, sparse.push.bytes_in + 7 * rode_pushes);
+    // The acks are the same in both runs: bare 9-byte frames, inside a
+    // 7-byte batch frame whenever something rode the push (each server
+    // owns one shard, so only then): in the sparse run a commit, in the
+    // dense one a pull, which every push after the first pull carries.
+    let acks = |batched: u64| steps * 2 * 9 + 7 * batched;
+    assert_eq!(
+        sparse.push.bytes_in,
+        acks(sparse.sync.ops - sparse.sync.round_trips)
+    );
+    assert_eq!(
+        dense.push.bytes_in,
+        acks(dense.pull.ops - dense.pull.round_trips)
+    );
 }
 
 #[test]
@@ -564,15 +570,16 @@ fn prefetched_pulls_change_round_trips_not_numerics() {
                 assert_eq!(got.1, want.1, "{what}: velocity");
                 let wire = got.2;
                 assert_eq!((wire.retries, wire.reconnects, got.3), (0, 0, 0), "{what}");
-                // A step talks to each server once to push, every
-                // `sync_every`-th once more to commit; only the very first
-                // pull is a round trip of its own. (Before pulls rode along:
-                // 80 more, 180 and 240 in all.)
+                // A step talks to each server once, its push carrying the
+                // commit every `sync_every`-th step and the next pull every
+                // step; only the very first pull is a round trip of its own.
+                // (Before pulls rode along: 180 and 240 in all; before the
+                // commits rode too: 82 + 2 · rounds.)
                 let rounds = 40 / sync_every;
                 assert_eq!(wire.push.round_trips, 80, "{what}");
-                assert_eq!(wire.sync.round_trips, 2 * rounds, "{what}");
+                assert_eq!(wire.sync.round_trips, 0, "{what}");
                 assert_eq!(wire.pull.round_trips, 2, "{what}");
-                assert_eq!(wire.total_round_trips(), 82 + 2 * rounds, "{what}");
+                assert_eq!(wire.total_round_trips(), 82, "{what}");
                 // The logical ops are what they were, plus the image the
                 // last step brought home for a step that never came.
                 assert_eq!(wire.push.ops, 40 * 7, "{what}");
@@ -580,6 +587,49 @@ fn prefetched_pulls_change_round_trips_not_numerics() {
                 assert_eq!(wire.pull.ops, 80 + 2, "{what}");
             }
         }
+    }
+}
+
+#[test]
+fn an_asynchronous_round_rides_the_push_that_makes_it_due() {
+    let _deadline = deadline(120);
+    // Two workers push concurrently, so a push can be sent while a peer's
+    // is in flight. The push that makes a round due — peers' pushes in
+    // flight counted — claims it and carries its `SyncRound` to every
+    // server, so a round costs no round trip of its own; the servers'
+    // counts say every round reached every server once. At most one round
+    // may instead run from `after_push` over the control plane.
+    let (seed, steps, servers) = (41, 400u64, 2u64);
+    for kind in [TransportKind::Channel, TransportKind::Tcp] {
+        let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, seed);
+        let (train, test) = data.split(0.25);
+        let mut cfg = TrainerConfig::new(2, 8, 0.05, 0.9).with_seed(seed);
+        cfg.shards = 7;
+        cfg.topology = ServerTopology::new(servers as usize, 4).with_transport(kind);
+        let mut t = Trainer::new(Network::mlp(6, &[16], 4, seed), train, test, cfg);
+        let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
+        let wire = r.transport;
+        assert!(wire.sync.round_trips <= servers, "{kind}: {:?}", wire.sync);
+        assert_eq!(wire.push.round_trips, steps * servers, "{kind}");
+        assert_eq!(wire.retries, 0, "{kind}");
+        let router = t.net_router().unwrap();
+        assert!(router.sync_rounds() >= steps / 4 - 1, "{kind}");
+        for s in 0..servers as usize {
+            let scraped = router.scrape_stats(s).unwrap();
+            assert_eq!(
+                scraped.requests_for(op::SYNC_ROUND),
+                router.sync_rounds(),
+                "{kind}: server {s}"
+            );
+            assert_eq!(scraped.dedup_hits, 0, "{kind}: server {s}");
+        }
+        println!(
+            "{kind}: {} of {} server pulls asked ({:.3}), {} rounds",
+            wire.pull.round_trips,
+            steps * servers,
+            wire.pull.round_trips as f64 / (steps * servers) as f64,
+            router.sync_rounds()
+        );
     }
 }
 
