@@ -6,10 +6,11 @@
 //! loop online, in the spirit of the follow-up ACE-Sync direction: after
 //! every segment the controller scrapes the **already-emitted named
 //! signals** — the `engine.step_ns` / `engine.barrier_wait_ns` /
-//! `engine.staleness` histograms, the `wire.retries` / `wire.sync_rounds`
-//! counters, and the loss trajectory — and decides whether to roll back
-//! (divergence), promote BSP→ASP (barrier-dominated and loss stable),
-//! demote ASP→BSP (wire distress or divergence risk), or hold. There is no
+//! `engine.staleness` histograms, the `wire.retries` / `wire.requests` /
+//! `wire.sync_rounds` counters, and the loss trajectory — and decides
+//! whether to roll back (divergence), promote BSP→ASP (barrier-dominated
+//! and loss stable), demote ASP→BSP (wire distress — retries per request —
+//! or divergence risk), or hold. There is no
 //! side channel: every input to [`SyncController::decide`] is a signal any
 //! telemetry scraper could read off the bus, plus the controller's own loss
 //! record.
@@ -85,8 +86,10 @@ pub struct ControllerConfig {
     /// (`engine.barrier_wait_ns / (engine.barrier_wait_ns +
     /// engine.step_ns)`) reaches this value.
     pub promote_barrier_frac: f64,
-    /// Demote ASP→BSP when a segment's `wire.retries` delta exceeds this;
-    /// under BSP the same signal blocks promotion.
+    /// Demote ASP→BSP when a segment's `wire.retries` delta exceeds this
+    /// many per 1000 of its wire requests (`wire.requests`), so the bar
+    /// does not move with how many requests a step sends or how long a
+    /// segment runs; under BSP the same signal blocks promotion.
     pub demote_retry_limit: u64,
 }
 
@@ -133,6 +136,8 @@ pub struct ScrapedSignals {
     pub staleness_sum: u64,
     /// `wire.retries` counter delta.
     pub retries: u64,
+    /// `wire.requests` counter delta: the wire requests answered.
+    pub requests: u64,
     /// `wire.sync_rounds` counter delta.
     pub sync_rounds: u64,
     /// Tail loss of the segment (the loss trajectory endpoint); NaN when
@@ -171,6 +176,7 @@ impl ScrapedSignals {
             staleness_count,
             staleness_sum,
             retries: counter("wire.retries"),
+            requests: counter("wire.requests"),
             sync_rounds: counter("wire.sync_rounds"),
             final_loss: report.map_or(f32::NAN, |r| r.final_loss),
         }
@@ -186,6 +192,12 @@ impl ScrapedSignals {
         } else {
             self.barrier_ns as f64 / total as f64
         }
+    }
+
+    /// Whether the segment's retries exceed `per_mille` per 1000 of its
+    /// wire requests.
+    pub fn retries_over(&self, per_mille: u64) -> bool {
+        self.retries.saturating_mul(1000) > per_mille.saturating_mul(self.requests)
     }
 
     /// Mean of the `engine.staleness` delta; zero when no pushes recorded
@@ -380,11 +392,11 @@ impl SyncController {
                         ),
                     };
                 }
-                if s.retries > self.cfg.demote_retry_limit {
+                if s.retries_over(self.cfg.demote_retry_limit) {
                     return SyncDecision::Hold {
                         reason: format!(
-                            "wire.retries {} over limit {}; holding BSP",
-                            s.retries, self.cfg.demote_retry_limit
+                            "wire.retries {} in {} requests over limit {} per mille; holding BSP",
+                            s.retries, s.requests, self.cfg.demote_retry_limit
                         ),
                     };
                 }
@@ -421,12 +433,12 @@ impl SyncController {
                 }
             }
             SyncProtocol::Asp => {
-                if s.retries > self.cfg.demote_retry_limit {
+                if s.retries_over(self.cfg.demote_retry_limit) {
                     return SyncDecision::Switch {
                         to: SyncProtocol::Bsp,
                         reason: format!(
-                            "wire.retries {} over limit {} under ASP",
-                            s.retries, self.cfg.demote_retry_limit
+                            "wire.retries {} in {} requests over limit {} per mille under ASP",
+                            s.retries, s.requests, self.cfg.demote_retry_limit
                         ),
                     };
                 }
@@ -637,6 +649,7 @@ mod tests {
             staleness_count: 10,
             staleness_sum: 20,
             retries: 0,
+            requests: 80,
             sync_rounds: 4,
             final_loss: 0.48,
         }
@@ -665,6 +678,7 @@ mod tests {
             staleness_count in 0u64..64,
             staleness_sum in 0u64..2_048,
             retries in 0u64..8,
+            requests in 0u64..2_048,
             loss_pick in any::<u8>(),
             loss in 0.0f32..8.0,
             best in 0.0f32..2.0,
@@ -677,6 +691,7 @@ mod tests {
                 staleness_count,
                 staleness_sum,
                 retries,
+                requests,
                 sync_rounds: 0,
                 final_loss: match loss_pick % 8 {
                     0 => f32::NAN,
@@ -708,14 +723,14 @@ mod tests {
             let (switch, to) = match current {
                 SyncProtocol::Bsp => (
                     c.segments >= WARMUP_SEGMENTS
-                        && s.retries <= cfg.demote_retry_limit
+                        && s.retries * 1000 <= cfg.demote_retry_limit * s.requests
                         && s.barrier_fraction() >= cfg.promote_barrier_frac
                         && c.best_loss.is_finite()
                         && s.final_loss <= PROMOTE_LOSS_SLACK * best,
                     SyncProtocol::Asp,
                 ),
                 SyncProtocol::Asp => (
-                    s.retries > cfg.demote_retry_limit
+                    s.retries * 1000 > cfg.demote_retry_limit * s.requests
                         || s.final_loss > DEMOTE_LOSS_FACTOR * best
                         || (s.staleness_count > 0
                             && s.mean_staleness() > DEMOTE_STALENESS_LIMIT),
@@ -799,6 +814,21 @@ mod tests {
             }
             other => panic!("expected demote, got {other:?}"),
         }
+        // The limit is a rate: one retry in 80 requests demotes, one in
+        // 1000 does not.
+        let rare = |requests| ScrapedSignals {
+            retries: 1,
+            requests,
+            ..signals()
+        };
+        assert!(matches!(
+            c.decide(SyncProtocol::Asp, &rare(80)),
+            SyncDecision::Switch { .. }
+        ));
+        assert!(matches!(
+            c.decide(SyncProtocol::Asp, &rare(1000)),
+            SyncDecision::Hold { .. }
+        ));
         // Loss risk under ASP, short of a blow-up: demote.
         let risky = ScrapedSignals {
             final_loss: 1.8,

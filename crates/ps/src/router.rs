@@ -72,18 +72,20 @@ pub(crate) struct Tier {
     slices: Vec<ServerSlice>,
     /// Completed pushes — the version clock (of this process's workers).
     version: AtomicU64,
-    /// Pushes a wire tier's flushes are sending and have not completed.
-    sending: AtomicU64,
+    /// Tickets of the pushes a wire tier's flushes have begun to send: each
+    /// flush takes the next one, and a round raises it to the version it
+    /// observed, so it never trails pushes sent some other way.
+    sent: AtomicU64,
     /// Stage-2 period in completed pushes.
     sync_every: u64,
     /// Completed stage-2 rounds (drains included) — diagnostics only.
     rounds: AtomicU64,
     /// The scheduling watermark: the version observed at the start of the
-    /// last stage-2 round, or the count of the push that claimed it
-    /// ([`Tier::claim_round`]). A round is due once `version` is
-    /// `sync_every` past it. Kept separate from `rounds` so drains (BSP
-    /// barriers, switches) advance the schedule to "now" instead of
-    /// postponing the next periodic round.
+    /// last stage-2 round, or the ticket of the push that claimed it
+    /// ([`Tier::claim_round`]). A round is due once `version`, or a push's
+    /// ticket, is `sync_every` past it. Kept separate from `rounds` so
+    /// drains (BSP barriers, switches) advance the schedule to "now"
+    /// instead of postponing the next periodic round.
     synced_version: AtomicU64,
 }
 
@@ -117,7 +119,7 @@ impl Tier {
             owner,
             slices,
             version: AtomicU64::new(0),
-            sending: AtomicU64::new(0),
+            sent: AtomicU64::new(0),
             sync_every: sync_every.max(1),
             rounds: AtomicU64::new(0),
             synced_version: AtomicU64::new(0),
@@ -168,34 +170,23 @@ impl Tier {
         self.rounds.load(Ordering::Acquire)
     }
 
-    /// Counts a push a flush is about to send as in flight and returns the
-    /// pushes completed and in flight, this one included, if that makes a
-    /// stage-2 round due. Counting peers' pushes in flight lets one push in
-    /// `sync_every` find it due however many are sent at once.
-    pub(crate) fn send_push(&self) -> Option<u64> {
-        // Before the version: a peer completing in between counts twice.
-        let count = self.sending.fetch_add(1, Ordering::AcqRel) + 1 + self.version();
-        self.due(count).then_some(count)
-    }
-
-    fn due(&self, count: u64) -> bool {
-        count >= (self.synced_version.load(Ordering::Acquire)).saturating_add(self.sync_every)
-    }
-
-    /// Ends the count [`Tier::send_push`] began, if it began one.
-    pub(crate) fn end_send(&self) {
-        let _ =
-            (self.sending).fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
-    }
-
-    /// Under the round lock, claims for the push counted `count` the round
-    /// it makes due, if still due: the watermark moves to `count` at once,
-    /// so no later push reads it due, and `true` says the push carries the
-    /// round ([`Tier::commit_round`]), which leaves it moved if it fails.
-    pub(crate) fn claim_round(&self, count: u64) -> bool {
-        let due = self.due(count);
+    /// Takes a ticket for a push a flush is about to send — one past every
+    /// push sent or completed before it, and no other push's — and claims
+    /// the stage-2 round it makes due, if any: every `sync_every`-th ticket
+    /// past the watermark. A claim moves the watermark to its ticket before
+    /// the round is sent, so [`Tier::reconcile_if_due`] does not run it
+    /// too; `true` says the push carries the round ([`Tier::commit_round`]),
+    /// which leaves the watermark moved if it fails.
+    pub(crate) fn claim_round(&self) -> bool {
+        // Read before the ticket is taken: a claim landing in between is an
+        // earlier ticket's, a whole number of periods past this reading,
+        // so the answer is the same however peers' claims interleave.
+        let synced = self.synced_version.load(Ordering::Acquire);
+        let ticket = self.sent.fetch_add(1, Ordering::AcqRel) + 1;
+        let due = ticket >= synced.saturating_add(self.sync_every)
+            && (ticket - synced).is_multiple_of(self.sync_every);
         if due {
-            self.synced_version.store(count, Ordering::Release);
+            self.synced_version.fetch_max(ticket, Ordering::Release);
         }
         due
     }
@@ -205,21 +196,21 @@ impl Tier {
     /// `fetch_add` return value — as the single store does).
     pub(crate) fn complete_push(&self, pulled_version: u64) -> u64 {
         // Release: pairs with the Acquire load in `version`.
-        let version = self.version.fetch_add(1, Ordering::Release);
-        self.end_send(); // after `version`, so no peer's count misses it
-        version.saturating_sub(pulled_version)
+        self.version
+            .fetch_add(1, Ordering::Release)
+            .saturating_sub(pulled_version)
     }
 
     /// Runs stage-2 rounds while the push counter is `sync_every` or more
     /// past the last round's watermark. Called after each completed push of
     /// an asynchronous loop: the worker whose push crosses the boundary
     /// performs the round, unless a push on a wire tier claimed it (moving
-    /// the watermark) and carried it; concurrent callers serialize on the router's round lock (`lock`),
-    /// and whoever runs a round (`round`, which must go through
-    /// [`Tier::commit_round`]) advances the watermark to the version it
-    /// observed, so rounds that became redundant while waiting are skipped
-    /// rather than replayed. A round that fails ends the call with its
-    /// error.
+    /// the watermark) and carried it; concurrent callers serialize on the
+    /// router's round lock (`lock`), and whoever runs a round (`round`,
+    /// which must go through [`Tier::commit_round`]) advances the watermark
+    /// to the version it observed, so rounds that became redundant while
+    /// waiting are skipped rather than replayed. A round that fails ends
+    /// the call with its error.
     pub(crate) fn reconcile_if_due<G, E>(
         &self,
         lock: impl Fn() -> G,
@@ -245,7 +236,8 @@ impl Tier {
     /// commits every owned shard on every server, then the watermark
     /// advances to the version read at the start of the round
     /// (conservative — the commits include at least every apply published
-    /// by those pushes) unless a claim already moved it further. Returns
+    /// by those pushes) unless a claim already moved it further, and the
+    /// next ticket ([`Tier::claim_round`]) past that version too. Returns
     /// the number of rounds completed so far, or the error `commit_all`
     /// failed with, in which case the round is not counted and the
     /// watermark stays where it was.
@@ -260,6 +252,7 @@ impl Tier {
         // their shard locks, and on a wire tier by the request/reply round
         // trips) together with the watermark.
         self.synced_version.fetch_max(observed, Ordering::Release);
+        self.sent.fetch_max(observed, Ordering::AcqRel);
         Ok(round)
     }
 

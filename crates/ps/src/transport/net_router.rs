@@ -42,9 +42,9 @@
 //!   [`NetPort::pull_into`] decodes it. A pull by run never rides: which
 //!   runs the next step reads is unknown before its batch is drawn.
 //! * **An asynchronous stage-2 round** rides the push that makes it due
-//!   ([`NetRouter::flush`]): that push claims it under the round lock
+//!   ([`NetRouter::flush`]): every `sync_every`-th push sent claims one
 //!   ([`Tier::claim_round`], which moves the watermark before anything is
-//!   sent, so no peer reads it due), and each server gets its pushes, a
+//!   sent), takes the round lock, and sends each server its pushes, a
 //!   `SyncRound` and the pull as one request. Only a round no push carried
 //!   — one due after [`NetPort::apply_shard_update`]s, run from
 //!   [`NetPort::after_push`] — a drain and a restore pay round trips of
@@ -214,8 +214,7 @@ enum Pull<'a> {
     /// [`NetPort::pull_into`] to decode.
     Prefetch,
     /// The whole image, decoded at once into this server's part of an
-    /// image: its parameters and its shards' clocks — or, handed to
-    /// [`NetRouter::send_all`], the whole tier's.
+    /// image: its parameters and its shards' clocks.
     Into(&'a mut [f32], &'a mut [u64]),
 }
 
@@ -339,10 +338,12 @@ pub struct NetRouter {
     /// router adopts it, so they share a clock and a trace with the
     /// engine's step spans.
     telemetry: Arc<Telemetry>,
-    /// `wire.sync_rounds` and `wire.retries` on that bus, resolved once.
-    /// The latter is the one retry count: [`NetRouter::stats`] reads it.
+    /// `wire.sync_rounds`, `wire.retries` and `wire.requests` (requests
+    /// answered) on that bus, resolved once. `wire.retries` is the one
+    /// retry count: [`NetRouter::stats`] reads it.
     sync_rounds_counter: Arc<Counter>,
     retries_counter: Arc<Counter>,
+    requests_counter: Arc<Counter>,
     /// Serializes stage-2 rounds and the control plane; holds the control
     /// plane's dedicated connections (a round a worker's port runs holds
     /// the lock but travels over the worker's own).
@@ -410,6 +411,7 @@ impl NetRouter {
             instances: Mutex::new(nonces),
             sync_rounds_counter: telemetry.metrics.counter("wire.sync_rounds"),
             retries_counter: telemetry.metrics.counter("wire.retries"),
+            requests_counter: telemetry.metrics.counter("wire.requests"),
             telemetry,
             sync: Mutex::new(PortState::new(tier.server_count())),
             tier,
@@ -644,6 +646,7 @@ impl NetRouter {
                         slot.next_seq = seq.wrapping_add(1);
                     }
                     self.book(&sent, &received, t0.elapsed());
+                    self.requests_counter.inc();
                     return Ok(v);
                 }
                 Ok(Err(_)) => {
@@ -760,29 +763,30 @@ impl NetRouter {
     }
 
     /// The one loop every push and round takes: per server, its staged
-    /// pushes, `commit`, and its part of `pull` ([`Pull::Into`] holds the
-    /// whole tier's image); with no commit, a server with nothing staged is
-    /// skipped. The acks land in shard order.
+    /// pushes, `commit`, and a pull — decoded into its part of `image`, the
+    /// whole tier's parameters and clocks, if given, or else prefetched if
+    /// the port pulls the whole vector. With no commit, a server with
+    /// nothing staged is skipped. The acks land in shard order.
     fn send_all(
         &self,
         port: &mut PortState,
         commit: Option<u8>,
-        mut pull: Pull<'_>,
+        mut image: Option<(&mut [f32], &mut [u64])>,
     ) -> Result<(), PsError> {
         for (s, slice) in self.tier.slices().iter().enumerate() {
             if commit.is_none() && port.staged[s].n == 0 {
                 continue;
             }
             let ((po, pl), so) = (slice.param_range, slice.shard_offset);
-            let part = match &mut pull {
-                Pull::No => Pull::No,
-                Pull::Prefetch => Pull::Prefetch,
-                Pull::Into(params, clocks) => Pull::Into(
+            let pull = match &mut image {
+                Some((params, clocks)) => Pull::Into(
                     &mut params[po..po + pl],
                     &mut clocks[so..so + slice.shard_count],
                 ),
+                None if port.pulls_dense => Pull::Prefetch,
+                None => Pull::No,
             };
-            self.send(port, s, commit, part)?;
+            self.send(port, s, commit, pull)?;
         }
         Ok(())
     }
@@ -805,7 +809,7 @@ impl NetRouter {
     /// A `SyncRound` or `Drain` (`commit`) to every server over `port`'s
     /// connections, with nothing staged on them: the control plane's round.
     fn commit_round(&self, port: &mut PortState, commit: u8) -> Result<(), PsError> {
-        self.traced_round(|| self.send_all(port, Some(commit), Pull::No))
+        self.traced_round(|| self.send_all(port, Some(commit), None))
     }
 
     /// BSP's round commit over `port`'s own connections: `stripe(g, push)`
@@ -834,7 +838,7 @@ impl NetRouter {
         }
         let _round = self.sync.lock();
         self.tier.pull_with(image, |params, clocks| {
-            self.traced_round(|| self.send_all(port, Some(op::DRAIN), Pull::Into(params, clocks)))
+            self.traced_round(|| self.send_all(port, Some(op::DRAIN), Some((params, clocks))))
         })?;
         Ok(())
     }
@@ -883,27 +887,20 @@ impl NetRouter {
     }
 
     /// Sends every server the pushes `port` has staged for it, and its next
-    /// image when the port pulls the whole vector. If they make a stage-2
-    /// round due and claim it ([`Tier::claim_round`]), a `SyncRound` goes
-    /// between each server's pushes and its pull: the round costs no round
-    /// trip of its own.
+    /// image when the port pulls the whole vector. If they claim a stage-2
+    /// round ([`Tier::claim_round`]), a `SyncRound` goes between each
+    /// server's pushes and its pull, under the round lock: the round costs
+    /// no round trip of its own.
     fn flush(&self, port: &mut PortState) -> Result<(), PsError> {
         if port.staged.iter().all(|st| st.n == 0) {
             return Ok(());
         }
-        let pull = if port.pulls_dense {
-            Pull::Prefetch
+        if self.tier.claim_round() {
+            let _round = self.sync.lock();
+            self.traced_round(|| self.send_all(port, Some(op::SYNC_ROUND), None))
         } else {
-            Pull::No
-        };
-        let round = (self.tier.send_push())
-            .map(|count| (self.sync.lock(), count))
-            .filter(|&(_, count)| self.tier.claim_round(count));
-        match round {
-            Some(_round) => self.traced_round(|| self.send_all(port, Some(op::SYNC_ROUND), pull)),
-            None => self.send_all(port, None, pull),
+            self.send_all(port, None, None)
         }
-        .inspect_err(|_| self.tier.end_send())
     }
 
     /// Pulls the committed view of every server through `port` into `buf`,

@@ -593,43 +593,52 @@ fn prefetched_pulls_change_round_trips_not_numerics() {
 #[test]
 fn an_asynchronous_round_rides_the_push_that_makes_it_due() {
     let _deadline = deadline(120);
-    // Two workers push concurrently, so a push can be sent while a peer's
-    // is in flight. The push that makes a round due — peers' pushes in
-    // flight counted — claims it and carries its `SyncRound` to every
-    // server, so a round costs no round trip of its own; the servers'
-    // counts say every round reached every server once. At most one round
-    // may instead run from `after_push` over the control plane.
+    // Workers push concurrently, so a push can be sent while a peer's is
+    // in flight. Every `sync_every`-th push sent claims a round and carries
+    // its `SyncRound` to every server, so a round costs no round trip of
+    // its own and the schedule is the configured one however the pushes
+    // interleave; the servers' counts say every round reached every server
+    // once. At most one round may instead run from `after_push` over the
+    // control plane, on top of the carried ones.
     let (seed, steps, servers) = (41, 400u64, 2u64);
-    for kind in [TransportKind::Channel, TransportKind::Tcp] {
-        let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, seed);
-        let (train, test) = data.split(0.25);
-        let mut cfg = TrainerConfig::new(2, 8, 0.05, 0.9).with_seed(seed);
-        cfg.shards = 7;
-        cfg.topology = ServerTopology::new(servers as usize, 4).with_transport(kind);
-        let mut t = Trainer::new(Network::mlp(6, &[16], 4, seed), train, test, cfg);
-        let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
-        let wire = r.transport;
-        assert!(wire.sync.round_trips <= servers, "{kind}: {:?}", wire.sync);
-        assert_eq!(wire.push.round_trips, steps * servers, "{kind}");
-        assert_eq!(wire.retries, 0, "{kind}");
-        let router = t.net_router().unwrap();
-        assert!(router.sync_rounds() >= steps / 4 - 1, "{kind}");
-        for s in 0..servers as usize {
-            let scraped = router.scrape_stats(s).unwrap();
+    for (workers, sync_every) in [(2, 4), (3, 1)] {
+        for kind in [TransportKind::Channel, TransportKind::Tcp] {
+            let what = format!("{kind}, {workers} workers, sync_every {sync_every}");
+            let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, seed);
+            let (train, test) = data.split(0.25);
+            let mut cfg = TrainerConfig::new(workers, 8, 0.05, 0.9).with_seed(seed);
+            cfg.shards = 7;
+            cfg.topology = ServerTopology::new(servers as usize, sync_every).with_transport(kind);
+            let mut t = Trainer::new(Network::mlp(6, &[16], 4, seed), train, test, cfg);
+            let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
+            let wire = r.transport;
+            assert!(wire.sync.round_trips <= servers, "{what}: {:?}", wire.sync);
+            assert_eq!(wire.push.round_trips, steps * servers, "{what}");
+            assert_eq!(wire.retries, 0, "{what}");
+            let router = t.net_router().unwrap();
+            let unclaimed = wire.sync.round_trips / servers;
             assert_eq!(
-                scraped.requests_for(op::SYNC_ROUND),
                 router.sync_rounds(),
-                "{kind}: server {s}"
+                steps / sync_every + unclaimed,
+                "{what}"
             );
-            assert_eq!(scraped.dedup_hits, 0, "{kind}: server {s}");
+            for s in 0..servers as usize {
+                let scraped = router.scrape_stats(s).unwrap();
+                assert_eq!(
+                    scraped.requests_for(op::SYNC_ROUND),
+                    router.sync_rounds(),
+                    "{what}: server {s}"
+                );
+                assert_eq!(scraped.dedup_hits, 0, "{what}: server {s}");
+            }
+            println!(
+                "{what}: {} of {} server pulls asked ({:.3}), {} rounds",
+                wire.pull.round_trips,
+                steps * servers,
+                wire.pull.round_trips as f64 / (steps * servers) as f64,
+                router.sync_rounds()
+            );
         }
-        println!(
-            "{kind}: {} of {} server pulls asked ({:.3}), {} rounds",
-            wire.pull.round_trips,
-            steps * servers,
-            wire.pull.round_trips as f64 / (steps * servers) as f64,
-            router.sync_rounds()
-        );
     }
 }
 
