@@ -188,11 +188,6 @@ impl ClusterSim {
         self.active.iter_mut().for_each(|a| *a = true);
     }
 
-    /// Worker indices currently experiencing a straggler episode.
-    pub fn active_stragglers_now(&self) -> Vec<usize> {
-        self.scenario.active_stragglers(self.now)
-    }
-
     /// The active workers' indices, for a chunk of `units`.
     ///
     /// # Panics
@@ -536,9 +531,9 @@ mod tests {
     fn transient_episode_expires() {
         let mut s = sim(SetupId::One, 11);
         s.set_scenario(StragglerScenario::mild(0.0));
-        assert_eq!(s.active_stragglers_now(), vec![0]);
+        assert_eq!(s.scenario.active_stragglers(s.now), vec![0]);
         s.advance(SimTime::from_secs(150.0));
-        assert!(s.active_stragglers_now().is_empty());
+        assert!(s.scenario.active_stragglers(s.now).is_empty());
     }
 
     #[test]

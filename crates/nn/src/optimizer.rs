@@ -63,28 +63,6 @@ impl SgdMomentum {
         }
     }
 
-    /// Applies an update to a sub-range (a parameter shard): `params` and
-    /// `grad` cover `[offset, offset + len)` of the full vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the parameter count or the slices differ
-    /// in length.
-    pub fn apply_shard(&mut self, offset: usize, params: &mut [f32], grad: &[f32]) {
-        assert_eq!(params.len(), grad.len(), "shard slice length mismatch");
-        assert!(
-            offset + params.len() <= self.velocity.len(),
-            "shard out of range"
-        );
-        let mu = self.momentum as f32;
-        let lr = self.lr as f32;
-        let vel = &mut self.velocity[offset..offset + params.len()];
-        for ((p, v), g) in params.iter_mut().zip(vel).zip(grad) {
-            *v = mu * *v - lr * g;
-            *p += *v;
-        }
-    }
-
     /// Resets accumulated velocity (used on protocol switch when momentum
     /// semantics change).
     pub fn reset_velocity(&mut self) {
@@ -116,24 +94,6 @@ mod tests {
         opt.apply(&mut p, &[1.0]); // v = -0.1, p = -0.1
         opt.apply(&mut p, &[1.0]); // v = -0.19, p = -0.29
         assert!((p[0] + 0.29).abs() < 1e-6);
-    }
-
-    #[test]
-    fn shard_updates_equal_full_update() {
-        let grad: Vec<f32> = (0..10).map(|i| (i as f32).sin()).collect();
-        let mut full = SgdMomentum::new(10, 0.05, 0.9);
-        let mut sharded = SgdMomentum::new(10, 0.05, 0.9);
-        let mut p_full: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        let mut p_shard = p_full.clone();
-        for _ in 0..3 {
-            full.apply(&mut p_full, &grad);
-            let (a, b) = p_shard.split_at_mut(4);
-            sharded.apply_shard(0, a, &grad[..4]);
-            sharded.apply_shard(4, b, &grad[4..]);
-        }
-        for (x, y) in p_full.iter().zip(&p_shard) {
-            assert!((x - y).abs() < 1e-6);
-        }
     }
 
     #[test]

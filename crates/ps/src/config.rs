@@ -117,10 +117,11 @@ pub struct ServerTopology {
     /// Number of parameter-server instances. Clamped to the shard count at
     /// construction (a server with no shards would be idle).
     pub servers: usize,
-    /// Stage-2 reconciliation period, in completed pushes: after every
-    /// `sync_every` pushes the next pushing worker runs a reconciliation
-    /// round. `1` commits after every push (tightest cross-server bound);
-    /// BSP ignores this and reconciles at every barrier round.
+    /// Stage-2 reconciliation period, in pushes: every push takes a
+    /// ticket, and the push holding every `sync_every`-th one runs a
+    /// reconciliation round right behind its applies. `1` commits after
+    /// every push (tightest cross-server bound); BSP ignores this and
+    /// reconciles at every barrier round.
     pub sync_every: u64,
     /// How workers reach the servers. With [`TransportKind::InProcess`] a
     /// single-server topology gets the direct-store fast path; any other

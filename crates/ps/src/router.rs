@@ -7,11 +7,12 @@
 //! shard `g` goes to `owner_of(g)` and applies immediately on that server's
 //! live store (stage 1). A pull assembles the *committed* view of every
 //! server directly into the worker's flat buffer — one parameter copy,
-//! zero allocations steady-state. Every `sync_every` completed pushes, the
-//! pushing worker runs a reconciliation round (stage 2) that publishes each
+//! zero allocations steady-state. Every push takes a ticket, and every
+//! `sync_every`-th ticket claims a reconciliation round (stage 2), which
+//! the claiming push runs right behind its own applies: it publishes each
 //! owner's live shards — parameters and clocks together — into its
-//! committed store, bounding how far any server's published view can trail
-//! its live state.
+//! committed store, bounding how far any server's published view can
+//! trail its live state.
 //!
 //! Everything in that paragraph that is *not* "how a request reaches a
 //! server" — the ownership map, the push-counter version clock, the stage-2
@@ -56,9 +57,9 @@ pub(crate) struct ServerSlice {
 /// commit-all reaches a server and what its round lock guards.
 ///
 /// **Process-local.** "Cluster" here means the workers of this process. The
-/// version clock, the stage-2 round counter and watermark — and with them
-/// the BSP barrier, the SSP floor and the wire router's prefetch stamps —
-/// are atomics in this address space. Several `ps-worker` processes on one
+/// version clock, the push tickets, the stage-2 round counter and watermark
+/// — and with them the BSP barrier, the SSP floor and the wire router's
+/// prefetch stamps — are atomics in this address space. Several `ps-worker` processes on one
 /// `ps-serve` tier each hold their own `Tier`: each counts its own pushes,
 /// runs its own round schedule and is BSP among its own threads only, and
 /// the processes are asynchronous to one another (ROADMAP item 1).
@@ -72,20 +73,20 @@ pub(crate) struct Tier {
     slices: Vec<ServerSlice>,
     /// Completed pushes — the version clock (of this process's workers).
     version: AtomicU64,
-    /// Tickets of the pushes a wire tier's flushes have begun to send: each
-    /// flush takes the next one, and a round raises it to the version it
-    /// observed, so it never trails pushes sent some other way.
+    /// The last push ticket taken ([`Tier::claim_round`]): every
+    /// asynchronous push takes one, and a drain raises it to the version it
+    /// observed, so it never trails the pushes a BSP round completed.
     sent: AtomicU64,
-    /// Stage-2 period in completed pushes.
+    /// Stage-2 period in push tickets.
     sync_every: u64,
     /// Completed stage-2 rounds (drains included) — diagnostics only.
     rounds: AtomicU64,
-    /// The scheduling watermark: the version observed at the start of the
-    /// last stage-2 round, or the ticket of the push that claimed it
-    /// ([`Tier::claim_round`]). A round is due once `version`, or a push's
-    /// ticket, is `sync_every` past it. Kept separate from `rounds` so
-    /// drains (BSP barriers, switches) advance the schedule to "now"
-    /// instead of postponing the next periodic round.
+    /// The scheduling watermark, in tickets: the ticket of the push that
+    /// claimed the last round, or the version the last drain observed. A
+    /// push claims a round when its ticket is a whole number of periods,
+    /// one or more, past it. Kept separate from `rounds` so drains (BSP
+    /// barriers, switches, restores) move the schedule to "now" instead of
+    /// postponing the next periodic round.
     synced_version: AtomicU64,
 }
 
@@ -170,13 +171,13 @@ impl Tier {
         self.rounds.load(Ordering::Acquire)
     }
 
-    /// Takes a ticket for a push a flush is about to send — one past every
-    /// push sent or completed before it, and no other push's — and claims
-    /// the stage-2 round it makes due, if any: every `sync_every`-th ticket
-    /// past the watermark. A claim moves the watermark to its ticket before
-    /// the round is sent, so [`Tier::reconcile_if_due`] does not run it
-    /// too; `true` says the push carries the round ([`Tier::commit_round`]),
-    /// which leaves the watermark moved if it fails.
+    /// Takes a push's ticket — one past every push ticketed or completed
+    /// before it, and no other push's — and claims the stage-2 round it
+    /// makes due, if any: every `sync_every`-th ticket past the watermark.
+    /// A claim moves the watermark to its ticket at once, so no peer claims
+    /// the same round; `true` says this push runs the round
+    /// ([`Tier::commit_round`]), which leaves the watermark moved if it
+    /// fails. The one trigger of an asynchronous round on every router.
     pub(crate) fn claim_round(&self) -> bool {
         // Read before the ticket is taken: a claim landing in between is an
         // earlier ticket's, a whole number of periods past this reading,
@@ -201,56 +202,30 @@ impl Tier {
             .saturating_sub(pulled_version)
     }
 
-    /// Runs stage-2 rounds while the push counter is `sync_every` or more
-    /// past the last round's watermark. Called after each completed push of
-    /// an asynchronous loop: the worker whose push crosses the boundary
-    /// performs the round, unless a push on a wire tier claimed it (moving
-    /// the watermark) and carried it; concurrent callers serialize on the
-    /// router's round lock (`lock`), and whoever runs a round (`round`,
-    /// which must go through [`Tier::commit_round`]) advances the watermark
-    /// to the version it observed, so rounds that became redundant while
-    /// waiting are skipped rather than replayed. A round that fails ends
-    /// the call with its error.
-    pub(crate) fn reconcile_if_due<G, E>(
-        &self,
-        lock: impl Fn() -> G,
-        mut round: impl FnMut(&mut G) -> Result<(), E>,
-    ) -> Result<(), E> {
-        loop {
-            let synced = self.synced_version.load(Ordering::Acquire);
-            if self.version() < synced.saturating_add(self.sync_every) {
-                return Ok(());
-            }
-            let mut held = lock();
-            // Re-check under the lock: a concurrent worker may have run a
-            // round while we waited. Loop rather than return — the counter
-            // may already be a full period past the new watermark too.
-            if self.synced_version.load(Ordering::Acquire) != synced {
-                continue;
-            }
-            round(&mut held)?;
-        }
-    }
-
     /// One stage-2 round, caller holding its round lock: `commit_all`
-    /// commits every owned shard on every server, then the watermark
-    /// advances to the version read at the start of the round
-    /// (conservative — the commits include at least every apply published
-    /// by those pushes) unless a claim already moved it further, and the
-    /// next ticket ([`Tier::claim_round`]) past that version too. Returns
-    /// the number of rounds completed so far, or the error `commit_all`
-    /// failed with, in which case the round is not counted and the
-    /// watermark stays where it was.
+    /// commits every owned shard on every server, and the round is counted.
+    /// The watermark stays where the claim put it. Returns the number of
+    /// rounds completed so far, or the error `commit_all` failed with, in
+    /// which case the round is not counted.
     pub(crate) fn commit_round<E>(
         &self,
         commit_all: impl FnOnce() -> Result<(), E>,
     ) -> Result<u64, E> {
-        let observed = self.version();
         commit_all()?;
-        let round = self.rounds.fetch_add(1, Ordering::Release) + 1;
-        // Release: publishes the committed stores' writes (ordered by
-        // their shard locks, and on a wire tier by the request/reply round
-        // trips) together with the watermark.
+        // Release: pairs with the Acquire load in `sync_rounds`, publishing
+        // the committed stores' writes (ordered by their shard locks, and
+        // on a wire tier by the request/reply round trips) with the count.
+        Ok(self.rounds.fetch_add(1, Ordering::Release) + 1)
+    }
+
+    /// A drain, caller holding its round lock: a [`Tier::commit_round`]
+    /// that then moves the watermark to the version read before it and
+    /// raises the ticket counter to match, so the next round is claimed a
+    /// full period after the pushes the drain covered. The commits include
+    /// at least every apply published by those pushes.
+    pub(crate) fn drain<E>(&self, commit_all: impl FnOnce() -> Result<(), E>) -> Result<u64, E> {
+        let observed = self.version();
+        let round = self.commit_round(commit_all)?;
         self.synced_version.fetch_max(observed, Ordering::Release);
         self.sent.fetch_max(observed, Ordering::AcqRel);
         Ok(round)
@@ -354,7 +329,7 @@ impl ShardRouter {
         self.tier.owner_of(g)
     }
 
-    /// Stage-2 period in completed pushes.
+    /// Stage-2 period in push tickets.
     pub fn sync_every(&self) -> u64 {
         self.tier.sync_every()
     }
@@ -399,32 +374,33 @@ impl ShardRouter {
         self.tier.complete_push(pulled_version)
     }
 
-    /// Runs a stage-2 round if the push counter has moved `sync_every`
-    /// past the last round's watermark (see [`Tier::reconcile_if_due`]).
-    pub fn reconcile_if_due(&self) {
-        let Ok(()) = (self.tier)
-            .reconcile_if_due(|| self.sync.lock(), |_held| self.commit_round().map(drop));
+    /// Takes the ticket of the push whose shards were just applied
+    /// ([`Tier::claim_round`]) and, if it claims a stage-2 round, commits
+    /// every server under the round lock right away — the point where a
+    /// wire tier's carried round lands. Call once per logical push.
+    pub fn after_push(&self) {
+        if self.tier.claim_round() {
+            let _held = self.sync.lock();
+            let Ok(_) = self.tier.commit_round(|| self.commit_all());
+        }
     }
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
     /// unconditionally commits every shard so the committed view equals the
     /// live view. Used by the BSP barrier (every round), the switcher
-    /// (before checkpointing a protocol switch), and restore. Advances the
-    /// periodic watermark to the current version, so a drain never
+    /// (before checkpointing a protocol switch), and restore. Moves the
+    /// watermark to the current version ([`Tier::drain`]), so a drain never
     /// postpones (nor hastens) the next due round relative to the pushes
     /// that follow it.
     pub fn drain(&self) {
         let _held = self.sync.lock();
-        let Ok(_) = self.commit_round();
+        let Ok(_) = self.tier.drain(|| self.commit_all());
     }
 
-    /// One stage-2 round, caller holding the round lock: a direct
-    /// commit-all on every server.
-    fn commit_round(&self) -> Result<u64, Infallible> {
-        self.tier.commit_round(|| {
-            self.servers.iter().for_each(PsServer::commit_all);
-            Ok(())
-        })
+    /// A direct commit-all on every server.
+    fn commit_all(&self) -> Result<(), Infallible> {
+        self.servers.iter().for_each(PsServer::commit_all);
+        Ok(())
     }
 
     /// Assembles the committed view of all servers into `buf` and returns
@@ -645,8 +621,9 @@ impl WorkerPort {
         }
     }
 
-    /// Stage-1 apply of the gradient slice for global shard `g`; returns the
-    /// owner's live shard clock before the apply.
+    /// Stage-1 apply of the gradient slice for global shard `g` on its own
+    /// (see [`WorkerPort::push_shard`]); returns the owner's live shard
+    /// clock before the apply.
     pub fn apply_shard_update(
         &self,
         g: usize,
@@ -654,20 +631,13 @@ impl WorkerPort {
         lr: f64,
         momentum: f64,
     ) -> Result<u64, PsError> {
-        match self {
-            WorkerPort::Single(s) => Ok(s.apply_shard_update(g, grad, lr, momentum)),
-            WorkerPort::Routed(r) => Ok(r.apply_shard_update(g, grad, lr, momentum)),
-            WorkerPort::Net(p) => p.apply_shard_update(g, grad, lr, momentum),
-        }
+        self.push_shard(g, UpdateData::Dense(grad), lr, momentum)
     }
 
-    /// Stage-1 sparse apply for global shard `g`: only the `(start, len)`
-    /// segments in `indices` carry gradient (`rows`); the rest of the shard
-    /// takes the zero-gradient momentum step. In-process planes apply the
-    /// payload directly ([`UpdateData::Sparse`]); a transport-backed plane
-    /// ships it as a `PushShardSparse` frame, which is where the payload
-    /// saving becomes real wire bytes. Clock semantics match the dense
-    /// apply exactly.
+    /// Stage-1 sparse apply for global shard `g` on its own: only the
+    /// `(start, len)` segments in `indices` carry gradient (`rows`); the
+    /// rest of the shard takes the zero-gradient momentum step. Clock
+    /// semantics match the dense apply exactly.
     pub fn apply_shard_update_sparse(
         &self,
         g: usize,
@@ -676,12 +646,25 @@ impl WorkerPort {
         lr: f64,
         momentum: f64,
     ) -> Result<u64, PsError> {
-        let data = UpdateData::Sparse { indices, rows };
-        match self {
-            WorkerPort::Single(s) => Ok(s.apply_shard_update_data(g, data, lr, momentum)),
-            WorkerPort::Routed(r) => Ok(r.apply_shard_update_data(g, data, lr, momentum)),
-            WorkerPort::Net(p) => p.apply_shard_update_sparse(g, indices, rows, lr, momentum),
+        self.push_shard(g, UpdateData::Sparse { indices, rows }, lr, momentum)
+    }
+
+    /// One shard of a push sent shard by shard: queued, and on a wire tier
+    /// sent to its owner at once, with no ticket and no pull. The push
+    /// takes its ticket once every shard is sent ([`WorkerPort::after_push`]).
+    fn push_shard(
+        &self,
+        g: usize,
+        data: UpdateData<'_>,
+        lr: f64,
+        momentum: f64,
+    ) -> Result<u64, PsError> {
+        let mut ack = Vec::with_capacity(1);
+        self.queue_shard_update(g, data, lr, momentum, &mut ack)?;
+        if let WorkerPort::Net(p) = self {
+            p.send_queued(&mut ack)?;
         }
+        Ok(ack[0])
     }
 
     /// Queues the stage-1 apply of `data` on global shard `g` — the batched
@@ -708,14 +691,18 @@ impl WorkerPort {
         Ok(())
     }
 
-    /// Sends every push still queued on a transport-backed plane, with the
-    /// stage-2 round they make due, and appends their pre-apply shard
-    /// clocks to `acks` (no-op in-process, where queueing already applied).
+    /// Ends a queued push: it takes its ticket, and runs the stage-2 round
+    /// the ticket claims right behind its applies. A transport-backed plane
+    /// sends every push still queued, the claimed round riding them, and
+    /// appends their pre-apply shard clocks to `acks`; in-process, queueing
+    /// already applied and acked. The single store has no rounds.
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         match self {
-            WorkerPort::Net(p) => p.flush_pushes(acks),
-            _ => Ok(()),
+            WorkerPort::Single(_) => {}
+            WorkerPort::Routed(r) => r.after_push(),
+            WorkerPort::Net(p) => return p.flush_pushes(acks),
         }
+        Ok(())
     }
 
     /// Completes a logical push and returns its global staleness.
@@ -726,15 +713,18 @@ impl WorkerPort {
         }
     }
 
-    /// Post-push hook for the asynchronous loops: runs stage-2 rounds the
-    /// push counter has made due (no-op on the single store). On a
-    /// transport-backed plane the push that made the round due has carried
-    /// it already, so this runs only a round no push claimed (see
-    /// [`NetPort::after_push`]).
+    /// Ends a push sent shard by shard ([`WorkerPort::apply_shard_update`]
+    /// and [`WorkerPort::apply_shard_update_sparse`]): it takes its ticket,
+    /// and if that claims a stage-2 round, the round commits — directly
+    /// in-process, over the control plane on a wire tier (no-op on the
+    /// single store). A queued push takes its ticket in
+    /// [`WorkerPort::flush_pushes`] instead, so calling this after one
+    /// would take a second. The benchmark's replay of a pre-batching step
+    /// is its one caller outside the tests (ROADMAP item 2 retires both).
     pub fn after_push(&self) -> Result<(), PsError> {
         match self {
             WorkerPort::Single(_) => {}
-            WorkerPort::Routed(r) => r.reconcile_if_due(),
+            WorkerPort::Routed(r) => r.after_push(),
             WorkerPort::Net(p) => return p.after_push(),
         }
         Ok(())
@@ -873,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_if_due_follows_the_period() {
+    fn a_push_ticket_claims_every_period() {
         let r = router(24, 4, 2, 3);
         let push = |r: &ShardRouter| {
             for g in 0..r.shard_count() {
@@ -881,7 +871,7 @@ mod tests {
                 r.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
             }
             let v = r.complete_push(r.version());
-            r.reconcile_if_due();
+            r.after_push();
             v
         };
         push(&r);
@@ -914,7 +904,7 @@ mod tests {
                 r.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
             }
             r.complete_push(r.version());
-            r.reconcile_if_due();
+            r.after_push();
         };
         // "BSP segment": 10 rounds, each drained at the barrier.
         for _ in 0..10 {

@@ -42,13 +42,13 @@
 //!   [`NetPort::pull_into`] decodes it. A pull by run never rides: which
 //!   runs the next step reads is unknown before its batch is drawn.
 //! * **An asynchronous stage-2 round** rides the push that makes it due
-//!   ([`NetRouter::flush`]): every `sync_every`-th push sent claims one
-//!   ([`Tier::claim_round`], which moves the watermark before anything is
-//!   sent), takes the round lock, and sends each server its pushes, a
-//!   `SyncRound` and the pull as one request. Only a round no push carried
-//!   — one due after [`NetPort::apply_shard_update`]s, run from
-//!   [`NetPort::after_push`] — a drain and a restore pay round trips of
-//!   their own, over the control plane.
+//!   ([`NetRouter::flush`]): every push takes a ticket, every
+//!   `sync_every`-th ticket claims a round ([`Tier::claim_round`], which
+//!   moves the watermark before anything is sent), and its push takes the
+//!   round lock and sends each server its pushes, a `SyncRound` and the
+//!   pull as one request. Only a push sent shard by shard, whose ticket
+//!   [`NetPort::after_push`] takes, a drain and a restore pay a round trip
+//!   of their own for a round, over the control plane.
 //! * **A BSP round** is one request per server too: the worker that
 //!   completes it ([`crate::WorkerPort::commit_round`]) sends each server
 //!   its averaged stripes, a `Drain` and a `PullCommitted`, and decodes the
@@ -308,10 +308,10 @@ impl ConnSlot {
 /// answer (`Timeout`, `ConnLost` or `RetriesExhausted`): from the owner ops
 /// ([`Self::drain`], [`Self::restore`], [`Self::reset_velocity`]), the
 /// probes, [`Self::is_finite`], and the worker-path ops — [`NetPort`]'s
-/// pulls, pushes, [`NetPort::after_push`] and BSP's round commit — which
-/// the engine passes up as its segment's error. Only the reads
-/// [`Self::snapshot_params`] and [`Self::snapshot_velocity`] still panic
-/// with the error's message.
+/// pulls, pushes with the rounds their tickets claim, and BSP's round
+/// commit — which the engine passes up as its segment's error. Only the
+/// reads [`Self::snapshot_params`] and [`Self::snapshot_velocity`] still
+/// panic with the error's message.
 #[derive(Debug)]
 pub struct NetRouter {
     kind: TransportKind,
@@ -507,7 +507,7 @@ impl NetRouter {
         self.tier.owner_of(g)
     }
 
-    /// Stage-2 period in completed pushes.
+    /// Stage-2 period in push tickets.
     pub fn sync_every(&self) -> u64 {
         self.tier.sync_every()
     }
@@ -540,16 +540,6 @@ impl NetRouter {
     /// push's staleness relative to `pulled_version`.
     pub fn complete_push(&self, pulled_version: u64) -> u64 {
         self.tier.complete_push(pulled_version)
-    }
-
-    /// Runs the stage-2 rounds the push counter has made due and no push
-    /// carried (see [`Tier::reconcile_if_due`]), as plain commit-alls over
-    /// the control plane.
-    fn reconcile_if_due(&self) -> Result<(), PsError> {
-        self.tier.reconcile_if_due(
-            || self.sync.lock(),
-            |control| self.commit_round(control, op::SYNC_ROUND),
-        )
     }
 
     /// Drains the stage-2 pipeline: waits out any in-flight round, then
@@ -792,15 +782,22 @@ impl NetRouter {
     }
 
     /// One stage-2 round, the caller holding the round lock: `commit_all`
-    /// sends every server its commit-all, then [`Tier::commit_round`]
-    /// counts the round, and so do `wire.sync_rounds` and a `SyncRound`
-    /// span. A round that fails is not counted.
+    /// sends every server its `commit`, then [`Tier::commit_round`] counts
+    /// the round — [`Tier::drain`] if `commit` is a `Drain` — and so do
+    /// `wire.sync_rounds` and a `SyncRound` span. A round that fails is not
+    /// counted.
     fn traced_round(
         &self,
-        commit_all: impl FnOnce() -> Result<(), PsError>,
+        commit: u8,
+        commit_all: impl FnOnce(Option<u8>) -> Result<(), PsError>,
     ) -> Result<(), PsError> {
         let t0 = self.telemetry.trace.now_ns();
-        let round = self.tier.commit_round(commit_all)?;
+        let commit_all = || commit_all(Some(commit));
+        let round = if commit == op::DRAIN {
+            self.tier.drain(commit_all)
+        } else {
+            self.tier.commit_round(commit_all)
+        }?;
         self.sync_rounds_counter.inc();
         (self.telemetry.trace).span(TraceKind::SyncRound { round }, t0);
         Ok(())
@@ -809,7 +806,7 @@ impl NetRouter {
     /// A `SyncRound` or `Drain` (`commit`) to every server over `port`'s
     /// connections, with nothing staged on them: the control plane's round.
     fn commit_round(&self, port: &mut PortState, commit: u8) -> Result<(), PsError> {
-        self.traced_round(|| self.send_all(port, Some(commit), None))
+        self.traced_round(commit, |commit| self.send_all(port, commit, None))
     }
 
     /// BSP's round commit over `port`'s own connections: `stripe(g, push)`
@@ -838,7 +835,9 @@ impl NetRouter {
         }
         let _round = self.sync.lock();
         self.tier.pull_with(image, |params, clocks| {
-            self.traced_round(|| self.send_all(port, Some(op::DRAIN), Some((params, clocks))))
+            self.traced_round(op::DRAIN, |drain| {
+                self.send_all(port, drain, Some((params, clocks)))
+            })
         })?;
         Ok(())
     }
@@ -897,7 +896,7 @@ impl NetRouter {
         }
         if self.tier.claim_round() {
             let _round = self.sync.lock();
-            self.traced_round(|| self.send_all(port, Some(op::SYNC_ROUND), None))
+            self.traced_round(op::SYNC_ROUND, |round| self.send_all(port, round, None))
         } else {
             self.send_all(port, None, None)
         }
@@ -1397,54 +1396,30 @@ impl NetPort {
         Ok(())
     }
 
-    /// Post-push hook of the asynchronous loops: runs the stage-2 rounds
-    /// the push counter has made due that no push carried, over the control
-    /// plane (see [`NetRouter::reconcile_if_due`]).
+    /// Ends a push sent shard by shard ([`NetPort::send_queued`]): it
+    /// takes its ticket, and a round the ticket claims commits over the
+    /// control plane (see [`crate::WorkerPort::after_push`]).
     pub fn after_push(&self) -> Result<(), PsError> {
-        self.router.reconcile_if_due()
+        let router = &self.router;
+        if router.tier.claim_round() {
+            router.commit_round(&mut router.sync.lock(), op::SYNC_ROUND)?;
+        }
+        Ok(())
     }
 
-    /// Stage-1 apply over this worker's connection to the owner — a queue
-    /// and a flush of one push, which travels as a bare `PushShard` frame.
-    /// Returns the owner's pre-apply live shard clock.
-    pub fn apply_shard_update(
-        &self,
-        g: usize,
-        grad: &[f32],
-        lr: f64,
-        momentum: f64,
-    ) -> Result<u64, PsError> {
-        self.push_now(g, |buf, local| {
-            wire::encode_push_shard(buf, local, lr, momentum, grad);
-        })
-    }
-
-    /// Stage-1 sparse apply over this worker's connection to the owner:
-    /// only the touched segments of shard `g` cross the wire.
-    pub fn apply_shard_update_sparse(
-        &self,
-        g: usize,
-        indices: &[(u32, u32)],
-        rows: &[f32],
-        lr: f64,
-        momentum: f64,
-    ) -> Result<u64, PsError> {
-        self.push_now(g, |buf, local| {
-            wire::encode_push_shard_sparse(buf, local, lr, momentum, indices, rows);
-        })
-    }
-
-    /// Queues one push, sends its owner's queue without a round and takes
-    /// that push's ack — under one hold of the state lock, so it stays
-    /// atomic even on a port that threads share. A round this push makes
-    /// due runs from [`NetPort::after_push`]: one shard is not the whole
-    /// push a claimed round would commit.
-    fn push_now(&self, g: usize, encode: impl FnOnce(&mut Vec<u8>, u32)) -> Result<u64, PsError> {
+    /// Sends each server the pushes queued for it with no ticket, no round
+    /// and no pull, and appends their pre-apply shard clocks to `acks`, in
+    /// shard order: the shard-by-shard push path, whose push takes its
+    /// ticket in [`NetPort::after_push`].
+    pub(crate) fn send_queued(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
-        self.router.queue_push(port, g, encode)?;
-        self.router
-            .send(port, self.router.owner_of(g), None, Pull::No)?;
-        Ok(port.acks.pop().expect("the push just sent was acked"))
+        for s in 0..port.staged.len() {
+            if port.staged[s].n > 0 {
+                self.router.send(port, s, None, Pull::No)?;
+            }
+        }
+        acks.append(&mut port.acks);
+        Ok(())
     }
 }
 
@@ -1453,6 +1428,7 @@ mod tests {
     use super::*;
     use crate::deadline::deadline;
     use crate::router::ShardRouter;
+    use crate::WorkerPort;
 
     fn topologies() -> Vec<ServerTopology> {
         vec![
@@ -1469,20 +1445,19 @@ mod tests {
         for topology in topologies() {
             let inproc = ShardRouter::new(&initial, 5, ServerTopology::new(2, 1));
             let net = NetPort::launch(&initial, 5, topology);
+            let w = WorkerPort::Net(net.clone());
             for step in 0..4 {
                 for g in 0..5 {
                     let (o, l) = inproc.shard_range(g);
                     assert_eq!(net.router().shard_range(g), (o, l));
                     let a = inproc.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                    let b = net
-                        .apply_shard_update(g, &grad[o..o + l], 0.05, 0.9)
-                        .unwrap();
+                    let b = w.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
                     assert_eq!(a, b, "shard clock skew at step {step} shard {g}");
                 }
                 inproc.complete_push(step);
                 net.router().complete_push(step);
-                inproc.reconcile_if_due();
-                net.after_push().unwrap();
+                inproc.after_push();
+                w.after_push().unwrap();
             }
             assert_eq!(inproc.version(), net.router().version());
             assert_eq!(
@@ -1513,12 +1488,13 @@ mod tests {
                 t
             });
             let r = net.router();
+            let w = WorkerPort::Net(net.clone());
             let mut buf = PullBuffer::new();
             net.pull_into(&mut buf).unwrap();
             let before = buf.params().to_vec();
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
-                net.apply_shard_update(g, &vec![1.0; l], 0.5, 0.0).unwrap();
+                w.apply_shard_update(g, &vec![1.0; l], 0.5, 0.0).unwrap();
             }
             r.complete_push(0);
             let v = net.pull_into(&mut buf).unwrap();
@@ -1560,7 +1536,7 @@ mod tests {
                 t.sync_every = 3;
                 t
             });
-            let b = a.clone();
+            let b = WorkerPort::Net(a.clone());
             let r = a.router();
             let pull_trips = || r.stats().pull.round_trips;
             // What an explicit pull returns right now: a fresh port has
@@ -1586,8 +1562,9 @@ mod tests {
             assert_eq!(rode, asked());
             assert_eq!(rode.0, initial, "stage 1 must not leak into a pull");
 
-            // B's push makes the round due and B runs it: the image A took
-            // home with its own push predates a completed round, so A asks.
+            // B's push, sent shard by shard, takes the ticket that claims the
+            // round, and B runs it: the image A took home with its own push
+            // predates a completed round, so A asks.
             assert_eq!(queued_push(&a, 2.0), 2);
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
@@ -1609,7 +1586,7 @@ mod tests {
 
             // The same after a drain ...
             assert_eq!(queued_push(&a, 3.0), 2);
-            b.router().drain().expect("drain");
+            r.drain().expect("drain");
             let before = pull_trips();
             let after_drain = pulled(&a);
             assert_eq!(pull_trips(), before + 2);
@@ -1619,21 +1596,19 @@ mod tests {
             // ... and after a restore, which drains.
             assert_eq!(queued_push(&a, 4.0), 2);
             let (params, velocity) = (vec![0.25f32; 26], vec![0.0f32; 26]);
-            b.router().restore(&params, &velocity).expect("restore");
+            r.restore(&params, &velocity).expect("restore");
             let before = pull_trips();
             let restored = pulled(&a);
             assert_eq!(pull_trips(), before + 2);
             assert_eq!(restored.0, params);
 
             // The push that makes a round due carries it, with the pull
-            // behind each commit; `after_push` then finds nothing due.
+            // behind each commit.
             assert_eq!(queued_push(&a, 5.0), 2);
             assert_eq!(queued_push(&a, 6.0), 2);
             let (rounds, before) = (r.sync_rounds(), r.stats());
             assert_eq!(queued_push(&a, 7.0), 2, "the pull rides behind the commit");
             assert_eq!(r.sync_rounds(), rounds + 1);
-            a.after_push().unwrap();
-            assert_eq!(r.sync_rounds(), rounds + 1, "the carried round ran again");
             let paid = r.stats().delta(&before);
             assert_eq!((paid.push.round_trips, paid.sync.round_trips), (2, 0));
             assert_eq!(paid.sync.ops, 2);
@@ -1681,16 +1656,17 @@ mod tests {
             let initial: Vec<f32> = (0..30).map(|i| i as f32 * 0.1).collect();
             let net = NetPort::launch(&initial, 6, topology);
             let r = net.router();
+            let w = WorkerPort::Net(net.clone());
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
-                net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9).unwrap();
+                w.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9).unwrap();
             }
             r.complete_push(0);
             let params = r.snapshot_params();
             let velocity = r.snapshot_velocity();
             for g in 0..r.shard_count() {
                 let (_, l) = r.shard_range(g);
-                net.apply_shard_update(g, &vec![5.0; l], 0.1, 0.9).unwrap();
+                w.apply_shard_update(g, &vec![5.0; l], 0.1, 0.9).unwrap();
             }
             assert_ne!(r.snapshot_params(), params);
             r.restore(&params, &velocity).expect("restore");
@@ -1714,11 +1690,12 @@ mod tests {
             ServerTopology::new(2, 2).with_transport(TransportKind::Channel),
         );
         let r = net.router();
+        let w = WorkerPort::Net(net.clone());
         let mut buf = PullBuffer::new();
         net.pull_into(&mut buf).unwrap();
         for g in 0..4 {
             let (_, l) = r.shard_range(g);
-            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
+            w.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
         }
         r.complete_push(0);
         r.drain().expect("drain");
@@ -1755,21 +1732,20 @@ mod tests {
                 .with_transport(TransportKind::Channel)
                 .with_faults(plan),
         );
+        let w = WorkerPort::Net(net.clone());
         for step in 0..6 {
             for g in 0..4 {
                 let (o, l) = clean.shard_range(g);
                 let a = clean.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                let b = net
-                    .apply_shard_update(g, &grad[o..o + l], 0.05, 0.9)
-                    .unwrap();
+                let b = w.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
                 // A dropped-reply retry must replay the cached ack, so even
                 // the pre-apply clocks match the fault-free run.
                 assert_eq!(a, b, "shard clock skew at step {step} shard {g}");
             }
             clean.complete_push(step);
             net.router().complete_push(step);
-            clean.reconcile_if_due();
-            net.after_push().unwrap();
+            clean.after_push();
+            w.after_push().unwrap();
         }
         clean.drain();
         net.router().drain().expect("drain");
@@ -1791,11 +1767,12 @@ mod tests {
             ServerTopology::new(2, 2).with_transport(TransportKind::Channel),
         );
         let r = net.router();
+        let w = WorkerPort::Net(net.clone());
         let mut buf = PullBuffer::new();
         net.pull_into(&mut buf).unwrap();
         for g in 0..4 {
             let (_, l) = r.shard_range(g);
-            net.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
+            w.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
         }
         r.complete_push(0);
         r.drain().expect("drain");
@@ -1835,13 +1812,14 @@ mod tests {
                 .with_faults(plan),
         );
         let telemetry = net.router().telemetry();
+        let w = WorkerPort::Net(net.clone());
         for step in 0..8 {
             for g in 0..4 {
                 let (_, l) = net.router().shard_range(g);
-                net.apply_shard_update(g, &vec![1.0; l], 0.05, 0.9).unwrap();
+                w.apply_shard_update(g, &vec![1.0; l], 0.05, 0.9).unwrap();
             }
             net.router().complete_push(step);
-            net.after_push().unwrap();
+            w.after_push().unwrap();
         }
         net.router().drain().expect("drain");
         let counts = telemetry.trace.counts_by_name();
@@ -1865,7 +1843,7 @@ mod tests {
     #[test]
     fn workers_keep_their_client_ids_across_segments() {
         let _deadline = deadline(60);
-        use crate::{Trainer, TrainerConfig, WorkerPort};
+        use crate::{Trainer, TrainerConfig};
         use sync_switch_nn::{Dataset, Network};
         use sync_switch_workloads::SyncProtocol;
         // The servers are built here so the test can read their dedup

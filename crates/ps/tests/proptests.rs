@@ -464,7 +464,7 @@ proptest! {
             }
             store.complete_push(p);
             router.complete_push(p);
-            router.reconcile_if_due();
+            router.after_push();
         }
         let mut buf = PullBuffer::new();
         router.pull_committed_into(&mut buf);
@@ -585,8 +585,8 @@ proptest! {
             }
             // Staleness equality through the global clock.
             prop_assert_eq!(dense.complete_push(p), sparse.complete_push(p));
-            dense.reconcile_if_due();
-            sparse.reconcile_if_due();
+            dense.after_push();
+            sparse.after_push();
         }
         // Live state, committed views, and committed clocks all agree.
         prop_assert_eq!(dense.snapshot_params(), sparse.snapshot_params());
@@ -717,6 +717,7 @@ proptest! {
                 .with_transport(TransportKind::Channel)
                 .with_faults(plan),
         );
+        let w = WorkerPort::Net(net.clone());
         for p in 0..pushes {
             let grad: Vec<f32> = (0..n)
                 .map(|i| f32::from_bits(bits[(i + p as usize * 7) % bits.len()]))
@@ -724,12 +725,12 @@ proptest! {
             for g in 0..clean.shard_count() {
                 let (o, l) = clean.shard_range(g);
                 let a = clean.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                let b = net.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
+                let b = w.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
                 prop_assert_eq!(a, b, "clock skew at push {} shard {}", p, g);
             }
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
-            clean.reconcile_if_due();
-            net.after_push().unwrap();
+            clean.after_push();
+            w.after_push().unwrap();
         }
         clean.drain();
         net.router().drain().expect("drain");
@@ -804,8 +805,7 @@ proptest! {
             net.flush_pushes(&mut acks).unwrap();
             prop_assert_eq!(&expected, &acks, "clock skew at push {}", p);
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
-            clean.reconcile_if_due();
-            net.after_push().unwrap();
+            clean.after_push();
         }
         clean.drain();
         net.router().drain().expect("drain");

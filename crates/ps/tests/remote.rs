@@ -53,6 +53,7 @@ fn remote_tier_matches_in_process_router() {
     let (_hosts, addrs) = bind_tier(&initial, 5, 2);
     let inproc = ShardRouter::new(&initial, 5, ServerTopology::new(2, 1));
     let net = NetPort::connect(initial.len(), 5, &addrs, 1, quick_retry()).expect("connect");
+    let w = WorkerPort::Net(net.clone());
     let r = net.router();
     // The first handshake of a connected tier records its instances; it
     // finds nothing replaced.
@@ -64,13 +65,13 @@ fn remote_tier_matches_in_process_router() {
             let (o, l) = inproc.shard_range(g);
             assert_eq!(net.router().shard_range(g), (o, l));
             let a = inproc.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-            let b = net.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+            let b = w.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
             assert_eq!(Ok(a), b, "shard clock skew at step {step} shard {g}");
         }
         inproc.complete_push(step);
         net.router().complete_push(step);
-        inproc.reconcile_if_due();
-        net.after_push().expect("sync round");
+        inproc.after_push();
+        w.after_push().expect("sync round");
     }
     assert_eq!(inproc.snapshot_params(), net.router().snapshot_params());
     assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());

@@ -108,11 +108,6 @@ impl<E> EventQueue<E> {
         Some((ev.at, ev.payload))
     }
 
-    /// Returns the time of the earliest pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -181,9 +176,7 @@ mod tests {
         q.schedule(SimTime::from_secs(1.0), ());
         q.schedule(SimTime::from_secs(2.0), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 }

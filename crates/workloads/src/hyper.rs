@@ -71,12 +71,6 @@ impl LrSchedule {
         &self.boundaries
     }
 
-    /// Step of the first decay boundary, if any. The Sync-Switch divergence
-    /// analysis (paper Fig. 13) pivots on this point.
-    pub fn first_decay_step(&self) -> Option<u64> {
-        self.boundaries.first().map(|&(s, _)| s)
-    }
-
     /// Rescales all boundary steps by `num/den` (used when a workload is
     /// stretched to a different total step count).
     pub fn rescaled(&self, num: u64, den: u64) -> LrSchedule {
@@ -178,11 +172,6 @@ impl HyperParams {
         }
     }
 
-    /// Learning rate in effect at `step` (base rate × schedule factor).
-    pub fn lr_at(&self, step: u64) -> f64 {
-        self.learning_rate * self.lr_schedule.factor_at(step)
-    }
-
     /// The workload fraction `step / total_steps`, clamped to `[0, 1]`.
     pub fn fraction_at(&self, step: u64) -> f64 {
         (step as f64 / self.total_steps as f64).clamp(0.0, 1.0)
@@ -202,11 +191,12 @@ mod tests {
     #[test]
     fn schedule_factors() {
         let h = HyperParams::resnet_cifar();
-        assert_eq!(h.lr_at(0), 0.1);
-        assert_eq!(h.lr_at(31_999), 0.1);
-        assert!((h.lr_at(32_000) - 0.01).abs() < 1e-12);
-        assert!((h.lr_at(48_000) - 0.001).abs() < 1e-12);
-        assert_eq!(h.lr_schedule.first_decay_step(), Some(32_000));
+        let rate = |step| h.learning_rate * h.lr_schedule.factor_at(step);
+        assert_eq!(rate(0), 0.1);
+        assert_eq!(rate(31_999), 0.1);
+        assert!((rate(32_000) - 0.01).abs() < 1e-12);
+        assert!((rate(48_000) - 0.001).abs() < 1e-12);
+        assert_eq!(h.lr_schedule.boundaries()[0].0, 32_000);
     }
 
     #[test]
@@ -214,7 +204,7 @@ mod tests {
         let s = LrSchedule::constant();
         assert_eq!(s.factor_at(0), 1.0);
         assert_eq!(s.factor_at(1_000_000), 1.0);
-        assert_eq!(s.first_decay_step(), None);
+        assert!(s.boundaries().is_empty());
     }
 
     #[test]
@@ -251,7 +241,7 @@ mod tests {
     fn setup2_schedule_is_stretched() {
         let h = HyperParams::resnet_cifar100();
         assert_eq!(h.total_steps, 128_000);
-        assert_eq!(h.lr_schedule.first_decay_step(), Some(64_000));
+        assert_eq!(h.lr_schedule.boundaries()[0].0, 64_000);
         // Decay boundaries sit at the same workload fractions as setup 1.
         assert!((h.fraction_at(64_000) - 0.5).abs() < 1e-12);
     }

@@ -107,7 +107,7 @@ pub struct ClusterSpec {
     pub servers: Vec<String>,
     /// Worker threads per `ps-worker` process.
     pub workers_per_proc: usize,
-    /// Stage-2 reconciliation period in completed pushes.
+    /// Stage-2 reconciliation period in pushes.
     pub sync_every: u64,
     /// Training segments, run in order by every worker process.
     pub segments: Vec<SegmentSpec>,

@@ -443,15 +443,13 @@ fn riding_items_are_booked_under_their_own_class() {
     );
     assert_eq!(books(&after.sync), books(&before.sync));
     r.complete_push(0);
-    net.after_push().unwrap();
     // The image that rode home is served without a round trip or a book.
     net.pull_into(&mut buf).unwrap();
     assert_eq!(books(&r.stats().pull), books(&after.pull));
 
     // (c) The push that makes a round due carries it, with the pull
     // behind it: `[push × 2, SyncRound, PullCommitted]` per server, one
-    // push round trip that the commit and the pull ride. `after_push` then
-    // finds nothing due.
+    // push round trip that the commit and the pull ride.
     let before = r.stats();
     push_all(&mut acks);
     let after = r.stats();
@@ -469,9 +467,6 @@ fn riding_items_are_booked_under_their_own_class() {
         class(2, 0, 2 * bodyless, images + 2 * 4)
     );
     r.complete_push(1);
-    net.after_push().unwrap();
-    assert_eq!(r.sync_rounds(), 1, "the carried round ran again");
-    assert_eq!(books(&r.stats().sync), books(&after.sync));
     assert_eq!(acks.len(), 8);
     reconciles(r);
 
