@@ -59,15 +59,18 @@ impl RetryPolicy {
 
 /// How workers reach the parameter-server tier.
 ///
-/// `InProcess` is the PR 2/3 fast path: servers are plain structs and a
-/// "push" is a routed method call, so the transport cost is zero by
-/// construction. `Channel` and `Tcp` put every push, pull, and sync round
-/// through the binary wire protocol of [`crate::transport::wire`] — the
-/// boundary that makes the network cost of the paper's BSP/ASP tradeoff
-/// real and measurable ([`crate::profiler::TransportStats`]).
+/// `InProcess` keeps the servers in the caller's threads: one server is the
+/// single store, reached by method call; several are reached through the
+/// direct transport, which encodes each request, serves it and decodes the
+/// reply on the caller's thread — no thread or queue hop, but the codec's
+/// cost stays, and the time it books is codec and server work, not a
+/// wire's. `Channel` and `Tcp` put
+/// every push, pull, and sync round across a real hop — the boundary that
+/// makes the network cost of the paper's BSP/ASP tradeoff real and
+/// measurable ([`crate::profiler::TransportStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// Direct method calls on in-process stores (the default).
+    /// In-process servers, no hop (the default).
     #[default]
     InProcess,
     /// Encoded frames over in-memory queues; one event-loop thread per
@@ -104,7 +107,7 @@ impl std::fmt::Display for TransportKind {
 /// | `transport` | `servers` | data plane |
 /// |---|---|---|
 /// | `InProcess` | 1 | the single [`crate::ShardedStore`], no stage 2 |
-/// | `InProcess` | ≥ 2 | a [`crate::ShardRouter`] over in-process [`crate::PsServer`]s |
+/// | `InProcess` | ≥ 2 | a [`crate::NetRouter`] over the threadless direct transport |
 /// | `Channel` or `Tcp` | any, 1 included | a [`crate::NetRouter`] whose servers sit behind that transport |
 ///
 /// On every plane but the single store the shards are partitioned across
@@ -128,12 +131,15 @@ pub struct ServerTopology {
     /// kind puts the tier (even one server) behind the wire protocol, so
     /// pulls always read the committed view.
     pub transport: TransportKind,
-    /// Client-side timeout/retry/backoff policy for the wire transports
-    /// (ignored in-process — a method call cannot time out).
+    /// Client-side timeout/retry/backoff policy of the [`crate::NetRouter`]
+    /// — every plane but the single store. In-process the direct transport
+    /// has no timeout to honour; the budget still bounds the re-sends after
+    /// an injected fault or a rejected frame.
     pub retry: RetryPolicy,
-    /// Optional fault-injection plan: when set on a wire transport, the
-    /// backend is wrapped in a [`crate::transport::FaultyTransport`] and
-    /// every connection is perturbed per the plan (chaos testing).
+    /// Optional fault-injection plan: when set on any plane but the single
+    /// store — the in-process direct tier included — the backend is wrapped
+    /// in a [`crate::transport::FaultyTransport`] and every connection is
+    /// perturbed per the plan (chaos testing).
     pub faults: Option<FaultPlan>,
 }
 

@@ -17,9 +17,11 @@
 //! segment fails or a [`Trainer::restore`] (every switch, rollback and heal).
 //!
 //! Everything is written against [`WorkerPort`], so the same code drives
-//! the single in-process [`ShardedStore`], the multi-server
-//! [`crate::ShardRouter`] with OSP-style two-stage sync, or a wire tier —
-//! the topology is picked by [`TrainerConfig::topology`] at construction.
+//! the single in-process [`ShardedStore`] or a multi-server tier with
+//! OSP-style two-stage sync, through its one client, [`NetRouter`] — over
+//! the threadless direct transport in-process, over a channel or TCP
+//! otherwise. The topology is picked by [`TrainerConfig::topology`] at
+//! construction.
 
 use std::mem::take;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,7 +39,7 @@ use crate::config::{TrainerConfig, TransportKind};
 use crate::error::PsError;
 use crate::gate::RoundGate;
 use crate::profiler::{ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile};
-use crate::router::{ShardRouter, WorkerPort};
+use crate::router::{Plane, WorkerPort};
 use crate::ssp::{async_loop, AsyncShared};
 use crate::store::{runs_within, PullBuffer, ShardedStore, UpdateData};
 use crate::transport::{NetPort, NetRouter};
@@ -198,23 +200,15 @@ struct StepScratch {
 fn build_plane(initial: &[f32], cfg: &TrainerConfig) -> WorkerPort {
     // A wire transport puts the tier behind the message boundary even
     // with one server — the boundary is the point. In-process, decide
-    // on the *effective* server count (the router
-    // clamps servers to the shard count, and shards to the parameter
-    // count); a topology that clamps down to one server must get the
-    // single-store fast path, not two-stage committed-view semantics
-    // with one owner.
-    if cfg.topology.transport != TransportKind::InProcess {
-        return WorkerPort::Net(NetPort::launch(initial, cfg.shards, cfg.topology));
-    }
+    // on the *effective* server count (the router clamps servers to the
+    // shard count, and shards to the parameter count); a topology that
+    // clamps down to one server must get the single-store fast path, not
+    // two-stage committed-view semantics with one owner.
     let effective_servers = cfg.topology.servers.min(cfg.shards).min(initial.len());
-    if effective_servers > 1 {
-        WorkerPort::Routed(Arc::new(ShardRouter::new(
-            initial,
-            cfg.shards,
-            cfg.topology,
-        )))
-    } else {
+    if cfg.topology.transport == TransportKind::InProcess && effective_servers == 1 {
         WorkerPort::Single(Arc::new(ShardedStore::new(initial, cfg.shards)))
+    } else {
+        WorkerPort::Net(NetPort::launch(initial, cfg.shards, cfg.topology))
     }
 }
 
@@ -246,8 +240,9 @@ pub struct SegmentReport {
     /// Stage-2 reconciliation rounds completed during the segment (0 on a
     /// single-server plane).
     pub sync_rounds: u64,
-    /// Wire cost of the segment on a transport-backed data plane (all
-    /// zeros, `backend == None`, when the tier is in-process).
+    /// Request cost of the segment on a multi-server or wire-backed data
+    /// plane, the in-process direct tier included (all zeros, `backend ==
+    /// None`, on the single store).
     pub transport: TransportStats,
     /// Mean training loss over the last few recorded steps.
     pub final_loss: f32,
@@ -361,7 +356,7 @@ pub(crate) struct Worker<'a> {
     shard_hist: ShardStaleness,
     /// First-step start, for the wall-clock throughput span — barrier and
     /// gate waits included, which the busy-only rate hides (see
-    /// `WorkerProfile::wall_steps_per_sec`).
+    /// [`WorkerProfile::wall_time`]).
     wall_start: Option<Instant>,
 }
 
@@ -792,9 +787,9 @@ impl Trainer {
             model.param_count(),
             "data plane parameter count does not match the model"
         );
-        let telemetry = match &port {
-            WorkerPort::Single(_) | WorkerPort::Routed(_) => Arc::new(Telemetry::new()),
-            WorkerPort::Net(p) => Arc::clone(p.router().telemetry()),
+        let telemetry = match port.plane() {
+            Plane::Single(_) => Arc::new(Telemetry::new()),
+            Plane::Net(p) => Arc::clone(p.router().telemetry()),
         };
         let shards: Vec<Dataset> = (0..cfg.workers)
             .map(|k| train.shard(k, cfg.workers))
@@ -879,9 +874,8 @@ impl Trainer {
 
     /// The shared parameter store of a **single-server, in-process**
     /// trainer (`None` when the data plane is a multi-server or
-    /// transport-backed tier: use [`Trainer::router`],
-    /// [`Trainer::net_router`], the snapshot APIs, or the segment reports
-    /// instead).
+    /// transport-backed tier: use [`Trainer::net_router`], the snapshot
+    /// APIs, or the segment reports instead).
     ///
     /// # Example
     ///
@@ -903,27 +897,18 @@ impl Trainer {
     /// assert_eq!(store.version(), 0);
     /// ```
     pub fn store(&self) -> Option<&ShardedStore> {
-        match &self.plane {
-            WorkerPort::Single(s) => Some(s),
-            WorkerPort::Routed(_) | WorkerPort::Net(_) => None,
+        match self.plane.plane() {
+            Plane::Single(s) => Some(s),
+            Plane::Net(_) => None,
         }
     }
 
-    /// The shard router of a **multi-server in-process** trainer (`None`
-    /// when the plane is a single store or behind a wire transport).
-    pub fn router(&self) -> Option<&ShardRouter> {
-        match &self.plane {
-            WorkerPort::Single(_) | WorkerPort::Net(_) => None,
-            WorkerPort::Routed(r) => Some(r),
-        }
-    }
-
-    /// The transport-backed router of a trainer whose topology selected the
-    /// channel or TCP backend (`None` on an in-process plane).
+    /// The tier client of a trainer with more than one server or a wire
+    /// transport — in-process or not (`None` on the single store).
     pub fn net_router(&self) -> Option<&NetRouter> {
-        match &self.plane {
-            WorkerPort::Single(_) | WorkerPort::Routed(_) => None,
-            WorkerPort::Net(p) => Some(p.router()),
+        match self.plane.plane() {
+            Plane::Single(_) => None,
+            Plane::Net(p) => Some(p.router()),
         }
     }
 
@@ -942,13 +927,13 @@ impl Trainer {
         &self.telemetry
     }
 
-    /// Cumulative wire-cost counters of the data plane since construction
-    /// (all zeros, `backend == None`, on an in-process plane). Per-segment
-    /// costs are on [`SegmentReport::transport`].
+    /// Cumulative request-cost counters of the data plane since
+    /// construction (all zeros, `backend == None`, on the single store).
+    /// Per-segment costs are on [`SegmentReport::transport`].
     pub fn transport_stats(&self) -> TransportStats {
-        match &self.plane {
-            WorkerPort::Single(_) | WorkerPort::Routed(_) => TransportStats::default(),
-            WorkerPort::Net(p) => p.router().stats(),
+        match self.plane.plane() {
+            Plane::Single(_) => TransportStats::default(),
+            Plane::Net(p) => p.router().stats(),
         }
     }
 
@@ -988,10 +973,9 @@ impl Trainer {
     ///
     /// As [`Trainer::drain_sync`].
     pub fn reset_velocity(&self) -> Result<(), PsError> {
-        match &self.plane {
-            WorkerPort::Single(s) => s.reset_velocity(),
-            WorkerPort::Routed(r) => r.reset_velocity(),
-            WorkerPort::Net(p) => return p.router().reset_velocity(),
+        match self.plane.plane() {
+            Plane::Single(s) => s.reset_velocity(),
+            Plane::Net(p) => return p.router().reset_velocity(),
         }
         Ok(())
     }
@@ -1012,18 +996,16 @@ impl Trainer {
 
     /// [`Trainer::check_finite`], with a lost server as its wire error.
     fn plane_finite(&self) -> Result<bool, PsError> {
-        Ok(match &self.plane {
-            WorkerPort::Single(s) => s.is_finite(),
-            WorkerPort::Routed(r) => r.is_finite(),
-            WorkerPort::Net(p) => p.router().is_finite()?,
-        })
+        match self.plane.plane() {
+            Plane::Single(s) => Ok(s.is_finite()),
+            Plane::Net(p) => p.router().is_finite(),
+        }
     }
 
     fn snapshot_params(&self) -> Vec<f32> {
-        match &self.plane {
-            WorkerPort::Single(s) => s.snapshot_params(),
-            WorkerPort::Routed(r) => r.snapshot_params(),
-            WorkerPort::Net(p) => p.router().snapshot_params(),
+        match self.plane.plane() {
+            Plane::Single(s) => s.snapshot_params(),
+            Plane::Net(p) => p.router().snapshot_params(),
         }
     }
 
@@ -1034,10 +1016,9 @@ impl Trainer {
         Checkpoint::new(
             self.global_step,
             self.snapshot_params(),
-            match &self.plane {
-                WorkerPort::Single(s) => s.snapshot_velocity(),
-                WorkerPort::Routed(r) => r.snapshot_velocity(),
-                WorkerPort::Net(p) => p.router().snapshot_velocity(),
+            match self.plane.plane() {
+                Plane::Single(s) => s.snapshot_velocity(),
+                Plane::Net(p) => p.router().snapshot_velocity(),
             },
         )
     }
@@ -1046,7 +1027,7 @@ impl Trainer {
     /// fresh at the next segment: a restore follows every switch, rollback
     /// and heal, and a healed server's old sockets are dead. It leaves the
     /// plane drained, so no [`Trainer::drain_sync`] need follow: the single
-    /// store's pulls read live state, and both routers' restores end in a
+    /// store's pulls read live state, and the tier's restore ends in a
     /// commit-all on every server.
     ///
     /// # Errors
@@ -1057,10 +1038,9 @@ impl Trainer {
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), PsError> {
         ck.check_compatible(self.plane.param_count())?;
         self.seats.fill_with(|| None);
-        match &self.plane {
-            WorkerPort::Single(s) => s.restore(&ck.params, &ck.velocity),
-            WorkerPort::Routed(r) => r.restore(&ck.params, &ck.velocity),
-            WorkerPort::Net(p) => p.router().restore(&ck.params, &ck.velocity)?,
+        match self.plane.plane() {
+            Plane::Single(s) => s.restore(&ck.params, &ck.velocity),
+            Plane::Net(p) => p.router().restore(&ck.params, &ck.velocity)?,
         }
         self.global_step = ck.step;
         Ok(())
@@ -1338,7 +1318,10 @@ mod tests {
         }
         // BSP gradients are never stale.
         assert_eq!(r.staleness.max(), Some(0));
-        assert!((r.staleness.fresh_fraction() - 1.0).abs() < 1e-12);
+        assert_eq!(
+            r.staleness.iter().collect::<Vec<_>>(),
+            vec![(0, r.staleness.total())]
+        );
         // Striped applies are fresh too: one observation per stripe per
         // round, every one of them zero, and every shard clock in lockstep
         // with the global version.
@@ -1455,7 +1438,7 @@ mod tests {
         assert_eq!(r.sync_rounds, steps / 2);
         // Every shard is observed once per step, and both servers own
         // some of them.
-        let router = t.router().expect("multi-server plane");
+        let router = t.net_router().expect("multi-server plane");
         for g in 0..router.shard_count() {
             let total = r.shard_staleness.shard(g).total();
             assert_eq!(total, steps, "shard {g} of server {}", router.owner_of(g));
@@ -1530,7 +1513,7 @@ mod tests {
         cfg.topology = crate::config::ServerTopology::new(2, 64);
         let mut t = Trainer::new(Network::mlp(5, &[8], 3, 19), train, test, cfg);
         assert_eq!(t.server_count(), 1);
-        assert!(t.router().is_none());
+        assert!(t.net_router().is_none());
         assert!(t.store().is_some(), "single-server accessor works");
         let r = t.run_segment(SyncProtocol::Asp, 30).unwrap();
         assert_eq!(r.sync_rounds, 0);
@@ -1793,7 +1776,7 @@ mod tests {
         let _deadline = deadline(60);
         // With one worker nothing is concurrent, so a leash of any length
         // never holds and SSP must be ASP bit for bit — on the single
-        // store, through the in-process router, and over both wire tiers.
+        // store, on the in-process (direct) tier, and over both wire tiers.
         // So must ASP cut into 8 segments: a worker keeps its seat across
         // a boundary, and on a wire tier the image its last push brought
         // home is served to the next segment's first pull.
@@ -1982,7 +1965,7 @@ mod tests {
         assert!(fast.wall_time >= floor, "fast wall {:?}", fast.wall_time);
         assert!(slow.wall_time >= floor, "slow wall {:?}", slow.wall_time);
         // The fast worker looks fast on busy time and slow on wall time.
-        let wall_rate = fast.wall_steps_per_sec().expect("wall span recorded");
+        let wall_rate = fast.steps() as f64 / fast.wall_time.as_secs_f64();
         assert!(fast.steps_per_sec() > 2.0 * wall_rate);
     }
 }

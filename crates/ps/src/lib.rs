@@ -54,7 +54,7 @@ pub use controller::{
 pub use engine::{SegmentReport, Trainer};
 pub use error::PsError;
 pub use profiler::{ShardStaleness, StalenessHistogram, TransportStats, WireOp, WorkerProfile};
-pub use router::{PortBuffer, ShardRouter, WorkerPort};
+pub use router::{PortBuffer, WorkerPort};
 pub use server::PsServer;
 pub use store::{PullBuffer, ShardLayout, ShardedStore, UpdateData};
 pub use switcher::{execute_switch, SwitchOutcome, SwitchPlan};

@@ -31,31 +31,13 @@ impl WorkerProfile {
     /// Busy-time throughput in steps per second (0 if no steps): step count
     /// over the *sum of step durations*. Under BSP a step duration excludes
     /// the barrier wait, so this is the worker's compute rate, not its
-    /// delivered rate — compare with [`WorkerProfile::wall_steps_per_sec`].
+    /// delivered rate — compare with [`WorkerProfile::wall_time`].
     pub fn steps_per_sec(&self) -> f64 {
         let total: Duration = self.step_durations.iter().sum();
         if total.is_zero() {
             return 0.0;
         }
         self.steps() as f64 / total.as_secs_f64()
-    }
-
-    /// Wall-clock throughput in steps per second: step count over the
-    /// first-step-start → last-step-end span, idle barrier waits included.
-    /// This is the rate straggler detection should read — a fast worker
-    /// stalled behind a straggler has a high busy rate but a low wall
-    /// rate.
-    ///
-    /// Returns `None` when no wall span was recorded (a hand-built profile,
-    /// or a worker that completed no steps). It used to fall back to the
-    /// busy rate silently — handing straggler detection exactly the signal
-    /// it must not trust; a caller that wants that fallback now has to
-    /// spell it out with [`Option::unwrap_or_else`].
-    pub fn wall_steps_per_sec(&self) -> Option<f64> {
-        if self.wall_time.is_zero() {
-            return None;
-        }
-        Some(self.steps() as f64 / self.wall_time.as_secs_f64())
     }
 
     /// Throughput in images per second at a given batch size (busy-time).
@@ -143,11 +125,13 @@ impl WireOp {
     }
 }
 
-/// Measured wire cost of a training segment on a transport-backed data
-/// plane, broken out by operation class. On an in-process plane
-/// (`backend == None`) every counter is zero — the boundary does not
-/// exist there, which is exactly the comparison the bench transport axis
-/// makes.
+/// Measured request cost of a training segment on a tier's data plane,
+/// broken out by operation class. On the single store (`backend == None`)
+/// every counter is zero — it has no request boundary, which is exactly
+/// the comparison the bench transport axis makes. The in-process
+/// multi-server plane reports `InProcess` and its direct transport's
+/// counters: frames and bytes as on a wire; its time is the codec and the
+/// server's own work, with no hop in it.
 ///
 /// **The booking rule.** A request is booked from its own items. Each item
 /// is one operation of its opcode's class — push (`PushShard[Sparse]`),
@@ -158,7 +142,7 @@ impl WireOp {
 /// not booked, nor is a failed attempt (its re-send counts in `retries`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Which backend produced these numbers (`None` for in-process).
+    /// Which backend produced these numbers (`None` for the single store).
     pub backend: Option<TransportKind>,
     /// Stage-1 gradient pushes: one operation per shard, the shards a
     /// worker sends to one server sharing a round trip.
@@ -270,16 +254,6 @@ impl StalenessHistogram {
     /// Maximum observed staleness (`None` if empty).
     pub fn max(&self) -> Option<u64> {
         self.counts.keys().next_back().copied()
-    }
-
-    /// Fraction of observations that were perfectly fresh (staleness 0).
-    pub fn fresh_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let fresh = self.counts.get(&0).copied().unwrap_or(0);
-        fresh as f64 / total as f64
     }
 
     /// Iterates over `(staleness, count)` pairs in increasing staleness.
@@ -399,32 +373,19 @@ mod tests {
     fn wall_rate_counts_idle_time_busy_rate_does_not() {
         // 20 steps of 10ms compute, but the worker spent 400ms wall-clock:
         // half its time parked at barriers. The busy rate says 100 steps/s;
-        // the wall rate says 50 — the delivered throughput a straggler
-        // detector must look at, since idle waits hide in the busy rate.
+        // the idle waits it hides are in `wall_time` alone.
         let p = WorkerProfile {
             step_durations: vec![Duration::from_millis(10); 20],
             losses: vec![1.0; 20],
             wall_time: Duration::from_millis(400),
         };
         assert!((p.steps_per_sec() - 100.0).abs() < 1e-9);
-        assert!((p.wall_steps_per_sec().unwrap() - 50.0).abs() < 1e-9);
-        // Without a recorded wall span there is no wall rate — the old
-        // silent fall-back to the busy rate hid exactly the idle time a
-        // straggler detector needs to see.
-        let p = WorkerProfile {
-            step_durations: vec![Duration::from_millis(10); 4],
-            losses: vec![1.0; 4],
-            wall_time: Duration::ZERO,
-        };
-        assert_eq!(p.wall_steps_per_sec(), None);
-        assert!(p.steps_per_sec() > 0.0, "busy rate still available");
     }
 
     #[test]
     fn empty_profile() {
         let p = WorkerProfile::default();
         assert_eq!(p.steps_per_sec(), 0.0);
-        assert_eq!(p.wall_steps_per_sec(), None);
     }
 
     #[test]
@@ -436,7 +397,6 @@ mod tests {
         assert_eq!(h.total(), 6);
         assert_eq!(h.max(), Some(7));
         assert!((h.mean() - 22.0 / 6.0).abs() < 1e-12);
-        assert!((h.fresh_fraction() - 2.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -457,7 +417,6 @@ mod tests {
         let h = StalenessHistogram::new();
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.max(), None);
-        assert_eq!(h.fresh_fraction(), 0.0);
     }
 
     #[test]

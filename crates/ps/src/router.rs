@@ -1,29 +1,28 @@
-//! The shard router: fans worker pushes and pulls across a tier of
-//! [`PsServer`]s and drives the stage-2 reconciliation rounds.
+//! The multi-server tier's client-side state, and the port every worker
+//! drives the data plane through.
 //!
 //! Ownership is itself a [`ShardLayout`]: partitioning `0..shards` across
 //! `servers` gives each server a contiguous run of global shard ids (and
 //! therefore a contiguous slice of the flat parameter vector). A push for
 //! shard `g` goes to `owner_of(g)` and applies immediately on that server's
 //! live store (stage 1). A pull assembles the *committed* view of every
-//! server directly into the worker's flat buffer — one parameter copy,
-//! zero allocations steady-state. Every push takes a ticket, and every
-//! `sync_every`-th ticket claims a reconciliation round (stage 2), which
-//! the claiming push runs right behind its own applies: it publishes each
-//! owner's live shards — parameters and clocks together — into its
-//! committed store, bounding how far any server's published view can
-//! trail its live state.
+//! server into the worker's flat buffer. Every push takes a ticket, and
+//! every `sync_every`-th ticket claims a reconciliation round (stage 2),
+//! which the claiming push runs right behind its own applies: it publishes
+//! each owner's live shards — parameters and clocks together — into its
+//! committed store, bounding how far any server's published view can trail
+//! its live state.
 //!
 //! Everything in that paragraph that is *not* "how a request reaches a
 //! server" — the ownership map, the push-counter version clock, the stage-2
 //! schedule and the effective version of a pulled image — lives once, in
-//! [`Tier`], embedded by this in-process router and by the wire-backed
-//! [`crate::NetRouter`] alike, so staleness and round scheduling cannot
-//! differ between the two.
+//! [`Tier`]. Its one client is [`crate::NetRouter`], on every multi-server
+//! plane: in-process over the threadless direct transport, or over a
+//! channel or TCP.
 //!
-//! The [`WorkerPort`] enum lets the engine's worker loops drive either
-//! router or the single-server [`ShardedStore`] through one interface and
-//! one buffer type ([`PullBuffer`]), so BSP/ASP/SSP share their loops across
+//! The [`WorkerPort`] enum lets the engine's worker loops drive that client
+//! or the single-server [`ShardedStore`] through one interface and one
+//! buffer type ([`PullBuffer`]), so BSP/ASP/SSP share their loops across
 //! topologies — down to BSP's round, which every plane commits through
 //! [`WorkerPort::commit_round`].
 
@@ -31,9 +30,6 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use crate::config::ServerTopology;
 use crate::error::PsError;
 use crate::server::PsServer;
 use crate::store::{PullBuffer, ShardLayout, ShardedStore, UpdateData};
@@ -53,8 +49,8 @@ pub(crate) struct ServerSlice {
 
 /// The client-side state of a multi-server tier, shared by every worker of
 /// one trainer: who owns which shard, the cluster version clock, and the
-/// OSP-style two-stage schedule. What a router adds is only how a
-/// commit-all reaches a server and what its round lock guards.
+/// OSP-style two-stage schedule. What [`crate::NetRouter`] adds is only how
+/// a commit-all reaches a server and what its round lock guards.
 ///
 /// **Process-local.** "Cluster" here means the workers of this process. The
 /// version clock, the push tickets, the stage-2 round counter and watermark
@@ -177,7 +173,7 @@ impl Tier {
     /// A claim moves the watermark to its ticket at once, so no peer claims
     /// the same round; `true` says this push runs the round
     /// ([`Tier::commit_round`]), which leaves the watermark moved if it
-    /// fails. The one trigger of an asynchronous round on every router.
+    /// fails. The one trigger of an asynchronous round.
     pub(crate) fn claim_round(&self) -> bool {
         // Read before the ticket is taken: a claim landing in between is an
         // earlier ticket's, a whole number of periods past this reading,
@@ -213,8 +209,8 @@ impl Tier {
     ) -> Result<u64, E> {
         commit_all()?;
         // Release: pairs with the Acquire load in `sync_rounds`, publishing
-        // the committed stores' writes (ordered by their shard locks, and
-        // on a wire tier by the request/reply round trips) with the count.
+        // the committed stores' writes (ordered by their shard locks and by
+        // the request/reply round trips) with the count.
         Ok(self.rounds.fetch_add(1, Ordering::Release) + 1)
     }
 
@@ -261,273 +257,48 @@ impl Tier {
     }
 }
 
-/// A multi-server parameter-server tier: N owners behind one routing layer.
-#[derive(Debug)]
-pub struct ShardRouter {
-    servers: Vec<PsServer>,
-    tier: Tier,
-    /// Serializes stage-2 rounds.
-    sync: Mutex<()>,
-}
-
-impl ShardRouter {
-    /// Creates a router over `initial` split into `shards` shards owned by
-    /// `topology.servers` servers (both clamped as needed so no server or
-    /// shard is empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty, `shards == 0`, or the topology is
-    /// invalid (see [`ServerTopology::validate`]).
-    pub fn new(initial: &[f32], shards: usize, topology: ServerTopology) -> Self {
-        if let Err(msg) = topology.validate() {
-            panic!("invalid topology: {msg}");
-        }
-        let tier = Tier::new(initial.len(), shards, topology.servers, topology.sync_every);
-        let servers = (0..tier.server_count())
-            .map(|s| tier.server(s, initial))
-            .collect();
-        ShardRouter {
-            servers,
-            tier,
-            sync: Mutex::new(()),
-        }
-    }
-
-    /// The layout, ownership map and two-stage clock.
-    pub(crate) fn tier(&self) -> &Tier {
-        &self.tier
-    }
-
-    /// Number of servers (after clamping to the shard count).
-    pub fn server_count(&self) -> usize {
-        self.tier.server_count()
-    }
-
-    /// The server instances, in id order.
-    pub fn servers(&self) -> &[PsServer] {
-        &self.servers
-    }
-
-    /// Total number of parameters.
-    pub fn param_count(&self) -> usize {
-        self.tier.param_count()
-    }
-
-    /// Number of global shards.
-    pub fn shard_count(&self) -> usize {
-        self.tier.shard_count()
-    }
-
-    /// `(offset, len)` of global shard `g` in the flat vector.
-    pub fn shard_range(&self, g: usize) -> (usize, usize) {
-        self.tier.shard_range(g)
-    }
-
-    /// The server owning global shard `g`.
-    pub fn owner_of(&self, g: usize) -> usize {
-        self.tier.owner_of(g)
-    }
-
-    /// Stage-2 period in push tickets.
-    pub fn sync_every(&self) -> u64 {
-        self.tier.sync_every()
-    }
-
-    /// Cluster-global version: number of completed pushes.
-    pub fn version(&self) -> u64 {
-        self.tier.version()
-    }
-
-    /// Completed stage-2 reconciliation rounds.
-    pub fn sync_rounds(&self) -> u64 {
-        self.tier.sync_rounds()
-    }
-
-    /// Stage-1 apply: routes the gradient slice for global shard `g` to its
-    /// owner and applies it on the live store. Returns the owner's live
-    /// shard clock before the apply (see
-    /// [`ShardedStore::apply_shard_update`]).
-    pub fn apply_shard_update(&self, g: usize, grad: &[f32], lr: f64, momentum: f64) -> u64 {
-        let server = &self.servers[self.tier.owner_of(g)];
-        server.apply_local(g - server.shard_offset(), grad, lr, momentum)
-    }
-
-    /// Stage-1 apply of an [`UpdateData`] payload for global shard `g`:
-    /// routed to the owner like the dense path, with identical clock and
-    /// staleness semantics (a sparse payload is numerically a dense push of
-    /// the segments scattered into a zero gradient).
-    pub fn apply_shard_update_data(
-        &self,
-        g: usize,
-        data: UpdateData<'_>,
-        lr: f64,
-        momentum: f64,
-    ) -> u64 {
-        let server = &self.servers[self.tier.owner_of(g)];
-        server.apply_local_data(g - server.shard_offset(), data, lr, momentum)
-    }
-
-    /// Completes a logical push: bumps the global version and returns the
-    /// push's staleness relative to `pulled_version`.
-    pub fn complete_push(&self, pulled_version: u64) -> u64 {
-        self.tier.complete_push(pulled_version)
-    }
-
-    /// Takes the ticket of the push whose shards were just applied
-    /// ([`Tier::claim_round`]) and, if it claims a stage-2 round, commits
-    /// every server under the round lock right away — the point where a
-    /// wire tier's carried round lands. Call once per logical push.
-    pub fn after_push(&self) {
-        if self.tier.claim_round() {
-            let _held = self.sync.lock();
-            let Ok(_) = self.tier.commit_round(|| self.commit_all());
-        }
-    }
-
-    /// Drains the stage-2 pipeline: waits out any in-flight round, then
-    /// unconditionally commits every shard so the committed view equals the
-    /// live view. Used by the BSP barrier (every round), the switcher
-    /// (before checkpointing a protocol switch), and restore. Moves the
-    /// watermark to the current version ([`Tier::drain`]), so a drain never
-    /// postpones (nor hastens) the next due round relative to the pushes
-    /// that follow it.
-    pub fn drain(&self) {
-        let _held = self.sync.lock();
-        let Ok(_) = self.tier.drain(|| self.commit_all());
-    }
-
-    /// A direct commit-all on every server.
-    fn commit_all(&self) -> Result<(), Infallible> {
-        self.servers.iter().for_each(PsServer::commit_all);
-        Ok(())
-    }
-
-    /// Assembles the committed view of all servers into `buf` and returns
-    /// the effective version of the pulled data (see [`Tier::pull_with`]).
-    /// Zero heap allocations after the first call, and a single copy of the
-    /// parameter vector: each server writes its committed shards directly
-    /// into the flat buffer.
-    pub fn pull_committed_into(&self, buf: &mut PullBuffer) -> u64 {
-        self.pull_committed_runs_into(buf, &[(0, self.param_count())])
-    }
-
-    /// [`ShardRouter::pull_committed_into`] for a step that reads only
-    /// `runs` — sorted, disjoint `(offset, len)` ranges of the flat vector:
-    /// each server copies just the pieces it owns, positions outside the
-    /// runs keep whatever `buf` held, and every shard's committed clock
-    /// (hence the returned effective version) is recorded exactly as a full
-    /// pull records it.
-    pub fn pull_committed_runs_into(&self, buf: &mut PullBuffer, runs: &[(usize, usize)]) -> u64 {
-        let Ok(version) = self.tier.pull_with(buf, |params, clocks| {
-            for server in &self.servers {
-                let so = server.shard_offset();
-                server.pull_committed_runs(
-                    runs,
-                    server.param_range().0,
-                    &mut clocks[so..so + server.shard_count()],
-                    |at, values| params[at..at + values.len()].copy_from_slice(values),
-                );
-            }
-            Ok::<(), Infallible>(())
-        });
-        version
-    }
-
-    /// Snapshot of the full live parameter vector (authoritative state).
-    pub fn snapshot_params(&self) -> Vec<f32> {
-        self.snapshot(ShardedStore::snapshot_params_into)
-    }
-
-    /// Snapshot of the full live velocity vector.
-    pub fn snapshot_velocity(&self) -> Vec<f32> {
-        self.snapshot(ShardedStore::snapshot_velocity_into)
-    }
-
-    /// Each server's slice is copied in place — no per-server temporaries,
-    /// which matters because the switcher polls `Trainer::training_loss`
-    /// (and therefore this) in its decision loop.
-    fn snapshot(&self, copy_into: impl Fn(&ShardedStore, &mut [f32])) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.param_count()];
-        for server in &self.servers {
-            let (po, pl) = server.param_range();
-            copy_into(server.live(), &mut out[po..po + pl]);
-        }
-        out
-    }
-
-    /// Overwrites live parameters and velocity from a checkpoint, then
-    /// drains so the committed view matches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ from the parameter count.
-    pub fn restore(&self, params: &[f32], velocity: &[f32]) {
-        assert_eq!(params.len(), self.param_count(), "params length mismatch");
-        assert_eq!(
-            velocity.len(),
-            self.param_count(),
-            "velocity length mismatch"
-        );
-        for server in &self.servers {
-            let (po, pl) = server.param_range();
-            server
-                .live()
-                .restore(&params[po..po + pl], &velocity[po..po + pl]);
-        }
-        self.drain();
-    }
-
-    /// Resets the live velocity to zero on every server.
-    pub fn reset_velocity(&self) {
-        for server in &self.servers {
-            server.live().reset_velocity();
-        }
-    }
-
-    /// Whether every live parameter is finite.
-    pub fn is_finite(&self) -> bool {
-        self.servers.iter().all(|s| s.live().is_finite())
-    }
-}
-
 /// A worker's pull destination: every port pulls into the same
 /// [`PullBuffer`], so a buffer cannot mismatch its port.
 pub type PortBuffer = PullBuffer;
 
-/// Where a port's layout and push clock live: in the single store itself,
-/// or in the [`Tier`] both routers embed.
-enum Backing<'a> {
-    Store(&'a ShardedStore),
-    Tier(&'a Tier),
-}
-
 /// A worker thread's handle onto the data plane: the single in-process
-/// store, the in-process router, or a wire tier. The engine's BSP/ASP/SSP
-/// loops are written against this interface once and run on every plane.
+/// store, or a multi-server tier through its one client, [`NetPort`] —
+/// over the threadless direct transport in-process, over a channel or TCP
+/// otherwise. The engine's BSP/ASP/SSP loops are written against this
+/// interface once and run on every plane.
 ///
-/// Every data operation returns `Result`: on a wire tier, a server lost
-/// past the retry budget is its [`PsError`] — `Timeout`, `ConnLost` or
-/// `RetriesExhausted`, naming the server. The in-process planes cannot fail.
+/// Every data operation returns `Result`: a server lost past the retry
+/// budget is its [`PsError`] — `Timeout`, `ConnLost` or `RetriesExhausted`,
+/// naming the server. The single store cannot fail.
 #[derive(Debug, Clone)]
 pub enum WorkerPort {
     /// Direct handle to the single-server store (the PR 2 fast path —
     /// pulls read live state, no stage-2 indirection).
     Single(Arc<ShardedStore>),
-    /// Handle through the in-process shard router.
-    Routed(Arc<ShardRouter>),
-    /// Handle through a transport-backed router: every push/pull/sync
-    /// crosses the wire protocol. Cloning the port gives the new worker
-    /// its own connections (connection-per-worker).
+    /// Uninhabited: the in-process multi-server plane is a
+    /// [`WorkerPort::Net`] over the direct transport. The variant stays
+    /// only because `benchmark/src/replay.rs` names it in a match arm, and
+    /// goes with that replay (ROADMAP item 2).
+    Routed(Infallible),
+    /// Handle through a tier's client: every push/pull/sync is a request
+    /// frame. Cloning the port gives the new worker its own connections
+    /// (connection-per-worker).
     Net(NetPort),
 }
 
+/// A port with the uninhabited [`WorkerPort::Routed`] ruled out — what the
+/// port's methods and the trainer's match on, so no other match names it.
+pub(crate) enum Plane<'a> {
+    Single(&'a ShardedStore),
+    Net(&'a NetPort),
+}
+
 impl WorkerPort {
-    fn backing(&self) -> Backing<'_> {
+    pub(crate) fn plane(&self) -> Plane<'_> {
         match self {
-            WorkerPort::Single(s) => Backing::Store(s),
-            WorkerPort::Routed(r) => Backing::Tier(r.tier()),
-            WorkerPort::Net(p) => Backing::Tier(p.router().tier()),
+            WorkerPort::Single(s) => Plane::Single(s),
+            WorkerPort::Routed(never) => match *never {},
+            WorkerPort::Net(p) => Plane::Net(p),
         }
     }
 
@@ -538,86 +309,84 @@ impl WorkerPort {
 
     /// Total number of parameters.
     pub(crate) fn param_count(&self) -> usize {
-        match self.backing() {
-            Backing::Store(s) => s.param_count(),
-            Backing::Tier(t) => t.param_count(),
+        match self.plane() {
+            Plane::Single(s) => s.param_count(),
+            Plane::Net(p) => p.router().param_count(),
         }
     }
 
     /// Number of global shards.
     pub fn shard_count(&self) -> usize {
-        match self.backing() {
-            Backing::Store(s) => s.shard_count(),
-            Backing::Tier(t) => t.shard_count(),
+        match self.plane() {
+            Plane::Single(s) => s.shard_count(),
+            Plane::Net(p) => p.router().shard_count(),
         }
     }
 
     /// `(offset, len)` of global shard `g` in the flat vector.
     pub fn shard_range(&self, g: usize) -> (usize, usize) {
-        match self.backing() {
-            Backing::Store(s) => s.shard_range(g),
-            Backing::Tier(t) => t.shard_range(g),
+        match self.plane() {
+            Plane::Single(s) => s.shard_range(g),
+            Plane::Net(p) => p.router().shard_range(g),
         }
     }
 
     /// Number of servers behind this port (1 for the single store).
     pub fn server_count(&self) -> usize {
-        match self.backing() {
-            Backing::Store(_) => 1,
-            Backing::Tier(t) => t.server_count(),
+        match self.plane() {
+            Plane::Single(_) => 1,
+            Plane::Net(p) => p.router().server_count(),
         }
     }
 
     /// The server owning global shard `g` (0 for the single store).
     pub fn owner_of(&self, g: usize) -> usize {
-        match self.backing() {
-            Backing::Store(_) => 0,
-            Backing::Tier(t) => t.owner_of(g),
+        match self.plane() {
+            Plane::Single(_) => 0,
+            Plane::Net(p) => p.router().owner_of(g),
         }
     }
 
     /// Cluster-global version: number of completed pushes.
     pub(crate) fn version(&self) -> u64 {
-        match self.backing() {
-            Backing::Store(s) => s.version(),
-            Backing::Tier(t) => t.version(),
+        match self.plane() {
+            Plane::Single(s) => s.version(),
+            Plane::Net(p) => p.router().version(),
         }
     }
 
     /// Completed stage-2 rounds (0 for the single store).
     pub(crate) fn sync_rounds(&self) -> u64 {
-        match self.backing() {
-            Backing::Store(_) => 0,
-            Backing::Tier(t) => t.sync_rounds(),
+        match self.plane() {
+            Plane::Single(_) => 0,
+            Plane::Net(p) => p.router().sync_rounds(),
         }
     }
 
     /// Pulls the worker-visible parameter image into `buf` and returns the
     /// version of the pulled data.
     pub fn pull_into(&self, buf: &mut PortBuffer) -> Result<u64, PsError> {
-        match self {
-            WorkerPort::Single(s) => Ok(s.pull_into(buf)),
-            WorkerPort::Routed(r) => Ok(r.pull_committed_into(buf)),
-            WorkerPort::Net(p) => p.pull_into(buf),
+        match self.plane() {
+            Plane::Single(s) => Ok(s.pull_into(buf)),
+            Plane::Net(p) => p.pull_into(buf),
         }
     }
 
     /// [`WorkerPort::pull_into`] for a step that reads only `runs` —
     /// sorted, disjoint `(offset, len)` ranges of the flat vector, as
     /// `Network::param_read_runs_into` reports them. Only those ranges are
-    /// copied (and, on a transport-backed plane, only they cross the wire);
-    /// positions outside them keep whatever `buf` held. The returned
-    /// version and every shard clock in `buf` are what a full pull at the
-    /// same moment would have recorded.
+    /// copied (and, on a tier, only they cross to the servers); positions
+    /// outside them keep whatever `buf` held. The returned version and
+    /// every shard clock in `buf` are what a full pull at the same moment
+    /// would have recorded.
     pub fn pull_runs_into(
         &self,
         buf: &mut PortBuffer,
         runs: &[(usize, usize)],
     ) -> Result<u64, PsError> {
-        match self {
-            WorkerPort::Single(s) => Ok(s.pull_runs_into(buf, runs)),
-            WorkerPort::Routed(r) => Ok(r.pull_committed_runs_into(buf, runs)),
-            WorkerPort::Net(p) => p.pull_runs_into(buf, runs),
+        match self.plane() {
+            Plane::Single(s) => Ok(s.pull_runs_into(buf, runs)),
+            Plane::Net(p) => p.pull_runs_into(buf, runs),
         }
     }
 
@@ -649,9 +418,9 @@ impl WorkerPort {
         self.push_shard(g, UpdateData::Sparse { indices, rows }, lr, momentum)
     }
 
-    /// One shard of a push sent shard by shard: queued, and on a wire tier
-    /// sent to its owner at once, with no ticket and no pull. The push
-    /// takes its ticket once every shard is sent ([`WorkerPort::after_push`]).
+    /// One shard of a push sent shard by shard: queued, and on a tier sent
+    /// to its owner at once, with no ticket and no pull. The push takes its
+    /// ticket once every shard is sent ([`WorkerPort::after_push`]).
     fn push_shard(
         &self,
         g: usize,
@@ -669,12 +438,11 @@ impl WorkerPort {
 
     /// Queues the stage-1 apply of `data` on global shard `g` — the batched
     /// form of [`WorkerPort::apply_shard_update`] and
-    /// [`WorkerPort::apply_shard_update_sparse`]. The in-process planes
-    /// apply at once and append the pre-apply shard clock to `acks`; a
-    /// transport-backed plane stages the push and sends the pushes queued
-    /// for one server together, so `acks` is complete — one clock per
-    /// queued push, in shard order — only after
-    /// [`WorkerPort::flush_pushes`].
+    /// [`WorkerPort::apply_shard_update_sparse`]. The single store applies
+    /// at once and appends the pre-apply shard clock to `acks`; a tier
+    /// stages the push and sends the pushes queued for one server together,
+    /// so `acks` is complete — one clock per queued push, in shard order —
+    /// only after [`WorkerPort::flush_pushes`].
     pub fn queue_shard_update(
         &self,
         g: usize,
@@ -683,56 +451,51 @@ impl WorkerPort {
         momentum: f64,
         acks: &mut Vec<u64>,
     ) -> Result<(), PsError> {
-        match self {
-            WorkerPort::Single(s) => acks.push(s.apply_shard_update_data(g, data, lr, momentum)),
-            WorkerPort::Routed(r) => acks.push(r.apply_shard_update_data(g, data, lr, momentum)),
-            WorkerPort::Net(p) => return p.queue_shard_update(g, data, lr, momentum),
+        match self.plane() {
+            Plane::Single(s) => acks.push(s.apply_shard_update_data(g, data, lr, momentum)),
+            Plane::Net(p) => return p.queue_shard_update(g, data, lr, momentum),
         }
         Ok(())
     }
 
     /// Ends a queued push: it takes its ticket, and runs the stage-2 round
-    /// the ticket claims right behind its applies. A transport-backed plane
-    /// sends every push still queued, the claimed round riding them, and
-    /// appends their pre-apply shard clocks to `acks`; in-process, queueing
-    /// already applied and acked. The single store has no rounds.
+    /// the ticket claims right behind its applies. A tier sends every push
+    /// still queued, the claimed round riding them, and appends their
+    /// pre-apply shard clocks to `acks`; the single store already applied
+    /// and acked, and has no rounds.
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
-        match self {
-            WorkerPort::Single(_) => {}
-            WorkerPort::Routed(r) => r.after_push(),
-            WorkerPort::Net(p) => return p.flush_pushes(acks),
+        match self.plane() {
+            Plane::Single(_) => Ok(()),
+            Plane::Net(p) => p.flush_pushes(acks),
         }
-        Ok(())
     }
 
     /// Completes a logical push and returns its global staleness.
     pub fn complete_push(&self, pulled_version: u64) -> u64 {
-        match self.backing() {
-            Backing::Store(s) => s.complete_push(pulled_version),
-            Backing::Tier(t) => t.complete_push(pulled_version),
+        match self.plane() {
+            Plane::Single(s) => s.complete_push(pulled_version),
+            Plane::Net(p) => p.router().complete_push(pulled_version),
         }
     }
 
     /// Ends a push sent shard by shard ([`WorkerPort::apply_shard_update`]
     /// and [`WorkerPort::apply_shard_update_sparse`]): it takes its ticket,
-    /// and if that claims a stage-2 round, the round commits — directly
-    /// in-process, over the control plane on a wire tier (no-op on the
-    /// single store). A queued push takes its ticket in
-    /// [`WorkerPort::flush_pushes`] instead, so calling this after one
-    /// would take a second. The benchmark's replay of a pre-batching step
-    /// is its one caller outside the tests (ROADMAP item 2 retires both).
+    /// and if that claims a stage-2 round, the round commits over the
+    /// control plane (no-op on the single store). A queued push takes its
+    /// ticket in [`WorkerPort::flush_pushes`] instead, so calling this
+    /// after one would take a second. The benchmark's replay of a
+    /// pre-batching step is its one caller outside the tests (ROADMAP item
+    /// 2 retires both).
     pub fn after_push(&self) -> Result<(), PsError> {
-        match self {
-            WorkerPort::Single(_) => {}
-            WorkerPort::Routed(r) => r.after_push(),
-            WorkerPort::Net(p) => return p.after_push(),
+        match self.plane() {
+            Plane::Single(_) => Ok(()),
+            Plane::Net(p) => p.after_push(),
         }
-        Ok(())
     }
 
     /// BSP's round commit: applies the averaged stripes `stripe(g, push)`
     /// hands out, acks them in shard order, drains, and pulls the committed
-    /// view into `image` — on a wire tier in one request per server.
+    /// view into `image` — on a tier in one request per server.
     pub(crate) fn commit_round(
         &self,
         stripe: impl Fn(usize, &mut dyn FnMut(&[f32])),
@@ -741,20 +504,17 @@ impl WorkerPort {
         acks: &mut Vec<u64>,
         image: &mut PortBuffer,
     ) -> Result<(), PsError> {
-        if let WorkerPort::Net(p) = self {
-            return p.push_round(stripe, lr, mu, acks, image);
-        }
-        for g in 0..self.shard_count() {
-            let mut queued = Ok(());
+        let store = match self.plane() {
+            Plane::Single(s) => s,
+            Plane::Net(p) => return p.push_round(stripe, lr, mu, acks, image),
+        };
+        for g in 0..store.shard_count() {
             stripe(g, &mut |avg| {
-                queued = self.queue_shard_update(g, UpdateData::Dense(avg), lr, mu, acks)
+                acks.push(store.apply_shard_update(g, avg, lr, mu));
             });
-            queued?;
         }
-        if let WorkerPort::Routed(r) = self {
-            r.drain();
-        }
-        self.pull_into(image).map(drop)
+        store.pull_into(image);
+        Ok(())
     }
 
     /// Drains stage 2 so the next pulls see exactly the state the pushes so
@@ -762,132 +522,131 @@ impl WorkerPort {
     /// state): what [`crate::Trainer::drain_sync`] runs, and fails as it
     /// does.
     pub fn drain(&self) -> Result<(), PsError> {
-        match self {
-            WorkerPort::Single(_) => {}
-            WorkerPort::Routed(r) => r.drain(),
-            WorkerPort::Net(p) => return p.router().drain(),
+        match self.plane() {
+            Plane::Single(_) => Ok(()),
+            Plane::Net(p) => p.router().drain(),
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServerTopology;
 
-    fn router(n: usize, shards: usize, servers: usize, sync_every: u64) -> ShardRouter {
+    /// A tier on the in-process (direct) plane, with `initial[i] = 0.1 i`.
+    fn direct(n: usize, shards: usize, servers: usize, sync_every: u64) -> NetPort {
         let initial: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
-        ShardRouter::new(&initial, shards, ServerTopology::new(servers, sync_every))
+        NetPort::launch(&initial, shards, ServerTopology::new(servers, sync_every))
+    }
+
+    /// One push of `value` on every shard, sent shard by shard and
+    /// completed; `ticket` also takes its ticket.
+    fn push(w: &WorkerPort, value: f32, momentum: f64, ticket: bool) {
+        for g in 0..w.shard_count() {
+            let (_, l) = w.shard_range(g);
+            w.apply_shard_update(g, &vec![value; l], 0.1, momentum)
+                .unwrap();
+        }
+        w.complete_push(w.version());
+        if ticket {
+            w.after_push().unwrap();
+        }
     }
 
     #[test]
     fn ownership_partitions_shards() {
-        let r = router(103, 7, 3, 4);
-        assert_eq!(r.server_count(), 3);
-        assert_eq!(r.shard_count(), 7);
+        let tier = Tier::new(103, 7, 3, 4);
+        assert_eq!(tier.server_count(), 3);
+        assert_eq!(tier.shard_count(), 7);
         // Every shard has exactly one owner and owners hold contiguous runs.
-        let mut seen = vec![0usize; r.server_count()];
-        for g in 0..r.shard_count() {
-            seen[r.owner_of(g)] += 1;
+        let mut seen = vec![0usize; tier.server_count()];
+        for g in 0..tier.shard_count() {
+            seen[tier.owner_of(g)] += 1;
         }
-        let total: usize = r.servers().iter().map(PsServer::shard_count).sum();
-        assert_eq!(total, r.shard_count());
-        for (s, server) in r.servers().iter().enumerate() {
-            assert_eq!(seen[s], server.shard_count());
+        let initial = vec![0.5f32; 103];
+        let (mut shards, mut offset) = (0, 0);
+        for (s, slice) in tier.slices().iter().enumerate() {
+            assert_eq!(seen[s], slice.shard_count);
+            assert_eq!(slice.shard_offset, shards);
+            // Param ranges tile the flat vector, and each server agrees.
+            assert_eq!(slice.param_range.0, offset);
+            let server = tier.server(s, &initial);
+            assert_eq!(server.shard_count(), slice.shard_count);
+            assert_eq!(server.param_range(), slice.param_range);
+            shards += slice.shard_count;
+            offset += slice.param_range.1;
         }
-        // Param ranges tile the flat vector.
-        let mut offset = 0;
-        for server in r.servers() {
-            let (po, pl) = server.param_range();
-            assert_eq!(po, offset);
-            offset += pl;
-        }
-        assert_eq!(offset, r.param_count());
+        assert_eq!(shards, tier.shard_count());
+        assert_eq!(offset, tier.param_count());
     }
 
     #[test]
     fn more_servers_than_shards_clamps() {
-        let r = router(16, 2, 5, 1);
-        assert_eq!(r.server_count(), 2);
+        assert_eq!(Tier::new(16, 2, 5, 1).server_count(), 2);
     }
 
     #[test]
     fn routed_push_equals_single_store_push() {
         let initial: Vec<f32> = (0..37).map(|i| (i as f32).sin()).collect();
         let single = ShardedStore::new(&initial, 5);
-        let routed = ShardRouter::new(&initial, 5, ServerTopology::new(2, 1));
+        let net = NetPort::launch(&initial, 5, ServerTopology::new(2, 1));
+        let routed = WorkerPort::Net(net.clone());
         let grad: Vec<f32> = (0..37).map(|i| (i as f32).cos()).collect();
         for step in 0..4 {
             for g in 0..5 {
                 let (o, l) = single.shard_range(g);
                 assert_eq!(routed.shard_range(g), (o, l));
-                single.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                routed.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                let a = single.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                let b = routed.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                assert_eq!(Ok(a), b, "shard clock at step {step} shard {g}");
             }
             single.complete_push(step);
             routed.complete_push(step);
         }
         assert_eq!(single.version(), routed.version());
-        assert_eq!(single.snapshot_params(), routed.snapshot_params());
-        assert_eq!(single.snapshot_velocity(), routed.snapshot_velocity());
+        assert_eq!(single.snapshot_params(), net.router().snapshot_params());
+        assert_eq!(single.snapshot_velocity(), net.router().snapshot_velocity());
     }
 
     #[test]
     fn pulls_see_committed_view_only() {
-        let r = router(24, 4, 2, 8);
+        let net = direct(24, 4, 2, 8);
+        let w = WorkerPort::Net(net.clone());
         let mut buf = PullBuffer::new();
-        let before = {
-            r.pull_committed_into(&mut buf);
-            buf.params.clone()
-        };
+        w.pull_into(&mut buf).unwrap();
+        let before = buf.params.clone();
         // Stage-1 applies land on live stores; the committed view is
         // unchanged until a round runs.
-        for g in 0..r.shard_count() {
-            let (_, l) = r.shard_range(g);
-            r.apply_shard_update(g, &vec![1.0; l], 0.5, 0.0);
-        }
-        r.complete_push(0);
-        let v = r.pull_committed_into(&mut buf);
+        push(&w, 1.0, 0.0, false);
+        let v = w.pull_into(&mut buf).unwrap();
         assert_eq!(buf.params, before);
         // The recorded version is the *data* version: the image still
         // predates the push, so staleness measured against it is honest.
         assert_eq!(v, 0, "pulled version must track the committed data");
         assert_eq!(buf.version, 0);
-        r.drain();
-        let v = r.pull_committed_into(&mut buf);
-        assert_eq!(buf.params, r.snapshot_params());
+        w.drain().unwrap();
+        let v = w.pull_into(&mut buf).unwrap();
+        assert_eq!(buf.params, net.router().snapshot_params());
         assert_eq!(v, 1, "drained data is current");
-        for g in 0..r.shard_count() {
-            assert_eq!(buf.shard_versions[g], 1);
-        }
+        assert_eq!(buf.shard_versions, vec![1; 4]);
     }
 
     #[test]
     fn a_push_ticket_claims_every_period() {
-        let r = router(24, 4, 2, 3);
-        let push = |r: &ShardRouter| {
-            for g in 0..r.shard_count() {
-                let (_, l) = r.shard_range(g);
-                r.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
-            }
-            let v = r.complete_push(r.version());
-            r.after_push();
-            v
-        };
-        push(&r);
-        push(&r);
-        assert_eq!(r.sync_rounds(), 0, "no round before the period");
-        push(&r);
-        assert_eq!(r.sync_rounds(), 1, "round at the period boundary");
+        let w = WorkerPort::Net(direct(24, 4, 2, 3));
+        push(&w, 1.0, 0.0, true);
+        push(&w, 1.0, 0.0, true);
+        assert_eq!(w.sync_rounds(), 0, "no round before the period");
+        push(&w, 1.0, 0.0, true);
+        assert_eq!(w.sync_rounds(), 1, "round at the period boundary");
         let mut buf = PullBuffer::new();
-        r.pull_committed_into(&mut buf);
-        for g in 0..r.shard_count() {
-            assert_eq!(buf.shard_versions[g], 3);
-        }
+        w.pull_into(&mut buf).unwrap();
+        assert_eq!(buf.shard_versions, vec![3; 4]);
         for _ in 0..3 {
-            push(&r);
+            push(&w, 1.0, 0.0, true);
         }
-        assert_eq!(r.sync_rounds(), 2);
+        assert_eq!(w.sync_rounds(), 2);
     }
 
     #[test]
@@ -897,58 +656,46 @@ mod tests {
         // barrier round) pushed the next periodic round `sync_every` pushes
         // into the future per drain — a following ASP segment could run
         // with a frozen committed view for its whole length.
-        let r = router(24, 4, 2, 3);
-        let push = |r: &ShardRouter| {
-            for g in 0..r.shard_count() {
-                let (_, l) = r.shard_range(g);
-                r.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0);
-            }
-            r.complete_push(r.version());
-            r.after_push();
-        };
+        let w = WorkerPort::Net(direct(24, 4, 2, 3));
         // "BSP segment": 10 rounds, each drained at the barrier.
         for _ in 0..10 {
-            push(&r);
-            r.drain();
+            push(&w, 1.0, 0.0, true);
+            w.drain().unwrap();
         }
-        let after_bsp = r.sync_rounds();
+        let after_bsp = w.sync_rounds();
         // "ASP segment": within one period the next round must fire.
         for _ in 0..3 {
-            push(&r);
+            push(&w, 1.0, 0.0, true);
         }
         assert!(
-            r.sync_rounds() > after_bsp,
+            w.sync_rounds() > after_bsp,
             "periodic rounds starved after drains"
         );
-        // And the committed view is fresh to within the period again.
-        for server in r.servers() {
-            for local in 0..server.shard_count() {
-                assert!(server.committed_lag(local) < 3);
-            }
+        // And the committed view is fresh to within the period again: every
+        // push applies to every shard, so a shard's committed clock trails
+        // its live one by the pushes not yet published.
+        let mut buf = PullBuffer::new();
+        w.pull_into(&mut buf).unwrap();
+        for &clock in &buf.shard_versions {
+            assert!(w.version() - clock < 3);
         }
     }
 
     #[test]
     fn router_restore_round_trip() {
-        let r = router(30, 6, 3, 2);
-        for g in 0..r.shard_count() {
-            let (_, l) = r.shard_range(g);
-            r.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9);
-        }
-        r.complete_push(0);
+        let net = direct(30, 6, 3, 2);
+        let (w, r) = (WorkerPort::Net(net.clone()), net.router());
+        push(&w, 1.0, 0.9, false);
         let params = r.snapshot_params();
         let velocity = r.snapshot_velocity();
-        for g in 0..r.shard_count() {
-            let (_, l) = r.shard_range(g);
-            r.apply_shard_update(g, &vec![5.0; l], 0.1, 0.9);
-        }
+        push(&w, 5.0, 0.9, false);
         assert_ne!(r.snapshot_params(), params);
-        r.restore(&params, &velocity);
+        r.restore(&params, &velocity).unwrap();
         assert_eq!(r.snapshot_params(), params);
         assert_eq!(r.snapshot_velocity(), velocity);
         // Restore drains: the committed view matches immediately.
         let mut buf = PullBuffer::new();
-        r.pull_committed_into(&mut buf);
+        w.pull_into(&mut buf).unwrap();
         assert_eq!(buf.params, params);
     }
 }

@@ -6,7 +6,7 @@
 //! (arXiv:2306.16926) at server granularity:
 //!
 //! * **live** — stage-1 state. Worker pushes routed here by the
-//!   [`crate::ShardRouter`] apply immediately under the shard lock, exactly
+//!   [`crate::NetRouter`] apply immediately under the shard lock, exactly
 //!   like the single-server store; the live shard clocks count applies.
 //! * **committed** — stage-2 state, what workers pull. A reconciliation
 //!   round copies each owned shard's live parameters (and clock) into the
@@ -259,17 +259,12 @@ impl PsServer {
         self.live.apply_shard_update_data(local, data, lr, momentum)
     }
 
-    /// Stage-2 commit of one owned shard: publishes the live parameters and
-    /// clock to the committed store in one copy, under both shard locks
-    /// (see [`ShardedStore::commit_shard_to`]). Returns the committed clock.
-    pub fn commit_shard(&self, local: usize) -> u64 {
-        self.live.commit_shard_to(local, &self.committed)
-    }
-
-    /// Stage-2 commit of every owned shard.
+    /// Stage-2 commit of every owned shard: each publishes its live
+    /// parameters and clock to the committed store in one copy, under both
+    /// shard locks (see [`ShardedStore::commit_shard_to`]).
     pub fn commit_all(&self) {
         for local in 0..self.shard_count() {
-            self.commit_shard(local);
+            self.live.commit_shard_to(local, &self.committed);
         }
     }
 
@@ -301,14 +296,6 @@ impl PsServer {
         sink: impl FnMut(usize, &[f32]),
     ) {
         self.committed.read_runs(runs, base, clocks_out, sink);
-    }
-
-    /// How many stage-1 applies on owned shard `local` the committed view
-    /// has not yet published.
-    pub fn committed_lag(&self, local: usize) -> u64 {
-        self.live
-            .shard_version(local)
-            .saturating_sub(self.committed.shard_version(local))
     }
 }
 
@@ -342,7 +329,7 @@ mod tests {
         let (_, len) = server.live().shard_range(2);
         server.apply_local(2, &vec![1.0; len], 0.5, 0.0);
         // Stage 1 landed on live, the committed view still lags.
-        assert_eq!(server.committed_lag(2), 1);
+        assert_eq!(server.live().shard_version(2), 1);
         let mut params = vec![0.0f32; 12];
         let mut clocks = vec![0u64; 4];
         server.pull_committed_into(&mut params, &mut clocks);
@@ -350,7 +337,6 @@ mod tests {
         assert_eq!(clocks[2], 0);
         // Stage 2 publishes data and clock together.
         server.commit_all();
-        assert_eq!(server.committed_lag(2), 0);
         server.pull_committed_into(&mut params, &mut clocks);
         assert_eq!(clocks[2], 1);
         assert_eq!(params, server.live().snapshot_params());

@@ -252,8 +252,9 @@ impl PullBuffer {
     }
 
     /// Version of the pulled data: the store's push counter at the start of
-    /// the pull, or through a router the effective version of the committed
-    /// image (see [`crate::ShardRouter::pull_committed_into`]).
+    /// the pull, or on a multi-server tier the effective version of the
+    /// committed image (the oldest committed shard clock, floored by the
+    /// push counter; see [`crate::NetPort::pull_into`]).
     pub fn version(&self) -> u64 {
         self.version
     }

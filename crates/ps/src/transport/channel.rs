@@ -224,25 +224,43 @@ mod tests {
     use super::*;
     use crate::deadline::deadline;
     use crate::store::ShardLayout;
+    use crate::transport::direct::DirectTransport;
     use crate::transport::wire::op;
 
-    fn launch(n: usize, shards: usize, servers: usize) -> ChannelTransport {
+    fn servers(n: usize, shards: usize, servers: usize) -> Vec<Arc<PsServer>> {
         let initial: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let layout = ShardLayout::new(n, shards);
         let ownership = ShardLayout::new(layout.len(), servers);
-        let servers: Vec<Arc<PsServer>> = (0..ownership.len())
+        (0..ownership.len())
             .map(|s| {
                 let (first, count) = ownership.range(s);
                 Arc::new(PsServer::new(s, &layout, first, count, &initial))
             })
-            .collect();
-        ChannelTransport::launch(servers)
+            .collect()
+    }
+
+    fn launch(n: usize, shards: usize, servers: usize) -> ChannelTransport {
+        ChannelTransport::launch(self::servers(n, shards, servers))
+    }
+
+    /// The same tier behind the channel backend and behind the threadless
+    /// direct one: the connection-level contract is the same on both.
+    fn both(n: usize, shards: usize, servers: usize) -> [Box<dyn Transport>; 2] {
+        [
+            Box::new(launch(n, shards, servers)),
+            Box::new(DirectTransport::new(self::servers(n, shards, servers))),
+        ]
     }
 
     #[test]
     fn request_reply_over_the_queue() {
         let _deadline = deadline(60);
-        let t = launch(12, 4, 2);
+        for t in both(12, 4, 2) {
+            request_reply(t.as_ref());
+        }
+    }
+
+    fn request_reply(t: &dyn Transport) {
         assert_eq!(t.server_count(), 2);
         let mut conn = t.connect(1).unwrap();
         wire::encode_bodyless(conn.request_buf(), op::CHECK_FINITE);
@@ -257,8 +275,14 @@ mod tests {
     #[test]
     fn pushes_from_two_conns_serialize_on_the_event_loop() {
         let _deadline = deadline(60);
-        let t = launch(8, 2, 1);
-        let t = &t;
+        // On the direct backend the two pushers meet on the shard lock
+        // instead of the queue: the count and the sum must come out the same.
+        for t in both(8, 2, 1) {
+            two_pushers(t.as_ref());
+        }
+    }
+
+    fn two_pushers(t: &dyn Transport) {
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(move || {
@@ -287,7 +311,12 @@ mod tests {
     #[test]
     fn malformed_frame_closes_only_the_offending_connection() {
         let _deadline = deadline(60);
-        let t = launch(8, 2, 1);
+        for t in both(8, 2, 1) {
+            malformed_frame(t.as_ref());
+        }
+    }
+
+    fn malformed_frame(t: &dyn Transport) {
         let mut good = t.connect(0).unwrap();
         let mut bad = t.connect(0).unwrap();
         // A batch cut short mid-item.
@@ -305,7 +334,7 @@ mod tests {
         let mut greedy = t.connect(0).unwrap();
         wire::encode_pull_runs(greedy.request_buf(), [(6usize, 3usize)].into_iter());
         assert_eq!(greedy.call().unwrap_err().kind(), io::ErrorKind::BrokenPipe);
-        // The event loop is still there for everyone else, and nothing of
+        // The server still serves everyone else, and nothing of
         // the torn batch was applied.
         wire::encode_push_shard(good.request_buf(), 0, 0.001, 0.0, &[1.0; 4]);
         assert_eq!(wire::decode_push_ack(good.call().unwrap()), Ok(0));
@@ -317,7 +346,12 @@ mod tests {
     #[test]
     fn a_request_that_does_not_fit_closes_only_its_connection() {
         let _deadline = deadline(60);
-        let t = launch(8, 2, 1);
+        for t in both(8, 2, 1) {
+            misfit(t.as_ref());
+        }
+    }
+
+    fn misfit(t: &dyn Transport) {
         let mut a = t.connect(0).unwrap();
         let mut b = t.connect(0).unwrap();
         // Shard 5 of a server that owns 2: refused before the store sees it.

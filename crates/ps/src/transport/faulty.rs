@@ -1,6 +1,6 @@
 //! Deterministic fault injection over any transport backend.
 //!
-//! [`FaultyTransport`] wraps a real [`Transport`] (channel or TCP) and
+//! [`FaultyTransport`] wraps a real [`Transport`] (direct, channel or TCP) and
 //! perturbs every connection it hands out according to a seeded
 //! [`FaultPlan`]: replies are dropped or duplicated, calls are delayed
 //! (straggler mode), frames are torn mid-write, and connections are killed

@@ -11,6 +11,10 @@
 //! * [`Transport`] / [`Conn`] — the backend abstraction: a transport knows
 //!   how to open a connection to server `s`; a connection sends one encoded
 //!   request payload and blocks for the reply payload.
+//! * [`direct`] — the threadless backend of the in-process multi-server
+//!   plane: each connection owns a [`ServerEndpoint`] and serves its
+//!   requests on the caller's thread, with no thread, queue or lock of its
+//!   own.
 //! * [`channel`] — the in-memory backend: each server runs its own
 //!   event-loop thread draining an mpsc request queue; request/reply byte
 //!   buffers ping-pong between client and server, so the steady state is
@@ -18,11 +22,10 @@
 //! * [`tcp`] — the TCP backend: one listener per server, blocking I/O, one
 //!   connection (and one handler thread) per worker. It hosts its servers
 //!   on loopback, or dials `ps-serve` processes by address.
-//! * [`NetRouter`] / [`NetPort`] — the client: implements the same routing,
-//!   version-clock, and two-stage-sync semantics as the in-process
-//!   [`crate::ShardRouter`], but reaches the servers only through a
-//!   transport. The engine's BSP/ASP/SSP loops run unchanged on it via
-//!   [`crate::WorkerPort::Net`].
+//! * [`NetRouter`] / [`NetPort`] — the one client of a multi-server tier:
+//!   routing, the version clock and two-stage sync, reaching the servers
+//!   only through a transport. The engine's BSP/ASP/SSP loops run on it
+//!   via [`crate::WorkerPort::Net`].
 //!
 //! What a training step costs on the wire is its round trips, so the client
 //! spends as few as the two-stage protocol allows. A push is one per
@@ -63,6 +66,7 @@
 //! against measured loopback costs instead of fitted paper ratios.
 
 pub mod channel;
+pub mod direct;
 pub mod faulty;
 mod net_router;
 pub mod tcp;
@@ -90,7 +94,7 @@ use wire::op;
 /// infrastructure the boundary needs (event-loop threads, listeners);
 /// dropping the transport shuts all of it down.
 pub trait Transport: Send + Sync + fmt::Debug {
-    /// Short backend name for reports ("channel", "tcp").
+    /// Short backend name for reports ("direct", "channel", "tcp").
     fn name(&self) -> &'static str;
 
     /// Number of servers behind this transport.
@@ -190,7 +194,7 @@ pub enum Handled {
     Shutdown,
 }
 
-/// Server-side request execution, shared by both backends: checks a
+/// Server-side request execution, shared by every backend: checks a
 /// request payload against the [`PsServer`]'s slice, decodes and executes
 /// it, and encodes the reply. All scratch buffers are reused, so
 /// steady-state push/pull/sync service allocates nothing.

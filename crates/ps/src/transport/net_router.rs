@@ -1,4 +1,4 @@
-//! The transport-backed shard router: the [`Tier`] every router embeds —
+//! The shard router, the one client of a multi-server tier: the [`Tier`] —
 //! ownership layout, cluster version clock, OSP-style two-stage schedule —
 //! with every server interaction crossing a [`Transport`].
 //!
@@ -8,14 +8,15 @@
 //!   the [`PsServer`]s owned by the transport's serving loops; the client
 //!   can only reach it through request/reply frames.
 //! * **Client-side state** is the [`Tier`], shared by all workers of one
-//!   trainer; it is the very struct [`crate::ShardRouter`] embeds, so
-//!   staleness is measured and rounds are scheduled identically across the
-//!   in-process and wire tiers. What this file adds is how a commit-all
-//!   reaches a server (a `SyncRound`/`Drain` frame under the retry policy)
-//!   and what the round lock guards (the control-plane connections).
+//!   trainer. This router is its one client on every multi-server plane —
+//!   the in-process one runs it over the threadless direct transport — so
+//!   staleness is measured and rounds are scheduled by one piece of code.
+//!   What this file adds is how a commit-all reaches a server (a
+//!   `SyncRound`/`Drain` frame under the retry policy) and what the round
+//!   lock guards (the control-plane connections).
 //!
 //! Workers hold a [`NetPort`] clone each; a clone lazily opens its own
-//! connection per server (connection-per-worker on both backends), so
+//! connection per server (connection-per-worker on every backend), so
 //! worker threads never share a socket or contend on a connection lock. A
 //! trainer keeps each worker's clone across segments and drops it only on
 //! a failed segment or a restore, so a worker dials each server once per
@@ -53,7 +54,7 @@
 //!   completes it ([`crate::WorkerPort::commit_round`]) sends each server
 //!   its averaged stripes, a `Drain` and a `PullCommitted`, and decodes the
 //!   images into the round's image, which every worker of the round starts
-//!   the next one from, as on the in-process planes.
+//!   the next one from, as on the single store.
 //!
 //! **The stamp rule.** Each image is stamped with its server's *view epoch*
 //! ([`NetRouter::view_epochs`]) read before the request is first sent, or
@@ -80,6 +81,7 @@ use parking_lot::Mutex;
 use sync_switch_telemetry::{Counter, ServerStatsSnapshot, Telemetry, TraceKind};
 
 use super::channel::ChannelTransport;
+use super::direct::DirectTransport;
 use super::faulty::FaultyTransport;
 use super::tcp::TcpTransport;
 use super::wire::{self, op, ServerInfo, WireError};
@@ -296,7 +298,8 @@ impl ConnSlot {
     }
 }
 
-/// A multi-server parameter-server tier reached through a wire transport.
+/// A multi-server parameter-server tier reached through a transport: the
+/// direct one in-process, a channel or TCP otherwise.
 ///
 /// Every wire operation runs under the topology's [`RetryPolicy`]: a per-op
 /// timeout, then bounded re-send with exponential backoff and jitter over a
@@ -357,15 +360,15 @@ pub struct NetRouter {
 
 impl NetRouter {
     /// Builds the servers, launches the serving infrastructure for
-    /// `topology.transport`, and returns the client router. Clamping
-    /// matches [`crate::ShardRouter::new`]: servers are clamped to the
-    /// shard count, shards to the parameter count.
+    /// `topology.transport` — none for [`TransportKind::InProcess`], whose
+    /// connections serve requests on the caller's thread — and returns the
+    /// client router. Servers are clamped to the shard count, shards to the
+    /// parameter count.
     ///
     /// # Panics
     ///
     /// Panics if `initial` is empty, `shards == 0`, the topology is
-    /// invalid, `topology.transport` is [`TransportKind::InProcess`] (that
-    /// is [`crate::ShardRouter`]'s job), or a TCP listener cannot bind.
+    /// invalid, or a TCP listener cannot bind.
     pub fn launch(initial: &[f32], shards: usize, topology: ServerTopology) -> Self {
         if let Err(msg) = topology.validate() {
             panic!("invalid topology: {msg}");
@@ -380,9 +383,7 @@ impl NetRouter {
             TransportKind::Tcp => {
                 Box::new(TcpTransport::launch(instances).expect("bind loopback PS listeners"))
             }
-            TransportKind::InProcess => {
-                panic!("NetRouter requires a wire transport; use ShardRouter in-process")
-            }
+            TransportKind::InProcess => Box::new(DirectTransport::new(instances)),
         };
         let transport: Box<dyn Transport> = match topology.faults {
             Some(plan) if plan.any_fault() => Box::new(FaultyTransport::new(base, plan)),
@@ -475,11 +476,6 @@ impl NetRouter {
     /// The telemetry bus this router emits wire events and counters on.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
-    }
-
-    /// The layout, ownership map and two-stage clock.
-    pub(crate) fn tier(&self) -> &Tier {
-        &self.tier
     }
 
     /// Number of servers (after clamping to the shard count).
@@ -1427,11 +1423,12 @@ impl NetPort {
 mod tests {
     use super::*;
     use crate::deadline::deadline;
-    use crate::router::ShardRouter;
+    use crate::store::ShardedStore;
     use crate::WorkerPort;
 
     fn topologies() -> Vec<ServerTopology> {
         vec![
+            ServerTopology::new(2, 1),
             ServerTopology::new(2, 1).with_transport(TransportKind::Channel),
             ServerTopology::new(2, 1).with_transport(TransportKind::Tcp),
         ]
@@ -1443,33 +1440,35 @@ mod tests {
         let initial: Vec<f32> = (0..37).map(|i| (i as f32).sin()).collect();
         let grad: Vec<f32> = (0..37).map(|i| (i as f32).cos()).collect();
         for topology in topologies() {
-            let inproc = ShardRouter::new(&initial, 5, ServerTopology::new(2, 1));
+            // The single store is the oracle: it shares no code with the
+            // router's commit path. With `sync_every` 1 every push ends in a
+            // round, so the tier's committed view is the store's live one.
+            let single = ShardedStore::new(&initial, 5);
             let net = NetPort::launch(&initial, 5, topology);
             let w = WorkerPort::Net(net.clone());
             for step in 0..4 {
                 for g in 0..5 {
-                    let (o, l) = inproc.shard_range(g);
+                    let (o, l) = single.shard_range(g);
                     assert_eq!(net.router().shard_range(g), (o, l));
-                    let a = inproc.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                    let a = single.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
                     let b = w.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
                     assert_eq!(a, b, "shard clock skew at step {step} shard {g}");
                 }
-                inproc.complete_push(step);
+                single.complete_push(step);
                 net.router().complete_push(step);
-                inproc.after_push();
                 w.after_push().unwrap();
             }
-            assert_eq!(inproc.version(), net.router().version());
+            assert_eq!(single.version(), net.router().version());
             assert_eq!(
-                inproc.snapshot_params(),
+                single.snapshot_params(),
                 net.router().snapshot_params(),
-                "{:?} diverged from in-process",
+                "{:?} diverged from the single store",
                 topology.transport
             );
-            assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());
+            assert_eq!(single.snapshot_velocity(), net.router().snapshot_velocity());
             let mut a = PullBuffer::new();
             let mut b = PullBuffer::new();
-            let va = inproc.pull_committed_into(&mut a);
+            let va = single.pull_into(&mut a);
             let vb = net.pull_into(&mut b).unwrap();
             assert_eq!(va, vb);
             assert_eq!(a.params(), b.params());
@@ -1724,7 +1723,7 @@ mod tests {
         let grad: Vec<f32> = (0..32).map(|i| (i as f32).cos()).collect();
         let mut plan = crate::transport::FaultPlan::seeded(7);
         plan.drop_reply_per_mille = 150;
-        let clean = ShardRouter::new(&initial, 4, ServerTopology::new(2, 2));
+        let clean = ShardedStore::new(&initial, 4);
         let net = NetPort::launch(
             &initial,
             4,
@@ -1744,10 +1743,8 @@ mod tests {
             }
             clean.complete_push(step);
             net.router().complete_push(step);
-            clean.after_push();
             w.after_push().unwrap();
         }
-        clean.drain();
         net.router().drain().expect("drain");
         assert_eq!(
             net.router().snapshot_params(),

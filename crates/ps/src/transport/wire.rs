@@ -200,11 +200,42 @@ fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
 }
 
 /// Appends `vs` with no length prefix: the body of a length-prefixed run,
-/// or the next piece of a reply opened by [`begin_pulled`].
+/// or the next piece of a reply opened by [`begin_pulled`]. On a
+/// little-endian host that is one copy of `vs`' memory: in a debug build a
+/// per-value loop cost more than the rest of a round trip.
 pub fn put_f32_values(buf: &mut Vec<u8>, vs: &[f32]) {
-    buf.reserve(vs.len() * 4);
-    for v in vs {
-        buf.extend_from_slice(&v.to_le_bytes());
+    if cfg!(target_endian = "little") {
+        // SAFETY: an `f32` is 4 initialised bytes with no padding and `u8`
+        // needs no alignment, so this views `vs`' own memory, all of it and
+        // only it, as bytes: on a little-endian host each value's
+        // `to_le_bytes` in turn.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), std::mem::size_of_val(vs))
+        };
+        buf.extend_from_slice(bytes);
+    } else {
+        buf.reserve(std::mem::size_of_val(vs));
+        for v in vs {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// Fills `out` from `bytes`, 4 little-endian bytes a value: the decoding
+/// half of [`put_f32_values`], one copy on a little-endian host.
+fn f32s_from_le(out: &mut [f32], bytes: &[u8]) {
+    assert_eq!(bytes.len(), std::mem::size_of_val(out), "4 bytes a value");
+    if cfg!(target_endian = "little") {
+        // SAFETY: as in `put_f32_values`, this views `out`'s own memory as
+        // bytes, under the exclusive borrow `out` hands on; any 4 bytes are
+        // a valid `f32`.
+        let dst =
+            unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u8>(), bytes.len()) };
+        dst.copy_from_slice(bytes);
+    } else {
+        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *o = f32::from_le_bytes(c.try_into().unwrap());
+        }
     }
 }
 
@@ -620,13 +651,8 @@ impl<'a> Cursor<'a> {
     fn f32s_into(&mut self, out: &mut Vec<f32>) -> Result<(), WireError> {
         let n = self.u32()? as usize;
         let bytes = self.take(n.checked_mul(4).ok_or(WireError::Truncated)?)?;
-        out.clear();
-        out.reserve(n);
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
-        );
+        out.resize(n, 0.0);
+        f32s_from_le(out, bytes);
         Ok(())
     }
 
@@ -655,9 +681,7 @@ impl<'a> Cursor<'a> {
             return Err(WireError::Truncated);
         }
         let bytes = self.take(n.checked_mul(4).ok_or(WireError::Truncated)?)?;
-        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(4)) {
-            *o = f32::from_le_bytes(c.try_into().unwrap());
-        }
+        f32s_from_le(out, bytes);
         Ok(())
     }
 
@@ -848,13 +872,11 @@ pub fn decode_pulled_runs_into(
         // client derived at launch — corruption, not a soft error.
         return Err(WireError::Truncated);
     }
-    let mut values = c
-        .take(n.checked_mul(4).ok_or(WireError::Truncated)?)?
-        .chunks_exact(4);
+    let mut values = c.take(n.checked_mul(4).ok_or(WireError::Truncated)?)?;
     for (start, len) in runs {
-        for (o, b) in params_out[start..start + len].iter_mut().zip(&mut values) {
-            *o = f32::from_le_bytes(b.try_into().unwrap());
-        }
+        let (run, rest) = values.split_at(len * 4);
+        f32s_from_le(&mut params_out[start..start + len], run);
+        values = rest;
     }
     c.u64s_into_slice(clocks_out)?;
     c.finish()

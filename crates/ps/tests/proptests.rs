@@ -11,8 +11,7 @@ use sync_switch_ps::transport::wire::{self, op, ServerInfo, WireError};
 use sync_switch_ps::transport::ServerEndpoint;
 use sync_switch_ps::{
     Checkpoint, FaultPlan, NetPort, PsServer, PullBuffer, ServerStatsSnapshot, ServerTopology,
-    ShardLayout, ShardRouter, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData,
-    WorkerPort,
+    ShardLayout, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData, WorkerPort,
 };
 use sync_switch_workloads::SyncProtocol;
 
@@ -413,7 +412,7 @@ proptest! {
     /// Router ownership partitions shard ids `0..shards` (and the flat
     /// parameter vector `0..n`) exactly across servers: every shard has one
     /// owner, owners hold contiguous non-empty runs, and the servers' param
-    /// ranges tile the vector.
+    /// ranges tile the vector — as each server itself reports its slice.
     #[test]
     fn router_ownership_partitions_exactly(
         n in 1usize..600,
@@ -421,23 +420,25 @@ proptest! {
         servers in 1usize..8,
     ) {
         let initial = vec![0.5f32; n];
-        let router = ShardRouter::new(&initial, shards, ServerTopology::new(servers, 1));
+        let net = NetPort::launch(&initial, shards, ServerTopology::new(servers, 1));
+        let router = net.router();
         prop_assert_eq!(router.param_count(), n);
         prop_assert_eq!(router.shard_count(), shards.min(n));
         prop_assert_eq!(router.server_count(), servers.min(router.shard_count()));
         let mut shard_cursor = 0usize;
         let mut param_cursor = 0usize;
-        for (s, server) in router.servers().iter().enumerate() {
-            prop_assert_eq!(server.id(), s);
-            prop_assert!(server.shard_count() >= 1, "server {} owns no shards", s);
-            prop_assert_eq!(server.shard_offset(), shard_cursor, "non-contiguous ownership");
-            let (po, pl) = server.param_range();
-            prop_assert_eq!(po, param_cursor, "non-contiguous param range");
-            for g in shard_cursor..shard_cursor + server.shard_count() {
+        for s in 0..router.server_count() {
+            let info = router.server_info(s).expect("hello");
+            let count = info.shard_count as usize;
+            prop_assert_eq!(info.server as usize, s);
+            prop_assert!(count >= 1, "server {} owns no shards", s);
+            prop_assert_eq!(info.first_shard as usize, shard_cursor, "non-contiguous ownership");
+            prop_assert_eq!(info.param_offset as usize, param_cursor, "non-contiguous param range");
+            for g in shard_cursor..shard_cursor + count {
                 prop_assert_eq!(router.owner_of(g), s, "shard {} owner mismatch", g);
             }
-            shard_cursor += server.shard_count();
-            param_cursor += pl;
+            shard_cursor += count;
+            param_cursor += info.param_len as usize;
         }
         prop_assert_eq!(shard_cursor, router.shard_count(), "shards not covered");
         prop_assert_eq!(param_cursor, n, "params not covered");
@@ -454,20 +455,21 @@ proptest! {
     ) {
         let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
         let store = ShardedStore::new(&initial, shards);
-        let router = ShardRouter::new(&initial, shards, ServerTopology::new(servers, 1));
+        let net = NetPort::launch(&initial, shards, ServerTopology::new(servers, 1));
+        let (router, port) = (net.router(), WorkerPort::Net(net.clone()));
         let grad: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos()).collect();
         for p in 0..pushes {
             for g in 0..store.shard_count() {
                 let (o, l) = store.shard_range(g);
                 store.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                router.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                port.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
             }
             store.complete_push(p);
             router.complete_push(p);
-            router.after_push();
+            port.after_push().unwrap();
         }
         let mut buf = PullBuffer::new();
-        router.pull_committed_into(&mut buf);
+        net.pull_into(&mut buf).unwrap();
         let (fresh, version) = store.pull();
         prop_assert_eq!(version, router.version());
         prop_assert_eq!(buf.version(), version);
@@ -552,9 +554,10 @@ proptest! {
         prop_assert_eq!(dense.snapshot_velocity(), sparse.snapshot_velocity());
     }
 
-    /// Sparse push ≡ dense push through a 2-server router: same routing,
-    /// same two-stage schedule, same committed views and clocks — the
-    /// sparse payload changes nothing but what would cross a wire.
+    /// Sparse push ≡ dense push through a 2-server in-process (direct)
+    /// tier: same routing, same two-stage schedule, same committed views
+    /// and clocks — the sparse payload changes nothing but what crosses
+    /// the request boundary.
     #[test]
     fn sparse_push_equals_dense_push_through_router(
         n in 2usize..200,
@@ -565,44 +568,42 @@ proptest! {
         let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).cos()).collect();
         let mask: Vec<bool> = (0..n).map(|i| mask_bits[i % mask_bits.len()]).collect();
         let topology = ServerTopology::new(2, 2);
-        let dense = ShardRouter::new(&initial, shards, topology);
-        let sparse = ShardRouter::new(&initial, shards, topology);
+        let dense = WorkerPort::Net(NetPort::launch(&initial, shards, topology));
+        let sparse = WorkerPort::Net(NetPort::launch(&initial, shards, topology));
         for p in 0..pushes {
             let grad: Vec<f32> = (0..n)
                 .map(|i| if mask[i] { ((i as f32) * 0.41 + p as f32).sin() } else { 0.0 })
                 .collect();
             for g in 0..dense.shard_count() {
                 let (o, l) = dense.shard_range(g);
-                let a = dense.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
+                let a = dense.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
                 let (spans, values) = spans_of(&mask, &grad, o, l);
-                let b = sparse.apply_shard_update_data(
-                    g,
-                    UpdateData::Sparse { indices: &spans, rows: &values },
-                    0.05,
-                    0.9,
-                );
+                let b = sparse.apply_shard_update_sparse(g, &spans, &values, 0.05, 0.9).unwrap();
                 prop_assert_eq!(a, b, "clock skew at push {} shard {}", p, g);
             }
             // Staleness equality through the global clock.
             prop_assert_eq!(dense.complete_push(p), sparse.complete_push(p));
-            dense.after_push();
-            sparse.after_push();
+            dense.after_push().unwrap();
+            sparse.after_push().unwrap();
         }
         // Live state, committed views, and committed clocks all agree.
-        prop_assert_eq!(dense.snapshot_params(), sparse.snapshot_params());
-        prop_assert_eq!(dense.snapshot_velocity(), sparse.snapshot_velocity());
+        let (WorkerPort::Net(d), WorkerPort::Net(s)) = (&dense, &sparse) else {
+            unreachable!("both are tiers")
+        };
+        prop_assert_eq!(d.router().snapshot_params(), s.router().snapshot_params());
+        prop_assert_eq!(d.router().snapshot_velocity(), s.router().snapshot_velocity());
         let mut a = PullBuffer::new();
         let mut b = PullBuffer::new();
-        let va = dense.pull_committed_into(&mut a);
-        let vb = sparse.pull_committed_into(&mut b);
+        let va = dense.pull_into(&mut a).unwrap();
+        let vb = sparse.pull_into(&mut b).unwrap();
         prop_assert_eq!(va, vb, "committed data versions diverged");
         prop_assert_eq!(a.params(), b.params());
         prop_assert_eq!(a.shard_versions(), b.shard_versions());
-        prop_assert_eq!(dense.sync_rounds(), sparse.sync_rounds());
+        prop_assert_eq!(d.router().sync_rounds(), s.router().sync_rounds());
     }
 
     /// A run pull is a full pull restricted to the runs, on every plane —
-    /// the single store, the in-process router, and the channel and TCP
+    /// the single store, and the in-process (direct), channel and TCP
     /// tiers (2 servers × 7 shards): same values at the run positions, the
     /// buffer's old contents everywhere else, and the same version and
     /// shard clocks. The run lists are random spans (which straddle shard
@@ -621,7 +622,7 @@ proptest! {
         let topology = ServerTopology::new(2, 3);
         let planes = [
             WorkerPort::Single(Arc::new(ShardedStore::new(&initial, 7))),
-            WorkerPort::Routed(Arc::new(ShardRouter::new(&initial, 7, topology))),
+            WorkerPort::Net(NetPort::launch(&initial, 7, topology)),
             WorkerPort::Net(NetPort::launch(
                 &initial,
                 7,
@@ -692,9 +693,9 @@ proptest! {
     /// At-most-once under duplication: a wire tier whose fault plan
     /// duplicates **every** request frame (and drops some replies, so the
     /// retry layer re-sends on top) ends up bitwise-identical — params,
-    /// velocity, per-shard clocks, committed view — to the in-process
-    /// router applying each push exactly once. Gradients are arbitrary f32
-    /// bit patterns (NaNs included), so equality is compared on bits.
+    /// velocity, per-shard clocks, committed view — to the single store
+    /// applying each push exactly once. Gradients are arbitrary f32 bit
+    /// patterns (NaNs included), so equality is compared on bits.
     #[test]
     fn duplicated_push_frames_apply_exactly_once(
         n in 2usize..64,
@@ -709,7 +710,7 @@ proptest! {
             ..FaultPlan::seeded(17)
         };
         let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).sin()).collect();
-        let clean = ShardRouter::new(&initial, shards, ServerTopology::new(2, 1));
+        let clean = ShardedStore::new(&initial, shards);
         let net = NetPort::launch(
             &initial,
             shards,
@@ -729,10 +730,8 @@ proptest! {
                 prop_assert_eq!(a, b, "clock skew at push {} shard {}", p, g);
             }
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
-            clean.after_push();
             w.after_push().unwrap();
         }
-        clean.drain();
         net.router().drain().expect("drain");
         let key = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         prop_assert_eq!(
@@ -747,7 +746,7 @@ proptest! {
         );
         let mut a = PullBuffer::new();
         let mut b = PullBuffer::new();
-        clean.pull_committed_into(&mut a);
+        clean.pull_into(&mut a);
         net.pull_into(&mut b).unwrap();
         prop_assert_eq!(key(a.params().to_vec()), key(b.params().to_vec()));
         prop_assert_eq!(a.shard_versions(), b.shard_versions());
@@ -774,7 +773,7 @@ proptest! {
             ..FaultPlan::seeded(23)
         };
         let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.23).sin()).collect();
-        let clean = ShardRouter::new(&initial, shards, ServerTopology::new(2, 1));
+        let clean = ShardedStore::new(&initial, shards);
         let net = NetPort::launch(
             &initial,
             shards,
@@ -805,16 +804,14 @@ proptest! {
             net.flush_pushes(&mut acks).unwrap();
             prop_assert_eq!(&expected, &acks, "clock skew at push {}", p);
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
-            clean.after_push();
         }
-        clean.drain();
         net.router().drain().expect("drain");
         let key = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
         prop_assert_eq!(key(clean.snapshot_params()), key(net.router().snapshot_params()));
         prop_assert_eq!(key(clean.snapshot_velocity()), key(net.router().snapshot_velocity()));
         let mut a = PullBuffer::new();
         let mut b = PullBuffer::new();
-        clean.pull_committed_into(&mut a);
+        clean.pull_into(&mut a);
         net.pull_into(&mut b).unwrap();
         prop_assert_eq!(a.shard_versions(), b.shard_versions());
         // The servers agree: each shard applied once per push, although
@@ -862,10 +859,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Touched-block decay and commit ≡ the whole-slice walks, under random
-    /// interleavings of everything that writes a store. Two routers take
-    /// the same ops — one as sparse segment lists, one with the same values
-    /// scattered into dense gradients, whose shards are fully marked by
-    /// their first apply and so never leave the whole-slice paths — and
+    /// interleavings of everything that writes a store. Two in-process
+    /// (direct) tiers take the same ops — one as sparse segment lists, one
+    /// with the same values scattered into dense gradients, whose shards
+    /// are fully marked by their first apply and so never leave the
+    /// whole-slice paths — and
     /// must agree on every parameter **and every velocity** after every
     /// op; after every commit (a drain — alone, behind a velocity reset, or
     /// inside `restore`) the committed view must equal the live one, params
@@ -884,8 +882,15 @@ proptest! {
     ) {
         let initial: Vec<f32> = (0..n).map(|i| 1.5 + (i as f32 * 0.17).cos()).collect();
         let topology = ServerTopology::new(2, 1);
-        let sparse = ShardRouter::new(&initial, shards, topology);
-        let dense = ShardRouter::new(&initial, shards, topology);
+        let (sparse_tier, dense_tier) = (
+            NetPort::launch(&initial, shards, topology),
+            NetPort::launch(&initial, shards, topology),
+        );
+        let (sr, dr) = (sparse_tier.router(), dense_tier.router());
+        let sparse = WorkerPort::Net(sparse_tier.clone());
+        let dense = WorkerPort::Net(dense_tier.clone());
+        // Each shard's live clock: one past its last apply's pre-apply clock.
+        let mut clocks = vec![0u64; sparse.shard_count()];
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (step, (kind, seed)) in ops.into_iter().enumerate() {
             let mut state = seed | 1;
@@ -902,25 +907,26 @@ proptest! {
                     let g = rng() % sparse.shard_count();
                     let (_, l) = sparse.shard_range(g);
                     let grad: Vec<f32> = (0..l).map(|_| value(&mut rng)).collect();
-                    let a = sparse.apply_shard_update(g, &grad, 0.05, 0.9);
-                    prop_assert_eq!(a, dense.apply_shard_update(g, &grad, 0.05, 0.9));
+                    let a = sparse.apply_shard_update(g, &grad, 0.05, 0.9).unwrap();
+                    prop_assert_eq!(a, dense.apply_shard_update(g, &grad, 0.05, 0.9).unwrap());
+                    clocks[g] = a + 1;
                     committed = false;
                 }
                 1 => {
                     let p: Vec<f32> = (0..n).map(|_| value(&mut rng)).collect();
                     let v: Vec<f32> = (0..n).map(|_| value(&mut rng)).collect();
-                    sparse.restore(&p, &v);
-                    dense.restore(&p, &v);
+                    sr.restore(&p, &v).unwrap();
+                    dr.restore(&p, &v).unwrap();
                 }
                 2 | 3 => {
-                    sparse.reset_velocity();
-                    dense.reset_velocity();
-                    sparse.drain();
-                    dense.drain();
+                    sr.reset_velocity().unwrap();
+                    dr.reset_velocity().unwrap();
+                    sparse.drain().unwrap();
+                    dense.drain().unwrap();
                 }
                 4 | 5 => {
-                    sparse.drain();
-                    dense.drain();
+                    sparse.drain().unwrap();
+                    dense.drain().unwrap();
                 }
                 _ => {
                     let mut mask = vec![false; n];
@@ -933,42 +939,30 @@ proptest! {
                         .iter()
                         .map(|&m| if m { value(&mut rng) } else { 0.0 })
                         .collect();
-                    for g in 0..sparse.shard_count() {
+                    for (g, clock) in clocks.iter_mut().enumerate() {
                         let (o, l) = sparse.shard_range(g);
                         let (spans, values) = spans_of(&mask, &grad, o, l);
-                        let a = sparse.apply_shard_update_data(
-                            g,
-                            UpdateData::Sparse { indices: &spans, rows: &values },
-                            0.05,
-                            0.9,
-                        );
+                        let a = sparse.apply_shard_update_sparse(g, &spans, &values, 0.05, 0.9);
                         let b = dense.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
-                        prop_assert_eq!(a, b, "clock skew at op {} shard {}", step, g);
+                        prop_assert_eq!(&a, &b, "clock skew at op {} shard {}", step, g);
+                        *clock = a.unwrap() + 1;
                     }
                     committed = false;
                 }
             }
-            let live = sparse.snapshot_params();
-            prop_assert_eq!(bits(&live), bits(&dense.snapshot_params()), "params, op {}", step);
+            let live = sr.snapshot_params();
+            prop_assert_eq!(bits(&live), bits(&dr.snapshot_params()), "params, op {}", step);
             prop_assert_eq!(
-                bits(&sparse.snapshot_velocity()),
-                bits(&dense.snapshot_velocity()),
+                bits(&sr.snapshot_velocity()),
+                bits(&dr.snapshot_velocity()),
                 "velocity, op {}", step
             );
             if committed {
-                for router in [&sparse, &dense] {
+                for port in [&sparse, &dense] {
                     let mut buf = PullBuffer::new();
-                    router.pull_committed_into(&mut buf);
+                    port.pull_into(&mut buf).unwrap();
                     prop_assert_eq!(bits(buf.params()), bits(&live), "commit, op {}", step);
-                    for server in router.servers() {
-                        for k in 0..server.shard_count() {
-                            prop_assert_eq!(server.committed_lag(k), 0);
-                            prop_assert_eq!(
-                                buf.shard_version(server.shard_offset() + k),
-                                server.live().shard_version(k)
-                            );
-                        }
-                    }
+                    prop_assert_eq!(buf.shard_versions(), &clocks[..], "clocks, op {}", step);
                 }
             }
         }

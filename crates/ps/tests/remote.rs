@@ -16,7 +16,7 @@ use sync_switch_nn::{Dataset, Network};
 use sync_switch_ps::config::RetryPolicy;
 use sync_switch_ps::transport::{NetPort, NetRouter, TcpServerHost};
 use sync_switch_ps::{
-    PsError, PullBuffer, ServerTopology, ShardRouter, Trainer, TrainerConfig, TransportKind,
+    PsError, PullBuffer, ServerTopology, ShardedStore, Trainer, TrainerConfig, TransportKind,
     WorkerPort,
 };
 use sync_switch_workloads::SyncProtocol;
@@ -51,7 +51,9 @@ fn remote_tier_matches_in_process_router() {
     let initial: Vec<f32> = (0..41).map(|i| (i as f32).sin()).collect();
     let grad: Vec<f32> = (0..41).map(|i| (i as f32).cos()).collect();
     let (_hosts, addrs) = bind_tier(&initial, 5, 2);
-    let inproc = ShardRouter::new(&initial, 5, ServerTopology::new(2, 1));
+    // The single store is the oracle: it shares no code with the router's
+    // commit path, and with `sync_every` 1 every push ends in a round.
+    let inproc = ShardedStore::new(&initial, 5);
     let net = NetPort::connect(initial.len(), 5, &addrs, 1, quick_retry()).expect("connect");
     let w = WorkerPort::Net(net.clone());
     let r = net.router();
@@ -70,14 +72,13 @@ fn remote_tier_matches_in_process_router() {
         }
         inproc.complete_push(step);
         net.router().complete_push(step);
-        inproc.after_push();
         w.after_push().expect("sync round");
     }
     assert_eq!(inproc.snapshot_params(), net.router().snapshot_params());
     assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());
     let mut a = PullBuffer::new();
     let mut b = PullBuffer::new();
-    let va = inproc.pull_committed_into(&mut a);
+    let va = inproc.pull_into(&mut a);
     let vb = net.pull_into(&mut b);
     assert_eq!(Ok(va), vb);
     assert_eq!(a.params(), b.params());

@@ -20,8 +20,8 @@ use sync_switch_ps::engine::step_rng;
 use sync_switch_ps::transport::wire::{decode_stats_snapshot, encode_stats_snapshot, op};
 use sync_switch_ps::{
     FaultPlan, HistogramSnapshot, NetPort, RetryPolicy, ServerStatsSnapshot, ServerTopology,
-    ShardRouter, ShardedStore, TcpServerHost, Trainer, TrainerConfig, TransportKind,
-    TransportStats, UpdateData, WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
+    ShardedStore, TcpServerHost, Trainer, TrainerConfig, TransportKind, TransportStats, UpdateData,
+    WorkerPort, HIST_BUCKETS, OPCODE_SLOTS,
 };
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
@@ -211,7 +211,7 @@ fn single_server_channel_tier_still_crosses_the_wire() {
     let r = t.run_segment(SyncProtocol::Asp, 40).unwrap();
     // One worker, committed view: push k pulls the view committed at the
     // last round, so staleness is k mod sync_every (same law the
-    // in-process router test pins).
+    // in-process direct tier's test pins).
     assert_eq!(r.staleness.max(), Some(3));
     assert!((r.staleness.mean() - 1.5).abs() < 1e-9);
     // The first pull asks; every later one was brought home by the push
@@ -389,7 +389,7 @@ fn plane(which: usize, initial: &[f32]) -> WorkerPort {
     let topology = ServerTopology::new(2, 3);
     match which {
         0 => WorkerPort::Single(Arc::new(ShardedStore::new(initial, 7))),
-        1 => WorkerPort::Routed(Arc::new(ShardRouter::new(initial, 7, topology))),
+        1 => WorkerPort::Net(NetPort::launch(initial, 7, topology)),
         2 => WorkerPort::Net(NetPort::launch(
             initial,
             7,
@@ -462,16 +462,11 @@ fn drive_pushes(
             w.after_push().expect("sync round");
         }
     }
+    port.drain().expect("drain");
     let (params, velocity) = match port {
         WorkerPort::Single(s) => (s.snapshot_params(), s.snapshot_velocity()),
-        WorkerPort::Routed(r) => {
-            r.drain();
-            (r.snapshot_params(), r.snapshot_velocity())
-        }
-        WorkerPort::Net(p) => {
-            p.router().drain().expect("drain");
-            (p.router().snapshot_params(), p.router().snapshot_velocity())
-        }
+        WorkerPort::Net(p) => (p.router().snapshot_params(), p.router().snapshot_velocity()),
+        WorkerPort::Routed(never) => match *never {},
     };
     let mut buf = port.new_buffer();
     port.pull_into(&mut buf).expect("pull");
@@ -559,19 +554,35 @@ fn one_worker_run(
 #[test]
 fn prefetched_pulls_change_round_trips_not_numerics() {
     let _deadline = deadline(120);
-    // With one worker nothing is concurrent, so the wire tier must end bit
-    // for bit where the in-process router ends — whether a step's pull was
-    // asked for or rode home on the step before — and the round trips can
-    // be counted exactly.
+    // With one worker nothing is concurrent, so every tier must end bit for
+    // bit where a reference that never prefetches ends — whether a step's
+    // pull was asked for or rode home on the step before — and the round
+    // trips can be counted exactly. With a round behind every push the
+    // committed view is the live one, so the reference is the single store
+    // on the same 7 shards: it shares no code with the tier's commit or
+    // prefetch path. With rounds four pushes apart no such reference
+    // exists, and the three backends must agree with each other; that each
+    // image a reply brings home is what an explicit pull would return is
+    // `a_pull_rides_the_push_reply_until_a_round_completes`' check.
+    let kinds = [
+        TransportKind::InProcess,
+        TransportKind::Channel,
+        TransportKind::Tcp,
+    ];
     for sync_every in [1, 4] {
         for leash in [None, Some(2)] {
-            let inproc = ServerTopology::new(2, sync_every);
-            let want = one_worker_run(inproc, leash);
-            for kind in [TransportKind::Channel, TransportKind::Tcp] {
+            let tier = ServerTopology::new(2, sync_every);
+            let runs = kinds.map(|kind| one_worker_run(tier.with_transport(kind), leash));
+            let want = if sync_every == 1 {
+                let single = one_worker_run(ServerTopology::single(), leash);
+                (single.0, single.1, "the single store".to_string())
+            } else {
+                (runs[0].0.clone(), runs[0].1.clone(), kinds[0].to_string())
+            };
+            for (kind, got) in kinds.into_iter().zip(runs) {
                 let what = format!("{kind} sync_every={sync_every} leash={leash:?}");
-                let got = one_worker_run(inproc.with_transport(kind), leash);
-                assert_eq!(got.0, want.0, "{what}: parameters");
-                assert_eq!(got.1, want.1, "{what}: velocity");
+                assert_eq!(got.0, want.0, "{what}: parameters differ from {}", want.2);
+                assert_eq!(got.1, want.1, "{what}: velocity differs from {}", want.2);
                 let wire = got.2;
                 assert_eq!((wire.retries, wire.reconnects, got.3), (0, 0, 0), "{what}");
                 // A step talks to each server once, its push carrying the
@@ -599,12 +610,11 @@ fn an_asynchronous_round_rides_the_push_that_makes_it_due() {
     let _deadline = deadline(120);
     // Workers push concurrently, so a push can be sent while a peer's is
     // in flight. Every push takes a ticket, and every `sync_every`-th one
-    // claims a round that its push runs right behind its own applies: on a
-    // wire tier the `SyncRound` rides the push to every server, so a round
-    // costs no round trip of its own; in-process the claiming worker
-    // commits under the round lock. Either way the schedule is exactly the
-    // configured one however the pushes interleave, and on the wire the
-    // servers' counts say every round reached every server once.
+    // claims a round that its push runs right behind its own applies: the
+    // `SyncRound` rides the push to every server, so a round costs no round
+    // trip of its own. The schedule is exactly the configured one however
+    // the pushes interleave, and the servers' counts say every round
+    // reached every server once — in-process (direct) as on the wire.
     let (seed, steps, servers) = (41, 400u64, 2u64);
     for (workers, sync_every) in [(2, 4), (3, 1)] {
         for kind in [
@@ -620,10 +630,6 @@ fn an_asynchronous_round_rides_the_push_that_makes_it_due() {
             cfg.topology = ServerTopology::new(servers as usize, sync_every).with_transport(kind);
             let mut t = Trainer::new(Network::mlp(6, &[16], 4, seed), train, test, cfg);
             let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
-            if let Some(router) = t.router() {
-                assert_eq!(router.sync_rounds(), steps / sync_every, "{what}");
-                continue;
-            }
             let wire = r.transport;
             assert_eq!(wire.sync.round_trips, 0, "{what}: {:?}", wire.sync);
             assert_eq!(wire.push.round_trips, steps * servers, "{what}");

@@ -1,6 +1,6 @@
 //! Pins the claim that a steady-state worker step allocates nothing: on
-//! every data plane (single store, in-process router, channel, TCP), under
-//! BSP, ASP and SSP(2), for every registered trainable workload.
+//! every data plane (single store, in-process direct tier, channel, TCP),
+//! under BSP, ASP and SSP(2), for every registered trainable workload.
 //!
 //! Allocations are counted by a `#[global_allocator]` that wraps the
 //! system allocator and counts every `alloc`, `alloc_zeroed` and `realloc`

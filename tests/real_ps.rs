@@ -287,8 +287,8 @@ fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
     // that completes a round sends each server its stripes, the drain and
     // the next round's pull as one batch, and both workers start the next
     // round from that image. Only the first round pulls, and the result is
-    // the in-process single store's — as is the in-process router's, whose
-    // round commits through the same port call with a drain per round.
+    // the in-process single store's — as is the in-process (direct)
+    // tier's, whose rounds travel the same request shape.
     use sync_switch_ps::{ServerTopology, TransportKind};
     let (workers, servers, rounds) = (2u64, 2u64, 60u64);
     let run = |topology: ServerTopology| {
