@@ -120,11 +120,11 @@ pub struct ServerTopology {
     /// Number of parameter-server instances. Clamped to the shard count at
     /// construction (a server with no shards would be idle).
     pub servers: usize,
-    /// Stage-2 reconciliation period, in pushes: every push takes a
-    /// ticket, and the push holding every `sync_every`-th one runs a
-    /// reconciliation round right behind its applies. `1` commits after
-    /// every push (tightest cross-server bound); BSP ignores this and
-    /// reconciles at every barrier round.
+    /// Stage-2 reconciliation period, in pushes: each server counts the
+    /// requests that carry pushes to it, from every client, and commits its
+    /// slice right behind the applies of every `sync_every`-th one. `1`
+    /// commits after every push (tightest cross-server bound); BSP ignores
+    /// this and reconciles at every barrier round.
     pub sync_every: u64,
     /// How workers reach the servers. With [`TransportKind::InProcess`] a
     /// single-server topology gets the direct-store fast path; any other

@@ -498,8 +498,8 @@ impl Worker<'_> {
     /// apart. The shards are *queued* on the port in flat order, which on a
     /// wire tier sends each server's shards as one batch (a shard's
     /// segments are encoded when it is queued, so `spans`/`values` are free
-    /// for the next shard). The flush takes the push's ticket, and a
-    /// stage-2 round the ticket claims runs right behind its applies
+    /// for the next shard). A server whose stage-2 period the flush
+    /// completes commits right behind its applies
     /// ([`WorkerPort::flush_pushes`]), so nothing is left to run once the
     /// push completes.
     ///
@@ -1433,8 +1433,8 @@ mod tests {
         let r = t.run_segment(SyncProtocol::Asp, steps).unwrap();
         assert_eq!(r.steps, steps);
         assert_eq!(t.push_count(), steps);
-        // Every second push ticket claims a round, however the pushes
-        // interleave.
+        // Every step reaches both servers, and each commits behind every
+        // second push request, however the pushes interleave.
         assert_eq!(r.sync_rounds, steps / 2);
         // Every shard is observed once per step, and both servers own
         // some of them.

@@ -133,12 +133,14 @@ impl WireOp {
 /// counters: frames and bytes as on a wire; its time is the codec and the
 /// server's own work, with no hop in it.
 ///
-/// **The booking rule.** A request is booked from its own items. Each item
-/// is one operation of its opcode's class — push (`PushShard[Sparse]`),
-/// pull (`PullCommitted`) or sync (`SyncRound`, `Drain`) — and books its
-/// payload bytes both ways, a batched item's 4-byte length prefix
-/// included. The sequencing prefix, the batch headers, the round trip and
-/// its wire time go to the first item's class. Control-plane requests are
+/// **The booking rule.** A round trip is booked from its own items. Each
+/// reply item is one operation of its opcode's class — push (`PushAck`),
+/// pull (`Pulled`) or sync (`Synced`: a `Drain`'s, or the periodic commit a
+/// request's pushes made due) — and every item books its payload bytes, a
+/// request item's outbound and a reply item's inbound, a batched item's
+/// 4-byte length prefix included. The sequencing prefix and the batch
+/// headers go to the first item's class on their side; the round trip and
+/// its wire time to the first request item's. Control-plane requests are
 /// not booked, nor is a failed attempt (its re-send counts in `retries`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
@@ -150,8 +152,8 @@ pub struct TransportStats {
     /// Committed-view pulls: one operation per server per pull, a round
     /// trip only when the image did not ride home on a push or sync reply.
     pub pull: WireOp,
-    /// Stage-2 reconciliation rounds and drains: one operation per server
-    /// per round, a round trip unless it rode behind a BSP round's pushes.
+    /// Stage-2 commits, periodic and drains: one operation per server per
+    /// commit, a round trip only for a drain sent over the control plane.
     pub sync: WireOp,
     /// Failed attempts that were re-sent by the resilience layer. Zero on a
     /// clean network — retry machinery must be free when nothing fails.

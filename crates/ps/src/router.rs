@@ -6,19 +6,18 @@
 //! therefore a contiguous slice of the flat parameter vector). A push for
 //! shard `g` goes to `owner_of(g)` and applies immediately on that server's
 //! live store (stage 1). A pull assembles the *committed* view of every
-//! server into the worker's flat buffer. Every push takes a ticket, and
-//! every `sync_every`-th ticket claims a reconciliation round (stage 2),
-//! which the claiming push runs right behind its own applies: it publishes
-//! each owner's live shards — parameters and clocks together — into its
-//! committed store, bounding how far any server's published view can trail
-//! its live state.
+//! server into the worker's flat buffer. Each server runs stage 2 on its
+//! own: every `sync_every`-th request that carries pushes to it publishes
+//! its live shards — parameters and clocks together — into its committed
+//! store right behind those applies, bounding how far its published view
+//! can trail its live state whichever clients push (see [`PsServer`]).
 //!
 //! Everything in that paragraph that is *not* "how a request reaches a
-//! server" — the ownership map, the push-counter version clock, the stage-2
-//! schedule and the effective version of a pulled image — lives once, in
-//! [`Tier`]. Its one client is [`crate::NetRouter`], on every multi-server
-//! plane: in-process over the threadless direct transport, or over a
-//! channel or TCP.
+//! server" and is not the servers' own — the ownership map, the
+//! push-counter version clock and the effective version of a pulled image
+//! — lives once, in [`Tier`]. Its one client is [`crate::NetRouter`], on
+//! every multi-server plane: in-process over the threadless direct
+//! transport, or over a channel or TCP.
 //!
 //! The [`WorkerPort`] enum lets the engine's worker loops drive that client
 //! or the single-server [`ShardedStore`] through one interface and one
@@ -48,17 +47,17 @@ pub(crate) struct ServerSlice {
 }
 
 /// The client-side state of a multi-server tier, shared by every worker of
-/// one trainer: who owns which shard, the cluster version clock, and the
-/// OSP-style two-stage schedule. What [`crate::NetRouter`] adds is only how
-/// a commit-all reaches a server and what its round lock guards.
+/// one trainer: who owns which shard, and the cluster version clock. The
+/// stage-2 schedule is not here: each server keeps its own, and
+/// [`Tier::server`] hands it the period.
 ///
 /// **Process-local.** "Cluster" here means the workers of this process. The
-/// version clock, the push tickets, the stage-2 round counter and watermark
-/// — and with them the BSP barrier, the SSP floor and the wire router's
-/// prefetch stamps — are atomics in this address space. Several `ps-worker` processes on one
-/// `ps-serve` tier each hold their own `Tier`: each counts its own pushes,
-/// runs its own round schedule and is BSP among its own threads only, and
-/// the processes are asynchronous to one another (ROADMAP item 1).
+/// version clock — and with it the BSP barrier and the SSP floor — are
+/// atomics in this address space. Several `ps-worker` processes on one
+/// `ps-serve` tier each hold their own `Tier`: each counts its own pushes
+/// and is BSP among its own threads only, and the processes are
+/// asynchronous to one another (ROADMAP item 1). The servers' commits are
+/// tier-wide: every process's pushes count toward each server's period.
 #[derive(Debug)]
 pub(crate) struct Tier {
     /// Global parameter layout (shard id → flat range).
@@ -69,21 +68,8 @@ pub(crate) struct Tier {
     slices: Vec<ServerSlice>,
     /// Completed pushes — the version clock (of this process's workers).
     version: AtomicU64,
-    /// The last push ticket taken ([`Tier::claim_round`]): every
-    /// asynchronous push takes one, and a drain raises it to the version it
-    /// observed, so it never trails the pushes a BSP round completed.
-    sent: AtomicU64,
-    /// Stage-2 period in push tickets.
+    /// Stage-2 period the servers are built with, and checked against.
     sync_every: u64,
-    /// Completed stage-2 rounds (drains included) — diagnostics only.
-    rounds: AtomicU64,
-    /// The scheduling watermark, in tickets: the ticket of the push that
-    /// claimed the last round, or the version the last drain observed. A
-    /// push claims a round when its ticket is a whole number of periods,
-    /// one or more, past it. Kept separate from `rounds` so drains (BSP
-    /// barriers, switches, restores) move the schedule to "now" instead of
-    /// postponing the next periodic round.
-    synced_version: AtomicU64,
 }
 
 impl Tier {
@@ -116,17 +102,15 @@ impl Tier {
             owner,
             slices,
             version: AtomicU64::new(0),
-            sent: AtomicU64::new(0),
             sync_every: sync_every.max(1),
-            rounds: AtomicU64::new(0),
-            synced_version: AtomicU64::new(0),
         }
     }
 
-    /// A fresh instance of server `s` holding its slice of `initial`.
+    /// A fresh instance of server `s` holding its slice of `initial` and
+    /// committing every `sync_every` requests that carry pushes to it.
     pub(crate) fn server(&self, s: usize, initial: &[f32]) -> PsServer {
         let (first, count) = (self.slices[s].shard_offset, self.slices[s].shard_count);
-        PsServer::new(s, &self.layout, first, count, initial)
+        PsServer::new(s, &self.layout, first, count, initial, self.sync_every)
     }
 
     /// Every server's slice, in id order.
@@ -163,31 +147,6 @@ impl Tier {
         self.version.load(Ordering::Acquire)
     }
 
-    pub(crate) fn sync_rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Acquire)
-    }
-
-    /// Takes a push's ticket — one past every push ticketed or completed
-    /// before it, and no other push's — and claims the stage-2 round it
-    /// makes due, if any: every `sync_every`-th ticket past the watermark.
-    /// A claim moves the watermark to its ticket at once, so no peer claims
-    /// the same round; `true` says this push runs the round
-    /// ([`Tier::commit_round`]), which leaves the watermark moved if it
-    /// fails. The one trigger of an asynchronous round.
-    pub(crate) fn claim_round(&self) -> bool {
-        // Read before the ticket is taken: a claim landing in between is an
-        // earlier ticket's, a whole number of periods past this reading,
-        // so the answer is the same however peers' claims interleave.
-        let synced = self.synced_version.load(Ordering::Acquire);
-        let ticket = self.sent.fetch_add(1, Ordering::AcqRel) + 1;
-        let due = ticket >= synced.saturating_add(self.sync_every)
-            && (ticket - synced).is_multiple_of(self.sync_every);
-        if due {
-            self.synced_version.fetch_max(ticket, Ordering::Release);
-        }
-        due
-    }
-
     /// Completes a logical push: bumps the global version and returns the
     /// push's staleness relative to `pulled_version` (race-free, from the
     /// `fetch_add` return value — as the single store does).
@@ -196,35 +155,6 @@ impl Tier {
         self.version
             .fetch_add(1, Ordering::Release)
             .saturating_sub(pulled_version)
-    }
-
-    /// One stage-2 round, caller holding its round lock: `commit_all`
-    /// commits every owned shard on every server, and the round is counted.
-    /// The watermark stays where the claim put it. Returns the number of
-    /// rounds completed so far, or the error `commit_all` failed with, in
-    /// which case the round is not counted.
-    pub(crate) fn commit_round<E>(
-        &self,
-        commit_all: impl FnOnce() -> Result<(), E>,
-    ) -> Result<u64, E> {
-        commit_all()?;
-        // Release: pairs with the Acquire load in `sync_rounds`, publishing
-        // the committed stores' writes (ordered by their shard locks and by
-        // the request/reply round trips) with the count.
-        Ok(self.rounds.fetch_add(1, Ordering::Release) + 1)
-    }
-
-    /// A drain, caller holding its round lock: a [`Tier::commit_round`]
-    /// that then moves the watermark to the version read before it and
-    /// raises the ticket counter to match, so the next round is claimed a
-    /// full period after the pushes the drain covered. The commits include
-    /// at least every apply published by those pushes.
-    pub(crate) fn drain<E>(&self, commit_all: impl FnOnce() -> Result<(), E>) -> Result<u64, E> {
-        let observed = self.version();
-        let round = self.commit_round(commit_all)?;
-        self.synced_version.fetch_max(observed, Ordering::Release);
-        self.sent.fetch_max(observed, Ordering::AcqRel);
-        Ok(round)
     }
 
     /// A pull of the committed view: sizes `buf` for the tier, lets `fill`
@@ -355,7 +285,8 @@ impl WorkerPort {
         }
     }
 
-    /// Completed stage-2 rounds (0 for the single store).
+    /// Stage-2 rounds every server has completed, drains included (0 for
+    /// the single store).
     pub(crate) fn sync_rounds(&self) -> u64 {
         match self.plane() {
             Plane::Single(_) => 0,
@@ -419,8 +350,8 @@ impl WorkerPort {
     }
 
     /// One shard of a push sent shard by shard: queued, and on a tier sent
-    /// to its owner at once, with no ticket and no pull. The push takes its
-    /// ticket once every shard is sent ([`WorkerPort::after_push`]).
+    /// to its owner at once, with no pull — a request of its own, so it
+    /// counts toward its owner's stage-2 period on its own.
     fn push_shard(
         &self,
         g: usize,
@@ -458,11 +389,11 @@ impl WorkerPort {
         Ok(())
     }
 
-    /// Ends a queued push: it takes its ticket, and runs the stage-2 round
-    /// the ticket claims right behind its applies. A tier sends every push
-    /// still queued, the claimed round riding them, and appends their
-    /// pre-apply shard clocks to `acks`; the single store already applied
-    /// and acked, and has no rounds.
+    /// Ends a queued push. A tier sends each server the pushes still queued
+    /// for it as one request — behind whose applies the server commits, if
+    /// the request makes its period due — and appends their pre-apply shard
+    /// clocks to `acks`; the single store already applied and acked, and
+    /// has no rounds.
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         match self.plane() {
             Plane::Single(_) => Ok(()),
@@ -479,18 +410,11 @@ impl WorkerPort {
     }
 
     /// Ends a push sent shard by shard ([`WorkerPort::apply_shard_update`]
-    /// and [`WorkerPort::apply_shard_update_sparse`]): it takes its ticket,
-    /// and if that claims a stage-2 round, the round commits over the
-    /// control plane (no-op on the single store). A queued push takes its
-    /// ticket in [`WorkerPort::flush_pushes`] instead, so calling this
-    /// after one would take a second. The benchmark's replay of a
-    /// pre-batching step is its one caller outside the tests (ROADMAP item
-    /// 2 retires both).
+    /// and [`WorkerPort::apply_shard_update_sparse`]). Does nothing: the
+    /// servers schedule stage 2 themselves. The benchmark's replay of a
+    /// pre-batching step is its one caller (ROADMAP item 2 retires both).
     pub fn after_push(&self) -> Result<(), PsError> {
-        match self.plane() {
-            Plane::Single(_) => Ok(()),
-            Plane::Net(p) => p.after_push(),
-        }
+        Ok(())
     }
 
     /// BSP's round commit: applies the averaged stripes `stripe(g, push)`
@@ -541,17 +465,29 @@ mod tests {
     }
 
     /// One push of `value` on every shard, sent shard by shard and
-    /// completed; `ticket` also takes its ticket.
-    fn push(w: &WorkerPort, value: f32, momentum: f64, ticket: bool) {
+    /// completed.
+    fn push(w: &WorkerPort, value: f32, momentum: f64) {
         for g in 0..w.shard_count() {
             let (_, l) = w.shard_range(g);
             w.apply_shard_update(g, &vec![value; l], 0.1, momentum)
                 .unwrap();
         }
         w.complete_push(w.version());
-        if ticket {
-            w.after_push().unwrap();
+    }
+
+    /// One push of `value` on every shard, queued and flushed — one request
+    /// per server — and completed.
+    fn queued_push(w: &WorkerPort, value: f32) {
+        let mut acks = Vec::new();
+        for g in 0..w.shard_count() {
+            let (_, l) = w.shard_range(g);
+            let grad = vec![value; l];
+            w.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.0, &mut acks)
+                .unwrap();
         }
+        w.flush_pushes(&mut acks).unwrap();
+        assert_eq!(acks.len(), w.shard_count());
+        w.complete_push(w.version());
     }
 
     #[test]
@@ -618,7 +554,7 @@ mod tests {
         let before = buf.params.clone();
         // Stage-1 applies land on live stores; the committed view is
         // unchanged until a round runs.
-        push(&w, 1.0, 0.0, false);
+        push(&w, 1.0, 0.0);
         let v = w.pull_into(&mut buf).unwrap();
         assert_eq!(buf.params, before);
         // The recorded version is the *data* version: the image still
@@ -633,18 +569,18 @@ mod tests {
     }
 
     #[test]
-    fn a_push_ticket_claims_every_period() {
+    fn each_server_commits_every_period_of_pushes() {
         let w = WorkerPort::Net(direct(24, 4, 2, 3));
-        push(&w, 1.0, 0.0, true);
-        push(&w, 1.0, 0.0, true);
+        queued_push(&w, 1.0);
+        queued_push(&w, 1.0);
         assert_eq!(w.sync_rounds(), 0, "no round before the period");
-        push(&w, 1.0, 0.0, true);
+        queued_push(&w, 1.0);
         assert_eq!(w.sync_rounds(), 1, "round at the period boundary");
         let mut buf = PullBuffer::new();
         w.pull_into(&mut buf).unwrap();
         assert_eq!(buf.shard_versions, vec![3; 4]);
         for _ in 0..3 {
-            push(&w, 1.0, 0.0, true);
+            queued_push(&w, 1.0);
         }
         assert_eq!(w.sync_rounds(), 2);
     }
@@ -659,13 +595,13 @@ mod tests {
         let w = WorkerPort::Net(direct(24, 4, 2, 3));
         // "BSP segment": 10 rounds, each drained at the barrier.
         for _ in 0..10 {
-            push(&w, 1.0, 0.0, true);
+            queued_push(&w, 1.0);
             w.drain().unwrap();
         }
         let after_bsp = w.sync_rounds();
         // "ASP segment": within one period the next round must fire.
         for _ in 0..3 {
-            push(&w, 1.0, 0.0, true);
+            queued_push(&w, 1.0);
         }
         assert!(
             w.sync_rounds() > after_bsp,
@@ -685,10 +621,10 @@ mod tests {
     fn router_restore_round_trip() {
         let net = direct(30, 6, 3, 2);
         let (w, r) = (WorkerPort::Net(net.clone()), net.router());
-        push(&w, 1.0, 0.9, false);
+        push(&w, 1.0, 0.9);
         let params = r.snapshot_params();
         let velocity = r.snapshot_velocity();
-        push(&w, 5.0, 0.9, false);
+        push(&w, 5.0, 0.9);
         assert_ne!(r.snapshot_params(), params);
         r.restore(&params, &velocity).unwrap();
         assert_eq!(r.snapshot_params(), params);

@@ -16,8 +16,13 @@
 //!
 //! The gap between a shard's live and committed clock is its *cross-server
 //! staleness contribution*: how many stage-1 applies the rest of the
-//! cluster has not yet seen. The router bounds it by running a round every
-//! `sync_every` pushes (BSP drains it at every barrier round).
+//! cluster has not yet seen. The server bounds it itself: every
+//! `sync_every`-th request that carries pushes commits its slice right
+//! behind its applies, whichever client sent it ([`PsServer::push_due`]).
+//! A `Drain` (BSP's barrier round, a switch, a restore) commits at once and
+//! starts the period over. Commits are numbered — the server's *commit
+//! epoch* — in the order they completed, and a reply that committed carries
+//! the new epoch, which is how clients date what they pulled.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,12 +110,20 @@ pub struct PsServer {
     /// scrapers over the `Stats` wire frame. Per instance: a revived
     /// replacement starts counting from zero, like its state.
     stats: ServerStats,
+    /// Stage-2 period, in requests that carry pushes.
+    sync_every: u64,
+    /// Requests that carried pushes since the last drain.
+    pushes: AtomicU64,
+    /// Commits completed, drains included: the commit epoch. Held across a
+    /// commit, so epochs number commits in the order they completed.
+    epoch: Mutex<u64>,
 }
 
 impl PsServer {
     /// Creates server `id` owning global shards
     /// `shard_offset..shard_offset + owned_shards` of `global`, initialized
-    /// from the full flat vector `initial`.
+    /// from the full flat vector `initial`, that commits its slice every
+    /// `sync_every` requests carrying pushes (at least every one).
     ///
     /// # Panics
     ///
@@ -122,6 +135,7 @@ impl PsServer {
         shard_offset: usize,
         owned_shards: usize,
         initial: &[f32],
+        sync_every: u64,
     ) -> Self {
         assert_eq!(initial.len(), global.total(), "initial length mismatch");
         assert!(
@@ -151,6 +165,9 @@ impl PsServer {
             live,
             seq_dedup: Mutex::new(SeqTable::default()),
             stats: ServerStats::new(owned_shards),
+            sync_every: sync_every.max(1),
+            pushes: AtomicU64::new(0),
+            epoch: Mutex::new(0),
         }
     }
 
@@ -205,6 +222,11 @@ impl PsServer {
         self.nonce
     }
 
+    /// Stage-2 period, in requests that carry pushes.
+    pub fn sync_every(&self) -> u64 {
+        self.sync_every
+    }
+
     /// Number of shards this server owns.
     pub fn shard_count(&self) -> usize {
         self.live.shard_count()
@@ -237,18 +259,11 @@ impl PsServer {
         self.stats.snapshot(self.id as u32)
     }
 
-    /// Stage-1 apply: momentum-SGD update on owned shard `local` (this
-    /// server's indexing; global shard `shard_offset + local`). Returns the
-    /// live shard clock before the apply, as
-    /// [`ShardedStore::apply_shard_update`] does.
-    pub fn apply_local(&self, local: usize, grad: &[f32], lr: f64, momentum: f64) -> u64 {
-        self.live.apply_shard_update(local, grad, lr, momentum)
-    }
-
-    /// Stage-1 apply of an [`UpdateData`] payload (dense or sparse) on
-    /// owned shard `local` — the entry point the wire endpoints and the
-    /// router's sparse push route through. Same clock contract as
-    /// [`PsServer::apply_local`].
+    /// Stage-1 apply: momentum-SGD update of an [`UpdateData`] payload
+    /// (dense or sparse) on owned shard `local` (this server's indexing;
+    /// global shard `shard_offset + local`) — the entry point the wire
+    /// endpoints route every push through. Returns the live shard clock
+    /// before the apply, as [`ShardedStore::apply_shard_update`] does.
     pub fn apply_local_data(
         &self,
         local: usize,
@@ -259,13 +274,30 @@ impl PsServer {
         self.live.apply_shard_update_data(local, data, lr, momentum)
     }
 
+    /// Counts one request that carries pushes; `true` if it is the
+    /// `sync_every`-th since the last drain, so it commits
+    /// ([`PsServer::commit_all`]) behind its applies, before anything else
+    /// it asks is read.
+    pub(crate) fn push_due(&self) -> bool {
+        // Relaxed: the count publishes nothing; the commit's lock does.
+        let n = self.pushes.fetch_add(1, Ordering::Relaxed) + 1;
+        n.is_multiple_of(self.sync_every)
+    }
+
     /// Stage-2 commit of every owned shard: each publishes its live
     /// parameters and clock to the committed store in one copy, under both
-    /// shard locks (see [`ShardedStore::commit_shard_to`]).
-    pub fn commit_all(&self) {
+    /// shard locks (see [`ShardedStore::commit_shard_to`]). A `drain` also
+    /// starts the period over. Returns the commit's epoch.
+    pub fn commit_all(&self, drain: bool) -> u64 {
+        let mut epoch = self.epoch.lock();
+        if drain {
+            self.pushes.store(0, Ordering::Relaxed);
+        }
         for local in 0..self.shard_count() {
             self.live.commit_shard_to(local, &self.committed);
         }
+        *epoch += 1;
+        *epoch
     }
 
     /// Pulls the committed view of the owned slice directly into the
@@ -308,8 +340,8 @@ mod tests {
         let initial: Vec<f32> = (0..23).map(|i| i as f32).collect();
         let global = ShardLayout::new(23, 5);
         // Two servers: 3 + 2 shards.
-        let a = PsServer::new(0, &global, 0, 3, &initial);
-        let b = PsServer::new(1, &global, 3, 2, &initial);
+        let a = PsServer::new(0, &global, 0, 3, &initial, 1);
+        let b = PsServer::new(1, &global, 3, 2, &initial, 1);
         assert_eq!(a.shard_count(), 3);
         assert_eq!(b.shard_count(), 2);
         let (ao, al) = a.param_range();
@@ -325,9 +357,9 @@ mod tests {
     fn commit_publishes_live_state_and_clock() {
         let initial = vec![1.0f32; 12];
         let global = ShardLayout::new(12, 4);
-        let server = PsServer::new(0, &global, 0, 4, &initial);
+        let server = PsServer::new(0, &global, 0, 4, &initial, 2);
         let (_, len) = server.live().shard_range(2);
-        server.apply_local(2, &vec![1.0; len], 0.5, 0.0);
+        server.apply_local_data(2, UpdateData::Dense(&vec![1.0; len]), 0.5, 0.0);
         // Stage 1 landed on live, the committed view still lags.
         assert_eq!(server.live().shard_version(2), 1);
         let mut params = vec![0.0f32; 12];
@@ -335,8 +367,8 @@ mod tests {
         server.pull_committed_into(&mut params, &mut clocks);
         assert_eq!(params, initial);
         assert_eq!(clocks[2], 0);
-        // Stage 2 publishes data and clock together.
-        server.commit_all();
+        // Stage 2 publishes data and clock together, and numbers itself.
+        assert_eq!(server.commit_all(false), 1);
         server.pull_committed_into(&mut params, &mut clocks);
         assert_eq!(clocks[2], 1);
         assert_eq!(params, server.live().snapshot_params());

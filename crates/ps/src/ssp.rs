@@ -247,12 +247,12 @@ mod tests {
         // Multi-server SSP: the iteration gate *plus* the stage-2 period
         // cap per-shard staleness on every server. A pull reads a server's
         // committed view, which trails its live clock by at most the pushes
-        // since the last reconciliation round: every `sync_every`-th push
-        // ticket claims a round and its worker commits it, under the round
-        // lock, before completing that push and starting its next step, so the
+        // since its last commit: each server commits behind the applies of
+        // every `sync_every`-th request that carries pushes to it, before
+        // that push completes and its worker starts its next step, so the
         // committed view is never more than `sync_every + 2·workers`
         // applies behind live (period + in-flight pushes on each side of
-        // the round). On top of that the gate admits at most
+        // the commit). On top of that the gate admits at most
         // (2·bound + 2)·(workers − 1) peer applies between pull and push.
         let workers = 4u64;
         let bound = 1u64;
@@ -267,8 +267,8 @@ mod tests {
         let r = t.run_ssp_segment(bound, steps).unwrap();
         let shards = t.net_router().expect("multi-server plane").shard_count() as u64;
         assert_eq!(r.shard_staleness.total(), steps * shards);
-        // Every `sync_every`-th push ticket claims a round, however the
-        // pushes interleave.
+        // Every step reaches both servers, and each commits behind every
+        // `sync_every`-th push request, however the pushes interleave.
         assert_eq!(r.sync_rounds, steps / sync_every);
         let cap = (2 * bound + 2) * (workers - 1) + sync_every + 2 * workers;
         // On every server: each owns its shards' observations.

@@ -234,7 +234,8 @@ mod tests {
         (0..ownership.len())
             .map(|s| {
                 let (first, count) = ownership.range(s);
-                Arc::new(PsServer::new(s, &layout, first, count, &initial))
+                // Bare pushes: no periodic commit turns an ack into a batch.
+                Arc::new(PsServer::new(s, &layout, first, count, &initial, u64::MAX))
             })
             .collect()
     }
@@ -267,9 +268,9 @@ mod tests {
         let reply = conn.call().unwrap();
         assert_eq!(wire::decode_finite(reply), Ok(true));
         // A second request on the same conn reuses the circulating buffers.
-        wire::encode_bodyless(conn.request_buf(), op::SYNC_ROUND);
+        wire::encode_bodyless(conn.request_buf(), op::DRAIN);
         let reply = conn.call().unwrap();
-        assert_eq!(wire::expect_bodyless(reply, op::SYNCED), Ok(()));
+        assert_eq!(wire::decode_synced(reply), Ok(1));
     }
 
     #[test]
@@ -296,7 +297,7 @@ mod tests {
             }
         });
         let mut conn = t.connect(0).unwrap();
-        wire::encode_bodyless(conn.request_buf(), op::SYNC_ROUND);
+        wire::encode_bodyless(conn.request_buf(), op::DRAIN);
         conn.call().unwrap();
         wire::encode_bodyless(conn.request_buf(), op::PULL_COMMITTED);
         let reply = conn.call().unwrap();

@@ -293,7 +293,7 @@ mod tests {
         let servers: Vec<Arc<PsServer>> = (0..ownership.len())
             .map(|s| {
                 let (first, count) = ownership.range(s);
-                Arc::new(PsServer::new(s, &layout, first, count, &initial))
+                Arc::new(PsServer::new(s, &layout, first, count, &initial, u64::MAX))
             })
             .collect();
         let handles = servers.clone();

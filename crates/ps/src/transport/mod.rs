@@ -32,21 +32,22 @@
 //! server: the shards a worker pushes to one server are queued and travel
 //! as a single sequenced `Batch`, acked by one reply carrying every shard's
 //! pre-apply clock (stage-1 applies to one server are order-free between
-//! sync rounds, so sharing a frame changes nothing the protocol can
-//! observe). A pull costs a round trip per server only when it has to: on
-//! an asynchronous tail whose steps read the whole vector, the batch a
-//! worker pushes — or the stage-2 round it runs — ends in a `PullCommitted`
-//! item, the `Pulled` image stays where the reply arrived
+//! commits, so sharing a frame changes nothing the protocol can observe).
+//! The server runs stage 2 itself: every `sync_every`-th request that
+//! carries pushes commits behind its applies, and the reply says so with a
+//! `Synced` carrying the server's commit epoch. A pull costs a round trip
+//! per server only when it has to: on an asynchronous tail whose steps
+//! read the whole vector, the batch a worker pushes ends in a
+//! `PullCommitted` item, the `Pulled` image stays where the reply arrived
 //! ([`Conn::last_reply`]), and the next step decodes it from there. Pulls
-//! read the *committed* view, which only a commit-all changes, so the image
-//! is the pull the next step would have made unless the server has
-//! acknowledged a commit since the request went out, or a handshake has
-//! found it replaced; [`NetRouter`] stamps each image with a per-server
-//! view epoch read before the send, ticks it on either, and asks the
-//! server again when the epoch has moved, which keeps the guarantee a
-//! pull has always given — it reflects every round completed before it was
-//! asked for. A segment's first step, steps that pull by run and
-//! reconnects pay the round trip as before. A BSP round is one round trip
+//! read the *committed* view, which only a commit changes, so the image is
+//! the pull the next step would have made unless the server has committed
+//! since; [`NetRouter`] stamps each image with the server's commit epoch
+//! it holds, keeps the highest epoch any reply reported, and asks the
+//! server again once that has moved past the stamp, which keeps the
+//! guarantee a pull has always given — it reflects every round completed
+//! before it was asked for. A segment's first step, steps that pull by run
+//! and reconnects pay the round trip as before. A BSP round is one round trip
 //! per server in all: the worker that completes it sends each server its
 //! averaged stripes, a `Drain` and a `PullCommitted` in one batch, and
 //! every worker's next step installs the images that come back.
@@ -266,11 +267,12 @@ impl ServerEndpoint {
     /// as a whole: one sequence number, one cached (batch) reply.
     ///
     /// What is cached stays ack-sized: a batch's trailing
-    /// [`op::PULL_COMMITTED`] — the pull a worker lets ride on its push or
-    /// sync round — is a read, so its `Pulled` item is left out of the
-    /// cache and a replay executes it again behind the replayed acks. (A
-    /// replayed pull can only be newer than the lost one; the client dates
-    /// it from before its first send either way.)
+    /// [`op::PULL_COMMITTED`] — the pull a worker lets ride on its push —
+    /// is a read, so its `Pulled` item is left out of the cache and a
+    /// replay executes it again behind the replayed acks and `Synced`. A
+    /// replay is not counted again and commits nothing. (A replayed pull
+    /// can only be newer than the lost one; the client dates it by the
+    /// cached `Synced`, or from before its first send.)
     ///
     /// # Errors
     ///
@@ -356,6 +358,10 @@ impl ServerEndpoint {
             return Ok(None);
         }
         let items = wire::batch_items(inner, op::BATCH)?;
+        // The reply needs room for the `Synced` a periodic commit adds.
+        if items.clone().count() == usize::from(u16::MAX) {
+            return Err(WireError::Misfit(op::BATCH));
+        }
         for item in items.clone() {
             self.check(item)?;
         }
@@ -387,8 +393,7 @@ impl ServerEndpoint {
                 self.velocity.resize(self.params.len(), 0.0);
                 wire::decode_restore_into(request, &mut self.params, &mut self.velocity)
             }
-            opcode @ (op::SYNC_ROUND
-            | op::DRAIN
+            opcode @ (op::DRAIN
             | op::RESET_VELOCITY
             | op::CHECK_FINITE
             | op::HELLO
@@ -398,26 +403,46 @@ impl ServerEndpoint {
         }
     }
 
-    /// Executes one unwrapped request payload: a batch as a loop over its
-    /// items, anything else directly. Also returns where in `reply` the
-    /// last item's record begins (for anything but a batch, the reply).
+    /// Executes one unwrapped request payload, a batch as a loop over its
+    /// items. A request that carries pushes is counted, and the commit its
+    /// count makes due ([`PsServer::push_due`]) runs right behind its last
+    /// push, whose reply item it follows with a `Synced`: after the acks,
+    /// before any pull is read. A request with a `Drain` commits there
+    /// instead, once. A bare request that commits is answered as a batch.
+    /// Also returns where in `reply` the last item's record begins (for a
+    /// bare reply, the reply).
     fn dispatch(
         &mut self,
         request: &[u8],
         batch: Option<wire::BatchItems<'_>>,
         reply: &mut Vec<u8>,
     ) -> Result<(Handled, usize), WireError> {
+        let bare = batch.is_none();
+        let items = batch.into_iter().flatten().chain(bare.then_some(request));
+        let last_push = (items.clone().enumerate())
+            .filter(|(_, item)| matches!(item[0], op::PUSH_SHARD | op::PUSH_SHARD_SPARSE))
+            .last()
+            .map(|(i, _)| i);
+        let drains = items.clone().any(|item| item[0] == op::DRAIN);
+        let commit_after = last_push.filter(|_| !drains && self.server.push_due());
         let mut last_item = reply.len();
-        let Some(items) = batch else {
+        if bare && commit_after.is_none() {
             return Ok((self.handle_inner(request, reply)?, last_item));
-        };
+        }
         let head = wire::begin_batch(reply, op::BATCH_REPLY);
-        for item in items {
+        for (i, item) in items.enumerate() {
             last_item = reply.len();
             let mark = wire::open_batch_item(reply);
             // `batch_items` admits no `Shutdown`, so every item replies.
             self.handle_inner(item, reply)?;
             wire::close_batch_item(reply, head, mark);
+            if commit_after == Some(i) {
+                last_item = reply.len();
+                let mark = wire::open_batch_item(reply);
+                wire::encode_synced(reply, self.server.commit_all(false));
+                wire::close_batch_item(reply, head, mark);
+                self.server.stats().record_request(op::SYNC_ROUND, 0);
+            }
         }
         Ok((Handled::Reply, last_item))
     }
@@ -425,36 +450,23 @@ impl ServerEndpoint {
     fn handle_inner(&mut self, request: &[u8], reply: &mut Vec<u8>) -> Result<Handled, WireError> {
         let opcode = *request.first().ok_or(WireError::Truncated)?;
         match opcode {
-            op::PUSH_SHARD => {
-                let (shard, lr, momentum) = wire::decode_push_shard_into(request, &mut self.grad)?;
+            op::PUSH_SHARD | op::PUSH_SHARD_SPARSE => {
+                let (shard, lr, momentum, data) = if opcode == op::PUSH_SHARD {
+                    let head = wire::decode_push_shard_into(request, &mut self.grad)?;
+                    (head.0, head.1, head.2, UpdateData::Dense(&self.grad))
+                } else {
+                    let (segments, rows) = (&mut self.segments, &mut self.grad);
+                    let head = wire::decode_push_shard_sparse_into(request, segments, rows)?;
+                    let data = UpdateData::Sparse {
+                        indices: segments,
+                        rows,
+                    };
+                    (head.0, head.1, head.2, data)
+                };
                 let t0 = Instant::now();
-                let prev = self
-                    .server
-                    .apply_local(shard as usize, &self.grad, lr, momentum);
-                self.server
-                    .stats()
-                    .record_apply(shard as usize, t0.elapsed().as_nanos() as u64);
-                wire::encode_push_ack(reply, prev);
-            }
-            op::PUSH_SHARD_SPARSE => {
-                let (shard, lr, momentum) = wire::decode_push_shard_sparse_into(
-                    request,
-                    &mut self.segments,
-                    &mut self.grad,
-                )?;
-                let t0 = Instant::now();
-                let prev = self.server.apply_local_data(
-                    shard as usize,
-                    UpdateData::Sparse {
-                        indices: &self.segments,
-                        rows: &self.grad,
-                    },
-                    lr,
-                    momentum,
-                );
-                self.server
-                    .stats()
-                    .record_apply(shard as usize, t0.elapsed().as_nanos() as u64);
+                let prev = (self.server).apply_local_data(shard as usize, data, lr, momentum);
+                let ns = t0.elapsed().as_nanos() as u64;
+                self.server.stats().record_apply(shard as usize, ns);
                 wire::encode_push_ack(reply, prev);
             }
             op::PULL_COMMITTED => {
@@ -477,10 +489,7 @@ impl ServerEndpoint {
                     wire::encode_pulled(reply, &self.params, &self.clocks);
                 }
             }
-            op::SYNC_ROUND | op::DRAIN => {
-                self.server.commit_all();
-                wire::encode_bodyless(reply, op::SYNCED);
-            }
+            op::DRAIN => wire::encode_synced(reply, self.server.commit_all(true)),
             op::SNAPSHOT => {
                 if wire::decode_snapshot_request(request)? {
                     self.server.live().snapshot_velocity_into(&mut self.params);
@@ -512,6 +521,7 @@ impl ServerEndpoint {
                         shard_count: self.server.shard_count() as u32,
                         param_offset: param_offset as u64,
                         param_len: param_len as u64,
+                        sync_every: self.server.sync_every(),
                     },
                 );
             }
@@ -534,10 +544,16 @@ mod tests {
     use super::*;
     use crate::store::ShardLayout;
 
+    /// An endpoint over one server of `n` parameters in `shards` shards
+    /// that commits only when drained.
     fn endpoint(n: usize, shards: usize) -> ServerEndpoint {
+        periodic_endpoint(n, shards, u64::MAX)
+    }
+
+    fn periodic_endpoint(n: usize, shards: usize, sync_every: u64) -> ServerEndpoint {
         let initial: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
         let layout = ShardLayout::new(n, shards);
-        let server = Arc::new(PsServer::new(0, &layout, 0, shards, &initial));
+        let server = Arc::new(PsServer::new(0, &layout, 0, shards, &initial, sync_every));
         ServerEndpoint::new(server)
     }
 
@@ -562,11 +578,11 @@ mod tests {
         assert_eq!(clocks, [0, 0]);
         assert!((params[9] - 0.9).abs() < 1e-6);
 
-        // Sync round publishes it.
+        // A drain publishes it, and says which commit it was.
         req.clear();
-        wire::encode_bodyless(&mut req, op::SYNC_ROUND);
+        wire::encode_bodyless(&mut req, op::DRAIN);
         ep.handle(&req, &mut reply).unwrap();
-        assert_eq!(wire::expect_bodyless(&reply, op::SYNCED), Ok(()));
+        assert_eq!(wire::decode_synced(&reply), Ok(1));
         req.clear();
         wire::encode_bodyless(&mut req, op::PULL_COMMITTED);
         ep.handle(&req, &mut reply).unwrap();
@@ -614,7 +630,7 @@ mod tests {
             (&mut sparse_ep, &mut params_b),
         ] {
             req.clear();
-            wire::encode_bodyless(&mut req, op::SYNC_ROUND);
+            wire::encode_bodyless(&mut req, op::DRAIN);
             ep.handle(&req, &mut reply).unwrap();
             req.clear();
             wire::encode_bodyless(&mut req, op::PULL_COMMITTED);
@@ -634,7 +650,7 @@ mod tests {
         wire::encode_push_shard(&mut req, 1, 0.5, 0.0, &[1.0; 5]);
         ep.handle(&req, &mut reply).unwrap();
         req.clear();
-        wire::encode_bodyless(&mut req, op::SYNC_ROUND);
+        wire::encode_bodyless(&mut req, op::DRAIN);
         ep.handle(&req, &mut reply).unwrap();
         req.clear();
         wire::encode_bodyless(&mut req, op::PULL_COMMITTED);
@@ -858,7 +874,7 @@ mod tests {
         // ... and the newly committed view once one has, behind the same
         // acks (the client dates the image from before its first send).
         let mut sync = Vec::new();
-        wire::encode_bodyless(&mut sync, op::SYNC_ROUND);
+        wire::encode_bodyless(&mut sync, op::DRAIN);
         ep.handle(&sync, &mut Vec::new()).unwrap();
         ep.handle(&fused, &mut reply).unwrap();
         let items: Vec<&[u8]> = wire::batch_items(&reply, op::BATCH_REPLY)
@@ -877,6 +893,74 @@ mod tests {
         assert_eq!(snap.dedup_hits, 2);
         assert_eq!(snap.apply_ns.count, 4, "replays must not re-apply");
         assert_eq!(snap.requests_for(op::PULL_COMMITTED), 3);
+    }
+
+    #[test]
+    fn every_period_of_push_requests_commits_behind_its_acks() {
+        let mut ep = periodic_endpoint(10, 2, 2);
+        let server = Arc::clone(&ep.server);
+        let mut reply = Vec::new();
+        let items = |reply: &[u8]| -> Vec<Vec<u8>> {
+            let items = wire::batch_items(reply, op::BATCH_REPLY).unwrap();
+            items.map(<[u8]>::to_vec).collect()
+        };
+        // `[push 0, push 1, pull]`: one count, however many shards.
+        let mut fused = push_batch(&[0, 1]);
+        wire::put_bodyless_item(&mut fused, 0, op::PULL_COMMITTED);
+        ep.handle(&fused, &mut reply).unwrap();
+        assert_eq!(items(&reply).len(), 3, "the first request is not due");
+        // The second is: its commit lands after the acks and before the
+        // pull, which reads it.
+        ep.handle(&fused, &mut reply).unwrap();
+        let got = items(&reply);
+        assert_eq!(got.len(), 4);
+        assert_eq!(wire::decode_push_ack(&got[1]), Ok(1));
+        assert_eq!(wire::decode_synced(&got[2]), Ok(1));
+        let (mut params, mut clocks) = ([0.0f32; 10], [0u64; 2]);
+        wire::decode_pulled_into(&got[3], &mut params, &mut clocks).unwrap();
+        assert_eq!(clocks, [2, 2]);
+        // A bare push that makes a commit due is answered as a batch.
+        let mut push = Vec::new();
+        wire::encode_push_shard(&mut push, 1, 0.5, 0.0, &[1.0; 5]);
+        ep.handle(&push, &mut reply).unwrap();
+        assert_eq!(wire::decode_push_ack(&reply), Ok(2));
+        let mut seq = Vec::new();
+        wire::encode_sequenced_prefix(&mut seq, 4, 0);
+        seq.extend_from_slice(&push);
+        ep.handle(&seq, &mut reply).unwrap();
+        let got = items(&reply);
+        assert_eq!(wire::decode_push_ack(&got[0]), Ok(3));
+        assert_eq!(wire::decode_synced(&got[1]), Ok(2));
+        // A replay is neither counted nor committed again: it returns the
+        // cached epoch.
+        let first = reply.clone();
+        ep.handle(&seq, &mut reply).unwrap();
+        assert_eq!(reply, first);
+        // A drain commits once and starts the period over.
+        let mut drain = push_batch(&[0]);
+        wire::put_bodyless_item(&mut drain, 0, op::DRAIN);
+        ep.handle(&drain, &mut reply).unwrap();
+        let got = items(&reply);
+        assert_eq!(got.len(), 2);
+        assert_eq!(wire::decode_synced(&got[1]), Ok(3));
+        ep.handle(&push, &mut reply).unwrap();
+        assert_eq!(
+            wire::decode_push_ack(&reply),
+            Ok(4),
+            "the period starts over"
+        );
+        ep.handle(&push, &mut reply).unwrap();
+        assert_eq!(wire::decode_synced(&items(&reply)[1]), Ok(4));
+        // Periodic commits book as `SyncRound`, drains as `Drain`; only a
+        // drain is a request a client may send.
+        let snap = server.stats_snapshot();
+        assert_eq!(snap.requests_for(op::SYNC_ROUND), 3);
+        assert_eq!(snap.requests_for(op::DRAIN), 1);
+        assert_eq!(snap.dedup_hits, 1);
+        let mut round = Vec::new();
+        wire::encode_bodyless(&mut round, op::SYNC_ROUND);
+        let err = ep.handle(&round, &mut reply);
+        assert_eq!(err, Err(WireError::UnknownOpcode(op::SYNC_ROUND)));
     }
 
     #[test]
@@ -976,7 +1060,7 @@ mod tests {
     fn hello_reports_identity_and_nonce_changes_on_replacement() {
         let initial: Vec<f32> = (0..10).map(|i| i as f32 * 0.1).collect();
         let layout = ShardLayout::new(10, 2);
-        let server = Arc::new(PsServer::new(0, &layout, 0, 2, &initial));
+        let server = Arc::new(PsServer::new(0, &layout, 0, 2, &initial, 4));
         let mut ep = ServerEndpoint::new(server.clone());
         let mut req = Vec::new();
         let mut reply = Vec::new();
@@ -989,9 +1073,10 @@ mod tests {
         assert_eq!(info.shard_count, 2);
         assert_eq!(info.param_offset, 0);
         assert_eq!(info.param_len, 10);
+        assert_eq!(info.sync_every, 4);
         // A replacement instance — same slice, fresh construction — answers
         // with a different nonce: how respawns are detected on the wire.
-        let fresh = Arc::new(PsServer::new(0, &layout, 0, 2, &initial));
+        let fresh = Arc::new(PsServer::new(0, &layout, 0, 2, &initial, 4));
         let mut ep2 = ServerEndpoint::new(fresh);
         ep2.handle(&req, &mut reply).unwrap();
         let info2 = wire::decode_server_info(&reply).unwrap();

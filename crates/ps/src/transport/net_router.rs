@@ -1,19 +1,18 @@
 //! The shard router, the one client of a multi-server tier: the [`Tier`] —
-//! ownership layout, cluster version clock, OSP-style two-stage schedule —
-//! with every server interaction crossing a [`Transport`].
+//! ownership layout and cluster version clock — with every server
+//! interaction crossing a [`Transport`].
 //!
 //! The split of responsibilities mirrors a real PS deployment:
 //!
-//! * **Server-side state** (live + committed stores, shard clocks) lives in
-//!   the [`PsServer`]s owned by the transport's serving loops; the client
-//!   can only reach it through request/reply frames.
+//! * **Server-side state** (live + committed stores, shard clocks, the
+//!   stage-2 period and commit epoch) lives in the [`PsServer`]s owned by
+//!   the transport's serving loops; the client can only reach it through
+//!   request/reply frames.
 //! * **Client-side state** is the [`Tier`], shared by all workers of one
-//!   trainer. This router is its one client on every multi-server plane —
-//!   the in-process one runs it over the threadless direct transport — so
-//!   staleness is measured and rounds are scheduled by one piece of code.
-//!   What this file adds is how a commit-all reaches a server (a
-//!   `SyncRound`/`Drain` frame under the retry policy) and what the round
-//!   lock guards (the control-plane connections).
+//!   trainer, plus what the servers have told it: each one's commit epoch.
+//!   This router is the Tier's one client on every multi-server plane — the
+//!   in-process one runs it over the threadless direct transport — so
+//!   staleness is measured by one piece of code.
 //!
 //! Workers hold a [`NetPort`] clone each; a clone lazily opens its own
 //! connection per server (connection-per-worker on every backend), so
@@ -23,11 +22,13 @@
 //! lifetime, not once per segment.
 //!
 //! Every operation is strictly request/reply, and every data-plane request
-//! has one shape, `[push × n][SyncRound | Drain]?[PullCommitted]?`, built
-//! by one encoder and read by one decoder ([`NetRouter::send`]); only a
-//! pull by run has a frame of its own. Each round trip is booked from its
-//! own items ([`Split::of`]; the rule is stated on [`TransportStats`]), so
-//! the client's operation counts equal the servers' per-opcode counts.
+//! has one shape, `[push × n][Drain]?[PullCommitted]?`, built by one
+//! encoder and read by one decoder ([`NetRouter::send`]); only a pull by run
+//! has a frame of its own. Its reply is `[ack × n][Synced]?[Pulled]?`, the
+//! `Synced` there when the request drained or its pushes made the server's
+//! periodic commit due. Each round trip is booked from its own items
+//! ([`Split::of`]; the rule is stated on [`TransportStats`]), so the
+//! client's operation counts equal the servers' per-opcode counts.
 //!
 //! * **A push** sends each server *all* of the worker's shards it owns in
 //!   one request: pushes are staged per server
@@ -42,34 +43,31 @@
 //!   The `Pulled` image stays in the connection's reply buffer until
 //!   [`NetPort::pull_into`] decodes it. A pull by run never rides: which
 //!   runs the next step reads is unknown before its batch is drawn.
-//! * **An asynchronous stage-2 round** rides the push that makes it due
-//!   ([`NetRouter::flush`]): every push takes a ticket, every
-//!   `sync_every`-th ticket claims a round ([`Tier::claim_round`], which
-//!   moves the watermark before anything is sent), and its push takes the
-//!   round lock and sends each server its pushes, a `SyncRound` and the
-//!   pull as one request. Only a push sent shard by shard, whose ticket
-//!   [`NetPort::after_push`] takes, a drain and a restore pay a round trip
-//!   of their own for a round, over the control plane.
+//! * **An asynchronous stage-2 round** is the servers' own: each commits
+//!   behind the applies of every `sync_every`-th request that carries
+//!   pushes to it, from whichever client, so the round rides the push that
+//!   makes it due and costs no round trip. Nothing about the schedule is
+//!   kept here; a drain and a restore commit over the control plane.
 //! * **A BSP round** is one request per server too: the worker that
 //!   completes it ([`crate::WorkerPort::commit_round`]) sends each server
 //!   its averaged stripes, a `Drain` and a `PullCommitted`, and decodes the
 //!   images into the round's image, which every worker of the round starts
 //!   the next one from, as on the single store.
 //!
-//! **The stamp rule.** Each image is stamped with its server's *view epoch*
-//! ([`NetRouter::view_epochs`]) read before the request is first sent, or
-//! the one the request's own commit ticks it to, and is served only while
-//! the epoch still reads the same. The epoch ticks
-//! when the server acknowledges a commit-all, before the round that sent it
-//! is complete; so if it has not moved, every round completed by now had
-//! this server's commit acknowledged before the image was asked for, and
-//! the image holds it. Hence a served pull is exactly what asking would
-//! return — the committed view changes on commits only — and a pull still
-//! reflects every round completed before it was asked for. A handshake
-//! that finds a server replaced ticks its epoch too, and a restore ends in
-//! a commit-all. The epochs, like the version clock, the round counter and
-//! the barrier, live in this process: two `ps-worker` processes sharing a
-//! tier each date their images by their own rounds only (see [`Tier`]).
+//! **The stamp rule.** A server numbers its commits in the order they
+//! completed, and this router keeps, per server, the highest epoch any reply
+//! has reported ([`NetRouter::epochs`], raised with `fetch_max`, no lock).
+//! Each image is stamped with the epoch its own request's `Synced`
+//! reported, or, if that request did not commit, the known epoch read
+//! before it was first sent, and is served only while the known epoch still
+//! equals the stamp. Either way the image holds every commit up to its
+//! stamp; so if the known epoch has not moved, every round this process
+//! has seen complete is in the image, and the image is what asking would
+//! return as far as this process can tell — the committed view changes on
+//! commits only. A handshake that finds a server replaced moves its known
+//! epoch past every stamp of the old instance. Commits that another
+//! process's pushes make due are tier-wide, but a process learns of them
+//! only when a reply of its own reports a later epoch.
 
 use std::io;
 use std::net::SocketAddr;
@@ -149,7 +147,7 @@ fn class_of(opcode: u8) -> Option<usize> {
     match opcode {
         op::PUSH_SHARD | op::PUSH_SHARD_SPARSE | op::PUSH_ACK => Some(PUSH),
         op::PULL_COMMITTED | op::PULLED => Some(PULL),
-        op::SYNC_ROUND | op::DRAIN | op::SYNCED => Some(SYNC),
+        op::DRAIN | op::SYNCED => Some(SYNC),
         _ => None,
     }
 }
@@ -208,6 +206,11 @@ impl Split {
     }
 }
 
+/// The next item of a reply, which must have one.
+fn next_item<'a>(items: &mut impl Iterator<Item = &'a [u8]>) -> Result<&'a [u8], WireError> {
+    items.next().ok_or(WireError::Truncated)
+}
+
 /// What a data-plane request brings home of the server's committed view.
 enum Pull<'a> {
     /// Nothing: no `PullCommitted` rides.
@@ -221,11 +224,12 @@ enum Pull<'a> {
 }
 
 /// The one data-plane request encoder: the `n` pushes `staged` holds
-/// (`[BATCH][u16 n]` then their items), then `commit` (`SyncRound` or
-/// `Drain`), then a `PullCommitted` if `pull` — as one batch, or as a bare
-/// frame when that is a single item.
-fn encode_request(buf: &mut Vec<u8>, staged: &[u8], n: usize, commit: Option<u8>, pull: bool) {
-    let tail = commit.into_iter().chain(pull.then_some(op::PULL_COMMITTED));
+/// (`[BATCH][u16 n]` then their items), then a `Drain` if `drain`, then a
+/// `PullCommitted` if `pull` — as one batch, or as a bare frame when that
+/// is a single item.
+fn encode_request(buf: &mut Vec<u8>, staged: &[u8], n: usize, drain: bool, pull: bool) {
+    let tail = (drain.then_some(op::DRAIN)).into_iter();
+    let tail = tail.chain(pull.then_some(op::PULL_COMMITTED));
     if n + tail.clone().count() == 1 {
         // No batch header and no length prefix.
         match tail.last() {
@@ -252,10 +256,10 @@ fn encode_request(buf: &mut Vec<u8>, staged: &[u8], n: usize, commit: Option<u8>
 struct ConnSlot {
     conn: Option<Box<dyn Conn>>,
     /// Set while `conn`'s last reply is a batch reply ending in the server's
-    /// whole `Pulled` image: its stamp, a view epoch of the server (see the
-    /// stamp rule). The image is what a pull would return for as long as
-    /// the epoch still reads the same; any other call on the connection (or
-    /// losing it) forgets it.
+    /// whole `Pulled` image: its stamp, a commit epoch of the server (see
+    /// the stamp rule). The image is what a pull would return for as long
+    /// as the known epoch still equals it; any other call on the connection
+    /// (or losing it) forgets it.
     prefetch: Option<u64>,
     /// Client id carried in sequenced request headers.
     client: u64,
@@ -281,7 +285,7 @@ impl ConnSlot {
     }
 
     /// The `Pulled` item a reply on this connection brought along, if it
-    /// was taken under the server's view epoch `epoch`.
+    /// is stamped with the server's known epoch `epoch`.
     fn prefetched(&self, epoch: u64) -> Option<&[u8]> {
         if self.prefetch != Some(epoch) {
             return None;
@@ -311,28 +315,31 @@ impl ConnSlot {
 /// answer (`Timeout`, `ConnLost` or `RetriesExhausted`): from the owner ops
 /// ([`Self::drain`], [`Self::restore`], [`Self::reset_velocity`]), the
 /// probes, [`Self::is_finite`], and the worker-path ops — [`NetPort`]'s
-/// pulls, pushes with the rounds their tickets claim, and BSP's round
-/// commit — which the engine passes up as its segment's error. Only the
+/// pulls and pushes, and BSP's round commit — which the engine passes up
+/// as its segment's error. Only the
 /// reads [`Self::snapshot_params`] and [`Self::snapshot_velocity`] still
 /// panic with the error's message.
 #[derive(Debug)]
 pub struct NetRouter {
     kind: TransportKind,
-    /// Layout, ownership map and two-stage clock.
+    /// Layout, ownership map and version clock.
     tier: Tier,
     /// Timeout/retry/backoff budget for every wire operation.
     retry: RetryPolicy,
     stats: WireCounters,
-    /// Per server, how many times its committed view may have changed: one
-    /// tick for every commit-all it has acknowledged (a round's or a
-    /// drain's, ticked as each server answers, before the round is
-    /// complete) and for whatever else rewrites it behind the schedule's
-    /// back: a replaced instance, once a handshake finds it. Ticked only
-    /// under the round lock. An image of server `s` asked for while its
-    /// epoch read `e` is what a pull of `s` would return for as long as it
-    /// still reads `e`: every round that has completed by then had `s`
-    /// acknowledge its commit before the image was asked for.
-    view_epochs: Vec<AtomicU64>,
+    /// Per server, the highest commit epoch a reply has reported, in this
+    /// router's numbering: the instance's own epoch plus its entry in
+    /// `epoch_bases`. Raised with `fetch_max` only, by whichever worker's
+    /// reply reports it, and past every stamp of a replaced instance by the
+    /// handshake that finds it. The stamp rule reads it.
+    epochs: Vec<AtomicU64>,
+    /// Per server, what its current instance's epochs are shifted by: the
+    /// known epoch when a handshake found the instance, so that its epochs
+    /// start above every epoch of the instances before it.
+    epoch_bases: Vec<AtomicU64>,
+    /// The stage-2 rounds every server has completed, drains included: the
+    /// lowest of `epochs`, as it was last raised.
+    rounds: AtomicU64,
     /// Per server, the instance nonce it last answered a handshake with, or
     /// the one it was launched with; `None` until known.
     instances: Mutex<Vec<Option<u64>>>,
@@ -341,15 +348,15 @@ pub struct NetRouter {
     /// router adopts it, so they share a clock and a trace with the
     /// engine's step spans.
     telemetry: Arc<Telemetry>,
-    /// `wire.sync_rounds`, `wire.retries` and `wire.requests` (requests
-    /// answered) on that bus, resolved once. `wire.retries` is the one
-    /// retry count: [`NetRouter::stats`] reads it.
+    /// `wire.sync_rounds` (it follows `rounds`), `wire.retries` and
+    /// `wire.requests` (requests answered) on that bus, resolved once.
+    /// `wire.retries` is the one retry count: [`NetRouter::stats`] reads
+    /// it.
     sync_rounds_counter: Arc<Counter>,
     retries_counter: Arc<Counter>,
     requests_counter: Arc<Counter>,
-    /// Serializes stage-2 rounds and the control plane; holds the control
-    /// plane's dedicated connections (a round a worker's port runs holds
-    /// the lock but travels over the worker's own).
+    /// The control plane's own connections (drains, restores, snapshots,
+    /// probes), one caller at a time.
     ///
     /// Field order is load-bearing: `sync` (and the conns inside it) must
     /// drop before `transport`, whose Drop joins the serving threads and
@@ -402,13 +409,18 @@ impl NetRouter {
         nonces: Vec<Option<u64>>,
     ) -> Self {
         let telemetry = Arc::new(Telemetry::new());
+        let zeros = || {
+            (0..tier.server_count())
+                .map(|_| AtomicU64::new(0))
+                .collect()
+        };
         NetRouter {
             kind,
             retry,
             stats: WireCounters::default(),
-            view_epochs: (0..tier.server_count())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            epochs: zeros(),
+            epoch_bases: zeros(),
+            rounds: AtomicU64::new(0),
             instances: Mutex::new(nonces),
             sync_rounds_counter: telemetry.metrics.counter("wire.sync_rounds"),
             retries_counter: telemetry.metrics.counter("wire.retries"),
@@ -503,19 +515,15 @@ impl NetRouter {
         self.tier.owner_of(g)
     }
 
-    /// Stage-2 period in push tickets.
-    pub fn sync_every(&self) -> u64 {
-        self.tier.sync_every()
-    }
-
     /// Cluster-global version: number of completed pushes.
     pub fn version(&self) -> u64 {
         self.tier.version()
     }
 
-    /// Completed stage-2 reconciliation rounds (drains included).
+    /// The stage-2 rounds every server has completed (drains included), as
+    /// their replies to this router reported them.
     pub fn sync_rounds(&self) -> u64 {
-        self.tier.sync_rounds()
+        self.rounds.load(Ordering::Acquire)
     }
 
     /// Cumulative wire-cost counters since launch, booked by the rule
@@ -538,17 +546,17 @@ impl NetRouter {
         self.tier.complete_push(pulled_version)
     }
 
-    /// Drains the stage-2 pipeline: waits out any in-flight round, then
-    /// unconditionally commits every server so the committed view equals
-    /// the live view (switches, restore; a BSP round's drain rides its
-    /// commit instead).
+    /// Drains stage 2: commits every server unconditionally, over the
+    /// control plane, so the committed view equals the live view and each
+    /// server's period starts over (switches, restore; a BSP round's drain
+    /// rides its commit instead).
     ///
     /// # Errors
     ///
     /// Returns the wire error of a server that did not answer within the
     /// retry budget.
     pub fn drain(&self) -> Result<(), PsError> {
-        self.commit_round(&mut self.sync.lock(), op::DRAIN)
+        self.send_all(&mut self.sync.lock(), true, None)
     }
 
     /// One wire round trip under the retry policy.
@@ -662,105 +670,110 @@ impl NetRouter {
     }
 
     /// Books one successful round trip split by [`Split::of`]: each class
-    /// its items' operations and bytes both ways, and the first item's
-    /// class the round trip and its wire time. A control-plane request
-    /// books nothing.
+    /// the operations its reply items answer and its bytes both ways, and
+    /// the first request item's class the round trip and its wire time. A
+    /// control-plane request books nothing.
     fn book(&self, sent: &Split, received: &Split, elapsed: Duration) {
         let Some(payer) = sent.first else {
             return;
         };
         for (c, counters) in self.stats.classes.iter().enumerate() {
             let paid = u64::from(c == payer);
-            if paid == 1 || sent.items[c] > 0 {
+            let ops = received.items[c];
+            if paid == 1 || ops > 0 {
                 let ns = paid * elapsed.as_nanos() as u64;
-                counters.record([sent.items[c], paid, ns, sent.bytes[c], received.bytes[c]]);
+                counters.record([ops, paid, ns, sent.bytes[c], received.bytes[c]]);
             }
         }
     }
 
     /// Sends server `s` one data-plane request over `port`'s connection,
-    /// `[push × n][SyncRound | Drain]?[PullCommitted]?`: the `n` pushes
-    /// `port` has staged for `s`, then `commit`, then a `PullCommitted`
+    /// `[push × n][Drain]?[PullCommitted]?`: the `n` pushes `port` has
+    /// staged for `s`, then a `Drain` if `drain`, then a `PullCommitted`
     /// unless `pull` is [`Pull::No`]. Sequenced unless it is a lone pull, so
     /// a re-send after a lost reply replays the cached reply and applies no
     /// push or commit twice.
     ///
-    /// The one decoder reads the reply: each push's pre-apply shard clock
-    /// into `port.acks`, in the order staged; `Synced`, upon which `s`'s view
-    /// epoch ticks (the caller holds the round lock); then the `Pulled`
-    /// image, which [`Pull::Into`] decodes where it says and
+    /// The one decoder reads the reply — a batch, or a bare item: each
+    /// push's pre-apply shard clock into `port.acks`, in the order staged;
+    /// the `Synced` a drain, or a periodic commit the pushes made due,
+    /// answers with, whose epoch is noted ([`NetRouter::note_epoch`]); then
+    /// the `Pulled` image, which [`Pull::Into`] decodes where it says and
     /// [`Pull::Prefetch`] checks and leaves on the connection under its
-    /// stamp: the view epoch read before the send, or the one the request's
-    /// own commit ticked to (see the stamp rule).
+    /// stamp: that epoch, or the known epoch read before the send (see the
+    /// stamp rule).
     fn send(
         &self,
         port: &mut PortState,
         s: usize,
-        commit: Option<u8>,
+        drain: bool,
         mut pull: Pull<'_>,
     ) -> Result<(), PsError> {
         let n = std::mem::take(&mut port.staged[s].n);
         let pulls = !matches!(pull, Pull::No);
-        let items = n + usize::from(commit.is_some()) + usize::from(pulls);
         let slice = &self.tier.slices()[s];
-        let mut epoch = self.view_epoch(s);
+        let known = self.epoch(s);
         let base = port.acks.len();
+        let mut synced = None;
         self.call_resilient(
             &mut port.conns[s],
             s,
             self.retry,
-            n > 0 || commit.is_some(),
-            &|buf| encode_request(buf, &port.staged[s].buf, n, commit, pulls),
+            n > 0 || drain,
+            &|buf| encode_request(buf, &port.staged[s].buf, n, drain, pulls),
             &mut |reply| {
                 // A failed attempt may have decoded part of a corrupt reply.
                 port.acks.truncate(base);
-                let (bare, batch) = if items == 1 {
-                    (Some(reply), None)
+                let batch = if reply.first() == Some(&op::BATCH_REPLY) {
+                    Some(wire::batch_items(reply, op::BATCH_REPLY)?)
                 } else {
-                    (None, Some(wire::batch_items(reply, op::BATCH_REPLY)?))
+                    None
                 };
-                let mut rest = bare.into_iter().chain(batch.into_iter().flatten());
-                let mut next = || rest.next().ok_or(WireError::Truncated);
+                let bare = batch.is_none().then_some(reply);
+                let mut rest = batch.into_iter().flatten().chain(bare).peekable();
                 for _ in 0..n {
-                    port.acks.push(wire::decode_push_ack(next()?)?);
+                    port.acks
+                        .push(wire::decode_push_ack(next_item(&mut rest)?)?);
                 }
-                if commit.is_some() {
-                    wire::expect_bodyless(next()?, op::SYNCED)?;
-                }
+                synced = if drain || rest.peek().is_some_and(|item| item[0] == op::SYNCED) {
+                    Some(wire::decode_synced(next_item(&mut rest)?)?)
+                } else {
+                    None
+                };
                 match &mut pull {
                     Pull::No => {}
-                    Pull::Prefetch => {
-                        wire::expect_pulled(next()?, slice.param_range.1, slice.shard_count)?
-                    }
+                    Pull::Prefetch => wire::expect_pulled(
+                        next_item(&mut rest)?,
+                        slice.param_range.1,
+                        slice.shard_count,
+                    )?,
                     Pull::Into(params, clocks) => {
-                        wire::decode_pulled_into(next()?, params, clocks)?
+                        wire::decode_pulled_into(next_item(&mut rest)?, params, clocks)?
                     }
                 }
                 rest.next().map_or(Ok(()), |_| Err(WireError::Truncated))
             },
         )?;
-        if commit.is_some() {
-            epoch = self.tick_view_epoch(s);
-        }
+        let stamp = synced.map_or(known, |epoch| self.note_epoch(s, epoch));
         if let Pull::Prefetch = pull {
-            port.conns[s].prefetch = Some(epoch);
+            port.conns[s].prefetch = Some(stamp);
         }
         Ok(())
     }
 
-    /// The one loop every push and round takes: per server, its staged
-    /// pushes, `commit`, and a pull — decoded into its part of `image`, the
-    /// whole tier's parameters and clocks, if given, or else prefetched if
-    /// the port pulls the whole vector. With no commit, a server with
-    /// nothing staged is skipped. The acks land in shard order.
+    /// The one loop every push and drain takes: per server, its staged
+    /// pushes, a `Drain` if `drain`, and a pull — decoded into its part of
+    /// `image`, the whole tier's parameters and clocks, if given, or else
+    /// prefetched if the port pulls the whole vector. Without a drain, a
+    /// server with nothing staged is skipped. The acks land in shard order.
     fn send_all(
         &self,
         port: &mut PortState,
-        commit: Option<u8>,
+        drain: bool,
         mut image: Option<(&mut [f32], &mut [u64])>,
     ) -> Result<(), PsError> {
         for (s, slice) in self.tier.slices().iter().enumerate() {
-            if commit.is_none() && port.staged[s].n == 0 {
+            if !drain && port.staged[s].n == 0 {
                 continue;
             }
             let ((po, pl), so) = (slice.param_range, slice.shard_offset);
@@ -772,46 +785,18 @@ impl NetRouter {
                 None if port.pulls_dense => Pull::Prefetch,
                 None => Pull::No,
             };
-            self.send(port, s, commit, pull)?;
+            self.send(port, s, drain, pull)?;
         }
         Ok(())
     }
 
-    /// One stage-2 round, the caller holding the round lock: `commit_all`
-    /// sends every server its `commit`, then [`Tier::commit_round`] counts
-    /// the round — [`Tier::drain`] if `commit` is a `Drain` — and so do
-    /// `wire.sync_rounds` and a `SyncRound` span. A round that fails is not
-    /// counted.
-    fn traced_round(
-        &self,
-        commit: u8,
-        commit_all: impl FnOnce(Option<u8>) -> Result<(), PsError>,
-    ) -> Result<(), PsError> {
-        let t0 = self.telemetry.trace.now_ns();
-        let commit_all = || commit_all(Some(commit));
-        let round = if commit == op::DRAIN {
-            self.tier.drain(commit_all)
-        } else {
-            self.tier.commit_round(commit_all)
-        }?;
-        self.sync_rounds_counter.inc();
-        (self.telemetry.trace).span(TraceKind::SyncRound { round }, t0);
-        Ok(())
-    }
-
-    /// A `SyncRound` or `Drain` (`commit`) to every server over `port`'s
-    /// connections, with nothing staged on them: the control plane's round.
-    fn commit_round(&self, port: &mut PortState, commit: u8) -> Result<(), PsError> {
-        self.traced_round(commit, |commit| self.send_all(port, commit, None))
-    }
-
     /// BSP's round commit over `port`'s own connections: `stripe(g, push)`
-    /// hands `push` each shard's averaged gradient to stage, then, under the
-    /// round lock, each server gets its stripes with a `Drain` and a
-    /// `PullCommitted` behind them as one request. The replies' acks land
-    /// in `port.acks` in shard order and their images in `image` (through
-    /// [`Tier::pull_with`]). A re-send replays the cached acks and `Synced`
-    /// and re-reads the pull, which the drain already covers.
+    /// hands `push` each shard's averaged gradient to stage, then each
+    /// server gets its stripes with a `Drain` and a `PullCommitted` behind
+    /// them as one request. The replies' acks land in `port.acks` in shard
+    /// order and their images in `image` (through [`Tier::pull_with`]). A
+    /// re-send replays the cached acks and `Synced` and re-reads the pull,
+    /// which the drain already covers.
     fn push_round(
         &self,
         port: &mut PortState,
@@ -829,26 +814,36 @@ impl NetRouter {
             });
             queued?;
         }
-        let _round = self.sync.lock();
         self.tier.pull_with(image, |params, clocks| {
-            self.traced_round(op::DRAIN, |drain| {
-                self.send_all(port, drain, Some((params, clocks)))
-            })
+            self.send_all(port, true, Some((params, clocks)))
         })?;
         Ok(())
     }
 
-    /// Server `s`'s view epoch (see [`NetRouter::view_epochs`]).
-    fn view_epoch(&self, s: usize) -> u64 {
-        // Acquire: pairs with the Release tick, so a worker that sees a
-        // round complete also sees every tick the round made.
-        self.view_epochs[s].load(Ordering::Acquire)
+    /// Server `s`'s known epoch (see [`NetRouter::epochs`]).
+    fn epoch(&self, s: usize) -> u64 {
+        // Acquire: pairs with the raise in `note_epoch`, so a worker that
+        // sees a round complete also sees every epoch it raised.
+        self.epochs[s].load(Ordering::Acquire)
     }
 
-    /// Ticks server `s`'s view epoch and returns the new value. The caller
-    /// holds the round lock.
-    fn tick_view_epoch(&self, s: usize) -> u64 {
-        self.view_epochs[s].fetch_add(1, Ordering::Release) + 1
+    /// Notes that server `s` reported commit epoch `reported`: raises its
+    /// known epoch to it, in this router's numbering, and with that the
+    /// rounds every server has completed, which `wire.sync_rounds` and a
+    /// `SyncRound` trace event follow. Lock-free. Returns the epoch in this
+    /// router's numbering: the stamp of an image read behind the commit.
+    fn note_epoch(&self, s: usize, reported: u64) -> u64 {
+        let epoch = self.epoch_bases[s].load(Ordering::Acquire) + reported;
+        if self.epochs[s].fetch_max(epoch, Ordering::AcqRel) < epoch {
+            let done = self.epochs.iter().map(|e| e.load(Ordering::Acquire)).min();
+            let done = done.unwrap_or(0);
+            let before = self.rounds.fetch_max(done, Ordering::AcqRel);
+            if done > before {
+                self.sync_rounds_counter.add(done - before);
+                (self.telemetry.trace).instant(TraceKind::SyncRound { round: done });
+            }
+        }
+        epoch
     }
 
     /// Stages the stage-1 push of global shard `g` on its owner's batch:
@@ -864,10 +859,10 @@ impl NetRouter {
         encode: impl FnOnce(&mut Vec<u8>, u32),
     ) -> Result<(), PsError> {
         let s = self.tier.owner_of(g);
-        // Two short of the batch's item limit: a commit and a pull may join
-        // the pushes.
-        if port.staged[s].n == usize::from(u16::MAX) - 2 {
-            self.send(port, s, None, Pull::No)?;
+        // Three short of the batch's item limit: a drain and a pull may join
+        // the pushes, and the server may add a `Synced` to the reply.
+        if port.staged[s].n == usize::from(u16::MAX) - 3 {
+            self.send(port, s, false, Pull::No)?;
         }
         let Staged { buf, n } = &mut port.staged[s];
         if *n == 0 {
@@ -879,23 +874,6 @@ impl NetRouter {
         wire::close_batch_item(buf, 0, mark);
         *n += 1;
         Ok(())
-    }
-
-    /// Sends every server the pushes `port` has staged for it, and its next
-    /// image when the port pulls the whole vector. If they claim a stage-2
-    /// round ([`Tier::claim_round`]), a `SyncRound` goes between each
-    /// server's pushes and its pull, under the round lock: the round costs
-    /// no round trip of its own.
-    fn flush(&self, port: &mut PortState) -> Result<(), PsError> {
-        if port.staged.iter().all(|st| st.n == 0) {
-            return Ok(());
-        }
-        if self.tier.claim_round() {
-            let _round = self.sync.lock();
-            self.traced_round(op::SYNC_ROUND, |round| self.send_all(port, round, None))
-        } else {
-            self.send_all(port, None, None)
-        }
     }
 
     /// Pulls the committed view of every server through `port` into `buf`,
@@ -911,8 +889,8 @@ impl NetRouter {
     /// A whole-vector pull costs a server no round trip while that server's
     /// connection holds an image an earlier push reply brought along under
     /// a stamp that is still current (see the stamp rule): it holds every
-    /// round completed before the pull was asked for. Otherwise the server
-    /// is asked.
+    /// commit this router has seen reported before the pull was asked for.
+    /// Otherwise the server is asked.
     fn pull_committed_into(
         &self,
         port: &mut PortState,
@@ -926,9 +904,9 @@ impl NetRouter {
                 let params = &mut all_params[po..po + pl];
                 let clocks = &mut all_clocks[so..so + slice.shard_count];
                 let Some(runs) = runs else {
-                    let held = port.conns[s].prefetched(self.view_epoch(s));
+                    let held = port.conns[s].prefetched(self.epoch(s));
                     if held.is_none_or(|it| wire::decode_pulled_into(it, params, clocks).is_err()) {
-                        self.send(port, s, None, Pull::Into(params, clocks))?;
+                        self.send(port, s, false, Pull::Into(params, clocks))?;
                     }
                     continue;
                 };
@@ -1008,7 +986,7 @@ impl NetRouter {
                 &mut |reply| wire::expect_bodyless(reply, op::OK),
             )?;
         }
-        self.commit_round(&mut control, op::DRAIN)
+        self.send_all(&mut control, true, None)
     }
 
     /// Resets the live velocity to zero on every server.
@@ -1116,17 +1094,19 @@ impl NetRouter {
     /// This is what lets a `ps-worker` process be started before (or
     /// concurrently with) its `ps-serve` processes, and how every crash is
     /// observed: a kill tells the router nothing, in-process or across
-    /// processes. For each replaced server its view epoch ticks, so no
-    /// image of the old instance is served, the control plane's connection
-    /// to it drops, and `fault.server_kills` / `fault.server_heals` count
-    /// and trace the pair.
+    /// processes. For each replaced server its known epoch moves past every
+    /// stamp of the old instance, so none of its images is served, and the
+    /// new instance's epochs are numbered from there; the control plane's
+    /// connection to it drops, and `fault.server_kills` /
+    /// `fault.server_heals` count and trace the pair.
     ///
     /// # Errors
     ///
     /// Returns the last wire error if a server stays unreachable past the
     /// deadline, or [`PsError::InvalidConfig`] if a server answers with an
-    /// identity or slice that contradicts the spec (wrong index at an
-    /// address, or a different `(param_count, shards, servers)` triple).
+    /// identity, slice or stage-2 period that contradicts the spec (wrong
+    /// index at an address, a different `(param_count, shards, servers)`
+    /// triple, or a different `sync_every`).
     pub fn handshake(&self, deadline: Duration) -> Result<usize, PsError> {
         let start = Instant::now();
         let mut replaced = 0;
@@ -1148,6 +1128,7 @@ impl NetRouter {
                 meta.shard_count as u32,
                 meta.param_range.0 as u64,
                 meta.param_range.1 as u64,
+                self.tier.sync_every(),
             );
             let got = (
                 info.server,
@@ -1155,11 +1136,13 @@ impl NetRouter {
                 info.shard_count,
                 info.param_offset,
                 info.param_len,
+                info.sync_every,
             );
             if got != expect {
                 return Err(PsError::InvalidConfig(format!(
-                    "server {s} answered with identity/slice {got:?}, spec says {expect:?} — \
-                     address list and (params, shards, servers) must match across the cluster"
+                    "server {s} answered with identity/slice/sync_every {got:?}, spec says \
+                     {expect:?} — address list, (params, shards, servers) and sync_every must \
+                     match across the cluster"
                 )));
             }
             let recorded = self.instances.lock()[s].replace(info.nonce);
@@ -1167,10 +1150,11 @@ impl NetRouter {
                 continue;
             }
             replaced += 1;
-            // The round lock: epochs tick only under it.
-            let mut control = self.sync.lock();
-            control.conns[s].invalidate();
-            self.tick_view_epoch(s);
+            self.sync.lock().conns[s].invalidate();
+            // The fresh instance's epoch 0 is one past everything the old
+            // one reported.
+            let base = self.epochs[s].fetch_add(1, Ordering::AcqRel) + 1;
+            self.epoch_bases[s].store(base, Ordering::Release);
             let t = &self.telemetry;
             t.metrics.counter("fault.server_kills").inc();
             t.trace.instant(TraceKind::ServerKill { server: s as u64 });
@@ -1363,14 +1347,15 @@ impl NetPort {
         })
     }
 
-    /// Sends whatever is still queued — carrying the stage-2 round it makes
-    /// due, if no peer has claimed it (see [`NetRouter::flush`]) — and
-    /// appends to `acks` the owners' pre-apply live shard clocks of every
-    /// push queued since the last flush, in shard order. After a
-    /// whole-vector pull each request also fetches the next one.
+    /// Sends each server whatever is still queued for it as one request —
+    /// behind whose pushes the server commits if they complete its period,
+    /// so the round costs no round trip of its own — and appends to `acks`
+    /// the owners' pre-apply live shard clocks of every push queued since
+    /// the last flush, in shard order. After a whole-vector pull each
+    /// request also fetches the next one.
     pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
-        self.router.flush(port)?;
+        self.router.send_all(port, false, None)?;
         acks.append(&mut port.acks);
         Ok(())
     }
@@ -1392,26 +1377,20 @@ impl NetPort {
         Ok(())
     }
 
-    /// Ends a push sent shard by shard ([`NetPort::send_queued`]): it
-    /// takes its ticket, and a round the ticket claims commits over the
-    /// control plane (see [`crate::WorkerPort::after_push`]).
+    /// Ends a push sent shard by shard ([`NetPort::send_queued`]). Does
+    /// nothing (see [`crate::WorkerPort::after_push`]).
     pub fn after_push(&self) -> Result<(), PsError> {
-        let router = &self.router;
-        if router.tier.claim_round() {
-            router.commit_round(&mut router.sync.lock(), op::SYNC_ROUND)?;
-        }
         Ok(())
     }
 
-    /// Sends each server the pushes queued for it with no ticket, no round
-    /// and no pull, and appends their pre-apply shard clocks to `acks`, in
-    /// shard order: the shard-by-shard push path, whose push takes its
-    /// ticket in [`NetPort::after_push`].
+    /// Sends each server the pushes queued for it with no pull, and appends
+    /// their pre-apply shard clocks to `acks`, in shard order: the
+    /// shard-by-shard push path.
     pub(crate) fn send_queued(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
         for s in 0..port.staged.len() {
             if port.staged[s].n > 0 {
-                self.router.send(port, s, None, Pull::No)?;
+                self.router.send(port, s, false, Pull::No)?;
             }
         }
         acks.append(&mut port.acks);
@@ -1441,8 +1420,8 @@ mod tests {
         let grad: Vec<f32> = (0..37).map(|i| (i as f32).cos()).collect();
         for topology in topologies() {
             // The single store is the oracle: it shares no code with the
-            // router's commit path. With `sync_every` 1 every push ends in a
-            // round, so the tier's committed view is the store's live one.
+            // router's commit path. With `sync_every` 1 every push request
+            // commits, so the tier's committed view is the store's live one.
             let single = ShardedStore::new(&initial, 5);
             let net = NetPort::launch(&initial, 5, topology);
             let w = WorkerPort::Net(net.clone());
@@ -1456,7 +1435,6 @@ mod tests {
                 }
                 single.complete_push(step);
                 net.router().complete_push(step);
-                w.after_push().unwrap();
             }
             assert_eq!(single.version(), net.router().version());
             assert_eq!(
@@ -1535,7 +1513,7 @@ mod tests {
                 t.sync_every = 3;
                 t
             });
-            let b = WorkerPort::Net(a.clone());
+            let b = a.clone();
             let r = a.router();
             let pull_trips = || r.stats().pull.round_trips;
             // What an explicit pull returns right now: a fresh port has
@@ -1561,16 +1539,11 @@ mod tests {
             assert_eq!(rode, asked());
             assert_eq!(rode.0, initial, "stage 1 must not leak into a pull");
 
-            // B's push, sent shard by shard, takes the ticket that claims the
-            // round, and B runs it: the image A took home with its own push
-            // predates a completed round, so A asks.
+            // B's push is each server's third, so each commits behind it: the
+            // image A took home with its own push predates a completed round,
+            // so A asks.
             assert_eq!(queued_push(&a, 2.0), 2);
-            for g in 0..r.shard_count() {
-                let (_, l) = r.shard_range(g);
-                b.apply_shard_update(g, &vec![0.5; l], 0.1, 0.9).unwrap();
-            }
-            r.complete_push(r.version());
-            b.after_push().unwrap();
+            assert_eq!(queued_push(&b, 0.5), 0, "B has not pulled the whole vector");
             assert_eq!(r.sync_rounds(), 1);
             let before = pull_trips();
             let after_round = pulled(&a);
@@ -1702,7 +1675,10 @@ mod tests {
         assert_eq!(stats.backend, Some(TransportKind::Channel));
         assert_eq!(stats.push.ops, 4, "one push op per shard");
         assert_eq!(stats.pull.ops, 2, "one pull round trip per server");
-        assert_eq!(stats.sync.ops, 2, "one sync round trip per server");
+        // Each server's second push request committed behind its apply,
+        // and the drain committed again.
+        assert_eq!(stats.sync.ops, 4, "two commits per server");
+        assert_eq!(stats.sync.round_trips, 2, "one drain round trip per server");
         assert!(stats.push.bytes_out > 0 && stats.pull.bytes_in > 0);
         assert!(stats.total_wire_s() > 0.0);
         // Pull replies carry the parameters; push replies only an ack.
@@ -1743,7 +1719,6 @@ mod tests {
             }
             clean.complete_push(step);
             net.router().complete_push(step);
-            w.after_push().unwrap();
         }
         net.router().drain().expect("drain");
         assert_eq!(
@@ -1816,7 +1791,6 @@ mod tests {
                 w.apply_shard_update(g, &vec![1.0; l], 0.05, 0.9).unwrap();
             }
             net.router().complete_push(step);
-            w.after_push().unwrap();
         }
         net.router().drain().expect("drain");
         let counts = telemetry.trace.counts_by_name();

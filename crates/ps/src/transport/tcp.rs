@@ -85,7 +85,8 @@ impl std::fmt::Debug for TcpServerHost {
 impl TcpServerHost {
     /// Binds `addr` and serves server `index` of an `servers`-way tier over
     /// `param_count` flat parameters split into `shards` shards, initialized
-    /// from `initial`. This is the cross-process entry point: every process
+    /// from `initial`, committing every `sync_every` requests that carry
+    /// pushes. This is the cross-process entry point: every process
     /// of a cluster derives the same [`ShardLayout`] from the same
     /// `(param_count, shards, servers)` triple, so the slice this host owns
     /// is agreed on without any coordination traffic.
@@ -101,6 +102,7 @@ impl TcpServerHost {
         shards: usize,
         servers: usize,
         index: usize,
+        sync_every: u64,
     ) -> io::Result<Self> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         if servers == 0 {
@@ -126,8 +128,8 @@ impl TcpServerHost {
         }
         let ownership = ShardLayout::new(layout.len(), servers);
         let (first, count) = ownership.range(index);
-        let server = Arc::new(PsServer::new(index, &layout, first, count, initial));
-        Self::bind_instance(addr, server)
+        let server = PsServer::new(index, &layout, first, count, initial, sync_every);
+        Self::bind_instance(addr, Arc::new(server))
     }
 
     /// Binds `addr` and serves an already-constructed instance.
@@ -457,7 +459,8 @@ mod tests {
         let servers: Vec<Arc<PsServer>> = (0..ownership.len())
             .map(|s| {
                 let (first, count) = ownership.range(s);
-                Arc::new(PsServer::new(s, &layout, first, count, &initial))
+                // Bare pushes: no periodic commit turns an ack into a batch.
+                Arc::new(PsServer::new(s, &layout, first, count, &initial, u64::MAX))
             })
             .collect();
         TcpTransport::launch(servers).expect("bind loopback listeners")
@@ -507,7 +510,8 @@ mod tests {
     /// A fresh instance of server 1 of `launch(12, 4, 2)`.
     fn fresh_server_1() -> Arc<PsServer> {
         let initial: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        Arc::new(PsServer::new(1, &ShardLayout::new(12, 4), 2, 2, &initial))
+        let layout = ShardLayout::new(12, 4);
+        Arc::new(PsServer::new(1, &layout, 2, 2, &initial, u64::MAX))
     }
 
     fn check_finite(conn: &mut dyn Conn) -> io::Result<()> {
@@ -627,7 +631,7 @@ mod tests {
         let _deadline = deadline(60);
         let initial: Vec<f32> = (0..24).map(|i| i as f32 * 0.5).collect();
         // Server 1 of a 3-server × 6-shard tier.
-        let host = TcpServerHost::bind("127.0.0.1:0", &initial, 6, 3, 1).unwrap();
+        let host = TcpServerHost::bind("127.0.0.1:0", &initial, 6, 3, 1, 4).unwrap();
         let mut conn = TcpConn::connect(host.local_addr()).unwrap();
         wire::encode_bodyless(conn.request_buf(), op::HELLO);
         let info = wire::decode_server_info(conn.call().unwrap()).unwrap();
@@ -638,10 +642,11 @@ mod tests {
         // Param slice: 24 params / 6 shards = 4 per shard; shards 2..4.
         assert_eq!(info.param_offset, 8);
         assert_eq!(info.param_len, 8);
+        assert_eq!(info.sync_every, 4);
         // Misconfigured specs are rejected before binding threads.
         for (shards, servers, index) in [(6, 0, 0), (6, 3, 3), (2, 3, 0), (0, 1, 0)] {
-            let err =
-                TcpServerHost::bind("127.0.0.1:0", &initial, shards, servers, index).unwrap_err();
+            let err = TcpServerHost::bind("127.0.0.1:0", &initial, shards, servers, index, 1)
+                .unwrap_err();
             assert_eq!(
                 err.kind(),
                 io::ErrorKind::InvalidInput,

@@ -88,7 +88,10 @@ pub mod op {
     /// disjoint; `k` may be 0). The reply always carries every owned
     /// shard's committed clock.
     pub const PULL_COMMITTED: u8 = 0x02;
-    /// Stage-2 reconciliation: commit every owned shard's live state.
+    /// Stage-2 reconciliation: a server's periodic commit of every owned
+    /// shard's live state. Not a request — a server commits on its own
+    /// every `sync_every` requests that carry pushes — but the opcode its
+    /// accounting books those commits under.
     pub const SYNC_ROUND: u8 = 0x03;
     /// Unconditional commit-all (BSP barriers, switches, restore).
     pub const DRAIN: u8 = 0x04;
@@ -137,7 +140,10 @@ pub mod op {
     /// a run list, the runs' values concatenated in order — then the
     /// committed clocks.
     pub const PULLED: u8 = 0x82;
-    /// Reply to [`SYNC_ROUND`] / [`DRAIN`].
+    /// A commit: `[u64 epoch]`, the server's commit epoch after it. The
+    /// reply to [`DRAIN`], and the item a server puts after the acks of a
+    /// request whose pushes made a periodic commit due (a bare push's reply
+    /// then becomes a [`BATCH_REPLY`]).
     pub const SYNCED: u8 = 0x83;
     /// Reply to [`SNAPSHOT`]: the requested vector.
     pub const SNAPSHOT_DATA: u8 = 0x84;
@@ -175,6 +181,8 @@ pub struct ServerInfo {
     pub param_offset: u64,
     /// Length of the owned flat-parameter slice.
     pub param_len: u64,
+    /// Stage-2 period, in requests that carry pushes.
+    pub sync_every: u64,
 }
 
 // ---------------------------------------------------------------- encoding
@@ -279,9 +287,9 @@ pub fn encode_push_shard_sparse(
     put_f32s(buf, rows);
 }
 
-/// Appends a bodyless payload: a request (`PullCommitted`, `SyncRound`,
-/// `Drain`, `ResetVelocity`, `CheckFinite`, `Hello`, `Stats`, `Shutdown`)
-/// or a reply (`Synced`, `Ok`).
+/// Appends a bodyless payload: a request (`PullCommitted`, `Drain`,
+/// `ResetVelocity`, `CheckFinite`, `Hello`, `Stats`, `Shutdown`) or the
+/// reply `Ok`.
 pub fn encode_bodyless(buf: &mut Vec<u8>, opcode: u8) {
     buf.push(opcode);
 }
@@ -345,6 +353,12 @@ pub fn encode_push_ack(buf: &mut Vec<u8>, prev_clock: u64) {
     put_u64(buf, prev_clock);
 }
 
+/// Appends a `Synced` reply payload: the commit epoch after the commit.
+pub fn encode_synced(buf: &mut Vec<u8>, epoch: u64) {
+    buf.push(op::SYNCED);
+    put_u64(buf, epoch);
+}
+
 /// Appends a `SnapshotData` reply payload.
 pub fn encode_snapshot_data(buf: &mut Vec<u8>, data: &[f32]) {
     buf.push(op::SNAPSHOT_DATA);
@@ -367,6 +381,7 @@ pub fn encode_server_info(buf: &mut Vec<u8>, info: &ServerInfo) {
     put_u32(buf, info.shard_count);
     put_u64(buf, info.param_offset);
     put_u64(buf, info.param_len);
+    put_u64(buf, info.sync_every);
 }
 
 /// Decodes an `Info` reply payload.
@@ -383,6 +398,7 @@ pub fn decode_server_info(payload: &[u8]) -> Result<ServerInfo, WireError> {
         shard_count: c.u32()?,
         param_offset: c.u64()?,
         param_len: c.u64()?,
+        sync_every: c.u64()?,
     };
     c.finish()?;
     Ok(info)
@@ -981,6 +997,18 @@ pub fn decode_finite(payload: &[u8]) -> Result<bool, WireError> {
     decode_flag(payload, op::FINITE)
 }
 
+/// Decodes a `Synced` reply: the server's commit epoch.
+///
+/// # Errors
+///
+/// Returns a [`WireError`] if the payload is not a well-formed `Synced`.
+pub fn decode_synced(payload: &[u8]) -> Result<u64, WireError> {
+    let mut c = Cursor::open(payload, op::SYNCED)?;
+    let epoch = c.u64()?;
+    c.finish()?;
+    Ok(epoch)
+}
+
 /// Decodes a `PushAck` reply.
 ///
 /// # Errors
@@ -1576,6 +1604,7 @@ mod tests {
             shard_count: 4,
             param_offset: 1024,
             param_len: 768,
+            sync_every: 4,
         };
         let mut buf = Vec::new();
         encode_server_info(&mut buf, &info);

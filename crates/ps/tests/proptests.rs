@@ -25,7 +25,7 @@ fn bits_to_f32(bits: &[u32]) -> Vec<f32> {
 fn test_server(n: usize, shards: usize) -> Arc<PsServer> {
     let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).sin()).collect();
     let layout = ShardLayout::new(n, shards);
-    Arc::new(PsServer::new(0, &layout, 0, layout.len(), &initial))
+    Arc::new(PsServer::new(0, &layout, 0, layout.len(), &initial, 2))
 }
 
 /// The lengths of `server`'s local shards.
@@ -65,8 +65,7 @@ fn xorshift(seed: u64) -> impl FnMut() -> usize {
 }
 
 /// The bodyless requests a server executes.
-const BODYLESS: [u8; 7] = [
-    op::SYNC_ROUND,
+const BODYLESS: [u8; 6] = [
     op::DRAIN,
     op::RESET_VELOCITY,
     op::CHECK_FINITE,
@@ -246,7 +245,7 @@ fn reply_frame(kind: u8, batch: bool, bits: &[u32], clocks: &[u64]) -> Vec<u8> {
     match kind {
         0 => wire::encode_push_ack(&mut reply, seed),
         1 => wire::encode_pulled(&mut reply, &bits_to_f32(bits), clocks),
-        2 => wire::encode_bodyless(&mut reply, op::SYNCED),
+        2 => wire::encode_synced(&mut reply, seed),
         3 => wire::encode_bodyless(&mut reply, op::OK),
         4 => wire::encode_snapshot_data(&mut reply, &bits_to_f32(bits)),
         5 => wire::encode_flag(&mut reply, op::FINITE, seed & 1 == 1),
@@ -258,6 +257,7 @@ fn reply_frame(kind: u8, batch: bool, bits: &[u32], clocks: &[u64]) -> Vec<u8> {
                 shard_count: seed as u32,
                 param_offset: seed.rotate_left(7),
                 param_len: seed.rotate_left(19),
+                sync_every: seed.rotate_left(29),
             };
             wire::encode_server_info(&mut reply, &info);
         }
@@ -314,9 +314,10 @@ fn reencode_reply(bytes: &[u8], values: usize, clocks: usize) -> Result<Vec<u8>,
                 wire::close_batch_item(&mut out, head, mark);
             }
         }
-        opcode @ (op::SYNCED | op::OK) => {
-            wire::expect_bodyless(bytes, opcode)?;
-            wire::encode_bodyless(&mut out, opcode);
+        op::SYNCED => wire::encode_synced(&mut out, wire::decode_synced(bytes)?),
+        op::OK => {
+            wire::expect_bodyless(bytes, op::OK)?;
+            wire::encode_bodyless(&mut out, op::OK);
         }
         other => return Err(WireError::UnexpectedReply(other)),
     }
@@ -466,7 +467,6 @@ proptest! {
             }
             store.complete_push(p);
             router.complete_push(p);
-            port.after_push().unwrap();
         }
         let mut buf = PullBuffer::new();
         net.pull_into(&mut buf).unwrap();
@@ -555,7 +555,7 @@ proptest! {
     }
 
     /// Sparse push ≡ dense push through a 2-server in-process (direct)
-    /// tier: same routing, same two-stage schedule, same committed views
+    /// tier: same routing, same stage-2 commits, same committed views
     /// and clocks — the sparse payload changes nothing but what crosses
     /// the request boundary.
     #[test]
@@ -583,8 +583,6 @@ proptest! {
             }
             // Staleness equality through the global clock.
             prop_assert_eq!(dense.complete_push(p), sparse.complete_push(p));
-            dense.after_push().unwrap();
-            sparse.after_push().unwrap();
         }
         // Live state, committed views, and committed clocks all agree.
         let (WorkerPort::Net(d), WorkerPort::Net(s)) = (&dense, &sparse) else {
@@ -730,7 +728,6 @@ proptest! {
                 prop_assert_eq!(a, b, "clock skew at push {} shard {}", p, g);
             }
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
-            w.after_push().unwrap();
         }
         net.router().drain().expect("drain");
         let key = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();

@@ -37,10 +37,10 @@ fn bind_tier(
     initial: &[f32],
     shards: usize,
     servers: usize,
+    sync_every: u64,
 ) -> (Vec<TcpServerHost>, Vec<SocketAddr>) {
-    let hosts: Vec<TcpServerHost> = (0..servers)
-        .map(|s| TcpServerHost::bind("127.0.0.1:0", initial, shards, servers, s).expect("bind"))
-        .collect();
+    let bind = |s| TcpServerHost::bind("127.0.0.1:0", initial, shards, servers, s, sync_every);
+    let hosts: Vec<TcpServerHost> = (0..servers).map(|s| bind(s).expect("bind")).collect();
     let addrs = hosts.iter().map(|h| h.local_addr()).collect();
     (hosts, addrs)
 }
@@ -50,7 +50,7 @@ fn remote_tier_matches_in_process_router() {
     let _deadline = deadline(60);
     let initial: Vec<f32> = (0..41).map(|i| (i as f32).sin()).collect();
     let grad: Vec<f32> = (0..41).map(|i| (i as f32).cos()).collect();
-    let (_hosts, addrs) = bind_tier(&initial, 5, 2);
+    let (_hosts, addrs) = bind_tier(&initial, 5, 2, 1);
     // The single store is the oracle: it shares no code with the router's
     // commit path, and with `sync_every` 1 every push ends in a round.
     let inproc = ShardedStore::new(&initial, 5);
@@ -72,7 +72,6 @@ fn remote_tier_matches_in_process_router() {
         }
         inproc.complete_push(step);
         net.router().complete_push(step);
-        w.after_push().expect("sync round");
     }
     assert_eq!(inproc.snapshot_params(), net.router().snapshot_params());
     assert_eq!(inproc.snapshot_velocity(), net.router().snapshot_velocity());
@@ -119,7 +118,7 @@ fn handshake_retries_until_the_server_binds() {
         let initial = initial.clone();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(300));
-            TcpServerHost::bind(addr, &initial, 3, 1, 0).expect("late bind")
+            TcpServerHost::bind(addr, &initial, 3, 1, 0, 1).expect("late bind")
         })
     };
     // The handshake starts before the server exists and succeeds once it
@@ -152,15 +151,72 @@ fn handshake_retries_until_the_server_binds() {
 #[test]
 fn handshake_rejects_a_server_with_a_different_spec() {
     let _deadline = deadline(60);
-    // The server was launched as server 0 of a *1*-server tier; the worker
-    // believes the tier has 2 servers. Shard ownership disagrees, so the
-    // handshake must refuse rather than let pushes land on wrong shards.
+    // The server was launched as server 0 of a *1*-server tier that
+    // commits every 4 push requests. A worker that believes the tier has 2
+    // servers disagrees on shard ownership; one that believes it commits
+    // every push disagrees on the stage-2 period. The handshake must refuse
+    // either rather than let pushes land on wrong shards or on a schedule
+    // the spec does not name.
     let initial = vec![1.0f32; 16];
-    let host = TcpServerHost::bind("127.0.0.1:0", &initial, 4, 1, 0).expect("bind");
-    let addrs = vec![host.local_addr(), host.local_addr()];
-    let net = NetPort::connect(16, 4, &addrs, 1, quick_retry()).expect("connect");
-    let err = net.router().handshake(Duration::from_secs(2)).unwrap_err();
-    assert!(matches!(err, PsError::InvalidConfig(_)), "{err}");
+    let host = TcpServerHost::bind("127.0.0.1:0", &initial, 4, 1, 0, 4).expect("bind");
+    let one = [host.local_addr()];
+    for (addrs, sync_every, values) in [
+        (
+            &[one[0], one[0]][..],
+            4,
+            ["(0, 0, 4, 0, 16, 4)", "(0, 0, 2, 0, 8, 4)"],
+        ),
+        (&one[..], 1, ["(0, 0, 4, 0, 16, 4)", "(0, 0, 4, 0, 16, 1)"]),
+    ] {
+        let net = NetPort::connect(16, 4, addrs, sync_every, quick_retry()).expect("connect");
+        let err = net.router().handshake(Duration::from_secs(2)).unwrap_err();
+        assert!(matches!(err, PsError::InvalidConfig(_)), "{err}");
+        assert!(values.iter().all(|v| err.to_string().contains(v)), "{err}");
+    }
+    let net = NetPort::connect(16, 4, &one, 4, quick_retry()).expect("connect");
+    assert_eq!(net.router().handshake(Duration::from_secs(2)), Ok(0));
+}
+
+#[test]
+fn the_stage2_schedule_is_tier_wide_across_clients() {
+    let _deadline = deadline(60);
+    // Two routers, each with its own `Tier`, as two `ps-worker` processes
+    // have, push in turn to one tier. The servers count every client's
+    // pushes, so the committed view trails the live one by at most a
+    // period whatever the number of clients, and each server commits once
+    // per `sync_every` pushes of the whole tier.
+    let (sync_every, shards, pushes) = (4u64, 4, 24u64);
+    let initial: Vec<f32> = (0..16).map(|i| i as f32 * 0.25).collect();
+    let (_hosts, addrs) = bind_tier(&initial, shards, 2, sync_every);
+    let connect = || NetPort::connect(16, shards, &addrs, sync_every, quick_retry()).unwrap();
+    let (a, b, observer) = (connect(), connect(), connect());
+    for pushed in 1..=pushes {
+        let port = if pushed % 2 == 1 { &a } else { &b };
+        for g in 0..shards {
+            let grad = [0.5f32; 4];
+            let data = sync_switch_ps::UpdateData::Dense(&grad);
+            port.queue_shard_update(g, data, 0.1, 0.0).unwrap();
+        }
+        let mut acks = Vec::new();
+        port.flush_pushes(&mut acks).unwrap();
+        assert_eq!(acks, vec![pushed - 1; shards], "every shard saw every push");
+        let mut buf = PullBuffer::new();
+        observer.clone().pull_into(&mut buf).unwrap();
+        let floor = pushed.saturating_sub(sync_every - 1);
+        assert!(
+            buf.shard_versions().iter().all(|&clock| clock >= floor),
+            "after {pushed} pushes the committed clocks are {:?}",
+            buf.shard_versions()
+        );
+    }
+    for s in 0..addrs.len() {
+        let scraped = observer.router().scrape_stats(s).unwrap();
+        assert_eq!(
+            scraped.requests_for(sync_switch_ps::transport::wire::op::SYNC_ROUND),
+            pushes / sync_every,
+            "server {s}"
+        );
+    }
 }
 
 #[test]
@@ -170,7 +226,7 @@ fn handshake_then_restore_lands_every_server_on_the_checkpoint() {
     let (train, test) = data.split(0.25);
     let model = Network::mlp(6, &[12], 4, 11);
     let initial = model.params_flat();
-    let (mut hosts, addrs) = bind_tier(&initial, 4, 2);
+    let (mut hosts, addrs) = bind_tier(&initial, 4, 2, 1);
     let net = NetPort::connect(initial.len(), 4, &addrs, 1, quick_retry()).expect("connect");
     let view = net.clone();
     let r = view.router();
@@ -208,7 +264,7 @@ fn handshake_then_restore_lands_every_server_on_the_checkpoint() {
 
     // "Respawn the process" at the same address: fresh instance, fresh
     // nonce, spec-initial state. SO_REUSEADDR makes the quick rebind safe.
-    let respawned = TcpServerHost::bind(addr1, &initial, 4, 2, 1).expect("respawn");
+    let respawned = TcpServerHost::bind(addr1, &initial, 4, 2, 1, 1).expect("respawn");
     assert_eq!(respawned.local_addr(), addr1);
     assert_eq!(
         r.handshake(Duration::from_secs(5)).expect("heal"),

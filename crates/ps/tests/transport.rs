@@ -384,9 +384,12 @@ enum PushForm {
     Mixed,
 }
 
-/// The 2-server × 7-shard data plane behind each port variant.
+/// The 2-server × 7-shard data plane behind each port variant. Every
+/// request that carries pushes commits: a shard-by-shard push is a request
+/// per shard and a queued one a request per server, so only then do both
+/// forms publish the same views at the same pulls.
 fn plane(which: usize, initial: &[f32]) -> WorkerPort {
-    let topology = ServerTopology::new(2, 3);
+    let topology = ServerTopology::new(2, 1);
     match which {
         0 => WorkerPort::Single(Arc::new(ShardedStore::new(initial, 7))),
         1 => WorkerPort::Net(NetPort::launch(initial, 7, topology)),
@@ -405,8 +408,7 @@ fn plane(which: usize, initial: &[f32]) -> WorkerPort {
 
 /// Nine pushes by three workers taking turns, each a pull, a walk over the
 /// shards in flat order — queued and flushed when `batched`, else sent one
-/// by one and ended by `after_push`, so each push takes one ticket either
-/// way — and a completed push; returns every ack and push staleness in
+/// by one — and a completed push; returns every ack and push staleness in
 /// order, then the drained params, velocity and shard clocks.
 fn drive_pushes(
     port: &WorkerPort,
@@ -458,9 +460,6 @@ fn drive_pushes(
         assert_eq!(acks.len(), 7, "one ack per shard");
         observed.append(&mut acks);
         observed.push(w.complete_push(buf.version()));
-        if !batched {
-            w.after_push().expect("sync round");
-        }
     }
     port.drain().expect("drain");
     let (params, velocity) = match port {
@@ -609,12 +608,13 @@ fn prefetched_pulls_change_round_trips_not_numerics() {
 fn an_asynchronous_round_rides_the_push_that_makes_it_due() {
     let _deadline = deadline(120);
     // Workers push concurrently, so a push can be sent while a peer's is
-    // in flight. Every push takes a ticket, and every `sync_every`-th one
-    // claims a round that its push runs right behind its own applies: the
-    // `SyncRound` rides the push to every server, so a round costs no round
-    // trip of its own. The schedule is exactly the configured one however
-    // the pushes interleave, and the servers' counts say every round
-    // reached every server once — in-process (direct) as on the wire.
+    // in flight. Each server counts the requests that carry pushes to it,
+    // and the `sync_every`-th commits right behind its own applies, its
+    // reply carrying the `Synced`: a round costs no round trip of its own.
+    // The schedule is exactly the configured one however the pushes
+    // interleave — every step reaches every server once, so each commits
+    // `steps / sync_every` times — and the client's round count is the
+    // servers' — in-process (direct) as on the wire.
     let (seed, steps, servers) = (41, 400u64, 2u64);
     for (workers, sync_every) in [(2, 4), (3, 1)] {
         for kind in [
@@ -636,11 +636,12 @@ fn an_asynchronous_round_rides_the_push_that_makes_it_due() {
             assert_eq!(wire.retries, 0, "{what}");
             let router = t.net_router().unwrap();
             assert_eq!(router.sync_rounds(), steps / sync_every, "{what}");
+            assert_eq!(wire.sync.ops, servers * steps / sync_every, "{what}");
             for s in 0..servers as usize {
                 let scraped = router.scrape_stats(s).unwrap();
                 assert_eq!(
                     scraped.requests_for(op::SYNC_ROUND),
-                    router.sync_rounds(),
+                    steps / sync_every,
                     "{what}: server {s}"
                 );
                 assert_eq!(scraped.dedup_hits, 0, "{what}: server {s}");
@@ -809,7 +810,7 @@ fn stats_scrape_reads_a_live_tcp_server_mid_training() {
     let (train, test) = data.split(0.25);
     let model = Network::mlp(6, &[16], 4, seed);
     let initial = model.params_flat();
-    let host = TcpServerHost::bind("127.0.0.1:0", &initial, shards, 1, 0).expect("bind");
+    let host = TcpServerHost::bind("127.0.0.1:0", &initial, shards, 1, 0, 4).expect("bind");
     let addrs = vec![host.local_addr()];
 
     let mut cfg = TrainerConfig::new(2, 8, 0.05, 0.9).with_seed(seed);

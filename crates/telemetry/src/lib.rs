@@ -440,7 +440,8 @@ pub enum TraceKind {
     BarrierWait { worker: u64 },
     /// A wire request attempt failed and is being re-sent (instant).
     PushRetry { server: u64, attempt: u64 },
-    /// One stage-2 reconciliation round (drains included), a span.
+    /// Every server has now completed stage-2 round `round` (drains
+    /// included), as their replies reported it (instant).
     SyncRound { round: u64 },
     /// A server was found replaced, so its old instance died (instant).
     ServerKill { server: u64 },

@@ -6,8 +6,8 @@
 //! cluster builds the same model, so no parameter shipping is needed at
 //! startup), binds the spec address for its server index, prints a
 //! readiness line, and serves the full wire protocol — pushes, pulls,
-//! stage-2 sync rounds, snapshot/restore, and the `Hello` identity
-//! handshake — until killed. There is no graceful-shutdown path on
+//! the stage-2 commits its push count makes due, snapshot/restore, and the
+//! `Hello` identity handshake — until killed. There is no graceful-shutdown path on
 //! purpose: the process *is* the server, and the harness stops it the way
 //! a cluster manager would, with a signal. Its request accounting is read
 //! over the wire, by the `Stats` frame every `ps-worker` scrapes into its
@@ -91,6 +91,7 @@ fn run() -> Result<(), String> {
         spec.shards,
         addrs.len(),
         cfg.index,
+        spec.sync_every,
     )
     .map_err(|e| format!("cannot bind {}: {e}", addrs[cfg.index]))?;
     // The readiness line: printed only after the listener is accepting.

@@ -333,9 +333,11 @@ fn a_bsp_round_over_a_wire_tier_is_one_round_trip_per_server() {
 fn riding_items_are_booked_under_their_own_class() {
     let _deadline = deadline(120);
     // The booking rule, pinned on a clean two-server channel tier: every
-    // item of a request, its length prefix included, is booked under its
-    // opcode's class, and the sequencing prefix, the batch header and the
-    // round trip under the first item's. Sizes come from the codec itself.
+    // item of a round trip, its length prefix included, is booked under its
+    // opcode's class — a request item's bytes out, a reply item's bytes in
+    // and its operation — and the sequencing prefix and the batch header
+    // under their side's first item's, the round trip under the request's.
+    // Sizes come from the codec itself.
     use sync_switch_ps::transport::wire::{self, op};
     use sync_switch_ps::{
         NetPort, NetRouter, PullBuffer, ServerTopology, TransportKind, UpdateData, WireOp,
@@ -352,6 +354,7 @@ fn riding_items_are_booked_under_their_own_class() {
         wire::BODYLESS_ITEM_BYTES as u64,
     );
     let ack = len(|b| wire::encode_push_ack(b, 0)) + 4;
+    let synced = len(|b| wire::encode_synced(b, 0)) + 4;
     // Per server: the items of a dense push of each owned shard, the acks
     // they bring back, and its whole `Pulled` image.
     let per_server = |r: &NetRouter| -> Vec<(u64, u64, u64)> {
@@ -448,8 +451,9 @@ fn riding_items_are_booked_under_their_own_class() {
     assert_eq!(books(&r.stats().pull), books(&after.pull));
 
     // (c) The push that makes a round due carries it, with the pull
-    // behind it: `[push × 2, SyncRound, PullCommitted]` per server, one
-    // push round trip that the commit and the pull ride.
+    // behind it: `[push × 2, PullCommitted]` per server, answered
+    // `[ack × 2, Synced, Pulled]` — one push round trip that the servers'
+    // commits and the pull ride.
     let before = r.stats();
     push_all(&mut acks);
     let after = r.stats();
@@ -458,10 +462,7 @@ fn riding_items_are_booked_under_their_own_class() {
         delta(&after.push, &before.push),
         class(4, 2, push_out, push_in)
     );
-    assert_eq!(
-        delta(&after.sync, &before.sync),
-        class(2, 0, 2 * bodyless, 2 * bodyless)
-    );
+    assert_eq!(delta(&after.sync, &before.sync), class(2, 0, 0, 2 * synced));
     assert_eq!(
         delta(&after.pull, &before.pull),
         class(2, 0, 2 * bodyless, images + 2 * 4)
@@ -500,7 +501,7 @@ fn riding_items_are_booked_under_their_own_class() {
     );
     assert_eq!(
         books(&wire.sync),
-        class(servers, 0, servers * bodyless, servers * bodyless)
+        class(servers, 0, servers * bodyless, servers * synced)
     );
     assert_eq!(
         books(&wire.pull),
