@@ -117,8 +117,9 @@ impl std::fmt::Display for TransportKind {
 /// committed view that workers pull (stage 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerTopology {
-    /// Number of parameter-server instances. Clamped to the shard count at
-    /// construction (a server with no shards would be idle).
+    /// Number of parameter-server instances. Clamped at construction to
+    /// the shard count, which is itself clamped to the parameter count
+    /// ([`crate::Tier::new`]): a server with no shards would be idle.
     pub servers: usize,
     /// Stage-2 reconciliation period, in pushes: each server counts the
     /// requests that carry pushes to it, from every client, and commits its

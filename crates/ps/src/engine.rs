@@ -39,7 +39,7 @@ use crate::config::{TrainerConfig, TransportKind};
 use crate::error::PsError;
 use crate::gate::RoundGate;
 use crate::profiler::{ShardStaleness, StalenessHistogram, TransportStats, WorkerProfile};
-use crate::router::{Plane, WorkerPort};
+use crate::router::{Plane, Tier, WorkerPort};
 use crate::ssp::{async_loop, AsyncShared};
 use crate::store::{runs_within, PullBuffer, ShardedStore, UpdateData};
 use crate::transport::{NetPort, NetRouter};
@@ -200,12 +200,12 @@ struct StepScratch {
 fn build_plane(initial: &[f32], cfg: &TrainerConfig) -> WorkerPort {
     // A wire transport puts the tier behind the message boundary even
     // with one server — the boundary is the point. In-process, decide
-    // on the *effective* server count (the router clamps servers to the
-    // shard count, and shards to the parameter count); a topology that
-    // clamps down to one server must get the single-store fast path, not
-    // two-stage committed-view semantics with one owner.
-    let effective_servers = cfg.topology.servers.min(cfg.shards).min(initial.len());
-    if cfg.topology.transport == TransportKind::InProcess && effective_servers == 1 {
+    // on the server count the tier clamps to; a topology that clamps down
+    // to one server must get the single-store fast path, not two-stage
+    // committed-view semantics with one owner.
+    let t = &cfg.topology;
+    let tier = Tier::new(initial.len(), cfg.shards, t.servers, t.sync_every);
+    if t.transport == TransportKind::InProcess && tier.server_count() == 1 {
         WorkerPort::Single(Arc::new(ShardedStore::new(initial, cfg.shards)))
     } else {
         WorkerPort::Net(NetPort::launch(initial, cfg.shards, cfg.topology))
@@ -1438,19 +1438,14 @@ mod tests {
         assert_eq!(r.sync_rounds, steps / 2);
         // Every shard is observed once per step, and both servers own
         // some of them.
-        let router = t.net_router().expect("multi-server plane");
-        for g in 0..router.shard_count() {
+        let tier = t.net_router().expect("multi-server plane").tier();
+        for g in 0..tier.shard_count() {
             let total = r.shard_staleness.shard(g).total();
-            assert_eq!(total, steps, "shard {g} of server {}", router.owner_of(g));
+            assert_eq!(total, steps, "shard {g} of server {}", tier.owner_of(g));
         }
-        let owners: Vec<usize> = (0..router.shard_count())
-            .map(|g| router.owner_of(g))
-            .collect();
+        let owners: Vec<usize> = (0..tier.shard_count()).map(|g| tier.owner_of(g)).collect();
         assert!(owners.contains(&0) && owners.contains(&1), "{owners:?}");
-        assert_eq!(
-            r.shard_staleness.total(),
-            steps * router.shard_count() as u64
-        );
+        assert_eq!(r.shard_staleness.total(), steps * tier.shard_count() as u64);
         // Real concurrency through the committed view produces staleness.
         assert!(r.staleness.mean() > 0.1);
     }

@@ -1,5 +1,5 @@
-//! The multi-server tier's client-side state, and the port every worker
-//! drives the data plane through.
+//! The multi-server tier's agreed shape, and the port every worker drives
+//! the data plane through.
 //!
 //! Ownership is itself a [`ShardLayout`]: partitioning `0..shards` across
 //! `servers` gives each server a contiguous run of global shard ids (and
@@ -12,12 +12,13 @@
 //! store right behind those applies, bounding how far its published view
 //! can trail its live state whichever clients push (see [`PsServer`]).
 //!
-//! Everything in that paragraph that is *not* "how a request reaches a
-//! server" and is not the servers' own — the ownership map, the
-//! push-counter version clock and the effective version of a pulled image
-//! — lives once, in [`Tier`]. Its one client is [`crate::NetRouter`], on
-//! every multi-server plane: in-process over the threadless direct
-//! transport, or over a channel or TCP.
+//! The shape all of that rests on — the parameter layout, the ownership
+//! map, each server's slice and the stage-2 period — is worked out once, by
+//! [`Tier`], from `(param_count, shards, servers, sync_every)`. Servers and
+//! clients share it: every [`PsServer`] is built by [`Tier::server`], every
+//! [`crate::NetRouter`] routes by its own copy, and the `Hello` handshake
+//! compares the two through `Tier::info`. The version clock is the client's
+//! own, and lives in the router.
 //!
 //! The [`WorkerPort`] enum lets the engine's worker loops drive that client
 //! or the single-server [`ShardedStore`] through one interface and one
@@ -26,16 +27,14 @@
 //! [`WorkerPort::commit_round`].
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::PsError;
 use crate::server::PsServer;
 use crate::store::{PullBuffer, ShardLayout, ShardedStore, UpdateData};
-use crate::transport::NetPort;
+use crate::transport::{NetPort, ServerInfo};
 
-/// One server's slice of a tier, as every party derives it from the
-/// `(param_count, shards, servers)` triple.
+/// One server's slice of a tier, as [`Tier`] derives it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ServerSlice {
     /// First global shard id owned by the server.
@@ -46,41 +45,57 @@ pub(crate) struct ServerSlice {
     pub(crate) param_range: (usize, usize),
 }
 
-/// The client-side state of a multi-server tier, shared by every worker of
-/// one trainer: who owns which shard, and the cluster version clock. The
-/// stage-2 schedule is not here: each server keeps its own, and
-/// [`Tier::server`] hands it the period.
+impl ServerSlice {
+    /// What server `id`, holding this slice and committing every
+    /// `sync_every` push requests, says of itself in reply to `Hello` — and
+    /// so what a client that agrees on the tier expects it to say.
+    pub(crate) fn info(&self, id: usize, sync_every: u64, nonce: u64) -> ServerInfo {
+        ServerInfo {
+            nonce,
+            server: id as u32,
+            first_shard: self.shard_offset as u32,
+            shard_count: self.shard_count as u32,
+            param_offset: self.param_range.0 as u64,
+            param_len: self.param_range.1 as u64,
+            sync_every,
+        }
+    }
+}
+
+/// The agreed shape of a multi-server tier: who owns which shard, each
+/// server's slice, and the stage-2 period. It is pure data derived from
+/// `(param_count, shards, servers, sync_every)`, so every party — each
+/// server, each client, in one process or across `ps-serve` and
+/// `ps-worker` processes — derives the same one with no coordination
+/// traffic, and the `Hello` handshake checks that they did.
 ///
-/// **Process-local.** "Cluster" here means the workers of this process. The
-/// version clock — and with it the BSP barrier and the SSP floor — are
-/// atomics in this address space. Several `ps-worker` processes on one
-/// `ps-serve` tier each hold their own `Tier`: each counts its own pushes
-/// and is BSP among its own threads only, and the processes are
-/// asynchronous to one another (ROADMAP item 1). The servers' commits are
-/// tier-wide: every process's pushes count toward each server's period.
+/// Two constructors state the one difference in policy: [`Tier::new`]
+/// clamps a shape that would leave a shard or server empty, as an
+/// in-process tier may, and [`Tier::remote`] refuses it, because the spec
+/// of a remote tier names processes that would otherwise sit idle.
 #[derive(Debug)]
-pub(crate) struct Tier {
+pub struct Tier {
     /// Global parameter layout (shard id → flat range).
     layout: ShardLayout,
     /// Global shard id → owning server index.
     owner: Vec<usize>,
     /// Per server, the contiguous run of shards and parameters it owns.
     slices: Vec<ServerSlice>,
-    /// Completed pushes — the version clock (of this process's workers).
-    version: AtomicU64,
     /// Stage-2 period the servers are built with, and checked against.
     sync_every: u64,
 }
 
 impl Tier {
     /// The tier of `param_count` parameters in `shards` shards owned by
-    /// `servers` servers — shards clamped to the parameter count and
-    /// servers to the shard count, so no shard or server is empty.
+    /// `servers` servers that commit every `sync_every` push requests —
+    /// shards clamped to the parameter count and servers to the shard
+    /// count, so no shard or server is empty.
     ///
     /// # Panics
     ///
-    /// Panics if any of the three is zero (see [`ShardLayout::new`]).
-    pub(crate) fn new(param_count: usize, shards: usize, servers: usize, sync_every: u64) -> Self {
+    /// Panics if any of the four is zero.
+    pub fn new(param_count: usize, shards: usize, servers: usize, sync_every: u64) -> Self {
+        assert!(sync_every > 0, "sync_every must be positive");
         let layout = ShardLayout::new(param_count, shards);
         let mut owner = vec![0usize; layout.len()];
         let slices = ShardLayout::new(layout.len(), servers)
@@ -101,16 +116,54 @@ impl Tier {
             layout,
             owner,
             slices,
-            version: AtomicU64::new(0),
-            sync_every: sync_every.max(1),
+            sync_every,
         }
+    }
+
+    /// The tier a spec of `servers` separately running servers describes,
+    /// or why it is not one: a remote tier is never clamped, so zero
+    /// parameters, shards, servers or `sync_every`, more servers than
+    /// shards and more shards than parameters are all refused.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency.
+    pub fn remote(
+        param_count: usize,
+        shards: usize,
+        servers: usize,
+        sync_every: u64,
+    ) -> Result<Self, String> {
+        if [param_count, shards, servers].contains(&0) || sync_every == 0 {
+            return Err(format!(
+                "{param_count} parameters, {shards} shards, {servers} servers, sync_every \
+                 {sync_every}: none may be zero"
+            ));
+        }
+        if servers > shards || shards > param_count {
+            return Err(format!(
+                "{servers} servers, {shards} shards, {param_count} parameters: a remote tier is \
+                 not clamped, so every server needs a shard and every shard a parameter"
+            ));
+        }
+        Ok(Tier::new(param_count, shards, servers, sync_every))
     }
 
     /// A fresh instance of server `s` holding its slice of `initial` and
     /// committing every `sync_every` requests that carry pushes to it.
-    pub(crate) fn server(&self, s: usize, initial: &[f32]) -> PsServer {
-        let (first, count) = (self.slices[s].shard_offset, self.slices[s].shard_count);
-        PsServer::new(s, &self.layout, first, count, initial, self.sync_every)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or `initial` is not `param_count`
+    /// long.
+    pub fn server(&self, s: usize, initial: &[f32]) -> PsServer {
+        PsServer::new(s, &self.layout, self.slices[s], initial, self.sync_every)
+    }
+
+    /// What server `s`'s instance `nonce` answers `Hello` with, if it was
+    /// built from this tier.
+    pub(crate) fn info(&self, s: usize, nonce: u64) -> ServerInfo {
+        self.slices[s].info(s, self.sync_every, nonce)
     }
 
     /// Every server's slice, in id order.
@@ -118,72 +171,29 @@ impl Tier {
         &self.slices
     }
 
-    pub(crate) fn server_count(&self) -> usize {
+    /// Number of servers (after clamping, for [`Tier::new`]).
+    pub fn server_count(&self) -> usize {
         self.slices.len()
     }
 
-    pub(crate) fn param_count(&self) -> usize {
+    /// Total number of parameters.
+    pub fn param_count(&self) -> usize {
         self.layout.total()
     }
 
-    pub(crate) fn shard_count(&self) -> usize {
+    /// Number of global shards.
+    pub fn shard_count(&self) -> usize {
         self.layout.len()
     }
 
-    pub(crate) fn shard_range(&self, g: usize) -> (usize, usize) {
+    /// `(offset, len)` of global shard `g` in the flat vector.
+    pub fn shard_range(&self, g: usize) -> (usize, usize) {
         self.layout.range(g)
     }
 
-    pub(crate) fn owner_of(&self, g: usize) -> usize {
+    /// The server owning global shard `g`.
+    pub fn owner_of(&self, g: usize) -> usize {
         self.owner[g]
-    }
-
-    pub(crate) fn sync_every(&self) -> u64 {
-        self.sync_every
-    }
-
-    pub(crate) fn version(&self) -> u64 {
-        // Acquire: pairs with the Release bump in `complete_push`.
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Completes a logical push: bumps the global version and returns the
-    /// push's staleness relative to `pulled_version` (race-free, from the
-    /// `fetch_add` return value — as the single store does).
-    pub(crate) fn complete_push(&self, pulled_version: u64) -> u64 {
-        // Release: pairs with the Acquire load in `version`.
-        self.version
-            .fetch_add(1, Ordering::Release)
-            .saturating_sub(pulled_version)
-    }
-
-    /// A pull of the committed view: sizes `buf` for the tier, lets `fill`
-    /// write every server's parameters and committed shard clocks into it,
-    /// and records and returns the **effective data version** — the oldest
-    /// committed shard clock, floored by the push counter read before the
-    /// fill — not the live counter itself. The parameters pulled are the
-    /// committed view, which can trail the counter by up to a stage-2
-    /// period; measuring push staleness against the counter would report a
-    /// worker training on `sync_every`-stale data as perfectly fresh.
-    /// Against the data version, the global staleness histogram and the
-    /// per-shard records agree. A `fill` that fails returns its error.
-    pub(crate) fn pull_with<E>(
-        &self,
-        buf: &mut PullBuffer,
-        fill: impl FnOnce(&mut [f32], &mut [u64]) -> Result<(), E>,
-    ) -> Result<u64, E> {
-        let version = self.version();
-        buf.params.resize(self.param_count(), 0.0);
-        buf.shard_versions.resize(self.shard_count(), 0);
-        fill(&mut buf.params, &mut buf.shard_versions)?;
-        // Every push applies to every shard exactly once, so a committed
-        // shard clock counts the pushes published for that shard; the
-        // oldest clock is the version of the stalest data in the image.
-        // In-flight applies can push clocks past the completed-push
-        // counter, hence the floor.
-        let oldest = buf.shard_versions.iter().copied().min();
-        buf.version = oldest.unwrap_or(version).min(version);
-        Ok(buf.version)
     }
 }
 
@@ -241,7 +251,7 @@ impl WorkerPort {
     pub(crate) fn param_count(&self) -> usize {
         match self.plane() {
             Plane::Single(s) => s.param_count(),
-            Plane::Net(p) => p.router().param_count(),
+            Plane::Net(p) => p.router().tier().param_count(),
         }
     }
 
@@ -249,7 +259,7 @@ impl WorkerPort {
     pub fn shard_count(&self) -> usize {
         match self.plane() {
             Plane::Single(s) => s.shard_count(),
-            Plane::Net(p) => p.router().shard_count(),
+            Plane::Net(p) => p.router().tier().shard_count(),
         }
     }
 
@@ -257,7 +267,7 @@ impl WorkerPort {
     pub fn shard_range(&self, g: usize) -> (usize, usize) {
         match self.plane() {
             Plane::Single(s) => s.shard_range(g),
-            Plane::Net(p) => p.router().shard_range(g),
+            Plane::Net(p) => p.router().tier().shard_range(g),
         }
     }
 
@@ -265,7 +275,7 @@ impl WorkerPort {
     pub fn server_count(&self) -> usize {
         match self.plane() {
             Plane::Single(_) => 1,
-            Plane::Net(p) => p.router().server_count(),
+            Plane::Net(p) => p.router().tier().server_count(),
         }
     }
 
@@ -273,7 +283,7 @@ impl WorkerPort {
     pub fn owner_of(&self, g: usize) -> usize {
         match self.plane() {
             Plane::Single(_) => 0,
-            Plane::Net(p) => p.router().owner_of(g),
+            Plane::Net(p) => p.router().tier().owner_of(g),
         }
     }
 

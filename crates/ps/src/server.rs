@@ -1,7 +1,8 @@
 //! A single parameter-server instance owning a disjoint subset of shards.
 //!
-//! The multi-server tier splits the [`crate::store::ShardLayout`] across N
-//! [`PsServer`]s; each server is authoritative for its owned shards and
+//! The multi-server tier splits its shards across N [`PsServer`]s, each
+//! built by [`crate::Tier::server`] for its slice; each server is
+//! authoritative for its owned shards and
 //! keeps two copies of them, implementing the OSP-style two-stage protocol
 //! (arXiv:2306.16926) at server granularity:
 //!
@@ -32,7 +33,9 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use parking_lot::Mutex;
 use sync_switch_telemetry::{ServerStats, ServerStatsSnapshot};
 
+use crate::router::ServerSlice;
 use crate::store::{ShardLayout, ShardedStore, UpdateData};
+use crate::transport::ServerInfo;
 
 /// Allocator for server instance nonces and client ids. Seeded from
 /// wall-clock nanos XOR the pid so two *processes* draw different values,
@@ -88,10 +91,9 @@ struct SeqTable {
 #[derive(Debug)]
 pub struct PsServer {
     id: usize,
-    /// First global shard id owned by this server.
-    shard_offset: usize,
-    /// `(offset, len)` of the owned slice of the flat parameter vector.
-    param_range: (usize, usize),
+    /// The run of global shards, and slice of the flat parameter vector,
+    /// this server owns.
+    slice: ServerSlice,
     /// Instance identity: unique per constructed server, across processes.
     /// A client seeing the nonce change at a fixed address knows the server
     /// was replaced (respawn or revive) and its state reset.
@@ -120,52 +122,42 @@ pub struct PsServer {
 }
 
 impl PsServer {
-    /// Creates server `id` owning global shards
-    /// `shard_offset..shard_offset + owned_shards` of `global`, initialized
-    /// from the full flat vector `initial`, that commits its slice every
-    /// `sync_every` requests carrying pushes (at least every one).
+    /// Creates server `id` owning `slice` of the `global` layout,
+    /// initialized from the full flat vector `initial`, that commits its
+    /// slice every `sync_every` requests carrying pushes.
+    /// [`crate::Tier::server`] is its one caller, so every server's slice is
+    /// the tier's.
     ///
     /// # Panics
     ///
-    /// Panics if the owned shard range is out of bounds for the layout or
-    /// `initial` does not match the layout's extent.
-    pub fn new(
+    /// Panics if `initial` does not match the layout's extent.
+    pub(crate) fn new(
         id: usize,
         global: &ShardLayout,
-        shard_offset: usize,
-        owned_shards: usize,
+        slice: ServerSlice,
         initial: &[f32],
         sync_every: u64,
     ) -> Self {
         assert_eq!(initial.len(), global.total(), "initial length mismatch");
-        assert!(
-            shard_offset + owned_shards <= global.len(),
-            "owned shards out of range"
-        );
-        assert!(owned_shards > 0, "server {id} owns no shards");
-        let param_offset = global.range(shard_offset).0;
-        let param_len: usize = (shard_offset..shard_offset + owned_shards)
-            .map(|g| global.range(g).1)
-            .sum();
-        let slice = &initial[param_offset..param_offset + param_len];
-        let live = ShardedStore::new(slice, owned_shards);
+        let (param_offset, param_len) = slice.param_range;
+        let params = &initial[param_offset..param_offset + param_len];
+        let live = ShardedStore::new(params, slice.shard_count);
         // ShardLayout's near-equal split is self-similar for contiguous
         // runs, so the local boundaries coincide with the global ones.
-        debug_assert!((0..owned_shards).all(|k| {
+        debug_assert!((0..slice.shard_count).all(|k| {
             let (lo, ll) = live.shard_range(k);
-            let (go, gl) = global.range(shard_offset + k);
+            let (go, gl) = global.range(slice.shard_offset + k);
             param_offset + lo == go && ll == gl
         }));
         PsServer {
             id,
-            shard_offset,
-            param_range: (param_offset, param_len),
+            slice,
             nonce: next_nonce(),
-            committed: ShardedStore::new(slice, owned_shards),
+            committed: ShardedStore::new(params, slice.shard_count),
             live,
             seq_dedup: Mutex::new(SeqTable::default()),
-            stats: ServerStats::new(owned_shards),
-            sync_every: sync_every.max(1),
+            stats: ServerStats::new(slice.shard_count),
+            sync_every,
             pushes: AtomicU64::new(0),
             epoch: Mutex::new(0),
         }
@@ -222,9 +214,10 @@ impl PsServer {
         self.nonce
     }
 
-    /// Stage-2 period, in requests that carry pushes.
-    pub fn sync_every(&self) -> u64 {
-        self.sync_every
+    /// What this instance answers `Hello` with: its identity, slice and
+    /// stage-2 period.
+    pub fn info(&self) -> ServerInfo {
+        self.slice.info(self.id, self.sync_every, self.nonce)
     }
 
     /// Number of shards this server owns.
@@ -232,14 +225,9 @@ impl PsServer {
         self.live.shard_count()
     }
 
-    /// First global shard id owned by this server.
-    pub fn shard_offset(&self) -> usize {
-        self.shard_offset
-    }
-
     /// `(offset, len)` of the owned slice of the flat parameter vector.
     pub fn param_range(&self) -> (usize, usize) {
-        self.param_range
+        self.slice.param_range
     }
 
     /// The stage-1 (live) store — the authoritative state for snapshots,
@@ -260,10 +248,11 @@ impl PsServer {
     }
 
     /// Stage-1 apply: momentum-SGD update of an [`UpdateData`] payload
-    /// (dense or sparse) on owned shard `local` (this server's indexing;
-    /// global shard `shard_offset + local`) — the entry point the wire
-    /// endpoints route every push through. Returns the live shard clock
-    /// before the apply, as [`ShardedStore::apply_shard_update`] does.
+    /// (dense or sparse) on owned shard `local` (this server's indexing:
+    /// local shard 0 is the first global shard of its slice) — the entry
+    /// point the wire endpoints route every push through. Returns the live
+    /// shard clock before the apply, as [`ShardedStore::apply_shard_update`]
+    /// does.
     pub fn apply_local_data(
         &self,
         local: usize,
@@ -334,14 +323,14 @@ impl PsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Tier;
 
     #[test]
     fn server_owns_aligned_slice() {
         let initial: Vec<f32> = (0..23).map(|i| i as f32).collect();
-        let global = ShardLayout::new(23, 5);
         // Two servers: 3 + 2 shards.
-        let a = PsServer::new(0, &global, 0, 3, &initial, 1);
-        let b = PsServer::new(1, &global, 3, 2, &initial, 1);
+        let tier = Tier::new(23, 5, 2, 1);
+        let (a, b) = (tier.server(0, &initial), tier.server(1, &initial));
         assert_eq!(a.shard_count(), 3);
         assert_eq!(b.shard_count(), 2);
         let (ao, al) = a.param_range();
@@ -356,8 +345,7 @@ mod tests {
     #[test]
     fn commit_publishes_live_state_and_clock() {
         let initial = vec![1.0f32; 12];
-        let global = ShardLayout::new(12, 4);
-        let server = PsServer::new(0, &global, 0, 4, &initial, 2);
+        let server = Tier::new(12, 4, 1, 2).server(0, &initial);
         let (_, len) = server.live().shard_range(2);
         server.apply_local_data(2, UpdateData::Dense(&vec![1.0; len]), 0.5, 0.0);
         // Stage 1 landed on live, the committed view still lags.

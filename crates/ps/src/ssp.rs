@@ -265,17 +265,17 @@ mod tests {
         let mut t = Trainer::new(Network::mlp(6, &[12], 4, 6), train, test, cfg);
         let steps = 120;
         let r = t.run_ssp_segment(bound, steps).unwrap();
-        let shards = t.net_router().expect("multi-server plane").shard_count() as u64;
+        let tier = t.net_router().expect("multi-server plane").tier();
+        let shards = tier.shard_count() as u64;
         assert_eq!(r.shard_staleness.total(), steps * shards);
         // Every step reaches both servers, and each commits behind every
         // `sync_every`-th push request, however the pushes interleave.
         assert_eq!(r.sync_rounds, steps / sync_every);
         let cap = (2 * bound + 2) * (workers - 1) + sync_every + 2 * workers;
         // On every server: each owns its shards' observations.
-        let router = t.net_router().expect("multi-server plane");
         for server in 0..2 {
-            let max = (0..router.shard_count())
-                .filter(|&g| router.owner_of(g) == server)
+            let max = (0..tier.shard_count())
+                .filter(|&g| tier.owner_of(g) == server)
                 .filter_map(|g| r.shard_staleness.shard(g).max())
                 .max()
                 .unwrap();

@@ -223,20 +223,16 @@ impl Conn for ChannelConn {
 mod tests {
     use super::*;
     use crate::deadline::deadline;
-    use crate::store::ShardLayout;
+    use crate::router::Tier;
     use crate::transport::direct::DirectTransport;
     use crate::transport::wire::op;
 
     fn servers(n: usize, shards: usize, servers: usize) -> Vec<Arc<PsServer>> {
         let initial: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let layout = ShardLayout::new(n, shards);
-        let ownership = ShardLayout::new(layout.len(), servers);
-        (0..ownership.len())
-            .map(|s| {
-                let (first, count) = ownership.range(s);
-                // Bare pushes: no periodic commit turns an ack into a batch.
-                Arc::new(PsServer::new(s, &layout, first, count, &initial, u64::MAX))
-            })
+        // Bare pushes: no periodic commit turns an ack into a batch.
+        let tier = Tier::new(n, shards, servers, u64::MAX);
+        (0..tier.server_count())
+            .map(|s| Arc::new(tier.server(s, &initial)))
             .collect()
     }
 

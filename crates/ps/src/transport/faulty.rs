@@ -279,7 +279,7 @@ impl Conn for FaultyConn {
 mod tests {
     use super::*;
     use crate::deadline::deadline;
-    use crate::store::ShardLayout;
+    use crate::router::Tier;
     use crate::transport::{channel::ChannelTransport, wire};
 
     fn channel_transport(
@@ -288,13 +288,9 @@ mod tests {
         servers: usize,
     ) -> (Box<dyn Transport>, Vec<Arc<PsServer>>) {
         let initial: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let layout = ShardLayout::new(n, shards);
-        let ownership = ShardLayout::new(layout.len(), servers);
-        let servers: Vec<Arc<PsServer>> = (0..ownership.len())
-            .map(|s| {
-                let (first, count) = ownership.range(s);
-                Arc::new(PsServer::new(s, &layout, first, count, &initial, u64::MAX))
-            })
+        let tier = Tier::new(n, shards, servers, u64::MAX);
+        let servers: Vec<Arc<PsServer>> = (0..tier.server_count())
+            .map(|s| Arc::new(tier.server(s, &initial)))
             .collect();
         let handles = servers.clone();
         (Box::new(ChannelTransport::launch(servers)), handles)

@@ -510,21 +510,7 @@ impl ServerEndpoint {
             op::CHECK_FINITE => {
                 wire::encode_flag(reply, op::FINITE, self.server.live().is_finite());
             }
-            op::HELLO => {
-                let (param_offset, param_len) = self.server.param_range();
-                wire::encode_server_info(
-                    reply,
-                    &wire::ServerInfo {
-                        nonce: self.server.nonce(),
-                        server: self.server.id() as u32,
-                        first_shard: self.server.shard_offset() as u32,
-                        shard_count: self.server.shard_count() as u32,
-                        param_offset: param_offset as u64,
-                        param_len: param_len as u64,
-                        sync_every: self.server.sync_every(),
-                    },
-                );
-            }
+            op::HELLO => wire::encode_server_info(reply, &self.server.info()),
             op::STATS => {
                 // Snapshot taken after this request was counted, so a
                 // scrape sees itself — scrapers comparing against client
@@ -542,7 +528,7 @@ impl ServerEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ShardLayout;
+    use crate::router::Tier;
 
     /// An endpoint over one server of `n` parameters in `shards` shards
     /// that commits only when drained.
@@ -552,9 +538,8 @@ mod tests {
 
     fn periodic_endpoint(n: usize, shards: usize, sync_every: u64) -> ServerEndpoint {
         let initial: Vec<f32> = (0..n).map(|i| i as f32 * 0.1).collect();
-        let layout = ShardLayout::new(n, shards);
-        let server = Arc::new(PsServer::new(0, &layout, 0, shards, &initial, sync_every));
-        ServerEndpoint::new(server)
+        let server = Tier::new(n, shards, 1, sync_every).server(0, &initial);
+        ServerEndpoint::new(Arc::new(server))
     }
 
     #[test]
@@ -1059,8 +1044,8 @@ mod tests {
     #[test]
     fn hello_reports_identity_and_nonce_changes_on_replacement() {
         let initial: Vec<f32> = (0..10).map(|i| i as f32 * 0.1).collect();
-        let layout = ShardLayout::new(10, 2);
-        let server = Arc::new(PsServer::new(0, &layout, 0, 2, &initial, 4));
+        let tier = Tier::new(10, 2, 1, 4);
+        let server = Arc::new(tier.server(0, &initial));
         let mut ep = ServerEndpoint::new(server.clone());
         let mut req = Vec::new();
         let mut reply = Vec::new();
@@ -1076,7 +1061,7 @@ mod tests {
         assert_eq!(info.sync_every, 4);
         // A replacement instance — same slice, fresh construction — answers
         // with a different nonce: how respawns are detected on the wire.
-        let fresh = Arc::new(PsServer::new(0, &layout, 0, 2, &initial, 4));
+        let fresh = Arc::new(tier.server(0, &initial));
         let mut ep2 = ServerEndpoint::new(fresh);
         ep2.handle(&req, &mut reply).unwrap();
         let info2 = wire::decode_server_info(&reply).unwrap();

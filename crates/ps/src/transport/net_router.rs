@@ -1,5 +1,5 @@
-//! The shard router, the one client of a multi-server tier: the [`Tier`] —
-//! ownership layout and cluster version clock — with every server
+//! The shard router, the one client of a multi-server tier: the tier's
+//! [`Tier`] shape and the cluster version clock, with every server
 //! interaction crossing a [`Transport`].
 //!
 //! The split of responsibilities mirrors a real PS deployment:
@@ -8,9 +8,10 @@
 //!   stage-2 period and commit epoch) lives in the [`PsServer`]s owned by
 //!   the transport's serving loops; the client can only reach it through
 //!   request/reply frames.
-//! * **Client-side state** is the [`Tier`], shared by all workers of one
-//!   trainer, plus what the servers have told it: each one's commit epoch.
-//!   This router is the Tier's one client on every multi-server plane — the
+//! * **Client-side state** is the version clock, shared by all workers of
+//!   one trainer, plus what the servers have told it: each one's commit
+//!   epoch. The [`Tier`] it routes by is the one its servers were built
+//!   from. This router is the one client on every multi-server plane — the
 //!   in-process one runs it over the threadless direct transport — so
 //!   staleness is measured by one piece of code.
 //!
@@ -322,8 +323,19 @@ impl ConnSlot {
 #[derive(Debug)]
 pub struct NetRouter {
     kind: TransportKind,
-    /// Layout, ownership map and version clock.
+    /// The tier's shape: layout, ownership map, slices, stage-2 period.
     tier: Tier,
+    /// Completed pushes — the version clock (of this process's workers).
+    ///
+    /// **Process-local.** "Cluster" here means the workers of this process.
+    /// The clock — and with it the BSP barrier and the SSP floor — is an
+    /// atomic in this address space. Several `ps-worker` processes on one
+    /// `ps-serve` tier each hold their own router: each counts its own
+    /// pushes and is BSP among its own threads only, and the processes are
+    /// asynchronous to one another (ROADMAP item 1). The servers' commits
+    /// are tier-wide: every process's pushes count toward each server's
+    /// period.
+    version: AtomicU64,
     /// Timeout/retry/backoff budget for every wire operation.
     retry: RetryPolicy,
     stats: WireCounters,
@@ -370,7 +382,7 @@ impl NetRouter {
     /// `topology.transport` — none for [`TransportKind::InProcess`], whose
     /// connections serve requests on the caller's thread — and returns the
     /// client router. Servers are clamped to the shard count, shards to the
-    /// parameter count.
+    /// parameter count ([`Tier::new`]).
     ///
     /// # Panics
     ///
@@ -418,6 +430,7 @@ impl NetRouter {
             kind,
             retry,
             stats: WireCounters::default(),
+            version: AtomicU64::new(0),
             epochs: zeros(),
             epoch_bases: zeros(),
             rounds: AtomicU64::new(0),
@@ -434,21 +447,21 @@ impl NetRouter {
 
     /// Connects to an *already-running* tier of `ps-serve` processes at
     /// `addrs` — the cross-process counterpart of [`NetRouter::launch`].
-    /// Nothing is spawned and no I/O happens here: the ownership map is
-    /// derived from the same pure `(param_count, shards, servers)` layout
-    /// math every `ps-serve` process runs, and connections open lazily.
-    /// Call [`NetRouter::handshake`] afterwards to wait for the servers to
-    /// bind, to verify they agree on the layout, and to record which
-    /// instances they are.
+    /// Nothing is spawned and no I/O happens here: the ownership map is the
+    /// [`Tier::remote`] every `ps-serve` process derives from the same
+    /// `(param_count, shards, servers, sync_every)`, and connections open
+    /// lazily. Call [`NetRouter::handshake`] afterwards to wait for the
+    /// servers to bind, to verify they agree on the tier, and to record
+    /// which instances they are.
     ///
     /// # Errors
     ///
-    /// Returns [`PsError::InvalidConfig`] if the shape is inconsistent —
-    /// zero parameters/shards/addresses, or more servers than shards
-    /// (a remote tier is never silently clamped: the spec says `ps-serve`
-    /// processes exist, so a shape that cannot give each one shards is a
-    /// misconfiguration, not a request to ignore some) — or `retry` is
-    /// invalid ([`RetryPolicy::validate`]).
+    /// Returns [`PsError::InvalidConfig`] if [`Tier::remote`] refuses the
+    /// shape — a remote tier is never silently clamped: the spec says
+    /// `ps-serve` processes exist, so a shape that cannot give each one
+    /// shards, or each shard parameters, is a misconfiguration, not a
+    /// request to ignore some — or `retry` is invalid
+    /// ([`RetryPolicy::validate`]).
     pub fn connect(
         param_count: usize,
         shards: usize,
@@ -457,23 +470,8 @@ impl NetRouter {
         retry: RetryPolicy,
     ) -> Result<Self, PsError> {
         retry.validate().map_err(PsError::InvalidConfig)?;
-        if param_count == 0 {
-            return Err(PsError::InvalidConfig("zero parameters".into()));
-        }
-        if shards == 0 {
-            return Err(PsError::InvalidConfig("zero shards".into()));
-        }
-        if addrs.is_empty() {
-            return Err(PsError::InvalidConfig("no server addresses".into()));
-        }
-        let tier = Tier::new(param_count, shards, addrs.len(), sync_every);
-        if tier.server_count() < addrs.len() {
-            return Err(PsError::InvalidConfig(format!(
-                "{} servers but only {} shards — a remote tier is not clamped",
-                addrs.len(),
-                tier.shard_count()
-            )));
-        }
+        let tier = Tier::remote(param_count, shards, addrs.len(), sync_every)
+            .map_err(PsError::InvalidConfig)?;
         let transport = Box::new(TcpTransport::dial(addrs.to_vec()));
         let nonces = vec![None; addrs.len()];
         Ok(Self::over(
@@ -490,34 +488,15 @@ impl NetRouter {
         &self.telemetry
     }
 
-    /// Number of servers (after clamping to the shard count).
-    pub fn server_count(&self) -> usize {
-        self.tier.server_count()
-    }
-
-    /// Total number of parameters.
-    pub fn param_count(&self) -> usize {
-        self.tier.param_count()
-    }
-
-    /// Number of global shards.
-    pub fn shard_count(&self) -> usize {
-        self.tier.shard_count()
-    }
-
-    /// `(offset, len)` of global shard `g` in the flat vector.
-    pub fn shard_range(&self, g: usize) -> (usize, usize) {
-        self.tier.shard_range(g)
-    }
-
-    /// The server owning global shard `g`.
-    pub fn owner_of(&self, g: usize) -> usize {
-        self.tier.owner_of(g)
+    /// The tier's shape: layout, ownership and each server's slice.
+    pub fn tier(&self) -> &Tier {
+        &self.tier
     }
 
     /// Cluster-global version: number of completed pushes.
     pub fn version(&self) -> u64 {
-        self.tier.version()
+        // Acquire: pairs with the Release bump in `complete_push`.
+        self.version.load(Ordering::Acquire)
     }
 
     /// The stage-2 rounds every server has completed (drains included), as
@@ -541,9 +520,42 @@ impl NetRouter {
     }
 
     /// Completes a logical push: bumps the global version and returns the
-    /// push's staleness relative to `pulled_version`.
+    /// push's staleness relative to `pulled_version` (race-free, from the
+    /// `fetch_add` return value — as the single store does).
     pub fn complete_push(&self, pulled_version: u64) -> u64 {
-        self.tier.complete_push(pulled_version)
+        // Release: pairs with the Acquire load in `version`.
+        self.version
+            .fetch_add(1, Ordering::Release)
+            .saturating_sub(pulled_version)
+    }
+
+    /// A pull of the committed view: sizes `buf` for the tier, lets `fill`
+    /// write every server's parameters and committed shard clocks into it,
+    /// and records and returns the **effective data version** — the oldest
+    /// committed shard clock, floored by the push counter read before the
+    /// fill — not the live counter itself. The parameters pulled are the
+    /// committed view, which can trail the counter by up to a stage-2
+    /// period; measuring push staleness against the counter would report a
+    /// worker training on `sync_every`-stale data as perfectly fresh.
+    /// Against the data version, the global staleness histogram and the
+    /// per-shard records agree. A `fill` that fails returns its error.
+    fn pull_with<E>(
+        &self,
+        buf: &mut PullBuffer,
+        fill: impl FnOnce(&mut [f32], &mut [u64]) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let version = self.version();
+        buf.params.resize(self.tier.param_count(), 0.0);
+        buf.shard_versions.resize(self.tier.shard_count(), 0);
+        fill(&mut buf.params, &mut buf.shard_versions)?;
+        // Every push applies to every shard exactly once, so a committed
+        // shard clock counts the pushes published for that shard; the
+        // oldest clock is the version of the stalest data in the image.
+        // In-flight applies can push clocks past the completed-push
+        // counter, hence the floor.
+        let oldest = buf.shard_versions.iter().copied().min();
+        buf.version = oldest.unwrap_or(version).min(version);
+        Ok(buf.version)
     }
 
     /// Drains stage 2: commits every server unconditionally, over the
@@ -794,7 +806,7 @@ impl NetRouter {
     /// hands `push` each shard's averaged gradient to stage, then each
     /// server gets its stripes with a `Drain` and a `PullCommitted` behind
     /// them as one request. The replies' acks land in `port.acks` in shard
-    /// order and their images in `image` (through [`Tier::pull_with`]). A
+    /// order and their images in `image` (through [`NetRouter::pull_with`]). A
     /// re-send replays the cached acks and `Synced` and re-reads the pull,
     /// which the drain already covers.
     fn push_round(
@@ -814,7 +826,7 @@ impl NetRouter {
             });
             queued?;
         }
-        self.tier.pull_with(image, |params, clocks| {
+        self.pull_with(image, |params, clocks| {
             self.send_all(port, true, Some((params, clocks)))
         })?;
         Ok(())
@@ -884,7 +896,7 @@ impl NetRouter {
     /// owns, in its own offsets; a server that owns none is still asked
     /// (with an empty list), because its clocks feed the version and the
     /// per-shard staleness. Returns the effective data version (see
-    /// [`Tier::pull_with`]).
+    /// [`NetRouter::pull_with`]).
     ///
     /// A whole-vector pull costs a server no round trip while that server's
     /// connection holds an image an earlier push reply brought along under
@@ -897,7 +909,7 @@ impl NetRouter {
         buf: &mut PullBuffer,
         runs: Option<&[(usize, usize)]>,
     ) -> Result<u64, PsError> {
-        self.tier.pull_with(buf, |all_params, all_clocks| {
+        self.pull_with(buf, |all_params, all_clocks| {
             for (s, slice) in self.tier.slices().iter().enumerate() {
                 let (po, pl) = slice.param_range;
                 let so = slice.shard_offset;
@@ -937,7 +949,7 @@ impl NetRouter {
     }
 
     fn snapshot(&self, velocity: bool) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.param_count()];
+        let mut out = vec![0.0f32; self.tier.param_count()];
         let mut control = self.sync.lock();
         for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
@@ -967,12 +979,9 @@ impl NetRouter {
     ///
     /// Panics if lengths differ from the parameter count.
     pub fn restore(&self, params: &[f32], velocity: &[f32]) -> Result<(), PsError> {
-        assert_eq!(params.len(), self.param_count(), "params length mismatch");
-        assert_eq!(
-            velocity.len(),
-            self.param_count(),
-            "velocity length mismatch"
-        );
+        let n = self.tier.param_count();
+        assert_eq!(params.len(), n, "params length mismatch");
+        assert_eq!(velocity.len(), n, "velocity length mismatch");
         let mut control = self.sync.lock();
         for (s, meta) in self.tier.slices().iter().enumerate() {
             let (po, pl) = meta.param_range;
@@ -1103,14 +1112,15 @@ impl NetRouter {
     /// # Errors
     ///
     /// Returns the last wire error if a server stays unreachable past the
-    /// deadline, or [`PsError::InvalidConfig`] if a server answers with an
-    /// identity, slice or stage-2 period that contradicts the spec (wrong
-    /// index at an address, a different `(param_count, shards, servers)`
-    /// triple, or a different `sync_every`).
+    /// deadline, or [`PsError::InvalidConfig`] if a server's answer
+    /// differs, nonce aside, from the [`ServerInfo`] this router's [`Tier`]
+    /// builds for it (`Tier::info`): wrong index at an address, another
+    /// slice from a different `(param_count, shards, servers)`, or a
+    /// different `sync_every`.
     pub fn handshake(&self, deadline: Duration) -> Result<usize, PsError> {
         let start = Instant::now();
         let mut replaced = 0;
-        for (s, meta) in self.tier.slices().iter().enumerate() {
+        for s in 0..self.tier.server_count() {
             let info = loop {
                 match self.server_info(s) {
                     Ok(info) => break info,
@@ -1122,26 +1132,11 @@ impl NetRouter {
                     }
                 }
             };
-            let expect = (
-                s as u32,
-                meta.shard_offset as u32,
-                meta.shard_count as u32,
-                meta.param_range.0 as u64,
-                meta.param_range.1 as u64,
-                self.tier.sync_every(),
-            );
-            let got = (
-                info.server,
-                info.first_shard,
-                info.shard_count,
-                info.param_offset,
-                info.param_len,
-                info.sync_every,
-            );
-            if got != expect {
+            let expect = self.tier.info(s, info.nonce);
+            if info != expect {
                 return Err(PsError::InvalidConfig(format!(
-                    "server {s} answered with identity/slice/sync_every {got:?}, spec says \
-                     {expect:?} — address list, (params, shards, servers) and sync_every must \
+                    "server {s} answered with identity/slice/sync_every {info}, spec says \
+                     {expect} — address list, (params, shards, servers) and sync_every must \
                      match across the cluster"
                 )));
             }
@@ -1177,7 +1172,7 @@ impl NetRouter {
     /// until [`Self::handshake`] has found it and the caller has restored
     /// the tier from a checkpoint.
     pub fn revive_server(&self, s: usize) -> io::Result<()> {
-        let fresh = self.tier.server(s, &vec![0.0f32; self.param_count()]);
+        let fresh = self.tier.server(s, &vec![0.0f32; self.tier.param_count()]);
         self.transport.revive_server(s, Arc::new(fresh))
     }
 
@@ -1266,7 +1261,7 @@ impl Clone for NetPort {
 impl NetPort {
     fn over(router: Arc<NetRouter>) -> Self {
         NetPort {
-            state: Mutex::new(PortState::new(router.server_count())),
+            state: Mutex::new(PortState::new(router.tier.server_count())),
             router,
         }
     }
@@ -1428,7 +1423,7 @@ mod tests {
             for step in 0..4 {
                 for g in 0..5 {
                     let (o, l) = single.shard_range(g);
-                    assert_eq!(net.router().shard_range(g), (o, l));
+                    assert_eq!(net.router().tier().shard_range(g), (o, l));
                     let a = single.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
                     let b = w.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9).unwrap();
                     assert_eq!(a, b, "shard clock skew at step {step} shard {g}");
@@ -1469,8 +1464,8 @@ mod tests {
             let mut buf = PullBuffer::new();
             net.pull_into(&mut buf).unwrap();
             let before = buf.params().to_vec();
-            for g in 0..r.shard_count() {
-                let (_, l) = r.shard_range(g);
+            for g in 0..r.tier().shard_count() {
+                let (_, l) = r.tier().shard_range(g);
                 w.apply_shard_update(g, &vec![1.0; l], 0.5, 0.0).unwrap();
             }
             r.complete_push(0);
@@ -1490,15 +1485,15 @@ mod tests {
     fn queued_push(port: &NetPort, scale: f32) -> u64 {
         let r = port.router();
         let pulls = r.stats().pull.ops;
-        for g in 0..r.shard_count() {
-            let (_, l) = r.shard_range(g);
+        for g in 0..r.tier().shard_count() {
+            let (_, l) = r.tier().shard_range(g);
             let grad = vec![scale; l];
             port.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.9)
                 .unwrap();
         }
         let mut acks = Vec::new();
         port.flush_pushes(&mut acks).unwrap();
-        assert_eq!(acks.len(), r.shard_count());
+        assert_eq!(acks.len(), r.tier().shard_count());
         r.complete_push(r.version());
         r.stats().pull.ops - pulls
     }
@@ -1608,7 +1603,7 @@ mod tests {
                 r.stats().reconnects > reconnects,
                 "the dead socket was reused"
             );
-            let (po, _) = r.shard_range(2);
+            let (po, _) = r.tier().shard_range(2);
             assert_eq!(
                 healed.0[..po],
                 own_round.0[..po],
@@ -1629,15 +1624,15 @@ mod tests {
             let net = NetPort::launch(&initial, 6, topology);
             let r = net.router();
             let w = WorkerPort::Net(net.clone());
-            for g in 0..r.shard_count() {
-                let (_, l) = r.shard_range(g);
+            for g in 0..r.tier().shard_count() {
+                let (_, l) = r.tier().shard_range(g);
                 w.apply_shard_update(g, &vec![1.0; l], 0.1, 0.9).unwrap();
             }
             r.complete_push(0);
             let params = r.snapshot_params();
             let velocity = r.snapshot_velocity();
-            for g in 0..r.shard_count() {
-                let (_, l) = r.shard_range(g);
+            for g in 0..r.tier().shard_count() {
+                let (_, l) = r.tier().shard_range(g);
                 w.apply_shard_update(g, &vec![5.0; l], 0.1, 0.9).unwrap();
             }
             assert_ne!(r.snapshot_params(), params);
@@ -1666,7 +1661,7 @@ mod tests {
         let mut buf = PullBuffer::new();
         net.pull_into(&mut buf).unwrap();
         for g in 0..4 {
-            let (_, l) = r.shard_range(g);
+            let (_, l) = r.tier().shard_range(g);
             w.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
         }
         r.complete_push(0);
@@ -1743,7 +1738,7 @@ mod tests {
         let mut buf = PullBuffer::new();
         net.pull_into(&mut buf).unwrap();
         for g in 0..4 {
-            let (_, l) = r.shard_range(g);
+            let (_, l) = r.tier().shard_range(g);
             w.apply_shard_update(g, &vec![1.0; l], 0.1, 0.0).unwrap();
         }
         r.complete_push(0);
@@ -1787,7 +1782,7 @@ mod tests {
         let w = WorkerPort::Net(net.clone());
         for step in 0..8 {
             for g in 0..4 {
-                let (_, l) = net.router().shard_range(g);
+                let (_, l) = net.router().tier().shard_range(g);
                 w.apply_shard_update(g, &vec![1.0; l], 0.05, 0.9).unwrap();
             }
             net.router().complete_push(step);
@@ -1921,8 +1916,8 @@ mod tests {
             2,
             ServerTopology::new(5, 1).with_transport(TransportKind::Channel),
         );
-        assert_eq!(net.router().server_count(), 2);
-        assert_eq!(net.router().owner_of(0), 0);
-        assert_eq!(net.router().owner_of(1), 1);
+        assert_eq!(net.router().tier().server_count(), 2);
+        assert_eq!(net.router().tier().owner_of(0), 0);
+        assert_eq!(net.router().tier().owner_of(1), 1);
     }
 }

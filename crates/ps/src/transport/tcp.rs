@@ -44,8 +44,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use super::{wire, Conn, Handled, ServerEndpoint, Transport};
+use crate::router::Tier;
 use crate::server::PsServer;
-use crate::store::ShardLayout;
 
 /// Per-server serving state, shared between the host handle and the
 /// server's accept loop and handlers.
@@ -83,19 +83,18 @@ impl std::fmt::Debug for TcpServerHost {
 }
 
 impl TcpServerHost {
-    /// Binds `addr` and serves server `index` of an `servers`-way tier over
+    /// Binds `addr` and serves server `index` of a `servers`-way tier over
     /// `param_count` flat parameters split into `shards` shards, initialized
     /// from `initial`, committing every `sync_every` requests that carry
-    /// pushes. This is the cross-process entry point: every process
-    /// of a cluster derives the same [`ShardLayout`] from the same
-    /// `(param_count, shards, servers)` triple, so the slice this host owns
-    /// is agreed on without any coordination traffic.
+    /// pushes. This is the cross-process entry point: every process of a
+    /// cluster derives the same [`Tier`] from the same `(param_count,
+    /// shards, servers, sync_every)` through [`Tier::remote`], so the slice
+    /// this host owns is agreed on without any coordination traffic.
     ///
     /// # Errors
     ///
-    /// Returns [`io::ErrorKind::InvalidInput`] if the tier shape is
-    /// inconsistent (no servers or shards, more servers than shards,
-    /// `index` out of range, or no parameters), or the bind error.
+    /// Returns [`io::ErrorKind::InvalidInput`] if [`Tier::remote`] refuses
+    /// the shape or `index` is out of range, or the bind error.
     pub fn bind(
         addr: impl ToSocketAddrs,
         initial: &[f32],
@@ -105,31 +104,13 @@ impl TcpServerHost {
         sync_every: u64,
     ) -> io::Result<Self> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-        if servers == 0 {
-            return Err(invalid("cluster has zero servers".into()));
-        }
-        if shards == 0 {
-            return Err(invalid("tier has zero shards".into()));
-        }
+        let tier = Tier::remote(initial.len(), shards, servers, sync_every).map_err(invalid)?;
         if index >= servers {
             return Err(invalid(format!(
                 "server index {index} out of range for {servers} servers"
             )));
         }
-        if initial.is_empty() {
-            return Err(invalid("model has zero parameters".into()));
-        }
-        let layout = ShardLayout::new(initial.len(), shards);
-        if servers > layout.len() {
-            return Err(invalid(format!(
-                "{servers} servers but only {} shards",
-                layout.len()
-            )));
-        }
-        let ownership = ShardLayout::new(layout.len(), servers);
-        let (first, count) = ownership.range(index);
-        let server = PsServer::new(index, &layout, first, count, initial, sync_every);
-        Self::bind_instance(addr, Arc::new(server))
+        Self::bind_instance(addr, Arc::new(tier.server(index, initial)))
     }
 
     /// Binds `addr` and serves an already-constructed instance.
@@ -448,20 +429,15 @@ impl Conn for TcpConn {
 mod tests {
     use super::*;
     use crate::deadline::deadline;
-    use crate::store::ShardLayout;
     use crate::transport::wire::op;
     use std::io::Read;
 
     fn launch(n: usize, shards: usize, servers: usize) -> TcpTransport {
         let initial: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let layout = ShardLayout::new(n, shards);
-        let ownership = ShardLayout::new(layout.len(), servers);
-        let servers: Vec<Arc<PsServer>> = (0..ownership.len())
-            .map(|s| {
-                let (first, count) = ownership.range(s);
-                // Bare pushes: no periodic commit turns an ack into a batch.
-                Arc::new(PsServer::new(s, &layout, first, count, &initial, u64::MAX))
-            })
+        // Bare pushes: no periodic commit turns an ack into a batch.
+        let tier = Tier::new(n, shards, servers, u64::MAX);
+        let servers: Vec<Arc<PsServer>> = (0..tier.server_count())
+            .map(|s| Arc::new(tier.server(s, &initial)))
             .collect();
         TcpTransport::launch(servers).expect("bind loopback listeners")
     }
@@ -510,8 +486,7 @@ mod tests {
     /// A fresh instance of server 1 of `launch(12, 4, 2)`.
     fn fresh_server_1() -> Arc<PsServer> {
         let initial: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let layout = ShardLayout::new(12, 4);
-        Arc::new(PsServer::new(1, &layout, 2, 2, &initial, u64::MAX))
+        Arc::new(Tier::new(12, 4, 2, u64::MAX).server(1, &initial))
     }
 
     fn check_finite(conn: &mut dyn Conn) -> io::Result<()> {
@@ -643,14 +618,24 @@ mod tests {
         assert_eq!(info.param_offset, 8);
         assert_eq!(info.param_len, 8);
         assert_eq!(info.sync_every, 4);
-        // Misconfigured specs are rejected before binding threads.
-        for (shards, servers, index) in [(6, 0, 0), (6, 3, 3), (2, 3, 0), (0, 1, 0)] {
-            let err = TcpServerHost::bind("127.0.0.1:0", &initial, shards, servers, index, 1)
-                .unwrap_err();
+        // Misconfigured specs are rejected before binding threads: no
+        // servers, an index past them, more servers than shards, no shards,
+        // more shards than parameters, and no stage-2 period.
+        for (shards, servers, index, sync_every) in [
+            (6, 0, 0, 1),
+            (6, 3, 3, 1),
+            (2, 3, 0, 1),
+            (0, 1, 0, 1),
+            (30, 2, 0, 1),
+            (6, 3, 0, 0),
+        ] {
+            let bind =
+                TcpServerHost::bind("127.0.0.1:0", &initial, shards, servers, index, sync_every);
+            let err = bind.unwrap_err();
             assert_eq!(
                 err.kind(),
                 io::ErrorKind::InvalidInput,
-                "{shards} {servers} {index}"
+                "{shards} {servers} {index} {sync_every}"
             );
         }
     }

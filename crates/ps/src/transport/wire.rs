@@ -185,6 +185,24 @@ pub struct ServerInfo {
     pub sync_every: u64,
 }
 
+/// The fields every party of a tier must agree on, nonce aside, as the
+/// tuple `(server, first_shard, shard_count, param_offset, param_len,
+/// sync_every)`.
+impl fmt::Display for ServerInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "({}, {}, {}, {}, {}, {})",
+            self.server,
+            self.first_shard,
+            self.shard_count,
+            self.param_offset,
+            self.param_len,
+            self.sync_every
+        )
+    }
+}
+
 // ---------------------------------------------------------------- encoding
 
 #[inline]

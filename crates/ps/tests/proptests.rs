@@ -11,7 +11,7 @@ use sync_switch_ps::transport::wire::{self, op, ServerInfo, WireError};
 use sync_switch_ps::transport::ServerEndpoint;
 use sync_switch_ps::{
     Checkpoint, FaultPlan, NetPort, PsServer, PullBuffer, ServerStatsSnapshot, ServerTopology,
-    ShardLayout, ShardedStore, Trainer, TrainerConfig, TransportKind, UpdateData, WorkerPort,
+    ShardedStore, Tier, Trainer, TrainerConfig, TransportKind, UpdateData, WorkerPort,
 };
 use sync_switch_workloads::SyncProtocol;
 
@@ -24,8 +24,7 @@ fn bits_to_f32(bits: &[u32]) -> Vec<f32> {
 /// A server owning all of an `n`-parameter vector in `shards` shards.
 fn test_server(n: usize, shards: usize) -> Arc<PsServer> {
     let initial: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).sin()).collect();
-    let layout = ShardLayout::new(n, shards);
-    Arc::new(PsServer::new(0, &layout, 0, layout.len(), &initial, 2))
+    Arc::new(Tier::new(n, shards, 1, 2).server(0, &initial))
 }
 
 /// The lengths of `server`'s local shards.
@@ -422,13 +421,13 @@ proptest! {
     ) {
         let initial = vec![0.5f32; n];
         let net = NetPort::launch(&initial, shards, ServerTopology::new(servers, 1));
-        let router = net.router();
-        prop_assert_eq!(router.param_count(), n);
-        prop_assert_eq!(router.shard_count(), shards.min(n));
-        prop_assert_eq!(router.server_count(), servers.min(router.shard_count()));
+        let (router, tier) = (net.router(), net.router().tier());
+        prop_assert_eq!(tier.param_count(), n);
+        prop_assert_eq!(tier.shard_count(), shards.min(n));
+        prop_assert_eq!(tier.server_count(), servers.min(tier.shard_count()));
         let mut shard_cursor = 0usize;
         let mut param_cursor = 0usize;
-        for s in 0..router.server_count() {
+        for s in 0..tier.server_count() {
             let info = router.server_info(s).expect("hello");
             let count = info.shard_count as usize;
             prop_assert_eq!(info.server as usize, s);
@@ -436,12 +435,12 @@ proptest! {
             prop_assert_eq!(info.first_shard as usize, shard_cursor, "non-contiguous ownership");
             prop_assert_eq!(info.param_offset as usize, param_cursor, "non-contiguous param range");
             for g in shard_cursor..shard_cursor + count {
-                prop_assert_eq!(router.owner_of(g), s, "shard {} owner mismatch", g);
+                prop_assert_eq!(tier.owner_of(g), s, "shard {} owner mismatch", g);
             }
             shard_cursor += count;
             param_cursor += info.param_len as usize;
         }
-        prop_assert_eq!(shard_cursor, router.shard_count(), "shards not covered");
+        prop_assert_eq!(shard_cursor, tier.shard_count(), "shards not covered");
         prop_assert_eq!(param_cursor, n, "params not covered");
     }
 

@@ -65,7 +65,7 @@ fn remote_tier_matches_in_process_router() {
     for step in 0..4 {
         for g in 0..5 {
             let (o, l) = inproc.shard_range(g);
-            assert_eq!(net.router().shard_range(g), (o, l));
+            assert_eq!(net.router().tier().shard_range(g), (o, l));
             let a = inproc.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
             let b = w.apply_shard_update(g, &grad[o..o + l], 0.05, 0.9);
             assert_eq!(Ok(a), b, "shard clock skew at step {step} shard {g}");
@@ -94,6 +94,12 @@ fn connect_rejects_inconsistent_shapes() {
     assert!(NetRouter::connect(0, 2, &addrs[..1], 1, quick_retry()).is_err());
     assert!(NetRouter::connect(8, 0, &addrs[..1], 1, quick_retry()).is_err());
     assert!(NetRouter::connect(8, 2, &[], 1, quick_retry()).is_err());
+    // Nor are more shards than parameters, nor a zero stage-2 period: the
+    // shapes `ps-serve` refuses to bind.
+    let err = NetRouter::connect(8, 20, &addrs[..2], 1, quick_retry()).unwrap_err();
+    assert!(matches!(err, PsError::InvalidConfig(_)), "{err}");
+    let err = NetRouter::connect(8, 2, &addrs[..1], 0, quick_retry()).unwrap_err();
+    assert!(matches!(err, PsError::InvalidConfig(_)), "{err}");
     // A zero op timeout has no meaning a socket can honour.
     let never = RetryPolicy {
         op_timeout_ms: 0,

@@ -4,8 +4,11 @@
 //! Reads a [`ClusterSpec`] JSON file, builds the spec's seeded workload
 //! model to obtain the tier's initial parameters (every process of the
 //! cluster builds the same model, so no parameter shipping is needed at
-//! startup), binds the spec address for its server index, prints a
-//! readiness line, and serves the full wire protocol — pushes, pulls,
+//! startup), builds its server from the spec's tier — the
+//! `sync_switch::ps::Tier::remote` every `ps-worker` derives too, so a
+//! shape that would need clamping is refused here as it is there — binds
+//! the spec address for its server index, prints a readiness line, and
+//! serves the full wire protocol — pushes, pulls,
 //! the stage-2 commits its push count makes due, snapshot/restore, and the
 //! `Hello` identity handshake — until killed. There is no graceful-shutdown path on
 //! purpose: the process *is* the server, and the harness stops it the way

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use sync_switch_ps::transport::wire::op;
-use sync_switch_ps::{ControllerConfig, RetryPolicy, ServerStatsSnapshot, TrainerConfig};
+use sync_switch_ps::{ControllerConfig, RetryPolicy, ServerStatsSnapshot, Tier, TrainerConfig};
 use sync_switch_workloads::{SyncProtocol, TrainableKind};
 
 /// One training segment of a cluster run: a synchronization discipline and
@@ -253,22 +253,6 @@ impl ClusterSpec {
     pub fn validate(&self) -> Result<(), String> {
         let kind = self.workload_kind()?;
         self.server_addrs()?;
-        if self.servers.is_empty() {
-            return Err("spec names no servers".into());
-        }
-        if self.shards == 0 {
-            return Err("shards must be positive".into());
-        }
-        if self.servers.len() > self.shards {
-            return Err(format!(
-                "{} servers for {} shards: a server would own no shard",
-                self.servers.len(),
-                self.shards
-            ));
-        }
-        if self.sync_every == 0 {
-            return Err("sync_every must be positive".into());
-        }
         if self.segments.is_empty() {
             return Err("spec names no training segments".into());
         }
@@ -279,13 +263,13 @@ impl ClusterSpec {
             }
         }
         let (model, train, _) = kind.build(self.seed);
-        if self.shards > model.params_flat().len() {
-            return Err(format!(
-                "{} shards for {} parameters",
-                self.shards,
-                model.params_flat().len()
-            ));
-        }
+        // The one rule `ps-serve` and `ps-worker` build their tier by.
+        Tier::remote(
+            model.param_count(),
+            self.shards,
+            self.servers.len(),
+            self.sync_every,
+        )?;
         if train.len() < self.workers_per_proc {
             return Err("more worker threads than training examples".into());
         }

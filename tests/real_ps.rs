@@ -358,15 +358,16 @@ fn riding_items_are_booked_under_their_own_class() {
     // Per server: the items of a dense push of each owned shard, the acks
     // they bring back, and its whole `Pulled` image.
     let per_server = |r: &NetRouter| -> Vec<(u64, u64, u64)> {
-        (0..r.server_count())
+        let tier = r.tier();
+        (0..tier.server_count())
             .map(|s| {
-                let owned: Vec<usize> = (0..r.shard_count())
-                    .filter(|&g| r.owner_of(g) == s)
+                let owned: Vec<usize> = (0..tier.shard_count())
+                    .filter(|&g| tier.owner_of(g) == s)
                     .collect();
-                let params: usize = owned.iter().map(|&g| r.shard_range(g).1).sum();
+                let params: usize = owned.iter().map(|&g| tier.shard_range(g).1).sum();
                 let pushes = (owned.iter())
                     .map(|&g| {
-                        let grad = vec![0.0; r.shard_range(g).1];
+                        let grad = vec![0.0; tier.shard_range(g).1];
                         len(|b| wire::encode_push_shard(b, 0, 0.0, 0.0, &grad)) + 4
                     })
                     .sum();
@@ -417,8 +418,8 @@ fn riding_items_are_booked_under_their_own_class() {
     let sizes = per_server(r);
     let images: u64 = sizes.iter().map(|s| s.2).sum();
     let push_all = |acks: &mut Vec<u64>| {
-        for g in 0..r.shard_count() {
-            let grad = vec![0.5; r.shard_range(g).1];
+        for g in 0..r.tier().shard_count() {
+            let grad = vec![0.5; r.tier().shard_range(g).1];
             net.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.9)
                 .unwrap();
         }
