@@ -175,25 +175,37 @@ impl WorkerTelemetry {
 /// (`tests/alloc_free_step.rs`).
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// The step's batch, drawn in place by `Dataset::sample_batch_into`.
-    x: Tensor,
-    /// The batch's labels.
-    labels: Vec<usize>,
-    /// The step's flat gradient, rewritten in place along `runs` (and
-    /// zeroed along the previous step's), so it always equals the dense
-    /// gradient — BSP's stripe accumulate reads all of it.
+    /// The step's batch and what it reads.
+    batch: Batch,
+    /// The next step's, drawn before this step pushed (see [`async_loop`]).
+    next: Batch,
+    /// The global step `next` holds the batch of, if any.
+    next_step: Option<u64>,
+    /// The step's flat gradient, rewritten in place along the batch's runs
+    /// (and zeroed along the previous step's), so it always equals the
+    /// dense gradient — BSP's stripe accumulate reads all of it.
     grad: GradBuffer,
-    /// Global `(offset, len)` runs of the parameters this step pulled — and
-    /// so of its possibly-nonzero gradient: what
-    /// `Network::param_read_runs_into` reported for the batch, or the one
-    /// run covering everything when the step is dense.
-    runs: Vec<(usize, usize)>,
     /// The pushed shards' acked pre-apply clocks, in shard order.
     acks: Vec<u64>,
     /// Shard-relative segments of the shard currently being pushed.
     spans: Vec<(u32, u32)>,
     /// The segments' gradient values, gathered from the flat gradient.
     values: Vec<f32>,
+}
+
+/// One step's batch and labels, drawn in place by
+/// `Dataset::sample_batch_into`, and what the step over it reads.
+#[derive(Debug, Default)]
+struct Batch {
+    x: Tensor,
+    labels: Vec<usize>,
+    /// Whether the step reads by run: the config allows it *and* the model
+    /// reports a sparse read set for the batch.
+    sparse: bool,
+    /// Global `(offset, len)` runs of the parameters the step pulls, and so
+    /// of its possibly-nonzero gradient: what `param_read_runs_into`
+    /// reported, or the one run covering everything for a dense step.
+    runs: Vec<(usize, usize)>,
 }
 
 /// Builds the data plane `cfg` describes over the `initial` parameters.
@@ -404,10 +416,11 @@ impl Worker<'_> {
         Ok((self.id, profile, hist, take(&mut self.shard_hist)))
     }
 
-    /// The part of a step every protocol shares: draw the batch, pull what
-    /// it reads — or install it from `image` once that holds one (see
-    /// [`BspShared::image`]) — compute loss and gradient. A failed pull is
-    /// its wire error. The loss is no divergence test: the softmax
+    /// The part of a step every protocol shares: draw the batch — or take
+    /// the one the step before drew for it ([`Worker::draw`]) — pull
+    /// what it reads, or install it from `image` once that holds one (see
+    /// [`BspShared::image`]), and compute loss and gradient. A failed pull
+    /// is its wire error. The loss is no divergence test: the softmax
     /// cross-entropy never returns more than −ln(1e-12) ≈ 27.6, NaN logits
     /// included, so the paper's "divergence errors" are caught by the
     /// segment's closing finiteness check.
@@ -423,23 +436,20 @@ impl Worker<'_> {
         let start_ns = self.seat.wt.now_ns();
         // The batch does not depend on the pull, so it is drawn first and
         // says what to pull.
-        let mut rng = step_rng(cfg.seed, self.id, step_id);
-        let StepScratch { x, labels, .. } = &mut self.seat.scratch;
-        self.shard
-            .sample_batch_into(cfg.per_worker_batch, &mut rng, x, labels);
+        let scratch = &mut self.seat.scratch;
+        if scratch.next_step.take() == Some(step_id) {
+            std::mem::swap(&mut scratch.batch, &mut scratch.next);
+        } else {
+            self.draw(step_id, false);
+        }
         let image = image.map(|lock| lock.read().expect(IMAGE_WRITER_PANICKED));
         let version = self.pull(image.as_deref().and_then(Option::as_ref))?;
         drop(image);
         if let Some(d) = cfg.straggler_delay[self.id] {
             std::thread::sleep(d);
         }
-        let StepScratch {
-            x,
-            labels,
-            runs,
-            grad,
-            ..
-        } = &mut self.seat.scratch;
+        let StepScratch { batch, grad, .. } = &mut self.seat.scratch;
+        let (x, labels, runs) = (&batch.x, &batch.labels, &batch.runs);
         let loss = self.seat.model.loss_and_grad_into(x, labels, runs, grad);
         Ok(Step {
             id: step_id,
@@ -450,36 +460,52 @@ impl Worker<'_> {
         })
     }
 
+    /// Draws global step `step_id`'s batch from [`step_rng`] and works out
+    /// what the step reads: into the step's own set, or if `next` into the
+    /// next step's, whose runs then ride this step's push ([`Worker::push`]).
+    pub(crate) fn draw(&mut self, step_id: u64, next: bool) {
+        let (cfg, seat) = (self.cfg, &mut *self.seat);
+        let b = if next {
+            seat.scratch.next_step = Some(step_id);
+            &mut seat.scratch.next
+        } else {
+            &mut seat.scratch.batch
+        };
+        let mut rng = step_rng(cfg.seed, self.id, step_id);
+        (self.shard).sample_batch_into(cfg.per_worker_batch, &mut rng, &mut b.x, &mut b.labels);
+        b.sparse = cfg.sparse_push && seat.model.param_read_runs_into(&b.x, &mut b.runs);
+        if !b.sparse {
+            b.runs.clear();
+            b.runs.push((0, seat.model.param_count()));
+        }
+    }
+
     /// Pulls what the step over the scratch's batch reads and installs it
-    /// in the model — the place a step's sparsity is decided for both
-    /// directions: when the config allows it *and* the model reports a
-    /// sparse read set for the batch, only those runs are pulled and
-    /// installed (every other parameter of the model keeps a stale value
-    /// the step never looks at); otherwise this is a full pull and
-    /// `set_params_flat`. Either way
-    /// `scratch.runs` says what moved, for [`Worker::push`], and the pulled
-    /// version is returned. With an `image` nothing is pulled: the step
-    /// installs from it and takes its clocks, as a pull would have.
+    /// in the model — the place a step's sparsity, decided when its batch
+    /// was drawn, acts on both directions: a step that reads by run pulls
+    /// and installs only its runs (every other parameter of the model keeps
+    /// a stale value the step never looks at); otherwise this is a full
+    /// pull and `set_params_flat`. Either way the batch's runs say what
+    /// moved, for [`Worker::push`], and the pulled version is returned.
+    /// With an `image` nothing is pulled: the step installs from it and
+    /// takes its clocks, as a pull would have.
     fn pull(&mut self, image: Option<&PullBuffer>) -> Result<u64, PsError> {
         let seat = &mut *self.seat;
-        let StepScratch { x, runs, .. } = &mut seat.scratch;
-        let sparse = self.cfg.sparse_push && seat.model.param_read_runs_into(x, runs);
+        let Batch { sparse, runs, .. } = &seat.scratch.batch;
         let version = match image {
             Some(image) => {
                 seat.buf.shard_versions.clone_from(&image.shard_versions);
                 seat.buf.version = image.version;
                 image.version
             }
-            None if sparse => seat.port.pull_runs_into(&mut seat.buf, runs)?,
+            None if *sparse => seat.port.pull_runs_into(&mut seat.buf, runs)?,
             None => seat.port.pull_into(&mut seat.buf)?,
         };
         let params = image.unwrap_or(&seat.buf).params();
-        if sparse {
+        if *sparse {
             seat.model.set_params_runs(params, runs);
         } else {
             seat.model.set_params_flat(params);
-            runs.clear();
-            runs.push((0, params.len()));
         }
         Ok(version)
     }
@@ -501,7 +527,9 @@ impl Worker<'_> {
     /// for the next shard). A server whose stage-2 period the flush
     /// completes commits right behind its applies
     /// ([`WorkerPort::flush_pushes`]), so nothing is left to run once the
-    /// push completes.
+    /// push completes. If the next step's batch is drawn already and reads
+    /// by run, the flush is handed those runs, so a tier's requests bring
+    /// them home and that step's pull can be served without asking.
     ///
     /// Records one per-shard staleness observation per shard — the shard
     /// clock's acked pre-apply value against the clock captured at pull
@@ -511,14 +539,15 @@ impl Worker<'_> {
         let port = &self.seat.port;
         let (lr, momentum) = (self.cfg.learning_rate, self.cfg.momentum);
         let StepScratch {
+            batch,
+            next,
+            next_step,
             grad,
-            runs,
             acks,
             spans,
             values,
-            ..
         } = &mut self.seat.scratch;
-        let grad = grad.as_slice();
+        let (runs, grad) = (&batch.runs, grad.as_slice());
         acks.clear();
         for i in 0..port.shard_count() {
             let (offset, len) = port.shard_range(i);
@@ -543,7 +572,8 @@ impl Worker<'_> {
             };
             port.queue_shard_update(i, data, lr, momentum, acks)?;
         }
-        port.flush_pushes(acks)?;
+        let next_runs = (next_step.is_some() && next.sparse).then_some(next.runs.as_slice());
+        port.flush_pushes(acks, next_runs)?;
         self.record_acks();
         Ok(self.seat.port.complete_push(self.seat.buf.version()))
     }
@@ -1707,10 +1737,11 @@ mod tests {
         // BSP parked each worker at the barrier each round.
         t.run_segment(SyncProtocol::Bsp, bsp_rounds).unwrap();
         assert_eq!(barrier_waits(&t), 3 * bsp_rounds);
-        // SSP waits at the gate once per step claim, and every worker
-        // claims once more to find the budget spent.
+        // SSP waits at the gate once per step. A worker claims its next
+        // step before it pushes, so one whose claim finds the budget spent
+        // leaves without waiting.
         t.run_ssp_segment(1, ssp_steps).unwrap();
-        let waits = 3 * bsp_rounds + ssp_steps + 3;
+        let waits = 3 * bsp_rounds + ssp_steps;
         assert_eq!(barrier_waits(&t), waits);
         let bus = t.bus();
         // Every completed step incremented the counter and recorded a
@@ -1766,15 +1797,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_worker_asp_equals_leashed_ssp_on_every_plane() {
-        let _deadline = deadline(60);
-        // With one worker nothing is concurrent, so a leash of any length
-        // never holds and SSP must be ASP bit for bit — on the single
-        // store, on the in-process (direct) tier, and over both wire tiers.
-        // So must ASP cut into 8 segments: a worker keeps its seat across
-        // a boundary, and on a wire tier the image its last push brought
-        // home is served to the next segment's first pull.
+    /// One worker training `job`'s model on every plane: with nothing
+    /// concurrent, a leash of any length never holds, so SSP must be ASP
+    /// bit for bit — on the single store, on the in-process (direct) tier,
+    /// and over both wire tiers. So must ASP cut into 8 segments: a worker
+    /// keeps its seat across a boundary, and on a wire tier the image its
+    /// last push brought home is served to the next segment's first pull.
+    /// Returns, per plane, the pull round trips of the 8-segment run.
+    fn single_worker_asp_equals_leashed_ssp(
+        job: impl Fn() -> (Network, Dataset, Dataset),
+        steps: u64,
+    ) -> Vec<u64> {
         let inproc = crate::config::ServerTopology::new(2, 4);
         let planes = [
             (5, crate::config::ServerTopology::default()),
@@ -1782,25 +1815,26 @@ mod tests {
             (7, inproc.with_transport(TransportKind::Channel)),
             (7, inproc.with_transport(TransportKind::Tcp)),
         ];
+        let mut asked = Vec::new();
         for (shards, topology) in planes {
             let run = |leash: Option<u64>, segments: u64| {
-                let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 31);
-                let (train, test) = data.split(0.25);
+                let (model, train, test) = job();
                 let mut cfg = TrainerConfig::new(1, 8, 0.05, 0.9)
                     .with_seed(31)
                     .with_topology(topology);
                 cfg.shards = shards;
-                let mut t = Trainer::new(Network::mlp(6, &[16], 4, 31), train, test, cfg);
+                let mut t = Trainer::new(model, train, test, cfg);
                 let mut staleness = StalenessHistogram::new();
-                let mut shard_max = None;
+                let (mut shard_max, mut pull_trips) = (None, 0);
                 for _ in 0..segments {
                     let r = t
-                        .run_leashed(SyncProtocol::Asp, leash, 40 / segments)
+                        .run_leashed(SyncProtocol::Asp, leash, steps / segments)
                         .unwrap();
                     staleness.merge(&r.staleness);
                     shard_max = shard_max.max(r.shard_staleness.max());
+                    pull_trips += r.transport.pull.round_trips;
                 }
-                (t.checkpoint(), staleness, shard_max)
+                (t.checkpoint(), staleness, shard_max, pull_trips)
             };
             let asp = run(None, 1);
             for (leash, segments) in [(Some(0), 1), (Some(3), 1), (None, 8)] {
@@ -1810,8 +1844,54 @@ mod tests {
                 assert_eq!(other.0.velocity, asp.0.velocity, "{what}");
                 assert_eq!(other.1, asp.1, "{what}: staleness");
                 assert_eq!(other.2, asp.2, "{what}: shard staleness");
+                if segments == 8 {
+                    asked.push(other.3);
+                }
             }
         }
+        asked
+    }
+
+    #[test]
+    fn single_worker_asp_equals_leashed_ssp_on_every_plane() {
+        let _deadline = deadline(60);
+        single_worker_asp_equals_leashed_ssp(
+            || {
+                let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 31);
+                let (train, test) = data.split(0.25);
+                (Network::mlp(6, &[16], 4, 31), train, test)
+            },
+            40,
+        );
+    }
+
+    #[test]
+    fn single_worker_sparse_asp_equals_leashed_ssp_on_every_plane() {
+        let _deadline = deadline(60);
+        // The same on the embedding classifier, whose steps pull by run:
+        // each push brings home the runs of the batch drawn before it, and a
+        // lone worker's ridden image must be what asking returns. On every
+        // tier only each segment's first pull asks its 2 servers: the last
+        // step of a segment draws no next batch, and every commit is in
+        // the worker's own replies, so no ridden image goes out of date.
+        // The single store has no wire.
+        let asked = single_worker_asp_equals_leashed_ssp(
+            || {
+                let data = Dataset::zipf_tokens(3, 60, 64, 3, 1.1, 31);
+                let (train, test) = data.split(0.25);
+                (
+                    Network::embedding_classifier(64, 4, 6, 3, 3, 31),
+                    train,
+                    test,
+                )
+            },
+            40,
+        );
+        assert_eq!(
+            asked,
+            [0, 8 * 2, 8 * 2, 8 * 2],
+            "pull round trips per plane"
+        );
     }
 
     #[test]

@@ -403,11 +403,16 @@ impl WorkerPort {
     /// for it as one request — behind whose applies the server commits, if
     /// the request makes its period due — and appends their pre-apply shard
     /// clocks to `acks`; the single store already applied and acked, and
-    /// has no rounds.
-    pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
+    /// has no rounds. A tier's requests also bring home `next_runs`, the
+    /// runs the next step's batch reads ([`NetPort::flush_pushes`]).
+    pub fn flush_pushes(
+        &self,
+        acks: &mut Vec<u64>,
+        next_runs: Option<&[(usize, usize)]>,
+    ) -> Result<(), PsError> {
         match self.plane() {
             Plane::Single(_) => Ok(()),
-            Plane::Net(p) => p.flush_pushes(acks),
+            Plane::Net(p) => p.flush_pushes(acks, next_runs),
         }
     }
 
@@ -495,7 +500,7 @@ mod tests {
             w.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.0, &mut acks)
                 .unwrap();
         }
-        w.flush_pushes(&mut acks).unwrap();
+        w.flush_pushes(&mut acks, None).unwrap();
         assert_eq!(acks.len(), w.shard_count());
         w.complete_push(w.version());
     }

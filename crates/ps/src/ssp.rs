@@ -80,11 +80,18 @@ impl AsyncShared {
 
 /// ASP and SSP: workers claim global steps and apply updates immediately.
 ///
+/// A worker claims its next step and draws its batch ([`Worker::draw`])
+/// before it pushes, so the push brings home what the next pull reads, by
+/// run too; a ticket at or past `steps` draws nothing. SSP's gate wait
+/// comes after that claim: the port's stamp rule, not the gate, decides
+/// whether the image the push brought home is served.
+///
 /// A steady-state step allocates nothing, the whole step included — batch,
 /// pull, compute and push (pinned by `steady_state_worker_steps_allocate_nothing`
 /// in `tests/alloc_free_step.rs`): each worker reuses one pull buffer for
-/// every pull and pushes its gradient shard-by-shard, measuring per-shard
-/// staleness against the clocks captured at pull time.
+/// every pull and two batch buffers, and pushes its gradient
+/// shard-by-shard, measuring per-shard staleness against the clocks
+/// captured at pull time.
 /// With no barrier, wall and busy time differ only by straggler sleeps,
 /// scheduler preemption and — under SSP — the gate waits.
 pub(crate) fn async_loop(
@@ -94,8 +101,19 @@ pub(crate) fn async_loop(
 ) -> Result<(), PsError> {
     let gate = w.gate;
     let leash = shared.leash.as_ref();
+    // Relaxed: a pure ticket counter — atomicity alone guarantees each
+    // step id is claimed exactly once; no other data is published through
+    // it.
+    let claim = || shared.claimed.fetch_add(1, Ordering::Relaxed);
     let mut my_iter = 0u64;
+    let mut s = claim();
     loop {
+        if s >= steps {
+            if let Some((ssp, _)) = leash {
+                ssp.publish(gate, w.id, DONE);
+            }
+            break;
+        }
         if let Some((ssp, bound)) = leash {
             // Wait while more than `bound` ahead. Because every push bumps
             // every shard clock exactly once, capping the iteration lead
@@ -110,17 +128,11 @@ pub(crate) fn async_loop(
         if gate.is_aborted() {
             break;
         }
-        // Relaxed: a pure ticket counter — atomicity alone guarantees each
-        // step id is claimed exactly once; no other data is published
-        // through it.
-        let s = shared.claimed.fetch_add(1, Ordering::Relaxed);
-        if s >= steps {
-            if let Some((ssp, _)) = leash {
-                ssp.publish(gate, w.id, DONE);
-            }
-            break;
-        }
         let step = w.compute_step(w.base_step + s, None)?;
+        s = claim();
+        if s < steps {
+            w.draw(w.base_step + s, true);
+        }
         let staleness = w.push()?;
         w.record_step(&step, step.t0.elapsed(), Some(staleness));
         w.mark_wall();

@@ -113,14 +113,6 @@ fn serve(endpoint: &mut ServerEndpoint, rx: &mpsc::Receiver<Msg>) {
 }
 
 impl Transport for ChannelTransport {
-    fn name(&self) -> &'static str {
-        "channel"
-    }
-
-    fn server_count(&self) -> usize {
-        self.txs.len()
-    }
-
     fn connect(&self, server: usize) -> io::Result<Box<dyn Conn>> {
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         Ok(Box::new(ChannelConn {
@@ -252,14 +244,18 @@ mod tests {
     #[test]
     fn request_reply_over_the_queue() {
         let _deadline = deadline(60);
+        let tier = Tier::new(12, 4, 2, u64::MAX);
+        assert_eq!(tier.server_count(), 2);
         for t in both(12, 4, 2) {
-            request_reply(t.as_ref());
+            // Every server the tier names answers on its own connection.
+            for s in 0..tier.server_count() {
+                request_reply(t.as_ref(), s);
+            }
         }
     }
 
-    fn request_reply(t: &dyn Transport) {
-        assert_eq!(t.server_count(), 2);
-        let mut conn = t.connect(1).unwrap();
+    fn request_reply(t: &dyn Transport, server: usize) {
+        let mut conn = t.connect(server).unwrap();
         wire::encode_bodyless(conn.request_buf(), op::CHECK_FINITE);
         let reply = conn.call().unwrap();
         assert_eq!(wire::decode_finite(reply), Ok(true));

@@ -29,14 +29,6 @@ impl DirectTransport {
 }
 
 impl Transport for DirectTransport {
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     fn connect(&self, server: usize) -> io::Result<Box<dyn Conn>> {
         Ok(Box::new(DirectConn {
             endpoint: Some(ServerEndpoint::new(Arc::clone(&self.servers[server]))),

@@ -106,14 +106,6 @@ impl FaultyTransport {
 }
 
 impl Transport for FaultyTransport {
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
-
-    fn server_count(&self) -> usize {
-        self.inner.server_count()
-    }
-
     fn connect(&self, server: usize) -> io::Result<Box<dyn Conn>> {
         let inner = self.inner.connect(server)?;
         let index = self.conn_counter.fetch_add(1, Ordering::Relaxed);

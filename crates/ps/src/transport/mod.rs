@@ -95,12 +95,6 @@ use wire::op;
 /// infrastructure the boundary needs (event-loop threads, listeners);
 /// dropping the transport shuts all of it down.
 pub trait Transport: Send + Sync + fmt::Debug {
-    /// Short backend name for reports ("direct", "channel", "tcp").
-    fn name(&self) -> &'static str;
-
-    /// Number of servers behind this transport.
-    fn server_count(&self) -> usize;
-
     /// Opens a new connection to server `server`. Each worker thread opens
     /// its own connections (connection-per-worker).
     ///

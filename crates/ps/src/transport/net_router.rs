@@ -23,9 +23,10 @@
 //! lifetime, not once per segment.
 //!
 //! Every operation is strictly request/reply, and every data-plane request
-//! has one shape, `[push × n][Drain]?[PullCommitted]?`, built by one
-//! encoder and read by one decoder ([`NetRouter::send`]); only a pull by run
-//! has a frame of its own. Its reply is `[ack × n][Synced]?[Pulled]?`, the
+//! has one shape, `[push × n][Drain]?[PullCommitted(runs?)]?`, built by one
+//! encoder and read by one decoder ([`NetRouter::send`]), the pull bodyless
+//! for the whole slice or carrying the server's pieces of the runs a step
+//! reads. Its reply is `[ack × n][Synced]?[Pulled]?`, the
 //! `Synced` there when the request drained or its pushes made the server's
 //! periodic commit due. Each round trip is booked from its own items
 //! ([`Split::of`]; the rule is stated on [`TransportStats`]), so the
@@ -39,11 +40,11 @@
 //!   Round trips to different servers are not overlapped: on a small box
 //!   the extra runnable threads cost more than the overlap saves.
 //! * **A pull** asks each server for the runs the step reads, or its slice
-//!   (every server answers either way — its clocks date the pull). After a
-//!   whole-vector pull the worker's next push asks for the next one too.
-//!   The `Pulled` image stays in the connection's reply buffer until
-//!   [`NetPort::pull_into`] decodes it. A pull by run never rides: which
-//!   runs the next step reads is unknown before its batch is drawn.
+//!   (every server answers either way — its clocks date the pull). A push
+//!   asks for the worker's next pull too: the whole slice after a
+//!   whole-vector pull, or the runs of the batch an asynchronous worker
+//!   drew before it pushed. The `Pulled` image stays in the connection's
+//!   reply buffer until a pull of the same decodes it.
 //! * **An asynchronous stage-2 round** is the servers' own: each commits
 //!   behind the applies of every `sync_every`-th request that carries
 //!   pushes to it, from whichever client, so the round rides the push that
@@ -216,26 +217,33 @@ fn next_item<'a>(items: &mut impl Iterator<Item = &'a [u8]>) -> Result<&'a [u8],
 enum Pull<'a> {
     /// Nothing: no `PullCommitted` rides.
     No,
-    /// The whole image, left on the connection under its stamp for
-    /// [`NetPort::pull_into`] to decode.
+    /// What the port's next pull reads ([`PortState::runs`]), left on the
+    /// connection under its stamp for that pull to decode.
     Prefetch,
-    /// The whole image, decoded at once into this server's part of an
-    /// image: its parameters and its shards' clocks.
-    Into(&'a mut [f32], &'a mut [u64]),
+    /// These runs of the flat vector, decoded at once into this server's
+    /// part of an image: its parameters and its shards' clocks.
+    Into(&'a [(usize, usize)], &'a mut [f32], &'a mut [u64]),
 }
 
 /// The one data-plane request encoder: the `n` pushes `staged` holds
-/// (`[BATCH][u16 n]` then their items), then a `Drain` if `drain`, then a
-/// `PullCommitted` if `pull` — as one batch, or as a bare frame when that
-/// is a single item.
-fn encode_request(buf: &mut Vec<u8>, staged: &[u8], n: usize, drain: bool, pull: bool) {
-    let tail = (drain.then_some(op::DRAIN)).into_iter();
-    let tail = tail.chain(pull.then_some(op::PULL_COMMITTED));
-    if n + tail.clone().count() == 1 {
+/// (`[BATCH][u16 n]` then their items), then a `Drain` if `drain`, then the
+/// `PullCommitted` `pull` encodes, if any — as one batch, or as a bare
+/// frame when that is a single item.
+fn encode_request(
+    buf: &mut Vec<u8>,
+    staged: &[u8],
+    n: usize,
+    drain: bool,
+    pull: Option<impl Fn(&mut Vec<u8>)>,
+) {
+    if n + usize::from(drain) + usize::from(pull.is_some()) == 1 {
         // No batch header and no length prefix.
-        match tail.last() {
-            Some(opcode) => wire::encode_bodyless(buf, opcode),
-            None => buf.extend_from_slice(&staged[wire::BATCH_HEADER_BYTES + 4..]),
+        if drain {
+            wire::encode_bodyless(buf, op::DRAIN);
+        } else if let Some(pull) = pull {
+            pull(buf);
+        } else {
+            buf.extend_from_slice(&staged[wire::BATCH_HEADER_BYTES + 4..]);
         }
         return;
     }
@@ -245,8 +253,13 @@ fn encode_request(buf: &mut Vec<u8>, staged: &[u8], n: usize, drain: bool, pull:
     } else {
         buf.extend_from_slice(staged);
     }
-    for opcode in tail {
-        wire::put_bodyless_item(buf, head, opcode);
+    if drain {
+        wire::put_bodyless_item(buf, head, op::DRAIN);
+    }
+    if let Some(pull) = pull {
+        let mark = wire::open_batch_item(buf);
+        pull(buf);
+        wire::close_batch_item(buf, head, mark);
     }
 }
 
@@ -256,11 +269,11 @@ fn encode_request(buf: &mut Vec<u8>, staged: &[u8], n: usize, drain: bool, pull:
 #[derive(Debug)]
 struct ConnSlot {
     conn: Option<Box<dyn Conn>>,
-    /// Set while `conn`'s last reply is a batch reply ending in the server's
-    /// whole `Pulled` image: its stamp, a commit epoch of the server (see
-    /// the stamp rule). The image is what a pull would return for as long
-    /// as the known epoch still equals it; any other call on the connection
-    /// (or losing it) forgets it.
+    /// Set while `conn`'s last reply is a batch reply ending in a `Pulled`
+    /// image of the port's runs: its stamp, a commit epoch of the server
+    /// (see the stamp rule). The image is what a pull of those runs would
+    /// return for as long as the known epoch still equals it; any other
+    /// call on the connection (or losing it) forgets it.
     prefetch: Option<u64>,
     /// Client id carried in sequenced request headers.
     client: u64,
@@ -702,18 +715,19 @@ impl NetRouter {
     /// Sends server `s` one data-plane request over `port`'s connection,
     /// `[push × n][Drain]?[PullCommitted]?`: the `n` pushes `port` has
     /// staged for `s`, then a `Drain` if `drain`, then a `PullCommitted`
-    /// unless `pull` is [`Pull::No`]. Sequenced unless it is a lone pull, so
-    /// a re-send after a lost reply replays the cached reply and applies no
-    /// push or commit twice.
+    /// unless `pull` is [`Pull::No`] — with this server's pieces of the runs
+    /// it reads, or bodyless if they are its whole slice. Sequenced unless it
+    /// is a lone pull, so a re-send after a lost reply replays the cached
+    /// reply and applies no push or commit twice.
     ///
     /// The one decoder reads the reply — a batch, or a bare item: each
     /// push's pre-apply shard clock into `port.acks`, in the order staged;
     /// the `Synced` a drain, or a periodic commit the pushes made due,
     /// answers with, whose epoch is noted ([`NetRouter::note_epoch`]); then
     /// the `Pulled` image, which [`Pull::Into`] decodes where it says and
-    /// [`Pull::Prefetch`] checks and leaves on the connection under its
-    /// stamp: that epoch, or the known epoch read before the send (see the
-    /// stamp rule).
+    /// [`Pull::Prefetch`] checks against what it read and leaves on the
+    /// connection under its stamp: that epoch, or the known epoch read
+    /// before the send (see the stamp rule).
     fn send(
         &self,
         port: &mut PortState,
@@ -722,8 +736,19 @@ impl NetRouter {
         mut pull: Pull<'_>,
     ) -> Result<(), PsError> {
         let n = std::mem::take(&mut port.staged[s].n);
-        let pulls = !matches!(pull, Pull::No);
+        let reads = match &pull {
+            Pull::No => None,
+            Pull::Prefetch => Some(port.runs.as_slice()),
+            Pull::Into(runs, ..) => Some(*runs),
+        };
         let slice = &self.tier.slices()[s];
+        let (po, pl) = slice.param_range;
+        // This server's pieces of the runs, in its own offsets.
+        let local = |runs| runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
+        let encode_pull = |buf: &mut Vec<u8>| match reads.map(local) {
+            Some(pieces) if !pieces.clone().eq([(0, pl)]) => wire::encode_pull_runs(buf, pieces),
+            _ => wire::encode_bodyless(buf, op::PULL_COMMITTED),
+        };
         let known = self.epoch(s);
         let base = port.acks.len();
         let mut synced = None;
@@ -732,7 +757,10 @@ impl NetRouter {
             s,
             self.retry,
             n > 0 || drain,
-            &|buf| encode_request(buf, &port.staged[s].buf, n, drain, pulls),
+            &|buf| {
+                let pull = reads.is_some().then_some(&encode_pull);
+                encode_request(buf, &port.staged[s].buf, n, drain, pull);
+            },
             &mut |reply| {
                 // A failed attempt may have decoded part of a corrupt reply.
                 port.acks.truncate(base);
@@ -752,16 +780,17 @@ impl NetRouter {
                 } else {
                     None
                 };
-                match &mut pull {
-                    Pull::No => {}
-                    Pull::Prefetch => wire::expect_pulled(
+                match (&mut pull, reads) {
+                    (Pull::Prefetch, Some(runs)) => wire::expect_pulled(
                         next_item(&mut rest)?,
-                        slice.param_range.1,
+                        local(runs).map(|(_, len)| len).sum(),
                         slice.shard_count,
                     )?,
-                    Pull::Into(params, clocks) => {
-                        wire::decode_pulled_into(next_item(&mut rest)?, params, clocks)?
+                    (Pull::Into(_, params, clocks), Some(runs)) => {
+                        let item = next_item(&mut rest)?;
+                        wire::decode_pulled_runs_into(item, local(runs), params, clocks)?
                     }
+                    _ => {}
                 }
                 rest.next().map_or(Ok(()), |_| Err(WireError::Truncated))
             },
@@ -776,8 +805,9 @@ impl NetRouter {
     /// The one loop every push and drain takes: per server, its staged
     /// pushes, a `Drain` if `drain`, and a pull — decoded into its part of
     /// `image`, the whole tier's parameters and clocks, if given, or else
-    /// prefetched if the port pulls the whole vector. Without a drain, a
-    /// server with nothing staged is skipped. The acks land in shard order.
+    /// prefetched if the port rides its runs. Without a drain, a server with
+    /// nothing staged is skipped, and its held image forgotten (it may be of
+    /// other runs). The acks land in shard order.
     fn send_all(
         &self,
         port: &mut PortState,
@@ -786,15 +816,18 @@ impl NetRouter {
     ) -> Result<(), PsError> {
         for (s, slice) in self.tier.slices().iter().enumerate() {
             if !drain && port.staged[s].n == 0 {
+                port.conns[s].prefetch = None;
                 continue;
             }
             let ((po, pl), so) = (slice.param_range, slice.shard_offset);
+            let whole = [slice.param_range];
             let pull = match &mut image {
                 Some((params, clocks)) => Pull::Into(
+                    &whole,
                     &mut params[po..po + pl],
                     &mut clocks[so..so + slice.shard_count],
                 ),
-                None if port.pulls_dense => Pull::Prefetch,
+                None if port.rides => Pull::Prefetch,
                 None => Pull::No,
             };
             self.send(port, s, drain, pull)?;
@@ -898,40 +931,31 @@ impl NetRouter {
     /// per-shard staleness. Returns the effective data version (see
     /// [`NetRouter::pull_with`]).
     ///
-    /// A whole-vector pull costs a server no round trip while that server's
-    /// connection holds an image an earlier push reply brought along under
-    /// a stamp that is still current (see the stamp rule): it holds every
-    /// commit this router has seen reported before the pull was asked for.
-    /// Otherwise the server is asked.
+    /// A pull costs a server no round trip while that server's connection
+    /// holds an image an earlier push reply brought along of these very runs
+    /// (compared run by run, not by total length), under a stamp that is
+    /// still current (see the stamp rule): it holds every commit this
+    /// router has seen reported before the pull was asked for. Otherwise
+    /// the server is asked.
     fn pull_committed_into(
         &self,
         port: &mut PortState,
         buf: &mut PullBuffer,
-        runs: Option<&[(usize, usize)]>,
+        runs: &[(usize, usize)],
     ) -> Result<u64, PsError> {
+        let rode = port.rides && port.runs == runs;
         self.pull_with(buf, |all_params, all_clocks| {
             for (s, slice) in self.tier.slices().iter().enumerate() {
                 let (po, pl) = slice.param_range;
                 let so = slice.shard_offset;
                 let params = &mut all_params[po..po + pl];
                 let clocks = &mut all_clocks[so..so + slice.shard_count];
-                let Some(runs) = runs else {
-                    let held = port.conns[s].prefetched(self.epoch(s));
-                    if held.is_none_or(|it| wire::decode_pulled_into(it, params, clocks).is_err()) {
-                        self.send(port, s, false, Pull::Into(params, clocks))?;
-                    }
-                    continue;
-                };
-                // This server's pieces of the runs, in its own offsets.
-                let local = || runs_within(runs, po, pl).map(move |(at, n)| (at - po, n));
-                self.call_resilient(
-                    &mut port.conns[s],
-                    s,
-                    self.retry,
-                    false,
-                    &|req| wire::encode_pull_runs(req, local()),
-                    &mut |reply| wire::decode_pulled_runs_into(reply, local(), params, clocks),
-                )?;
+                let held = port.conns[s].prefetched(self.epoch(s)).filter(|_| rode);
+                let local = runs_within(runs, po, pl).map(|(at, n)| (at - po, n));
+                let decode = |it| wire::decode_pulled_runs_into(it, local, params, clocks);
+                if held.is_none_or(|it| decode(it).is_err()) {
+                    self.send(port, s, false, Pull::Into(runs, params, clocks))?;
+                }
             }
             Ok(())
         })
@@ -1210,9 +1234,13 @@ struct PortState {
     /// Pre-apply shard clocks of the pushes sent and not yet handed to the
     /// caller, in shard order.
     acks: Vec<u64>,
-    /// Whether this worker's last pull asked for the whole vector — the
-    /// kind of pull its next push can bring home in advance.
-    pulls_dense: bool,
+    /// Whether each request of the next flush brings `runs` home: not on
+    /// the control plane, nor after a pull by run unless handed new runs.
+    rides: bool,
+    /// What this worker's next pull reads: the whole vector's one run after
+    /// a whole-vector pull, or the runs of the batch it drew for its next
+    /// step (a reused buffer).
+    runs: Vec<(usize, usize)>,
 }
 
 /// The pushes staged for one server: `[BATCH][u16 n]` then
@@ -1224,6 +1252,13 @@ struct Staged {
 }
 
 impl PortState {
+    /// Makes `runs` what the next flush brings home.
+    fn ride(&mut self, runs: &[(usize, usize)]) {
+        self.rides = true;
+        self.runs.clear();
+        self.runs.extend_from_slice(runs);
+    }
+
     fn new(servers: usize) -> Self {
         PortState {
             conns: (0..servers).map(|_| ConnSlot::fresh()).collect(),
@@ -1296,26 +1331,32 @@ impl NetPort {
     /// Pulls the committed view into `buf`: from the images this worker's
     /// last flushed push left on its connections where they are still
     /// current, over the wire otherwise (see
-    /// [`NetRouter::pull_committed_into`]).
+    /// [`NetRouter::pull_committed_into`]). The worker's next flush brings
+    /// the whole vector home again, unless it is handed runs.
     pub fn pull_into(&self, buf: &mut PullBuffer) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
-        port.pulls_dense = true;
-        self.router.pull_committed_into(port, buf, None)
+        let whole = [(0, self.router.tier.param_count())];
+        let version = self.router.pull_committed_into(port, buf, &whole);
+        port.ride(&whole);
+        version
     }
 
     /// Pulls only `runs` of the committed view — sorted, disjoint
     /// `(offset, len)` ranges of the flat vector — so only they cross the
     /// wire; the rest of `buf.params` keeps what it held. Same clocks and
-    /// version as [`NetPort::pull_into`], always one round trip per server:
-    /// which runs the next step reads is not known when this one pushes.
+    /// version as [`NetPort::pull_into`]. Served like it, from the images
+    /// the last flushed push brought home, when that push was handed these
+    /// very runs ([`NetPort::flush_pushes`]); its next flush brings nothing
+    /// home unless it is handed runs too.
     pub fn pull_runs_into(
         &self,
         buf: &mut PullBuffer,
         runs: &[(usize, usize)],
     ) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
-        port.pulls_dense = false;
-        self.router.pull_committed_into(port, buf, Some(runs))
+        let version = self.router.pull_committed_into(port, buf, runs);
+        port.rides = false;
+        version
     }
 
     /// Queues the stage-1 apply of `data` on global shard `g`: a sparse
@@ -1346,10 +1387,19 @@ impl NetPort {
     /// behind whose pushes the server commits if they complete its period,
     /// so the round costs no round trip of its own — and appends to `acks`
     /// the owners' pre-apply live shard clocks of every push queued since
-    /// the last flush, in shard order. After a whole-vector pull each
-    /// request also fetches the next one.
-    pub fn flush_pushes(&self, acks: &mut Vec<u64>) -> Result<(), PsError> {
+    /// the last flush, in shard order. Each request also fetches what the
+    /// worker's next pull reads, where that is known: `next_runs`, the runs
+    /// of the batch the worker drew for its next step, or else the whole
+    /// vector after a whole-vector pull.
+    pub fn flush_pushes(
+        &self,
+        acks: &mut Vec<u64>,
+        next_runs: Option<&[(usize, usize)]>,
+    ) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
+        if let Some(runs) = next_runs {
+            port.ride(runs);
+        }
         self.router.send_all(port, false, None)?;
         acks.append(&mut port.acks);
         Ok(())
@@ -1483,6 +1533,12 @@ mod tests {
     /// shard queued in flat order, flushed, completed. Returns how many
     /// pulls rode along.
     fn queued_push(port: &NetPort, scale: f32) -> u64 {
+        riding_push(port, scale, None)
+    }
+
+    /// [`queued_push`] with the runs the worker's next pull reads handed to
+    /// the flush.
+    fn riding_push(port: &NetPort, scale: f32, next_runs: Option<&[(usize, usize)]>) -> u64 {
         let r = port.router();
         let pulls = r.stats().pull.ops;
         for g in 0..r.tier().shard_count() {
@@ -1492,7 +1548,7 @@ mod tests {
                 .unwrap();
         }
         let mut acks = Vec::new();
-        port.flush_pushes(&mut acks).unwrap();
+        port.flush_pushes(&mut acks, next_runs).unwrap();
         assert_eq!(acks.len(), r.tier().shard_count());
         r.complete_push(r.version());
         r.stats().pull.ops - pulls
@@ -1613,6 +1669,100 @@ mod tests {
                 healed.0[po..].iter().all(|&p| p == 0.0),
                 "not the fresh instance"
             );
+        }
+    }
+
+    #[test]
+    fn a_run_pull_rides_the_push_it_was_handed_to_until_a_round_completes() {
+        let _deadline = deadline(60);
+        for topology in topologies() {
+            let initial: Vec<f32> = (0..26).map(|i| (i as f32).cos()).collect();
+            let a = NetPort::launch(&initial, 4, {
+                let mut t = topology;
+                t.sync_every = 3;
+                t
+            });
+            let b = a.clone();
+            let r = a.router();
+            let pull_trips = || r.stats().pull.round_trips;
+            // These runs reach both servers, and the second list has the
+            // same total length.
+            let runs = [(1, 3), (9, 6), (20, 2)];
+            let shifted = [(2, 3), (9, 6), (20, 2)];
+            let (po, _) = r.tier().shard_range(2);
+            let on_server_0: usize = runs_within(&runs, 0, po).map(|(_, n)| n).sum();
+            // A pull of `runs`: their values, the clocks and the version.
+            let view = |port: &NetPort, buf: &mut PullBuffer, runs: &[(usize, usize)]| {
+                let version = port.pull_runs_into(buf, runs).unwrap();
+                let values: Vec<f32> = (runs.iter())
+                    .flat_map(|&(o, l)| buf.params()[o..o + l].to_vec())
+                    .collect();
+                (values, buf.shard_versions().to_vec(), version)
+            };
+            // What a fresh port, which has nothing to serve from, is told.
+            let asked = |runs: &[(usize, usize)]| view(&a.clone(), &mut PullBuffer::new(), runs);
+            let mut buf = PullBuffer::new();
+
+            // Handed the runs, each server's push request brings its pieces
+            // home, and the pull of exactly those runs is served.
+            assert_eq!(riding_push(&a, 1.0, Some(&runs[..])), 2);
+            let before = pull_trips();
+            let rode = view(&a, &mut buf, &runs);
+            assert_eq!(pull_trips(), before, "a ridden run image is served");
+            assert_eq!(rode, asked(&runs));
+            let committed: Vec<f32> = (runs.iter())
+                .flat_map(|&(o, l)| initial[o..o + l].to_vec())
+                .collect();
+            assert_eq!(rode.0, committed, "stage 1 must not leak into a pull");
+
+            // Another run list of the same total length is asked.
+            assert_eq!(riding_push(&a, 2.0, Some(&runs[..])), 2);
+            let before = pull_trips();
+            let other = view(&a, &mut buf, &shifted);
+            assert_eq!(pull_trips(), before + 2, "other runs must be asked");
+            assert_eq!(other, asked(&shifted));
+
+            // A's third push commits each server behind its applies: the
+            // image it brings home is read behind that commit, and served.
+            assert_eq!(riding_push(&a, 3.0, Some(&runs[..])), 2);
+            let before = pull_trips();
+            let own_round = view(&a, &mut buf, &runs);
+            assert_eq!(pull_trips(), before, "the round's reply carried the pull");
+            assert_eq!(own_round, asked(&runs));
+            assert_eq!(own_round.1, vec![3; 4]);
+
+            // B's pushes complete the next round: A's image predates it.
+            assert_eq!(riding_push(&a, 4.0, Some(&runs[..])), 2);
+            queued_push(&b, 0.5);
+            queued_push(&b, 0.25);
+            let before = pull_trips();
+            let after_round = view(&a, &mut buf, &runs);
+            assert_eq!(pull_trips(), before + 2, "an outdated image is asked");
+            assert_eq!(after_round, asked(&runs));
+            assert_eq!(after_round.1, vec![6; 4]);
+
+            // A server replaced since the push is asked; the other's image
+            // still stands.
+            assert_eq!(riding_push(&a, 5.0, Some(&runs[..])), 2);
+            if r.kill_server(1).is_err() {
+                continue; // only the TCP backend kills in place
+            }
+            r.revive_server(1).expect("revive");
+            assert_eq!(r.handshake(Duration::from_secs(5)), Ok(1));
+            let before = pull_trips();
+            let healed = view(&a, &mut buf, &runs);
+            assert_eq!(
+                pull_trips(),
+                before + 1,
+                "only the replaced server is asked"
+            );
+            let (served, fresh) = healed.0.split_at(on_server_0);
+            assert_eq!(
+                served,
+                &after_round.0[..on_server_0],
+                "server 0's image was dropped"
+            );
+            assert!(fresh.iter().all(|&p| p == 0.0), "not the fresh instance");
         }
     }
 

@@ -329,14 +329,6 @@ fn serve_conn(stream: TcpStream, endpoint: &mut ServerEndpoint) {
 }
 
 impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn server_count(&self) -> usize {
-        self.addrs.len()
-    }
-
     fn connect(&self, server: usize) -> io::Result<Box<dyn Conn>> {
         Ok(Box::new(TcpConn::connect(self.addrs[server])?))
     }

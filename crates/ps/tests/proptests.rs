@@ -797,7 +797,7 @@ proptest! {
                     net.queue_shard_update(g, data, 0.05, 0.9).unwrap();
                 }
             }
-            net.flush_pushes(&mut acks).unwrap();
+            net.flush_pushes(&mut acks, None).unwrap();
             prop_assert_eq!(&expected, &acks, "clock skew at push {}", p);
             prop_assert_eq!(clean.complete_push(p), net.router().complete_push(p));
         }

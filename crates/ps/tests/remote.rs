@@ -204,7 +204,7 @@ fn the_stage2_schedule_is_tier_wide_across_clients() {
             port.queue_shard_update(g, data, 0.1, 0.0).unwrap();
         }
         let mut acks = Vec::new();
-        port.flush_pushes(&mut acks).unwrap();
+        port.flush_pushes(&mut acks, None).unwrap();
         assert_eq!(acks, vec![pushed - 1; shards], "every shard saw every push");
         let mut buf = PullBuffer::new();
         observer.clone().pull_into(&mut buf).unwrap();

@@ -423,7 +423,7 @@ fn riding_items_are_booked_under_their_own_class() {
             net.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.9)
                 .unwrap();
         }
-        net.flush_pushes(acks).unwrap();
+        net.flush_pushes(acks, None).unwrap();
     };
     let mut buf = PullBuffer::new();
     let mut acks = Vec::new();
