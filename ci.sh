@@ -96,7 +96,7 @@ collect_artifacts() {
         done < <(find target/tmp -type f \( -name '*.log' -o -name '*.json' \) 2>/dev/null)
     fi
     # Golden exhibits plus any drift a stage left in the working tree
-    # (e.g. a --update someone forgot to commit).
+    # (e.g. a golden refresh someone forgot to commit).
     cp -r goldens "$dest/goldens" 2>/dev/null || true
     git status --short > "$dest/git-status.txt" 2>/dev/null || true
     git diff > "$dest/git-diff.patch" 2>/dev/null || true
@@ -238,14 +238,14 @@ stage_benchmark_smoke() {
     }
 }
 
-# Exhibit golden gate: fig5 (knee), table2 (search costs), fig8 (batch and
-# momentum scaling), table1 (the headline speedups) and the simulator's
-# asynchronous schedules (fig1 SSP, fig4 and fig15 ASP) regenerated and
-# compared against goldens/ with per-field tolerances. A failure here
-# means the paper exhibits drifted; refresh intentionally with
-# `cargo run --release -p sync-switch-bench --bin exhibit_check -- --update`.
+# Exhibit golden gate: every paper exhibit `repro --list` names is
+# regenerated and compared against goldens/ with per-field tolerances
+# (`sync_switch_bench::golden`). A failure names each drifted field; after
+# an intentional change, refresh with
+# `cargo run --release -p sync-switch-bench --bin repro -- --out goldens all`
+# and commit the goldens.
 stage_exhibits() {
-    cargo run --release -q -p sync-switch-bench --bin exhibit_check
+    cargo run --release -q -p sync-switch-bench --bin repro -- --check
 }
 
 stage_examples() {

@@ -81,7 +81,7 @@ impl Exhibit {
 }
 
 /// Reads a JSON file back into a [`serde_json::Value`], mapping parse
-/// failures to [`std::io::ErrorKind::InvalidData`] — how `exhibit_check`
+/// failures to [`std::io::ErrorKind::InvalidData`] — how the golden gate
 /// reads a committed golden.
 ///
 /// # Errors

@@ -140,12 +140,6 @@ impl ClusterSim {
         self.committed_lag = lag;
     }
 
-    /// The committed-view lag currently folded into ASP and SSP staleness (0 until
-    /// calibrated via [`ClusterSim::set_committed_view_lag`]).
-    pub fn committed_view_lag(&self) -> f64 {
-        self.committed_lag
-    }
-
     /// Installs a straggler scenario.
     pub fn set_scenario(&mut self, scenario: StragglerScenario) {
         self.scenario = scenario;
@@ -692,7 +686,6 @@ mod tests {
             let base = run(&mut setup1(7));
             let mut calibrated = setup1(7);
             calibrated.set_committed_view_lag(1.75);
-            assert_eq!(calibrated.committed_view_lag(), 1.75);
             let c = run(&mut calibrated);
             assert_eq!(
                 c.elapsed, base.elapsed,

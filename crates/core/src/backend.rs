@@ -81,30 +81,22 @@ pub trait TrainingBackend {
 }
 
 /// The simulation backend: cluster simulator for time/throughput plus the
-/// convergence surrogate for loss/accuracy.
+/// convergence surrogate for loss/accuracy. Cluster setup and every switch
+/// are charged Sync-Switch's parallel configuration actuator (Table III).
 #[derive(Debug, Clone)]
 pub struct SimBackend {
     cluster: ClusterSim,
     trajectory: TrajectoryModel,
     overhead: OverheadModel,
     setup: ExperimentSetup,
-    init_time: SimTime,
-    actuator: ActuatorMode,
 }
 
 impl SimBackend {
     /// Creates a backend for an experiment setup; cluster initialization
     /// time (paper Table III, parallel actuator) is accounted at creation.
     pub fn new(setup: &ExperimentSetup, seed: u64) -> Self {
-        Self::with_actuator(setup, seed, ActuatorMode::Parallel)
-    }
-
-    /// Creates a backend using the given configuration-actuator mode —
-    /// Sync-Switch's parallel actuator, or the sequential baseline the
-    /// paper's Table III compares against (an ablation handle).
-    pub fn with_actuator(setup: &ExperimentSetup, seed: u64, actuator: ActuatorMode) -> Self {
         let mut overhead = OverheadModel::new(seed);
-        let init = overhead.sample(setup.cluster_size, actuator);
+        let init = overhead.sample(setup.cluster_size, ActuatorMode::Parallel);
         let mut cluster = ClusterSim::new(setup, seed);
         cluster.advance(init.init);
         SimBackend {
@@ -112,8 +104,6 @@ impl SimBackend {
             trajectory: TrajectoryModel::new(setup, seed),
             overhead,
             setup: setup.clone(),
-            init_time: init.init,
-            actuator,
         }
     }
 
@@ -121,11 +111,6 @@ impl SimBackend {
     pub fn with_scenario(mut self, scenario: StragglerScenario) -> Self {
         self.cluster.set_scenario(scenario);
         self
-    }
-
-    /// Cluster initialization time charged at construction.
-    pub fn init_time(&self) -> SimTime {
-        self.init_time
     }
 
     /// The underlying cluster simulator (read access for diagnostics).
@@ -200,7 +185,7 @@ impl TrainingBackend for SimBackend {
     fn apply_switch_overhead(&mut self, from: SyncProtocol, to: SyncProtocol) -> SimTime {
         let sample = self
             .overhead
-            .sample(self.cluster.cluster_size(), self.actuator);
+            .sample(self.cluster.cluster_size(), ActuatorMode::Parallel);
         self.cluster.advance(sample.switch);
         self.trajectory.record_switch(from, to);
         sample.switch
@@ -250,8 +235,13 @@ mod tests {
     fn init_overhead_charged() {
         let setup = ExperimentSetup::one();
         let b = SimBackend::new(&setup, 2);
-        assert!(b.now().as_secs() > 30.0, "init time {:?}", b.now());
-        assert_eq!(b.now(), b.init_time());
+        // The clock starts at the sampled cluster-init cost, before any step.
+        let init = OverheadModel::new(2)
+            .sample(setup.cluster_size, ActuatorMode::Parallel)
+            .init;
+        assert!(init.as_secs() > 30.0, "init time {init:?}");
+        assert_eq!(b.now(), init);
+        assert_eq!(b.step(), 0);
     }
 
     #[test]

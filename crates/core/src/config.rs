@@ -34,8 +34,8 @@ pub struct AdjustedConfig {
 ///   (Goyal et al.'s rule, adopted by the paper).
 /// * **ASP** runs with per-worker batch `B` and rate `η`.
 /// * **Momentum** is kept at `μ` for both — the paper's empirical finding
-///   (Fig. 8b, leftmost bar); alternative scalings are expressible for the
-///   ablation.
+///   (Fig. 8b, leftmost bar); the alternative scalings that figure compares
+///   are expressible too.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigPolicy {
     /// Cluster size `n`.

@@ -10,7 +10,7 @@ use sync_switch_sim::SlidingWindow;
 /// Per-worker throughput monitor with hysteresis.
 ///
 /// Beyond the paper's `mean − σ` rule, the bound is floored at a minimum
-/// *relative* slowdown (default 10%): per-step GPU jitter makes some worker
+/// *relative* slowdown of 10%: per-step GPU jitter makes some worker
 /// sit below `mean − σ` in almost every window of a healthy cluster, and
 /// without the floor the detector would flap on noise. Real stragglers in
 /// the paper's scenarios run 50–70% below the mean, far past the floor.
@@ -21,8 +21,11 @@ pub struct StragglerDetector {
     above_streak: Vec<u32>,
     flagged: Vec<bool>,
     consecutive_required: u32,
-    min_relative_gap: f64,
 }
+
+/// The minimum relative slowdown, below the cluster mean, that can flag a
+/// worker: the floor under the paper's `mean − σ` bound.
+const MIN_RELATIVE_GAP: f64 = 0.10;
 
 impl StragglerDetector {
     /// Creates a detector for `workers` workers using throughput windows of
@@ -42,19 +45,7 @@ impl StragglerDetector {
             above_streak: vec![0; workers],
             flagged: vec![false; workers],
             consecutive_required,
-            min_relative_gap: 0.10,
         }
-    }
-
-    /// Overrides the minimum relative slowdown required to flag a worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gap` is not in `[0, 1)`.
-    pub fn with_min_relative_gap(mut self, gap: f64) -> Self {
-        assert!((0.0..1.0).contains(&gap), "gap must be in [0,1)");
-        self.min_relative_gap = gap;
-        self
     }
 
     /// Number of workers monitored.
@@ -98,7 +89,7 @@ impl StragglerDetector {
             .map(|(_, m)| (m - cluster_mean).powi(2))
             .sum::<f64>()
             / means.len() as f64;
-        let bound = cluster_mean - var.sqrt().max(self.min_relative_gap * cluster_mean);
+        let bound = cluster_mean - var.sqrt().max(MIN_RELATIVE_GAP * cluster_mean);
 
         for (w, m) in means {
             if m < bound {

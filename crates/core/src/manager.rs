@@ -16,6 +16,11 @@ use crate::report::{EvalPoint, SwitchRecord, TrainingReport};
 const CONVERGENCE_WINDOW: usize = 5;
 const CONVERGENCE_EPSILON: f64 = 0.002;
 
+/// Straggler detector: observations per throughput window, and consecutive
+/// windows below (above) the bound that flag (unflag) a worker.
+const DETECTOR_WINDOW: usize = 3;
+const DETECTOR_CONSECUTIVE: u32 = 2;
+
 /// Drives a [`TrainingBackend`] through a complete training job according
 /// to a [`SyncSwitchPolicy`], producing a [`TrainingReport`].
 ///
@@ -64,10 +69,9 @@ impl ClusterManager {
 
         let mut detector = StragglerDetector::new(
             backend.cluster_size(),
-            self.policy.detector_window,
-            self.policy.detector_consecutive,
-        )
-        .with_min_relative_gap(self.policy.detector_min_gap);
+            DETECTOR_WINDOW,
+            DETECTOR_CONSECUTIVE,
+        );
 
         let start_time = backend.now();
         let mut evals: Vec<EvalPoint> = Vec::new();

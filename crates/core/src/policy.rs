@@ -30,14 +30,6 @@ pub struct SyncSwitchPolicy {
     /// Chunk size (in workload units) between straggler-detector
     /// observations during the BSP phase.
     pub detect_chunk: u64,
-    /// Sliding-window length of the straggler detector.
-    pub detector_window: usize,
-    /// Consecutive below-bound windows required to flag a straggler.
-    pub detector_consecutive: u32,
-    /// Minimum relative slowdown required to flag a straggler (0 = the
-    /// paper's raw `mean − σ` rule; the default 0.10 suppresses jitter
-    /// false positives — see the ablation exhibit).
-    pub detector_min_gap: f64,
     /// Optional explicit time-to-accuracy threshold; when `None` the
     /// manager uses the calibrated BSP accuracy minus two run-sigmas.
     pub tta_target: Option<f64>,
@@ -56,9 +48,6 @@ impl SyncSwitchPolicy {
             online: OnlinePolicyKind::Baseline,
             eval_interval: 2_000,
             detect_chunk: 64,
-            detector_window: 3,
-            detector_consecutive: 2,
-            detector_min_gap: 0.10,
             tta_target: None,
         }
     }
@@ -86,8 +75,8 @@ impl SyncSwitchPolicy {
         self
     }
 
-    /// Selects a momentum-scaling variant for the ASP phase (Fig. 8b
-    /// ablation).
+    /// Selects a momentum-scaling variant for the ASP phase (the Fig. 8b
+    /// comparison).
     pub fn with_momentum_scaling(mut self, scaling: MomentumScaling) -> Self {
         self.config = self.config.with_momentum_scaling(scaling);
         self
@@ -110,12 +99,6 @@ impl SyncSwitchPolicy {
         }
         if self.detect_chunk == 0 {
             return Err(CoreError::InvalidPolicy("detect chunk is zero".into()));
-        }
-        if !(0.0..1.0).contains(&self.detector_min_gap) {
-            return Err(CoreError::InvalidPolicy(format!(
-                "detector min gap {} outside [0,1)",
-                self.detector_min_gap
-            )));
         }
         Ok(())
     }

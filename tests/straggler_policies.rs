@@ -149,3 +149,33 @@ fn baseline_pays_for_stragglers_under_bsp() {
         clean.total_time_s
     );
 }
+
+#[test]
+fn elastic_evicts_the_mild_straggler_at_every_detect_chunk() {
+    // The detection chunk trades reaction time against noisier throughput
+    // samples: at every chunk size the straggler is still caught, and a
+    // finer chunk catches it no later than a coarser one.
+    let setup = ExperimentSetup::one();
+    let mut previous: Option<(u64, u64)> = None;
+    for chunk in [16u64, 64, 256] {
+        let mut policy =
+            SyncSwitchPolicy::paper_policy(&setup).with_online(OnlinePolicyKind::Elastic);
+        policy.detect_chunk = chunk;
+        let mut backend =
+            Backend::new(&setup, 0xAB7C).with_scenario(StragglerScenario::mild(150.0));
+        let r = ClusterManager::new(policy)
+            .run(&mut backend, &setup)
+            .expect("valid policy");
+        let &(step, _) = r
+            .removed_workers
+            .first()
+            .unwrap_or_else(|| panic!("chunk {chunk}: the straggler is never evicted"));
+        if let Some((finer, finer_step)) = previous {
+            assert!(
+                finer_step <= step,
+                "chunk {finer} evicts at step {finer_step}, later than chunk {chunk} at {step}"
+            );
+        }
+        previous = Some((chunk, step));
+    }
+}
