@@ -15,6 +15,12 @@
 //!   so a pull observes a consistent recently-published view of every
 //!   server without racing stage-1 applies on remote shards.
 //!
+//! A sparse push applies only the blocks its rows fall in; every other
+//! written block of the shard owes that step's momentum decay. A commit
+//! settles the decay its slice owes before it copies the slice (see
+//! [`ShardedStore::commit_shard_to`]), so stage 1 pays for the rows a push
+//! names and stage 2 for the rest.
+//!
 //! The gap between a shard's live and committed clock is its *cross-server
 //! staleness contribution*: how many stage-1 applies the rest of the
 //! cluster has not yet seen. The server bounds it itself: every

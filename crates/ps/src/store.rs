@@ -111,8 +111,12 @@ pub(crate) fn runs_within(
 /// What changes is what has to *move* — a push ships only the touched rows,
 /// which is the entire point once the update crosses a wire
 /// ([`crate::transport::wire`]'s `PushShardSparse` frame) — and what the
-/// apply has to *walk*: a block of the shard no update has written yet has
-/// all-zero velocity, so its decay step (`0·μ`, `p + 0`) is skipped.
+/// apply has to *walk*: only the blocks of 64 elements its segments
+/// overlap. Every other written block owes the zero-gradient step instead,
+/// and whoever next reads the block — a pull, a stage-2 commit, a snapshot
+/// — first runs the steps it owes, which are the very operations the dense
+/// loop would have run on it, in the same order. A block no update has
+/// written yet has all-zero velocity, so it owes nothing.
 ///
 /// The one footnote to "bit for bit": a parameter that is exactly `-0.0`
 /// in a never-written block keeps its sign, where the dense loop's `p + 0.0`
@@ -152,22 +156,87 @@ impl Shard {
             touched: Touched::new(params.len()),
         }
     }
+
+    /// Runs the zero-gradient steps each written block of `blocks` owes up
+    /// to clock `to`, and sets its clock there.
+    fn catch_up(&mut self, blocks: std::ops::Range<usize>, to: u64) {
+        let (len, mu) = (self.params.len(), self.touched.mu);
+        for b in blocks {
+            let clock = self.touched.clocks[b];
+            if clock == 0 || clock >= to {
+                continue;
+            }
+            self.decay(b * BLOCK..((b + 1) * BLOCK).min(len), mu, to - clock);
+            self.touched.clocks[b] = to;
+        }
+    }
+
+    /// Settles what every block owes.
+    fn settle_all(&mut self) {
+        if self.touched.lagging {
+            self.catch_up(0..self.touched.clocks.len(), self.touched.now);
+            self.touched.lagging = false;
+        }
+    }
+
+    /// `k` zero-gradient momentum steps, `v ← μv; p ← p + v`, on every
+    /// element of `r` (none if `r` is empty or inverted): per element the
+    /// same operations in the same order as `k` passes of the dense loop,
+    /// so the same bits. Sixteen elements at a time stay in registers
+    /// across all `k` steps, loaded and stored once.
+    fn decay(&mut self, r: std::ops::Range<usize>, mu: f32, k: u64) {
+        const LANES: usize = 16;
+        let r = r.start..r.end.max(r.start);
+        let mut ps = self.params[r.clone()].chunks_exact_mut(LANES);
+        let mut vs = self.velocity[r].chunks_exact_mut(LANES);
+        for (p, v) in (&mut ps).zip(&mut vs) {
+            let mut pr: [f32; LANES] = (&*p).try_into().expect("a whole chunk");
+            let mut vr: [f32; LANES] = (&*v).try_into().expect("a whole chunk");
+            for _ in 0..k {
+                for (p, v) in pr.iter_mut().zip(&mut vr) {
+                    *v *= mu;
+                    *p += *v;
+                }
+            }
+            p.copy_from_slice(&pr);
+            v.copy_from_slice(&vr);
+        }
+        for (p, v) in ps.into_remainder().iter_mut().zip(vs.into_remainder()) {
+            for _ in 0..k {
+                *v *= mu;
+                *p += *v;
+            }
+        }
+    }
 }
 
 /// Elements per block of a shard's [`Touched`] map.
 const BLOCK: usize = 64;
 
-/// Which blocks of a shard have ever been written: a block is marked when a
-/// sparse segment overlaps it, and the whole shard by a dense apply or a
-/// restore. Marks are never cleared, so an unmarked block has all-zero
-/// velocity and the parameters the store was built from — a sparse apply
-/// need not decay it and a stage-2 commit need not copy it.
+/// How far each block of a shard is behind. A block's clock is 0 until an
+/// update writes it — all-zero velocity and the parameters the store was
+/// built from, so nothing ever decays it and a stage-2 commit need not
+/// copy it — and after that the shard's `now` when the block was last
+/// brought up to date. A sparse apply advances `now` and brings up to date
+/// only the blocks its segments overlap; every other written block then
+/// owes `now − clock` zero-gradient steps at the shard's one owed `mu`,
+/// which a reader settles before it reads the shard
+/// ([`Shard::settle_all`]).
+/// A dense apply and a restore leave every block up to date.
 #[derive(Debug)]
 struct Touched {
-    blocks: Vec<bool>,
-    /// Blocks still unmarked. At zero — every shard of a dense workload
-    /// after its first apply — [`Touched::runs`] is the whole range asked
-    /// for and no block is looked at.
+    clocks: Vec<u64>,
+    /// Sparse applies so far, plus one: the clock of a block that owes
+    /// nothing.
+    now: u64,
+    /// The momentum of every step owed. A push with another one settles
+    /// the shard first.
+    mu: f32,
+    /// Whether some written block may owe steps. While false — every shard
+    /// of a dense workload, always — a settle is this one branch.
+    lagging: bool,
+    /// Blocks still unwritten. At zero, [`Touched::runs`] is the whole
+    /// range asked for and no block is looked at.
     unmarked: usize,
 }
 
@@ -175,30 +244,37 @@ impl Touched {
     fn new(len: usize) -> Self {
         let blocks = len.div_ceil(BLOCK);
         Touched {
-            blocks: vec![false; blocks],
+            clocks: vec![0; blocks],
+            now: 1,
+            mu: 0.0,
+            lagging: false,
             unmarked: blocks,
         }
     }
 
-    /// Marks every block overlapping `start..start + len`.
+    /// Sets the clock of every block overlapping `start..start + len` to
+    /// `now`: the caller has brought them up to date.
     fn mark(&mut self, start: usize, len: usize) {
-        if self.unmarked == 0 || len == 0 {
+        if len == 0 {
             return;
         }
-        for block in &mut self.blocks[start / BLOCK..=(start + len - 1) / BLOCK] {
-            self.unmarked -= usize::from(!std::mem::replace(block, true));
+        for clock in &mut self.clocks[start / BLOCK..=(start + len - 1) / BLOCK] {
+            self.unmarked -= usize::from(*clock == 0);
+            *clock = self.now;
         }
     }
 
+    /// Marks every block up to date, forgiving what any owed.
     fn mark_all(&mut self) {
-        if self.unmarked > 0 {
-            self.blocks.fill(true);
+        if self.unmarked > 0 || self.lagging {
+            self.clocks.fill(self.now);
             self.unmarked = 0;
+            self.lagging = false;
         }
     }
 
     /// The maximal `(start, end)` element ranges of `from..to` that lie in
-    /// marked blocks, in order.
+    /// written blocks, in order.
     fn runs(&self, from: usize, to: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         let mut at = from;
         let next_block = |at: usize| (at / BLOCK + 1) * BLOCK;
@@ -208,14 +284,14 @@ impl Touched {
                 at = to;
                 return whole;
             }
-            while at < to && !self.blocks[at / BLOCK] {
+            while at < to && self.clocks[at / BLOCK] == 0 {
                 at = next_block(at);
             }
             if at >= to {
                 return None;
             }
             let start = at;
-            while at < to && self.blocks[at / BLOCK] {
+            while at < to && self.clocks[at / BLOCK] != 0 {
                 at = next_block(at);
             }
             Some((start, at.min(to)))
@@ -434,6 +510,7 @@ impl ShardedStore {
         let eta = lr as f32;
         let mut guard = self.shards[shard].lock();
         let state = &mut *guard;
+        state.settle_all();
         state.touched.mark_all();
         for ((p, v), gv) in state
             .params
@@ -454,11 +531,12 @@ impl ShardedStore {
 
     /// Applies a momentum-SGD step carried as [`UpdateData`] to a single
     /// shard: dense payloads take the [`ShardedStore::apply_shard_update`]
-    /// path verbatim; sparse payloads apply the segments and decay the
-    /// velocity of every untouched element, producing **bit-identical**
-    /// state to a dense apply of the same segments scattered into a zero
-    /// gradient. Bumps the shard clock once and returns its pre-apply value
-    /// either way, so staleness accounting cannot tell the two apart.
+    /// path verbatim; sparse payloads apply the segments and decay the rest
+    /// of the blocks they overlap, leaving every other block owing its
+    /// decay to the next read, which yields **bit-identical** state to a
+    /// dense apply of the same segments scattered into a zero gradient.
+    /// Bumps the shard clock once and returns its pre-apply value either
+    /// way, so staleness accounting cannot tell the two apart.
     ///
     /// # Panics
     ///
@@ -481,19 +559,19 @@ impl ShardedStore {
         let eta = lr as f32;
         let mut guard = self.shards[shard].lock();
         let state = &mut *guard;
+        if state.touched.mu.to_bits() != mu.to_bits() {
+            state.settle_all();
+            state.touched.mu = mu;
+        }
+        state.touched.now += 1;
         // Prefix/gap/tail elements still take the dense step with gradient
         // zero: `v ← μv − η·0; p ← p + v`. Writing it as `μv` is
-        // bit-identical for finite `η` (x − 0.0 == x in IEEE-754), and in a
-        // never-written block `v` is zero, so only marked blocks are walked.
-        let decay = |state: &mut Shard, from: usize, to: usize| {
-            for (a, b) in state.touched.runs(from, to) {
-                for (p, v) in state.params[a..b].iter_mut().zip(&mut state.velocity[a..b]) {
-                    *v *= mu;
-                    *p += *v;
-                }
-            }
-        };
+        // bit-identical for finite `η` (x − 0.0 == x in IEEE-754). It runs
+        // here only inside the blocks a segment overlaps, each first brought
+        // up to the step before this one; every other block owes it.
         let mut cursor = 0usize;
+        // End of the last block brought up to this step.
+        let mut open_end = 0usize;
         let mut row_offset = 0usize;
         for &(start, seg_len) in indices {
             let (start, seg_len) = (start as usize, seg_len as usize);
@@ -502,8 +580,15 @@ impl ShardedStore {
                 "sparse segment ({start}, {seg_len}) invalid for shard {shard} of {len} \
                  (cursor {cursor})"
             );
-            decay(state, cursor, start);
-            state.touched.mark(start, seg_len);
+            state.decay(cursor..start.min(open_end), mu, 1);
+            if seg_len > 0 {
+                let blocks = start.max(open_end) / BLOCK..(start + seg_len - 1) / BLOCK + 1;
+                state.catch_up(blocks.clone(), state.touched.now - 1);
+                state.touched.mark(start, seg_len);
+                let head = cursor.max(start / BLOCK * BLOCK).max(open_end);
+                state.decay(head..start, mu, 1);
+                open_end = (blocks.end * BLOCK).min(len);
+            }
             let seg = rows
                 .get(row_offset..row_offset + seg_len)
                 .expect("sparse rows shorter than the segment lengths");
@@ -523,7 +608,8 @@ impl ShardedStore {
             rows.len(),
             "sparse rows longer than the segment lengths"
         );
-        decay(state, cursor, len);
+        state.decay(cursor..open_end, mu, 1);
+        state.touched.lagging = true;
         // Release: same contract as `apply_shard_update`.
         self.shard_versions[shard].fetch_add(1, Ordering::Release)
     }
@@ -552,7 +638,9 @@ impl ShardedStore {
     /// `sink(position, values)` in increasing position order, and writes
     /// every shard's clock to `clocks_out`: read under the lock for a shard
     /// that was copied from, so it matches the data exactly, and lock-free
-    /// for a shard no run touches.
+    /// for a shard no run touches. A shard that is read from first settles
+    /// the decay it owes (see [`UpdateData`]), so `sink` sees what the
+    /// dense loop would have left.
     ///
     /// # Panics
     ///
@@ -575,7 +663,8 @@ impl ShardedStore {
                 clocks_out[i] = self.shard_version(i);
                 continue;
             }
-            let shard = self.shards[i].lock();
+            let mut shard = self.shards[i].lock();
+            shard.settle_all();
             for (at, n) in pieces {
                 let from = at - base - offset;
                 sink(at, &shard.params[from..from + n]);
@@ -593,17 +682,21 @@ impl ShardedStore {
     /// matches the published data exactly. Returns that clock. Velocity is
     /// not copied (momentum state lives only on the owning store).
     ///
-    /// Only marked blocks move. `replica` must be a different store, built
-    /// from the same initial parameters and written by nothing but this
-    /// method from this store: an unmarked block then still holds what both
-    /// were built from.
+    /// This is where a sparse workload pays the decay its pushes deferred:
+    /// the live shard settles what it owes before the replica's lock is
+    /// taken, so committed pulls wait only for the copy. Only written
+    /// blocks move. `replica` must be a different store, built from the same
+    /// initial parameters and written by nothing but this method from this
+    /// store: an unwritten block then still holds what both were built
+    /// from.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range or the replica's shard has a
     /// different length.
     pub(crate) fn commit_shard_to(&self, shard: usize, replica: &ShardedStore) -> u64 {
-        let live = self.shards[shard].lock();
+        let mut live = self.shards[shard].lock();
+        live.settle_all();
         let mut committed = replica.shards[shard].lock();
         assert_eq!(
             live.params.len(),
@@ -669,7 +762,8 @@ impl ShardedStore {
     pub fn snapshot_params_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.param_count, "output length mismatch");
         for (i, (offset, len)) in self.layout.iter().enumerate() {
-            let shard = self.shards[i].lock();
+            let mut shard = self.shards[i].lock();
+            shard.settle_all();
             out[offset..offset + len].copy_from_slice(&shard.params);
         }
     }
@@ -689,7 +783,8 @@ impl ShardedStore {
     pub fn snapshot_velocity_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.param_count, "output length mismatch");
         for (i, (offset, len)) in self.layout.iter().enumerate() {
-            let shard = self.shards[i].lock();
+            let mut shard = self.shards[i].lock();
+            shard.settle_all();
             out[offset..offset + len].copy_from_slice(&shard.velocity);
         }
     }
@@ -716,6 +811,7 @@ impl ShardedStore {
     pub fn reset_velocity(&self) {
         for i in 0..self.shards.len() {
             let mut shard = self.shards[i].lock();
+            shard.settle_all();
             shard.velocity.iter_mut().for_each(|v| *v = 0.0);
         }
     }
@@ -723,7 +819,8 @@ impl ShardedStore {
     /// Whether every stored parameter is finite.
     pub fn is_finite(&self) -> bool {
         for i in 0..self.shards.len() {
-            let shard = self.shards[i].lock();
+            let mut shard = self.shards[i].lock();
+            shard.settle_all();
             if !shard.params.iter().all(|p| p.is_finite()) {
                 return false;
             }

@@ -964,6 +964,120 @@ proptest! {
         }
     }
 
+    /// Owed decay ≡ the dense loop where the debt builds up. The same ops
+    /// go to two single stores and to two in-process (direct) tiers of 2
+    /// servers that commit every 3rd push; one of each pair takes sparse
+    /// segment lists, its twin the same values scattered into dense
+    /// gradients, and every push draws its μ from {0.9, 0.5, 0.0}. Nothing
+    /// reads between applies but what the op mix draws: run pulls from the
+    /// single stores, compared with the twin's at the runs read; committed
+    /// pulls from the tiers, whose periodic commits settle whatever the
+    /// blocks owe by then; `is_finite`; and the check op, the only one that
+    /// compares every parameter and velocity. So a block can owe many
+    /// steps, at a μ a later push changes, before a reader settles it.
+    #[test]
+    fn owed_decay_settles_bit_for_bit_wherever_it_is_read(
+        n in 70usize..600,
+        shards in 1usize..5,
+        ops in proptest::collection::vec((0u8..16, any::<u64>()), 1..60),
+    ) {
+        let initial: Vec<f32> = (0..n).map(|i| 1.5 + (i as f32 * 0.17).cos()).collect();
+        let (ss, ds) = (ShardedStore::new(&initial, shards), ShardedStore::new(&initial, shards));
+        let topology = ServerTopology::new(2, 3);
+        let (st, dt) = (
+            NetPort::launch(&initial, shards, topology),
+            NetPort::launch(&initial, shards, topology),
+        );
+        let (sr, dr) = (Arc::clone(st.router()), Arc::clone(dt.router()));
+        let (sparse, dense) = (WorkerPort::Net(st), WorkerPort::Net(dt));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut sbuf, mut dbuf) = (PullBuffer::new(), PullBuffer::new());
+        for (step, (kind, seed)) in ops.into_iter().enumerate() {
+            let mut rng = xorshift(seed);
+            let value = |rng: &mut dyn FnMut() -> usize| (rng() % 17) as f32 * 0.25 - 2.0;
+            let mu = [0.9, 0.5, 0.0][rng() % 3];
+            let mut mask = vec![false; n];
+            for _ in 0..rng() % 4 {
+                let start = rng() % n;
+                let len = rng() % (n - start + 1).min(if rng().is_multiple_of(4) { 150 } else { 9 });
+                mask[start..start + len].fill(true);
+            }
+            match kind {
+                0 => {
+                    let g = rng() % ss.shard_count();
+                    let grad: Vec<f32> = (0..ss.shard_range(g).1).map(|_| value(&mut rng)).collect();
+                    let a = ss.apply_shard_update(g, &grad, 0.05, mu);
+                    prop_assert_eq!(a, ds.apply_shard_update(g, &grad, 0.05, mu));
+                    let a = sparse.apply_shard_update(g, &grad, 0.05, mu).unwrap();
+                    prop_assert_eq!(a, dense.apply_shard_update(g, &grad, 0.05, mu).unwrap());
+                }
+                1 => {
+                    let p: Vec<f32> = (0..n).map(|_| value(&mut rng)).collect();
+                    let v: Vec<f32> = (0..n).map(|_| value(&mut rng)).collect();
+                    ss.restore(&p, &v);
+                    ds.restore(&p, &v);
+                    sr.restore(&p, &v).unwrap();
+                    dr.restore(&p, &v).unwrap();
+                }
+                2 => {
+                    ss.reset_velocity();
+                    ds.reset_velocity();
+                    sr.reset_velocity().unwrap();
+                    dr.reset_velocity().unwrap();
+                }
+                3 => {
+                    prop_assert_eq!(ss.is_finite(), ds.is_finite(), "finite, op {}", step);
+                    prop_assert_eq!(sr.is_finite().unwrap(), dr.is_finite().unwrap());
+                }
+                4 | 5 => {
+                    let planes = [
+                        (ss.snapshot_params(), ds.snapshot_params()),
+                        (ss.snapshot_velocity(), ds.snapshot_velocity()),
+                        (sr.snapshot_params(), dr.snapshot_params()),
+                        (sr.snapshot_velocity(), dr.snapshot_velocity()),
+                    ];
+                    for (i, (a, b)) in planes.iter().enumerate() {
+                        prop_assert_eq!(bits(a), bits(b), "check {}, op {}", i, step);
+                    }
+                }
+                6 | 7 => {
+                    let (runs, _) = spans_of(&mask, &initial, 0, n);
+                    let runs: Vec<(usize, usize)> =
+                        runs.iter().map(|&(o, l)| (o as usize, l as usize)).collect();
+                    let version = ss.pull_runs_into(&mut sbuf, &runs);
+                    prop_assert_eq!(version, ds.pull_runs_into(&mut dbuf, &runs));
+                    prop_assert_eq!(sbuf.shard_versions(), dbuf.shard_versions());
+                    for &(o, l) in &runs {
+                        let (a, b) = (&sbuf.params()[o..o + l], &dbuf.params()[o..o + l]);
+                        prop_assert_eq!(bits(a), bits(b), "run ({}, {}), op {}", o, l, step);
+                    }
+                }
+                8 => {
+                    let (mut a, mut b) = (PullBuffer::new(), PullBuffer::new());
+                    prop_assert_eq!(sparse.pull_into(&mut a).unwrap(), dense.pull_into(&mut b).unwrap());
+                    prop_assert_eq!(bits(a.params()), bits(b.params()), "commit, op {}", step);
+                    prop_assert_eq!(a.shard_versions(), b.shard_versions());
+                }
+                _ => {
+                    let grad: Vec<f32> = mask
+                        .iter()
+                        .map(|&m| if m { value(&mut rng) } else { 0.0 })
+                        .collect();
+                    for g in 0..ss.shard_count() {
+                        let (o, l) = ss.shard_range(g);
+                        let (spans, values) = spans_of(&mask, &grad, o, l);
+                        let data = UpdateData::Sparse { indices: &spans, rows: &values };
+                        let a = ss.apply_shard_update_data(g, data, 0.05, mu);
+                        prop_assert_eq!(a, ds.apply_shard_update(g, &grad[o..o + l], 0.05, mu));
+                        let a = sparse.apply_shard_update_sparse(g, &spans, &values, 0.05, mu);
+                        let b = dense.apply_shard_update(g, &grad[o..o + l], 0.05, mu);
+                        prop_assert_eq!(a.unwrap(), b.unwrap(), "clock skew at op {} shard {}", step, g);
+                    }
+                }
+            }
+        }
+    }
+
     /// Every request a server executes round-trips byte-exactly through the
     /// codec's own decoders and encoders — those the server endpoint and the
     /// router run — bare, inside `Sequenced`, behind a push in a `Batch`, or
