@@ -121,6 +121,21 @@ trap on_exit EXIT
 
 # ---- stages ---------------------------------------------------------------
 
+# Runs "$@" — a command that builds the benchmark package — and then puts
+# back the `benchmark/Cargo.lock` it found, whatever the command did or
+# returned. The committed lock is one line short (`serde` under
+# `sync-switch-ps`, ROADMAP item 2), so every benchmark build rewrites it,
+# and a gate run must leave the tree as it found it.
+keeping_benchmark_lock() {
+    local saved status=0
+    saved="$(mktemp)"
+    cp benchmark/Cargo.lock "$saved"
+    "$@" || status=$?
+    cp "$saved" benchmark/Cargo.lock
+    rm -f "$saved"
+    return "$status"
+}
+
 # cargo fmt --check: formatting drift fails fast, before any compilation.
 stage_fmt() {
     cargo fmt --all --check
@@ -151,7 +166,7 @@ stage_build() {
 # and otherwise only the release-profile `benchmark-smoke` stage — which
 # `--fast` skips — would notice a change that stops it compiling.
 stage_test() {
-    cargo check -q --offline --manifest-path benchmark/Cargo.toml
+    keeping_benchmark_lock cargo check -q --offline --manifest-path benchmark/Cargo.toml
     cargo test -q --workspace --no-run
     timeout -sKILL 600 bash -c '
         cargo test -q --workspace --exclude sync-switch-ps &&
@@ -232,7 +247,7 @@ stage_clippy() {
 # it prints is checked against the committed manifest. Hard KILL timeout:
 # a wedged socket must fail the gate, not hang it.
 stage_benchmark_smoke() {
-    timeout -sKILL 600 benchmark/selftest.sh || {
+    keeping_benchmark_lock timeout -sKILL 600 benchmark/selftest.sh || {
         echo "benchmark selftest failed or timed out (600s budget)" >&2
         return 1
     }

@@ -232,7 +232,10 @@ pub struct TrainerConfig {
     /// Momentum coefficient.
     pub momentum: f64,
     /// Number of parameter shards (defaults to `workers`, mirroring the
-    /// paper's equal PS/worker split).
+    /// paper's equal PS/worker split). Servers are clamped to it, so an
+    /// in-process tier of one shard is the single store, whose pulls read
+    /// live state, while a channel or TCP tier keeps one server and its
+    /// committed view.
     pub shards: usize,
     /// Parameter-server tier layout (defaults to a single server).
     pub topology: ServerTopology,

@@ -199,12 +199,10 @@ struct StepScratch {
 struct Batch {
     x: Tensor,
     labels: Vec<usize>,
-    /// Whether the step reads by run: the config allows it *and* the model
-    /// reports a sparse read set for the batch.
-    sparse: bool,
     /// Global `(offset, len)` runs of the parameters the step pulls, and so
     /// of its possibly-nonzero gradient: what `param_read_runs_into`
-    /// reported, or the one run covering everything for a dense step.
+    /// reported when the config allows a sparse read, or else the one run
+    /// covering everything.
     runs: Vec<(usize, usize)>,
 }
 
@@ -473,40 +471,33 @@ impl Worker<'_> {
         };
         let mut rng = step_rng(cfg.seed, self.id, step_id);
         (self.shard).sample_batch_into(cfg.per_worker_batch, &mut rng, &mut b.x, &mut b.labels);
-        b.sparse = cfg.sparse_push && seat.model.param_read_runs_into(&b.x, &mut b.runs);
-        if !b.sparse {
+        if !(cfg.sparse_push && seat.model.param_read_runs_into(&b.x, &mut b.runs)) {
             b.runs.clear();
             b.runs.push((0, seat.model.param_count()));
         }
     }
 
-    /// Pulls what the step over the scratch's batch reads and installs it
-    /// in the model — the place a step's sparsity, decided when its batch
-    /// was drawn, acts on both directions: a step that reads by run pulls
-    /// and installs only its runs (every other parameter of the model keeps
-    /// a stale value the step never looks at); otherwise this is a full
-    /// pull and `set_params_flat`. Either way the batch's runs say what
-    /// moved, for [`Worker::push`], and the pulled version is returned.
-    /// With an `image` nothing is pulled: the step installs from it and
-    /// takes its clocks, as a pull would have.
+    /// Pulls the runs the step over the scratch's batch reads and installs
+    /// them in the model — the place a step's sparsity, decided when its
+    /// batch was drawn, acts on both directions: every other parameter of
+    /// the model keeps a stale value the step never looks at, and a dense
+    /// step's one run is the whole vector. The batch's runs say what moved,
+    /// for [`Worker::push`], and the pulled version is returned. With an
+    /// `image` nothing is pulled: the step installs from it and takes its
+    /// clocks, as a pull would have.
     fn pull(&mut self, image: Option<&PullBuffer>) -> Result<u64, PsError> {
         let seat = &mut *self.seat;
-        let Batch { sparse, runs, .. } = &seat.scratch.batch;
+        let runs = &seat.scratch.batch.runs;
         let version = match image {
             Some(image) => {
                 seat.buf.shard_versions.clone_from(&image.shard_versions);
                 seat.buf.version = image.version;
                 image.version
             }
-            None if *sparse => seat.port.pull_runs_into(&mut seat.buf, runs)?,
-            None => seat.port.pull_into(&mut seat.buf)?,
+            None => seat.port.pull_runs_into(&mut seat.buf, runs)?,
         };
         let params = image.unwrap_or(&seat.buf).params();
-        if *sparse {
-            seat.model.set_params_runs(params, runs);
-        } else {
-            seat.model.set_params_flat(params);
-        }
+        seat.model.set_params_runs(params, runs);
         Ok(version)
     }
 
@@ -527,9 +518,9 @@ impl Worker<'_> {
     /// for the next shard). A server whose stage-2 period the flush
     /// completes commits right behind its applies
     /// ([`WorkerPort::flush_pushes`]), so nothing is left to run once the
-    /// push completes. If the next step's batch is drawn already and reads
-    /// by run, the flush is handed those runs, so a tier's requests bring
-    /// them home and that step's pull can be served without asking.
+    /// push completes. If the next step's batch is drawn already, the flush
+    /// is handed its runs, so a tier's requests bring them home and that
+    /// step's pull can be served without asking.
     ///
     /// Records one per-shard staleness observation per shard — the shard
     /// clock's acked pre-apply value against the clock captured at pull
@@ -572,7 +563,7 @@ impl Worker<'_> {
             };
             port.queue_shard_update(i, data, lr, momentum, acks)?;
         }
-        let next_runs = (next_step.is_some() && next.sparse).then_some(next.runs.as_slice());
+        let next_runs = next_step.is_some().then_some(next.runs.as_slice());
         port.flush_pushes(acks, next_runs)?;
         self.record_acks();
         Ok(self.seat.port.complete_push(self.seat.buf.version()))
@@ -1801,9 +1792,16 @@ mod tests {
     /// concurrent, a leash of any length never holds, so SSP must be ASP
     /// bit for bit — on the single store, on the in-process (direct) tier,
     /// and over both wire tiers. So must ASP cut into 8 segments: a worker
-    /// keeps its seat across a boundary, and on a wire tier the image its
-    /// last push brought home is served to the next segment's first pull.
-    /// Returns, per plane, the pull round trips of the 8-segment run.
+    /// keeps its seat across a boundary. The three tiers run one
+    /// `NetRouter` at 7 shards over 2 servers, so they must also end with
+    /// the same bits as one another; the single store reads live state and
+    /// is compared only with itself. Returns, per plane, the pull round
+    /// trips of the 8-segment run: each push brings home the runs of the
+    /// batch drawn before it, dense or sparse, and every commit is in a
+    /// lone worker's own replies, so no ridden image goes out of date: on
+    /// every tier only each segment's first pull asks its 2 servers — the
+    /// last step of a segment draws no next batch. The single store has no
+    /// wire.
     fn single_worker_asp_equals_leashed_ssp(
         job: impl Fn() -> (Network, Dataset, Dataset),
         steps: u64,
@@ -1815,7 +1813,7 @@ mod tests {
             (7, inproc.with_transport(TransportKind::Channel)),
             (7, inproc.with_transport(TransportKind::Tcp)),
         ];
-        let mut asked = Vec::new();
+        let (mut asked, mut ends) = (Vec::new(), Vec::new());
         for (shards, topology) in planes {
             let run = |leash: Option<u64>, segments: u64| {
                 let (model, train, test) = job();
@@ -1848,6 +1846,11 @@ mod tests {
                     asked.push(other.3);
                 }
             }
+            ends.push(asp.0);
+        }
+        for (tier, end) in ["channel", "TCP"].iter().zip(&ends[2..]) {
+            assert_eq!(end.params, ends[1].params, "{tier} vs direct");
+            assert_eq!(end.velocity, ends[1].velocity, "{tier} vs direct");
         }
         asked
     }
@@ -1855,7 +1858,7 @@ mod tests {
     #[test]
     fn single_worker_asp_equals_leashed_ssp_on_every_plane() {
         let _deadline = deadline(60);
-        single_worker_asp_equals_leashed_ssp(
+        let asked = single_worker_asp_equals_leashed_ssp(
             || {
                 let data = Dataset::gaussian_blobs(4, 60, 6, 0.35, 31);
                 let (train, test) = data.split(0.25);
@@ -1863,18 +1866,17 @@ mod tests {
             },
             40,
         );
+        assert_eq!(
+            asked,
+            [0, 8 * 2, 8 * 2, 8 * 2],
+            "pull round trips per plane"
+        );
     }
 
     #[test]
     fn single_worker_sparse_asp_equals_leashed_ssp_on_every_plane() {
         let _deadline = deadline(60);
-        // The same on the embedding classifier, whose steps pull by run:
-        // each push brings home the runs of the batch drawn before it, and a
-        // lone worker's ridden image must be what asking returns. On every
-        // tier only each segment's first pull asks its 2 servers: the last
-        // step of a segment draws no next batch, and every commit is in
-        // the worker's own replies, so no ridden image goes out of date.
-        // The single store has no wire.
+        // The same on the embedding classifier, whose steps pull by run.
         let asked = single_worker_asp_equals_leashed_ssp(
             || {
                 let data = Dataset::zipf_tokens(3, 60, 64, 3, 1.1, 31);

@@ -304,22 +304,19 @@ impl WorkerPort {
         }
     }
 
-    /// Pulls the worker-visible parameter image into `buf` and returns the
-    /// version of the pulled data.
+    /// [`WorkerPort::pull_runs_into`] of the whole vector's one run.
     pub fn pull_into(&self, buf: &mut PortBuffer) -> Result<u64, PsError> {
-        match self.plane() {
-            Plane::Single(s) => Ok(s.pull_into(buf)),
-            Plane::Net(p) => p.pull_into(buf),
-        }
+        self.pull_runs_into(buf, &[(0, self.param_count())])
     }
 
-    /// [`WorkerPort::pull_into`] for a step that reads only `runs` —
+    /// Pulls `runs` of the worker-visible parameter image into `buf` —
     /// sorted, disjoint `(offset, len)` ranges of the flat vector, as
-    /// `Network::param_read_runs_into` reports them. Only those ranges are
-    /// copied (and, on a tier, only they cross to the servers); positions
-    /// outside them keep whatever `buf` held. The returned version and
-    /// every shard clock in `buf` are what a full pull at the same moment
-    /// would have recorded.
+    /// `Network::param_read_runs_into` reports them, or the one run of the
+    /// whole vector — and returns the version of the pulled data. Only
+    /// those ranges are copied (and, on a tier, only they cross to the
+    /// servers); positions outside them keep whatever `buf` held. The
+    /// returned version and every shard clock in `buf` are what a pull of
+    /// the whole vector at the same moment would have recorded.
     pub fn pull_runs_into(
         &self,
         buf: &mut PortBuffer,
@@ -404,7 +401,8 @@ impl WorkerPort {
     /// the request makes its period due — and appends their pre-apply shard
     /// clocks to `acks`; the single store already applied and acked, and
     /// has no rounds. A tier's requests also bring home `next_runs`, the
-    /// runs the next step's batch reads ([`NetPort::flush_pushes`]).
+    /// runs the next step's batch reads, and nothing when it is `None`
+    /// ([`NetPort::flush_pushes`]).
     pub fn flush_pushes(
         &self,
         acks: &mut Vec<u64>,

@@ -295,23 +295,11 @@ impl PsServer {
         *epoch
     }
 
-    /// Pulls the committed view of the owned slice directly into the
-    /// caller's slices (the router points these at the worker's flat
-    /// buffer, so assembly costs a single copy). The clocks written are
-    /// the committed clocks — live clocks at the last reconciliation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ from the owned parameter count /
-    /// shard count.
-    pub fn pull_committed_into(&self, params_out: &mut [f32], clocks_out: &mut [u64]) {
-        self.committed.pull_into_slices(params_out, clocks_out);
-    }
-
-    /// Pulls only `runs` of the committed view: the values of every piece
-    /// of the sorted, disjoint `(offset, len)` `runs` that falls in this
+    /// Pulls `runs` of the committed view: the values of every piece of
+    /// the sorted, disjoint `(offset, len)` `runs` that falls in this
     /// server's slice go to `sink(position, values)`, and the committed
-    /// clocks of *all* owned shards to `clocks_out`. Positions are in the
+    /// clocks of *all* owned shards — live clocks at the last commit — to
+    /// `clocks_out`. Positions are in the
     /// runs' coordinates, in which this server's first parameter sits at
     /// `base` (its flat offset for global runs, 0 for server-local ones) —
     /// see [`ShardedStore::read_runs`].
@@ -358,12 +346,17 @@ mod tests {
         assert_eq!(server.live().shard_version(2), 1);
         let mut params = vec![0.0f32; 12];
         let mut clocks = vec![0u64; 4];
-        server.pull_committed_into(&mut params, &mut clocks);
+        let pull = |params: &mut [f32], clocks: &mut [u64]| {
+            server.pull_committed_runs(&[(0, 12)], 0, clocks, |at, values| {
+                params[at..at + values.len()].copy_from_slice(values);
+            });
+        };
+        pull(&mut params, &mut clocks);
         assert_eq!(params, initial);
         assert_eq!(clocks[2], 0);
         // Stage 2 publishes data and clock together, and numbers itself.
         assert_eq!(server.commit_all(false), 1);
-        server.pull_committed_into(&mut params, &mut clocks);
+        pull(&mut params, &mut clocks);
         assert_eq!(clocks[2], 1);
         assert_eq!(params, server.live().snapshot_params());
     }

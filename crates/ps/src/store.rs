@@ -614,23 +614,6 @@ impl ShardedStore {
         self.shard_versions[shard].fetch_add(1, Ordering::Release)
     }
 
-    /// Copies every shard's parameters and clocks into the provided slices
-    /// — the multi-server assembly primitive. The router points these
-    /// directly at its flat worker buffer, so a routed pull costs one copy
-    /// of the parameter vector, the same as the single-server
-    /// [`ShardedStore::pull_into`] path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params_out.len()` differs from the parameter count or
-    /// `clocks_out.len()` from the shard count.
-    pub fn pull_into_slices(&self, params_out: &mut [f32], clocks_out: &mut [u64]) {
-        assert_eq!(params_out.len(), self.param_count, "params length mismatch");
-        self.read_runs(&[(0, self.param_count)], 0, clocks_out, |at, values| {
-            params_out[at..at + values.len()].copy_from_slice(values);
-        });
-    }
-
     /// The store's one read routine: hands `sink` the stored values of
     /// every piece of `runs` — sorted, disjoint `(offset, len)` ranges in
     /// coordinates where this store's first parameter sits at `base`, cut

@@ -35,10 +35,14 @@
 //! commits, so sharing a frame changes nothing the protocol can observe).
 //! The server runs stage 2 itself: every `sync_every`-th request that
 //! carries pushes commits behind its applies, and the reply says so with a
-//! `Synced` carrying the server's commit epoch. A pull costs a round trip
-//! per server only when it has to: on an asynchronous tail whose steps
-//! read the whole vector, the batch a worker pushes ends in a
-//! `PullCommitted` item, the `Pulled` image stays where the reply arrived
+//! `Synced` carrying the server's commit epoch. A pull is a list of runs
+//! of the flat vector — a dense step's one run is the whole vector, which
+//! goes to each server as a bodyless `PullCommitted`, the compact encoding
+//! of its whole slice — and the endpoint encodes every pull straight from
+//! the committed store into the reply. A pull costs a round trip per
+//! server only when it has to: on an asynchronous tail, the batch a worker
+//! pushes ends in a `PullCommitted` item for the runs of the batch it drew
+//! for its next step, the `Pulled` image stays where the reply arrived
 //! ([`Conn::last_reply`]), and the next step decodes it from there. Pulls
 //! read the *committed* view, which only a commit changes, so the image is
 //! the pull the next step would have made unless the server has committed
@@ -46,8 +50,9 @@
 //! it holds, keeps the highest epoch any reply reported, and asks the
 //! server again once that has moved past the stamp, which keeps the
 //! guarantee a pull has always given — it reflects every round completed
-//! before it was asked for. A segment's first step, steps that pull by run
-//! and reconnects pay the round trip as before. A BSP round is one round trip
+//! before it was asked for. A segment's first step (the last push of a
+//! segment draws no next batch, so it brings nothing home) and reconnects
+//! pay the round trip. A BSP round is one round trip
 //! per server in all: the worker that completes it sends each server its
 //! averaged stripes, a `Drain` and a `PullCommitted` in one batch, and
 //! every worker's next step installs the images that come back.
@@ -380,7 +385,7 @@ impl ServerEndpoint {
                 (shard < live.shard_count()).then(|| live.shard_range(shard).1)
             }),
             op::PULL_COMMITTED => {
-                wire::decode_pull_runs_into(request, self.params.len(), &mut self.runs).map(drop)
+                wire::decode_pull_runs_into(request, self.params.len(), &mut self.runs)
             }
             op::SNAPSHOT => wire::decode_snapshot_request(request).map(drop),
             op::RESTORE => {
@@ -465,23 +470,14 @@ impl ServerEndpoint {
             }
             op::PULL_COMMITTED => {
                 // The run list is checked in full before the store is
-                // touched or a byte of reply is written.
-                if wire::decode_pull_runs_into(request, self.params.len(), &mut self.runs)? {
-                    wire::begin_pulled(reply, self.runs.iter().map(|r| r.1).sum());
-                    self.server.pull_committed_runs(
-                        &self.runs,
-                        0,
-                        &mut self.clocks,
-                        |_, values| {
-                            wire::put_f32_values(reply, values);
-                        },
-                    );
-                    wire::finish_pulled(reply, &self.clocks);
-                } else {
-                    self.server
-                        .pull_committed_into(&mut self.params, &mut self.clocks);
-                    wire::encode_pulled(reply, &self.params, &self.clocks);
-                }
+                // touched or a byte of reply is written; the values go
+                // straight from the committed store into the reply.
+                wire::decode_pull_runs_into(request, self.params.len(), &mut self.runs)?;
+                wire::begin_pulled(reply, self.runs.iter().map(|r| r.1).sum());
+                (self.server).pull_committed_runs(&self.runs, 0, &mut self.clocks, |_, values| {
+                    wire::put_f32_values(reply, values);
+                });
+                wire::finish_pulled(reply, &self.clocks);
             }
             op::DRAIN => wire::encode_synced(reply, self.server.commit_all(true)),
             op::SNAPSHOT => {
@@ -692,6 +688,34 @@ mod tests {
         req.clear();
         wire::encode_pull_runs(&mut req, [(0usize, 10usize)].into_iter());
         assert_eq!(ep.handle(&req, &mut reply), Ok(Handled::Reply));
+    }
+
+    #[test]
+    fn a_bodyless_pull_is_answered_as_the_run_of_the_whole_slice() {
+        let mut ep = endpoint(10, 2);
+        let mut req = Vec::new();
+        let mut reply = Vec::new();
+        // Committed data and clocks off their initial values, and a live
+        // apply the committed view has not seen.
+        for opcode in [op::PUSH_SHARD, op::DRAIN, op::PUSH_SHARD] {
+            req.clear();
+            match opcode {
+                op::DRAIN => wire::encode_bodyless(&mut req, opcode),
+                _ => wire::encode_push_shard(&mut req, 1, 0.5, 0.9, &[1.0; 5]),
+            }
+            ep.handle(&req, &mut reply).unwrap();
+        }
+        req.clear();
+        wire::encode_bodyless(&mut req, op::PULL_COMMITTED);
+        ep.handle(&req, &mut reply).unwrap();
+        let bodyless = reply.clone();
+        req.clear();
+        wire::encode_pull_runs(&mut req, [(0usize, 10usize)].into_iter());
+        ep.handle(&req, &mut reply).unwrap();
+        assert_eq!(reply, bodyless);
+        let mut clocks = [0u64; 2];
+        wire::decode_pulled_into(&reply, &mut [0.0; 10], &mut clocks).unwrap();
+        assert_eq!(clocks, [0, 1]);
     }
 
     #[test]

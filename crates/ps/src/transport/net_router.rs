@@ -23,10 +23,11 @@
 //! lifetime, not once per segment.
 //!
 //! Every operation is strictly request/reply, and every data-plane request
-//! has one shape, `[push × n][Drain]?[PullCommitted(runs?)]?`, built by one
-//! encoder and read by one decoder ([`NetRouter::send`]), the pull bodyless
-//! for the whole slice or carrying the server's pieces of the runs a step
-//! reads. Its reply is `[ack × n][Synced]?[Pulled]?`, the
+//! has one shape, `[push × n][Drain]?[PullCommitted(runs)]?`, built by one
+//! encoder and read by one decoder ([`NetRouter::send`]), the pull carrying
+//! the server's pieces of the runs a step reads — bodyless when they are
+//! its whole slice, the compact encoding of that one run. Its reply is
+//! `[ack × n][Synced]?[Pulled]?`, the
 //! `Synced` there when the request drained or its pushes made the server's
 //! periodic commit due. Each round trip is booked from its own items
 //! ([`Split::of`]; the rule is stated on [`TransportStats`]), so the
@@ -39,12 +40,15 @@
 //!   [`NetPort::flush_pushes`], server by server ([`NetRouter::send_all`]).
 //!   Round trips to different servers are not overlapped: on a small box
 //!   the extra runnable threads cost more than the overlap saves.
-//! * **A pull** asks each server for the runs the step reads, or its slice
-//!   (every server answers either way — its clocks date the pull). A push
-//!   asks for the worker's next pull too: the whole slice after a
-//!   whole-vector pull, or the runs of the batch an asynchronous worker
-//!   drew before it pushed. The `Pulled` image stays in the connection's
-//!   reply buffer until a pull of the same decodes it.
+//! * **A pull** asks each server for its pieces of the runs the step reads
+//!   — a dense step's one run is the whole vector — and every server
+//!   answers, pieces or none, because its clocks date the pull. A push
+//!   asks for the worker's next pull too, exactly when it is handed the
+//!   runs of the batch an asynchronous worker drew before it pushed; a
+//!   push handed none (a segment's last, the shard-by-shard path) brings
+//!   nothing home. The `Pulled` image stays in the connection's reply
+//!   buffer until a pull of the same runs decodes it, and every pull
+//!   clears the ride.
 //! * **An asynchronous stage-2 round** is the servers' own: each commits
 //!   behind the applies of every `sync_every`-th request that carries
 //!   pushes to it, from whichever client, so the round rides the push that
@@ -921,12 +925,12 @@ impl NetRouter {
         Ok(())
     }
 
-    /// Pulls the committed view of every server through `port` into `buf`,
-    /// decoding each server's `Pulled` frame straight into the flat buffer
-    /// (the decode is the pull's single parameter copy). With `runs` —
-    /// sorted, disjoint `(offset, len)` ranges of the flat vector — each
-    /// server is asked for, and replies with, only the pieces of them it
-    /// owns, in its own offsets; a server that owns none is still asked
+    /// Pulls `runs` — sorted, disjoint `(offset, len)` ranges of the flat
+    /// vector — of the committed view of every server through `port` into
+    /// `buf`, decoding each server's `Pulled` frame straight into the flat
+    /// buffer (the decode is the pull's single parameter copy). Each server
+    /// is asked for, and replies with, only the pieces of them it owns, in
+    /// its own offsets; a server that owns none is still asked
     /// (with an empty list), because its clocks feed the version and the
     /// per-shard staleness. Returns the effective data version (see
     /// [`NetRouter::pull_with`]).
@@ -937,7 +941,7 @@ impl NetRouter {
     /// still current (see the stamp rule): it holds every commit this
     /// router has seen reported before the pull was asked for. Otherwise
     /// the server is asked.
-    fn pull_committed_into(
+    fn pull_runs(
         &self,
         port: &mut PortState,
         buf: &mut PullBuffer,
@@ -1234,12 +1238,12 @@ struct PortState {
     /// Pre-apply shard clocks of the pushes sent and not yet handed to the
     /// caller, in shard order.
     acks: Vec<u64>,
-    /// Whether each request of the next flush brings `runs` home: not on
-    /// the control plane, nor after a pull by run unless handed new runs.
+    /// Whether each request of the next flush brings `runs` home: only
+    /// when that flush is handed them — never on the control plane — and
+    /// every pull clears it.
     rides: bool,
-    /// What this worker's next pull reads: the whole vector's one run after
-    /// a whole-vector pull, or the runs of the batch it drew for its next
-    /// step (a reused buffer).
+    /// What this worker's next pull reads: the runs of the batch it drew
+    /// for its next step, handed to the last flush (a reused buffer).
     runs: Vec<(usize, usize)>,
 }
 
@@ -1252,13 +1256,6 @@ struct Staged {
 }
 
 impl PortState {
-    /// Makes `runs` what the next flush brings home.
-    fn ride(&mut self, runs: &[(usize, usize)]) {
-        self.rides = true;
-        self.runs.clear();
-        self.runs.extend_from_slice(runs);
-    }
-
     fn new(servers: usize) -> Self {
         PortState {
             conns: (0..servers).map(|_| ConnSlot::fresh()).collect(),
@@ -1328,33 +1325,26 @@ impl NetPort {
         &self.router
     }
 
-    /// Pulls the committed view into `buf`: from the images this worker's
-    /// last flushed push left on its connections where they are still
-    /// current, over the wire otherwise (see
-    /// [`NetRouter::pull_committed_into`]). The worker's next flush brings
-    /// the whole vector home again, unless it is handed runs.
+    /// [`NetPort::pull_runs_into`] of the whole vector's one run.
     pub fn pull_into(&self, buf: &mut PullBuffer) -> Result<u64, PsError> {
-        let port = &mut *self.state.lock();
-        let whole = [(0, self.router.tier.param_count())];
-        let version = self.router.pull_committed_into(port, buf, &whole);
-        port.ride(&whole);
-        version
+        self.pull_runs_into(buf, &[(0, self.router.tier.param_count())])
     }
 
-    /// Pulls only `runs` of the committed view — sorted, disjoint
-    /// `(offset, len)` ranges of the flat vector — so only they cross the
-    /// wire; the rest of `buf.params` keeps what it held. Same clocks and
-    /// version as [`NetPort::pull_into`]. Served like it, from the images
-    /// the last flushed push brought home, when that push was handed these
-    /// very runs ([`NetPort::flush_pushes`]); its next flush brings nothing
-    /// home unless it is handed runs too.
+    /// Pulls `runs` of the committed view — sorted, disjoint `(offset,
+    /// len)` ranges of the flat vector — so only they cross the wire; the
+    /// rest of `buf.params` keeps what it held, and every shard clock is
+    /// recorded. Served from the images the last flushed push brought home
+    /// where they are still current, when that push was handed these very
+    /// runs ([`NetPort::flush_pushes`]), over the wire otherwise (see
+    /// [`NetRouter::pull_runs`]). Clears the ride: the next flush brings
+    /// home only what it is handed.
     pub fn pull_runs_into(
         &self,
         buf: &mut PullBuffer,
         runs: &[(usize, usize)],
     ) -> Result<u64, PsError> {
         let port = &mut *self.state.lock();
-        let version = self.router.pull_committed_into(port, buf, runs);
+        let version = self.router.pull_runs(port, buf, runs);
         port.rides = false;
         version
     }
@@ -1387,18 +1377,19 @@ impl NetPort {
     /// behind whose pushes the server commits if they complete its period,
     /// so the round costs no round trip of its own — and appends to `acks`
     /// the owners' pre-apply live shard clocks of every push queued since
-    /// the last flush, in shard order. Each request also fetches what the
-    /// worker's next pull reads, where that is known: `next_runs`, the runs
-    /// of the batch the worker drew for its next step, or else the whole
-    /// vector after a whole-vector pull.
+    /// the last flush, in shard order. Each request also fetches
+    /// `next_runs`, the runs of the batch the worker drew for its next
+    /// step, if it is handed them, and nothing otherwise.
     pub fn flush_pushes(
         &self,
         acks: &mut Vec<u64>,
         next_runs: Option<&[(usize, usize)]>,
     ) -> Result<(), PsError> {
         let port = &mut *self.state.lock();
+        port.rides = next_runs.is_some();
         if let Some(runs) = next_runs {
-            port.ride(runs);
+            port.runs.clear();
+            port.runs.extend_from_slice(runs);
         }
         self.router.send_all(port, false, None)?;
         acks.append(&mut port.acks);
@@ -1529,15 +1520,15 @@ mod tests {
         }
     }
 
-    /// One whole push the way the engine's asynchronous tail sends it: every
-    /// shard queued in flat order, flushed, completed. Returns how many
-    /// pulls rode along.
+    /// One whole push the way the engine's asynchronous tail sends a
+    /// segment's last: every shard queued in flat order, flushed with no
+    /// runs, completed. Returns how many pulls rode along: none.
     fn queued_push(port: &NetPort, scale: f32) -> u64 {
         riding_push(port, scale, None)
     }
 
     /// [`queued_push`] with the runs the worker's next pull reads handed to
-    /// the flush.
+    /// the flush, as every other push of the tail is.
     fn riding_push(port: &NetPort, scale: f32, next_runs: Option<&[(usize, usize)]>) -> u64 {
         let r = port.router();
         let pulls = r.stats().pull.ops;
@@ -1567,6 +1558,10 @@ mod tests {
             let b = a.clone();
             let r = a.router();
             let pull_trips = || r.stats().pull.round_trips;
+            // A's pushes are handed the whole vector's one run, the runs of
+            // a dense step.
+            let whole = [(0, 26)];
+            let ride = |scale| riding_push(&a, scale, Some(&whole[..]));
             // What an explicit pull returns right now: a fresh port has
             // nothing to serve it from.
             let view = |port: &NetPort, buf: &mut PullBuffer| {
@@ -1582,7 +1577,7 @@ mod tests {
             // one home, and no round has completed when it is read.
             pulled(&a);
             assert_eq!(pull_trips(), 2);
-            assert_eq!(queued_push(&a, 1.0), 2, "one pull per server rides along");
+            assert_eq!(ride(1.0), 2, "one pull per server rides along");
             assert_eq!(r.stats().push.round_trips, 2);
             let before = pull_trips();
             let rode = pulled(&a);
@@ -1593,8 +1588,8 @@ mod tests {
             // B's push is each server's third, so each commits behind it: the
             // image A took home with its own push predates a completed round,
             // so A asks.
-            assert_eq!(queued_push(&a, 2.0), 2);
-            assert_eq!(queued_push(&b, 0.5), 0, "B has not pulled the whole vector");
+            assert_eq!(ride(2.0), 2);
+            assert_eq!(queued_push(&b, 0.5), 0, "B's flush is handed no runs");
             assert_eq!(r.sync_rounds(), 1);
             let before = pull_trips();
             let after_round = pulled(&a);
@@ -1608,7 +1603,7 @@ mod tests {
             assert_eq!(after_round.1, vec![3; 4]);
 
             // The same after a drain ...
-            assert_eq!(queued_push(&a, 3.0), 2);
+            assert_eq!(ride(3.0), 2);
             r.drain().expect("drain");
             let before = pull_trips();
             let after_drain = pulled(&a);
@@ -1617,7 +1612,7 @@ mod tests {
             assert_eq!(after_drain.0, r.snapshot_params());
 
             // ... and after a restore, which drains.
-            assert_eq!(queued_push(&a, 4.0), 2);
+            assert_eq!(ride(4.0), 2);
             let (params, velocity) = (vec![0.25f32; 26], vec![0.0f32; 26]);
             r.restore(&params, &velocity).expect("restore");
             let before = pull_trips();
@@ -1627,10 +1622,10 @@ mod tests {
 
             // The push that makes a round due carries it, with the pull
             // behind each commit.
-            assert_eq!(queued_push(&a, 5.0), 2);
-            assert_eq!(queued_push(&a, 6.0), 2);
+            assert_eq!(ride(5.0), 2);
+            assert_eq!(ride(6.0), 2);
             let (rounds, before) = (r.sync_rounds(), r.stats());
-            assert_eq!(queued_push(&a, 7.0), 2, "the pull rides behind the commit");
+            assert_eq!(ride(7.0), 2, "the pull rides behind the commit");
             assert_eq!(r.sync_rounds(), rounds + 1);
             let paid = r.stats().delta(&before);
             assert_eq!((paid.push.round_trips, paid.sync.round_trips), (2, 0));
@@ -1646,7 +1641,7 @@ mod tests {
             // *that* server goes to the wire and re-dials the replacement.
             // Server 0 was not touched, so its image still stands and is
             // served.
-            assert_eq!(queued_push(&a, 8.0), 2);
+            assert_eq!(ride(8.0), 2);
             if r.kill_server(1).is_err() {
                 continue; // only the TCP backend kills in place
             }

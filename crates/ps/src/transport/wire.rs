@@ -82,11 +82,11 @@ impl std::error::Error for WireError {}
 pub mod op {
     /// Stage-1 apply of one shard's gradient on the owning server.
     pub const PUSH_SHARD: u8 = 0x01;
-    /// Pull the committed view: bodyless, of every owned shard; with the
-    /// body `[u32 k][k × (u32 start, u32 len)]`, of just those runs of the
-    /// server's slice (server-local offsets, non-empty, ascending,
-    /// disjoint; `k` may be 0). The reply always carries every owned
-    /// shard's committed clock.
+    /// Pull runs of the committed view: the body `[u32 k][k × (u32 start,
+    /// u32 len)]` names them (server-local offsets, non-empty, ascending,
+    /// disjoint; `k` may be 0), and a bodyless frame is the compact
+    /// encoding of the one run of the whole slice. The reply always
+    /// carries every owned shard's committed clock.
     pub const PULL_COMMITTED: u8 = 0x02;
     /// Stage-2 reconciliation: a server's periodic commit of every owned
     /// shard's live state. Not a request — a server commits on its own
@@ -917,11 +917,11 @@ pub fn decode_pulled_runs_into(
 }
 
 /// Decodes a `PullCommitted` request on the server that owns `slice_len`
-/// parameters. Returns `Ok(false)` for the bodyless frame — pull
-/// everything — and `Ok(true)` after reading a run list into `runs`
-/// (cleared first) *and checking it*: the count fits the frame exactly and
-/// every run is non-empty, starts at or after the end of the one before and
-/// ends inside the slice. What comes out can index the store unchecked.
+/// parameters into the runs it asks for (`runs`, cleared first): the one
+/// run `(0, slice_len)` for the bodyless frame, or else its run list,
+/// *checked*: the count fits the frame exactly and every run is non-empty,
+/// starts at or after the end of the one before and ends inside the slice.
+/// What comes out can index the store unchecked.
 ///
 /// # Errors
 ///
@@ -931,11 +931,12 @@ pub fn decode_pull_runs_into(
     payload: &[u8],
     slice_len: usize,
     runs: &mut Vec<(usize, usize)>,
-) -> Result<bool, WireError> {
+) -> Result<(), WireError> {
     let mut c = Cursor::open(payload, op::PULL_COMMITTED)?;
     runs.clear();
     if c.pos == payload.len() {
-        return Ok(false);
+        runs.push((0, slice_len));
+        return Ok(());
     }
     let k = c.u32()? as usize;
     let bytes = c.take(k.checked_mul(8).ok_or(WireError::Truncated)?)?;
@@ -944,8 +945,7 @@ pub fn decode_pull_runs_into(
         runs.push((start, len));
         len > 0
     })
-    .map_err(WireError::BadRun)?;
-    Ok(true)
+    .map_err(WireError::BadRun)
 }
 
 /// Decodes a `Snapshot` request: whether it asks for the velocity (set)
@@ -1223,20 +1223,21 @@ mod tests {
 
     #[test]
     fn pull_run_list_round_trips_and_the_bodyless_frame_is_unchanged() {
-        // "Everything" is still the one opcode byte, to the server too.
+        // The whole slice is still the one opcode byte, and the server
+        // reads it as the slice's one run.
         let mut bare = Vec::new();
         encode_bodyless(&mut bare, op::PULL_COMMITTED);
         assert_eq!(bare, [op::PULL_COMMITTED]);
         let mut runs = vec![(7, 7)];
-        assert_eq!(decode_pull_runs_into(&bare, 100, &mut runs), Ok(false));
-        assert!(runs.is_empty());
+        assert_eq!(decode_pull_runs_into(&bare, 100, &mut runs), Ok(()));
+        assert_eq!(runs, [(0, 100)]);
 
         // A run list: same opcode, `[k][(start, len)…]` behind it.
         let mut buf = Vec::new();
         encode_pull_runs(&mut buf, [(0, 4), (4, 1), (90, 10)].into_iter());
         assert_eq!(buf[0], op::PULL_COMMITTED);
         assert_eq!(buf.len(), 1 + 4 + 3 * 8);
-        assert_eq!(decode_pull_runs_into(&buf, 100, &mut runs), Ok(true));
+        assert_eq!(decode_pull_runs_into(&buf, 100, &mut runs), Ok(()));
         assert_eq!(runs, [(0, 4), (4, 1), (90, 10)]);
         let mut again = Vec::new();
         encode_pull_runs(&mut again, runs.iter().copied());
@@ -1250,7 +1251,7 @@ mod tests {
         buf.clear();
         encode_pull_runs(&mut buf, std::iter::empty());
         assert_eq!(buf, [op::PULL_COMMITTED, 0, 0, 0, 0]);
-        assert_eq!(decode_pull_runs_into(&buf, 100, &mut runs), Ok(true));
+        assert_eq!(decode_pull_runs_into(&buf, 100, &mut runs), Ok(()));
         assert!(runs.is_empty());
     }
 
@@ -1285,7 +1286,7 @@ mod tests {
         // Up to the slice's last element is fine.
         assert_eq!(
             decode_pull_runs_into(&frame(1, &[(99, 1)]), 100, &mut out),
-            Ok(true)
+            Ok(())
         );
     }
 

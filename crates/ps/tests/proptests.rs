@@ -41,7 +41,10 @@ fn server_state(server: &PsServer) -> [Vec<u64>; 5] {
     let bits = |v: &[f32]| v.iter().map(|x| u64::from(x.to_bits())).collect();
     let mut committed = vec![0.0; server.param_range().1];
     let mut clocks = vec![0; server.shard_count()];
-    server.pull_committed_into(&mut committed, &mut clocks);
+    let whole = [(0, committed.len())];
+    server.pull_committed_runs(&whole, 0, &mut clocks, |at, values| {
+        committed[at..at + values.len()].copy_from_slice(values);
+    });
     let live_clocks = (0..server.shard_count()).map(|k| live.shard_version(k));
     [
         bits(&live.snapshot_params()),
@@ -190,10 +193,13 @@ fn reencode_request(bytes: &[u8], slice: usize) -> Result<Vec<u8>, WireError> {
         }
         op::PULL_COMMITTED => {
             let mut runs = Vec::new();
-            if wire::decode_pull_runs_into(bytes, slice, &mut runs)? {
-                wire::encode_pull_runs(&mut out, runs.into_iter());
-            } else {
+            wire::decode_pull_runs_into(bytes, slice, &mut runs)?;
+            // The bodyless frame is the compact encoding of the one run of
+            // the whole slice, which a run list may name too.
+            if bytes.len() == 1 && runs == [(0, slice)] {
                 wire::encode_bodyless(&mut out, op::PULL_COMMITTED);
+            } else {
+                wire::encode_pull_runs(&mut out, runs.into_iter());
             }
         }
         op::SNAPSHOT => {

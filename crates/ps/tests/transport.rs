@@ -215,9 +215,9 @@ fn single_server_channel_tier_still_crosses_the_wire() {
     assert_eq!(r.staleness.max(), Some(3));
     assert!((r.staleness.mean() - 1.5).abs() < 1e-9);
     // The first pull asks; every later one was brought home by the push
-    // reply of the step before it — behind the commit every fourth step —
-    // and the last step's is left unread.
-    assert_eq!(r.transport.pull.ops, 41);
+    // reply of the step before it — behind the commit every fourth step.
+    // The last step draws no next batch, so its push brings nothing home.
+    assert_eq!(r.transport.pull.ops, 40);
     assert_eq!(r.transport.pull.round_trips, 1);
     assert_eq!(r.transport.total_round_trips(), 1 + 40);
 }
@@ -279,22 +279,20 @@ fn tcp_sparse_pushes_ship_fewer_bytes_than_dense() {
     assert!(dense.pull.round_trips < steps * 2);
     // The acks are the same in both runs: bare 9-byte frames, inside a
     // 7-byte batch frame whenever something rode the push (each server
-    // owns one shard, so only then). In the dense run that is a pull,
-    // which every push after the first pull carries. In the sparse run it
-    // is a pull too, but a worker's last push draws no next batch and
-    // carries none, so it is a batch only if it commits.
+    // owns one shard, so only then). That is the pull of the batch drawn
+    // before the push — the dense run's whole vector, the sparse run's
+    // runs — but a worker's last push draws no next batch and carries
+    // none, so it is a batch only if it commits.
     let acks = |batched: u64| steps * 2 * 9 + 7 * batched;
-    let batched = (sparse.push.bytes_in - acks(0)) / 7;
-    let rode = sparse.pull.ops - sparse.pull.round_trips;
-    assert_eq!(sparse.push.bytes_in, acks(batched));
-    assert!(
-        (rode..=rode + 2 * 2).contains(&batched),
-        "{batched} batched replies, {rode} pulls rode"
-    );
-    assert_eq!(
-        dense.push.bytes_in,
-        acks(dense.pull.ops - dense.pull.round_trips)
-    );
+    for (what, wire) in [("sparse", sparse), ("dense", dense)] {
+        let batched = (wire.push.bytes_in - acks(0)) / 7;
+        let rode = wire.pull.ops - wire.pull.round_trips;
+        assert_eq!(wire.push.bytes_in, acks(batched), "{what}");
+        assert!(
+            (rode..=rode + 2 * 2).contains(&batched),
+            "{what}: {batched} batched replies, {rode} pulls rode"
+        );
+    }
 }
 
 #[test]
@@ -461,7 +459,8 @@ fn drive_pushes(
             pushed.expect("push");
         }
         if batched {
-            w.flush_pushes(&mut acks, None).expect("flush");
+            // Handed the whole vector, what this worker's next pull reads.
+            w.flush_pushes(&mut acks, Some(&[(0, 103)])).expect("flush");
         }
         assert_eq!(acks.len(), 7, "one ack per shard");
         observed.append(&mut acks);
@@ -600,11 +599,11 @@ fn prefetched_pulls_change_round_trips_not_numerics() {
                 assert_eq!(wire.sync.round_trips, 0, "{what}");
                 assert_eq!(wire.pull.round_trips, 2, "{what}");
                 assert_eq!(wire.total_round_trips(), 82, "{what}");
-                // The logical ops are what they were, plus the image the
-                // last step brought home for a step that never came.
+                // The logical ops are what they were: the last step draws no
+                // next batch, so its push brings no image home.
                 assert_eq!(wire.push.ops, 40 * 7, "{what}");
                 assert_eq!(wire.sync.ops, 2 * rounds, "{what}");
-                assert_eq!(wire.pull.ops, 80 + 2, "{what}");
+                assert_eq!(wire.pull.ops, 80, "{what}");
             }
         }
     }

@@ -417,21 +417,23 @@ fn riding_items_are_booked_under_their_own_class() {
     let r = net.router();
     let sizes = per_server(r);
     let images: u64 = sizes.iter().map(|s| s.2).sum();
+    // Each flush is handed the whole vector's one run, what a dense step
+    // reads next.
     let push_all = |acks: &mut Vec<u64>| {
         for g in 0..r.tier().shard_count() {
             let grad = vec![0.5; r.tier().shard_range(g).1];
             net.queue_shard_update(g, UpdateData::Dense(&grad), 0.1, 0.9)
                 .unwrap();
         }
-        net.flush_pushes(acks, None).unwrap();
+        net.flush_pushes(acks, Some(&[(0, initial.len())])).unwrap();
     };
     let mut buf = PullBuffer::new();
     let mut acks = Vec::new();
     net.pull_into(&mut buf).unwrap();
     assert_eq!(books(&r.stats().pull), class(2, 2, 2, images));
 
-    // (a) A push after a whole-vector pull brings the next pull home:
-    // `[push × 2, PullCommitted]` per server.
+    // (a) A push handed the whole vector brings the next pull home:
+    // `[push × 2, PullCommitted]` per server, the pull bodyless.
     let before = r.stats();
     push_all(&mut acks);
     let after = r.stats();
